@@ -127,23 +127,23 @@ func DefaultOptions() Options {
 
 // Engine executes SQL statements.
 //
-// An Engine is safe for concurrent use. Locking discipline: read statements
-// (SELECT, UNION, EXPLAIN) run under a shared lock and may execute
-// concurrently — including view-derived MaxOA/MinOA rewrites — while DML,
-// DDL, and REFRESH MATERIALIZED VIEW take the exclusive lock, so every read
-// observes a consistent pre- or post-write state. The catalog and the view
-// manager carry their own finer-grained locks for direct library use, but
-// the engine-level RWMutex is what makes multi-statement read plans (match →
-// derive → plan → execute) atomic with respect to writers.
+// An Engine is safe for concurrent use. Read statements (SELECT, UNION,
+// EXPLAIN) take no lock: each runs against an MVCC snapshot — including the
+// view match, the MaxOA/MinOA rewrite and the plan it executes — and
+// validates the commitSeq seqlock afterwards, retrying when a commit or DDL
+// published in between and falling back to the shared mode of mu only after
+// repeated torn attempts (readStable in txn.go). Commits, DDL and REFRESH
+// MATERIALIZED VIEW serialize on the exclusive mode of mu and publish inside
+// a commitSeq window, so every read observes base tables, views and catalog
+// of one pre- or post-commit state. The catalog and the view manager carry
+// their own finer-grained locks for direct library use.
 type Engine struct {
 	Cat   *catalog.Catalog
 	Views *mview.Manager
 	Opts  Options
 
-	// mu is the engine-level reader/writer lock described above. Since the
-	// MVCC rework it serializes commits and DDL against each other; read
-	// statements normally never touch it (see readStable in txn.go) and fall
-	// back to the shared mode only after repeated torn optimistic attempts.
+	// mu serializes commits and DDL against each other; read statements take
+	// its shared mode only as the fallback described above.
 	mu sync.RWMutex
 	// commitSeq is the seqlock guarding non-row-versioned read state (view
 	// freshness, table version counters, schema); odd while a commit or DDL

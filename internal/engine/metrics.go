@@ -85,8 +85,14 @@ func (e *Engine) initMetrics() {
 			return float64(e.winStats.WorkersUsed.Load()) / float64(runs)
 		})
 	e.reg.GaugeFunc("rfview_sort_normalized_total",
-		"Partition orderings that ran on memcomparable byte keys.",
+		"Partition orderings that ran on normalized keys: the typed and the encoded ones together.",
 		func() float64 { return float64(e.winStats.NormalizedSorts.Load()) })
+	e.reg.GaugeFunc("rfview_sort_typed_total",
+		"Partition orderings that sorted packed fixed-width key records.",
+		func() float64 { return float64(e.winStats.TypedSorts.Load()) })
+	e.reg.GaugeFunc("rfview_sort_encoded_total",
+		"Partition orderings that ran on memcomparable byte keys (a VARCHAR key, or the external sorter).",
+		func() float64 { return float64(e.winStats.NormalizedSorts.Load() - e.winStats.TypedSorts.Load()) })
 	e.reg.GaugeFunc("rfview_sort_comparator_total",
 		"Partition orderings that fell back to the Compare-based sort.",
 		func() float64 { return float64(e.winStats.ComparatorSorts.Load()) })

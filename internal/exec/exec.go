@@ -44,7 +44,8 @@ func Collect(op Operator) ([]sqltypes.Row, error) {
 const cancelCheckEvery = 128
 
 // rowsHandoff is implemented by fully-materializing operators (Sort, Window,
-// Restore) that can surrender their buffered output wholesale. CollectCtx
+// Restore, and a Project pushed down into its Window) that can surrender
+// their buffered output wholesale. CollectCtx
 // takes the slice instead of re-draining row by row — a stacked window plan
 // materializes once per operator either way, but the hand-off skips the
 // per-row Next calls and the append regrowth of the copy.
@@ -60,6 +61,13 @@ type rowsHandoff interface {
 // the drain, closes the operator, and returns ErrCancelled (wrapping the
 // context's own error).
 func CollectCtx(ctx context.Context, op Operator) ([]sqltypes.Row, error) {
+	return collectInto(ctx, op, nil)
+}
+
+// collectInto is CollectCtx draining into buf's backing array when the
+// operator has no materialized output to hand over; a materializing caller
+// passes its pooled buffer so the drain does not regrow a slice per run.
+func collectInto(ctx context.Context, op Operator, buf []sqltypes.Row) ([]sqltypes.Row, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -75,7 +83,7 @@ func CollectCtx(ctx context.Context, op Operator) ([]sqltypes.Row, error) {
 			return rows, nil
 		}
 	}
-	var out []sqltypes.Row
+	out := buf[:0]
 	until := cancelCheckEvery
 	for {
 		if until--; until <= 0 {

@@ -1,9 +1,14 @@
 package exec
 
 import (
+	"rfview/internal/expr"
 	"rfview/internal/sqltypes"
 )
 
+// This file evaluates ROWS frames over one partition's argument column, in
+// evaluation order: the typed kernels, the boxed evaluators they fall back
+// to, and the dispatch between the two.
+//
 // Typed window kernels: the §2.2 slide (Add/Remove) and the MIN/MAX monotonic
 // deque specialized to raw []int64 / []float64 argument columns. A kernel runs
 // only when the column is homogeneous and NULL-free (see runTypedKernel), so
@@ -166,4 +171,162 @@ func kernelMinMax[T int64 | float64](frame FrameSpec, vals []T, isMin bool, mk f
 		}
 	}
 	return dq, true
+}
+
+// runTypedKernel dispatches fn to a typed kernel when its argument column is
+// eligible: COUNT(*) always (its synthesized argument is a non-NULL
+// constant), otherwise a valid ColVec with no NULLs and an Int or Float
+// element type. Any NULL, any type mix, a NaN, or a non-numeric element type
+// routes the function to the boxed accumulator path instead. Reports whether
+// a kernel ran and filled ps.out.
+func runTypedKernel(fn WindowFunc, slot int, ps *partScratch, n int) bool {
+	if slot < 0 {
+		kernelCount(fn.Frame, n, ps.out)
+		return true
+	}
+	vec := &ps.vecs[slot]
+	if !vec.Valid() || vec.Nulls.Any() {
+		return false
+	}
+	switch vec.Typ {
+	case sqltypes.Int:
+		return typedKernel(fn, vec.Ints, kernelSumInt, sqltypes.NewInt, ps)
+	case sqltypes.Float:
+		return typedKernel(fn, vec.Floats, kernelSumFloat, sqltypes.NewFloat, ps)
+	}
+	return false
+}
+
+// typedKernel runs fn's kernel over one raw argument slice, filling ps.out.
+func typedKernel[T int64 | float64](fn WindowFunc, vals []T, sum func(FrameSpec, []T, []sqltypes.Datum), mk func(T) sqltypes.Datum, ps *partScratch) (ok bool) {
+	switch fn.Name {
+	case "COUNT":
+		kernelCount(fn.Frame, len(vals), ps.out)
+	case "SUM":
+		sum(fn.Frame, vals, ps.out)
+	case "AVG":
+		kernelAvg(fn.Frame, vals, ps.out)
+	case "MIN", "MAX":
+		ps.dq, ok = kernelMinMax(fn.Frame, vals, fn.Name == "MIN", mk, ps.out, ps.dq)
+		return ok
+	default:
+		return false
+	}
+	return true
+}
+
+// computeFrames computes the window aggregate for every position. Frame
+// bounds move monotonically with the row index, enabling the pipelined
+// strategies.
+func computeFrames(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
+	n := len(args)
+	out := make([]sqltypes.Datum, n)
+	if fn.Name == "MIN" || fn.Name == "MAX" {
+		return computeFramesMinMax(fn, args)
+	}
+	acc, err := expr.NewAgg(fn.Name)
+	if err != nil {
+		return nil, err
+	}
+	curLo, curHi := 0, -1 // current accumulated range [curLo, curHi]
+	for i := 0; i < n; i++ {
+		lo, hi := fn.Frame.rowRange(i, n)
+		if lo > hi {
+			// Empty frame: NULL (COUNT yields 0 via a fresh accumulator).
+			acc.Reset()
+			curLo, curHi = lo, lo-1
+			if fn.Name == "COUNT" {
+				out[i] = sqltypes.NewInt(0)
+			} else {
+				out[i] = sqltypes.NullDatum
+			}
+			continue
+		}
+		// ROWS frame bounds move monotonically right; re-seed if the target
+		// range jumped (backwards, or disjoint ahead, or shrank on the
+		// right), otherwise slide: grow right with Add, shrink left with
+		// Remove — the §2.2 three-operations-per-position strategy.
+		if lo < curLo || lo > curHi+1 || hi < curHi {
+			acc.Reset()
+			curLo, curHi = lo, lo-1
+		}
+		for curHi < hi {
+			curHi++
+			acc.Add(args[curHi])
+		}
+		for curLo < lo {
+			acc.Remove(args[curLo])
+			curLo++
+		}
+		out[i] = acc.Result()
+	}
+	return out, nil
+}
+
+// computeFramesMinMax computes MIN/MAX frames with a monotonic deque.
+func computeFramesMinMax(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
+	n := len(args)
+	out := make([]sqltypes.Datum, n)
+	isMin := fn.Name == "MIN"
+	type entry struct {
+		pos int
+		val sqltypes.Datum
+	}
+	var dq []entry
+	next := 0 // next arg index to admit
+	prevLo := 0
+	for i := 0; i < n; i++ {
+		lo, hi := fn.Frame.rowRange(i, n)
+		if lo < prevLo {
+			// Frames of ROWS windows never move backwards; guard anyway.
+			return computeFramesMinMaxNaive(fn, args)
+		}
+		prevLo = lo
+		for next <= hi {
+			v := args[next]
+			if !v.IsNull() {
+				for len(dq) > 0 {
+					cmp, err := sqltypes.Compare(v, dq[len(dq)-1].val)
+					if err != nil {
+						return nil, err
+					}
+					if (isMin && cmp <= 0) || (!isMin && cmp >= 0) {
+						dq = dq[:len(dq)-1]
+						continue
+					}
+					break
+				}
+				dq = append(dq, entry{next, v})
+			}
+			next++
+		}
+		for len(dq) > 0 && dq[0].pos < lo {
+			dq = dq[1:]
+		}
+		if lo > hi || len(dq) == 0 {
+			out[i] = sqltypes.NullDatum
+		} else {
+			out[i] = dq[0].val
+		}
+	}
+	return out, nil
+}
+
+// computeFramesMinMaxNaive is the quadratic fallback for pathological frames.
+func computeFramesMinMaxNaive(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
+	n := len(args)
+	out := make([]sqltypes.Datum, n)
+	acc, err := expr.NewAgg(fn.Name)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := fn.Frame.rowRange(i, n)
+		acc.Reset()
+		for j := lo; j <= hi; j++ {
+			acc.Add(args[j])
+		}
+		out[i] = acc.Result()
+	}
+	return out, nil
 }

@@ -2,41 +2,63 @@ package exec
 
 import (
 	"bytes"
-	"math"
 	"slices"
 	"sync"
 
 	"rfview/internal/sqltypes"
 )
 
-// This file is the shared ordering fast path of the executor: both exec.Sort
-// and Window.computePartition sort row sets by normalizing the ORDER BY keys
-// into memcomparable byte strings once per row and comparing with
-// bytes.Compare, instead of paying an interface-dispatched Expr.Eval plus an
-// error-checked sqltypes.Compare per key on every one of the N·log N
-// comparisons. Columns the encoding cannot represent faithfully (Int/Float
-// mixes, NaN floats) fall back to a Compare-based sort whose key types were
-// already validated, so no error can surface mid-sort — fixing the old
-// comparator bug where a failed Compare kept sorting on garbage ordering and
-// was only checked after sort.SliceStable returned.
+// This file is the shared in-memory ordering of the executor: exec.Sort and
+// Window order row positions by key columns held as typed vectors
+// (sqltypes.ColVec), never by calling Expr.Eval or sqltypes.Compare inside
+// the N·log N comparisons. Which sort runs is decided once per sort by the
+// runtime types of the key columns:
+//
+//   - every column fixed-width (INTEGER, DATE, BOOLEAN, NaN-free FLOAT, or
+//     all NULL): sortTyped — each position becomes one packed record of
+//     uint64 order words plus a tail word, and the records are ordered by
+//     unsigned word comparison;
+//   - a VARCHAR column among them: sortEncoded — memcomparable byte keys and
+//     bytes.Compare, since a string has no fixed-width order word;
+//   - a column that mixes Int and Float or holds a NaN (orderings no
+//     normalization reproduces), or vectorization switched off:
+//     sortComparator — sqltypes.Compare over a pre-validated key matrix, so
+//     incomparable key types (INTEGER vs VARCHAR out of a CASE) surface as a
+//     type error before any ordering work.
+//
+// All three are stable: ties keep the order the positions arrived in.
 
-// sortScratch holds the reusable buffers of one normalization run. Buffers
-// are pooled (see scratchPool) because partition-parallel windows run many
-// computePartition calls concurrently and each used to allocate its own key
-// matrix and permutation.
+// sortPath names the in-memory ordering a sort took.
+type sortPath uint8
+
+const (
+	sortTyped sortPath = iota
+	sortEncoded
+	sortComparator
+)
+
+func (p sortPath) String() string {
+	return [...]string{"typed", "encoded", "comparator"}[p]
+}
+
+// sortScratch holds the reusable buffers of one sort. Buffers are pooled
+// (see sortScratchPool, partScratch) because partition-parallel windows sort
+// many partitions concurrently.
 type sortScratch struct {
-	datums []sqltypes.Datum // flat n×k key matrix, row-major
-	types  []sqltypes.Type  // first non-NULL type per key column
-	enc    [][]byte         // per-row normalized keys, slices into buf
-	buf    []byte           // arena backing enc
-	offs   []int            // per-row start offsets into buf
-	bounds []int32          // per-row per-key offsets into buf ((k+1) each), meta runs only
+	vecs []sqltypes.ColVec // key columns of a sortRowsByKeys run
+	recs []uint64          // typed path: the packed records, flat
+	ord  []int             // typed and encoded paths: the record numbers being sorted
+	// Encoded path: per-position keys, slices into buf.
+	enc  [][]byte
+	buf  []byte
+	offs []int
+	// Comparator path: flat n×k key matrix, row-major.
+	datums []sqltypes.Datum
 	perm   []int
 	tmp    []int
 }
 
-// scratchPool recycles per-sort (and per-partition, see partScratch) buffers
-// across operator executions and worker goroutines.
+// sortScratchPool recycles per-sort buffers across operator executions.
 var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 func getSortScratch() *sortScratch  { return sortScratchPool.Get().(*sortScratch) }
@@ -51,57 +73,225 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sortRowsByKeys stably sorts idx — indices into rows — by the given keys,
-// in place. With vectorize set it normalizes every key into an
-// order-preserving byte string and sorts by bytes.Compare; when a key column
-// defeats the encoding (an Int/Float mix, a NaN) or vectorize is off, it
-// sorts by sqltypes.Compare over a pre-evaluated key matrix. Either way
-// every key is evaluated and type-checked before the sort runs: incomparable
-// key types (e.g. INTEGER vs VARCHAR produced by a CASE) return the type
-// error here, never from inside the sort comparator. Returns whether the
-// normalized path was taken.
-//
-// Both paths sort an identity permutation with the row's position as the
-// final tie-break, which reproduces a stable sort exactly while letting the
-// sort itself run unstable (pattern-defeating quicksort instead of the
-// in-place merge a stable sort needs).
-func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, vectorize bool) (bool, error) {
-	return sortRowsByKeysMeta(rows, idx, keys, sc, vectorize, nil)
+// identity resizes s to n and fills it with 0..n-1.
+func identity(s []int, n int) []int {
+	s = grow(s, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
-// sortRowsByKeysMeta is sortRowsByKeys with an optional ClassOrderMeta to
-// fill: when meta is non-nil and the normalized path completes, the sorted
-// stream's adjacency table (tie depths and per-key runtime types) is
-// recorded for the Window operators of a shared class. Every other path
-// leaves meta untouched (the caller resets it beforehand).
-func sortRowsByKeysMeta(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, vectorize bool, meta *ClassOrderMeta) (bool, error) {
+// sortRowsByKeys stably sorts idx — indices into rows — by the given keys,
+// in place, and reports the path taken. Every key is evaluated and
+// type-checked before the sort runs: incomparable key types return the type
+// error here, never from inside a comparator. When meta is non-nil and a
+// normalized (typed or encoded) sort completes, the sorted stream's adjacency
+// table is recorded in it for the Window operators of a shared class; the
+// comparator path leaves meta untouched (the caller resets it beforehand).
+func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, vectorize bool, meta *ClassOrderMeta) (sortPath, error) {
+	n, k := len(idx), len(keys)
+	if !vectorize {
+		return sortComparator, sortRowsCompared(rows, idx, keys, sc)
+	}
+	if n < 2 || k == 0 {
+		return sortTyped, nil
+	}
+	sc.vecs = grow(sc.vecs, k)
+	for ki := range keys {
+		vec := &sc.vecs[ki]
+		vec.Reset(n)
+		for _, ri := range idx {
+			v, err := keys[ki].Expr.Eval(rows[ri])
+			if err != nil {
+				return sortTyped, err
+			}
+			vec.Append(v)
+		}
+	}
+	path := keyPath(sc.vecs)
+	if path == sortComparator {
+		return path, sortRowsCompared(rows, idx, keys, sc)
+	}
+	lay := newRecLayout(keys, sc.vecs)
+	sc.perm = identity(sc.perm, n)
+	sortByVecs(path, &lay, sc.perm, nil, sc)
+	if meta != nil {
+		fillClassOrderMeta(meta, sc.vecs, sc.perm)
+	}
+	permute(sc, idx, sc.perm)
+	return path, nil
+}
+
+// permute rewrites pos through a sorted permutation: pos[j] = pos[perm[j]].
+func permute(sc *sortScratch, pos, perm []int) {
+	sc.tmp = grow(sc.tmp, len(pos))
+	for j, p := range perm {
+		sc.tmp[j] = pos[p]
+	}
+	copy(pos, sc.tmp)
+}
+
+// keyPath picks the ordering the key columns allow; see the file comment.
+func keyPath(vecs []sqltypes.ColVec) sortPath {
+	path := sortTyped
+	for i := range vecs {
+		switch {
+		case !vecs[i].Valid():
+			return sortComparator
+		case !vecs[i].FixedWidth():
+			path = sortEncoded
+		}
+	}
+	return path
+}
+
+// recLayout is how one sort's keys pack into a record of uint64 words: per
+// key an optional NULL-placement word (only for columns that hold a NULL) and
+// the value word, then one tail word carrying the tie-break and the source
+// position. DESC is folded into the value words and NULLS FIRST/LAST into the
+// placement words, so comparing two records word by word as unsigned integers
+// is the whole comparator.
+type recLayout struct {
+	keys  []SortKey
+	vecs  []sqltypes.ColVec
+	width int
+}
+
+func newRecLayout(keys []SortKey, vecs []sqltypes.ColVec) recLayout {
+	width := 1
+	for i := range vecs {
+		width++
+		if vecs[i].Nulls.Any() {
+			width++
+		}
+	}
+	return recLayout{keys: keys, vecs: vecs, width: width}
+}
+
+// sortByVecs stably orders pos — positions into the layout's key vectors —
+// on the typed or the encoded path. Ties come out in ascending tie[p] order
+// when tie is given (typed path only; positions then need 32 bits and ties
+// 31, which callers guarantee), else in arrival order, which on the typed
+// path requires pos to arrive ascending.
+func sortByVecs(path sortPath, lay *recLayout, pos []int, tie []int64, sc *sortScratch) {
+	n, w := len(pos), lay.width
+	if n < 2 {
+		return
+	}
+	if path == sortEncoded {
+		sortEncodedKeys(lay, pos, sc)
+		return
+	}
+	// One flat slab of n records, filled a key column at a time. The tail
+	// word makes every record distinct, so the unstable sort of the record
+	// numbers yields the stable order.
+	sc.recs = grow(sc.recs, n*w)
+	recs, c := sc.recs, 0
+	for ki, k := range lay.keys {
+		c += lay.vecs[ki].OrderWords(pos, k.Desc, k.nullsLast(), recs[c:], w)
+	}
+	for j, p := range pos {
+		recs[j*w+c] = uint64(p)
+		if tie != nil {
+			recs[j*w+c] |= uint64(tie[p]) << 32
+		}
+	}
+	sc.ord = identity(sc.ord, n)
+	slices.SortFunc(sc.ord, func(a, b int) int {
+		rb := recs[b*w : b*w+w]
+		for i, x := range recs[a*w : a*w+w] {
+			if y := rb[i]; x != y {
+				if x < y {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	})
+	for j, r := range sc.ord {
+		tail := recs[r*w+c]
+		if tie != nil {
+			tail = uint64(uint32(tail))
+		}
+		pos[j] = int(tail)
+	}
+}
+
+// sortEncodedKeys is the VARCHAR path: every position's keys are encoded into
+// one memcomparable byte string (the vectors are already validated, so no
+// encoding can fail) and the positions are ordered by bytes.Compare, the
+// arrival index breaking ties.
+func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
+	n := len(pos)
+	sc.buf = sc.buf[:0]
+	sc.offs = grow(sc.offs, n+1)
+	for j, p := range pos {
+		sc.offs[j] = len(sc.buf)
+		for ki, k := range lay.keys {
+			sc.buf = sqltypes.EncodeKeyNulls(sc.buf, lay.vecs[ki].Datum(p), k.Desc, k.nullsLast())
+		}
+	}
+	sc.offs[n] = len(sc.buf)
+	sc.enc = grow(sc.enc, n)
+	for j := range sc.enc {
+		sc.enc[j] = sc.buf[sc.offs[j]:sc.offs[j+1]]
+	}
+	sc.ord = identity(sc.ord, n)
+	enc := sc.enc
+	slices.SortFunc(sc.ord, func(a, b int) int {
+		if c := bytes.Compare(enc[a], enc[b]); c != 0 {
+			return c
+		}
+		return a - b // identity start: arrival tie-break == stability
+	})
+	permute(sc, pos, sc.ord)
+}
+
+// fillClassOrderMeta records the adjacency table of a stream sorted on a
+// normalized path: pos holds the sorted order as positions into the key
+// vectors. Vector equality is Compare equality on everything those paths
+// accept, so the tie depths are the ones a comparator sort would see.
+func fillClassOrderMeta(m *ClassOrderMeta, vecs []sqltypes.ColVec, pos []int) {
+	m.tieDepth = grow(m.tieDepth, len(pos))
+	m.keyTypes = grow(m.keyTypes, len(vecs))
+	for ki := range vecs {
+		m.keyTypes[ki] = vecs[ki].Typ
+	}
+	m.tieDepth[0] = 0
+	for i := 1; i < len(pos); i++ {
+		depth := int32(0)
+		for ki := range vecs {
+			if !vecs[ki].EqualAt(pos[i-1], pos[i]) {
+				break
+			}
+			depth++
+		}
+		m.tieDepth[i] = depth
+	}
+	m.valid = true
+}
+
+// sortRowsCompared is the comparator path. It evaluates every key for every
+// row into one flat matrix, then validates each key column — a single
+// non-NULL type (or a numeric mix) sorts, anything else is a type error
+// surfaced before any ordering work — and sorts an identity permutation with
+// the position as the final tie-break, which reproduces a stable sort while
+// letting the sort itself run unstable.
+func sortRowsCompared(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch) error {
 	n, k := len(idx), len(keys)
 	if n < 2 || k == 0 {
-		return vectorize, nil
+		return nil
 	}
-	if vectorize {
-		done, err := sortRowsEncoded(rows, idx, keys, sc, meta)
-		if err != nil || done {
-			return done, err
-		}
-		// A key defeated the encoding; re-evaluate onto the matrix below.
-	}
-	// Comparator path. Evaluate every key for every row into one flat
-	// matrix, then validate each key column: a single non-NULL type (or a
-	// numeric mix) sorts, anything else is a type error surfaced before any
-	// ordering work.
-	if cap(sc.datums) < n*k {
-		sc.datums = make([]sqltypes.Datum, n*k)
-	} else {
-		sc.datums = sc.datums[:n*k]
-	}
+	sc.datums = grow(sc.datums, n*k)
 	for i, ri := range idx {
 		row := rows[ri]
 		base := i * k
 		for ki := range keys {
 			v, err := keys[ki].Expr.Eval(row)
 			if err != nil {
-				return false, err
+				return err
 			}
 			sc.datums[base+ki] = v
 		}
@@ -118,15 +308,12 @@ func sortRowsByKeysMeta(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sort
 				continue
 			}
 			if !sqltypes.Comparable(first, t) {
-				return false, &sqltypes.ErrTypeMismatch{Op: "compare", Left: first, Right: t}
+				return &sqltypes.ErrTypeMismatch{Op: "compare", Left: first, Right: t}
 			}
 		}
 	}
 
-	sc.perm = grow(sc.perm, n)
-	for i := range sc.perm {
-		sc.perm[i] = i
-	}
+	sc.perm = identity(sc.perm, n)
 	datums, perm := sc.datums, sc.perm
 	slices.SortFunc(perm, func(a, b int) int {
 		ba, bb := a*k, b*k
@@ -137,142 +324,15 @@ func sortRowsByKeysMeta(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sort
 		}
 		return a - b // identity start: position tie-break == stability
 	})
-	applySortPerm(sc, idx)
-	return false, nil
-}
-
-// sortRowsEncoded is the normalized fast path: it validates and encodes the
-// keys row by row — never materializing the n×k datum matrix the comparator
-// path needs — and sorts the packed memcomparable keys with bytes.Compare.
-// done=false (with a nil error) means a key defeated the order-preserving
-// encoding — a NaN float (not a total order under Compare) or an Int/Float
-// mix (exact int pairs vs float cross pairs) — and the caller must take the
-// comparator path.
-func sortRowsEncoded(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, meta *ClassOrderMeta) (bool, error) {
-	n, k := len(idx), len(keys)
-	if cap(sc.types) < k {
-		sc.types = make([]sqltypes.Type, k)
-	} else {
-		sc.types = sc.types[:k]
-	}
-	for ki := range sc.types {
-		sc.types[ki] = sqltypes.Null
-	}
-	if cap(sc.datums) < k {
-		sc.datums = make([]sqltypes.Datum, k)
-	}
-	rowKeys := sc.datums[:k]
-	var bounds []int32
-	if meta != nil {
-		sc.bounds = grow(sc.bounds, n*(k+1))
-		bounds = sc.bounds
-	}
-	sc.buf = sc.buf[:0]
-	sc.offs = grow(sc.offs, n+1)
-	for i, ri := range idx {
-		row := rows[ri]
-		for ki := range keys {
-			v, err := keys[ki].Expr.Eval(row)
-			if err != nil {
-				return false, err
-			}
-			if t := v.Typ(); t != sqltypes.Null {
-				if t == sqltypes.Float && math.IsNaN(v.Float()) {
-					return false, nil
-				}
-				switch first := sc.types[ki]; {
-				case first == sqltypes.Null:
-					sc.types[ki] = t
-				case t == first:
-				case !sqltypes.Comparable(first, t):
-					return false, &sqltypes.ErrTypeMismatch{Op: "compare", Left: first, Right: t}
-				default:
-					return false, nil
-				}
-			}
-			rowKeys[ki] = v
-		}
-		sc.offs[i] = len(sc.buf)
-		for ki := range keys {
-			if bounds != nil {
-				bounds[i*(k+1)+ki] = int32(len(sc.buf))
-			}
-			sc.buf = sqltypes.EncodeKeyNulls(sc.buf, rowKeys[ki], keys[ki].Desc, keys[ki].nullsLast())
-		}
-		if bounds != nil {
-			bounds[i*(k+1)+k] = int32(len(sc.buf))
-		}
-	}
-	sc.offs[n] = len(sc.buf)
-	if cap(sc.enc) < n {
-		sc.enc = make([][]byte, n)
-	} else {
-		sc.enc = sc.enc[:n]
-	}
-	for i := 0; i < n; i++ {
-		sc.enc[i] = sc.buf[sc.offs[i]:sc.offs[i+1]]
-	}
-	sc.perm = grow(sc.perm, n)
-	for i := range sc.perm {
-		sc.perm[i] = i
-	}
-	enc := sc.enc
-	slices.SortFunc(sc.perm, func(a, b int) int {
-		if c := bytes.Compare(enc[a], enc[b]); c != 0 {
-			return c
-		}
-		return a - b // identity start: position tie-break == stability
-	})
-	if meta != nil {
-		fillClassOrderMeta(meta, sc, n, k)
-	}
-	applySortPerm(sc, idx)
-	return true, nil
-}
-
-// fillClassOrderMeta records the sorted stream's adjacency table while the
-// normalized sort's scratch is still alive: perm holds the sorted order,
-// bounds/buf the per-key encodings indexed by pre-sort position. Key-encoded
-// byte equality is exactly Compare equality for everything the normalized
-// path accepts, so the table's tie depths are the ones the comparator path
-// would have produced.
-func fillClassOrderMeta(m *ClassOrderMeta, sc *sortScratch, n, k int) {
-	m.tieDepth = grow(m.tieDepth, n)
-	m.keyTypes = grow(m.keyTypes, k)
-	copy(m.keyTypes, sc.types[:k])
-	buf, bounds, perm := sc.buf, sc.bounds, sc.perm
-	m.tieDepth[0] = 0
-	for i := 1; i < n; i++ {
-		a, b := perm[i-1], perm[i]
-		ba, bb := a*(k+1), b*(k+1)
-		depth := int32(0)
-		for ki := 0; ki < k; ki++ {
-			sa := buf[bounds[ba+ki]:bounds[ba+ki+1]]
-			sb := buf[bounds[bb+ki]:bounds[bb+ki+1]]
-			if !bytes.Equal(sa, sb) {
-				break
-			}
-			depth++
-		}
-		m.tieDepth[i] = depth
-	}
-	m.valid = true
-}
-
-// applySortPerm rewrites idx through the sorted permutation.
-func applySortPerm(sc *sortScratch, idx []int) {
-	sc.tmp = grow(sc.tmp, len(idx))
-	for i, pi := range sc.perm {
-		sc.tmp[i] = idx[pi]
-	}
-	copy(idx, sc.tmp[:len(idx)])
+	permute(sc, idx, perm)
+	return nil
 }
 
 // compareKeyDatums orders two pre-validated key datums under one SortKey:
 // NULL placement is absolute (nullsLast puts NULLs after every non-NULL value
-// regardless of direction, matching EncodeKeyNulls), non-NULL pairs compare
-// through sqltypes.Compare with DESC negation. Callers guarantee the pair is
-// comparable, so Compare cannot fail.
+// regardless of direction, matching OrderWords and EncodeKeyNulls), non-NULL
+// pairs compare through sqltypes.Compare with DESC negation. Callers
+// guarantee the pair is comparable, so Compare cannot fail.
 func compareKeyDatums(a, b sqltypes.Datum, k SortKey) int {
 	an, bn := a.IsNull(), b.IsNull()
 	if an || bn {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"rfview/internal/catalog"
 	"rfview/internal/expr"
@@ -185,6 +186,9 @@ type Project struct {
 	Exprs []expr.Expr
 
 	schema *expr.Schema
+	// pushed: the projection is a pure column pick the Window below emits
+	// itself (see PushDown), so rows pass through untouched.
+	pushed bool
 }
 
 // NewProject builds a projection with the given output column names.
@@ -203,14 +207,45 @@ func NewProject(input Operator, exprs []expr.Expr, names []string) *Project {
 // Schema implements Operator.
 func (p *Project) Schema() *expr.Schema { return p.schema }
 
+// PushDown hands the projection to the input when the input is a Window and
+// every expression picks a distinct column of it: the Window then builds its
+// output rows in exactly this selection (Window.Emit) and Project forwards
+// them, instead of the Window widening every input row only for Project to
+// copy a few columns out again. Any other plan shape is left as it is.
+// Called by the planner on a freshly built plan.
+func (p *Project) PushDown() {
+	win, ok := p.Input.(*Window)
+	if !ok {
+		return
+	}
+	cols := make([]int, len(p.Exprs))
+	for i, e := range p.Exprs {
+		c, ok := e.(*expr.Col)
+		if !ok || c.Idx >= len(win.schema.Cols) || slices.Contains(cols[:i], c.Idx) {
+			return
+		}
+		cols[i] = c.Idx
+	}
+	win.Emit, p.pushed = cols, true
+}
+
 // Open implements Operator.
 func (p *Project) Open() error { return p.Input.Open() }
+
+// takeRows implements rowsHandoff: a pushed-down projection forwards the
+// materialized rows of its input.
+func (p *Project) takeRows() []sqltypes.Row {
+	if h, ok := p.Input.(rowsHandoff); ok && p.pushed {
+		return h.takeRows()
+	}
+	return nil
+}
 
 // Next implements Operator.
 func (p *Project) Next() (sqltypes.Row, error) {
 	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
+	if err != nil || row == nil || p.pushed {
+		return row, err
 	}
 	out := make(sqltypes.Row, len(p.Exprs))
 	for i, e := range p.Exprs {

@@ -57,14 +57,14 @@ func (k SortKey) String() string {
 }
 
 // Sort materializes its input and emits it ordered by the keys (ascending by
-// default, NULLs first; stable). Keys are normalized into memcomparable byte
-// strings where the column types allow it, so the sort runs on bytes.Compare
-// instead of per-key Compare calls; see keys.go for the fallback contract.
+// default, NULLs first; stable). The keys are gathered into typed vectors and
+// sorted as packed records, as byte strings, or by Compare, whichever their
+// runtime types allow; see keys.go.
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
-	// NoVectorize forces the Compare-based sort path; the zero value keeps
-	// key normalization on.
+	// NoVectorize forces the Compare-based sort path; the zero value lets
+	// the key types choose.
 	NoVectorize bool
 	// Ctx, when set, cancels the sort (input drain and external merge). nil
 	// means context.Background().
@@ -89,15 +89,18 @@ type Sort struct {
 	// Order, when set on a shared class sort, receives the sorted stream's
 	// adjacency metadata for the Window operators stacked above (see
 	// ClassOrderMeta). Reset at every Open; filled only by the in-memory
-	// normalized path.
+	// typed and encoded paths.
 	Order *ClassOrderMeta
 
 	rows []sqltypes.Row
 	pos  int
 	it   spill.Iterator // external path: streaming merge, nil otherwise
-	// spillRuns / spillBytes record external activity for EXPLAIN ANALYZE.
+	// spillRuns / spillBytes record external activity, and path the ordering
+	// the last Open took (ran: there was one), for EXPLAIN ANALYZE.
 	spillRuns  int
 	spillBytes int64
+	path       sortPath
+	ran        bool
 }
 
 // Schema implements Operator.
@@ -117,6 +120,7 @@ func (s *Sort) Open() error {
 		s.WinStats.SortsPerformed.Add(1)
 	}
 	s.Order.reset()
+	s.ran = false
 	rows, err := CollectCtx(s.ctx(), s.Input)
 	if err != nil {
 		return err
@@ -143,11 +147,12 @@ func (s *Sort) Open() error {
 		idx[i] = i
 	}
 	sc := getSortScratch()
-	_, err = sortRowsByKeysMeta(rows, idx, s.Keys, sc, !s.NoVectorize, s.Order)
+	s.path, err = sortRowsByKeys(rows, idx, s.Keys, sc, !s.NoVectorize, s.Order)
 	putSortScratch(sc)
 	if err != nil {
 		return err
 	}
+	s.ran = true
 	s.rows = make([]sqltypes.Row, len(rows))
 	for i, j := range idx {
 		s.rows[i] = rows[j]
@@ -249,8 +254,11 @@ func (s *Sort) Describe() string {
 		vec = " vectorized=true"
 	}
 	sp := ""
+	if s.ran {
+		sp = " sort=" + s.path.String()
+	}
 	if s.spillRuns > 0 {
-		sp = fmt.Sprintf(" spilled=true runs=%d spill_bytes=%d", s.spillRuns, s.spillBytes)
+		sp += fmt.Sprintf(" spilled=true runs=%d spill_bytes=%d", s.spillRuns, s.spillBytes)
 	}
 	shared := ""
 	if s.SharedClass > 0 {

@@ -9,13 +9,14 @@ import (
 
 // This file adapts the executor's ordering operators to the out-of-core
 // layer (internal/spill). Both adapters stream rows through a spill.Sorter
-// keyed by the same memcomparable encoding the in-memory fast path sorts on,
-// so external and in-memory results are bit-identical: equal key bytes merge
-// back in insertion order, matching the stable in-memory sort.
+// keyed by the memcomparable encoding of the in-memory encoded path — the
+// typed path's order words, big-endian — so external and in-memory results
+// are bit-identical: equal key bytes merge back in insertion order, matching
+// the stable in-memory sorts.
 //
-// The encoding's fallback contract carries over unchanged. sortRowsByKeys
-// validates key columns over the whole row set before sorting; the streaming
-// path validates incrementally and reaches the same verdicts — incomparable
+// The fallback contract carries over unchanged. The in-memory paths validate
+// key columns over the whole row set before sorting; the streaming path
+// validates incrementally and reaches the same verdicts — incomparable
 // key types are an error, an Int/Float mix or a NaN defeats the encoding.
 // The only difference is that a streaming run may discover the defeat after
 // rows were already spilled; the caller then abandons the external sort
@@ -24,7 +25,7 @@ import (
 
 // keyStreamer incrementally encodes rows' sort keys into one concatenated
 // memcomparable byte string per row, validating key column types as it goes
-// with the same rules as sortRowsByKeys.
+// with the same rules as keyPath.
 type keyStreamer struct {
 	keys  []SortKey
 	types []sqltypes.Type // first non-NULL type seen per key column
@@ -76,7 +77,7 @@ func (ks *keyStreamer) encode(row sqltypes.Row) (key []byte, ok bool, err error)
 }
 
 // spillEligible gates the external path: it needs an enabled config, keys to
-// order by, the normalized (vectorized) path on, and at least two rows.
+// order by, vectorization on, and at least two rows.
 func spillEligible(cfg *spill.Config, keys []SortKey, noVectorize bool, n int) bool {
 	return cfg.Enabled() && len(keys) > 0 && !noVectorize && n >= 2
 }

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -26,10 +28,13 @@ type WindowStats struct {
 	// count of each run, so WorkersUsed/Runs is the mean effective
 	// parallelism (utilization = mean / configured cap).
 	Partitions, WorkersUsed atomic.Int64
-	// NormalizedSorts counts partition orderings that ran on memcomparable
-	// byte keys; ComparatorSorts the ones that fell back to sqltypes.Compare
-	// (vectorization off, Int/Float-mixed key column, or a NaN key).
-	NormalizedSorts, ComparatorSorts atomic.Int64
+	// NormalizedSorts counts partition orderings that ran on normalized keys
+	// — TypedSorts the subset that sorted packed fixed-width key records,
+	// the rest memcomparable byte strings (a VARCHAR key, or the external
+	// sorter) — and ComparatorSorts the ones that fell back to
+	// sqltypes.Compare (vectorization off, Int/Float-mixed key column, or a
+	// NaN key).
+	NormalizedSorts, TypedSorts, ComparatorSorts atomic.Int64
 	// TypedKernels counts window-function evaluations that ran a typed
 	// kernel; BoxedKernels the ones that used the Datum accumulator path
 	// (vectorization off, NULLs in the argument column, a mixed or
@@ -37,8 +42,9 @@ type WindowStats struct {
 	TypedKernels, BoxedKernels atomic.Int64
 	// SortsPerformed counts full window-ordering sorts actually executed: the
 	// shared class sorts of multi-window plans, the in-operator orderings of
-	// unshared Window runs, and shared runs that hit the NaN partition-key
-	// fallback (which re-partition and re-sort like an unshared run).
+	// unshared Window runs, and shared runs whose partition keys (a NaN, an
+	// Int/Float mix) void the class sort's order, which re-sort like an
+	// unshared run.
 	// SortsShared counts Window runs that consumed a shared sort without
 	// re-ordering; SortsSegmented counts Window runs that reused partition
 	// grouping from the stream and re-sorted only within partition segments.
@@ -161,66 +167,73 @@ func (w WindowFunc) String() string {
 // preserved in the output; reporting functions do not shrink or reorder the
 // stream (§1: "one output value for each single input value").
 //
+// The operator is columnar inside. Open drains the child once and, in one
+// pass over the rows, evaluates only the PARTITION BY, ORDER BY and argument
+// expressions into typed vectors (sqltypes.ColVec) while copying the emitted
+// input columns into the output slab. Partition ids come from a hash of the
+// partition vectors, each partition is ordered by sorting packed key records
+// (keys.go), the kernels run over the partition's gathered argument slice,
+// and results land directly in the slab — so a run allocates O(1) times, not
+// per row.
+//
 // Algebraic aggregates slide their frame with one Add and one Remove per row
 // — the §2.2 pipelined strategy (three operations per position, independent
 // of window size). MIN/MAX use a monotonic deque, still O(n) amortized.
 // Partitions are independent by construction (the §6 partitioning reduction
 // lemma), so with Parallelism > 1 they are fanned across a bounded worker
-// pool; every partition writes pre-sized, disjoint result slots, keeping the
-// hot path lock-free while preserving input order in the output.
+// pool; every partition writes the disjoint slab slots of its own rows,
+// keeping the hot path lock-free while preserving input order in the output.
 type Window struct {
 	Input       Operator
 	PartitionBy []expr.Expr
 	OrderBy     []SortKey
 	Funcs       []WindowFunc
 	// Parallelism caps the worker goroutines evaluating partitions
-	// concurrently; 0 or 1 means sequential. Degenerate inputs (empty input,
-	// a single partition) always take the sequential fast path, and the pool
-	// never exceeds the partition count.
+	// concurrently; 0 or 1 means sequential, and the pool never exceeds the
+	// partition count.
 	Parallelism int
-	// Ctx, when set, cancels the computation: the input drain, the worker
-	// pool, and per-partition evaluation all observe it. nil means
-	// context.Background().
+	// Ctx, when set, cancels the computation: the input drain and the
+	// partition workers observe it. nil means context.Background().
 	Ctx context.Context
 	// Stats, when set, receives per-run observability counters.
 	Stats *WindowStats
-	// NoVectorize disables the typed columnar fast path (key-normalized
-	// sorts and typed kernels), forcing the boxed Datum path everywhere. The
-	// zero value keeps vectorization on; even then ineligible partitions
-	// fall back per-partition at runtime with identical results.
+	// NoVectorize forces the Compare-based partition sort and the boxed
+	// Datum kernels everywhere. The zero value lets the runtime column types
+	// choose; ineligible columns fall back with identical results.
 	NoVectorize bool
-	// Spill, when enabled, bounds per-partition ordering memory: oversized
-	// partitions sort externally through a budget-tracked spill.Sorter of
-	// (key, row-index) records instead of holding the full key arena and
-	// datum matrix, and pooled per-worker scratch is trimmed back to the
+	// Spill, when enabled, bounds ordering memory: a partition's key records
+	// are charged to the budget, and a partition whose charge is refused
+	// sorts externally through a budget-tracked spill.Sorter of (key,
+	// row-index) records instead; pooled scratch is trimmed back to the
 	// budgeted ceiling instead of growing without bound (see spill.go).
 	Spill *spill.Config
+	// Emit, when non-nil, selects and orders the columns of the rows the
+	// operator produces — indices into its full schema, input columns first,
+	// then one per function. The planner sets it when the parent projection
+	// is a pure column pick (Project.PushDown), so the picked rows are built
+	// once here instead of widened here and narrowed again above.
+	Emit []int
 	// Shared marks the operator as a consumer of a shared-sort window plan:
-	// the input stream arrives with this operator's partitions contiguous
-	// (some prefix of the stream order is a permutation of PartitionBy), so
-	// partitions are detected by boundary comparison instead of hashing.
+	// the stream was reordered by a class sort below, so every ordering
+	// resolves ties by the OrdinalCol tag instead of by stream position.
 	// Requires OrdinalCol; see plan's shared-sort pass.
 	Shared bool
 	// PreSorted additionally promises that within each partition the stream
 	// is ordered by OrderBy (possibly refined by further keys of a longer
 	// shared sort). The operator then skips the per-partition sort and only
 	// normalizes tie runs back to input-ordinal order; data that defeats the
-	// promise (a NaN key, which breaks Compare's total order) falls back to
-	// the full per-partition sort with identical results.
+	// promise (a NaN or an Int/Float mix in its keys, which break the total
+	// order) falls back to the full per-partition sort with identical results.
 	PreSorted bool
 	// OrderExact marks a pre-sorted consumer whose ORDER BY keys are exactly
 	// the shared sort's full order suffix. The class sort breaks ties by the
-	// ordinal tag, so tie runs already sit in original input order and the
-	// per-partition tie normalization reduces to a NaN scan over the order
-	// keys (a NaN defeats Compare's total order, so its partition still falls
-	// back to the full re-sort that reproduces the unshared ordering).
+	// ordinal tag, so tie runs already sit in original input order and there
+	// is nothing to normalize.
 	OrderExact bool
 	// OrdinalCol is the input column holding each row's original position
 	// (appended by an Ordinal operator below the shared sorts); -1 when the
-	// plan is unshared. It is the tie-break that keeps shared and unshared
-	// results bit-identical: every per-partition ordering resolves ties by
-	// original input order, exactly like the stable sort over hash partitions
-	// collected in input order.
+	// plan is unshared. Breaking ties by it is what keeps shared and unshared
+	// results bit-identical.
 	OrdinalCol int
 	// Class is the 1-based window spec class this operator belongs to in a
 	// shared plan (EXPLAIN provenance); 0 when unshared.
@@ -228,24 +241,20 @@ type Window struct {
 	// ClassOrder, when set, is the adjacency metadata of the class Sort this
 	// operator is stacked above (shared with every member of the class). When
 	// valid for an execution, partition boundaries and ORDER BY tie runs come
-	// from the sort's own key comparisons instead of re-evaluating this
-	// operator's keys over the stream; when invalid (spilled or comparator
-	// sort) the evaluating scans below run unchanged.
+	// from the sort's own key comparisons and no key is evaluated here; when
+	// invalid (spilled or comparator sort) the key vectors are built as in an
+	// unshared run.
 	ClassOrder *ClassOrderMeta
 
-	// sharedFallback records that this run's partition keys contained a NaN,
-	// forcing hash partitioning and full per-partition sorts (the exact
-	// unshared code path). Written once in Open before workers start.
-	sharedFallback bool
-
-	schema *expr.Schema
-	out    []sqltypes.Row
-	pos    int
-	// spillRuns / spillBytes record external-sort activity across all
-	// partitions of the run, for EXPLAIN ANALYZE; atomics because parallel
-	// workers update them concurrently.
+	schema, emitSchema *expr.Schema
+	out                []sqltypes.Row
+	pos                int
+	// spillRuns / spillBytes record external-sort activity and sorted which
+	// sortPaths the last run's partition orderings took, for EXPLAIN ANALYZE;
+	// atomics because parallel workers update them concurrently.
 	spillRuns  atomic.Int64
 	spillBytes atomic.Int64
+	sorted     [3]atomic.Bool
 	// argExprs are the distinct non-nil window-function arguments; argSlots
 	// maps each func to its column in argExprs (-1 for COUNT(*)). Built by
 	// prepareArgs before partitions are evaluated, so worker goroutines only
@@ -280,164 +289,227 @@ func NewWindow(input Operator, partitionBy []expr.Expr, orderBy []SortKey, funcs
 	}
 }
 
-// Schema implements Operator.
-func (w *Window) Schema() *expr.Schema { return w.schema }
+// Schema implements Operator: the full schema, or its Emit selection.
+func (w *Window) Schema() *expr.Schema {
+	if w.Emit == nil {
+		return w.schema
+	}
+	if w.emitSchema == nil {
+		w.emitSchema = expr.NewSchema()
+		for _, c := range w.Emit {
+			w.emitSchema.Cols = append(w.emitSchema.Cols, w.schema.Cols[c])
+		}
+	}
+	return w.emitSchema
+}
+
+// winRun is the columnar state of one Window execution, pooled across runs.
+// Everything in it is written before the partition workers start, except
+// slab, whose slots each worker writes for its own rows only.
+type winRun struct {
+	rows []sqltypes.Row
+	// part, order and args hold the PARTITION BY, ORDER BY and distinct
+	// argument columns, one position per input row; ordinals each row's
+	// original input position on a shared stream.
+	part, order, args []sqltypes.ColVec
+	evals             []colEval
+	ordinals          []int64
+	// ord lists the row positions partition by partition: partition p is
+	// ord[bounds[p]:bounds[p+1]], in stream order until it is sorted.
+	ord, bounds []int
+	// Partitioner scratch: per-row hashes and partition ids, the open
+	// addressing table of partition ids, each partition's first row, and the
+	// boxed key matrix of the untyped fallback.
+	hash       []uint64
+	pid, first []int32
+	table      []int32
+	keys       []sqltypes.Datum
+	// lay and path are the partition ordering chosen by the order columns'
+	// runtime types. metaOrdered: partitions and tie runs come from the class
+	// sort's metadata and no key vector was built. resort: a shared stream
+	// whose partition keys defeat typed partitioning (NaN, Int/Float mix) —
+	// they defeat the class sort's total order too, so its pre-sorted promise
+	// is void.
+	lay                 recLayout
+	path                sortPath
+	metaOrdered, resort bool
+	// slab backs the output rows, width datums each; funcCol is each
+	// function's column within a row, -1 when Emit drops it, and inCols the
+	// emitted input columns as (output column, input column) pairs.
+	slab    []sqltypes.Datum
+	width   int
+	funcCol []int
+	inCols  [][2]int
+}
+
+// colEval pairs an expression with the vector its values are gathered into;
+// col is the input column when the expression is a plain reference, else -1.
+type colEval struct {
+	e   expr.Expr
+	vec *sqltypes.ColVec
+	col int
+}
+
+func (w *Window) newColEval(e expr.Expr, vec *sqltypes.ColVec) colEval {
+	ce := colEval{e: e, vec: vec, col: -1}
+	if c, ok := e.(*expr.Col); ok && c.Idx < len(w.schema.Cols)-len(w.Funcs) {
+		ce.col = c.Idx
+	}
+	return ce
+}
+
+var winRunPool = sync.Pool{New: func() any { return new(winRun) }}
+
+// putRun returns r to the pool without the buffers the run handed out, or
+// drops it when a budget is in force and it grew past the pooled ceiling.
+func (w *Window) putRun(r *winRun) {
+	if w.Spill.Enabled() && int64(cap(r.ord))*8 > maxPooledScratchBytes {
+		return
+	}
+	clear(r.rows)
+	r.slab = nil
+	winRunPool.Put(r)
+}
 
 // Open implements Operator: materializes the input and computes every window
 // column.
 func (w *Window) Open() error {
-	rows, err := CollectCtx(w.ctx(), w.Input)
+	r := winRunPool.Get().(*winRun)
+	defer w.putRun(r)
+	rows, err := collectInto(w.ctx(), w.Input, r.rows)
 	if err != nil {
 		return err
 	}
-	results := make([][]sqltypes.Datum, len(w.Funcs))
-	for i := range results {
-		results[i] = make([]sqltypes.Datum, len(rows))
+	n := len(rows)
+	r.rows = rows
+	w.prepareArgs()
+	for i := range w.sorted {
+		w.sorted[i].Store(false)
 	}
 
-	w.sharedFallback = false
-	var partIdx [][]int
-	if w.Shared {
-		partIdx, err = w.partitionShared(rows)
+	byMeta := w.Shared && w.classBoundariesUsable(n)
+	r.metaOrdered, r.resort = byMeta && w.PreSorted && len(w.OrderBy) > 0, false
+	r.part, r.order, r.args = r.part[:0], r.order[:0], grow(r.args, len(w.argExprs))
+	if !byMeta {
+		r.part = grow(r.part, len(w.PartitionBy))
+	}
+	if !r.metaOrdered {
+		r.order = grow(r.order, len(w.OrderBy))
+	}
+	// The vectors and the partition index are real per-run allocations;
+	// force-charge them so the budget gauge sees the pressure.
+	if w.Spill.Enabled() {
+		charged := int64(n) * 8 * int64(len(r.part)+len(r.order)+len(r.args)+2)
+		w.Spill.Budget.Force(charged)
+		defer w.Spill.Budget.Release(charged)
+	}
+	if err := w.buildColumns(r); err != nil {
+		return err
+	}
+	if byMeta {
+		w.partitionByTieDepth(r)
 	} else {
-		partIdx, err = w.partitionHashed(rows)
+		w.partitionByHash(r)
 	}
-	if err != nil {
-		return err
+	if len(r.order) > 0 {
+		r.lay = newRecLayout(w.OrderBy, r.order)
+		r.path = keyPath(r.order)
+		if w.NoVectorize || n > math.MaxInt32 {
+			r.path = sortComparator
+		}
 	}
-	if err := w.computePartitions(rows, partIdx, results); err != nil {
+	if err := w.computePartitions(r); err != nil {
 		return err
 	}
 
-	w.out = make([]sqltypes.Row, len(rows))
-	for i, row := range rows {
-		out := make(sqltypes.Row, 0, len(row)+len(w.Funcs))
-		out = append(out, row...)
-		for f := range w.Funcs {
-			out = append(out, results[f][i])
-		}
-		w.out[i] = out
+	w.out = make([]sqltypes.Row, n)
+	for i := range w.out {
+		w.out[i] = r.slab[i*r.width : (i+1)*r.width : (i+1)*r.width]
 	}
 	w.pos = 0
 	return nil
 }
 
-// partitionHashed groups rows into partitions by hashing the partition key
-// values: partitions appear in first-seen input order, and each partition's
-// row indices are in input order. This is the unshared path (and the NaN
-// fallback of the shared one).
-func (w *Window) partitionHashed(rows []sqltypes.Row) ([][]int, error) {
-	type part struct{ idx []int }
-	parts := make(map[uint64][]*struct {
-		key sqltypes.Row
-		p   *part
-	})
-	var order []*part
-	for i, row := range rows {
-		key := make(sqltypes.Row, len(w.PartitionBy))
-		for ki, pe := range w.PartitionBy {
-			v, err := pe.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			key[ki] = v
-		}
-		h := hashRow(key)
-		var target *part
-		for _, cand := range parts[h] {
-			if rowsEqual(cand.key, key) {
-				target = cand.p
-				break
-			}
-		}
-		if target == nil {
-			target = &part{}
-			parts[h] = append(parts[h], &struct {
-				key sqltypes.Row
-				p   *part
-			}{key, target})
-			order = append(order, target)
-		}
-		target.idx = append(target.idx, i)
+// buildColumns is the one pass over the drained rows: it evaluates the
+// partition, order and argument expressions into r's vectors, reads the
+// ordinal tag of a shared stream, and copies the emitted input columns into
+// the freshly allocated output slab.
+func (w *Window) buildColumns(r *winRun) error {
+	n := len(r.rows)
+	evals := r.evals[:0]
+	for i := range r.part {
+		evals = append(evals, w.newColEval(w.PartitionBy[i], &r.part[i]))
 	}
-	partIdx := make([][]int, len(order))
-	for i, p := range order {
-		partIdx[i] = p.idx
+	for i := range r.order {
+		evals = append(evals, w.newColEval(w.OrderBy[i].Expr, &r.order[i]))
 	}
-	return partIdx, nil
-}
+	for i := range r.args {
+		evals = append(evals, w.newColEval(w.argExprs[i], &r.args[i]))
+	}
+	for _, ce := range evals {
+		ce.vec.Reset(n)
+	}
+	r.evals = evals
+	if w.Shared {
+		r.ordinals = grow(r.ordinals, n)
+	}
 
-// partitionShared detects partitions on a shared-sort stream: the class sort
-// placed this operator's partitions contiguously, so one boundary scan over
-// the evaluated partition keys groups the rows without hashing. Two
-// partition-key values fall back to hash partitioning for the whole run —
-// NaN (sqltypes.Equal treats it as equal to any numeric, so a boundary scan
-// could merge partitions the unshared plan keeps apart) and negative zero
-// (Equal to +0.0 but hashed by float bits, so the unshared partitioner keeps
-// them apart) — recording the fallback so per-partition ordering also takes
-// the full-sort path.
-func (w *Window) partitionShared(rows []sqltypes.Row) ([][]int, error) {
-	n, k := len(rows), len(w.PartitionBy)
-	if n == 0 {
-		return nil, nil
+	// The output layout: Emit's selection, or every column in schema order.
+	inW := len(w.schema.Cols) - len(w.Funcs)
+	if w.Shared && (w.OrdinalCol < 0 || w.OrdinalCol >= inW) {
+		return fmt.Errorf("exec: shared window has no ordinal column %d in its input", w.OrdinalCol)
 	}
-	if w.classBoundariesUsable(n) {
-		return w.partitionByTieDepth(n), nil
+	r.funcCol, r.inCols, r.width = grow(r.funcCol, len(w.Funcs)), r.inCols[:0], len(w.schema.Cols)
+	if w.Emit != nil {
+		r.width = len(w.Emit)
 	}
-	// The key matrix is a real per-run allocation; force-charge it like the
-	// argument matrix so the budget gauge sees the pressure.
-	if w.Spill.Enabled() {
-		charged := int64(n*k) * datumMemSize
-		w.Spill.Budget.Force(charged)
-		defer w.Spill.Budget.Release(charged)
+	for f := range r.funcCol {
+		r.funcCol[f] = -1
 	}
-	keys := make([]sqltypes.Datum, n*k)
-	fallback := false
-	for i, row := range rows {
-		base := i * k
-		for ki, pe := range w.PartitionBy {
-			v, err := pe.Eval(row)
+	for j := 0; j < r.width; j++ {
+		c := j
+		if w.Emit != nil {
+			c = w.Emit[j]
+		}
+		if c >= inW {
+			r.funcCol[c-inW] = j
+		} else {
+			r.inCols = append(r.inCols, [2]int{j, c})
+		}
+	}
+	r.slab = make([]sqltypes.Datum, n*r.width)
+
+	for i, row := range r.rows {
+		if len(row) < inW {
+			return fmt.Errorf("exec: row of %d columns, window input has %d", len(row), inW)
+		}
+		for _, ce := range evals {
+			if ce.col >= 0 {
+				ce.vec.Append(row[ce.col])
+				continue
+			}
+			v, err := ce.e.Eval(row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if v.Typ() == sqltypes.Float {
-				f := v.Float()
-				if math.IsNaN(f) || (f == 0 && math.Signbit(f)) {
-					fallback = true
-				}
-			}
-			keys[base+ki] = v
+			ce.vec.Append(v)
+		}
+		if w.Shared {
+			r.ordinals[i] = row[w.OrdinalCol].Int()
+		}
+		dst := r.slab[i*r.width:]
+		for _, jc := range r.inCols {
+			dst[jc[0]] = row[jc[1]]
 		}
 	}
-	if fallback {
-		w.sharedFallback = true
-		return w.partitionHashed(rows)
-	}
-	var parts [][]int
-	for i := 0; i < n; i++ {
-		newPart := i == 0
-		if !newPart {
-			for ki := 0; ki < k; ki++ {
-				if !sqltypes.Equal(keys[(i-1)*k+ki], keys[i*k+ki]) {
-					newPart = true
-					break
-				}
-			}
-		}
-		if newPart {
-			parts = append(parts, nil)
-		}
-		parts[len(parts)-1] = append(parts[len(parts)-1], i)
-	}
-	return parts, nil
+	return nil
 }
 
 // classBoundariesUsable reports whether the class sort's metadata can place
 // this run's partition boundaries: it must describe exactly these rows, and
-// no partition key may be a runtime float — the key encoding equates -0.0
-// with +0.0 while the unshared hash partitioner separates them by bit
-// pattern, so float partition keys keep the evaluating scan (which detects
-// exactly that hazard and falls back to hashing).
+// no partition key may be a runtime float — the order words equate -0.0
+// with +0.0 while the hash partitioner separates them by bit pattern, so
+// float partition keys are hashed like an unshared run's.
 func (w *Window) classBoundariesUsable(n int) bool {
 	if !w.ClassOrder.Valid(n) {
 		return false
@@ -455,38 +527,178 @@ func (w *Window) classBoundariesUsable(n int) bool {
 // partition key count of leading sort keys match the previous row. The
 // member's partition key set is set-equal to the class's leading keys, so
 // the thresholds coincide.
-func (w *Window) partitionByTieDepth(n int) [][]int {
+func (w *Window) partitionByTieDepth(r *winRun) {
+	n := len(r.rows)
 	depths := w.ClassOrder.TieDepths()
 	partKeys := int32(w.ClassOrder.PartKeys())
-	var parts [][]int
+	r.ord, r.bounds = identity(r.ord, n), r.bounds[:0]
 	for i := 0; i < n; i++ {
 		if i == 0 || depths[i] < partKeys {
-			parts = append(parts, nil)
+			r.bounds = append(r.bounds, i)
 		}
-		parts[len(parts)-1] = append(parts[len(parts)-1], i)
 	}
-	return parts
+	r.bounds = append(r.bounds, n)
+}
+
+// hashMul is the 64-bit Fibonacci multiplier; the partition table indexes by
+// the product's high bits.
+const hashMul = 0x9E3779B97F4A7C15
+
+var partitionSeed = maphash.MakeSeed()
+
+// partitionByHash assigns every row a dense partition id by hashing its
+// partition key and groups the row positions by id: partitions in first-seen
+// order, positions ascending within each — what a stable sort over hash
+// partitions collected in input order would see. Typed partition vectors
+// hash and compare machine words (a float by its bit pattern, so -0.0 and
+// +0.0 part ways and equal NaNs meet); a vector that mixes types or holds a
+// NaN sends the run to a boxed key matrix compared with sqltypes.Equal.
+func (w *Window) partitionByHash(r *winRun) {
+	n, k := len(r.rows), len(r.part)
+	if k == 0 && n > 0 { // one partition; an empty input has none
+		r.ord, r.bounds = identity(r.ord, n), append(r.bounds[:0], 0, n)
+		return
+	}
+	r.hash = grow(r.hash, n)
+	same := func(a, b int) bool {
+		for vi := range r.part {
+			v := &r.part[vi]
+			if !v.EqualAt(a, b) || (v.Typ == sqltypes.Float && math.Signbit(v.Floats[a]) != math.Signbit(v.Floats[b])) {
+				return false
+			}
+		}
+		return true
+	}
+	if keyPath(r.part) == sortComparator {
+		// Boxed fallback: keys re-evaluated into one flat matrix. The columns
+		// already evaluated without error, so Eval cannot fail here.
+		r.resort = w.Shared
+		r.keys = grow(r.keys, n*k)
+		for i, row := range r.rows {
+			for ki, pe := range w.PartitionBy {
+				r.keys[i*k+ki], _ = pe.Eval(row)
+			}
+			r.hash[i] = hashRow(r.keys[i*k : (i+1)*k])
+		}
+		same = func(a, b int) bool { return rowsEqual(r.keys[a*k:(a+1)*k], r.keys[b*k:(b+1)*k]) }
+	} else {
+		hashVecs(r.part, r.hash)
+	}
+
+	// Open addressing over partition ids; the table doubles at half load, so
+	// a run with few partitions probes a table that stays in L1.
+	r.pid, r.first = grow(r.pid, n), r.first[:0]
+	bits := 10 // log2 of the table size
+	resize := func() {
+		r.table = grow(r.table, 1<<bits)
+		for i := range r.table {
+			r.table[i] = -1
+		}
+		for p, fi := range r.first {
+			slot := r.hash[fi] >> (64 - bits)
+			for r.table[slot] >= 0 {
+				slot = (slot + 1) & (1<<bits - 1)
+			}
+			r.table[slot] = int32(p)
+		}
+	}
+	resize()
+	for i := 0; i < n; i++ {
+		slot := r.hash[i] >> (64 - bits)
+		for {
+			p := r.table[slot]
+			if p < 0 {
+				p = int32(len(r.first))
+				r.table[slot] = p
+				r.first = append(r.first, int32(i))
+				r.pid[i] = p
+				if len(r.first)*2 > len(r.table) {
+					bits++
+					resize()
+				}
+				break
+			}
+			if fi := int(r.first[p]); r.hash[fi] == r.hash[i] && same(fi, i) {
+				r.pid[i] = p
+				break
+			}
+			slot = (slot + 1) & (1<<bits - 1)
+		}
+	}
+
+	// Counting sort of the positions by partition id. Counts go in two
+	// slots up, so that after the prefix sum bounds[p+1] is partition p's
+	// write cursor, and once p is written out, partition p+1's start.
+	nparts := len(r.first)
+	r.bounds = grow(r.bounds, nparts+2)
+	for p := range r.bounds {
+		r.bounds[p] = 0
+	}
+	for _, p := range r.pid {
+		r.bounds[p+2]++
+	}
+	for p := 2; p < len(r.bounds); p++ {
+		r.bounds[p] += r.bounds[p-1]
+	}
+	r.ord = grow(r.ord, n)
+	for i, p := range r.pid {
+		r.ord[r.bounds[p+1]] = i
+		r.bounds[p+1]++
+	}
+	r.bounds = r.bounds[:nparts+1]
+}
+
+// hashVecs fills h with one hash per position over the typed key vectors.
+func hashVecs(vecs []sqltypes.ColVec, h []uint64) {
+	for i := range h {
+		h[i] = 0
+	}
+	for vi := range vecs {
+		v := &vecs[vi]
+		switch v.Typ {
+		case sqltypes.Null:
+		case sqltypes.Float:
+			for i, f := range v.Floats {
+				h[i] = (h[i] ^ math.Float64bits(f)) * hashMul
+			}
+		case sqltypes.String:
+			for i, s := range v.Strs {
+				h[i] = (h[i] ^ maphash.String(partitionSeed, s)) * hashMul
+			}
+		default:
+			for i, x := range v.Ints {
+				h[i] = (h[i] ^ uint64(x)) * hashMul
+			}
+		}
+		if v.Nulls.Any() {
+			for i := range h {
+				if v.Nulls.Get(i) {
+					h[i] = ^h[i] * hashMul
+				}
+			}
+		}
+	}
 }
 
 // computePartitions evaluates every partition, fanning across a bounded
 // worker pool when Parallelism allows and the input is not degenerate.
 //
-// Concurrency safety rests on three invariants: input rows are read-only,
-// compiled expressions are stateless (aggregate accumulators are created per
-// computePartition call), and each partition writes only its own rows'
-// slots in the pre-sized results slices — so workers share no mutable state
-// and need no locks. The first worker error closes the stop channel, which
-// drains the pool; remaining workers quit before claiming another partition.
-func (w *Window) computePartitions(rows []sqltypes.Row, parts [][]int, results [][]sqltypes.Datum) error {
+// Concurrency safety rests on three invariants: the run's rows, vectors and
+// partition index are read-only once the workers start, compiled expressions
+// are stateless (aggregate accumulators are created per computePartition
+// call), and each partition reorders only its own segment of ord and writes
+// only its own rows' slab slots — so workers share no mutable state and need
+// no locks.
+func (w *Window) computePartitions(r *winRun) error {
 	ctx := w.ctx()
-	w.prepareArgs()
+	nparts := len(r.bounds) - 1
 	workers := w.Parallelism
-	if workers > len(parts) {
-		workers = len(parts)
+	if workers > nparts {
+		workers = nparts
 	}
 	if w.Stats != nil {
 		w.Stats.Runs.Add(1)
-		w.Stats.Partitions.Add(int64(len(parts)))
+		w.Stats.Partitions.Add(int64(nparts))
 		if workers > 1 {
 			w.Stats.ParallelRuns.Add(1)
 			w.Stats.WorkersUsed.Add(int64(workers))
@@ -494,7 +706,7 @@ func (w *Window) computePartitions(rows []sqltypes.Row, parts [][]int, results [
 			w.Stats.WorkersUsed.Add(1)
 		}
 		switch {
-		case w.Shared && w.sharedFallback:
+		case w.Shared && r.resort:
 			w.Stats.SortsPerformed.Add(1)
 		case w.Shared && w.PreSorted:
 			w.Stats.SortsShared.Add(1)
@@ -504,69 +716,45 @@ func (w *Window) computePartitions(rows []sqltypes.Row, parts [][]int, results [
 			w.Stats.SortsPerformed.Add(1)
 		}
 	}
-	if workers <= 1 {
-		// Sequential fast path: ≤1 partition, parallelism off, or a pool
-		// that could only ever hold one worker.
-		for _, idx := range parts {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			if err := w.computePartition(rows, idx, results); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+	// Every worker claims partitions off one cursor until they run out, the
+	// context is cancelled, or any worker fails; the first error wins.
 	var (
 		wg       sync.WaitGroup
 		cursor   atomic.Int64
-		stop     = make(chan struct{})
+		failed   atomic.Bool
 		once     sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			close(stop)
-		})
-	}
-	done := ctx.Done()
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-done:
-					// A cancelled context drains the pool exactly like a
-					// worker error: workers quit before claiming another
-					// partition, and the first to notice records the error.
-					fail(ctxErr(ctx))
-					return
-				default:
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(parts) {
-					return
-				}
-				if err := w.computePartition(rows, parts[i], results); err != nil {
-					fail(err)
-					return
-				}
+	work := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			p := int(cursor.Add(1)) - 1
+			if p >= nparts {
+				return
 			}
-		}()
+			err := ctxErr(ctx)
+			if err == nil {
+				err = w.computePartition(r, p)
+			}
+			if err != nil {
+				once.Do(func() { firstErr = err })
+				failed.Store(true)
+			}
+		}
 	}
+	wg.Add(max(workers, 1))
+	for g := 1; g < workers; g++ {
+		go work()
+	}
+	work() // the caller is the first worker, and the only one of a sequential run
 	wg.Wait()
 	return firstErr
 }
 
 // prepareArgs dedupes the window functions' argument expressions so each
-// distinct argument is evaluated once per partition row (SUM(x) and AVG(x)
-// share one extraction). Dedup key is the canonical expression rendering —
-// compiled expressions are pure functions of the row, so equal renderings are
+// distinct argument is evaluated once per row (SUM(x) and AVG(x) share one
+// column). Dedup key is the canonical expression rendering — compiled
+// expressions are pure functions of the row, so equal renderings are
 // interchangeable. Called once per Open, before any worker starts.
 func (w *Window) prepareArgs() {
 	w.argExprs = w.argExprs[:0]
@@ -589,84 +777,44 @@ func (w *Window) prepareArgs() {
 }
 
 // partScratch holds one partition evaluation's reusable buffers: the sort
-// scratch, the ordered index copy, the flat argument matrix, the per-argument
-// column vectors, and the kernel output. Pooled because a parallel run
-// evaluates many partitions concurrently, each of which used to allocate all
-// of these per call.
+// scratch, the partition's gathered argument vectors, the boxed argument
+// column, and the kernel output. Pooled because a parallel run evaluates many
+// partitions concurrently.
 type partScratch struct {
-	sort    sortScratch
-	ordered []int
-	args    []sqltypes.Datum // flat n × len(argExprs), row-major
-	col     []sqltypes.Datum // one argument column, boxed-fallback input
-	out     []sqltypes.Datum // kernel output, one value per partition row
-	vecs    []sqltypes.ColVec
-	dq      []int // MIN/MAX deque positions
+	sort sortScratch
+	vecs []sqltypes.ColVec
+	col  []sqltypes.Datum // one argument column, boxed-fallback input
+	out  []sqltypes.Datum // kernel output, one value per partition row
+	dq   []int            // MIN/MAX deque positions
 }
 
 var partScratchPool = sync.Pool{New: func() any { return new(partScratch) }}
 
-// computePartition orders one partition (stable: ties keep input order,
-// making frames deterministic) and fills results for every func. Ordering and
-// argument extraction run through pooled buffers; each function then runs a
-// typed kernel when its argument column qualifies, or the boxed accumulator
-// path when it does not — the two produce bit-identical results.
-func (w *Window) computePartition(rows []sqltypes.Row, idx []int, results [][]sqltypes.Datum) error {
-	n := len(idx)
+// computePartition orders partition p (stable: ties keep input order, making
+// frames deterministic) and fills its rows' slab slots for every func. Each
+// function runs a typed kernel over the partition's gathered argument slice
+// when that slice qualifies, or the boxed accumulator path when it does not
+// — the two produce bit-identical results.
+func (w *Window) computePartition(r *winRun, p int) error {
+	ord := r.ord[r.bounds[p]:r.bounds[p+1]]
+	n := len(ord)
 	ps := partScratchPool.Get().(*partScratch)
 	defer w.putPartScratch(ps)
-	ps.ordered = grow(ps.ordered, n)
-	copy(ps.ordered, idx)
-	ordered := ps.ordered
-	vectorize := !w.NoVectorize
-	if w.Shared {
-		if err := w.orderSharedPartition(rows, ordered, ps); err != nil {
-			return err
-		}
-	} else if len(w.OrderBy) > 0 {
-		if err := w.orderPartition(rows, ordered, ps); err != nil {
-			return err
-		}
+	if err := w.orderPartition(r, ord, ps); err != nil {
+		return err
 	}
 
-	// Batched argument extraction: one expression walk per distinct argument
-	// per row, instead of one per function per row. The matrix is an
-	// unavoidable per-partition allocation, so it is force-charged against the
-	// budget — the usage gauge reflects window pressure even when nothing
-	// spills.
-	na := len(w.argExprs)
-	var chargedArgs int64
-	if w.Spill.Enabled() {
-		chargedArgs = int64(n*na) * datumMemSize
-		w.Spill.Budget.Force(chargedArgs)
-		defer w.Spill.Budget.Release(chargedArgs)
-	}
-	ps.args = grow(ps.args, n*na)
-	for i, ri := range ordered {
-		row := rows[ri]
-		base := i * na
-		for ai, e := range w.argExprs {
-			v, err := e.Eval(row)
-			if err != nil {
-				return err
-			}
-			ps.args[base+ai] = v
-		}
-	}
-	ps.vecs = grow(ps.vecs, na)
+	vectorize := !w.NoVectorize
+	ps.vecs = grow(ps.vecs, len(r.args))
 	if vectorize {
 		for ai := range ps.vecs {
-			vec := &ps.vecs[ai]
-			vec.Reset(n)
-			for i := 0; i < n; i++ {
-				vec.Append(ps.args[i*na+ai])
-			}
+			ps.vecs[ai].Gather(&r.args[ai], ord)
 		}
 	}
-
 	ps.out = grow(ps.out, n)
 	for fi, fn := range w.Funcs {
 		slot := w.argSlots[fi]
-		typed := vectorize && w.runTypedKernel(fn, slot, ps, n)
+		typed := vectorize && runTypedKernel(fn, slot, ps, n)
 		if w.Stats != nil {
 			if typed {
 				w.Stats.TypedKernels.Add(1)
@@ -677,13 +825,12 @@ func (w *Window) computePartition(rows []sqltypes.Row, idx []int, results [][]sq
 		vals := ps.out
 		if !typed {
 			ps.col = grow(ps.col, n)
-			if slot < 0 {
-				for i := range ps.col {
+			for i, ri := range ord {
+				if slot < 0 {
 					ps.col[i] = sqltypes.NewInt(1) // COUNT(*)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					ps.col[i] = ps.args[i*na+slot]
+				} else {
+					// The column already evaluated without error.
+					ps.col[i], _ = fn.Arg.Eval(r.rows[ri])
 				}
 			}
 			var err error
@@ -692,230 +839,148 @@ func (w *Window) computePartition(rows []sqltypes.Row, idx []int, results [][]sq
 				return err
 			}
 		}
-		for i, ri := range ordered {
-			results[fi][ri] = vals[i]
+		if col := r.funcCol[fi]; col >= 0 {
+			for i, ri := range ord {
+				r.slab[ri*r.width+col] = vals[i]
+			}
 		}
 	}
 	return nil
 }
 
-// orderPartition sorts one partition's ordered slice by w.OrderBy — the
-// in-operator ordering of an unshared run (also the shared fallback). The
-// external path runs when a budget is enabled; either way the sort is stable
-// over the incoming ordered sequence.
-func (w *Window) orderPartition(rows []sqltypes.Row, ordered []int, ps *partScratch) error {
-	normalized := false
-	handled := false
-	if spillEligible(w.Spill, w.OrderBy, w.NoVectorize, len(ordered)) {
-		var err error
-		handled, err = w.sortPartitionExternal(rows, ordered)
-		if err != nil {
-			return err
+// orderPartition establishes one partition's evaluation order in ord. An
+// unshared run sorts by w.OrderBy. On a shared stream a pre-sorted partition
+// only normalizes tie runs back to input-ordinal order — off the class
+// sort's metadata when that is valid, else off the order vectors; everything
+// else (segmented reuse, a void promise, keys that defeat normalization)
+// runs the full sort with the ordinal as tie-break, which makes the result
+// bit-identical to the unshared path by construction.
+func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
+	switch {
+	case len(w.OrderBy) == 0:
+		if w.Shared {
+			sortByOrdinal(r.ordinals, ord)
 		}
-		normalized = handled
-	}
-	if !handled {
-		var err error
-		normalized, err = sortRowsByKeys(rows, ordered, w.OrderBy, &ps.sort, !w.NoVectorize)
-		if err != nil {
-			return err
+		return nil
+	case r.metaOrdered:
+		if !w.OrderExact {
+			depths := w.ClassOrder.TieDepths()
+			want := int32(w.ClassOrder.PartKeys() + len(w.OrderBy))
+			normalizeTieRuns(r.ordinals, ord, func(_, cur int) bool { return depths[cur] >= want })
 		}
+		return nil
+	case w.Shared && w.PreSorted && !r.resort && r.path != sortComparator:
+		if !w.OrderExact {
+			normalizeTieRuns(r.ordinals, ord, func(prev, cur int) bool {
+				for vi := range r.order {
+					if !r.order[vi].EqualAt(prev, cur) {
+						return false
+					}
+				}
+				return true
+			})
+		}
+		return nil
 	}
-	if w.Stats != nil {
-		if normalized {
-			w.Stats.NormalizedSorts.Add(1)
+
+	var tie []int64
+	if w.Shared {
+		tie = r.ordinals
+	}
+	path, external := r.path, false
+	if path != sortComparator && spillEligible(w.Spill, w.OrderBy, w.NoVectorize, len(ord)) {
+		// The typed records are this partition's sort scratch: charge them,
+		// and on refusal — as for VARCHAR keys always — order the partition
+		// through the spill sorter instead.
+		recBytes := int64(len(ord)) * int64(r.lay.width) * 8
+		if path == sortTyped && w.Spill.Budget.Charge(recBytes) {
+			defer w.Spill.Budget.Release(recBytes)
 		} else {
+			external = true
+		}
+	}
+	if w.Shared && (external || path != sortTyped) {
+		// These sorts keep arrival order among ties, so a shared stream goes
+		// back to input order first.
+		sortByOrdinal(r.ordinals, ord)
+	}
+	if external {
+		var err error
+		if external, err = w.sortPartitionExternal(r.rows, ord); err != nil {
+			return err
+		}
+	}
+	switch {
+	case external:
+		path = sortEncoded // the spill sorter orders memcomparable key bytes
+	case path == sortComparator:
+		if err := sortRowsCompared(r.rows, ord, w.OrderBy, &ps.sort); err != nil {
+			return err
+		}
+	default:
+		sortByVecs(path, &r.lay, ord, tie, &ps.sort)
+	}
+	w.sorted[path].Store(true)
+	if w.Stats != nil {
+		switch path {
+		case sortTyped:
+			w.Stats.TypedSorts.Add(1)
+			w.Stats.NormalizedSorts.Add(1)
+		case sortEncoded:
+			w.Stats.NormalizedSorts.Add(1)
+		default:
 			w.Stats.ComparatorSorts.Add(1)
 		}
 	}
 	return nil
 }
 
-// orderSharedPartition establishes one partition's evaluation order on a
-// shared-sort stream. PreSorted partitions only normalize tie runs back to
-// input-ordinal order; everything else — segmented reuse, the NaN partition
-// fallback, a NaN order key defeating run detection — first restores input
-// order by ordinal and then runs the ordinary stable sort, which makes the
-// result bit-identical to the unshared path by construction.
-func (w *Window) orderSharedPartition(rows []sqltypes.Row, ordered []int, ps *partScratch) error {
-	if w.PreSorted && !w.sharedFallback && len(w.OrderBy) > 0 {
-		if w.ClassOrder.Valid(len(rows)) {
-			// Metadata path: validity certifies NaN-free sort keys, so run
-			// detection needs no key evaluation and no fallback — an
-			// OrderExact member is already in its exact unshared order.
-			if !w.OrderExact {
-				w.normalizeTieRunsByMeta(rows, ordered)
-			}
-			return nil
-		}
-		if w.OrderExact {
-			clean, err := w.orderKeysNaNFree(rows, ordered)
-			if err != nil {
-				return err
-			}
-			if clean {
-				return nil
-			}
-		} else {
-			ok, err := w.normalizeTieRuns(rows, ordered, ps)
-			if err != nil || ok {
-				return err
-			}
-		}
-	}
-	w.sortByOrdinal(rows, ordered)
-	if len(w.OrderBy) == 0 {
-		return nil
-	}
-	return w.orderPartition(rows, ordered, ps)
-}
-
-// normalizeTieRunsByMeta is normalizeTieRuns off the class sort's adjacency
-// table: within one contiguous partition, stream-adjacent rows tie on this
-// member's ORDER BY prefix exactly when at least the class partition key
-// count plus the member's order key count of leading sort keys match. No key
-// is evaluated and no NaN fallback exists — metadata validity already
-// certifies NaN-free keys.
-func (w *Window) normalizeTieRunsByMeta(rows []sqltypes.Row, ordered []int) {
-	depths := w.ClassOrder.TieDepths()
-	want := int32(w.ClassOrder.PartKeys() + len(w.OrderBy))
-	n := len(ordered)
-	start := 0
-	for i := 1; i <= n; i++ {
-		if i == n || depths[ordered[i]] < want {
-			if i-start > 1 {
-				w.sortByOrdinal(rows, ordered[start:i])
-			}
-			start = i
-		}
-	}
-}
-
 // normalizeTieRuns re-establishes the unshared tie order of a pre-sorted
 // partition: the shared class sort may refine this operator's ORDER BY with
-// further keys, so rows that tie on w.OrderBy can arrive in an order the
-// in-operator stable sort would not have produced. The pass evaluates the
-// order keys once, splits the partition into maximal runs of key-equal rows,
-// and sorts each run by the ordinal column — exactly the tie order of the
-// stable unshared sort over indices collected in input order. ok=false
-// (without reordering anything) means a NaN key was seen: Compare treats NaN
-// as equal to everything, so run detection is unsound and the caller must
-// fall back to the full per-partition sort.
-func (w *Window) normalizeTieRuns(rows []sqltypes.Row, ordered []int, ps *partScratch) (bool, error) {
-	n, k := len(ordered), len(w.OrderBy)
-	sc := &ps.sort
-	if cap(sc.datums) < n*k {
-		sc.datums = make([]sqltypes.Datum, n*k)
-	} else {
-		sc.datums = sc.datums[:n*k]
-	}
-	for i, ri := range ordered {
-		row := rows[ri]
-		base := i * k
-		for ki := range w.OrderBy {
-			v, err := w.OrderBy[ki].Expr.Eval(row)
-			if err != nil {
-				return false, err
-			}
-			if v.Typ() == sqltypes.Float && math.IsNaN(v.Float()) {
-				return false, nil
-			}
-			sc.datums[base+ki] = v
-		}
-	}
+// further keys, so rows that tie on it can arrive in an order the unshared
+// stable sort would not have produced. The pass splits ord into maximal runs
+// of rows tied with their predecessor and sorts each run by ordinal.
+func normalizeTieRuns(ordinals []int64, ord []int, tied func(prev, cur int) bool) {
 	start := 0
-	for i := 1; i <= n; i++ {
-		boundary := i == n
-		if !boundary {
-			for ki := 0; ki < k; ki++ {
-				if !sqltypes.Equal(sc.datums[(i-1)*k+ki], sc.datums[i*k+ki]) {
-					boundary = true
-					break
-				}
-			}
-		}
-		if boundary {
+	for i := 1; i <= len(ord); i++ {
+		if i == len(ord) || !tied(ord[i-1], ord[i]) {
 			if i-start > 1 {
-				w.sortByOrdinal(rows, ordered[start:i])
+				sortByOrdinal(ordinals, ord[start:i])
 			}
 			start = i
 		}
 	}
-	return true, nil
 }
 
-// orderKeysNaNFree reports whether the partition's order-key values contain
-// no float NaN — the one value that makes the shared sort's tie placement
-// diverge from the unshared stable sort (Compare treats NaN as equal to any
-// numeric, so the sort's comparison sequence, not the keys, decides the
-// order). clean=false means the caller must restore input order and re-sort.
-func (w *Window) orderKeysNaNFree(rows []sqltypes.Row, ordered []int) (bool, error) {
-	for _, ri := range ordered {
-		row := rows[ri]
-		for ki := range w.OrderBy {
-			v, err := w.OrderBy[ki].Expr.Eval(row)
-			if err != nil {
-				return false, err
-			}
-			if v.Typ() == sqltypes.Float && math.IsNaN(v.Float()) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
+// sortByOrdinal orders positions by the rows' ordinal tag — the original
+// input order. Ordinals are unique, so the result is a strict total order.
+func sortByOrdinal(ordinals []int64, pos []int) {
+	slices.SortFunc(pos, func(a, b int) int { return cmp.Compare(ordinals[a], ordinals[b]) })
 }
 
-// sortByOrdinal orders idx by the rows' ordinal column — the original input
-// order. Ordinals are unique, so the result is a strict total order.
-func (w *Window) sortByOrdinal(rows []sqltypes.Row, idx []int) {
-	c := w.OrdinalCol
-	slices.SortFunc(idx, func(a, b int) int {
-		oa, ob := rows[a][c].Int(), rows[b][c].Int()
-		switch {
-		case oa < ob:
-			return -1
-		case oa > ob:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// datumMemSize approximates one resident sqltypes.Datum for budget
-// accounting (tag + int64 + float64 + string header, rounded up).
-const datumMemSize = 40
-
-// maxPooledScratchBytes caps how much buffer capacity a partScratch may
-// carry back into the pool when a memory budget is configured. Without the
-// cap, N parallel workers each retain buffers sized to the largest partition
-// they ever saw — unbounded residency the budget knows nothing about.
+// maxPooledScratchBytes caps how much buffer capacity scratch may carry back
+// into a pool when a memory budget is configured. Without the cap, N
+// parallel workers each retain buffers sized to the largest partition they
+// ever saw — unbounded residency the budget knows nothing about.
 const maxPooledScratchBytes = 256 << 10
 
-// putPartScratch returns scratch to the pool, trimming oversized buffers
-// first when a budget is in force.
+// putPartScratch returns scratch to the pool, or drops it when a budget is
+// in force and it grew past the pooled ceiling.
 func (w *Window) putPartScratch(ps *partScratch) {
-	if w.Spill.Enabled() {
-		if int64(cap(ps.args))*datumMemSize > maxPooledScratchBytes {
-			ps.args = nil
-			ps.col = nil
-			ps.out = nil
-			ps.vecs = nil
-		}
-		if int64(cap(ps.sort.datums))*datumMemSize > maxPooledScratchBytes ||
-			int64(cap(ps.sort.buf)) > maxPooledScratchBytes {
-			ps.sort = sortScratch{}
-		}
+	const datumMemSize = 40
+	if w.Spill.Enabled() && (int64(cap(ps.out))*datumMemSize > maxPooledScratchBytes ||
+		int64(cap(ps.sort.buf)) > maxPooledScratchBytes) {
+		return
 	}
 	partScratchPool.Put(ps)
 }
 
 // sortPartitionExternal orders one partition through a budget-tracked
 // spill.Sorter: records are (concatenated key encoding, uvarint row index),
-// so the merge streams the permutation back without the in-memory key arena
-// or datum matrix. handled=false means the ordering defeated the key
-// encoding mid-stream; external state is released and the caller re-sorts in
-// memory (the comparator path still has every row).
+// so the merge streams the permutation back without the in-memory record
+// slab. handled=false means the ordering defeated the key encoding
+// mid-stream; external state is released and the caller re-sorts in memory
+// (the comparator path still has every row).
 func (w *Window) sortPartitionExternal(rows []sqltypes.Row, ordered []int) (handled bool, err error) {
 	sorter := spill.NewSorter(w.ctx(), w.Spill)
 	defer sorter.Close()
@@ -960,171 +1025,6 @@ func (w *Window) sortPartitionExternal(rows []sqltypes.Row, ordered []int) (hand
 		w.spillBytes.Add(sorter.SpillBytes())
 	}
 	return true, nil
-}
-
-// runTypedKernel dispatches fn to a typed kernel when its argument column is
-// eligible: COUNT(*) always (its synthesized argument is a non-NULL
-// constant), otherwise a valid ColVec with no NULLs and an Int or Float
-// element type. Any NULL, any type mix, a NaN, or a non-numeric element type
-// routes the function to the boxed accumulator path instead. Reports whether
-// a kernel ran and filled ps.out.
-func (w *Window) runTypedKernel(fn WindowFunc, slot int, ps *partScratch, n int) bool {
-	if slot < 0 {
-		kernelCount(fn.Frame, n, ps.out)
-		return true
-	}
-	vec := &ps.vecs[slot]
-	if !vec.Valid() || vec.Nulls.Any() {
-		return false
-	}
-	ok := true
-	switch vec.Typ {
-	case sqltypes.Int:
-		switch fn.Name {
-		case "COUNT":
-			kernelCount(fn.Frame, n, ps.out)
-		case "SUM":
-			kernelSumInt(fn.Frame, vec.Ints, ps.out)
-		case "AVG":
-			kernelAvg(fn.Frame, vec.Ints, ps.out)
-		case "MIN", "MAX":
-			ps.dq, ok = kernelMinMax(fn.Frame, vec.Ints, fn.Name == "MIN", sqltypes.NewInt, ps.out, ps.dq)
-		default:
-			return false
-		}
-	case sqltypes.Float:
-		switch fn.Name {
-		case "COUNT":
-			kernelCount(fn.Frame, n, ps.out)
-		case "SUM":
-			kernelSumFloat(fn.Frame, vec.Floats, ps.out)
-		case "AVG":
-			kernelAvg(fn.Frame, vec.Floats, ps.out)
-		case "MIN", "MAX":
-			ps.dq, ok = kernelMinMax(fn.Frame, vec.Floats, fn.Name == "MIN", sqltypes.NewFloat, ps.out, ps.dq)
-		default:
-			return false
-		}
-	default:
-		return false
-	}
-	return ok
-}
-
-// computeFrames computes the window aggregate for every position. Frame
-// bounds move monotonically with the row index, enabling the pipelined
-// strategies.
-func computeFrames(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	if fn.Name == "MIN" || fn.Name == "MAX" {
-		return computeFramesMinMax(fn, args)
-	}
-	acc, err := expr.NewAgg(fn.Name)
-	if err != nil {
-		return nil, err
-	}
-	curLo, curHi := 0, -1 // current accumulated range [curLo, curHi]
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		if lo > hi {
-			// Empty frame: NULL (COUNT yields 0 via a fresh accumulator).
-			acc.Reset()
-			curLo, curHi = lo, lo-1
-			if fn.Name == "COUNT" {
-				out[i] = sqltypes.NewInt(0)
-			} else {
-				out[i] = sqltypes.NullDatum
-			}
-			continue
-		}
-		// ROWS frame bounds move monotonically right; re-seed if the target
-		// range jumped (backwards, or disjoint ahead, or shrank on the
-		// right), otherwise slide: grow right with Add, shrink left with
-		// Remove — the §2.2 three-operations-per-position strategy.
-		if lo < curLo || lo > curHi+1 || hi < curHi {
-			acc.Reset()
-			curLo, curHi = lo, lo-1
-		}
-		for curHi < hi {
-			curHi++
-			acc.Add(args[curHi])
-		}
-		for curLo < lo {
-			acc.Remove(args[curLo])
-			curLo++
-		}
-		out[i] = acc.Result()
-	}
-	return out, nil
-}
-
-// computeFramesMinMax computes MIN/MAX frames with a monotonic deque.
-func computeFramesMinMax(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	isMin := fn.Name == "MIN"
-	type entry struct {
-		pos int
-		val sqltypes.Datum
-	}
-	var dq []entry
-	next := 0 // next arg index to admit
-	prevLo := 0
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		if lo < prevLo {
-			// Frames of ROWS windows never move backwards; guard anyway.
-			return computeFramesMinMaxNaive(fn, args)
-		}
-		prevLo = lo
-		for next <= hi {
-			v := args[next]
-			if !v.IsNull() {
-				for len(dq) > 0 {
-					cmp, err := sqltypes.Compare(v, dq[len(dq)-1].val)
-					if err != nil {
-						return nil, err
-					}
-					if (isMin && cmp <= 0) || (!isMin && cmp >= 0) {
-						dq = dq[:len(dq)-1]
-						continue
-					}
-					break
-				}
-				dq = append(dq, entry{next, v})
-			}
-			next++
-		}
-		for len(dq) > 0 && dq[0].pos < lo {
-			dq = dq[1:]
-		}
-		if lo > hi || len(dq) == 0 {
-			out[i] = sqltypes.NullDatum
-		} else {
-			out[i] = dq[0].val
-		}
-	}
-	return out, nil
-}
-
-// computeFramesMinMaxNaive is the quadratic fallback for pathological frames.
-func computeFramesMinMaxNaive(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	acc, err := expr.NewAgg(fn.Name)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		acc.Reset()
-		for j := lo; j <= hi; j++ {
-			acc.Add(args[j])
-		}
-		out[i] = acc.Result()
-	}
-	return out, nil
 }
 
 // takeRows implements rowsHandoff.
@@ -1172,9 +1072,19 @@ func (w *Window) Describe() string {
 	if w.Vectorizable() {
 		vec = " vectorized=true"
 	}
+	// The paths the last run's partition orderings took: more than one when
+	// a budget refused some partitions' records.
 	sp := ""
+	for p := range w.sorted {
+		if w.sorted[p].Load() {
+			sp += "+" + sortPath(p).String()
+		}
+	}
+	if sp != "" {
+		sp = " sort=" + sp[1:]
+	}
 	if runs := w.spillRuns.Load(); runs > 0 {
-		sp = fmt.Sprintf(" spilled=true runs=%d spill_bytes=%d", runs, w.spillBytes.Load())
+		sp += fmt.Sprintf(" spilled=true runs=%d spill_bytes=%d", runs, w.spillBytes.Load())
 	}
 	shared := ""
 	if w.Shared {

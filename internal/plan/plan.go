@@ -298,7 +298,11 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 		exprs[i] = e
 		names[i] = it.outName(i)
 	}
-	op = exec.NewProject(op, exprs, names)
+	proj := exec.NewProject(op, exprs, names)
+	// A projection that only picks columns of a Window directly below is
+	// emitted by the Window itself.
+	proj.PushDown()
+	op = proj
 
 	if sel.Distinct {
 		op = &exec.Distinct{Input: op}

@@ -9,19 +9,20 @@
 //   - exec.Sort streams its input through a Sorter, spilling
 //     (EncodeKey bytes, encoded row) pairs once the budget trips and merging
 //     the runs back in key order with a bounded-fan-in heap merge;
-//   - exec.Window.computePartition spills (EncodeKey bytes, row index) pairs
-//     for oversized partitions, so one hot PARTITION BY group no longer pins
+//   - exec.Window charges each partition's sort records and, when the charge
+//     is refused, orders the partition through a Sorter of (EncodeKey bytes,
+//     row index) pairs instead, so one hot PARTITION BY group no longer pins
 //     a full sort scratch in memory;
 //   - both charge the Budget for whatever they do keep in memory, so the
 //     rfview_spill_budget_used_bytes gauge reflects executor pressure even
 //     on the paths that never spill.
 //
 // Results are bit-identical to the in-memory paths: runs are sorted by the
-// same memcomparable encoding the in-memory fast path compares, and the
-// merge breaks key ties by run order, which preserves the stable-sort
-// contract (ties keep input order). Orderings the key encoding cannot
-// represent (Int/Float mixes, NaN floats) never spill — the executor falls
-// back to its existing comparator path.
+// memcomparable encoding of the same order words the in-memory record sort
+// compares, and the merge breaks key ties by run order, which preserves the
+// stable-sort contract (ties keep input order). Orderings the key encoding
+// cannot represent (Int/Float mixes, NaN floats) never spill — the executor
+// falls back to its existing comparator path.
 package spill
 
 import (

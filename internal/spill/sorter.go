@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -192,9 +192,8 @@ func (s *Sorter) Add(key, payload []byte) error {
 // sortRecs stable-sorts the in-memory records by key bytes.
 func (s *Sorter) sortRecs() {
 	arena := s.arena
-	sort.SliceStable(s.recs, func(i, j int) bool {
-		a, b := s.recs[i], s.recs[j]
-		return bytes.Compare(arena[a.off:a.off+a.keyLen], arena[b.off:b.off+b.keyLen]) < 0
+	slices.SortStableFunc(s.recs, func(a, b recRef) int {
+		return bytes.Compare(arena[a.off:a.off+a.keyLen], arena[b.off:b.off+b.keyLen])
 	})
 }
 

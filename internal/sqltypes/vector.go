@@ -7,10 +7,11 @@ import (
 
 // This file is the columnar half of the value system: ColVec accumulates a
 // column of datums into typed storage ([]int64 / []float64 / []string plus a
-// null bitmap) so hot executor loops can run over raw machine values, and
-// EncodeKey produces memcomparable byte strings so ORDER BY / PARTITION BY
-// sorts become one bytes.Compare per pair instead of N interface-dispatched,
-// error-checked Compare calls.
+// null bitmap) so hot executor loops can run over raw machine values;
+// OrderWords turns a fixed-width column into uint64 words whose unsigned
+// order is the column's sort order, so sorts over INTEGER/DATE/BOOLEAN/FLOAT
+// keys compare machine words; and EncodeKey produces memcomparable byte
+// strings for the keys that have no fixed width (VARCHAR).
 
 // NullBitmap records which positions of a column are SQL NULL. The zero
 // value is an empty bitmap; it grows as positions are set.
@@ -170,6 +171,126 @@ func (v *ColVec) Datum(i int) Datum {
 	}
 }
 
+// FixedWidth reports whether every position is NULL or one value of a single
+// fixed-width type (INTEGER, DATE, BOOLEAN, or NaN-free FLOAT) — the columns
+// OrderWords can turn into comparable machine words. VARCHAR columns and
+// invalid vectors (a type mix, a NaN) are not.
+func (v *ColVec) FixedWidth() bool { return !v.invalid && v.Typ != String }
+
+// Gather resets v to src's values at the given positions, in that order: the
+// contiguous per-partition slice of a column the typed kernels run over. An
+// invalid src yields an invalid v of the same length.
+func (v *ColVec) Gather(src *ColVec, pos []int) {
+	v.Reset(len(pos))
+	v.Typ, v.invalid, v.n = src.Typ, src.invalid, len(pos)
+	if src.invalid {
+		return
+	}
+	switch src.Typ {
+	case Int, Bool, Date:
+		for _, p := range pos {
+			v.Ints = append(v.Ints, src.Ints[p])
+		}
+	case Float:
+		for _, p := range pos {
+			v.Floats = append(v.Floats, src.Floats[p])
+		}
+	case String:
+		for _, p := range pos {
+			v.Strs = append(v.Strs, src.Strs[p])
+		}
+	}
+	if src.Nulls.any {
+		for j, p := range pos {
+			if src.Nulls.Get(p) {
+				v.Nulls.Set(j)
+			}
+		}
+	}
+}
+
+// EqualAt reports whether positions i and j hold Compare-equal values (NULL
+// equals NULL, -0.0 equals +0.0). Valid only while the vector is Valid.
+func (v *ColVec) EqualAt(i, j int) bool {
+	if v.Nulls.any {
+		if ni, nj := v.Nulls.Get(i), v.Nulls.Get(j); ni || nj {
+			return ni && nj
+		}
+	}
+	switch v.Typ {
+	case Int, Bool, Date:
+		return v.Ints[i] == v.Ints[j]
+	case Float:
+		return v.Floats[i] == v.Floats[j]
+	case String:
+		return v.Strs[i] == v.Strs[j]
+	default:
+		return true // all-NULL column
+	}
+}
+
+// OrderWords writes the order words of the positions pos into dst, position
+// j's at dst[j*stride:], and returns how many words a position takes: one —
+// a uint64 whose unsigned order is the value's sort order under Compare,
+// reversed when desc — for a column without NULLs, two for a column with
+// them: a placement word that ranks NULLs after every value when nullsLast
+// and before otherwise, then the value word (zero for a NULL). The vector
+// must be FixedWidth.
+func (v *ColVec) OrderWords(pos []int, desc, nullsLast bool, dst []uint64, stride int) int {
+	var flip uint64
+	if desc {
+		flip = ^uint64(0)
+	}
+	val := 0 // the value word's offset within a position's words
+	if v.Nulls.any {
+		val = 1
+	}
+	switch v.Typ {
+	case Int, Bool, Date:
+		for j, p := range pos {
+			dst[j*stride+val] = OrderWordInt(v.Ints[p]) ^ flip
+		}
+	case Float:
+		for j, p := range pos {
+			dst[j*stride+val] = OrderWordFloat(v.Floats[p]) ^ flip
+		}
+	}
+	if val == 0 {
+		return 1
+	}
+	nullRank, valRank := uint64(0), uint64(1)
+	if nullsLast {
+		nullRank, valRank = 1, 0
+	}
+	for j, p := range pos {
+		if v.Nulls.Get(p) {
+			dst[j*stride], dst[j*stride+1] = nullRank, 0
+		} else {
+			dst[j*stride] = valRank
+		}
+	}
+	return 2
+}
+
+// OrderWordInt maps an int64 payload (INTEGER, DATE, BOOLEAN) onto a uint64
+// whose unsigned order is the signed order — no subtraction, so
+// math.MinInt64 and math.MaxInt64 order correctly.
+func OrderWordInt(i int64) uint64 { return uint64(i) ^ (1 << 63) }
+
+// OrderWordFloat maps a non-NaN float64 onto a uint64 whose unsigned order
+// is the numeric order. -0.0 maps to the word of +0.0: Compare treats them
+// as equal, so they must tie.
+func OrderWordFloat(f float64) uint64 {
+	if f == 0 {
+		f = 0 // normalize -0.0 to +0.0
+	}
+	bits := math.Float64bits(f)
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
 // ---------------------------------------------------------------------------
 // Memcomparable key encoding
 // ---------------------------------------------------------------------------
@@ -223,24 +344,10 @@ func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
 		}
 	case Int, Bool, Date:
 		dst = append(dst, keyTagValue)
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(d.i)^(1<<63))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordInt(d.i))
 	case Float:
 		dst = append(dst, keyTagValue)
-		f := d.f
-		if f == 0 {
-			f = 0 // normalize -0.0 to +0.0: Compare treats them as equal
-		}
-		bits := math.Float64bits(f)
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordFloat(d.f))
 	case String:
 		dst = append(dst, keyTagValue)
 		s := d.s
