@@ -7,7 +7,6 @@
 //	rfbench -exp patterns    # print the Fig. 2/4/10/13 rewrites and plans
 //	rfbench -exp maintenance [-json] # §2.3 incremental update vs. full refresh
 //	rfbench -exp window [-json] [-mem-budget SIZE]  # partition-parallel Window operator scaling, plus a budget-forced spill reference run
-//	rfbench -exp storage [-json] [-mem-budget SIZE] # paged-storage scan grid (resident/warm/cold) and out-of-core strategy sweep
 //	rfbench -exp all    [-quick]
 //
 // -quick shrinks the size lists so a full run finishes in seconds; -check
@@ -124,50 +123,6 @@ func main() {
 		return
 	}
 
-	if *exp == "storage" {
-		list := sizeList
-		if list == nil {
-			list = bench.StorageScanSizes
-			if *quick {
-				list = []int{5000, 20000}
-			}
-		}
-		fmt.Fprintf(os.Stderr, "Running storage scan grid (sizes %v, modes resident/warm/cold)\n", list)
-		points, err := bench.RunStorageScans(list)
-		if err != nil {
-			fatalf("storage: %v", err)
-		}
-		stratN, budget := bench.StorageStrategyN, bench.StorageStrategyBudget
-		if *quick {
-			stratN, budget = 20000, 64<<10
-		}
-		if *memBudget != "" {
-			n, err := spill.ParseBytes(*memBudget)
-			if err != nil {
-				fatalf("-mem-budget: %v", err)
-			}
-			budget = n
-		}
-		fmt.Fprintf(os.Stderr, "Running out-of-core strategy sweep (%d rows, %d KiB budget)\n",
-			stratN, budget>>10)
-		strats, err := bench.RunStorageStrategies(stratN, budget)
-		if err != nil {
-			fatalf("storage: %v", err)
-		}
-		if *jsonOut {
-			s, err := bench.StorageJSON(points, stratN, budget, strats)
-			if err != nil {
-				fatalf("storage: %v", err)
-			}
-			fmt.Print(s)
-		} else {
-			fmt.Print(bench.FormatStorageScans(points))
-			fmt.Println()
-			fmt.Print(bench.FormatStorageStrategies(stratN, budget, strats))
-		}
-		return
-	}
-
 	if *exp == "patterns" {
 		report, err := bench.PatternsReport()
 		if err != nil {
@@ -180,7 +135,7 @@ func main() {
 	runT1 := *exp == "table1" || *exp == "all"
 	runT2 := *exp == "table2" || *exp == "all"
 	if !runT1 && !runT2 {
-		fatalf("unknown experiment %q (want table1, table2, patterns, maintenance, window, storage, or all)", *exp)
+		fatalf("unknown experiment %q (want table1, table2, patterns, maintenance, window, or all)", *exp)
 	}
 
 	if runT1 {

@@ -76,10 +76,8 @@ type runResult struct {
 	BPWritebacks  int64   `json:"bufferpool_writebacks,omitempty"`
 	BPHitRatio    float64 `json:"bufferpool_hit_ratio,omitempty"`
 	// View-maintenance counters, as reported by the server after the run.
-	MaintMode    string `json:"maintenance_mode,omitempty"`
-	MaintDelta   int64  `json:"maintenance_delta_applied,omitempty"`
-	MaintFull    int64  `json:"maintenance_full_refreshes,omitempty"`
-	MaintPending int64  `json:"maintenance_pending,omitempty"`
+	MaintDelta int64 `json:"maintenance_delta_applied,omitempty"`
+	MaintFull  int64 `json:"maintenance_full_refreshes,omitempty"`
 	// Mixed-workload fields, filled only under -mixed: the configured read
 	// ratio, the read/write split of the measured iterations, and write-write
 	// conflict aborts (counted apart from Errors).
@@ -165,9 +163,8 @@ func main() {
 		fmt.Printf("spill: budget=%dB runs=%d bytes=%d operators=%d\n",
 			res.MemBudget, res.SpillRuns, res.SpillRunBytes, res.SpillOps)
 	}
-	if res.MaintMode != "" {
-		fmt.Printf("maintenance: mode=%s delta_applied=%d full_refreshes=%d pending=%d\n",
-			res.MaintMode, res.MaintDelta, res.MaintFull, res.MaintPending)
+	if res.MaintDelta > 0 || res.MaintFull > 0 {
+		fmt.Printf("maintenance: delta_applied=%d full_refreshes=%d\n", res.MaintDelta, res.MaintFull)
 	}
 	if res.BPPageSize > 0 {
 		fmt.Printf("bufferpool: page_size=%dB cached=%d hits=%d misses=%d hit_ratio=%.2f evictions=%d writebacks=%d\n",
@@ -233,10 +230,8 @@ func attachMaintenanceStats(addr string, res *runResult) {
 	if err != nil {
 		return
 	}
-	res.MaintMode = st.Maintenance.Mode
 	res.MaintDelta = st.Maintenance.DeltaApplied
 	res.MaintFull = st.Maintenance.FullRefreshes
-	res.MaintPending = st.Maintenance.Pending
 }
 
 // attachSpillStats verifies the server runs under the expected memory budget

@@ -5,10 +5,9 @@
 //
 //	rfserverd [-addr host:port] [-init script.sql] [-plan-cache N]
 //	          [-data-dir DIR] [-fsync always|interval|off] [-checkpoint-every N]
-//	          [-no-native-window] [-no-indexes] [-no-views] [-no-vectorized]
+//	          [-no-native-window] [-no-indexes] [-no-views]
 //	          [-strategy auto|maxoa|minoa] [-form disjunctive|union]
 //	          [-window-parallelism N] [-mem-budget SIZE] [-page-size SIZE]
-//	          [-view-maintenance eager|deferred|off] [-maintenance-interval D]
 //	          [-metrics-addr host:port] [-pprof-addr host:port] [-slow-query-ms N]
 //
 // -metrics-addr starts an HTTP listener serving the engine's Prometheus
@@ -16,8 +15,7 @@
 // returns). -pprof-addr starts a net/http/pprof listener (intended for
 // loopback addresses: profiles expose query shapes) for CPU/heap profiling.
 // -slow-query-ms logs every read statement slower than N milliseconds, with
-// its analyzed per-operator plan. -no-vectorized forces the boxed executor
-// path, for A/B measurement against the typed columnar fast path.
+// its analyzed per-operator plan.
 // -mem-budget caps executor working memory (e.g. 64MiB): sorts and window
 // partition orderings over the budget spill memcomparable runs to disk —
 // under <data-dir>/tmp when durable, else a private temp directory — and
@@ -28,11 +26,6 @@
 // residency is charged against the same -mem-budget, so one knob governs
 // total executor memory. Heap files share the spill directory and its
 // startup sweep/shutdown cleanup.
-// -view-maintenance selects how DML reaches materialized sequence views:
-// eager (default) folds the delta in inside the write, deferred queues
-// deltas and applies them before the next read (read-repair) or on the
-// -maintenance-interval background tick, off marks views stale and leaves
-// REFRESH as the only repair.
 //
 // With -data-dir the server is durable: every committed DDL/DML/REFRESH is
 // written ahead to a logical WAL under DIR, state is periodically
@@ -63,7 +56,6 @@ import (
 	"time"
 
 	"rfview/internal/engine"
-	"rfview/internal/mview"
 	"rfview/internal/rewrite"
 	"rfview/internal/server"
 	"rfview/internal/spill"
@@ -86,11 +78,8 @@ func main() {
 	form := flag.String("form", "disjunctive", "derivation pattern form: disjunctive, union")
 	windowPar := flag.Int("window-parallelism", 0,
 		"window partition workers: 0 = GOMAXPROCS, 1 = sequential, N = up to N workers")
-	noVectorized := flag.Bool("no-vectorized", false, "disable the typed columnar fast path (key-normalized sorts, typed window kernels)")
 	memBudget := flag.String("mem-budget", "", "executor memory budget, e.g. 64MiB; sorts and window partitions over budget spill to disk (empty = unlimited)")
-	pageSize := flag.String("page-size", "", "paged-storage page size, e.g. 8KiB (empty = default); \"off\" keeps all table rows resident in memory")
-	viewMaint := flag.String("view-maintenance", "eager", "view maintenance mode: eager, deferred, off")
-	maintInterval := flag.Duration("maintenance-interval", time.Second, "background drain cadence for deferred view maintenance (0 disables; reads still drain)")
+	pageSize := flag.String("page-size", "", "paged-storage page size, e.g. 8KiB (empty = default)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (empty = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "HTTP listen address for net/http/pprof (empty = disabled; use a loopback address)")
 	slowQueryMs := flag.Int("slow-query-ms", 0, "log queries slower than this many milliseconds, with their analyzed plan (0 disables)")
@@ -101,7 +90,6 @@ func main() {
 	opts.WindowParallelism = *windowPar
 	opts.UseIndexes = !*noIndexes
 	opts.UseMatViews = !*noViews
-	opts.DisableVectorized = *noVectorized
 	if *memBudget != "" {
 		n, err := spill.ParseBytes(*memBudget)
 		if err != nil {
@@ -109,10 +97,7 @@ func main() {
 		}
 		opts.MemoryBudgetBytes = n
 	}
-	switch {
-	case strings.EqualFold(*pageSize, "off"):
-		opts.DisablePagedStorage = true
-	case *pageSize != "":
+	if *pageSize != "" {
 		n, err := spill.ParseBytes(*pageSize)
 		if err != nil {
 			log.Fatalf("-page-size: %v", err)
@@ -125,10 +110,6 @@ func main() {
 	if *dataDir != "" {
 		opts.SpillDir = filepath.Join(*dataDir, "tmp")
 	}
-	if _, err := mview.ParseMode(*viewMaint); err != nil {
-		log.Fatalf("-view-maintenance: %v", err)
-	}
-	opts.ViewMaintenance = *viewMaint
 	switch strings.ToLower(*strategy) {
 	case "auto":
 		opts.Strategy = rewrite.StrategyAuto
@@ -205,24 +186,6 @@ func main() {
 		})
 	}
 
-	// Deferred maintenance converges on reads; the background ticker bounds
-	// how long queued deltas can sit when no reads arrive.
-	stopDrain := make(chan struct{})
-	if e.MaintenanceMode() == mview.ModeDeferred && *maintInterval > 0 {
-		go func() {
-			t := time.NewTicker(*maintInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					e.DrainMaintenance()
-				case <-stopDrain:
-					return
-				}
-			}
-		}()
-	}
-
 	srv := server.New(e)
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
@@ -271,7 +234,6 @@ func main() {
 		log.Fatalf("serve: %v", err)
 	case s := <-sig:
 		log.Printf("signal %v: draining", s)
-		close(stopDrain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

@@ -55,6 +55,9 @@ const (
 	// outside a transaction, BEGIN inside one, or a statement kind that is
 	// not allowed inside an explicit transaction (DDL, REFRESH).
 	CodeTxnState Code = "txn_state"
+	// CodeBadRequest marks wire requests the server could not read: a line
+	// that is not a JSON request object, or one over the line-length limit.
+	CodeBadRequest Code = "bad_request"
 	// CodeInternal is the catch-all for errors without a more specific class.
 	CodeInternal Code = "internal"
 )
@@ -101,6 +104,7 @@ var (
 	ErrUnsupported  = &Error{Code: CodeUnsupported, Msg: "unsupported"}
 	ErrConflict     = &Error{Code: CodeConflict, Msg: "write-write conflict"}
 	ErrTxnState     = &Error{Code: CodeTxnState, Msg: "invalid transaction state"}
+	ErrBadRequest   = &Error{Code: CodeBadRequest, Msg: "bad request"}
 )
 
 // New builds a coded error from a format string.
@@ -149,7 +153,7 @@ func FromCode(code Code, msg string) error {
 	switch code {
 	case CodeParse, CodeUnknownTable, CodeUnknownView, CodeStaleView,
 		CodeNotDerivable, CodeCancelled, CodeUnsupported, CodeConflict,
-		CodeTxnState:
+		CodeTxnState, CodeBadRequest:
 		return &Error{Code: code, Msg: msg}
 	default:
 		return &Error{Code: CodeInternal, Msg: msg}

@@ -84,7 +84,7 @@ func TestCodeOf(t *testing.T) {
 func TestFromCodeRoundTrip(t *testing.T) {
 	for _, sentinel := range []*Error{
 		ErrParse, ErrUnknownTable, ErrUnknownView, ErrStaleView,
-		ErrNotDerivable, ErrCancelled, ErrUnsupported,
+		ErrNotDerivable, ErrCancelled, ErrUnsupported, ErrBadRequest,
 	} {
 		orig := New(sentinel.Code, "engine-side detail")
 		wire := string(CodeOf(orig)) // what the server puts in Response.Code

@@ -123,13 +123,11 @@ const deltaRefreshTrials = 3
 // RunDeltaRatios measures the delta-vs-full grid. One engine per size: the
 // refresh median is measured once, then each delta fraction's UPDATE batch
 // is timed as a whole (the per-op dispatch overhead is part of the cost of
-// the eager write path and belongs in the number).
+// the write path and belongs in the number).
 func RunDeltaRatios(sizes []int, fracs []float64) ([]DeltaRatioRow, error) {
 	var out []DeltaRatioRow
 	for _, n := range sizes {
-		opts := engine.DefaultOptions()
-		opts.ViewMaintenance = "eager"
-		e := engine.New(opts)
+		e := engine.New(engine.DefaultOptions())
 		if err := LoadSequenceTable(e, n, 29); err != nil {
 			return nil, err
 		}

@@ -34,8 +34,7 @@ type WindowConfig struct {
 }
 
 // DefaultWindowConfig is the configuration bench_window.sh records. Nine
-// trials (up from five) keep the medians stable enough to compare the
-// vectorized and boxed runs on a noisy shared host.
+// trials keep the medians stable on a noisy shared host.
 func DefaultWindowConfig() WindowConfig {
 	return WindowConfig{Partitions: 64, RowsPerPartition: 500, Trials: 9, Seed: 20020301}
 }
@@ -44,16 +43,13 @@ func DefaultWindowConfig() WindowConfig {
 // per-trial medians of the runtime.MemStats Mallocs / TotalAlloc deltas
 // around one query execution, recording the allocation cost alongside wall
 // time (pooled executor buffers show up here long before a single-core host
-// shows a wall-time win). Boxed marks the DisableVectorized reference run:
-// the same workload at workers=1 with the typed columnar fast path off, so
-// the report carries its own before/after pair on the measuring host.
+// shows a wall-time win).
 type WindowRow struct {
 	Workers     int
 	Median      time.Duration
 	Trials      []time.Duration
 	AllocsPerOp uint64
 	BytesPerOp  uint64
-	Boxed       bool
 	// Spill marks the memory-budgeted reference run; SpillRuns / SpillBytes
 	// are the engine's cumulative spill counters after its trials (zero in
 	// every other run).
@@ -303,20 +299,17 @@ func loadPartitionedTable(e *engine.Engine, cfg WindowConfig) error {
 // RunWindowParallel executes the workload at each worker setting and returns
 // one row per setting, with per-trial timings and the median. The sequential
 // (workers=1) result is additionally checked against every parallel result.
-// Two workers=1 reference runs are appended: DisableVectorized (the boxed
-// Datum path) as the allocation/latency baseline for the typed fast path,
-// and a tiny-memory-budget run that forces the out-of-core spill path — its
-// results are cross-checked against the in-memory reference like every
-// other setting.
+// One workers=1 reference run is appended: a tiny-memory-budget run that
+// forces the out-of-core spill path — its results are cross-checked against
+// the in-memory reference like every other setting.
 func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, error) {
 	out := make([]WindowRow, 0, len(workerSettings)+1)
 	var reference []float64
 
-	measure := func(workers int, boxed bool, memBudget int64) (WindowRow, error) {
+	measure := func(workers int, memBudget int64) (WindowRow, error) {
 		opts := engine.DefaultOptions()
 		opts.UseMatViews = false
 		opts.WindowParallelism = workers
-		opts.DisableVectorized = boxed
 		opts.MemoryBudgetBytes = memBudget
 		e := engine.New(opts)
 		defer e.Close()
@@ -324,7 +317,7 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 		if err := loadPartitionedTable(e, cfg); err != nil {
 			return WindowRow{}, err
 		}
-		row := WindowRow{Workers: workers, Boxed: boxed, Spill: memBudget > 0}
+		row := WindowRow{Workers: workers, Spill: memBudget > 0}
 		var lastSums []float64
 		var allocs, bytes []uint64
 		for t := 0; t < cfg.Trials; t++ {
@@ -351,8 +344,8 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 		if reference == nil {
 			reference = lastSums
 		} else if !sameFloats(reference, lastSums) {
-			return WindowRow{}, fmt.Errorf("workers=%d boxed=%v: result differs from reference",
-				workers, boxed)
+			return WindowRow{}, fmt.Errorf("workers=%d budget=%d: result differs from reference",
+				workers, memBudget)
 		}
 		sorted := append([]time.Duration(nil), row.Trials...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -365,17 +358,12 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 	}
 
 	for _, w := range workerSettings {
-		row, err := measure(w, false, 0)
+		row, err := measure(w, 0)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, row)
 	}
-	boxedRow, err := measure(1, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, boxedRow)
 	// The spill reference: the same workload, workers=1, under a tiny memory
 	// budget so the ordering goes external. The shared result cross-check
 	// above doubles as the bit-identity oracle for the out-of-core path.
@@ -383,7 +371,7 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 	if budget <= 0 {
 		budget = 64 << 10
 	}
-	spillRow, err := measure(1, false, budget)
+	spillRow, err := measure(1, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -427,19 +415,14 @@ func WindowJSON(cfg WindowConfig, rows []WindowRow, multi []MultiWindowRow) (str
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	runs := make([]runJSON, 0, len(rows))
-	var seq, best, boxed, spillRun runJSON
-	haveBoxed, haveSpill := false, false
+	var seq, best, spillRun runJSON
+	haveSpill := false
 	var spillRuns, spillBytes int64
 	for _, r := range rows {
 		rj := runJSON{Workers: r.Workers, MedianMs: ms(r.Median),
 			AllocsPerOp: r.AllocsPerOp, BPerOp: r.BytesPerOp}
 		for _, t := range r.Trials {
 			rj.TrialsMs = append(rj.TrialsMs, ms(t))
-		}
-		if r.Boxed {
-			boxed = rj
-			haveBoxed = true
-			continue
 		}
 		if r.Spill {
 			spillRun = rj
@@ -474,26 +457,6 @@ func WindowJSON(cfg WindowConfig, rows []WindowRow, multi []MultiWindowRow) (str
 	if seq.Workers == 1 && best.MedianMs > 0 {
 		out["speedup_best_vs_sequential"] = roundTo(seq.MedianMs/best.MedianMs, 3)
 		out["best_workers"] = best.Workers
-	}
-	if haveBoxed && seq.Workers == 1 {
-		// The same workload with DisableVectorized — the pre-fast-path executor
-		// (boxed Datum sorts and accumulators) measured on this host, so the
-		// vectorized/boxed pair travels together in the report.
-		out["baseline_boxed"] = map[string]any{
-			"workers":       1,
-			"median_ms":     boxed.MedianMs,
-			"trials_ms":     boxed.TrialsMs,
-			"allocs_per_op": boxed.AllocsPerOp,
-			"b_per_op":      boxed.BPerOp,
-		}
-		if boxed.MedianMs > 0 && boxed.AllocsPerOp > 0 {
-			out["vectorized_vs_boxed"] = map[string]any{
-				"median_speedup": roundTo(boxed.MedianMs/seq.MedianMs, 3),
-				"allocs_ratio":   roundTo(float64(seq.AllocsPerOp)/float64(boxed.AllocsPerOp), 3),
-				"bytes_ratio":    roundTo(float64(seq.BPerOp)/float64(boxed.BPerOp), 3),
-				"note":           "workers=1 typed columnar fast path vs DisableVectorized on the same host",
-			}
-		}
 	}
 	if haveSpill {
 		// The out-of-core reference: workers=1 under a tiny memory budget, so
@@ -579,7 +542,7 @@ func FormatWindow(rows []WindowRow) string {
 	fmt.Fprintf(&b, "%-8s  %-12s  %-12s  %-12s  %s\n", "workers", "median", "allocs/op", "B/op", "trials")
 	var seq time.Duration
 	for _, r := range rows {
-		if r.Workers == 1 && !r.Boxed && !r.Spill {
+		if r.Workers == 1 && !r.Spill {
 			seq = r.Median
 		}
 	}
@@ -589,15 +552,12 @@ func FormatWindow(rows []WindowRow) string {
 			parts[i] = t.Round(10 * time.Microsecond).String()
 		}
 		label := fmt.Sprintf("%d", r.Workers)
-		if r.Boxed {
-			label += " boxed"
-		}
 		if r.Spill {
 			label += " spill"
 		}
 		line := fmt.Sprintf("%-8s  %-12s  %-12d  %-12d  %s", label,
 			r.Median.Round(10*time.Microsecond), r.AllocsPerOp, r.BytesPerOp, strings.Join(parts, " "))
-		if seq > 0 && r.Workers > 1 && !r.Boxed {
+		if seq > 0 && r.Workers > 1 {
 			line += fmt.Sprintf("   (%.2fx vs sequential)", float64(seq)/float64(r.Median))
 		}
 		if r.Spill {

@@ -137,10 +137,9 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Query executes a statement and returns columns and rows.
-//
-// Deprecated: new code should use QueryContext, which forwards deadlines to
-// the server.
+// Query executes a statement and returns columns and rows: the
+// context.Background() convenience form of QueryContext, with no deadline to
+// forward to the server.
 func (c *Client) Query(sql string, opts ...RequestOption) (*Result, error) {
 	return c.QueryContext(context.Background(), sql, opts...)
 }
@@ -158,10 +157,8 @@ func (c *Client) QueryContext(ctx context.Context, sql string, opts ...RequestOp
 	return toResult(resp), nil
 }
 
-// Exec executes a statement and returns the affected count.
-//
-// Deprecated: new code should use ExecContext, which forwards deadlines to
-// the server.
+// Exec executes a statement and returns the affected count: the
+// context.Background() convenience form of ExecContext.
 func (c *Client) Exec(sql string, opts ...RequestOption) (*Result, error) {
 	return c.ExecContext(context.Background(), sql, opts...)
 }

@@ -122,7 +122,7 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 			return nil, err
 		}
 	}
-	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, CacheHit: true, planText: p.planText, MaintenanceDrained: cfg.drained}
+	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, CacheHit: true, planText: p.planText}
 	if p.hasResult && !cfg.analyze {
 		// Version validation just proved nothing the query reads has
 		// changed, so the previous answer is still the answer. Analyze

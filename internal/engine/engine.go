@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +68,6 @@ type Options struct {
 	// full refreshes, which re-execute the view query through the same
 	// planner.
 	WindowParallelism int
-	// DisableVectorized switches off the executor's typed columnar fast
-	// path (memcomparable key-normalized sorts and typed window kernels),
-	// forcing the boxed Datum path. Results are identical either way; the
-	// knob exists for measurement and as an escape hatch.
-	DisableVectorized bool
 	// DisableSharedSort switches off the shared-sort multi-window planner
 	// pass: every Window operator of a multi-OVER query sorts internally
 	// instead of stacking over one shared Sort per ordering-compatible spec
@@ -92,16 +86,6 @@ type Options struct {
 	// directory under os.TempDir. Servers point it at <data-dir>/tmp so
 	// stale runs from a crashed process are swept on restart.
 	SpillDir string
-	// ViewMaintenance selects how base-table DML reaches materialized
-	// sequence views: "eager" (the default, also the empty string) folds the
-	// §2.3 delta into each view inside the write itself; "deferred" queues
-	// per-view deltas and applies them before the next read that could
-	// observe the view (read-repair), on background ticks, and at WAL
-	// checkpoints; "off" marks views stale on every base-table write, leaving
-	// REFRESH as the only repair. The RFVIEW_TEST_VIEW_MAINTENANCE
-	// environment variable supplies a default when unset, so the whole test
-	// suite can be forced through the deferred path.
-	ViewMaintenance string
 	// PageSize is the slotted-page size of paged heap storage in bytes;
 	// 0 means storage.DefaultPageSize (8 KiB). Values are clamped to
 	// [storage.MinPageSize, storage.MaxPageSize].
@@ -111,10 +95,6 @@ type Options struct {
 	// RFVIEW_TEST_PAGE_CACHE environment variable supplies a default when
 	// unset, so the whole suite can be forced through a starved page cache.
 	PageCacheBytes int64
-	// DisablePagedStorage keeps every table's rows resident in memory, the
-	// pre-paging layout. The knob exists for the differential oracle's
-	// reference engines and for A/B benchmarks of the paged path.
-	DisablePagedStorage bool
 }
 
 // DefaultOptions enables every feature with automatic strategy selection.
@@ -167,11 +147,6 @@ type Engine struct {
 	logWrite  func(sql string) error
 	postWrite func()
 
-	// maintMode is Opts.ViewMaintenance parsed once at construction; the
-	// deferred-drain fast path on every read statement checks it without
-	// re-parsing the string.
-	maintMode mview.Mode
-
 	// reg/met expose the engine's operational counters; see metrics.go.
 	// winStats aggregates Window-operator parallelism across all queries.
 	reg      *metrics.Registry
@@ -187,7 +162,7 @@ type Engine struct {
 	spillEnv *spill.Env
 
 	// pager owns paged heap storage: the buffer pool and every table's heap
-	// file. nil when DisablePagedStorage keeps rows resident.
+	// file.
 	pager *storage.Pager
 
 	// Slow-query log configuration. These live outside Options because
@@ -215,9 +190,6 @@ type Result struct {
 	Analyzed string
 	// CacheHit reports that the plan cache answered this statement.
 	CacheHit bool
-	// MaintenanceDrained is the number of deferred view deltas the
-	// read-repair drain applied immediately before this statement ran.
-	MaintenanceDrained int
 
 	// execStmt is the statement that was actually planned (post-derivation,
 	// pre-self-join-fallback); the plan cache replans from it on a hit.
@@ -237,9 +209,6 @@ type execConfig struct {
 	// trace instruments the operator tree; implied by analyze and by an
 	// armed slow-query log.
 	trace bool
-	// drained is the deferred-delta count the read-repair drain applied
-	// before this statement; it rides into Result.MaintenanceDrained.
-	drained int
 	// tx is the transaction this statement runs inside: the enclosing
 	// explicit transaction, or the statement's own auto-commit transaction
 	// for DML. nil for auto-commit reads.
@@ -264,10 +233,6 @@ func New(opts Options) *Engine {
 			}
 		}
 	}
-	if opts.ViewMaintenance == "" {
-		// Test knob: force every engine into one maintenance mode suite-wide.
-		opts.ViewMaintenance = os.Getenv("RFVIEW_TEST_VIEW_MAINTENANCE")
-	}
 	if opts.PageCacheBytes == 0 {
 		// Test knob: starve every engine's page cache suite-wide.
 		if env := os.Getenv("RFVIEW_TEST_PAGE_CACHE"); env != "" {
@@ -276,27 +241,22 @@ func New(opts Options) *Engine {
 			}
 		}
 	}
-	// Commands validate the flag with mview.ParseMode and fail fast; a
-	// library caller's unknown string degrades to the eager default.
-	maintMode, _ := mview.ParseMode(opts.ViewMaintenance)
-	e := &Engine{Cat: catalog.New(), Opts: opts, maintMode: maintMode, plans: qcache.New[*cachedPlan](DefaultPlanCacheCapacity)}
+	e := &Engine{Cat: catalog.New(), Opts: opts, plans: qcache.New[*cachedPlan](DefaultPlanCacheCapacity)}
 	e.spillEnv = spill.NewEnv(opts.SpillDir)
 	e.spillCfg = &spill.Config{
 		Budget: spill.NewBudget(opts.MemoryBudgetBytes),
 		Env:    e.spillEnv,
 		Stats:  &spill.Stats{},
 	}
-	if !opts.DisablePagedStorage {
-		// Page residency charges the same budget as sort/window spilling, so
-		// -mem-budget is the one knob that governs total executor memory.
-		e.pager = storage.NewPager(storage.PagerConfig{
-			PageSize: opts.PageSize,
-			CapBytes: opts.PageCacheBytes,
-			Budget:   e.spillCfg.Budget,
-			Env:      e.spillEnv,
-		})
-		e.Cat.SetPager(e.pager)
-	}
+	// Page residency charges the same budget as sort/window spilling, so
+	// -mem-budget is the one knob that governs total executor memory.
+	e.pager = storage.NewPager(storage.PagerConfig{
+		PageSize: opts.PageSize,
+		CapBytes: opts.PageCacheBytes,
+		Budget:   e.spillCfg.Budget,
+		Env:      e.spillEnv,
+	})
+	e.Cat.SetPager(e.pager)
 	e.Views = mview.NewManager(e.Cat, func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error) {
 		res, err := e.execSelect(ctx, stmt, execConfig{})
 		if err != nil {
@@ -304,90 +264,14 @@ func New(opts Options) *Engine {
 		}
 		return res.Columns, res.Rows, nil
 	})
-	e.Views.SetMode(maintMode)
 	e.initMetrics()
 	return e
 }
 
-// MaintenanceMode returns the engine's view-maintenance mode.
-func (e *Engine) MaintenanceMode() mview.Mode { return e.maintMode }
-
-// DrainMaintenance applies every queued deferred view delta now, under the
-// exclusive lock, and reports how many were applied. Servers call it on
-// background ticks; tests use it to force convergence without issuing a read.
-// It is a no-op outside deferred mode (nothing is ever queued).
-func (e *Engine) DrainMaintenance() int {
-	if e.Views.PendingTotal() == 0 {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drainLocked()
-}
-
-// DrainMaintenanceLocked is DrainMaintenance for callers that already hold
-// the exclusive engine lock — the WAL checkpoint, which runs under Quiesce,
-// drains queued deltas before capturing a snapshot.
-func (e *Engine) DrainMaintenanceLocked() int {
-	if e.Views.PendingTotal() == 0 {
-		return 0
-	}
-	return e.drainLocked()
-}
-
-// drainLocked applies queued deferred deltas inside an internal transaction,
-// so their backing-table patches publish atomically. Callers hold the
-// exclusive lock. Internal transactions write no commit record — replaying
-// the DML records that enqueued the deltas re-derives them.
-func (e *Engine) drainLocked() int {
-	tx := e.newTxn(false)
-	n := e.Views.DrainTx(tx)
-	e.commitTxnLocked(tx, false) // cannot fail: no log write
-	return n
-}
-
-// drainIfPending is the read-repair half of deferred maintenance: called
-// before a read statement takes the shared lock (and before the plan cache is
-// consulted — applying deltas bumps backing-table versions, which is exactly
-// what invalidates cached results that predate the queued DML). The common
-// no-pending case is one atomic load. Between the drain and the read's shared
-// lock a concurrent writer may enqueue fresh deltas; deferred mode promises
-// each read observes the deltas queued before it began, not a serializable
-// schedule.
-func (e *Engine) drainIfPending() int {
-	if e.maintMode != mview.ModeDeferred || e.Views.PendingTotal() == 0 {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drainLocked()
-}
-
-// leadingRead reports whether sql's first keyword starts a read statement
-// (SELECT, including UNIONs, or EXPLAIN) without parsing. Used only to decide
-// whether to drain deferred maintenance before consulting the plan cache;
-// ExecStmtContext re-checks on the parsed statement.
-func leadingRead(sql string) bool {
-	i := 0
-	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r' || sql[i] == ';' || sql[i] == '(') {
-		i++
-	}
-	j := i
-	for j < len(sql) && ((sql[j] >= 'a' && sql[j] <= 'z') || (sql[j] >= 'A' && sql[j] <= 'Z')) {
-		j++
-	}
-	switch strings.ToUpper(sql[i:j]) {
-	case "SELECT", "EXPLAIN":
-		return true
-	}
-	return false
-}
-
-// Exec parses and executes a single statement without a deadline.
-//
-// Deprecated: new code should use ExecContext, which supports cancellation
-// and per-call options. Exec remains for compatibility and is equivalent to
-// ExecContext(context.Background(), sql).
+// Exec parses and executes a single statement without a deadline: the
+// context.Background() convenience form of ExecContext (the database/sql
+// convention), for callers that need neither cancellation nor per-call
+// options.
 func (e *Engine) Exec(sql string) (*Result, error) {
 	return e.ExecContext(context.Background(), sql)
 }
@@ -416,9 +300,6 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 	}
 	if cfg.tx != nil {
 		return e.execInTxn(ctx, sql, cfg)
-	}
-	if leadingRead(sql) {
-		cfg.drained = e.drainIfPending()
 	}
 	if res, err, ok := e.execCached(ctx, sql, cfg); ok {
 		return res, err
@@ -453,8 +334,8 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 }
 
 // execInTxn runs one statement inside an explicit transaction: reads at the
-// transaction's fixed snapshot without any engine lock (no drain, no plan
-// cache — both track latest-committed state, not the snapshot), DML through
+// transaction's fixed snapshot without any engine lock (no plan cache — it
+// tracks latest-committed state, not the snapshot), DML through
 // the lock-free pending-version path.
 func (e *Engine) execInTxn(ctx context.Context, sql string, cfg execConfig) (*Result, error) {
 	stmt, err := sqlparser.Parse(sql)
@@ -471,9 +352,8 @@ func (e *Engine) execInTxn(ctx context.Context, sql string, cfg execConfig) (*Re
 // ExecAll executes a semicolon-separated script, returning one result per
 // statement. Execution stops at the first error. Each statement acquires the
 // engine lock independently; a script is not one atomic unit with respect to
-// concurrent readers.
-//
-// Deprecated: new code should use ExecAllContext.
+// concurrent readers. It is the context.Background() convenience form of
+// ExecAllContext.
 func (e *Engine) ExecAll(sql string) ([]*Result, error) {
 	return e.ExecAllContext(context.Background(), sql)
 }
@@ -506,9 +386,8 @@ func isReadStmt(stmt sqlparser.Statement) bool {
 }
 
 // ExecStmt executes a parsed statement under the engine's locking
-// discipline: shared for reads, exclusive for everything else.
-//
-// Deprecated: new code should use ExecStmtContext.
+// discipline: shared for reads, exclusive for everything else. It is the
+// context.Background() convenience form of ExecStmtContext.
 func (e *Engine) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
 	return e.ExecStmtContext(context.Background(), stmt)
 }
@@ -524,7 +403,6 @@ func (e *Engine) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement, 
 		return nil, rferrors.Wrap(rferrors.CodeCancelled, err)
 	}
 	if isReadStmt(stmt) {
-		cfg.drained = e.drainIfPending()
 		return e.readStable(cfg, func(c execConfig) (*Result, error) {
 			return e.execStmtLocked(ctx, stmt, c)
 		})
@@ -699,7 +577,6 @@ func (e *Engine) planner(ctx context.Context, snap func() txn.Snapshot) *plan.Pl
 		WindowParallelism: e.Opts.WindowParallelism,
 		Ctx:               ctx,
 		WindowStats:       e.winStats,
-		DisableVectorized: e.Opts.DisableVectorized,
 		NoSharedSort:      e.Opts.DisableSharedSort,
 		Spill:             e.spillCfg,
 		Snap:              snap,
@@ -723,33 +600,16 @@ func (e *Engine) SpillBudget() *spill.Budget { return e.spillCfg.Budget }
 // out otherwise never touch the disk.
 func (e *Engine) SweepSpill() (int, error) { return e.spillEnv.Sweep() }
 
-// StorageStats snapshots the buffer pool; the zero value when paged storage
-// is disabled.
-func (e *Engine) StorageStats() storage.PoolStats {
-	if e.pager == nil {
-		return storage.PoolStats{}
-	}
-	return e.pager.Stats()
-}
+// StorageStats snapshots the buffer pool.
+func (e *Engine) StorageStats() storage.PoolStats { return e.pager.Stats() }
 
-// PageSize returns the paged-storage page size, or 0 when paged storage is
-// disabled.
-func (e *Engine) PageSize() int {
-	if e.pager == nil {
-		return 0
-	}
-	return e.pager.PageSize()
-}
+// PageSize returns the paged-storage page size.
+func (e *Engine) PageSize() int { return e.pager.PageSize() }
 
 // FlushStorage writes back every dirty unpinned page. The WAL checkpoint
 // calls it under the exclusive lock so heap files quiesce alongside the
-// snapshot; it is safe (a no-op) when paged storage is disabled.
-func (e *Engine) FlushStorage() error {
-	if e.pager == nil {
-		return nil
-	}
-	return e.pager.FlushDirty()
-}
+// snapshot.
+func (e *Engine) FlushStorage() error { return e.pager.FlushDirty() }
 
 // Close releases engine-owned disk state: the buffer pool's budget charge,
 // every heap file, and every spill run file (and the private spill
@@ -759,10 +619,7 @@ func (e *Engine) FlushStorage() error {
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var first error
-	if e.pager != nil {
-		first = e.pager.Close()
-	}
+	first := e.pager.Close()
 	if err := e.spillEnv.Close(); err != nil && first == nil {
 		first = err
 	}
@@ -875,7 +732,6 @@ func (e *Engine) runOperator(ctx context.Context, op exec.Operator, res *Result,
 	res.Columns = plan.OutputNames(op)
 	res.Rows = rows
 	res.Affected = len(rows)
-	res.MaintenanceDrained = cfg.drained
 	if cfg.trace {
 		res.Analyzed = annotationHeader(res) + exec.FormatAnalyzedPlan(op)
 	}
@@ -903,14 +759,13 @@ func (e *Engine) explain(ctx context.Context, s *sqlparser.Explain, cfg execConf
 	// Plain EXPLAIN replays a valid cached plan's rendering when one exists —
 	// the annotation a user sees must match the plan that will actually run.
 	if ent, hit := e.plans.Get(sel.String()); hit && e.planValid(ent) && ent.planText != "" {
-		res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, CacheHit: true, MaintenanceDrained: cfg.drained}
+		res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, CacheHit: true}
 		return planResult(res, annotationHeader(res)+ent.planText), nil
 	}
 	op, res, err := e.planSelect(ctx, sel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.MaintenanceDrained = cfg.drained
 	return planResult(res, annotationHeader(res)+exec.FormatPlan(op)), nil
 }
 

@@ -95,7 +95,7 @@ func TestExplainShowsDerivation(t *testing.T) {
 // TestStaleViewBlocksDerivation: once stale, the view no longer answers
 // queries via derivation either.
 func TestStaleViewBlocksDerivation(t *testing.T) {
-	e := newEagerEngine(t)
+	e := newEngine(t)
 	loadSeq(t, e, 20, func(i int) int64 { return int64(i) })
 	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)

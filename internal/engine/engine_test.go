@@ -17,16 +17,6 @@ func newEngine(t *testing.T) *Engine {
 	return New(DefaultOptions())
 }
 
-// newEagerEngine pins eager view maintenance, for tests that assert the
-// immediate (in-write) effects of DML on views; these must hold even when
-// RFVIEW_TEST_VIEW_MAINTENANCE forces the rest of the suite deferred.
-func newEagerEngine(t *testing.T) *Engine {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.ViewMaintenance = "eager"
-	return New(opts)
-}
-
 func mustExec(t *testing.T, e *Engine, sql string) *Result {
 	t.Helper()
 	res, err := e.Exec(sql)
@@ -501,10 +491,10 @@ func TestDerivationMinMax(t *testing.T) {
 	}
 }
 
-// TestViewMaintenanceThroughDML — §2.3 wired through SQL: updates, appends,
+// TestViewMaintainedThroughDML — §2.3 wired through SQL: updates, appends,
 // and suffix deletes maintain the view; derivations stay correct.
-func TestViewMaintenanceThroughDML(t *testing.T) {
-	e := newEagerEngine(t)
+func TestViewMaintainedThroughDML(t *testing.T) {
+	e := newEngine(t)
 	loadSeq(t, e, 30, func(i int) int64 { return int64(i) })
 	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)

@@ -2,50 +2,32 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	rferrors "rfview/errors"
+	"rfview/internal/core"
 	"rfview/internal/rewrite"
-	"rfview/internal/sqltypes"
 )
 
-// This file is the randomized maintenance oracle: the differential proof that
-// delta-incremental view maintenance (§2.3) is indistinguishable from full
-// recomputation. Each trial builds THREE engines over identical data and a
-// materialized window view:
-//
-//	eager    — deltas fold into the view inside each DML statement;
-//	deferred — deltas queue and apply on drain / read-repair;
-//	reference— maintenance off: every DML marks the view stale and a full
-//	           REFRESH rebuilds it from the base table before comparisons.
-//
-// The same random DML stream (skewed value updates, appends, tail deletes,
-// partition births and deaths, and — in chaos trials — density-breaking
-// operations that must degrade to staleness identically everywhere) is
-// applied to all three. After convergence, the view backing tables and a
-// window query answered under one of five evaluation strategies must be
-// BIT-identical across the three engines: values are compared through the
-// memcomparable row codec, not epsilon comparison. Integer data keeps every
-// sum exact in float64, so any bit difference is a maintenance bug.
-
-// oracleEncode renders a result as sorted memcomparable-encoded rows; two
-// results encode equal iff they are bit-identical up to row order.
-func oracleEncode(t *testing.T, res *Result, err error) string {
-	t.Helper()
-	if err != nil {
-		return "ERROR: " + err.Error()
-	}
-	lines := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		lines[i] = string(sqltypes.EncodeRowData(nil, r))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\x00")
-}
+// This file is the randomized maintenance oracle: the proof that the §2.3
+// delta rules, applied inside each write, keep a materialized window view
+// equal to the paper's definition of it. Each trial builds ONE engine over a
+// base table and a materialized window view, and a shadow copy of the base
+// values per partition key. A random DML stream (skewed value updates,
+// appends, tail deletes, partition births and deaths) is applied to both;
+// after every step the view's backing rows must be bit-identical to
+// core.ComputeNaive over the shadow sequence — header and trailer included —
+// and a window query answered under one of five evaluation strategies must
+// be bit-identical to the naive evaluation of its own window. Integer data
+// keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
+// is a maintenance bug. Chaos trials end with a density-breaking statement,
+// which must leave the view stale until REFRESH, and then check that
+// maintenance resumes from the refreshed state.
 
 // oracleConfig is one evaluation strategy the comparison queries run under.
 type oracleConfig struct {
@@ -62,25 +44,29 @@ var oracleConfigs = []oracleConfig{
 	{"minoa", true, func(o *Options) { o.Strategy = rewrite.StrategyMinOA }},
 }
 
-func oracleEngine(t *testing.T, cfg oracleConfig, maintenance string) *Engine {
-	t.Helper()
-	opts := DefaultOptions()
-	cfg.apply(&opts)
-	opts.ViewMaintenance = maintenance
-	return New(opts)
-}
+var oracleAggs = map[string]core.Agg{"SUM": core.Sum, "COUNT": core.Count, "AVG": core.Avg, "MIN": core.Min, "MAX": core.Max}
 
-// oracleModel tracks the logical table state so the generator only emits DML
-// the §2.3 rules accept (or deliberately violates them, in chaos trials).
+// oracleModel is the shadow of the base table: the values of every live
+// partition in position order. The generator reads it to emit only DML the
+// §2.3 rules accept (or deliberately violates them, in chaos steps), and the
+// checks evaluate the paper's model over it.
 type oracleModel struct {
 	partitioned bool
-	keys        []string       // live partition keys, insertion order ("" for simple)
-	n           map[string]int // rows per key
-	born        int            // partitions birthed, for fresh key names
+	keys        []string         // live partition keys, insertion order ("" for simple)
+	vals        map[string][]int // values per key, position order
+	born        int              // partitions birthed, for fresh key names
+}
+
+func (m *oracleModel) clone() *oracleModel {
+	c := &oracleModel{partitioned: m.partitioned, keys: slices.Clone(m.keys), vals: map[string][]int{}, born: m.born}
+	for k, v := range m.vals {
+		c.vals[k] = slices.Clone(v)
+	}
+	return c
 }
 
 func (m *oracleModel) pickKey(rng *rand.Rand) string {
-	// Skew: favor early partitions, so some queues run hot while others idle.
+	// Skew: favor early partitions, so some run hot while others idle.
 	i := rng.Intn(len(m.keys))
 	if j := rng.Intn(len(m.keys)); j < i {
 		i = j
@@ -88,7 +74,7 @@ func (m *oracleModel) pickKey(rng *rand.Rand) string {
 	return m.keys[i]
 }
 
-// step emits one maintainable DML statement and applies it to the model.
+// step emits one maintainable DML statement and applies it to the shadow.
 func (m *oracleModel) step(rng *rand.Rand) string {
 	key := m.pickKey(rng)
 	val := rng.Intn(100) - 50
@@ -98,48 +84,47 @@ func (m *oracleModel) step(rng *rand.Rand) string {
 		m.born++
 		k := fmt.Sprintf("n%d", m.born)
 		m.keys = append(m.keys, k)
-		m.n[k] = 1
-		return fmt.Sprintf(`INSERT INTO %s VALUES ('%s', 1, %d)`, m.table(), k, val)
+		m.vals[k] = []int{val}
+		return m.insertSQL(k, 1, val)
 	case roll < 0.35: // append
-		m.n[key]++
-		return m.insertSQL(key, m.n[key], val)
+		m.vals[key] = append(m.vals[key], val)
+		return m.insertSQL(key, len(m.vals[key]), val)
 	case roll < 0.50 && m.deletable(key): // tail delete (possibly a death)
-		pos := m.n[key]
-		m.n[key]--
-		if m.n[key] == 0 {
-			for i, k := range m.keys {
-				if k == key {
-					m.keys = append(m.keys[:i], m.keys[i+1:]...)
-					break
-				}
-			}
-			delete(m.n, key)
+		pos := len(m.vals[key])
+		m.vals[key] = m.vals[key][:pos-1]
+		if pos == 1 {
+			m.keys = slices.DeleteFunc(m.keys, func(k string) bool { return k == key })
+			delete(m.vals, key)
 		}
 		return m.deleteSQL(key, pos)
 	default: // value update
-		return m.updateSQL(key, 1+rng.Intn(m.n[key]), val)
+		pos := 1 + rng.Intn(len(m.vals[key]))
+		m.vals[key][pos-1] = val
+		return m.updateSQL(key, pos, val)
 	}
 }
 
 // chaos emits a density-breaking statement — a middle delete, or an insert
-// past the end — plus the repair that restores density afterwards. Every
-// engine must answer the break with staleness, identically; the repair lets
-// REFRESH rebuild from a dense base so the trial can still compare results.
+// past the end — plus the repair that restores density afterwards, and
+// applies their net effect to the shadow. The break must stale the view; the
+// repair lets REFRESH rebuild from a dense base.
 func (m *oracleModel) chaos(rng *rand.Rand) (broken, repair string) {
 	key := m.pickKey(rng)
-	if rng.Intn(2) == 0 && m.n[key] >= 4 {
-		pos := m.n[key] / 2 // middle delete, then put a row back at the gap
-		return m.deleteSQL(key, pos), m.insertSQL(key, pos, rng.Intn(100)-50)
+	val := rng.Intn(100) - 50
+	if n := len(m.vals[key]); rng.Intn(2) == 0 && n >= 4 {
+		pos := n / 2 // middle delete, then put a row back at the gap
+		m.vals[key][pos-1] = val
+		return m.deleteSQL(key, pos), m.insertSQL(key, pos, val)
 	}
-	pos := m.n[key] + 5 // gap insert, then remove the orphan
-	return m.insertSQL(key, pos, rng.Intn(100)-50), m.deleteSQL(key, pos)
+	pos := len(m.vals[key]) + 5 // gap insert, then remove the orphan
+	return m.insertSQL(key, pos, val), m.deleteSQL(key, pos)
 }
 
 func (m *oracleModel) deletable(key string) bool {
 	if m.partitioned {
-		return m.n[key] >= 1 && (len(m.keys) > 1 || m.n[key] > 1)
+		return len(m.keys) > 1 || len(m.vals[key]) > 1
 	}
-	return m.n[key] > 3 // keep simple sequences comfortably non-empty
+	return len(m.vals[key]) > 3 // keep simple sequences comfortably non-empty
 }
 
 func (m *oracleModel) table() string {
@@ -170,16 +155,114 @@ func (m *oracleModel) deleteSQL(key string, pos int) string {
 	return fmt.Sprintf(`DELETE FROM seq WHERE pos = %d`, pos)
 }
 
+// loadSQL renders the shadow as the table's initial INSERT.
+func (m *oracleModel) loadSQL() string {
+	var rows []string
+	for _, k := range m.keys {
+		for i, v := range m.vals[k] {
+			if m.partitioned {
+				rows = append(rows, fmt.Sprintf("('%s', %d, %d)", k, i+1, v))
+			} else {
+				rows = append(rows, fmt.Sprintf("(%d, %d)", i+1, v))
+			}
+		}
+	}
+	return fmt.Sprintf("INSERT INTO %s VALUES %s", m.table(), strings.Join(rows, ", "))
+}
+
+// oracleRow is one compared row: partition key ("" for simple views),
+// position, the bits of the value, and — in a partitioned view's backing
+// table — whether the position belongs to the body.
+type oracleRow struct {
+	part string
+	pos  int
+	bits uint64
+	body bool
+}
+
+func (r oracleRow) String() string {
+	return fmt.Sprintf("%s@%d=%v body=%v", r.part, r.pos, math.Float64frombits(r.bits), r.body)
+}
+
+func sortOracleRows(rows []oracleRow) []oracleRow {
+	slices.SortFunc(rows, func(a, b oracleRow) int {
+		if c := strings.Compare(a.part, b.part); c != 0 {
+			return c
+		}
+		return a.pos - b.pos
+	})
+	return rows
+}
+
+// naive evaluates the paper's model — the explicit form at every position of
+// the complete sequence — over one partition of the shadow.
+func (m *oracleModel) naive(t *testing.T, key string, w core.Window, agg core.Agg) *core.Sequence {
+	t.Helper()
+	raw := make([]float64, len(m.vals[key]))
+	for i, v := range m.vals[key] {
+		raw[i] = float64(v)
+	}
+	seq, err := core.ComputeNaive(raw, w, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// wantBacking is the complete sequence of every partition: header, body and
+// trailer, minus the empty MIN/MAX windows a view does not store.
+func (m *oracleModel) wantBacking(t *testing.T, w core.Window, agg core.Agg) []oracleRow {
+	t.Helper()
+	var out []oracleRow
+	for _, key := range m.keys {
+		seq := m.naive(t, key, w, agg)
+		for k := seq.Lo(); k <= seq.Hi(); k++ {
+			if v, ok := seq.AtOK(k); ok {
+				out = append(out, oracleRow{key, k, math.Float64bits(v), m.partitioned && k >= 1 && k <= seq.N})
+			}
+		}
+	}
+	return sortOracleRows(out)
+}
+
+// wantQuery is what the reporting function returns to the user: the body.
+func (m *oracleModel) wantQuery(t *testing.T, w core.Window, agg core.Agg) []oracleRow {
+	t.Helper()
+	var out []oracleRow
+	for _, key := range m.keys {
+		for i, v := range m.naive(t, key, w, agg).Body() {
+			out = append(out, oracleRow{part: key, pos: i + 1, bits: math.Float64bits(v)})
+		}
+	}
+	return sortOracleRows(out)
+}
+
+// gotRows reads a result in the (part,) pos, val (, body) layout both the
+// backing tables and the window queries use.
+func (m *oracleModel) gotRows(res *Result) []oracleRow {
+	out := make([]oracleRow, len(res.Rows))
+	for i, r := range res.Rows {
+		if m.partitioned {
+			out[i].part, r = r[0].String(), r[1:]
+		}
+		out[i].pos, out[i].bits = int(r[0].Int()), math.Float64bits(r[1].Float())
+		if len(r) > 2 {
+			out[i].body = r[2].Bool()
+		}
+	}
+	return sortOracleRows(out)
+}
+
 // TestMaintenanceOracle is the randomized maintenance oracle described above.
 func TestMaintenanceOracle(t *testing.T) { runMaintenanceOracle(t, false) }
 
 // TestMaintenanceOracleTxn re-runs the oracle with the DML stream applied
 // through multi-statement transactions: statements are chunked into
 // BEGIN..COMMIT blocks, every so often a chunk is first run and ROLLED BACK
-// (which must leave no trace) before being applied for real, and a
-// concurrent reader hammers the window query while the writers' transactions
-// are open. Under -race this is also the proof that lock-free snapshot reads
-// and transactional maintenance don't race.
+// (which must leave the view exactly where the model was) before being
+// applied for real, and a concurrent reader hammers the window query while
+// the writer's transactions are open. Under -race this is also the proof
+// that lock-free snapshot reads and transactional maintenance don't race.
 func TestMaintenanceOracleTxn(t *testing.T) { runMaintenanceOracle(t, true) }
 
 func runMaintenanceOracle(t *testing.T, useTxns bool) {
@@ -213,12 +296,12 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			ly, hy = lx+dl, hx+dh
 		}
 		chaosTrial := rng.Intn(5) == 0
-		drainByRead := trial%2 == 0 // alternate DrainMaintenance() and read-repair
-		seed := rng.Int63()
 
+		viewWin, queryWin := core.Sliding(lx, hx), core.Sliding(ly, hy)
 		frame := fmt.Sprintf("ROWS BETWEEN %d PRECEDING AND %d FOLLOWING", lx, hx)
 		qframe := fmt.Sprintf("ROWS BETWEEN %d PRECEDING AND %d FOLLOWING", ly, hy)
 		if cumulative {
+			viewWin, queryWin = core.Cumul(), core.Cumul()
 			frame = "ROWS UNBOUNDED PRECEDING"
 			qframe = frame // identical window: the exact-match derivation
 		}
@@ -237,140 +320,127 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v",
 			trial, cfg.name, partitioned, agg, cumulative, lx, hx, ly, hy, chaosTrial)
 
-		model := &oracleModel{partitioned: partitioned, n: map[string]int{}}
-		load := func(e *Engine) {
-			t.Helper()
-			local := rand.New(rand.NewSource(seed))
-			if partitioned {
-				mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
-				mustExec(t, e, `CREATE UNIQUE INDEX pt_pk ON pt (grp, pos)`)
-			} else {
-				mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER)`)
-				mustExec(t, e, `CREATE UNIQUE INDEX seq_pk ON seq (pos)`)
+		model := &oracleModel{partitioned: partitioned, vals: map[string][]int{}}
+		seedVals := func(key string, n int) {
+			model.keys = append(model.keys, key)
+			for i := 0; i < n; i++ {
+				model.vals[key] = append(model.vals[key], rng.Intn(100)-50)
 			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "INSERT INTO %s VALUES ", model.table())
-			first := true
-			for _, k := range model.keys {
-				for i := 1; i <= model.n[k]; i++ {
-					if !first {
-						b.WriteString(", ")
-					}
-					first = false
-					if partitioned {
-						fmt.Fprintf(&b, "('%s', %d, %d)", k, i, local.Intn(100)-50)
-					} else {
-						fmt.Fprintf(&b, "(%d, %d)", i, local.Intn(100)-50)
-					}
-				}
-			}
-			mustExec(t, e, b.String())
-			mustExec(t, e, viewDDL)
 		}
 		if partitioned {
-			groups := 1 + rng.Intn(3)
-			for g := 0; g < groups; g++ {
-				k := fmt.Sprintf("g%d", g)
-				model.keys = append(model.keys, k)
-				model.n[k] = 2 + rng.Intn(10)
+			for g, groups := 0, 1+rng.Intn(3); g < groups; g++ {
+				seedVals(fmt.Sprintf("g%d", g), 2+rng.Intn(10))
 			}
 		} else {
-			model.keys = []string{""}
-			model.n[""] = 6 + rng.Intn(25)
+			seedVals("", 6+rng.Intn(25))
 		}
 
-		eager := oracleEngine(t, cfg, "eager")
-		deferredE := oracleEngine(t, cfg, "deferred")
-		reference := oracleEngine(t, cfg, "off")
-		engines := []*Engine{eager, deferredE, reference}
-		for _, e := range engines {
-			load(e)
-		}
-
-		// The random DML stream, identical on all three engines.
-		steps := 10 + rng.Intn(20)
-		var stmts []string
-		for i := 0; i < steps; i++ {
-			stmts = append(stmts, model.step(rng))
-		}
-		if chaosTrial {
-			broken, repair := model.chaos(rng)
-			stmts = append(stmts, broken, repair)
-		}
-		if useTxns {
-			applyStmtsTxn(t, engines, stmts, q, seed)
+		opts := DefaultOptions()
+		cfg.apply(&opts)
+		e := New(opts)
+		if partitioned {
+			mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
+			mustExec(t, e, `CREATE UNIQUE INDEX pt_pk ON pt (grp, pos)`)
 		} else {
-			for _, sql := range stmts {
-				for _, e := range engines {
-					mustExec(t, e, sql)
-				}
-			}
+			mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER)`)
+			mustExec(t, e, `CREATE UNIQUE INDEX seq_pk ON seq (pos)`)
 		}
+		mustExec(t, e, model.loadSQL())
+		mustExec(t, e, viewDDL)
 
-		// Converge the deferred engine; in read-repair trials the drain rides
-		// on the backing read below instead.
-		if !drainByRead {
-			deferredE.DrainMaintenance()
-		}
-
-		if chaosTrial {
-			// Density is broken: all three engines must refuse derivation
-			// identically, and REFRESH must heal all three into agreement.
-			deferredE.DrainMaintenance() // staleness surfaces at apply time
-			if !eager.Views.Stale("mv") || !deferredE.Views.Stale("mv") || !reference.Views.Stale("mv") {
-				t.Fatalf("%s: chaos op did not stale all engines (eager=%v deferred=%v reference=%v)",
-					ctx, eager.Views.Stale("mv"), deferredE.Views.Stale("mv"), reference.Views.Stale("mv"))
+		// check compares the view's stored rows and the window query with the
+		// model evaluated over m.
+		check := func(m *oracleModel, when string) {
+			t.Helper()
+			if e.Views.Stale("mv") {
+				_, why := e.Views.StaleInfo("mv")
+				t.Fatalf("%s: %s: view went stale on maintainable DML: %s", ctx, when, why)
 			}
-			for _, e := range engines {
-				mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
+			got, want := m.gotRows(mustExec(t, e, backingQ)), m.wantBacking(t, viewWin, oracleAggs[agg])
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: view rows diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
 			}
-		} else {
-			// The incremental path must have held: no engine but the
-			// reference may be stale.
-			if eager.Views.Stale("mv") {
-				_, why := eager.Views.StaleInfo("mv")
-				t.Fatalf("%s: eager engine went stale on maintainable DML: %s", ctx, why)
-			}
-			if !reference.Views.Stale("mv") {
-				t.Fatalf("%s: off-mode reference never went stale — the comparison would be vacuous", ctx)
-			}
-			mustExec(t, reference, `REFRESH MATERIALIZED VIEW mv`)
-		}
-
-		// Backing tables must be bit-identical. This read is also the
-		// read-repair drain for the deferred engine in alternate trials.
-		want := oracleEncode(t, mustExec(t, reference, backingQ), nil)
-		for i, e := range []*Engine{eager, deferredE} {
-			name := []string{"eager", "deferred"}[i]
-			got := oracleEncode(t, mustExec(t, e, backingQ), nil)
-			if got != want {
-				t.Fatalf("%s: %s backing diverged from full REFRESH\n got: %q\nwant: %q", ctx, name, got, want)
-			}
-		}
-		if !chaosTrial {
-			if pending := deferredE.Views.PendingTotal(); pending != 0 {
-				t.Fatalf("%s: deferred engine still has %d deltas queued after convergence", ctx, pending)
-			}
-			if deferredE.Views.Stale("mv") {
-				_, why := deferredE.Views.StaleInfo("mv")
-				t.Fatalf("%s: deferred engine went stale on maintainable DML: %s", ctx, why)
-			}
-			deltasApplied += int(eager.Views.Stats().DeltaApplied.Load())
-		}
-
-		// The window query must agree bit-exactly across all three engines
-		// under this trial's evaluation strategy.
-		qwant := oracleEncode(t, mustExec(t, reference, q), nil)
-		for i, e := range []*Engine{eager, deferredE} {
-			name := []string{"eager", "deferred"}[i]
 			res := mustExec(t, e, q)
 			if cfg.derives && res.Derivation != nil {
 				derivationsFired[cfg.name]++
 			}
-			if got := oracleEncode(t, res, nil); got != qwant {
-				t.Fatalf("%s: %s window query diverged from reference\n got: %q\nwant: %q", ctx, name, got, qwant)
+			got, want = m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[agg])
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: window query diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
 			}
 		}
+
+		// apply runs one step's statements: directly, or as one transaction
+		// — sometimes preceded by a dry run that is rolled back.
+		sess := e.NewSession()
+		apply := func(prev *oracleModel, stmts ...string) {
+			t.Helper()
+			if !useTxns {
+				for _, sql := range stmts {
+					mustExec(t, e, sql)
+				}
+				return
+			}
+			if prev != nil && rng.Intn(3) == 0 {
+				mustSess(t, sess, "BEGIN")
+				for _, sql := range stmts {
+					mustSess(t, sess, sql)
+				}
+				mustSess(t, sess, "ROLLBACK")
+				check(prev, "after ROLLBACK")
+			}
+			mustSess(t, sess, "BEGIN")
+			for _, sql := range stmts {
+				mustSess(t, sess, sql)
+			}
+			mustSess(t, sess, "COMMIT")
+		}
+		stopReader := func() {}
+		if useTxns {
+			stopReader = startOracleReader(t, e, q)
+		}
+
+		check(model, "after CREATE")
+		runSteps := func(steps int, when string) {
+			t.Helper()
+			for i := 0; i < steps; {
+				chunk := 1
+				if useTxns {
+					chunk = 1 + rng.Intn(3)
+				}
+				prev := model.clone()
+				var stmts []string
+				for ; chunk > 0 && i < steps; chunk, i = chunk-1, i+1 {
+					stmts = append(stmts, model.step(rng))
+				}
+				apply(prev, stmts...)
+				check(model, fmt.Sprintf("%s step %d (%s)", when, i, stmts[len(stmts)-1]))
+			}
+		}
+		runSteps(10+rng.Intn(20), "stream")
+		deltasApplied += int(e.Views.Stats().DeltaApplied.Load())
+
+		if chaosTrial {
+			// Density breaks: the view must go stale inside the write, stay
+			// stale through the repair, refuse to be read, and heal only by
+			// REFRESH — after which the delta rules must pick up again.
+			broken, repair := model.chaos(rng)
+			for _, sql := range []string{broken, repair} {
+				apply(nil, sql)
+				if !e.Views.Stale("mv") {
+					t.Fatalf("%s: view is not stale after %s", ctx, sql)
+				}
+				if _, err := e.Exec(backingQ); rferrors.CodeOf(err) != rferrors.CodeStaleView {
+					t.Fatalf("%s: reading the stale view after %s: got %v, want a stale_view error", ctx, sql, err)
+				}
+			}
+			mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
+			check(model, "after REFRESH")
+			runSteps(3, "post-refresh")
+		}
+		stopReader()
+		sess.Close()
+		e.Close()
 	}
 	if deltasApplied == 0 {
 		t.Fatal("no incremental deltas applied across all trials — oracle is not exercising maintenance")
@@ -382,96 +452,35 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	}
 }
 
-// applyStmtsTxn applies the oracle's DML stream through sessions, chunked
-// into transactions, with concurrent snapshot readers live throughout.
-func applyStmtsTxn(t *testing.T, engines []*Engine, stmts []string, q string, seed int64) {
+// startOracleReader hammers q from a concurrent snapshot reader until the
+// returned stop function is called; stop fails the test on any reader error
+// other than the stale-view refusal a chaos step legitimately causes.
+func startOracleReader(t *testing.T, e *Engine, q string) (stop func()) {
 	t.Helper()
-	stop := make(chan struct{})
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	readErr := make(chan error, len(engines))
-	for _, e := range engines {
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := e.Exec(q); err != nil {
-					// The off-mode reference (and chaos trials mid-stream)
-					// legitimately answer derivation attempts with a stale
-					// view; anything else is a bug.
-					if rferrors.CodeOf(err) == rferrors.CodeStaleView {
-						continue
-					}
-					readErr <- fmt.Errorf("concurrent reader: %w", err)
-					return
-				}
+	var readErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(e)
-	}
-
-	local := rand.New(rand.NewSource(seed ^ 0x7a5a))
-	sessions := make([]*Session, len(engines))
-	for i, e := range engines {
-		sessions[i] = e.NewSession()
-	}
-	for start := 0; start < len(stmts); {
-		end := start + 1 + local.Intn(3)
-		if end > len(stmts) {
-			end = len(stmts)
+			if _, err := e.Exec(q); err != nil && rferrors.CodeOf(err) != rferrors.CodeStaleView {
+				readErr = fmt.Errorf("concurrent reader: %w", err)
+				return
+			}
 		}
-		chunk := stmts[start:end]
-		rollbackFirst := local.Intn(3) == 0
-		for _, s := range sessions {
-			if rollbackFirst {
-				// Dry run: apply the chunk and roll it back. The commit
-				// below must produce exactly the same state as if this
-				// never happened.
-				mustSess(t, s, "BEGIN")
-				for _, sql := range chunk {
-					mustSess(t, s, sql)
-				}
-				mustSess(t, s, "ROLLBACK")
-			}
-			mustSess(t, s, "BEGIN")
-			for _, sql := range chunk {
-				mustSess(t, s, sql)
-			}
-			mustSess(t, s, "COMMIT")
+	}()
+	return func() {
+		t.Helper()
+		close(done)
+		wg.Wait()
+		if readErr != nil {
+			t.Fatal(readErr)
 		}
-		start = end
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-readErr:
-		t.Fatal(err)
-	default:
-	}
-}
-
-// TestExplainShowsMaintenanceDrain pins the EXPLAIN surfacing: a read that
-// drains deferred deltas reports how many it applied.
-func TestExplainShowsMaintenanceDrain(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ViewMaintenance = "deferred"
-	e := New(opts)
-	loadSeq(t, e, 10, func(i int) int64 { return int64(i) })
-	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
-	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
-	mustExec(t, e, `UPDATE seq SET val = 99 WHERE pos = 4`)
-	mustExec(t, e, `INSERT INTO seq VALUES (11, 7)`)
-	if e.Views.PendingTotal() == 0 {
-		t.Fatal("expected queued deltas")
-	}
-	res := mustExec(t, e, `EXPLAIN SELECT pos, val FROM mv`)
-	if !strings.Contains(res.Plan, "-- maintenance: drained 2 deferred delta(s)") {
-		t.Fatalf("EXPLAIN did not report the drain:\n%s", res.Plan)
-	}
-	if e.Views.PendingTotal() != 0 {
-		t.Fatal("EXPLAIN read should have drained the queue")
 	}
 }

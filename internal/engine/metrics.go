@@ -154,12 +154,6 @@ func (e *Engine) initMetrics() {
 	e.reg.GaugeFunc("rfview_maintenance_full_total",
 		"Full REFRESH recomputes of materialized sequence views.",
 		func() float64 { return float64(mstats.FullRefreshes.Load()) })
-	e.reg.GaugeFunc("rfview_maintenance_pending",
-		"Deferred maintenance deltas currently queued across all views.",
-		func() float64 { return float64(e.Views.PendingTotal()) })
-	e.reg.GaugeSetFunc("rfview_maintenance_queue_depth",
-		"Deferred maintenance deltas queued, per view.",
-		"view", e.Views.QueueDepths)
 	e.Views.SetTouchedObserver(e.reg.Histogram("rfview_maintenance_touched_rows",
 		"View sequence positions rewritten per applied maintenance delta.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}).Observe)
@@ -253,9 +247,6 @@ func annotationHeader(res *Result) string {
 	}
 	if res.CacheHit {
 		b.WriteString("-- plan cache: hit\n")
-	}
-	if res.MaintenanceDrained > 0 {
-		fmt.Fprintf(&b, "-- maintenance: drained %d deferred delta(s) before execution\n", res.MaintenanceDrained)
 	}
 	return b.String()
 }

@@ -1,13 +1,15 @@
 package engine
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	rferrors "rfview/errors"
+	"rfview/internal/core"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
@@ -28,95 +30,100 @@ func newTinyPoolEngine(t *testing.T, pages int, mutate func(*Options)) *Engine {
 	return e
 }
 
-// encodeRows re-encodes a result set for byte-exact comparison.
-func encodeRowBytes(rows []sqltypes.Row) [][]byte {
-	out := make([][]byte, len(rows))
-	for i, r := range rows {
-		out[i] = sqltypes.EncodeRowData(nil, r)
-	}
-	return out
-}
-
-// TestPagedTinyPoolDifferentialOracle is the storage acceptance oracle: the
-// same data, DML history, and reporting-function queries run through every
-// evaluation strategy — native window, boxed (non-vectorized) window,
-// self-join simulation, MaxOA derivation, MinOA derivation — on a paged
-// engine with a 4-page pool and on an unlimited in-memory reference engine
-// (DisablePagedStorage). Every answer must match byte-exactly.
+// TestPagedTinyPoolDifferentialOracle is the storage acceptance oracle: a
+// table with a DML history and a shadow of its rows, queried through every
+// evaluation strategy — native window, self-join simulation, MaxOA
+// derivation, MinOA derivation — on an engine whose pool holds 4 pages.
+// Scans, sorts and window answers must equal the shadow and
+// core.ComputeNaive over it exactly: eviction and read-back may never change
+// a row.
 func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	const n = 400
+	type seqRow struct {
+		pos, val int64
+		tag      string
+	}
+	var shadow []seqRow
+	var tuples []string
+	for i := int64(1); i <= n; i++ {
+		r := seqRow{i, (i*7919)%251 - 125, strings.Repeat("x", int(i%50))}
+		tuples = append(tuples, fmt.Sprintf("(%d, %d, '%s')", r.pos, r.val, r.tag))
+		// The DML history below: updates rewrite rows into new heap pages,
+		// deletes leave dead versions for visibility filtering to skip.
+		if r.pos > 100 && r.pos < 160 {
+			r.val += 1000
+		}
+		if r.pos <= 350 {
+			shadow = append(shadow, r)
+		}
+	}
 	load := func(e *Engine) {
 		t.Helper()
 		mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER, tag VARCHAR(64))`)
-		var b strings.Builder
-		b.WriteString("INSERT INTO seq (pos, val, tag) VALUES ")
-		for i := 1; i <= n; i++ {
-			if i > 1 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "(%d, %d, '%s')", i, (i*7919)%251-125, strings.Repeat("x", i%50))
-		}
-		mustExec(t, e, b.String())
-		// DML history: updates rewrite rows into new heap pages, deletes
-		// leave dead versions for visibility filtering to skip.
+		mustExec(t, e, "INSERT INTO seq (pos, val, tag) VALUES "+strings.Join(tuples, ", "))
 		mustExec(t, e, `UPDATE seq SET val = val + 1000 WHERE pos > 100 AND pos < 160`)
 		mustExec(t, e, `DELETE FROM seq WHERE pos > 350`)
 	}
-
-	queries := []string{
-		`SELECT pos, val, tag FROM seq`,
-		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
-		`SELECT pos, val FROM seq ORDER BY val, pos`,
+	raw := make([]float64, len(shadow))
+	for i, r := range shadow {
+		raw[i] = float64(r.val)
 	}
+	window, err := core.ComputeNaive(raw, core.Sliding(3, 3), core.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byVal := slices.Clone(shadow)
+	slices.SortFunc(byVal, func(a, b seqRow) int { return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.pos, b.pos)) })
+
 	viewDDL := `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
-
 	strategies := []struct {
 		name   string
 		mutate func(*Options)
 		view   bool
 	}{
 		{"native", nil, false},
-		{"boxed", func(o *Options) { o.DisableVectorized = true }, false},
 		{"selfjoin", func(o *Options) { o.NativeWindow = false }, false},
 		{"maxoa", func(o *Options) { o.Strategy = rewrite.StrategyMaxOA }, true},
 		{"minoa", func(o *Options) { o.Strategy = rewrite.StrategyMinOA }, true},
 	}
-
 	for _, strat := range strategies {
-		// Reference: identical strategy, storage kept fully resident.
-		refOpts := DefaultOptions()
-		refOpts.DisablePagedStorage = true
-		if strat.mutate != nil {
-			strat.mutate(&refOpts)
-		}
-		ref := New(refOpts)
-		load(ref)
-		subject := newTinyPoolEngine(t, 4, strat.mutate)
-		load(subject)
+		e := newTinyPoolEngine(t, 4, strat.mutate)
+		load(e)
 		if strat.view {
-			mustExec(t, ref, viewDDL)
-			mustExec(t, subject, viewDDL)
+			mustExec(t, e, viewDDL)
 		}
-		for qi, q := range queries {
-			want := encodeRowBytes(mustExec(t, ref, q).Rows)
-			got := encodeRowBytes(mustExec(t, subject, q).Rows)
-			if len(got) != len(want) {
-				t.Fatalf("%s query %d: %d rows paged, %d resident", strat.name, qi, len(got), len(want))
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%s query %d: row %d differs byte-wise", strat.name, qi, i)
-				}
+		rows := mustExec(t, e, `SELECT pos, val, tag FROM seq`).Rows
+		slices.SortFunc(rows, func(a, b sqltypes.Row) int { return cmp.Compare(a[0].Int(), b[0].Int()) })
+		if len(rows) != len(shadow) {
+			t.Fatalf("%s scan: %d rows, shadow has %d", strat.name, len(rows), len(shadow))
+		}
+		for i, r := range shadow {
+			if got := (seqRow{rows[i][0].Int(), rows[i][1].Int(), rows[i][2].Str()}); got != r {
+				t.Fatalf("%s scan: row %d = %+v, shadow says %+v", strat.name, i, got, r)
 			}
 		}
-		if st := subject.StorageStats(); st.Evictions == 0 {
+		got := rowsToPairs(t, mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`).Rows)
+		if len(got) != len(shadow) {
+			t.Fatalf("%s window: %d rows, shadow has %d", strat.name, len(got), len(shadow))
+		}
+		for i, want := range window.Body() {
+			if got[int64(i+1)] != want {
+				t.Fatalf("%s window: pos %d = %v, ComputeNaive says %v", strat.name, i+1, got[int64(i+1)], want)
+			}
+		}
+		rows = mustExec(t, e, `SELECT pos, val FROM seq ORDER BY val, pos`).Rows
+		if len(rows) != len(byVal) {
+			t.Fatalf("%s sort: %d rows, shadow has %d", strat.name, len(rows), len(byVal))
+		}
+		for i, r := range byVal {
+			if rows[i][0].Int() != r.pos || rows[i][1].Int() != r.val {
+				t.Fatalf("%s sort: row %d = %v, shadow says (%d, %d)", strat.name, i, rows[i], r.pos, r.val)
+			}
+		}
+		if st := e.StorageStats(); st.Evictions == 0 {
 			t.Fatalf("%s: tiny pool never evicted (BytesResident=%d) — oracle exerts no pressure", strat.name, st.BytesResident)
 		}
-		if st := ref.StorageStats(); st.PageSize != 0 {
-			t.Fatalf("reference engine is paged: %+v", st)
-		}
-		ref.Close()
 	}
 }
 
@@ -258,16 +265,5 @@ func TestPageSizeOptionRespected(t *testing.T) {
 	defer e2.Close()
 	if got := e2.PageSize(); got != storage.MinPageSize {
 		t.Fatalf("clamped PageSize() = %d, want %d", got, storage.MinPageSize)
-	}
-
-	opts = DefaultOptions()
-	opts.DisablePagedStorage = true
-	e3 := New(opts)
-	defer e3.Close()
-	if got := e3.PageSize(); got != 0 {
-		t.Fatalf("disabled paged storage reports PageSize %d", got)
-	}
-	if err := e3.FlushStorage(); err != nil {
-		t.Fatalf("FlushStorage on resident engine: %v", err)
 	}
 }

@@ -125,7 +125,7 @@ func TestPartitionedMinMaxDerivation(t *testing.T) {
 // TestPartitionedMaintenance — per-partition incremental maintenance through
 // SQL DML.
 func TestPartitionedMaintenance(t *testing.T) {
-	e := newEagerEngine(t)
+	e := newEngine(t)
 	loadPartitionedSeq(t, e, []string{"jan", "feb"}, 10, 5)
 	mustExec(t, e, partViewDDL)
 	q := `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp

@@ -13,7 +13,7 @@ import (
 
 // Session is a connection-scoped statement executor that understands BEGIN /
 // COMMIT / ROLLBACK. Outside a transaction it delegates to the engine
-// directly (keeping the plan cache and read-repair drains); inside one it
+// directly (keeping the plan cache); inside one it
 // pins every statement to the transaction's snapshot. The server gives each
 // client connection a Session; library callers embedding the engine create
 // one with NewSession when they need multi-statement transactions.
@@ -123,10 +123,8 @@ func (s *Session) execOrdinary(ctx context.Context, sql string, opts []ExecOptio
 	return res, err
 }
 
-// ExecAll executes a semicolon-separated script through the session.
-//
-// Deprecated: new code should use ExecAllContext, which supports
-// cancellation.
+// ExecAll executes a semicolon-separated script through the session: the
+// context.Background() convenience form of ExecAllContext.
 func (s *Session) ExecAll(script string) ([]*Result, error) {
 	return s.ExecAllContext(context.Background(), script)
 }

@@ -82,7 +82,7 @@ func (e *Engine) RollbackTxn(tx *txn.Txn) {
 // commitTxnLocked is the commit protocol. Callers hold the exclusive engine
 // lock. durable selects whether a commit record is written to the WAL
 // (client work) or not (internal transactions: replayed records, REFRESH
-// under an already-logged statement, deferred-maintenance drains).
+// under an already-logged statement).
 //
 //  1. Write the commit record — the commit point. A log error aborts
 //     cleanly: nothing is visible yet.

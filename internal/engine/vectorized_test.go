@@ -3,266 +3,215 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"rfview/internal/rewrite"
-	"rfview/internal/sqltypes"
+	"rfview/internal/core"
 )
 
-// requireIdenticalRows asserts two result sets are exactly equal — same
-// cardinality, same order, same datums (NULLs included). This is the
-// vectorization contract: the typed fast path must be bit-identical to the
-// boxed path, not merely numerically close.
-func requireIdenticalRows(t *testing.T, off, on *Result, ctx string) {
+// modelWindow is SQL's NULL-skipping window aggregate over one partition in
+// position order (nil = NULL), built from the paper's model: core.ComputeNaive
+// sees a NULL as 0 under SUM and as ±Inf under MIN/MAX, and a frame holding
+// no non-NULL value answers NULL. desc evaluates over the reversed sequence.
+func modelWindow(t *testing.T, vals []*float64, w core.Window, agg core.Agg, desc bool) []*float64 {
 	t.Helper()
-	if len(off.Rows) != len(on.Rows) {
-		t.Fatalf("%s: %d rows boxed vs %d vectorized", ctx, len(off.Rows), len(on.Rows))
+	if desc {
+		vals = slices.Clone(vals)
+		slices.Reverse(vals)
 	}
-	for i := range off.Rows {
-		if len(off.Rows[i]) != len(on.Rows[i]) {
-			t.Fatalf("%s row %d: arity %d vs %d", ctx, i, len(off.Rows[i]), len(on.Rows[i]))
-		}
-		for j := range off.Rows[i] {
-			a, b := off.Rows[i][j], on.Rows[i][j]
-			if !sqltypes.Equal(a, b) && !(a.IsNull() && b.IsNull()) {
-				t.Fatalf("%s row %d col %d: boxed %v vs vectorized %v", ctx, i, j, a, b)
+	naive := func(agg core.Agg, null float64, val func(float64) float64) []float64 {
+		raw := make([]float64, len(vals))
+		for i, v := range vals {
+			raw[i] = null
+			if v != nil {
+				raw[i] = val(*v)
 			}
 		}
+		seq, err := core.ComputeNaive(raw, w, agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq.Body()
 	}
-}
-
-// TestDifferentialVectorizedOnOff forces the typed columnar fast path on and
-// off for every evaluation strategy — native sequential, native parallel,
-// the Fig. 2 self-join simulation, and the MaxOA / MinOA view derivations —
-// and requires exactly identical rows from each pair of engines that differ
-// only in DisableVectorized.
-func TestDifferentialVectorizedOnOff(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260805))
-	trials := 40
-	if testing.Short() {
-		trials = 10
+	self := func(v float64) float64 { return v }
+	present := naive(core.Sum, 0, func(float64) float64 { return 1 })
+	var body []float64
+	switch agg {
+	case core.Count:
+		body = present
+	case core.Sum:
+		body = naive(core.Sum, 0, self)
+	case core.Avg:
+		body = naive(core.Sum, 0, self)
+		for i := range body {
+			body[i] /= present[i]
+		}
+	case core.Min:
+		body = naive(core.Min, math.Inf(1), self)
+	case core.Max:
+		body = naive(core.Max, math.Inf(-1), self)
 	}
-	derivationsFired := map[string]int{}
-	for trial := 0; trial < trials; trial++ {
-		groups := 1 + rng.Intn(4)
-		lx, hx := rng.Intn(3), rng.Intn(3)
-		if lx+hx == 0 {
-			lx = 1
-		}
-		ly, hy := rng.Intn(5), rng.Intn(5)
-		if ly+hy == 0 {
-			hy = 2
-		}
-		// AVG is absent: partitioned AVG views cannot be materialized (§2.1);
-		// the boundary test below covers AVG through the native paths.
-		agg := []string{"SUM", "SUM", "COUNT", "MIN", "MAX"}[rng.Intn(5)]
-		if agg == "MIN" || agg == "MAX" {
-			// MIN/MAX derivation needs a covering extension.
-			dl, dh := rng.Intn(lx+hx+1), rng.Intn(lx+hx+1)
-			if dl+dh > lx+hx+1 {
-				dh = 0
-			}
-			ly, hy = lx+dl, hx+dh
-			if ly+hy == 0 {
-				hy = 1
-			}
-		}
-		seed := rng.Int63()
-		sizes := make([]int, groups)
-		for g := range sizes {
-			sizes[g] = 3 + rng.Intn(14)
-		}
-		q := fmt.Sprintf(`SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos
-		  ROWS BETWEEN %d PRECEDING AND %d FOLLOWING) AS w FROM pt`, agg, ly, hy)
-		viewDDL := fmt.Sprintf(`CREATE MATERIALIZED VIEW pv AS
-		  SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos
-		    ROWS BETWEEN %d PRECEDING AND %d FOLLOWING) AS val FROM pt`, agg, lx, hx)
-
-		load := func(e *Engine) {
-			t.Helper()
-			local := rand.New(rand.NewSource(seed))
-			mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
-			var b strings.Builder
-			b.WriteString("INSERT INTO pt VALUES ")
-			first := true
-			for g, n := range sizes {
-				for i := 1; i <= n; i++ {
-					if !first {
-						b.WriteString(", ")
-					}
-					first = false
-					fmt.Fprintf(&b, "('g%d', %d, %d)", g, i, local.Intn(100)-50)
-				}
-			}
-			mustExec(t, e, b.String())
-		}
-
-		type strategy struct {
-			label string
-			run   func(disableVec bool) *Result
-		}
-		strategies := []strategy{
-			{"native/seq", func(dv bool) *Result {
-				opts := DefaultOptions()
-				opts.UseMatViews = false
-				opts.WindowParallelism = 1
-				opts.DisableVectorized = dv
-				e := New(opts)
-				load(e)
-				return mustExec(t, e, q)
-			}},
-			{"native/parallel", func(dv bool) *Result {
-				opts := DefaultOptions()
-				opts.UseMatViews = false
-				opts.WindowParallelism = 4
-				opts.DisableVectorized = dv
-				e := New(opts)
-				load(e)
-				return mustExec(t, e, q)
-			}},
-			{"selfjoin", func(dv bool) *Result {
-				opts := DefaultOptions()
-				opts.UseMatViews = false
-				opts.NativeWindow = false
-				opts.DisableVectorized = dv
-				e := New(opts)
-				load(e)
-				res := mustExec(t, e, q)
-				if res.Rewritten == "" {
-					t.Fatalf("trial %d: self-join rewrite did not fire", trial)
-				}
-				return res
-			}},
-		}
-		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-			strat := strat
-			strategies = append(strategies, strategy{"derive/" + strat.String(), func(dv bool) *Result {
-				opts := DefaultOptions()
-				opts.Strategy = strat
-				opts.Form = []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
-				opts.DisableVectorized = dv
-				e := New(opts)
-				load(e)
-				mustExec(t, e, viewDDL)
-				res := mustExec(t, e, q)
-				if res.Derivation != nil {
-					derivationsFired[strat.String()]++
-				}
-				return res
-			}})
-		}
-
-		for _, s := range strategies {
-			ctx := fmt.Sprintf("trial %d agg=%s ỹ=(%d,%d) %s", trial, agg, ly, hy, s.label)
-			requireIdenticalRows(t, s.run(true), s.run(false), ctx)
+	out := make([]*float64, len(body))
+	for i := range body {
+		if agg == core.Count || present[i] > 0 {
+			out[i] = &body[i]
 		}
 	}
-	for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-		if derivationsFired[strat.String()] == 0 {
-			t.Fatalf("%v never fired — on/off oracle is not exercising derivation", strat)
-		}
+	if desc {
+		slices.Reverse(out)
 	}
+	return out
 }
 
 // TestDifferentialVectorizedBoundary drives the runtime fallback boundary
 // through full engine queries: NULLs mid-column, FLOAT columns, Int/Float-
-// mixed arguments via CASE (the DECIMAL stand-in), and DESC order keys. The
-// vectorized and boxed engines must return exactly identical rows, for
-// sequential and partition-parallel execution.
+// mixed arguments via CASE (the DECIMAL stand-in), and DESC order keys. Each
+// answer — whichever of the typed and boxed kernels the data selected — must
+// be bit-identical to the model, for sequential and partition-parallel
+// execution.
 func TestDifferentialVectorizedBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	queries := []string{
-		`SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos) AS w,
-		   MIN(fval) OVER (PARTITION BY grp ORDER BY pos) AS m FROM bt`,
-		`SELECT grp, pos, AVG(fval) OVER (PARTITION BY grp ORDER BY pos DESC
-		   ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM bt`,
-		`SELECT grp, pos, SUM(CASE WHEN pos < 5 THEN val ELSE fval END)
-		   OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM bt`,
-		`SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos DESC) AS w,
-		   COUNT(val) OVER (PARTITION BY grp ORDER BY pos DESC) AS c FROM bt`,
+	type btRow struct{ val, fval *float64 }
+	// Each query lists, per output column, the argument of a row at 1-based
+	// pos, the window and aggregate, and the ORDER BY direction.
+	type column struct {
+		arg  func(pos int, r btRow) *float64
+		win  core.Window
+		agg  core.Agg
+		desc bool
 	}
-	for trial := 0; trial < 8; trial++ {
-		seed := rng.Int63()
-		load := func(e *Engine) {
-			t.Helper()
-			local := rand.New(rand.NewSource(seed))
-			mustExec(t, e, `CREATE TABLE bt (grp VARCHAR(8), pos INTEGER, val INTEGER, fval FLOAT)`)
-			var b strings.Builder
-			b.WriteString("INSERT INTO bt VALUES ")
-			first := true
-			for g := 0; g < 3; g++ {
-				n := 4 + local.Intn(12)
-				for i := 1; i <= n; i++ {
-					if !first {
-						b.WriteString(", ")
-					}
-					first = false
-					val := fmt.Sprintf("%d", local.Intn(100)-50)
-					if local.Intn(4) == 0 {
-						val = "NULL" // NULLs mid-column force the boxed kernel
-					}
-					fval := fmt.Sprintf("%g", float64(local.Intn(1000)-500)/8)
-					if local.Intn(5) == 0 {
-						fval = "NULL"
-					}
-					fmt.Fprintf(&b, "('g%d', %d, %s, %s)", g, i, val, fval)
+	val := func(_ int, r btRow) *float64 { return r.val }
+	fval := func(_ int, r btRow) *float64 { return r.fval }
+	queries := []struct {
+		sql  string
+		cols []column
+	}{
+		{`SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos) AS w,
+		   MIN(fval) OVER (PARTITION BY grp ORDER BY pos) AS m FROM bt`,
+			[]column{{val, core.Cumul(), core.Sum, false}, {fval, core.Cumul(), core.Min, false}}},
+		{`SELECT grp, pos, AVG(fval) OVER (PARTITION BY grp ORDER BY pos DESC
+		   ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM bt`,
+			[]column{{fval, core.Sliding(2, 1), core.Avg, true}}},
+		{`SELECT grp, pos, SUM(CASE WHEN pos < 5 THEN val ELSE fval END)
+		   OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM bt`,
+			[]column{{func(pos int, r btRow) *float64 {
+				if pos < 5 {
+					return r.val
 				}
+				return r.fval
+			}, core.Sliding(1, 2), core.Sum, false}}},
+		{`SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos DESC) AS w,
+		   COUNT(val) OVER (PARTITION BY grp ORDER BY pos DESC) AS c FROM bt`,
+			[]column{{val, core.Cumul(), core.Max, true}, {val, core.Cumul(), core.Count, true}}},
+	}
+	var typed, boxed int64
+	for trial := 0; trial < 8; trial++ {
+		// Eighths keep every FLOAT sum and average exact.
+		groups := make([][]btRow, 3)
+		var tuples []string
+		for g := range groups {
+			for i, n := 1, 4+rng.Intn(12); i <= n; i++ {
+				var r btRow
+				vs, fs := "NULL", "NULL"
+				if rng.Intn(4) != 0 { // NULLs mid-column force the boxed kernel
+					v := float64(rng.Intn(100) - 50)
+					r.val, vs = &v, fmt.Sprint(v)
+				}
+				if rng.Intn(5) != 0 {
+					f := float64(rng.Intn(1000)-500) / 8
+					r.fval, fs = &f, fmt.Sprint(f)
+				}
+				groups[g] = append(groups[g], r)
+				tuples = append(tuples, fmt.Sprintf("('g%d', %d, %s, %s)", g, i, vs, fs))
 			}
-			mustExec(t, e, b.String())
 		}
 		for qi, q := range queries {
-			for _, par := range []int{1, 4} {
-				results := make([]*Result, 2)
-				for k, dv := range []bool{true, false} {
-					opts := DefaultOptions()
-					opts.WindowParallelism = par
-					opts.DisableVectorized = dv
-					e := New(opts)
-					load(e)
-					results[k] = mustExec(t, e, q)
+			want := map[string][]*float64{} // "grp/pos" -> one value per column
+			for g, rows := range groups {
+				for _, c := range q.cols {
+					args := make([]*float64, len(rows))
+					for i, r := range rows {
+						args[i] = c.arg(i+1, r)
+					}
+					for i, v := range modelWindow(t, args, c.win, c.agg, c.desc) {
+						key := fmt.Sprintf("g%d/%d", g, i+1)
+						want[key] = append(want[key], v)
+					}
 				}
+			}
+			for _, par := range []int{1, 4} {
+				opts := DefaultOptions()
+				opts.WindowParallelism = par
+				e := New(opts)
+				mustExec(t, e, `CREATE TABLE bt (grp VARCHAR(8), pos INTEGER, val INTEGER, fval FLOAT)`)
+				mustExec(t, e, "INSERT INTO bt VALUES "+strings.Join(tuples, ", "))
+				res := mustExec(t, e, q.sql)
 				ctx := fmt.Sprintf("trial %d query %d parallel=%d", trial, qi, par)
-				requireIdenticalRows(t, results[0], results[1], ctx)
+				if len(res.Rows) != len(want) {
+					t.Fatalf("%s: %d rows, model has %d", ctx, len(res.Rows), len(want))
+				}
+				for _, row := range res.Rows {
+					key := fmt.Sprintf("%s/%d", row[0], row[1].Int())
+					for ci, w := range want[key] {
+						got := row[2+ci]
+						if got.IsNull() != (w == nil) || (w != nil && math.Float64bits(got.Float()) != math.Float64bits(*w)) {
+							t.Fatalf("%s: %s column %d = %v, model says %v", ctx, key, ci, got, fmtPtr(w))
+						}
+					}
+				}
+				typed += e.winStats.TypedKernels.Load()
+				boxed += e.winStats.BoxedKernels.Load()
+				e.Close()
 			}
 		}
+	}
+	if typed == 0 || boxed == 0 {
+		t.Fatalf("the data must select both kernels: typed=%d boxed=%d", typed, boxed)
 	}
 }
 
-// TestExplainAnalyzeVectorized: EXPLAIN ANALYZE advertises the fast path on
-// eligible plans, and the engine knob strips it.
+func fmtPtr(v *float64) string {
+	if v == nil {
+		return "NULL"
+	}
+	return fmt.Sprint(*v)
+}
+
+// TestExplainAnalyzeVectorized: EXPLAIN ANALYZE names the in-memory sort path
+// a Sort or Window took — typed for fixed-width keys, comparator where an
+// Int/Float-mixed key defeats the packed records — and the stats behind the
+// metrics gauges move with it.
 func TestExplainAnalyzeVectorized(t *testing.T) {
-	q := `EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY pos) AS w FROM seq ORDER BY pos DESC`
-
 	e := New(DefaultOptions())
+	defer e.Close()
 	loadSeq(t, e, 10, func(i int) int64 { return int64(i) })
-	res, err := e.ExecContext(context.Background(), q)
+	res, err := e.ExecContext(context.Background(),
+		`EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY pos) AS w FROM seq ORDER BY pos DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(res.Plan, "vectorized=true") < 2 {
-		t.Fatalf("EXPLAIN ANALYZE misses vectorized=true on Window and Sort:\n%s", res.Plan)
+	// Under RFVIEW_TEST_MEM_BUDGET the top-level Sort goes external and only
+	// the Window carries the annotation.
+	if !strings.Contains(res.Plan, "sort=typed") || strings.Contains(res.Plan, "sort=comparator") {
+		t.Fatalf("EXPLAIN ANALYZE must show sort=typed and no fallback:\n%s", res.Plan)
+	}
+	if e.winStats.TypedKernels.Load() == 0 || e.winStats.TypedSorts.Load() == 0 {
+		t.Fatalf("fast-path stats did not move: typed kernels=%d typed sorts=%d",
+			e.winStats.TypedKernels.Load(), e.winStats.TypedSorts.Load())
 	}
 
-	opts := DefaultOptions()
-	opts.DisableVectorized = true
-	e = New(opts)
-	loadSeq(t, e, 10, func(i int) int64 { return int64(i) })
-	res, err = e.ExecContext(context.Background(), q)
+	res, err = e.ExecContext(context.Background(),
+		`EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY CASE WHEN pos < 5 THEN pos ELSE pos + 0.5 END) AS w FROM seq`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.Plan, "vectorized") {
-		t.Fatalf("DisableVectorized plan must not advertise vectorization:\n%s", res.Plan)
+	if !strings.Contains(res.Plan, "sort=comparator") {
+		t.Fatalf("EXPLAIN ANALYZE must show the comparator fallback on a mixed key:\n%s", res.Plan)
 	}
-
-	// The stats behind the metrics gauges move when the fast path runs.
-	e = New(DefaultOptions())
-	loadSeq(t, e, 10, func(i int) int64 { return int64(i) })
-	mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos) AS w FROM seq`)
-	if e.winStats.TypedKernels.Load() == 0 || e.winStats.NormalizedSorts.Load() == 0 {
-		t.Fatalf("fast-path stats did not move: typed=%d normalized=%d",
-			e.winStats.TypedKernels.Load(), e.winStats.NormalizedSorts.Load())
+	if e.winStats.ComparatorSorts.Load() == 0 {
+		t.Fatal("comparator fallback did not count")
 	}
 }

@@ -14,17 +14,17 @@ import (
 // boundaries and tie runs from it instead of re-evaluating key expressions.
 // Every test checks bit-identical output against the unshared plan, plus the
 // metadata validity the scenario implies — valid when the in-memory
-// normalized sort ran, invalid when NaN or NoVectorize forced a fallback.
+// normalized sort ran, invalid when a NaN key forced the comparator fallback.
 
 // sharedStackMeta is sharedStack with the class sort's adjacency metadata
 // wired through to the Window, exactly as planWindowsShared does. partKeys is
 // the class's canonical partition key count (deduplicated), which may be
 // smaller than len(pb).
-func sharedStackMeta(schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, ob, sortKeys []SortKey, funcs []WindowFunc, orderExact, noVectorize bool, partKeys int) (Operator, *ClassOrderMeta) {
+func sharedStackMeta(schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, ob, sortKeys []SortKey, funcs []WindowFunc, orderExact bool, partKeys int) (Operator, *ClassOrderMeta) {
 	ordCol := len(schema.Cols)
 	var op Operator = NewOrdinal(valuesOp(schema, rows...), "__rf_ord")
 	meta := NewClassOrderMeta(partKeys)
-	op = &Sort{Input: op, Keys: sortKeys, SharedClass: 1, NoVectorize: noVectorize, Order: meta}
+	op = &Sort{Input: op, Keys: sortKeys, SharedClass: 1, Order: meta}
 	w := NewWindow(op, pb, ob, funcs)
 	w.Shared = true
 	w.PreSorted = true
@@ -38,13 +38,13 @@ func sharedStackMeta(schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, o
 // diffSharedMetaUnshared runs the meta-wired shared stack against the plain
 // unshared Window and requires bit-identical output; returns the metadata for
 // validity assertions.
-func diffSharedMetaUnshared(t *testing.T, label string, schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, ob, sortKeys []SortKey, funcs []WindowFunc, orderExact, noVectorize bool, partKeys int) *ClassOrderMeta {
+func diffSharedMetaUnshared(t *testing.T, label string, schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, ob, sortKeys []SortKey, funcs []WindowFunc, orderExact bool, partKeys int) *ClassOrderMeta {
 	t.Helper()
 	want, err := Collect(NewWindow(valuesOp(schema, rows...), pb, ob, funcs))
 	if err != nil {
 		t.Fatalf("%s: unshared: %v", label, err)
 	}
-	op, meta := sharedStackMeta(schema, rows, pb, ob, sortKeys, funcs, orderExact, noVectorize, partKeys)
+	op, meta := sharedStackMeta(schema, rows, pb, ob, sortKeys, funcs, orderExact, partKeys)
 	got, err := Collect(op)
 	if err != nil {
 		t.Fatalf("%s: shared: %v", label, err)
@@ -75,7 +75,7 @@ func TestClassOrderMetaTieRuns(t *testing.T) {
 	ob := sortKeysOf(t, schema, "k")
 	shared := sortKeysOf(t, schema, "p", "k", "v DESC")
 	meta := diffSharedMetaUnshared(t, "meta-ties", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, false, 1)
+		sumCum(keysOf(t, schema, "v")[0]), false, 1)
 	if !meta.Valid(len(rows)) {
 		t.Fatal("class sort left metadata invalid; meta path never ran")
 	}
@@ -96,7 +96,7 @@ func TestClassOrderMetaOrderExact(t *testing.T) {
 	ob := sortKeysOf(t, schema, "k")
 	shared := sortKeysOf(t, schema, "p", "k") // exact suffix, no ordinal key
 	meta := diffSharedMetaUnshared(t, "meta-exact", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), true, false, 1)
+		sumCum(keysOf(t, schema, "v")[0]), true, 1)
 	if !meta.Valid(len(rows)) {
 		t.Fatal("class sort left metadata invalid; meta path never ran")
 	}
@@ -123,7 +123,7 @@ func TestClassOrderMetaFloatPartitionRefused(t *testing.T) {
 	ob := sortKeysOf(t, schema, "k")
 	shared := sortKeysOf(t, schema, "p", "k")
 	meta := diffSharedMetaUnshared(t, "meta-float-part", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, false, 1)
+		sumCum(keysOf(t, schema, "v")[0]), false, 1)
 	if !meta.Valid(len(rows)) {
 		t.Fatal("metadata should be valid (floats encode fine); only the Window refuses it")
 	}
@@ -150,28 +150,9 @@ func TestClassOrderMetaNaNInvalidates(t *testing.T) {
 	ob := sortKeysOf(t, schema, "k")
 	shared := sortKeysOf(t, schema, "p", "k")
 	meta := diffSharedMetaUnshared(t, "meta-nan", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, false, 1)
+		sumCum(keysOf(t, schema, "v")[0]), false, 1)
 	if meta.Valid(len(rows)) {
 		t.Fatal("NaN keys must leave the metadata invalid")
-	}
-}
-
-// TestClassOrderMetaNoVectorize: the comparator sort path never fills the
-// metadata; the shared plan must still match through the evaluating
-// fallbacks.
-func TestClassOrderMetaNoVectorize(t *testing.T) {
-	schema := pkvSchema(sqltypes.Int, sqltypes.Int)
-	var rows []sqltypes.Row
-	for i := 0; i < 30; i++ {
-		rows = append(rows, intRow(int64(i%3), int64(i%5), int64(29-i)))
-	}
-	pb := keysOf(t, schema, "p")
-	ob := sortKeysOf(t, schema, "k")
-	shared := sortKeysOf(t, schema, "p", "k", "v")
-	meta := diffSharedMetaUnshared(t, "meta-novec", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, true, 1)
-	if meta.Valid(len(rows)) {
-		t.Fatal("comparator path must leave the metadata invalid")
 	}
 }
 
@@ -191,7 +172,7 @@ func TestClassOrderMetaDuplicatePartitionExprs(t *testing.T) {
 	// Class canonical ordering deduplicates: sort by p, k, refined by v.
 	shared := sortKeysOf(t, schema, "p", "k", "v DESC")
 	meta := diffSharedMetaUnshared(t, "meta-dup-part", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, false, 1)
+		sumCum(keysOf(t, schema, "v")[0]), false, 1)
 	if !meta.Valid(len(rows)) {
 		t.Fatal("class sort left metadata invalid; meta path never ran")
 	}

@@ -89,11 +89,8 @@ func identity(s []int, n int) []int {
 // normalized (typed or encoded) sort completes, the sorted stream's adjacency
 // table is recorded in it for the Window operators of a shared class; the
 // comparator path leaves meta untouched (the caller resets it beforehand).
-func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, vectorize bool, meta *ClassOrderMeta) (sortPath, error) {
+func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, meta *ClassOrderMeta) (sortPath, error) {
 	n, k := len(idx), len(keys)
-	if !vectorize {
-		return sortComparator, sortRowsCompared(rows, idx, keys, sc)
-	}
 	if n < 2 || k == 0 {
 		return sortTyped, nil
 	}

@@ -63,9 +63,6 @@ func (k SortKey) String() string {
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
-	// NoVectorize forces the Compare-based sort path; the zero value lets
-	// the key types choose.
-	NoVectorize bool
 	// Ctx, when set, cancels the sort (input drain and external merge). nil
 	// means context.Background().
 	Ctx context.Context
@@ -125,7 +122,7 @@ func (s *Sort) Open() error {
 	if err != nil {
 		return err
 	}
-	if spillEligible(s.Spill, s.Keys, s.NoVectorize, len(rows)) {
+	if spillEligible(s.Spill, s.Keys, len(rows)) {
 		handled, err := s.openExternal(rows)
 		if err != nil {
 			// The spill sorter surfaces cancellation as the context's own
@@ -147,7 +144,7 @@ func (s *Sort) Open() error {
 		idx[i] = i
 	}
 	sc := getSortScratch()
-	s.path, err = sortRowsByKeys(rows, idx, s.Keys, sc, !s.NoVectorize, s.Order)
+	s.path, err = sortRowsByKeys(rows, idx, s.Keys, sc, s.Order)
 	putSortScratch(sc)
 	if err != nil {
 		return err
@@ -249,10 +246,6 @@ func (s *Sort) Describe() string {
 	for i, k := range s.Keys {
 		parts[i] = k.String()
 	}
-	vec := ""
-	if !s.NoVectorize {
-		vec = " vectorized=true"
-	}
 	sp := ""
 	if s.ran {
 		sp = " sort=" + s.path.String()
@@ -267,7 +260,7 @@ func (s *Sort) Describe() string {
 			shared += " resort=full"
 		}
 	}
-	return "Sort " + joinTrunc(parts, 6) + shared + vec + sp
+	return "Sort " + joinTrunc(parts, 6) + shared + sp
 }
 
 // Children implements Operator.

@@ -77,7 +77,7 @@ func (ks *keyStreamer) encode(row sqltypes.Row) (key []byte, ok bool, err error)
 }
 
 // spillEligible gates the external path: it needs an enabled config, keys to
-// order by, vectorization on, and at least two rows.
-func spillEligible(cfg *spill.Config, keys []SortKey, noVectorize bool, n int) bool {
-	return cfg.Enabled() && len(keys) > 0 && !noVectorize && n >= 2
+// order by, and at least two rows.
+func spillEligible(cfg *spill.Config, keys []SortKey, n int) bool {
+	return cfg.Enabled() && len(keys) > 0 && n >= 2
 }

@@ -91,7 +91,7 @@ func TestSortExternalFallbackMixedKeys(t *testing.T) {
 		})
 	}
 	keys := []SortKey{{Expr: mustCompile(t, "grp", schema)}}
-	want := mustCollect(t, &Sort{Input: valuesOp(schema, rows...), Keys: keys, NoVectorize: true})
+	want := mustCollect(t, &Sort{Input: valuesOp(schema, rows...), Keys: keys})
 	cfg := spillCfg(t, 2<<10)
 	ext := &Sort{Input: valuesOp(schema, rows...), Keys: keys, Spill: cfg}
 	got := mustCollect(t, ext)

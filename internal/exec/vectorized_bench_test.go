@@ -11,11 +11,12 @@ import (
 	"rfview/internal/sqltypes"
 )
 
-// Microbenchmarks for the typed columnar fast path: each pair runs the same
-// operator with vectorization on (key-normalized sorts, typed kernels) and
-// off (boxed Datum path), so `benchstat` or a CI artifact diff shows the
-// per-op time and allocation delta directly. No thresholds are enforced —
-// these are recorded measurements, not gates.
+// Microbenchmarks for the Sort and Window operators over the key and
+// argument shapes that select their paths — typed records and kernels for
+// homogeneous columns, the comparator sort and boxed accumulators for an
+// Int/Float mix — so `benchstat` or a CI artifact diff shows the per-op time
+// and allocation of each. No thresholds are enforced — these are recorded
+// measurements, not gates.
 
 func benchExpr(src string, schema *expr.Schema) expr.Expr {
 	ast, err := sqlparser.ParseExpr(src)
@@ -62,10 +63,10 @@ func benchSortRows(n int, shape string) ([]sqltypes.Row, *expr.Schema) {
 	return rows, schema
 }
 
-// BenchmarkSortNormalizedVsCompare measures exec.Sort on both paths over
-// INT+STRING keys (byte-encodable), FLOAT keys, and an Int/Float-mixed key
-// column (which silently takes the comparator path on both settings).
-func BenchmarkSortNormalizedVsCompare(b *testing.B) {
+// BenchmarkSortKeyShapes measures exec.Sort over INT+STRING keys
+// (byte-encodable), FLOAT keys, and an Int/Float-mixed key column (which
+// takes the comparator path).
+func BenchmarkSortKeyShapes(b *testing.B) {
 	const n = 4096
 	for _, shape := range []string{"int", "float", "mixed"} {
 		rows, schema := benchSortRows(n, shape)
@@ -73,20 +74,15 @@ func BenchmarkSortNormalizedVsCompare(b *testing.B) {
 			{Expr: benchExpr("k1", schema)},
 			{Expr: benchExpr("k2", schema), Desc: true},
 		}
-		for _, mode := range []struct {
-			name  string
-			noVec bool
-		}{{"normalized", false}, {"compare", true}} {
-			b.Run(shape+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := &Sort{Input: NewValues(schema, rows), Keys: keys, NoVectorize: mode.noVec}
-					if _, err := Collect(s); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := &Sort{Input: NewValues(schema, rows), Keys: keys}
+				if _, err := Collect(s); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -119,12 +115,11 @@ func benchWindowRows(parts, rowsPer int, shape string) []sqltypes.Row {
 	return rows
 }
 
-// BenchmarkWindowTypedVsBoxed measures the Window operator — sliding
-// SUM/MIN/AVG over 8 partitions of 512 rows — with typed kernels against the
-// boxed accumulator path, for INT, FLOAT, and mixed argument columns (mixed
-// falls back at runtime on both settings, so that pair bounds the fast-path
-// bookkeeping overhead).
-func BenchmarkWindowTypedVsBoxed(b *testing.B) {
+// BenchmarkWindowArgShapes measures the Window operator — sliding
+// SUM/MIN/AVG over 8 partitions of 512 rows — for INT and FLOAT argument
+// columns (typed kernels) and a mixed one (which falls back to the boxed
+// accumulators at runtime).
+func BenchmarkWindowArgShapes(b *testing.B) {
 	schema := expr.NewSchema(
 		expr.ColInfo{Name: "grp", Type: sqltypes.Int},
 		expr.ColInfo{Name: "pos", Type: sqltypes.Int},
@@ -144,22 +139,16 @@ func BenchmarkWindowTypedVsBoxed(b *testing.B) {
 	}
 	for _, shape := range []string{"int", "float", "mixed"} {
 		rows := benchWindowRows(8, 512, shape)
-		for _, mode := range []struct {
-			name  string
-			noVec bool
-		}{{"typed", false}, {"boxed", true}} {
-			b.Run(shape+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w := NewWindow(NewValues(schema, rows), []expr.Expr{grpEx},
-						[]SortKey{{Expr: posEx}}, funcs)
-					w.NoVectorize = mode.noVec
-					if _, err := Collect(w); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := NewWindow(NewValues(schema, rows), []expr.Expr{grpEx},
+					[]SortKey{{Expr: posEx}}, funcs)
+				if _, err := Collect(w); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -197,10 +197,6 @@ type Window struct {
 	Ctx context.Context
 	// Stats, when set, receives per-run observability counters.
 	Stats *WindowStats
-	// NoVectorize forces the Compare-based partition sort and the boxed
-	// Datum kernels everywhere. The zero value lets the runtime column types
-	// choose; ineligible columns fall back with identical results.
-	NoVectorize bool
 	// Spill, when enabled, bounds ordering memory: a partition's key records
 	// are charged to the budget, and a partition whose charge is refused
 	// sorts externally through a budget-tracked spill.Sorter of (key,
@@ -414,7 +410,7 @@ func (w *Window) Open() error {
 	if len(r.order) > 0 {
 		r.lay = newRecLayout(w.OrderBy, r.order)
 		r.path = keyPath(r.order)
-		if w.NoVectorize || n > math.MaxInt32 {
+		if n > math.MaxInt32 {
 			r.path = sortComparator
 		}
 	}
@@ -804,17 +800,14 @@ func (w *Window) computePartition(r *winRun, p int) error {
 		return err
 	}
 
-	vectorize := !w.NoVectorize
 	ps.vecs = grow(ps.vecs, len(r.args))
-	if vectorize {
-		for ai := range ps.vecs {
-			ps.vecs[ai].Gather(&r.args[ai], ord)
-		}
+	for ai := range ps.vecs {
+		ps.vecs[ai].Gather(&r.args[ai], ord)
 	}
 	ps.out = grow(ps.out, n)
 	for fi, fn := range w.Funcs {
 		slot := w.argSlots[fi]
-		typed := vectorize && runTypedKernel(fn, slot, ps, n)
+		typed := runTypedKernel(fn, slot, ps, n)
 		if w.Stats != nil {
 			if typed {
 				w.Stats.TypedKernels.Add(1)
@@ -888,7 +881,7 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 		tie = r.ordinals
 	}
 	path, external := r.path, false
-	if path != sortComparator && spillEligible(w.Spill, w.OrderBy, w.NoVectorize, len(ord)) {
+	if path != sortComparator && spillEligible(w.Spill, w.OrderBy, len(ord)) {
 		// The typed records are this partition's sort scratch: charge them,
 		// and on refusal — as for VARCHAR keys always — order the partition
 		// through the spill sorter instead.
@@ -1068,10 +1061,6 @@ func (w *Window) Describe() string {
 	if w.Parallelism > 1 {
 		par = fmt.Sprintf(" parallel=%d", w.Parallelism)
 	}
-	vec := ""
-	if w.Vectorizable() {
-		vec = " vectorized=true"
-	}
 	// The paths the last run's partition orderings took: more than one when
 	// a budget refused some partitions' records.
 	sp := ""
@@ -1094,16 +1083,9 @@ func (w *Window) Describe() string {
 			shared = fmt.Sprintf(" resort=segmented class=%d", w.Class)
 		}
 	}
-	return fmt.Sprintf("Window partition=[%s] order=[%s] funcs=[%s]%s%s%s%s",
-		joinTrunc(pb, 4), joinTrunc(ob, 4), joinTrunc(fs, 4), shared, par, vec, sp)
+	return fmt.Sprintf("Window partition=[%s] order=[%s] funcs=[%s]%s%s%s",
+		joinTrunc(pb, 4), joinTrunc(ob, 4), joinTrunc(fs, 4), shared, par, sp)
 }
-
-// Vectorizable reports whether the typed columnar fast path is enabled for
-// this operator — the plan-time eligibility surfaced by EXPLAIN as
-// vectorized=true. Individual partitions may still fall back to the boxed
-// path at runtime (NULLs, mixed types, NaN) with identical results; the
-// fallback counts are visible in Stats.
-func (w *Window) Vectorizable() bool { return !w.NoVectorize }
 
 // Children implements Operator.
 func (w *Window) Children() []Operator { return []Operator{w.Input} }

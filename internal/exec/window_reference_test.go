@@ -20,7 +20,10 @@ import (
 // library sort over a comparator written out below — not from another
 // configuration of the engine. Every plan shape the operator runs in must
 // agree with it: unshared, the three shared-sort consumer shapes, one worker
-// and two, with and without a 64 KiB budget.
+// and two, with and without a 64 KiB budget. The comparator sort and the
+// boxed accumulators are fallbacks the data selects, so the input row-sets
+// are what reaches them: NaN and Int/Float-mixed order keys, NULL and
+// CASE-mixed arguments.
 
 // refSpec is one ORDER BY key of the reference model.
 type refSpec struct {
@@ -50,16 +53,51 @@ func refCmp(a, b sqltypes.Datum) int {
 	return 0
 }
 
+// refArg is one shape of the window functions' argument: the expression over
+// the (p, k, k2, v) row, whether v draws NULLs, what the model sees for a row
+// (nil = NULL), and whether the data must push the operator onto the boxed
+// accumulators.
+type refArg struct {
+	name, expr string
+	nulls      bool
+	val        func(row sqltypes.Row) *float64
+	boxed      bool
+}
+
+func refArgs() []refArg {
+	v := func(row sqltypes.Row) *float64 {
+		if row[3].IsNull() {
+			return nil
+		}
+		f := row[3].Float()
+		return &f
+	}
+	return []refArg{
+		{"int", "v", false, v, false},
+		{"null", "v", true, v, true},
+		// Int on some rows, Float on others: the DECIMAL stand-in.
+		{"case-mixed", "CASE WHEN k2 < 2 THEN v ELSE v + 0.5 END", false, func(row sqltypes.Row) *float64 {
+			f := v(row)
+			if row[2].Int() >= 2 {
+				*f += 0.5
+			}
+			return f
+		}, true},
+	}
+}
+
 // refExpected returns, per input row and per window function, the value the
-// reference model assigns it.
-func refExpected(t *testing.T, rows []sqltypes.Row, specs []refSpec, wins []core.Window, aggs []core.Agg) [][]float64 {
+// reference model assigns it; nil is NULL. SQL aggregates skip NULLs, so the
+// model sees a NULL argument as 0 under SUM and ±Inf under MIN/MAX, and a
+// frame without a non-NULL value answers NULL (COUNT: 0).
+func refExpected(t *testing.T, rows []sqltypes.Row, specs []refSpec, arg refArg, wins []core.Window, aggs []core.Agg) [][]*float64 {
 	t.Helper()
 	parts := map[string][]int{}
 	for i, row := range rows {
 		key := fmt.Sprintf("%d|%s", row[0].Typ(), row[0])
 		parts[key] = append(parts[key], i)
 	}
-	want := make([][]float64, len(rows))
+	want := make([][]*float64, len(rows))
 	for _, idx := range parts {
 		sort.SliceStable(idx, func(x, y int) bool {
 			for _, s := range specs {
@@ -80,16 +118,41 @@ func refExpected(t *testing.T, rows []sqltypes.Row, specs []refSpec, wins []core
 			}
 			return false
 		})
-		raw := make([]float64, len(idx))
-		for j, ri := range idx {
-			raw[j] = float64(rows[ri][3].Int())
-		}
-		for f := range wins {
-			seq, err := core.ComputeNaive(raw, wins[f], aggs[f])
+		naive := func(w core.Window, agg core.Agg, null float64, val func(float64) float64) []float64 {
+			raw := make([]float64, len(idx))
+			for j, ri := range idx {
+				raw[j] = null
+				if v := arg.val(rows[ri]); v != nil {
+					raw[j] = val(*v)
+				}
+			}
+			seq, err := core.ComputeNaive(raw, w, agg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j, v := range seq.Body() {
+			return seq.Body()
+		}
+		self := func(v float64) float64 { return v }
+		for f := range wins {
+			present := naive(wins[f], core.Sum, 0, func(float64) float64 { return 1 })
+			var body []float64
+			switch aggs[f] {
+			case core.Count:
+				body = present
+			case core.Sum, core.Avg:
+				body = naive(wins[f], core.Sum, 0, self)
+			case core.Min:
+				body = naive(wins[f], core.Min, math.Inf(1), self)
+			case core.Max:
+				body = naive(wins[f], core.Max, math.Inf(-1), self)
+			}
+			for j := range body {
+				var v *float64
+				if aggs[f] == core.Count || present[j] > 0 {
+					if v = &body[j]; aggs[f] == core.Avg {
+						*v /= present[j]
+					}
+				}
 				want[idx[j]] = append(want[idx[j]], v)
 			}
 		}
@@ -164,7 +227,7 @@ func refPlans(schema *expr.Schema, rows []sqltypes.Row, pb []expr.Expr, ob []Sor
 		"shared-presorted": func() Operator { return sharedStack(schema, rows, pb, ob, refined, funcs, true) },
 		// The member's keys are the class sort's, read off its metadata.
 		"shared-meta-exact": func() Operator {
-			op, _ := sharedStackMeta(schema, rows, pb, ob, classKeys, funcs, true, false, 1)
+			op, _ := sharedStackMeta(schema, rows, pb, ob, classKeys, funcs, true, 1)
 			return op
 		},
 		// The class sort orders the partitions by something else entirely.
@@ -194,12 +257,14 @@ func setRunOptions(op Operator, cfg *spill.Config, workers int) *Window {
 
 func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020226))
-	wins := []core.Window{core.Cumul(), core.Sliding(2, 1), core.Sliding(0, 3)}
-	aggs := []core.Agg{core.Sum, core.Min, core.Max}
+	wins := []core.Window{core.Cumul(), core.Sliding(2, 1), core.Sliding(0, 3), core.Sliding(1, 1), core.Sliding(3, 0)}
+	aggs := []core.Agg{core.Sum, core.Min, core.Max, core.Count, core.Avg}
 	frames := []FrameSpec{
 		DefaultFrame(true),
 		{Start: FrameBound{Kind: BoundPreceding, Offset: 2}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
 		{Start: FrameBound{Kind: BoundCurrentRow}, End: FrameBound{Kind: BoundFollowing, Offset: 3}},
+		{Start: FrameBound{Kind: BoundPreceding, Offset: 1}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
+		{Start: FrameBound{Kind: BoundPreceding, Offset: 3}, End: FrameBound{Kind: BoundCurrentRow}},
 	}
 	for _, sc := range refScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -208,12 +273,14 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 				expr.ColInfo{Name: "k2", Type: sqltypes.Int}, expr.ColInfo{Name: "v", Type: sqltypes.Int},
 			)
 			col := func(name string) expr.Expr { return mustCompile(t, name, schema) }
-			funcs := make([]WindowFunc, len(wins))
-			for f := range funcs {
-				funcs[f] = WindowFunc{Name: aggs[f].String(), Arg: col("v"), Frame: frames[f], OutName: fmt.Sprintf("w%d", f)}
-			}
 			cfg := spillCfg(t, 64<<10)
-			for trial := 0; trial < 6; trial++ {
+			for trial := 0; trial < 9; trial++ {
+				// Every argument shape meets every NULLS placement below.
+				arg := refArgs()[(trial+trial/3)%3]
+				funcs := make([]WindowFunc, len(wins))
+				for f := range funcs {
+					funcs[f] = WindowFunc{Name: aggs[f].String(), Arg: col(arg.expr), Frame: frames[f], OutName: fmt.Sprintf("w%d", f)}
+				}
 				// Shuffled rows over a few partitions, one of them keyed NULL.
 				n, nparts := 150+rng.Intn(250), 3+rng.Intn(4)
 				rows := make([]sqltypes.Row, n)
@@ -223,7 +290,11 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 					if part == 1 {
 						p = sqltypes.NullDatum
 					}
-					rows[i] = sqltypes.Row{p, sc.gen(rng, part), sqltypes.NewInt(int64(rng.Intn(4))), sqltypes.NewInt(int64(rng.Intn(1000)))}
+					v := sqltypes.NewInt(int64(rng.Intn(1000)))
+					if arg.nulls && rng.Intn(5) == 0 {
+						v = sqltypes.NullDatum
+					}
+					rows[i] = sqltypes.Row{p, sc.gen(rng, part), sqltypes.NewInt(int64(rng.Intn(4))), v}
 				}
 				// ORDER BY k [DESC] [NULLS FIRST|LAST] [, k2 DESC].
 				key := SortKey{Expr: col("k"), Desc: trial%2 == 1, Nulls: NullsPlacement(trial % 3)}
@@ -231,12 +302,12 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 				if trial >= 3 {
 					ob, specs = append(ob, SortKey{Expr: col("k2"), Desc: true}), append(specs, refSpec{2, true, true})
 				}
-				want := refExpected(t, rows, specs, wins, aggs)
+				want := refExpected(t, rows, specs, arg, wins, aggs)
 
 				for name, plan := range refPlans(schema, rows, []expr.Expr{col("p")}, ob, funcs, col("p"), col("v")) {
 					for _, workers := range []int{1, 2} {
 						for _, budget := range []*spill.Config{nil, cfg} {
-							label := fmt.Sprintf("trial %d (%s) %s workers=%d budget=%v", trial, key, name, workers, budget != nil)
+							label := fmt.Sprintf("trial %d (%s, arg %s) %s workers=%d budget=%v", trial, key, arg.name, name, workers, budget != nil)
 							op, stats := plan(), &WindowStats{}
 							setRunOptions(op, budget, workers).Stats = stats
 							got, err := Collect(op)
@@ -248,8 +319,9 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 							}
 							for i, row := range got {
 								for f := range funcs {
-									if v := row[4+f]; v.IsNull() || v.Float() != want[i][f] {
-										t.Fatalf("%s: row %d (%s) %s = %s, reference model says %v", label, i, rows[i], funcs[f].OutName, v, want[i][f])
+									v, w := row[4+f], want[i][f]
+									if v.IsNull() != (w == nil) || (w != nil && v.Float() != *w) {
+										t.Fatalf("%s: row %d (%s) %s = %s, reference model says %v", label, i, rows[i], funcs[f], v, w)
 									}
 								}
 							}
@@ -260,11 +332,15 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 								continue
 							}
 							// The path taken is part of the contract: fixed-width
-							// keys sort typed, a NaN or a mix falls back — and
-							// never silently the other way round.
+							// keys sort typed, a NaN or a mix falls back; clean
+							// arguments run typed kernels, a NULL or a mix the
+							// boxed ones — and never silently the other way round.
 							typed, cmpd := stats.TypedSorts.Load(), stats.ComparatorSorts.Load()
 							if name == "unshared" && ((sc.want == sortTyped) != (typed > 0) || (sc.want == sortComparator) != (cmpd > 0)) {
 								t.Fatalf("%s: typed=%d comparator=%d sorts, want only %s", label, typed, cmpd, sc.want)
+							}
+							if tk, bk := stats.TypedKernels.Load(), stats.BoxedKernels.Load(); arg.boxed != (bk > 0) || (!arg.boxed && tk == 0) {
+								t.Fatalf("%s: typed=%d boxed=%d kernels, want boxed=%v", label, tk, bk, arg.boxed)
 							}
 						}
 					}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"rfview/internal/catalog"
@@ -16,42 +17,41 @@ import (
 // This file folds base-table DML into materialized sequence views using the
 // incremental rules of §2.3. Density-preserving changes patch only the
 // affected band of view rows; anything else marks the view stale. The After*
-// hooks run under the engine's exclusive lock; depending on the manager's
-// mode they apply the delta immediately (eager), queue it (deferred), or
-// mark the view stale (off).
+// hooks run under the engine's exclusive lock and apply the delta inside the
+// write itself, so readers never pay for freshness.
+
+// Stats carries the maintenance counters, readable without the manager lock.
+type Stats struct {
+	// DeltaApplied counts DML deltas folded into a view incrementally.
+	DeltaApplied atomic.Int64
+	// FullRefreshes counts REFRESH MATERIALIZED VIEW recomputes of sequence
+	// views — the §2.3 alternative the delta path avoids.
+	FullRefreshes atomic.Int64
+}
+
+// Stats returns the manager's maintenance counters.
+func (m *Manager) Stats() *Stats { return &m.stats }
 
 // AfterInsert is called by the engine once rows have been inserted into a
 // base table. tx, when non-nil, is the committing transaction: backing-table
 // writes join its write-set and become visible at its publication instant.
 func (m *Manager) AfterInsert(tx *txn.Txn, table string, rows []sqltypes.Row, cols []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.curTx = tx
-	defer func() { m.curTx = nil }()
-	for _, sv := range m.seq {
-		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale {
-			continue
-		}
-		m.dispatch(sv, pendingDelta{kind: deltaInsert, rows: rows, cols: cols})
-	}
+	m.applyDelta(tx, table, func(sv *seqView) { m.applyInserts(sv, rows, cols) })
 }
 
 // AfterUpdate is called with the before/after images of updated base rows.
 func (m *Manager) AfterUpdate(tx *txn.Txn, table string, before, after []sqltypes.Row, cols []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.curTx = tx
-	defer func() { m.curTx = nil }()
-	for _, sv := range m.seq {
-		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale {
-			continue
-		}
-		m.dispatch(sv, pendingDelta{kind: deltaUpdate, before: before, after: after, cols: cols})
-	}
+	m.applyDelta(tx, table, func(sv *seqView) { m.applyUpdates(sv, before, after, cols) })
 }
 
 // AfterDelete is called with the images of deleted base rows.
 func (m *Manager) AfterDelete(tx *txn.Txn, table string, deleted []sqltypes.Row, cols []string) {
+	m.applyDelta(tx, table, func(sv *seqView) { m.applyDeletes(sv, deleted, cols) })
+}
+
+// applyDelta folds one DML delta into every fresh sequence view over table,
+// updating the stats counters and the touched-rows observer.
+func (m *Manager) applyDelta(tx *txn.Txn, table string, fold func(sv *seqView)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.curTx = tx
@@ -60,19 +60,15 @@ func (m *Manager) AfterDelete(tx *txn.Txn, table string, deleted []sqltypes.Row,
 		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale {
 			continue
 		}
-		m.dispatch(sv, pendingDelta{kind: deltaDelete, rows: deleted, cols: cols})
-	}
-}
-
-// dispatch routes one DML delta for one view according to the mode.
-func (m *Manager) dispatch(sv *seqView, d pendingDelta) {
-	switch m.mode {
-	case ModeOff:
-		m.markStale(sv, "view maintenance is off")
-	case ModeDeferred:
-		m.enqueue(sv, d)
-	default:
-		m.applyDelta(sv, d)
+		before := sv.touchedTotal()
+		fold(sv)
+		if sv.stale {
+			continue
+		}
+		m.stats.DeltaApplied.Add(1)
+		if m.observeTouched != nil {
+			m.observeTouched(float64(sv.touchedTotal() - before))
+		}
 	}
 }
 

@@ -58,9 +58,6 @@ type seqView struct {
 	// staleSince timestamps the transition to stale, for the staleness-age
 	// metric; zero while fresh.
 	staleSince time.Time
-	// pending is the deferred-mode delta queue: DML deltas enqueued by the
-	// After* hooks, applied in order by Drain. Guarded by the manager mutex.
-	pending []pendingDelta
 }
 
 // partitioned reports whether the view keeps per-partition sequences.
@@ -109,11 +106,6 @@ type Manager struct {
 	plain map[string]*sqlparser.CreateMatView
 	exec  ExecFunc
 
-	// mode selects how base-table DML reaches sequence views: folded in
-	// eagerly inside the write (the default), enqueued per view and drained
-	// on read or on demand (deferred), or not at all (off: every DML marks
-	// matching views stale, REFRESH is the only repair).
-	mode Mode
 	// observeTouched, when set, receives the number of view sequence
 	// positions each applied delta touched (the histogram feed).
 	observeTouched func(float64)
@@ -207,22 +199,6 @@ func (m *Manager) setFresh(sv *seqView) {
 // NewManager builds a manager over the catalog.
 func NewManager(cat *catalog.Catalog, exec ExecFunc) *Manager {
 	return &Manager{cat: cat, seq: make(map[string]*seqView), plain: make(map[string]*sqlparser.CreateMatView), exec: exec}
-}
-
-// SetMode selects the maintenance mode. Engines call it once at
-// construction; switching modes mid-flight is safe (a leftover deferred
-// queue still drains via Drain or REFRESH).
-func (m *Manager) SetMode(mode Mode) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mode = mode
-}
-
-// Mode returns the manager's maintenance mode.
-func (m *Manager) Mode() Mode {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.mode
 }
 
 // SetTouchedObserver installs the touched-rows histogram feed.
@@ -525,9 +501,6 @@ func (m *Manager) Drop(name string) error {
 	if err := m.cat.DropMatView(name); err != nil {
 		return err
 	}
-	if sv, ok := m.seq[lower(name)]; ok {
-		m.clearPending(sv)
-	}
 	delete(m.seq, lower(name))
 	delete(m.plain, lower(name))
 	return m.cat.DropTable(mv.Table.Name)
@@ -554,9 +527,6 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error
 	m.curTx = tx
 	defer func() { m.curTx = nil }()
 	if sv, ok := m.seq[lower(name)]; ok {
-		// A full refresh supersedes any queued deltas: the recompute reads
-		// the current base table, which already includes their effects.
-		m.clearPending(sv)
 		m.stats.FullRefreshes.Add(1)
 		if sv.partitioned() {
 			return m.refreshPartitioned(sv)

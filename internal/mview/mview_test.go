@@ -326,7 +326,7 @@ func TestDropView(t *testing.T) {
 	}
 }
 
-func TestCumulativeViewMaintenance(t *testing.T) {
+func TestCumulativeViewMaintained(t *testing.T) {
 	cat, m := fixture(t, 10)
 	createView(t, m, `CREATE MATERIALIZED VIEW cum AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS val FROM seq`)

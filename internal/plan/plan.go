@@ -51,11 +51,6 @@ type Options struct {
 	// WindowStats, when set, is stamped onto planned Window operators to
 	// collect parallelism-utilization counters.
 	WindowStats *exec.WindowStats
-	// DisableVectorized forces the boxed Datum path in planned Sort and
-	// Window operators, switching off key-normalized sorts and typed window
-	// kernels. Off by default: vectorization is on, with per-partition
-	// runtime fallback for ineligible data.
-	DisableVectorized bool
 	// Spill, when enabled, is stamped onto planned Sort and Window operators
 	// so oversized orderings go external under the engine's memory budget.
 	Spill *spill.Config
@@ -131,7 +126,7 @@ func (p *Planner) planUnion(u *sqlparser.Union) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &exec.Sort{Input: op, Keys: keys, NoVectorize: p.Opts.DisableVectorized, Ctx: p.Opts.Ctx, Spill: p.Opts.Spill}
+		op = &exec.Sort{Input: op, Keys: keys, Ctx: p.Opts.Ctx, Spill: p.Opts.Spill}
 	}
 	return p.applyLimit(op, u.Limit)
 }
@@ -284,7 +279,7 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &exec.Sort{Input: op, Keys: keys, NoVectorize: p.Opts.DisableVectorized, Ctx: p.Opts.Ctx, Spill: p.Opts.Spill}
+		op = &exec.Sort{Input: op, Keys: keys, Ctx: p.Opts.Ctx, Spill: p.Opts.Spill}
 	}
 
 	// ---- projection ----
@@ -561,7 +556,6 @@ func (p *Planner) buildWindow(inSchema *expr.Schema, op exec.Operator, g *window
 	win.Parallelism = p.Opts.windowParallelism()
 	win.Ctx = p.Opts.Ctx
 	win.Stats = p.Opts.WindowStats
-	win.NoVectorize = p.Opts.DisableVectorized
 	win.Spill = p.Opts.Spill
 	return win, nil
 }

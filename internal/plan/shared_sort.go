@@ -195,7 +195,6 @@ func (p *Planner) planWindowsShared(input exec.Operator, groups []*windowGroup, 
 			op = &exec.Sort{
 				Input:       op,
 				Keys:        keys,
-				NoVectorize: p.Opts.DisableVectorized,
 				Ctx:         p.Opts.Ctx,
 				Spill:       p.Opts.Spill,
 				SharedClass: classID,

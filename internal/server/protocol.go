@@ -148,14 +148,10 @@ type TxnStats struct {
 // MaintenanceStats is the wire form of the engine's view-maintenance
 // counters.
 type MaintenanceStats struct {
-	// Mode is the configured maintenance mode: eager, deferred, or off.
-	Mode string `json:"mode"`
 	// DeltaApplied counts DML deltas folded into views incrementally;
 	// FullRefreshes counts full REFRESH recomputes of sequence views.
 	DeltaApplied  int64 `json:"delta_applied"`
 	FullRefreshes int64 `json:"full_refreshes"`
-	// Pending is the number of deferred deltas currently queued.
-	Pending int64 `json:"pending"`
 }
 
 // SpillStats is the wire form of the engine's spill counters.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -20,8 +21,9 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown begins.
 var ErrServerClosed = errors.New("server: closed")
 
-// maxLineBytes bounds one request line; a longer line stops the read and
-// closes the connection before it can buffer unbounded input.
+// maxLineBytes bounds one request line; a longer line is answered with one
+// bad_request error and the connection closes before it can buffer unbounded
+// input.
 const maxLineBytes = 1 << 20
 
 // Session is the per-connection state: identity and counters. It is created
@@ -209,15 +211,17 @@ func (s *Server) serveConn(sess *Session) {
 	enc := json.NewEncoder(w)
 	for {
 		if !sc.Scan() {
-			// EOF, oversized line, shutdown wake-up, or broken pipe:
-			// close quietly.
+			if errors.Is(sc.Err(), bufio.ErrTooLong) {
+				s.rejectOversized(sess, enc, w)
+			}
+			// EOF, shutdown wake-up, or broken pipe: close quietly.
 			return
 		}
 		line := sc.Bytes()
 		var req Request
 		var resp Response
 		if err := json.Unmarshal(line, &req); err != nil {
-			resp = Response{OK: false, Error: fmt.Sprintf("bad request: %v", err)}
+			resp = Response{Session: sess.ID, Code: string(rferrors.CodeBadRequest), Error: fmt.Sprintf("bad request: %v", err)}
 		} else {
 			resp = s.dispatch(sess, &req)
 		}
@@ -236,6 +240,29 @@ func (s *Server) serveConn(sess *Session) {
 		if s.inShutdown.Load() {
 			return // drained: the response above was this session's last
 		}
+	}
+}
+
+// rejectOversized answers a request line over maxLineBytes with the one
+// response the session will get before it closes.
+func (s *Server) rejectOversized(sess *Session, enc *json.Encoder, w *bufio.Writer) {
+	s.requests.Add(1)
+	s.errors.Add(1)
+	err := enc.Encode(&Response{Session: sess.ID, Code: string(rferrors.CodeBadRequest),
+		Error: fmt.Sprintf("bad request: line exceeds the %d MiB limit", maxLineBytes>>20)})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return
+	}
+	// Swallow the rest of the line, bounded in bytes and time: closing with
+	// unread input resets the connection, which can discard the response
+	// before the client reads it. Whatever ends the read, the session closes.
+	sess.conn.SetReadDeadline(time.Now().Add(time.Second))
+	rest := bufio.NewReaderSize(io.LimitReader(sess.conn, 8*maxLineBytes), 64<<10)
+	for err = bufio.ErrBufferFull; err == bufio.ErrBufferFull; {
+		_, err = rest.ReadSlice('\n')
 	}
 }
 
@@ -365,10 +392,8 @@ func (s *Server) statsReply(sess *Session) *StatsReply {
 		},
 		BufferPool: bufferPoolStats(s.eng),
 		Maintenance: MaintenanceStats{
-			Mode:          s.eng.MaintenanceMode().String(),
 			DeltaApplied:  s.eng.Views.Stats().DeltaApplied.Load(),
 			FullRefreshes: s.eng.Views.Stats().FullRefreshes.Load(),
-			Pending:       s.eng.Views.PendingTotal(),
 		},
 		Txn: TxnStats{
 			Begins:         ts.Begins,

@@ -114,7 +114,7 @@ func TestServerMalformedRequest(t *testing.T) {
 	if err := json.Unmarshal(line, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || !strings.Contains(resp.Error, "bad request") {
+	if resp.OK || resp.Code != "bad_request" || !strings.Contains(resp.Error, "bad request") {
 		t.Fatalf("response = %+v", resp)
 	}
 	// Unknown ops are also answered in-band.
@@ -130,6 +130,35 @@ func TestServerMalformedRequest(t *testing.T) {
 	}
 	if resp.OK || !strings.Contains(resp.Error, "unknown op") || resp.ID != 2 {
 		t.Fatalf("response = %+v", resp)
+	}
+}
+
+// TestServerOversizedRequest: a request line over the 1 MiB cap is answered
+// with one typed error before the connection closes — not a bare EOF.
+func TestServerOversizedRequest(t *testing.T) {
+	_, _, addr, _ := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	big := `{"id":1,"op":"query","sql":"` + strings.Repeat("x", 2<<20) + `"}` + "\n"
+	go conn.Write([]byte(big)) // may fail part-way once the server hangs up
+	r := bufio.NewReader(conn)
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no response to an oversized request: %v", err)
+	}
+	var resp server.Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != "bad_request" || !strings.Contains(resp.Error, "1 MiB") {
+		t.Fatalf("response = %+v", resp)
+	}
+	if _, err := r.ReadBytes('\n'); err == nil {
+		t.Fatal("connection stayed open after an oversized request")
 	}
 }
 

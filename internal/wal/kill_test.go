@@ -14,34 +14,6 @@ import (
 	"rfview/internal/engine"
 )
 
-// TestKillServerRecovery is the end-to-end crash harness: it builds the real
-// rfserverd binary, loads it over TCP, SIGKILLs the process mid-write-stream,
-// recovers the data directory in-process, and differentially compares every
-// answer against an always-alive reference engine.
-//
-// Under -fsync always the durability contract is exact: every acknowledged
-// statement survives the kill; unacknowledged ones may or may not. The test
-// asserts acked ≤ recovered ≤ sent and then requires bit-identical answers
-// for the recovered prefix.
-func TestKillServerRecovery(t *testing.T) {
-	runKillServerRecovery(t, nil, engine.DefaultOptions())
-}
-
-// TestKillServerRecoveryDeferred reruns the SIGKILL harness with deferred
-// view maintenance and an aggressive background drain, so the kill can land
-// mid-queue-drain: some acknowledged deltas are folded into the matseq
-// backing table already, others still sit in the volatile queue. Recovery
-// must converge regardless — replaying the WAL tail re-enqueues the lost
-// deltas and the recovery-ending checkpoint drains them — and the recovered
-// answers must match the uncrashed reference bit for bit.
-func TestKillServerRecoveryDeferred(t *testing.T) {
-	engOpts := engine.DefaultOptions()
-	engOpts.ViewMaintenance = "deferred"
-	runKillServerRecovery(t,
-		[]string{"-view-maintenance", "deferred", "-maintenance-interval", "10ms"},
-		engOpts)
-}
-
 // TestKillMidTransactionRecovery SIGKILLs the server while a client holds an
 // OPEN transaction with acknowledged-but-uncommitted statements. A
 // transaction reaches the WAL only as a commit record, written at COMMIT, so
@@ -186,10 +158,16 @@ func TestKillMidTransactionRecovery(t *testing.T) {
 	compareEnginesOn(t, rec, reference, queries, "after mid-txn SIGKILL")
 }
 
-// runKillServerRecovery is the harness body: serverFlags are appended to the
-// rfserverd command line, engOpts configure both the in-process recovery and
-// the reference engine.
-func runKillServerRecovery(t *testing.T, serverFlags []string, engOpts engine.Options) {
+// TestKillServerRecovery is the end-to-end crash harness: it builds the real
+// rfserverd binary, loads it over TCP, SIGKILLs the process mid-write-stream,
+// recovers the data directory in-process, and differentially compares every
+// answer against an always-alive reference engine.
+//
+// Under -fsync always the durability contract is exact: every acknowledged
+// statement survives the kill; unacknowledged ones may or may not. The test
+// asserts acked ≤ recovered ≤ sent and then requires bit-identical answers
+// for the recovered prefix.
+func TestKillServerRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level kill test skipped in -short mode")
 	}
@@ -201,14 +179,12 @@ func runKillServerRecovery(t *testing.T, serverFlags []string, engOpts engine.Op
 	}
 
 	dataDir := t.TempDir()
-	args := []string{
+	srv := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-fsync", "always",
 		"-checkpoint-every", "40",
-	}
-	args = append(args, serverFlags...)
-	srv := exec.Command(bin, args...)
+	)
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -299,14 +275,11 @@ func runKillServerRecovery(t *testing.T, serverFlags []string, engOpts engine.Op
 	}
 
 	// Recover the data directory in-process.
-	mgr, err := Open(Options{Dir: dataDir, Sync: SyncOff}, engOpts)
+	mgr, err := Open(Options{Dir: dataDir, Sync: SyncOff}, engine.DefaultOptions())
 	if err != nil {
 		t.Fatalf("recovery after SIGKILL: %v", err)
 	}
 	defer mgr.Close()
-	if pending := mgr.Engine().Views.PendingTotal(); pending != 0 {
-		t.Fatalf("recovery left %d deferred deltas queued; the recovery checkpoint must drain", pending)
-	}
 	res, err := mgr.Engine().Exec(`SELECT COUNT(*) AS c FROM seq`)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +295,7 @@ func runKillServerRecovery(t *testing.T, serverFlags []string, engOpts engine.Op
 
 	// Reference: a never-crashed engine running the schema plus exactly the
 	// recovered prefix of the insert stream.
-	reference := engine.New(engOpts)
+	reference := engine.New(engine.DefaultOptions())
 	for _, sql := range schema {
 		if _, err := reference.Exec(sql); err != nil {
 			t.Fatal(err)

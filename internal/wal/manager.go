@@ -183,13 +183,6 @@ func (m *Manager) Checkpoint() error {
 //  4. prune old snapshots, keeping one fallback.
 func (m *Manager) checkpointLocked() error {
 	start := time.Now()
-	// Deferred view-maintenance queues are volatile: they survive a crash
-	// only because replaying the WAL tail re-enqueues them. A snapshot that
-	// captured backing tables with deltas still queued — and then truncated
-	// the WAL records that produced them — would lose those deltas for good,
-	// so the queue is drained (under the exclusive lock the caller already
-	// holds) before state capture.
-	m.eng.DrainMaintenanceLocked()
 	lsn := m.log.LastLSN()
 	snap, err := captureState(m.eng, lsn)
 	if err != nil {

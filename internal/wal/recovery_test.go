@@ -216,10 +216,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // refusal to answer derivation queries — and that REFRESH heals it.
 func TestCrashRecoveryStaleView(t *testing.T) {
 	dir := t.TempDir()
-	// Pin eager maintenance: the test asserts staleness appears inside the
-	// DML itself, which deferred mode postpones to the next drain.
 	engOpts := engine.DefaultOptions()
-	engOpts.ViewMaintenance = "eager"
 	mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engOpts)
 	if err != nil {
 		t.Fatal(err)

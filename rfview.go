@@ -83,10 +83,8 @@ func WithAnalyze() ExecOption { return engine.WithAnalyze() }
 // SlowQuery re-exports the slow-query log record.
 type SlowQuery = engine.SlowQuery
 
-// Exec parses and executes one SQL statement.
-//
-// Deprecated: new code should use ExecContext, which supports cancellation
-// and per-call options.
+// Exec parses and executes one SQL statement: the context.Background()
+// convenience form of ExecContext, as in database/sql.
 func (db *DB) Exec(sql string) (*Result, error) { return db.eng.Exec(sql) }
 
 // ExecContext parses and executes one SQL statement. Cancelling ctx aborts
@@ -96,9 +94,8 @@ func (db *DB) ExecContext(ctx context.Context, sql string, opts ...ExecOption) (
 	return db.eng.ExecContext(ctx, sql, opts...)
 }
 
-// ExecAll executes a semicolon-separated script.
-//
-// Deprecated: new code should use ExecAllContext.
+// ExecAll executes a semicolon-separated script: the context.Background()
+// convenience form of ExecAllContext.
 func (db *DB) ExecAll(sql string) ([]*Result, error) { return db.eng.ExecAll(sql) }
 
 // ExecAllContext executes a semicolon-separated script under ctx.
@@ -106,9 +103,8 @@ func (db *DB) ExecAllContext(ctx context.Context, sql string) ([]*Result, error)
 	return db.eng.ExecAllContext(ctx, sql)
 }
 
-// Query is Exec for statements expected to return rows.
-//
-// Deprecated: new code should use QueryContext.
+// Query is Exec for statements expected to return rows: the
+// context.Background() convenience form of QueryContext.
 func (db *DB) Query(sql string) (*Result, error) { return db.eng.Exec(sql) }
 
 // QueryContext is ExecContext for statements expected to return rows.

@@ -4,10 +4,9 @@
 # Builds rfserverd + rfload, loads a 200-row dense sequence with a (2,2)
 # SUM view, and measures closed-loop qps of the derived (3,3) window query
 # at 1, 4, and 16 client connections, plus a ping run at the same fan-outs
-# as the protocol-only ceiling, plus a readers-vs-writers block: the same
-# fan-outs under a 90/10 read/write mix, showing reads scale while writers
-# commit concurrently (MVCC snapshot isolation). Results land in
-# BENCH_serve.json next to this script's repo root.
+# as the protocol-only ceiling. Results land in BENCH_serve.json next to this
+# script's repo root. (The read/write mix is measured by the serve_mixed
+# workload of `go run ./benchmark`.)
 #
 # Usage: scripts/bench_serve.sh [duration-per-run, default 5s]
 set -euo pipefail
@@ -45,11 +44,6 @@ for _ in $(seq 1 50); do
 done
 
 QUERY='SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS s FROM seq'
-# The write side updates a small hot set (rows 96..104 via a range predicate
-# would scan; a single hot row keeps it a point update). Conflicts between
-# concurrent auto-commit updates are expected and counted, not errors.
-WRITE='UPDATE seq SET val = val + 1 WHERE pos = 100'
-MIXED_RATIO=0.9
 
 run() { # run <clients> <extra rfload args...>
   local n="$1"; shift
@@ -62,29 +56,23 @@ run() { # run <clients> <extra rfload args...>
 TRIALS="${TRIALS:-3}"
 : > "$WORK/trials.jsonl"
 for t in $(seq 1 "$TRIALS"); do
-  echo "trial $t/$TRIALS: query at 1/4/16 clients, ping at 1/16, mixed at 1/4/16 (${DUR} each)..." >&2
+  echo "trial $t/$TRIALS: query at 1/4/16 clients, ping at 1/16 (${DUR} each)..." >&2
   run 1 -sql "$QUERY"  >> "$WORK/trials.jsonl"
   run 4 -sql "$QUERY"  >> "$WORK/trials.jsonl"
   run 16 -sql "$QUERY" >> "$WORK/trials.jsonl"
   run 1 -op ping       >> "$WORK/trials.jsonl"
   run 16 -op ping      >> "$WORK/trials.jsonl"
-  run 1 -sql "$QUERY" -mixed "$MIXED_RATIO" -write-sql "$WRITE"  >> "$WORK/trials.jsonl"
-  run 4 -sql "$QUERY" -mixed "$MIXED_RATIO" -write-sql "$WRITE"  >> "$WORK/trials.jsonl"
-  run 16 -sql "$QUERY" -mixed "$MIXED_RATIO" -write-sql "$WRITE" >> "$WORK/trials.jsonl"
 done
 
 kill "$SRV_PID"; wait "$SRV_PID" 2>/dev/null || true
 
-TRIALS_FILE="$WORK/trials.jsonl" QUERY="$QUERY" WRITE="$WRITE" MIXED_RATIO="$MIXED_RATIO" python3 - > "$ROOT/BENCH_serve.json" <<'PY'
+TRIALS_FILE="$WORK/trials.jsonl" QUERY="$QUERY" python3 - > "$ROOT/BENCH_serve.json" <<'PY'
 import json, os, platform, statistics
 
 trials = [json.loads(line) for line in open(os.environ["TRIALS_FILE"]) if line.strip()]
-# Mixed runs carry mixed_ratio; of the rest, rfload emits rows_per_result > 0
-# for query runs and 0 for ping runs.
-mixed = [t for t in trials if t.get("mixed_ratio")]
-pure = [t for t in trials if not t.get("mixed_ratio")]
-query = [t for t in pure if t["rows_per_result"] > 0]
-ping = [t for t in pure if t["rows_per_result"] == 0]
+# rfload emits rows_per_result > 0 for query runs and 0 for ping runs.
+query = [t for t in trials if t["rows_per_result"] > 0]
+ping = [t for t in trials if t["rows_per_result"] == 0]
 
 def summarize(runs, clients):
     rs = [r for r in runs if r["clients"] == clients]
@@ -95,19 +83,8 @@ def summarize(runs, clients):
         "trials": rs,
     }
 
-def summarize_mixed(runs, clients):
-    rs = [r for r in runs if r["clients"] == clients]
-    return {
-        "clients": clients,
-        "read_qps_median": round(statistics.median(r.get("read_qps", 0) for r in rs), 1),
-        "write_qps_median": round(statistics.median(r.get("write_qps", 0) for r in rs), 1),
-        "conflicts_total": sum(r.get("conflicts", 0) for r in rs),
-        "trials": rs,
-    }
-
 q = {n: summarize(query, n) for n in (1, 4, 16)}
 p = {n: summarize(ping, n) for n in (1, 16)}
-m = {n: summarize_mixed(mixed, n) for n in (1, 4, 16)}
 out = {
     "benchmark": "rfserverd closed-loop serving throughput",
     "workload": {
@@ -126,20 +103,6 @@ out = {
                        "on this host",
         "runs": [p[1], p[16]],
         "speedup_16v1": round(p[16]["qps_median"] / p[1]["qps_median"], 3),
-    },
-    "readers_vs_writers": {
-        "description": "same fan-out, each client issuing the read with "
-                       "probability %s and the hot-row update otherwise: reads "
-                       "run lock-free against MVCC snapshots, so read "
-                       "throughput scales while writers commit concurrently; "
-                       "write-write conflicts abort-and-count rather than "
-                       "block" % os.environ["MIXED_RATIO"],
-        "read_ratio": float(os.environ["MIXED_RATIO"]),
-        "write_sql": os.environ["WRITE"],
-        "runs": [m[1], m[4], m[16]],
-        "read_speedup_16v1": round(
-            m[16]["read_qps_median"] / m[1]["read_qps_median"], 3)
-            if m[1]["read_qps_median"] else None,
     },
 }
 if (os.cpu_count() or 1) == 1:

@@ -31,10 +31,6 @@ print("median ms by workers:", meds,
       "| speedup vs sequential:", d.get("speedup_best_vs_sequential"))
 print("allocs/op by workers:", allocs,
       "| b/op by workers:", {r["workers"]: r.get("b_per_op") for r in d["runs"]})
-if "vectorized_vs_boxed" in d:
-    v = d["vectorized_vs_boxed"]
-    print("vectorized vs boxed (workers=1): median speedup", v["median_speedup"],
-          "| allocs ratio", v["allocs_ratio"], "| bytes ratio", v["bytes_ratio"])
 if "spill" in d:
     s = d["spill"]
     print("spill (workers=1, tiny budget): median ms", s["median_ms"],
