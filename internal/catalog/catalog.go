@@ -211,13 +211,27 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table.
+// DropTable removes a table. A table a registered materialized view depends
+// on — its backing table, or the base table a sequence view is maintained
+// from — stays until the view is dropped: an orphaned view would keep
+// answering queries over a table that is gone and could not be restored.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)
 	if _, ok := c.tables[k]; !ok {
 		return rferrors.New(rferrors.CodeUnknownTable, "table %q does not exist", name)
+	}
+	dependent := ""
+	for _, v := range c.views {
+		if (key(v.Table.Name) == k || (v.Kind == SequenceView && key(v.BaseTable) == k)) &&
+			(dependent == "" || v.Name < dependent) {
+			dependent = v.Name
+		}
+	}
+	if dependent != "" {
+		return rferrors.New(rferrors.CodeUnsupported,
+			"table %q is needed by materialized view %q; drop the view first", name, dependent)
 	}
 	delete(c.tables, k)
 	c.schemaVersion++
@@ -322,6 +336,23 @@ func (c *Catalog) DropMatView(name string) error {
 	delete(c.views, key(name))
 	c.schemaVersion++
 	return nil
+}
+
+// StoredView returns the materialized view whose rows the named relation
+// holds — name is the view's own or its backing table's — if there is one.
+// Those rows are the view manager's to write, not a user statement's.
+func (c *Catalog) StoredView(name string) (*MatView, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if v, ok := c.views[key(name)]; ok {
+		return v, true
+	}
+	for _, v := range c.views {
+		if key(v.Table.Name) == key(name) {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // MatView resolves a materialized view by name.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -76,9 +77,6 @@ func TestPartitionedMaintainerLifecycle(t *testing.T) {
 }
 
 func TestPartitionedMaintainerErrors(t *testing.T) {
-	if _, err := NewPartitionedMaintainer(Sliding(1, 1), Avg); err == nil {
-		t.Fatal("AVG partitioned maintainer must be rejected; derive AVG from SUM and COUNT")
-	}
 	if _, err := NewPartitionedMaintainer(Sliding(-1, 0), Sum); err == nil {
 		t.Fatal("invalid window must be rejected")
 	}
@@ -198,5 +196,103 @@ func TestQuickPartitionedMaintainer(t *testing.T) {
 			}
 			partCheck(t, pm, agg.String()+" workload")
 		}
+	}
+}
+
+// avgCheck compares an AVG partition's derived values, bit for bit, with the
+// naive AVG over its raw data at every stored position.
+func avgCheck(t *testing.T, p *Partition, ctx string) {
+	t.Helper()
+	want, err := ComputeNaive(p.Raw(), p.Seq().Win, Avg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Seq().Lo() != want.Lo() || p.Seq().Hi() != want.Hi() {
+		t.Fatalf("%s: stored range [%d,%d], want [%d,%d]", ctx, p.Seq().Lo(), p.Seq().Hi(), want.Lo(), want.Hi())
+	}
+	for k := want.Lo(); k <= want.Hi(); k++ {
+		got, _ := p.At(k)
+		if math.Float64bits(got) != math.Float64bits(want.At(k)) {
+			t.Fatalf("%s: AVG at %d = %v, want %v", ctx, k, got, want.At(k))
+		}
+	}
+}
+
+// TestPartitionAvgPair: an AVG partition is a SUM and a COUNT maintainer over
+// the same raw data (§2.1), mutated together and divided on read.
+func TestPartitionAvgPair(t *testing.T) {
+	for _, w := range []Window{Sliding(2, 1), Cumul()} {
+		pm, err := NewPartitionedMaintainer(w, Avg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pm.SetPartition("a", []float64{3, 1, 4, 1, 5}); err != nil {
+			t.Fatal(err)
+		}
+		p := pm.Partition("a")
+		if p.cnt == nil || p.val.seq.Agg != Sum || p.cnt.seq.Agg != Count {
+			t.Fatal("an AVG partition must hold a SUM and a COUNT maintainer")
+		}
+		avgCheck(t, p, "set")
+		if err := pm.Update("a", 2, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		avgCheck(t, p, "update")
+		if _, _, err := pm.Append("a", 6, -7); err != nil {
+			t.Fatal(err)
+		}
+		avgCheck(t, p, "append")
+		if err := pm.Insert("a", 3, 9); err != nil {
+			t.Fatal(err)
+		}
+		avgCheck(t, p, "positional insert")
+		if _, err := pm.Delete("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		avgCheck(t, p, "positional delete")
+		if _, err := pm.DeleteSuffix("a", p.Len()); err != nil {
+			t.Fatal(err)
+		}
+		avgCheck(t, p, "suffix delete")
+		if _, born, err := pm.Append("b", 1, 2); err != nil || !born || !pm.Partition("b").FullRecompute() {
+			t.Fatalf("birth of b: born=%v err=%v; a birth materializes the whole stored range", born, err)
+		}
+		avgCheck(t, pm.Partition("b"), "birth")
+	}
+}
+
+// TestPinnedPartition: the one-partition case. A pinned partition exists
+// while empty, is appended to rather than born, and survives its last row.
+func TestPinnedPartition(t *testing.T) {
+	pm, err := NewPartitionedMaintainer(Sliding(1, 1), Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Pin(""); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := pm.N(""); !ok || n != 0 {
+		t.Fatalf("pinned partition: N = %d,%v, want 0,true", n, ok)
+	}
+	if _, born, err := pm.Append("", 1, 5); err != nil || born {
+		t.Fatalf("append to the empty pinned partition: born=%v err=%v", born, err)
+	}
+	partCheck(t, pm, "after append")
+	if died, err := pm.DeleteSuffix("", 1); err != nil || died {
+		t.Fatalf("emptying the pinned partition: died=%v err=%v", died, err)
+	}
+	if pm.Len() != 1 {
+		t.Fatal("the pinned partition must survive its last row")
+	}
+	partCheck(t, pm, "after emptying")
+	// Pinning a populated partition keeps its data.
+	if err := pm.SetPartition("a", []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Pin("a"); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := pm.N("a"); n != 2 {
+		t.Fatalf("Pin replaced the partition: n = %d", n)
 	}
 }

@@ -533,6 +533,9 @@ func (e *Engine) execStmtLocked(ctx context.Context, stmt sqlparser.Statement, c
 		}
 		return &Result{}, nil
 	case *sqlparser.CreateIndex:
+		if _, err := e.userTable(s.Table); err != nil {
+			return nil, err
+		}
 		if _, err := e.Cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique, true); err != nil {
 			return nil, err
 		}
@@ -553,6 +556,9 @@ func (e *Engine) execStmtLocked(ctx context.Context, stmt sqlparser.Statement, c
 		}
 		return &Result{}, nil
 	case *sqlparser.DropIndex:
+		if _, err := e.userTable(s.Table); err != nil {
+			return nil, err
+		}
 		if err := e.Cat.DropIndex(s.Table, s.Name); err != nil {
 			return nil, err
 		}
@@ -831,9 +837,21 @@ func (e *Engine) checkFromFreshness(stmt sqlparser.SelectStatement) error {
 // ... SELECT sources) happen at the transaction's snapshot, which includes
 // the transaction's own earlier writes.
 
+// userTable resolves the target of a user's DML or index DDL. A materialized
+// view's rows and pk index — under the view's name or its backing table's —
+// belong to the view manager: a user write would silently diverge the view
+// from its definition, so it is refused.
+func (e *Engine) userTable(name string) (*catalog.Table, error) {
+	if v, ok := e.Cat.StoredView(name); ok {
+		return nil, rferrors.New(rferrors.CodeUnsupported,
+			"%q holds the rows of materialized view %q, which only maintenance and REFRESH write", name, v.Name)
+	}
+	return e.Cat.Table(name)
+}
+
 func (e *Engine) execInsert(ctx context.Context, s *sqlparser.Insert, cfg execConfig) (*Result, error) {
 	tx := cfg.tx
-	tbl, err := e.Cat.Table(s.Table)
+	tbl, err := e.userTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -904,7 +922,7 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.Insert, cfg execCo
 
 func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error) {
 	tx := cfg.tx
-	tbl, err := e.Cat.Table(s.Table)
+	tbl, err := e.userTable(s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -998,7 +1016,7 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 
 func (e *Engine) execDelete(s *sqlparser.Delete, cfg execConfig) (*Result, error) {
 	tx := cfg.tx
-	tbl, err := e.Cat.Table(s.Table)
+	tbl, err := e.userTable(s.Table)
 	if err != nil {
 		return nil, err
 	}

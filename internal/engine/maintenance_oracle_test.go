@@ -273,15 +273,15 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	}
 	derivationsFired := map[string]int{}
 	deltasApplied := 0
+	drawn := map[string]int{} // the corners of the draw the trials reached
 	for trial := 0; trial < trials; trial++ {
 		cfg := oracleConfigs[trial%len(oracleConfigs)]
 		partitioned := rng.Intn(3) == 0
+		// Every partition carries the COUNT side AVG needs, and a cumulative
+		// window is a window like any other: all three draws are independent.
 		aggs := []string{"SUM", "SUM", "COUNT", "MIN", "MAX", "AVG"}
-		if partitioned {
-			aggs = []string{"SUM", "SUM", "COUNT", "MIN", "MAX"} // partitioned AVG views are rejected by design
-		}
 		agg := aggs[rng.Intn(len(aggs))]
-		cumulative := !partitioned && agg != "AVG" && rng.Intn(4) == 0
+		cumulative := rng.Intn(4) == 0
 		lx, hx := rng.Intn(3), rng.Intn(3)
 		if lx+hx == 0 {
 			lx = 1
@@ -296,6 +296,15 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			ly, hy = lx+dl, hx+dh
 		}
 		chaosTrial := rng.Intn(5) == 0
+		for name, hit := range map[string]bool{
+			"partitioned AVG":        partitioned && agg == "AVG",
+			"partitioned cumulative": partitioned && cumulative,
+			"cumulative AVG":         cumulative && agg == "AVG",
+		} {
+			if hit {
+				drawn[name]++
+			}
+		}
 
 		viewWin, queryWin := core.Sliding(lx, hx), core.Sliding(ly, hy)
 		frame := fmt.Sprintf("ROWS BETWEEN %d PRECEDING AND %d FOLLOWING", lx, hx)
@@ -444,6 +453,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	}
 	if deltasApplied == 0 {
 		t.Fatal("no incremental deltas applied across all trials — oracle is not exercising maintenance")
+	}
+	if len(drawn) < 3 && !testing.Short() {
+		t.Fatalf("the draw reached only %v of partitioned AVG / partitioned cumulative / cumulative AVG", drawn)
 	}
 	for _, cfg := range oracleConfigs {
 		if cfg.derives && derivationsFired[cfg.name] == 0 {

@@ -106,7 +106,7 @@ func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := m.readDenseSequence(base, "pos", "val")
+	raw, err := denseRaw(m, base)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -139,8 +139,8 @@ func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 	cat, m, tbl := floatFixture(t, []float64{3, 1, 4, 1, 5, 9, 2, 6})
 	createView(t, m, avgViewDDL)
 	sv := m.seq["avgmv"]
-	if sv == nil || sv.cnt == nil || sv.maint.Seq().Agg != core.Sum || sv.cnt.Seq().Agg != core.Count {
-		t.Fatal("AVG view must be backed by a SUM maintainer and a COUNT maintainer")
+	if sv == nil || sv.agg != core.Avg || sv.parts.Partition("").Seq().Agg != core.Sum {
+		t.Fatal("AVG view must be maintained as a SUM/COUNT pair, not as an AVG sequence")
 	}
 	checkAvgBitExact(t, cat, m, "initial fill")
 

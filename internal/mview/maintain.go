@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 	"rfview/internal/txn"
@@ -60,14 +61,14 @@ func (m *Manager) applyDelta(tx *txn.Txn, table string, fold func(sv *seqView)) 
 		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale {
 			continue
 		}
-		before := sv.touchedTotal()
+		before := sv.parts.Touched()
 		fold(sv)
 		if sv.stale {
 			continue
 		}
 		m.stats.DeltaApplied.Add(1)
 		if m.observeTouched != nil {
-			m.observeTouched(float64(sv.touchedTotal() - before))
+			m.observeTouched(float64(sv.parts.Touched() - before))
 		}
 	}
 }
@@ -83,108 +84,75 @@ func colIndex(cols []string, name string) int {
 	return -1
 }
 
-func (m *Manager) applyInserts(sv *seqView, rows []sqltypes.Row, cols []string) {
-	pi := colIndex(cols, sv.mv.PosColumn)
-	vi := colIndex(cols, sv.mv.ValColumn)
-	if pi < 0 || vi < 0 {
-		m.markStale(sv, "insert without position or value column")
-		return
-	}
-	if sv.partitioned() {
-		gi := colIndex(cols, sv.mv.PartColumn)
-		if gi < 0 {
-			m.markStale(sv, "insert without partition column")
-			return
-		}
-		ordered := append([]sqltypes.Row(nil), rows...)
-		sort.Slice(ordered, func(a, b int) bool { return ordered[a][pi].Int() < ordered[b][pi].Int() })
-		for _, row := range ordered {
-			p, v, g := row[pi], row[vi], row[gi]
-			if p.IsNull() || p.Typ() != sqltypes.Int || v.IsNull() || !v.Typ().Numeric() || g.IsNull() {
-				m.markStale(sv, "inserted row has bad position, value, or partition key")
-				return
-			}
-			m.applyPartitionedInsert(sv, g, int(p.Int()), v.Float())
-			if sv.stale {
-				return
-			}
-		}
-		return
-	}
-	// Appends must arrive in position order n+1, n+2, …
+// locate finds the view's position, value and partition columns in a DML
+// delta's column layout.
+func (sv *seqView) locate(cols []string) (pi, vi, gi int, ok bool) {
+	find := func(name string) int { return colIndex(cols, name) }
+	pi, vi = find(sv.mv.PosColumn), find(sv.mv.ValColumn)
+	gi, ok = sv.lay.partOrd(find)
+	return pi, vi, gi, ok && pi >= 0 && vi >= 0
+}
+
+// byPos returns rows ordered by position: ascending, so appends arrive as
+// n+1, n+2, …; descending, so suffix deletes arrive as n, n−1, ….
+func byPos(rows []sqltypes.Row, pi int, desc bool) []sqltypes.Row {
 	ordered := append([]sqltypes.Row(nil), rows...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a][pi].Int() < ordered[b][pi].Int() })
-	for _, row := range ordered {
+	sort.Slice(ordered, func(a, b int) bool {
+		return (ordered[a][pi].Int() < ordered[b][pi].Int()) != desc
+	})
+	return ordered
+}
+
+func (m *Manager) applyInserts(sv *seqView, rows []sqltypes.Row, cols []string) {
+	pi, vi, gi, ok := sv.locate(cols)
+	if !ok {
+		m.markStale(sv, "insert without position, value or partition column")
+		return
+	}
+	for _, row := range byPos(rows, pi, false) {
 		p, v := row[pi], row[vi]
-		if p.IsNull() || p.Typ() != sqltypes.Int || v.IsNull() || !v.Typ().Numeric() {
-			m.markStale(sv, "inserted row has non-integer position or non-numeric value")
+		part, key, ok := sv.lay.partOf(row, gi)
+		if p.IsNull() || p.Typ() != sqltypes.Int || v.IsNull() || !v.Typ().Numeric() || !ok {
+			m.markStale(sv, "inserted row has bad position, value, or partition key")
 			return
 		}
-		n := sv.maint.Len()
-		if p.Int() != int64(n+1) {
-			m.markStale(sv, fmt.Sprintf("insert at position %d is not an append (n=%d)", p.Int(), n))
-			return
-		}
-		if err := m.seqInsert(sv, n+1, v.Float()); err != nil {
-			m.markStale(sv, err.Error())
-			return
-		}
-		m.MaintenanceEvents++
-		if err := m.patchAppend(sv, n+1); err != nil {
-			m.markStale(sv, err.Error())
+		// Appends at n_p+1 — position 1 of a new key is a partition birth —
+		// stay incremental.
+		pos := int(p.Int())
+		if !m.fold(sv, part, key, pos, true, func() error {
+			_, _, err := sv.parts.Append(key, pos, v.Float())
+			return err
+		}) {
 			return
 		}
 	}
 }
 
 func (m *Manager) applyUpdates(sv *seqView, before, after []sqltypes.Row, cols []string) {
-	pi := colIndex(cols, sv.mv.PosColumn)
-	vi := colIndex(cols, sv.mv.ValColumn)
-	if pi < 0 || vi < 0 {
+	pi, vi, gi, ok := sv.locate(cols)
+	if !ok {
 		m.markStale(sv, "update on untracked columns")
 		return
 	}
-	gi := -1
-	if sv.partitioned() {
-		gi = colIndex(cols, sv.mv.PartColumn)
-		if gi < 0 {
-			m.markStale(sv, "update without partition column")
-			return
-		}
-	}
 	for i := range before {
-		bp, ap := before[i][pi], after[i][pi]
-		bv, av := before[i][vi], after[i][vi]
-		if !sqltypes.Equal(bp, ap) {
+		_, bkey, _ := sv.lay.partOf(before[i], gi)
+		part, key, _ := sv.lay.partOf(after[i], gi)
+		av := after[i][vi]
+		switch {
+		case !sqltypes.Equal(before[i][pi], after[i][pi]):
 			m.markStale(sv, "position column updated")
 			return
-		}
-		if valueUnchanged(bv, av) {
+		case bkey != key:
+			m.markStale(sv, "partition column updated")
+			return
+		case valueUnchanged(before[i][vi], av):
 			continue
-		}
-		if av.IsNull() || !av.Typ().Numeric() {
+		case av.IsNull() || !av.Typ().Numeric():
 			m.markStale(sv, "value updated to non-numeric")
 			return
 		}
-		if sv.partitioned() {
-			if !sqltypes.Equal(before[i][gi], after[i][gi]) {
-				m.markStale(sv, "partition column updated")
-				return
-			}
-			m.applyPartitionedUpdate(sv, after[i][gi], int(ap.Int()), av.Float())
-			if sv.stale {
-				return
-			}
-			continue
-		}
-		k := int(ap.Int())
-		if err := m.seqUpdate(sv, k, av.Float()); err != nil {
-			m.markStale(sv, err.Error())
-			return
-		}
-		m.MaintenanceEvents++
-		if err := m.patchBand(sv, k); err != nil {
-			m.markStale(sv, err.Error())
+		pos := int(after[i][pi].Int())
+		if !m.fold(sv, part, key, pos, false, func() error { return sv.parts.Update(key, pos, av.Float()) }) {
 			return
 		}
 	}
@@ -203,83 +171,37 @@ func valueUnchanged(a, b sqltypes.Datum) bool {
 }
 
 func (m *Manager) applyDeletes(sv *seqView, deleted []sqltypes.Row, cols []string) {
-	pi := colIndex(cols, sv.mv.PosColumn)
-	if pi < 0 {
-		m.markStale(sv, "delete without position column")
+	pi, _, gi, ok := sv.locate(cols)
+	if !ok {
+		m.markStale(sv, "delete without position, value or partition column")
 		return
 	}
-	if sv.partitioned() {
-		gi := colIndex(cols, sv.mv.PartColumn)
-		if gi < 0 {
-			m.markStale(sv, "delete without partition column")
+	for _, row := range byPos(deleted, pi, true) {
+		part, key, ok := sv.lay.partOf(row, gi)
+		if row[pi].IsNull() || !ok {
+			m.markStale(sv, "deleted row lacks position or partition key")
 			return
 		}
-		ordered := append([]sqltypes.Row(nil), deleted...)
-		sort.Slice(ordered, func(a, b int) bool { return ordered[a][pi].Int() > ordered[b][pi].Int() })
-		for _, row := range ordered {
-			if row[pi].IsNull() || row[gi].IsNull() {
-				m.markStale(sv, "deleted row lacks position or partition key")
-				return
-			}
-			m.applyPartitionedDelete(sv, row[gi], int(row[pi].Int()))
-			if sv.stale {
-				return
-			}
-		}
-		return
-	}
-	// Deleting a suffix (n, n−1, …) keeps positions dense.
-	ordered := append([]sqltypes.Row(nil), deleted...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a][pi].Int() > ordered[b][pi].Int() })
-	for _, row := range ordered {
-		n := sv.maint.Len()
-		if row[pi].IsNull() || row[pi].Int() != int64(n) {
-			m.markStale(sv, fmt.Sprintf("delete at position %v is not a suffix delete (n=%d)", row[pi], n))
-			return
-		}
-		if err := m.seqDelete(sv, n); err != nil {
-			m.markStale(sv, err.Error())
-			return
-		}
-		m.MaintenanceEvents++
-		if err := m.patchShrink(sv, n); err != nil {
-			m.markStale(sv, err.Error())
+		// Only deleting position n_p keeps a partition dense; deleting its
+		// last row kills it.
+		pos := int(row[pi].Int())
+		if !m.fold(sv, part, key, pos, true, func() error {
+			_, err := sv.parts.DeleteSuffix(key, pos)
+			return err
+		}) {
 			return
 		}
 	}
 }
 
-// seqUpdate / seqInsert / seqDelete mutate a simple view's maintainer pair:
-// AVG views carry a COUNT maintainer alongside the SUM one (§2.1), and both
-// must track the raw data.
-func (m *Manager) seqUpdate(sv *seqView, k int, v float64) error {
-	if err := sv.maint.Update(k, v); err != nil {
-		return err
+// fold applies one DML row to its partition; what the §2.3 rules cannot
+// absorb marks the view stale and ends the delta.
+func (m *Manager) fold(sv *seqView, part sqltypes.Datum, key string, k int, shifts bool, mutate func() error) bool {
+	if err := m.apply(sv, part, key, k, shifts, mutate); err != nil {
+		m.markStale(sv, err.Error())
+		return false
 	}
-	if sv.cnt != nil {
-		return sv.cnt.Update(k, v)
-	}
-	return nil
-}
-
-func (m *Manager) seqInsert(sv *seqView, k int, v float64) error {
-	if err := sv.maint.Insert(k, v); err != nil {
-		return err
-	}
-	if sv.cnt != nil {
-		return sv.cnt.Insert(k, v)
-	}
-	return nil
-}
-
-func (m *Manager) seqDelete(sv *seqView, k int) error {
-	if err := sv.maint.Delete(k); err != nil {
-		return err
-	}
-	if sv.cnt != nil {
-		return sv.cnt.Delete(k)
-	}
-	return nil
+	return true
 }
 
 func (m *Manager) markStale(sv *seqView, why string) {
@@ -290,111 +212,98 @@ func (m *Manager) markStale(sv *seqView, why string) {
 	sv.staleWhy = why
 }
 
-// upsert writes (pos, val/ok) into the backing table through its pk index.
-func (m *Manager) upsert(sv *seqView, pos int, val float64, ok bool) error {
-	h := sv.mv.Table.Heap.IndexOn([]int{0})
+// apply runs one mutation at raw position k of a partition — shifts says
+// whether it moved the positions after k (insert, delete) or left them in
+// place (update) — and mirrors what it changed into the backing table.
+func (m *Manager) apply(sv *seqView, part sqltypes.Datum, key string, k int, shifts bool, mutate func() error) error {
+	oldLo, oldHi := 0, -1 // stored range before; empty for a partition about to be born
+	if p := sv.parts.Partition(key); p != nil {
+		oldLo, oldHi = p.Seq().Lo(), p.Seq().Hi()
+	}
+	if err := mutate(); err != nil {
+		return err
+	}
+	m.MaintenanceEvents++
+	p := sv.parts.Partition(key)
+	if p == nil {
+		// The partition died: every row it stored goes (an empty sequence
+		// would otherwise materialize zero-valued header/trailer rows).
+		delete(sv.partKeys, key)
+		return m.syncRange(sv, part, nil, oldLo, oldHi)
+	}
+	sv.partKeys[key] = part
+	lo, hi := band(p, k, oldHi, shifts)
+	return m.syncRange(sv, part, p, lo, hi)
+}
+
+// band is the one patch rule: the stored positions of p a mutation at raw
+// position k can have changed. An update changes the §2.3 band [k−h, k+l].
+// An insert or delete also shifts everything right of the band, up to the
+// new trailer position of an append or the vanished one of a delete (oldHi
+// is the stored maximum before the mutation). Cumulative windows ripple
+// right from k. A full recompute — the exotic-value fallback, or a birth —
+// can differ at every stored position.
+func band(p *core.Partition, k, oldHi int, shifts bool) (lo, hi int) {
+	seq := p.Seq()
+	top := max(seq.Hi(), oldHi)
+	switch {
+	case p.FullRecompute():
+		return seq.Lo(), top
+	case seq.Win.Cumulative:
+		return k, top
+	case shifts:
+		return k - seq.Win.Following, top
+	default:
+		return k - seq.Win.Following, k + seq.Win.Preceding
+	}
+}
+
+// syncRange re-writes the backing rows for positions [lo, hi] of one
+// partition from its maintained sequence, through the pk prefix, removing
+// rows the sequence does not store. p is nil for a partition that died.
+func (m *Manager) syncRange(sv *seqView, part sqltypes.Datum, p *core.Partition, lo, hi int) error {
+	t := sv.mv.Table
+	h := t.Heap.IndexOn(sv.lay.pkOrds())
 	if h == nil {
 		return fmt.Errorf("mview: backing table of %q lost its index", sv.mv.Name)
 	}
-	key := sqltypes.Row{sqltypes.NewInt(int64(pos))}
-	id, found := m.hFirst(sv.mv.Table, h, key)
-	if !ok {
-		if found {
-			return m.hDelete(sv.mv.Table, id)
-		}
-		return nil
-	}
-	row := sqltypes.Row{sqltypes.NewInt(int64(pos)), sv.datum(val)}
-	if found {
-		return m.hUpdate(sv.mv.Table, id, row)
-	}
-	return m.hInsert(sv.mv.Table, row)
-}
-
-func (m *Manager) deleteRow(sv *seqView, pos int) error {
-	h := sv.mv.Table.Heap.IndexOn([]int{0})
-	if h == nil {
-		return fmt.Errorf("mview: backing table of %q lost its index", sv.mv.Name)
-	}
-	if id, found := m.hFirst(sv.mv.Table, h, sqltypes.Row{sqltypes.NewInt(int64(pos))}); found {
-		return m.hDelete(sv.mv.Table, id)
-	}
-	return nil
-}
-
-// syncRange re-writes the backing rows for positions [lo, hi] from the
-// maintained sequence (removing rows the sequence no longer stores).
-func (m *Manager) syncRange(sv *seqView, lo, hi int) error {
-	seq := sv.maint.Seq()
 	for k := lo; k <= hi; k++ {
-		if k < seq.Lo() || k > seq.Hi() {
-			if err := m.deleteRow(sv, k); err != nil {
-				return err
-			}
-			continue
+		id, found := m.hFirst(t, h, sv.lay.pkKey(part, k))
+		v, ok := 0.0, false
+		if p != nil && k >= p.Seq().Lo() && k <= p.Seq().Hi() {
+			v, ok = p.At(k) // !ok: a MIN/MAX empty window, not materialized
 		}
-		v, ok := sv.valueAt(k)
-		if err := m.upsert(sv, k, v, ok); err != nil {
+		var err error
+		switch {
+		case ok && found:
+			err = m.hUpdate(t, id, sv.row(part, k, v, p.Len()))
+		case ok:
+			err = m.hInsert(t, sv.row(part, k, v, p.Len()))
+		case found:
+			err = m.hDelete(t, id)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	m.setBaseRows(sv.mv, seq.N)
+	if p != nil {
+		m.setBaseRows(sv, p.Len())
+	}
 	return nil
 }
 
-// fullRecomputed reports whether the last mutation of sv's maintainer(s)
-// took the exotic-value fallback: NaN and Inf poison the pipelined running
-// sums past the §2.3 band, so the rebuilt sequence can differ at every
-// stored position and the backing must resync in full.
-func fullRecomputed(sv *seqView) bool {
-	return sv.maint.FullRecompute() || (sv.cnt != nil && sv.cnt.FullRecompute())
-}
-
-// patchBand handles a value update at position k: only the §2.3 band
-// [k−h, k+l] changes.
-func (m *Manager) patchBand(sv *seqView, k int) error {
-	seq := sv.maint.Seq()
-	if fullRecomputed(sv) {
-		return m.syncRange(sv, seq.Lo(), seq.Hi())
+// shiftTarget resolves the view and base table of a positional shift (§2.3),
+// which renumbers the one sequence of a simple view.
+func (m *Manager) shiftTarget(viewName string) (*seqView, *catalog.Table, error) {
+	sv, ok := m.seq[lower(viewName)]
+	if !ok {
+		return nil, nil, fmt.Errorf("materialized view %q is not a sequence view", viewName)
 	}
-	if seq.Win.Cumulative {
-		// Cumulative updates ripple right: [k, hi].
-		return m.syncRange(sv, k, seq.Hi())
+	if sv.lay.keyed() {
+		return nil, nil, fmt.Errorf("positional shifts apply to simple sequence views only")
 	}
-	return m.syncRange(sv, k-seq.Win.Following, k+seq.Win.Preceding)
-}
-
-// patchAppend handles an append at position k = n+1: the band plus the one
-// new trailer position.
-func (m *Manager) patchAppend(sv *seqView, k int) error {
-	seq := sv.maint.Seq()
-	if fullRecomputed(sv) {
-		return m.syncRange(sv, seq.Lo(), seq.Hi())
-	}
-	if seq.Win.Cumulative {
-		return m.syncRange(sv, k, seq.Hi())
-	}
-	return m.syncRange(sv, k-seq.Win.Following, seq.Hi())
-}
-
-// patchShrink handles a suffix delete of the old position n: band plus the
-// vanished trailer position.
-func (m *Manager) patchShrink(sv *seqView, oldN int) error {
-	seq := sv.maint.Seq()
-	if fullRecomputed(sv) {
-		// The old stored range extended past the new Hi; cover both so the
-		// vanished trailer rows are deleted too.
-		hi := oldN + seq.Win.Preceding
-		if seq.Win.Cumulative {
-			hi = oldN
-		}
-		return m.syncRange(sv, seq.Lo(), hi)
-	}
-	if seq.Win.Cumulative {
-		return m.syncRange(sv, oldN, oldN)
-	}
-	// New stored max is seq.Hi(); the old max was oldN + l.
-	return m.syncRange(sv, oldN-seq.Win.Following, oldN+seq.Win.Preceding)
+	base, err := m.cat.Table(sv.mv.BaseTable)
+	return sv, base, err
 }
 
 // ShiftInsert performs the paper's positional insert (§2.3): a value enters
@@ -405,60 +314,33 @@ func (m *Manager) patchShrink(sv *seqView, oldN int) error {
 func (m *Manager) ShiftInsert(viewName string, k int, val float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sv, ok := m.seq[lower(viewName)]
-	if !ok {
-		return fmt.Errorf("materialized view %q is not a sequence view", viewName)
-	}
-	if sv.partitioned() {
-		return fmt.Errorf("positional shifts apply to simple sequence views only")
-	}
-	base, err := m.cat.Table(sv.mv.BaseTable)
+	sv, base, err := m.shiftTarget(viewName)
 	if err != nil {
 		return err
 	}
 	if err := shiftBase(base, sv.mv.PosColumn, sv.mv.ValColumn, k, &val, true); err != nil {
 		return err
 	}
-	if err := m.seqInsert(sv, k, val); err != nil {
-		return err
-	}
-	m.MaintenanceEvents++
-	seq := sv.maint.Seq()
-	if seq.Win.Cumulative {
-		return m.syncRange(sv, k, seq.Hi())
-	}
-	// Positions right of k+l shift; patch everything from the band start.
-	return m.syncRange(sv, k-seq.Win.Following, seq.Hi())
+	part, key, _ := sv.lay.partOf(nil, -1)
+	return m.apply(sv, part, key, k, true, func() error { return sv.parts.Insert(key, k, val) })
 }
 
 // ShiftDelete removes position k, shifting later positions left (§2.3).
 func (m *Manager) ShiftDelete(viewName string, k int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sv, ok := m.seq[lower(viewName)]
-	if !ok {
-		return fmt.Errorf("materialized view %q is not a sequence view", viewName)
-	}
-	if sv.partitioned() {
-		return fmt.Errorf("positional shifts apply to simple sequence views only")
-	}
-	base, err := m.cat.Table(sv.mv.BaseTable)
+	sv, base, err := m.shiftTarget(viewName)
 	if err != nil {
 		return err
 	}
-	oldHi := sv.maint.Seq().Hi()
 	if err := shiftBase(base, sv.mv.PosColumn, sv.mv.ValColumn, k, nil, false); err != nil {
 		return err
 	}
-	if err := m.seqDelete(sv, k); err != nil {
+	part, key, _ := sv.lay.partOf(nil, -1)
+	return m.apply(sv, part, key, k, true, func() error {
+		_, err := sv.parts.Delete(key, k)
 		return err
-	}
-	m.MaintenanceEvents++
-	seq := sv.maint.Seq()
-	if seq.Win.Cumulative {
-		return m.syncRange(sv, k, oldHi)
-	}
-	return m.syncRange(sv, k-seq.Win.Following, oldHi)
+	})
 }
 
 // shiftBase renumbers the base table's position column around a positional

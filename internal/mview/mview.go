@@ -2,25 +2,27 @@
 // for materialized reporting-function views — incremental maintenance with
 // the §2.3 rules via core.Maintainer.
 //
-// A *sequence view* is a materialized complete simple sequence: its backing
-// table holds one (pos, val) row per sequence position including the header
-// (1−h … 0) and trailer (n+1 … n+l) positions (§3.2). Sequence views are
-// recognized syntactically from the canonical reporting-function query
-// shape; everything else materializes as a plain snapshot view.
+// A *sequence view* is a materialized complete reporting function (§6.2):
+// its backing table holds one row per sequence position of every partition,
+// including the header (1−h … 0) and trailer (n+1 … n+l) positions (§3.2). A
+// simple — unpartitioned — view is the one-partition case of the same
+// representation; layout.go describes the only difference, the backing-table
+// layout. Sequence views are recognized syntactically from the canonical
+// reporting-function query shape; everything else materializes as a plain
+// snapshot view.
 //
 // Sequence views require the base table's position column to hold the dense
-// integers 1…n: the paper's sequence model is positional, and ROWS frames
-// coincide with position arithmetic only on dense positions. Creation and
-// refresh validate this. DML that preserves density (value updates, appends
-// at n+1, deletes of position n) is folded into the view incrementally;
-// anything else marks the view stale, and stale views refuse queries until
-// REFRESH MATERIALIZED VIEW runs.
+// integers 1…n within each partition: the paper's sequence model is
+// positional, and ROWS frames coincide with position arithmetic only on dense
+// positions. Creation and refresh validate this. DML that preserves density
+// (value updates, appends at n+1, deletes of position n) is folded into the
+// view incrementally; anything else marks the view stale, and stale views
+// refuse queries until REFRESH MATERIALIZED VIEW runs.
 package mview
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -40,17 +42,14 @@ import (
 // carries cancellation into the view query's execution.
 type ExecFunc func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error)
 
-// seqView couples a catalog sequence view with its maintainer(s): one
-// core.Maintainer for simple sequence views (AVG views maintain the SUM side
-// here plus a COUNT maintainer, deriving AVG = SUM/COUNT per §2.1), one
-// core.PartitionedMaintainer for partitioned views (§6.2's complete
-// reporting functions).
+// seqView couples a catalog sequence view with its per-partition state: one
+// core.Partition — the value maintainer, plus the COUNT side AVG needs
+// (§2.1) — per partition key, whatever the view's layout.
 type seqView struct {
 	mv       *catalog.MatView
-	maint    *core.Maintainer            // simple views (SUM side for AVG)
-	cnt      *core.Maintainer            // simple AVG views: the COUNT side
-	pm       *core.PartitionedMaintainer // partitioned views (nil otherwise)
-	partKeys map[string]sqltypes.Datum   // partition render key -> datum
+	lay      layout
+	parts    *core.PartitionedMaintainer
+	partKeys map[string]sqltypes.Datum // partition render key -> datum
 	agg      core.Agg
 	valType  sqltypes.Type
 	stale    bool
@@ -60,37 +59,41 @@ type seqView struct {
 	staleSince time.Time
 }
 
-// partitioned reports whether the view keeps per-partition sequences.
-func (sv *seqView) partitioned() bool { return sv.pm != nil }
-
-// touchedTotal sums the touched-position counters across the view's
-// maintainers; deltas of this value feed the touched-rows histogram.
-func (sv *seqView) touchedTotal() int {
-	if sv.pm != nil {
-		return sv.pm.Touched()
+// setParts installs maintainers over the given raw sequences (none for a
+// view restored stale, whose state waits for REFRESH).
+func (sv *seqView) setParts(keys map[string]sqltypes.Datum, raws map[string][]float64) error {
+	parts, err := core.NewPartitionedMaintainer(windowOfSpec(sv.mv.Window), sv.agg)
+	if err != nil {
+		return err
 	}
-	t := 0
-	if sv.maint != nil {
-		t += sv.maint.Touched
+	for key, raw := range raws {
+		if err := parts.SetPartition(key, raw); err != nil {
+			return err
+		}
 	}
-	if sv.cnt != nil {
-		t += sv.cnt.Touched
+	if err := sv.lay.pin(parts); err != nil {
+		return err
 	}
-	return t
+	if keys == nil {
+		keys = make(map[string]sqltypes.Datum)
+	}
+	sv.parts, sv.partKeys = parts, keys
+	return nil
 }
 
-// valueAt returns the view's value at sequence position k. For AVG views it
-// derives SUM/COUNT, bit-matching core.ComputePipelined's AVG (count 0 maps
-// to 0, the paper's zero-extension convention).
-func (sv *seqView) valueAt(k int) (float64, bool) {
-	if sv.agg == core.Avg {
-		c := sv.cnt.Seq().At(k)
-		if c == 0 {
-			return 0, true
-		}
-		return sv.maint.Seq().At(k) / c, true
+// rebuild re-reads the base table and rematerializes every partition's
+// maintainer — the full recompute behind CREATE, REFRESH and the restore of
+// a fresh view. A failed read leaves the view's state as it was.
+func (m *Manager) rebuild(sv *seqView) error {
+	base, err := m.cat.Table(sv.mv.BaseTable)
+	if err != nil {
+		return err
 	}
-	return sv.maint.Seq().AtOK(k)
+	keys, raws, err := m.readSequences(base, sv.mv.PosColumn, sv.mv.ValColumn, sv.lay)
+	if err != nil {
+		return err
+	}
+	return sv.setParts(keys, raws)
 }
 
 // Manager owns all materialized views of one engine.
@@ -163,11 +166,17 @@ func (m *Manager) hFirst(t *catalog.Table, h *storage.IndexHandle, key sqltypes.
 	return t.Heap.FirstAt(h, key, t.Heap.WriteView(m.curTx))
 }
 
-// setBaseRows records the view's new base cardinality. Inside a transaction
-// the store is deferred to commit publication so it flips together with the
-// backing rows' visibility — the derivation rewriter bakes BaseRows into
-// rewritten SQL and must never see it ahead of (or behind) the rows.
-func (m *Manager) setBaseRows(mv *catalog.MatView, n int) {
+// setBaseRows records a simple view's new base cardinality; a partitioned
+// view's cardinalities vary by partition, so its rows carry the body flag
+// instead. Inside a transaction the store is deferred to commit publication
+// so it flips together with the backing rows' visibility — the derivation
+// rewriter bakes BaseRows into rewritten SQL and must never see it ahead of
+// (or behind) the rows.
+func (m *Manager) setBaseRows(sv *seqView, n int) {
+	if sv.lay.keyed() {
+		return
+	}
+	mv := sv.mv
 	if tx := m.curTx; tx != nil {
 		v := int64(n)
 		tx.OnPublish(func() { mv.BaseRows.Store(v) })
@@ -222,27 +231,12 @@ func (m *Manager) CreateContext(ctx context.Context, stmt *sqlparser.CreateMatVi
 	defer m.mu.Unlock()
 	if sel, ok := stmt.Select.(*sqlparser.Select); ok {
 		if wq, err := rewrite.MatchWindowQuery(sel); err == nil {
-			switch {
-			case isSequenceViewShape(wq):
-				return m.createSequenceView(stmt, wq)
-			case isPartitionedSequenceShape(wq):
-				return m.createPartitionedSequenceView(stmt, wq)
+			if lay, ok := sequenceShape(wq); ok {
+				return m.createSequenceView(stmt, wq, lay)
 			}
 		}
 	}
 	return m.createPlainView(ctx, stmt)
-}
-
-// isSequenceViewShape accepts SELECT pos, agg(val) OVER (ORDER BY pos ROWS …)
-// FROM base — unpartitioned, the shape the derivation rewriter exploits.
-func isSequenceViewShape(wq *rewrite.WindowQuery) bool {
-	if len(wq.PartitionBy) > 0 {
-		return false
-	}
-	if len(wq.PlainCols) != 1 || !strings.EqualFold(wq.PlainCols[0], wq.PosCol) {
-		return false
-	}
-	return true
 }
 
 func aggOf(name string) (core.Agg, error) {
@@ -269,59 +263,7 @@ func windowOf(shape rewrite.WindowShape) core.Window {
 	return core.Sliding(shape.Preceding, shape.Following)
 }
 
-// readDenseSequence reads (pos, val) from the base table and validates that
-// positions are exactly 1…n. It reads at the manager's current write view so
-// a transactional refresh sees the transaction's own base-table writes.
-func (m *Manager) readDenseSequence(base *catalog.Table, posCol, valCol string) ([]float64, error) {
-	posIdx := base.ColumnIndex(posCol)
-	if posIdx < 0 {
-		return nil, fmt.Errorf("mview: column %q does not exist in %q", posCol, base.Name)
-	}
-	valIdx := posIdx
-	if valCol != "" {
-		valIdx = base.ColumnIndex(valCol)
-		if valIdx < 0 {
-			return nil, fmt.Errorf("mview: column %q does not exist in %q", valCol, base.Name)
-		}
-	}
-	type pv struct {
-		pos int64
-		val float64
-	}
-	var rows []pv
-	var scanErr error
-	hErr := m.hScan(base, func(_ storage.RowID, row sqltypes.Row) bool {
-		p := row[posIdx]
-		if p.IsNull() || p.Typ() != sqltypes.Int {
-			scanErr = fmt.Errorf("mview: position column %q must be non-NULL INTEGER", posCol)
-			return false
-		}
-		v := row[valIdx]
-		if v.IsNull() || !v.Typ().Numeric() {
-			scanErr = fmt.Errorf("mview: value column must be non-NULL numeric")
-			return false
-		}
-		rows = append(rows, pv{pos: p.Int(), val: v.Float()})
-		return true
-	})
-	if scanErr == nil {
-		scanErr = hErr
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].pos < rows[j].pos })
-	raw := make([]float64, len(rows))
-	for i, r := range rows {
-		if r.pos != int64(i+1) {
-			return nil, fmt.Errorf("mview: sequence views need dense positions 1…n; found %d at rank %d", r.pos, i+1)
-		}
-		raw[i] = r.val
-	}
-	return raw, nil
-}
-
-func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.WindowQuery) error {
+func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.WindowQuery, lay layout) error {
 	base, err := m.cat.Table(wq.Table)
 	if err != nil {
 		return err
@@ -334,44 +276,30 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 	if valCol == "" { // COUNT(*)
 		valCol = wq.PosCol
 	}
-	raw, err := m.readDenseSequence(base, wq.PosCol, valCol)
-	if err != nil {
-		return err
-	}
-	win := windowOf(wq.Shape)
-	maint, cnt, err := newSeqMaintainers(raw, win, agg)
-	if err != nil {
-		return err
-	}
-
-	valType := sqltypes.Int
-	vi := base.ColumnIndex(valCol)
-	if base.Columns[vi].Type == sqltypes.Float || agg == core.Avg {
-		valType = sqltypes.Float
-	}
-	backingName := "__mv_" + stmt.Name
-	backing, err := m.cat.CreateTable(backingName, []catalog.Column{
-		{Name: "pos", Type: sqltypes.Int},
-		{Name: "val", Type: valType},
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := m.cat.CreateIndex("pk_"+stmt.Name, backingName, []string{"pos"}, true, true); err != nil {
-		return err
-	}
-
 	mv := &catalog.MatView{
-		Name: stmt.Name, Kind: catalog.SequenceView, Table: backing,
-		BaseTable: base.Name, PosColumn: wq.PosCol, ValColumn: valCol,
-		Agg: wq.Agg, Window: toSpec(win),
+		Name: stmt.Name, Kind: catalog.SequenceView,
+		BaseTable: base.Name, PosColumn: wq.PosCol, PartColumn: lay.partCol,
+		ValColumn: valCol, Agg: wq.Agg, Window: toSpec(windowOf(wq.Shape)),
 		Definition: stmt.String(),
 	}
-	mv.BaseRows.Store(int64(len(raw)))
+	sv := &seqView{mv: mv, lay: lay, agg: agg, valType: sqltypes.Int}
+	if err := m.rebuild(sv); err != nil {
+		return err
+	}
+	if base.Columns[base.ColumnIndex(valCol)].Type == sqltypes.Float || agg == core.Avg {
+		sv.valType = sqltypes.Float
+	}
+	backingName := "__mv_" + stmt.Name
+	mv.Table, err = m.cat.CreateTable(backingName, lay.columns(base, sv.valType))
+	if err != nil {
+		return err
+	}
+	if _, err := m.cat.CreateIndex("pk_"+stmt.Name, backingName, lay.pk(), true, true); err != nil {
+		return err
+	}
 	// Fill before registering: until the view exists in the catalog no
 	// reader can derive from it, so the backing rows' immediate commits
 	// never expose a half-built view.
-	sv := &seqView{mv: mv, maint: maint, cnt: cnt, agg: agg, valType: valType}
 	if err := m.fillBacking(sv); err != nil {
 		m.cat.DropTable(backingName)
 		return err
@@ -384,58 +312,54 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 	return nil
 }
 
-// newSeqMaintainers builds the maintainer pair for a simple sequence view:
-// AVG views maintain SUM and COUNT and derive (§2.1); every other aggregate
-// maintains itself directly.
-func newSeqMaintainers(raw []float64, win core.Window, agg core.Agg) (maint, cnt *core.Maintainer, err error) {
-	maintAgg := agg
-	if agg == core.Avg {
-		maintAgg = core.Sum
-	}
-	maint, err = core.NewMaintainer(raw, win, maintAgg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if agg == core.Avg {
-		cnt, err = core.NewMaintainer(raw, win, core.Count)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return maint, cnt, nil
-}
-
 func toSpec(w core.Window) catalog.WindowSpec {
 	return catalog.WindowSpec{Cumulative: w.Cumulative, Preceding: w.Preceding, Following: w.Following}
 }
 
-// fillBacking rewrites the backing table from the maintained sequence.
-func (m *Manager) fillBacking(sv *seqView) error {
-	// Clear existing rows.
+// clearTable deletes every row of a backing table.
+func (m *Manager) clearTable(t *catalog.Table) error {
 	var ids []storage.RowID
-	if err := m.hScan(sv.mv.Table, func(id storage.RowID, _ sqltypes.Row) bool {
+	if err := m.hScan(t, func(id storage.RowID, _ sqltypes.Row) bool {
 		ids = append(ids, id)
 		return true
 	}); err != nil {
 		return err
 	}
 	for _, id := range ids {
-		if err := m.hDelete(sv.mv.Table, id); err != nil {
+		if err := m.hDelete(t, id); err != nil {
 			return err
 		}
 	}
-	seq := sv.maint.Seq()
-	for k := seq.Lo(); k <= seq.Hi(); k++ {
-		v, ok := sv.valueAt(k)
-		if !ok {
-			continue // MIN/MAX empty windows are not materialized
-		}
-		if err := m.hInsert(sv.mv.Table, sqltypes.Row{sqltypes.NewInt(int64(k)), sv.datum(v)}); err != nil {
-			return err
-		}
-	}
-	m.setBaseRows(sv.mv, seq.N)
 	return nil
+}
+
+// fillBacking rewrites the backing table from every partition's maintained
+// sequence.
+func (m *Manager) fillBacking(sv *seqView) error {
+	if err := m.clearTable(sv.mv.Table); err != nil {
+		return err
+	}
+	for _, key := range sv.parts.Keys() {
+		p := sv.parts.Partition(key)
+		seq := p.Seq()
+		for k := seq.Lo(); k <= seq.Hi(); k++ {
+			v, ok := p.At(k)
+			if !ok {
+				continue // MIN/MAX empty windows are not materialized
+			}
+			if err := m.hInsert(sv.mv.Table, sv.row(sv.partKeys[key], k, v, seq.N)); err != nil {
+				return err
+			}
+		}
+		m.setBaseRows(sv, seq.N)
+	}
+	return nil
+}
+
+// row is the backing row for value v at position k of a partition with n raw
+// values.
+func (sv *seqView) row(part sqltypes.Datum, k int, v float64, n int) sqltypes.Row {
+	return sv.lay.row(part, k, sv.datum(v), k >= 1 && k <= n)
 }
 
 func (sv *seqView) datum(v float64) sqltypes.Datum {
@@ -528,23 +452,9 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error
 	defer func() { m.curTx = nil }()
 	if sv, ok := m.seq[lower(name)]; ok {
 		m.stats.FullRefreshes.Add(1)
-		if sv.partitioned() {
-			return m.refreshPartitioned(sv)
-		}
-		base, err := m.cat.Table(sv.mv.BaseTable)
-		if err != nil {
+		if err := m.rebuild(sv); err != nil {
 			return err
 		}
-		raw, err := m.readDenseSequence(base, sv.mv.PosColumn, sv.mv.ValColumn)
-		if err != nil {
-			return err
-		}
-		maint, cnt, err := newSeqMaintainers(raw, windowOfSpec(sv.mv.Window), sv.agg)
-		if err != nil {
-			return err
-		}
-		sv.maint = maint
-		sv.cnt = cnt
 		m.setFresh(sv)
 		return m.fillBacking(sv)
 	}
@@ -557,17 +467,8 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error
 		if len(cols) != len(mv.Table.Columns) {
 			return fmt.Errorf("mview: refresh arity changed for %q", name)
 		}
-		var ids []storage.RowID
-		if err := m.hScan(mv.Table, func(id storage.RowID, _ sqltypes.Row) bool {
-			ids = append(ids, id)
-			return true
-		}); err != nil {
+		if err := m.clearTable(mv.Table); err != nil {
 			return err
-		}
-		for _, id := range ids {
-			if err := m.hDelete(mv.Table, id); err != nil {
-				return err
-			}
 		}
 		for _, r := range rows {
 			if err := m.hInsert(mv.Table, r.Clone()); err != nil {

@@ -59,19 +59,33 @@ func viewValues(t *testing.T, cat *catalog.Catalog, name string) map[int64]float
 	return out
 }
 
+// denseRaw reads seq's (pos, val) as the one raw sequence of a simple view.
+func denseRaw(m *Manager, base *catalog.Table) ([]float64, error) {
+	_, raws, err := m.readSequences(base, "pos", "val", layout{})
+	return raws[""], err
+}
+
 // checkViewMatchesCore verifies the backing table equals a fresh core
 // computation over the base table's current contents.
 func checkViewMatchesCore(t *testing.T, cat *catalog.Catalog, m *Manager, name string, win core.Window, agg core.Agg) {
+	t.Helper()
+	checkViewMatches(t, cat, m, name, win, agg, core.ComputePipelined)
+}
+
+// checkViewMatches is checkViewMatchesCore against a chosen evaluation of the
+// paper's model (pipelined, or the explicit form core.ComputeNaive).
+func checkViewMatches(t *testing.T, cat *catalog.Catalog, m *Manager, name string, win core.Window, agg core.Agg,
+	compute func([]float64, core.Window, core.Agg) (*core.Sequence, error)) {
 	t.Helper()
 	base, err := cat.Table("seq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := m.readDenseSequence(base, "pos", "val")
+	raw, err := denseRaw(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ComputePipelined(raw, win, agg)
+	want, err := compute(raw, win, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,34 +289,64 @@ func TestRefreshClearsStaleness(t *testing.T) {
 }
 
 func TestShiftInsertDelete(t *testing.T) {
-	cat, m := fixture(t, 12)
-	createView(t, m, seqViewDDL)
-	if err := m.ShiftInsert("mv", 5, 999); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, over string
+		win        core.Window
+		agg        core.Agg
+	}{
+		{"sum", "SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING)", core.Sliding(2, 1), core.Sum},
+		{"avg", "AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING)", core.Sliding(1, 2), core.Avg},
+		{"cumulative", "SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING)", core.Cumul(), core.Sum},
 	}
-	if m.Stale("mv") {
-		t.Fatal("shift insert must keep the view fresh")
-	}
-	checkViewMatchesCore(t, cat, m, "mv", core.Sliding(2, 1), core.Sum)
-	// Base must have 13 dense rows with 999 at position 5.
-	base, _ := cat.Table("seq")
-	raw, err := m.readDenseSequence(base, "pos", "val")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != 13 || raw[4] != 999 {
-		t.Fatalf("raw after shift insert = %v", raw)
-	}
-	if err := m.ShiftDelete("mv", 5); err != nil {
-		t.Fatal(err)
-	}
-	checkViewMatchesCore(t, cat, m, "mv", core.Sliding(2, 1), core.Sum)
-	raw, _ = m.readDenseSequence(base, "pos", "val")
-	if len(raw) != 12 || raw[4] == 999 {
-		t.Fatalf("raw after shift delete = %v", raw)
-	}
-	if err := m.ShiftInsert("nope", 1, 1); err == nil {
-		t.Fatal("unknown view must fail")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cat, m := fixture(t, 12)
+			createView(t, m, "CREATE MATERIALIZED VIEW mv AS SELECT pos, "+c.over+" AS val FROM seq")
+			check := func() {
+				t.Helper()
+				if m.Stale("mv") {
+					t.Fatal("a positional shift must keep the view fresh")
+				}
+				checkViewMatches(t, cat, m, "mv", c.win, c.agg, core.ComputeNaive)
+			}
+			if err := m.ShiftInsert("mv", 5, 999); err != nil {
+				t.Fatal(err)
+			}
+			check()
+			// Base must have 13 dense rows with 999 at position 5.
+			base, _ := cat.Table("seq")
+			raw, err := denseRaw(m, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) != 13 || raw[4] != 999 {
+				t.Fatalf("raw after shift insert = %v", raw)
+			}
+			if err := m.ShiftDelete("mv", 5); err != nil {
+				t.Fatal(err)
+			}
+			check()
+			raw, _ = denseRaw(m, base)
+			if len(raw) != 12 || raw[4] == 999 {
+				t.Fatalf("raw after shift delete = %v", raw)
+			}
+			// Shifts at both ends of the sequence.
+			for _, k := range []int{1, 13} {
+				if err := m.ShiftInsert("mv", k, -3); err != nil {
+					t.Fatal(err)
+				}
+				check()
+			}
+			for _, k := range []int{14, 1} {
+				if err := m.ShiftDelete("mv", k); err != nil {
+					t.Fatal(err)
+				}
+				check()
+			}
+			if err := m.ShiftInsert("nope", 1, 1); err == nil {
+				t.Fatal("unknown view must fail")
+			}
+		})
 	}
 }
 

@@ -284,15 +284,6 @@ func TestPartitionedCreateRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "non-NULL") {
 		t.Fatalf("NULL partition key must be rejected: %v", err)
 	}
-	// AVG partitioned views are refused.
-	cat2, m2 := pfixture(t, map[string]int{"a": 4})
-	_ = cat2
-	stmt2, _ := sqlparser.Parse(`CREATE MATERIALIZED VIEW bad AS
-	  SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos
-	    ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM pseq`)
-	if err := m2.Create(stmt2.(*sqlparser.CreateMatView)); err == nil {
-		t.Fatal("partitioned AVG view must be rejected")
-	}
 	// Positional shifts refuse partitioned views.
 	cat3, m3 := pfixture(t, map[string]int{"a": 4})
 	_ = cat3

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rfview/internal/catalog"
-	"rfview/internal/core"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 )
@@ -80,46 +79,18 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 	if vi := backing.ColumnIndex("val"); vi >= 0 {
 		valType = backing.Columns[vi].Type
 	}
-	sv := &seqView{mv: mv, agg: agg, valType: valType, stale: spec.Stale, staleWhy: spec.StaleWhy}
+	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, agg: agg, valType: valType,
+		stale: spec.Stale, staleWhy: spec.StaleWhy}
 	if spec.Stale {
-		// Recovered staleness has unknown onset; age counts from restore.
+		// Recovered staleness has unknown onset; age counts from restore. The
+		// maintainers stay empty until REFRESH rebuilds them.
 		sv.staleSince = time.Now()
+		err = sv.setParts(nil, nil)
+	} else {
+		err = m.rebuild(sv)
 	}
-	if mv.PartColumn != "" {
-		// Partitioned views need a non-nil maintainer even while stale so
-		// REFRESH takes the partitioned path.
-		pm, err := core.NewPartitionedMaintainer(windowOfSpec(mv.Window), agg)
-		if err != nil {
-			return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-		}
-		sv.pm = pm
-		sv.partKeys = make(map[string]sqltypes.Datum)
-	}
-	if !spec.Stale {
-		base, err := m.cat.Table(mv.BaseTable)
-		if err != nil {
-			return fmt.Errorf("mview: restore %q: base table: %w", mv.Name, err)
-		}
-		if mv.PartColumn != "" {
-			keys, raws, err := m.readPartitionedSequences(base, mv.PosColumn, mv.PartColumn, mv.ValColumn)
-			if err != nil {
-				return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-			}
-			for k, raw := range raws {
-				if err := sv.pm.SetPartition(k, raw); err != nil {
-					return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-				}
-			}
-			sv.partKeys = keys
-		} else {
-			raw, err := m.readDenseSequence(base, mv.PosColumn, mv.ValColumn)
-			if err != nil {
-				return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-			}
-			if sv.maint, sv.cnt, err = newSeqMaintainers(raw, windowOfSpec(mv.Window), agg); err != nil {
-				return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-			}
-		}
+	if err != nil {
+		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
 	}
 	m.seq[lower(mv.Name)] = sv
 	return nil

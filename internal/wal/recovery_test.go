@@ -1,12 +1,16 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	rferrors "rfview/errors"
 	"rfview/internal/engine"
 	"rfview/internal/rewrite"
 )
@@ -459,5 +463,168 @@ func TestRecoveryReplaysThroughCheckpointCrashWindow(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != 2 {
 		t.Fatalf("recovered %d rows, want 2 (no double-apply)", res.Rows[0][0].Int())
+	}
+}
+
+// pr19Workload is what testdata/pr19 holds: a data directory written by the
+// commit before sequence views got their single per-partition representation
+// (PR 19, 181ac5c) — these statements through Open, then Checkpoint, then the
+// last statement, then a crash. It has a simple, an AVG and a partitioned
+// view, each already maintained through a delta.
+var pr19Workload = []string{
+	`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
+	`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)`,
+	`CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`,
+	`INSERT INTO pt VALUES ('a', 1, 1), ('a', 2, 2), ('a', 3, 3), ('b', 1, 7), ('b', 2, 9)`,
+	`CREATE MATERIALIZED VIEW v_sum AS SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
+	`CREATE MATERIALIZED VIEW v_avg AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
+	`CREATE MATERIALIZED VIEW v_part AS SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM pt`,
+	`UPDATE seq SET val = 25 WHERE pos = 2`,
+	`INSERT INTO pt VALUES ('c', 1, 4)`,
+	// -- checkpoint --
+	`INSERT INTO seq VALUES (6, 60)`,
+}
+
+var pr19Queries = []string{
+	`SELECT pos, val FROM v_sum`,
+	`SELECT pos, val FROM v_avg`,
+	`SELECT part, pos, val, body FROM v_part`,
+	`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+	`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+	`SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`,
+}
+
+// TestRecoverParentFormatDirectory: the on-disk format did not move. The
+// PR 19 snapshot restores and dumps back byte for byte (backing schemas, pk
+// index names, view metadata), and the directory recovers — snapshot plus WAL
+// tail — with all three views fresh, equal to an engine that ran the
+// statements, and still maintained by deltas afterwards.
+func TestRecoverParentFormatDirectory(t *testing.T) {
+	const snapFile = "snap-0000000000000009.snap"
+	data, err := os.ReadFile(filepath.Join("testdata", "pr19", snapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshot(filepath.Join("testdata", "pr19", snapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.DefaultOptions())
+	defer e.Close()
+	if err := restoreState(e, snap); err != nil {
+		t.Fatal(err)
+	}
+	again, err := captureState(e, snap.LSN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, data[16:]) {
+		t.Fatalf("snapshot of the restored PR 19 state differs from the PR 19 snapshot:\n got: %s\nwant: %s", body, data[16:])
+	}
+
+	dir := t.TempDir()
+	for _, name := range []string{"snap-0000000000000000.snap", snapFile, filepath.Join("wal", "wal-000000000000000a.seg")} {
+		data, err := os.ReadFile(filepath.Join("testdata", "pr19", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
+	if err != nil {
+		t.Fatalf("recovery of the PR 19 directory failed: %v", err)
+	}
+	defer re.Close()
+	reference := engine.New(engine.DefaultOptions())
+	defer reference.Close()
+	for _, sql := range pr19Workload {
+		if _, err := reference.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, v := range []string{"v_sum", "v_avg", "v_part"} {
+		if stale, why := re.Engine().Views.StaleInfo(v); stale {
+			t.Fatalf("%s recovered stale: %s", v, why)
+		}
+	}
+	compareEnginesOn(t, re.Engine(), reference, pr19Queries, "recovered")
+	for _, sql := range []string{
+		`UPDATE seq SET val = -5 WHERE pos = 4`,
+		`DELETE FROM seq WHERE pos = 6`,
+		`INSERT INTO pt VALUES ('a', 4, 11)`,
+		`DELETE FROM pt WHERE grp = 'c' AND pos = 1`,
+		`INSERT INTO pt VALUES ('d', 1, 2)`,
+	} {
+		applyBoth(t, re.Engine(), reference, sql)
+	}
+	for _, v := range []string{"v_sum", "v_avg", "v_part"} {
+		if stale, why := re.Engine().Views.StaleInfo(v); stale {
+			t.Fatalf("%s went stale on maintainable DML after recovery: %s", v, why)
+		}
+	}
+	if re.Engine().Views.Stats().DeltaApplied.Load() == 0 {
+		t.Fatal("no delta was applied after recovery")
+	}
+	compareEnginesOn(t, re.Engine(), reference, pr19Queries, "post-recovery traffic")
+}
+
+// TestRefusedDropLeavesRecoverableDirectory: DROP TABLE of a view's base or
+// backing table is refused (it used to succeed, and the logged drop then made
+// every later Open fail restoring the orphaned view). The refusal is logged
+// like any failed statement; with or without a checkpoint after it, the
+// directory reopens with the view intact.
+func TestRefusedDropLeavesRecoverableDirectory(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference := engine.New(engine.DefaultOptions())
+			defer reference.Close()
+			for _, sql := range []string{
+				`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
+				`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 3)`,
+				`CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
+			} {
+				applyBoth(t, mgr.Engine(), reference, sql)
+			}
+			for _, sql := range []string{`DROP TABLE seq`, `DROP TABLE __mv_mv`} {
+				if _, err := mgr.Engine().Exec(sql); rferrors.CodeOf(err) != rferrors.CodeUnsupported {
+					t.Fatalf("%s: got %v, want an unsupported error", sql, err)
+				}
+			}
+			applyBoth(t, mgr.Engine(), reference, `UPDATE seq SET val = 7 WHERE pos = 2`)
+			if checkpoint {
+				if err := mgr.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mgr = nil // crash
+
+			re, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
+			if err != nil {
+				t.Fatalf("the directory does not reopen: %v", err)
+			}
+			defer re.Close()
+			queries := []string{
+				`SELECT pos, val FROM mv`,
+				`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			}
+			compareEnginesOn(t, re.Engine(), reference, queries, "reopened")
+			applyBoth(t, re.Engine(), reference, `REFRESH MATERIALIZED VIEW mv`)
+			applyBoth(t, re.Engine(), reference, `INSERT INTO seq VALUES (4, 4)`)
+			compareEnginesOn(t, re.Engine(), reference, queries, "reopened, after traffic")
+		})
 	}
 }

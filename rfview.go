@@ -124,7 +124,8 @@ func (db *DB) SetSlowQueryLog(threshold time.Duration, sink func(SlowQuery)) {
 }
 
 // Engine exposes the underlying engine for advanced use (option toggling,
-// the view manager's ShiftInsert/ShiftDelete positional operations).
+// the view manager's ShiftInsert/ShiftDelete positional operations on simple
+// — unpartitioned — sequence views).
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
 // ---------------------------------------------------------------------------
