@@ -35,22 +35,17 @@ func BenchmarkTable1(b *testing.B) {
 	for _, c := range cases {
 		for _, n := range c.sizes {
 			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
-				opts := engine.DefaultOptions()
-				opts.UseMatViews = false
-				opts.NativeWindow = c.native
-				opts.UseIndexes = c.withIndex
-				e := engine.New(opts)
-				if err := bench.LoadSequenceTable(e, n, 42); err != nil {
+				e, err := bench.NewTable1Engine(n, c.withIndex)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if c.withIndex {
-					if _, err := e.Exec(`CREATE UNIQUE INDEX seq_pk ON seq (pos)`); err != nil {
-						b.Fatal(err)
-					}
+				stmt, err := bench.Table1Stmt(c.native)
+				if err != nil {
+					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := e.Exec(bench.Table1Query); err != nil {
+					if _, err := e.ExecStmt(stmt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -70,13 +65,13 @@ func BenchmarkTable2(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opts := engine.DefaultOptions()
-				opts.Strategy = st.Strategy
-				opts.Form = st.Form
-				e.Opts = opts
+				stmt, err := st.Stmt(e)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := e.Exec(bench.Table2Query); err != nil {
+					if _, err := e.ExecStmt(stmt); err != nil {
 						b.Fatal(err)
 					}
 				}

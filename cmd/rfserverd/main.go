@@ -5,9 +5,7 @@
 //
 //	rfserverd [-addr host:port] [-init script.sql] [-plan-cache N]
 //	          [-data-dir DIR] [-fsync always|interval|off] [-checkpoint-every N]
-//	          [-no-native-window] [-no-indexes] [-no-views]
-//	          [-strategy auto|maxoa|minoa] [-form disjunctive|union]
-//	          [-window-parallelism N] [-mem-budget SIZE] [-page-size SIZE]
+//	          [-no-views] [-window-parallelism N] [-mem-budget SIZE] [-page-size SIZE]
 //	          [-metrics-addr host:port] [-pprof-addr host:port] [-slow-query-ms N]
 //
 // -metrics-addr starts an HTTP listener serving the engine's Prometheus
@@ -51,12 +49,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"rfview/internal/engine"
-	"rfview/internal/rewrite"
 	"rfview/internal/server"
 	"rfview/internal/spill"
 	"rfview/internal/storage"
@@ -71,11 +67,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durability directory (empty = volatile server)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL fsync policy: always, interval, off")
 	checkpointEvery := flag.Int("checkpoint-every", 1024, "statements between automatic checkpoints (0 disables)")
-	noWindow := flag.Bool("no-native-window", false, "disable the native window operator")
-	noIndexes := flag.Bool("no-indexes", false, "disable index nested-loop joins")
 	noViews := flag.Bool("no-views", false, "disable answering queries from materialized sequence views")
-	strategy := flag.String("strategy", "auto", "derivation strategy: auto, maxoa, minoa")
-	form := flag.String("form", "disjunctive", "derivation pattern form: disjunctive, union")
 	windowPar := flag.Int("window-parallelism", 0,
 		"window partition workers: 0 = GOMAXPROCS, 1 = sequential, N = up to N workers")
 	memBudget := flag.String("mem-budget", "", "executor memory budget, e.g. 64MiB; sorts and window partitions over budget spill to disk (empty = unlimited)")
@@ -86,9 +78,7 @@ func main() {
 	flag.Parse()
 
 	opts := engine.DefaultOptions()
-	opts.NativeWindow = !*noWindow
 	opts.WindowParallelism = *windowPar
-	opts.UseIndexes = !*noIndexes
 	opts.UseMatViews = !*noViews
 	if *memBudget != "" {
 		n, err := spill.ParseBytes(*memBudget)
@@ -110,25 +100,6 @@ func main() {
 	if *dataDir != "" {
 		opts.SpillDir = filepath.Join(*dataDir, "tmp")
 	}
-	switch strings.ToLower(*strategy) {
-	case "auto":
-		opts.Strategy = rewrite.StrategyAuto
-	case "maxoa":
-		opts.Strategy = rewrite.StrategyMaxOA
-	case "minoa":
-		opts.Strategy = rewrite.StrategyMinOA
-	default:
-		log.Fatalf("unknown strategy %q", *strategy)
-	}
-	switch strings.ToLower(*form) {
-	case "disjunctive":
-		opts.Form = rewrite.FormDisjunctive
-	case "union":
-		opts.Form = rewrite.FormUnion
-	default:
-		log.Fatalf("unknown form %q", *form)
-	}
-
 	var e *engine.Engine
 	var mgr *wal.Manager
 	runInit := *initScript != ""

@@ -2,8 +2,7 @@
 //
 // Usage:
 //
-//	rfsql [-f script.sql] [-no-native-window] [-no-indexes] [-no-views]
-//	      [-strategy auto|maxoa|minoa] [-form disjunctive|union]
+//	rfsql [-f script.sql] [-no-views]
 //
 // Statements end with a semicolon; meta commands start with a dot:
 //
@@ -30,43 +29,16 @@ import (
 	"strings"
 
 	"rfview/internal/engine"
-	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 )
 
 func main() {
 	script := flag.String("f", "", "execute statements from a file, then exit")
-	noWindow := flag.Bool("no-native-window", false, "disable the native window operator (forces the Fig. 2 self-join simulation)")
-	noIndexes := flag.Bool("no-indexes", false, "disable index nested-loop joins")
 	noViews := flag.Bool("no-views", false, "disable answering queries from materialized sequence views")
-	strategy := flag.String("strategy", "auto", "derivation strategy: auto, maxoa, minoa")
-	form := flag.String("form", "disjunctive", "derivation pattern form: disjunctive, union")
 	flag.Parse()
 
 	opts := engine.DefaultOptions()
-	opts.NativeWindow = !*noWindow
-	opts.UseIndexes = !*noIndexes
 	opts.UseMatViews = !*noViews
-	switch strings.ToLower(*strategy) {
-	case "auto":
-		opts.Strategy = rewrite.StrategyAuto
-	case "maxoa":
-		opts.Strategy = rewrite.StrategyMaxOA
-	case "minoa":
-		opts.Strategy = rewrite.StrategyMinOA
-	default:
-		fmt.Fprintf(os.Stderr, "rfsql: unknown strategy %q\n", *strategy)
-		os.Exit(1)
-	}
-	switch strings.ToLower(*form) {
-	case "disjunctive":
-		opts.Form = rewrite.FormDisjunctive
-	case "union":
-		opts.Form = rewrite.FormUnion
-	default:
-		fmt.Fprintf(os.Stderr, "rfsql: unknown form %q\n", *form)
-		os.Exit(1)
-	}
 
 	e := engine.New(opts)
 	sh := &shell{eng: e, sess: e.NewSession(), out: os.Stdout}

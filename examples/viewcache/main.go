@@ -6,7 +6,7 @@
 // The example materializes x̃ = (2,1) over a 4000-row sequence and then
 // answers a batch of queries (wider, narrower, one-sided windows) twice:
 // once natively from raw data and once derived from the view, comparing
-// results and wall-clock times for each derivation strategy.
+// results and wall-clock times, and naming the derivation the engine chose.
 //
 // Run with: go run ./examples/viewcache
 package main
@@ -57,8 +57,6 @@ func main() {
 
 		// Derived: strategy picked automatically.
 		opts.UseMatViews = true
-		opts.Strategy = rfview.StrategyAuto
-		opts.Form = rfview.FormUnion // hash-join friendly (see EXPERIMENTS.md)
 		eng.Opts = opts
 		td, derived := timed(ctx, db, q.sql)
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"rfview/internal/engine"
+	"rfview/internal/rewrite"
+	"rfview/internal/sqlparser"
 )
 
 // Table1Query is the workload of the paper's Table 1: a centered size-3
@@ -27,6 +29,46 @@ type Table1Row struct {
 // Table1Sizes are the paper's sequence cardinalities.
 var Table1Sizes = []int{5000, 10000, 15000}
 
+// NewTable1Engine builds an engine loaded with n sequence rows and — for the
+// "with primary key index" columns — the index on seq.pos. No view exists, so
+// whatever statement it is handed runs as written.
+func NewTable1Engine(n int, withIndex bool) (*engine.Engine, error) {
+	opts := engine.DefaultOptions()
+	opts.UseMatViews = false
+	e := engine.New(opts)
+	if err := LoadSequenceTable(e, n, 42); err != nil {
+		return nil, err
+	}
+	if withIndex {
+		if _, err := e.Exec(`CREATE UNIQUE INDEX seq_pk ON seq (pos)`); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// Table1Stmt is Table1Query as one column pair of Table 1 evaluates it: the
+// reporting function itself, or its Fig. 2 self-join simulation.
+func Table1Stmt(native bool) (sqlparser.Statement, error) {
+	sel, err := parseSelect(Table1Query)
+	if err != nil || native {
+		return sel, err
+	}
+	return rewrite.SelfJoin(sel)
+}
+
+func parseSelect(sql string) (*sqlparser.Select, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sqlparser.Select)
+	if !ok {
+		return nil, fmt.Errorf("bench: not a SELECT: %s", sql)
+	}
+	return sel, nil
+}
+
 // RunTable1 measures the four strategies of Table 1 for every size. With
 // check set, the self-join results are verified against the native window
 // operator's.
@@ -36,29 +78,20 @@ func RunTable1(sizes []int, check bool) ([]Table1Row, error) {
 		row := Table1Row{N: n}
 
 		run := func(native, withIndex bool) (time.Duration, error) {
-			opts := engine.DefaultOptions()
-			opts.UseMatViews = false
-			opts.NativeWindow = native
-			opts.UseIndexes = withIndex
-			e := engine.New(opts)
-			if err := LoadSequenceTable(e, n, 42); err != nil {
+			e, err := NewTable1Engine(n, withIndex)
+			if err != nil {
 				return 0, err
 			}
-			if withIndex {
-				if _, err := e.Exec(`CREATE UNIQUE INDEX seq_pk ON seq (pos)`); err != nil {
-					return 0, err
-				}
+			stmt, err := Table1Stmt(native)
+			if err != nil {
+				return 0, err
 			}
-			d, rows, err := timeQuery(e, Table1Query, 1)
+			d, rows, err := timeQuery(e, stmt, 1)
 			if err != nil {
 				return 0, err
 			}
 			if check && !native {
-				ref := engine.New(engine.DefaultOptions())
-				if err := LoadSequenceTable(ref, n, 42); err != nil {
-					return 0, err
-				}
-				refRes, err := ref.Exec(Table1Query)
+				refRes, err := e.Exec(Table1Query)
 				if err != nil {
 					return 0, err
 				}

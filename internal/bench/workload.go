@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rfview/internal/engine"
+	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 )
 
@@ -106,16 +107,16 @@ func LoadCreditCard(e *engine.Engine, cfg CreditCardConfig) error {
 	return nil
 }
 
-// timeQuery runs the query enough times to get a stable reading and returns
-// the fastest observed duration plus the rows of the last run.
-func timeQuery(e *engine.Engine, sql string, minReps int) (time.Duration, []sqltypes.Row, error) {
+// timeQuery runs the statement enough times to get a stable reading and
+// returns the fastest observed duration plus the rows of the last run.
+func timeQuery(e *engine.Engine, stmt sqlparser.Statement, minReps int) (time.Duration, []sqltypes.Row, error) {
 	best := time.Duration(0)
 	var rows []sqltypes.Row
 	reps := 0
 	var total time.Duration
 	for reps < minReps || (total < 30*time.Millisecond && reps < 20) {
 		start := time.Now()
-		res, err := e.Exec(sql)
+		res, err := e.ExecStmt(stmt)
 		d := time.Since(start)
 		if err != nil {
 			return 0, nil, err

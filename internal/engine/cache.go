@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"strings"
 
 	"rfview/internal/qcache"
@@ -38,8 +39,10 @@ const maxCachedResultRows = 16384
 //     CREATE MATERIALIZED VIEW invalidates cached plans that could now
 //     derive from the new view;
 //   - materialized views referenced by the plan are rechecked for freshness
-//     on every hit, so a plan derived from a view that went stale errors the
-//     same way a cold-path query would.
+//     on every hit: a query that names a stale view errors the same way a
+//     cold-path query would, and a plan whose derivation decision no longer
+//     holds — derived from a view that went stale, or native because the
+//     view was stale and has been refreshed — is dropped and decided again.
 //
 // Invalid entries are dropped lazily when touched; LRU handles the rest.
 type cachedPlan struct {
@@ -56,6 +59,8 @@ type cachedPlan struct {
 	planText string
 	// views are the materialized views the plan reads (freshness recheck).
 	views []string
+	// skipped is the stale view the derivation rewrite declined to read.
+	skipped string
 	// deps are the tables the plan reads, with their versions at cache time.
 	deps []planDep
 	// schema is the catalog schema version at cache time.
@@ -112,7 +117,10 @@ func (e *Engine) planValid(p *cachedPlan) bool {
 			return false
 		}
 	}
-	return true
+	if p.derivation != nil && slices.ContainsFunc(p.views, e.Views.Stale) {
+		return false
+	}
+	return p.skipped == "" || e.Views.Stale(p.skipped)
 }
 
 // execFromPlan runs a validated cache entry under the shared lock.
@@ -122,7 +130,7 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 			return nil, err
 		}
 	}
-	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, CacheHit: true, planText: p.planText}
+	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, skipped: p.skipped, CacheHit: true, planText: p.planText}
 	if p.hasResult && !cfg.analyze {
 		// Version validation just proved nothing the query reads has
 		// changed, so the previous answer is still the answer. Analyze
@@ -133,7 +141,7 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 		res.Affected = len(p.rows)
 		return res, nil
 	}
-	op, err := e.planPhysical(ctx, p.exec, res, cfg)
+	op, err := e.planPhysical(ctx, p.exec, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +171,7 @@ func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan 
 		rewrittenSQL: res.Rewritten,
 		planText:     res.planText,
 		views:        deps.views,
+		skipped:      res.skipped,
 		deps:         deps.tables,
 		schema:       e.Cat.SchemaVersion(),
 		opts:         e.Opts,
@@ -212,6 +221,13 @@ type depSet struct {
 
 func newDepSet(e *Engine) *depSet {
 	return &depSet{e: e, seen: make(map[string]bool)}
+}
+
+// viewsRead lists the materialized views named in stmt's FROM clauses.
+func (e *Engine) viewsRead(stmt sqlparser.SelectStatement) []string {
+	d := newDepSet(e)
+	d.addStmt(stmt)
+	return d.views
 }
 
 func (d *depSet) addName(name string) {

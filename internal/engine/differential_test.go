@@ -76,26 +76,15 @@ func TestDifferentialRandomWindows(t *testing.T) {
 		}
 
 		// Self-join simulation.
-		simOpts := nativeOpts
-		simOpts.NativeWindow = false
-		sim := New(simOpts)
-		load(sim)
-		res := mustExec(t, sim, q)
-		if res.Rewritten == "" {
-			t.Fatalf("%s: self-join rewrite did not fire", ctx)
-		}
-		compare(rowsToPairs(t, res.Rows), "self-join")
+		compare(rowsToPairs(t, execSelfJoin(t, native, q).Rows), "self-join")
 
 		// Derivation strategies, where a strategy applies.
+		e := New(DefaultOptions())
+		load(e)
+		mustExec(t, e, viewDDL)
 		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA, rewrite.StrategyAuto} {
 			for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
-				opts := DefaultOptions()
-				opts.Strategy = strat
-				opts.Form = form
-				e := New(opts)
-				load(e)
-				mustExec(t, e, viewDDL)
-				dres := mustExec(t, e, q)
+				dres := execDerived(t, e, q, strat, form)
 				label := fmt.Sprintf("derive/%v/%v", strat, form)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable for these windows: native fallback already checked
@@ -208,28 +197,19 @@ func TestDifferentialRandomPartitionedParallel(t *testing.T) {
 		compare(partPairs(t, mustExec(t, parEng, q)), "native/parallel")
 
 		// Fig. 2 self-join simulation (no Window operator in the plan).
-		simOpts := refOpts
-		simOpts.NativeWindow = false
-		sim := New(simOpts)
-		load(sim)
-		res := mustExec(t, sim, q)
-		if res.Rewritten == "" {
-			t.Fatalf("%s: self-join rewrite did not fire", ctx)
-		}
-		compare(partPairs(t, res), "self-join")
+		compare(partPairs(t, execSelfJoin(t, refEng, q)), "self-join")
 
 		// MaxOA / MinOA derivation, sequential and parallel; the parallel
 		// engine also materializes pv through the worker pool.
-		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-			for _, par := range []int{1, 4} {
-				opts := DefaultOptions()
-				opts.Strategy = strat
-				opts.Form = []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
-				opts.WindowParallelism = par
-				e := New(opts)
-				load(e)
-				mustExec(t, e, viewDDL)
-				dres := mustExec(t, e, q)
+		for _, par := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.WindowParallelism = par
+			e := New(opts)
+			load(e)
+			mustExec(t, e, viewDDL)
+			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
+				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
+				dres := execDerived(t, e, q, strat, form)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable for these windows: native fallback already checked
 				}

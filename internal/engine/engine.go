@@ -1,22 +1,20 @@
 // Package engine is the top of the rfview stack: it parses SQL, routes DDL
-// and DML, keeps materialized views maintained, applies the paper's rewrites
-// (derivation from materialized sequence views, self-join simulation of
-// reporting functions), plans, and executes.
+// and DML, keeps materialized views maintained, answers reporting-function
+// queries from a matching fresh sequence view (the §3–§5 derivation rewrite)
+// or with the native window operator, plans, and executes.
 //
-// The Options knobs map one-to-one onto the paper's evaluation axes:
-//
-//	NativeWindow   — Table 1: reporting functionality inside the engine
-//	                 vs. the Fig. 2 self-join simulation.
-//	UseIndexes     — Table 1: with / without an index on the position column.
-//	UseMatViews,
-//	Strategy, Form — Table 2: MaxOA vs. MinOA, disjunctive vs. UNION form.
+// Options describes the one served system: whether views answer queries,
+// and the executor's parallelism, memory and paging. The paper's evaluation
+// axes — Fig. 2 self join vs. native, with/without index, MaxOA vs. MinOA,
+// disjunctive vs. UNION — are not engine switches: internal/bench renders
+// them as SQL (rewrite.SelfJoin, rewrite.Derive) and runs that SQL here.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,29 +36,9 @@ import (
 
 // Options configures an engine.
 type Options struct {
-	// NativeWindow enables the Window operator; off forces the Fig. 2
-	// self-join rewrite for reporting-function queries.
-	NativeWindow bool
-	// UseIndexes enables index nested-loop joins.
-	UseIndexes bool
-	// UseHashJoin enables hash joins.
-	UseHashJoin bool
 	// UseMatViews enables answering window queries from materialized
 	// sequence views (§3–§5 derivation rewrites).
 	UseMatViews bool
-	// Strategy picks the derivation algorithm (auto / MaxOA / MinOA).
-	Strategy rewrite.Strategy
-	// Form picks the relational rendering (disjunctive / union).
-	Form rewrite.Form
-	// DerivationMaxRows caps non-exact derivation rewrites: views whose base
-	// exceeds this many rows answer only identically-windowed queries, and
-	// everything else recomputes natively. This operationalizes the paper's
-	// §7 finding that the relational derivation patterns scale superlinearly
-	// and are "not advisable for large sequences" — derive when the view is
-	// small or the windows match, recompute otherwise. 0 disables the cap
-	// (always derive when a view matches, the paper's §3 caching setting
-	// where raw data may not be reachable at all).
-	DerivationMaxRows int
 	// WindowParallelism bounds the worker pool the Window operator uses to
 	// evaluate independent partitions (the §6 partitioning reduction lemma)
 	// concurrently: 0 resolves to GOMAXPROCS, 1 forces sequential
@@ -97,13 +75,9 @@ type Options struct {
 	PageCacheBytes int64
 }
 
-// DefaultOptions enables every feature with automatic strategy selection.
-func DefaultOptions() Options {
-	return Options{
-		NativeWindow: true, UseIndexes: true, UseHashJoin: true,
-		UseMatViews: true, Strategy: rewrite.StrategyAuto, Form: rewrite.FormDisjunctive,
-	}
-}
+// DefaultOptions answers window queries from materialized views where one
+// applies; everything else is at its zero value.
+func DefaultOptions() Options { return Options{UseMatViews: true} }
 
 // Engine executes SQL statements.
 //
@@ -191,9 +165,12 @@ type Result struct {
 	// CacheHit reports that the plan cache answered this statement.
 	CacheHit bool
 
-	// execStmt is the statement that was actually planned (post-derivation,
-	// pre-self-join-fallback); the plan cache replans from it on a hit.
+	// execStmt is the statement that was actually planned (post-derivation);
+	// the plan cache replans from it on a hit.
 	execStmt sqlparser.SelectStatement
+	// skipped names the stale view the derivation rewrite declined to read;
+	// EXPLAIN says so, and the plan cache drops the plan once it is fresh.
+	skipped string
 	// planText is the uninstrumented plan rendering captured at plan time,
 	// retained by the plan cache so EXPLAIN can replay it on a hit.
 	planText string
@@ -577,9 +554,6 @@ func (e *Engine) execStmtLocked(ctx context.Context, stmt sqlparser.Statement, c
 // cancellation; winStats aggregates its parallelism telemetry.
 func (e *Engine) planner(ctx context.Context, snap func() txn.Snapshot) *plan.Planner {
 	return plan.New(e.Cat, plan.Options{
-		NativeWindow:      e.Opts.NativeWindow,
-		UseIndexes:        e.Opts.UseIndexes,
-		UseHashJoin:       e.Opts.UseHashJoin,
 		WindowParallelism: e.Opts.WindowParallelism,
 		Ctx:               ctx,
 		WindowStats:       e.winStats,
@@ -632,58 +606,61 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// RewriteSelect applies the engine's rewrite pipeline to a select statement
-// without executing it: first the materialized-view derivation (§3–§5), then
-// — if the native window operator is off — the Fig. 2 self-join simulation.
-// It returns the (possibly unchanged) statement and the derivation record.
+// RewriteSelect applies the materialized-view derivation (§3–§5) to a select
+// statement without executing it. It returns the (possibly unchanged)
+// statement and the derivation record.
 func (e *Engine) RewriteSelect(stmt sqlparser.SelectStatement) (sqlparser.SelectStatement, *rewrite.Derivation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.rewriteSelect(stmt, false)
+	out, d, _, err := e.rewriteSelect(stmt, false)
+	return out, d, err
 }
 
 // rewriteSelect applies the derivation rewrite. noDerive skips it: statements
 // inside an explicit transaction read at a fixed snapshot, while derivation
-// decisions (view freshness, BaseRows caps) track the latest committed state
-// — mixing the two could derive from a view the snapshot predates.
-func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (sqlparser.SelectStatement, *rewrite.Derivation, error) {
-	if sel, ok := stmt.(*sqlparser.Select); ok && e.Opts.UseMatViews && !noDerive {
-		d, err := rewrite.Derive(e.Cat, sel, e.Opts.Strategy, e.Opts.Form)
-		if err != nil {
-			return nil, nil, err
-		}
-		if d != nil {
-			if e.Opts.DerivationMaxRows > 0 && !d.Exact &&
-				d.View.Table.Heap.Len() > e.Opts.DerivationMaxRows {
-				// The §7 advisory: past this size, a relational derivation
-				// costs more than recomputing from raw data.
-				return stmt, nil, nil
-			}
-			if err := e.Views.CheckFresh(d.View.Name); err != nil {
-				return nil, nil, err
-			}
-			return d.Stmt, d, nil
-		}
+// decisions (view freshness, BaseRows) track the latest committed state
+// — mixing the two could derive from a view the snapshot predates. A stale
+// view declines the rewrite and is returned as skipped: the user named the
+// base table, which can always answer.
+func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (out sqlparser.SelectStatement, d *rewrite.Derivation, skipped string, err error) {
+	sel, ok := stmt.(*sqlparser.Select)
+	if !ok || !e.Opts.UseMatViews || noDerive {
+		return stmt, nil, "", nil
 	}
-	return stmt, nil, nil
+	d, err = rewrite.Derive(e.Cat, sel, rewrite.StrategyAuto, rewrite.FormDisjunctive)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if d == nil {
+		return stmt, nil, "", nil
+	}
+	views := e.viewsRead(d.Stmt)
+	if i := slices.IndexFunc(views, e.Views.Stale); i >= 0 {
+		return stmt, nil, views[i], nil
+	}
+	return d.Stmt, d, "", nil
 }
 
 func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (exec.Operator, *Result, error) {
-	res := &Result{}
-	rewritten, d, err := e.rewriteSelect(stmt, cfg.tx != nil && cfg.tx.Explicit)
+	rewritten, d, skipped, err := e.rewriteSelect(stmt, cfg.tx != nil && cfg.tx.Explicit)
 	if err != nil {
 		return nil, nil, err
 	}
+	res := &Result{skipped: skipped}
 	if d != nil {
 		res.Derivation = d
 		res.Rewritten = rewritten.String()
 		stmt = rewritten
+	} else {
+		// Querying a materialized view directly must see fresh contents (a
+		// derivation's views were found fresh just above).
+		for _, v := range e.viewsRead(stmt) {
+			if err := e.Views.CheckFresh(v); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	// Querying a materialized view directly must see fresh contents.
-	if err := e.checkFromFreshness(stmt); err != nil {
-		return nil, nil, err
-	}
-	op, err := e.planPhysical(ctx, stmt, res, cfg)
+	op, err := e.planPhysical(ctx, stmt, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -694,27 +671,12 @@ func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement,
 	return op, res, nil
 }
 
-// planPhysical turns a (post-derivation) statement into an operator tree,
-// falling back to the Fig. 2 self-join simulation when the native window
-// operator is disabled.
-func (e *Engine) planPhysical(ctx context.Context, stmt sqlparser.SelectStatement, res *Result, cfg execConfig) (exec.Operator, error) {
+// planPhysical turns a (post-derivation) statement into an operator tree.
+func (e *Engine) planPhysical(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (exec.Operator, error) {
 	if cfg.snap == nil {
 		cfg.snap = e.newSnapCell(cfg.tx)
 	}
-	op, err := e.planner(ctx, cfg.snap).PlanSelect(stmt)
-	if errors.Is(err, plan.ErrWindowDisabled) {
-		sel, ok := stmt.(*sqlparser.Select)
-		if !ok {
-			return nil, err
-		}
-		sj, rerr := rewrite.SelfJoin(sel)
-		if rerr != nil {
-			return nil, fmt.Errorf("%w; self-join simulation also failed: %v", err, rerr)
-		}
-		res.Rewritten = sj.String()
-		op, err = e.planner(ctx, cfg.snap).PlanSelect(sj)
-	}
-	return op, err
+	return e.planner(ctx, cfg.snap).PlanSelect(stmt)
 }
 
 func (e *Engine) execSelect(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (*Result, error) {
@@ -739,7 +701,7 @@ func (e *Engine) runOperator(ctx context.Context, op exec.Operator, res *Result,
 	res.Rows = rows
 	res.Affected = len(rows)
 	if cfg.trace {
-		res.Analyzed = annotationHeader(res) + exec.FormatAnalyzedPlan(op)
+		res.Analyzed = e.annotationHeader(res) + exec.FormatAnalyzedPlan(op)
 	}
 	return res, nil
 }
@@ -765,14 +727,14 @@ func (e *Engine) explain(ctx context.Context, s *sqlparser.Explain, cfg execConf
 	// Plain EXPLAIN replays a valid cached plan's rendering when one exists —
 	// the annotation a user sees must match the plan that will actually run.
 	if ent, hit := e.plans.Get(sel.String()); hit && e.planValid(ent) && ent.planText != "" {
-		res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, CacheHit: true}
-		return planResult(res, annotationHeader(res)+ent.planText), nil
+		res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, skipped: ent.skipped, CacheHit: true}
+		return planResult(res, e.annotationHeader(res)+ent.planText), nil
 	}
 	op, res, err := e.planSelect(ctx, sel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return planResult(res, annotationHeader(res)+exec.FormatPlan(op)), nil
+	return planResult(res, e.annotationHeader(res)+exec.FormatPlan(op)), nil
 }
 
 // planResult packages an EXPLAIN rendering as a one-row result.
@@ -783,47 +745,6 @@ func planResult(res *Result, txt string) *Result {
 	res.Affected = len(res.Rows)
 	res.execStmt = nil // EXPLAIN results must never enter the plan cache
 	return res
-}
-
-// checkFromFreshness rejects queries whose FROM clause references a stale
-// materialized view.
-func (e *Engine) checkFromFreshness(stmt sqlparser.SelectStatement) error {
-	var checkFrom func(t sqlparser.TableExpr) error
-	var checkSel func(s sqlparser.SelectStatement) error
-	checkFrom = func(t sqlparser.TableExpr) error {
-		switch x := t.(type) {
-		case nil:
-			return nil
-		case *sqlparser.TableName:
-			if _, ok := e.Cat.MatView(x.Name); ok {
-				return e.Views.CheckFresh(x.Name)
-			}
-			return nil
-		case *sqlparser.Join:
-			if err := checkFrom(x.Left); err != nil {
-				return err
-			}
-			return checkFrom(x.Right)
-		case *sqlparser.DerivedTable:
-			return checkSel(x.Select)
-		default:
-			return nil
-		}
-	}
-	checkSel = func(s sqlparser.SelectStatement) error {
-		switch x := s.(type) {
-		case *sqlparser.Select:
-			return checkFrom(x.From)
-		case *sqlparser.Union:
-			if err := checkSel(x.Left); err != nil {
-				return err
-			}
-			return checkSel(x.Right)
-		default:
-			return nil
-		}
-	}
-	return checkSel(stmt)
 }
 
 // ---------------------------------------------------------------------------

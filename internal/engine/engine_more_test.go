@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	rferrors "rfview/errors"
+	"rfview/internal/core"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 )
@@ -92,21 +96,102 @@ func TestExplainShowsDerivation(t *testing.T) {
 	}
 }
 
-// TestStaleViewBlocksDerivation: once stale, the view no longer answers
-// queries via derivation either.
+// TestStaleViewBlocksDerivation: a stale view blocks only the derivation. A
+// window query over the base table never named the view, so it answers
+// natively from the current rows — also on a plan-cache hit, and also where
+// REFRESH itself is refused (duplicate position, NULL value) — EXPLAIN says
+// why the view was skipped, and once REFRESH succeeds the query derives
+// again. Reading the view itself stays a stale_view error.
 func TestStaleViewBlocksDerivation(t *testing.T) {
-	e := newEngine(t)
-	loadSeq(t, e, 20, func(i int) int64 { return int64(i) })
-	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
-	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
-	mustExec(t, e, `DELETE FROM seq WHERE pos = 10`) // density broken → stale
-	if !e.Views.Stale("mv") {
-		t.Fatal("view should be stale")
-	}
-	_, err := e.Exec(`SELECT pos, SUM(val) OVER (ORDER BY pos
-	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	if err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("stale view must refuse derivation: %v", err)
+	const q = `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`
+	for _, c := range []struct {
+		name        string
+		stale, heal string
+	}{
+		{"middle delete", `DELETE FROM seq WHERE pos = 3`, `INSERT INTO seq VALUES (3, 4)`},
+		// The duplicate carries pos 3's own value, so the answer does not
+		// depend on how the engine orders the tie.
+		{"duplicate position", `INSERT INTO seq VALUES (3, 10)`, `DELETE FROM seq WHERE pos = 3; INSERT INTO seq VALUES (3, 10)`},
+		{"null value", `UPDATE seq SET val = NULL WHERE pos = 2`, `UPDATE seq SET val = 9 WHERE pos = 2`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEngine(t)
+			mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER)`)
+			mustExec(t, e, `INSERT INTO seq VALUES (1, 7), (2, -3), (3, 10), (4, 5), (5, 1)`)
+			mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
+			  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
+
+			type cell struct {
+				pos  int64
+				bits uint64
+			}
+			sorted := func(cells []cell) []cell {
+				slices.SortFunc(cells, func(a, b cell) int { return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.bits, b.bits)) })
+				return cells
+			}
+			// check runs q and compares it with core.ComputeNaive over the
+			// current rows in position order (SUM skips a NULL: it adds 0).
+			check := func(when string, wantDerived bool) {
+				t.Helper()
+				base := mustExec(t, e, `SELECT pos, val FROM seq`).Rows
+				slices.SortFunc(base, func(a, b sqltypes.Row) int { return cmp.Compare(a[0].Int(), b[0].Int()) })
+				raw := make([]float64, len(base))
+				for i, r := range base {
+					if !r[1].IsNull() {
+						raw[i] = r[1].Float()
+					}
+				}
+				naive, err := core.ComputeNaive(raw, core.Sliding(2, 1), core.Sum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]cell, len(base))
+				for i, v := range naive.Body() {
+					want[i] = cell{base[i][0].Int(), math.Float64bits(v)}
+				}
+				res, err := e.Exec(q)
+				if err != nil {
+					t.Fatalf("%s: window query over the base table: %v", when, err)
+				}
+				if derived := res.Derivation != nil; derived != wantDerived {
+					t.Fatalf("%s: derived = %v, want %v", when, derived, wantDerived)
+				}
+				got := make([]cell, len(res.Rows))
+				for i, r := range res.Rows {
+					got[i] = cell{r[0].Int(), math.Float64bits(r[1].Float())}
+				}
+				if !slices.Equal(sorted(got), sorted(want)) {
+					t.Fatalf("%s: got %v, ComputeNaive over the current rows says %v", when, got, want)
+				}
+			}
+
+			check("fresh", true)
+			mustExec(t, e, c.stale)
+			if !e.Views.Stale("mv") {
+				t.Fatal("view should be stale")
+			}
+			check("stale", false)
+			check("stale, cached plan", false)
+			if _, err := e.Exec(`SELECT pos, val FROM mv`); rferrors.CodeOf(err) != rferrors.CodeStaleView {
+				t.Fatalf("reading the stale view: got %v, want a stale_view error", err)
+			}
+			_, why := e.Views.StaleInfo("mv")
+			for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+				plan := mustExec(t, e, explain+q).Plan
+				if !strings.Contains(plan, "-- strategy: native\n") || !strings.Contains(plan, "-- view mv skipped: stale ("+why+")\n") {
+					t.Fatalf("%sdoes not say why the view was skipped:\n%s", explain, plan)
+				}
+			}
+
+			mustExecAll(t, e, c.heal)
+			check("healed, not refreshed", false) // and caches a native plan at the healed rows
+			mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
+			check("refreshed", true)
+			check("refreshed, cached plan", true)
+			if plan := mustExec(t, e, "EXPLAIN "+q).Plan; strings.Contains(plan, "skipped") {
+				t.Fatalf("EXPLAIN still reports a skipped view after REFRESH:\n%s", plan)
+			}
+		})
 	}
 }
 
@@ -131,11 +216,8 @@ func TestCountStarDerivation(t *testing.T) {
 // TestSelfJoinPartitioned: the Fig. 2 pattern extended with PARTITION BY
 // agrees with native evaluation.
 func TestSelfJoinPartitionedEquivalence(t *testing.T) {
-	build := func(native bool) *Engine {
-		opts := DefaultOptions()
-		opts.UseMatViews = false
-		opts.NativeWindow = native
-		e := New(opts)
+	build := func() *Engine {
+		e := newEngine(t)
 		mustExec(t, e, `CREATE TABLE g (grp INTEGER, pos INTEGER, val INTEGER)`)
 		rng := rand.New(rand.NewSource(17))
 		var b strings.Builder
@@ -151,8 +233,9 @@ func TestSelfJoinPartitionedEquivalence(t *testing.T) {
 	}
 	q := `SELECT pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos
 	  ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM g`
-	rn := mustExec(t, build(true), q)
-	rs := mustExec(t, build(false), q)
+	e := build()
+	rn := mustExec(t, e, q)
+	rs := execSelfJoin(t, e, q)
 	// NOTE: with PARTITION BY, window offsets count rows *within the
 	// partition* natively, but the self-join pattern joins on position
 	// arithmetic — they agree only when positions are dense per partition.
@@ -163,8 +246,8 @@ func TestSelfJoinPartitionedEquivalence(t *testing.T) {
 	_ = rs
 	qc := `SELECT pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos
 	  ROWS UNBOUNDED PRECEDING) AS w FROM g`
-	rn = mustExec(t, build(true), qc)
-	rs = mustExec(t, build(false), qc)
+	rn = mustExec(t, e, qc)
+	rs = execSelfJoin(t, e, qc)
 	gn, gs := rowsToPairs(t, rn.Rows), rowsToPairs(t, rs.Rows)
 	if len(gn) != len(gs) {
 		t.Fatalf("cardinality %d vs %d", len(gn), len(gs))
@@ -276,37 +359,6 @@ func TestIndexedPointQueriesAfterDML(t *testing.T) {
 	res = mustExec(t, e, `SELECT s2.val FROM seq s1, seq s2 WHERE s1.pos = 50 AND s2.pos = s1.pos + 50`)
 	if len(res.Rows) != 0 {
 		t.Fatalf("deleted row visible through index: %v", res.Rows)
-	}
-}
-
-// TestDerivationMaxRows — the §7 advisory cap: big views answer only exact
-// matches; smaller windows recompute natively.
-func TestDerivationMaxRows(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DerivationMaxRows = 10 // backing table is larger than this
-	e := New(opts)
-	loadSeq(t, e, 50, func(i int) int64 { return int64(i) })
-	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
-	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
-	// Different window: the cap suppresses the rewrite.
-	res := mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos
-	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	if res.Derivation != nil {
-		t.Fatal("cap should have suppressed the non-exact derivation")
-	}
-	// Exact match: always allowed.
-	res = mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos
-	  ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	if res.Derivation == nil || !res.Derivation.Exact {
-		t.Fatal("exact match should still answer from the view")
-	}
-	// Raising the cap re-enables derivation.
-	opts.DerivationMaxRows = 1000
-	e.Opts = opts
-	res = mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos
-	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	if res.Derivation == nil {
-		t.Fatal("derivation should fire under the cap")
 	}
 }
 

@@ -323,19 +323,9 @@ func TestWindowPartitionBy(t *testing.T) {
 
 // TestSelfJoinSimulationMatchesNative — Table 1's two strategies must agree.
 func TestSelfJoinSimulationMatchesNative(t *testing.T) {
-	opts := DefaultOptions()
-	opts.UseMatViews = false
-	native := New(opts)
-	simOpts := opts
-	simOpts.NativeWindow = false
-	sim := New(simOpts)
-
+	e := newEngine(t)
 	rng := rand.New(rand.NewSource(21))
-	n := 50
-	for _, e := range []*Engine{native, sim} {
-		rng = rand.New(rand.NewSource(21))
-		loadSeq(t, e, n, func(int) int64 { return int64(rng.Intn(100)) })
-	}
+	loadSeq(t, e, 50, func(int) int64 { return int64(rng.Intn(100)) })
 	queries := []string{
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
@@ -344,11 +334,8 @@ func TestSelfJoinSimulationMatchesNative(t *testing.T) {
 		`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 	}
 	for _, q := range queries {
-		rn := mustExec(t, native, q)
-		rs := mustExec(t, sim, q)
-		if rs.Rewritten == "" {
-			t.Fatalf("%s: simulation engine did not rewrite", q)
-		}
+		rn := mustExec(t, e, q)
+		rs := execSelfJoin(t, e, q)
 		gn, gs := rowsToPairs(t, rn.Rows), rowsToPairs(t, rs.Rows)
 		if len(gn) != len(gs) {
 			t.Fatalf("%s: cardinality %d vs %d", q, len(gn), len(gs))
@@ -392,18 +379,15 @@ func TestDerivationMatchesNative(t *testing.T) {
 		// Narrower window — only MinOA can do this.
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 	}
+	derived := build(DefaultOptions())
 	for _, strat := range []rewrite.Strategy{rewrite.StrategyAuto, rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
 		for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
-			opts := DefaultOptions()
-			opts.Strategy = strat
-			opts.Form = form
-			derived := build(opts)
 			for qi, q := range queries {
 				if strat == rewrite.StrategyMaxOA && qi == 3 {
-					continue // MaxOA cannot narrow a window; engine falls back to native
+					continue // MaxOA cannot narrow a window
 				}
 				rn := mustExec(t, native, q)
-				rd := mustExec(t, derived, q)
+				rd := execDerived(t, derived, q, strat, form)
 				gn, gd := rowsToPairs(t, rn.Rows), rowsToPairs(t, rd.Rows)
 				if len(gd) != len(gn) {
 					t.Fatalf("strat=%v form=%v q%d: cardinality %d vs %d", strat, form, qi, len(gd), len(gn))
@@ -506,7 +490,7 @@ func TestViewMaintainedThroughDML(t *testing.T) {
 		if rd.Derivation == nil {
 			t.Fatalf("%s: derivation did not fire", ctx)
 		}
-		noViews := New(Options{NativeWindow: true, UseIndexes: true, UseHashJoin: true})
+		noViews := New(Options{})
 		noViews.Cat = e.Cat // same data, no view matching
 		rn, err := noViews.Exec(q)
 		if err != nil {

@@ -214,16 +214,14 @@ func (e *Engine) observeQuery(sql string, res *Result, err error, elapsed time.D
 }
 
 // strategyLabel names how a statement was evaluated, for the per-strategy
-// counter and the EXPLAIN header: exact / maxoa / minoa view derivations,
-// the Fig. 2 selfjoin simulation, or the native window operator.
+// counter and the EXPLAIN header: exact / maxoa / minoa view derivations, or
+// native evaluation from the base rows.
 func strategyLabel(res *Result) string {
 	switch {
 	case res.Derivation != nil && res.Derivation.Exact:
 		return "exact"
 	case res.Derivation != nil:
 		return strings.ToLower(res.Derivation.Strategy.String())
-	case res.Rewritten != "":
-		return "selfjoin"
 	default:
 		return "native"
 	}
@@ -231,8 +229,9 @@ func strategyLabel(res *Result) string {
 
 // annotationHeader renders the provenance lines EXPLAIN [ANALYZE] prefixes
 // to the operator tree: the chosen strategy with the paper's Δl/Δh window
-// overlap factors, the rewritten SQL, and plan-cache provenance.
-func annotationHeader(res *Result) string {
+// overlap factors, the stale view a native plan declined to derive from, the
+// rewritten SQL, and plan-cache provenance.
+func (e *Engine) annotationHeader(res *Result) string {
 	var b strings.Builder
 	b.WriteString("-- strategy: " + strategyLabel(res))
 	if d := res.Derivation; d != nil {
@@ -242,6 +241,10 @@ func annotationHeader(res *Result) string {
 		}
 	}
 	b.WriteString("\n")
+	if res.skipped != "" {
+		_, why := e.Views.StaleInfo(res.skipped)
+		fmt.Fprintf(&b, "-- view %s skipped: stale (%s)\n", res.skipped, why)
+	}
 	if res.Rewritten != "" {
 		b.WriteString("-- rewritten: " + res.Rewritten + "\n")
 	}

@@ -17,14 +17,11 @@ import (
 
 // newTinyPoolEngine builds an engine whose buffer pool holds only a few
 // 1 KiB pages, so every multi-page operation runs under eviction pressure.
-func newTinyPoolEngine(t *testing.T, pages int, mutate func(*Options)) *Engine {
+func newTinyPoolEngine(t *testing.T, pages int) *Engine {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.MinPageSize
 	opts.PageCacheBytes = int64(pages) * storage.MinPageSize
-	if mutate != nil {
-		mutate(&opts)
-	}
 	e := New(opts)
 	t.Cleanup(func() { e.Close() })
 	return e
@@ -78,17 +75,17 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	viewDDL := `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
 	strategies := []struct {
-		name   string
-		mutate func(*Options)
-		view   bool
+		name  string
+		query func(*testing.T, *Engine, string) *Result
+		view  bool
 	}{
-		{"native", nil, false},
-		{"selfjoin", func(o *Options) { o.NativeWindow = false }, false},
-		{"maxoa", func(o *Options) { o.Strategy = rewrite.StrategyMaxOA }, true},
-		{"minoa", func(o *Options) { o.Strategy = rewrite.StrategyMinOA }, true},
+		{"native", mustExec, false},
+		{"selfjoin", execSelfJoin, false},
+		{"maxoa", execForced(rewrite.StrategyMaxOA), true},
+		{"minoa", execForced(rewrite.StrategyMinOA), true},
 	}
 	for _, strat := range strategies {
-		e := newTinyPoolEngine(t, 4, strat.mutate)
+		e := newTinyPoolEngine(t, 4)
 		load(e)
 		if strat.view {
 			mustExec(t, e, viewDDL)
@@ -103,7 +100,11 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 				t.Fatalf("%s scan: row %d = %+v, shadow says %+v", strat.name, i, got, r)
 			}
 		}
-		got := rowsToPairs(t, mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`).Rows)
+		res := strat.query(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`)
+		if strat.view && res.Derivation == nil {
+			t.Fatalf("%s did not derive the window from mv", strat.name)
+		}
+		got := rowsToPairs(t, res.Rows)
 		if len(got) != len(shadow) {
 			t.Fatalf("%s window: %d rows, shadow has %d", strat.name, len(got), len(shadow))
 		}
@@ -132,7 +133,7 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 // scan must return a consistent snapshot (committed row count) and no
 // statement may fail with anything but a write-write conflict.
 func TestPagedEvictionRaces(t *testing.T) {
-	e := newTinyPoolEngine(t, 16, nil)
+	e := newTinyPoolEngine(t, 16)
 	mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER, pad VARCHAR(128))`)
 	var b strings.Builder
 	b.WriteString("INSERT INTO seq VALUES ")
@@ -217,7 +218,7 @@ func TestPagedEvictionRaces(t *testing.T) {
 // ANALYZE annotates Scan nodes with page counts and hit ratios, and the
 // metrics exposition carries the bufferpool series.
 func TestPagedExplainAnalyzeAndMetrics(t *testing.T) {
-	e := newTinyPoolEngine(t, 4, nil)
+	e := newTinyPoolEngine(t, 4)
 	mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER, pad VARCHAR(200))`)
 	var b strings.Builder
 	b.WriteString("INSERT INTO seq VALUES ")

@@ -47,7 +47,13 @@ func partPairs(t *testing.T, res *Result) map[string]float64 {
 
 func checkPartitionedAgainstNative(t *testing.T, e *Engine, q, ctx string) {
 	t.Helper()
-	derived := mustExec(t, e, q)
+	checkDerivedAgainstNative(t, e, mustExec(t, e, q), q, ctx)
+}
+
+// checkDerivedAgainstNative compares derived — q as answered from a view —
+// with q evaluated natively on the same engine.
+func checkDerivedAgainstNative(t *testing.T, e *Engine, derived *Result, q, ctx string) {
+	t.Helper()
 	if derived.Derivation == nil {
 		t.Fatalf("%s: partitioned derivation did not fire", ctx)
 	}
@@ -81,12 +87,8 @@ func TestPartitionedExactMatch(t *testing.T) {
 // TestPartitionedDerivation — MaxOA/MinOA across a different window, per
 // partition, in both forms.
 func TestPartitionedDerivation(t *testing.T) {
-	for _, form := range []string{"disjunctive", "union"} {
-		opts := DefaultOptions()
-		if form == "union" {
-			opts.Form = rewrite.FormUnion
-		}
-		e := New(opts)
+	for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
+		e := newEngine(t)
 		// Uneven partition sizes stress the per-partition header/trailer.
 		mustExec(t, e, `CREATE TABLE pseq (grp VARCHAR(10), pos INTEGER, val INTEGER)`)
 		rng := rand.New(rand.NewSource(9))
@@ -104,10 +106,15 @@ func TestPartitionedDerivation(t *testing.T) {
 		}
 		mustExec(t, e, b.String())
 		mustExec(t, e, partViewDDL)
-		checkPartitionedAgainstNative(t, e, `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
-		  ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM pseq`, form+" widened")
-		checkPartitionedAgainstNative(t, e, `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
-		  ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pseq`, form+" narrowed")
+		for _, c := range []struct{ name, q string }{
+			{"widened", `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
+			  ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM pseq`},
+			{"narrowed", `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
+			  ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pseq`},
+		} {
+			derived := execDerived(t, e, c.q, rewrite.StrategyAuto, form)
+			checkDerivedAgainstNative(t, e, derived, c.q, form.String()+" "+c.name)
+		}
 	}
 }
 

@@ -136,35 +136,28 @@ func TestDifferentialSpillForced(t *testing.T) {
 		}
 
 		// Fig. 2 self-join simulation under the budget.
-		simOpts := refOpts
-		simOpts.NativeWindow = false
-		sim := budgeted(simOpts)
+		sim := budgeted(refOpts)
 		load(sim)
-		res := mustExec(t, sim, q)
-		if res.Rewritten == "" {
-			t.Fatalf("%s: self-join rewrite did not fire", ctx)
-		}
-		compare(partPairs(t, res), "self-join")
+		compare(partPairs(t, execSelfJoin(t, sim, q)), "self-join")
 		countRuns(sim)
 
 		// MaxOA / MinOA derivation under the budget, sequential and parallel;
 		// the view materialization itself also runs spilled.
-		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-			for _, par := range []int{1, 4} {
-				opts := DefaultOptions()
-				opts.Strategy = strat
-				opts.Form = []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
-				opts.WindowParallelism = par
-				e := budgeted(opts)
-				load(e)
-				mustExec(t, e, viewDDL)
-				dres := mustExec(t, e, q)
-				countRuns(e)
+		for _, par := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.WindowParallelism = par
+			e := budgeted(opts)
+			load(e)
+			mustExec(t, e, viewDDL)
+			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
+				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
+				dres := execDerived(t, e, q, strat, form)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable: native fallback already checked
 				}
 				compare(partPairs(t, dres), fmt.Sprintf("derive/%v/parallel=%d", strat, par))
 			}
+			countRuns(e)
 		}
 	}
 	if spilledRuns == 0 {

@@ -1,0 +1,81 @@
+package engine
+
+import (
+	"slices"
+	"testing"
+
+	"rfview/internal/rewrite"
+	"rfview/internal/sqlparser"
+)
+
+// The engine serves one configuration: it derives from a fresh view by the
+// strategy rewrite.Derive picks, or evaluates natively. The other evaluation
+// strategies the paper measures — the Fig. 2 self join, a forced MaxOA or
+// MinOA, the UNION form — are not switches; the tests that compare them get
+// them the way internal/bench does: the rewrite package renders the
+// statement and the engine under test runs it as written.
+
+// execSelfJoin answers the window query sql by its Fig. 2 self-join
+// simulation; Result.Rewritten carries the simulation's SQL.
+func execSelfJoin(t *testing.T, e *Engine, sql string) *Result {
+	t.Helper()
+	sj, err := rewrite.SelfJoin(parseSelect(t, sql))
+	if err != nil {
+		t.Fatalf("self join of %q: %v", sql, err)
+	}
+	res := execStmt(t, e, sj)
+	res.Rewritten = sj.String()
+	return res
+}
+
+// execDerived answers the window query sql by deriving it from e's views
+// with the strategy and form forced; Result.Derivation and Result.Rewritten
+// describe the rendering. Where the forced strategy does not apply, or its
+// view is stale, e answers sql its own way and Result.Derivation is nil.
+func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy, form rewrite.Form) *Result {
+	t.Helper()
+	sel := parseSelect(t, sql)
+	d, err := rewrite.Derive(e.Cat, sel, strategy, form)
+	if err != nil {
+		t.Fatalf("derive %q: %v", sql, err)
+	}
+	if d == nil || slices.ContainsFunc(e.viewsRead(d.Stmt), e.Views.Stale) {
+		res := execStmt(t, e, sel)
+		res.Derivation, res.Rewritten = nil, ""
+		return res
+	}
+	res := execStmt(t, e, d.Stmt)
+	res.Derivation, res.Rewritten = d, d.Stmt.String()
+	return res
+}
+
+// execForced is execDerived in the disjunctive form, shaped like mustExec so
+// a table of strategies can hold either.
+func execForced(strategy rewrite.Strategy) func(*testing.T, *Engine, string) *Result {
+	return func(t *testing.T, e *Engine, sql string) *Result {
+		t.Helper()
+		return execDerived(t, e, sql, strategy, rewrite.FormDisjunctive)
+	}
+}
+
+func parseSelect(t *testing.T, sql string) *sqlparser.Select {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	sel, ok := stmt.(*sqlparser.Select)
+	if !ok {
+		t.Fatalf("%q is not a SELECT", sql)
+	}
+	return sel
+}
+
+func execStmt(t *testing.T, e *Engine, stmt sqlparser.Statement) *Result {
+	t.Helper()
+	res, err := e.ExecStmt(stmt)
+	if err != nil {
+		t.Fatalf("ExecStmt(%s): %v", stmt, err)
+	}
+	return res
+}

@@ -260,20 +260,20 @@ func (p *Planner) joinRelations(rels []relation, conjuncts []sqlparser.Expr) (ex
 		var joined exec.Operator
 		var err error
 		// First try probing the new relation with keys from the current side.
-		if p.Opts.UseIndexes && next.table != nil {
+		if next.table != nil {
 			joined, err = p.tryIndexJoin(curOp, next, applicable, exec.JoinInner, true)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
 		// Then try probing the current side, when it is still a bare table.
-		if joined == nil && p.Opts.UseIndexes && curIsBase {
+		if joined == nil && curIsBase {
 			joined, err = p.tryIndexJoin(next.op, relation{op: curOp, ref: curRef, table: curTable, pushed: curPushed}, applicable, exec.JoinInner, false)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		if joined == nil && p.Opts.UseHashJoin {
+		if joined == nil {
 			joined, err = p.tryHashJoin(curOp, next.op, applicable, exec.JoinInner)
 			if err != nil {
 				return nil, nil, err
@@ -302,7 +302,7 @@ func (p *Planner) joinRelations(rels []relation, conjuncts []sqlparser.Expr) (ex
 // conjuncts (used for LEFT OUTER JOIN, where the preserved side must stay on
 // the left).
 func (p *Planner) buildJoin(left exec.Operator, right relation, onConjuncts []sqlparser.Expr, kind exec.JoinKind) (exec.Operator, error) {
-	if p.Opts.UseIndexes && right.table != nil {
+	if right.table != nil {
 		op, err := p.tryIndexJoin(left, right, onConjuncts, kind, true)
 		if err != nil {
 			return nil, err
@@ -311,19 +311,16 @@ func (p *Planner) buildJoin(left exec.Operator, right relation, onConjuncts []sq
 			return op, nil
 		}
 	}
-	if p.Opts.UseHashJoin {
-		op, err := p.tryHashJoin(left, right.op, onConjuncts, kind)
-		if err != nil {
-			return nil, err
-		}
-		if op != nil {
-			return op, nil
-		}
+	op, err := p.tryHashJoin(left, right.op, onConjuncts, kind)
+	if err != nil {
+		return nil, err
+	}
+	if op != nil {
+		return op, nil
 	}
 	var pred expr.Expr
 	if len(onConjuncts) > 0 {
 		combined := expr.Concat(left.Schema(), right.op.Schema())
-		var err error
 		pred, err = expr.Compile(joinAnd(onConjuncts), combined)
 		if err != nil {
 			return nil, err

@@ -3,17 +3,14 @@
 // (index nested-loop / hash / nested-loop), aggregation, reporting-function
 // (window) planning, and set operations.
 //
-// The planner exposes the switches the paper's evaluation toggles:
-// Options.NativeWindow corresponds to "reporting functionality inside the
-// database engine" (Table 1) — with it off, window queries fail with
-// ErrWindowDisabled and the engine layer falls back to the relational
-// self-join rewrite of Fig. 2; Options.UseIndexes corresponds to the
-// with/without-index columns.
+// The join algorithm follows from the data, not from a switch: an index
+// nested-loop join when an index covers the join key, else a hash join on
+// the equi-conjuncts, else a nested loop. Table 1's with/without-index
+// columns are therefore CREATE INDEX issued or not.
 package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -26,20 +23,9 @@ import (
 	"rfview/internal/txn"
 )
 
-// ErrWindowDisabled is returned when a query uses reporting functions but
-// the native window operator is switched off. The engine reacts by applying
-// the self-join simulation rewrite.
-var ErrWindowDisabled = errors.New("reporting functions require the native window operator (disabled)")
-
-// Options toggles the planner's physical alternatives.
+// Options carries the per-statement execution context the planner stamps
+// onto operators.
 type Options struct {
-	// NativeWindow enables the Window operator. Off = the engine must
-	// simulate reporting functions relationally (Fig. 2).
-	NativeWindow bool
-	// UseIndexes enables index nested-loop joins.
-	UseIndexes bool
-	// UseHashJoin enables hash joins for equi-join conjuncts.
-	UseHashJoin bool
 	// WindowParallelism caps the worker pool a Window operator uses to
 	// evaluate partitions concurrently: 0 resolves to GOMAXPROCS at plan
 	// time, 1 forces sequential evaluation, N > 1 allows up to N workers.
@@ -66,11 +52,9 @@ type Options struct {
 	Snap func() txn.Snapshot
 }
 
-// DefaultOptions enables everything; window parallelism resolves to
-// GOMAXPROCS.
-func DefaultOptions() Options {
-	return Options{NativeWindow: true, UseIndexes: true, UseHashJoin: true}
-}
+// DefaultOptions is the zero value: window parallelism resolves to
+// GOMAXPROCS, shared sort on, latest committed state.
+func DefaultOptions() Options { return Options{} }
 
 // windowParallelism resolves the configured knob to the concrete worker
 // count stamped on planned Window operators (and shown by EXPLAIN).
@@ -238,9 +222,6 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 		}
 	}
 	if hasWindow {
-		if !p.Opts.NativeWindow {
-			return nil, ErrWindowDisabled
-		}
 		op, items, err = p.planWindows(op, items)
 		if err != nil {
 			return nil, err

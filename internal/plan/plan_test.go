@@ -72,15 +72,6 @@ func TestPlanUsesIndexJoinForInList(t *testing.T) {
 	if !exec.PlanContains(op, "NestedLoopJoin") {
 		t.Fatalf("expected nested loop:\n%s", exec.FormatPlan(op))
 	}
-	// With indexes disabled, the index must be ignored.
-	opts := DefaultOptions()
-	opts.UseIndexes = false
-	op = planQuery(t, cat, opts,
-		`SELECT s1.pos, SUM(s2.val) AS w FROM seq s1, seq s2
-		 WHERE s1.pos IN (s2.pos - 1, s2.pos, s2.pos + 1) GROUP BY s1.pos`)
-	if exec.PlanContains(op, "IndexNestedLoopJoin") {
-		t.Fatalf("index join despite UseIndexes=false:\n%s", exec.FormatPlan(op))
-	}
 }
 
 func TestPlanUsesHashJoinForComputedEquiKeys(t *testing.T) {
@@ -106,14 +97,34 @@ func TestPlanUsesHashJoinForComputedEquiKeys(t *testing.T) {
 	if !exec.PlanContains(op, "NestedLoopJoin") {
 		t.Fatalf("expected nested loop:\n%s", exec.FormatPlan(op))
 	}
-	// With hash joins disabled, fall back to nested loop.
-	opts := DefaultOptions()
-	opts.UseHashJoin = false
-	op = planQuery(t, cat, opts,
-		`SELECT s1.pos, s2.val FROM seq s1, seq s2 WHERE MOD(s1.pos, 4) = MOD(s2.pos, 4)`)
-	if exec.PlanContains(op, "HashJoin") {
-		t.Fatalf("hash join despite UseHashJoin=false:\n%s", exec.FormatPlan(op))
+}
+
+// TestJoinChoiceFollowsData: no switch picks the join algorithm — the same
+// equi-join probes an index while one exists, hashes once it is dropped, and
+// only a predicate with no equi-conjunct nested-loops.
+func TestJoinChoiceFollowsData(t *testing.T) {
+	cat := newTestCatalog(t, true)
+	const equi = `SELECT s1.pos, s2.val FROM seq s1, seq s2 WHERE s1.pos = s2.pos`
+	expect := func(when, sql, want string) {
+		t.Helper()
+		op := planQuery(t, cat, DefaultOptions(), sql)
+		got := "no join"
+		for _, j := range []string{"IndexNestedLoopJoin", "HashJoin", "NestedLoopJoin"} {
+			if exec.PlanContains(op, j) {
+				got = j
+				break
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: planned a %s, want a %s:\n%s", when, got, want, exec.FormatPlan(op))
+		}
 	}
+	expect("index present", equi, "IndexNestedLoopJoin")
+	if err := cat.DropIndex("seq", "seq_pk"); err != nil {
+		t.Fatal(err)
+	}
+	expect("index dropped", equi, "HashJoin")
+	expect("non-equi predicate", `SELECT s1.pos, s2.val FROM seq s1, seq s2 WHERE s1.pos > s2.pos`, "NestedLoopJoin")
 }
 
 func TestPlanPushesSingleTableFilters(t *testing.T) {
@@ -128,17 +139,6 @@ func TestPlanPushesSingleTableFilters(t *testing.T) {
 	}
 	if !exec.PlanContains(op, "HashJoin") {
 		t.Fatalf("equi conjunct must drive a hash join:\n%s", plan)
-	}
-}
-
-func TestPlanWindowDisabled(t *testing.T) {
-	cat := newTestCatalog(t, false)
-	opts := DefaultOptions()
-	opts.NativeWindow = false
-	stmt, _ := sqlparser.Parse(`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS 1 PRECEDING) AS w FROM seq`)
-	_, err := New(cat, opts).PlanSelect(stmt.(sqlparser.SelectStatement))
-	if err == nil || !strings.Contains(err.Error(), "native window operator") {
-		t.Fatalf("expected ErrWindowDisabled, got %v", err)
 	}
 }
 

@@ -3,16 +3,16 @@
 // Schlesinger; ICDE 2002): a small relational engine with native reporting
 // functions (SQL window functions), materialized reporting-function views
 // with §2.3 incremental maintenance, and the paper's query-rewriting
-// machinery — the Fig. 2 self-join simulation and the MaxOA/MinOA view
-// derivation algorithms (§4, §5) in both their disjunctive and UNION
-// relational renderings (Figs. 10, 13).
+// machinery — the MaxOA/MinOA view derivation algorithms (§4, §5). The
+// renderings the paper only measures (the Fig. 2 self-join simulation, a
+// forced MaxOA or MinOA, the UNION form of Figs. 10/13) are experiments,
+// not options: `rfbench -exp table1|table2|patterns` runs them.
 //
 // Two entry points:
 //
 //   - the SQL surface: Open an engine, Exec DDL/DML/queries. Reporting
-//     functions are answered by the native window operator, by a rewrite
-//     against a matching materialized sequence view, or — with the native
-//     operator disabled — by the pure-relational self-join pattern;
+//     functions are answered by a rewrite against a matching, fresh
+//     materialized sequence view, or else by the native window operator;
 //
 //   - the sequence algebra: the Seq* functions expose the paper's formal
 //     model directly (complete simple sequences, pipelined computation,
@@ -27,7 +27,6 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/engine"
 	"rfview/internal/metrics"
-	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 )
 
@@ -40,8 +39,7 @@ type DB struct {
 	eng *engine.Engine
 }
 
-// Options re-exports the engine feature toggles (the paper's evaluation
-// axes).
+// Options re-exports the engine configuration.
 type Options = engine.Options
 
 // Result re-exports statement results.
@@ -53,18 +51,8 @@ type (
 	Row   = sqltypes.Row
 )
 
-// Derivation strategies and pattern forms for Options.
-const (
-	StrategyAuto  = rewrite.StrategyAuto
-	StrategyMaxOA = rewrite.StrategyMaxOA
-	StrategyMinOA = rewrite.StrategyMinOA
-
-	FormDisjunctive = rewrite.FormDisjunctive
-	FormUnion       = rewrite.FormUnion
-)
-
-// DefaultOptions enables every engine feature with automatic strategy
-// selection.
+// DefaultOptions answers window queries from materialized views where one
+// applies.
 func DefaultOptions() Options { return engine.DefaultOptions() }
 
 // Open creates an empty in-memory warehouse with the given options.
