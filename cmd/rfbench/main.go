@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, table2, or all")
+	exp := flag.String("exp", "all", "experiment to run: table1, table2, patterns, maintenance, window, or all")
 	sizes := flag.String("sizes", "", "comma-separated sequence sizes (default: the paper's)")
 	check := flag.Bool("check", false, "verify every strategy against native evaluation")
 	quick := flag.Bool("quick", false, "use reduced size lists for a fast run")

@@ -66,8 +66,7 @@ type runResult struct {
 	SpillRuns     int64 `json:"spill_runs,omitempty"`
 	SpillRunBytes int64 `json:"spill_run_bytes,omitempty"`
 	SpillOps      int64 `json:"spill_operators,omitempty"`
-	// Buffer-pool counters, as reported by the server after the run (zero
-	// PageSize = server runs without paged storage).
+	// Buffer-pool counters, as reported by the server after the run.
 	BPPageSize    int     `json:"bufferpool_page_size,omitempty"`
 	BPPagesCached int64   `json:"bufferpool_pages_cached,omitempty"`
 	BPHits        int64   `json:"bufferpool_hits,omitempty"`

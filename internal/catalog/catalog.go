@@ -30,7 +30,6 @@ type IndexDef struct {
 	Table   string
 	Columns []string
 	Unique  bool
-	Ordered bool
 }
 
 // Table couples a schema with its heap storage.
@@ -134,33 +133,24 @@ type Catalog struct {
 	// notably CREATE MATERIALIZED VIEW, which can make a better derivation
 	// available for an already-cached query — invalidates every plan.
 	schemaVersion uint64
-	// pager, when set, puts every subsequently-created table's payloads in
-	// paged heap storage behind the shared buffer pool. nil keeps tables
-	// resident in memory (library/test mode).
+	// pager owns the heap files and the shared buffer pool every table's
+	// payloads live in — base tables and mview backing tables alike, since
+	// both funnel through CreateTable.
 	pager *storage.Pager
 }
 
-// New returns an empty catalog.
-func New() *Catalog {
+// New returns an empty catalog whose tables store their rows through pager.
+func New(pager *storage.Pager) *Catalog {
 	return &Catalog{
 		tables: make(map[string]*Table),
 		views:  make(map[string]*MatView),
 		clock:  txn.NewClock(),
+		pager:  pager,
 	}
 }
 
 // Clock returns the shared commit clock of this catalog's tables.
 func (c *Catalog) Clock() *txn.Clock { return c.clock }
-
-// SetPager routes future table creation — base tables and mview backing
-// tables alike, since both funnel through CreateTable — into paged heap
-// storage owned by p. Call before any table exists; already-created tables
-// keep their storage mode.
-func (c *Catalog) SetPager(p *storage.Pager) {
-	c.mu.Lock()
-	c.pager = p
-	c.mu.Unlock()
-}
 
 func key(name string) string { return strings.ToLower(name) }
 
@@ -195,15 +185,9 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 		}
 		seen[ck] = true
 	}
-	var heap *storage.Table
-	if c.pager != nil {
-		h, err := storage.NewPagedTable(c.clock, c.pager, k)
-		if err != nil {
-			return nil, fmt.Errorf("table %q: %w", name, err)
-		}
-		heap = h
-	} else {
-		heap = storage.NewTableWithClock(c.clock)
+	heap, err := storage.NewPagedTable(c.clock, c.pager, k)
+	if err != nil {
+		return nil, fmt.Errorf("table %q: %w", name, err)
 	}
 	t := &Table{Name: name, Columns: append([]Column(nil), cols...), Heap: heap}
 	c.tables[k] = t
@@ -265,7 +249,7 @@ func (c *Catalog) Tables() []string {
 }
 
 // CreateIndex creates an index over the named columns of a table.
-func (c *Catalog) CreateIndex(name, table string, columns []string, unique, ordered bool) (*IndexDef, error) {
+func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool) (*IndexDef, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return nil, err
@@ -280,10 +264,10 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique, orde
 		}
 		ords[i] = ord
 	}
-	if _, err := t.Heap.AddIndex(name, ords, unique, ordered); err != nil {
+	if _, err := t.Heap.AddIndex(name, ords, unique); err != nil {
 		return nil, err
 	}
-	def := &IndexDef{Name: name, Table: t.Name, Columns: append([]string(nil), columns...), Unique: unique, Ordered: ordered}
+	def := &IndexDef{Name: name, Table: t.Name, Columns: append([]string(nil), columns...), Unique: unique}
 	t.Indexes = append(t.Indexes, def)
 	c.schemaVersion++
 	return def, nil

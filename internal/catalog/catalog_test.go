@@ -3,11 +3,22 @@ package catalog
 import (
 	"testing"
 
+	"rfview/internal/spill"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
+// emptyCatalog returns an empty catalog over a small private pager that
+// closes with the test.
+func emptyCatalog(t testing.TB) *Catalog {
+	t.Helper()
+	p := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { p.Close() })
+	return New(p)
+}
+
 func TestCreateResolveDropTable(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	tbl, err := c.CreateTable("seq", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Int}})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +55,7 @@ func TestCreateResolveDropTable(t *testing.T) {
 }
 
 func TestColumnNames(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	tbl, _ := c.CreateTable("t", []Column{{"a", sqltypes.Int}, {"b", sqltypes.String}})
 	names := tbl.ColumnNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -53,10 +64,10 @@ func TestColumnNames(t *testing.T) {
 }
 
 func TestIndexLifecycle(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	tbl, _ := c.CreateTable("t", []Column{{"a", sqltypes.Int}, {"b", sqltypes.Int}})
 	tbl.Heap.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(2)})
-	def, err := c.CreateIndex("t_a", "t", []string{"a"}, true, true)
+	def, err := c.CreateIndex("t_a", "t", []string{"a"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +77,10 @@ func TestIndexLifecycle(t *testing.T) {
 	if len(tbl.Indexes) != 1 {
 		t.Error("index not registered on table metadata")
 	}
-	if _, err := c.CreateIndex("t_x", "t", []string{"missing"}, false, true); err == nil {
+	if _, err := c.CreateIndex("t_x", "t", []string{"missing"}, false); err == nil {
 		t.Error("index on missing column must fail")
 	}
-	if _, err := c.CreateIndex("t_y", "missing", []string{"a"}, false, true); err == nil {
+	if _, err := c.CreateIndex("t_y", "missing", []string{"a"}, false); err == nil {
 		t.Error("index on missing table must fail")
 	}
 	if err := c.DropIndex("t", "t_a"); err != nil {
@@ -84,7 +95,7 @@ func TestIndexLifecycle(t *testing.T) {
 }
 
 func TestMatViewRegistry(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	base, _ := c.CreateTable("seq", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Int}})
 	_ = base
 	backing, _ := c.CreateTable("mv_backing_internal", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Float}})
@@ -131,7 +142,7 @@ func TestMatViewRegistry(t *testing.T) {
 }
 
 func TestSequenceViewsOver(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	backing, _ := c.CreateTable("b1", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Float}})
 	mk := func(name, base, agg string, w WindowSpec, kind MatViewKind) {
 		t.Helper()
@@ -178,7 +189,7 @@ func TestWindowSpecString(t *testing.T) {
 // catalog scans (and anything cached or printed from them) are deterministic
 // across runs regardless of map iteration order.
 func TestListingsSorted(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	for _, name := range []string{"zebra", "mango", "apple"} {
 		if _, err := c.CreateTable(name, []Column{{"pos", sqltypes.Int}}); err != nil {
 			t.Fatal(err)
@@ -214,7 +225,7 @@ func TestListingsSorted(t *testing.T) {
 // TestSchemaVersionBumpsOnDDL: every DDL mutation advances the schema
 // version the engine's plan cache keys validity on.
 func TestSchemaVersionBumpsOnDDL(t *testing.T) {
-	c := New()
+	c := emptyCatalog(t)
 	v0 := c.SchemaVersion()
 	tbl, err := c.CreateTable("t", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Int}})
 	if err != nil {
@@ -224,7 +235,7 @@ func TestSchemaVersionBumpsOnDDL(t *testing.T) {
 		t.Fatal("CreateTable must bump the schema version")
 	}
 	v1 := c.SchemaVersion()
-	if _, err := c.CreateIndex("i", "t", []string{"pos"}, false, false); err != nil {
+	if _, err := c.CreateIndex("i", "t", []string{"pos"}, false); err != nil {
 		t.Fatal(err)
 	}
 	if c.SchemaVersion() <= v1 {

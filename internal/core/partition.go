@@ -6,12 +6,14 @@ import (
 )
 
 // Partition is the state kept for one partition: the Maintainer of its
-// complete sequence plus, for AVG, the COUNT side. AVG alone is not
-// incrementally maintainable (NewMaintainer rejects it); §2.1 derives it as
-// SUM/COUNT, so an AVG partition maintains both over the same raw data.
+// complete sequence. AVG alone is not incrementally maintainable
+// (NewMaintainer rejects it); §2.1 derives it as SUM/COUNT, so an AVG
+// partition maintains the SUM side and computes the COUNT side on read —
+// every admitted value counts, which makes COUNT at k a function of the
+// window and the cardinality alone.
 type Partition struct {
 	val    *Maintainer
-	cnt    *Maintainer // AVG only
+	avg    bool
 	pinned bool
 }
 
@@ -24,11 +26,7 @@ func newPartition(raw []float64, w Window, agg Agg) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{val: val}
-	if agg == Avg {
-		p.cnt, err = NewMaintainer(raw, w, Count)
-	}
-	return p, err
+	return &Partition{val: val, avg: agg == Avg}, nil
 }
 
 // Seq returns the partition's maintained sequence (the SUM side of an AVG
@@ -46,10 +44,11 @@ func (p *Partition) Len() int { return len(p.val.raw) }
 // window there is non-empty. AVG is SUM/COUNT, bit-matching
 // ComputePipelined's AVG (count 0 maps to 0, the zero-extension convention).
 func (p *Partition) At(k int) (float64, bool) {
-	if p.cnt == nil {
+	if !p.avg {
 		return p.val.seq.AtOK(k)
 	}
-	c := p.cnt.seq.At(k)
+	lo, hi := p.val.seq.Win.Bounds(k)
+	c, _ := aggregate(p.val.raw, Count, lo, hi)
 	if c == 0 {
 		return 0, true
 	}
@@ -60,25 +59,7 @@ func (p *Partition) At(k int) (float64, bool) {
 // stored sequence rather than the §2.3 band: the exotic-value fallback (NaN
 // and Inf poison the pipelined running sums past the band) or a birth.
 // Callers that mirror the sequence elsewhere must then resync all of it.
-func (p *Partition) FullRecompute() bool {
-	return p.val.lastFull || (p.cnt != nil && p.cnt.lastFull)
-}
-
-func (p *Partition) touched() int {
-	if p.cnt == nil {
-		return p.val.Touched
-	}
-	return p.val.Touched + p.cnt.Touched
-}
-
-// each applies one mutation to every maintainer of the partition; both sides
-// hold the same raw data, so they accept or reject it together.
-func (p *Partition) each(op func(*Maintainer) error) error {
-	if err := op(p.val); err != nil || p.cnt == nil {
-		return err
-	}
-	return op(p.cnt)
-}
+func (p *Partition) FullRecompute() bool { return p.val.lastFull }
 
 // PartitionedMaintainer maintains one complete simple sequence per partition
 // — §6.2's complete reporting function — under the density-preserving DML a
@@ -156,7 +137,7 @@ func (pm *PartitionedMaintainer) Keys() []string {
 func (pm *PartitionedMaintainer) Touched() int {
 	t := 0
 	for _, p := range pm.parts {
-		t += p.touched()
+		t += p.val.Touched
 	}
 	return t
 }
@@ -176,7 +157,7 @@ func (pm *PartitionedMaintainer) Update(key string, pos int, v float64) error {
 	if !ok {
 		return fmt.Errorf("update in unknown partition %q", key)
 	}
-	return p.each(func(m *Maintainer) error { return m.Update(pos, v) })
+	return p.val.Update(pos, v)
 }
 
 // Insert is the positional insert of §2.3 into an existing partition: v
@@ -186,7 +167,7 @@ func (pm *PartitionedMaintainer) Insert(key string, pos int, v float64) error {
 	if !ok {
 		return fmt.Errorf("insert in unknown partition %q", key)
 	}
-	return p.each(func(m *Maintainer) error { return m.Insert(pos, v) })
+	return p.val.Insert(pos, v)
 }
 
 // Append folds an insert at position pos into partition key. Only appends at
@@ -203,11 +184,8 @@ func (pm *PartitionedMaintainer) Append(key string, pos int, v float64) (*Partit
 		}
 		p = pm.parts[key]
 		// The birth materializes every stored position.
-		p.each(func(m *Maintainer) error {
-			m.Touched += m.seq.Len()
-			m.lastFull = true
-			return nil
-		})
+		p.val.Touched += p.val.seq.Len()
+		p.val.lastFull = true
 		return p, true, nil
 	}
 	if n := p.Len(); pos != n+1 {
@@ -224,7 +202,7 @@ func (pm *PartitionedMaintainer) Delete(key string, pos int) (died bool, err err
 	if !ok {
 		return false, fmt.Errorf("delete in unknown partition %q", key)
 	}
-	if err := p.each(func(m *Maintainer) error { return m.Delete(pos) }); err != nil {
+	if err := p.val.Delete(pos); err != nil {
 		return false, err
 	}
 	if p.Len() == 0 && !p.pinned {

@@ -223,3 +223,26 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("disarmed log still recorded (%d records)", len(got))
 	}
 }
+
+// TestExecAllObserved: statements that arrive parsed (ExecAllContext, and
+// through it rfview.DB.ExecAll and rfserverd -init) count in the query
+// metrics and reach the slow-query log like ExecContext's.
+func TestExecAllObserved(t *testing.T) {
+	e := newEngine(t)
+	loadSeq(t, e, 20, func(i int) int64 { return int64(i) })
+	var got []SlowQuery
+	e.SetSlowQueryLog(time.Nanosecond, func(q SlowQuery) { got = append(got, q) })
+	if _, err := e.ExecAllContext(context.Background(), `SELECT pos, val FROM seq; SELECT nope FROM missing`); err == nil {
+		t.Fatal("script over a missing table succeeded")
+	}
+	text := e.Metrics().Expose()
+	if n := metricValue(t, text, `rfview_queries_total{strategy="native"}`); n != 1 {
+		t.Fatalf("native query counter = %v after one SELECT, want 1", n)
+	}
+	if !strings.Contains(text, `rfview_query_errors_total{code="unknown_table"} 1`) {
+		t.Errorf("failed statement not counted:\n%s", text)
+	}
+	if len(got) != 1 || !strings.Contains(got[0].SQL, "FROM seq") || !strings.Contains(got[0].Plan, "rows=20") {
+		t.Fatalf("slow-query records = %+v, want the SELECT with its analyzed plan", got)
+	}
+}

@@ -200,7 +200,9 @@ type execConfig struct {
 // with the per-operator row counts and timings, as EXPLAIN ANALYZE does.
 func WithAnalyze() ExecOption { return func(c *execConfig) { c.analyze = true } }
 
-// New builds an engine with the given options.
+// New builds an engine with the given options: one spill environment, one
+// memory budget, one pager over both, and a catalog handed that pager, so
+// every table the engine ever creates is a paged heap.
 func New(opts Options) *Engine {
 	if opts.MemoryBudgetBytes == 0 {
 		// Test knob: force a budget (and thus the spill path) suite-wide.
@@ -218,7 +220,7 @@ func New(opts Options) *Engine {
 			}
 		}
 	}
-	e := &Engine{Cat: catalog.New(), Opts: opts, plans: qcache.New[*cachedPlan](DefaultPlanCacheCapacity)}
+	e := &Engine{Opts: opts, plans: qcache.New[*cachedPlan](DefaultPlanCacheCapacity)}
 	e.spillEnv = spill.NewEnv(opts.SpillDir)
 	e.spillCfg = &spill.Config{
 		Budget: spill.NewBudget(opts.MemoryBudgetBytes),
@@ -233,7 +235,7 @@ func New(opts Options) *Engine {
 		Budget:   e.spillCfg.Budget,
 		Env:      e.spillEnv,
 	})
-	e.Cat.SetPager(e.pager)
+	e.Cat = catalog.New(e.pager)
 	e.Views = mview.NewManager(e.Cat, func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error) {
 		res, err := e.execSelect(ctx, stmt, execConfig{})
 		if err != nil {
@@ -267,7 +269,7 @@ func (e *Engine) ExecContext(ctx context.Context, sql string, opts ...ExecOption
 	cfg.trace = cfg.analyze || e.slowLogArmed()
 	start := time.Now()
 	res, err := e.exec(ctx, sql, cfg)
-	e.observeQuery(sql, res, err, time.Since(start))
+	e.observeQuery(func() string { return sql }, res, err, time.Since(start))
 	return res, err
 }
 
@@ -376,6 +378,13 @@ func (e *Engine) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement, 
 		o(&cfg)
 	}
 	cfg.trace = cfg.analyze || e.slowLogArmed()
+	start := time.Now()
+	res, err := e.execStmt(ctx, stmt, cfg)
+	e.observeQuery(stmt.String, res, err, time.Since(start))
+	return res, err
+}
+
+func (e *Engine) execStmt(ctx context.Context, stmt sqlparser.Statement, cfg execConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, rferrors.Wrap(rferrors.CodeCancelled, err)
 	}
@@ -513,7 +522,7 @@ func (e *Engine) execStmtLocked(ctx context.Context, stmt sqlparser.Statement, c
 		if _, err := e.userTable(s.Table); err != nil {
 			return nil, err
 		}
-		if _, err := e.Cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique, true); err != nil {
+		if _, err := e.Cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil

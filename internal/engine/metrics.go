@@ -196,8 +196,9 @@ func (e *Engine) slowLog() (time.Duration, func(SlowQuery)) {
 }
 
 // observeQuery records one top-level statement outcome: strategy counters,
-// latency, and the slow-query log.
-func (e *Engine) observeQuery(sql string, res *Result, err error, elapsed time.Duration) {
+// latency, and the slow-query log. sql renders the statement text; it runs
+// only when the slow-query sink fires.
+func (e *Engine) observeQuery(sql func() string, res *Result, err error, elapsed time.Duration) {
 	if err != nil {
 		e.met.queryErrors.With(string(rferrors.CodeOf(err))).Inc()
 		return
@@ -209,7 +210,7 @@ func (e *Engine) observeQuery(sql string, res *Result, err error, elapsed time.D
 	e.met.querySeconds.Observe(elapsed.Seconds())
 	if th, sink := e.slowLog(); sink != nil && th > 0 && elapsed >= th {
 		e.met.slowQueries.Inc()
-		sink(SlowQuery{SQL: sql, Elapsed: elapsed, Plan: res.Analyzed})
+		sink(SlowQuery{SQL: sql(), Elapsed: elapsed, Plan: res.Analyzed})
 	}
 }
 

@@ -155,7 +155,7 @@ func (e *Engine) ExecTxn(ctx context.Context, tx *txn.Txn, sql string, opts ...E
 	cfg.tx = tx
 	start := time.Now()
 	res, err := e.exec(ctx, sql, cfg)
-	e.observeQuery(sql, res, err, time.Since(start))
+	e.observeQuery(func() string { return sql }, res, err, time.Since(start))
 	return res, err
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"rfview/internal/catalog"
 	"rfview/internal/expr"
+	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 func intRow(vals ...int64) sqltypes.Row {
@@ -31,7 +33,9 @@ func valuesOp(schema *expr.Schema, rows ...sqltypes.Row) *Values {
 
 func newCatalogTable(t *testing.T, rows ...sqltypes.Row) *catalog.Table {
 	t.Helper()
-	cat := catalog.New()
+	p := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { p.Close() })
+	cat := catalog.New(p)
 	tbl, err := cat.CreateTable("t", []catalog.Column{
 		{Name: "a", Type: sqltypes.Int}, {Name: "b", Type: sqltypes.Int},
 	})
@@ -170,7 +174,7 @@ func TestHashJoin(t *testing.T) {
 
 func TestIndexNestedLoopJoin(t *testing.T) {
 	tbl := newCatalogTable(t, intRow(1, 10), intRow(2, 20), intRow(3, 30), intRow(4, 40))
-	if _, err := tbl.Heap.AddIndex("pk", []int{0}, true, true); err != nil {
+	if _, err := tbl.Heap.AddIndex("pk", []int{0}, true); err != nil {
 		t.Fatal(err)
 	}
 	handle := tbl.Heap.IndexOn([]int{0})

@@ -21,7 +21,7 @@ import (
 // positions 1…n.
 func floatFixture(t *testing.T, vals []float64) (*catalog.Catalog, *Manager, *catalog.Table) {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	tbl, err := cat.CreateTable("seq", []catalog.Column{
 		{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Float},
 	})

@@ -63,7 +63,7 @@ func TestDropMatViewFreesIndexName(t *testing.T) {
 	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS SELECT pos,
 		SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq`)
 	mustExec(t, e, `DROP MATERIALIZED VIEW mv`)
-	if _, err := e.Cat.CreateIndex("pk_mv", "seq", []string{"pos"}, true, true); err != nil {
+	if _, err := e.Cat.CreateIndex("pk_mv", "seq", []string{"pos"}, true); err != nil {
 		t.Fatalf("index name pk_mv still taken after DROP MATERIALIZED VIEW: %v", err)
 	}
 }

@@ -294,7 +294,7 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 	if err != nil {
 		return err
 	}
-	if _, err := m.cat.CreateIndex("pk_"+stmt.Name, backingName, lay.pk(), true, true); err != nil {
+	if _, err := m.cat.CreateIndex("pk_"+stmt.Name, backingName, lay.pk(), true); err != nil {
 		return err
 	}
 	// Fill before registering: until the view exists in the catalog no

@@ -8,16 +8,26 @@ import (
 
 	"rfview/internal/catalog"
 	"rfview/internal/core"
+	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 )
 
+// emptyCatalog returns an empty catalog over a small private pager that
+// closes with the test.
+func emptyCatalog(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	p := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { p.Close() })
+	return catalog.New(p)
+}
+
 // fixture builds a catalog with seq(pos,val) filled with val = pos*pos and a
 // manager (without a plain-view executor).
 func fixture(t *testing.T, n int) (*catalog.Catalog, *Manager) {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	tbl, err := cat.CreateTable("seq", []catalog.Column{
 		{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int},
 	})
@@ -405,7 +415,7 @@ func fakeExec(cols []string, rows []sqltypes.Row) ExecFunc {
 }
 
 func TestPlainViewLifecycle(t *testing.T) {
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	rows := []sqltypes.Row{
 		{sqltypes.NewInt(1), sqltypes.NewString("x")},
 		{sqltypes.NewInt(2), sqltypes.NewString("y")},
@@ -446,7 +456,7 @@ func TestPlainViewLifecycle(t *testing.T) {
 }
 
 func TestPlainViewWithoutExecutor(t *testing.T) {
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	m := NewManager(cat, nil)
 	stmt, _ := sqlparser.Parse(`CREATE MATERIALIZED VIEW pv AS SELECT a FROM t`)
 	if err := m.Create(stmt.(*sqlparser.CreateMatView)); err == nil {
@@ -455,7 +465,7 @@ func TestPlainViewWithoutExecutor(t *testing.T) {
 }
 
 func TestCheckFreshUnknownView(t *testing.T) {
-	m := NewManager(catalog.New(), nil)
+	m := NewManager(emptyCatalog(t), nil)
 	if err := m.CheckFresh("nope"); err != nil {
 		t.Fatal("unknown names are not the manager's concern")
 	}

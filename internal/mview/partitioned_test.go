@@ -16,7 +16,7 @@ import (
 // val = pos * factor(grp).
 func pfixture(t *testing.T, sizes map[string]int) (*catalog.Catalog, *Manager) {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	tbl, err := cat.CreateTable("pseq", []catalog.Column{
 		{Name: "grp", Type: sqltypes.String},
 		{Name: "pos", Type: sqltypes.Int},
@@ -271,7 +271,7 @@ func TestPartitionedRefresh(t *testing.T) {
 
 func TestPartitionedCreateRejections(t *testing.T) {
 	// NULL partition keys.
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	tbl, _ := cat.CreateTable("pseq", []catalog.Column{
 		{Name: "grp", Type: sqltypes.String},
 		{Name: "pos", Type: sqltypes.Int},

@@ -344,7 +344,7 @@ func (p *Planner) tryIndexJoin(outer exec.Operator, probe relation, conjuncts []
 		}
 		ord := probe.table.ColumnIndex(col)
 		handle := probe.table.Heap.IndexOn([]int{ord})
-		if handle == nil || !handle.Idx.Ordered() {
+		if handle == nil {
 			continue
 		}
 		// Key expressions must be computable from the outer side alone.

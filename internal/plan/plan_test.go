@@ -6,14 +6,18 @@ import (
 
 	"rfview/internal/catalog"
 	"rfview/internal/exec"
+	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 // newTestCatalog builds seq(pos,val) [optionally indexed], t1(a,b), t2(a,c).
 func newTestCatalog(t *testing.T, indexSeq bool) *catalog.Catalog {
 	t.Helper()
-	cat := catalog.New()
+	p := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { p.Close() })
+	cat := catalog.New(p)
 	mk := func(name string, cols ...string) *catalog.Table {
 		defs := make([]catalog.Column, len(cols))
 		for i, c := range cols {
@@ -32,7 +36,7 @@ func newTestCatalog(t *testing.T, indexSeq bool) *catalog.Catalog {
 		seq.Heap.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * 2)})
 	}
 	if indexSeq {
-		if _, err := cat.CreateIndex("seq_pk", "seq", []string{"pos"}, true, true); err != nil {
+		if _, err := cat.CreateIndex("seq_pk", "seq", []string{"pos"}, true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // of wins, registered in the given order.
 func multiViewCatalog(t *testing.T, names []string, wins []catalog.WindowSpec) *catalog.Catalog {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	if _, err := cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"rfview/internal/catalog"
+	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 func parseSelect(t *testing.T, sql string) *sqlparser.Select {
@@ -142,9 +144,18 @@ func TestSelfJoinPartitioned(t *testing.T) {
 	}
 }
 
+// emptyCatalog returns an empty catalog over a small private pager that
+// closes with the test.
+func emptyCatalog(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	p := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { p.Close() })
+	return catalog.New(p)
+}
+
 func newViewCatalog(t *testing.T, win catalog.WindowSpec, agg string) (*catalog.Catalog, *catalog.MatView) {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	if _, err := cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +291,7 @@ func TestFig4Pattern(t *testing.T) {
 	_ = cat
 	// Non-cumulative views are rejected.
 	_, mv2 := func() (*catalog.Catalog, *catalog.MatView) {
-		c := catalog.New()
+		c := emptyCatalog(t)
 		b, _ := c.CreateTable("__mv_x", []catalog.Column{{Name: "pos", Type: sqltypes.Int}})
 		v := &catalog.MatView{Name: "x", Kind: catalog.SequenceView, Table: b,
 			Window: catalog.WindowSpec{Preceding: 1, Following: 1}}
@@ -354,7 +365,7 @@ func TestStrategyResolution(t *testing.T) {
 
 // TestPickView prefers wider materialized windows.
 func TestPickView(t *testing.T) {
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
 	add := func(name string, w catalog.WindowSpec) {
 		b, _ := cat.CreateTable("__mv_"+name, []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
@@ -417,7 +428,7 @@ func TestRawFromSlidingPattern(t *testing.T) {
 // test can build several catalogs.
 func newViewCatalog2(t *testing.T, tag string, win catalog.WindowSpec, agg string) (*catalog.Catalog, *catalog.MatView) {
 	t.Helper()
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
 	backing, err := cat.CreateTable("__mv_"+tag, []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
 	if err != nil {
@@ -437,7 +448,7 @@ func newViewCatalog2(t *testing.T, tag string, win catalog.WindowSpec, agg strin
 
 // TestAvgComposition — §2.1's AVG = SUM/COUNT at the rewrite level.
 func TestAvgComposition(t *testing.T) {
-	cat := catalog.New()
+	cat := emptyCatalog(t)
 	cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
 	mk := func(name, agg string) {
 		b, _ := cat.CreateTable("__mv_"+name, []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})

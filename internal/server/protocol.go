@@ -169,8 +169,7 @@ type SpillStats struct {
 	Operators int64 `json:"operators"`
 }
 
-// BufferPoolStats is the wire form of the paged-storage buffer pool. All
-// zeros (PageSize 0) means paged storage is disabled.
+// BufferPoolStats is the wire form of the paged-storage buffer pool.
 type BufferPoolStats struct {
 	// PageSize is the heap page size in bytes.
 	PageSize int `json:"page_size"`

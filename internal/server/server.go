@@ -341,9 +341,6 @@ func (s *Server) dispatch(sess *Session, req *Request) Response {
 // bufferPoolStats converts the engine's pool snapshot to wire form.
 func bufferPoolStats(eng *engine.Engine) BufferPoolStats {
 	ps := eng.StorageStats()
-	if ps.PageSize == 0 {
-		return BufferPoolStats{}
-	}
 	return BufferPoolStats{
 		PageSize:    ps.PageSize,
 		PagesCached: ps.PagesCached,

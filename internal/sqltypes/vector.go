@@ -368,19 +368,6 @@ func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
 	return dst
 }
 
-// KeyEncodable reports whether a homogeneous column of type t can be key-
-// normalized by EncodeKey. Every type in the lattice qualifies; what
-// disqualifies a column is heterogeneity, which the caller detects while
-// gathering values (see ColVec).
-func KeyEncodable(t Type) bool {
-	switch t {
-	case Null, Bool, Int, Float, String, Date:
-		return true
-	default:
-		return false
-	}
-}
-
 // Comparable reports whether datums of types a and b can be ordered by
 // Compare without a type error: identical types always can, and Int/Float
 // compare numerically with each other. NULL is comparable with everything.

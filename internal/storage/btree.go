@@ -6,10 +6,12 @@ import (
 	"rfview/internal/sqltypes"
 )
 
-// BTree is an in-memory B+tree index over datum-tuple keys. Entries live in
-// the leaves, which are chained for range scans; internal nodes hold copied-
-// up separators. Duplicate keys are disambiguated by row id, so every stored
-// entry is unique and deletes are exact.
+// BTree is an in-memory B+tree index over datum-tuple keys, the one access
+// path besides the heap scan. Entries live in the leaves, which are chained
+// for range scans; internal nodes hold copied-up separators. Duplicate keys
+// are allowed (the table layer enforces uniqueness where declared) and are
+// disambiguated by row id, so every stored entry is unique and deletes are
+// exact.
 //
 // The tree uses minimum degree t: nodes hold at most 2t−1 keys and (except
 // the root) at least t−1.
@@ -42,11 +44,35 @@ func NewBTree() *BTree {
 	return &BTree{root: &btNode{leaf: true}}
 }
 
-// Len implements Index.
+// Len returns the number of entries.
 func (t *BTree) Len() int { return t.n }
 
-// Ordered implements Index.
-func (t *BTree) Ordered() bool { return true }
+// compareKeyPrefix compares a full stored key against a (possibly shorter)
+// probe: only the probe's columns participate, so a probe acts as a prefix
+// range. NULLs sort first.
+func compareKeyPrefix(stored, probe sqltypes.Row) int {
+	for i := range probe {
+		if i >= len(stored) {
+			return -1
+		}
+		c, err := sqltypes.Compare(stored[i], probe[i])
+		if err != nil {
+			// Heterogeneous keys cannot happen through the catalog; order
+			// arbitrarily but deterministically by type tag.
+			if stored[i].Typ() != probe[i].Typ() {
+				if stored[i].Typ() < probe[i].Typ() {
+					return -1
+				}
+				return 1
+			}
+			return 0
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
 
 // entryLess orders full entries: key columns first, row id as tiebreak.
 func entryLess(a, b btEntry) bool {
@@ -66,7 +92,7 @@ func (nd *btNode) childIndex(e btEntry) int {
 	})
 }
 
-// Insert implements Index.
+// Insert adds (key, id).
 func (t *BTree) Insert(key sqltypes.Row, id RowID) {
 	e := btEntry{key: key, id: id}
 	if len(t.root.entries) == btMaxKeys {
@@ -128,7 +154,7 @@ func (nd *btNode) insertNonFull(e btEntry) {
 	nd.children[i].insertNonFull(e)
 }
 
-// Delete implements Index. Absent entries are ignored.
+// Delete removes (key, id). Absent entries are ignored.
 func (t *BTree) Delete(key sqltypes.Row, id RowID) {
 	e := btEntry{key: key, id: id}
 	if t.deleteEntry(t.root, e) {
@@ -239,7 +265,7 @@ func (t *BTree) seekLeaf(probe sqltypes.Row) *btNode {
 	return nd
 }
 
-// Range implements Index: fn sees every entry with from <= key <= to under
+// Range invokes fn for every entry with from <= key <= to under
 // prefix comparison, in key order. Either bound may be nil.
 func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID) bool) {
 	var leaf *btNode
@@ -264,15 +290,15 @@ func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID)
 	}
 }
 
-// Lookup implements Index: exact (or prefix, if key is shorter than the
-// indexed column list) match.
+// Lookup invokes fn for every row id stored under key: exact (or prefix, if
+// key is shorter than the indexed column list) match.
 func (t *BTree) Lookup(key sqltypes.Row, fn func(RowID) bool) {
 	t.Range(key, key, func(_ sqltypes.Row, id RowID) bool {
 		return fn(id)
 	})
 }
 
-// First implements Index.
+// First returns one row id stored under key.
 func (t *BTree) First(key sqltypes.Row) (RowID, bool) {
 	var out RowID
 	found := false

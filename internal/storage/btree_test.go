@@ -259,48 +259,3 @@ func TestQuickBTreeVsReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHashIndex(t *testing.T) {
-	hi := NewHashIndex()
-	for i := int64(0); i < 100; i++ {
-		hi.Insert(intKey(i%10), RowID(i))
-	}
-	if hi.Len() != 100 {
-		t.Fatalf("Len = %d", hi.Len())
-	}
-	if hi.Ordered() {
-		t.Error("hash index must report unordered")
-	}
-	n := 0
-	hi.Lookup(intKey(7), func(id RowID) bool {
-		if id%10 != 7 {
-			t.Fatalf("Lookup(7) yielded %d", id)
-		}
-		n++
-		return true
-	})
-	if n != 10 {
-		t.Fatalf("Lookup(7) yielded %d, want 10", n)
-	}
-	hi.Delete(intKey(7), RowID(7))
-	if _, ok := hi.First(intKey(7)); !ok {
-		t.Error("other duplicates must survive a single delete")
-	}
-	n = 0
-	hi.Lookup(intKey(7), func(RowID) bool { n++; return true })
-	if n != 9 {
-		t.Fatalf("after delete Lookup(7) yielded %d, want 9", n)
-	}
-	// Early termination.
-	n = 0
-	hi.Lookup(intKey(3), func(RowID) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-terminated lookup yielded %d", n)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Range on a hash index must panic")
-		}
-	}()
-	hi.Range(nil, nil, nil)
-}

@@ -27,9 +27,8 @@ type prefetch struct {
 }
 
 // Iter streams the row versions visible in a snapshot, in row-id (insertion)
-// order — bit-exact the order the old materializing scan produced. On a
-// paged table it pins one page at a time, prefetches the next distinct page
-// in the background while the current one is consumed, and decodes only
+// order. It pins one page at a time, prefetches the next distinct page in
+// the background while the current one is consumed, and decodes only
 // visible versions (stamps live in the slot directory, so invisible rows
 // cost no page IO beyond sharing a page with visible ones).
 //
@@ -43,7 +42,7 @@ type Iter struct {
 	slots []*slot
 	i     int
 
-	cur     *frame // pinned current page (paged tables)
+	cur     *frame // pinned current page
 	curPid  uint32
 	hasCur  bool
 	pending *prefetch
@@ -56,8 +55,7 @@ func (t *Table) IterAt(s txn.Snapshot) *Iter {
 }
 
 // Next returns the next visible row. A nil row with nil error is EOF. The
-// returned row is freshly decoded (paged) or the stored payload (resident);
-// either way the caller may retain it.
+// caller may retain the returned row.
 func (it *Iter) Next() (RowID, sqltypes.Row, error) {
 	for ; it.i < len(it.slots); it.i++ {
 		sl := it.slots[it.i]
@@ -65,10 +63,6 @@ func (it *Iter) Next() (RowID, sqltypes.Row, error) {
 			continue
 		}
 		id := RowID(it.i)
-		if it.t.heap == nil {
-			it.i++
-			return id, sl.row, nil
-		}
 		row, err := it.rowAt(sl)
 		if err != nil {
 			return 0, nil, err
@@ -88,7 +82,7 @@ func (it *Iter) Stats() IterStats { return it.stats }
 func (it *Iter) Close() { it.release() }
 
 func (it *Iter) release() {
-	pool := it.poolOrNil()
+	pool := it.t.heap.pager.pool
 	if it.hasCur {
 		pool.unpin(it.cur, false)
 		it.cur, it.hasCur = nil, false
@@ -99,13 +93,6 @@ func (it *Iter) release() {
 			pool.unpin(res.f, false)
 		}
 	}
-}
-
-func (it *Iter) poolOrNil() *pool {
-	if it.t.heap == nil {
-		return nil
-	}
-	return it.t.heap.pager.pool
 }
 
 // rowAt decodes the payload of sl, moving the current pin when the row

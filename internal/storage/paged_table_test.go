@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,30 +21,14 @@ func newPagedTestTable(t *testing.T, capBytes int64) *Table {
 	return tb
 }
 
-// collect returns every visible row of tb, re-encoded for byte comparison.
-func collect(t *testing.T, tb *Table) [][]byte {
-	t.Helper()
-	var out [][]byte
-	err := tb.Scan(func(id RowID, r sqltypes.Row) bool {
-		out = append(out, sqltypes.EncodeRowData(nil, r))
-		return true
-	})
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	return out
-}
-
-// TestPagedTableDifferential drives a paged table (2-frame pool, constant
-// eviction) and a resident table through the same mutation history and
-// requires byte-identical scans after every phase. Rows include strings big
-// enough to cross pages and jumbo rows bigger than a whole page.
+// TestPagedTableDifferential drives a table on a 2-frame pool (constant
+// eviction) through a mutation history and requires every scan, point read
+// and index probe to agree with a shadow map[RowID]Row model after each
+// phase. Rows include strings big enough to cross pages and jumbo rows
+// bigger than a whole page.
 func TestPagedTableDifferential(t *testing.T) {
-	paged := newPagedTestTable(t, 2*MinPageSize)
-	resident := NewTable()
-	if !paged.Paged() || resident.Paged() {
-		t.Fatal("Paged() miswired")
-	}
+	tb := newPagedTestTable(t, 2*MinPageSize)
+	model := map[RowID]sqltypes.Row{}
 
 	mkRow := func(i int) sqltypes.Row {
 		pad := strings.Repeat(fmt.Sprintf("<%d>", i), i%97)
@@ -52,74 +37,129 @@ func TestPagedTableDifferential(t *testing.T) {
 		}
 		return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(pad)}
 	}
+	same := func(a, b sqltypes.Row) bool {
+		return bytes.Equal(sqltypes.EncodeRowData(nil, a), sqltypes.EncodeRowData(nil, b))
+	}
 
 	check := func(phase string) {
 		t.Helper()
-		got, want := collect(t, paged), collect(t, resident)
-		if len(got) != len(want) {
-			t.Fatalf("%s: paged has %d rows, resident %d", phase, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s: row %d differs", phase, i)
+		seen, last := 0, RowID(-1)
+		err := tb.Scan(func(id RowID, r sqltypes.Row) bool {
+			want, ok := model[id]
+			if !ok || !same(r, want) || id <= last {
+				t.Fatalf("%s: scan yields row %d = %v, model has %v (present %v, previous id %d)", phase, id, r[0], want, ok, last)
 			}
+			seen, last = seen+1, id
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: scan: %v", phase, err)
+		}
+		if seen != len(model) || tb.Len() != len(model) {
+			t.Fatalf("%s: scan saw %d rows, Len %d, model %d", phase, seen, tb.Len(), len(model))
 		}
 	}
 
-	var pids, rids []RowID
-	for i := 0; i < 300; i++ {
+	ids := make([]RowID, 300)
+	for i := range ids {
 		r := mkRow(i)
-		pid, err := paged.Insert(r)
+		id, err := tb.Insert(r)
 		if err != nil {
-			t.Fatalf("paged insert %d: %v", i, err)
+			t.Fatalf("insert %d: %v", i, err)
 		}
-		rid, err := resident.Insert(r)
-		if err != nil {
-			t.Fatalf("resident insert %d: %v", i, err)
-		}
-		pids, rids = append(pids, pid), append(rids, rid)
+		ids[i], model[id] = id, r
 	}
 	check("after inserts")
 
 	for i := 0; i < 300; i += 7 {
 		r := mkRow(i + 1000)
-		npid, err := paged.Update(pids[i], r)
+		nid, err := tb.Update(ids[i], r)
 		if err != nil {
-			t.Fatalf("paged update %d: %v", i, err)
+			t.Fatalf("update %d: %v", i, err)
 		}
-		nrid, err := resident.Update(rids[i], r)
-		if err != nil {
-			t.Fatalf("resident update %d: %v", i, err)
-		}
-		pids[i], rids[i] = npid, nrid
+		delete(model, ids[i])
+		ids[i], model[nid] = nid, r
 	}
 	check("after updates")
 
+	var deleted []sqltypes.Row
 	for i := 3; i < 300; i += 11 {
-		if err := paged.Delete(pids[i]); err != nil {
-			t.Fatalf("paged delete %d: %v", i, err)
+		if err := tb.Delete(ids[i]); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
 		}
-		if err := resident.Delete(rids[i]); err != nil {
-			t.Fatalf("resident delete %d: %v", i, err)
-		}
+		deleted = append(deleted, model[ids[i]])
+		delete(model, ids[i])
 	}
 	check("after deletes")
 
 	// Point reads through the heap path.
-	for i := 0; i < 300; i += 17 {
-		if i%11 == 3 {
-			continue // deleted above
-		}
-		pr, rr := paged.Get(pids[i]), resident.Get(rids[i])
-		if pr == nil || rr == nil {
-			t.Fatalf("Get(%d): paged=%v resident=%v", i, pr, rr)
-		}
-		if !bytes.Equal(sqltypes.EncodeRowData(nil, pr), sqltypes.EncodeRowData(nil, rr)) {
-			t.Fatalf("Get(%d) differs", i)
+	for _, id := range ids {
+		got, want := tb.Get(id), model[id]
+		if (got == nil) != (want == nil) || (got != nil && !same(got, want)) {
+			t.Fatalf("Get(%d) = %v, model has %v", id, got, want)
 		}
 	}
 
-	if st := paged.heap.pager.Stats(); st.Evictions == 0 {
+	// Unique index built over, then maintained on, the evicting heap: every
+	// probe resolves its row ids through pages the pool has to reload.
+	h, err := tb.AddIndex("pk", []int{0}, true)
+	if err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	for i := 300; i < 340; i++ {
+		r := mkRow(i)
+		id, err := tb.Insert(r)
+		if err != nil {
+			t.Fatalf("insert %d under index: %v", i, err)
+		}
+		ids, model[id] = append(ids, id), r
+	}
+	for id, r := range model {
+		if got, ok := tb.FirstAt(h, r[:1], tb.Latest()); !ok || got != id {
+			t.Fatalf("FirstAt(%v) = %d, %v; model has row %d", r[0], got, ok, id)
+		}
+	}
+	for _, r := range deleted {
+		if got, ok := tb.FirstAt(h, r[:1], tb.Latest()); ok {
+			t.Fatalf("FirstAt(%v) finds deleted row %d", r[0], got)
+		}
+	}
+	if _, err := tb.Insert(mkRow(5)); err == nil {
+		t.Fatal("insert of a live key must be refused by the unique index")
+	}
+	if _, err := tb.Update(ids[5], mkRow(6)); err == nil {
+		t.Fatal("update onto a live key must be refused by the unique index")
+	}
+	id, err := tb.Insert(deleted[0])
+	if err != nil {
+		t.Fatalf("re-insert of a deleted key: %v", err)
+	}
+	model[id] = deleted[0]
+	check("after refused duplicates")
+
+	lo, hi := int64(40), int64(1100)
+	var want []RowID
+	for id, r := range model {
+		if k := r[0].Int(); k >= lo && k <= hi {
+			want = append(want, id)
+		}
+	}
+	sort.Slice(want, func(a, b int) bool { return model[want[a]][0].Int() < model[want[b]][0].Int() })
+	var got []RowID
+	h.Idx.Range(row(lo), row(hi), func(key sqltypes.Row, id RowID) bool {
+		if r := tb.Get(id); r != nil { // dead versions stay indexed
+			if !sqltypes.Equal(r[0], key[0]) {
+				t.Fatalf("Range entry %v points at row %v", key[0], r[0])
+			}
+			got = append(got, id)
+		}
+		return true
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Range[%d,%d] yields %v, model has %v", lo, hi, got, want)
+	}
+
+	if st := tb.heap.pager.Stats(); st.Evictions == 0 {
 		t.Fatalf("differential ran without eviction pressure: %+v", st)
 	}
 }

@@ -1,10 +1,10 @@
 // Package storage implements the physical layer of the rfview engine:
-// in-memory multi-version heap tables addressed by row id, plus ordered
-// (B+tree) and hash indexes over arbitrary column prefixes. The evaluation
-// in the paper hinges on exactly this distinction — Table 1 compares the
-// self-join simulation of reporting functions with and without an index on
-// the sequence position — so the physical layer keeps the two access paths
-// explicit.
+// multi-version heap tables addressed by row id, their payloads in slotted
+// pages behind a shared buffer pool, plus ordered (B+tree) indexes over
+// arbitrary column prefixes. The evaluation in the paper hinges on the
+// indexed/unindexed distinction — Table 1 compares the self-join simulation
+// of reporting functions with and without an index on the sequence position
+// — so the physical layer keeps the two access paths explicit.
 //
 // Concurrency model (MVCC): every row version is an immutable payload plus
 // two atomic epoch stamps (begin/end) from the table's commit clock. Readers
@@ -20,7 +20,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,15 +34,13 @@ import (
 type RowID int64
 
 // slot is one immutable row version with its visibility stamps. The payload
-// lives either inline (resident tables: row) or in the table's paged heap
-// (paged tables: loc). The stamps always stay resident and mutable — they
-// are committed/aborted/claimed in place — which is why they live in the
-// slot directory rather than the page payload: pages hold only immutable
-// encoded rows, so visibility filtering happens before any page is touched
-// and invisible versions are never decoded.
+// lives in the table's paged heap at loc. The stamps stay resident and
+// mutable — they are committed/aborted/claimed in place — which is why they
+// live in the slot directory rather than the page payload: pages hold only
+// immutable encoded rows, so visibility filtering happens before any page is
+// touched and invisible versions are never decoded.
 type slot struct {
-	row   sqltypes.Row  // resident tables only
-	loc   recLoc        // paged tables only
+	loc   recLoc
 	begin atomic.Uint64 // epoch, or pending stamp, or txn.Infinity = aborted
 	end   atomic.Uint64 // txn.Infinity = live, epoch or pending stamp otherwise
 }
@@ -56,10 +53,8 @@ type Table struct {
 	slots   []*slot
 	indexes []*IndexHandle
 
-	// heap, when non-nil, holds the encoded row payloads in slotted pages
-	// cached by a shared buffer pool; slots then carry locations instead of
-	// rows. A nil heap keeps payloads resident in the slots (library/test
-	// mode, and the differential oracle's reference configuration).
+	// heap holds the encoded row payloads in slotted pages cached by a shared
+	// buffer pool; slots carry locations into it.
 	heap *tableHeap
 
 	clock *txn.Clock
@@ -79,24 +74,16 @@ type IndexHandle struct {
 	Name   string
 	Cols   []int // column ordinals of the indexed key, in index order
 	Unique bool
-	Idx    Index
+	Idx    *BTree
 }
 
-// NewTable returns an empty heap table with a private commit clock, for
-// standalone (library/test) use. Tables created through the catalog share
-// the engine's clock via NewTableWithClock.
-func NewTable() *Table { return NewTableWithClock(txn.NewClock()) }
-
-// NewTableWithClock returns an empty heap table stamping versions from the
-// given clock. The immediate (non-transactional) mutation methods tick the
-// clock directly, so on a shared clock they must be serialized with every
-// transactional committer — in the engine both run under its write mutex.
-func NewTableWithClock(c *txn.Clock) *Table { return &Table{clock: c} }
-
-// NewPagedTable returns an empty heap table whose row payloads live in
-// slotted pages owned by pager, cached through its buffer pool, and spilled
-// to a per-table heap file when evicted. tag names the heap file (usually
-// the table name).
+// NewPagedTable returns an empty heap table stamping versions from c, whose
+// row payloads live in slotted pages owned by pager, cached through its
+// buffer pool, and spilled to a per-table heap file when evicted. tag names
+// the heap file (usually the table name). The immediate (non-transactional)
+// mutation methods tick the clock directly, so on a shared clock they must
+// be serialized with every transactional committer — in the engine both run
+// under its write mutex.
 func NewPagedTable(c *txn.Clock, pager *Pager, tag string) (*Table, error) {
 	h, err := newTableHeap(pager, tag)
 	if err != nil {
@@ -105,19 +92,13 @@ func NewPagedTable(c *txn.Clock, pager *Pager, tag string) (*Table, error) {
 	return &Table{clock: c, heap: h}, nil
 }
 
-// Paged reports whether this table's payloads live in the buffer pool.
-func (t *Table) Paged() bool { return t.heap != nil }
-
-// rowOf materializes the payload of a slot. On a paged table a heap IO or
-// decode failure is unrecoverable state corruption on an ephemeral file the
-// storage layer itself owns, and the read paths that land here (point
-// lookups, index builds) predate paged storage and have no error channel —
-// so it panics, Postgres-style, rather than thread errors through every
-// probe signature. Scans use Iter, which returns errors properly.
+// rowOf materializes the payload of a slot. A heap IO or decode failure is
+// unrecoverable state corruption on an ephemeral file the storage layer
+// itself owns, and the read paths that land here (point lookups, index
+// builds) have no error channel — so it panics, Postgres-style, rather than
+// thread errors through every probe signature. Scans use Iter, which returns
+// errors properly.
 func (t *Table) rowOf(sl *slot) sqltypes.Row {
-	if t.heap == nil {
-		return sl.row
-	}
 	row, err := t.heap.read(sl.loc)
 	if err != nil {
 		panic(fmt.Sprintf("storage: heap read: %v", err))
@@ -174,19 +155,14 @@ func (t *Table) slot(id RowID) *slot {
 }
 
 // appendLocked creates a new version; the caller holds t.mu and has already
-// passed uniqueness checks. On a paged table the payload is encoded into the
-// heap, which can fail on write-back IO.
+// passed uniqueness checks. The payload is encoded into the heap, which can
+// fail on write-back IO.
 func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, error) {
-	sl := &slot{}
-	if t.heap != nil {
-		loc, err := t.heap.append(row)
-		if err != nil {
-			return 0, nil, err
-		}
-		sl.loc = loc
-	} else {
-		sl.row = row
+	loc, err := t.heap.append(row)
+	if err != nil {
+		return 0, nil, err
 	}
+	sl := &slot{loc: loc}
 	sl.begin.Store(begin)
 	sl.end.Store(txn.Infinity)
 	id := RowID(len(t.slots))
@@ -489,8 +465,8 @@ func (t *Table) Scan(fn func(id RowID, row sqltypes.Row) bool) error {
 }
 
 // ScanAt invokes fn for every row version visible in s, in row-id order,
-// stopping early if fn returns false. The error is a paged-heap IO or
-// decode failure; resident tables never fail.
+// stopping early if fn returns false. The error is a heap IO or decode
+// failure.
 func (t *Table) ScanAt(s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) error {
 	it := t.IterAt(s)
 	defer it.Close()
@@ -559,7 +535,7 @@ func (t *Table) lookupVisible(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, 
 // table contents and registers it for maintenance. Every non-aborted version
 // is indexed — including pending and dead ones, since open snapshots may
 // still see them; probes filter by visibility.
-func (t *Table) AddIndex(name string, cols []int, unique bool, ordered bool) (*IndexHandle, error) {
+func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, h := range t.indexes {
@@ -567,12 +543,7 @@ func (t *Table) AddIndex(name string, cols []int, unique bool, ordered bool) (*I
 			return nil, fmt.Errorf("index %q already exists", name)
 		}
 	}
-	var idx Index
-	if ordered {
-		idx = NewBTree()
-	} else {
-		idx = NewHashIndex()
-	}
+	idx := NewBTree()
 	h := &IndexHandle{Name: name, Cols: append([]int(nil), cols...), Unique: unique, Idx: idx}
 	possiblyLive := func(sl *slot) bool {
 		b, e := sl.begin.Load(), sl.end.Load()
@@ -649,58 +620,10 @@ func (t *Table) IndexOn(cols []int) *IndexHandle {
 	return nil
 }
 
-// SortedRowIDs returns the row ids live at the latest snapshot ordered by
-// the given columns (ascending, NULLs first); used by operators that need an
-// order but have no index. It is O(n log n) against the heap.
-func (t *Table) SortedRowIDs(cols []int) []RowID {
-	slots := t.view()
-	s := t.Latest()
-	// Extract the key columns once per row before sorting: on a paged table
-	// the comparator must not decode pages O(n log n) times.
-	type idKey struct {
-		id  RowID
-		key sqltypes.Row
-	}
-	arr := make([]idKey, 0, len(slots))
-	for i, sl := range slots {
-		if txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
-			arr = append(arr, idKey{RowID(i), extractKey(t.rowOf(sl), cols)})
-		}
-	}
-	sort.SliceStable(arr, func(a, b int) bool {
-		ka, kb := arr[a].key, arr[b].key
-		for c := range cols {
-			cmp, err := sqltypes.Compare(ka[c], kb[c])
-			if err != nil || cmp == 0 {
-				continue
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	ids := make([]RowID, len(arr))
-	for i, e := range arr {
-		ids[i] = e.id
-	}
-	return ids
-}
-
 func extractKey(row sqltypes.Row, cols []int) sqltypes.Row {
 	key := make(sqltypes.Row, len(cols))
 	for i, c := range cols {
 		key[i] = row[c]
 	}
 	return key
-}
-
-func keysEqual(a, b sqltypes.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sqltypes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

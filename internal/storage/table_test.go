@@ -15,7 +15,7 @@ func row(vals ...int64) sqltypes.Row {
 }
 
 func TestTableInsertScan(t *testing.T) {
-	tb := NewTable()
+	tb := newPagedTestTable(t, 0)
 	for i := int64(0); i < 10; i++ {
 		if _, err := tb.Insert(row(i, i*i)); err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestTableInsertScan(t *testing.T) {
 }
 
 func TestTableDeleteUpdate(t *testing.T) {
-	tb := NewTable()
+	tb := newPagedTestTable(t, 0)
 	ids := make([]RowID, 5)
 	for i := int64(0); i < 5; i++ {
 		ids[i], _ = tb.Insert(row(i))
@@ -80,11 +80,11 @@ func TestTableDeleteUpdate(t *testing.T) {
 }
 
 func TestTableIndexMaintenance(t *testing.T) {
-	tb := NewTable()
+	tb := newPagedTestTable(t, 0)
 	for i := int64(0); i < 100; i++ {
 		tb.Insert(row(i%10, i))
 	}
-	h, err := tb.AddIndex("by_a", []int{0}, false, true)
+	h, err := tb.AddIndex("by_a", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestTableIndexMaintenance(t *testing.T) {
 }
 
 func TestTableUniqueIndex(t *testing.T) {
-	tb := NewTable()
+	tb := newPagedTestTable(t, 0)
 	tb.Insert(row(1))
 	tb.Insert(row(2))
-	if _, err := tb.AddIndex("pk", []int{0}, true, true); err != nil {
+	if _, err := tb.AddIndex("pk", []int{0}, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.Insert(row(1)); err == nil {
@@ -138,21 +138,21 @@ func TestTableUniqueIndex(t *testing.T) {
 		t.Errorf("distinct insert failed: %v", err)
 	}
 	// Building a unique index over duplicates must fail.
-	tb2 := NewTable()
+	tb2 := newPagedTestTable(t, 0)
 	tb2.Insert(row(1))
 	tb2.Insert(row(1))
-	if _, err := tb2.AddIndex("pk", []int{0}, true, true); err == nil {
+	if _, err := tb2.AddIndex("pk", []int{0}, true); err == nil {
 		t.Error("unique index build over duplicates must fail")
 	}
 }
 
 func TestTableIndexAdministration(t *testing.T) {
-	tb := NewTable()
+	tb := newPagedTestTable(t, 0)
 	tb.Insert(row(1, 2))
-	if _, err := tb.AddIndex("i1", []int{0}, false, true); err != nil {
+	if _, err := tb.AddIndex("i1", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.AddIndex("i1", []int{1}, false, true); err == nil {
+	if _, err := tb.AddIndex("i1", []int{1}, false); err == nil {
 		t.Error("duplicate index name must fail")
 	}
 	if h := tb.IndexOn([]int{0}); h == nil || h.Name != "i1" {
@@ -169,26 +169,6 @@ func TestTableIndexAdministration(t *testing.T) {
 	}
 	if err := tb.DropIndex("i1"); err == nil {
 		t.Error("dropping a missing index must fail")
-	}
-}
-
-func TestTableSortedRowIDs(t *testing.T) {
-	tb := NewTable()
-	vals := []int64{5, 3, 9, 1, 7}
-	for _, v := range vals {
-		tb.Insert(row(v))
-	}
-	ids := tb.SortedRowIDs([]int{0})
-	prev := int64(-1 << 62)
-	for _, id := range ids {
-		v := tb.Get(id)[0].Int()
-		if v < prev {
-			t.Fatalf("not sorted: %d after %d", v, prev)
-		}
-		prev = v
-	}
-	if len(ids) != 5 {
-		t.Fatalf("got %d ids", len(ids))
 	}
 }
 

@@ -38,7 +38,7 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 		for _, idx := range t.Indexes {
 			snap.Indexes = append(snap.Indexes, SnapIndex{
 				Name: idx.Name, Table: idx.Table, Columns: idx.Columns,
-				Unique: idx.Unique, Ordered: idx.Ordered,
+				Unique: idx.Unique, Ordered: true,
 			})
 		}
 		snap.Tables = append(snap.Tables, st)
@@ -88,7 +88,7 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 		}
 	}
 	for _, idx := range snap.Indexes {
-		if _, err := e.Cat.CreateIndex(idx.Name, idx.Table, idx.Columns, idx.Unique, idx.Ordered); err != nil {
+		if _, err := e.Cat.CreateIndex(idx.Name, idx.Table, idx.Columns, idx.Unique); err != nil {
 			return fmt.Errorf("wal: restore index %q: %w", idx.Name, err)
 		}
 	}

@@ -68,7 +68,9 @@ type SnapIndex struct {
 	Table   string   `json:"table"`
 	Columns []string `json:"columns"`
 	Unique  bool     `json:"unique"`
-	Ordered bool     `json:"ordered"`
+	// Ordered dates from when a hash index existed beside the B+tree. It is
+	// written true and ignored on read so the snapshot format stays as it was.
+	Ordered bool `json:"ordered"`
 }
 
 // SnapWindow mirrors catalog.WindowSpec.

@@ -34,7 +34,9 @@ import (
 // SQL surface
 // ---------------------------------------------------------------------------
 
-// DB is a handle to one in-memory warehouse engine.
+// DB is a handle to one warehouse engine. Rows live in paged heaps behind a
+// buffer pool charged to Options.MemoryBudgetBytes; the heap files are
+// scratch, durability is the WAL layer's.
 type DB struct {
 	eng *engine.Engine
 }
@@ -55,7 +57,7 @@ type (
 // applies.
 func DefaultOptions() Options { return engine.DefaultOptions() }
 
-// Open creates an empty in-memory warehouse with the given options.
+// Open creates an empty warehouse with the given options.
 func Open(opts Options) *DB { return &DB{eng: engine.New(opts)} }
 
 // OpenDefault creates an empty warehouse with DefaultOptions.
