@@ -1,84 +1,18 @@
 package rfview_test
 
-// Benchmark harness: one testing.B benchmark per table of the paper's
-// evaluation section, plus per-strategy micro-benchmarks. `go test -bench=.`
-// prints measurements; cmd/rfbench renders the same experiments as
-// paper-style tables (see EXPERIMENTS.md for the paper-vs-measured record).
+// Ablation benchmarks behind the paper's tables, at the algebra level and for
+// the §6.2 partitioned derivation (EXPERIMENTS.md "Ablations" cites them).
+// The tables themselves are measured and verified by
+// `go run ./cmd/rfbench -exp table1|table2 -check`.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
-	"rfview/internal/bench"
 	"rfview/internal/core"
 	"rfview/internal/engine"
 )
-
-// BenchmarkTable1 measures the four strategies of Table 1 — native window
-// operator vs. Fig. 2 self-join simulation, with and without an index on the
-// position column — at the paper's sizes (shrunk for the no-index self join,
-// which is quadratic, exactly as the paper's 357s/15000-row cell shows).
-func BenchmarkTable1(b *testing.B) {
-	type cfg struct {
-		name      string
-		native    bool
-		withIndex bool
-		sizes     []int
-	}
-	cases := []cfg{
-		{"native/noindex", true, false, []int{5000, 10000, 15000}},
-		{"selfjoin/noindex", false, false, []int{1000, 2000, 4000}},
-		{"native/index", true, true, []int{5000, 10000, 15000}},
-		{"selfjoin/index", false, true, []int{5000, 10000, 15000}},
-	}
-	for _, c := range cases {
-		for _, n := range c.sizes {
-			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
-				e, err := bench.NewTable1Engine(n, c.withIndex)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stmt, err := bench.Table1Stmt(c.native)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.ExecStmt(stmt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable2 measures the four derivation strategies of Table 2 —
-// MaxOA/MinOA × disjunctive/UNION — deriving ỹ=(3,1) from the materialized
-// x̃=(2,1) view at the paper's sizes.
-func BenchmarkTable2(b *testing.B) {
-	for _, st := range bench.Table2Strategies {
-		for _, n := range []int{100, 500, 1000, 1500, 2000} {
-			b.Run(fmt.Sprintf("%s/n=%d", st.Name, n), func(b *testing.B) {
-				e, err := bench.NewTable2Engine(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stmt, err := st.Stmt(e)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.ExecStmt(stmt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkCoreCompute is the ablation behind Table 1's "reporting
 // functionality" column: naive O(n·W) evaluation vs. the §2.2 pipelined

@@ -5,8 +5,8 @@
 //	rfbench -exp table1 [-sizes 5000,10000,15000] [-check]
 //	rfbench -exp table2 [-sizes 100,500,1000,1500,2000,3000,5000] [-check]
 //	rfbench -exp patterns    # print the Fig. 2/4/10/13 rewrites and plans
-//	rfbench -exp maintenance [-json] # §2.3 incremental update vs. full refresh
-//	rfbench -exp window [-json] [-mem-budget SIZE]  # partition-parallel Window operator scaling, plus a budget-forced spill reference run
+//	rfbench -exp maintenance # §2.3 incremental update vs. full refresh
+//	rfbench -exp window [-mem-budget SIZE]  # partition-parallel Window operator scaling, plus a budget-forced spill reference run
 //	rfbench -exp all    [-quick]
 //
 // -quick shrinks the size lists so a full run finishes in seconds; -check
@@ -30,7 +30,6 @@ func main() {
 	check := flag.Bool("check", false, "verify every strategy against native evaluation")
 	quick := flag.Bool("quick", false, "use reduced size lists for a fast run")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of the paper-style tables")
-	jsonOut := flag.Bool("json", false, "emit BENCH-style JSON (window and maintenance experiments)")
 	memBudget := flag.String("mem-budget", "", "executor memory budget for the window experiment's spill reference run, e.g. 64KiB (empty = tiny default)")
 	flag.Parse()
 
@@ -68,17 +67,9 @@ func main() {
 		if err != nil {
 			fatalf("maintenance: %v", err)
 		}
-		if *jsonOut {
-			s, err := bench.MaintenanceJSON(rows, ratios)
-			if err != nil {
-				fatalf("maintenance: %v", err)
-			}
-			fmt.Print(s)
-		} else {
-			fmt.Print(bench.FormatMaintenance(rows))
-			fmt.Println()
-			fmt.Print(bench.FormatDeltaRatios(ratios))
-		}
+		fmt.Print(bench.FormatMaintenance(rows))
+		fmt.Println()
+		fmt.Print(bench.FormatDeltaRatios(ratios))
 		return
 	}
 
@@ -109,17 +100,9 @@ func main() {
 		if err != nil {
 			fatalf("window multi: %v", err)
 		}
-		if *jsonOut {
-			s, err := bench.WindowJSON(cfg, rows, multi)
-			if err != nil {
-				fatalf("window: %v", err)
-			}
-			fmt.Print(s)
-		} else {
-			fmt.Print(bench.FormatWindow(rows))
-			fmt.Println()
-			fmt.Print(bench.FormatMultiWindow(multi))
-		}
+		fmt.Print(bench.FormatWindow(rows))
+		fmt.Println()
+		fmt.Print(bench.FormatMultiWindow(multi))
 		return
 	}
 

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -21,11 +19,6 @@ type MaintRow struct {
 	N           int
 	Incremental time.Duration // median over single-row UPDATEs, §2.3 band patch
 	FullRefresh time.Duration // median over REFRESH MATERIALIZED VIEW trials
-
-	// IncrementalOps and RefreshTrials are the raw per-operation timings the
-	// medians are drawn from.
-	IncrementalOps []time.Duration
-	RefreshTrials  []time.Duration
 }
 
 // MaintenanceSizes are the default sequence cardinalities.
@@ -62,6 +55,7 @@ func RunMaintenance(sizes []int) ([]MaintRow, error) {
 		}
 		row := MaintRow{N: n}
 
+		var updates, refreshes []time.Duration
 		for i := 0; i < maintIncrementalOps; i++ {
 			pos := 1 + (i*7919)%n
 			sql := fmt.Sprintf(`UPDATE seq SET val = %d WHERE pos = %d`, i%100, pos)
@@ -69,9 +63,9 @@ func RunMaintenance(sizes []int) ([]MaintRow, error) {
 			if _, err := e.Exec(sql); err != nil {
 				return nil, err
 			}
-			row.IncrementalOps = append(row.IncrementalOps, time.Since(start))
+			updates = append(updates, time.Since(start))
 		}
-		row.Incremental = medianDuration(row.IncrementalOps)
+		row.Incremental = medianDuration(updates)
 		if e.Views.Stale("matseq") {
 			return nil, fmt.Errorf("maintenance: view went stale at n=%d", n)
 		}
@@ -81,9 +75,9 @@ func RunMaintenance(sizes []int) ([]MaintRow, error) {
 			if _, err := e.Exec(`REFRESH MATERIALIZED VIEW matseq`); err != nil {
 				return nil, err
 			}
-			row.RefreshTrials = append(row.RefreshTrials, time.Since(start))
+			refreshes = append(refreshes, time.Since(start))
 		}
-		row.FullRefresh = medianDuration(row.RefreshTrials)
+		row.FullRefresh = medianDuration(refreshes)
 		out = append(out, row)
 	}
 	return out, nil
@@ -197,75 +191,4 @@ func FormatMaintenance(rows []MaintRow) string {
 			r.N, fmtDur(r.Incremental), fmtDur(r.FullRefresh), ratio)
 	}
 	return b.String()
-}
-
-// MaintenanceJSON renders the experiment in the BENCH_*.json convention used
-// by scripts/bench_window.sh: workload description, host facts, per-size
-// medians with raw trials, and the headline refresh-to-incremental ratios.
-func MaintenanceJSON(rows []MaintRow, ratios []DeltaRatioRow) (string, error) {
-	type runJSON struct {
-		N                   int       `json:"n"`
-		IncrementalMedianMs float64   `json:"incremental_median_ms"`
-		RefreshMedianMs     float64   `json:"refresh_median_ms"`
-		Ratio               float64   `json:"refresh_over_incremental"`
-		IncrementalOpsMs    []float64 `json:"incremental_ops_ms"`
-		RefreshTrialsMs     []float64 `json:"refresh_trials_ms"`
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	runs := make([]runJSON, 0, len(rows))
-	for _, r := range rows {
-		rj := runJSON{
-			N:                   r.N,
-			IncrementalMedianMs: ms(r.Incremental),
-			RefreshMedianMs:     ms(r.FullRefresh),
-		}
-		if r.Incremental > 0 {
-			rj.Ratio = roundTo(float64(r.FullRefresh)/float64(r.Incremental), 3)
-		}
-		for _, d := range r.IncrementalOps {
-			rj.IncrementalOpsMs = append(rj.IncrementalOpsMs, ms(d))
-		}
-		for _, d := range r.RefreshTrials {
-			rj.RefreshTrialsMs = append(rj.RefreshTrialsMs, ms(d))
-		}
-		runs = append(runs, rj)
-	}
-	type ratioJSON struct {
-		N            int     `json:"n"`
-		DeltaFrac    float64 `json:"delta_frac"`
-		DeltaOps     int     `json:"delta_ops"`
-		DeltaTotalMs float64 `json:"delta_total_ms"`
-		RefreshMs    float64 `json:"refresh_median_ms"`
-		Ratio        float64 `json:"refresh_over_delta"`
-	}
-	var ratioRuns []ratioJSON
-	for _, r := range ratios {
-		ratioRuns = append(ratioRuns, ratioJSON{
-			N: r.N, DeltaFrac: r.DeltaFrac, DeltaOps: r.DeltaOps,
-			DeltaTotalMs: ms(r.DeltaTotal), RefreshMs: ms(r.FullRefresh),
-			Ratio: roundTo(r.Ratio(), 3),
-		})
-	}
-	out := map[string]any{
-		"benchmark": "§2.3 incremental maintenance vs. full refresh",
-		"delta_ratios": ratioRuns,
-		"workload": map[string]any{
-			"view":            Table2ViewDDL,
-			"incremental_ops": maintIncrementalOps,
-			"refresh_trials":  maintRefreshTrials,
-			"note": "each single-row UPDATE timed individually against a unique " +
-				"pos index; medians reported; view checked non-stale after the " +
-				"update stream",
-		},
-		"host": map[string]any{
-			"cpus":       runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		"runs": runs,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b) + "\n", nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -33,7 +32,7 @@ type WindowConfig struct {
 	MemBudgetBytes int64
 }
 
-// DefaultWindowConfig is the configuration bench_window.sh records. Nine
+// DefaultWindowConfig is the configuration `rfbench -exp window` runs. Nine
 // trials keep the medians stable on a noisy shared host.
 func DefaultWindowConfig() WindowConfig {
 	return WindowConfig{Partitions: 64, RowsPerPartition: 500, Trials: 9, Seed: 20020301}
@@ -160,8 +159,6 @@ type MultiWindowRow struct {
 	Classes        int
 	SharedMedian   time.Duration
 	UnsharedMedian time.Duration
-	SharedTrials   []time.Duration
-	UnsharedTrials []time.Duration
 	SortsPerformed int64
 	SortsShared    int64
 	SortsSegmented int64
@@ -218,11 +215,6 @@ func RunMultiWindow(cfg WindowConfig, overCounts []int) ([]MultiWindowRow, error
 		}
 		return trials, rendered, nil
 	}
-	median := func(trials []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), trials...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return s[len(s)/2]
-	}
 
 	out := make([]MultiWindowRow, 0, len(overCounts))
 	for _, n := range overCounts {
@@ -248,10 +240,8 @@ func RunMultiWindow(cfg WindowConfig, overCounts []int) ([]MultiWindowRow, error
 		out = append(out, MultiWindowRow{
 			OverClauses:    n,
 			Classes:        multiWindowClasses(n),
-			SharedMedian:   median(st),
-			UnsharedMedian: median(ut),
-			SharedTrials:   st,
-			UnsharedTrials: ut,
+			SharedMedian:   medianDuration(st),
+			UnsharedMedian: medianDuration(ut),
 			SortsPerformed: ws.SortsPerformed.Load() - perf0,
 			SortsShared:    ws.SortsShared.Load() - shar0,
 			SortsSegmented: ws.SortsSegmented.Load() - seg0,
@@ -347,9 +337,7 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 			return WindowRow{}, fmt.Errorf("workers=%d budget=%d: result differs from reference",
 				workers, memBudget)
 		}
-		sorted := append([]time.Duration(nil), row.Trials...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		row.Median = sorted[len(sorted)/2]
+		row.Median = medianDuration(row.Trials)
 		row.AllocsPerOp = medianU64(allocs)
 		row.BytesPerOp = medianU64(bytes)
 		row.SpillRuns = e.SpillStats().Runs.Load()
@@ -398,142 +386,6 @@ func sameFloats(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// WindowJSON renders the experiment in the BENCH_*.json convention used by
-// scripts/bench_serve.sh: workload description, host facts, per-setting
-// medians, the headline speedup, the multi-function shared-sort grid, and —
-// on single-core hosts — an explicit note that the serial cap, not the
-// operator, bounds the number.
-func WindowJSON(cfg WindowConfig, rows []WindowRow, multi []MultiWindowRow) (string, error) {
-	type runJSON struct {
-		Workers     int       `json:"workers"`
-		MedianMs    float64   `json:"median_ms"`
-		TrialsMs    []float64 `json:"trials_ms"`
-		AllocsPerOp uint64    `json:"allocs_per_op"`
-		BPerOp      uint64    `json:"b_per_op"`
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	runs := make([]runJSON, 0, len(rows))
-	var seq, best, spillRun runJSON
-	haveSpill := false
-	var spillRuns, spillBytes int64
-	for _, r := range rows {
-		rj := runJSON{Workers: r.Workers, MedianMs: ms(r.Median),
-			AllocsPerOp: r.AllocsPerOp, BPerOp: r.BytesPerOp}
-		for _, t := range r.Trials {
-			rj.TrialsMs = append(rj.TrialsMs, ms(t))
-		}
-		if r.Spill {
-			spillRun = rj
-			haveSpill = true
-			spillRuns, spillBytes = r.SpillRuns, r.SpillBytes
-			continue
-		}
-		runs = append(runs, rj)
-		if r.Workers == 1 {
-			seq = rj
-		}
-		if best.Workers == 0 || rj.MedianMs < best.MedianMs {
-			best = rj
-		}
-	}
-	out := map[string]any{
-		"benchmark": "partition-parallel Window operator",
-		"workload": map[string]any{
-			"sql":                windowBenchQuery,
-			"partitions":         cfg.Partitions,
-			"rows_per_partition": cfg.RowsPerPartition,
-			"trials":             cfg.Trials,
-			"note": "plan cache disabled; identical query per setting; " +
-				"results cross-checked against the sequential run",
-		},
-		"host": map[string]any{
-			"cpus":       runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		"runs": runs,
-	}
-	if seq.Workers == 1 && best.MedianMs > 0 {
-		out["speedup_best_vs_sequential"] = roundTo(seq.MedianMs/best.MedianMs, 3)
-		out["best_workers"] = best.Workers
-	}
-	if haveSpill {
-		// The out-of-core reference: workers=1 under a tiny memory budget, so
-		// every partition ordering runs through the external merge sort. The
-		// slowdown prices the disk round-trip against the in-memory run at the
-		// same row count; results were cross-checked identical.
-		spill := map[string]any{
-			"workers":       1,
-			"median_ms":     spillRun.MedianMs,
-			"trials_ms":     spillRun.TrialsMs,
-			"allocs_per_op": spillRun.AllocsPerOp,
-			"b_per_op":      spillRun.BPerOp,
-			"spill_runs":    spillRuns,
-			"spill_bytes":   spillBytes,
-		}
-		if seq.Workers == 1 && seq.MedianMs > 0 {
-			spill["slowdown_vs_in_memory"] = roundTo(spillRun.MedianMs/seq.MedianMs, 3)
-		}
-		out["spill"] = spill
-	}
-	if len(multi) > 0 {
-		// The shared-sort grid: the same multi-OVER query with the planner on
-		// and off, per clause count. speedup_shared > 1 means the shared plan
-		// was faster; sorts_performed/sorts_shared count actual orderings vs
-		// reused ones over the shared run's trials.
-		grid := make([]map[string]any, 0, len(multi))
-		for _, m := range multi {
-			entry := map[string]any{
-				"over_clauses":       m.OverClauses,
-				"classes":            m.Classes,
-				"shared_median_ms":   ms(m.SharedMedian),
-				"unshared_median_ms": ms(m.UnsharedMedian),
-				"sorts_performed":    m.SortsPerformed,
-				"sorts_shared":       m.SortsShared,
-				"sorts_segmented":    m.SortsSegmented,
-			}
-			sharedTrials := make([]float64, 0, len(m.SharedTrials))
-			for _, t := range m.SharedTrials {
-				sharedTrials = append(sharedTrials, ms(t))
-			}
-			unsharedTrials := make([]float64, 0, len(m.UnsharedTrials))
-			for _, t := range m.UnsharedTrials {
-				unsharedTrials = append(unsharedTrials, ms(t))
-			}
-			entry["shared_trials_ms"] = sharedTrials
-			entry["unshared_trials_ms"] = unsharedTrials
-			if m.SharedMedian > 0 {
-				entry["speedup_shared"] = roundTo(float64(m.UnsharedMedian)/float64(m.SharedMedian), 3)
-			}
-			grid = append(grid, entry)
-		}
-		out["multi_function"] = map[string]any{
-			"sql_4_over": MultiWindowQuery(4),
-			"note": "same query with the shared-sort planner on vs DisableSharedSort; " +
-				"results cross-checked cell-for-cell per clause count",
-			"runs": grid,
-		}
-	}
-	if runtime.NumCPU() == 1 {
-		out["note"] = "single-CPU host: all pool workers share one core, so the " +
-			"parallel settings can only match the sequential median (§6 partitions " +
-			"are independent, but there is no second core to run them on); the " +
-			"speedup column documents this serial cap rather than operator scaling"
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b) + "\n", nil
-}
-
-func roundTo(v float64, places int) float64 {
-	p := 1.0
-	for i := 0; i < places; i++ {
-		p *= 10
-	}
-	return float64(int64(v*p+0.5)) / p
 }
 
 // FormatWindow renders a human-readable table of the experiment.

@@ -1,11 +1,11 @@
 // Package client is a small synchronous client for the rfview query service
 // (see internal/server for the newline-delimited JSON protocol). It is the
-// library behind cmd/rfload and a starting point for embedding rfview access
-// in other programs.
+// client the benchmark's served workloads drive and a starting point for
+// embedding rfview access in other programs.
 //
 // A Client owns one TCP connection and is safe for concurrent use: requests
 // are serialized on the connection, one outstanding request at a time. Open
-// several clients for pipelined load (as cmd/rfload does).
+// several clients for pipelined load (as the benchmark does, one per CPU).
 package client
 
 import (

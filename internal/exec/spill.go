@@ -77,7 +77,10 @@ func (ks *keyStreamer) encode(row sqltypes.Row) (key []byte, ok bool, err error)
 }
 
 // spillEligible gates the external path: it needs an enabled config, keys to
-// order by, and at least two rows.
+// order by, and more rows than the sorter's minimum run. At or below that
+// floor the sorter can never flush, so it would hold the rows in memory
+// anyway — as encoded keys plus payload copies, more than the typed records
+// it stands in for.
 func spillEligible(cfg *spill.Config, keys []SortKey, n int) bool {
-	return cfg.Enabled() && len(keys) > 0 && n >= 2
+	return cfg.Enabled() && len(keys) > 0 && n > cfg.MinRun()
 }

@@ -210,3 +210,51 @@ func TestWindowSpillMixedOrderKeysFallsBack(t *testing.T) {
 		t.Fatalf("%d budget bytes leaked after fallback", used)
 	}
 }
+
+// TestSubRunInputSkipsSpillSorter: an input of at most one minimum run can
+// never flush, so it is ordered by the in-memory typed sort however small the
+// budget; one row more and the sorter takes it and spills.
+func TestSubRunInputSkipsSpillSorter(t *testing.T) {
+	schema := pwSchema()
+	keys := []SortKey{{Expr: mustCompile(t, "pos", schema)}}
+	rowsN := func(n int) []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, intRow(int64(i%2), int64(n-i), int64(i)))
+		}
+		return rows
+	}
+	cfg := spillCfg(t, 64)
+	floor := cfg.MinRun()
+
+	small := &Sort{Input: valuesOp(schema, rowsN(floor)...), Keys: keys, Spill: cfg}
+	mustCollect(t, small)
+	if !small.ran || small.path != sortTyped || small.spillRuns != 0 {
+		t.Fatalf("%d-row sort: ran=%v path=%v runs=%d, want the in-memory typed sort",
+			floor, small.ran, small.path, small.spillRuns)
+	}
+	big := &Sort{Input: valuesOp(schema, rowsN(floor+1)...), Keys: keys, Spill: cfg}
+	mustCollect(t, big)
+	if big.spillRuns == 0 {
+		t.Fatalf("%d-row sort did not spill", floor+1)
+	}
+
+	// Two partitions of exactly one minimum run each.
+	frame := FrameSpec{
+		Start: FrameBound{Kind: BoundPreceding, Offset: 1},
+		End:   FrameBound{Kind: BoundFollowing, Offset: 1},
+	}
+	w := pwWindow(t, rowsN(2*floor), frame, 1, "SUM")
+	w.Spill = cfg
+	mustCollect(t, w)
+	if !w.sorted[sortTyped].Load() || w.sorted[sortEncoded].Load() || w.spillRuns.Load() != 0 {
+		t.Fatalf("sub-run partitions: typed=%v encoded=%v runs=%d, want typed only",
+			w.sorted[sortTyped].Load(), w.sorted[sortEncoded].Load(), w.spillRuns.Load())
+	}
+	if got := cfg.Stats.Runs.Load(); got != int64(big.spillRuns) {
+		t.Fatalf("spill stats count %d runs, only the %d-row sort's %d expected", got, floor+1, big.spillRuns)
+	}
+	if used := cfg.Budget.Used(); used != 0 {
+		t.Fatalf("%d budget bytes leaked", used)
+	}
+}

@@ -11,6 +11,8 @@ import (
 
 	rferrors "rfview/errors"
 	"rfview/internal/client"
+	"rfview/internal/engine"
+	"rfview/internal/wal"
 )
 
 // TestMetricsOpAndHandler drives real traffic through the wire protocol, then
@@ -63,6 +65,56 @@ func TestMetricsOpAndHandler(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
+	}
+}
+
+// TestMetricsScrapeGate is the CI metrics gate: a durable engine behind the
+// server answers one wire query, and an HTTP scrape missing any core series —
+// engine, plan cache, WAL or server — fails.
+func TestMetricsScrapeGate(t *testing.T) {
+	mgr, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncAlways}, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := mgr.Close(); err != nil {
+			t.Errorf("final checkpoint: %v", err)
+		}
+		if err := mgr.Engine().Close(); err != nil {
+			t.Errorf("closing the engine: %v", err)
+		}
+	})
+	_, eng, addr, _ := serveEngine(t, mgr.Engine())
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{
+		`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
+		`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 30)`,
+	} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Query(`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	eng.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body, _ := io.ReadAll(rec.Result().Body)
+	for _, series := range []string{
+		"rfview_queries_total",
+		"rfview_plan_cache_hit_ratio",
+		"rfview_query_seconds_bucket",
+		"rfview_wal_fsync_seconds_bucket",
+		"rfview_server_op_seconds_bucket",
+	} {
+		if !strings.Contains("\n"+string(body), "\n"+series) {
+			t.Errorf("metrics scrape missing series %s", series)
+		}
 	}
 }
 

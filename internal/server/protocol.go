@@ -117,7 +117,7 @@ type StatsReply struct {
 	WindowParallelism int `json:"window_parallelism"`
 
 	// Spill mirrors the engine's out-of-core execution counters, so wire
-	// clients (rfload -mem-budget) can confirm the spill path actually ran.
+	// clients can confirm the spill path actually ran.
 	Spill SpillStats `json:"spill"`
 
 	// BufferPool mirrors the paged-storage buffer pool, so wire clients can

@@ -19,7 +19,12 @@ import (
 // address plus a channel carrying Serve's return value.
 func startServer(t *testing.T) (*server.Server, *engine.Engine, string, chan error) {
 	t.Helper()
-	e := engine.New(engine.DefaultOptions())
+	return serveEngine(t, engine.New(engine.DefaultOptions()))
+}
+
+// serveEngine is startServer over an engine the caller built.
+func serveEngine(t *testing.T, e *engine.Engine) (*server.Server, *engine.Engine, string, chan error) {
+	t.Helper()
 	srv := server.New(e)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

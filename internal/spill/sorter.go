@@ -73,7 +73,10 @@ func (c *Config) Enabled() bool {
 	return c != nil && c.Env != nil && c.Budget.Limit() > 0
 }
 
-func (c *Config) minRunRows() int {
+// MinRun is the smallest number of buffered records a Sorter flushes as a
+// run: an input with no more rows than this is sorted in memory whatever the
+// budget says, so callers with a cheaper in-memory sort skip the Sorter.
+func (c *Config) MinRun() int {
 	if c.MinRunRows > 0 {
 		return c.MinRunRows
 	}
@@ -170,7 +173,7 @@ func (s *Sorter) Add(key, payload []byte) error {
 	}
 	n := int64(len(key)+len(payload)) + recOverhead
 	if !s.cfg.Budget.Charge(n) {
-		if s.cfg.Enabled() && len(s.recs) >= s.cfg.minRunRows() {
+		if s.cfg.Enabled() && len(s.recs) >= s.cfg.MinRun() {
 			if err := s.flushRun(); err != nil {
 				return err
 			}

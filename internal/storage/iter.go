@@ -14,39 +14,24 @@ type IterStats struct {
 	Misses int64
 }
 
-// prefetchRes carries a readahead pin from its goroutine to the iterator.
-type prefetchRes struct {
-	f   *frame
-	hit bool
-	err error
-}
-
-type prefetch struct {
-	pid uint32
-	ch  chan prefetchRes
-}
-
 // Iter streams the row versions visible in a snapshot, in row-id (insertion)
-// order. It pins one page at a time, prefetches the next distinct page in
-// the background while the current one is consumed, and decodes only
-// visible versions (stamps live in the slot directory, so invisible rows
-// cost no page IO beyond sharing a page with visible ones).
+// order. It pins one page at a time and decodes only visible versions
+// (stamps live in the slot directory, so invisible rows cost no page IO
+// beyond sharing a page with visible ones).
 //
 // An Iter is single-goroutine; Close must be called (it releases the pinned
-// page and drains any in-flight prefetch). Iterating is safe against
-// concurrent DML: the directory header is copied at creation and pages are
-// append-only.
+// page). Iterating is safe against concurrent DML: the directory header is
+// copied at creation and pages are append-only.
 type Iter struct {
 	t     *Table
 	snap  txn.Snapshot
 	slots []*slot
 	i     int
 
-	cur     *frame // pinned current page
-	curPid  uint32
-	hasCur  bool
-	pending *prefetch
-	stats   IterStats
+	cur    *frame // pinned current page
+	curPid uint32
+	hasCur bool
+	stats  IterStats
 }
 
 // IterAt returns an iterator over the versions visible in s.
@@ -77,21 +62,13 @@ func (it *Iter) Next() (RowID, sqltypes.Row, error) {
 // Stats returns the page-traffic counters accumulated so far.
 func (it *Iter) Stats() IterStats { return it.stats }
 
-// Close releases the current pin and drains any in-flight prefetch.
-// Idempotent.
+// Close releases the current pin. Idempotent.
 func (it *Iter) Close() { it.release() }
 
 func (it *Iter) release() {
-	pool := it.t.heap.pager.pool
 	if it.hasCur {
-		pool.unpin(it.cur, false)
+		it.t.heap.pager.pool.unpin(it.cur, false)
 		it.cur, it.hasCur = nil, false
-	}
-	if p := it.pending; p != nil {
-		it.pending = nil
-		if res := <-p.ch; res.err == nil {
-			pool.unpin(res.f, false)
-		}
 	}
 }
 
@@ -110,7 +87,7 @@ func (it *Iter) rowAt(sl *slot) (sqltypes.Row, error) {
 			h.pager.pool.unpin(it.cur, false)
 			it.hasCur = false
 		}
-		f, hit, err := it.acquire(sl.loc.pid)
+		f, hit, err := h.pager.pool.pin(h.hf, sl.loc.pid)
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +97,6 @@ func (it *Iter) rowAt(sl *slot) (sqltypes.Row, error) {
 			it.stats.Hits++
 		} else {
 			it.stats.Misses++
-		}
-		// Readahead earns its goroutine only when pages are actually coming
-		// from disk; a warm scan that just hit skips the scheduling cost.
-		if !hit {
-			it.schedulePrefetch()
 		}
 	}
 	if row := it.cur.cachedRow(sl.loc.slot); row != nil {
@@ -140,50 +112,4 @@ func (it *Iter) rowAt(sl *slot) (sqltypes.Row, error) {
 	}
 	h.pager.pool.cacheRow(it.cur, sl.loc.slot, row)
 	return row, nil
-}
-
-// acquire pins pid, consuming the pending prefetch when it matches.
-func (it *Iter) acquire(pid uint32) (*frame, bool, error) {
-	pool := it.t.heap.pager.pool
-	if p := it.pending; p != nil {
-		it.pending = nil
-		res := <-p.ch
-		if p.pid == pid {
-			return res.f, res.hit, res.err
-		}
-		if res.err == nil {
-			pool.unpin(res.f, false) // readahead guessed wrong: discard
-		}
-	}
-	return pool.pin(it.t.heap.hf, pid)
-}
-
-// prefetchLookahead bounds the forward scan for the next distinct page so a
-// long run of same-page or jumbo slots cannot make scheduling quadratic.
-const prefetchLookahead = 4096
-
-// schedulePrefetch starts a background pin of the next distinct slotted
-// page after the current position.
-func (it *Iter) schedulePrefetch() {
-	if it.pending != nil {
-		return
-	}
-	limit := len(it.slots)
-	if limit > it.i+prefetchLookahead {
-		limit = it.i + prefetchLookahead
-	}
-	for j := it.i + 1; j < limit; j++ {
-		loc := it.slots[j].loc
-		if loc.span != 0 || loc.pid == it.curPid {
-			continue
-		}
-		ch := make(chan prefetchRes, 1)
-		it.pending = &prefetch{pid: loc.pid, ch: ch}
-		hf, pool := it.t.heap.hf, it.t.heap.pager.pool
-		go func(pid uint32) {
-			f, hit, err := pool.pin(hf, pid)
-			ch <- prefetchRes{f, hit, err}
-		}(loc.pid)
-		return
-	}
 }
