@@ -41,7 +41,8 @@ func BenchmarkCoreCompute(b *testing.B) {
 }
 
 // BenchmarkCoreDerive compares the derivation algorithms at the algebra
-// level: MaxOA explicit, MaxOA recursive (compensation sequences), MinOA,
+// level: MaxOA and MinOA, each in the explicit form and in the linear form
+// the engine runs (compensation sequences, running sums per residue class),
 // and full recomputation from raw data as the baseline.
 func BenchmarkCoreDerive(b *testing.B) {
 	raw := make([]float64, 10000)
@@ -77,6 +78,13 @@ func BenchmarkCoreDerive(b *testing.B) {
 	b.Run("MinOA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.MinOA(src, target); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("MinOA-recursive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.MinOARecursive(src, target); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -118,6 +126,7 @@ func BenchmarkMaintenance(b *testing.B) {
 func BenchmarkPartitionedDerivation(b *testing.B) {
 	build := func() *engine.Engine {
 		e := engine.New(engine.DefaultOptions())
+		e.SetPlanCacheCapacity(0) // every iteration plans and executes; a cached answer measures neither side
 		if _, err := e.Exec(`CREATE TABLE pseq (grp INTEGER, pos INTEGER, val INTEGER)`); err != nil {
 			b.Fatal(err)
 		}

@@ -274,6 +274,41 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// TestServedDerivationShape: what Table 2 measures as rendered SQL the served
+// engine answers with the sequence algebra — one scan of the view's stored
+// sequence, header and trailer included, under one Derive that emits the n
+// body positions, and nothing relational. Work linear in n where every cell
+// of TestTable2Shape is quadratic.
+func TestServedDerivationShape(t *testing.T) {
+	query, err := parseSelect(Table2Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range shapeSizes {
+		e, err := newTable2Engine(n, engine.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := analyze(t, e, query)
+		if p.ops() != "Derive SeqScan" {
+			t.Errorf("n=%d: served plan is %q, want one Derive over one scan", n, p.ops())
+			continue
+		}
+		for _, relational := range []string{"NestedLoopJoin", "IndexNestedLoopJoin", "HashJoin", "HashAggregate"} {
+			if len(p.find(relational)) != 0 {
+				t.Errorf("n=%d: served plan holds a %s: %s", n, relational, p.ops())
+			}
+		}
+		scan, m := p.kids[0], n+3 // the (2,1) view stores positions 1-h .. n+l
+		if !strings.Contains(scan.desc, "matseq") || scan.rows != m {
+			t.Errorf("n=%d: %q read %d rows, want the %d stored positions of matseq", n, scan.desc, scan.rows, m)
+		}
+		if want := fmt.Sprintf("Derive view=matseq algo=MinOA Δl=1 Δh=0 Wx=4 parts=1 rows=%d", m); p.desc != want || p.rows != n {
+			t.Errorf("n=%d: %q emitted %d rows, want %q emitting %d", n, p.desc, p.rows, want, n)
+		}
+	}
+}
+
 // storedVersions counts the row versions ever appended to a heap: row ids are
 // dense and the newest version is live after any write.
 func storedVersions(t *testing.T, h *storage.Table) int {

@@ -72,6 +72,13 @@ func (st Table2Strategy) Stmt(e *engine.Engine) (sqlparser.Statement, error) {
 func NewTable2Engine(n int) (*engine.Engine, error) {
 	opts := engine.DefaultOptions()
 	opts.UseMatViews = false
+	return newTable2Engine(n, opts)
+}
+
+// newTable2Engine is Table 2's data and view under the given options; with
+// the defaults it is the served system, which answers Table2Query from the
+// view by the Derive operator.
+func newTable2Engine(n int, opts engine.Options) (*engine.Engine, error) {
 	e := engine.New(opts)
 	if err := LoadSequenceTable(e, n, 7); err != nil {
 		return nil, err

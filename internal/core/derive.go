@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 )
 
 // This file implements §3–§5 of the paper: answering a reporting-function
@@ -71,13 +71,9 @@ func DeriveSlidingFromCumulative(s *Sequence, target Window) (*Sequence, error) 
 		}
 		return out, nil
 	}
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
 	out := newSequence(target, s.Agg, s.N)
-	l, h := target.Preceding, target.Following
-	for k := out.lo; k <= out.Hi(); k++ {
-		out.set(k, s.At(k+h)-s.At(k-l-1), true)
+	if err := s.slab().slidingFromCumulative(out.vals, out.lo, target); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -287,114 +283,18 @@ func MaxOA(src *Sequence, target Window) (*Sequence, error) {
 
 // MaxOARecursive derives the target sequence using the paper's recursive
 // form with explicit compensation sequences (§4.1, extended to the general
-// double-sided case of §4.2):
-//
-//	ỹ_k = x̃_k + (x̃_{k−Δl} − z̃L_k) + (x̃_{k+Δh} − z̃H_k)
-//
-// where the left compensation sequence z̃L (window (l_x, h_x−Δl), the overlap
-// of x̃_k and x̃_{k−Δl}) obeys
-//
-//	z̃L_k = x̃_{k−Δl} − x̃_{k−(Δl+Δp)} + z̃L_{k−(Δl+Δp)}
-//
-// and the right compensation sequence z̃H (window (l_x−Δh, h_x)) obeys the
-// mirrored recursion with period Δh+Δq. Requires Δp ≥ 1 and Δq ≥ 1, i.e. the
-// 2×-window precondition of §4. Each position costs O(1) sequence lookups
-// once the compensation values are cached per residue class — the pipelined
-// execution style of §2.2 applied to derivation.
+// double-sided case of §4.2); Slab.MaxOA states the recurrences and runs
+// them. Requires Δp ≥ 1 and Δq ≥ 1, i.e. the 2×-window precondition of §4.
+// Each position costs O(1) sequence lookups: the compensation values of a
+// residue class are rolled along one slice — the pipelined execution style
+// of §2.2 applied to derivation.
 func MaxOARecursive(src *Sequence, target Window) (*Sequence, error) {
 	if src.Agg != Sum && src.Agg != Count {
 		return nil, notDerivable("MaxOA", src.Win, target, "recursive form requires SUM or COUNT")
 	}
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := ComputeMaxOAFactors(src.Win, target)
-	if err != nil {
-		return nil, err
-	}
-	if f.DeltaL > 0 && f.DeltaP < 1 {
-		return nil, notDerivable("MaxOA", src.Win, target, "recursive form needs Δp ≥ 1 (target at most twice the source window)")
-	}
-	if f.DeltaH > 0 && f.DeltaQ < 1 {
-		return nil, notDerivable("MaxOA", src.Win, target, "recursive form needs Δq ≥ 1 (target at most twice the source window)")
-	}
 	out := newSequence(target, src.Agg, src.N)
-	lx, hx := src.Win.Preceding, src.Win.Following
-
-	// Left compensation values per position, filled iteratively in
-	// increasing position order along each residue class mod (Δl+Δp) = W_x
-	// (iterative to keep stack depth constant on long sequences).
-	zL := make(map[int]float64)
-	leftComp := func(k int) float64 {
-		// z̃L covers [k−l_x, k−Δl+h_x]; empty contribution once the window
-		// lies entirely left of raw position 1.
-		if k-f.DeltaL+hx < 1 {
-			return 0
-		}
-		if v, ok := zL[k]; ok {
-			return v
-		}
-		// Walk down the residue class to the first known (or empty) value,
-		// then roll forward.
-		start := k
-		for start-f.DeltaL+hx >= 1 {
-			if _, ok := zL[start]; ok {
-				break
-			}
-			start -= f.DeltaL + f.DeltaP
-		}
-		prev := 0.0
-		if v, ok := zL[start]; ok {
-			prev = v
-			start += f.DeltaL + f.DeltaP
-		} else {
-			start += f.DeltaL + f.DeltaP // first position with a live window
-		}
-		for j := start; j <= k; j += f.DeltaL + f.DeltaP {
-			prev = src.At(j-f.DeltaL) - src.At(j-(f.DeltaL+f.DeltaP)) + prev
-			zL[j] = prev
-		}
-		return zL[k]
-	}
-	zH := make(map[int]float64)
-	rightComp := func(k int) float64 {
-		// z̃H covers [k+Δh−l_x, k+h_x]; empty once entirely right of n.
-		if k+f.DeltaH-lx > src.N {
-			return 0
-		}
-		if v, ok := zH[k]; ok {
-			return v
-		}
-		start := k
-		for start+f.DeltaH-lx <= src.N {
-			if _, ok := zH[start]; ok {
-				break
-			}
-			start += f.DeltaH + f.DeltaQ
-		}
-		prev := 0.0
-		if v, ok := zH[start]; ok {
-			prev = v
-			start -= f.DeltaH + f.DeltaQ
-		} else {
-			start -= f.DeltaH + f.DeltaQ
-		}
-		for j := start; j >= k; j -= f.DeltaH + f.DeltaQ {
-			prev = src.At(j+f.DeltaH) - src.At(j+(f.DeltaH+f.DeltaQ)) + prev
-			zH[j] = prev
-		}
-		return zH[k]
-	}
-
-	for k := out.lo; k <= out.Hi(); k++ {
-		v := src.At(k)
-		if f.DeltaL > 0 {
-			v += src.At(k-f.DeltaL) - leftComp(k)
-		}
-		if f.DeltaH > 0 {
-			v += src.At(k+f.DeltaH) - rightComp(k)
-		}
-		out.set(k, v, true)
+	if err := src.slab().MaxOA(out.vals, out.lo, target); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -412,36 +312,12 @@ func MaxOAMinMax(src *Sequence, target Window) (*Sequence, error) {
 	if src.Agg != Min && src.Agg != Max {
 		return nil, notDerivable("MaxOA-minmax", src.Win, target, "aggregate must be MIN or MAX")
 	}
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := ComputeMaxOAFactors(src.Win, target)
+	f, err := minMaxFactors(src.Win, target)
 	if err != nil {
 		return nil, err
 	}
-	if f.DeltaL+f.DeltaH > f.Wx {
-		return nil, notDerivable("MaxOA-minmax", src.Win, target,
-			fmt.Sprintf("shifted windows do not cover the target (Δl+Δh = %d > W_x = %d)", f.DeltaL+f.DeltaH, f.Wx))
-	}
 	out := newSequence(target, src.Agg, src.N)
-	for k := out.lo; k <= out.Hi(); k++ {
-		a, aok := src.AtOK(k - f.DeltaL)
-		b, bok := src.AtOK(k + f.DeltaH)
-		switch {
-		case !aok && !bok:
-			out.set(k, 0, false)
-		case !aok:
-			out.set(k, b, true)
-		case !bok:
-			out.set(k, a, true)
-		default:
-			if src.Agg == Min {
-				out.set(k, math.Min(a, b), true)
-			} else {
-				out.set(k, math.Max(a, b), true)
-			}
-		}
-	}
+	src.slab().minMax(out.vals, out.valid, out.lo, f)
 	return out, nil
 }
 
@@ -516,6 +392,20 @@ func MinOA(src *Sequence, target Window) (*Sequence, error) {
 	return out, nil
 }
 
+// MinOARecursive is MinOA in its linear form: one running sum per residue
+// class mod W_x serves the positive and the negative chain of every position
+// (Slab.minOA), where the explicit form above re-walks both chains at each.
+// Equal to MinOA bit for bit on integer data; it is the form Derive and the
+// engine use, and the explicit form stays as the paper's statement of the
+// algorithm and the reference the identities tests compare against.
+func MinOARecursive(src *Sequence, target Window) (*Sequence, error) {
+	out := newSequence(target, src.Agg, src.N)
+	if err := src.slab().minOA(out.vals, out.lo, target); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // DeriveAvg combines separately derived SUM and COUNT sequences into the AVG
 // sequence for the same window — the route the paper prescribes for AVG
 // ("AVG may be directly derived from SUM and COUNT", §2.1).
@@ -538,17 +428,23 @@ func DeriveAvg(sum, count *Sequence) (*Sequence, error) {
 	return out, nil
 }
 
-// Derive picks a derivation strategy automatically: cumulative sources use
-// the §3.1 rules, MIN/MAX use MaxOAMinMax, and SUM/COUNT sliding sources use
-// MinOA (which has no window-size restriction). It is the entry point the
-// engine's view-matching rewriter calls.
+// Derive picks a derivation strategy automatically: an identical window is
+// the sequence itself, cumulative sources use the §3.1 rules, MIN/MAX use
+// MaxOAMinMax, and SUM/COUNT sliding sources use MinOA (which has no
+// window-size restriction) in its linear form. It is the entry point of the
+// engine's view derivation: exec.Derive calls its slice-level twin,
+// Slab.Derive, on the stored rows of the matched view.
 func Derive(src *Sequence, target Window) (*Sequence, error) {
 	switch {
+	case src.Win.Equal(target):
+		out := *src
+		out.vals, out.valid = slices.Clone(src.vals), slices.Clone(src.valid)
+		return &out, nil
 	case src.Win.Cumulative:
 		return DeriveSlidingFromCumulative(src, target)
 	case src.Agg == Min || src.Agg == Max:
 		return MaxOAMinMax(src, target)
 	default:
-		return MinOA(src, target)
+		return MinOARecursive(src, target)
 	}
 }

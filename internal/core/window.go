@@ -61,6 +61,16 @@ func (a Agg) String() string {
 	}
 }
 
+// ParseAgg is the inverse of String: the aggregate with the given SQL name.
+func ParseAgg(name string) (Agg, error) {
+	for a := Sum; a <= Max; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown aggregate %q", name)
+}
+
 // Algebraic reports whether the aggregate supports subtraction (an inverse),
 // which the pipelined computation of sliding windows and the MinOA
 // derivation rely on.

@@ -58,7 +58,8 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			name:  "exact",
 			build: func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
 			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			want:  []string{"-- strategy: exact", "view=matseq", "exact=true", "rows=20", "time="},
+			want: []string{"-- strategy: exact", "view=matseq", "exact=true", "-- rewritten: SELECT",
+				"Derive view=matseq algo=exact Δl=0 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time=", "SeqScan __mv_matseq AS matseq"},
 		},
 		{
 			name:  "maxoa",
@@ -66,14 +67,16 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			// (4,3) from the stored (2,1): Δl+Δh ≡ 0 (mod W_x), the residue
 			// collision where MinOA does not apply and MaxOA is chosen.
 			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
-			want:  []string{"-- strategy: maxoa", "view=matseq", "Δl=2 Δh=2", "rows=20", "time="},
+			want: []string{"-- strategy: maxoa", "view=matseq", "Δl=2 Δh=2", "-- rewritten: SELECT",
+				"Derive view=matseq algo=MaxOA Δl=2 Δh=2 Wx=4 parts=1 rows=23 (rows=20 time="},
 		},
 		{
 			name:  "minoa",
 			build: func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
 			// Narrower than the stored window — only MinOA can do this.
 			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			want:  []string{"-- strategy: minoa", "view=matseq", "rows=20", "time="},
+			want: []string{"-- strategy: minoa", "view=matseq", "-- rewritten: SELECT",
+				"Derive view=matseq algo=MinOA Δl=-1 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time="},
 		},
 	}
 	for _, c := range cases {
@@ -159,6 +162,33 @@ func TestExplainReplaysCachedPlan(t *testing.T) {
 	}
 	if len(ares.Rows) != 10 {
 		t.Fatalf("analyzed cached run rows = %d, want 10", len(ares.Rows))
+	}
+}
+
+// TestDeriveExplainLabel: the Derive operator names its view, algorithm and
+// coverage factors the same way wherever a plan is shown — a cold EXPLAIN, the
+// replay of the cached plan (word for word the cold tree), EXPLAIN ANALYZE and
+// the slow-query log, the last two with what the execution read.
+func TestDeriveExplainLabel(t *testing.T) {
+	e := buildSeqView(t, DefaultOptions(), 20)
+	q := `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`
+	const label = "Derive view=matseq algo=MinOA Δl=1 Δh=0 Wx=4"
+
+	cold := mustExec(t, e, "EXPLAIN "+q).Plan
+	if !strings.Contains(cold, label+"\n") || strings.Contains(cold, "plan cache") {
+		t.Fatalf("cold EXPLAIN:\n%s", cold)
+	}
+	var slow []SlowQuery
+	e.SetSlowQueryLog(time.Nanosecond, func(s SlowQuery) { slow = append(slow, s) })
+	mustExec(t, e, q) // runs, caches the plan, and is slow
+	e.SetSlowQueryLog(0, nil)
+	if len(slow) != 1 || !strings.Contains(slow[0].Plan, label+" parts=1 rows=23 (rows=20 time=") {
+		t.Fatalf("slow-query log: %+v", slow)
+	}
+	replay := mustExec(t, e, "EXPLAIN "+q).Plan
+	const hit = "-- plan cache: hit\n"
+	if !strings.Contains(replay, hit) || strings.Replace(replay, hit, "", 1) != cold {
+		t.Fatalf("replayed EXPLAIN differs from the cold one beyond the cache line:\n%s\ncold:\n%s", replay, cold)
 	}
 }
 

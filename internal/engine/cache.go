@@ -46,9 +46,9 @@ const maxCachedResultRows = 16384
 //
 // Invalid entries are dropped lazily when touched; LRU handles the rest.
 type cachedPlan struct {
-	// exec is the statement to plan: the derivation rewrite when one fired,
-	// the original statement otherwise. Planning does not mutate the AST, so
-	// concurrent readers replan from the same tree.
+	// exec is the statement to plan: the derivation's DeriveSelect node when
+	// one fired, the original statement otherwise. Planning does not mutate
+	// the AST, so concurrent readers replan from the same tree.
 	exec sqlparser.SelectStatement
 	// derivation and rewrittenSQL replay the provenance of the first run.
 	derivation   *rewrite.Derivation
@@ -161,10 +161,7 @@ func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan 
 	}
 	deps := newDepSet(e)
 	deps.addStmt(sel)          // base tables of the original query
-	deps.addStmt(res.execStmt) // view backing tables of the rewrite
-	if res.Derivation != nil {
-		deps.addName(res.Derivation.View.Name)
-	}
+	deps.addStmt(res.execStmt) // views a derivation reads
 	ent := &cachedPlan{
 		exec:         res.execStmt,
 		derivation:   res.Derivation,
@@ -248,7 +245,8 @@ func (d *depSet) addName(name string) {
 	d.tables = append(d.tables, planDep{name: name, version: t.Heap.Version()})
 }
 
-// addStmt walks every FROM clause reachable from the statement.
+// addStmt walks every FROM clause reachable from the statement, and the
+// views a derivation reads.
 func (d *depSet) addStmt(stmt sqlparser.SelectStatement) {
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
@@ -256,6 +254,11 @@ func (d *depSet) addStmt(stmt sqlparser.SelectStatement) {
 	case *sqlparser.Union:
 		d.addStmt(s.Left)
 		d.addStmt(s.Right)
+	case *sqlparser.DeriveSelect:
+		d.addName(s.Source.View)
+		if s.Divisor != nil {
+			d.addName(s.Divisor.View)
+		}
 	}
 }
 

@@ -616,8 +616,9 @@ func (e *Engine) Close() error {
 }
 
 // RewriteSelect applies the materialized-view derivation (§3–§5) to a select
-// statement without executing it. It returns the (possibly unchanged)
-// statement and the derivation record.
+// statement without executing it. It returns the statement to plan — the
+// derivation's DeriveSelect node when one applies, else stmt unchanged — and
+// the derivation record.
 func (e *Engine) RewriteSelect(stmt sqlparser.SelectStatement) (sqlparser.SelectStatement, *rewrite.Derivation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -625,12 +626,14 @@ func (e *Engine) RewriteSelect(stmt sqlparser.SelectStatement) (sqlparser.Select
 	return out, d, err
 }
 
-// rewriteSelect applies the derivation rewrite. noDerive skips it: statements
-// inside an explicit transaction read at a fixed snapshot, while derivation
-// decisions (view freshness, BaseRows) track the latest committed state
-// — mixing the two could derive from a view the snapshot predates. A stale
-// view declines the rewrite and is returned as skipped: the user named the
-// base table, which can always answer.
+// rewriteSelect applies the derivation rewrite: out is the DeriveSelect node
+// of the derivation when one applies — the planner never sees its Fig. 10/13
+// rendering — and stmt itself otherwise. noDerive skips it: statements inside
+// an explicit transaction read at a fixed snapshot, while the derivation
+// decision (which views exist and are fresh) tracks the latest committed
+// state — mixing the two could derive from a view the snapshot predates. A
+// stale view declines the rewrite and is returned as skipped: the user named
+// the base table, which can always answer.
 func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (out sqlparser.SelectStatement, d *rewrite.Derivation, skipped string, err error) {
 	sel, ok := stmt.(*sqlparser.Select)
 	if !ok || !e.Opts.UseMatViews || noDerive {
@@ -643,11 +646,11 @@ func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (o
 	if d == nil {
 		return stmt, nil, "", nil
 	}
-	views := e.viewsRead(d.Stmt)
+	views := e.viewsRead(d.Plan)
 	if i := slices.IndexFunc(views, e.Views.Stale); i >= 0 {
 		return stmt, nil, views[i], nil
 	}
-	return d.Stmt, d, "", nil
+	return d.Plan, d, "", nil
 }
 
 func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (exec.Operator, *Result, error) {
@@ -657,8 +660,10 @@ func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement,
 	}
 	res := &Result{skipped: skipped}
 	if d != nil {
+		// What runs is the sequence algebra over the view (d.Plan); the
+		// Rewritten text is the same derivation as the paper writes it in SQL.
 		res.Derivation = d
-		res.Rewritten = rewritten.String()
+		res.Rewritten = d.Stmt.String()
 		stmt = rewritten
 	} else {
 		// Querying a materialized view directly must see fresh contents (a

@@ -386,9 +386,14 @@ func TestAvgDerivationThroughSQL(t *testing.T) {
 	}
 	q := `SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`
 	native, derived := build(false), build(true)
-	rn, rd := mustExec(t, native, q), mustExec(t, derived, q)
+	// execServed holds the plan to one Derive over the two views' scans: the
+	// quotient is taken inside the operator, not by a join of two patterns.
+	rn, rd := mustExec(t, native, q), execServed(t, derived, q)
 	if rd.Derivation == nil {
 		t.Fatal("AVG composition should fire")
+	}
+	if !strings.Contains(rd.Analyzed, "/ view=vcnt") || strings.Count(rd.Analyzed, "SeqScan") != 2 {
+		t.Fatalf("AVG is not one Derive dividing vsum's derivation by vcnt's:\n%s", rd.Analyzed)
 	}
 	gn, gd := rowsToPairs(t, rn.Rows), rowsToPairs(t, rd.Rows)
 	if len(gn) != len(gd) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,8 +23,11 @@ import (
 // appends, tail deletes, partition births and deaths) is applied to both;
 // after every step the view's backing rows must be bit-identical to
 // core.ComputeNaive over the shadow sequence — header and trailer included —
-// and a window query answered under one of five evaluation strategies must
-// be bit-identical to the naive evaluation of its own window. Integer data
+// and a window query answered under one of six evaluation strategies must
+// be bit-identical to the naive evaluation of its own window. One of the six
+// is the served path — the statement as a client sends it, answered by the
+// Derive operator whenever a fresh view applies — under a wider draw of
+// targets than the rendered strategies admit. Integer data
 // keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
 // is a maintenance bug. Chaos trials end with a density-breaking statement,
 // which must leave the view stale until REFRESH, and then check that
@@ -39,11 +43,39 @@ type oracleConfig struct {
 }
 
 var oracleConfigs = []oracleConfig{
+	{"served", true, func(*Options) {}, execServed},
 	{"native-seq", false, func(o *Options) { o.UseMatViews = false; o.WindowParallelism = 1 }, mustExec},
 	{"native-par", false, func(o *Options) { o.UseMatViews = false; o.WindowParallelism = 4 }, mustExec},
 	{"selfjoin", false, func(o *Options) { o.UseMatViews = false }, execSelfJoin},
 	{"maxoa", true, func(*Options) {}, execForced(rewrite.StrategyMaxOA)},
 	{"minoa", true, func(*Options) {}, execForced(rewrite.StrategyMinOA)},
+}
+
+// execServed puts sql to the engine as a client does. Whenever a fresh view
+// applies — the rewriter matches one and it is not stale — the answer must
+// come from it, through the Derive operator over scans of the view and
+// nothing relational: no join, no aggregate.
+func execServed(t *testing.T, e *Engine, sql string) *Result {
+	t.Helper()
+	d, err := rewrite.Derive(e.Cat, parseSelect(t, sql), rewrite.StrategyAuto, rewrite.FormDisjunctive)
+	if err != nil {
+		t.Fatalf("derive %q: %v", sql, err)
+	}
+	res, err := e.ExecContext(context.Background(), sql, WithAnalyze())
+	if err != nil {
+		t.Fatalf("exec %q: %v", sql, err)
+	}
+	if d == nil || slices.ContainsFunc(e.viewsRead(d.Plan), e.Views.Stale) {
+		return res
+	}
+	if res.Derivation == nil {
+		t.Fatalf("%q was not derived from the fresh view %s:\n%s", sql, d.View.Name, res.Analyzed)
+	}
+	if !strings.Contains(res.Analyzed, "Derive view="+d.View.Name) ||
+		strings.Contains(res.Analyzed, "Join") || strings.Contains(res.Analyzed, "Aggregate") {
+		t.Fatalf("%q derived, but not by one Derive over scans of the view:\n%s", sql, res.Analyzed)
+	}
+	return res
 }
 
 var oracleAggs = map[string]core.Agg{"SUM": core.Sum, "COUNT": core.Count, "AVG": core.Avg, "MIN": core.Min, "MAX": core.Max}
@@ -269,15 +301,19 @@ func TestMaintenanceOracleTxn(t *testing.T) { runMaintenanceOracle(t, true) }
 
 func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	rng := rand.New(rand.NewSource(20020528)) // §2.3's incremental rules, ICDE 2002
-	trials := 200
+	trials := 320
 	if testing.Short() {
-		trials = 30
+		trials = 40
 	}
 	derivationsFired := map[string]int{}
 	deltasApplied := 0
 	drawn := map[string]int{} // the corners of the draw the trials reached
 	for trial := 0; trial < trials; trial++ {
-		cfg := oracleConfigs[trial%len(oracleConfigs)]
+		// Every other trial is the served path; the rest take turns.
+		cfg := oracleConfigs[0]
+		if trial%2 == 1 {
+			cfg = oracleConfigs[1+trial/2%(len(oracleConfigs)-1)]
+		}
 		partitioned := rng.Intn(3) == 0
 		// Every partition carries the COUNT side AVG needs, and a cumulative
 		// window is a window like any other: all three draws are independent.
@@ -297,6 +333,23 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			}
 			ly, hy = lx+dl, hx+dh
 		}
+		queryCumulative := cumulative // identical window: the exact-match derivation
+		if cfg.name == "served" {
+			// The operator takes what the rendered patterns cannot be forced
+			// to: any target — wider, narrower (a negative Δ, MinOA's alone),
+			// or too wide for MIN/MAX, which then runs natively — and a
+			// sliding target over a cumulative view (§3.1).
+			switch rng.Intn(3) {
+			case 0:
+				ly, hy = rng.Intn(7), rng.Intn(7)
+			case 1:
+				ly, hy = rng.Intn(lx+1), rng.Intn(hx+3)
+			}
+			if ly+hy == 0 {
+				hy = 1
+			}
+			queryCumulative = cumulative && rng.Intn(2) == 0
+		}
 		chaosTrial := rng.Intn(5) == 0
 		for name, hit := range map[string]bool{
 			"partitioned AVG":        partitioned && agg == "AVG",
@@ -312,9 +365,10 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		frame := fmt.Sprintf("ROWS BETWEEN %d PRECEDING AND %d FOLLOWING", lx, hx)
 		qframe := fmt.Sprintf("ROWS BETWEEN %d PRECEDING AND %d FOLLOWING", ly, hy)
 		if cumulative {
-			viewWin, queryWin = core.Cumul(), core.Cumul()
-			frame = "ROWS UNBOUNDED PRECEDING"
-			qframe = frame // identical window: the exact-match derivation
+			viewWin, frame = core.Cumul(), "ROWS UNBOUNDED PRECEDING"
+		}
+		if queryCumulative {
+			queryWin, qframe = core.Cumul(), "ROWS UNBOUNDED PRECEDING"
 		}
 		var viewDDL, q, backingQ string
 		if partitioned {
@@ -372,8 +426,19 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				t.Fatalf("%s: %s: view rows diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
 			}
 			res := cfg.query(t, e, q)
-			if cfg.derives && res.Derivation != nil {
+			if d := res.Derivation; cfg.derives && d != nil {
 				derivationsFired[cfg.name]++
+				if cfg.name == "served" {
+					for name, hit := range map[string]bool{
+						"served partitioned MIN/MAX":     partitioned && (agg == "MIN" || agg == "MAX") && !d.Exact,
+						"served negative-Δ MinOA":        d.Strategy == rewrite.StrategyMinOA && (d.DeltaL < 0 || d.DeltaH < 0),
+						"served sliding from cumulative": cumulative && !queryCumulative,
+					} {
+						if hit {
+							drawn[name]++
+						}
+					}
+				}
 			}
 			got, want = m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[agg])
 			if !slices.Equal(got, want) {
@@ -471,8 +536,11 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	if deltasApplied == 0 {
 		t.Fatal("no incremental deltas applied across all trials — oracle is not exercising maintenance")
 	}
-	if len(drawn) < 3 && !testing.Short() {
-		t.Fatalf("the draw reached only %v of partitioned AVG / partitioned cumulative / cumulative AVG", drawn)
+	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
+		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served sliding from cumulative"} {
+		if drawn[corner] == 0 && !testing.Short() {
+			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
+		}
 	}
 	for _, cfg := range oracleConfigs {
 		if cfg.derives && derivationsFired[cfg.name] == 0 {

@@ -82,6 +82,11 @@ func Instrument(op Operator) Operator {
 		o.Right = Instrument(o.Right)
 	case *IndexNestedLoopJoin:
 		o.Outer = Instrument(o.Outer)
+	case *Derive:
+		o.In.Scan = Instrument(o.In.Scan)
+		if o.Divisor != nil {
+			o.Divisor.Scan = Instrument(o.Divisor.Scan)
+		}
 	case *UnionAll:
 		for i := range o.Inputs {
 			o.Inputs[i] = Instrument(o.Inputs[i])

@@ -1,0 +1,430 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"unsafe"
+
+	"rfview/internal/core"
+	"rfview/internal/expr"
+	"rfview/internal/spill"
+	"rfview/internal/sqlparser"
+	"rfview/internal/sqltypes"
+)
+
+// Derive answers a reporting-function query from a materialized sequence view
+// with the sequence algebra of §3–§5 instead of the relational pattern that
+// renders it (Figs. 5, 10, 13). It scans the view's stored rows once — header
+// and trailer included, §3's complete sequence — drops each value at its
+// position in a dense slab per partition (no sort, no join; the only hash
+// table is the partition key's), runs internal/core's derivation over every
+// slab and emits the query's columns for positions 1…n_p.
+//
+// n_p comes from the rows the scan saw at its snapshot — the last stored
+// position is n_p+l_x — so the body is the view as of that snapshot, whatever
+// has committed since. Rows that do not form a complete dense sequence (a
+// gap, a duplicate or missing header position, a body flag that disagrees)
+// end the statement with a *SequenceError: the algebra over an incomplete
+// sequence would answer with wrong values, not fail.
+//
+// Like Window, Derive materializes in Open and charges what it holds to the
+// memory budget until Close.
+type Derive struct {
+	In DeriveInput
+	// Divisor, when set, is the COUNT derivation an AVG answer divides In's
+	// SUM derivation by (§2.1): value = SUM / COUNT, position by position.
+	// Both sides are simple views.
+	Divisor *DeriveInput
+	// Target is the window (l_y, h_y) the query asked for.
+	Target core.Window
+	// Ctx, when set, is observed during the scan and between partitions.
+	Ctx context.Context
+	// Spill, when set, carries the memory budget the slabs are charged to.
+	Spill *spill.Config
+
+	cols    []sqlparser.DeriveColumn
+	valType sqltypes.Type
+	schema  *expr.Schema
+
+	rows    []sqltypes.Row
+	next    int
+	charged int64
+	// parts and stored describe the last execution, for EXPLAIN ANALYZE.
+	parts, stored int
+}
+
+// DeriveInput is one stored sequence a Derive reads: the scan of a view's
+// backing table, where its columns sit, and which window it materializes.
+type DeriveInput struct {
+	Scan Operator
+	View string
+	Win  core.Window // the materialized window (l_x, h_x)
+	Agg  core.Agg
+	// MaxOA runs §4's algorithm, the rewriter's choice where MinOA's pattern
+	// does not apply; otherwise the rule of core.Derive picks (the sequence
+	// itself for an identical window, §3.1 for a cumulative view, MinOA).
+	MaxOA bool
+	// Column ordinals in Scan's rows. Part and Body are -1 for a simple view,
+	// whose rows are one partition.
+	Part, Pos, Val, Body int
+	// Rows is about how many rows Scan will return; it sizes the buffers.
+	Rows int
+}
+
+// SequenceError reports that the rows scanned from a materialized view are
+// not a complete dense sequence.
+type SequenceError struct {
+	View   string
+	Part   string // the partition key, "" for a simple view
+	Reason string
+}
+
+func (e *SequenceError) Error() string {
+	if e.Part != "" {
+		return fmt.Sprintf("derive: view %q partition %s is not a complete sequence: %s", e.View, e.Part, e.Reason)
+	}
+	return fmt.Sprintf("derive: view %q is not a complete sequence: %s", e.View, e.Reason)
+}
+
+// NewDerive builds a Derive emitting cols — a partition column only over a
+// partitioned view; the value column has type valType (the view's val
+// column, or FLOAT for an AVG quotient).
+func NewDerive(in DeriveInput, divisor *DeriveInput, target core.Window, cols []sqlparser.DeriveColumn, valType sqltypes.Type) *Derive {
+	infos := make([]expr.ColInfo, len(cols))
+	for i, c := range cols {
+		typ := sqltypes.Int
+		switch c.Kind {
+		case sqlparser.DerivePart:
+			typ = in.Scan.Schema().Cols[in.Part].Type
+		case sqlparser.DeriveValue:
+			typ = valType
+		}
+		infos[i] = expr.ColInfo{Name: c.Name, Type: typ}
+	}
+	return &Derive{In: in, Divisor: divisor, Target: target, cols: cols, valType: valType, schema: expr.NewSchema(infos...)}
+}
+
+// Schema implements Operator.
+func (d *Derive) Schema() *expr.Schema { return d.schema }
+
+// storedSeqs are the sequences of one view as scanned: every partition's
+// complete sequence side by side in one slab.
+type storedSeqs struct {
+	in    *DeriveInput
+	lo    int // first stored position of every partition
+	vals  []float64
+	parts []seqPart
+}
+
+// seqPart is one partition: vals[off : off+max-lo+1] holds its positions
+// lo…max, of which 1…n are the body.
+type seqPart struct {
+	key             sqltypes.Datum
+	max, rows, body int // last position, rows and body flags seen
+	off, n          int
+}
+
+func (s *storedSeqs) slab(p *seqPart) core.Slab {
+	return core.Slab{Win: s.in.Win, Agg: s.in.Agg, Lo: s.lo, Vals: s.vals[p.off : p.off+p.max-s.lo+1]}
+}
+
+func (s *storedSeqs) errorf(p *seqPart, format string, args ...any) error {
+	e := &SequenceError{View: s.in.View, Reason: fmt.Sprintf(format, args...)}
+	if s.in.Part >= 0 {
+		e.Part = p.key.String()
+	}
+	return e
+}
+
+// load scans in once and drops every value at its position. The rows arrive
+// in heap order, which no derivation may rely on: they are buffered as
+// (partition, position, value), each partition's extent is taken from its
+// largest position, and only then is the one slab cut — so a stray position
+// is an error before it is an allocation.
+func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
+	s := &storedSeqs{in: in}
+	switch {
+	case !in.Win.Cumulative:
+		s.lo = 1 - in.Win.Following
+	case !in.Agg.Algebraic():
+		s.lo = 1 // an empty MIN/MAX prefix is not stored
+	}
+	if err := in.Scan.Open(); err != nil {
+		return nil, err
+	}
+	var (
+		part  []int32 // partition of each buffered row; nil for a simple view
+		pos   = make([]int, 0, in.Rows)
+		val   = make([]float64, 0, in.Rows)
+		index map[sqltypes.Datum]int32
+		cur   = int32(-1)
+	)
+	if in.Part < 0 {
+		s.parts, cur = []seqPart{{max: s.lo - 1}}, 0
+	} else {
+		part, index = make([]int32, 0, in.Rows), make(map[sqltypes.Datum]int32)
+	}
+	for until := 0; ; until-- {
+		if until <= 0 {
+			until = cancelCheckEvery
+			if err := ctxErr(d.Ctx); err != nil {
+				return nil, err
+			}
+		}
+		row, err := in.Scan.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			break
+		}
+		if in.Part >= 0 {
+			// A view is filled partition by partition, so the key of the
+			// previous row usually answers without the map.
+			if key := row[in.Part]; cur < 0 || s.parts[cur].key != key {
+				i, ok := index[key]
+				if !ok {
+					i = int32(len(s.parts))
+					index[key] = i
+					s.parts = append(s.parts, seqPart{key: key, max: s.lo - 1})
+				}
+				cur = i
+			}
+			part = append(part, cur)
+		}
+		p := &s.parts[cur]
+		k, v := row[in.Pos], row[in.Val]
+		if k.Typ() != sqltypes.Int || !v.Typ().Numeric() {
+			return nil, s.errorf(p, "stored row (%v, %v) is not an INTEGER position and a numeric value", k, v)
+		}
+		at := int(k.Int())
+		if at < s.lo {
+			return nil, s.errorf(p, "position %d lies left of the header, which starts at %d", at, s.lo)
+		}
+		if at > p.max {
+			p.max = at
+		}
+		p.rows++
+		if in.Body >= 0 && row[in.Body].Bool() {
+			p.body++
+		}
+		pos, val = append(pos, at), append(val, v.Float())
+	}
+
+	// A partition of rows distinct positions in lo…max is dense exactly when
+	// rows = max−lo+1; placement below finds the duplicates that could hide a
+	// gap behind the right count.
+	total := 0
+	for i := range s.parts {
+		p := &s.parts[i]
+		if want := p.max - s.lo + 1; p.rows != want {
+			return nil, s.errorf(p, "%d rows stored for positions %d…%d", p.rows, s.lo, p.max)
+		}
+		// The trailer ends at n+l_x, a cumulative sequence at n; MIN/MAX
+		// over no raw data stores nothing at all.
+		p.n = p.max
+		if !in.Win.Cumulative {
+			p.n -= in.Win.Preceding
+		}
+		if p.rows == 0 && !in.Agg.Algebraic() {
+			p.n = 0
+		}
+		if p.n < 0 {
+			return nil, s.errorf(p, "the stored positions end at %d, before the trailer of even an empty sequence", p.max)
+		}
+		if in.Body >= 0 && p.body != p.n {
+			return nil, s.errorf(p, "%d rows flagged as body, but the stored positions end at n+l = %d", p.body, p.max)
+		}
+		p.off, total = total, total+p.rows
+	}
+	// The slab and its seen flags, and the buffered (part, pos, val) triples.
+	d.charge(int64(total)*(8+1) + int64(len(pos))*(4+8+8))
+	s.vals = make([]float64, total)
+	seen := make([]bool, total)
+	for i, at := range pos {
+		p := &s.parts[0]
+		if part != nil {
+			p = &s.parts[part[i]]
+		}
+		j := p.off + at - s.lo
+		if seen[j] {
+			return nil, s.errorf(p, "position %d is stored twice", at)
+		}
+		s.vals[j], seen[j] = val[i], true
+	}
+	return s, nil
+}
+
+// charge accounts n more bytes to the memory budget until Close.
+func (d *Derive) charge(n int64) {
+	if d.Spill != nil {
+		d.Spill.Budget.Force(n)
+		d.charged += n
+	}
+}
+
+// Open implements Operator: scan, place, derive, and build the output rows.
+func (d *Derive) Open() error {
+	d.release()
+	src, err := d.load(&d.In)
+	if err != nil {
+		return err
+	}
+	var div *storedSeqs
+	if d.Divisor != nil {
+		if div, err = d.load(d.Divisor); err != nil {
+			return err
+		}
+	}
+	d.parts, d.stored = len(src.parts), len(src.vals)
+
+	body := 0
+	for i := range src.parts {
+		body += src.parts[i].n
+	}
+	d.charge(int64(body) * (8 + 8 + int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
+	out := make([]float64, body)
+	var quot []float64
+	if div != nil {
+		quot = make([]float64, body)
+	}
+	cells := make([]sqltypes.Datum, body*len(d.cols))
+	d.rows = make([]sqltypes.Row, body)
+	done := 0
+	for i := range src.parts {
+		if err := ctxErr(d.Ctx); err != nil {
+			return err
+		}
+		p := &src.parts[i]
+		y := out[done : done+p.n]
+		if err := d.derive(src, p, y); err != nil {
+			return err
+		}
+		if div != nil {
+			// A quotient is planned over simple views only: each side is
+			// its one partition.
+			q := &div.parts[i]
+			if q.n != p.n {
+				return src.errorf(p, "view %q holds %d positions, this one %d", d.Divisor.View, q.n, p.n)
+			}
+			c := quot[done : done+p.n]
+			if err := d.derive(div, q, c); err != nil {
+				return err
+			}
+			for k := range y {
+				y[k] /= c[k]
+			}
+		}
+		for k, v := range y {
+			row := cells[(done+k)*len(d.cols) : (done+k+1)*len(d.cols) : (done+k+1)*len(d.cols)]
+			for c, col := range d.cols {
+				switch col.Kind {
+				case sqlparser.DerivePos:
+					row[c] = sqltypes.NewInt(int64(k + 1))
+				case sqlparser.DerivePart:
+					row[c] = p.key
+				default:
+					row[c] = d.value(v)
+				}
+			}
+			d.rows[done+k] = row
+		}
+		done += p.n
+	}
+	return nil
+}
+
+// value types a derived value as the view's val column: an INTEGER view
+// answers in INTEGER, as its rows and the SQL pattern over them do.
+func (d *Derive) value(v float64) sqltypes.Datum {
+	if d.valType == sqltypes.Int {
+		return sqltypes.NewInt(int64(v))
+	}
+	return sqltypes.NewFloat(v)
+}
+
+// derive runs the algebra over one partition, positions 1…len(y).
+func (d *Derive) derive(s *storedSeqs, p *seqPart, y []float64) error {
+	x := s.slab(p)
+	if s.in.MaxOA {
+		return x.MaxOA(y, 1, d.Target)
+	}
+	return x.Derive(y, 1, d.Target)
+}
+
+// takeRows implements rowsHandoff.
+func (d *Derive) takeRows() []sqltypes.Row {
+	rows := d.rows[d.next:]
+	d.rows, d.next = nil, 0
+	return rows
+}
+
+// Next implements Operator.
+func (d *Derive) Next() (sqltypes.Row, error) {
+	if d.next >= len(d.rows) {
+		return nil, nil
+	}
+	row := d.rows[d.next]
+	d.next++
+	return row, nil
+}
+
+// Close implements Operator.
+func (d *Derive) Close() error {
+	d.release()
+	err := d.In.Scan.Close()
+	if d.Divisor != nil {
+		if e := d.Divisor.Scan.Close(); err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+func (d *Derive) release() {
+	if d.charged > 0 {
+		d.Spill.Budget.Release(d.charged)
+		d.charged = 0
+	}
+	d.rows, d.next = nil, 0
+}
+
+// describe labels one input the way the strategy header does: the algorithm
+// and the paper's coverage factors.
+func (in *DeriveInput) describe(target core.Window) string {
+	algo, dl, dh, wx := "MinOA", 0, 0, 0
+	switch {
+	case in.Win.Equal(target):
+		algo = "exact"
+	case in.Win.Cumulative:
+		algo = "cumulative"
+	case in.MaxOA:
+		algo = "MaxOA"
+	}
+	if !in.Win.Cumulative && !target.Cumulative {
+		dl, dh, wx = target.Preceding-in.Win.Preceding, target.Following-in.Win.Following, in.Win.Size()
+	}
+	return fmt.Sprintf("view=%s algo=%s Δl=%d Δh=%d Wx=%d", in.View, algo, dl, dh, wx)
+}
+
+// Describe implements Operator. The partition and stored-row counts are those
+// of the last execution, so they show in EXPLAIN ANALYZE and the slow-query
+// log but not in a plan that has not run.
+func (d *Derive) Describe() string {
+	s := "Derive " + d.In.describe(d.Target)
+	if d.Divisor != nil {
+		s += " / " + d.Divisor.describe(d.Target)
+	}
+	if d.stored > 0 {
+		s += fmt.Sprintf(" parts=%d rows=%d", d.parts, d.stored)
+	}
+	return s
+}
+
+// Children implements Operator.
+func (d *Derive) Children() []Operator {
+	if d.Divisor != nil {
+		return []Operator{d.In.Scan, d.Divisor.Scan}
+	}
+	return []Operator{d.In.Scan}
+}

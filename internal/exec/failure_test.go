@@ -1,11 +1,19 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
+	rferrors "rfview/errors"
+	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/expr"
+	"rfview/internal/spill"
+	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 // failingOp injects errors at a chosen point of the Volcano lifecycle, to
@@ -166,4 +174,131 @@ func TestDivisionByZeroSurfaces(t *testing.T) {
 	if _, err := Collect(proj); err == nil {
 		t.Fatal("division by zero must propagate")
 	}
+}
+
+// seqTable stores rows as a simple view's backing table does — (pos, val) in
+// heap order — and returns it with its pager, whose pins the leak checks read.
+func seqTable(t *testing.T, rows ...sqltypes.Row) (*catalog.Table, *storage.Pager) {
+	t.Helper()
+	pager := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	t.Cleanup(func() { pager.Close() })
+	tbl, err := catalog.New(pager).CreateTable("__mv_v", []catalog.Column{
+		{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := tbl.Heap.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl, pager
+}
+
+// sumSequence is the complete (1,1) SUM sequence over n ones: positions
+// 0 … n+1, header and trailer included.
+func sumSequence(n int) []sqltypes.Row {
+	var rows []sqltypes.Row
+	for k := 0; k <= n+1; k++ {
+		lo, hi := max(k-1, 1), min(k+1, n)
+		rows = append(rows, intRow(int64(k), int64(hi-lo+1)))
+	}
+	return rows
+}
+
+// deriveOver plans the (2,1) target over a (1,1) SUM view whose stored rows
+// are tbl's, charged to a fresh budget.
+func deriveOver(ctx context.Context, tbl *catalog.Table) (*Derive, *spill.Budget) {
+	in := DeriveInput{Scan: NewScan(tbl, "v"), View: "v", Win: core.Sliding(1, 1), Agg: core.Sum, Part: -1, Pos: 0, Val: 1, Body: -1}
+	d := NewDerive(in, nil, core.Sliding(2, 1), []sqlparser.DeriveColumn{{Name: "pos", Kind: sqlparser.DerivePos}, {Name: "w", Kind: sqlparser.DeriveValue}}, sqltypes.Int)
+	d.Ctx, d.Spill = ctx, &spill.Config{Budget: spill.NewBudget(0)}
+	return d, d.Spill.Budget
+}
+
+// TestDeriveLeaksNothing: a derive that completes, one that is cancelled in
+// the middle of its scan and one that meets an incomplete sequence all end
+// with no budget bytes charged and no page pinned — and the incomplete
+// sequence is a typed error, never a row.
+func TestDeriveLeaksNothing(t *testing.T) {
+	const n = 400
+	settled := func(t *testing.T, b *spill.Budget, p *storage.Pager) {
+		t.Helper()
+		if b.Used() != 0 {
+			t.Errorf("budget still charged with %d bytes", b.Used())
+		}
+		if pins := p.Stats().PagesPinned; pins != 0 {
+			t.Errorf("%d pages still pinned", pins)
+		}
+	}
+
+	t.Run("complete", func(t *testing.T) {
+		tbl, pager := seqTable(t, sumSequence(n)...)
+		d, budget := deriveOver(context.Background(), tbl)
+		if err := d.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if budget.Used() == 0 {
+			t.Error("an open derive charges its slabs to the budget")
+		}
+		rows, err := Collect(d)
+		if err != nil || len(rows) != n {
+			t.Fatalf("derived %d rows, err %v; want %d", len(rows), err, n)
+		}
+		// The (2,1) window over ones holds min(k+1,n) − max(k−2,1) + 1 of them.
+		for i, r := range rows {
+			k := i + 1
+			if want := int64(min(k+1, n) - max(k-2, 1) + 1); r[0].Int() != int64(k) || r[1].Int() != want {
+				t.Fatalf("row %d = %v, want (%d, %d)", i, r, k, want)
+			}
+		}
+		settled(t, budget, pager)
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		tbl, pager := seqTable(t, sumSequence(n)...)
+		ctx, cancel := context.WithCancel(context.Background())
+		d, budget := deriveOver(ctx, tbl)
+		// The scan hands over 200 rows — its iterator holding a page — and
+		// then the caller gives up.
+		d.In.Scan = &cancelAfter{Operator: d.In.Scan, rows: 200, cancel: cancel}
+		if _, err := CollectCtx(ctx, d); !errors.Is(err, rferrors.ErrCancelled) {
+			t.Fatalf("cancelled derive: %v, want ErrCancelled", err)
+		}
+		settled(t, budget, pager)
+	})
+
+	seq := sumSequence(n)
+	for name, rows := range map[string][]sqltypes.Row{
+		"gap":            append(slices.Clone(seq[:100]), seq[101:]...),
+		"duplicate":      append(append(slices.Clone(seq[:100]), seq[99]), seq[101:]...),
+		"missing header": seq[1:],
+		"no trailer":     seq[:1],
+		"NULL value":     append(slices.Clone(seq[:n+1]), sqltypes.Row{sqltypes.NewInt(n + 1), sqltypes.NullDatum}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tbl, pager := seqTable(t, rows...)
+			d, budget := deriveOver(context.Background(), tbl)
+			got, err := Collect(d)
+			var seqErr *SequenceError
+			if !errors.As(err, &seqErr) || got != nil {
+				t.Fatalf("incomplete sequence: %d rows, err %v; want a *SequenceError and no row", len(got), err)
+			}
+			settled(t, budget, pager)
+		})
+	}
+}
+
+// cancelAfter cancels the statement's context once it has passed rows rows.
+type cancelAfter struct {
+	Operator
+	rows   int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (sqltypes.Row, error) {
+	if c.rows--; c.rows == 0 {
+		c.cancel()
+	}
+	return c.Operator.Next()
 }

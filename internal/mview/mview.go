@@ -239,23 +239,6 @@ func (m *Manager) CreateContext(ctx context.Context, stmt *sqlparser.CreateMatVi
 	return m.createPlainView(ctx, stmt)
 }
 
-func aggOf(name string) (core.Agg, error) {
-	switch name {
-	case "SUM":
-		return core.Sum, nil
-	case "COUNT":
-		return core.Count, nil
-	case "AVG":
-		return core.Avg, nil
-	case "MIN":
-		return core.Min, nil
-	case "MAX":
-		return core.Max, nil
-	default:
-		return 0, fmt.Errorf("mview: unknown aggregate %q", name)
-	}
-}
-
 func windowOf(shape rewrite.WindowShape) core.Window {
 	if shape.Cumulative {
 		return core.Cumul()
@@ -268,7 +251,7 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 	if err != nil {
 		return err
 	}
-	agg, err := aggOf(wq.Agg)
+	agg, err := core.ParseAgg(wq.Agg)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 )
@@ -71,7 +72,7 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 		return nil
 	}
 
-	agg, err := aggOf(mv.Agg)
+	agg, err := core.ParseAgg(mv.Agg)
 	if err != nil {
 		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
 	}

@@ -1,0 +1,69 @@
+package plan
+
+import (
+	"fmt"
+
+	rferrors "rfview/errors"
+	"rfview/internal/catalog"
+	"rfview/internal/core"
+	"rfview/internal/exec"
+	"rfview/internal/sqlparser"
+	"rfview/internal/sqltypes"
+)
+
+// planDerive lowers the rewriter's decision to the Derive operator over one
+// scan of each view it names. The node says which view and which windows;
+// where the view's rows and columns are is the catalog's to say.
+func (p *Planner) planDerive(s *sqlparser.DeriveSelect) (exec.Operator, error) {
+	in, err := p.deriveInput(s.Source)
+	if err != nil {
+		return nil, err
+	}
+	valType := in.Scan.Schema().Cols[in.Val].Type
+	var divisor *exec.DeriveInput
+	if s.Divisor != nil {
+		div, err := p.deriveInput(*s.Divisor)
+		if err != nil {
+			return nil, err
+		}
+		if in.Part >= 0 || div.Part >= 0 {
+			return nil, fmt.Errorf("plan: an AVG quotient of views %q and %q needs two simple views", in.View, div.View)
+		}
+		divisor, valType = &div, sqltypes.Float
+	}
+	for _, c := range s.Columns {
+		if c.Kind == sqlparser.DerivePart && in.Part < 0 {
+			return nil, fmt.Errorf("plan: view %q has no partition column for output column %q", in.View, c.Name)
+		}
+	}
+	d := exec.NewDerive(in, divisor, core.Window(s.Target), s.Columns, valType)
+	d.Ctx, d.Spill = p.Opts.Ctx, p.Opts.Spill
+	return d, nil
+}
+
+// deriveInput resolves one source of a derivation against the catalog: the
+// scan of the view's backing table at the statement's snapshot, and the
+// layout mview gives it — (pos, val), or (part, pos, val, body).
+func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, error) {
+	v, ok := p.Cat.MatView(src.View)
+	if !ok {
+		return exec.DeriveInput{}, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", src.View)
+	}
+	if v.Kind != catalog.SequenceView || v.Window != catalog.WindowSpec(src.Window) || v.Agg != src.Agg {
+		return exec.DeriveInput{}, fmt.Errorf("plan: view %q is not the %s %s sequence view the derivation was made for", src.View, src.Agg, src.Window)
+	}
+	agg, err := core.ParseAgg(v.Agg)
+	if err != nil {
+		return exec.DeriveInput{}, err
+	}
+	scan := exec.NewScan(v.Table, v.Name)
+	scan.Snap = p.Opts.Snap
+	in := exec.DeriveInput{
+		Scan: scan, View: v.Name, Win: core.Window(src.Window), Agg: agg,
+		MaxOA: src.Algo == sqlparser.DeriveMaxOA,
+		Part:  v.Table.ColumnIndex("part"), Pos: v.Table.ColumnIndex("pos"),
+		Val: v.Table.ColumnIndex("val"), Body: v.Table.ColumnIndex("body"),
+		Rows: v.Table.Heap.Len(),
+	}
+	return in, nil
+}

@@ -76,13 +76,16 @@ func New(cat *catalog.Catalog, opts Options) *Planner {
 	return &Planner{Cat: cat, Opts: opts}
 }
 
-// PlanSelect plans any select statement (core or union).
+// PlanSelect plans any select statement: a core, a union, or the view
+// derivation the rewriter put in place of a core.
 func (p *Planner) PlanSelect(stmt sqlparser.SelectStatement) (exec.Operator, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
 		return p.planSelectCore(s)
 	case *sqlparser.Union:
 		return p.planUnion(s)
+	case *sqlparser.DeriveSelect:
+		return p.planDerive(s)
 	default:
 		return nil, fmt.Errorf("plan: unsupported select statement %T", stmt)
 	}

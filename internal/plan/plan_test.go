@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	rferrors "rfview/errors"
 	"rfview/internal/catalog"
 	"rfview/internal/exec"
 	"rfview/internal/spill"
@@ -215,5 +216,64 @@ func TestOutputNamesSynthesis(t *testing.T) {
 	names := OutputNames(op)
 	if names[0] != "column_1" || names[1] != "v" {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestPlanDeriveSelect: the rewriter's node plans against a catalog alone —
+// no engine, no rewriter — into one Derive over one scan of the view, emits
+// the node's columns in their order, and refuses a node whose view is gone or
+// no longer the view the derivation was made for.
+func TestPlanDeriveSelect(t *testing.T) {
+	cat := newTestCatalog(t, false)
+	backing, err := cat.CreateTable("__mv_v", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The complete (1,1) SUM sequence over ten ones: positions 0 … 11.
+	for k := 0; k <= 11; k++ {
+		backing.Heap.Insert(sqltypes.Row{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(min(k+1, 10) - max(k-1, 1) + 1))})
+	}
+	view := &catalog.MatView{Name: "v", Kind: catalog.SequenceView, Table: backing, BaseTable: "seq",
+		PosColumn: "pos", ValColumn: "val", Agg: "SUM", Window: catalog.WindowSpec{Preceding: 1, Following: 1}}
+	if err := cat.RegisterMatView(view); err != nil {
+		t.Fatal(err)
+	}
+	node := &sqlparser.DeriveSelect{
+		Source: sqlparser.DeriveSource{View: "v", Agg: "SUM", Window: sqlparser.SeqWindow{Preceding: 1, Following: 1}, Algo: sqlparser.DeriveMinOA},
+		Target: sqlparser.SeqWindow{Preceding: 2, Following: 1},
+		Columns: []sqlparser.DeriveColumn{
+			{Name: "w", Kind: sqlparser.DeriveValue}, {Name: "pos", Kind: sqlparser.DerivePos},
+		},
+	}
+	op, err := New(cat, DefaultOptions()).PlanSelect(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exec.FormatPlan(op); got != "Derive view=v algo=MinOA Δl=1 Δh=0 Wx=3\n  SeqScan __mv_v AS v\n" {
+		t.Fatalf("plan:\n%s", got)
+	}
+	if names := OutputNames(op); len(names) != 2 || names[0] != "w" || names[1] != "pos" {
+		t.Fatalf("columns %v, want [w pos]", names)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil || len(rows) != 10 {
+		t.Fatalf("%d rows, err %v; want 10", len(rows), err)
+	}
+	for i, r := range rows {
+		k := i + 1
+		if want := int64(min(k+1, 10) - max(k-2, 1) + 1); r[0].Int() != want || r[1].Int() != int64(k) {
+			t.Fatalf("row %d = %v, want (%d, %d)", i, r, want, k)
+		}
+	}
+
+	gone := *node
+	gone.Source.View = "nope"
+	if _, err := New(cat, DefaultOptions()).PlanSelect(&gone); rferrors.CodeOf(err) != rferrors.CodeUnknownView {
+		t.Fatalf("unknown view: %v", err)
+	}
+	changed := *node
+	changed.Source.Window.Preceding = 2
+	if _, err := New(cat, DefaultOptions()).PlanSelect(&changed); err == nil {
+		t.Fatal("a node made for a (2,1) view planned over the (1,1) view")
 	}
 }

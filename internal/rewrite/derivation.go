@@ -53,8 +53,9 @@ func (f Form) String() string {
 	return "disjunctive"
 }
 
-// Derivation is the result of a successful view match: the rewritten
-// statement plus provenance for EXPLAIN and the experiment harness.
+// Derivation is the result of a successful view match: the decision as the
+// node the planner lowers to the Derive operator, its Fig. 10/13 rendering
+// as SQL, and provenance for EXPLAIN and the experiment harness.
 type Derivation struct {
 	View     *catalog.MatView
 	Strategy Strategy // resolved (never StrategyAuto)
@@ -62,15 +63,21 @@ type Derivation struct {
 	DeltaL   int
 	DeltaH   int
 	Wx       int
-	// Exact marks an identically-windowed match: the rewrite is a plain
-	// scan of the view body, with none of the self-join machinery.
+	// Exact marks an identically-windowed match: the answer is the view
+	// body itself.
 	Exact bool
-	Stmt  sqlparser.SelectStatement
+	// Plan is what the engine executes: the sequence algebra over one scan
+	// of the view.
+	Plan *sqlparser.DeriveSelect
+	// Stmt renders the same derivation as the paper's relational pattern
+	// (Figs. 5, 10, 13). The engine shows it as the Rewritten text; the
+	// experiment harness (Table 2, rfbench -exp patterns) executes it.
+	Stmt sqlparser.SelectStatement
 }
 
 // Derive matches a reporting-function query against the materialized
 // sequence views in the catalog and, if one can answer it, returns the
-// rewritten statement (§3–§5). A nil Derivation with nil error means "no
+// derivation (§3–§5). A nil Derivation with nil error means "no
 // applicable view" — the caller plans the query natively.
 func Derive(cat *catalog.Catalog, sel *sqlparser.Select, strategy Strategy, form Form) (*Derivation, error) {
 	wq, err := MatchWindowQuery(sel)
@@ -103,6 +110,7 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select, strategy Strategy, form
 		if windowsEqual(v.Window, wq.Shape) {
 			return &Derivation{
 				View: v, Strategy: StrategyMaxOA, Form: form, Exact: true,
+				Plan: derivePlan(v, wq, sqlparser.DeriveExact),
 				Stmt: exactMatchSQL(v, wq),
 			}, nil
 		}
@@ -137,12 +145,14 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select, strategy Strategy, form
 			return nil, nil
 		}
 		return &Derivation{View: v, Strategy: StrategyMaxOA, Form: form,
+			Plan: derivePlan(v, wq, sqlparser.DeriveCumulative),
 			Stmt: slidingFromCumulativeSQL(v, wq)}, nil
 	case agg == "MIN" || agg == "MAX":
 		dl := wq.Shape.Preceding - v.Window.Preceding
 		dh := wq.Shape.Following - v.Window.Following
 		return &Derivation{View: v, Strategy: StrategyMaxOA, Form: form,
 			DeltaL: dl, DeltaH: dh, Wx: 1 + v.Window.Preceding + v.Window.Following,
+			Plan: derivePlan(v, wq, sqlparser.DeriveMaxOA),
 			Stmt: minMaxSQL(v, wq, dl, dh)}, nil
 	default:
 		dl := wq.Shape.Preceding - v.Window.Preceding
@@ -154,8 +164,10 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select, strategy Strategy, form
 		}
 		d := &Derivation{View: v, Strategy: st, Form: form, DeltaL: dl, DeltaH: dh, Wx: wx}
 		if st == StrategyMaxOA {
+			d.Plan = derivePlan(v, wq, sqlparser.DeriveMaxOA)
 			d.Stmt = maxOASQL(v, wq, dl, dh, wx, form)
 		} else {
+			d.Plan = derivePlan(v, wq, sqlparser.DeriveMinOA)
 			d.Stmt = minOASQL(v, wq, dl, dh, wx, form)
 		}
 		return d, nil
@@ -282,6 +294,36 @@ func equalFold(a, b string) bool {
 		}
 	}
 	return true
+}
+
+// derivePlan is the derivation of wq from v by algo as the planner's node.
+func derivePlan(v *catalog.MatView, wq *WindowQuery, algo string) *sqlparser.DeriveSelect {
+	return &sqlparser.DeriveSelect{
+		Source:  sqlparser.DeriveSource{View: v.Name, Agg: v.Agg, Window: sqlparser.SeqWindow(v.Window), Algo: algo},
+		Target:  sqlparser.SeqWindow(wq.Shape),
+		Columns: deriveColumns(wq),
+	}
+}
+
+// deriveColumns are the query's output columns in select-list order: the
+// plain columns by role, the reporting function as the derived value.
+func deriveColumns(wq *WindowQuery) []sqlparser.DeriveColumn {
+	value := sqlparser.DeriveColumn{Name: outAlias(wq), Kind: sqlparser.DeriveValue}
+	cols := make([]sqlparser.DeriveColumn, 0, len(wq.PlainCols)+1)
+	for _, c := range wq.PlainCols {
+		if len(cols) == wq.WindowItemAt {
+			cols = append(cols, value)
+		}
+		kind := sqlparser.DerivePart
+		if equalFold(c, wq.PosCol) {
+			kind = sqlparser.DerivePos
+		}
+		cols = append(cols, sqlparser.DeriveColumn{Name: c, Kind: kind})
+	}
+	if len(cols) == len(wq.PlainCols) {
+		cols = append(cols, value)
+	}
+	return cols
 }
 
 // outAlias returns the output column name for the derived value.
@@ -681,9 +723,12 @@ func avgFromSumCount(cat *catalog.Catalog, wq *WindowQuery, strategy Strategy, f
 			On:    eq(col("ds", wq.PosCol), col("dc", wq.PosCol)),
 		},
 	}
+	plan := *ds.Plan
+	plan.Divisor = &dc.Plan.Source
+	plan.Columns = deriveColumns(wq)
 	return &Derivation{
 		View: ds.View, Strategy: ds.Strategy, Form: form,
 		DeltaL: ds.DeltaL, DeltaH: ds.DeltaH, Wx: ds.Wx,
-		Stmt: stmt,
+		Plan: &plan, Stmt: stmt,
 	}, nil
 }

@@ -482,4 +482,50 @@ func TestAvgComposition(t *testing.T) {
 			t.Fatalf("AVG composition missing %q:\n%s", sig, got)
 		}
 	}
+	// The planner's node is one derivation divided by another, not a join.
+	if want := "DERIVE pos, w AS AVG (3,1) FROM vsum (2,1) BY MinOA / vcnt (2,1) BY MinOA"; d.Plan.String() != want {
+		t.Fatalf("AVG plan %q, want %q", d.Plan, want)
+	}
+}
+
+// TestDerivationPlan: every shape Derive accepts comes out a second time as
+// the planner's node — the same view, windows and algorithm its Fig. 5/10/13
+// rendering encodes, and the query's columns in select-list order.
+func TestDerivationPlan(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		win      catalog.WindowSpec
+		agg      string
+		strategy Strategy
+		query    string
+		want     string
+	}{
+		{"exact", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS SUM (2,1) FROM matseq (2,1) BY exact"},
+		{"cumulative", catalog.WindowSpec{Cumulative: true}, "SUM", StrategyAuto,
+			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS SUM (3,1) FROM matseq cumulative BY cumulative"},
+		{"minmax", catalog.WindowSpec{Preceding: 2, Following: 1}, "MAX", StrategyAuto,
+			`SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS MAX (3,2) FROM matseq (2,1) BY MaxOA"},
+		{"MinOA, a narrower target, value first and unnamed", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+			`SELECT SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING), pos FROM seq`,
+			"DERIVE val, pos AS SUM (1,1) FROM matseq (2,1) BY MinOA"},
+		{"MaxOA at the residue collision", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS SUM (4,3) FROM matseq (2,1) BY MaxOA"},
+		{"MaxOA forced", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyMaxOA,
+			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS SUM (3,1) FROM matseq (2,1) BY MaxOA"},
+	} {
+		cat, mv := newViewCatalog(t, c.win, c.agg)
+		d, err := Derive(cat, parseSelect(t, c.query), c.strategy, FormDisjunctive)
+		if err != nil || d == nil || d.Stmt == nil {
+			t.Fatalf("%s: derivation %v, err %v", c.name, d, err)
+		}
+		if got := d.Plan.String(); got != c.want || d.Plan.Source.View != mv.Name || d.Plan.Source.Agg != c.agg {
+			t.Errorf("%s: plan %q, want %q", c.name, got, c.want)
+		}
+	}
 }

@@ -405,6 +405,91 @@ func (s *Union) String() string {
 	return out
 }
 
+// DeriveSelect answers a reporting-function query from the stored sequence of
+// a materialized view with the sequence algebra (§3–§5). No SQL text parses
+// to it: the view-matching rewriter puts it in place of the SELECT it
+// matched, and the planner lowers it to one scan of each view it names under
+// the Derive operator. It carries the whole decision — which view, which
+// windows, which algorithm — so a plan can be built from it with nothing but
+// a catalog.
+type DeriveSelect struct {
+	Source DeriveSource
+	// Divisor, set when an AVG query is answered from a SUM and a COUNT view
+	// (§2.1), is the COUNT derivation Source's SUM is divided by.
+	Divisor *DeriveSource
+	// Target is the window (l_y, h_y) the query asked for.
+	Target SeqWindow
+	// Columns are the output columns in select-list order.
+	Columns []DeriveColumn
+}
+
+// DeriveSource is one materialized sequence view a DeriveSelect reads and the
+// algorithm that takes its window to the target's.
+type DeriveSource struct {
+	View   string    // the sequence view
+	Agg    string    // its aggregate: SUM, COUNT, AVG, MIN or MAX
+	Window SeqWindow // its materialized window (l_x, h_x)
+	Algo   string    // one of the Derive* algorithm names
+}
+
+// The derivation algorithms a DeriveSource names.
+const (
+	DeriveExact      = "exact"      // the view's window is the target's
+	DeriveCumulative = "cumulative" // sliding from cumulative, §3.1
+	DeriveMaxOA      = "MaxOA"      // §4, MIN/MAX included
+	DeriveMinOA      = "MinOA"      // §5
+)
+
+// SeqWindow is a sequence window the way the paper writes it: cumulative
+// (ROWS UNBOUNDED PRECEDING) or sliding (l, h).
+type SeqWindow struct {
+	Cumulative bool
+	Preceding  int
+	Following  int
+}
+
+func (w SeqWindow) String() string {
+	if w.Cumulative {
+		return "cumulative"
+	}
+	return fmt.Sprintf("(%d,%d)", w.Preceding, w.Following)
+}
+
+// DeriveColumn is one output column of a DeriveSelect: the position, the
+// partition key, or the derived value, under the name the query gave it.
+type DeriveColumn struct {
+	Name string
+	Kind DeriveColumnKind
+}
+
+// DeriveColumnKind says what a DeriveColumn holds.
+type DeriveColumnKind uint8
+
+// The kinds of DeriveColumn.
+const (
+	DerivePos DeriveColumnKind = iota
+	DerivePart
+	DeriveValue
+)
+
+func (*DeriveSelect) stmt()            {}
+func (*DeriveSelect) selectStatement() {}
+
+func (s *DeriveSelect) String() string {
+	src := func(d DeriveSource) string {
+		return fmt.Sprintf("%s %s BY %s", d.View, d.Window, d.Algo)
+	}
+	names := make([]string, len(s.Columns))
+	for i, c := range s.Columns {
+		names[i] = c.Name
+	}
+	agg, from := s.Source.Agg, src(s.Source)
+	if s.Divisor != nil {
+		agg, from = "AVG", from+" / "+src(*s.Divisor)
+	}
+	return fmt.Sprintf("DERIVE %s AS %s %s FROM %s", strings.Join(names, ", "), agg, s.Target, from)
+}
+
 // ---------------------------------------------------------------------------
 // FROM-clause items
 // ---------------------------------------------------------------------------
