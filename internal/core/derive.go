@@ -72,7 +72,7 @@ func DeriveSlidingFromCumulative(s *Sequence, target Window) (*Sequence, error) 
 		return out, nil
 	}
 	out := newSequence(target, s.Agg, s.N)
-	if err := s.slab().slidingFromCumulative(out.vals, out.lo, target); err != nil {
+	if err := s.slab().SlidingFromCumulative(out.vals, out.lo, target); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -394,13 +394,13 @@ func MinOA(src *Sequence, target Window) (*Sequence, error) {
 
 // MinOARecursive is MinOA in its linear form: one running sum per residue
 // class mod W_x serves the positive and the negative chain of every position
-// (Slab.minOA), where the explicit form above re-walks both chains at each.
+// (Slab.MinOA), where the explicit form above re-walks both chains at each.
 // Equal to MinOA bit for bit on integer data; it is the form Derive and the
 // engine use, and the explicit form stays as the paper's statement of the
 // algorithm and the reference the identities tests compare against.
 func MinOARecursive(src *Sequence, target Window) (*Sequence, error) {
 	out := newSequence(target, src.Agg, src.N)
-	if err := src.slab().minOA(out.vals, out.lo, target); err != nil {
+	if err := src.slab().MinOA(out.vals, out.lo, target); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -431,9 +431,11 @@ func DeriveAvg(sum, count *Sequence) (*Sequence, error) {
 // Derive picks a derivation strategy automatically: an identical window is
 // the sequence itself, cumulative sources use the §3.1 rules, MIN/MAX use
 // MaxOAMinMax, and SUM/COUNT sliding sources use MinOA (which has no
-// window-size restriction) in its linear form. It is the entry point of the
-// engine's view derivation: exec.Derive calls its slice-level twin,
-// Slab.Derive, on the stored rows of the matched view.
+// window-size restriction) in its linear form. The engine's view-matching
+// rewriter names the algorithm by the same rule (MaxOA only where MinOA's SQL
+// rendering does not apply), and exec.Derive runs the Slab function these
+// forms run — Exact, SlidingFromCumulative, MaxOA, MinOA — on the stored rows
+// of the matched view.
 func Derive(src *Sequence, target Window) (*Sequence, error) {
 	switch {
 	case src.Win.Equal(target):

@@ -283,7 +283,7 @@ func sameBits(a, b *Sequence) bool {
 // the source (negative Δ, MinOA only) included, and at the cardinalities
 // where a boundary moves — no data, one value, one short of the source
 // window, exactly the window, and long. The body the Derive operator asks
-// Slab.Derive for (positions 1…n) must be the same values again.
+// Slab.MinOA and Slab.MaxOA for (positions 1…n) must be the same values again.
 func TestLinearFormsEqualExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	negative, short := 0, 0
@@ -326,12 +326,12 @@ func TestLinearFormsEqualExplicit(t *testing.T) {
 					t.Fatalf("trial %d n=%d: %s diverged", trial, n, ctx("MinOA"))
 				}
 				body := make([]float64, n)
-				if err := x.slab().Derive(body, 1, target); err != nil {
+				if err := x.slab().MinOA(body, 1, target); err != nil {
 					t.Fatal(err)
 				}
 				for k, v := range body {
 					if math.Float64bits(v) != math.Float64bits(want.At(k+1)) {
-						t.Fatalf("trial %d n=%d: %s body position %d = %v, want %v", trial, n, ctx("Slab.Derive"), k+1, v, want.At(k+1))
+						t.Fatalf("trial %d n=%d: %s body position %d = %v, want %v", trial, n, ctx("Slab.MinOA"), k+1, v, want.At(k+1))
 					}
 				}
 
@@ -393,13 +393,60 @@ func TestDerivationReadsAreLinear(t *testing.T) {
 		win    Window
 		derive func(x Slab, out []float64) error
 	}{
-		{"MinOA", Sliding(2, 2), func(x Slab, out []float64) error { return x.Derive(out, 1, Sliding(7, 9)) }},
+		{"MinOA", Sliding(2, 2), func(x Slab, out []float64) error { return x.MinOA(out, 1, Sliding(7, 9)) }},
 		{"MaxOA", Sliding(2, 2), func(x Slab, out []float64) error { return x.MaxOA(out, 1, Sliding(4, 5)) }},
-		{"sliding-from-cumulative", Cumul(), func(x Slab, out []float64) error { return x.Derive(out, 1, Sliding(7, 9)) }},
+		{"sliding-from-cumulative", Cumul(), func(x Slab, out []float64) error { return x.SlidingFromCumulative(out, 1, Sliding(7, 9)) }},
 	} {
 		small, large := reads(1000, c.win, c.derive), reads(10000, c.win, c.derive)
 		if small < 1000 || large > 12*small {
 			t.Errorf("%s: %d reads at n=1000, %d at n=10000: more than 12x", c.name, small, large)
 		}
+	}
+}
+
+// TestSingleRowTarget — a query may frame one row (CURRENT ROW AND CURRENT
+// ROW), the window (0,0) that Validate refuses to materialize. MinOA from any
+// sliding view and §3.1 from a cumulative one answer it with the raw value
+// (SUM) or 1 (COUNT); MaxOA, whose target must contain the source, declines.
+func TestSingleRowTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(252))
+	target := Sliding(0, 0)
+	for _, n := range []int{0, 1, 3, 200} {
+		raw := randRaw(rng, n)
+		for _, agg := range []Agg{Sum, Count} {
+			want := func(k int) float64 {
+				if agg == Count {
+					return 1
+				}
+				return raw[k]
+			}
+			for _, src := range []Window{Sliding(1, 1), Sliding(0, 2), Sliding(3, 0), Cumul()} {
+				x, err := ComputePipelined(raw, src, agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := make([]float64, n)
+				derive := x.slab().MinOA
+				if src.Cumulative {
+					derive = x.slab().SlidingFromCumulative
+				}
+				if err := derive(body, 1, target); err != nil {
+					t.Fatalf("%v %v→(0,0) n=%d: %v", agg, src, n, err)
+				}
+				for k, v := range body {
+					if math.Float64bits(v) != math.Float64bits(want(k)) {
+						t.Fatalf("%v %v→(0,0) n=%d: position %d = %v, want %v", agg, src, n, k+1, v, want(k))
+					}
+				}
+				if !src.Cumulative {
+					if err := x.slab().MaxOA(body, 1, target); err == nil {
+						t.Fatalf("MaxOA %v→(0,0) did not decline", src)
+					}
+				}
+			}
+		}
+	}
+	if err := (Slab{Win: Sliding(1, 1), Agg: Sum}).MinOA(nil, 1, Sliding(-1, 2)); err == nil {
+		t.Fatal("MinOA took a negative bound")
 	}
 }

@@ -57,36 +57,41 @@ func (x Slab) at(k int) float64 {
 	return v
 }
 
-// Derive is Derive over bare slices: the same rule picks the derivation —
-// an identical window is the sequence itself, a cumulative source uses §3.1,
-// MIN/MAX the §4.2 rule, and a sliding SUM/COUNT source MinOA — and the
-// values of positions from … from+len(out)−1 land in out.
-func (x Slab) Derive(out []float64, from int, target Window) error {
-	switch {
-	case x.Win.Equal(target):
-		for i := range out {
-			out[i] = x.at(from + i)
-		}
-		return nil
-	case x.Win.Cumulative:
-		return x.slidingFromCumulative(out, from, target)
-	case x.Agg == Min || x.Agg == Max:
-		return x.MaxOA(out, from, target)
-	default:
-		return x.minOA(out, from, target)
+// targetBounds rejects a sliding target no derivation can take. Unlike
+// Window.Validate it admits (0,0): a one-row frame is no sequence to
+// materialize, but a query may ask for it, and every formula below holds at
+// W_y = 1.
+func targetBounds(target Window) error {
+	if !target.Cumulative && (target.Preceding < 0 || target.Following < 0) {
+		return fmt.Errorf("sliding window (%d,%d): bounds must be non-negative", target.Preceding, target.Following)
 	}
+	return nil
 }
 
-// slidingFromCumulative is §3.1's ỹ_k = x̃_{k+h} − x̃_{k−l−1}: the cumulative
+// Exact is the identity: the target's window is the slab's own.
+func (x Slab) Exact(out []float64, from int, target Window) error {
+	if !x.Win.Equal(target) {
+		return notDerivable("exact", x.Win, target, "the windows differ")
+	}
+	for i := range out {
+		out[i] = x.at(from + i)
+	}
+	return nil
+}
+
+// SlidingFromCumulative is §3.1's ỹ_k = x̃_{k+h} − x̃_{k−l−1}: the cumulative
 // value is 0 left of position 1 and stays at the grand total right of n.
-func (x Slab) slidingFromCumulative(out []float64, from int, target Window) error {
+func (x Slab) SlidingFromCumulative(out []float64, from int, target Window) error {
+	if !x.Win.Cumulative {
+		return notDerivable("sliding-from-cumulative", x.Win, target, "source is not cumulative")
+	}
 	if x.Agg != Sum && x.Agg != Count {
 		return notDerivable("sliding-from-cumulative", x.Win, target, "requires SUM or COUNT")
 	}
 	if target.Cumulative {
 		return notDerivable("sliding-from-cumulative", x.Win, target, "target is not sliding")
 	}
-	if err := target.Validate(); err != nil {
+	if err := targetBounds(target); err != nil {
 		return err
 	}
 	l, h, n := target.Preceding, target.Following, x.hi()
@@ -97,7 +102,7 @@ func (x Slab) slidingFromCumulative(out []float64, from int, target Window) erro
 	return nil
 }
 
-// minOA is the minimal-overlapping algorithm (§5) as one running sum per
+// MinOA is the minimal-overlapping algorithm (§5) as one running sum per
 // residue class: with
 //
 //	P_j = Σ_{i≥0} x̃_{j−iW_x} = x̃_j + P_{j−W_x}
@@ -107,11 +112,11 @@ func (x Slab) slidingFromCumulative(out []float64, from int, target Window) erro
 // to j+h_x, read off the view without reconstructing the raw data; it is 0
 // left of the header. The explicit form (MinOA) re-walks each chain at every
 // position, Θ(n²/W_x) in all; this pass is Θ(n).
-func (x Slab) minOA(out []float64, from int, target Window) error {
+func (x Slab) MinOA(out []float64, from int, target Window) error {
 	if x.Agg != Sum && x.Agg != Count {
 		return notDerivable("MinOA", x.Win, target, fmt.Sprintf("aggregate %v has no inverse", x.Agg))
 	}
-	if err := target.Validate(); err != nil {
+	if err := targetBounds(target); err != nil {
 		return err
 	}
 	f, err := ComputeMinOAFactors(x.Win, target)
@@ -167,7 +172,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 	if x.Agg != Sum && x.Agg != Count {
 		return notDerivable("MaxOA", x.Win, target, "recursive form requires SUM or COUNT")
 	}
-	if err := target.Validate(); err != nil {
+	if err := targetBounds(target); err != nil {
 		return err
 	}
 	f, err := ComputeMaxOAFactors(x.Win, target)
@@ -221,7 +226,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 // contain the source window, and the two shifted source windows must cover
 // it (Δl+Δh ≤ W_x: they overlap or touch).
 func minMaxFactors(src, target Window) (MaxOAFactors, error) {
-	if err := target.Validate(); err != nil {
+	if err := targetBounds(target); err != nil {
 		return MaxOAFactors{}, err
 	}
 	f, err := ComputeMaxOAFactors(src, target)

@@ -440,6 +440,35 @@ func TestDerivationFromCumulativeView(t *testing.T) {
 	}
 }
 
+// TestDerivationOfOneRowFrame — a frame of the current row alone is the window
+// (0,0), narrower than any view: MinOA over a sliding view (negative Δ on both
+// sides) and §3.1 over a cumulative one answer it with the raw values, in
+// either spelling of the frame.
+func TestDerivationOfOneRowFrame(t *testing.T) {
+	const n = 40
+	val := func(i int) int64 { return int64(i*i%17 - 8) }
+	for _, view := range []string{"ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING", "ROWS UNBOUNDED PRECEDING"} {
+		e := New(DefaultOptions())
+		loadSeq(t, e, n, val)
+		mustExec(t, e, `CREATE MATERIALIZED VIEW v AS SELECT pos, SUM(val) OVER (ORDER BY pos `+view+`) AS val FROM seq`)
+		for _, frame := range []string{"ROWS BETWEEN CURRENT ROW AND CURRENT ROW", "ROWS BETWEEN 0 PRECEDING AND 0 FOLLOWING"} {
+			res := execServed(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos `+frame+`) AS w FROM seq`)
+			if res.Derivation == nil {
+				t.Fatalf("view %s, frame %s: not derived", view, frame)
+			}
+			got := rowsToPairs(t, res.Rows)
+			if len(got) != n {
+				t.Fatalf("view %s, frame %s: %d rows, want %d", view, frame, len(got), n)
+			}
+			for k := 1; k <= n; k++ {
+				if got[int64(k)] != float64(val(k)) {
+					t.Fatalf("view %s, frame %s: pos %d = %v, want %d", view, frame, k, got[int64(k)], val(k))
+				}
+			}
+		}
+	}
+}
+
 // TestDerivationMinMax — §4.2: MIN/MAX derivation via MaxOA.
 func TestDerivationMinMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))

@@ -264,6 +264,18 @@ func (m *oracleModel) wantQuery(t *testing.T, w core.Window, agg core.Agg) []ora
 	t.Helper()
 	var out []oracleRow
 	for _, key := range m.keys {
+		if w == core.Sliding(0, 0) {
+			// A frame of one row — the window core declines to materialize —
+			// aggregates the row itself.
+			for i, v := range m.vals[key] {
+				x := float64(v)
+				if agg == core.Count {
+					x = 1
+				}
+				out = append(out, oracleRow{part: key, pos: i + 1, bits: math.Float64bits(x)})
+			}
+			continue
+		}
 		for i, v := range m.naive(t, key, w, agg).Body() {
 			out = append(out, oracleRow{part: key, pos: i + 1, bits: math.Float64bits(v)})
 		}
@@ -336,17 +348,17 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		queryCumulative := cumulative // identical window: the exact-match derivation
 		if cfg.name == "served" {
 			// The operator takes what the rendered patterns cannot be forced
-			// to: any target — wider, narrower (a negative Δ, MinOA's alone),
-			// or too wide for MIN/MAX, which then runs natively — and a
-			// sliding target over a cumulative view (§3.1).
-			switch rng.Intn(3) {
-			case 0:
+			// to: any target — wider, narrower (a negative Δ, MinOA's alone,
+			// down to the one-row frame (0,0)), or too wide for MIN/MAX, which
+			// then runs natively — and a sliding target over a cumulative
+			// view (§3.1).
+			switch rng.Intn(8) {
+			case 0, 1, 2:
 				ly, hy = rng.Intn(7), rng.Intn(7)
-			case 1:
+			case 3, 4:
 				ly, hy = rng.Intn(lx+1), rng.Intn(hx+3)
-			}
-			if ly+hy == 0 {
-				hy = 1
+			case 5:
+				ly, hy = 0, 0
 			}
 			queryCumulative = cumulative && rng.Intn(2) == 0
 		}
@@ -433,6 +445,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						"served partitioned MIN/MAX":     partitioned && (agg == "MIN" || agg == "MAX") && !d.Exact,
 						"served negative-Δ MinOA":        d.Strategy == rewrite.StrategyMinOA && (d.DeltaL < 0 || d.DeltaH < 0),
 						"served sliding from cumulative": cumulative && !queryCumulative,
+						"served one-row from sliding":    !cumulative && ly+hy == 0,
+						"served one-row from cumulative": cumulative && !queryCumulative && ly+hy == 0,
 					} {
 						if hit {
 							drawn[name]++
@@ -537,7 +551,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		t.Fatal("no incremental deltas applied across all trials — oracle is not exercising maintenance")
 	}
 	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
-		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served sliding from cumulative"} {
+		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served sliding from cumulative",
+		"served one-row from sliding", "served one-row from cumulative"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}

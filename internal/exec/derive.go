@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"rfview/internal/core"
@@ -28,7 +29,8 @@ import (
 // sequence would answer with wrong values, not fail.
 //
 // Like Window, Derive materializes in Open and charges what it holds to the
-// memory budget until Close.
+// memory budget: the scan's buffers as they grow, the slabs while the algebra
+// runs, the output rows until Close.
 type Derive struct {
 	In DeriveInput
 	// Divisor, when set, is the COUNT derivation an AVG answer divides In's
@@ -60,10 +62,9 @@ type DeriveInput struct {
 	View string
 	Win  core.Window // the materialized window (l_x, h_x)
 	Agg  core.Agg
-	// MaxOA runs §4's algorithm, the rewriter's choice where MinOA's pattern
-	// does not apply; otherwise the rule of core.Derive picks (the sequence
-	// itself for an identical window, §3.1 for a cumulative view, MinOA).
-	MaxOA bool
+	// Algo is the derivation the rewriter chose, one of sqlparser's Derive*
+	// names; the operator runs that one and labels itself with it.
+	Algo string
 	// Column ordinals in Scan's rows. Part and Body are -1 for a simple view,
 	// whose rows are one partition.
 	Part, Pos, Val, Body int
@@ -159,10 +160,14 @@ func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
 		index map[sqltypes.Datum]int32
 		cur   = int32(-1)
 	)
+	// The buffers are charged as they grow, capacity by capacity, so the
+	// budget sees the scan while it runs.
+	rowBytes, charged := int64(8+8), 0
 	if in.Part < 0 {
 		s.parts, cur = []seqPart{{max: s.lo - 1}}, 0
 	} else {
 		part, index = make([]int32, 0, in.Rows), make(map[sqltypes.Datum]int32)
+		rowBytes += 4
 	}
 	for until := 0; ; until-- {
 		if until <= 0 {
@@ -190,7 +195,6 @@ func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
 				}
 				cur = i
 			}
-			part = append(part, cur)
 		}
 		p := &s.parts[cur]
 		k, v := row[in.Pos], row[in.Val]
@@ -208,7 +212,18 @@ func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
 		if in.Body >= 0 && row[in.Body].Bool() {
 			p.body++
 		}
+		if charged == len(pos) {
+			pos, val = slices.Grow(pos, 1), slices.Grow(val, 1)
+			if in.Part >= 0 {
+				part = slices.Grow(part, 1)
+			}
+			d.charge(int64(cap(pos)-charged) * rowBytes)
+			charged = cap(pos)
+		}
 		pos, val = append(pos, at), append(val, v.Float())
+		if in.Part >= 0 {
+			part = append(part, cur)
+		}
 	}
 
 	// A partition of rows distinct positions in lo…max is dense exactly when
@@ -237,8 +252,10 @@ func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
 		}
 		p.off, total = total, total+p.rows
 	}
-	// The slab and its seen flags, and the buffered (part, pos, val) triples.
-	d.charge(int64(total)*(8+1) + int64(len(pos))*(4+8+8))
+	// The slab stays until the derivation is done (Open); the seen flags and
+	// the buffered triples go with this call.
+	d.charge(int64(total) * (8 + 1))
+	defer d.uncharge(int64(total) + int64(charged)*rowBytes)
 	s.vals = make([]float64, total)
 	seen := make([]bool, total)
 	for i, at := range pos {
@@ -255,11 +272,19 @@ func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
 	return s, nil
 }
 
-// charge accounts n more bytes to the memory budget until Close.
+// charge accounts n more bytes to the memory budget, until uncharge or Close.
 func (d *Derive) charge(n int64) {
 	if d.Spill != nil {
 		d.Spill.Budget.Force(n)
 		d.charged += n
+	}
+}
+
+// uncharge returns n charged bytes whose memory the operator has let go.
+func (d *Derive) uncharge(n int64) {
+	if d.Spill != nil {
+		d.Spill.Budget.Release(n)
+		d.charged -= n
 	}
 }
 
@@ -282,12 +307,18 @@ func (d *Derive) Open() error {
 	for i := range src.parts {
 		body += src.parts[i].n
 	}
-	d.charge(int64(body) * (8 + 8 + int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
+	// The output rows stay until Close; the derived values (and an AVG's
+	// divisors) go with Open, like the slabs they come from.
+	d.charge(int64(body) * (int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
 	out := make([]float64, body)
+	derived, slabs := int64(body)*8, int64(len(src.vals))*8
 	var quot []float64
 	if div != nil {
 		quot = make([]float64, body)
+		derived, slabs = 2*derived, slabs+int64(len(div.vals))*8
 	}
+	d.charge(derived)
+	defer d.uncharge(derived + slabs)
 	cells := make([]sqltypes.Datum, body*len(d.cols))
 	d.rows = make([]sqltypes.Row, body)
 	done := 0
@@ -346,10 +377,17 @@ func (d *Derive) value(v float64) sqltypes.Datum {
 // derive runs the algebra over one partition, positions 1…len(y).
 func (d *Derive) derive(s *storedSeqs, p *seqPart, y []float64) error {
 	x := s.slab(p)
-	if s.in.MaxOA {
+	switch s.in.Algo {
+	case sqlparser.DeriveExact:
+		return x.Exact(y, 1, d.Target)
+	case sqlparser.DeriveCumulative:
+		return x.SlidingFromCumulative(y, 1, d.Target)
+	case sqlparser.DeriveMaxOA:
 		return x.MaxOA(y, 1, d.Target)
+	case sqlparser.DeriveMinOA:
+		return x.MinOA(y, 1, d.Target)
 	}
-	return x.Derive(y, 1, d.Target)
+	return fmt.Errorf("derive: view %q: unknown algorithm %q", s.in.View, s.in.Algo)
 }
 
 // takeRows implements rowsHandoff.
@@ -392,19 +430,11 @@ func (d *Derive) release() {
 // describe labels one input the way the strategy header does: the algorithm
 // and the paper's coverage factors.
 func (in *DeriveInput) describe(target core.Window) string {
-	algo, dl, dh, wx := "MinOA", 0, 0, 0
-	switch {
-	case in.Win.Equal(target):
-		algo = "exact"
-	case in.Win.Cumulative:
-		algo = "cumulative"
-	case in.MaxOA:
-		algo = "MaxOA"
-	}
+	dl, dh, wx := 0, 0, 0
 	if !in.Win.Cumulative && !target.Cumulative {
 		dl, dh, wx = target.Preceding-in.Win.Preceding, target.Following-in.Win.Following, in.Win.Size()
 	}
-	return fmt.Sprintf("view=%s algo=%s Δl=%d Δh=%d Wx=%d", in.View, algo, dl, dh, wx)
+	return fmt.Sprintf("view=%s algo=%s Δl=%d Δh=%d Wx=%d", in.View, in.Algo, dl, dh, wx)
 }
 
 // Describe implements Operator. The partition and stored-row counts are those

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"unsafe"
 
 	rferrors "rfview/errors"
 	"rfview/internal/catalog"
@@ -210,7 +211,7 @@ func sumSequence(n int) []sqltypes.Row {
 // deriveOver plans the (2,1) target over a (1,1) SUM view whose stored rows
 // are tbl's, charged to a fresh budget.
 func deriveOver(ctx context.Context, tbl *catalog.Table) (*Derive, *spill.Budget) {
-	in := DeriveInput{Scan: NewScan(tbl, "v"), View: "v", Win: core.Sliding(1, 1), Agg: core.Sum, Part: -1, Pos: 0, Val: 1, Body: -1}
+	in := DeriveInput{Scan: NewScan(tbl, "v"), View: "v", Win: core.Sliding(1, 1), Agg: core.Sum, Algo: sqlparser.DeriveMinOA, Part: -1, Pos: 0, Val: 1, Body: -1}
 	d := NewDerive(in, nil, core.Sliding(2, 1), []sqlparser.DeriveColumn{{Name: "pos", Kind: sqlparser.DerivePos}, {Name: "w", Kind: sqlparser.DeriveValue}}, sqltypes.Int)
 	d.Ctx, d.Spill = ctx, &spill.Config{Budget: spill.NewBudget(0)}
 	return d, d.Spill.Budget
@@ -235,11 +236,16 @@ func TestDeriveLeaksNothing(t *testing.T) {
 	t.Run("complete", func(t *testing.T) {
 		tbl, pager := seqTable(t, sumSequence(n)...)
 		d, budget := deriveOver(context.Background(), tbl)
+		var scanning int64
+		d.In.Scan = &afterRows{Operator: d.In.Scan, rows: 200, do: func() { scanning = budget.Used() }}
 		if err := d.Open(); err != nil {
 			t.Fatal(err)
 		}
-		if budget.Used() == 0 {
-			t.Error("an open derive charges its slabs to the budget")
+		// The buffered rows are charged while the scan runs; once Open is done
+		// they and the slab are let go and the output rows remain.
+		output := int64(n) * int64(unsafe.Sizeof(sqltypes.Row{})+2*unsafe.Sizeof(sqltypes.Datum{}))
+		if open := budget.Used(); scanning < 200*16 || open != output {
+			t.Errorf("budget held %d bytes 200 rows into the scan and %d once open; want at least %d and %d", scanning, open, 200*16, output)
 		}
 		rows, err := Collect(d)
 		if err != nil || len(rows) != n {
@@ -261,7 +267,7 @@ func TestDeriveLeaksNothing(t *testing.T) {
 		d, budget := deriveOver(ctx, tbl)
 		// The scan hands over 200 rows — its iterator holding a page — and
 		// then the caller gives up.
-		d.In.Scan = &cancelAfter{Operator: d.In.Scan, rows: 200, cancel: cancel}
+		d.In.Scan = &afterRows{Operator: d.In.Scan, rows: 200, do: cancel}
 		if _, err := CollectCtx(ctx, d); !errors.Is(err, rferrors.ErrCancelled) {
 			t.Fatalf("cancelled derive: %v, want ErrCancelled", err)
 		}
@@ -289,16 +295,17 @@ func TestDeriveLeaksNothing(t *testing.T) {
 	}
 }
 
-// cancelAfter cancels the statement's context once it has passed rows rows.
-type cancelAfter struct {
+// afterRows calls do once it has passed rows rows — to cancel the statement's
+// context in the middle of a scan, or to look at the budget there.
+type afterRows struct {
 	Operator
-	rows   int
-	cancel context.CancelFunc
+	rows int
+	do   func()
 }
 
-func (c *cancelAfter) Next() (sqltypes.Row, error) {
-	if c.rows--; c.rows == 0 {
-		c.cancel()
+func (a *afterRows) Next() (sqltypes.Row, error) {
+	if a.rows--; a.rows == 0 {
+		a.do()
 	}
-	return c.Operator.Next()
+	return a.Operator.Next()
 }

@@ -60,8 +60,8 @@ func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, err
 	scan.Snap = p.Opts.Snap
 	in := exec.DeriveInput{
 		Scan: scan, View: v.Name, Win: core.Window(src.Window), Agg: agg,
-		MaxOA: src.Algo == sqlparser.DeriveMaxOA,
-		Part:  v.Table.ColumnIndex("part"), Pos: v.Table.ColumnIndex("pos"),
+		Algo: src.Algo,
+		Part: v.Table.ColumnIndex("part"), Pos: v.Table.ColumnIndex("pos"),
 		Val: v.Table.ColumnIndex("val"), Body: v.Table.ColumnIndex("body"),
 		Rows: v.Table.Heap.Len(),
 	}
