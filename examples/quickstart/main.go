@@ -76,7 +76,7 @@ func sql() {
 		log.Fatal(err)
 	}
 	// This query's window (3,1) differs from the view's (2,1); the engine
-	// answers it from the view via the MaxOA/MinOA rewrite.
+	// answers it from the view with the sequence algebra (MinOA, §5).
 	res, err := db.QueryContext(ctx, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq ORDER BY pos`)
 	if err != nil {
@@ -84,7 +84,7 @@ func sql() {
 	}
 	if res.Derivation != nil {
 		fmt.Printf("answered from view %q via %s (Δl=%d, Δh=%d, W_x=%d)\n",
-			res.Derivation.View.Name, res.Derivation.Strategy,
+			res.Derivation.View.Name, res.Derivation.Plan.Source.Algo,
 			res.Derivation.DeltaL, res.Derivation.DeltaH, res.Derivation.Wx)
 	}
 	for _, row := range res.Rows {

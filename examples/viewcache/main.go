@@ -65,19 +65,18 @@ func main() {
 		}
 		strategy := "native (no rewrite)"
 		if derived.Derivation != nil {
-			strategy = fmt.Sprintf("%s/%s from %s", derived.Derivation.Strategy,
-				derived.Derivation.Form, derived.Derivation.View.Name)
+			strategy = fmt.Sprintf("%s from %s", derived.Derivation.Plan.Source.Algo,
+				derived.Derivation.View.Name)
 		}
 		fmt.Printf("%-36s %12s %12s %11.2fx  %s\n",
 			q.name, tn.Round(time.Microsecond), td.Round(time.Microsecond),
 			float64(td)/float64(tn), strategy)
 	}
 	fmt.Println("\nAll derived results verified against native evaluation.")
-	fmt.Println("Exact matches answer straight from the view. The MaxOA/MinOA patterns")
-	fmt.Println("trade raw-data access for self-join work over the view — costly in")
-	fmt.Println("wall-clock (the paper reports hundreds of seconds at 3000–5000 rows,")
-	fmt.Println("\"not advisable for large sequences\", §7) but the only option when the")
-	fmt.Println("raw data is unavailable and only the view is cached (§3).")
+	fmt.Println("Every derived answer is one scan of the view under the sequence algebra")
+	fmt.Println("(exact, MinOA): no raw data is read, and no self join of the view runs —")
+	fmt.Println("the MaxOA/MinOA SQL patterns the paper times in Table 2 are experiments")
+	fmt.Println("(go run ./cmd/rfbench -exp table2), not the served path.")
 }
 
 func win(l, h int) string {

@@ -20,7 +20,8 @@ func PatternsReport() (string, error) {
 	// A small warehouse: seq with index, a sliding view, and a cumulative
 	// view.
 	e := engine.New(engine.DefaultOptions())
-	if err := LoadSequenceTable(e, 50, 3); err != nil {
+	const n = 50
+	if err := LoadSequenceTable(e, n, 3); err != nil {
 		return "", err
 	}
 	if _, err := e.Exec(`CREATE UNIQUE INDEX seq_pk ON seq (pos)`); err != nil {
@@ -71,7 +72,7 @@ func PatternsReport() (string, error) {
 
 	// Fig. 4 — reconstructing raw data from a cumulative view.
 	cum, _ := e.Cat.MatView("cumseq")
-	raw, err := rewrite.RawFromCumulative(cum)
+	raw, err := rewrite.RawFromCumulative(cum, n)
 	if err != nil {
 		return "", err
 	}
@@ -96,19 +97,20 @@ func PatternsReport() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	d := rewrite.Derive(e.Cat, qstmt.(*sqlparser.Select))
+	if d == nil {
+		return "", fmt.Errorf("patterns: %s produced no derivation", Table2Query)
+	}
 	for _, dv := range derived {
-		d, err := rewrite.Derive(e.Cat, qstmt.(*sqlparser.Select), dv.strategy, dv.form)
+		stmt, err := rewrite.Pattern(d, dv.strategy, dv.form, n)
 		if err != nil {
 			return "", err
 		}
-		if d == nil {
-			return "", fmt.Errorf("patterns: %s produced no derivation", dv.title)
-		}
-		p, err := explain(d.Stmt)
+		p, err := explain(stmt)
 		if err != nil {
 			return "", err
 		}
-		section(dv.title, strings.Join(strings.Fields(Table2Query), " "), d.Stmt.String(), p)
+		section(dv.title, strings.Join(strings.Fields(Table2Query), " "), stmt.String(), p)
 	}
 	return b.String(), nil
 }

@@ -223,7 +223,7 @@ func TestTable2Shape(t *testing.T) {
 		m := n + 3 // the (2,1) view stores positions 1-h .. n+l: header and trailer included
 		joined := map[string]int{}
 		for _, st := range Table2Strategies {
-			stmt, err := st.Stmt(e)
+			stmt, err := st.Stmt(e, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,21 +47,18 @@ var Table2Strategies = []Table2Strategy{
 	{"MinOA/union", rewrite.StrategyMinOA, rewrite.FormUnion},
 }
 
-// Stmt renders Table2Query's derivation from e's matseq view by this
-// strategy and form — the statement the Table 2 column measures.
-func (st Table2Strategy) Stmt(e *engine.Engine) (sqlparser.Statement, error) {
+// Stmt renders Table2Query's derivation from e's matseq view over n rows by
+// this strategy and form — the statement the Table 2 column measures.
+func (st Table2Strategy) Stmt(e *engine.Engine, n int) (sqlparser.Statement, error) {
 	sel, err := parseSelect(Table2Query)
 	if err != nil {
 		return nil, err
 	}
-	d, err := rewrite.Derive(e.Cat, sel, st.Strategy, st.Form)
-	if err != nil {
-		return nil, err
-	}
+	d := rewrite.Derive(e.Cat, sel)
 	if d == nil {
 		return nil, fmt.Errorf("table2 %s: derivation did not fire", st.Name)
 	}
-	return d.Stmt, nil
+	return rewrite.Pattern(d, st.Strategy, st.Form, n)
 }
 
 // NewTable2Engine builds an engine loaded with n sequence rows, a primary
@@ -111,7 +108,7 @@ func RunTable2(sizes []int, check bool) ([]Table2Row, error) {
 		}
 		row := Table2Row{N: n}
 		for _, st := range Table2Strategies {
-			stmt, err := st.Stmt(e)
+			stmt, err := st.Stmt(e, n)
 			if err != nil {
 				return nil, fmt.Errorf("n=%d: %w", n, err)
 			}

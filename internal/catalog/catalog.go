@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	rferrors "rfview/errors"
 	"rfview/internal/sqltypes"
@@ -109,13 +108,6 @@ type MatView struct {
 	ValColumn  string     // aggregated column in the base table
 	Agg        string     // SUM, COUNT, AVG, MIN, MAX
 	Window     WindowSpec // the materialized window
-	// BaseRows is the base-table cardinality n at the last (full or
-	// incremental) refresh; view positions 1…n are the sequence body, the
-	// rest are header/trailer (§3.2). It is atomic because the derivation
-	// rewriter reads it lock-free while commits publish new values; the
-	// engine updates it inside the commit-publication window so it flips
-	// together with the backing rows' visibility.
-	BaseRows atomic.Int64
 	// SQL text the view was created from (for SHOW / debugging).
 	Definition string
 }

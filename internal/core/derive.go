@@ -58,19 +58,6 @@ func ReconstructRawFromCumulative(s *Sequence) ([]float64, error) {
 // (§3.1, Fig. 5). The formula holds at boundary positions because
 // x̃_j = 0 for j ≤ 0 and x̃_j stays at the grand total for j ≥ n.
 func DeriveSlidingFromCumulative(s *Sequence, target Window) (*Sequence, error) {
-	if !s.Win.Cumulative {
-		return nil, notDerivable("sliding-from-cumulative", s.Win, target, "source is not cumulative")
-	}
-	if s.Agg != Sum && s.Agg != Count {
-		return nil, notDerivable("sliding-from-cumulative", s.Win, target, "requires SUM or COUNT")
-	}
-	if target.Cumulative {
-		out := newSequence(target, s.Agg, s.N)
-		for k := out.lo; k <= out.Hi(); k++ {
-			out.set(k, s.At(k), true)
-		}
-		return out, nil
-	}
 	out := newSequence(target, s.Agg, s.N)
 	if err := s.slab().SlidingFromCumulative(out.vals, out.lo, target); err != nil {
 		return nil, err
@@ -395,9 +382,11 @@ func MinOA(src *Sequence, target Window) (*Sequence, error) {
 // MinOARecursive is MinOA in its linear form: one running sum per residue
 // class mod W_x serves the positive and the negative chain of every position
 // (Slab.MinOA), where the explicit form above re-walks both chains at each.
-// Equal to MinOA bit for bit on integer data; it is the form Derive and the
-// engine use, and the explicit form stays as the paper's statement of the
-// algorithm and the reference the identities tests compare against.
+// Equal to MinOA bit for bit on integer data — the residue corner
+// (Δl+Δh) ≡ 0 (mod W_x) included, where the SQL rendering needs MaxOA — it is
+// the form Derive and the engine use, and the explicit form stays as the
+// paper's statement of the algorithm and the reference the identities tests
+// compare against.
 func MinOARecursive(src *Sequence, target Window) (*Sequence, error) {
 	out := newSequence(target, src.Agg, src.N)
 	if err := src.slab().MinOA(out.vals, out.lo, target); err != nil {
@@ -428,23 +417,67 @@ func DeriveAvg(sum, count *Sequence) (*Sequence, error) {
 	return out, nil
 }
 
-// Derive picks a derivation strategy automatically: an identical window is
-// the sequence itself, cumulative sources use the §3.1 rules, MIN/MAX use
-// MaxOAMinMax, and SUM/COUNT sliding sources use MinOA (which has no
-// window-size restriction) in its linear form. The engine's view-matching
-// rewriter names the algorithm by the same rule (MaxOA only where MinOA's SQL
-// rendering does not apply), and exec.Derive runs the Slab function these
-// forms run — Exact, SlidingFromCumulative, MaxOA, MinOA — on the stored rows
-// of the matched view.
-func Derive(src *Sequence, target Window) (*Sequence, error) {
+// Algo names a derivation algorithm: how a stored window is taken to a
+// target's.
+type Algo string
+
+// The derivation algorithms Algorithm chooses from.
+const (
+	AlgoExact      Algo = "exact"      // the stored window is the target's
+	AlgoCumulative Algo = "cumulative" // sliding from cumulative, §3.1
+	AlgoMaxOA      Algo = "MaxOA"      // §4.2's two covering windows, for MIN/MAX
+	AlgoMinOA      Algo = "MinOA"      // §5, for SUM/COUNT
+)
+
+// Algorithm is the derivation rule: whether a complete sequence of agg over
+// the window src answers target, and by which algorithm. An identical window
+// is the sequence itself, a cumulative source answers sliding SUM/COUNT
+// targets (§3.1), MIN/MAX derive by MaxOA wherever the two shifted source
+// windows cover the target (§4.2), and a sliding SUM/COUNT source answers any
+// sliding target by MinOA (§5), which has no window-size restriction in its
+// linear form. An error — an *ErrNotDerivable for every shape a query can
+// take — means no algorithm applies.
+//
+// Derive runs the Sequence form of the algorithm it names; the engine's view
+// matcher asks it of every candidate view, and exec.Derive runs Slab.Derive
+// with its answer over the stored rows of the view it chose.
+func Algorithm(src Window, agg Agg, target Window) (Algo, error) {
 	switch {
-	case src.Win.Equal(target):
+	case src.Equal(target):
+		return AlgoExact, nil
+	case src.Cumulative:
+		if agg != Sum && agg != Count {
+			return "", notDerivable("sliding-from-cumulative", src, target, "requires SUM or COUNT")
+		}
+		return AlgoCumulative, targetBounds(target)
+	case agg == Min || agg == Max:
+		if _, err := minMaxFactors(src, target); err != nil {
+			return "", err
+		}
+		return AlgoMaxOA, nil
+	case agg != Sum && agg != Count:
+		return "", notDerivable("MinOA", src, target, fmt.Sprintf("aggregate %v has no inverse", agg))
+	case target.Cumulative:
+		return "", notDerivable("MinOA", src, target, "windows must be sliding")
+	default:
+		return AlgoMinOA, targetBounds(target)
+	}
+}
+
+// Derive answers target from src by the algorithm Algorithm names.
+func Derive(src *Sequence, target Window) (*Sequence, error) {
+	algo, err := Algorithm(src.Win, src.Agg, target)
+	if err != nil {
+		return nil, err
+	}
+	switch algo {
+	case AlgoExact:
 		out := *src
 		out.vals, out.valid = slices.Clone(src.vals), slices.Clone(src.valid)
 		return &out, nil
-	case src.Win.Cumulative:
+	case AlgoCumulative:
 		return DeriveSlidingFromCumulative(src, target)
-	case src.Agg == Min || src.Agg == Max:
+	case AlgoMaxOA:
 		return MaxOAMinMax(src, target)
 	default:
 		return MinOARecursive(src, target)

@@ -494,6 +494,35 @@ func TestDeriveAvg(t *testing.T) {
 	}
 }
 
+// TestAlgorithmRule pins the one derivation decision: which targets a stored
+// window answers, and by which algorithm.
+func TestAlgorithmRule(t *testing.T) {
+	for _, c := range []struct {
+		src    Window
+		agg    Agg
+		target Window
+		want   Algo // "" — not derivable
+	}{
+		{Sliding(2, 1), Sum, Sliding(2, 1), AlgoExact},
+		{Cumul(), Max, Cumul(), AlgoExact},
+		{Cumul(), Sum, Sliding(3, 1), AlgoCumulative},
+		{Cumul(), Count, Sliding(0, 0), AlgoCumulative},
+		{Cumul(), Max, Sliding(3, 1), ""},
+		{Sliding(2, 1), Max, Sliding(3, 2), AlgoMaxOA},
+		{Sliding(2, 1), Min, Sliding(1, 1), ""},        // MIN/MAX cannot narrow
+		{Sliding(2, 1), Max, Sliding(5, 4), ""},        // Δl+Δh > W_x: the shifted windows leave a gap
+		{Sliding(2, 1), Sum, Sliding(4, 3), AlgoMinOA}, // (Δl+Δh) ≡ 0 (mod W_x)
+		{Sliding(2, 1), Count, Sliding(0, 0), AlgoMinOA},
+		{Sliding(2, 1), Sum, Cumul(), ""},
+		{Sliding(2, 1), Avg, Sliding(3, 1), ""},
+	} {
+		got, err := Algorithm(c.src, c.agg, c.target)
+		if got != c.want || (err == nil) != (c.want != "") {
+			t.Errorf("Algorithm(%v, %v, %v) = %q, %v; want %q", c.src, c.agg, c.target, got, err, c.want)
+		}
+	}
+}
+
 // Derive — the automatic strategy selector.
 func TestDeriveDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -280,13 +280,15 @@ func sameBits(a, b *Sequence) bool {
 // running sum per residue class, MaxOARecursive's compensation slices) equal
 // the paper's explicit forms and the definition (ComputeNaive) bit for bit on
 // integer data: over random source and target windows, targets narrower than
-// the source (negative Δ, MinOA only) included, and at the cardinalities
-// where a boundary moves — no data, one value, one short of the source
-// window, exactly the window, and long. The body the Derive operator asks
-// Slab.MinOA and Slab.MaxOA for (positions 1…n) must be the same values again.
+// the source (negative Δ, MinOA only) and the residue corner
+// (Δl+Δh) ≡ 0 (mod W_x) — served by MinOA too — included, and at the
+// cardinalities where a boundary moves — no data, one value, one short of the
+// source window, exactly the window, and long. The body the Derive operator
+// asks Slab.MinOA and Slab.MaxOA for (positions 1…n) must be the same values
+// again.
 func TestLinearFormsEqualExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
-	negative, short := 0, 0
+	negative, short, corner := 0, 0, 0
 	for trial := 0; trial < 120; trial++ {
 		lx, hx := rng.Intn(4), rng.Intn(4)
 		if lx+hx == 0 {
@@ -301,6 +303,9 @@ func TestLinearFormsEqualExplicit(t *testing.T) {
 		dl, dh := ly-lx, hy-hx
 		if dl < 0 || dh < 0 {
 			negative++
+		}
+		if (dl+dh)%wx == 0 {
+			corner++ // MinOA's SQL pattern cannot render it; Slab.MinOA serves it
 		}
 		for _, n := range []int{0, 1, wx - 1, wx, 1000} {
 			if n < 1+ly+hy {
@@ -361,8 +366,9 @@ func TestLinearFormsEqualExplicit(t *testing.T) {
 			}
 		}
 	}
-	if negative == 0 || short == 0 {
-		t.Fatalf("the draw never reached a negative Δ (%d) or an n below the target window (%d)", negative, short)
+	if negative == 0 || short == 0 || corner == 0 {
+		t.Fatalf("the draw never reached a negative Δ (%d), an n below the target window (%d) or the residue corner (Δl+Δh) ≡ 0 (mod W_x) (%d)",
+			negative, short, corner)
 	}
 }
 

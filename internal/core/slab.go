@@ -16,7 +16,7 @@ import (
 // ỹ_from … ỹ_{from+len(out)−1} into out, so a caller takes exactly the
 // positions it wants — the engine's Derive operator the body 1…n, the
 // Sequence API the target's complete range — and the recurrences live here
-// once for both.
+// once for both. Derive dispatches on the algorithm Algorithm chose.
 type Slab struct {
 	Win  Window
 	Agg  Agg
@@ -66,6 +66,21 @@ func targetBounds(target Window) error {
 		return fmt.Errorf("sliding window (%d,%d): bounds must be non-negative", target.Preceding, target.Following)
 	}
 	return nil
+}
+
+// Derive runs algo, Algorithm's answer for this slab's window and target.
+func (x Slab) Derive(algo Algo, out []float64, from int, target Window) error {
+	switch algo {
+	case AlgoExact:
+		return x.Exact(out, from, target)
+	case AlgoCumulative:
+		return x.SlidingFromCumulative(out, from, target)
+	case AlgoMaxOA:
+		return x.MaxOA(out, from, target)
+	case AlgoMinOA:
+		return x.MinOA(out, from, target)
+	}
+	return fmt.Errorf("derive: unknown algorithm %q", algo)
 }
 
 // Exact is the identity: the target's window is the slab's own.

@@ -23,14 +23,25 @@ func buildSeqView(t *testing.T, opts Options, n int) *Engine {
 
 // TestExplainAnalyzeStrategies runs EXPLAIN ANALYZE across every strategy
 // label the engine can choose and checks the header (chosen strategy, Δl/Δh
-// overlap factors) and the per-operator actuals.
+// overlap factors, the DERIVE node as the rewritten text) and the
+// per-operator actuals; running the query once then counts it under the same
+// label. A derivation's label is the algorithm its Derive operator runs.
 func TestExplainAnalyzeStrategies(t *testing.T) {
 	const n = 20
+	withView := func(ddl string) func(t *testing.T) *Engine {
+		return func(t *testing.T) *Engine {
+			e := newEngine(t)
+			loadSeq(t, e, n, func(i int) int64 { return int64(i % 17) })
+			mustExec(t, e, ddl)
+			return e
+		}
+	}
 	cases := []struct {
-		name  string
-		build func(t *testing.T) *Engine
-		query string
-		want  []string
+		name     string
+		build    func(t *testing.T) *Engine
+		query    string
+		strategy string
+		want     []string
 	}{
 		{
 			name: "native",
@@ -39,8 +50,9 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 				loadSeq(t, e, n, func(i int) int64 { return int64(i) })
 				return e
 			},
-			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			want:  []string{"-- strategy: native\n", "Window", "rows=20", "time="},
+			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			strategy: "native",
+			want:     []string{"-- strategy: native\n", "Window", "rows=20", "time="},
 		},
 		{
 			// The Fig. 2 self join is SQL like any other: the engine runs
@@ -51,32 +63,60 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 				loadSeq(t, e, n, func(i int) int64 { return int64(i) })
 				return e
 			},
-			query: fig2SQL(t, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`),
-			want:  []string{"-- strategy: native\n", "Join", "rows=20", "time="},
+			query:    fig2SQL(t, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`),
+			strategy: "native",
+			want:     []string{"-- strategy: native\n", "Join", "rows=20", "time="},
 		},
 		{
-			name:  "exact",
-			build: func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
-			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			want: []string{"-- strategy: exact", "view=matseq", "exact=true", "-- rewritten: SELECT",
+			name:     "exact",
+			build:    func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
+			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			strategy: "exact",
+			want: []string{"-- strategy: exact view=matseq Δl=0 Δh=0 wx=4\n",
+				"-- rewritten: DERIVE pos, w AS SUM (2,1) FROM matseq (2,1) BY exact\n",
 				"Derive view=matseq algo=exact Δl=0 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time=", "SeqScan __mv_matseq AS matseq"},
 		},
 		{
-			name:  "maxoa",
-			build: func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
-			// (4,3) from the stored (2,1): Δl+Δh ≡ 0 (mod W_x), the residue
-			// collision where MinOA does not apply and MaxOA is chosen.
-			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
-			want: []string{"-- strategy: maxoa", "view=matseq", "Δl=2 Δh=2", "-- rewritten: SELECT",
-				"Derive view=matseq algo=MaxOA Δl=2 Δh=2 Wx=4 parts=1 rows=23 (rows=20 time="},
+			// §4.2: MIN/MAX extend by the two covering shifted windows.
+			name: "maxoa",
+			build: withView(`CREATE MATERIALIZED VIEW mmax AS
+			  SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`),
+			query:    `SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
+			strategy: "maxoa",
+			want: []string{"-- strategy: maxoa view=mmax Δl=1 Δh=1 wx=4\n", "-- rewritten: DERIVE",
+				"Derive view=mmax algo=MaxOA Δl=1 Δh=1 Wx=4 parts=1 rows=23 (rows=20 time="},
 		},
 		{
-			name:  "minoa",
-			build: func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
+			// (4,3) from the stored (2,1): Δl+Δh ≡ 0 (mod W_x), the residue
+			// collision MinOA's SQL pattern cannot render and its linear form
+			// derives like any other target.
+			name:     "minoa",
+			build:    func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
+			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
+			strategy: "minoa",
+			want: []string{"-- strategy: minoa view=matseq Δl=2 Δh=2 wx=4\n", "-- rewritten: DERIVE",
+				"Derive view=matseq algo=MinOA Δl=2 Δh=2 Wx=4 parts=1 rows=23 (rows=20 time="},
+		},
+		{
 			// Narrower than the stored window — only MinOA can do this.
-			query: `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			want: []string{"-- strategy: minoa", "view=matseq", "-- rewritten: SELECT",
+			name:     "minoa-narrower",
+			build:    func(t *testing.T) *Engine { return buildSeqView(t, DefaultOptions(), n) },
+			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			strategy: "minoa",
+			want: []string{"-- strategy: minoa view=matseq", "-- rewritten: DERIVE",
 				"Derive view=matseq algo=MinOA Δl=-1 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time="},
+		},
+		{
+			// §3.1: a sliding window from a cumulative view is labeled by the
+			// algorithm that runs, not by a SQL pattern's name.
+			name: "cumulative",
+			build: withView(`CREATE MATERIALIZED VIEW cumseq AS
+			  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS val FROM seq`),
+			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			strategy: "cumulative",
+			want: []string{"-- strategy: cumulative view=cumseq Δl=0 Δh=0 wx=0\n",
+				"-- rewritten: DERIVE pos, w AS SUM (3,1) FROM cumseq cumulative BY cumulative\n",
+				"Derive view=cumseq algo=cumulative Δl=0 Δh=0 Wx=0 parts=1 rows=21 (rows=20 time="},
 		},
 	}
 	for _, c := range cases {
@@ -93,6 +133,11 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			}
 			if len(res.Rows) != 1 || len(res.Columns) != 1 || res.Columns[0] != "plan" {
 				t.Errorf("EXPLAIN ANALYZE shape: cols=%v rows=%d", res.Columns, len(res.Rows))
+			}
+			mustExec(t, e, c.query)
+			counter := `rfview_queries_total{strategy="` + c.strategy + `"}`
+			if got := metricValue(t, e.Metrics().Expose(), counter); got != 1 {
+				t.Errorf("%s = %v after one run, want 1", counter, got)
 			}
 		})
 	}

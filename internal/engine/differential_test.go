@@ -84,7 +84,7 @@ func TestDifferentialRandomWindows(t *testing.T) {
 		mustExec(t, e, viewDDL)
 		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA, rewrite.StrategyAuto} {
 			for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
-				dres := execDerived(t, e, q, strat, form)
+				dres := execDerived(t, e, q, strat, form, n)
 				label := fmt.Sprintf("derive/%v/%v", strat, form)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable for these windows: native fallback already checked
@@ -209,7 +209,7 @@ func TestDifferentialRandomPartitionedParallel(t *testing.T) {
 			mustExec(t, e, viewDDL)
 			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
 				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
-				dres := execDerived(t, e, q, strat, form)
+				dres := execDerived(t, e, q, strat, form, 0)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable for these windows: native fallback already checked
 				}

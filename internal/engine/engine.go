@@ -7,7 +7,8 @@
 // and the executor's parallelism, memory and paging. The paper's evaluation
 // axes — Fig. 2 self join vs. native, with/without index, MaxOA vs. MinOA,
 // disjunctive vs. UNION — are not engine switches: internal/bench renders
-// them as SQL (rewrite.SelfJoin, rewrite.Derive) and runs that SQL here.
+// them as SQL with the rewrite package and runs that SQL here. The engine
+// itself answers a derivable query by the sequence algebra only.
 package engine
 
 import (
@@ -154,7 +155,8 @@ type Result struct {
 	Affected int
 	// Plan carries the EXPLAIN rendering when requested.
 	Plan string
-	// Rewritten carries the SQL a rewrite produced, for EXPLAIN and tests.
+	// Rewritten is the derivation's plan node as text (DERIVE … FROM view
+	// … BY algorithm), non-empty exactly when Derivation is set.
 	Rewritten string
 	// Derivation records a §4/§5 view-derivation rewrite, when one fired.
 	Derivation *rewrite.Derivation
@@ -618,52 +620,43 @@ func (e *Engine) Close() error {
 // RewriteSelect applies the materialized-view derivation (§3–§5) to a select
 // statement without executing it. It returns the statement to plan — the
 // derivation's DeriveSelect node when one applies, else stmt unchanged — and
-// the derivation record.
+// the derivation record. Matching does not fail: the error is always nil.
 func (e *Engine) RewriteSelect(stmt sqlparser.SelectStatement) (sqlparser.SelectStatement, *rewrite.Derivation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out, d, _, err := e.rewriteSelect(stmt, false)
-	return out, d, err
+	out, d, _ := e.rewriteSelect(stmt, false)
+	return out, d, nil
 }
 
 // rewriteSelect applies the derivation rewrite: out is the DeriveSelect node
-// of the derivation when one applies — the planner never sees its Fig. 10/13
-// rendering — and stmt itself otherwise. noDerive skips it: statements inside
-// an explicit transaction read at a fixed snapshot, while the derivation
-// decision (which views exist and are fresh) tracks the latest committed
-// state — mixing the two could derive from a view the snapshot predates. A
-// stale view declines the rewrite and is returned as skipped: the user named
-// the base table, which can always answer.
-func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (out sqlparser.SelectStatement, d *rewrite.Derivation, skipped string, err error) {
+// of the derivation when one applies, and stmt itself otherwise. noDerive
+// skips it: statements inside an explicit transaction read at a fixed
+// snapshot, while the derivation decision (which views exist and are fresh)
+// tracks the latest committed state — mixing the two could derive from a
+// view the snapshot predates. A stale view declines the rewrite and is
+// returned as skipped: the user named the base table, which can always
+// answer.
+func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (out sqlparser.SelectStatement, d *rewrite.Derivation, skipped string) {
 	sel, ok := stmt.(*sqlparser.Select)
 	if !ok || !e.Opts.UseMatViews || noDerive {
-		return stmt, nil, "", nil
+		return stmt, nil, ""
 	}
-	d, err = rewrite.Derive(e.Cat, sel, rewrite.StrategyAuto, rewrite.FormDisjunctive)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	if d == nil {
-		return stmt, nil, "", nil
+	if d = rewrite.Derive(e.Cat, sel); d == nil {
+		return stmt, nil, ""
 	}
 	views := e.viewsRead(d.Plan)
 	if i := slices.IndexFunc(views, e.Views.Stale); i >= 0 {
-		return stmt, nil, views[i], nil
+		return stmt, nil, views[i]
 	}
-	return d.Plan, d, "", nil
+	return d.Plan, d, ""
 }
 
 func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (exec.Operator, *Result, error) {
-	rewritten, d, skipped, err := e.rewriteSelect(stmt, cfg.tx != nil && cfg.tx.Explicit)
-	if err != nil {
-		return nil, nil, err
-	}
+	rewritten, d, skipped := e.rewriteSelect(stmt, cfg.tx != nil && cfg.tx.Explicit)
 	res := &Result{skipped: skipped}
 	if d != nil {
-		// What runs is the sequence algebra over the view (d.Plan); the
-		// Rewritten text is the same derivation as the paper writes it in SQL.
 		res.Derivation = d
-		res.Rewritten = d.Stmt.String()
+		res.Rewritten = d.Plan.String()
 		stmt = rewritten
 	} else {
 		// Querying a materialized view directly must see fresh contents (a

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -271,8 +272,8 @@ func TestMinOANarrowingThroughSQL(t *testing.T) {
 	if res.Derivation == nil {
 		t.Fatal("narrowing derivation should fire")
 	}
-	if res.Derivation.Strategy.String() != "MinOA" {
-		t.Fatalf("strategy = %v", res.Derivation.Strategy)
+	if algo := res.Derivation.Plan.Source.Algo; algo != core.AlgoMinOA {
+		t.Fatalf("algorithm = %v", algo)
 	}
 	// Check one value: pos 10 window {9,10,11} → (27+30+33)%… compute.
 	want := float64(9*3%17 + 10*3%17 + 11*3%17)
@@ -386,13 +387,18 @@ func TestAvgDerivationThroughSQL(t *testing.T) {
 	}
 	q := `SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`
 	native, derived := build(false), build(true)
-	// execServed holds the plan to one Derive over the two views' scans: the
-	// quotient is taken inside the operator, not by a join of two patterns.
-	rn, rd := mustExec(t, native, q), execServed(t, derived, q)
+	// One Derive over the two views' scans: the quotient is taken inside the
+	// operator, not by a join of two patterns.
+	rn := mustExec(t, native, q)
+	rd, err := derived.ExecContext(context.Background(), q, WithAnalyze())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rd.Derivation == nil {
 		t.Fatal("AVG composition should fire")
 	}
-	if !strings.Contains(rd.Analyzed, "/ view=vcnt") || strings.Count(rd.Analyzed, "SeqScan") != 2 {
+	if !strings.Contains(rd.Analyzed, "Derive view=vsum") || !strings.Contains(rd.Analyzed, "/ view=vcnt") ||
+		strings.Count(rd.Analyzed, "SeqScan") != 2 || strings.Contains(rd.Analyzed, "Join") {
 		t.Fatalf("AVG is not one Derive dividing vsum's derivation by vcnt's:\n%s", rd.Analyzed)
 	}
 	gn, gd := rowsToPairs(t, rn.Rows), rowsToPairs(t, rd.Rows)
@@ -439,13 +445,13 @@ func TestRawReconstructionEndToEnd(t *testing.T) {
 		}
 	}
 	cum, _ := e.Cat.MatView("cumv")
-	stmt, err := rewrite.RawFromCumulative(cum)
+	stmt, err := rewrite.RawFromCumulative(cum, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(stmt, "raw from cumulative (Fig. 4)")
 	sli, _ := e.Cat.MatView("sliv")
-	stmt, err = rewrite.RawFromSliding(sli)
+	stmt, err = rewrite.RawFromSliding(sli, n)
 	if err != nil {
 		t.Fatal(err)
 	}

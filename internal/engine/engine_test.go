@@ -387,7 +387,7 @@ func TestDerivationMatchesNative(t *testing.T) {
 					continue // MaxOA cannot narrow a window
 				}
 				rn := mustExec(t, native, q)
-				rd := execDerived(t, derived, q, strat, form)
+				rd := execDerived(t, derived, q, strat, form, n)
 				gn, gd := rowsToPairs(t, rn.Rows), rowsToPairs(t, rd.Rows)
 				if len(gd) != len(gn) {
 					t.Fatalf("strat=%v form=%v q%d: cardinality %d vs %d", strat, form, qi, len(gd), len(gn))
@@ -450,9 +450,9 @@ func TestDerivationOfOneRowFrame(t *testing.T) {
 	for _, view := range []string{"ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING", "ROWS UNBOUNDED PRECEDING"} {
 		e := New(DefaultOptions())
 		loadSeq(t, e, n, val)
-		mustExec(t, e, `CREATE MATERIALIZED VIEW v AS SELECT pos, SUM(val) OVER (ORDER BY pos `+view+`) AS val FROM seq`)
+		mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER (ORDER BY pos `+view+`) AS val FROM seq`)
 		for _, frame := range []string{"ROWS BETWEEN CURRENT ROW AND CURRENT ROW", "ROWS BETWEEN 0 PRECEDING AND 0 FOLLOWING"} {
-			res := execServed(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos `+frame+`) AS w FROM seq`)
+			res := execServed(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos `+frame+`) AS w FROM seq`, n)
 			if res.Derivation == nil {
 				t.Fatalf("view %s, frame %s: not derived", view, frame)
 			}

@@ -215,17 +215,14 @@ func (e *Engine) observeQuery(sql func() string, res *Result, err error, elapsed
 }
 
 // strategyLabel names how a statement was evaluated, for the per-strategy
-// counter and the EXPLAIN header: exact / maxoa / minoa view derivations, or
-// native evaluation from the base rows.
+// counter and the EXPLAIN header: the derivation's algorithm (exact /
+// cumulative / maxoa / minoa — the name the Derive operator runs and prints),
+// or native evaluation from the base rows.
 func strategyLabel(res *Result) string {
-	switch {
-	case res.Derivation != nil && res.Derivation.Exact:
-		return "exact"
-	case res.Derivation != nil:
-		return strings.ToLower(res.Derivation.Strategy.String())
-	default:
-		return "native"
+	if d := res.Derivation; d != nil {
+		return strings.ToLower(string(d.Plan.Source.Algo))
 	}
+	return "native"
 }
 
 // annotationHeader renders the provenance lines EXPLAIN [ANALYZE] prefixes
@@ -236,10 +233,7 @@ func (e *Engine) annotationHeader(res *Result) string {
 	var b strings.Builder
 	b.WriteString("-- strategy: " + strategyLabel(res))
 	if d := res.Derivation; d != nil {
-		fmt.Fprintf(&b, " view=%s form=%s Δl=%d Δh=%d wx=%d", d.View.Name, d.Form, d.DeltaL, d.DeltaH, d.Wx)
-		if d.Exact {
-			b.WriteString(" exact=true")
-		}
+		fmt.Fprintf(&b, " view=%s Δl=%d Δh=%d wx=%d", d.View.Name, d.DeltaL, d.DeltaH, d.Wx)
 	}
 	b.WriteString("\n")
 	if res.skipped != "" {

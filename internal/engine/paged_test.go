@@ -74,6 +74,11 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 
 	viewDDL := `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
+	forced := func(strategy rewrite.Strategy) func(*testing.T, *Engine, string) *Result {
+		return func(t *testing.T, e *Engine, sql string) *Result {
+			return execForced(strategy)(t, e, sql, len(shadow))
+		}
+	}
 	strategies := []struct {
 		name  string
 		query func(*testing.T, *Engine, string) *Result
@@ -81,8 +86,8 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	}{
 		{"native", mustExec, false},
 		{"selfjoin", execSelfJoin, false},
-		{"maxoa", execForced(rewrite.StrategyMaxOA), true},
-		{"minoa", execForced(rewrite.StrategyMinOA), true},
+		{"maxoa", forced(rewrite.StrategyMaxOA), true},
+		{"minoa", forced(rewrite.StrategyMinOA), true},
 	}
 	for _, strat := range strategies {
 		e := newTinyPoolEngine(t, 4)

@@ -112,7 +112,7 @@ func TestPartitionedDerivation(t *testing.T) {
 			{"narrowed", `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
 			  ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pseq`},
 		} {
-			derived := execDerived(t, e, c.q, rewrite.StrategyAuto, form)
+			derived := execDerived(t, e, c.q, rewrite.StrategyAuto, form, 0)
 			checkDerivedAgainstNative(t, e, derived, c.q, form.String()+" "+c.name)
 		}
 	}
@@ -197,19 +197,23 @@ func TestPartitionedViewDensityValidation(t *testing.T) {
 	}
 }
 
-// TestPartitionedCumulativeExactOnly — cumulative partitioned views answer
-// exact matches; different windows fall back to native evaluation.
-func TestPartitionedCumulativeExactOnly(t *testing.T) {
+// TestPartitionedCumulativeDerivation — a cumulative partitioned view answers
+// the identical query and, by §3.1 per partition, any sliding window: the
+// Derive operator reads each partition's n off its own rows.
+func TestPartitionedCumulativeDerivation(t *testing.T) {
 	e := newEngine(t)
-	loadPartitionedSeq(t, e, []string{"a", "b"}, 8, 11)
+	loadPartitionedSeq(t, e, []string{"a", "b", "c"}, 8, 11)
+	mustExec(t, e, `INSERT INTO pseq VALUES ('c', 9, 4), ('c', 10, -7)`) // uneven partitions
 	mustExec(t, e, `CREATE MATERIALIZED VIEW pcum AS
 	  SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos
 	    ROWS UNBOUNDED PRECEDING) AS val FROM pseq`)
-	checkPartitionedAgainstNative(t, e, `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
-	  ORDER BY pos ROWS UNBOUNDED PRECEDING) AS w FROM pseq`, "cumulative exact")
-	res := mustExec(t, e, `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
-	  ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pseq`)
-	if res.Derivation != nil {
-		t.Fatal("partitioned cumulative view must not answer sliding windows")
+	for _, frame := range []string{"ROWS UNBOUNDED PRECEDING", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING",
+		"ROWS BETWEEN 3 PRECEDING AND 5 FOLLOWING", "ROWS BETWEEN CURRENT ROW AND CURRENT ROW"} {
+		q := `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ` + frame + `) AS w FROM pseq`
+		res := mustExec(t, e, q)
+		checkDerivedAgainstNative(t, e, res, q, frame)
+		if want := "pcum cumulative BY "; !strings.Contains(res.Rewritten, want) {
+			t.Fatalf("%s: rewritten %q, want a derivation from pcum", frame, res.Rewritten)
+		}
 	}
 }

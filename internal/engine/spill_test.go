@@ -151,7 +151,7 @@ func TestDifferentialSpillForced(t *testing.T) {
 			mustExec(t, e, viewDDL)
 			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
 				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
-				dres := execDerived(t, e, q, strat, form)
+				dres := execDerived(t, e, q, strat, form, 0)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable: native fallback already checked
 				}

@@ -9,11 +9,12 @@ import (
 )
 
 // The engine serves one configuration: it derives from a fresh view by the
-// strategy rewrite.Derive picks, or evaluates natively. The other evaluation
-// strategies the paper measures — the Fig. 2 self join, a forced MaxOA or
-// MinOA, the UNION form — are not switches; the tests that compare them get
-// them the way internal/bench does: the rewrite package renders the
-// statement and the engine under test runs it as written.
+// algorithm core.Algorithm names for the view rewrite.Derive picks, or
+// evaluates natively. The other evaluation strategies the paper measures —
+// the Fig. 2 self join, a forced MaxOA or MinOA, the UNION form — are not
+// switches; the tests that compare them get them the way internal/bench
+// does: the rewrite package renders the statement and the engine under test
+// runs it as written.
 
 // execSelfJoin answers the window query sql by its Fig. 2 self-join
 // simulation; Result.Rewritten carries the simulation's SQL.
@@ -28,33 +29,33 @@ func execSelfJoin(t *testing.T, e *Engine, sql string) *Result {
 	return res
 }
 
-// execDerived answers the window query sql by deriving it from e's views
-// with the strategy and form forced; Result.Derivation and Result.Rewritten
-// describe the rendering. Where the forced strategy does not apply, or its
-// view is stale, e answers sql its own way and Result.Derivation is nil.
-func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy, form rewrite.Form) *Result {
+// execDerived answers the window query sql by the derivation the engine
+// would run, rendered as the paper's SQL under the forced strategy and form
+// (rewrite.Pattern) over a base of n rows, and run as written;
+// Result.Derivation and Result.Rewritten describe the rendering. Where no
+// fresh view applies, or no pattern renders the derivation under the forced
+// strategy, e answers sql its own way and Result.Derivation is nil.
+func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy, form rewrite.Form, n int) *Result {
 	t.Helper()
 	sel := parseSelect(t, sql)
-	d, err := rewrite.Derive(e.Cat, sel, strategy, form)
-	if err != nil {
-		t.Fatalf("derive %q: %v", sql, err)
+	if d := rewrite.Derive(e.Cat, sel); d != nil && !slices.ContainsFunc(e.viewsRead(d.Plan), e.Views.Stale) {
+		if stmt, err := rewrite.Pattern(d, strategy, form, n); err == nil {
+			res := execStmt(t, e, stmt)
+			res.Derivation, res.Rewritten = d, stmt.String()
+			return res
+		}
 	}
-	if d == nil || slices.ContainsFunc(e.viewsRead(d.Stmt), e.Views.Stale) {
-		res := execStmt(t, e, sel)
-		res.Derivation, res.Rewritten = nil, ""
-		return res
-	}
-	res := execStmt(t, e, d.Stmt)
-	res.Derivation, res.Rewritten = d, d.Stmt.String()
+	res := execStmt(t, e, sel)
+	res.Derivation, res.Rewritten = nil, ""
 	return res
 }
 
-// execForced is execDerived in the disjunctive form, shaped like mustExec so
-// a table of strategies can hold either.
-func execForced(strategy rewrite.Strategy) func(*testing.T, *Engine, string) *Result {
-	return func(t *testing.T, e *Engine, sql string) *Result {
+// execForced is execDerived in the disjunctive form, shaped so a table of
+// evaluation strategies over a base of n rows can hold it.
+func execForced(strategy rewrite.Strategy) func(*testing.T, *Engine, string, int) *Result {
+	return func(t *testing.T, e *Engine, sql string, n int) *Result {
 		t.Helper()
-		return execDerived(t, e, sql, strategy, rewrite.FormDisjunctive)
+		return execDerived(t, e, sql, strategy, rewrite.FormDisjunctive, n)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 //
 //   - Reads (SELECT, UNION, EXPLAIN) never take the engine lock. Each
 //     statement resolves one snapshot from the commit clock and scans
-//     version chains lock-free; derivation metadata (BaseRows, staleness,
-//     table versions) is validated with the commitSeq seqlock below.
+//     version chains lock-free; derivation metadata (staleness, table
+//     versions) is validated with the commitSeq seqlock below. A derived
+//     answer reads its sequence's length off the view rows at the snapshot.
 //   - Explicit-transaction DML takes no engine lock either: pending version
 //     stamps plus per-table mutexes and the claim-CAS give first-claimer-
 //     wins write-write conflict detection.
@@ -30,8 +31,8 @@ import (
 //     bumping the commit clock inside a commitSeq window.
 //
 // commitSeq is a seqlock over everything a read statement consumes that is
-// NOT row-versioned: view BaseRows and staleness flags, storage version
-// counters, catalog schema. A commit flips it odd, publishes, flips it even;
+// NOT row-versioned: view staleness flags, storage version counters, catalog
+// schema. A commit flips it odd, publishes, flips it even;
 // a reader that saw it change (or odd) retries, and after a few torn
 // attempts falls back to the shared lock, which writers' exclusive lock
 // makes race-free by construction.
@@ -87,7 +88,7 @@ func (e *Engine) RollbackTxn(tx *txn.Txn) {
 //  1. Write the commit record — the commit point. A log error aborts
 //     cleanly: nothing is visible yet.
 //  2. Fold view maintenance into the same transaction: backing-table patches
-//     join the write-set, staleness/BaseRows flips defer to publication.
+//     join the write-set, staleness flips defer to publication.
 //  3. Publication window: flip commitSeq odd, stamp the write-set with the
 //     next epoch, publish the clock, run deferred hooks, bump table
 //     versions, flip commitSeq even. Between the clock store and the flip

@@ -62,9 +62,9 @@ type DeriveInput struct {
 	View string
 	Win  core.Window // the materialized window (l_x, h_x)
 	Agg  core.Agg
-	// Algo is the derivation the rewriter chose, one of sqlparser's Derive*
-	// names; the operator runs that one and labels itself with it.
-	Algo string
+	// Algo is the derivation core.Algorithm chose for the rewriter; the
+	// operator runs that one and labels itself with it.
+	Algo core.Algo
 	// Column ordinals in Scan's rows. Part and Body are -1 for a simple view,
 	// whose rows are one partition.
 	Part, Pos, Val, Body int
@@ -328,7 +328,7 @@ func (d *Derive) Open() error {
 		}
 		p := &src.parts[i]
 		y := out[done : done+p.n]
-		if err := d.derive(src, p, y); err != nil {
+		if err := src.slab(p).Derive(src.in.Algo, y, 1, d.Target); err != nil {
 			return err
 		}
 		if div != nil {
@@ -339,7 +339,7 @@ func (d *Derive) Open() error {
 				return src.errorf(p, "view %q holds %d positions, this one %d", d.Divisor.View, q.n, p.n)
 			}
 			c := quot[done : done+p.n]
-			if err := d.derive(div, q, c); err != nil {
+			if err := div.slab(q).Derive(div.in.Algo, c, 1, d.Target); err != nil {
 				return err
 			}
 			for k := range y {
@@ -372,22 +372,6 @@ func (d *Derive) value(v float64) sqltypes.Datum {
 		return sqltypes.NewInt(int64(v))
 	}
 	return sqltypes.NewFloat(v)
-}
-
-// derive runs the algebra over one partition, positions 1…len(y).
-func (d *Derive) derive(s *storedSeqs, p *seqPart, y []float64) error {
-	x := s.slab(p)
-	switch s.in.Algo {
-	case sqlparser.DeriveExact:
-		return x.Exact(y, 1, d.Target)
-	case sqlparser.DeriveCumulative:
-		return x.SlidingFromCumulative(y, 1, d.Target)
-	case sqlparser.DeriveMaxOA:
-		return x.MaxOA(y, 1, d.Target)
-	case sqlparser.DeriveMinOA:
-		return x.MinOA(y, 1, d.Target)
-	}
-	return fmt.Errorf("derive: view %q: unknown algorithm %q", s.in.View, s.in.Algo)
 }
 
 // takeRows implements rowsHandoff.

@@ -20,10 +20,11 @@ import (
 // What is left of the difference is how a partition's sequence maps to
 // backing rows:
 //
-//	simple       (pos, val)              pk (pos)        BaseRows published
+//	simple       (pos, val)              pk (pos)
 //	partitioned  (part, pos, val, body)  pk (part, pos)  body flags positions 1…n_p
 //
-// Both tables are what the derivation rewriter reads. Positions must be the
+// Both tables are what the Derive operator scans; it reads n_p off the rows
+// themselves (the last stored position is n_p+l_x). Positions must be the
 // dense integers 1…n_p within each partition.
 type layout struct {
 	partCol string // base-table PARTITION BY column; "" for a simple view

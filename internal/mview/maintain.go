@@ -286,9 +286,6 @@ func (m *Manager) syncRange(sv *seqView, part sqltypes.Datum, p *core.Partition,
 			return err
 		}
 	}
-	if p != nil {
-		m.setBaseRows(sv, p.Len())
-	}
 	return nil
 }
 

@@ -166,25 +166,6 @@ func (m *Manager) hFirst(t *catalog.Table, h *storage.IndexHandle, key sqltypes.
 	return t.Heap.FirstAt(h, key, t.Heap.WriteView(m.curTx))
 }
 
-// setBaseRows records a simple view's new base cardinality; a partitioned
-// view's cardinalities vary by partition, so its rows carry the body flag
-// instead. Inside a transaction the store is deferred to commit publication
-// so it flips together with the backing rows' visibility — the derivation
-// rewriter bakes BaseRows into rewritten SQL and must never see it ahead of
-// (or behind) the rows.
-func (m *Manager) setBaseRows(sv *seqView, n int) {
-	if sv.lay.keyed() {
-		return
-	}
-	mv := sv.mv
-	if tx := m.curTx; tx != nil {
-		v := int64(n)
-		tx.OnPublish(func() { mv.BaseRows.Store(v) })
-		return
-	}
-	mv.BaseRows.Store(int64(n))
-}
-
 // setFresh clears staleness. Inside a transaction the flip is deferred to
 // commit publication: until the refreshed rows are visible, readers must
 // keep seeing the view as stale.
@@ -334,7 +315,6 @@ func (m *Manager) fillBacking(sv *seqView) error {
 				return err
 			}
 		}
-		m.setBaseRows(sv, seq.N)
 	}
 	return nil
 }

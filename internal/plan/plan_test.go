@@ -6,6 +6,7 @@ import (
 
 	rferrors "rfview/errors"
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/exec"
 	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
@@ -239,7 +240,7 @@ func TestPlanDeriveSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := &sqlparser.DeriveSelect{
-		Source: sqlparser.DeriveSource{View: "v", Agg: "SUM", Window: sqlparser.SeqWindow{Preceding: 1, Following: 1}, Algo: sqlparser.DeriveMinOA},
+		Source: sqlparser.DeriveSource{View: "v", Agg: "SUM", Window: sqlparser.SeqWindow{Preceding: 1, Following: 1}, Algo: core.AlgoMinOA},
 		Target: sqlparser.SeqWindow{Preceding: 2, Following: 1},
 		Columns: []sqlparser.DeriveColumn{
 			{Name: "w", Kind: sqlparser.DeriveValue}, {Name: "pos", Kind: sqlparser.DerivePos},

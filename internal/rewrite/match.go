@@ -4,18 +4,20 @@
 //     self-join pattern of Fig. 2 — the fallback for engines "without
 //     explicit support of reporting functionality inside the relational
 //     engine" (§2.2), measured in Table 1;
-//   - Derive matches a reporting-function query against a materialized
-//     sequence view and emits the MaxOA (Fig. 10) or MinOA (Fig. 13)
-//     relational operator pattern, in the disjunctive-join-predicate or the
-//     UNION-of-simple-predicates form — the four strategies of Table 2;
+//   - Derive matches a reporting-function query against the materialized
+//     sequence views under core.Algorithm's rule and returns the
+//     DeriveSelect node the engine plans as the Derive operator;
+//   - Pattern renders such a derivation as the paper's SQL — the MaxOA
+//     (Fig. 10) or MinOA (Fig. 13) relational operator pattern, in the
+//     disjunctive-join-predicate or the UNION-of-simple-predicates form, the
+//     four strategies of Table 2 — for the experiments, never for the engine;
 //   - RawFromCumulative emits the Fig. 4 reconstruction pattern.
 //
-// All rewrites produce parse trees (sqlparser ASTs); the engine plans them
-// like any other query. One deviation from the paper's figures: residue
-// predicates are written MOD(pos+OFF, W) = MOD(pos+OFF, W) with OFF a
-// multiple of W large enough to keep both operands non-negative, because SQL
-// MOD takes the dividend's sign and complete sequences contain header
-// positions ≤ 0.
+// The renderings are parse trees (sqlparser ASTs) a planner runs like any
+// other query. One deviation from the paper's figures: residue predicates
+// are written MOD(pos+OFF, W) = MOD(pos+OFF, W) with OFF a multiple of W
+// large enough to keep both operands non-negative, because SQL MOD takes the
+// dividend's sign and complete sequences contain header positions ≤ 0.
 package rewrite
 
 import (

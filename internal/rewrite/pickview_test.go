@@ -25,7 +25,6 @@ func multiViewCatalog(t *testing.T, names []string, wins []catalog.WindowSpec) *
 			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: "SUM",
 			Window: wins[i],
 		}
-		mv.BaseRows.Store(100)
 		if err := cat.RegisterMatView(mv); err != nil {
 			t.Fatal(err)
 		}
@@ -42,10 +41,7 @@ func TestPickViewNameTieBreak(t *testing.T) {
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
 	for _, names := range [][]string{{"zeta", "alpha"}, {"alpha", "zeta"}} {
 		cat := multiViewCatalog(t, names, []catalog.WindowSpec{win, win})
-		d, err := Derive(cat, sel, StrategyMaxOA, FormDisjunctive)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := Derive(cat, sel)
 		if d == nil || d.View.Name != "alpha" {
 			t.Fatalf("registration order %v: picked %+v, want alpha", names, d)
 		}
@@ -60,10 +56,7 @@ func TestPickViewPrefersWiderWindow(t *testing.T) {
 		[]catalog.WindowSpec{{Preceding: 1, Following: 1}, {Preceding: 2, Following: 2}})
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyMaxOA, FormDisjunctive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Derive(cat, sel)
 	if d == nil || d.View.Name != "zzz" {
 		t.Fatalf("picked %+v, want the wider view zzz", d)
 	}
@@ -77,10 +70,7 @@ func TestPickViewCumulativeTieBreak(t *testing.T) {
 	  ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
 	for _, names := range [][]string{{"zc", "ac"}, {"ac", "zc"}} {
 		cat := multiViewCatalog(t, names, []catalog.WindowSpec{cum, cum})
-		d, err := Derive(cat, sel, StrategyAuto, FormDisjunctive)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := Derive(cat, sel)
 		if d == nil || d.View.Name != "ac" {
 			t.Fatalf("registration order %v: picked %+v, want ac", names, d)
 		}

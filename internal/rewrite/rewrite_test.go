@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
@@ -168,7 +169,6 @@ func newViewCatalog(t *testing.T, win catalog.WindowSpec, agg string) (*catalog.
 		BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: agg,
 		Window: win,
 	}
-	mv.BaseRows.Store(100)
 	if err := cat.RegisterMatView(mv); err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +183,14 @@ func TestFig10Pattern(t *testing.T) {
 	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyMaxOA, FormDisjunctive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Derive(cat, sel)
 	if d == nil {
 		t.Fatal("no derivation")
 	}
-	if d.Strategy != StrategyMaxOA || d.DeltaL != 1 || d.DeltaH != 0 || d.Wx != 4 {
+	if d.DeltaL != 1 || d.DeltaH != 0 || d.Wx != 4 {
 		t.Fatalf("derivation = %+v", d)
 	}
-	got := d.Stmt.String()
+	got := mustPattern(t, d, StrategyMaxOA, FormDisjunctive, 100)
 	for _, sig := range []string{
 		"LEFT OUTER JOIN",
 		"s.val + COALESCE(d.val, 0)",
@@ -221,17 +218,14 @@ func TestFig13Pattern(t *testing.T) {
 	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyMinOA, FormDisjunctive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Derive(cat, sel)
 	if d == nil {
 		t.Fatal("no derivation")
 	}
-	if d.Strategy != StrategyMinOA || d.DeltaL != 1 || d.DeltaH != 1 {
+	if d.DeltaL != 1 || d.DeltaH != 1 {
 		t.Fatalf("derivation = %+v", d)
 	}
-	got := d.Stmt.String()
+	got := mustPattern(t, d, StrategyMinOA, FormDisjunctive, 100)
 	if strings.Contains(got, "s.val +") {
 		t.Fatalf("MinOA must not add the outer sequence value:\n%s", got)
 	}
@@ -254,11 +248,11 @@ func TestUnionForm(t *testing.T) {
 	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyMaxOA, FormUnion)
-	if err != nil || d == nil {
-		t.Fatalf("derive: %v %v", d, err)
+	d := Derive(cat, sel)
+	if d == nil {
+		t.Fatal("no derivation")
 	}
-	got := d.Stmt.String()
+	got := mustPattern(t, d, StrategyMaxOA, FormUnion, 100)
 	if !strings.Contains(got, "UNION ALL") {
 		t.Fatalf("union form must use UNION ALL:\n%s", got)
 	}
@@ -273,7 +267,7 @@ func TestUnionForm(t *testing.T) {
 // TestFig4Pattern: raw-data reconstruction from a cumulative view.
 func TestFig4Pattern(t *testing.T) {
 	cat, mv := newViewCatalog(t, catalog.WindowSpec{Cumulative: true}, "SUM")
-	out, err := RawFromCumulative(mv)
+	out, err := RawFromCumulative(mv, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +292,7 @@ func TestFig4Pattern(t *testing.T) {
 		c.RegisterMatView(v)
 		return c, v
 	}()
-	if _, err := RawFromCumulative(mv2); err == nil {
+	if _, err := RawFromCumulative(mv2, 100); err == nil {
 		t.Fatal("sliding view must be rejected")
 	}
 }
@@ -309,11 +303,11 @@ func TestExactMatch(t *testing.T) {
 	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyAuto, FormDisjunctive)
-	if err != nil || d == nil {
-		t.Fatalf("derive: %v %v", d, err)
+	d := Derive(cat, sel)
+	if d == nil || d.Plan.Source.Algo != core.AlgoExact {
+		t.Fatalf("derivation %+v, want an exact match", d)
 	}
-	got := d.Stmt.String()
+	got := mustPattern(t, d, StrategyAuto, FormDisjunctive, 100)
 	if strings.Contains(got, "JOIN") || strings.Contains(got, "GROUP") {
 		t.Fatalf("exact match must be a plain scan:\n%s", got)
 	}
@@ -329,12 +323,7 @@ func TestDeriveNoMatch(t *testing.T) {
 		`SELECT pos, SUM(val) OVER (ORDER BY other ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM seq`,
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM elsewhere`,
 	} {
-		sel := parseSelect(t, q)
-		d, err := Derive(cat, sel, StrategyAuto, FormDisjunctive)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if d != nil {
+		if d := Derive(cat, parseSelect(t, q)); d != nil {
 			t.Fatalf("%s: unexpected derivation against %s", q, d.View.Name)
 		}
 	}
@@ -371,19 +360,15 @@ func TestPickView(t *testing.T) {
 		b, _ := cat.CreateTable("__mv_"+name, []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
 		mv := &catalog.MatView{Name: name, Kind: catalog.SequenceView, Table: b,
 			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: "SUM", Window: w}
-		mv.BaseRows.Store(10)
 		cat.RegisterMatView(mv)
 	}
 	add("narrow", catalog.WindowSpec{Preceding: 1, Following: 0})
 	add("wide", catalog.WindowSpec{Preceding: 3, Following: 2})
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`)
-	d, err := Derive(cat, sel, StrategyAuto, FormDisjunctive)
-	if err != nil || d == nil {
-		t.Fatalf("derive: %v %v", d, err)
-	}
-	if d.View.Name != "wide" {
-		t.Fatalf("picked %s, want wide", d.View.Name)
+	d := Derive(cat, sel)
+	if d == nil || d.View.Name != "wide" {
+		t.Fatalf("picked %+v, want wide", d)
 	}
 }
 
@@ -403,7 +388,7 @@ func TestResidueOffset(t *testing.T) {
 // TestRawFromSlidingPattern — the §3.2 explicit reconstruction as SQL.
 func TestRawFromSlidingPattern(t *testing.T) {
 	_, mv := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
-	out, err := RawFromSliding(mv)
+	out, err := RawFromSliding(mv, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +400,11 @@ func TestRawFromSlidingPattern(t *testing.T) {
 	}
 	// Cumulative and MIN views are rejected.
 	_, cum := newViewCatalog2(t, "c2", catalog.WindowSpec{Cumulative: true}, "SUM")
-	if _, err := RawFromSliding(cum); err == nil {
+	if _, err := RawFromSliding(cum, 50); err == nil {
 		t.Fatal("cumulative view must be rejected")
 	}
 	_, mn := newViewCatalog2(t, "c3", catalog.WindowSpec{Preceding: 1, Following: 1}, "MIN")
-	if _, err := RawFromSliding(mn); err == nil {
+	if _, err := RawFromSliding(mn, 50); err == nil {
 		t.Fatal("MIN view must be rejected")
 	}
 }
@@ -439,7 +424,6 @@ func newViewCatalog2(t *testing.T, tag string, win catalog.WindowSpec, agg strin
 		BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: agg,
 		Window: win,
 	}
-	mv.BaseRows.Store(50)
 	if err := cat.RegisterMatView(mv); err != nil {
 		t.Fatal(err)
 	}
@@ -457,26 +441,21 @@ func TestAvgComposition(t *testing.T) {
 			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: agg,
 			Window: catalog.WindowSpec{Preceding: 2, Following: 1},
 		}
-		mv.BaseRows.Store(40)
 		cat.RegisterMatView(mv)
 	}
 	mk("vsum", "SUM")
 	sel := parseSelect(t, `SELECT pos, AVG(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
 	// SUM view alone is not enough: COUNT is missing.
-	d, err := Derive(cat, sel, StrategyAuto, FormDisjunctive)
-	if err != nil || d != nil {
-		t.Fatalf("AVG without COUNT view: %v %v", d, err)
+	if d := Derive(cat, sel); d != nil {
+		t.Fatalf("AVG without COUNT view: %+v", d)
 	}
 	mk("vcnt", "COUNT")
-	d, err = Derive(cat, sel, StrategyAuto, FormDisjunctive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Derive(cat, sel)
 	if d == nil {
 		t.Fatal("AVG composition should fire with SUM+COUNT views")
 	}
-	got := d.Stmt.String()
+	got := mustPattern(t, d, StrategyAuto, FormDisjunctive, 40)
 	for _, sig := range []string{"ds.w", "dc.w", "JOIN", "(1 * ds.w)", "/ dc.w"} {
 		if !strings.Contains(got, sig) {
 			t.Fatalf("AVG composition missing %q:\n%s", sig, got)
@@ -488,44 +467,80 @@ func TestAvgComposition(t *testing.T) {
 	}
 }
 
-// TestDerivationPlan: every shape Derive accepts comes out a second time as
-// the planner's node — the same view, windows and algorithm its Fig. 5/10/13
-// rendering encodes, and the query's columns in select-list order.
+// TestDerivationPlan: every shape Derive accepts comes out as the planner's
+// node — the view, windows and the algorithm core.Algorithm names, and the
+// query's columns in select-list order — and the auto strategy renders it.
 func TestDerivationPlan(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		win      catalog.WindowSpec
-		agg      string
-		strategy Strategy
-		query    string
-		want     string
+		name  string
+		win   catalog.WindowSpec
+		agg   string
+		query string
+		want  string
 	}{
-		{"exact", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+		{"exact", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM",
 			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 			"DERIVE pos, w AS SUM (2,1) FROM matseq (2,1) BY exact"},
-		{"cumulative", catalog.WindowSpec{Cumulative: true}, "SUM", StrategyAuto,
+		{"cumulative", catalog.WindowSpec{Cumulative: true}, "SUM",
 			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 			"DERIVE pos, w AS SUM (3,1) FROM matseq cumulative BY cumulative"},
-		{"minmax", catalog.WindowSpec{Preceding: 2, Following: 1}, "MAX", StrategyAuto,
+		{"minmax", catalog.WindowSpec{Preceding: 2, Following: 1}, "MAX",
 			`SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
 			"DERIVE pos, w AS MAX (3,2) FROM matseq (2,1) BY MaxOA"},
-		{"MinOA, a narrower target, value first and unnamed", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+		{"MinOA, a narrower target, value first and unnamed", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM",
 			`SELECT SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING), pos FROM seq`,
 			"DERIVE val, pos AS SUM (1,1) FROM matseq (2,1) BY MinOA"},
-		{"MaxOA at the residue collision", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyAuto,
+		{"MinOA at the residue collision", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM",
 			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
-			"DERIVE pos, w AS SUM (4,3) FROM matseq (2,1) BY MaxOA"},
-		{"MaxOA forced", catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM", StrategyMaxOA,
-			`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			"DERIVE pos, w AS SUM (3,1) FROM matseq (2,1) BY MaxOA"},
+			"DERIVE pos, w AS SUM (4,3) FROM matseq (2,1) BY MinOA"},
+		{"MinOA of a one-row frame", catalog.WindowSpec{Preceding: 1, Following: 1}, "COUNT",
+			`SELECT pos, COUNT(val) OVER (ORDER BY pos ROWS BETWEEN CURRENT ROW AND CURRENT ROW) AS w FROM seq`,
+			"DERIVE pos, w AS COUNT (0,0) FROM matseq (1,1) BY MinOA"},
 	} {
 		cat, mv := newViewCatalog(t, c.win, c.agg)
-		d, err := Derive(cat, parseSelect(t, c.query), c.strategy, FormDisjunctive)
-		if err != nil || d == nil || d.Stmt == nil {
-			t.Fatalf("%s: derivation %v, err %v", c.name, d, err)
+		d := Derive(cat, parseSelect(t, c.query))
+		if d == nil {
+			t.Fatalf("%s: no derivation", c.name)
 		}
 		if got := d.Plan.String(); got != c.want || d.Plan.Source.View != mv.Name || d.Plan.Source.Agg != c.agg {
 			t.Errorf("%s: plan %q, want %q", c.name, got, c.want)
 		}
+		if _, err := Pattern(d, StrategyAuto, FormDisjunctive, 100); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
+}
+
+// TestPatternPreconditions: a derivation the served path runs may have no
+// rendering under a forced strategy; Pattern says so instead of rendering a
+// wrong statement.
+func TestPatternPreconditions(t *testing.T) {
+	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
+	for _, c := range []struct {
+		query    string
+		strategy Strategy
+	}{
+		// (4,3) from (2,1): Δl+Δh ≡ 0 (mod W_x), MinOA's pattern corner.
+		{`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`, StrategyMinOA},
+		// A narrower target: MaxOA's pattern cannot subtract.
+		{`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`, StrategyMaxOA},
+	} {
+		d := Derive(cat, parseSelect(t, c.query))
+		if d == nil || d.Plan.Source.Algo != core.AlgoMinOA {
+			t.Fatalf("%s: derivation %+v, want MinOA", c.query, d)
+		}
+		if stmt, err := Pattern(d, c.strategy, FormDisjunctive, 100); err == nil {
+			t.Errorf("%v rendered %s", c.strategy, stmt)
+		}
+	}
+}
+
+// mustPattern renders d and returns the SQL text.
+func mustPattern(t *testing.T, d *Derivation, strategy Strategy, form Form, n int) string {
+	t.Helper()
+	stmt, err := Pattern(d, strategy, form, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.String()
 }

@@ -77,7 +77,8 @@ type Response struct {
 	Rows     [][]any  `json:"rows,omitempty"`
 	Affected int      `json:"affected,omitempty"`
 	Plan     string   `json:"plan,omitempty"`
-	// Rewritten carries the derivation/self-join SQL when a rewrite fired.
+	// Rewritten is the derivation's DERIVE node as text (view, windows and
+	// algorithm), set exactly when the answer was derived from a view.
 	Rewritten string `json:"rewritten,omitempty"`
 	// ElapsedUs is the server-side execution time in microseconds.
 	ElapsedUs int64 `json:"elapsed_us,omitempty"`

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 )
 
@@ -429,16 +430,10 @@ type DeriveSource struct {
 	View   string    // the sequence view
 	Agg    string    // its aggregate: SUM, COUNT, AVG, MIN or MAX
 	Window SeqWindow // its materialized window (l_x, h_x)
-	Algo   string    // one of the Derive* algorithm names
+	// Algo is core.Algorithm's answer for this view and the target: the one
+	// name EXPLAIN, the strategy metric and the Derive operator read.
+	Algo core.Algo
 }
-
-// The derivation algorithms a DeriveSource names.
-const (
-	DeriveExact      = "exact"      // the view's window is the target's
-	DeriveCumulative = "cumulative" // sliding from cumulative, §3.1
-	DeriveMaxOA      = "MaxOA"      // §4, MIN/MAX included
-	DeriveMinOA      = "MinOA"      // §5
-)
 
 // SeqWindow is a sequence window the way the paper writes it: cumulative
 // (ROWS UNBOUNDED PRECEDING) or sliding (l, h).

@@ -185,7 +185,7 @@ func (t *Txn) Touch(b Bumper) {
 
 // OnPublish defers fn to the instant the commit epoch is published, inside
 // the engine's publication window — for plan-affecting scalar state (like a
-// view's BaseRows) that must flip together with row visibility.
+// view's staleness flag) that must flip together with row visibility.
 func (t *Txn) OnPublish(fn func()) { t.onPublish = append(t.onPublish, fn) }
 
 // AddDelta appends one statement's logical delta.

@@ -29,9 +29,9 @@ var strategies = []string{"native", "self-join", "MaxOA", "MinOA"}
 
 // execStrategy answers q on e under one of them. The engine has no switch
 // for these: the rewrite package renders the self join or the forced
-// derivation, and the engine runs that statement as written. A query the
-// rendering does not apply to (a plain read, an inapplicable strategy) runs
-// natively.
+// derivation over the base table's current n, and the engine runs that
+// statement as written. A query the rendering does not apply to (a plain
+// read, an inapplicable strategy) runs natively.
 func execStrategy(e *engine.Engine, strategy, q string) (*engine.Result, error) {
 	stmt, err := sqlparser.Parse(q)
 	if err != nil {
@@ -39,8 +39,16 @@ func execStrategy(e *engine.Engine, strategy, q string) (*engine.Result, error) 
 	}
 	if sel, ok := stmt.(*sqlparser.Select); ok {
 		force := func(strategy rewrite.Strategy) {
-			if d, err := rewrite.Derive(e.Cat, sel, strategy, rewrite.FormDisjunctive); err == nil && d != nil {
-				stmt = d.Stmt
+			d := rewrite.Derive(e.Cat, sel)
+			if d == nil {
+				return
+			}
+			count, err := e.Exec("SELECT COUNT(*) FROM " + d.View.BaseTable)
+			if err != nil {
+				return
+			}
+			if p, err := rewrite.Pattern(d, strategy, rewrite.FormDisjunctive, int(count.Rows[0][0].Int())); err == nil {
+				stmt = p
 			}
 		}
 		switch strategy {

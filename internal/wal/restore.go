@@ -45,6 +45,10 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 	}
 	for _, mv := range e.Cat.MatViews() {
 		stale, why := e.Views.StaleInfo(mv.Name)
+		n, err := bodyLen(mv)
+		if err != nil {
+			return nil, err
+		}
 		snap.MatViews = append(snap.MatViews, SnapMatView{
 			Name: mv.Name, Kind: uint8(mv.Kind), Backing: mv.Table.Name,
 			BaseTable: mv.BaseTable, PosColumn: mv.PosColumn,
@@ -54,11 +58,28 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 				Preceding:  mv.Window.Preceding,
 				Following:  mv.Window.Following,
 			},
-			BaseRows: int(mv.BaseRows.Load()), Definition: mv.Definition,
+			N: n, Definition: mv.Definition,
 			Stale: stale, StaleWhy: why,
 		})
 	}
 	return snap, nil
+}
+
+// bodyLen is a simple sequence view's n as its stored rows say: the last
+// position less the trailer (a partitioned view records 0).
+func bodyLen(mv *catalog.MatView) (int, error) {
+	if mv.Kind != catalog.SequenceView || mv.PartColumn != "" {
+		return 0, nil
+	}
+	pos, last := mv.Table.ColumnIndex("pos"), 0
+	err := mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+		last = max(last, int(row[pos].Int()))
+		return true
+	})
+	if !mv.Window.Cumulative {
+		last -= mv.Window.Preceding
+	}
+	return max(last, 0), err
 }
 
 // restoreState rebuilds a fresh engine from a snapshot: heaps first, then
@@ -105,7 +126,6 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 			},
 			Definition: smv.Definition,
 		}
-		view.BaseRows.Store(int64(smv.BaseRows))
 		spec := mview.RestoreSpec{
 			View:     view,
 			Backing:  smv.Backing,

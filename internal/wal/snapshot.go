@@ -91,10 +91,13 @@ type SnapMatView struct {
 	ValColumn  string     `json:"val_column,omitempty"`
 	Agg        string     `json:"agg,omitempty"`
 	Window     SnapWindow `json:"window"`
-	BaseRows   int        `json:"base_rows"`
-	Definition string     `json:"definition"`
-	Stale      bool       `json:"stale,omitempty"`
-	StaleWhy   string     `json:"stale_why,omitempty"`
+	// N is a simple sequence view's body length. Nothing reads it back —
+	// the Derive operator reads n off the stored rows — but dumps keep the
+	// key, so a restored PR 19 directory dumps back byte for byte.
+	N          int    `json:"base_rows"`
+	Definition string `json:"definition"`
+	Stale      bool   `json:"stale,omitempty"`
+	StaleWhy   string `json:"stale_why,omitempty"`
 }
 
 func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x.snap", lsn) }
