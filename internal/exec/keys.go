@@ -16,8 +16,8 @@ import (
 //
 //   - every column fixed-width (INTEGER, DATE, BOOLEAN, NaN-free FLOAT, or
 //     all NULL): sortTyped — each position becomes one packed record of
-//     uint64 order words plus a tail word, and the records are ordered by
-//     unsigned word comparison;
+//     uint64 order words plus a tail word, and the records are ordered by an
+//     LSD radix sort over the words' bytes, no comparison above a few rows;
 //   - a VARCHAR column among them: sortEncoded — memcomparable byte keys and
 //     bytes.Compare, since a string has no fixed-width order word;
 //   - a column that mixes Int and Float or holds a NaN (orderings no
@@ -55,7 +55,7 @@ type sortScratch struct {
 	// Comparator path: flat n×k key matrix, row-major.
 	datums []sqltypes.Datum
 	perm   []int
-	tmp    []int
+	tmp    []int // permute's copy; the radix sort's ping-pong half of ord
 }
 
 // sortScratchPool recycles per-sort buffers across operator executions.
@@ -147,8 +147,8 @@ func keyPath(vecs []sqltypes.ColVec) sortPath {
 // key an optional NULL-placement word (only for columns that hold a NULL) and
 // the value word, then one tail word carrying the tie-break and the source
 // position. DESC is folded into the value words and NULLS FIRST/LAST into the
-// placement words, so comparing two records word by word as unsigned integers
-// is the whole comparator.
+// placement words, so the unsigned order of the words, first to last, is the
+// whole ordering.
 type recLayout struct {
 	keys  []SortKey
 	vecs  []sqltypes.ColVec
@@ -169,8 +169,7 @@ func newRecLayout(keys []SortKey, vecs []sqltypes.ColVec) recLayout {
 // sortByVecs stably orders pos — positions into the layout's key vectors —
 // on the typed or the encoded path. Ties come out in ascending tie[p] order
 // when tie is given (typed path only; positions then need 32 bits and ties
-// 31, which callers guarantee), else in arrival order, which on the typed
-// path requires pos to arrive ascending.
+// 31, which callers guarantee), else in arrival order.
 func sortByVecs(path sortPath, lay *recLayout, pos []int, tie []int64, sc *sortScratch) {
 	n, w := len(pos), lay.width
 	if n < 2 {
@@ -180,9 +179,8 @@ func sortByVecs(path sortPath, lay *recLayout, pos []int, tie []int64, sc *sortS
 		sortEncodedKeys(lay, pos, sc)
 		return
 	}
-	// One flat slab of n records, filled a key column at a time. The tail
-	// word makes every record distinct, so the unstable sort of the record
-	// numbers yields the stable order.
+	// One flat slab of n records, filled a key column at a time; the tail
+	// word carries the tie-break above the source position.
 	sc.recs = grow(sc.recs, n*w)
 	recs, c := sc.recs, 0
 	for ki, k := range lay.keys {
@@ -195,25 +193,97 @@ func sortByVecs(path sortPath, lay *recLayout, pos []int, tie []int64, sc *sortS
 		}
 	}
 	sc.ord = identity(sc.ord, n)
-	slices.SortFunc(sc.ord, func(a, b int) int {
-		rb := recs[b*w : b*w+w]
-		for i, x := range recs[a*w : a*w+w] {
-			if y := rb[i]; x != y {
-				if x < y {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	})
+	if n <= radixCutoff {
+		insertionSortRecords(recs, w, c, tie != nil, sc.ord)
+	} else {
+		radixSortRecords(recs, w, c, tie != nil, sc)
+	}
 	for j, r := range sc.ord {
 		tail := recs[r*w+c]
 		if tie != nil {
-			tail = uint64(uint32(tail))
+			tail &= tailPosMask
 		}
 		pos[j] = int(tail)
 	}
+}
+
+// radixCutoff is the record count up to which an insertion sort beats the
+// radix passes' bucket setup.
+const radixCutoff = 24
+
+// tailPosMask selects the source position in a record's tail word when a tie
+// rank sits in the bits above it.
+const tailPosMask = 1<<32 - 1
+
+// radixSortRecords stably orders sc.ord — record numbers into recs, n
+// records of w words — by the c key words and, when tied is set, the tie
+// rank in the tail word's upper half. It is an LSD radix sort with byte
+// digits, from the last word to the first, ping-ponging sc.ord against
+// sc.tmp. A byte equal across all records orders nothing and is skipped: one
+// OR/AND sweep per word finds them, so a 15-bit key takes two passes. The
+// passes are stable, so records equal on every digit keep arrival order.
+func radixSortRecords(recs []uint64, w, c int, tied bool, sc *sortScratch) {
+	src, dst := sc.ord, grow(sc.tmp, len(sc.ord))
+	var counts [256]int
+	last := c - 1
+	if tied {
+		last = c
+	}
+	for word := last; word >= 0; word-- {
+		or, and := uint64(0), ^uint64(0)
+		for i := word; i < len(recs); i += w {
+			or |= recs[i]
+			and &= recs[i]
+		}
+		diff := or ^ and
+		if word == c {
+			diff &^= tailPosMask
+		}
+		for shift := uint(0); diff>>shift != 0; shift += 8 {
+			if diff>>shift&0xff == 0 {
+				continue
+			}
+			counts = [256]int{}
+			for i := word; i < len(recs); i += w {
+				counts[recs[i]>>shift&0xff]++
+			}
+			sum := 0
+			for b, k := range counts {
+				counts[b] = sum
+				sum += k
+			}
+			for _, r := range src {
+				b := recs[r*w+word] >> shift & 0xff
+				dst[counts[b]] = r
+				counts[b]++
+			}
+			src, dst = dst, src
+		}
+	}
+	sc.ord, sc.tmp = src, dst
+}
+
+// insertionSortRecords is radixSortRecords' order for a few records: a
+// stable insertion sort on the same words.
+func insertionSortRecords(recs []uint64, w, c int, tied bool, ord []int) {
+	for i := 1; i < len(ord); i++ {
+		r, j := ord[i], i
+		for ; j > 0 && recordLess(recs[r*w:r*w+c+1], recs[ord[j-1]*w:], c, tied); j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = r
+	}
+}
+
+// recordLess reports whether record a orders strictly before record b: by
+// the c key words, then by the tie rank when tied is set.
+func recordLess(a, b []uint64, c int, tied bool) bool {
+	for i := 0; i < c; i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return tied && a[c]>>32 < b[c]>>32
 }
 
 // sortEncodedKeys is the VARCHAR path: every position's keys are encoded into

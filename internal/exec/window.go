@@ -882,10 +882,11 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 	}
 	path, external := r.path, false
 	if path != sortComparator && spillEligible(w.Spill, w.OrderBy, len(ord)) {
-		// The typed records are this partition's sort scratch: charge them,
-		// and on refusal — as for VARCHAR keys always — order the partition
+		// The typed records and the radix sort's ping-pong half of the
+		// record numbers are this partition's sort scratch: charge them, and
+		// on refusal — as for VARCHAR keys always — order the partition
 		// through the spill sorter instead.
-		recBytes := int64(len(ord)) * int64(r.lay.width) * 8
+		recBytes := int64(len(ord)) * int64(r.lay.width+1) * 8
 		if path == sortTyped && w.Spill.Budget.Charge(recBytes) {
 			defer w.Spill.Budget.Release(recBytes)
 		} else {

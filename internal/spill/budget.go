@@ -1,8 +1,8 @@
 // Package spill is the out-of-core execution layer of rfview: a shared
 // memory budget that executor operators charge their working sets against,
 // and a budget-tracked external merge sort whose runs are length-prefixed,
-// CRC-framed files of memcomparable key bytes plus encoded payloads in a
-// per-engine temp directory.
+// CRC-framed spans of memcomparable key bytes plus encoded payloads, appended
+// to one file per sort in a per-engine temp directory.
 //
 // The division of labor with the executor:
 //
@@ -19,7 +19,7 @@
 //
 // Results are bit-identical to the in-memory paths: runs are sorted by the
 // memcomparable encoding of the same order words the in-memory record sort
-// compares, and the merge breaks key ties by run order, which preserves the
+// orders by, and the merge breaks key ties by run order, which preserves the
 // stable-sort contract (ties keep input order). Orderings the key encoding
 // cannot represent (Int/Float mixes, NaN floats) never spill — the executor
 // falls back to its existing comparator path.

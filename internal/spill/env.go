@@ -127,30 +127,25 @@ func sweepDir(dir string) (int, error) {
 // debuggability of a crashed server's leftovers) and a per-env sequence
 // number.
 func (e *Env) CreateRun() (*os.File, error) {
-	dir, err := e.Dir()
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("%s%d-%d%s", runFilePrefix, os.Getpid(), e.seq.Add(1), runFileSuffix)
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("spill: create run: %w", err)
-	}
-	return f, nil
+	return e.create("run", fmt.Sprintf("%s%d-%d%s", runFilePrefix, os.Getpid(), e.seq.Add(1), runFileSuffix))
 }
 
 // CreateHeap creates a fresh heap file for a paged table. The tag (usually
 // the table name, sanitized) makes a crashed server's leftovers attributable;
 // the pid and sequence number make the name unique.
 func (e *Env) CreateHeap(tag string) (*os.File, error) {
+	return e.create("heap", fmt.Sprintf("%s%d-%d-%s%s", heapFilePrefix, os.Getpid(), e.seq.Add(1), sanitizeTag(tag), heapFileSuffix))
+}
+
+// create makes a new file of the given kind in the spill directory.
+func (e *Env) create(kind, name string) (*os.File, error) {
 	dir, err := e.Dir()
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s%d-%d-%s%s", heapFilePrefix, os.Getpid(), e.seq.Add(1), sanitizeTag(tag), heapFileSuffix)
 	f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
-		return nil, fmt.Errorf("spill: create heap: %w", err)
+		return nil, fmt.Errorf("spill: create %s: %w", kind, err)
 	}
 	return f, nil
 }

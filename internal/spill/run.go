@@ -9,8 +9,8 @@ import (
 	"os"
 )
 
-// Run file format. A run is a sequence of framed records, each one
-// (key, payload) pair, written in key order:
+// Run format. A run is a span of its Sorter's one run file: a sequence of
+// framed records, each one (key, payload) pair, written in key order:
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC32 (IEEE) of the payload
@@ -26,17 +26,27 @@ import (
 // corruption, not allocations.
 const maxSpillRecordBytes = 64 << 20
 
-// runWriter appends framed records to a run file through a buffered writer.
-type runWriter struct {
-	f     *os.File
-	w     *bufio.Writer
-	hdr   [8]byte
-	bytes int64
-	recs  int64
+// span locates one run inside its Sorter's run file.
+type span struct {
+	off, len int64
 }
 
-func newRunWriter(f *os.File) *runWriter {
-	return &runWriter{f: f, w: bufio.NewWriterSize(f, 64<<10)}
+// runBufferSize is the buffer a reader or writer of a span of n bytes gets:
+// the whole span up to 64 KiB, so a short run costs no 64 KiB clear.
+func runBufferSize(n int64) int {
+	return int(min(n, 64<<10))
+}
+
+// runWriter appends framed records to a run file from offset off on.
+type runWriter struct {
+	w     *bufio.Writer
+	hdr   [8]byte
+	off   int64
+	bytes int64
+}
+
+func newRunWriter(f *os.File, off, size int64) *runWriter {
+	return &runWriter{w: bufio.NewWriterSize(io.NewOffsetWriter(f, off), runBufferSize(size)), off: off}
 }
 
 // append writes one (key, payload) record.
@@ -56,29 +66,25 @@ func (rw *runWriter) append(key, payload []byte) error {
 		}
 	}
 	rw.bytes += int64(8 + payloadLen)
-	rw.recs++
 	return nil
 }
 
-// finish flushes the writer and rewinds the file for reading.
-func (rw *runWriter) finish() error {
+// finish flushes the writer and returns the span the run occupies.
+func (rw *runWriter) finish() (span, error) {
 	if err := rw.w.Flush(); err != nil {
-		return fmt.Errorf("spill: flush run: %w", err)
+		return span{}, fmt.Errorf("spill: flush run: %w", err)
 	}
-	if _, err := rw.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("spill: rewind run: %w", err)
-	}
-	return nil
+	return span{off: rw.off, len: rw.bytes}, nil
 }
 
-// runReader streams framed records back out of a run file.
+// runReader streams framed records back out of one run's span.
 type runReader struct {
 	r   *bufio.Reader
 	buf []byte // reused record buffer; key/payload returned by next alias it
 }
 
-func newRunReader(f *os.File) *runReader {
-	return &runReader{r: bufio.NewReaderSize(f, 64<<10)}
+func newRunReader(f *os.File, sp span) *runReader {
+	return &runReader{r: bufio.NewReaderSize(io.NewSectionReader(f, sp.off, sp.len), runBufferSize(sp.len))}
 }
 
 // next returns the next record's key and payload, valid until the following

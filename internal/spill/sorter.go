@@ -35,7 +35,7 @@ const (
 // Stats aggregates spill activity across every Sorter of one engine; the
 // engine exposes the counters as rfview_spill_* metrics.
 type Stats struct {
-	// Runs counts run files flushed to disk.
+	// Runs counts initial runs flushed to disk (runs, not files).
 	Runs atomic.Int64
 	// RunBytes counts bytes written to run files (initial runs and
 	// intermediate merge passes both count: it is real disk traffic).
@@ -109,8 +109,8 @@ type recRef struct {
 
 // Iterator streams (key, payload) records in stable key order. Next returns
 // io.EOF after the last record; the returned slices are valid only until the
-// following Next. Close releases budget and removes run files and must be
-// called even after an error.
+// following Next. Close releases budget and removes the run file and must
+// be called even after an error.
 type Iterator interface {
 	Next() (key, payload []byte, err error)
 	Close() error
@@ -124,6 +124,8 @@ type Iterator interface {
 // the Sorter itself is an abort path that releases everything (safe to defer
 // alongside a successful Finish — it becomes a no-op once the iterator owns
 // the state).
+// A spilling Sorter appends every run, initial and merged, to one run file
+// created on its first flush, and keeps the runs' spans in memory.
 type Sorter struct {
 	ctx context.Context
 	cfg *Config
@@ -133,9 +135,11 @@ type Sorter struct {
 	charged int64
 	adds    int
 
-	runs        []*os.File // flushed, finished (rewound) run files
-	runsFlushed int64      // initial runs only (not intermediate merge outputs)
-	runBytes    int64      // bytes in initial runs, for EXPLAIN annotations
+	file        *os.File // the run file, created by the first flush
+	end         int64    // its length: where the next run is appended
+	runs        []span   // the runs still to merge, in insertion order
+	runsFlushed int64    // initial runs only (not intermediate merge outputs)
+	runBytes    int64    // bytes in initial runs, for EXPLAIN annotations
 	finished    bool
 	closed      bool
 }
@@ -151,7 +155,7 @@ func NewSorter(ctx context.Context, cfg *Config) *Sorter {
 }
 
 // Spilled reports whether any run hit the disk.
-func (s *Sorter) Spilled() bool { return len(s.runs) > 0 || s.runBytes > 0 }
+func (s *Sorter) Spilled() bool { return s.runsFlushed > 0 }
 
 // RunCount returns how many initial runs were flushed.
 func (s *Sorter) RunCount() int { return int(s.runsFlushed) }
@@ -200,41 +204,44 @@ func (s *Sorter) sortRecs() {
 	})
 }
 
-// flushRun sorts the buffered records, writes them as one run file, and
-// resets the in-memory state (releasing its budget charge).
+// flushRun sorts the buffered records, appends them to the run file as one
+// run, and resets the in-memory state (releasing its budget charge). A failed
+// write leaves the file to Close.
 func (s *Sorter) flushRun() error {
 	if len(s.recs) == 0 {
 		return nil
 	}
 	s.sortRecs()
-	f, err := s.cfg.Env.CreateRun()
-	if err != nil {
-		return err
+	if s.file == nil {
+		f, err := s.cfg.Env.CreateRun()
+		if err != nil {
+			return err
+		}
+		s.file = f
 	}
-	w := newRunWriter(f)
+	// The frame of a record is at most 8 header bytes and a 5-byte key length.
+	w := newRunWriter(s.file, s.end, int64(len(s.arena)+13*len(s.recs)))
 	for _, r := range s.recs {
 		rec := s.arena[r.off : r.off+r.len]
 		if err := w.append(rec[:r.keyLen], rec[r.keyLen:]); err != nil {
-			closeAndRemove(f)
 			return err
 		}
 	}
-	if err := w.finish(); err != nil {
-		closeAndRemove(f)
+	run, err := w.finish()
+	if err != nil {
 		return err
 	}
-	if !s.Spilled() {
-		if s.cfg.Stats != nil {
+	if s.cfg.Stats != nil {
+		if !s.Spilled() {
 			s.cfg.Stats.Spills.Add(1)
 		}
-	}
-	s.runs = append(s.runs, f)
-	s.runsFlushed++
-	s.runBytes += w.bytes
-	if s.cfg.Stats != nil {
 		s.cfg.Stats.Runs.Add(1)
-		s.cfg.Stats.RunBytes.Add(w.bytes)
+		s.cfg.Stats.RunBytes.Add(run.len)
 	}
+	s.runs = append(s.runs, run)
+	s.end += run.len
+	s.runsFlushed++
+	s.runBytes += run.len
 	s.cfg.Budget.Release(s.charged)
 	s.charged = 0
 	s.recs = s.recs[:0]
@@ -243,7 +250,7 @@ func (s *Sorter) flushRun() error {
 }
 
 // Finish seals the sorter and returns the merged iterator. On success the
-// iterator owns the budget charge and run files; the Sorter's own Close
+// iterator owns the budget charge and the run file; the Sorter's own Close
 // becomes a no-op.
 func (s *Sorter) Finish() (Iterator, error) {
 	if s.finished || s.closed {
@@ -261,67 +268,82 @@ func (s *Sorter) Finish() (Iterator, error) {
 		return nil, err
 	}
 	s.finished = true
-	runs := s.runs
-	s.runs = nil
 	// Intermediate passes keep the final fan-in bounded. Each pass merges
 	// consecutive batches and keeps the outputs in batch order: run order is
 	// insertion order, and the tie-break in the merge heap leans on it, so
-	// reordering runs here would break the stable-sort contract.
+	// reordering runs here would break the stable-sort contract. next reuses
+	// the spans' array: an output's span lands only in slots of batches
+	// already merged.
 	fanIn := s.cfg.maxFanIn()
-	for len(runs) > fanIn {
-		next := runs[:0]
-		for start := 0; start < len(runs); start += fanIn {
-			end := start + fanIn
-			if end > len(runs) {
-				end = len(runs)
-			}
-			if end-start == 1 {
-				next = append(next, runs[start])
+	for len(s.runs) > fanIn {
+		next := s.runs[:0]
+		for start := 0; start < len(s.runs); start += fanIn {
+			batch := s.runs[start:min(start+fanIn, len(s.runs))]
+			if len(batch) == 1 {
+				next = append(next, batch[0])
 				continue
 			}
-			batch := append([]*os.File(nil), runs[start:end]...)
-			merged, err := s.mergePass(batch) // removes the batch's inputs
+			merged, err := s.mergePass(batch)
 			if err != nil {
-				closeAndRemoveAll(next)
-				closeAndRemoveAll(runs[end:])
-				return nil, err
+				return nil, err // the Sorter's Close removes the file
 			}
 			next = append(next, merged)
 		}
-		runs = next
+		s.runs = next
 	}
-	return newMergeIter(s.ctx, s.cfg, runs), nil
+	it := newMergeIter(s.ctx, s.cfg, s.file, s.runs)
+	s.file, s.runs = nil, nil
+	return it, nil
 }
 
-// mergePass merges a batch of runs into one new run file, removing the
-// inputs.
-func (s *Sorter) mergePass(in []*os.File) (*os.File, error) {
+// mergePass merges a batch of runs into one new run appended to the file.
+// Its read and write buffers are charged to the budget while it runs.
+func (s *Sorter) mergePass(in []span) (span, error) {
 	start := time.Now()
-	out, err := s.cfg.Env.CreateRun()
+	var size int64
+	for _, run := range in {
+		size += run.len
+	}
+	bufs := mergeBufferBytes(in) + int64(runBufferSize(size))
+	s.cfg.Budget.Force(bufs)
+	defer s.cfg.Budget.Release(bufs)
+	w := newRunWriter(s.file, s.end, size)
+	m := &mergeIter{ctx: s.ctx, file: s.file, runs: in}
+	for {
+		key, payload, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = w.append(key, payload)
+		}
+		if err != nil {
+			return span{}, err
+		}
+	}
+	out, err := w.finish()
 	if err != nil {
-		return nil, err
+		return span{}, err
 	}
-	w := newRunWriter(out)
-	err = mergeRuns(s.ctx, in, func(key, payload []byte) error {
-		return w.append(key, payload)
-	})
-	if err == nil {
-		err = w.finish()
-	}
-	closeAndRemoveAll(in)
-	if err != nil {
-		closeAndRemove(out)
-		return nil, err
-	}
+	s.end += out.len
 	if s.cfg.Stats != nil {
 		// Intermediate output is real disk traffic but not a fresh spill run.
-		s.cfg.Stats.RunBytes.Add(w.bytes)
+		s.cfg.Stats.RunBytes.Add(out.len)
 	}
 	s.cfg.observeMerge(time.Since(start))
 	return out, nil
 }
 
-// Close aborts the sorter: budget released, run files removed. A no-op after
+// mergeBufferBytes is the read buffering of one merge over runs.
+func mergeBufferBytes(runs []span) int64 {
+	var n int64
+	for _, run := range runs {
+		n += int64(runBufferSize(run.len))
+	}
+	return n
+}
+
+// Close aborts the sorter: budget released, run file removed. A no-op after
 // a successful Finish (the iterator owns cleanup then).
 func (s *Sorter) Close() error {
 	if s.closed {
@@ -332,21 +354,19 @@ func (s *Sorter) Close() error {
 	s.charged = 0
 	s.arena = nil
 	s.recs = nil
-	closeAndRemoveAll(s.runs)
 	s.runs = nil
+	removeRunFile(s.file)
+	s.file = nil
 	return nil
 }
 
-func closeAndRemove(f *os.File) {
-	name := f.Name()
-	f.Close()
-	os.Remove(name)
-}
-
-func closeAndRemoveAll(fs []*os.File) {
-	for _, f := range fs {
-		closeAndRemove(f)
+// removeRunFile closes and unlinks a Sorter's run file, if it has one.
+func removeRunFile(f *os.File) {
+	if f == nil {
+		return
 	}
+	f.Close()
+	os.Remove(f.Name())
 }
 
 // memIter iterates the pure in-memory case.
@@ -380,7 +400,6 @@ func (m *memIter) Close() error {
 // cursor is one run's head inside the merge heap.
 type cursor struct {
 	r       *runReader
-	f       *os.File
 	idx     int // run index; ties break toward the earlier run (stability)
 	key     []byte
 	payload []byte
@@ -401,11 +420,11 @@ func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*cursor)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
 func (h mergeHeap) peek() *cursor { return h[0] }
 
-// buildHeap opens a cursor per run and heapifies.
-func buildHeap(files []*os.File) (mergeHeap, error) {
-	h := make(mergeHeap, 0, len(files))
-	for i, f := range files {
-		c := &cursor{r: newRunReader(f), f: f, idx: i}
+// buildHeap opens a cursor per run of f and heapifies.
+func buildHeap(f *os.File, runs []span) (mergeHeap, error) {
+	h := make(mergeHeap, 0, len(runs))
+	for i, run := range runs {
+		c := &cursor{r: newRunReader(f, run), idx: i}
 		key, payload, err := c.r.next()
 		if err == io.EOF {
 			continue // empty run (shouldn't happen, but harmless)
@@ -437,54 +456,33 @@ func (h *mergeHeap) advance() error {
 	return nil
 }
 
-// mergeRuns streams the merged record sequence of files through emit.
-func mergeRuns(ctx context.Context, files []*os.File, emit func(key, payload []byte) error) error {
-	h, err := buildHeap(files)
-	if err != nil {
-		return err
-	}
-	n := 0
-	for len(h) > 0 {
-		n++
-		if n%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c := h.peek()
-		if err := emit(c.key, c.payload); err != nil {
-			return err
-		}
-		if err := h.advance(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeIter is the streaming final merge over the surviving runs.
+// mergeIter streams the merge of runs of one file. As a Sorter's final
+// merge it owns the file and charges its read buffers to the budget until
+// Close; an intermediate pass drives one without either.
 type mergeIter struct {
 	ctx    context.Context
 	cfg    *Config
-	files  []*os.File
+	file   *os.File
+	runs   []span
+	bufs   int64
 	h      mergeHeap
-	opened bool
 	n      int
 	start  time.Time
 	closed bool
 }
 
-func newMergeIter(ctx context.Context, cfg *Config, files []*os.File) *mergeIter {
-	return &mergeIter{ctx: ctx, cfg: cfg, files: files, start: time.Now()}
+func newMergeIter(ctx context.Context, cfg *Config, f *os.File, runs []span) *mergeIter {
+	bufs := mergeBufferBytes(runs)
+	cfg.Budget.Force(bufs)
+	return &mergeIter{ctx: ctx, cfg: cfg, file: f, runs: runs, bufs: bufs, start: time.Now()}
 }
 
 func (m *mergeIter) Next() (key, payload []byte, err error) {
 	if m.closed {
 		return nil, nil, fmt.Errorf("spill: iterator closed")
 	}
-	if !m.opened {
-		m.opened = true
-		h, err := buildHeap(m.files)
+	if m.h == nil {
+		h, err := buildHeap(m.file, m.runs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -515,8 +513,9 @@ func (m *mergeIter) Close() error {
 	}
 	m.closed = true
 	m.h = nil
-	closeAndRemoveAll(m.files)
-	m.files = nil
+	m.cfg.Budget.Release(m.bufs)
+	removeRunFile(m.file)
+	m.file = nil
 	m.cfg.observeMerge(time.Since(m.start))
 	return nil
 }

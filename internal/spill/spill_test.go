@@ -96,40 +96,79 @@ func TestParseBytes(t *testing.T) {
 // Run framing
 // --------------------------------------------------------------------------
 
+// writeRun appends one run of (key, payload) pairs to f at off.
+func writeRun(t *testing.T, f *os.File, off int64, recs [][2]string) span {
+	t.Helper()
+	w := newRunWriter(f, off, 1<<20)
+	for _, r := range recs {
+		if err := w.append([]byte(r[0]), []byte(r[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// readRun drains one run's span, returning its records and the first error
+// other than a clean end.
+func readRun(f *os.File, run span) ([][2]string, error) {
+	rr := newRunReader(f, run)
+	var out [][2]string
+	for {
+		key, payload, err := rr.next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, [2]string{string(key), string(payload)})
+	}
+}
+
+// TestRunFramingRoundTrip appends two runs to one file and reads each back
+// from its span alone.
 func TestRunFramingRoundTrip(t *testing.T) {
 	f, err := os.CreateTemp(t.TempDir(), "run-*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	w := newRunWriter(f)
-	type rec struct{ key, payload string }
-	recs := []rec{
+	runs := [][][2]string{{
 		{"", ""}, // empty key and payload must frame (uvarint keylen keeps len >= 1)
 		{"a", "payload-a"},
 		{strings.Repeat("k", 3000), strings.Repeat("v", 70000)},
 		{"\x00\x01\xff", "\x00"},
-	}
-	for _, r := range recs {
-		if err := w.append([]byte(r.key), []byte(r.payload)); err != nil {
-			t.Fatal(err)
+	}, {
+		{"b", "second run"},
+		{"c", strings.Repeat("w", 100)},
+	}}
+	var spans []span
+	var off int64
+	for _, recs := range runs {
+		run := writeRun(t, f, off, recs)
+		if run.off != off {
+			t.Fatalf("run written at %d, want %d", run.off, off)
 		}
+		spans = append(spans, run)
+		off += run.len
 	}
-	if err := w.finish(); err != nil {
-		t.Fatal(err)
-	}
-	rr := newRunReader(f)
-	for i, want := range recs {
-		key, payload, err := rr.next()
+	for i, run := range spans {
+		got, err := readRun(f, run)
 		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
-		if string(key) != want.key || string(payload) != want.payload {
-			t.Fatalf("record %d mismatch: key %d bytes, payload %d bytes", i, len(key), len(payload))
+		if len(got) != len(runs[i]) {
+			t.Fatalf("run %d: %d records, want %d", i, len(got), len(runs[i]))
 		}
-	}
-	if _, _, err := rr.next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+		for j, want := range runs[i] {
+			if got[j] != want {
+				t.Fatalf("run %d record %d mismatch: key %d bytes, payload %d bytes", i, j, len(got[j][0]), len(got[j][1]))
+			}
+		}
 	}
 }
 
@@ -140,15 +179,9 @@ func TestRunReaderDetectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		w := newRunWriter(f)
-		if err := w.append([]byte("key"), []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.finish(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(f)
-		if err != nil {
+		run := writeRun(t, f, 0, [][2]string{{"key", "payload"}})
+		data := make([]byte, run.len)
+		if _, err := f.ReadAt(data, 0); err != nil {
 			t.Fatal(err)
 		}
 		data = corrupt(data)
@@ -158,18 +191,8 @@ func TestRunReaderDetectsCorruption(t *testing.T) {
 		if _, err := f.WriteAt(data, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			t.Fatal(err)
-		}
-		rr := newRunReader(f)
-		for {
-			if _, _, err := rr.next(); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-		}
+		_, err = readRun(f, span{len: int64(len(data))})
+		return err
 	}
 	if err := build(func(b []byte) []byte { return b }); err != nil {
 		t.Fatalf("clean run read failed: %v", err)
@@ -187,6 +210,39 @@ func TestRunReaderDetectsCorruption(t *testing.T) {
 		return b
 	}); err == nil {
 		t.Fatal("implausible length not detected")
+	}
+}
+
+// TestRunCorruptionStaysInItsSpan flips a payload byte of the second of two
+// runs sharing a file: that run's reader fails the CRC, the first run still
+// reads back whole.
+func TestRunCorruptionStaysInItsSpan(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "run-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	first := [][2]string{{"a", "one"}, {"b", "two"}}
+	r1 := writeRun(t, f, 0, first)
+	r2 := writeRun(t, f, r1.len, [][2]string{{"c", "three"}})
+	last := r2.off + r2.len - 1
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], last); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readRun(f, r2); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("second run: want CRC error, got %v", err)
+	}
+	got, err := readRun(f, r1)
+	if err != nil {
+		t.Fatalf("first run damaged by the second's corruption: %v", err)
+	}
+	if len(got) != len(first) || got[0] != first[0] || got[1] != first[1] {
+		t.Fatalf("first run read back %q, want %q", got, first)
 	}
 }
 
@@ -570,4 +626,173 @@ func TestSorterAbortReleasesEverything(t *testing.T) {
 			t.Fatalf("run file %s survived abort", e.Name())
 		}
 	}
+}
+
+// runFiles lists the run files in dir.
+func runFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), runFilePrefix) && strings.HasSuffix(e.Name(), runFileSuffix) {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// TestSorterOneFile holds forced multi-pass sorts to one run file per live
+// Sorter, however many runs and merge outputs they write, and to none once
+// the iterator or the Sorter is closed, or a merge is cancelled.
+func TestSorterOneFile(t *testing.T) {
+	dir := t.TempDir()
+	env := NewEnv(dir)
+	defer env.Close()
+	newCfg := func() *Config {
+		return &Config{Budget: NewBudget(256), Env: env, Stats: &Stats{}, MinRunRows: 4, MaxFanIn: 2}
+	}
+	fill := func(ctx context.Context, cfg *Config) *Sorter {
+		s := NewSorter(ctx, cfg)
+		for i := 0; i < 2000; i++ {
+			if err := s.Add([]byte(fmt.Sprintf("k%03d", (i*37)%101)), []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.RunCount() < 8 {
+			t.Fatalf("test setup: %d runs, want a multi-pass merge", s.RunCount())
+		}
+		return s
+	}
+	atMost := func(live int, when string) {
+		t.Helper()
+		if files := runFiles(t, dir); len(files) > live {
+			t.Fatalf("%s: %d run files %v for %d live sorters", when, len(files), files, live)
+		}
+	}
+
+	// Three live sorters: one drains to EOF, one aborts, one is cancelled.
+	drained, aborted := fill(context.Background(), newCfg()), fill(context.Background(), newCfg())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := fill(ctx, newCfg())
+	atMost(3, "after Add")
+	if n := len(runFiles(t, dir)); n != 3 {
+		t.Fatalf("%d run files for three spilled sorters, want 3", n)
+	}
+
+	it, err := drained.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drained.cfg.Stats.Merges.Load() == 0 {
+		t.Fatal("test setup: no intermediate merge pass")
+	}
+	atMost(3, "after Finish")
+	n := 0
+	for ; ; n++ {
+		if _, _, err := it.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n != 2000 {
+		t.Fatalf("drained %d records, want 2000", n)
+	}
+	it.Close()
+	drained.Close()
+	atMost(2, "after the iterator's Close")
+
+	aborted.Close()
+	atMost(1, "after the Sorter's Close")
+
+	cancel()
+	if _, err := cancelled.Finish(); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Fatalf("Finish under a cancelled context: want the context error, got %v", err)
+	}
+	cancelled.Close()
+	atMost(0, "after a cancelled merge")
+}
+
+// TestMergeBuffersCharged checks that a merge's read and write buffers are
+// on the budget while it runs and off it after Close, after cancellation
+// and on the abort path.
+func TestMergeBuffersCharged(t *testing.T) {
+	var s *Sorter
+	var passes int
+	budget := NewBudget(256)
+	cfg := &Config{Budget: budget, Env: NewEnv(t.TempDir()), MinRunRows: 4, MaxFanIn: 2}
+	defer cfg.Env.Close()
+	cfg.ObserveMerge = func(float64) {
+		passes++
+		if passes > 1 {
+			return
+		}
+		// The first intermediate pass merges the first two initial runs.
+		in := s.runs[:2]
+		want := mergeBufferBytes(in) + int64(runBufferSize(in[0].len+in[1].len))
+		if used := budget.Used(); used < want {
+			t.Fatalf("budget during a merge pass: %d bytes used, buffers are %d", used, want)
+		}
+	}
+	fill := func(ctx context.Context) *Sorter {
+		s = NewSorter(ctx, cfg)
+		for i := 0; i < 2000; i++ {
+			if err := s.Add([]byte(fmt.Sprintf("k%04d", 1999-i)), []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	zero := func(when string) {
+		t.Helper()
+		if used := budget.Used(); used != 0 {
+			t.Fatalf("%s: %d bytes still charged", when, used)
+		}
+	}
+
+	fill(context.Background())
+	it, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passes == 0 {
+		t.Fatal("test setup: no intermediate merge pass")
+	}
+	if bufs := mergeBufferBytes(it.(*mergeIter).runs); budget.Used() < bufs {
+		t.Fatalf("budget during the final merge: %d bytes used, buffers are %d", budget.Used(), bufs)
+	}
+	it.Close()
+	s.Close()
+	zero("after Close")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	fill(ctx)
+	if it, err = s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for err == nil {
+		_, _, err = it.Next()
+	}
+	if err == io.EOF {
+		t.Fatal("merge drained to EOF despite cancelled context")
+	}
+	it.Close()
+	s.Close()
+	zero("after a cancelled final merge")
+
+	ctx, cancel = context.WithCancel(context.Background())
+	fill(ctx)
+	cancel()
+	if _, err := s.Finish(); err == nil {
+		t.Fatal("Finish under a cancelled context succeeded")
+	}
+	s.Close()
+	zero("after a cancelled intermediate merge")
+
+	fill(context.Background()).Close()
+	zero("after abort")
 }
