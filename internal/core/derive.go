@@ -235,8 +235,8 @@ func ComputeMaxOAFactors(src, dst Window) (MaxOAFactors, error) {
 // the 2×-window restriction the paper states is only needed by the recursive
 // compensation-sequence form (see MaxOARecursive).
 //
-// Supported aggregates: SUM and COUNT. For MIN/MAX use MaxOAMinMax; for AVG
-// derive SUM and COUNT views separately and combine with DeriveAvg.
+// Supported aggregates: SUM and COUNT. For MIN/MAX use MaxOAMinMax; AVG is
+// the derived SUM divided by Window.Count (§2.1).
 func MaxOA(src *Sequence, target Window) (*Sequence, error) {
 	if src.Agg != Sum && src.Agg != Count {
 		return nil, notDerivable("MaxOA", src.Win, target, fmt.Sprintf("aggregate %v not supported (use MaxOAMinMax for MIN/MAX)", src.Agg))
@@ -391,28 +391,6 @@ func MinOARecursive(src *Sequence, target Window) (*Sequence, error) {
 	out := newSequence(target, src.Agg, src.N)
 	if err := src.slab().MinOA(out.vals, out.lo, target); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// DeriveAvg combines separately derived SUM and COUNT sequences into the AVG
-// sequence for the same window — the route the paper prescribes for AVG
-// ("AVG may be directly derived from SUM and COUNT", §2.1).
-func DeriveAvg(sum, count *Sequence) (*Sequence, error) {
-	if sum.Agg != Sum || count.Agg != Count {
-		return nil, fmt.Errorf("DeriveAvg: want (SUM, COUNT) sequences, got (%v, %v)", sum.Agg, count.Agg)
-	}
-	if !sum.Win.Equal(count.Win) || sum.N != count.N {
-		return nil, fmt.Errorf("DeriveAvg: SUM and COUNT sequences disagree on window or cardinality")
-	}
-	out := newSequence(sum.Win, Avg, sum.N)
-	for k := out.lo; k <= out.Hi(); k++ {
-		c := count.At(k)
-		if c == 0 {
-			out.set(k, 0, true)
-			continue
-		}
-		out.set(k, sum.At(k)/c, true)
 	}
 	return out, nil
 }

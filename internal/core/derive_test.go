@@ -469,28 +469,46 @@ func TestMaxOAMinOAAgree(t *testing.T) {
 	}
 }
 
-// DeriveAvg: AVG views are answered from SUM+COUNT views.
-func TestDeriveAvg(t *testing.T) {
+// TestWindowCount: the implied COUNT is the COUNT aggregate over the window,
+// for random windows and cardinalities from 0 up, at every stored position —
+// header and trailer included — and a little beyond on both sides. Dividing a
+// derived SUM by it is AVG, bit for bit.
+func TestWindowCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	raw := randRaw(rng, 30)
-	xsum, _ := ComputePipelined(raw, Sliding(2, 1), Sum)
-	xcnt, _ := ComputePipelined(raw, Sliding(2, 1), Count)
-	ysum, _ := MinOA(xsum, Sliding(4, 2))
-	ycnt, _ := MinOA(xcnt, Sliding(4, 2))
-	avg, err := DeriveAvg(ysum, ycnt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ComputeNaive(raw, Sliding(4, 2), Avg)
-	if !EqualSeq(avg, want, 1e-9) {
-		t.Fatal("derived AVG mismatch")
-	}
-	if _, err := DeriveAvg(ycnt, ysum); err == nil {
-		t.Error("argument order must be (SUM, COUNT)")
-	}
-	other, _ := ComputePipelined(raw, Sliding(1, 1), Count)
-	if _, err := DeriveAvg(ysum, other); err == nil {
-		t.Error("window mismatch must be rejected")
+	for trial := 0; trial < 400; trial++ {
+		w := Sliding(rng.Intn(6), rng.Intn(6))
+		if trial%4 == 0 {
+			w = Cumul()
+		} else if w.Size() == 1 {
+			w.Following = 1
+		}
+		n := trial % 23
+		raw := randRaw(rng, n)
+		lo, hi := storedRange(w, n)
+		for k := lo - 3; k <= hi+3; k++ {
+			if w.Cumulative && k < 0 {
+				continue // no cumulative position lies left of the empty prefix
+			}
+			from, to := w.Bounds(k)
+			want, _ := aggregate(raw, Count, from, to)
+			if got := w.Count(k, n); float64(got) != want {
+				t.Fatalf("%v over n=%d at %d: Count = %d, want %v", w, n, k, got, want)
+			}
+		}
+		sum, err := ComputePipelined(raw, w, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg, _ := ComputeNaive(raw, w, Avg)
+		for k := lo; k <= hi; k++ {
+			got := 0.0
+			if c := w.Count(k, n); c > 0 {
+				got = sum.At(k) / float64(c)
+			}
+			if math.Float64bits(got) != math.Float64bits(avg.At(k)) {
+				t.Fatalf("%v over n=%d at %d: SUM/Count = %v, naive AVG %v", w, n, k, got, avg.At(k))
+			}
+		}
 	}
 }
 

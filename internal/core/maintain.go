@@ -67,7 +67,7 @@ func countExotic(raw []float64) int {
 // same restriction.
 func NewMaintainer(raw []float64, w Window, agg Agg) (*Maintainer, error) {
 	if agg == Avg {
-		return nil, fmt.Errorf("maintain SUM and COUNT views and derive AVG; AVG alone is not incrementally maintainable")
+		return nil, fmt.Errorf("maintain SUM and divide by Window.Count for AVG; AVG alone is not incrementally maintainable")
 	}
 	seq, err := ComputePipelined(raw, w, agg)
 	if err != nil {

@@ -47,12 +47,11 @@ func (p *Partition) At(k int) (float64, bool) {
 	if !p.avg {
 		return p.val.seq.AtOK(k)
 	}
-	lo, hi := p.val.seq.Win.Bounds(k)
-	c, _ := aggregate(p.val.raw, Count, lo, hi)
+	c := p.val.seq.Win.Count(k, p.Len())
 	if c == 0 {
 		return 0, true
 	}
-	return p.val.seq.At(k) / c, true
+	return p.val.seq.At(k) / float64(c), true
 }
 
 // FullRecompute reports whether the most recent mutation rebuilt the whole

@@ -219,21 +219,14 @@ func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
 		})
 	case Avg:
 		sum := newSequence(w, Sum, len(raw))
-		cnt := newSequence(w, Count, len(raw))
 		pipelineSum(raw, sum, func(k int) float64 { return rawAt(raw, k) })
-		pipelineSum(raw, cnt, func(k int) float64 {
-			if k >= 1 && k <= len(raw) {
-				return 1
-			}
-			return 0
-		})
 		for k := s.lo; k <= s.Hi(); k++ {
-			c := cnt.At(k)
+			c := w.Count(k, len(raw))
 			if c == 0 {
 				s.set(k, 0, true)
 				continue
 			}
-			s.set(k, sum.At(k)/c, true)
+			s.set(k, sum.At(k)/float64(c), true)
 		}
 	case Min, Max:
 		monotonicWindow(raw, s, agg)

@@ -128,6 +128,15 @@ func (w Window) Bounds(k int) (lo, hi int) {
 	return k - w.Preceding, k + w.Following
 }
 
+// Count returns the COUNT a complete sequence over n raw values holds at
+// position k: |W(k) ∩ [1, n]|, min(k, n) for a cumulative window. Every
+// admitted value counts, so it is a closed form of (k, n, window) — the
+// divisor that makes AVG a SUM derivation (§2.1) without a COUNT view.
+func (w Window) Count(k, n int) int {
+	lo, hi := w.Bounds(k)
+	return max(0, min(hi, n)-max(lo, 1)+1)
+}
+
 // String renders the window the way the paper writes it.
 func (w Window) String() string {
 	if w.Cumulative {

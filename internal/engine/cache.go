@@ -59,8 +59,9 @@ type cachedPlan struct {
 	planText string
 	// views are the materialized views the plan reads (freshness recheck).
 	views []string
-	// skipped is the stale view the derivation rewrite declined to read.
-	skipped string
+	// skipped is the view the derivation rewrite declined to read (stale: the
+	// cache holds auto-commit plans only), and skipWhy why.
+	skipped, skipWhy string
 	// deps are the tables the plan reads, with their versions at cache time.
 	deps []planDep
 	// schema is the catalog schema version at cache time.
@@ -126,11 +127,11 @@ func (e *Engine) planValid(p *cachedPlan) bool {
 // execFromPlan runs a validated cache entry under the shared lock.
 func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig) (*Result, error) {
 	for _, v := range p.views {
-		if err := e.Views.CheckFresh(v); err != nil {
+		if err := e.Views.CheckFresh(v, cfg.snap().Epoch); err != nil {
 			return nil, err
 		}
 	}
-	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, skipped: p.skipped, CacheHit: true, planText: p.planText}
+	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, skipped: p.skipped, skipWhy: p.skipWhy, CacheHit: true, planText: p.planText}
 	if p.hasResult && !cfg.analyze {
 		// Version validation just proved nothing the query reads has
 		// changed, so the previous answer is still the answer. Analyze
@@ -169,6 +170,7 @@ func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan 
 		planText:     res.planText,
 		views:        deps.views,
 		skipped:      res.skipped,
+		skipWhy:      res.skipWhy,
 		deps:         deps.tables,
 		schema:       e.Cat.SchemaVersion(),
 		opts:         e.Opts,
@@ -256,9 +258,6 @@ func (d *depSet) addStmt(stmt sqlparser.SelectStatement) {
 		d.addStmt(s.Right)
 	case *sqlparser.DeriveSelect:
 		d.addName(s.Source.View)
-		if s.Divisor != nil {
-			d.addName(s.Divisor.View)
-		}
 	}
 }
 

@@ -205,7 +205,7 @@ func (e *Engine) ApplyCommitRecord(sql string) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tx := e.newTxn(false)
+	tx := e.newTxn()
 	fail := func(err error) error {
 		tx.Abort()
 		e.txnRollbacks.Add(1)

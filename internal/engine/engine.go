@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,9 +171,10 @@ type Result struct {
 	// execStmt is the statement that was actually planned (post-derivation);
 	// the plan cache replans from it on a hit.
 	execStmt sqlparser.SelectStatement
-	// skipped names the stale view the derivation rewrite declined to read;
-	// EXPLAIN says so, and the plan cache drops the plan once it is fresh.
-	skipped string
+	// skipped names the view the derivation rewrite declined to read and
+	// skipWhy says why; EXPLAIN prints both, and the plan cache drops the
+	// plan once the view is fresh.
+	skipped, skipWhy string
 	// planText is the uninstrumented plan rendering captured at plan time,
 	// retained by the plan cache so EXPLAIN can replay it on a hit.
 	planText string
@@ -315,9 +317,9 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 }
 
 // execInTxn runs one statement inside an explicit transaction: reads at the
-// transaction's fixed snapshot without any engine lock (no plan cache — it
-// tracks latest-committed state, not the snapshot), DML through
-// the lock-free pending-version path.
+// transaction's fixed snapshot without any engine lock — deriving from the
+// views that answer there, but with no plan cache, which tracks the latest
+// committed state — and DML through the lock-free pending-version path.
 func (e *Engine) execInTxn(ctx context.Context, sql string, cfg execConfig) (*Result, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -438,7 +440,7 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 		return nil, rferrors.New(rferrors.CodeTxnState,
 			"transaction control requires a session (server connections hold one; library callers use engine.NewSession)")
 	case *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
-		tx := e.newTxn(false)
+		tx := e.newTxn()
 		cfg := execConfig{tx: tx, snap: e.newSnapCell(tx)}
 		res, err := e.execDML(ctx, stmt, cfg)
 		if err != nil {
@@ -459,7 +461,7 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 				return nil, fmt.Errorf("durability: %w", err)
 			}
 		}
-		tx := e.newTxn(false)
+		tx := e.newTxn()
 		err := e.Views.RefreshTx(ctx, tx, s.Name)
 		if err != nil {
 			tx.Abort()
@@ -618,52 +620,78 @@ func (e *Engine) Close() error {
 }
 
 // RewriteSelect applies the materialized-view derivation (§3–§5) to a select
-// statement without executing it. It returns the statement to plan — the
-// derivation's DeriveSelect node when one applies, else stmt unchanged — and
-// the derivation record. Matching does not fail: the error is always nil.
+// statement without executing it, deciding at the latest committed epoch. It
+// returns the statement to plan — the derivation's DeriveSelect node when one
+// applies, else stmt unchanged — and the derivation record. Matching does not
+// fail: the error is always nil.
 func (e *Engine) RewriteSelect(stmt sqlparser.SelectStatement) (sqlparser.SelectStatement, *rewrite.Derivation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out, d, _ := e.rewriteSelect(stmt, false)
-	return out, d, nil
+	if d, _, _ := e.rewriteSelect(stmt, execConfig{snap: e.newSnapCell(nil)}); d != nil {
+		return d.Plan, d, nil
+	}
+	return stmt, nil, nil
 }
 
-// rewriteSelect applies the derivation rewrite: out is the DeriveSelect node
-// of the derivation when one applies, and stmt itself otherwise. noDerive
-// skips it: statements inside an explicit transaction read at a fixed
-// snapshot, while the derivation decision (which views exist and are fresh)
-// tracks the latest committed state — mixing the two could derive from a
-// view the snapshot predates. A stale view declines the rewrite and is
-// returned as skipped: the user named the base table, which can always
-// answer.
-func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, noDerive bool) (out sqlparser.SelectStatement, d *rewrite.Derivation, skipped string) {
+// rewriteSelect applies the derivation rewrite at the statement's snapshot:
+// d is the derivation when one applies. A view answers when its rows are
+// fresh at the snapshot's epoch and the statement's transaction has not
+// written its base table (pendingWrites); otherwise it declines the rewrite
+// and is returned as skipped, with why: the user named the base table, which
+// can always answer.
+func (e *Engine) rewriteSelect(stmt sqlparser.SelectStatement, cfg execConfig) (d *rewrite.Derivation, skipped, why string) {
 	sel, ok := stmt.(*sqlparser.Select)
-	if !ok || !e.Opts.UseMatViews || noDerive {
-		return stmt, nil, ""
+	if !ok || !e.Opts.UseMatViews {
+		return nil, "", ""
 	}
 	if d = rewrite.Derive(e.Cat, sel); d == nil {
-		return stmt, nil, ""
+		return nil, "", ""
 	}
-	views := e.viewsRead(d.Plan)
-	if i := slices.IndexFunc(views, e.Views.Stale); i >= 0 {
-		return stmt, nil, views[i]
+	v := d.View.Name
+	if why = e.Views.StaleAt(v, cfg.snap().Epoch); why == "" {
+		why = e.pendingWrites(v, cfg.tx)
 	}
-	return d.Plan, d, ""
+	if why != "" {
+		return nil, v, why
+	}
+	return d, "", ""
+}
+
+// pendingWrites says why view v lags transaction tx, "" when it does not:
+// tx has written the view's base table, and maintenance folds those writes
+// into the view only when tx commits — until then the base table alone holds
+// them (read-your-writes).
+func (e *Engine) pendingWrites(v string, tx *txn.Txn) string {
+	if tx == nil || len(tx.Deltas) == 0 {
+		return ""
+	}
+	mv, ok := e.Cat.MatView(v)
+	if ok && mv.Kind == catalog.SequenceView &&
+		slices.ContainsFunc(tx.Deltas, func(d txn.Delta) bool { return strings.EqualFold(d.Table, mv.BaseTable) }) {
+		return "behind this transaction's writes to " + mv.BaseTable
+	}
+	return ""
 }
 
 func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement, cfg execConfig) (exec.Operator, *Result, error) {
-	rewritten, d, skipped := e.rewriteSelect(stmt, cfg.tx != nil && cfg.tx.Explicit)
-	res := &Result{skipped: skipped}
+	if cfg.snap == nil {
+		cfg.snap = e.newSnapCell(cfg.tx)
+	}
+	d, skipped, why := e.rewriteSelect(stmt, cfg)
+	res := &Result{skipped: skipped, skipWhy: why}
 	if d != nil {
 		res.Derivation = d
 		res.Rewritten = d.Plan.String()
-		stmt = rewritten
+		stmt = d.Plan
 	} else {
-		// Querying a materialized view directly must see fresh contents (a
-		// derivation's views were found fresh just above).
+		// A materialized view queried by name must answer at the snapshot as
+		// a derivation's view must.
 		for _, v := range e.viewsRead(stmt) {
-			if err := e.Views.CheckFresh(v); err != nil {
+			if err := e.Views.CheckFresh(v, cfg.snap().Epoch); err != nil {
 				return nil, nil, err
+			}
+			if why := e.pendingWrites(v, cfg.tx); why != "" {
+				return nil, nil, rferrors.New(rferrors.CodeStaleView, "materialized view %q is %s", v, why)
 			}
 		}
 	}
@@ -731,11 +759,15 @@ func (e *Engine) explain(ctx context.Context, s *sqlparser.Explain, cfg execConf
 		}
 		return planResult(res, res.Analyzed), nil
 	}
-	// Plain EXPLAIN replays a valid cached plan's rendering when one exists —
-	// the annotation a user sees must match the plan that will actually run.
-	if ent, hit := e.plans.Get(sel.String()); hit && e.planValid(ent) && ent.planText != "" {
-		res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, skipped: ent.skipped, CacheHit: true}
-		return planResult(res, e.annotationHeader(res)+ent.planText), nil
+	// Plain EXPLAIN outside a transaction replays a valid cached plan's
+	// rendering when one exists — the annotation a user sees must match the
+	// plan that will actually run. The cache holds auto-commit plans only: a
+	// transaction's statement is planned at its own snapshot.
+	if cfg.tx == nil {
+		if ent, hit := e.plans.Get(sel.String()); hit && e.planValid(ent) && ent.planText != "" {
+			res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, skipped: ent.skipped, skipWhy: ent.skipWhy, CacheHit: true}
+			return planResult(res, e.annotationHeader(res)+ent.planText), nil
+		}
 	}
 	op, res, err := e.planSelect(ctx, sel, cfg)
 	if err != nil {

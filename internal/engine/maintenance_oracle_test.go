@@ -28,8 +28,8 @@ import (
 // is the served path — the statement as a client sends it, answered by the
 // Derive operator exactly when core.Algorithm accepts the target over the
 // fresh view — under a wider draw of targets than the rendered strategies
-// admit; the forced MaxOA and MinOA strategies run rewrite.Pattern's SQL over
-// the model's n. Integer data
+// admit, and over a SUM view also asked for AVG; the forced MaxOA and MinOA
+// strategies run rewrite.Pattern's SQL over the model's n. Integer data
 // keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
 // is a maintenance bug. Chaos trials end with a density-breaking statement,
 // which must leave the view stale until REFRESH, and then check that
@@ -60,36 +60,46 @@ func sqlOnly(f func(*testing.T, *Engine, string) *Result) func(*testing.T, *Engi
 }
 
 // execServed puts sql to the engine as a client does. The answer must come
-// from the trial's view mv exactly when mv is fresh and core.Algorithm
-// accepts the query's target over mv's window and aggregate — the rule is
-// asked directly, so a matcher that declines what the algebra can do cannot
-// hide — and then through the Derive operator over scans of the view and
-// nothing relational: no join, no aggregate.
+// from the trial's view mv exactly when servedDerivable says so, and then
+// through the Derive operator over one scan of the view and nothing
+// relational: no join, no aggregate.
 func execServed(t *testing.T, e *Engine, sql string, _ int) *Result {
 	t.Helper()
-	wq, err := rewrite.MatchWindowQuery(parseSelect(t, sql))
-	if err != nil {
-		t.Fatalf("%q: %v", sql, err)
-	}
-	mv, ok := e.Cat.MatView("mv")
-	if !ok {
-		t.Fatal("the trial's view mv is not registered")
-	}
-	_, declined := core.Algorithm(core.Window(mv.Window), oracleAggs[mv.Agg], core.Window(wq.Shape))
-	derivable := declined == nil && !e.Views.Stale("mv")
+	derivable, why := servedDerivable(t, e, sql)
 	res, err := e.ExecContext(context.Background(), sql, WithAnalyze())
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
 	if (res.Derivation != nil) != derivable {
-		t.Fatalf("%q derived=%v, but mv %s %s is fresh=%v and core.Algorithm says %v:\n%s",
-			sql, res.Derivation != nil, mv.Agg, mv.Window, !e.Views.Stale("mv"), declined, res.Analyzed)
+		t.Fatalf("%q derived=%v, but %s:\n%s", sql, res.Derivation != nil, why, res.Analyzed)
 	}
-	if derivable && (!strings.Contains(res.Analyzed, "Derive view=mv") ||
+	if derivable && (!strings.Contains(res.Analyzed, "Derive view=mv") || strings.Count(res.Analyzed, "SeqScan") != 1 ||
 		strings.Contains(res.Analyzed, "Join") || strings.Contains(res.Analyzed, "Aggregate")) {
-		t.Fatalf("%q derived, but not by one Derive over scans of the view:\n%s", sql, res.Analyzed)
+		t.Fatalf("%q derived, but not by one Derive over a scan of the view:\n%s", sql, res.Analyzed)
 	}
 	return res
+}
+
+// servedDerivable is the served path's rule for sql, asked of core.Algorithm
+// directly so a matcher that declines what the algebra can do cannot hide:
+// the engine answers from the trial's view mv exactly when it uses views, mv
+// is fresh at the latest epoch, and core.Algorithm accepts the query's
+// target over mv's window and aggregate — the query's own, or SUM for an AVG
+// query, which divides the derived sums (§2.1). why describes the inputs.
+func servedDerivable(t *testing.T, e *Engine, sql string) (ok bool, why string) {
+	t.Helper()
+	wq, err := rewrite.MatchWindowQuery(parseSelect(t, sql))
+	if err != nil {
+		t.Fatalf("%q: %v", sql, err)
+	}
+	mv, found := e.Cat.MatView("mv")
+	if !found {
+		t.Fatal("the trial's view mv is not registered")
+	}
+	_, declined := core.Algorithm(core.Window(mv.Window), oracleAggs[mv.Agg], core.Window(wq.Shape))
+	fresh := !e.Views.Stale("mv")
+	return e.Opts.UseMatViews && declined == nil && fresh,
+		fmt.Sprintf("%s over mv %s %s: views=%v fresh=%v, core.Algorithm says %v", wq.Agg, mv.Agg, mv.Window, e.Opts.UseMatViews, fresh, declined)
 }
 
 var oracleAggs = map[string]core.Agg{"SUM": core.Sum, "COUNT": core.Count, "AVG": core.Avg, "MIN": core.Min, "MAX": core.Max}
@@ -321,8 +331,11 @@ func TestMaintenanceOracle(t *testing.T) { runMaintenanceOracle(t, false) }
 // BEGIN..COMMIT blocks, every so often a chunk is first run and ROLLED BACK
 // (which must leave the view exactly where the model was) before being
 // applied for real, and a concurrent reader hammers the window query while
-// the writer's transactions are open. Under -race this is also the proof
-// that lock-free snapshot reads and transactional maintenance don't race.
+// the writer's transactions are open. Inside every transaction the window
+// query derives at the snapshot exactly as the served path would before the
+// first write, never after one, and answers the model of its own writes.
+// Under -race this is also the proof that lock-free snapshot reads and
+// transactional maintenance don't race.
 func TestMaintenanceOracleTxn(t *testing.T) { runMaintenanceOracle(t, true) }
 
 func runMaintenanceOracle(t *testing.T, useTxns bool) {
@@ -360,7 +373,14 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			ly, hy = lx+dl, hx+dh
 		}
 		queryCumulative := cumulative // identical window: the exact-match derivation
+		queryAgg := agg
 		if cfg.name == "served" {
+			// Over a SUM view, AVG is a SUM derivation divided by the
+			// window's implied counts (§2.1): ask for it in every other
+			// served trial (by its number, leaving the draw's stream as is).
+			if agg == "SUM" && trial%4 == 0 {
+				queryAgg = "AVG"
+			}
 			// The operator takes what the rendered patterns cannot be forced
 			// to: any target — wider, narrower (a negative Δ, MinOA's alone,
 			// down to the one-row frame (0,0)), or too wide for MIN/MAX, which
@@ -400,16 +420,16 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		if partitioned {
 			viewDDL = fmt.Sprintf(`CREATE MATERIALIZED VIEW mv AS
 			  SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS val FROM pt`, agg, frame)
-			q = fmt.Sprintf(`SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS w FROM pt`, agg, qframe)
+			q = fmt.Sprintf(`SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS w FROM pt`, queryAgg, qframe)
 			backingQ = `SELECT part, pos, val, body FROM mv`
 		} else {
 			viewDDL = fmt.Sprintf(`CREATE MATERIALIZED VIEW mv AS
 			  SELECT pos, %s(val) OVER (ORDER BY pos %s) AS val FROM seq`, agg, frame)
-			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, agg, qframe)
+			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe)
 			backingQ = `SELECT pos, val FROM mv`
 		}
-		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v",
-			trial, cfg.name, partitioned, agg, cumulative, lx, hx, ly, hy, chaosTrial)
+		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v",
+			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial)
 
 		model := &oracleModel{partitioned: partitioned, vals: map[string][]int{}}
 		seedVals := func(key string, n int) {
@@ -439,6 +459,15 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		mustExec(t, e, model.loadSQL())
 		mustExec(t, e, viewDDL)
 
+		// answers compares a window query's result with the model evaluated
+		// over m.
+		answers := func(m *oracleModel, res *Result, when string) {
+			t.Helper()
+			if got, want := m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[queryAgg]); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: window query diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
+			}
+		}
+
 		// check compares the view's stored rows and the window query with the
 		// model evaluated over m.
 		check := func(m *oracleModel, when string) {
@@ -464,6 +493,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						"served partitioned sliding from cumulative": partitioned && algo == core.AlgoCumulative,
 						"served one-row from sliding":                !cumulative && ly+hy == 0,
 						"served one-row from cumulative":             cumulative && !queryCumulative && ly+hy == 0,
+						"served AVG from SUM":                        queryAgg != agg,
+						"served partitioned AVG from SUM":            queryAgg != agg && partitioned,
+						"served AVG from cumulative SUM":             queryAgg != agg && cumulative,
 					} {
 						if hit {
 							drawn[name]++
@@ -471,16 +503,43 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 					}
 				}
 			}
-			got, want = m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[agg])
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: %s: window query diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
+			answers(m, res, when)
+		}
+
+		// inTxn runs stmts inside the session's open transaction and puts the
+		// window query to the session before the first and after each one.
+		// Before, the query derives exactly as execServed would, at the
+		// snapshot, and answers the model before the chunk (prev). After a
+		// write it must not derive — the view holds the transaction's own
+		// writes only once it commits — and answers the model with the
+		// chunk's writes so far (afters; nil while a chaos step's gap is open,
+		// when only success is asserted).
+		sess := e.NewSession()
+		inTxn := func(prev *oracleModel, stmts []string, afters []*oracleModel) {
+			t.Helper()
+			derivable, why := servedDerivable(t, e, q)
+			res := mustSess(t, sess, q)
+			if (res.Derivation != nil) != derivable {
+				t.Fatalf("%s: inside BEGIN the window query derived=%v, but %s", ctx, res.Derivation != nil, why)
+			}
+			if prev != nil {
+				answers(prev, res, "inside BEGIN")
+			}
+			for i, sql := range stmts {
+				mustSess(t, sess, sql)
+				res := mustSess(t, sess, q)
+				if res.Derivation != nil {
+					t.Fatalf("%s: after %s inside the transaction the window query derived from the view", ctx, sql)
+				}
+				if afters != nil {
+					answers(afters[i], res, "inside the transaction after "+sql)
+				}
 			}
 		}
 
 		// apply runs one step's statements: directly, or as one transaction
 		// — sometimes preceded by a dry run that is rolled back.
-		sess := e.NewSession()
-		apply := func(prev *oracleModel, stmts ...string) {
+		apply := func(prev *oracleModel, stmts []string, afters []*oracleModel) {
 			t.Helper()
 			if !useTxns {
 				for _, sql := range stmts {
@@ -490,16 +549,12 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			}
 			if prev != nil && rng.Intn(3) == 0 {
 				mustSess(t, sess, "BEGIN")
-				for _, sql := range stmts {
-					mustSess(t, sess, sql)
-				}
+				inTxn(prev, stmts, afters)
 				mustSess(t, sess, "ROLLBACK")
 				check(prev, "after ROLLBACK")
 			}
 			mustSess(t, sess, "BEGIN")
-			for _, sql := range stmts {
-				mustSess(t, sess, sql)
-			}
+			inTxn(prev, stmts, afters)
 			mustSess(t, sess, "COMMIT")
 		}
 		stopReader := func() {}
@@ -517,10 +572,12 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				}
 				prev := model.clone()
 				var stmts []string
+				var afters []*oracleModel
 				for ; chunk > 0 && i < steps; chunk, i = chunk-1, i+1 {
 					stmts = append(stmts, model.step(rng))
+					afters = append(afters, model.clone())
 				}
-				apply(prev, stmts...)
+				apply(prev, stmts, afters)
 				check(model, fmt.Sprintf("%s step %d (%s)", when, i, stmts[len(stmts)-1]))
 			}
 		}
@@ -538,7 +595,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			// asserted there).
 			broken, repair := model.chaos(rng)
 			for _, sql := range []string{broken, repair} {
-				apply(nil, sql)
+				apply(nil, []string{sql}, nil)
 				if !e.Views.Stale("mv") {
 					t.Fatalf("%s: view is not stale after %s", ctx, sql)
 				}
@@ -552,9 +609,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				if sql != repair {
 					continue
 				}
-				if got, want := model.gotRows(res), model.wantQuery(t, queryWin, oracleAggs[agg]); !slices.Equal(got, want) {
-					t.Fatalf("%s: base-table window query while stale diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, got, want)
-				}
+				answers(model, res, "base-table window query while stale")
 			}
 			mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
 			check(model, "after REFRESH")
@@ -570,7 +625,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
 		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served MinOA residue corner",
 		"served sliding from cumulative", "served partitioned sliding from cumulative",
-		"served one-row from sliding", "served one-row from cumulative"} {
+		"served one-row from sliding", "served one-row from cumulative",
+		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}

@@ -227,8 +227,8 @@ func strategyLabel(res *Result) string {
 
 // annotationHeader renders the provenance lines EXPLAIN [ANALYZE] prefixes
 // to the operator tree: the chosen strategy with the paper's Δl/Δh window
-// overlap factors, the stale view a native plan declined to derive from, the
-// rewritten SQL, and plan-cache provenance.
+// overlap factors, the view a native plan declined to derive from and why,
+// the rewritten SQL, and plan-cache provenance.
 func (e *Engine) annotationHeader(res *Result) string {
 	var b strings.Builder
 	b.WriteString("-- strategy: " + strategyLabel(res))
@@ -237,8 +237,7 @@ func (e *Engine) annotationHeader(res *Result) string {
 	}
 	b.WriteString("\n")
 	if res.skipped != "" {
-		_, why := e.Views.StaleInfo(res.skipped)
-		fmt.Fprintf(&b, "-- view %s skipped: stale (%s)\n", res.skipped, why)
+		fmt.Fprintf(&b, "-- view %s skipped: %s\n", res.skipped, res.skipWhy)
 	}
 	if res.Rewritten != "" {
 		b.WriteString("-- rewritten: " + res.Rewritten + "\n")

@@ -20,9 +20,9 @@ import (
 //
 //   - Reads (SELECT, UNION, EXPLAIN) never take the engine lock. Each
 //     statement resolves one snapshot from the commit clock and scans
-//     version chains lock-free; derivation metadata (staleness, table
-//     versions) is validated with the commitSeq seqlock below. A derived
-//     answer reads its sequence's length off the view rows at the snapshot.
+//     version chains lock-free. Whether a view answers is decided at the
+//     same snapshot — its rows are fresh over a range of commit epochs — and
+//     a derived answer reads its sequence's length off the view rows there.
 //   - Explicit-transaction DML takes no engine lock either: pending version
 //     stamps plus per-table mutexes and the claim-CAS give first-claimer-
 //     wins write-write conflict detection.
@@ -31,11 +31,13 @@ import (
 //     bumping the commit clock inside a commitSeq window.
 //
 // commitSeq is a seqlock over everything a read statement consumes that is
-// NOT row-versioned: view staleness flags, storage version counters, catalog
-// schema. A commit flips it odd, publishes, flips it even;
-// a reader that saw it change (or odd) retries, and after a few torn
-// attempts falls back to the shared lock, which writers' exclusive lock
-// makes race-free by construction.
+// neither row-versioned nor stamped with epochs: storage version counters
+// (the plan cache's validity) and catalog schema. View freshness needs no
+// retry — a commit stamps it with the epoch it publishes before publishing,
+// so no snapshot older than the commit sees the change. A commit flips it
+// odd, publishes, flips it even; a reader that saw it change (or odd)
+// retries, and after a few torn attempts falls back to the shared lock,
+// which writers' exclusive lock makes race-free by construction.
 
 // readRetries is how many optimistic attempts a read statement makes before
 // falling back to the shared engine lock.
@@ -45,11 +47,8 @@ const readRetries = 3
 // one atomic load of the commit clock, so transactions begin without any
 // engine lock; TxnID in the snapshot makes the transaction's own pending
 // writes visible to its statements (read-your-writes).
-func (e *Engine) newTxn(explicit bool) *txn.Txn {
-	tx := &txn.Txn{
-		ID:       e.txnIDs.Add(1),
-		Explicit: explicit,
-	}
+func (e *Engine) newTxn() *txn.Txn {
+	tx := &txn.Txn{ID: e.txnIDs.Add(1)}
 	tx.Snap = txn.Snapshot{Epoch: e.Cat.Clock().Now(), TxnID: tx.ID}
 	e.txnBegins.Add(1)
 	return tx
@@ -57,7 +56,7 @@ func (e *Engine) newTxn(explicit bool) *txn.Txn {
 
 // BeginTxn starts an explicit transaction: a stable snapshot for every
 // statement until Commit or Rollback. Lock-free.
-func (e *Engine) BeginTxn() *txn.Txn { return e.newTxn(true) }
+func (e *Engine) BeginTxn() *txn.Txn { return e.newTxn() }
 
 // CommitTxn publishes an explicit transaction's writes atomically and logs
 // a durable commit record. A read-only transaction commits trivially.
@@ -88,12 +87,14 @@ func (e *Engine) RollbackTxn(tx *txn.Txn) {
 //  1. Write the commit record — the commit point. A log error aborts
 //     cleanly: nothing is visible yet.
 //  2. Fold view maintenance into the same transaction: backing-table patches
-//     join the write-set, staleness flips defer to publication.
-//  3. Publication window: flip commitSeq odd, stamp the write-set with the
-//     next epoch, publish the clock, run deferred hooks, bump table
-//     versions, flip commitSeq even. Between the clock store and the flip
-//     a reader may start at the new epoch and see metadata mid-flip — the
-//     seqlock catches exactly that.
+//     join the write-set, and a view the deltas break is stale from the
+//     epoch this commit publishes — fixed (Clock().Next()) before the fold,
+//     so readers of older snapshots keep reading the view.
+//  3. Publication window: flip commitSeq odd, stamp the write-set with that
+//     epoch, publish the clock, bump table versions, flip commitSeq even.
+//     Between the clock store and the flip a reader may start at the new
+//     epoch and see version counters mid-flip — the seqlock catches exactly
+//     that.
 func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
 	if !tx.HasWrites() && len(tx.Deltas) == 0 {
 		e.txnCommits.Add(1)
@@ -110,6 +111,7 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
 			return fmt.Errorf("durability: %w", err)
 		}
 	}
+	epoch := e.Cat.Clock().Next()
 	for _, d := range tx.Deltas {
 		switch d.Kind {
 		case txn.DeltaInsert:
@@ -120,11 +122,9 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
 			e.Views.AfterDelete(tx, d.Table, d.Rows, d.Cols)
 		}
 	}
-	epoch := e.Cat.Clock().Next()
 	e.commitSeq.Add(1)
 	tx.CommitStamps(epoch)
 	e.Cat.Clock().Publish(epoch)
-	tx.RunPublishHooks()
 	tx.BumpTouched()
 	e.commitSeq.Add(1)
 	e.txnCommits.Add(1)
@@ -141,9 +141,10 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
 func abortStmt(tx *txn.Txn, markW, markD int) { tx.AbortTo(markW, markD) }
 
 // ExecTxn executes one statement inside an explicit transaction. Reads run
-// lock-free at the transaction's snapshot (bypassing the plan/result cache
-// and view derivation, whose metadata tracks the latest committed state, not
-// the snapshot); DML creates pending versions owned by tx. DDL, REFRESH, and
+// lock-free at the transaction's snapshot, bypassing the plan/result cache
+// (which tracks the latest committed state); a view answers them — derived
+// or by name — when it is fresh at the snapshot and tx has not written its
+// base table. DML creates pending versions owned by tx. DDL, REFRESH, and
 // transaction-control statements are rejected. On a write-write conflict the
 // statement is reversed and the whole transaction rolled back; the returned
 // error carries code "conflict".

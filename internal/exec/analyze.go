@@ -84,9 +84,6 @@ func Instrument(op Operator) Operator {
 		o.Outer = Instrument(o.Outer)
 	case *Derive:
 		o.In.Scan = Instrument(o.In.Scan)
-		if o.Divisor != nil {
-			o.Divisor.Scan = Instrument(o.Divisor.Scan)
-		}
 	case *UnionAll:
 		for i := range o.Inputs {
 			o.Inputs[i] = Instrument(o.Inputs[i])

@@ -33,10 +33,10 @@ import (
 // runs, the output rows until Close.
 type Derive struct {
 	In DeriveInput
-	// Divisor, when set, is the COUNT derivation an AVG answer divides In's
-	// SUM derivation by (§2.1): value = SUM / COUNT, position by position.
-	// Both sides are simple views.
-	Divisor *DeriveInput
+	// Agg is the query's aggregate: In.Agg, or AVG over a SUM view, whose
+	// derived sums are divided position by position by the count the target
+	// window implies in their partition (§2.1, core.Window.Count).
+	Agg core.Agg
 	// Target is the window (l_y, h_y) the query asked for.
 	Target core.Window
 	// Ctx, when set, is observed during the scan and between partitions.
@@ -55,7 +55,7 @@ type Derive struct {
 	parts, stored int
 }
 
-// DeriveInput is one stored sequence a Derive reads: the scan of a view's
+// DeriveInput is the stored sequence a Derive reads: the scan of a view's
 // backing table, where its columns sit, and which window it materializes.
 type DeriveInput struct {
 	Scan Operator
@@ -87,10 +87,14 @@ func (e *SequenceError) Error() string {
 	return fmt.Sprintf("derive: view %q is not a complete sequence: %s", e.View, e.Reason)
 }
 
-// NewDerive builds a Derive emitting cols — a partition column only over a
-// partitioned view; the value column has type valType (the view's val
-// column, or FLOAT for an AVG quotient).
-func NewDerive(in DeriveInput, divisor *DeriveInput, target core.Window, cols []sqlparser.DeriveColumn, valType sqltypes.Type) *Derive {
+// NewDerive builds a Derive answering agg over target and emitting cols — a
+// partition column only over a partitioned view. The value column has the
+// type of the view's val column, or FLOAT for an AVG quotient.
+func NewDerive(in DeriveInput, agg core.Agg, target core.Window, cols []sqlparser.DeriveColumn) *Derive {
+	valType := in.Scan.Schema().Cols[in.Val].Type
+	if agg != in.Agg {
+		valType = sqltypes.Float
+	}
 	infos := make([]expr.ColInfo, len(cols))
 	for i, c := range cols {
 		typ := sqltypes.Int
@@ -102,7 +106,7 @@ func NewDerive(in DeriveInput, divisor *DeriveInput, target core.Window, cols []
 		}
 		infos[i] = expr.ColInfo{Name: c.Name, Type: typ}
 	}
-	return &Derive{In: in, Divisor: divisor, Target: target, cols: cols, valType: valType, schema: expr.NewSchema(infos...)}
+	return &Derive{In: in, Agg: agg, Target: target, cols: cols, valType: valType, schema: expr.NewSchema(infos...)}
 }
 
 // Schema implements Operator.
@@ -137,12 +141,13 @@ func (s *storedSeqs) errorf(p *seqPart, format string, args ...any) error {
 	return e
 }
 
-// load scans in once and drops every value at its position. The rows arrive
-// in heap order, which no derivation may rely on: they are buffered as
+// load scans the view once and drops every value at its position. The rows
+// arrive in heap order, which no derivation may rely on: they are buffered as
 // (partition, position, value), each partition's extent is taken from its
 // largest position, and only then is the one slab cut — so a stray position
 // is an error before it is an allocation.
-func (d *Derive) load(in *DeriveInput) (*storedSeqs, error) {
+func (d *Derive) load() (*storedSeqs, error) {
+	in := &d.In
 	s := &storedSeqs{in: in}
 	switch {
 	case !in.Win.Cumulative:
@@ -291,15 +296,9 @@ func (d *Derive) uncharge(n int64) {
 // Open implements Operator: scan, place, derive, and build the output rows.
 func (d *Derive) Open() error {
 	d.release()
-	src, err := d.load(&d.In)
+	src, err := d.load()
 	if err != nil {
 		return err
-	}
-	var div *storedSeqs
-	if d.Divisor != nil {
-		if div, err = d.load(d.Divisor); err != nil {
-			return err
-		}
 	}
 	d.parts, d.stored = len(src.parts), len(src.vals)
 
@@ -307,18 +306,13 @@ func (d *Derive) Open() error {
 	for i := range src.parts {
 		body += src.parts[i].n
 	}
-	// The output rows stay until Close; the derived values (and an AVG's
-	// divisors) go with Open, like the slabs they come from.
+	// The output rows stay until Close; the derived values go with Open, like
+	// the slab they come from.
 	d.charge(int64(body) * (int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
 	out := make([]float64, body)
-	derived, slabs := int64(body)*8, int64(len(src.vals))*8
-	var quot []float64
-	if div != nil {
-		quot = make([]float64, body)
-		derived, slabs = 2*derived, slabs+int64(len(div.vals))*8
-	}
+	derived := int64(body) * 8
 	d.charge(derived)
-	defer d.uncharge(derived + slabs)
+	defer d.uncharge(derived + int64(len(src.vals))*8)
 	cells := make([]sqltypes.Datum, body*len(d.cols))
 	d.rows = make([]sqltypes.Row, body)
 	done := 0
@@ -331,19 +325,10 @@ func (d *Derive) Open() error {
 		if err := src.slab(p).Derive(src.in.Algo, y, 1, d.Target); err != nil {
 			return err
 		}
-		if div != nil {
-			// A quotient is planned over simple views only: each side is
-			// its one partition.
-			q := &div.parts[i]
-			if q.n != p.n {
-				return src.errorf(p, "view %q holds %d positions, this one %d", d.Divisor.View, q.n, p.n)
-			}
-			c := quot[done : done+p.n]
-			if err := div.slab(q).Derive(div.in.Algo, c, 1, d.Target); err != nil {
-				return err
-			}
+		if d.Agg != d.In.Agg {
+			// AVG = SUM/COUNT: every body window holds its own position.
 			for k := range y {
-				y[k] /= c[k]
+				y[k] /= float64(d.Target.Count(k+1, p.n))
 			}
 		}
 		for k, v := range y {
@@ -394,13 +379,7 @@ func (d *Derive) Next() (sqltypes.Row, error) {
 // Close implements Operator.
 func (d *Derive) Close() error {
 	d.release()
-	err := d.In.Scan.Close()
-	if d.Divisor != nil {
-		if e := d.Divisor.Scan.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
+	return d.In.Scan.Close()
 }
 
 func (d *Derive) release() {
@@ -411,23 +390,19 @@ func (d *Derive) release() {
 	d.rows, d.next = nil, 0
 }
 
-// describe labels one input the way the strategy header does: the algorithm
-// and the paper's coverage factors.
-func (in *DeriveInput) describe(target core.Window) string {
-	dl, dh, wx := 0, 0, 0
-	if !in.Win.Cumulative && !target.Cumulative {
-		dl, dh, wx = target.Preceding-in.Win.Preceding, target.Following-in.Win.Following, in.Win.Size()
-	}
-	return fmt.Sprintf("view=%s algo=%s Δl=%d Δh=%d Wx=%d", in.View, in.Algo, dl, dh, wx)
-}
-
-// Describe implements Operator. The partition and stored-row counts are those
+// Describe implements Operator: the view, the algorithm and the paper's
+// coverage factors, as the strategy header labels them, and the aggregate
+// when it is not the view's. The partition and stored-row counts are those
 // of the last execution, so they show in EXPLAIN ANALYZE and the slow-query
 // log but not in a plan that has not run.
 func (d *Derive) Describe() string {
-	s := "Derive " + d.In.describe(d.Target)
-	if d.Divisor != nil {
-		s += " / " + d.Divisor.describe(d.Target)
+	in, dl, dh, wx := &d.In, 0, 0, 0
+	if !in.Win.Cumulative && !d.Target.Cumulative {
+		dl, dh, wx = d.Target.Preceding-in.Win.Preceding, d.Target.Following-in.Win.Following, in.Win.Size()
+	}
+	s := fmt.Sprintf("Derive view=%s algo=%s Δl=%d Δh=%d Wx=%d", in.View, in.Algo, dl, dh, wx)
+	if d.Agg != in.Agg {
+		s += " agg=" + d.Agg.String()
 	}
 	if d.stored > 0 {
 		s += fmt.Sprintf(" parts=%d rows=%d", d.parts, d.stored)
@@ -436,9 +411,4 @@ func (d *Derive) Describe() string {
 }
 
 // Children implements Operator.
-func (d *Derive) Children() []Operator {
-	if d.Divisor != nil {
-		return []Operator{d.In.Scan, d.Divisor.Scan}
-	}
-	return []Operator{d.In.Scan}
-}
+func (d *Derive) Children() []Operator { return []Operator{d.In.Scan} }

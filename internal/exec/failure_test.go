@@ -212,7 +212,7 @@ func sumSequence(n int) []sqltypes.Row {
 // are tbl's, charged to a fresh budget.
 func deriveOver(ctx context.Context, tbl *catalog.Table) (*Derive, *spill.Budget) {
 	in := DeriveInput{Scan: NewScan(tbl, "v"), View: "v", Win: core.Sliding(1, 1), Agg: core.Sum, Algo: core.AlgoMinOA, Part: -1, Pos: 0, Val: 1, Body: -1}
-	d := NewDerive(in, nil, core.Sliding(2, 1), []sqlparser.DeriveColumn{{Name: "pos", Kind: sqlparser.DerivePos}, {Name: "w", Kind: sqlparser.DeriveValue}}, sqltypes.Int)
+	d := NewDerive(in, core.Sum, core.Sliding(2, 1), []sqlparser.DeriveColumn{{Name: "pos", Kind: sqlparser.DerivePos}, {Name: "w", Kind: sqlparser.DeriveValue}})
 	d.Ctx, d.Spill = ctx, &spill.Config{Budget: spill.NewBudget(0)}
 	return d, d.Spill.Budget
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // AVG is not incrementally maintainable on its own (core.NewMaintainer
-// rejects it): an AVG sequence view is maintained as a SUM/COUNT maintainer
-// PAIR and every materialized value is derived as sum/count at write time.
-// These tests pin that derivation bit-exactly against the pipelined refresh
-// computation — including NaN and −0 flowing through the pair, where the
-// SUM side must fall back to its refresh-identical recompute.
+// rejects it): an AVG sequence view is maintained as a SUM maintainer, and
+// every materialized value is derived at write time as the sum over the
+// count its window implies (core.Window.Count). These tests pin that
+// derivation bit-exactly against the pipelined refresh computation —
+// including NaN and −0 flowing through the sums, where the SUM side must
+// fall back to its refresh-identical recompute.
 
 // floatFixture builds seq(pos INTEGER, val FLOAT) with the given values at
 // positions 1…n.
@@ -134,13 +135,13 @@ func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string
 }
 
 // TestAvgViewMaintainedAsSumCountPair: ordinary maintainable DML on an AVG
-// view stays bit-identical to refresh through the derived pair.
+// view stays bit-identical to refresh through the divided sums.
 func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 	cat, m, tbl := floatFixture(t, []float64{3, 1, 4, 1, 5, 9, 2, 6})
 	createView(t, m, avgViewDDL)
 	sv := m.seq["avgmv"]
 	if sv == nil || sv.agg != core.Avg || sv.parts.Partition("").Seq().Agg != core.Sum {
-		t.Fatal("AVG view must be maintained as a SUM/COUNT pair, not as an AVG sequence")
+		t.Fatal("AVG view must be maintained as a SUM sequence, not as an AVG sequence")
 	}
 	checkAvgBitExact(t, cat, m, "initial fill")
 
@@ -154,7 +155,7 @@ func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 	checkAvgBitExact(t, cat, m, "fractional update")
 }
 
-// TestAvgViewExoticValues pushes NaN and −0 through the pair. While either
+// TestAvgViewExoticValues pushes NaN and −0 through the sums. While either
 // is present in the raw data, the SUM maintainer recomputes instead of
 // differencing — sum/count must track the refresh bits the whole way, NaN
 // contamination included.

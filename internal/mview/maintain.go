@@ -58,12 +58,12 @@ func (m *Manager) applyDelta(tx *txn.Txn, table string, fold func(sv *seqView)) 
 	m.curTx = tx
 	defer func() { m.curTx = nil }()
 	for _, sv := range m.seq {
-		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale {
+		if !strings.EqualFold(sv.mv.BaseTable, table) || sv.stale() {
 			continue
 		}
 		before := sv.parts.Touched()
 		fold(sv)
-		if sv.stale {
+		if sv.stale() {
 			continue
 		}
 		m.stats.DeltaApplied.Add(1)
@@ -204,11 +204,12 @@ func (m *Manager) fold(sv *seqView, part sqltypes.Datum, key string, k int, shif
 	return true
 }
 
+// markStale ends the view's freshness at the epoch the breaking write
+// commits at: readers of earlier snapshots may still read it.
 func (m *Manager) markStale(sv *seqView, why string) {
-	if !sv.stale {
-		sv.staleSince = time.Now()
+	if !sv.stale() {
+		sv.staleFrom, sv.staleSince = m.epoch(), time.Now()
 	}
-	sv.stale = true
 	sv.staleWhy = why
 }
 

@@ -16,8 +16,11 @@
 // positional, and ROWS frames coincide with position arithmetic only on dense
 // positions. Creation and refresh validate this. DML that preserves density
 // (value updates, appends at n+1, deletes of position n) is folded into the
-// view incrementally; anything else marks the view stale, and stale views
-// refuse queries until REFRESH MATERIALIZED VIEW runs.
+// view incrementally; anything else marks the view stale from its commit's
+// epoch on. Freshness is a range of epochs, so a reader answers from the view
+// exactly when its snapshot lies inside it — a snapshot taken before the
+// breaking commit still may, one taken after it may not until REFRESH
+// MATERIALIZED VIEW runs.
 package mview
 
 import (
@@ -52,12 +55,25 @@ type seqView struct {
 	partKeys map[string]sqltypes.Datum // partition render key -> datum
 	agg      core.Agg
 	valType  sqltypes.Type
-	stale    bool
-	staleWhy string
+	// freshFrom and staleFrom bound the commit epochs at which the backing
+	// rows are the view's query over the base table: a reader at snapshot s
+	// may read them iff freshFrom ≤ s < staleFrom (the heap is MVCC, so its
+	// scan is the view as of s). freshFrom is the epoch CREATE, REFRESH or
+	// restore made the rows visible at; staleFrom is the epoch of the commit
+	// that broke the §2.3 rules, txn.Infinity while maintenance keeps up.
+	freshFrom, staleFrom uint64
+	staleWhy             string
 	// staleSince timestamps the transition to stale, for the staleness-age
 	// metric; zero while fresh.
 	staleSince time.Time
 }
+
+// stale reports whether some commit — published, or the one folding its
+// deltas now — broke the view: maintenance stops until REFRESH.
+func (sv *seqView) stale() bool { return sv.staleFrom != txn.Infinity }
+
+// freshAt reports whether the backing rows answer a reader at epoch s.
+func (sv *seqView) freshAt(s uint64) bool { return sv.freshFrom <= s && s < sv.staleFrom }
 
 // setParts installs maintainers over the given raw sequences (none for a
 // view restored stale, whose state waits for REFRESH).
@@ -166,24 +182,24 @@ func (m *Manager) hFirst(t *catalog.Table, h *storage.IndexHandle, key sqltypes.
 	return t.Heap.FirstAt(h, key, t.Heap.WriteView(m.curTx))
 }
 
-// setFresh clears staleness. Inside a transaction the flip is deferred to
-// commit publication: until the refreshed rows are visible, readers must
-// keep seeing the view as stale.
+// epoch is the commit epoch a freshness stamp takes: the one the current
+// transaction will publish — its committer holds the engine's exclusive
+// lock, so Next cannot move before then — or the latest published one, after
+// a library call's immediate writes or when the transaction has nothing to
+// publish.
+func (m *Manager) epoch() uint64 {
+	if m.curTx != nil && m.curTx.HasWrites() {
+		return m.cat.Clock().Next()
+	}
+	return m.cat.Clock().Now()
+}
+
+// setFresh stamps a view whose backing rows were just rewritten fresh from
+// the epoch they become visible at: readers of older snapshots keep seeing
+// the view as stale.
 func (m *Manager) setFresh(sv *seqView) {
-	clear := func() {
-		sv.stale = false
-		sv.staleWhy = ""
-		sv.staleSince = time.Time{}
-	}
-	if tx := m.curTx; tx != nil {
-		tx.OnPublish(func() {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			clear()
-		})
-		return
-	}
-	clear()
+	sv.freshFrom, sv.staleFrom = m.epoch(), txn.Infinity
+	sv.staleWhy, sv.staleSince = "", time.Time{}
 }
 
 // NewManager builds a manager over the catalog.
@@ -268,6 +284,7 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 		m.cat.DropTable(backingName)
 		return err
 	}
+	m.setFresh(sv)
 	if err := m.cat.RegisterMatView(mv); err != nil {
 		m.cat.DropTable(backingName)
 		return err
@@ -405,9 +422,11 @@ func (m *Manager) RefreshContext(ctx context.Context, name string) error {
 }
 
 // RefreshTx is RefreshContext inside a transaction: the rebuilt backing rows
-// join tx's write-set and the staleness flip defers to commit publication, so
+// join tx's write-set and the view is fresh from the epoch tx publishes, so
 // concurrent readers never observe a half-refreshed view. tx may be nil
-// (library callers), in which case every write commits immediately.
+// (library callers), in which case every write commits immediately and the
+// view is fresh from the epoch of the last. A refresh that fails leaves the
+// view's freshness as it was.
 func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -418,8 +437,11 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error
 		if err := m.rebuild(sv); err != nil {
 			return err
 		}
+		if err := m.fillBacking(sv); err != nil {
+			return err
+		}
 		m.setFresh(sv)
-		return m.fillBacking(sv)
+		return nil
 	}
 	if stmt, ok := m.plain[lower(name)]; ok {
 		mv, _ := m.cat.MatView(name)
@@ -450,17 +472,40 @@ func windowOfSpec(w catalog.WindowSpec) core.Window {
 	return core.Sliding(w.Preceding, w.Following)
 }
 
-// CheckFresh returns an error when the named view is stale. The engine calls
-// it before answering a query from the view.
-func (m *Manager) CheckFresh(name string) error {
+// StaleAt says why the named view's rows do not answer a reader at snapshot
+// epoch at — "stale (<why>)" from the commit that broke it on, or that they
+// were rebuilt after the snapshot — and "" when they do. Plain views and
+// unknown names answer.
+func (m *Manager) StaleAt(name string, at uint64) string {
+	why, _ := m.staleAt(name, at)
+	return why
+}
+
+func (m *Manager) staleAt(name string, at uint64) (why string, needsRefresh bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if sv, ok := m.seq[lower(name)]; ok && sv.stale {
-		return rferrors.New(rferrors.CodeStaleView,
-			"materialized view %q is stale (%s); run REFRESH MATERIALIZED VIEW %s",
-			name, sv.staleWhy, name)
+	sv, ok := m.seq[lower(name)]
+	switch {
+	case !ok || sv.freshAt(at):
+		return "", false
+	case at < sv.staleFrom:
+		return fmt.Sprintf("newer than the snapshot (rebuilt at epoch %d, read at epoch %d)", sv.freshFrom, at), false
 	}
-	return nil
+	return "stale (" + sv.staleWhy + ")", true
+}
+
+// CheckFresh returns a stale_view error unless the named view's rows answer
+// a reader at snapshot epoch at. The engine calls it before a statement reads
+// the view by name.
+func (m *Manager) CheckFresh(name string, at uint64) error {
+	why, needsRefresh := m.staleAt(name, at)
+	switch {
+	case why == "":
+		return nil
+	case needsRefresh:
+		return rferrors.New(rferrors.CodeStaleView, "materialized view %q is %s; run REFRESH MATERIALIZED VIEW %s", name, why, name)
+	}
+	return rferrors.New(rferrors.CodeStaleView, "materialized view %q is %s", name, why)
 }
 
 // StalenessAges reports, per materialized view, how long it has been stale
@@ -471,7 +516,7 @@ func (m *Manager) StalenessAges() map[string]float64 {
 	out := make(map[string]float64, len(m.seq)+len(m.plain))
 	for _, sv := range m.seq {
 		age := 0.0
-		if sv.stale && !sv.staleSince.IsZero() {
+		if sv.stale() && !sv.staleSince.IsZero() {
 			age = time.Since(sv.staleSince).Seconds()
 		}
 		out[sv.mv.Name] = age
@@ -484,10 +529,10 @@ func (m *Manager) StalenessAges() map[string]float64 {
 	return out
 }
 
-// Stale reports whether a view is stale.
+// Stale reports whether a view is stale at the latest published epoch.
 func (m *Manager) Stale(name string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	sv, ok := m.seq[lower(name)]
-	return ok && sv.stale
+	return ok && !sv.freshAt(m.cat.Clock().Now())
 }

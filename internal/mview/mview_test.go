@@ -267,7 +267,7 @@ func TestStalenessPaths(t *testing.T) {
 			if !m.Stale("mv") {
 				t.Fatal("expected staleness")
 			}
-			if err := m.CheckFresh("mv"); err == nil {
+			if err := m.CheckFresh("mv", cat.Clock().Now()); err == nil {
 				t.Fatal("CheckFresh must fail on a stale view")
 			}
 		})
@@ -460,7 +460,7 @@ func TestPlainViewWithoutExecutor(t *testing.T) {
 
 func TestCheckFreshUnknownView(t *testing.T) {
 	m := NewManager(emptyCatalog(t), nil)
-	if err := m.CheckFresh("nope"); err != nil {
+	if err := m.CheckFresh("nope", 0); err != nil {
 		t.Fatal("unknown names are not the manager's concern")
 	}
 	if m.Stale("nope") {

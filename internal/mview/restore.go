@@ -25,10 +25,10 @@ func (m *Manager) StaleInfo(name string) (bool, string) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	sv, ok := m.seq[lower(name)]
-	if !ok {
+	if !ok || sv.freshAt(m.cat.Clock().Now()) {
 		return false, ""
 	}
-	return sv.stale, sv.staleWhy
+	return true, sv.staleWhy
 }
 
 // RestoreSpec describes one materialized view as captured by a snapshot.
@@ -80,15 +80,15 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 	if vi := backing.ColumnIndex("val"); vi >= 0 {
 		valType = backing.Columns[vi].Type
 	}
-	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, agg: agg, valType: valType,
-		stale: spec.Stale, staleWhy: spec.StaleWhy}
+	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, agg: agg, valType: valType}
 	if spec.Stale {
-		// Recovered staleness has unknown onset; age counts from restore. The
-		// maintainers stay empty until REFRESH rebuilds them.
-		sv.staleSince = time.Now()
+		// Recovered staleness has unknown onset: no epoch answers, and age
+		// counts from restore. The maintainers stay empty until REFRESH
+		// rebuilds them.
+		sv.staleWhy, sv.staleSince = spec.StaleWhy, time.Now()
 		err = sv.setParts(nil, nil)
-	} else {
-		err = m.rebuild(sv)
+	} else if err = m.rebuild(sv); err == nil {
+		m.setFresh(sv) // the restored backing rows are visible from now on
 	}
 	if err != nil {
 		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)

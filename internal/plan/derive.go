@@ -8,40 +8,34 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/exec"
 	"rfview/internal/sqlparser"
-	"rfview/internal/sqltypes"
 )
 
 // planDerive lowers the rewriter's decision to the Derive operator over one
-// scan of each view it names. The node says which view and which windows;
+// scan of the view it names. The node says which view and which windows;
 // where the view's rows and columns are is the catalog's to say.
 func (p *Planner) planDerive(s *sqlparser.DeriveSelect) (exec.Operator, error) {
 	in, err := p.deriveInput(s.Source)
 	if err != nil {
 		return nil, err
 	}
-	valType := in.Scan.Schema().Cols[in.Val].Type
-	var divisor *exec.DeriveInput
-	if s.Divisor != nil {
-		div, err := p.deriveInput(*s.Divisor)
-		if err != nil {
-			return nil, err
-		}
-		if in.Part >= 0 || div.Part >= 0 {
-			return nil, fmt.Errorf("plan: an AVG quotient of views %q and %q needs two simple views", in.View, div.View)
-		}
-		divisor, valType = &div, sqltypes.Float
+	agg, err := core.ParseAgg(s.Agg)
+	if err != nil {
+		return nil, err
+	}
+	if agg != in.Agg && (agg != core.Avg || in.Agg != core.Sum) {
+		return nil, fmt.Errorf("plan: %v is not derivable from the %v view %q", agg, in.Agg, in.View)
 	}
 	for _, c := range s.Columns {
 		if c.Kind == sqlparser.DerivePart && in.Part < 0 {
 			return nil, fmt.Errorf("plan: view %q has no partition column for output column %q", in.View, c.Name)
 		}
 	}
-	d := exec.NewDerive(in, divisor, core.Window(s.Target), s.Columns, valType)
+	d := exec.NewDerive(in, agg, core.Window(s.Target), s.Columns)
 	d.Ctx, d.Spill = p.Opts.Ctx, p.Opts.Spill
 	return d, nil
 }
 
-// deriveInput resolves one source of a derivation against the catalog: the
+// deriveInput resolves the source of a derivation against the catalog: the
 // scan of the view's backing table at the statement's snapshot, and the
 // layout mview gives it — (pos, val), or (part, pos, val, body).
 func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, error) {

@@ -241,6 +241,7 @@ func TestPlanDeriveSelect(t *testing.T) {
 	}
 	node := &sqlparser.DeriveSelect{
 		Source: sqlparser.DeriveSource{View: "v", Agg: "SUM", Window: sqlparser.SeqWindow{Preceding: 1, Following: 1}, Algo: core.AlgoMinOA},
+		Agg:    "SUM",
 		Target: sqlparser.SeqWindow{Preceding: 2, Following: 1},
 		Columns: []sqlparser.DeriveColumn{
 			{Name: "w", Kind: sqlparser.DeriveValue}, {Name: "pos", Kind: sqlparser.DerivePos},
@@ -276,5 +277,30 @@ func TestPlanDeriveSelect(t *testing.T) {
 	changed.Source.Window.Preceding = 2
 	if _, err := New(cat, DefaultOptions()).PlanSelect(&changed); err == nil {
 		t.Fatal("a node made for a (2,1) view planned over the (1,1) view")
+	}
+	minOfSum := *node
+	minOfSum.Agg = "MIN"
+	if _, err := New(cat, DefaultOptions()).PlanSelect(&minOfSum); err == nil {
+		t.Fatal("a MIN node planned over a SUM view")
+	}
+
+	// AVG over the SUM view: the same one Derive, the sums divided by the
+	// counts the (2,1) window implies over n = 10, in FLOAT.
+	avg := *node
+	avg.Agg = "AVG"
+	op, err = New(cat, DefaultOptions()).PlanSelect(&avg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exec.FormatPlan(op); got != "Derive view=v algo=MinOA Δl=1 Δh=0 Wx=3 agg=AVG\n  SeqScan __mv_v AS v\n" {
+		t.Fatalf("plan:\n%s", got)
+	}
+	if rows, err = exec.Collect(op); err != nil || len(rows) != 10 {
+		t.Fatalf("%d rows, err %v; want 10", len(rows), err)
+	}
+	for i, r := range rows {
+		if r[0].Typ() != sqltypes.Float || r[0].Float() != 1 {
+			t.Fatalf("AVG row %d = %v, want the FLOAT average 1 of ten ones", i, r)
+		}
 	}
 }

@@ -49,21 +49,14 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select) *Derivation {
 	if wq.Agg == "COUNT" && valCol == "" {
 		valCol = wq.PosCol // COUNT(*) ≡ COUNT(pos) over a dense position column
 	}
-	if d := match(cat, wq, partCol, valCol, wq.Agg); d != nil || wq.Agg != "AVG" {
-		return d
+	d := match(cat, wq, partCol, valCol, wq.Agg)
+	if d == nil && wq.Agg == "AVG" {
+		// An AVG view's rows hold quotients, which only its own window
+		// answers. Any other AVG is a SUM derivation divided by the counts
+		// the window implies (§2.1).
+		d = match(cat, wq, partCol, valCol, "SUM")
 	}
-	// AVG has no derivation algebra of its own beyond the identity; per §2.1,
-	// derive SUM and COUNT and divide. Only simple sliding queries with a
-	// value column (AVG(*) does not exist).
-	if partCol != "" || wq.Shape.Cumulative || valCol == "" {
-		return nil
-	}
-	sum, count := match(cat, wq, "", valCol, "SUM"), match(cat, wq, "", valCol, "COUNT")
-	if sum == nil || count == nil {
-		return nil
-	}
-	sum.Plan.Divisor = &count.Plan.Source
-	return sum
+	return d
 }
 
 // match derives wq's window from the best view of aggregate agg over the
@@ -76,6 +69,7 @@ func match(cat *catalog.Catalog, wq *WindowQuery, partCol, valCol, agg string) *
 	}
 	d := &Derivation{View: v, Plan: &sqlparser.DeriveSelect{
 		Source:  sqlparser.DeriveSource{View: v.Name, Agg: v.Agg, Window: sqlparser.SeqWindow(v.Window), Algo: algo},
+		Agg:     wq.Agg,
 		Target:  sqlparser.SeqWindow(wq.Shape),
 		Columns: deriveColumns(wq),
 	}}

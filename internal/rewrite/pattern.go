@@ -62,57 +62,44 @@ func (f Form) String() string {
 // Pattern renders d as the paper writes it in SQL — a scan of the view for
 // an exact match, Fig. 5 for a cumulative view, §4.2's two-lookup join for
 // MIN/MAX, and for SUM/COUNT the Fig. 10 (MaxOA) or Fig. 13 (MinOA) pattern
-// the strategy picks, in the given form; AVG joins the SUM and the COUNT
-// rendering. n is the base cardinality of a simple view: the body the
-// rendering keeps is positions 1…n (a partitioned view's rows carry a body
-// flag instead). An error means no pattern renders d — the strategy's
-// preconditions fail, or per-partition cardinalities would be needed.
+// the strategy picks, in the given form; AVG from a SUM view is the SUM
+// pattern over the count the target window implies. n is the base
+// cardinality of a simple view: the body the rendering keeps is positions
+// 1…n (a partitioned view's rows carry a body flag instead). An error means
+// no pattern renders d — the strategy's preconditions fail, or per-partition
+// cardinalities would be needed.
 func Pattern(d *Derivation, strategy Strategy, form Form, n int) (sqlparser.SelectStatement, error) {
 	p := d.Plan
-	if p.Divisor == nil {
-		sel, err := rendering{d.View, p.Columns, n}.derive(p.Source, p.Target, strategy, form)
-		if err != nil {
-			return nil, err
-		}
+	sel, err := rendering{d.View, p.Columns, n}.derive(p.Source, p.Target, strategy, form)
+	if err != nil {
+		return nil, err
+	}
+	if p.Agg == p.Source.Agg {
 		return sel, nil
 	}
-	// §2.1's AVG = SUM/COUNT: both component patterns become derived tables
-	// joined on position, and the value is their (float) quotient.
-	var pos, out string
-	for _, c := range p.Columns {
-		if c.Kind == sqlparser.DerivePos {
-			pos = c.Name
-		} else {
-			out = c.Name
+	// §2.1's AVG = SUM/COUNT, the COUNT as |[pos−l, pos+h] ∩ [1, n]|: the
+	// +h side clamps at one n, as the cumulative pattern's does.
+	if d.View.PartColumn != "" {
+		return nil, fmt.Errorf("rewrite: no pattern divides the partitioned view %q by per-partition counts", d.View.Name)
+	}
+	pos := col("s", "pos")
+	var count sqlparser.Expr = pos // cumulative: min(pos, n) is pos on the body
+	if t := p.Target; !t.Cumulative {
+		hi, lo := plusConst(pos, int64(t.Following)), plusConst(pos, int64(-t.Preceding))
+		if t.Following > 0 {
+			hi = &sqlparser.FuncExpr{Name: "LEAST", Args: []sqlparser.Expr{hi, intLit(int64(n))}}
 		}
+		if t.Preceding > 0 {
+			lo = &sqlparser.FuncExpr{Name: "GREATEST", Args: []sqlparser.Expr{lo, intLit(1)}}
+		}
+		count = plusConst(&sqlparser.BinaryExpr{Op: "-", Left: hi, Right: lo}, 1)
 	}
-	cols := []sqlparser.DeriveColumn{{Name: pos, Kind: sqlparser.DerivePos}, {Name: "w", Kind: sqlparser.DeriveValue}}
-	sum, err := rendering{d.View, cols, n}.derive(p.Source, p.Target, strategy, form)
-	if err != nil {
-		return nil, err
+	value := &sel.Items[len(sel.Items)-1]
+	value.Expr = &sqlparser.BinaryExpr{Op: "/",
+		Left:  &sqlparser.BinaryExpr{Op: "*", Left: &sqlparser.Literal{Val: sqltypes.NewFloat(1)}, Right: value.Expr},
+		Right: count,
 	}
-	// All a rendering reads of the (simple) COUNT view: its name and window.
-	countView := &catalog.MatView{Name: p.Divisor.View, Window: catalog.WindowSpec(p.Divisor.Window)}
-	count, err := rendering{countView, cols, n}.derive(*p.Divisor, p.Target, strategy, form)
-	if err != nil {
-		return nil, err
-	}
-	value := &sqlparser.BinaryExpr{
-		Op: "/",
-		Left: &sqlparser.BinaryExpr{Op: "*",
-			Left:  &sqlparser.Literal{Val: sqltypes.NewFloat(1)},
-			Right: col("ds", "w")},
-		Right: col("dc", "w"),
-	}
-	return &sqlparser.Select{
-		Items: []sqlparser.SelectItem{selItem(col("ds", pos), pos), selItem(value, out)},
-		From: &sqlparser.Join{
-			Left:  &sqlparser.DerivedTable{Select: sum, Alias: "ds"},
-			Right: &sqlparser.DerivedTable{Select: count, Alias: "dc"},
-			Type:  sqlparser.InnerJoin,
-			On:    eq(col("ds", pos), col("dc", pos)),
-		},
-	}, nil
+	return sel, nil
 }
 
 // rendering is one derivation's source view, the query's output columns and

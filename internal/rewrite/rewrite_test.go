@@ -318,7 +318,7 @@ func TestExactMatch(t *testing.T) {
 func TestDeriveNoMatch(t *testing.T) {
 	cat, _ := newViewCatalog(t, catalog.WindowSpec{Preceding: 2, Following: 1}, "SUM")
 	for _, q := range []string{
-		`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM seq`,
+		`SELECT pos, COUNT(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM seq`,
 		`SELECT pos, SUM(other) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM seq`,
 		`SELECT pos, SUM(val) OVER (ORDER BY other ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM seq`,
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) FROM elsewhere`,
@@ -430,40 +430,55 @@ func newViewCatalog2(t *testing.T, tag string, win catalog.WindowSpec, agg strin
 	return cat, mv
 }
 
-// TestAvgComposition — §2.1's AVG = SUM/COUNT at the rewrite level.
+// TestAvgComposition — §2.1's AVG = SUM/COUNT at the rewrite level, the
+// COUNT implied by the window: one SUM view answers every AVG window it
+// answers as SUM, simple or partitioned, sliding or cumulative, and no COUNT
+// view is asked for. An AVG view answers only its own window.
 func TestAvgComposition(t *testing.T) {
 	cat := emptyCatalog(t)
 	cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
-	mk := func(name, agg string) {
+	cat.CreateTable("pt", []catalog.Column{{Name: "grp", Type: sqltypes.Int}, {Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
+	mk := func(name, base, part, agg string, win catalog.WindowSpec) {
 		b, _ := cat.CreateTable("__mv_"+name, []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
-		mv := &catalog.MatView{
+		cat.RegisterMatView(&catalog.MatView{
 			Name: name, Kind: catalog.SequenceView, Table: b,
-			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: agg,
-			Window: catalog.WindowSpec{Preceding: 2, Following: 1},
+			BaseTable: base, PosColumn: "pos", PartColumn: part, ValColumn: "val", Agg: agg, Window: win,
+		})
+	}
+	sliding := catalog.WindowSpec{Preceding: 2, Following: 1}
+	mk("vsum", "seq", "", "SUM", sliding)
+	mk("vavg", "seq", "", "AVG", sliding)
+	mk("psum", "pt", "grp", "SUM", catalog.WindowSpec{Cumulative: true})
+
+	for _, c := range []struct{ query, plan string }{
+		{`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS AVG (3,1) FROM vsum (2,1) BY MinOA"},
+		{`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS AVG (2,1) FROM vavg (2,1) BY exact"},
+		{`SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`,
+			"DERIVE grp, pos, w AS AVG (1,2) FROM psum cumulative BY cumulative"},
+		{`SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS UNBOUNDED PRECEDING) AS w FROM pt`,
+			"DERIVE grp, pos, w AS AVG cumulative FROM psum cumulative BY exact"},
+	} {
+		d := Derive(cat, parseSelect(t, c.query))
+		if d == nil || d.Plan.String() != c.plan {
+			t.Fatalf("%s:\nplan %v, want %s", c.query, d, c.plan)
 		}
-		cat.RegisterMatView(mv)
 	}
-	mk("vsum", "SUM")
-	sel := parseSelect(t, `SELECT pos, AVG(val) OVER (ORDER BY pos
-	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
-	// SUM view alone is not enough: COUNT is missing.
-	if d := Derive(cat, sel); d != nil {
-		t.Fatalf("AVG without COUNT view: %+v", d)
-	}
-	mk("vcnt", "COUNT")
-	d := Derive(cat, sel)
-	if d == nil {
-		t.Fatal("AVG composition should fire with SUM+COUNT views")
-	}
+
+	// Rendered for a simple view, AVG is the SUM pattern's value over the
+	// count expression — no join with a second derivation.
+	d := Derive(cat, parseSelect(t, `SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`))
 	got := mustPattern(t, d, StrategyAuto, FormDisjunctive, 40)
-	for _, sig := range []string{"ds.w", "dc.w", "JOIN", "(1 * ds.w)", "/ dc.w"} {
-		if !strings.Contains(got, sig) {
-			t.Fatalf("AVG composition missing %q:\n%s", sig, got)
-		}
+	sum := mustPattern(t, Derive(cat, parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)),
+		StrategyAuto, FormDisjunctive, 40)
+	if want := "/ ((LEAST((s.pos + 1), 40) - GREATEST((s.pos - 3), 1)) + 1)"; !strings.Contains(got, want) || strings.Count(got, "JOIN") != strings.Count(sum, "JOIN") {
+		t.Fatalf("AVG pattern is not the SUM pattern over %q:\n%s", want, got)
 	}
-	// The planner's node is one derivation divided by another, not a join.
-	if want := "DERIVE pos, w AS AVG (3,1) FROM vsum (2,1) BY MinOA / vcnt (2,1) BY MinOA"; d.Plan.String() != want {
-		t.Fatalf("AVG plan %q, want %q", d.Plan, want)
+	// A partitioned view's counts vary by partition; no pattern divides them.
+	d = Derive(cat, parseSelect(t, `SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`))
+	if stmt, err := Pattern(d, StrategyAuto, FormDisjunctive, 40); err == nil {
+		t.Fatalf("partitioned AVG rendered:\n%s", stmt)
 	}
 }
 

@@ -409,15 +409,15 @@ func (s *Union) String() string {
 // DeriveSelect answers a reporting-function query from the stored sequence of
 // a materialized view with the sequence algebra (§3–§5). No SQL text parses
 // to it: the view-matching rewriter puts it in place of the SELECT it
-// matched, and the planner lowers it to one scan of each view it names under
+// matched, and the planner lowers it to one scan of the view it names under
 // the Derive operator. It carries the whole decision — which view, which
 // windows, which algorithm — so a plan can be built from it with nothing but
 // a catalog.
 type DeriveSelect struct {
 	Source DeriveSource
-	// Divisor, set when an AVG query is answered from a SUM and a COUNT view
-	// (§2.1), is the COUNT derivation Source's SUM is divided by.
-	Divisor *DeriveSource
+	// Agg is the query's aggregate: Source.Agg, or AVG over a SUM source,
+	// whose derived sums the window's implied counts divide (§2.1).
+	Agg string
 	// Target is the window (l_y, h_y) the query asked for.
 	Target SeqWindow
 	// Columns are the output columns in select-list order.
@@ -471,18 +471,12 @@ func (*DeriveSelect) stmt()            {}
 func (*DeriveSelect) selectStatement() {}
 
 func (s *DeriveSelect) String() string {
-	src := func(d DeriveSource) string {
-		return fmt.Sprintf("%s %s BY %s", d.View, d.Window, d.Algo)
-	}
 	names := make([]string, len(s.Columns))
 	for i, c := range s.Columns {
 		names[i] = c.Name
 	}
-	agg, from := s.Source.Agg, src(s.Source)
-	if s.Divisor != nil {
-		agg, from = "AVG", from+" / "+src(*s.Divisor)
-	}
-	return fmt.Sprintf("DERIVE %s AS %s %s FROM %s", strings.Join(names, ", "), agg, s.Target, from)
+	return fmt.Sprintf("DERIVE %s AS %s %s FROM %s %s BY %s", strings.Join(names, ", "), s.Agg, s.Target,
+		s.Source.View, s.Source.Window, s.Source.Algo)
 }
 
 // ---------------------------------------------------------------------------

@@ -144,24 +144,20 @@ type Delta struct {
 }
 
 // Txn is one transaction: a fixed snapshot, a write-set of physical slot
-// claims, the logical deltas for maintenance and the WAL, and deferred
-// publish hooks. A Txn is not safe for concurrent use — it belongs to one
-// session, which runs statements sequentially.
+// claims, and the logical deltas for maintenance and the WAL. A Txn is not
+// safe for concurrent use — it belongs to one session, which runs statements
+// sequentially.
 type Txn struct {
 	ID   uint64
 	Snap Snapshot
-	// Explicit distinguishes BEGIN…COMMIT transactions from the single-
-	// statement auto-commit transactions the engine creates internally.
-	Explicit bool
 
 	// Deltas accumulates the logical row images of every completed
 	// statement, in order, for commit-time view maintenance and the WAL
 	// commit record.
 	Deltas []Delta
 
-	writes    []write
-	touched   []Bumper
-	onPublish []func()
+	writes  []write
+	touched []Bumper
 }
 
 type write struct {
@@ -182,11 +178,6 @@ func (t *Txn) Touch(b Bumper) {
 	}
 	t.touched = append(t.touched, b)
 }
-
-// OnPublish defers fn to the instant the commit epoch is published, inside
-// the engine's publication window — for plan-affecting scalar state (like a
-// view's staleness flag) that must flip together with row visibility.
-func (t *Txn) OnPublish(fn func()) { t.onPublish = append(t.onPublish, fn) }
 
 // AddDelta appends one statement's logical delta.
 func (t *Txn) AddDelta(d Delta) { t.Deltas = append(t.Deltas, d) }
@@ -215,17 +206,10 @@ func (t *Txn) Abort() { t.AbortTo(0, 0) }
 
 // CommitStamps replaces every pending stamp in the write-set with the commit
 // epoch. The caller (the engine) is responsible for ordering: stamps first,
-// then clock publication, then publish hooks and version bumps.
+// then clock publication, then version bumps.
 func (t *Txn) CommitStamps(epoch uint64) {
 	for _, w := range t.writes {
 		w.ref.CommitWrite(w.op, epoch)
-	}
-}
-
-// RunPublishHooks runs the deferred publish hooks in registration order.
-func (t *Txn) RunPublishHooks() {
-	for _, fn := range t.onPublish {
-		fn()
 	}
 }
 
