@@ -3,6 +3,11 @@
 // client the benchmark's served workloads drive and a starting point for
 // embedding rfview access in other programs.
 //
+// Requests are encoded with encoding/json. Each response line is read whole
+// and parsed by the server package's response codec (server.Response's
+// UnmarshalJSON), which yields what encoding/json would: numbers as float64,
+// strings, bools and nil, with all cells of a result in one backing array.
+//
 // A Client owns one TCP connection and is safe for concurrent use: requests
 // are serialized on the connection, one outstanding request at a time. Open
 // several clients for pipelined load (as the benchmark does, one per CPU).
@@ -23,11 +28,12 @@ import (
 
 // Client is one connection to an rfview server.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	dec    *json.Decoder
-	w      *bufio.Writer
-	enc    *json.Encoder
+	mu   sync.Mutex
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+	// long reassembles a response line longer than r's buffer.
+	long   []byte
 	nextID uint64
 }
 
@@ -66,12 +72,10 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	w := bufio.NewWriterSize(conn, 64<<10)
 	return &Client{
 		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReaderSize(conn, 64<<10)),
-		w:    w,
-		enc:  json.NewEncoder(w),
+		r:    bufio.NewReaderSize(conn, 64<<10),
+		w:    bufio.NewWriterSize(conn, 64<<10),
 	}
 }
 
@@ -82,9 +86,12 @@ func (c *Client) Close() error { return c.conn.Close() }
 type RequestOption func(*server.Request)
 
 // WithTimeout bounds the statement's server-side execution; on expiry the
-// call fails with an error matching rfview/errors.ErrCancelled.
+// call fails with an error matching rfview/errors.ErrCancelled. The wire
+// carries whole milliseconds, so d is rounded up, to at least 1 ms: a
+// timeout of 0 would mean none at all.
 func WithTimeout(d time.Duration) RequestOption {
-	return func(r *server.Request) { r.TimeoutMs = d.Milliseconds() }
+	ms := max(1, (d+time.Millisecond-1)/time.Millisecond)
+	return func(r *server.Request) { r.TimeoutMs = int64(ms) }
 }
 
 // WithAnalyze asks for the instrumented plan (per-operator rows and timings)
@@ -102,15 +109,22 @@ func (c *Client) roundTrip(op, sql string, opts ...RequestOption) (*server.Respo
 	for _, o := range opts {
 		o(&req)
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	line, err := json.Marshal(&req)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.w.Write(append(line, '\n')); err != nil {
 		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
-	var resp server.Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if line, err = c.readLine(); err != nil {
 		return nil, fmt.Errorf("client: reading response: %w", err)
+	}
+	var resp server.Response
+	if err := resp.UnmarshalJSON(line); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	if resp.ID != req.ID {
 		return nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
@@ -121,6 +135,20 @@ func (c *Client) roundTrip(op, sql string, opts ...RequestOption) (*server.Respo
 		return nil, rferrors.FromCode(rferrors.Code(resp.Code), "server: "+resp.Error)
 	}
 	return &resp, nil
+}
+
+// readLine returns the next response line, valid until the next read.
+func (c *Client) readLine() ([]byte, error) {
+	line, err := c.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	c.long = append(c.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = c.r.ReadSlice('\n')
+		c.long = append(c.long, line...)
+	}
+	return c.long, err
 }
 
 func toResult(resp *server.Response) *Result {

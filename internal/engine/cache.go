@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"rfview/internal/qcache"
 	"rfview/internal/rewrite"
@@ -75,6 +76,9 @@ type cachedPlan struct {
 	hasResult bool
 	columns   []string
 	rows      []sqltypes.Row
+	// encoded memoizes the caller's encoding of columns and rows (see
+	// Result.Encoded); it is set on first use and dies with the entry.
+	encoded atomic.Pointer[[]byte]
 }
 
 type planDep struct {
@@ -140,6 +144,7 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 		res.Columns = p.columns
 		res.Rows = p.rows
 		res.Affected = len(p.rows)
+		res.cached = p
 		return res, nil
 	}
 	op, err := e.planPhysical(ctx, p.exec, cfg)
@@ -147,6 +152,28 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 		return nil, err
 	}
 	return e.runOperator(ctx, op, res, cfg)
+}
+
+// Encoded returns enc(r.Columns, r.Rows, r.Affected). When the rows came
+// from the result cache, the first call stores the bytes beside the cached
+// rows and later hits of the same entry return them without calling enc, so
+// enc must depend on its arguments alone. The engine never interprets the
+// bytes; a nil return is not stored. A nil Result yields nil.
+func (r *Result) Encoded(enc func(cols []string, rows []sqltypes.Row, affected int) []byte) []byte {
+	switch {
+	case r == nil:
+		return nil
+	case r.cached == nil:
+		return enc(r.Columns, r.Rows, r.Affected)
+	}
+	if b := r.cached.encoded.Load(); b != nil {
+		return *b
+	}
+	b := enc(r.Columns, r.Rows, r.Affected)
+	if b != nil {
+		r.cached.encoded.Store(&b)
+	}
+	return b
 }
 
 // preparePlan captures a cache entry for a just-executed read statement.

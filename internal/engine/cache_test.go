@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rfview/internal/sqltypes"
 )
 
 const windowQ = `SELECT pos, SUM(val) OVER (ORDER BY pos
@@ -27,6 +31,53 @@ func TestPlanCacheHitOnRepeat(t *testing.T) {
 		if first.Rows[i][1].Float() != second.Rows[i][1].Float() {
 			t.Fatalf("row %d differs: %v vs %v", i, first.Rows[i], second.Rows[i])
 		}
+	}
+}
+
+// TestResultEncodedMemo: a cached result is encoded once per cache entry. An
+// UPDATE replaces the entry, so the next hit encodes the new values, and an
+// analyzed run, whose rows flow through the operators, never sees the memo.
+func TestResultEncodedMemo(t *testing.T) {
+	e := newEngine(t)
+	loadSeq(t, e, 10, func(i int) int64 { return 1 })
+	const q = `SELECT pos, val FROM seq ORDER BY pos`
+	calls := 0
+	encode := func(opts ...ExecOption) string {
+		t.Helper()
+		res, err := e.ExecContext(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(res.Encoded(func(cols []string, rows []sqltypes.Row, affected int) []byte {
+			calls++
+			return []byte(fmt.Sprintf("%s=%v n=%d", cols[1], rows[0][1], affected))
+		}))
+	}
+	for i, want := range []struct {
+		opt   []ExecOption
+		calls int
+	}{
+		{nil, 1},                         // executed: nothing to memoize beside
+		{nil, 2},                         // first hit: encodes and stores
+		{nil, 2},                         // second hit: the stored bytes
+		{[]ExecOption{WithAnalyze()}, 3}, // analyzed: executed again
+		{nil, 3},
+	} {
+		if got := encode(want.opt...); got != "val=1 n=10" || calls != want.calls {
+			t.Fatalf("run %d: %q after %d encodings, want %q after %d", i, got, calls, "val=1 n=10", want.calls)
+		}
+	}
+	mustExec(t, e, `UPDATE seq SET val = 7 WHERE pos = 1`)
+	for i := 0; i < 3; i++ {
+		if got := encode(); got != "val=7 n=10" {
+			t.Fatalf("run %d after UPDATE: %q", i, got)
+		}
+	}
+	if calls != 5 {
+		t.Fatalf("%d encodings, want 5: the re-execution and one for the new entry", calls)
+	}
+	if (*Result)(nil).Encoded(nil) != nil {
+		t.Fatal("a nil Result encodes to nil")
 	}
 }
 

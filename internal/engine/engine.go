@@ -178,6 +178,9 @@ type Result struct {
 	// planText is the uninstrumented plan rendering captured at plan time,
 	// retained by the plan cache so EXPLAIN can replay it on a hit.
 	planText string
+	// cached is the cache entry whose stored rows this result returns, so
+	// Encoded can memoize beside them; nil for executed results.
+	cached *cachedPlan
 }
 
 // ExecOption adjusts a single ExecContext call.

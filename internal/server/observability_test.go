@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -148,16 +149,45 @@ func TestWireErrorCodes(t *testing.T) {
 	}
 }
 
-// TestWireTimeout bounds server-side execution with the request's timeout_ms
-// and expects the cancellation sentinel back through the wire.
-func TestWireTimeout(t *testing.T) {
-	_, eng, addr, _ := startServer(t)
+// TestServerNonFiniteResult: a result JSON cannot carry (a cumulative SUM
+// overflowing to +Inf) is answered with code unsupported naming the cell —
+// executed and again from the result cache — and the connection stays open.
+func TestServerNonFiniteResult(t *testing.T) {
+	_, _, addr, _ := startServer(t)
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	for _, sql := range []string{
+		`CREATE TABLE f (pos INTEGER, val FLOAT)`,
+		`INSERT INTO f VALUES (1, 1e308), (2, 1e308)`,
+	} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		_, err := c.Query(`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS s FROM f`)
+		if !errors.Is(err, rferrors.ErrUnsupported) || !strings.Contains(err.Error(), `row 2, column "s"`) {
+			t.Fatalf("run %d: err = %v, want unsupported naming row 2, column \"s\"", i, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("run %d: ping after a non-finite result: %v", i, err)
+		}
+	}
+}
 
+// crossJoinClient serves two 1200-row tables whose cross join (1.44M rows)
+// runs far longer than a few milliseconds.
+func crossJoinClient(t *testing.T) *client.Client {
+	t.Helper()
+	_, eng, addr, _ := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	if _, err := eng.ExecAll(`CREATE TABLE a (x INTEGER); CREATE TABLE b (y INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +202,14 @@ func TestWireTimeout(t *testing.T) {
 	if _, err := c.Exec(strings.Replace(sb.String(), "INTO a", "INTO b", 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(`SELECT x, y FROM a, b`, client.WithTimeout(5*time.Millisecond))
+	return c
+}
+
+// TestWireTimeout bounds server-side execution with the request's timeout_ms
+// and expects the cancellation sentinel back through the wire.
+func TestWireTimeout(t *testing.T) {
+	c := crossJoinClient(t)
+	_, err := c.Query(`SELECT x, y FROM a, b`, client.WithTimeout(5*time.Millisecond))
 	if err == nil {
 		t.Fatalf("1.44M-row cross join finished inside 5ms?")
 	}
@@ -180,6 +217,26 @@ func TestWireTimeout(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 	// The connection survives the failed statement.
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after timeout: %v", err)
+	}
+}
+
+// TestWireSubMillisecondDeadline: a context deadline under 1 ms still bounds
+// the statement — the wire's whole milliseconds round up, never down to the
+// 0 that means no timeout.
+func TestWireSubMillisecondDeadline(t *testing.T) {
+	c := crossJoinClient(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 900*time.Microsecond)
+	defer cancel()
+	res, err := c.QueryContext(ctx, `SELECT x, y FROM a, b`)
+	if !errors.Is(err, rferrors.ErrCancelled) {
+		rows := 0
+		if res != nil {
+			rows = len(res.Rows)
+		}
+		t.Fatalf("err = %v after %d rows, want ErrCancelled", err, rows)
+	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after timeout: %v", err)
 	}

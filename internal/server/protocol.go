@@ -27,7 +27,18 @@
 // rfview/errors) alongside the human-readable "error" text; clients map the
 // code back onto the same error sentinels the embedded engine returns. A
 // request may set "timeout_ms" to bound its execution; statements that
-// exceed it abort with code "cancelled".
+// exceed it abort with code "cancelled". A result holding a value JSON has no
+// form for (a non-finite FLOAT) is answered with code "unsupported" naming
+// the row and column, and the connection stays open.
+//
+// Requests are decoded with encoding/json. Responses go through one
+// hand-written codec (wire.go) that writes the bytes encoding/json would
+// write for Response and reads them back; Response's MarshalJSON and
+// UnmarshalJSON use it too. A repeated query the engine answers from its
+// result cache costs a copy of bytes encoded once: the columns, rows and
+// affected count are stored beside the cached result on first use, and the
+// server writes the per-request id, session, rewritten and elapsed_us around
+// them. Those bytes live and die with the cache entry.
 //
 // Example session:
 //
@@ -40,12 +51,6 @@
 //	→ {"id":4,"op":"exec","sql":"COMMIT"}
 //	← {"id":4,"ok":true}
 package server
-
-import (
-	"fmt"
-
-	"rfview/internal/sqltypes"
-)
 
 // Request is one client→server message.
 type Request struct {
@@ -86,6 +91,10 @@ type Response struct {
 	Stats *StatsReply `json:"stats,omitempty"`
 	// Metrics carries the Prometheus text exposition for a "metrics" request.
 	Metrics string `json:"metrics,omitempty"`
+
+	// result, when set, is the encoded "columns", "rows" and "affected"
+	// members, written in place of those three fields.
+	result []byte
 }
 
 // StatsReply is the payload of a "stats" response: server-wide counters,
@@ -196,40 +205,4 @@ type CacheStats struct {
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"`
-}
-
-// rowsToJSON converts engine rows into JSON-friendly values: INTEGER →
-// number, FLOAT → number, STRING → string, BOOL → bool, DATE → "YYYY-MM-DD",
-// NULL → null.
-func rowsToJSON(rows []sqltypes.Row) [][]any {
-	if rows == nil {
-		return nil
-	}
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		jr := make([]any, len(r))
-		for j, d := range r {
-			jr[j] = datumToJSON(d)
-		}
-		out[i] = jr
-	}
-	return out
-}
-
-func datumToJSON(d sqltypes.Datum) any {
-	switch d.Typ() {
-	case sqltypes.Null:
-		return nil
-	case sqltypes.Int:
-		return d.Int()
-	case sqltypes.Float:
-		return d.Float()
-	case sqltypes.Bool:
-		return d.Bool()
-	case sqltypes.String:
-		return d.Str()
-	default:
-		// Dates (and any future type) render through the SQL formatter.
-		return fmt.Sprintf("%v", d)
-	}
 }

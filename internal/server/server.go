@@ -208,11 +208,10 @@ func (s *Server) serveConn(sess *Session) {
 	sc := bufio.NewScanner(sess.conn)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	w := bufio.NewWriterSize(sess.conn, 64<<10)
-	enc := json.NewEncoder(w)
 	for {
 		if !sc.Scan() {
 			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				s.rejectOversized(sess, enc, w)
+				s.rejectOversized(sess, w)
 			}
 			// EOF, shutdown wake-up, or broken pipe: close quietly.
 			return
@@ -230,11 +229,7 @@ func (s *Server) serveConn(sess *Session) {
 		if !resp.OK {
 			s.errors.Add(1)
 		}
-		err := enc.Encode(&resp) // Encode appends the delimiting newline
-		if err == nil {
-			err = w.Flush()
-		}
-		if err != nil {
+		if writeResponse(w, &resp) != nil {
 			return
 		}
 		if s.inShutdown.Load() {
@@ -245,14 +240,11 @@ func (s *Server) serveConn(sess *Session) {
 
 // rejectOversized answers a request line over maxLineBytes with the one
 // response the session will get before it closes.
-func (s *Server) rejectOversized(sess *Session, enc *json.Encoder, w *bufio.Writer) {
+func (s *Server) rejectOversized(sess *Session, w *bufio.Writer) {
 	s.requests.Add(1)
 	s.errors.Add(1)
-	err := enc.Encode(&Response{Session: sess.ID, Code: string(rferrors.CodeBadRequest),
+	err := writeResponse(w, &Response{Session: sess.ID, Code: string(rferrors.CodeBadRequest),
 		Error: fmt.Sprintf("bad request: line exceeds the %d MiB limit", maxLineBytes>>20)})
-	if err == nil {
-		err = w.Flush()
-	}
 	if err != nil {
 		return
 	}
@@ -264,6 +256,15 @@ func (s *Server) rejectOversized(sess *Session, enc *json.Encoder, w *bufio.Writ
 	for err = bufio.ErrBufferFull; err == bufio.ErrBufferFull; {
 		_, err = rest.ReadSlice('\n')
 	}
+}
+
+// writeResponse writes one response line and flushes it.
+func writeResponse(w *bufio.Writer, resp *Response) error {
+	line := append(appendResponse(w.AvailableBuffer(), resp), '\n')
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // dispatch executes one request against the engine.
@@ -306,19 +307,19 @@ func (s *Server) dispatch(sess *Session, req *Request) Response {
 			opts = append(opts, engine.WithAnalyze())
 		}
 		res, err := sess.db.ExecContext(ctx, sql, opts...)
+		if err == nil && req.Op != "explain" {
+			resp.result, err = encodeResult(res)
+		}
 		if err != nil {
-			resp.Error = err.Error()
-			resp.Code = string(rferrors.CodeOf(err))
+			resp.fail(err)
 			break
 		}
 		resp.OK = true
-		resp.Affected = res.Affected
 		resp.Rewritten = res.Rewritten
 		if req.Op == "explain" {
+			resp.Affected = res.Affected
 			resp.Plan = res.Plan
 		} else {
-			resp.Columns = res.Columns
-			resp.Rows = rowsToJSON(res.Rows)
 			resp.Plan = res.Analyzed
 		}
 	default:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -209,6 +210,95 @@ func TestServerConcurrentClients(t *testing.T) {
 	st := srv.Stats()
 	if st.Accepted != clients || st.Requests != clients*perClient {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestServerCachedAnswerConcurrent: connections hitting one cached statement
+// at once each get their own id and session around identical row bytes, and
+// after an UPDATE the cached answer carries the new values.
+func TestServerCachedAnswerConcurrent(t *testing.T) {
+	_, e, addr, _ := startServer(t)
+	const q = `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM seq`
+	if _, err := e.ExecAll(`CREATE TABLE seq (pos INTEGER, val INTEGER);
+	  INSERT INTO seq (pos, val) VALUES (1, 1), (2, 2), (3, 3), (4, 4);`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec(q); err != nil { // cache the result: every wire request below is a hit
+		t.Fatal(err)
+	}
+	const conns, perConn = 8, 25
+	type answer struct {
+		session uint64
+		rows    string // the raw "columns", "rows" and "affected" members
+	}
+	answers := make([][]answer, conns)
+	var wg sync.WaitGroup
+	for k := 0; k < conns; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			for i := 0; i < perConn; i++ {
+				id := uint64(1000*k + i)
+				req, _ := json.Marshal(server.Request{ID: id, Op: "query", SQL: q})
+				if _, err := conn.Write(append(req, '\n')); err != nil {
+					t.Error(err)
+					return
+				}
+				line, err := r.ReadBytes('\n')
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var m map[string]json.RawMessage
+				var resp struct{ ID, Session uint64 }
+				if err := json.Unmarshal(line, &m); err != nil || json.Unmarshal(line, &resp) != nil || resp.ID != id {
+					t.Errorf("request %d: response %s (%v)", id, line, err)
+					return
+				}
+				answers[k] = append(answers[k], answer{resp.Session, string(m["columns"]) + string(m["rows"]) + string(m["affected"])})
+			}
+		}()
+	}
+	wg.Wait()
+	sessions := map[uint64]bool{}
+	want := `["pos","s"][[1,3],[2,6],[3,9],[4,7]]4`
+	for k, as := range answers {
+		for _, a := range as {
+			if a.session != as[0].session || a.rows != want {
+				t.Fatalf("connection %d: answer %+v, want session %d around %s", k, a, as[0].session, want)
+			}
+		}
+		if len(as) > 0 {
+			if sessions[as[0].session] {
+				t.Fatalf("connection %d shares session %d", k, as[0].session)
+			}
+			sessions[as[0].session] = true
+		}
+	}
+
+	if _, err := e.Exec(`UPDATE seq SET val = 10 WHERE pos = 4`); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ { // executed, then a hit that encodes, then the stored bytes
+		res, err := c.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows); got != "[[1 3] [2 6] [3 15] [4 13]]" {
+			t.Fatalf("run %d after UPDATE: rows %s", i, got)
+		}
 	}
 }
 
