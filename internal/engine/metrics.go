@@ -142,8 +142,11 @@ func (e *Engine) initMetrics() {
 		"Dirty pages written back to their heap file.",
 		func() float64 { return float64(e.StorageStats().Writebacks) })
 	e.reg.GaugeFunc("rfview_bufferpool_resident_bytes",
-		"Buffer-pool frame memory charged against the shared budget.",
+		"Buffer-pool memory charged against the shared budget: frames plus cached page columns.",
 		func() float64 { return float64(e.StorageStats().BytesResident) })
+	e.reg.GaugeFunc("rfview_bufferpool_column_cache_bytes",
+		"Resident pages' records decoded into typed columns, the cached share of resident bytes.",
+		func() float64 { return float64(e.StorageStats().ColumnCacheBytes) })
 	e.reg.GaugeFunc("rfview_bufferpool_pages_cached",
 		"Heap pages resident in the buffer pool right now.",
 		func() float64 { return float64(e.StorageStats().PagesCached) })

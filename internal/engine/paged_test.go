@@ -71,6 +71,23 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	}
 	byVal := slices.Clone(shadow)
 	slices.SortFunc(byVal, func(a, b seqRow) int { return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.pos, b.pos)) })
+	// The same window over the rows a WHERE keeps: no view answers it, so
+	// every engine runs the batch path — page columns, a typed selection —
+	// under eviction.
+	var kept []seqRow
+	for _, r := range shadow {
+		if r.val >= 0 {
+			kept = append(kept, r)
+		}
+	}
+	keptRaw := make([]float64, len(kept))
+	for i, r := range kept {
+		keptRaw[i] = float64(r.val)
+	}
+	filtered, err := core.ComputeNaive(keptRaw, core.Sliding(3, 3), core.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	viewDDL := `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
@@ -116,6 +133,16 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 		for i, want := range window.Body() {
 			if got[int64(i+1)] != want {
 				t.Fatalf("%s window: pos %d = %v, ComputeNaive says %v", strat.name, i+1, got[int64(i+1)], want)
+			}
+		}
+		res = mustExec(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq WHERE val >= 0`)
+		got = rowsToPairs(t, res.Rows)
+		if len(got) != len(kept) {
+			t.Fatalf("%s filtered window: %d rows, shadow keeps %d", strat.name, len(got), len(kept))
+		}
+		for i, want := range filtered.Body() {
+			if pos := kept[i].pos; got[pos] != want {
+				t.Fatalf("%s filtered window: pos %d = %v, ComputeNaive says %v", strat.name, pos, got[pos], want)
 			}
 		}
 		rows = mustExec(t, e, `SELECT pos, val FROM seq ORDER BY val, pos`).Rows
@@ -169,6 +196,17 @@ func TestPagedEvictionRaces(t *testing.T) {
 				}
 				if c := res.Rows[0][0].Int(); c < base {
 					fail("scan saw %d rows, want >= %d", c, base)
+					return
+				}
+				// The batch path: page columns read (and extended) while
+				// writers append to the pages they cover.
+				res, err = e.Exec(`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq WHERE val >= 1`)
+				if err != nil {
+					fail("window scan: %v", err)
+					return
+				}
+				if c := len(res.Rows); c < base {
+					fail("window scan saw %d rows, want >= %d", c, base)
 					return
 				}
 			}
@@ -239,15 +277,56 @@ func TestPagedExplainAnalyzeAndMetrics(t *testing.T) {
 	if !strings.Contains(res.Plan, "pages=") || !strings.Contains(res.Plan, "hit_ratio=") {
 		t.Fatalf("plan missing page annotation:\n%s", res.Plan)
 	}
+	// A window over a filtered scan reads batches and filters them on typed
+	// vectors, and the plan says so.
+	res = mustExec(t, e, `EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq WHERE val >= 10`)
+	if !strings.Contains(res.Plan, "batches=") || !strings.Contains(res.Plan, "vectorized") {
+		t.Fatalf("plan missing batch annotations:\n%s", res.Plan)
+	}
 
 	text := e.Metrics().Expose()
 	for _, metric := range []string{
 		"rfview_bufferpool_misses_total", "rfview_bufferpool_evictions_total",
 		"rfview_bufferpool_writebacks_total", "rfview_bufferpool_resident_bytes",
+		"rfview_bufferpool_column_cache_bytes",
 	} {
 		if v := metricValue(t, text, metric); v <= 0 {
 			t.Fatalf("%s = %v, want > 0", metric, v)
 		}
+	}
+}
+
+// TestPagedColumnCacheBudget: under MemoryBudgetBytes, the pages' cached
+// columns are charged to the budget with the frames — a pool capped below
+// the budget leaves room for some — and everything comes back: after scans
+// and evictions the budget holds exactly the pool's resident bytes, and
+// after Close nothing.
+func TestPagedColumnCacheBudget(t *testing.T) {
+	opts := DefaultOptions()
+	opts.PageSize = storage.MinPageSize
+	opts.PageCacheBytes = 16 << 10
+	opts.MemoryBudgetBytes = 64 << 10
+	e := New(opts)
+	loadSeq(t, e, 8000, func(i int) int64 { return int64(i * 7 % 101) })
+	cached := false
+	for _, q := range []string{
+		`SELECT COUNT(*) AS c FROM seq`,
+		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS w FROM seq WHERE val >= 50`,
+		`SELECT pos, val FROM seq WHERE pos > 7900`,
+	} {
+		mustExec(t, e, q)
+		st := e.StorageStats()
+		cached = cached || st.ColumnCacheBytes > 0
+		if used := e.SpillBudget().Used(); used != st.BytesResident {
+			t.Fatalf("after %q the budget holds %d bytes, the pool %d", q, used, st.BytesResident)
+		}
+	}
+	if st := e.StorageStats(); !cached || st.Evictions == 0 {
+		t.Fatalf("no column cache or no eviction on a pool a tenth of the table: %+v", st)
+	}
+	e.Close()
+	if used := e.SpillBudget().Used(); used != 0 {
+		t.Fatalf("%d budget bytes still charged after Close", used)
 	}
 }
 

@@ -83,7 +83,7 @@ func Instrument(op Operator) Operator {
 	case *IndexNestedLoopJoin:
 		o.Outer = Instrument(o.Outer)
 	case *Derive:
-		o.In.Scan = Instrument(o.In.Scan)
+		o.In.Scan = Instrument(o.In.Scan).(*Probe)
 	case *UnionAll:
 		for i := range o.Inputs {
 			o.Inputs[i] = Instrument(o.Inputs[i])
@@ -123,6 +123,19 @@ func (p *Probe) Next() (sqltypes.Row, error) {
 	}
 	return row, err
 }
+
+// NextBatch implements batchOperator, counting the batch's live rows.
+func (p *Probe) NextBatch(cols []int, b *sqltypes.Batch) (bool, error) {
+	t := time.Now()
+	ok, err := p.Inner.(batchOperator).NextBatch(cols, b)
+	p.stats.Elapsed += time.Since(t)
+	if ok {
+		p.stats.Rows += int64(b.Len())
+	}
+	return ok, err
+}
+
+func (p *Probe) canBatch() bool { return batchInput(p.Inner) != nil }
 
 // Close implements Operator.
 func (p *Probe) Close() error {

@@ -58,7 +58,8 @@ type Derive struct {
 // DeriveInput is the stored sequence a Derive reads: the scan of a view's
 // backing table, where its columns sit, and which window it materializes.
 type DeriveInput struct {
-	Scan Operator
+	// Scan is the planner's *Scan, or the Probe EXPLAIN ANALYZE wraps it in.
+	Scan batchOperator
 	View string
 	Win  core.Window // the materialized window (l_x, h_x)
 	Agg  core.Agg
@@ -145,7 +146,8 @@ func (s *storedSeqs) errorf(p *seqPart, format string, args ...any) error {
 // arrive in heap order, which no derivation may rely on: they are buffered as
 // (partition, position, value), each partition's extent is taken from its
 // largest position, and only then is the one slab cut — so a stray position
-// is an error before it is an allocation.
+// is an error before it is an allocation. The scan hands over batches of the
+// columns the sequence needs; no row is materialized.
 func (d *Derive) load() (*storedSeqs, error) {
 	in := &d.In
 	s := &storedSeqs{in: in}
@@ -158,13 +160,21 @@ func (d *Derive) load() (*storedSeqs, error) {
 	if err := in.Scan.Open(); err != nil {
 		return nil, err
 	}
+	cols := []int{in.Pos, in.Val}
+	for _, c := range []int{in.Part, in.Body} {
+		if c >= 0 {
+			cols = append(cols, c)
+		}
+	}
 	var (
 		part  []int32 // partition of each buffered row; nil for a simple view
 		pos   = make([]int, 0, in.Rows)
 		val   = make([]float64, 0, in.Rows)
 		index map[sqltypes.Datum]int32
 		cur   = int32(-1)
+		b     = batchPool.Get().(*sqltypes.Batch)
 	)
+	defer batchPool.Put(b)
 	// The buffers are charged as they grow, capacity by capacity, so the
 	// budget sees the scan while it runs.
 	rowBytes, charged := int64(8+8), 0
@@ -174,60 +184,74 @@ func (d *Derive) load() (*storedSeqs, error) {
 		part, index = make([]int32, 0, in.Rows), make(map[sqltypes.Datum]int32)
 		rowBytes += 4
 	}
-	for until := 0; ; until-- {
-		if until <= 0 {
-			until = cancelCheckEvery
-			if err := ctxErr(d.Ctx); err != nil {
-				return nil, err
-			}
+	for {
+		if err := ctxErr(d.Ctx); err != nil {
+			return nil, err
 		}
-		row, err := in.Scan.Next()
+		ok, err := in.Scan.NextBatch(cols, b)
 		if err != nil {
 			return nil, err
 		}
-		if row == nil {
+		if !ok {
 			break
 		}
-		if in.Part >= 0 {
-			// A view is filled partition by partition, so the key of the
-			// previous row usually answers without the map.
-			if key := row[in.Part]; cur < 0 || s.parts[cur].key != key {
-				i, ok := index[key]
-				if !ok {
-					i = int32(len(s.parts))
-					index[key] = i
-					s.parts = append(s.parts, seqPart{key: key, max: s.lo - 1})
-				}
-				cur = i
-			}
-		}
-		p := &s.parts[cur]
-		k, v := row[in.Pos], row[in.Val]
-		if k.Typ() != sqltypes.Int || !v.Typ().Numeric() {
-			return nil, s.errorf(p, "stored row (%v, %v) is not an INTEGER position and a numeric value", k, v)
-		}
-		at := int(k.Int())
-		if at < s.lo {
-			return nil, s.errorf(p, "position %d lies left of the header, which starts at %d", at, s.lo)
-		}
-		if at > p.max {
-			p.max = at
-		}
-		p.rows++
-		if in.Body >= 0 && row[in.Body].Bool() {
-			p.body++
-		}
-		if charged == len(pos) {
-			pos, val = slices.Grow(pos, 1), slices.Grow(val, 1)
+		// A view stores INTEGER positions and numeric values without NULLs,
+		// which are read straight off the typed vectors; anything else is
+		// read datum by datum, so the offending row can be named.
+		posCol, valCol := &b.Cols[in.Pos], &b.Cols[in.Val]
+		typed := posCol.Typ == sqltypes.Int && valCol.Typ.Numeric() && !posCol.Mixed() && !valCol.Mixed() &&
+			!posCol.Nulls.Any() && !valCol.Nulls.Any()
+		for _, i := range b.Positions() {
 			if in.Part >= 0 {
-				part = slices.Grow(part, 1)
+				// A view is filled partition by partition, so the key of the
+				// previous row usually answers without the map.
+				if key := b.Cols[in.Part].Datum(i); cur < 0 || s.parts[cur].key != key {
+					i, ok := index[key]
+					if !ok {
+						i = int32(len(s.parts))
+						index[key] = i
+						s.parts = append(s.parts, seqPart{key: key, max: s.lo - 1})
+					}
+					cur = i
+				}
 			}
-			d.charge(int64(cap(pos)-charged) * rowBytes)
-			charged = cap(pos)
-		}
-		pos, val = append(pos, at), append(val, v.Float())
-		if in.Part >= 0 {
-			part = append(part, cur)
+			p := &s.parts[cur]
+			var at int
+			var x float64
+			switch {
+			case !typed:
+				k, v := posCol.Datum(i), valCol.Datum(i)
+				if k.Typ() != sqltypes.Int || !v.Typ().Numeric() {
+					return nil, s.errorf(p, "stored row (%v, %v) is not an INTEGER position and a numeric value", k, v)
+				}
+				at, x = int(k.Int()), v.Float()
+			case valCol.Typ == sqltypes.Int:
+				at, x = int(posCol.Ints[i]), float64(valCol.Ints[i])
+			default:
+				at, x = int(posCol.Ints[i]), valCol.Floats[i]
+			}
+			if at < s.lo {
+				return nil, s.errorf(p, "position %d lies left of the header, which starts at %d", at, s.lo)
+			}
+			if at > p.max {
+				p.max = at
+			}
+			p.rows++
+			if in.Body >= 0 && b.Cols[in.Body].Datum(i).Bool() {
+				p.body++
+			}
+			if charged == len(pos) {
+				pos, val = slices.Grow(pos, 1), slices.Grow(val, 1)
+				if in.Part >= 0 {
+					part = slices.Grow(part, 1)
+				}
+				d.charge(int64(cap(pos)-charged) * rowBytes)
+				charged = cap(pos)
+			}
+			pos, val = append(pos, at), append(val, x)
+			if in.Part >= 0 {
+				part = append(part, cur)
+			}
 		}
 	}
 

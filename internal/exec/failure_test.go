@@ -178,10 +178,11 @@ func TestDivisionByZeroSurfaces(t *testing.T) {
 }
 
 // seqTable stores rows as a simple view's backing table does — (pos, val) in
-// heap order — and returns it with its pager, whose pins the leak checks read.
+// heap order, on small pages so a scan hands them over in several batches —
+// and returns it with its pager, whose pins the leak checks read.
 func seqTable(t *testing.T, rows ...sqltypes.Row) (*catalog.Table, *storage.Pager) {
 	t.Helper()
-	pager := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(t.TempDir())})
+	pager := storage.NewPager(storage.PagerConfig{PageSize: storage.MinPageSize, Env: spill.NewEnv(t.TempDir())})
 	t.Cleanup(func() { pager.Close() })
 	tbl, err := catalog.New(pager).CreateTable("__mv_v", []catalog.Column{
 		{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int},
@@ -237,7 +238,7 @@ func TestDeriveLeaksNothing(t *testing.T) {
 		tbl, pager := seqTable(t, sumSequence(n)...)
 		d, budget := deriveOver(context.Background(), tbl)
 		var scanning int64
-		d.In.Scan = &afterRows{Operator: d.In.Scan, rows: 200, do: func() { scanning = budget.Used() }}
+		d.In.Scan = &afterRows{batchOperator: d.In.Scan.(*Scan), rows: 200, do: func() { scanning = budget.Used() }}
 		if err := d.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func TestDeriveLeaksNothing(t *testing.T) {
 		d, budget := deriveOver(ctx, tbl)
 		// The scan hands over 200 rows — its iterator holding a page — and
 		// then the caller gives up.
-		d.In.Scan = &afterRows{Operator: d.In.Scan, rows: 200, do: cancel}
+		d.In.Scan = &afterRows{batchOperator: d.In.Scan.(*Scan), rows: 200, do: cancel}
 		if _, err := CollectCtx(ctx, d); !errors.Is(err, rferrors.ErrCancelled) {
 			t.Fatalf("cancelled derive: %v, want ErrCancelled", err)
 		}
@@ -295,17 +296,23 @@ func TestDeriveLeaksNothing(t *testing.T) {
 	}
 }
 
-// afterRows calls do once it has passed rows rows — to cancel the statement's
-// context in the middle of a scan, or to look at the budget there.
+// afterRows calls do once it has passed rows rows, when the next batch is
+// asked for — to cancel the statement's context in the middle of a scan, or
+// to look at the budget there.
 type afterRows struct {
-	Operator
+	batchOperator
 	rows int
 	do   func()
 }
 
-func (a *afterRows) Next() (sqltypes.Row, error) {
-	if a.rows--; a.rows == 0 {
+func (a *afterRows) NextBatch(cols []int, b *sqltypes.Batch) (bool, error) {
+	if a.rows <= 0 && a.do != nil {
 		a.do()
+		a.do = nil
 	}
-	return a.Operator.Next()
+	ok, err := a.batchOperator.NextBatch(cols, b)
+	if ok {
+		a.rows -= b.Len()
+	}
+	return ok, err
 }

@@ -21,8 +21,8 @@ import (
 //   - a VARCHAR column among them: sortEncoded — memcomparable byte keys and
 //     bytes.Compare, since a string has no fixed-width order word;
 //   - a column that mixes Int and Float or holds a NaN (orderings no
-//     normalization reproduces), or vectorization switched off:
-//     sortComparator — sqltypes.Compare over a pre-validated key matrix, so
+//     normalization reproduces): sortComparator — sqltypes.Compare over a
+//     pre-validated key matrix read back from the vectors, so
 //     incomparable key types (INTEGER vs VARCHAR out of a CASE) surface as a
 //     type error before any ordering work.
 //
@@ -108,7 +108,12 @@ func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScra
 	}
 	path := keyPath(sc.vecs)
 	if path == sortComparator {
-		return path, sortRowsCompared(rows, idx, keys, sc)
+		sc.ord = identity(sc.ord, n)
+		if err := sortCompared(sc.vecs, sc.ord, keys, sc); err != nil {
+			return path, err
+		}
+		permute(sc, idx, sc.ord)
+		return path, nil
 	}
 	lay := newRecLayout(keys, sc.vecs)
 	sc.perm = identity(sc.perm, n)
@@ -340,28 +345,21 @@ func fillClassOrderMeta(m *ClassOrderMeta, vecs []sqltypes.ColVec, pos []int) {
 	m.valid = true
 }
 
-// sortRowsCompared is the comparator path. It evaluates every key for every
-// row into one flat matrix, then validates each key column — a single
+// sortCompared is the comparator path: it stably sorts pos — positions into
+// the key vectors vecs, one per key — in place. It reads every key of every
+// position into one flat matrix, then validates each key column — a single
 // non-NULL type (or a numeric mix) sorts, anything else is a type error
 // surfaced before any ordering work — and sorts an identity permutation with
 // the position as the final tie-break, which reproduces a stable sort while
 // letting the sort itself run unstable.
-func sortRowsCompared(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch) error {
-	n, k := len(idx), len(keys)
+func sortCompared(vecs []sqltypes.ColVec, pos []int, keys []SortKey, sc *sortScratch) error {
+	n, k := len(pos), len(keys)
 	if n < 2 || k == 0 {
 		return nil
 	}
 	sc.datums = grow(sc.datums, n*k)
-	for i, ri := range idx {
-		row := rows[ri]
-		base := i * k
-		for ki := range keys {
-			v, err := keys[ki].Expr.Eval(row)
-			if err != nil {
-				return err
-			}
-			sc.datums[base+ki] = v
-		}
+	for ki := range keys {
+		vecs[ki].PutDatums(sc.datums[ki:], k, pos)
 	}
 	for ki := 0; ki < k; ki++ {
 		first := sqltypes.Null
@@ -391,7 +389,7 @@ func sortRowsCompared(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortSc
 		}
 		return a - b // identity start: position tie-break == stability
 	})
-	permute(sc, idx, perm)
+	permute(sc, pos, perm)
 	return nil
 }
 

@@ -24,9 +24,11 @@ type Scan struct {
 
 	schema *expr.Schema
 	it     *storage.Iter
-	// stats accumulate across Opens (nested-loop re-scans included) and
-	// survive Close so EXPLAIN ANALYZE can render them after execution.
-	stats storage.IterStats
+	// stats and batches accumulate across Opens (nested-loop re-scans
+	// included) and survive Close so EXPLAIN ANALYZE can render them after
+	// execution.
+	stats   storage.IterStats
+	batches int64
 }
 
 // NewScan builds a full scan of tbl referenced as ref.
@@ -65,6 +67,20 @@ func (s *Scan) Next() (sqltypes.Row, error) {
 	return row, err
 }
 
+// NextBatch implements batchOperator: one run of visible rows of one page.
+func (s *Scan) NextBatch(cols []int, b *sqltypes.Batch) (bool, error) {
+	if s.it == nil {
+		return false, nil
+	}
+	ok, err := s.it.NextBatch(cols, b)
+	if ok {
+		s.batches++
+	}
+	return ok, err
+}
+
+func (s *Scan) canBatch() bool { return true }
+
 // Close implements Operator.
 func (s *Scan) Close() error {
 	s.closeIter()
@@ -96,7 +112,11 @@ func (s *Scan) Describe() string {
 		if denom := s.stats.Hits + s.stats.Misses; denom > 0 {
 			hr = float64(s.stats.Hits) / float64(denom)
 		}
-		d += fmt.Sprintf(" (pages=%d hit_ratio=%.2f)", s.stats.Pages, hr)
+		d += fmt.Sprintf(" (pages=%d hit_ratio=%.2f", s.stats.Pages, hr)
+		if s.batches > 0 {
+			d += fmt.Sprintf(" batches=%d", s.batches)
+		}
+		d += ")"
 	}
 	return d
 }
@@ -142,20 +162,46 @@ func (v *Values) Describe() string { return fmt.Sprintf("Values (%d rows)", len(
 // Children implements Operator.
 func (v *Values) Children() []Operator { return nil }
 
-// Filter passes through rows whose predicate evaluates to true.
+// Filter passes through rows whose predicate evaluates to true. Over an
+// input that produces batches it filters a batch at a time: a predicate that
+// is `column op constant`, or an AND of such comparisons, is decided on the
+// typed column vectors into the batch's selection, and anything else is
+// evaluated position by position. Next then materializes only the selected
+// rows, one allocation per batch.
 type Filter struct {
 	Input Operator
 	Pred  expr.Expr
+
+	src  batchOperator   // Input as a batch producer, or nil
+	conj []expr.ColConst // Pred as column-constant comparisons, or nil
+	cols []int           // the columns last requested of the input
+	all  []int           // every column, which Next reads
+	sel  []int           // the selection this filter hands on
+	row  sqltypes.Row    // a batch position as a row, for Eval
+	b    sqltypes.Batch
+	rows []sqltypes.Row
+	ri   int
+	// vectorized records that a batch was filtered on typed vectors, for
+	// EXPLAIN ANALYZE; it survives Close like a scan's page counts.
+	vectorized bool
 }
 
 // Schema implements Operator.
 func (f *Filter) Schema() *expr.Schema { return f.Input.Schema() }
 
 // Open implements Operator.
-func (f *Filter) Open() error { return f.Input.Open() }
+func (f *Filter) Open() error {
+	f.src = batchInput(f.Input)
+	f.conj, _ = expr.ColConstConjuncts(f.Pred)
+	f.rows, f.ri = f.rows[:0], 0
+	return f.Input.Open()
+}
 
 // Next implements Operator.
 func (f *Filter) Next() (sqltypes.Row, error) {
+	if f.src != nil {
+		return f.nextFromBatches()
+	}
 	for {
 		row, err := f.Input.Next()
 		if err != nil || row == nil {
@@ -171,11 +217,104 @@ func (f *Filter) Next() (sqltypes.Row, error) {
 	}
 }
 
+func (f *Filter) nextFromBatches() (sqltypes.Row, error) {
+	for f.ri >= len(f.rows) {
+		width := len(f.Schema().Cols)
+		if len(f.all) != width {
+			f.all = identity(f.all, width)
+		}
+		ok, err := f.NextBatch(f.all, &f.b)
+		if !ok {
+			return nil, err
+		}
+		clear(f.rows)
+		f.rows, f.ri = sqltypes.AppendRows(f.rows[:0], f.b.Cols, width, f.b.Positions()), 0
+	}
+	f.ri++
+	return f.rows[f.ri-1], nil
+}
+
+// NextBatch implements batchOperator.
+func (f *Filter) NextBatch(cols []int, b *sqltypes.Batch) (bool, error) {
+	f.cols = f.cols[:0]
+	for _, c := range cols {
+		f.cols = addCol(f.cols, c)
+	}
+	if f.conj != nil {
+		for _, c := range f.conj {
+			f.cols = addCol(f.cols, c.Col)
+		}
+	} else {
+		for c := range f.Schema().Cols {
+			f.cols = addCol(f.cols, c)
+		}
+	}
+	for {
+		ok, err := f.src.NextBatch(f.cols, b)
+		if !ok || err != nil {
+			return ok, err
+		}
+		if err := f.filter(b); err != nil {
+			return false, err
+		}
+		if b.Len() > 0 {
+			return true, nil
+		}
+	}
+}
+
+func (f *Filter) canBatch() bool { return batchInput(f.Input) != nil }
+
+// filter narrows b's selection to the positions the predicate accepts.
+func (f *Filter) filter(b *sqltypes.Batch) error {
+	in := b.Positions()
+	if f.sel == nil {
+		f.sel = make([]int, 0, len(in))
+	}
+	out := f.sel[:0]
+	typed := f.conj != nil
+	for _, c := range f.conj {
+		typed = typed && vectorCmp(&b.Cols[c.Col], c.Val)
+	}
+	if typed {
+		for _, c := range f.conj {
+			out = keepCmp(&b.Cols[c.Col], c.Op, c.Val, in, out[:0])
+			in = out
+		}
+		f.vectorized = true
+	} else {
+		f.row = grow(f.row, len(f.Schema().Cols))
+		for _, p := range in {
+			for _, c := range f.cols {
+				f.row[c] = b.Cols[c].Datum(p)
+			}
+			v, err := f.Pred.Eval(f.row)
+			if err != nil {
+				return err
+			}
+			if expr.Truthy(v) {
+				out = append(out, p)
+			}
+		}
+	}
+	f.sel, b.Sel = out, out
+	return nil
+}
+
 // Close implements Operator.
-func (f *Filter) Close() error { return f.Input.Close() }
+func (f *Filter) Close() error {
+	clear(f.rows)
+	f.rows = f.rows[:0]
+	return f.Input.Close()
+}
 
 // Describe implements Operator.
-func (f *Filter) Describe() string { return "Filter " + f.Pred.String() }
+func (f *Filter) Describe() string {
+	if f.vectorized {
+		return "Filter " + f.Pred.String() + " vectorized"
+	}
+	return "Filter " + f.Pred.String()
+}
 
 // Children implements Operator.
 func (f *Filter) Children() []Operator { return []Operator{f.Input} }

@@ -47,13 +47,18 @@ func newKeyStreamer(keys []SortKey) *keyStreamer {
 // and the caller must fall back to the comparator path. Incomparable types
 // return the same error the in-memory validation raises.
 func (ks *keyStreamer) encode(row sqltypes.Row) (key []byte, ok bool, err error) {
-	ks.buf = ks.buf[:0]
 	for ki := range ks.keys {
-		v, err := ks.keys[ki].Expr.Eval(row)
-		if err != nil {
+		if ks.vals[ki], err = ks.keys[ki].Expr.Eval(row); err != nil {
 			return nil, false, err
 		}
-		ks.vals[ki] = v
+	}
+	return ks.encodeVals()
+}
+
+// encodeVals is encode over key values the caller has put in ks.vals.
+func (ks *keyStreamer) encodeVals() (key []byte, ok bool, err error) {
+	ks.buf = ks.buf[:0]
+	for ki, v := range ks.vals {
 		t := v.Typ()
 		if t != sqltypes.Null {
 			if t == sqltypes.Float && math.IsNaN(v.Float()) {

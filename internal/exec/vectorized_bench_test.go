@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"rfview/internal/catalog"
 	"rfview/internal/expr"
+	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 // Microbenchmarks for the Sort and Window operators over the key and
@@ -152,19 +155,24 @@ func BenchmarkWindowArgShapes(b *testing.B) {
 	}
 }
 
-// scanShapePlan builds the plan of the benchmark's scan_window statements,
+// scanShapePlans builds the plan of the benchmark's scan_window statements,
 // SELECT k, SUM(v) OVER (PARTITION BY p ORDER BY k ROWS BETWEEN 3 PRECEDING
 // AND 2 FOLLOWING) FROM t WHERE v >= 0, over n five-column rows in shuffled
-// order across parts partitions: Project ← Window ← Filter ← Values, the
-// projection pushed down as the planner does.
-func scanShapePlan(n, parts int) func() Operator {
-	schema := expr.NewSchema(
-		expr.ColInfo{Name: "k", Type: sqltypes.Int},
-		expr.ColInfo{Name: "p", Type: sqltypes.Int},
-		expr.ColInfo{Name: "q", Type: sqltypes.Int},
-		expr.ColInfo{Name: "d", Type: sqltypes.Date},
-		expr.ColInfo{Name: "v", Type: sqltypes.Int},
-	)
+// order across parts partitions: Project ← Window ← Filter, the projection
+// pushed down as the planner does. It returns the plan over two inputs
+// holding the same rows: "scan", a paged table whose batches the window
+// drains, and "values", a row input that takes the window's row drain (the
+// path of a window over a Sort, a join or a shared stream).
+func scanShapePlans(tb testing.TB, n, parts int) []scanShape {
+	pager := storage.NewPager(storage.PagerConfig{Env: spill.NewEnv(tb.TempDir())})
+	tb.Cleanup(func() { pager.Close() })
+	tbl, err := catalog.New(pager).CreateTable("t", []catalog.Column{
+		{Name: "k", Type: sqltypes.Int}, {Name: "p", Type: sqltypes.Int}, {Name: "q", Type: sqltypes.Int},
+		{Name: "d", Type: sqltypes.Date}, {Name: "v", Type: sqltypes.Int},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(3))
 	rows := make([]sqltypes.Row, n)
 	for i, k := range rng.Perm(n) {
@@ -172,50 +180,70 @@ func scanShapePlan(n, parts int) func() Operator {
 			sqltypes.NewInt(int64(k + 1)), sqltypes.NewInt(int64(rng.Intn(parts))), sqltypes.NewInt(int64(rng.Intn(250))),
 			sqltypes.NewDate(int64(11323 + k*336/n)), sqltypes.NewInt(int64(5 + rng.Intn(500))),
 		}
+		if _, err := tbl.Heap.Insert(rows[i]); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	schema := NewScan(tbl, "t").Schema()
 	frame := FrameSpec{
 		Start: FrameBound{Kind: BoundPreceding, Offset: 3},
 		End:   FrameBound{Kind: BoundFollowing, Offset: 2},
 	}
-	return func() Operator {
-		var op Operator = &Filter{Input: NewValues(schema, rows), Pred: benchExpr("v >= 0", schema)}
-		win := NewWindow(op, []expr.Expr{benchExpr("p", schema)}, []SortKey{{Expr: benchExpr("k", schema)}},
-			[]WindowFunc{{Name: "SUM", Arg: benchExpr("v", schema), Frame: frame, OutName: "w"}})
-		proj := NewProject(win, []expr.Expr{benchExpr("k", win.Schema()), benchExpr("w", win.Schema())}, []string{"k", "w"})
-		proj.PushDown()
-		return proj
+	over := func(input func() Operator) func() Operator {
+		return func() Operator {
+			var op Operator = &Filter{Input: input(), Pred: benchExpr("v >= 0", schema)}
+			win := NewWindow(op, []expr.Expr{benchExpr("p", schema)}, []SortKey{{Expr: benchExpr("k", schema)}},
+				[]WindowFunc{{Name: "SUM", Arg: benchExpr("v", schema), Frame: frame, OutName: "w"}})
+			proj := NewProject(win, []expr.Expr{benchExpr("k", win.Schema()), benchExpr("w", win.Schema())}, []string{"k", "w"})
+			proj.PushDown()
+			return proj
+		}
 	}
+	return []scanShape{
+		{"scan", over(func() Operator { return NewScan(tbl, "t") })},
+		{"values", over(func() Operator { return NewValues(schema, rows) })},
+	}
+}
+
+type scanShape struct {
+	input string
+	plan  func() Operator
 }
 
 // BenchmarkWindowScanShape is the benchmark's scan_window statement shape —
 // 20k rows loaded in shuffled order, 200 partitions, one sliding SUM — so
-// the operator's time and allocations reproduce with `go test -bench` alone.
+// the operator's time and allocations reproduce with `go test -bench` alone,
+// over both the batch input and the row input.
 func BenchmarkWindowScanShape(b *testing.B) {
-	plan := scanShapePlan(20000, 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Collect(plan()); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range scanShapePlans(b, 20000, 200) {
+		b.Run(shape.input, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Collect(shape.plan()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestWindowAllocsPerRow pins the allocation shape of the single-OVER plan:
 // a 10k-row, 100-partition shuffled table through Project ← Window ← Filter
 // end to end allocates per run (the output slab, the row headers, pooled
-// scratch on a cold pool, the plan itself), not per row. The bound is
-// ROADMAP's 0.5 allocations per input row; the operator this replaced made
-// three.
+// scratch on a cold pool, the plan itself), not per row, whether the window
+// drains the scan's batches or a row input. The bound is ROADMAP's 0.5
+// allocations per input row; the operator this replaced made three.
 func TestWindowAllocsPerRow(t *testing.T) {
 	const n = 10000
-	plan := scanShapePlan(n, 100)
-	perRun := testing.AllocsPerRun(10, func() {
-		rows, err := CollectCtx(context.Background(), plan())
-		if err != nil || len(rows) != n {
-			t.Fatalf("%d rows, err %v", len(rows), err)
+	for _, shape := range scanShapePlans(t, n, 100) {
+		perRun := testing.AllocsPerRun(10, func() {
+			rows, err := CollectCtx(context.Background(), shape.plan())
+			if err != nil || len(rows) != n {
+				t.Fatalf("%s: %d rows, err %v", shape.input, len(rows), err)
+			}
+		})
+		if perRow := perRun / n; perRow > 0.5 {
+			t.Fatalf("%s: %.0f allocations per run = %.3f per input row, want <= 0.5", shape.input, perRun, perRow)
 		}
-	})
-	if perRow := perRun / n; perRow > 0.5 {
-		t.Fatalf("%.0f allocations per run = %.3f per input row, want <= 0.5", perRun, perRow)
 	}
 }

@@ -167,14 +167,17 @@ func (w WindowFunc) String() string {
 // preserved in the output; reporting functions do not shrink or reorder the
 // stream (§1: "one output value for each single input value").
 //
-// The operator is columnar inside. Open drains the child once and, in one
-// pass over the rows, evaluates only the PARTITION BY, ORDER BY and argument
-// expressions into typed vectors (sqltypes.ColVec) while copying the emitted
-// input columns into the output slab. Partition ids come from a hash of the
-// partition vectors, each partition is ordered by sorting packed key records
-// (keys.go), the kernels run over the partition's gathered argument slice,
-// and results land directly in the slab — so a run allocates O(1) times, not
-// per row.
+// The operator is columnar inside. Open drains the child once into typed
+// vectors (sqltypes.ColVec) of the PARTITION BY, ORDER BY and argument
+// expressions and fills the output slab with the emitted input columns: a
+// child that produces batches hands its columns over directly, any other
+// child's rows are evaluated in one pass. From then on the vectors are the
+// only copy of the input the operator reads — they are lossless, so the
+// fallbacks a NaN or a type mix selects read them too. Partition ids come
+// from a hash of the partition vectors, each partition is ordered by sorting
+// packed key records (keys.go), the kernels run over the partition's
+// gathered argument slice, and results land directly in the slab — so a run
+// allocates O(1) times, not per row.
 //
 // Algebraic aggregates slide their frame with one Add and one Remove per row
 // — the §2.2 pipelined strategy (three operations per position, independent
@@ -303,19 +306,29 @@ func (w *Window) Schema() *expr.Schema {
 // Everything in it is written before the partition workers start, except
 // slab, whose slots each worker writes for its own rows only.
 type winRun struct {
+	// rows is the drained input of a child that produces rows, n the input
+	// row count.
 	rows []sqltypes.Row
+	n    int
 	// part, order and args hold the PARTITION BY, ORDER BY and distinct
 	// argument columns, one position per input row; ordinals each row's
 	// original input position on a shared stream.
 	part, order, args []sqltypes.ColVec
 	evals             []colEval
 	ordinals          []int64
+	// Batch drain state: the input batch, the columns read from it, the
+	// emitted input columns gathered until the slab can be cut (carry,
+	// parallel to inCols), and a row to evaluate expressions over.
+	batch sqltypes.Batch
+	need  []int
+	carry []sqltypes.ColVec
+	row   sqltypes.Row
 	// ord lists the row positions partition by partition: partition p is
 	// ord[bounds[p]:bounds[p+1]], in stream order until it is sorted.
 	ord, bounds []int
 	// Partitioner scratch: per-row hashes and partition ids, the open
 	// addressing table of partition ids, each partition's first row, and the
-	// boxed key matrix of the untyped fallback.
+	// boxed key matrix of the fallback.
 	hash       []uint64
 	pid, first []int32
 	table      []int32
@@ -372,18 +385,25 @@ func (w *Window) putRun(r *winRun) {
 func (w *Window) Open() error {
 	r := winRunPool.Get().(*winRun)
 	defer w.putRun(r)
-	rows, err := collectInto(w.ctx(), w.Input, r.rows)
-	if err != nil {
-		return err
-	}
-	n := len(rows)
-	r.rows = rows
 	w.prepareArgs()
 	for i := range w.sorted {
 		w.sorted[i].Store(false)
 	}
 
-	byMeta := w.Shared && w.classBoundariesUsable(n)
+	// A shared stream arrives sorted, as rows, with its class metadata.
+	var src batchOperator
+	if !w.Shared {
+		src = batchInput(w.Input)
+	}
+	byMeta := false
+	if src == nil {
+		rows, err := collectInto(w.ctx(), w.Input, r.rows)
+		if err != nil {
+			return err
+		}
+		r.rows = rows
+		byMeta = w.Shared && w.classBoundariesUsable(len(rows))
+	}
 	r.metaOrdered, r.resort = byMeta && w.PreSorted && len(w.OrderBy) > 0, false
 	r.part, r.order, r.args = r.part[:0], r.order[:0], grow(r.args, len(w.argExprs))
 	if !byMeta {
@@ -392,15 +412,22 @@ func (w *Window) Open() error {
 	if !r.metaOrdered {
 		r.order = grow(r.order, len(w.OrderBy))
 	}
+	var err error
+	if src != nil {
+		err = w.drainBatches(r, src)
+	} else {
+		err = w.buildColumns(r)
+	}
+	if err != nil {
+		return err
+	}
+	n := r.n
 	// The vectors and the partition index are real per-run allocations;
 	// force-charge them so the budget gauge sees the pressure.
 	if w.Spill.Enabled() {
 		charged := int64(n) * 8 * int64(len(r.part)+len(r.order)+len(r.args)+2)
 		w.Spill.Budget.Force(charged)
 		defer w.Spill.Budget.Release(charged)
-	}
-	if err := w.buildColumns(r); err != nil {
-		return err
 	}
 	if byMeta {
 		w.partitionByTieDepth(r)
@@ -426,12 +453,9 @@ func (w *Window) Open() error {
 	return nil
 }
 
-// buildColumns is the one pass over the drained rows: it evaluates the
-// partition, order and argument expressions into r's vectors, reads the
-// ordinal tag of a shared stream, and copies the emitted input columns into
-// the freshly allocated output slab.
-func (w *Window) buildColumns(r *winRun) error {
-	n := len(r.rows)
+// layoutRun resets the run's vectors for about n rows, pairs each with the
+// expression evaluated into it, and lays out the output rows.
+func (w *Window) layoutRun(r *winRun, n int) error {
 	evals := r.evals[:0]
 	for i := range r.part {
 		evals = append(evals, w.newColEval(w.PartitionBy[i], &r.part[i]))
@@ -473,13 +497,26 @@ func (w *Window) buildColumns(r *winRun) error {
 			r.inCols = append(r.inCols, [2]int{j, c})
 		}
 	}
-	r.slab = make([]sqltypes.Datum, n*r.width)
+	return nil
+}
 
+// buildColumns is the one pass over drained rows: it evaluates the
+// partition, order and argument expressions into r's vectors, reads the
+// ordinal tag of a shared stream, and copies the emitted input columns into
+// the freshly allocated output slab.
+func (w *Window) buildColumns(r *winRun) error {
+	n := len(r.rows)
+	if err := w.layoutRun(r, n); err != nil {
+		return err
+	}
+	r.n = n
+	r.slab = make([]sqltypes.Datum, n*r.width)
+	inW := len(w.schema.Cols) - len(w.Funcs)
 	for i, row := range r.rows {
 		if len(row) < inW {
 			return fmt.Errorf("exec: row of %d columns, window input has %d", len(row), inW)
 		}
-		for _, ce := range evals {
+		for _, ce := range r.evals {
 			if ce.col >= 0 {
 				ce.vec.Append(row[ce.col])
 				continue
@@ -496,6 +533,104 @@ func (w *Window) buildColumns(r *winRun) error {
 		dst := r.slab[i*r.width:]
 		for _, jc := range r.inCols {
 			dst[jc[0]] = row[jc[1]]
+		}
+	}
+	return nil
+}
+
+// drainBatches is buildColumns for a child that produces batches: each
+// batch's columns are appended to r's vectors as they are, an expression
+// that is not a plain column is evaluated at each live position, and the
+// emitted input columns are gathered too, so the slab is cut once the row
+// count is known.
+func (w *Window) drainBatches(r *winRun, src batchOperator) error {
+	if err := w.layoutRun(r, 0); err != nil {
+		return err
+	}
+	inW := len(w.schema.Cols) - len(w.Funcs)
+	r.need = r.need[:0]
+	evalRows := false
+	for _, ce := range r.evals {
+		evalRows = evalRows || ce.col < 0
+		if ce.col >= 0 {
+			r.need = addCol(r.need, ce.col)
+		}
+	}
+	r.carry = grow(r.carry, len(r.inCols))
+	for k, jc := range r.inCols {
+		r.carry[k].Reset(0)
+		r.need = addCol(r.need, jc[1])
+	}
+	if evalRows {
+		for c := 0; c < inW; c++ {
+			r.need = addCol(r.need, c)
+		}
+	}
+	r.row = grow(r.row, inW)
+
+	r.n = 0
+	if err := src.Open(); err != nil {
+		src.Close()
+		return err
+	}
+	b := &r.batch
+	for {
+		if err := ctxErr(w.ctx()); err != nil {
+			src.Close()
+			return err
+		}
+		ok, err := src.NextBatch(r.need, b)
+		if err != nil {
+			src.Close()
+			return err
+		}
+		if !ok {
+			break
+		}
+		for _, ce := range r.evals {
+			if ce.col >= 0 {
+				ce.vec.AppendSel(&b.Cols[ce.col], b.Sel)
+			}
+		}
+		for k, jc := range r.inCols {
+			r.carry[k].AppendSel(&b.Cols[jc[1]], b.Sel)
+		}
+		if evalRows {
+			if err := w.evalBatch(r, b); err != nil {
+				src.Close()
+				return err
+			}
+		}
+		r.n += b.Len()
+	}
+	if err := src.Close(); err != nil {
+		return err
+	}
+	r.slab = make([]sqltypes.Datum, r.n*r.width)
+	if r.n > 0 {
+		for k, jc := range r.inCols {
+			r.carry[k].PutDatums(r.slab[jc[0]:], r.width, nil)
+		}
+	}
+	return nil
+}
+
+// evalBatch evaluates the expressions that are not plain columns at every
+// live position of b, each position read back into a row.
+func (w *Window) evalBatch(r *winRun, b *sqltypes.Batch) error {
+	for _, p := range b.Positions() {
+		for c := range r.row {
+			r.row[c] = b.Cols[c].Datum(p)
+		}
+		for _, ce := range r.evals {
+			if ce.col >= 0 {
+				continue
+			}
+			v, err := ce.e.Eval(r.row)
+			if err != nil {
+				return err
+			}
+			ce.vec.Append(v)
 		}
 	}
 	return nil
@@ -524,7 +659,7 @@ func (w *Window) classBoundariesUsable(n int) bool {
 // member's partition key set is set-equal to the class's leading keys, so
 // the thresholds coincide.
 func (w *Window) partitionByTieDepth(r *winRun) {
-	n := len(r.rows)
+	n := r.n
 	depths := w.ClassOrder.TieDepths()
 	partKeys := int32(w.ClassOrder.PartKeys())
 	r.ord, r.bounds = identity(r.ord, n), r.bounds[:0]
@@ -550,7 +685,7 @@ var partitionSeed = maphash.MakeSeed()
 // +0.0 part ways and equal NaNs meet); a vector that mixes types or holds a
 // NaN sends the run to a boxed key matrix compared with sqltypes.Equal.
 func (w *Window) partitionByHash(r *winRun) {
-	n, k := len(r.rows), len(r.part)
+	n, k := r.n, len(r.part)
 	if k == 0 && n > 0 { // one partition; an empty input has none
 		r.ord, r.bounds = identity(r.ord, n), append(r.bounds[:0], 0, n)
 		return
@@ -566,14 +701,13 @@ func (w *Window) partitionByHash(r *winRun) {
 		return true
 	}
 	if keyPath(r.part) == sortComparator {
-		// Boxed fallback: keys re-evaluated into one flat matrix. The columns
-		// already evaluated without error, so Eval cannot fail here.
+		// Boxed fallback: the keys read back into one flat matrix.
 		r.resort = w.Shared
 		r.keys = grow(r.keys, n*k)
-		for i, row := range r.rows {
-			for ki, pe := range w.PartitionBy {
-				r.keys[i*k+ki], _ = pe.Eval(row)
-			}
+		for ki := range r.part {
+			r.part[ki].PutDatums(r.keys[ki:], k, nil)
+		}
+		for i := 0; i < n; i++ {
 			r.hash[i] = hashRow(r.keys[i*k : (i+1)*k])
 		}
 		same = func(a, b int) bool { return rowsEqual(r.keys[a*k:(a+1)*k], r.keys[b*k:(b+1)*k]) }
@@ -818,13 +952,12 @@ func (w *Window) computePartition(r *winRun, p int) error {
 		vals := ps.out
 		if !typed {
 			ps.col = grow(ps.col, n)
-			for i, ri := range ord {
-				if slot < 0 {
+			if slot < 0 {
+				for i := range ps.col {
 					ps.col[i] = sqltypes.NewInt(1) // COUNT(*)
-				} else {
-					// The column already evaluated without error.
-					ps.col[i], _ = fn.Arg.Eval(r.rows[ri])
 				}
+			} else {
+				r.args[slot].PutDatums(ps.col, 1, ord)
 			}
 			var err error
 			vals, err = computeFrames(fn, ps.col)
@@ -900,7 +1033,7 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 	}
 	if external {
 		var err error
-		if external, err = w.sortPartitionExternal(r.rows, ord); err != nil {
+		if external, err = w.sortPartitionExternal(r, ord); err != nil {
 			return err
 		}
 	}
@@ -908,7 +1041,7 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 	case external:
 		path = sortEncoded // the spill sorter orders memcomparable key bytes
 	case path == sortComparator:
-		if err := sortRowsCompared(r.rows, ord, w.OrderBy, &ps.sort); err != nil {
+		if err := sortCompared(r.order, ord, w.OrderBy, &ps.sort); err != nil {
 			return err
 		}
 	default:
@@ -974,14 +1107,17 @@ func (w *Window) putPartScratch(ps *partScratch) {
 // so the merge streams the permutation back without the in-memory record
 // slab. handled=false means the ordering defeated the key encoding
 // mid-stream; external state is released and the caller re-sorts in memory
-// (the comparator path still has every row).
-func (w *Window) sortPartitionExternal(rows []sqltypes.Row, ordered []int) (handled bool, err error) {
+// (the comparator path still has every key).
+func (w *Window) sortPartitionExternal(r *winRun, ordered []int) (handled bool, err error) {
 	sorter := spill.NewSorter(w.ctx(), w.Spill)
 	defer sorter.Close()
 	ks := newKeyStreamer(w.OrderBy)
 	var pay [binary.MaxVarintLen64]byte
 	for _, ri := range ordered {
-		key, ok, err := ks.encode(rows[ri])
+		for ki := range r.order {
+			ks.vals[ki] = r.order[ki].Datum(ri)
+		}
+		key, ok, err := ks.encodeVals()
 		if err != nil {
 			return false, err
 		}

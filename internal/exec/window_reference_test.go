@@ -255,17 +255,23 @@ func setRunOptions(op Operator, cfg *spill.Config, workers int) *Window {
 	return win
 }
 
+// refFuncs returns the reference model's five window functions: each
+// aggregate, its window as core states it and as the operator's frame.
+func refFuncs() ([]core.Window, []core.Agg, []FrameSpec) {
+	return []core.Window{core.Cumul(), core.Sliding(2, 1), core.Sliding(0, 3), core.Sliding(1, 1), core.Sliding(3, 0)},
+		[]core.Agg{core.Sum, core.Min, core.Max, core.Count, core.Avg},
+		[]FrameSpec{
+			DefaultFrame(true),
+			{Start: FrameBound{Kind: BoundPreceding, Offset: 2}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
+			{Start: FrameBound{Kind: BoundCurrentRow}, End: FrameBound{Kind: BoundFollowing, Offset: 3}},
+			{Start: FrameBound{Kind: BoundPreceding, Offset: 1}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
+			{Start: FrameBound{Kind: BoundPreceding, Offset: 3}, End: FrameBound{Kind: BoundCurrentRow}},
+		}
+}
+
 func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20020226))
-	wins := []core.Window{core.Cumul(), core.Sliding(2, 1), core.Sliding(0, 3), core.Sliding(1, 1), core.Sliding(3, 0)}
-	aggs := []core.Agg{core.Sum, core.Min, core.Max, core.Count, core.Avg}
-	frames := []FrameSpec{
-		DefaultFrame(true),
-		{Start: FrameBound{Kind: BoundPreceding, Offset: 2}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
-		{Start: FrameBound{Kind: BoundCurrentRow}, End: FrameBound{Kind: BoundFollowing, Offset: 3}},
-		{Start: FrameBound{Kind: BoundPreceding, Offset: 1}, End: FrameBound{Kind: BoundFollowing, Offset: 1}},
-		{Start: FrameBound{Kind: BoundPreceding, Offset: 3}, End: FrameBound{Kind: BoundCurrentRow}},
-	}
+	wins, aggs, frames := refFuncs()
 	for _, sc := range refScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			schema := expr.NewSchema(

@@ -179,8 +179,33 @@ func (u *unaryMinus) Eval(row sqltypes.Row) (sqltypes.Datum, error) {
 func (u *unaryMinus) Type() sqltypes.Type { return u.inner.Type() }
 func (u *unaryMinus) String() string      { return fmt.Sprintf("(-%s)", u.inner) }
 
+// CmpOp is a comparison operator resolved from its SQL spelling once, at
+// compile time: bit 0 set means it holds when the left operand orders
+// before the right, bit 1 when they are equal, bit 2 when after.
+type CmpOp uint8
+
+// The comparison operators.
+const (
+	CmpLT CmpOp = 1
+	CmpEQ CmpOp = 2
+	CmpLE CmpOp = 3
+	CmpGT CmpOp = 4
+	CmpNE CmpOp = 5
+	CmpGE CmpOp = 6
+)
+
+var cmpOps = map[string]CmpOp{"<": CmpLT, "=": CmpEQ, "<=": CmpLE, ">": CmpGT, "<>": CmpNE, ">=": CmpGE}
+
+// Holds reports whether the operator accepts a three-way comparison result
+// c, as sqltypes.Compare returns it (-1, 0 or 1).
+func (o CmpOp) Holds(c int) bool { return o>>(c+1)&1 != 0 }
+
+// Flip returns the operator with its operands swapped: a < b is b > a.
+func (o CmpOp) Flip() CmpOp { return o&CmpEQ | o>>2&1 | o&1<<2 }
+
 type comparison struct {
-	op          string
+	op          CmpOp
+	sym         string // the SQL spelling, for String
 	left, right Expr
 }
 
@@ -200,28 +225,54 @@ func (c *comparison) Eval(row sqltypes.Row) (sqltypes.Datum, error) {
 	if err != nil {
 		return sqltypes.NullDatum, err
 	}
-	var out bool
-	switch c.op {
-	case "=":
-		out = cmp == 0
-	case "<>":
-		out = cmp != 0
-	case "<":
-		out = cmp < 0
-	case "<=":
-		out = cmp <= 0
-	case ">":
-		out = cmp > 0
-	case ">=":
-		out = cmp >= 0
-	default:
-		return sqltypes.NullDatum, fmt.Errorf("unknown comparison %q", c.op)
-	}
-	return sqltypes.NewBool(out), nil
+	return sqltypes.NewBool(c.op.Holds(cmp)), nil
 }
 
 func (c *comparison) Type() sqltypes.Type { return sqltypes.Bool }
-func (c *comparison) String() string      { return fmt.Sprintf("%s %s %s", c.left, c.op, c.right) }
+func (c *comparison) String() string      { return fmt.Sprintf("%s %s %s", c.left, c.sym, c.right) }
+
+func newComparison(sym string, l, r Expr) (*comparison, error) {
+	op, ok := cmpOps[sym]
+	if !ok {
+		return nil, fmt.Errorf("unknown comparison %q", sym)
+	}
+	return &comparison{op: op, sym: sym, left: l, right: r}, nil
+}
+
+// ColConst is the predicate `column op constant`.
+type ColConst struct {
+	Col int
+	Op  CmpOp
+	Val sqltypes.Datum
+}
+
+// ColConstConjuncts decomposes a predicate that is a comparison of a column
+// with a constant, in either order, or an AND of such predicates, into its
+// comparisons, all oriented column-first. ok is false for any other
+// predicate.
+func ColConstConjuncts(e Expr) (out []ColConst, ok bool) {
+	switch x := e.(type) {
+	case *andExpr:
+		l, ok := ColConstConjuncts(x.left)
+		if !ok {
+			return nil, false
+		}
+		r, ok := ColConstConjuncts(x.right)
+		return append(l, r...), ok
+	case *comparison:
+		col, lc := x.left.(*Col)
+		k, rk := x.right.(*Const)
+		if lc && rk {
+			return []ColConst{{Col: col.Idx, Op: x.op, Val: k.Val}}, true
+		}
+		col, rc := x.right.(*Col)
+		k, lk := x.left.(*Const)
+		if rc && lk {
+			return []ColConst{{Col: col.Idx, Op: x.op.Flip(), Val: k.Val}}, true
+		}
+	}
+	return nil, false
+}
 
 type andExpr struct{ left, right Expr }
 
@@ -487,7 +538,7 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &comparison{op: x.Op, left: l, right: r}, nil
+		return newComparison(x.Op, l, r)
 	case *sqlparser.AndExpr:
 		l, err := Compile(x.Left, schema)
 		if err != nil {
@@ -543,8 +594,8 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 			return nil, err
 		}
 		var out Expr = &andExpr{
-			left:  &comparison{op: ">=", left: v, right: lo},
-			right: &comparison{op: "<=", left: v, right: hi},
+			left:  &comparison{op: CmpGE, sym: ">=", left: v, right: lo},
+			right: &comparison{op: CmpLE, sym: "<=", left: v, right: hi},
 		}
 		if x.Negated {
 			out = &notExpr{inner: out}

@@ -42,63 +42,87 @@ func EncodeRowData(dst []byte, r Row) []byte {
 // DecodeRowData decodes one row from data, which must contain exactly one
 // encoded row (the spill record framing delimits it).
 func DecodeRowData(data []byte) (Row, error) {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("sqltypes: corrupt row (column count)")
+	rd, err := NewRowReader(data)
+	if err != nil {
+		return nil, err
 	}
-	if n > uint64(len(data)) { // each column needs at least its tag byte
-		return nil, fmt.Errorf("sqltypes: corrupt row (%d columns in %d bytes)", n, len(data))
-	}
-	row := make(Row, n)
+	row := make(Row, rd.Len())
 	for i := range row {
-		if off >= len(data) {
-			return nil, fmt.Errorf("sqltypes: corrupt row (truncated at column %d)", i)
-		}
-		typ := Type(data[off])
-		off++
-		switch typ {
-		case Null:
-		case Bool, Int, Date:
-			v, k := binary.Varint(data[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("sqltypes: corrupt row (bad varint at column %d)", i)
-			}
-			off += k
-			row[i] = Datum{typ: typ, i: v}
-		case Float:
-			if len(data)-off < 8 {
-				return nil, fmt.Errorf("sqltypes: corrupt row (truncated float at column %d)", i)
-			}
-			row[i] = Datum{typ: Float, f: math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))}
-			off += 8
-		case String:
-			l, k := binary.Uvarint(data[off:])
-			if k <= 0 || uint64(len(data)-off-k) < l {
-				return nil, fmt.Errorf("sqltypes: corrupt row (bad string at column %d)", i)
-			}
-			off += k
-			row[i] = Datum{typ: String, s: string(data[off : off+int(l)])}
-			off += int(l)
-		default:
-			return nil, fmt.Errorf("sqltypes: corrupt row (type tag %d at column %d)", typ, i)
+		if row[i], err = rd.Next(); err != nil {
+			return nil, err
 		}
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("sqltypes: corrupt row (%d trailing bytes)", len(data)-off)
-	}
-	return row, nil
+	return row, rd.Close()
 }
 
-// MemSize estimates the resident bytes of the row for budget accounting:
-// the Datum headers plus string payloads. An estimate, not an exact
-// allocator count — the budget only needs proportionality.
-func (r Row) MemSize() int64 {
-	const datumSize = 40 // struct Datum: tag + int64 + float64 + string header
-	n := int64(24) + int64(len(r))*datumSize
-	for _, d := range r {
-		if d.typ == String {
-			n += int64(len(d.s))
-		}
+// RowReader walks the datums of one encoded row in column order, checking
+// the encoding as it goes. DecodeRowData and the storage layer's page
+// columns both read rows through it, so a record decodes the same whichever
+// form it lands in.
+type RowReader struct {
+	data      []byte
+	off, i, n int
+}
+
+// NewRowReader reads the column count of the row encoded in data.
+func NewRowReader(data []byte) (RowReader, error) {
+	n, off := binary.Uvarint(data)
+	if off <= 0 {
+		return RowReader{}, fmt.Errorf("sqltypes: corrupt row (column count)")
 	}
-	return n
+	if n > uint64(len(data)) { // each column needs at least its tag byte
+		return RowReader{}, fmt.Errorf("sqltypes: corrupt row (%d columns in %d bytes)", n, len(data))
+	}
+	return RowReader{data: data, off: off, n: int(n)}, nil
+}
+
+// Len returns the row's column count.
+func (r *RowReader) Len() int { return r.n }
+
+// Next decodes the next column's datum. It must be called at most Len times.
+func (r *RowReader) Next() (Datum, error) {
+	data, off, i := r.data, r.off, r.i
+	r.i++
+	if off >= len(data) {
+		return NullDatum, fmt.Errorf("sqltypes: corrupt row (truncated at column %d)", i)
+	}
+	typ := Type(data[off])
+	off++
+	var d Datum
+	switch typ {
+	case Null:
+	case Bool, Int, Date:
+		v, k := binary.Varint(data[off:])
+		if k <= 0 {
+			return NullDatum, fmt.Errorf("sqltypes: corrupt row (bad varint at column %d)", i)
+		}
+		off += k
+		d = Datum{typ: typ, i: v}
+	case Float:
+		if len(data)-off < 8 {
+			return NullDatum, fmt.Errorf("sqltypes: corrupt row (truncated float at column %d)", i)
+		}
+		d = Datum{typ: Float, f: math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))}
+		off += 8
+	case String:
+		l, k := binary.Uvarint(data[off:])
+		if k <= 0 || uint64(len(data)-off-k) < l {
+			return NullDatum, fmt.Errorf("sqltypes: corrupt row (bad string at column %d)", i)
+		}
+		off += k
+		d = Datum{typ: String, s: string(data[off : off+int(l)])}
+		off += int(l)
+	default:
+		return NullDatum, fmt.Errorf("sqltypes: corrupt row (type tag %d at column %d)", typ, i)
+	}
+	r.off = off
+	return d, nil
+}
+
+// Close checks that the columns read so far used up the encoding.
+func (r *RowReader) Close() error {
+	if r.off != len(r.data) {
+		return fmt.Errorf("sqltypes: corrupt row (%d trailing bytes)", len(r.data)-r.off)
+	}
+	return nil
 }

@@ -3,12 +3,15 @@ package sqltypes
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"unsafe"
 )
 
-// This file is the columnar half of the value system: ColVec accumulates a
-// column of datums into typed storage ([]int64 / []float64 / []string plus a
-// null bitmap) so hot executor loops can run over raw machine values;
-// OrderWords turns a fixed-width column into uint64 words whose unsigned
+// This file is the columnar half of the value system: ColVec holds a column
+// of datums in typed storage ([]int64 / []float64 / []string plus a null
+// bitmap) so hot loops can run over raw machine values, and a Batch is a run
+// of rows held as such columns — the unit a scan hands to the operators above
+// it; OrderWords turns a fixed-width column into uint64 words whose unsigned
 // order is the column's sort order, so sorts over INTEGER/DATE/BOOLEAN/FLOAT
 // keys compare machine words; and EncodeKey produces memcomparable byte
 // strings for the keys that have no fixed width (VARCHAR).
@@ -20,142 +23,236 @@ type NullBitmap struct {
 	any  bool
 }
 
-// Reset clears the bitmap, keeping capacity for n positions.
+// Reset clears the bitmap, reserving room for n positions.
 func (b *NullBitmap) Reset(n int) {
-	words := (n + 63) / 64
-	if cap(b.bits) < words {
-		b.bits = make([]uint64, words)
+	if words := (n + 63) / 64; cap(b.bits) < words {
+		b.bits = make([]uint64, 0, words)
 	} else {
-		b.bits = b.bits[:words]
-		for i := range b.bits {
-			b.bits[i] = 0
-		}
+		b.bits = b.bits[:0]
 	}
 	b.any = false
 }
 
-// Set marks position i as NULL. i must be within the Reset size.
+// Set marks position i as NULL.
 func (b *NullBitmap) Set(i int) {
+	for len(b.bits) <= i>>6 {
+		b.bits = append(b.bits, 0)
+	}
 	b.bits[i>>6] |= 1 << (uint(i) & 63)
 	b.any = true
 }
 
 // Get reports whether position i is NULL.
 func (b *NullBitmap) Get(i int) bool {
-	return b.bits[i>>6]&(1<<(uint(i)&63)) != 0
+	w := i >> 6
+	return w < len(b.bits) && b.bits[w]&(1<<(uint(i)&63)) != 0
 }
 
 // Any reports whether any position is NULL.
 func (b *NullBitmap) Any() bool { return b.any }
 
-// ColVec accumulates one column of datums into typed storage. The first
-// non-NULL value fixes the element type; a later value of a different type
-// (or a float NaN, whose ordering under Compare is not a total order) marks
-// the vector invalid, which tells the caller to stay on the boxed Datum
-// path. NULLs are recorded in the bitmap and hold a zero slot so positions
-// stay aligned with the input.
+// ColVec holds one column of datums losslessly. While every non-NULL value
+// shares one type the values sit in the typed slice of that type — NaN and
+// -0.0 bit for bit — with NULLs in the bitmap holding a zero slot, so
+// positions stay aligned; a value of a second type moves the whole column
+// into boxed datums. Valid tells the ordering and aggregate code whether the
+// typed view is usable: not for a boxed column, and not for a float column
+// holding a NaN, whose order under Compare is no total order. Datum reads
+// every position back whatever the state.
 type ColVec struct {
-	// Typ is the element type: Int, Float, or String once a non-NULL value
-	// has been seen; Null while the column is empty or all-NULL. Bool and
-	// Date store their int64 payloads under their own Typ.
+	// Typ is the element type: Bool, Int, Float, String or Date once a
+	// non-NULL value has been seen; Null while the column is empty or
+	// all-NULL. Bool and Date store their int64 payloads under their own Typ.
 	Typ Type
 	// Ints / Floats / Strs hold the payloads; only the slice matching Typ is
-	// populated.
+	// populated, and none once the column is boxed.
 	Ints   []int64
 	Floats []float64
 	Strs   []string
 	// Nulls marks the NULL positions.
 	Nulls NullBitmap
 
-	n       int
-	invalid bool
+	boxed []Datum // every position, once the column mixes types
+	n     int
+	hint  int // capacity reserved when the first value fixes the type
+	mixed bool
+	nan   bool
 }
 
-// Reset clears the vector for reuse, keeping capacity for n rows.
+// Reset clears the vector for reuse, expecting about n positions.
 func (v *ColVec) Reset(n int) {
 	v.Typ = Null
 	v.Ints = v.Ints[:0]
 	v.Floats = v.Floats[:0]
 	v.Strs = v.Strs[:0]
+	v.boxed = v.boxed[:0]
 	v.Nulls.Reset(n)
-	v.n = 0
-	v.invalid = false
+	v.n, v.hint = 0, n
+	v.mixed, v.nan = false, false
 }
 
 // Len returns the number of appended positions.
 func (v *ColVec) Len() int { return v.n }
 
 // Valid reports whether the typed views are usable: every non-NULL value
-// shared one type and no float was NaN. Invalid vectors still track Len so
-// callers can fall back positionally.
-func (v *ColVec) Valid() bool { return !v.invalid }
+// shared one type and no float was NaN.
+func (v *ColVec) Valid() bool { return !v.mixed && !v.nan }
 
-// Append adds one datum. After the vector has gone invalid, only the
-// position count advances.
+// Mixed reports whether the column holds non-NULL values of more than one
+// type, which it keeps boxed.
+func (v *ColVec) Mixed() bool { return v.mixed }
+
+// storable reports whether values of type t have a typed slice.
+func storable(t Type) bool {
+	switch t {
+	case Bool, Int, Float, String, Date:
+		return true
+	}
+	return false
+}
+
+// Append adds one datum.
 func (v *ColVec) Append(d Datum) {
+	switch {
+	case v.mixed:
+	case d.typ == Null:
+		v.pad(1)
+	case v.Typ == Null && storable(d.typ):
+		v.Typ = d.typ
+		v.pad(v.n) // the zero slots of the NULLs before it
+	case d.typ != v.Typ || !storable(d.typ):
+		v.box()
+	}
 	i := v.n
 	v.n++
 	if d.typ == Null {
 		v.Nulls.Set(i)
-		if v.invalid {
-			return
-		}
-		// Hold a zero slot so typed positions stay aligned.
-		switch v.Typ {
-		case Int, Bool, Date:
-			v.Ints = append(v.Ints, 0)
-		case Float:
-			v.Floats = append(v.Floats, 0)
-		case String:
-			v.Strs = append(v.Strs, "")
-		}
-		return
 	}
-	if v.invalid {
-		return
-	}
-	if v.Typ == Null {
-		// First non-NULL value fixes the type; backfill zero slots for any
-		// NULLs already seen.
-		v.Typ = d.typ
-		switch d.typ {
-		case Int, Bool, Date:
-			for j := 0; j < i; j++ {
-				v.Ints = append(v.Ints, 0)
-			}
-		case Float:
-			for j := 0; j < i; j++ {
-				v.Floats = append(v.Floats, 0)
-			}
-		case String:
-			for j := 0; j < i; j++ {
-				v.Strs = append(v.Strs, "")
-			}
-		}
-	}
-	if d.typ != v.Typ {
-		v.invalid = true
-		return
-	}
-	switch d.typ {
-	case Int, Bool, Date:
-		v.Ints = append(v.Ints, d.i)
-	case Float:
-		if math.IsNaN(d.f) {
-			v.invalid = true
-			return
-		}
+	switch {
+	case v.mixed:
+		v.boxed = append(v.boxed, d)
+	case d.typ == Null:
+	case d.typ == Float:
 		v.Floats = append(v.Floats, d.f)
-	case String:
+		v.nan = v.nan || math.IsNaN(d.f)
+	case d.typ == String:
 		v.Strs = append(v.Strs, d.s)
 	default:
-		v.invalid = true
+		v.Ints = append(v.Ints, d.i)
 	}
 }
 
-// Datum reconstructs the datum at position i. Valid only while the vector is
-// Valid.
+// pad appends k zero slots to the typed slice of v's type.
+func (v *ColVec) pad(k int) {
+	switch v.Typ {
+	case Int, Bool, Date:
+		v.Ints = appendZeros(v.Ints, k, v.hint)
+	case Float:
+		v.Floats = appendZeros(v.Floats, k, v.hint)
+	case String:
+		v.Strs = appendZeros(v.Strs, k, v.hint)
+	}
+}
+
+// appendZeros appends k zero values to s, reserving room for hint values
+// the first time.
+func appendZeros[T any](s []T, k, hint int) []T {
+	n := len(s)
+	if want := max(n+k, hint); cap(s) < want {
+		s = slices.Grow(s, want-n)
+	}
+	s = s[:n+k]
+	clear(s[n:])
+	return s
+}
+
+// box moves every position into boxed datums.
+func (v *ColVec) box() {
+	b := slices.Grow(v.boxed[:0], max(v.n, v.hint))
+	for i := 0; i < v.n; i++ {
+		b = append(b, v.Datum(i))
+	}
+	v.boxed, v.mixed = b, true
+	v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
+}
+
+// at is position j of a selection: pos[j], or j itself when pos is nil.
+func at(pos []int, j int) int {
+	if pos == nil {
+		return j
+	}
+	return pos[j]
+}
+
+// AppendSel appends src's values at the positions pos — every position of
+// src when pos is nil — with the result Append would give one by one: a
+// type mix boxes, a NaN among the appended values (and only then)
+// invalidates.
+func (v *ColVec) AppendSel(src *ColVec, pos []int) {
+	k := len(pos)
+	if pos == nil {
+		k = src.n
+	}
+	if v.mixed || src.mixed || (v.Typ != src.Typ && v.Typ != Null && src.Typ != Null) {
+		for j := 0; j < k; j++ {
+			v.Append(src.Datum(at(pos, j)))
+		}
+		return
+	}
+	if v.Typ == Null && src.Typ != Null && src.anyValue(pos, k) {
+		v.Typ = src.Typ
+		v.pad(v.n)
+	}
+	switch {
+	case src.Typ == Null || v.Typ == Null:
+		v.pad(k)
+	case v.Typ == Float:
+		v.Floats = gather(v.Floats, src.Floats, pos)
+		if src.nan && !v.nan {
+			v.nan = slices.ContainsFunc(v.Floats[len(v.Floats)-k:], math.IsNaN)
+		}
+	case v.Typ == String:
+		v.Strs = gather(v.Strs, src.Strs, pos)
+	default:
+		v.Ints = gather(v.Ints, src.Ints, pos)
+	}
+	if src.Nulls.any {
+		for j := 0; j < k; j++ {
+			if src.Nulls.Get(at(pos, j)) {
+				v.Nulls.Set(v.n + j)
+			}
+		}
+	}
+	v.n += k
+}
+
+// anyValue reports whether any of the first k positions of the selection
+// pos holds a non-NULL value.
+func (v *ColVec) anyValue(pos []int, k int) bool {
+	for j := 0; j < k; j++ {
+		if !v.Nulls.Get(at(pos, j)) {
+			return true
+		}
+	}
+	return false
+}
+
+func gather[T any](dst, src []T, pos []int) []T {
+	if pos == nil {
+		return append(dst, src...)
+	}
+	dst = slices.Grow(dst, len(pos))
+	for _, p := range pos {
+		dst = append(dst, src[p])
+	}
+	return dst
+}
+
+// Datum reconstructs the datum at position i.
 func (v *ColVec) Datum(i int) Datum {
+	if v.mixed {
+		return v.boxed[i]
+	}
 	if v.Nulls.Get(i) {
 		return NullDatum
 	}
@@ -171,42 +268,123 @@ func (v *ColVec) Datum(i int) Datum {
 	}
 }
 
+// PutDatums writes the datum at position pos[j] — position j when pos is nil
+// — to dst[j*stride] for every j, one typed loop per column rather than a
+// type switch per datum.
+func (v *ColVec) PutDatums(dst []Datum, stride int, pos []int) {
+	k := len(pos)
+	if pos == nil {
+		k = v.n
+	}
+	switch {
+	case v.mixed:
+		for j := 0; j < k; j++ {
+			dst[j*stride] = v.boxed[at(pos, j)]
+		}
+		return
+	case v.Typ == Float:
+		for j := 0; j < k; j++ {
+			dst[j*stride] = Datum{typ: Float, f: v.Floats[at(pos, j)]}
+		}
+	case v.Typ == String:
+		for j := 0; j < k; j++ {
+			dst[j*stride] = Datum{typ: String, s: v.Strs[at(pos, j)]}
+		}
+	case v.Typ == Null:
+		for j := 0; j < k; j++ {
+			dst[j*stride] = NullDatum
+		}
+		return
+	default:
+		for j := 0; j < k; j++ {
+			dst[j*stride] = Datum{typ: v.Typ, i: v.Ints[at(pos, j)]}
+		}
+	}
+	if v.Nulls.any {
+		for j := 0; j < k; j++ {
+			if v.Nulls.Get(at(pos, j)) {
+				dst[j*stride] = NullDatum
+			}
+		}
+	}
+}
+
+// MemSize estimates the resident bytes of the vector for budget accounting.
+func (v *ColVec) MemSize() int64 {
+	n := int64(unsafe.Sizeof(*v)) + 8*int64(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls.bits)) +
+		int64(unsafe.Sizeof(""))*int64(cap(v.Strs)) + int64(unsafe.Sizeof(Datum{}))*int64(cap(v.boxed))
+	for _, s := range v.Strs {
+		n += int64(len(s))
+	}
+	for _, d := range v.boxed {
+		n += int64(len(d.s))
+	}
+	return n
+}
+
 // FixedWidth reports whether every position is NULL or one value of a single
 // fixed-width type (INTEGER, DATE, BOOLEAN, or NaN-free FLOAT) — the columns
 // OrderWords can turn into comparable machine words. VARCHAR columns and
 // invalid vectors (a type mix, a NaN) are not.
-func (v *ColVec) FixedWidth() bool { return !v.invalid && v.Typ != String }
+func (v *ColVec) FixedWidth() bool { return v.Valid() && v.Typ != String }
 
 // Gather resets v to src's values at the given positions, in that order: the
-// contiguous per-partition slice of a column the typed kernels run over. An
-// invalid src yields an invalid v of the same length.
+// contiguous per-partition slice of a column the typed kernels run over.
 func (v *ColVec) Gather(src *ColVec, pos []int) {
 	v.Reset(len(pos))
-	v.Typ, v.invalid, v.n = src.Typ, src.invalid, len(pos)
-	if src.invalid {
-		return
+	v.AppendSel(src, pos)
+}
+
+// Batch is a run of rows held column by column. Cols[c] holds column c at
+// every position 0…N-1 for the columns its consumer asked for; the other
+// entries are unspecified. Sel, when non-nil, lists the live positions in
+// ascending order: a filter narrows it instead of moving column data.
+type Batch struct {
+	Cols []ColVec
+	N    int
+	Sel  []int
+
+	ident []int // 0, 1, 2, …: Positions of an unselected batch
+}
+
+// Len returns the number of live positions.
+func (b *Batch) Len() int {
+	if b.Sel != nil {
+		return len(b.Sel)
 	}
-	switch src.Typ {
-	case Int, Bool, Date:
-		for _, p := range pos {
-			v.Ints = append(v.Ints, src.Ints[p])
-		}
-	case Float:
-		for _, p := range pos {
-			v.Floats = append(v.Floats, src.Floats[p])
-		}
-	case String:
-		for _, p := range pos {
-			v.Strs = append(v.Strs, src.Strs[p])
+	return b.N
+}
+
+// Positions returns the live positions: Sel, or 0…N-1. The caller must not
+// modify the slice.
+func (b *Batch) Positions() []int {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	if n := len(b.ident); n < b.N {
+		b.ident = slices.Grow(b.ident, b.N-n)
+		for i := n; i < b.N; i++ {
+			b.ident = append(b.ident, i)
 		}
 	}
-	if src.Nulls.any {
-		for j, p := range pos {
-			if src.Nulls.Get(p) {
-				v.Nulls.Set(j)
-			}
-		}
+	return b.ident[:b.N]
+}
+
+// AppendRows appends to dst one row per position of pos, built from the
+// first width columns of cols and carved from a single allocation.
+func AppendRows(dst []Row, cols []ColVec, width int, pos []int) []Row {
+	if len(pos) == 0 {
+		return dst
 	}
+	slab := make([]Datum, len(pos)*width)
+	for c := 0; c < width; c++ {
+		cols[c].PutDatums(slab[c:], width, pos)
+	}
+	dst = slices.Grow(dst, len(pos))
+	for j := range pos {
+		dst = append(dst, slab[j*width:(j+1)*width:(j+1)*width])
+	}
+	return dst
 }
 
 // EqualAt reports whether positions i and j hold Compare-equal values (NULL

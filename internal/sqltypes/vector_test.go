@@ -182,3 +182,78 @@ func TestComparable(t *testing.T) {
 		t.Fatal("expected incomparable")
 	}
 }
+
+// TestColVecAppendSelIsAppend: appending a source's positions in one call
+// leaves a vector exactly as appending their datums one by one does — the
+// same values bit for bit (NaN payloads, -0.0), NULLs, type, Valid and
+// Mixed — whatever state source and destination are in, and Datum reads
+// every value back.
+func TestColVecAppendSelIsAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gens := []func() Datum{
+		func() Datum { return NewInt(rng.Int63n(9) - 4) },
+		func() Datum {
+			return NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, math.Inf(-1)}[rng.Intn(5)])
+		},
+		func() Datum { return NewString(string(rune('a' + rng.Intn(3)))) },
+		func() Datum { return []Datum{NewInt(1), NewFloat(2), NewBool(true), NewDate(3)}[rng.Intn(4)] },
+		func() Datum { return NullDatum },
+	}
+	draw := func(gen func() Datum, n int) []Datum {
+		ds := make([]Datum, n)
+		for i := range ds {
+			if ds[i] = gen(); rng.Intn(6) == 0 {
+				ds[i] = NullDatum
+			}
+		}
+		return ds
+	}
+	bits := func(d Datum) string { return string(EncodeRowData(nil, Row{d})) }
+	for trial := 0; trial < 2000; trial++ {
+		var src, got, want ColVec
+		src.Reset(0)
+		srcVals := draw(gens[rng.Intn(len(gens))], rng.Intn(20))
+		for _, d := range srcVals {
+			src.Append(d)
+		}
+		prefix := draw(gens[rng.Intn(len(gens))], rng.Intn(5))
+		got.Reset(rng.Intn(8))
+		want.Reset(0)
+		for _, d := range prefix {
+			got.Append(d)
+			want.Append(d)
+		}
+		var pos []int
+		if rng.Intn(3) > 0 {
+			for p := range srcVals {
+				if rng.Intn(2) == 0 {
+					pos = append(pos, p)
+				}
+			}
+			rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+			if pos == nil {
+				pos = []int{}
+			}
+		}
+		got.AppendSel(&src, pos)
+		for j := 0; j < len(srcVals) && (pos == nil || j < len(pos)); j++ {
+			p := j
+			if pos != nil {
+				p = pos[j]
+			}
+			want.Append(src.Datum(p))
+			if bits(src.Datum(p)) != bits(srcVals[p]) {
+				t.Fatalf("trial %d: source position %d reads %v, appended %v", trial, p, src.Datum(p), srcVals[p])
+			}
+		}
+		if got.Len() != want.Len() || got.Valid() != want.Valid() || got.Mixed() != want.Mixed() || got.Typ != want.Typ {
+			t.Fatalf("trial %d: AppendSel gives len %d valid %v mixed %v typ %v, Append %d %v %v %v",
+				trial, got.Len(), got.Valid(), got.Mixed(), got.Typ, want.Len(), want.Valid(), want.Mixed(), want.Typ)
+		}
+		for i := 0; i < got.Len(); i++ {
+			if bits(got.Datum(i)) != bits(want.Datum(i)) {
+				t.Fatalf("trial %d: position %d is %v after AppendSel, %v after Append", trial, i, got.Datum(i), want.Datum(i))
+			}
+		}
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"rfview/internal/sqltypes"
 )
 
 // MemBudget is the slice of spill.Budget the pool charges page residency
@@ -38,82 +36,48 @@ type frame struct {
 	busy  chan struct{} // non-nil while a claimant reads the page from disk
 	err   error         // load error, valid once busy is closed
 
-	// decoded caches rows already decoded from this frame's records, indexed
-	// by slot, so a warm scan pays the rowcodec decode once per residency
-	// instead of once per read. Entries are immutable once published (record
-	// bytes never change under a published slot) and die with the tenancy:
-	// the recycler clears the cache and refunds its budget charge before the
-	// frame holds another page. Accessed only while holding a pin.
-	decoded      atomic.Pointer[decodedRows]
-	decodedBytes atomic.Int64
+	// cols is the page's records decoded once into typed columns (see
+	// pageCols), so a warm read pays the rowcodec decode once per residency
+	// instead of once per read. It is published with CompareAndSwap and is
+	// immutable once published; it dies with the tenancy: the recycler drops
+	// it and refunds its budget charge before the frame holds another page.
+	// Accessed only while holding a pin.
+	cols atomic.Pointer[pageCols]
 }
 
-// decodedRows is a frame's decoded-row cache. The slice is replaced
-// wholesale (copy + CAS) when it must grow; individual entries are published
-// with CompareAndSwap so racing decoders charge the budget at most once. A
-// store lost to a concurrent growth race only costs a redundant re-decode
-// later — the accounting still balances because the refund at clear time is
-// the sum of every successful charge.
-type decodedRows struct {
-	rows []atomic.Pointer[sqltypes.Row]
+// columns returns f's records 0…n-1 as typed columns: the frame's cached
+// decode when it covers them, else a fresh decode extending the cached
+// prefix, which becomes the cache when the budget accepts its charge. A
+// refused charge or a lost publication race leaves the cache as it was and
+// hands the caller its own decode — correctness never depends on the cache.
+// The caller must hold a pin on f.
+func (p *pool) columns(f *frame, n int) (*pageCols, error) {
+	old := f.cols.Load()
+	if old != nil && old.n >= n {
+		return old, nil
+	}
+	pc, err := decodePageCols(f.buf, n, old)
+	if err != nil {
+		return nil, err
+	}
+	if p.budget != nil && !p.budget.Charge(pc.bytes) {
+		return pc, nil
+	}
+	refund := pc
+	if f.cols.CompareAndSwap(old, pc) {
+		refund = old
+	}
+	if refund != nil && p.budget != nil {
+		p.budget.Release(refund.bytes)
+	}
+	return pc, nil
 }
 
-// cachedRow returns the decoded row cached for slot, or nil. The caller
-// must hold a pin on f.
-func (f *frame) cachedRow(slot uint16) sqltypes.Row {
-	c := f.decoded.Load()
-	if c == nil || int(slot) >= len(c.rows) {
-		return nil
-	}
-	if r := c.rows[slot].Load(); r != nil {
-		return *r
-	}
-	return nil
-}
-
-// cacheRow remembers row as the decode of slot's record, charging its
-// estimated footprint to the shared budget. A full budget just skips the
-// cache — correctness never depends on it. The caller must hold a pin on f.
-func (p *pool) cacheRow(f *frame, slot uint16, row sqltypes.Row) {
-	cost := row.MemSize()
-	if p.budget != nil && !p.budget.Charge(cost) {
-		return
-	}
-	for {
-		c := f.decoded.Load()
-		if c == nil || int(slot) >= len(c.rows) {
-			n := 16
-			if c != nil && 2*len(c.rows) > n {
-				n = 2 * len(c.rows)
-			}
-			if n <= int(slot) {
-				n = int(slot) + 1
-			}
-			nc := &decodedRows{rows: make([]atomic.Pointer[sqltypes.Row], n)}
-			if c != nil {
-				for i := range c.rows {
-					nc.rows[i].Store(c.rows[i].Load())
-				}
-			}
-			if !f.decoded.CompareAndSwap(c, nc) {
-				continue
-			}
-			c = nc
-		}
-		if c.rows[slot].CompareAndSwap(nil, &row) {
-			f.decodedBytes.Add(cost)
-		} else if p.budget != nil {
-			p.budget.Release(cost) // a concurrent decoder won; keep its copy
-		}
-		return
-	}
-}
-
-// clearDecoded drops f's decoded-row cache and refunds its budget charge.
-func (p *pool) clearDecoded(f *frame) {
-	f.decoded.Store(nil)
-	if n := f.decodedBytes.Swap(0); n > 0 && p.budget != nil {
-		p.budget.Release(n)
+// dropColumns drops f's cached columns and refunds their budget charge.
+// Called with no pin on f.
+func (p *pool) dropColumns(f *frame) {
+	if pc := f.cols.Swap(nil); pc != nil && p.budget != nil {
+		p.budget.Release(pc.bytes)
 	}
 }
 
@@ -121,17 +85,17 @@ func (p *pool) clearDecoded(f *frame) {
 type PoolStats struct {
 	PageSize int `json:"page_size"`
 	// BytesResident is the pool's total charged memory: frame bytes (free
-	// frames included; they are still allocated) plus the decoded-row cache.
+	// frames included; they are still allocated) plus the cached page columns.
 	BytesResident int64 `json:"bytes_resident"`
-	// RowCacheBytes is the decoded-row cache's share of BytesResident.
-	RowCacheBytes int64 `json:"row_cache_bytes"`
-	PagesCached   int64 `json:"pages_cached"`
-	PagesPinned   int64 `json:"pages_pinned"`
-	PagesDirty    int64 `json:"pages_dirty"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Writebacks    int64 `json:"writebacks"`
+	// ColumnCacheBytes is the cached page columns' share of BytesResident.
+	ColumnCacheBytes int64 `json:"column_cache_bytes"`
+	PagesCached      int64 `json:"pages_cached"`
+	PagesPinned      int64 `json:"pages_pinned"`
+	PagesDirty       int64 `json:"pages_dirty"`
+	Hits             int64 `json:"hits"`
+	Misses           int64 `json:"misses"`
+	Evictions        int64 `json:"evictions"`
+	Writebacks       int64 `json:"writebacks"`
 }
 
 // HitRatio returns hits/(hits+misses), or 1 when the pool is untouched.
@@ -294,7 +258,7 @@ func (p *pool) freeFrameLocked() (*frame, error) {
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.clearDecoded(f)
+		p.dropColumns(f)
 		return f, nil
 	}
 	total := int64(len(p.frames)) * int64(p.pageSize)
@@ -325,7 +289,7 @@ func (p *pool) freeFrameLocked() (*frame, error) {
 		}
 		delete(p.table, f.key)
 		p.evictions.Add(1)
-		p.clearDecoded(f)
+		p.dropColumns(f)
 		return f, nil
 	}
 	// Everything is pinned: grow anyway. Liveness beats the cap here —
@@ -369,9 +333,11 @@ func (p *pool) stats() PoolStats {
 		if f.dirty {
 			s.PagesDirty++
 		}
-		s.RowCacheBytes += f.decodedBytes.Load()
+		if pc := f.cols.Load(); pc != nil {
+			s.ColumnCacheBytes += pc.bytes
+		}
 	}
-	s.BytesResident += s.RowCacheBytes
+	s.BytesResident += s.ColumnCacheBytes
 	p.mu.Unlock()
 	s.Hits = p.hits.Load()
 	s.Misses = p.misses.Load()
@@ -385,7 +351,7 @@ func (p *pool) close() {
 	p.mu.Lock()
 	total := int64(len(p.frames)) * int64(p.pageSize)
 	for _, f := range p.frames {
-		p.clearDecoded(f)
+		p.dropColumns(f)
 	}
 	p.frames = nil
 	p.free = nil

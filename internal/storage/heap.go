@@ -95,65 +95,46 @@ func (h *tableHeap) appendJumbo(rec []byte) (recLoc, error) {
 	return recLoc{pid: first, span: uint16(span), size: uint32(len(rec))}, nil
 }
 
-// readInto pins the pages holding loc and invokes fn with the encoded
-// record bytes. For slotted records fn runs with the page pinned and must
-// not retain the slice; for jumbo records the bytes are a fresh copy.
-func (h *tableHeap) readInto(loc recLoc, fn func(rec []byte) error) error {
-	pool := h.pager.pool
-	if loc.span == 0 {
-		f, _, err := pool.pin(h.hf, loc.pid)
-		if err != nil {
-			return err
-		}
-		rec, err := pageRecord(f.buf, loc.slot)
-		if err == nil {
-			err = fn(rec)
-		}
-		pool.unpin(f, false)
-		return err
-	}
-	ps := h.pager.pageSize
+// readJumbo reassembles the record of a jumbo loc from its page run.
+func (h *tableHeap) readJumbo(loc recLoc) ([]byte, error) {
+	pool, ps := h.pager.pool, h.pager.pageSize
 	data := make([]byte, loc.size)
 	for i, off := 0, 0; i < int(loc.span); i, off = i+1, off+ps {
 		f, _, err := pool.pin(h.hf, loc.pid+uint32(i))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		copy(data[off:min(int(loc.size), off+ps)], f.buf)
 		pool.unpin(f, false)
 	}
-	return fn(data)
+	return data, nil
 }
 
-// read decodes the row at loc, consulting and filling the owning frame's
-// decoded-row cache for slotted records.
+// read decodes the row at loc: a point read, as index probes make. It reads
+// the page's cached columns when they reach the record and otherwise
+// decodes just the record — a probe does not decode a page's worth of
+// records it may never read again, which under a budget too small to cache
+// them would be every probe.
 func (h *tableHeap) read(loc recLoc) (sqltypes.Row, error) {
-	if loc.span == 0 {
-		pool := h.pager.pool
-		f, _, err := pool.pin(h.hf, loc.pid)
+	if loc.span > 0 {
+		rec, err := h.readJumbo(loc)
 		if err != nil {
 			return nil, err
 		}
-		defer pool.unpin(f, false)
-		if row := f.cachedRow(loc.slot); row != nil {
-			return row, nil
-		}
-		rec, err := pageRecord(f.buf, loc.slot)
-		if err != nil {
-			return nil, err
-		}
-		row, err := sqltypes.DecodeRowData(rec)
-		if err != nil {
-			return nil, err
-		}
-		pool.cacheRow(f, loc.slot, row)
-		return row, nil
+		return sqltypes.DecodeRowData(rec)
 	}
-	var row sqltypes.Row
-	err := h.readInto(loc, func(rec []byte) error {
-		r, err := sqltypes.DecodeRowData(rec)
-		row = r
-		return err
-	})
-	return row, err
+	pool := h.pager.pool
+	f, _, err := pool.pin(h.hf, loc.pid)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.unpin(f, false)
+	if pc := f.cols.Load(); pc != nil && int(loc.slot) < pc.n {
+		return pc.row(int(loc.slot)), nil
+	}
+	rec, err := pageRecord(f.buf, loc.slot)
+	if err != nil {
+		return nil, err
+	}
+	return sqltypes.DecodeRowData(rec)
 }

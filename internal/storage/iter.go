@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+
 	"rfview/internal/sqltypes"
 	"rfview/internal/txn"
 )
@@ -15,13 +17,17 @@ type IterStats struct {
 }
 
 // Iter streams the row versions visible in a snapshot, in row-id (insertion)
-// order. It pins one page at a time and decodes only visible versions
-// (stamps live in the slot directory, so invisible rows cost no page IO
-// beyond sharing a page with visible ones).
+// order, one run at a time: the visible versions among consecutive directory
+// entries on one page, or a single jumbo row. It pins one page at a time and
+// reads a run from the page's cached columns (pageCols), so visibility is
+// decided from the slot directory before any page is touched and a run of
+// invisible versions costs no page IO.
 //
-// An Iter is single-goroutine; Close must be called (it releases the pinned
-// page). Iterating is safe against concurrent DML: the directory header is
-// copied at creation and pages are append-only.
+// NextBatch hands a run over as column vectors; Next materializes its rows,
+// one allocation per run. An Iter is single-goroutine and serves one of the
+// two; Close must be called (it releases the pinned page). Iterating is safe
+// against concurrent DML: the directory header is copied at creation and
+// pages are append-only.
 type Iter struct {
 	t     *Table
 	snap  txn.Snapshot
@@ -32,6 +38,15 @@ type Iter struct {
 	curPid uint32
 	hasCur bool
 	stats  IterStats
+
+	// The current run: its page columns, the slots of its visible versions
+	// within them, and — for Next — their row ids.
+	pc  *pageCols
+	pos []int
+	ids []RowID
+	// Next's materialized rows of the current run.
+	rows []sqltypes.Row
+	ri   int
 }
 
 // IterAt returns an iterator over the versions visible in s.
@@ -42,21 +57,26 @@ func (t *Table) IterAt(s txn.Snapshot) *Iter {
 // Next returns the next visible row. A nil row with nil error is EOF. The
 // caller may retain the returned row.
 func (it *Iter) Next() (RowID, sqltypes.Row, error) {
-	for ; it.i < len(it.slots); it.i++ {
-		sl := it.slots[it.i]
-		if !txn.Visible(sl.begin.Load(), sl.end.Load(), it.snap) {
-			continue
-		}
-		id := RowID(it.i)
-		row, err := it.rowAt(sl)
-		if err != nil {
+	for it.ri >= len(it.rows) {
+		ok, err := it.nextRun(true)
+		if !ok {
 			return 0, nil, err
 		}
-		it.i++
-		return id, row, nil
+		clear(it.rows)
+		it.rows, it.ri = it.pc.rows(it.pos, it.rows[:0]), 0
 	}
-	it.release()
-	return 0, nil, nil
+	it.ri++
+	return it.ids[it.ri-1], it.rows[it.ri-1], nil
+}
+
+// NextBatch fills b with the columns cols of the next run of visible rows,
+// each column a copy the caller owns. It returns false at the end.
+func (it *Iter) NextBatch(cols []int, b *sqltypes.Batch) (bool, error) {
+	ok, err := it.nextRun(false)
+	if ok {
+		it.pc.gather(cols, it.pos, b)
+	}
+	return ok, err
 }
 
 // Stats returns the page-traffic counters accumulated so far.
@@ -72,44 +92,84 @@ func (it *Iter) release() {
 	}
 }
 
-// rowAt decodes the payload of sl, moving the current pin when the row
-// lives on a different page.
-func (it *Iter) rowAt(sl *slot) (sqltypes.Row, error) {
+// nextRun advances to the next run holding a visible version, recording the
+// versions' row ids when withIDs is set, and reports false at the end of the
+// directory.
+func (it *Iter) nextRun(withIDs bool) (bool, error) {
 	h := it.t.heap
-	if sl.loc.span > 0 {
-		// Jumbo rows pin their own page run; the current fill-page pin is
-		// kept so the scan resumes on it without re-pinning.
-		it.stats.Pages += int64(sl.loc.span)
-		return h.read(sl.loc)
-	}
-	if !it.hasCur || it.curPid != sl.loc.pid {
-		if it.hasCur {
-			h.pager.pool.unpin(it.cur, false)
-			it.hasCur = false
+	for it.i < len(it.slots) {
+		it.pos, it.ids = it.pos[:0], it.ids[:0]
+		if loc := it.slots[it.i].loc; loc.span > 0 {
+			// A jumbo row pins its own page run; the current fill-page pin is
+			// kept so the scan resumes on it without re-pinning.
+			it.i++
+			sl := it.slots[it.i-1]
+			if !txn.Visible(sl.begin.Load(), sl.end.Load(), it.snap) {
+				continue
+			}
+			it.stats.Pages += int64(loc.span)
+			rec, err := h.readJumbo(loc)
+			if err != nil {
+				return false, err
+			}
+			if it.pc, err = recordCols(rec); err != nil {
+				return false, err
+			}
+			it.pos, it.ids = append(it.pos, 0), append(it.ids, RowID(it.i-1))
+			return true, nil
 		}
-		f, hit, err := h.pager.pool.pin(h.hf, sl.loc.pid)
+		pid, need, end := it.slots[it.i].loc.pid, 0, it.i
+		for end < len(it.slots) && it.slots[end].loc.span == 0 && it.slots[end].loc.pid == pid {
+			end++
+		}
+		it.pos = slices.Grow(it.pos, end-it.i)
+		if withIDs {
+			it.ids = slices.Grow(it.ids, end-it.i)
+		}
+		for ; it.i < end; it.i++ {
+			sl := it.slots[it.i]
+			if txn.Visible(sl.begin.Load(), sl.end.Load(), it.snap) {
+				it.pos = append(it.pos, int(sl.loc.slot))
+				if withIDs {
+					it.ids = append(it.ids, RowID(it.i))
+				}
+				need = max(need, int(sl.loc.slot)+1)
+			}
+		}
+		if len(it.pos) == 0 {
+			continue
+		}
+		if err := it.pin(pid); err != nil {
+			return false, err
+		}
+		pc, err := h.pager.pool.columns(it.cur, need)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		it.cur, it.curPid, it.hasCur = f, sl.loc.pid, true
-		it.stats.Pages++
-		if hit {
-			it.stats.Hits++
-		} else {
-			it.stats.Misses++
-		}
+		it.pc = pc
+		return true, nil
 	}
-	if row := it.cur.cachedRow(sl.loc.slot); row != nil {
-		return row, nil
+	it.release()
+	return false, nil
+}
+
+// pin makes page pid the current pinned page.
+func (it *Iter) pin(pid uint32) error {
+	if it.hasCur && it.curPid == pid {
+		return nil
 	}
-	rec, err := pageRecord(it.cur.buf, sl.loc.slot)
+	it.release()
+	h := it.t.heap
+	f, hit, err := h.pager.pool.pin(h.hf, pid)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	row, err := sqltypes.DecodeRowData(rec)
-	if err != nil {
-		return nil, err
+	it.cur, it.curPid, it.hasCur = f, pid, true
+	it.stats.Pages++
+	if hit {
+		it.stats.Hits++
+	} else {
+		it.stats.Misses++
 	}
-	h.pager.pool.cacheRow(it.cur, sl.loc.slot, row)
-	return row, nil
+	return nil
 }
