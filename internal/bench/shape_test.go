@@ -10,7 +10,6 @@ import (
 
 	"rfview/internal/engine"
 	"rfview/internal/sqlparser"
-	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 )
 
@@ -303,26 +302,18 @@ func TestServedDerivationShape(t *testing.T) {
 		if !strings.Contains(scan.desc, "matseq") || scan.rows != m {
 			t.Errorf("n=%d: %q read %d rows, want the %d stored positions of matseq", n, scan.desc, scan.rows, m)
 		}
-		if want := fmt.Sprintf("Derive view=matseq algo=MinOA Δl=1 Δh=0 Wx=4 parts=1 rows=%d", m); p.desc != want || p.rows != n {
+		if want := fmt.Sprintf("Derive view=matseq algo=MinOA Δl=1 Δh=0 Wx=4 parts=1 rows=%d slots=%d", m, m); p.desc != want || p.rows != n {
 			t.Errorf("n=%d: %q emitted %d rows, want %q emitting %d", n, p.desc, p.rows, want, n)
 		}
 	}
 }
 
-// storedVersions counts the row versions ever appended to a heap: row ids are
-// dense and the newest version is live after any write.
+// storedVersions counts the row versions ever appended to a heap: those
+// still in its slot directory and those reclaimed.
 func storedVersions(t *testing.T, h *storage.Table) int {
 	t.Helper()
-	versions := 0
-	if err := h.Scan(func(id storage.RowID, _ sqltypes.Row) bool {
-		if int(id) >= versions {
-			versions = int(id) + 1
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return versions
+	st := h.Versions()
+	return st.Slots + int(st.Reclaimed)
 }
 
 // TestMaintenanceShape: one §2.3 update rewrites a number of view rows bounded

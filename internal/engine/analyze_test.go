@@ -74,7 +74,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			strategy: "exact",
 			want: []string{"-- strategy: exact view=matseq Δl=0 Δh=0 wx=4\n",
 				"-- rewritten: DERIVE pos, w AS SUM (2,1) FROM matseq (2,1) BY exact\n",
-				"Derive view=matseq algo=exact Δl=0 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time=", "SeqScan __mv_matseq AS matseq"},
+				"Derive view=matseq algo=exact Δl=0 Δh=0 Wx=4 parts=1 rows=23 slots=23 (rows=20 time=", "SeqScan __mv_matseq AS matseq"},
 		},
 		{
 			// §4.2: MIN/MAX extend by the two covering shifted windows.
@@ -84,7 +84,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			query:    `SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
 			strategy: "maxoa",
 			want: []string{"-- strategy: maxoa view=mmax Δl=1 Δh=1 wx=4\n", "-- rewritten: DERIVE",
-				"Derive view=mmax algo=MaxOA Δl=1 Δh=1 Wx=4 parts=1 rows=23 (rows=20 time="},
+				"Derive view=mmax algo=MaxOA Δl=1 Δh=1 Wx=4 parts=1 rows=23 slots=23 (rows=20 time="},
 		},
 		{
 			// (4,3) from the stored (2,1): Δl+Δh ≡ 0 (mod W_x), the residue
@@ -95,7 +95,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING AND 3 FOLLOWING) AS w FROM seq`,
 			strategy: "minoa",
 			want: []string{"-- strategy: minoa view=matseq Δl=2 Δh=2 wx=4\n", "-- rewritten: DERIVE",
-				"Derive view=matseq algo=MinOA Δl=2 Δh=2 Wx=4 parts=1 rows=23 (rows=20 time="},
+				"Derive view=matseq algo=MinOA Δl=2 Δh=2 Wx=4 parts=1 rows=23 slots=23 (rows=20 time="},
 		},
 		{
 			// Narrower than the stored window — only MinOA can do this.
@@ -104,7 +104,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			query:    `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 			strategy: "minoa",
 			want: []string{"-- strategy: minoa view=matseq", "-- rewritten: DERIVE",
-				"Derive view=matseq algo=MinOA Δl=-1 Δh=0 Wx=4 parts=1 rows=23 (rows=20 time="},
+				"Derive view=matseq algo=MinOA Δl=-1 Δh=0 Wx=4 parts=1 rows=23 slots=23 (rows=20 time="},
 		},
 		{
 			// §3.1: a sliding window from a cumulative view is labeled by the
@@ -116,7 +116,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 			strategy: "cumulative",
 			want: []string{"-- strategy: cumulative view=cumseq Δl=0 Δh=0 wx=0\n",
 				"-- rewritten: DERIVE pos, w AS SUM (3,1) FROM cumseq cumulative BY cumulative\n",
-				"Derive view=cumseq algo=cumulative Δl=0 Δh=0 Wx=0 parts=1 rows=21 (rows=20 time="},
+				"Derive view=cumseq algo=cumulative Δl=0 Δh=0 Wx=0 parts=1 rows=21 slots=21 (rows=20 time="},
 		},
 	}
 	for _, c := range cases {
@@ -227,7 +227,7 @@ func TestDeriveExplainLabel(t *testing.T) {
 	e.SetSlowQueryLog(time.Nanosecond, func(s SlowQuery) { slow = append(slow, s) })
 	mustExec(t, e, q) // runs, caches the plan, and is slow
 	e.SetSlowQueryLog(0, nil)
-	if len(slow) != 1 || !strings.Contains(slow[0].Plan, label+" parts=1 rows=23 (rows=20 time=") {
+	if len(slow) != 1 || !strings.Contains(slow[0].Plan, label+" parts=1 rows=23 slots=23 (rows=20 time=") {
 		t.Fatalf("slow-query log: %+v", slow)
 	}
 	replay := mustExec(t, e, "EXPLAIN "+q).Plan

@@ -262,5 +262,5 @@ func (e *Engine) ApplyCommitRecord(sql string) error {
 		}
 		tx.AddDelta(d)
 	}
-	return e.commitTxnLocked(tx, false)
+	return e.commitTxnLocked(tx, false, nil)
 }

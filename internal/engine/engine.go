@@ -110,6 +110,8 @@ type Engine struct {
 	txnIDs atomic.Uint64
 	// Transaction counters, exposed as metrics and by TxnStats().
 	txnBegins, txnCommits, txnRollbacks, txnConflicts atomic.Int64
+	// versionsReclaimed totals the row versions commits reclaimed.
+	versionsReclaimed atomic.Int64
 	// plans caches parse/match/derive work keyed by SQL text; see cache.go.
 	plans *qcache.Cache[*cachedPlan]
 
@@ -454,7 +456,7 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 			}
 			return nil, err
 		}
-		if err := e.commitTxnLocked(tx, true); err != nil {
+		if err := e.commitTxnLocked(tx, true, nil); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -465,12 +467,12 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 			}
 		}
 		tx := e.newTxn()
-		err := e.Views.RefreshTx(ctx, tx, s.Name)
+		stamp, err := e.Views.RefreshTx(ctx, tx, s.Name)
 		if err != nil {
 			tx.Abort()
 			e.txnRollbacks.Add(1)
 		} else {
-			err = e.commitTxnLocked(tx, false) // the logged SQL is the replay
+			err = e.commitTxnLocked(tx, false, stamp) // the logged SQL is the replay
 		}
 		if e.postWrite != nil {
 			e.postWrite()

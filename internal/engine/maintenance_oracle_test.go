@@ -335,7 +335,11 @@ func TestMaintenanceOracle(t *testing.T) { runMaintenanceOracle(t, false) }
 // query derives at the snapshot exactly as the served path would before the
 // first write, never after one, and answers the model of its own writes.
 // Under -race this is also the proof that lock-free snapshot reads and
-// transactional maintenance don't race.
+// transactional maintenance don't race. Halfway through each stream a second
+// session opens a transaction and reads the window query and the view; it
+// holds that snapshot across the rest of the stream — across the
+// reclamation its commits run — and must read both answers again at the
+// end.
 func TestMaintenanceOracleTxn(t *testing.T) { runMaintenanceOracle(t, true) }
 
 func runMaintenanceOracle(t *testing.T, useTxns bool) {
@@ -346,6 +350,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	}
 	derivationsFired := map[string]int{}
 	deltasApplied := 0
+	heldAcrossReclaim := 0    // trials whose held snapshot outlived a reclamation
 	drawn := map[string]int{} // the corners of the draw the trials reached
 	for trial := 0; trial < trials; trial++ {
 		// Every other trial is the served path; the rest take turns.
@@ -563,9 +568,40 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		}
 
 		check(model, "after CREATE")
-		runSteps := func(steps int, when string) {
+		// hold opens the held snapshot: a transaction on its own session that
+		// reads the window query and the view now, and again when the
+		// returned release is called, both at the model of now.
+		hold := func() (release func()) {
+			held, was := e.NewSession(), model.clone()
+			reclaimed := e.TxnStats().VersionsReclaimed
+			mustSess(t, held, "BEGIN")
+			read := func(when string) {
+				t.Helper()
+				answers(was, mustSess(t, held, q), when)
+				if got, want := was.gotRows(mustSess(t, held, backingQ)), was.wantBacking(t, viewWin, oracleAggs[agg]); !slices.Equal(got, want) {
+					t.Fatalf("%s: %s: view rows diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
+				}
+			}
+			read("held snapshot at BEGIN")
+			return func() {
+				t.Helper()
+				read("held snapshot at the end of the stream")
+				if e.TxnStats().VersionsReclaimed > reclaimed {
+					heldAcrossReclaim++
+				}
+				mustSess(t, held, "COMMIT")
+				held.Close()
+			}
+		}
+		// runSteps applies steps model steps; mid, when set, runs once at the
+		// first chunk boundary past the halfway mark.
+		runSteps := func(steps int, when string, mid func()) {
 			t.Helper()
 			for i := 0; i < steps; {
+				if mid != nil && 2*i >= steps {
+					mid()
+					mid = nil
+				}
 				chunk := 1
 				if useTxns {
 					chunk = 1 + rng.Intn(3)
@@ -581,7 +617,15 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				check(model, fmt.Sprintf("%s step %d (%s)", when, i, stmts[len(stmts)-1]))
 			}
 		}
-		runSteps(10+rng.Intn(20), "stream")
+		var release func()
+		var holdMid func()
+		if useTxns {
+			holdMid = func() { release = hold() }
+		}
+		runSteps(10+rng.Intn(20), "stream", holdMid)
+		if release != nil {
+			release()
+		}
 		deltasApplied += int(e.Views.Stats().DeltaApplied.Load())
 
 		if chaosTrial {
@@ -613,7 +657,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			}
 			mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
 			check(model, "after REFRESH")
-			runSteps(3, "post-refresh")
+			runSteps(3, "post-refresh", nil)
 		}
 		stopReader()
 		sess.Close()
@@ -621,6 +665,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 	}
 	if deltasApplied == 0 {
 		t.Fatal("no incremental deltas applied across all trials — oracle is not exercising maintenance")
+	}
+	if useTxns && heldAcrossReclaim == 0 && !testing.Short() {
+		t.Fatal("no held snapshot outlived a reclamation — the oracle is not exercising the horizon")
 	}
 	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
 		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served MinOA residue corner",

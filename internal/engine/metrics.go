@@ -53,6 +53,12 @@ func (e *Engine) initMetrics() {
 		"Transactions rolled back (explicit, failed statements, and conflicts).", func() float64 { return float64(e.txnRollbacks.Load()) })
 	e.reg.GaugeFunc("rfview_txn_conflict_aborts_total",
 		"Transactions aborted by first-committer-wins write-write conflicts.", func() float64 { return float64(e.txnConflicts.Load()) })
+	e.reg.GaugeFunc("rfview_txn_versions_reclaimed_total",
+		"Row versions freed because no open snapshot could see them any more.", func() float64 { return float64(e.versionsReclaimed.Load()) })
+	e.reg.GaugeFunc("rfview_txn_dead_versions",
+		"Ended or aborted row versions still held in slot directories, across all tables.", func() float64 { return float64(e.TxnStats().DeadVersions) })
+	e.reg.GaugeFunc("rfview_txn_horizon_lag",
+		"Commit epochs between the clock and the oldest open snapshot; 0 with none open.", func() float64 { return float64(e.TxnStats().HorizonLag) })
 	e.reg.GaugeFunc("rfview_plan_cache_hits",
 		"Plan cache hits since start.", func() float64 { return float64(e.PlanCacheStats().Hits) })
 	e.reg.GaugeFunc("rfview_plan_cache_misses",

@@ -43,13 +43,13 @@ import (
 // falling back to the shared engine lock.
 const readRetries = 3
 
-// newTxn mints a transaction with a fresh snapshot. The snapshot's epoch is
-// one atomic load of the commit clock, so transactions begin without any
-// engine lock; TxnID in the snapshot makes the transaction's own pending
-// writes visible to its statements (read-your-writes).
+// newTxn mints a transaction with a fresh snapshot, registered with the
+// commit clock until the transaction ends, so reclamation keeps every version
+// it can see. Registration is one compare-and-swap, so transactions begin
+// without any engine lock; TxnID in the snapshot makes the transaction's own
+// pending writes visible to its statements (read-your-writes).
 func (e *Engine) newTxn() *txn.Txn {
-	tx := &txn.Txn{ID: e.txnIDs.Add(1)}
-	tx.Snap = txn.Snapshot{Epoch: e.Cat.Clock().Now(), TxnID: tx.ID}
+	tx := e.Cat.Clock().Begin(e.txnIDs.Add(1))
 	e.txnBegins.Add(1)
 	return tx
 }
@@ -62,6 +62,7 @@ func (e *Engine) BeginTxn() *txn.Txn { return e.newTxn() }
 // a durable commit record. A read-only transaction commits trivially.
 func (e *Engine) CommitTxn(tx *txn.Txn) error {
 	if !tx.HasWrites() && len(tx.Deltas) == 0 {
+		tx.Release()
 		e.txnCommits.Add(1)
 		return nil
 	}
@@ -69,11 +70,12 @@ func (e *Engine) CommitTxn(tx *txn.Txn) error {
 	e.mu.Lock()
 	e.met.commitWait.Observe(time.Since(start).Seconds())
 	defer e.mu.Unlock()
-	return e.commitTxnLocked(tx, true)
+	return e.commitTxnLocked(tx, true, nil)
 }
 
-// RollbackTxn abandons a transaction, reversing its pending stamps. Lock-free
-// (stamps revert via the same atomics that set them).
+// RollbackTxn abandons a transaction, reversing its pending stamps and
+// ending its snapshot registration. Lock-free (stamps revert via the same
+// atomics that set them).
 func (e *Engine) RollbackTxn(tx *txn.Txn) {
 	tx.Abort()
 	e.txnRollbacks.Add(1)
@@ -91,12 +93,20 @@ func (e *Engine) RollbackTxn(tx *txn.Txn) {
 //     epoch this commit publishes — fixed (Clock().Next()) before the fold,
 //     so readers of older snapshots keep reading the view.
 //  3. Publication window: flip commitSeq odd, stamp the write-set with that
-//     epoch, publish the clock, bump table versions, flip commitSeq even.
-//     Between the clock store and the flip a reader may start at the new
-//     epoch and see version counters mid-flip — the seqlock catches exactly
-//     that.
-func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
+//     epoch, run stamp (a REFRESH's freshness stamp) with it, publish the
+//     clock, bump table versions, flip commitSeq even. Between the clock
+//     store and the flip a reader may start at the new epoch and see version
+//     counters mid-flip — the seqlock catches exactly that, and any reader
+//     that saw stamp's effect overlapped the window and retries.
+//  4. End the transaction's snapshot registration and let every table it
+//     wrote reclaim the versions no snapshot can see any more. This runs
+//     under the exclusive lock, which keeps the engine's own unregistered
+//     readers (maintenance, REFRESH, checkpoints) out of the way; a failed
+//     pass changes nothing it could not finish and is retried by the next
+//     commit, so it does not fail this one.
+func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool, stamp func(epoch uint64)) error {
 	if !tx.HasWrites() && len(tx.Deltas) == 0 {
+		tx.Release()
 		e.txnCommits.Add(1)
 		return nil
 	}
@@ -124,10 +134,16 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool) error {
 	}
 	e.commitSeq.Add(1)
 	tx.CommitStamps(epoch)
+	if stamp != nil {
+		stamp(epoch)
+	}
 	e.Cat.Clock().Publish(epoch)
 	tx.BumpTouched()
 	e.commitSeq.Add(1)
 	e.txnCommits.Add(1)
+	tx.Release()
+	n, _ := tx.ReclaimTouched()
+	e.versionsReclaimed.Add(int64(n))
 	if durable && e.postWrite != nil {
 		e.postWrite()
 	}
@@ -190,8 +206,11 @@ func (e *Engine) execTxnWrite(ctx context.Context, stmt sqlparser.Statement, cfg
 
 // newSnapCell returns the per-statement snapshot resolver threaded into the
 // planner: every scan and index probe of one statement must read at the same
-// epoch. A transaction statement reads at the transaction's snapshot; an
-// auto-commit read latches the latest committed epoch once, at first use.
+// epoch. A transaction statement reads at the transaction's (registered)
+// snapshot; any other statement latches the latest committed epoch once, at
+// first use. Such a latest-epoch snapshot is not registered: it is for
+// callers holding the exclusive engine lock, which excludes reclamation.
+// Lock-free reads use a snapCell instead.
 func (e *Engine) newSnapCell(tx *txn.Txn) func() txn.Snapshot {
 	if tx != nil {
 		s := tx.Snap
@@ -205,46 +224,90 @@ func (e *Engine) newSnapCell(tx *txn.Txn) func() txn.Snapshot {
 	}
 }
 
+// snapCell is a lock-free read statement's snapshot: resolved at first use
+// and registered with the commit clock before the clock is read, so no
+// version it can see is reclaimed until release.
+type snapCell struct {
+	clock *txn.Clock
+	once  sync.Once
+	reg   txn.Reg
+	snap  txn.Snapshot
+}
+
+func (c *snapCell) get() txn.Snapshot {
+	c.once.Do(func() {
+		var epoch uint64
+		c.reg, epoch = c.clock.Register()
+		c.snap = txn.Snapshot{Epoch: epoch}
+	})
+	return c.snap
+}
+
+// release ends the registration, if the statement made one. The statement
+// is done with every version it read: its result rows are copies.
+func (c *snapCell) release() {
+	c.once.Do(func() {}) // orders the release after any get
+	c.reg.Release()
+}
+
 // readStable runs one read statement optimistically against the commitSeq
 // seqlock: attempt with a fresh snapshot cell, and accept the outcome only
 // if no commit published during the attempt. After readRetries torn attempts
 // it falls back to the shared engine lock, which commit holders exclude.
 func (e *Engine) readStable(cfg execConfig, attempt func(execConfig) (*Result, error)) (*Result, error) {
 	start := time.Now()
+	run := func() (*Result, error) {
+		cell := &snapCell{clock: e.Cat.Clock()}
+		defer cell.release()
+		c := cfg
+		c.snap = cell.get
+		e.met.snapshotWait.Observe(time.Since(start).Seconds())
+		return attempt(c)
+	}
 	for i := 0; i < readRetries; i++ {
 		s0 := e.commitSeq.Load()
 		if s0&1 != 0 {
 			runtime.Gosched()
 			continue
 		}
-		c := cfg
-		c.snap = e.newSnapCell(nil)
-		e.met.snapshotWait.Observe(time.Since(start).Seconds())
-		res, err := attempt(c)
+		res, err := run()
 		if e.commitSeq.Load() == s0 {
 			return res, err
 		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	c := cfg
-	c.snap = e.newSnapCell(nil)
-	e.met.snapshotWait.Observe(time.Since(start).Seconds())
-	return attempt(c)
+	return run()
 }
 
 // TxnStats is a snapshot of the transaction counters, for the stats protocol
 // op and tests.
 type TxnStats struct {
 	Begins, Commits, Rollbacks, ConflictAborts int64
+	// VersionsReclaimed totals the row versions reclamation freed;
+	// DeadVersions counts the ended or aborted versions still held across
+	// all tables; HorizonLag is the commit clock less the horizon, the
+	// oldest epoch an open snapshot reads at (0 with none open).
+	VersionsReclaimed, DeadVersions int64
+	HorizonLag                      uint64
 }
 
 // TxnStats returns the engine's transaction counters.
 func (e *Engine) TxnStats() TxnStats {
-	return TxnStats{
-		Begins:         e.txnBegins.Load(),
-		Commits:        e.txnCommits.Load(),
-		Rollbacks:      e.txnRollbacks.Load(),
-		ConflictAborts: e.txnConflicts.Load(),
+	clock := e.Cat.Clock()
+	now := clock.Now()
+	st := TxnStats{
+		Begins:            e.txnBegins.Load(),
+		Commits:           e.txnCommits.Load(),
+		Rollbacks:         e.txnRollbacks.Load(),
+		ConflictAborts:    e.txnConflicts.Load(),
+		VersionsReclaimed: e.versionsReclaimed.Load(),
+		HorizonLag:        now - min(now, clock.Oldest()),
 	}
+	for _, name := range e.Cat.Tables() {
+		if t, err := e.Cat.Table(name); err == nil {
+			st.DeadVersions += int64(t.Heap.Versions().Dead)
+		}
+	}
+	return st
 }

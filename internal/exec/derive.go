@@ -416,9 +416,10 @@ func (d *Derive) release() {
 
 // Describe implements Operator: the view, the algorithm and the paper's
 // coverage factors, as the strategy header labels them, and the aggregate
-// when it is not the view's. The partition and stored-row counts are those
-// of the last execution, so they show in EXPLAIN ANALYZE and the slow-query
-// log but not in a plan that has not run.
+// when it is not the view's. The partition and stored-row counts, and the
+// directory slots its scan visited to find those rows, are those of the last
+// execution, so they show in EXPLAIN ANALYZE and the slow-query log but not
+// in a plan that has not run.
 func (d *Derive) Describe() string {
 	in, dl, dh, wx := &d.In, 0, 0, 0
 	if !in.Win.Cumulative && !d.Target.Cumulative {
@@ -429,7 +430,7 @@ func (d *Derive) Describe() string {
 		s += " agg=" + d.Agg.String()
 	}
 	if d.stored > 0 {
-		s += fmt.Sprintf(" parts=%d rows=%d", d.parts, d.stored)
+		s += fmt.Sprintf(" parts=%d rows=%d slots=%d", d.parts, d.stored, slotsVisited(d.In.Scan))
 	}
 	return s
 }

@@ -92,6 +92,7 @@ func (s *Scan) closeIter() {
 		return
 	}
 	st := s.it.Stats()
+	s.stats.Slots += st.Slots
 	s.stats.Pages += st.Pages
 	s.stats.Hits += st.Hits
 	s.stats.Misses += st.Misses
@@ -105,20 +106,33 @@ func (s *Scan) Describe() string {
 	if s.Ref != s.Table.Name {
 		d = fmt.Sprintf("SeqScan %s AS %s", s.Table.Name, s.Ref)
 	}
-	// Runtime page traffic, rendered after execution (EXPLAIN ANALYZE
-	// formats the tree once the operators have run and closed).
-	if s.stats.Pages > 0 {
+	// Runtime directory and page traffic, rendered after execution (EXPLAIN
+	// ANALYZE formats the tree once the operators have run and closed).
+	if s.stats.Slots > 0 {
 		hr := 1.0
 		if denom := s.stats.Hits + s.stats.Misses; denom > 0 {
 			hr = float64(s.stats.Hits) / float64(denom)
 		}
-		d += fmt.Sprintf(" (pages=%d hit_ratio=%.2f", s.stats.Pages, hr)
+		d += fmt.Sprintf(" (slots=%d pages=%d hit_ratio=%.2f", s.stats.Slots, s.stats.Pages, hr)
 		if s.batches > 0 {
 			d += fmt.Sprintf(" batches=%d", s.batches)
 		}
 		d += ")"
 	}
 	return d
+}
+
+// slotsVisited returns the slot-directory entries the scan under op visited
+// in its finished executions: the versions its visibility test walked. op is
+// a Scan, or a Probe around one.
+func slotsVisited(op Operator) int64 {
+	if p, ok := op.(*Probe); ok {
+		op = p.Inner
+	}
+	if s, ok := op.(*Scan); ok {
+		return s.stats.Slots
+	}
+	return 0
 }
 
 // Children implements Operator.

@@ -195,10 +195,10 @@ func (m *Manager) epoch() uint64 {
 }
 
 // setFresh stamps a view whose backing rows were just rewritten fresh from
-// the epoch they become visible at: readers of older snapshots keep seeing
-// the view as stale.
-func (m *Manager) setFresh(sv *seqView) {
-	sv.freshFrom, sv.staleFrom = m.epoch(), txn.Infinity
+// epoch, the one they become visible at: readers of older snapshots keep
+// seeing the view as stale.
+func (m *Manager) setFresh(sv *seqView, epoch uint64) {
+	sv.freshFrom, sv.staleFrom = epoch, txn.Infinity
 	sv.staleWhy, sv.staleSince = "", time.Time{}
 }
 
@@ -284,7 +284,7 @@ func (m *Manager) createSequenceView(stmt *sqlparser.CreateMatView, wq *rewrite.
 		m.cat.DropTable(backingName)
 		return err
 	}
-	m.setFresh(sv)
+	m.setFresh(sv, m.epoch())
 	if err := m.cat.RegisterMatView(mv); err != nil {
 		m.cat.DropTable(backingName)
 		return err
@@ -418,16 +418,22 @@ func (m *Manager) Refresh(name string) error {
 // RefreshContext is Refresh with cancellation: a plain view's recompute runs
 // its defining query through the engine, which observes ctx.
 func (m *Manager) RefreshContext(ctx context.Context, name string) error {
-	return m.RefreshTx(ctx, nil, name)
+	_, err := m.RefreshTx(ctx, nil, name)
+	return err
 }
 
 // RefreshTx is RefreshContext inside a transaction: the rebuilt backing rows
-// join tx's write-set and the view is fresh from the epoch tx publishes, so
-// concurrent readers never observe a half-refreshed view. tx may be nil
-// (library callers), in which case every write commits immediately and the
-// view is fresh from the epoch of the last. A refresh that fails leaves the
-// view's freshness as it was.
-func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error {
+// join tx's write-set, so concurrent readers never observe a half-refreshed
+// view. The view is fresh from the epoch tx publishes, and only from the
+// moment it publishes: the returned stamp records that epoch, and the
+// committer calls it inside its publication window — stamped any earlier, a
+// reader at the current epoch would find the view "newer than the snapshot"
+// while its old rows are still the visible ones. stamp is nil for a plain
+// view, whose rows carry no epochs. tx may be nil (library callers), in
+// which case every write commits immediately and the view is fresh from the
+// epoch of the last. A refresh that fails, or whose stamp is never called,
+// leaves the view's freshness as it was.
+func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) (stamp func(epoch uint64), err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.curTx = tx
@@ -435,34 +441,41 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) error
 	if sv, ok := m.seq[lower(name)]; ok {
 		m.stats.FullRefreshes.Add(1)
 		if err := m.rebuild(sv); err != nil {
-			return err
+			return nil, err
 		}
 		if err := m.fillBacking(sv); err != nil {
-			return err
+			return nil, err
 		}
-		m.setFresh(sv)
-		return nil
+		if tx == nil {
+			m.setFresh(sv, m.epoch())
+			return nil, nil
+		}
+		return func(epoch uint64) {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.setFresh(sv, epoch)
+		}, nil
 	}
 	if stmt, ok := m.plain[lower(name)]; ok {
 		mv, _ := m.cat.MatView(name)
 		cols, rows, err := m.exec(ctx, stmt.Select)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if len(cols) != len(mv.Table.Columns) {
-			return fmt.Errorf("mview: refresh arity changed for %q", name)
+			return nil, fmt.Errorf("mview: refresh arity changed for %q", name)
 		}
 		if err := m.clearTable(mv.Table); err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range rows {
 			if err := m.hInsert(mv.Table, r.Clone()); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return nil
+		return nil, nil
 	}
-	return rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", name)
+	return nil, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", name)
 }
 
 func windowOfSpec(w catalog.WindowSpec) core.Window {

@@ -88,7 +88,7 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 		sv.staleWhy, sv.staleSince = spec.StaleWhy, time.Now()
 		err = sv.setParts(nil, nil)
 	} else if err = m.rebuild(sv); err == nil {
-		m.setFresh(sv) // the restored backing rows are visible from now on
+		m.setFresh(sv, m.epoch()) // the restored backing rows are visible from now on
 	}
 	if err != nil {
 		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)

@@ -112,6 +112,9 @@ func TestMetricsScrapeGate(t *testing.T) {
 		"rfview_query_seconds_bucket",
 		"rfview_wal_fsync_seconds_bucket",
 		"rfview_server_op_seconds_bucket",
+		"rfview_txn_versions_reclaimed_total",
+		"rfview_txn_dead_versions",
+		"rfview_txn_horizon_lag",
 	} {
 		if !strings.Contains("\n"+string(body), "\n"+series) {
 			t.Errorf("metrics scrape missing series %s", series)

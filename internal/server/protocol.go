@@ -153,6 +153,13 @@ type TxnStats struct {
 	// ConflictAborts counts rollbacks forced by first-committer-wins
 	// write-write conflict detection (a subset of Rollbacks).
 	ConflictAborts int64 `json:"conflict_aborts"`
+	// VersionsReclaimed totals the row versions freed once no open snapshot
+	// could see them; DeadVersions counts the ended or aborted versions still
+	// held; HorizonLag is the commit epochs between the clock and the oldest
+	// open snapshot.
+	VersionsReclaimed int64  `json:"versions_reclaimed"`
+	DeadVersions      int64  `json:"dead_versions"`
+	HorizonLag        uint64 `json:"horizon_lag"`
 }
 
 // MaintenanceStats is the wire form of the engine's view-maintenance

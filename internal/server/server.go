@@ -394,10 +394,13 @@ func (s *Server) statsReply(sess *Session) *StatsReply {
 			FullRefreshes: s.eng.Views.Stats().FullRefreshes.Load(),
 		},
 		Txn: TxnStats{
-			Begins:         ts.Begins,
-			Commits:        ts.Commits,
-			Rollbacks:      ts.Rollbacks,
-			ConflictAborts: ts.ConflictAborts,
+			Begins:            ts.Begins,
+			Commits:           ts.Commits,
+			Rollbacks:         ts.Rollbacks,
+			ConflictAborts:    ts.ConflictAborts,
+			VersionsReclaimed: ts.VersionsReclaimed,
+			DeadVersions:      ts.DeadVersions,
+			HorizonLag:        ts.HorizonLag,
 		},
 	}
 }

@@ -154,15 +154,17 @@ func (nd *btNode) insertNonFull(e btEntry) {
 	nd.children[i].insertNonFull(e)
 }
 
-// Delete removes (key, id). Absent entries are ignored.
-func (t *BTree) Delete(key sqltypes.Row, id RowID) {
+// Delete removes (key, id), reporting whether the entry was present.
+func (t *BTree) Delete(key sqltypes.Row, id RowID) bool {
 	e := btEntry{key: key, id: id}
-	if t.deleteEntry(t.root, e) {
+	found := t.deleteEntry(t.root, e)
+	if found {
 		t.n--
 	}
 	if !t.root.leaf && len(t.root.entries) == 0 {
 		t.root = t.root.children[0]
 	}
+	return found
 }
 
 // deleteEntry removes e from the subtree at nd, keeping every visited child

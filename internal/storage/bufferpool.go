@@ -237,6 +237,26 @@ func (p *pool) unpin(f *frame, dirty bool) {
 	p.mu.Unlock()
 }
 
+// discard drops page pid of hf from the pool without writing it back — its
+// records are dead and the pid is about to hold a new page — and frees its
+// frame. It reports false, keeping the page, while anyone holds a pin on it.
+func (p *pool) discard(hf *heapFile, pid uint32) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f := p.table[pageKey{hf, pid}]
+	if f == nil {
+		return true
+	}
+	if f.pins > 0 || f.busy != nil {
+		return false
+	}
+	delete(p.table, f.key)
+	f.key, f.dirty, f.ref = pageKey{}, false, false
+	p.dropColumns(f)
+	p.free = append(p.free, f)
+	return true
+}
+
 // releaseFrame drops a pin on a frame whose load failed; the last holder
 // returns it to the free list.
 func (p *pool) releaseFrame(f *frame) {

@@ -16,10 +16,12 @@ type HeapEnv interface {
 	CreateHeap(tag string) (*os.File, error)
 }
 
-// heapFile is one table's page file. Page IDs are dense from 0; the file is
-// append-allocated (pages are never freed individually — the file dies with
-// the table's pager). The OS file is created lazily on the first real IO, so
-// tables that never overflow the buffer pool never touch the disk.
+// heapFile is one table's page file. Page IDs are dense from 0 and
+// append-allocated; the file never shrinks, but the table heap reuses the pid
+// of a page reclamation retired (tableHeap.reuse), so it grows with the live
+// data, not with the updates. The file dies with the table's pager. The OS
+// file is created lazily on the first real IO, so tables that never overflow
+// the buffer pool never touch the disk.
 type heapFile struct {
 	pager *Pager
 	tag   string

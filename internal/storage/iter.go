@@ -7,17 +7,20 @@ import (
 	"rfview/internal/txn"
 )
 
-// IterStats counts the page traffic of one iterator: pages touched (pin
-// groups, not pins — consecutive rows on one page count it once), and how
-// many of those page acquisitions hit or missed the buffer pool.
+// IterStats counts the work of one iterator: the slot-directory entries it
+// visited (visible or not), pages touched (pin groups, not pins —
+// consecutive rows on one page count it once), and how many of those page
+// acquisitions hit or missed the buffer pool.
 type IterStats struct {
+	Slots  int64
 	Pages  int64
 	Hits   int64
 	Misses int64
 }
 
-// Iter streams the row versions visible in a snapshot, in row-id (insertion)
-// order, one run at a time: the visible versions among consecutive directory
+// Iter streams the row versions visible in a snapshot, in heap order
+// (insertion order, except that reclamation moves a sparse page's survivors
+// to the end), one run at a time: the visible versions among consecutive directory
 // entries on one page, or a single jumbo row. It pins one page at a time and
 // reads a run from the page's cached columns (pageCols), so visibility is
 // decided from the slot directory before any page is touched and a run of
@@ -26,8 +29,10 @@ type IterStats struct {
 // NextBatch hands a run over as column vectors; Next materializes its rows,
 // one allocation per run. An Iter is single-goroutine and serves one of the
 // two; Close must be called (it releases the pinned page). Iterating is safe
-// against concurrent DML: the directory header is copied at creation and
-// pages are append-only.
+// against concurrent DML and reclamation: the directory header is copied at
+// creation, a published record never changes, and a page whose records were
+// reclaimed or moved stays readable until every registered reader that could
+// hold the old header is gone.
 type Iter struct {
 	t     *Table
 	snap  txn.Snapshot
@@ -103,6 +108,7 @@ func (it *Iter) nextRun(withIDs bool) (bool, error) {
 			// A jumbo row pins its own page run; the current fill-page pin is
 			// kept so the scan resumes on it without re-pinning.
 			it.i++
+			it.stats.Slots++
 			sl := it.slots[it.i-1]
 			if !txn.Visible(sl.begin.Load(), sl.end.Load(), it.snap) {
 				continue
@@ -115,13 +121,14 @@ func (it *Iter) nextRun(withIDs bool) (bool, error) {
 			if it.pc, err = recordCols(rec); err != nil {
 				return false, err
 			}
-			it.pos, it.ids = append(it.pos, 0), append(it.ids, RowID(it.i-1))
+			it.pos, it.ids = append(it.pos, 0), append(it.ids, RowID(sl.id))
 			return true, nil
 		}
 		pid, need, end := it.slots[it.i].loc.pid, 0, it.i
 		for end < len(it.slots) && it.slots[end].loc.span == 0 && it.slots[end].loc.pid == pid {
 			end++
 		}
+		it.stats.Slots += int64(end - it.i)
 		it.pos = slices.Grow(it.pos, end-it.i)
 		if withIDs {
 			it.ids = slices.Grow(it.ids, end-it.i)
@@ -131,7 +138,7 @@ func (it *Iter) nextRun(withIDs bool) (bool, error) {
 			if txn.Visible(sl.begin.Load(), sl.end.Load(), it.snap) {
 				it.pos = append(it.pos, int(sl.loc.slot))
 				if withIDs {
-					it.ids = append(it.ids, RowID(it.i))
+					it.ids = append(it.ids, RowID(sl.id))
 				}
 				need = max(need, int(sl.loc.slot)+1)
 			}

@@ -10,16 +10,19 @@
 // two atomic epoch stamps (begin/end) from the table's commit clock. Readers
 // never lock — they copy the slot-directory header under a microsecond
 // read-lock and then filter versions against an immutable txn.Snapshot using
-// only atomic loads. Writers take the table mutex only for structural
-// changes (appending a version, maintaining indexes, checking uniqueness);
-// claiming an existing version's end stamp is a lock-free CAS, which is also
-// where write-write conflicts are detected (first-updater-wins). Index
-// entries are inserted when a version is created and never removed (except
-// by DropIndex), so probes filter by visibility exactly like scans.
+// only atomic loads. Writers take the table mutex for structural changes
+// (appending a version, maintaining indexes, checking uniqueness, claiming a
+// version's end stamp); the claim is a CAS, which is also where write-write
+// conflicts are detected (first-updater-wins). Index entries are inserted
+// when a version is created, so probes filter by visibility exactly like
+// scans, and they are removed when the version is reclaimed (reclaim.go):
+// once no registered snapshot can see it, a dead version leaves the
+// directory, the indexes and, with its page, the heap.
 package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -28,9 +31,11 @@ import (
 	"rfview/internal/txn"
 )
 
-// RowID identifies a row version within one table for the lifetime of the
-// table. Row ids are never reused; an UPDATE creates a new version under a
-// new id and ends the old one.
+// RowID identifies a row version within one table. An UPDATE creates a new
+// version under a new id and ends the old one. A version keeps its id while
+// any snapshot can see it, wherever reclamation moves its payload; the id of
+// a reclaimed version is reused once no registered snapshot can see that
+// version, so no statement still holds it between a probe and a write.
 type RowID int64
 
 // slot is one immutable row version with its visibility stamps. The payload
@@ -39,18 +44,34 @@ type RowID int64
 // live in the slot directory rather than the page payload: pages hold only
 // immutable encoded rows, so visibility filtering happens before any page is
 // touched and invisible versions are never decoded.
+//
+// A slot's id and loc never change once it is published. Reclamation that
+// moves a payload publishes a new slot with the same id and copied stamps;
+// iterators holding the old directory keep reading the old one, whose page
+// stays readable until they are gone.
 type slot struct {
-	loc   recLoc
+	loc recLoc
+	// id is the version's RowID in 32 bits, which with recLoc fill two words:
+	// a slot stays 32 bytes, and a scan's visibility test reads every slot.
+	id    uint32
 	begin atomic.Uint64 // epoch, or pending stamp, or txn.Infinity = aborted
 	end   atomic.Uint64 // txn.Infinity = live, epoch or pending stamp otherwise
 }
 
-// Table is an append-only heap of row versions. It knows nothing about
-// column names or types — the catalog layer owns schema; the storage layer
-// owns bytes (here: datums).
+// Table is a heap of row versions. It knows nothing about column names or
+// types — the catalog layer owns schema; the storage layer owns bytes (here:
+// datums).
 type Table struct {
-	mu      sync.RWMutex
-	slots   []*slot
+	mu sync.RWMutex
+	// slots is the slot directory: every version not yet reclaimed, in heap
+	// order (a page's versions are adjacent). It is only appended to in
+	// place; reclamation publishes a new array, so a copied header stays
+	// valid for as long as its holder needs it.
+	slots []*slot
+	// byID maps a row id to its current slot; nil marks a free id, listed in
+	// free for reuse. Read and written under mu only.
+	byID    []*slot
+	free    []RowID
 	indexes []*IndexHandle
 
 	// heap holds the encoded row payloads in slotted pages cached by a shared
@@ -59,6 +80,14 @@ type Table struct {
 
 	clock *txn.Clock
 	live  atomic.Int64
+	// dead counts the versions in the directory that are neither live nor
+	// pending: committed ends and aborted inserts, which reclamation frees
+	// once no snapshot can see them. pinned is how many of them the last
+	// reclamation pass had to keep for open snapshots (guarded by mu), and
+	// reclaimed totals the versions freed.
+	dead      atomic.Int64
+	pinned    int64
+	reclaimed atomic.Int64
 	// version counts committed mutations (inserts, updates, deletes). Cached
 	// query plans record the versions of every table they read and
 	// revalidate on reuse, so any mutation — including materialized-view
@@ -118,7 +147,7 @@ func (t *Table) Len() int { return int(t.live.Load()) }
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // BumpVersion advances the mutation counter; the engine calls it during
-// commit publication (txn.Bumper).
+// commit publication (txn.Written).
 func (t *Table) BumpVersion() { t.version.Add(1) }
 
 // Latest returns a snapshot seeing everything committed so far.
@@ -135,9 +164,10 @@ func (t *Table) WriteView(tx *txn.Txn) txn.Snapshot {
 }
 
 // view copies the slot-directory header so the caller can iterate without
-// holding any lock: existing slots never change identity, and versions
-// appended afterwards are invisible to the copied header (they would be
-// invisible to the snapshot anyway).
+// holding any lock: a published slot never changes its id or location, the
+// array behind the header is never rewritten (reclamation publishes a new
+// one), and versions appended afterwards are invisible to the copied header
+// (they would be invisible to the snapshot anyway).
 func (t *Table) view() []*slot {
 	t.mu.RLock()
 	s := t.slots
@@ -145,19 +175,22 @@ func (t *Table) view() []*slot {
 	return s
 }
 
-func (t *Table) slot(id RowID) *slot {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id < 0 || int(id) >= len(t.slots) {
+// slotLocked returns the current slot of id, nil when the id is free or out
+// of range. The caller holds mu.
+func (t *Table) slotLocked(id RowID) *slot {
+	if id < 0 || int(id) >= len(t.byID) {
 		return nil
 	}
-	return t.slots[id]
+	return t.byID[id]
 }
 
 // appendLocked creates a new version; the caller holds t.mu and has already
 // passed uniqueness checks. The payload is encoded into the heap, which can
 // fail on write-back IO.
 func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, error) {
+	if len(t.free) == 0 && len(t.byID) > math.MaxUint32 {
+		return 0, nil, fmt.Errorf("storage: more than %d row versions", uint64(math.MaxUint32)+1)
+	}
 	loc, err := t.heap.append(row)
 	if err != nil {
 		return 0, nil, err
@@ -165,7 +198,14 @@ func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, erro
 	sl := &slot{loc: loc}
 	sl.begin.Store(begin)
 	sl.end.Store(txn.Infinity)
-	id := RowID(len(t.slots))
+	id := RowID(len(t.byID))
+	if n := len(t.free); n > 0 {
+		id, t.free = t.free[n-1], t.free[:n-1]
+		t.byID[id] = sl
+	} else {
+		t.byID = append(t.byID, sl)
+	}
+	sl.id = uint32(id)
 	t.slots = append(t.slots, sl)
 	for _, h := range t.indexes {
 		h.Idx.Insert(extractKey(row, h.Cols), id)
@@ -190,10 +230,10 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap 
 		key := extractKey(row, h.Cols)
 		var dup, conflict bool
 		h.Idx.Lookup(key, func(id RowID) bool {
-			if id == exclude {
+			sl := t.byID[id]
+			if id == exclude || sl == nil {
 				return true
 			}
-			sl := t.slots[id]
 			b, e := sl.begin.Load(), sl.end.Load()
 			if b == txn.Infinity {
 				return true // aborted insert, never visible
@@ -247,7 +287,9 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap 
 
 // claimEnd takes ownership of a live version's end stamp for txnID,
 // detecting write-write conflicts: if another transaction already ended (or
-// is ending) the version, the claim fails with a coded conflict error.
+// is ending) the version, the claim fails with a coded conflict error. The
+// caller holds the table mutex, so reclamation never moves a version while
+// it is being claimed.
 func claimEnd(sl *slot, txnID uint64) error {
 	for {
 		e := sl.end.Load()
@@ -280,6 +322,7 @@ func (r slotRef) CommitWrite(op txn.Op, epoch uint64) {
 	case txn.OpDelete:
 		r.s.end.Store(epoch)
 		r.t.live.Add(-1)
+		r.t.dead.Add(1)
 	}
 }
 
@@ -288,6 +331,7 @@ func (r slotRef) AbortWrite(op txn.Op) {
 	switch op {
 	case txn.OpInsert:
 		r.s.begin.Store(txn.Infinity) // never visible to any snapshot
+		r.t.dead.Add(1)
 	case txn.OpDelete:
 		r.s.end.Store(txn.Infinity) // restore liveness
 	}
@@ -317,7 +361,9 @@ func (t *Table) Insert(row sqltypes.Row) (RowID, error) {
 
 // Delete ends the live row version under id immediately.
 func (t *Table) Delete(id RowID) error {
-	sl := t.slot(id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sl := t.slotLocked(id)
 	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), t.Latest()) {
 		return fmt.Errorf("delete: row %d does not exist", id)
 	}
@@ -326,21 +372,20 @@ func (t *Table) Delete(id RowID) error {
 	}
 	sl.end.Store(t.clock.Tick())
 	t.live.Add(-1)
+	t.dead.Add(1)
 	t.version.Add(1)
 	return nil
 }
 
 // Update replaces the row under id immediately: the old version is ended and
 // a new version is created under a fresh row id (returned). Indexes gain the
-// new version's entries; old entries stay and are filtered by visibility.
+// new version's entries; old entries stay, filtered by visibility, until the
+// old version is reclaimed.
 func (t *Table) Update(id RowID, row sqltypes.Row) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id < 0 || int(id) >= len(t.slots) {
-		return 0, fmt.Errorf("update: row %d does not exist", id)
-	}
-	sl := t.slots[id]
-	if !txn.Visible(sl.begin.Load(), sl.end.Load(), t.Latest()) {
+	sl := t.slotLocked(id)
+	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), t.Latest()) {
 		return 0, fmt.Errorf("update: row %d does not exist", id)
 	}
 	if err := t.checkUnique(row, 0, id, t.Latest()); err != nil {
@@ -356,11 +401,13 @@ func (t *Table) Update(id RowID, row sqltypes.Row) (RowID, error) {
 	}
 	if err := claimEnd(sl, 0); err != nil {
 		nsl.begin.Store(txn.Infinity) // abort the orphan: never visible
+		t.dead.Add(1)
 		return 0, err
 	}
 	e := t.clock.Tick()
 	sl.end.Store(e)
 	nsl.begin.Store(e)
+	t.dead.Add(1)
 	t.version.Add(1)
 	return nid, nil
 }
@@ -401,7 +448,9 @@ func (t *Table) InsertTx(tx *txn.Txn, row sqltypes.Row) (RowID, error) {
 // maintenance targets backing rows committed after tx began); a version
 // already ended by another transaction is a write-write conflict.
 func (t *Table) DeleteTx(tx *txn.Txn, id RowID) error {
-	sl := t.slot(id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sl := t.slotLocked(id)
 	if sl == nil || !t.writable(sl, tx) {
 		return fmt.Errorf("delete: row %d does not exist", id)
 	}
@@ -418,11 +467,8 @@ func (t *Table) DeleteTx(tx *txn.Txn, id RowID) error {
 func (t *Table) UpdateTx(tx *txn.Txn, id RowID, row sqltypes.Row) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id < 0 || int(id) >= len(t.slots) {
-		return 0, fmt.Errorf("update: row %d does not exist", id)
-	}
-	sl := t.slots[id]
-	if !t.writable(sl, tx) {
+	sl := t.slotLocked(id)
+	if sl == nil || !t.writable(sl, tx) {
 		return 0, fmt.Errorf("update: row %d does not exist", id)
 	}
 	if err := t.checkUnique(row, tx.ID, id, tx.Snap); err != nil {
@@ -434,6 +480,7 @@ func (t *Table) UpdateTx(tx *txn.Txn, id RowID, row sqltypes.Row) (RowID, error)
 	}
 	if err := claimEnd(sl, tx.ID); err != nil {
 		nsl.begin.Store(txn.Infinity) // abort the orphan: never visible
+		t.dead.Add(1)
 		return 0, err
 	}
 	tx.Record(slotRef{t, sl}, txn.OpDelete)
@@ -450,21 +497,23 @@ func (t *Table) Get(id RowID) sqltypes.Row { return t.GetAt(id, t.Latest()) }
 
 // GetAt returns the row version under id if visible in s, else nil.
 func (t *Table) GetAt(id RowID, s txn.Snapshot) sqltypes.Row {
-	sl := t.slot(id)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	sl := t.slotLocked(id)
 	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
 		return nil
 	}
 	return t.rowOf(sl)
 }
 
-// Scan invokes fn for every row live at the latest snapshot, in row-id
+// Scan invokes fn for every row live at the latest snapshot, in heap
 // order, stopping early if fn returns false. fn may mutate the table: the
 // iteration runs over a copied directory header and holds no lock.
 func (t *Table) Scan(fn func(id RowID, row sqltypes.Row) bool) error {
 	return t.ScanAt(t.Latest(), fn)
 }
 
-// ScanAt invokes fn for every row version visible in s, in row-id order,
+// ScanAt invokes fn for every row version visible in s, in heap order,
 // stopping early if fn returns false. The error is a heap IO or decode
 // failure.
 func (t *Table) ScanAt(s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) error {
@@ -514,8 +563,8 @@ func (t *Table) lookupVisible(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, 
 	matches := buf[:0]
 	t.mu.RLock()
 	h.Idx.Lookup(key, func(id RowID) bool {
-		sl := t.slots[id]
-		if txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
+		sl := t.byID[id]
+		if sl != nil && txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
 			matches = append(matches, match{id, t.rowOf(sl)})
 		}
 		return true
@@ -552,7 +601,7 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 		}
 		return e == txn.Infinity || txn.Pending(e)
 	}
-	for i, sl := range t.slots {
+	for _, sl := range t.slots {
 		b := sl.begin.Load()
 		if b == txn.Infinity {
 			continue // aborted insert: no snapshot can ever see it
@@ -561,7 +610,7 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 		if unique && possiblyLive(sl) {
 			var dup bool
 			idx.Lookup(key, func(prev RowID) bool {
-				if possiblyLive(t.slots[prev]) {
+				if possiblyLive(t.byID[prev]) {
 					dup = true
 					return false
 				}
@@ -571,7 +620,7 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 				return nil, fmt.Errorf("duplicate key %v while building unique index %q", key, name)
 			}
 		}
-		idx.Insert(key, RowID(i))
+		idx.Insert(key, RowID(sl.id))
 	}
 	t.indexes = append(t.indexes, h)
 	return h, nil

@@ -22,6 +22,8 @@
 package txn
 
 import (
+	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 
 	"rfview/internal/sqltypes"
@@ -78,7 +80,13 @@ func Visible(begin, end uint64, s Snapshot) bool {
 // transaction visible in one atomic store. Tick is the immediate path for
 // standalone single-operation writes (storage-layer library use and WAL
 // restore), which commit each operation at its own epoch.
-type Clock struct{ c atomic.Uint64 }
+//
+// The clock also keeps the registry of open snapshots (Register), whose
+// minimum is the horizon below which no reader can see a version again.
+type Clock struct {
+	c   atomic.Uint64
+	reg registry
+}
 
 // NewClock returns a clock at epoch 0.
 func NewClock() *Clock { return &Clock{} }
@@ -98,6 +106,103 @@ func (c *Clock) Publish(e uint64) { c.c.Store(e) }
 // immediate commits.
 func (c *Clock) Tick() uint64 { return c.c.Add(1) }
 
+// Register announces a reader and returns its registration and the epoch of
+// its snapshot. The reader is registered before it reads the clock: it
+// records the epoch it last saw, claims a slot with it, and only then reads
+// the epoch it will use, which is never older. A reclaimer that reads the
+// clock and then scans the slots (Horizon) therefore either sees the
+// registration or knows the reader reads at an epoch no older than its own
+// clock reading. Lock-free: one compare-and-swap on a slot picked at random,
+// so concurrent readers rarely share a cache line.
+func (c *Clock) Register() (Reg, uint64) {
+	seen := c.Now()
+	for {
+		chunks := c.reg.load()
+		n := len(chunks) * regChunkSlots
+		for i, start := 0, rand.IntN(n); i < n; i++ {
+			j := (start + i) % n
+			s := &chunks[j/regChunkSlots][j%regChunkSlots]
+			if s.v.Load() == 0 && s.v.CompareAndSwap(0, seen+1) {
+				return Reg{s}, c.Now()
+			}
+		}
+		c.reg.grow(len(chunks))
+	}
+}
+
+// Horizon returns the oldest epoch any reader can still read at: the
+// minimum of the registered snapshots and the clock. A version whose end
+// epoch is at or below it is visible to no snapshot, open or future.
+func (c *Clock) Horizon() uint64 {
+	now := c.Now()
+	return min(now, c.Oldest())
+}
+
+// Oldest returns the minimum registered snapshot epoch, or Infinity when no
+// reader is registered.
+func (c *Clock) Oldest() uint64 {
+	oldest := Infinity
+	for _, ch := range c.reg.load() {
+		for i := range ch {
+			if v := ch[i].v.Load(); v != 0 {
+				oldest = min(oldest, v-1)
+			}
+		}
+	}
+	return oldest
+}
+
+// Reg is one registered reader. Release it exactly once, when the reader
+// has finished with every version it read; the zero Reg is no registration.
+type Reg struct{ s *regSlot }
+
+// Release ends the registration.
+func (r Reg) Release() {
+	if r.s != nil {
+		r.s.v.Store(0)
+	}
+}
+
+// registry is the set of open snapshots: fixed chunks of padded slots, each
+// holding a registered epoch plus one (0 = free). Chunks are only ever added,
+// so a reader's slot pointer stays valid.
+type registry struct {
+	mu     sync.Mutex // serializes growth
+	chunks atomic.Pointer[[]*regChunk]
+}
+
+const regChunkSlots = 64
+
+type regChunk [regChunkSlots]regSlot
+
+type regSlot struct {
+	v atomic.Uint64
+	_ [56]byte // one slot per cache line
+}
+
+func (r *registry) load() []*regChunk {
+	if p := r.chunks.Load(); p != nil {
+		return *p
+	}
+	r.grow(0)
+	return *r.chunks.Load()
+}
+
+// grow adds a chunk unless another reader already grew past have chunks.
+func (r *registry) grow(have int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var cur []*regChunk
+	if p := r.chunks.Load(); p != nil {
+		cur = *p
+	}
+	if len(cur) > have {
+		return
+	}
+	next := append(cur[:len(cur):len(cur)], new(regChunk))
+	r.chunks.Store(&next)
+}
+
 // Op distinguishes the two physical write kinds a transaction records.
 type Op uint8
 
@@ -116,9 +221,13 @@ type SlotRef interface {
 	AbortWrite(op Op)
 }
 
-// Bumper is anything whose plan-cache version must advance when a
-// transaction touching it commits (the storage layer's tables).
-type Bumper interface{ BumpVersion() }
+// Written is a table a transaction wrote (the storage layer's tables): its
+// plan-cache version advances when the transaction commits, and once the
+// commit is published it reclaims the versions no snapshot can see any more.
+type Written interface {
+	BumpVersion()
+	Reclaim() (int, error)
+}
 
 // DeltaKind discriminates logical DML deltas.
 type DeltaKind uint8
@@ -157,7 +266,21 @@ type Txn struct {
 	Deltas []Delta
 
 	writes  []write
-	touched []Bumper
+	touched []Written
+	reg     Reg
+}
+
+// Begin starts transaction id with a snapshot registered on c until Release
+// (or Abort): while it is open, no version it can see is reclaimed.
+func (c *Clock) Begin(id uint64) *Txn {
+	reg, epoch := c.Register()
+	return &Txn{ID: id, Snap: Snapshot{Epoch: epoch, TxnID: id}, reg: reg}
+}
+
+// Release ends the transaction's snapshot registration. Idempotent.
+func (t *Txn) Release() {
+	t.reg.Release()
+	t.reg = Reg{}
 }
 
 type write struct {
@@ -170,7 +293,7 @@ func (t *Txn) Record(ref SlotRef, op Op) { t.writes = append(t.writes, write{ref
 
 // Touch registers a table for a commit-time version bump (deduplicated; the
 // set stays tiny — a transaction touches few tables).
-func (t *Txn) Touch(b Bumper) {
+func (t *Txn) Touch(b Written) {
 	for _, x := range t.touched {
 		if x == b {
 			return
@@ -201,8 +324,12 @@ func (t *Txn) AbortTo(writes, deltas int) {
 	t.Deltas = t.Deltas[:deltas]
 }
 
-// Abort rolls back the whole write-set.
-func (t *Txn) Abort() { t.AbortTo(0, 0) }
+// Abort rolls back the whole write-set and ends the transaction's snapshot
+// registration.
+func (t *Txn) Abort() {
+	t.AbortTo(0, 0)
+	t.Release()
+}
 
 // CommitStamps replaces every pending stamp in the write-set with the commit
 // epoch. The caller (the engine) is responsible for ordering: stamps first,
@@ -218,4 +345,20 @@ func (t *Txn) BumpTouched() {
 	for _, b := range t.touched {
 		b.BumpVersion()
 	}
+}
+
+// ReclaimTouched lets every touched table reclaim its unreachable versions,
+// returning how many went and the first failure. The caller runs it after
+// publication and Release, so the versions this transaction ended count.
+func (t *Txn) ReclaimTouched() (int, error) {
+	total := 0
+	var first error
+	for _, b := range t.touched {
+		n, err := b.Reclaim()
+		total += n
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return total, first
 }

@@ -9,12 +9,18 @@ import (
 	"rfview/internal/mview"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
+	"rfview/internal/txn"
 )
 
 // captureState dumps a quiesced engine into a Snapshot. Callers must hold
 // the engine's exclusive lock (or own the engine outright), so the catalog,
-// heaps, and view manager are mutually consistent.
+// heaps, and view manager are mutually consistent. The capture reads at one
+// snapshot, registered with the commit clock for its duration like any
+// other reader's.
 func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
+	reg, epoch := e.Cat.Clock().Register()
+	defer reg.Release()
+	at := txn.Snapshot{Epoch: epoch}
 	snap := &Snapshot{LSN: lsn}
 	for _, name := range e.Cat.Tables() {
 		t, err := e.Cat.Table(name)
@@ -25,7 +31,7 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 		for _, c := range t.Columns {
 			st.Columns = append(st.Columns, SnapColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
-		if err := t.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+		if err := t.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
 			out := make([]SnapDatum, len(row))
 			for i, d := range row {
 				out[i] = dumpDatum(d)
@@ -45,7 +51,7 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 	}
 	for _, mv := range e.Cat.MatViews() {
 		stale, why := e.Views.StaleInfo(mv.Name)
-		n, err := bodyLen(mv)
+		n, err := bodyLen(mv, at)
 		if err != nil {
 			return nil, err
 		}
@@ -67,12 +73,12 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 
 // bodyLen is a simple sequence view's n as its stored rows say: the last
 // position less the trailer (a partitioned view records 0).
-func bodyLen(mv *catalog.MatView) (int, error) {
+func bodyLen(mv *catalog.MatView, at txn.Snapshot) (int, error) {
 	if mv.Kind != catalog.SequenceView || mv.PartColumn != "" {
 		return 0, nil
 	}
 	pos, last := mv.Table.ColumnIndex("pos"), 0
-	err := mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+	err := mv.Table.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
 		last = max(last, int(row[pos].Int()))
 		return true
 	})
