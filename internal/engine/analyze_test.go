@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +21,39 @@ func buildSeqView(t *testing.T, opts Options, n int) *Engine {
 	mustExec(t, e, `CREATE MATERIALIZED VIEW matseq AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
 	return e
+}
+
+// TestExplainAnalyzeDecoded: a Scan line carries decoded=N, the records the
+// scan decoded because no cached page columns covered them — none on a warm
+// resident scan, and some on a scan through a pool too small to keep its
+// pages, which re-decodes each one it reads back.
+func TestExplainAnalyzeDecoded(t *testing.T) {
+	decoded := func(t *testing.T, e *Engine) int {
+		t.Helper()
+		plan := mustExec(t, e, `EXPLAIN ANALYZE SELECT pos, val FROM seq`).Plan
+		m := regexp.MustCompile(`SeqScan seq \(slots=\d+ pages=\d+ hit_ratio=\S+ decoded=(\d+)`).FindStringSubmatch(plan)
+		if m == nil {
+			t.Fatalf("no decoded= on the Scan line:\n%s", plan)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	// Unlimited budget and page cache, whatever the suite-wide test knobs say.
+	opts := DefaultOptions()
+	opts.MemoryBudgetBytes, opts.PageCacheBytes = -1, -1
+	warm := New(opts)
+	defer warm.Close()
+	loadSeq(t, warm, 500, func(i int) int64 { return int64(i % 17) })
+	mustExec(t, warm, `SELECT pos, val FROM seq`)
+	if n := decoded(t, warm); n != 0 {
+		t.Fatalf("warm resident scan decoded %d records, want 0", n)
+	}
+	tiny := newTinyPoolEngine(t, 4)
+	loadSeq(t, tiny, 2000, func(i int) int64 { return int64(i % 17) })
+	mustExec(t, tiny, `SELECT pos, val FROM seq`)
+	if n := decoded(t, tiny); n == 0 {
+		t.Fatal("a scan through a 4-page pool of a larger table decoded no records")
+	}
 }
 
 // TestExplainAnalyzeStrategies runs EXPLAIN ANALYZE across every strategy

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -36,15 +38,36 @@ func newTinyPoolEngine(t *testing.T, pages int) *Engine {
 // a row.
 func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	const n = 400
+	// f is a fraction, -0.0 at pos 7, and d a DATE. Each is NULL in a
+	// stated share of rows — f in every fifth, d in every seventh — and
+	// over a run that starts a page NULL-led and gives it its first value
+	// mid-page (f over pos 40…69, d over pos 200…239, at ~18 records a
+	// page). Every path of the record kernel then runs under eviction.
 	type seqRow struct {
 		pos, val int64
 		tag      string
+		f        *float64
+		d        *int64
 	}
 	var shadow []seqRow
 	var tuples []string
 	for i := int64(1); i <= n; i++ {
-		r := seqRow{i, (i*7919)%251 - 125, strings.Repeat("x", int(i%50))}
-		tuples = append(tuples, fmt.Sprintf("(%d, %d, '%s')", r.pos, r.val, r.tag))
+		r := seqRow{pos: i, val: (i*7919)%251 - 125, tag: strings.Repeat("x", int(i%50))}
+		fsql, dsql := "NULL", "NULL"
+		if i%5 != 0 && (i < 40 || i >= 70) {
+			f := float64(i%37-18)*0.25 + 0.125 // an odd number of eighths
+			fsql = fmt.Sprintf("%g", f)
+			if i == 7 {
+				f, fsql = math.Copysign(0, -1), "-0.0"
+			}
+			r.f = &f
+		}
+		if i%7 != 0 && (i < 200 || i >= 240) {
+			d := 11000 + (i*37)%400
+			dsql = "DATE '" + sqltypes.NewDate(d).Time().Format("2006-01-02") + "'"
+			r.d = &d
+		}
+		tuples = append(tuples, fmt.Sprintf("(%d, %d, '%s', %s, %s)", r.pos, r.val, r.tag, fsql, dsql))
 		// The DML history below: updates rewrite rows into new heap pages,
 		// deletes leave dead versions for visibility filtering to skip.
 		if r.pos > 100 && r.pos < 160 {
@@ -56,10 +79,22 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	}
 	load := func(e *Engine) {
 		t.Helper()
-		mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER, tag VARCHAR(64))`)
-		mustExec(t, e, "INSERT INTO seq (pos, val, tag) VALUES "+strings.Join(tuples, ", "))
+		mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER, tag VARCHAR(64), f FLOAT, d DATE)`)
+		mustExec(t, e, "INSERT INTO seq (pos, val, tag, f, d) VALUES "+strings.Join(tuples, ", "))
 		mustExec(t, e, `UPDATE seq SET val = val + 1000 WHERE pos > 100 AND pos < 160`)
 		mustExec(t, e, `DELETE FROM seq WHERE pos > 350`)
+	}
+	// asRow is a shadow row as the scan must return it; rows compare by
+	// their encodings, bit for bit: -0.0 is not 0, and NULL is only NULL.
+	asRow := func(r seqRow) sqltypes.Row {
+		row := sqltypes.Row{sqltypes.NewInt(r.pos), sqltypes.NewInt(r.val), sqltypes.NewString(r.tag), sqltypes.NullDatum, sqltypes.NullDatum}
+		if r.f != nil {
+			row[3] = sqltypes.NewFloat(*r.f)
+		}
+		if r.d != nil {
+			row[4] = sqltypes.NewDate(*r.d)
+		}
+		return row
 	}
 	raw := make([]float64, len(shadow))
 	for i, r := range shadow {
@@ -68,6 +103,20 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	window, err := core.ComputeNaive(raw, core.Sliding(3, 3), core.Sum)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// SUM(f) over the same frame, NULLs skipped and an all-NULL frame NULL.
+	// The values are multiples of 1/8, so every sum is exact in any order.
+	fWindow := make([]*float64, len(shadow))
+	for i := range shadow {
+		for j := max(0, i-3); j <= min(len(shadow)-1, i+3); j++ {
+			if f := shadow[j].f; f != nil {
+				sum := *f
+				if fWindow[i] != nil {
+					sum += *fWindow[i]
+				}
+				fWindow[i] = &sum
+			}
+		}
 	}
 	byVal := slices.Clone(shadow)
 	slices.SortFunc(byVal, func(a, b seqRow) int { return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.pos, b.pos)) })
@@ -112,14 +161,24 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 		if strat.view {
 			mustExec(t, e, viewDDL)
 		}
-		rows := mustExec(t, e, `SELECT pos, val, tag FROM seq`).Rows
+		rows := mustExec(t, e, `SELECT pos, val, tag, f, d FROM seq`).Rows
 		slices.SortFunc(rows, func(a, b sqltypes.Row) int { return cmp.Compare(a[0].Int(), b[0].Int()) })
 		if len(rows) != len(shadow) {
 			t.Fatalf("%s scan: %d rows, shadow has %d", strat.name, len(rows), len(shadow))
 		}
 		for i, r := range shadow {
-			if got := (seqRow{rows[i][0].Int(), rows[i][1].Int(), rows[i][2].Str()}); got != r {
-				t.Fatalf("%s scan: row %d = %+v, shadow says %+v", strat.name, i, got, r)
+			if want := asRow(r); !bytes.Equal(sqltypes.EncodeRowData(nil, rows[i]), sqltypes.EncodeRowData(nil, want)) {
+				t.Fatalf("%s scan: row %d = %v, shadow says %v", strat.name, i, rows[i], want)
+			}
+		}
+		rows = mustExec(t, e, `SELECT pos, SUM(f) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`).Rows
+		slices.SortFunc(rows, func(a, b sqltypes.Row) int { return cmp.Compare(a[0].Int(), b[0].Int()) })
+		if len(rows) != len(shadow) {
+			t.Fatalf("%s float window: %d rows, shadow has %d", strat.name, len(rows), len(shadow))
+		}
+		for i, want := range fWindow {
+			if got := rows[i][1]; got.IsNull() != (want == nil) || (want != nil && got.Float() != *want) {
+				t.Fatalf("%s float window: pos %d = %v, shadow sums %v", strat.name, i+1, got, want)
 			}
 		}
 		res := strat.query(t, e, `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w FROM seq`)

@@ -96,6 +96,7 @@ func (s *Scan) closeIter() {
 	s.stats.Pages += st.Pages
 	s.stats.Hits += st.Hits
 	s.stats.Misses += st.Misses
+	s.stats.Decoded += st.Decoded
 	s.it.Close()
 	s.it = nil
 }
@@ -113,7 +114,7 @@ func (s *Scan) Describe() string {
 		if denom := s.stats.Hits + s.stats.Misses; denom > 0 {
 			hr = float64(s.stats.Hits) / float64(denom)
 		}
-		d += fmt.Sprintf(" (slots=%d pages=%d hit_ratio=%.2f", s.stats.Slots, s.stats.Pages, hr)
+		d += fmt.Sprintf(" (slots=%d pages=%d hit_ratio=%.2f decoded=%d", s.stats.Slots, s.stats.Pages, hr, s.stats.Decoded)
 		if s.batches > 0 {
 			d += fmt.Sprintf(" batches=%d", s.batches)
 		}

@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Row value codec for the spill layer: a compact, self-delimiting encoding
-// of a whole row, paired with the memcomparable EncodeKey bytes inside a
-// spill run record. Unlike EncodeKey this encoding is not order-preserving —
-// it only needs to round-trip exactly, so every datum decodes back to a
-// value Equal (and bit-identical for floats, NaN included) to the original.
+// Row value codec for heap records and the spill layer: a compact,
+// self-delimiting encoding of a whole row. Unlike EncodeKey this encoding is
+// not order-preserving — it only needs to round-trip exactly, so every datum
+// decodes back to a value Equal (and bit-identical for floats, NaN included)
+// to the original.
 //
 // Layout: uvarint column count, then per column a type tag byte followed by
 //
@@ -18,6 +18,12 @@ import (
 //	Bool/Int/Date zigzag varint
 //	Float         8 bytes little-endian IEEE 754 bits
 //	String        uvarint length ++ bytes
+//
+// Two decoders read it through one field reader, so a record decodes — and
+// fails — the same whichever form it lands in: DecodeRowData into boxed
+// datums (point reads, spilled sort rows), and AppendRecord straight into
+// typed column vectors (a page's records), which reads the short varints of
+// an integer column's own type inline before falling back to it.
 
 // EncodeRowData appends the encoding of r to dst and returns the extended
 // slice.
@@ -42,87 +48,159 @@ func EncodeRowData(dst []byte, r Row) []byte {
 // DecodeRowData decodes one row from data, which must contain exactly one
 // encoded row (the spill record framing delimits it).
 func DecodeRowData(data []byte) (Row, error) {
-	rd, err := NewRowReader(data)
+	n, off, err := rowWidth(data)
 	if err != nil {
 		return nil, err
 	}
-	row := make(Row, rd.Len())
+	row := make(Row, n)
 	for i := range row {
-		if row[i], err = rd.Next(); err != nil {
+		t, x, s, next, err := field(data, off, i)
+		if err != nil {
 			return nil, err
 		}
+		off = next
+		switch t {
+		case Float:
+			row[i] = Datum{typ: Float, f: math.Float64frombits(x)}
+		case String:
+			row[i] = Datum{typ: String, s: string(s)}
+		default:
+			row[i] = Datum{typ: t, i: int64(x)}
+		}
 	}
-	return row, rd.Close()
+	return row, rowEnd(data, off)
 }
 
-// RowReader walks the datums of one encoded row in column order, checking
-// the encoding as it goes. DecodeRowData and the storage layer's page
-// columns both read rows through it, so a record decodes the same whichever
-// form it lands in.
-type RowReader struct {
-	data      []byte
-	off, i, n int
+// RowWidth returns the column count of the row encoded in data, or 0 when
+// the count is corrupt, which AppendRecord then reports.
+func RowWidth(data []byte) int {
+	n, _, _ := rowWidth(data)
+	return n
 }
 
-// NewRowReader reads the column count of the row encoded in data.
-func NewRowReader(data []byte) (RowReader, error) {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return RowReader{}, fmt.Errorf("sqltypes: corrupt row (column count)")
+// AppendRecord decodes the encoded row rec into the next position of cols,
+// column c into cols[c], with no Datum in between: an INTEGER, DATE or
+// BOOLEAN payload goes to Ints, a FLOAT to Floats bit for bit, a VARCHAR to
+// Strs, and a NULL to the bitmap over a zero slot. A value whose type differs
+// from its column's boxes the column exactly as Append does. It fails —
+// leaving cols partly appended — exactly when DecodeRowData fails on rec or
+// rec has another width than len(cols).
+func AppendRecord(cols []ColVec, rec []byte) error {
+	n, off, err := rowWidth(rec)
+	if err != nil {
+		return err
 	}
-	if n > uint64(len(data)) { // each column needs at least its tag byte
-		return RowReader{}, fmt.Errorf("sqltypes: corrupt row (%d columns in %d bytes)", n, len(data))
+	if n != len(cols) {
+		return fmt.Errorf("sqltypes: row has %d columns, want %d", n, len(cols))
 	}
-	return RowReader{data: data, off: off, n: int(n)}, nil
+	for c := range cols {
+		v := &cols[c]
+		// The hot path: a value of the integer type its column already
+		// holds, in a varint of one to three bytes (|x| < 2^20: every DATE,
+		// and row numbers and amounts below a million).
+		if b := rec[off:]; len(b) > 1 && Type(b[0]) == v.Typ && intTypes&(1<<v.Typ) != 0 && !v.mixed {
+			if u, k := shortUvarint(b[1:]); k > 0 {
+				v.Ints = append(v.Ints, int64(u>>1)^-int64(u&1)) // zigzag, as binary.Varint
+				v.n++
+				off += 1 + k
+				continue
+			}
+		}
+		t, x, s, next, err := field(rec, off, c)
+		if err != nil {
+			return err
+		}
+		off = next
+		switch t {
+		case Null:
+			v.appendNull()
+		case Float:
+			v.appendFloat(math.Float64frombits(x))
+		case String:
+			v.appendStr(string(s))
+		default:
+			v.appendInt(t, int64(x))
+		}
+	}
+	return rowEnd(rec, off)
 }
 
-// Len returns the row's column count.
-func (r *RowReader) Len() int { return r.n }
+// intTypes is the set of types whose payload is a zigzag varint held in
+// ColVec.Ints, as a bit mask over Type.
+const intTypes = 1<<Bool | 1<<Int | 1<<Date
 
-// Next decodes the next column's datum. It must be called at most Len times.
-func (r *RowReader) Next() (Datum, error) {
-	data, off, i := r.data, r.off, r.i
-	r.i++
+// shortUvarint reads a uvarint of one to three bytes from the non-empty b
+// and its length, or k = 0 for a longer or truncated one, which
+// binary.Uvarint reads. It is small enough to inline.
+func shortUvarint(b []byte) (u uint64, k int) {
+	switch {
+	case b[0] < 0x80:
+		return uint64(b[0]), 1
+	case len(b) > 1 && b[1] < 0x80:
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	case len(b) > 2 && b[2] < 0x80:
+		return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, 3
+	}
+	return 0, 0
+}
+
+// rowWidth reads the column count of the row encoded in data and the offset
+// of its first column.
+func rowWidth(data []byte) (n, off int, err error) {
+	if len(data) > 0 && data[0] < 0x80 && int(data[0]) <= len(data) {
+		return int(data[0]), 1, nil
+	}
+	u, k := binary.Uvarint(data)
+	if k <= 0 {
+		return 0, 0, fmt.Errorf("sqltypes: corrupt row (column count)")
+	}
+	if u > uint64(len(data)) { // each column needs at least its tag byte
+		return 0, 0, fmt.Errorf("sqltypes: corrupt row (%d columns in %d bytes)", u, len(data))
+	}
+	return int(u), k, nil
+}
+
+// field decodes column i, which starts at data[off]: its type, the payload
+// — an INTEGER/DATE/BOOLEAN value as int64 bits or a FLOAT's IEEE bits in
+// x, a VARCHAR's bytes (aliasing data) in s — and the offset after it.
+func field(data []byte, off, i int) (t Type, x uint64, s []byte, next int, err error) {
 	if off >= len(data) {
-		return NullDatum, fmt.Errorf("sqltypes: corrupt row (truncated at column %d)", i)
+		return 0, 0, nil, 0, fmt.Errorf("sqltypes: corrupt row (truncated at column %d)", i)
 	}
-	typ := Type(data[off])
+	t = Type(data[off])
 	off++
-	var d Datum
-	switch typ {
+	switch t {
 	case Null:
 	case Bool, Int, Date:
 		v, k := binary.Varint(data[off:])
 		if k <= 0 {
-			return NullDatum, fmt.Errorf("sqltypes: corrupt row (bad varint at column %d)", i)
+			return 0, 0, nil, 0, fmt.Errorf("sqltypes: corrupt row (bad varint at column %d)", i)
 		}
-		off += k
-		d = Datum{typ: typ, i: v}
+		x, off = uint64(v), off+k
 	case Float:
 		if len(data)-off < 8 {
-			return NullDatum, fmt.Errorf("sqltypes: corrupt row (truncated float at column %d)", i)
+			return 0, 0, nil, 0, fmt.Errorf("sqltypes: corrupt row (truncated float at column %d)", i)
 		}
-		d = Datum{typ: Float, f: math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))}
+		x = binary.LittleEndian.Uint64(data[off:])
 		off += 8
 	case String:
 		l, k := binary.Uvarint(data[off:])
 		if k <= 0 || uint64(len(data)-off-k) < l {
-			return NullDatum, fmt.Errorf("sqltypes: corrupt row (bad string at column %d)", i)
+			return 0, 0, nil, 0, fmt.Errorf("sqltypes: corrupt row (bad string at column %d)", i)
 		}
 		off += k
-		d = Datum{typ: String, s: string(data[off : off+int(l)])}
+		s = data[off : off+int(l)]
 		off += int(l)
 	default:
-		return NullDatum, fmt.Errorf("sqltypes: corrupt row (type tag %d at column %d)", typ, i)
+		return 0, 0, nil, 0, fmt.Errorf("sqltypes: corrupt row (type tag %d at column %d)", t, i)
 	}
-	r.off = off
-	return d, nil
+	return t, x, s, off, nil
 }
 
-// Close checks that the columns read so far used up the encoding.
-func (r *RowReader) Close() error {
-	if r.off != len(r.data) {
-		return fmt.Errorf("sqltypes: corrupt row (%d trailing bytes)", len(r.data)-r.off)
+// rowEnd checks that the columns decoded up to off used up the encoding.
+func rowEnd(data []byte, off int) error {
+	if off != len(data) {
+		return fmt.Errorf("sqltypes: corrupt row (%d trailing bytes)", len(data)-off)
 	}
 	return nil
 }

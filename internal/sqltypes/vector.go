@@ -64,6 +64,10 @@ type ColVec struct {
 	// non-NULL value has been seen; Null while the column is empty or
 	// all-NULL. Bool and Date store their int64 payloads under their own Typ.
 	Typ Type
+	// mixed: the column holds values of two types, boxed. nan: a typed
+	// float column holds a NaN. Beside Typ, which the record kernel reads
+	// with mixed for every value.
+	mixed, nan bool
 	// Ints / Floats / Strs hold the payloads; only the slice matching Typ is
 	// populated, and none once the column is boxed.
 	Ints   []int64
@@ -75,8 +79,6 @@ type ColVec struct {
 	boxed []Datum // every position, once the column mixes types
 	n     int
 	hint  int // capacity reserved when the first value fixes the type
-	mixed bool
-	nan   bool
 }
 
 // Reset clears the vector for reuse, expecting about n positions.
@@ -102,44 +104,77 @@ func (v *ColVec) Valid() bool { return !v.mixed && !v.nan }
 // type, which it keeps boxed.
 func (v *ColVec) Mixed() bool { return v.mixed }
 
-// storable reports whether values of type t have a typed slice.
-func storable(t Type) bool {
-	switch t {
-	case Bool, Int, Float, String, Date:
-		return true
-	}
-	return false
-}
-
 // Append adds one datum.
 func (v *ColVec) Append(d Datum) {
-	switch {
-	case v.mixed:
-	case d.typ == Null:
-		v.pad(1)
-	case v.Typ == Null && storable(d.typ):
-		v.Typ = d.typ
-		v.pad(v.n) // the zero slots of the NULLs before it
-	case d.typ != v.Typ || !storable(d.typ):
-		v.box()
-	}
-	i := v.n
-	v.n++
-	if d.typ == Null {
-		v.Nulls.Set(i)
-	}
-	switch {
-	case v.mixed:
-		v.boxed = append(v.boxed, d)
-	case d.typ == Null:
-	case d.typ == Float:
-		v.Floats = append(v.Floats, d.f)
-		v.nan = v.nan || math.IsNaN(d.f)
-	case d.typ == String:
-		v.Strs = append(v.Strs, d.s)
+	switch d.typ {
+	case Null:
+		v.appendNull()
+	case Float:
+		v.appendFloat(d.f)
+	case String:
+		v.appendStr(d.s)
 	default:
-		v.Ints = append(v.Ints, d.i)
+		v.appendInt(d.typ, d.i)
 	}
+}
+
+// The typed appends behind Append and AppendRecord: each adds one value of
+// its type without building a Datum, unless the column is or becomes boxed.
+
+func (v *ColVec) appendNull() {
+	if v.mixed {
+		v.boxed = append(v.boxed, NullDatum)
+	} else {
+		v.pad(1)
+	}
+	v.Nulls.Set(v.n)
+	v.n++
+}
+
+// appendInt appends an INTEGER, DATE or BOOLEAN payload of type t.
+func (v *ColVec) appendInt(t Type, x int64) {
+	if (v.Typ == t && !v.mixed) || v.settle(t) {
+		v.Ints = append(v.Ints, x)
+	} else {
+		v.boxed = append(v.boxed, Datum{typ: t, i: x})
+	}
+	v.n++
+}
+
+func (v *ColVec) appendFloat(f float64) {
+	if (v.Typ == Float && !v.mixed) || v.settle(Float) {
+		v.Floats = append(v.Floats, f)
+		v.nan = v.nan || f != f
+	} else {
+		v.boxed = append(v.boxed, Datum{typ: Float, f: f})
+	}
+	v.n++
+}
+
+func (v *ColVec) appendStr(s string) {
+	if (v.Typ == String && !v.mixed) || v.settle(String) {
+		v.Strs = append(v.Strs, s)
+	} else {
+		v.boxed = append(v.boxed, Datum{typ: String, s: s})
+	}
+	v.n++
+}
+
+// settle readies v for a value of type t whose column type differs or is
+// boxed, and reports whether the value goes to t's typed slice: the first
+// value of an empty or all-NULL column fixes its type, a second type boxes
+// it.
+func (v *ColVec) settle(t Type) bool {
+	switch {
+	case v.mixed:
+		return false
+	case v.Typ == Null:
+		v.Typ = t
+		v.pad(v.n) // the zero slots of the NULLs before it
+		return true
+	}
+	v.box()
+	return false
 }
 
 // pad appends k zero slots to the typed slice of v's type.

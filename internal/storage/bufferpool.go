@@ -45,23 +45,28 @@ type frame struct {
 	cols atomic.Pointer[pageCols]
 }
 
-// columns returns f's records 0…n-1 as typed columns: the frame's cached
-// decode when it covers them, else a fresh decode extending the cached
-// prefix, which becomes the cache when the budget accepts its charge. A
-// refused charge or a lost publication race leaves the cache as it was and
-// hands the caller its own decode — correctness never depends on the cache.
-// The caller must hold a pin on f.
-func (p *pool) columns(f *frame, n int) (*pageCols, error) {
+// columns returns f's records 0…n-1 as typed columns, and how many of them
+// it decoded: none when the frame's cached decode covers them, else those
+// past the cached prefix, which a fresh decode extends and which becomes the
+// cache when the budget accepts its charge. A refused charge or a lost
+// publication race leaves the cache as it was and hands the caller its own
+// decode — correctness never depends on the cache. The caller must hold a
+// pin on f.
+func (p *pool) columns(f *frame, n int) (*pageCols, int, error) {
 	old := f.cols.Load()
-	if old != nil && old.n >= n {
-		return old, nil
+	decoded := n
+	if old != nil {
+		if old.n >= n {
+			return old, 0, nil
+		}
+		decoded -= old.n
 	}
 	pc, err := decodePageCols(f.buf, n, old)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if p.budget != nil && !p.budget.Charge(pc.bytes) {
-		return pc, nil
+		return pc, decoded, nil
 	}
 	refund := pc
 	if f.cols.CompareAndSwap(old, pc) {
@@ -70,7 +75,7 @@ func (p *pool) columns(f *frame, n int) (*pageCols, error) {
 	if refund != nil && p.budget != nil {
 		p.budget.Release(refund.bytes)
 	}
-	return pc, nil
+	return pc, decoded, nil
 }
 
 // dropColumns drops f's cached columns and refunds their budget charge.

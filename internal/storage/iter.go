@@ -9,13 +9,15 @@ import (
 
 // IterStats counts the work of one iterator: the slot-directory entries it
 // visited (visible or not), pages touched (pin groups, not pins —
-// consecutive rows on one page count it once), and how many of those page
-// acquisitions hit or missed the buffer pool.
+// consecutive rows on one page count it once), how many of those page
+// acquisitions hit or missed the buffer pool, and the records it decoded
+// because no cached page columns covered them.
 type IterStats struct {
-	Slots  int64
-	Pages  int64
-	Hits   int64
-	Misses int64
+	Slots   int64
+	Pages   int64
+	Hits    int64
+	Misses  int64
+	Decoded int64
 }
 
 // Iter streams the row versions visible in a snapshot, in heap order
@@ -118,9 +120,11 @@ func (it *Iter) nextRun(withIDs bool) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if it.pc, err = recordCols(rec); err != nil {
+			it.pc = &pageCols{} // no frame caches a jumbo row's columns
+			if err = it.pc.decode(rec, 1); err != nil {
 				return false, err
 			}
+			it.stats.Decoded++
 			it.pos, it.ids = append(it.pos, 0), append(it.ids, RowID(sl.id))
 			return true, nil
 		}
@@ -149,11 +153,12 @@ func (it *Iter) nextRun(withIDs bool) (bool, error) {
 		if err := it.pin(pid); err != nil {
 			return false, err
 		}
-		pc, err := h.pager.pool.columns(it.cur, need)
+		pc, decoded, err := h.pager.pool.columns(it.cur, need)
 		if err != nil {
 			return false, err
 		}
 		it.pc = pc
+		it.stats.Decoded += int64(decoded)
 		return true, nil
 	}
 	it.release()

@@ -22,8 +22,9 @@ type pageCols struct {
 	bytes int64 // MemSize estimate, what the buffer pool charges the budget
 }
 
-// decodePageCols decodes records 0…n-1 of the page in buf, reusing the
-// decode of prev's prefix when prev is non-nil.
+// decodePageCols decodes records 0…n-1 of the page in buf into vectors
+// sized once for n records, reusing the decode of prev's prefix when prev is
+// non-nil.
 func decodePageCols(buf []byte, n int, prev *pageCols) (*pageCols, error) {
 	pc := &pageCols{}
 	if prev != nil {
@@ -39,7 +40,7 @@ func decodePageCols(buf []byte, n int, prev *pageCols) (*pageCols, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := pc.appendRecord(rec, n); err != nil {
+		if err := pc.decode(rec, n); err != nil {
 			return nil, err
 		}
 	}
@@ -47,40 +48,19 @@ func decodePageCols(buf []byte, n int, prev *pageCols) (*pageCols, error) {
 	return pc, nil
 }
 
-// recordCols decodes one record — a jumbo row, which no slotted page holds
-// and so no frame caches — into a single-position pageCols.
-func recordCols(rec []byte) (*pageCols, error) {
-	pc := &pageCols{}
-	if err := pc.appendRecord(rec, 1); err != nil {
-		return nil, err
-	}
-	return pc, nil
-}
-
-// appendRecord decodes rec as the next record; hint is how many records the
-// vectors should expect.
-func (pc *pageCols) appendRecord(rec []byte, hint int) error {
-	rd, err := sqltypes.NewRowReader(rec)
-	if err != nil {
-		return err
-	}
+// decode appends rec as the next record, through sqltypes.AppendRecord
+// straight into the typed vectors. The first record fixes the width and
+// sizes every vector for hint records. A jumbo row, which no slotted page
+// holds, decodes alone into a one-record pageCols of its own.
+func (pc *pageCols) decode(rec []byte, hint int) error {
 	if pc.n == 0 {
-		pc.vecs = make([]sqltypes.ColVec, rd.Len())
+		pc.vecs = make([]sqltypes.ColVec, sqltypes.RowWidth(rec))
 		for c := range pc.vecs {
 			pc.vecs[c].Reset(hint)
 		}
-	} else if rd.Len() != len(pc.vecs) {
-		return fmt.Errorf("storage: record %d has %d columns, where the page's first has %d", pc.n, rd.Len(), len(pc.vecs))
 	}
-	for c := range pc.vecs {
-		d, err := rd.Next()
-		if err != nil {
-			return err
-		}
-		pc.vecs[c].Append(d)
-	}
-	if err := rd.Close(); err != nil {
-		return err
+	if err := sqltypes.AppendRecord(pc.vecs, rec); err != nil {
+		return fmt.Errorf("storage: record %d: %w", pc.n, err)
 	}
 	pc.n++
 	return nil

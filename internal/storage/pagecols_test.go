@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"rfview/internal/sqltypes"
@@ -11,10 +12,19 @@ import (
 
 // seedPage builds a page holding rows as records.
 func seedPage(size int, rows ...sqltypes.Row) []byte {
+	recs := make([][]byte, len(rows))
+	for j, r := range rows {
+		recs[j] = sqltypes.EncodeRowData(nil, r)
+	}
+	return seedRecords(size, recs...)
+}
+
+// seedRecords builds a page holding the raw records recs.
+func seedRecords(size int, recs ...[]byte) []byte {
 	buf := make([]byte, size)
 	initPage(buf)
-	for _, r := range rows {
-		if _, ok := pageAppend(buf, sqltypes.EncodeRowData(nil, r)); !ok {
+	for _, rec := range recs {
+		if _, ok := pageAppend(buf, rec); !ok {
 			panic("seed page overflow")
 		}
 	}
@@ -45,6 +55,24 @@ func FuzzPageColumns(f *testing.F) {
 	// Records of two widths, which no table writes.
 	f.Add(seedPage(MinPageSize, sqltypes.Row{i(1), i(2)}, sqltypes.Row{i(3)}), uint16(2))
 	f.Add(seedPage(MinPageSize), uint16(1))
+	// The record kernel's way off its typed path: a NULL after a typed run,
+	// an INTEGER→FLOAT switch mid-page, a NaN after finite floats.
+	f.Add(seedPage(MinPageSize, sqltypes.Row{i(1)}, sqltypes.Row{i(2)}, sqltypes.Row{i(3)},
+		sqltypes.Row{null}, sqltypes.Row{i(5)}), uint16(5))
+	f.Add(seedPage(MinPageSize, sqltypes.Row{i(1), s("a")}, sqltypes.Row{i(2), s("b")},
+		sqltypes.Row{fl(2.5), s("c")}, sqltypes.Row{i(4), null}), uint16(4))
+	f.Add(seedPage(MinPageSize, sqltypes.Row{fl(1)}, sqltypes.Row{fl(2.5)},
+		sqltypes.Row{fl(math.NaN())}, sqltypes.Row{fl(math.Copysign(0, -1))}), uint16(4))
+	// Non-minimal varints (0 in two bytes, 1 in three) after a typed run,
+	// which DecodeRowData accepts, and a truncated last record.
+	f.Add(seedRecords(MinPageSize, sqltypes.EncodeRowData(nil, sqltypes.Row{i(7)}),
+		[]byte{1, byte(sqltypes.Int), 0x80, 0x00}, []byte{1, byte(sqltypes.Int), 0x82, 0x80, 0x00}), uint16(3))
+	good := sqltypes.EncodeRowData(nil, sqltypes.Row{i(300), s("abc")})
+	f.Add(seedRecords(MinPageSize, good, good, good[:len(good)-1]), uint16(3))
+	// A prefix (count/2 = 3 records) that ends inside a typed run, extended
+	// over a NULL and a type switch.
+	f.Add(seedPage(MinPageSize, sqltypes.Row{i(1)}, sqltypes.Row{i(-2)}, sqltypes.Row{i(1 << 40)},
+		sqltypes.Row{i(4)}, sqltypes.Row{null}, sqltypes.Row{fl(6)}), uint16(6))
 	f.Add([]byte{0x50, 0x52, 0xff, 0xff, 0, 0, 0, 0, 9, 0, 0, 0, 200, 0, 0, 0}, uint16(2))
 
 	f.Fuzz(func(t *testing.T, buf []byte, n uint16) {
@@ -108,4 +136,116 @@ func FuzzPageColumns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fillPage builds a page of DefaultPageSize holding row(0), row(1), … for
+// as many rows as fit, and returns it with the row count.
+func fillPage(row func(i int) sqltypes.Row) ([]byte, int) {
+	buf := make([]byte, DefaultPageSize)
+	initPage(buf)
+	n := 0
+	for {
+		if _, ok := pageAppend(buf, sqltypes.EncodeRowData(nil, row(n))); !ok {
+			return buf, n
+		}
+		n++
+	}
+}
+
+// pageShape is a record shape BenchmarkDecodePageCols times.
+type pageShape struct {
+	name string
+	row  func(k int) sqltypes.Row
+}
+
+// pageShapes are the credit-card table of the benchmark workloads, and one
+// shape for each non-INTEGER path of the record kernel.
+func pageShapes() []pageShape {
+	rng := rand.New(rand.NewSource(1))
+	i, fl := sqltypes.NewInt, sqltypes.NewFloat
+	return []pageShape{
+		// c_transactions (c_txid, c_custid, c_locid, c_date, c_transaction).
+		{"c_transactions", func(k int) sqltypes.Row {
+			tx := 10000 + k
+			return sqltypes.Row{i(int64(tx)), i(1 + rng.Int63n(200)), i(1 + rng.Int63n(250)),
+				sqltypes.NewDate(int64(11323 + tx*336/20000)), i(5 + rng.Int63n(500))}
+		}},
+		{"float_nan", func(k int) sqltypes.Row {
+			v := rng.NormFloat64() * 100
+			if k == 40 {
+				v = math.NaN()
+			}
+			return sqltypes.Row{i(int64(k)), fl(v), fl(float64(k) / 4)}
+		}},
+		{"varchar", func(k int) sqltypes.Row {
+			return sqltypes.Row{i(int64(k)), sqltypes.NewString(fmt.Sprintf("customer-%05d", rng.Intn(100000)))}
+		}},
+		{"nulls", func(k int) sqltypes.Row {
+			r := sqltypes.Row{i(int64(k)), i(rng.Int63n(1000)), fl(float64(k) / 8)}
+			if k%4 == 1 {
+				r[1] = sqltypes.NullDatum
+			}
+			if k%7 == 3 {
+				r[2] = sqltypes.NullDatum
+			}
+			return r
+		}},
+	}
+}
+
+// BenchmarkDecodePageCols times decoding a full page into its columns, per
+// value (records × columns).
+func BenchmarkDecodePageCols(b *testing.B) {
+	for _, shape := range pageShapes() {
+		buf, n := fillPage(shape.row)
+		values := n * len(shape.row(0))
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				if _, err := decodePageCols(buf, n, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*values), "ns/value")
+		})
+	}
+}
+
+// TestDecodePageColsAllocs: decoding a page of INTEGER records, and
+// extending a decoded half-page prefix to the whole page, allocates per
+// column — the vectors are sized once from the record count — not per
+// record.
+func TestDecodePageColsAllocs(t *testing.T) {
+	const cols = 4
+	buf, n := fillPage(func(k int) sqltypes.Row {
+		row := make(sqltypes.Row, cols)
+		for c := range row {
+			row[c] = sqltypes.NewInt(int64(k * (c + 1) * 97))
+		}
+		return row
+	})
+	if n < 100 {
+		t.Fatalf("page holds %d records, want a page's worth", n)
+	}
+	prev, err := decodePageCols(buf, n/2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pageCols, its vectors, and per column the values and the null bitmap
+	// (and one more under the race detector): a page's worth of records would
+	// be hundreds.
+	const limit = 3*cols + 2
+	for _, tc := range []struct {
+		name string
+		prev *pageCols
+	}{{"whole page", nil}, {"extend half-page prefix", prev}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := decodePageCols(buf, n, tc.prev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("%s of %d records × %d columns: %.0f allocations, want ≤ %d", tc.name, n, cols, allocs, limit)
+		}
+	}
 }

@@ -32,6 +32,36 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadRecords: readRecords never panics; the good prefix it reports is
+// within the data, the whole data exactly when ok; and re-encoding the
+// records it returns reproduces that prefix byte for byte.
+func FuzzReadRecords(f *testing.F) {
+	var log []byte
+	for _, r := range []Record{{LSN: 1, SQL: "CREATE TABLE t (a INTEGER)"}, {LSN: 2, SQL: ""}, {LSN: 1 << 60, SQL: "INSERT INTO t VALUES (1)"}} {
+		log = appendRecord(log, r)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	corrupt := append([]byte(nil), log...)
+	corrupt[20] ^= 0xFF
+	f.Add(corrupt)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, goodLen, ok := readRecords(data)
+		if goodLen < 0 || goodLen > len(data) || ok != (goodLen == len(data)) {
+			t.Fatalf("goodLen %d, ok %v over %d bytes", goodLen, ok, len(data))
+		}
+		var again []byte
+		for _, r := range recs {
+			again = appendRecord(again, r)
+		}
+		if !bytes.Equal(again, data[:goodLen]) {
+			t.Fatalf("re-encoding %d records gives %d bytes, not the %d-byte good prefix", len(recs), len(again), goodLen)
+		}
+	})
+}
+
 func TestTornTailRules(t *testing.T) {
 	var buf []byte
 	buf = appendRecord(buf, Record{LSN: 1, SQL: "INSERT INTO t VALUES (1)"})
