@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("materialized mv = (3,2) over %d rows; window size W = 6\n\n", n)
 
 	// 1. Value updates: the §2.3 update rule touches exactly W positions.
-	before := mgr.MaintenanceEvents
+	before := mgr.Stats().MaintenanceEvents.Load()
 	for i := 0; i < 50; i++ {
 		pos := 10 + i*37%n
 		if _, err := db.ExecContext(ctx, fmt.Sprintf(`UPDATE seq SET val = %d WHERE pos = %d`, i*3, pos)); err != nil {
@@ -41,7 +41,7 @@ func main() {
 		}
 	}
 	fmt.Printf("50 value updates  → %d incremental maintenance events, view fresh: %v\n",
-		mgr.MaintenanceEvents-before, !mgr.Stale("mv"))
+		mgr.Stats().MaintenanceEvents.Load()-before, !mgr.Stale("mv"))
 	verify(ctx, db, "after updates")
 
 	// 2. Appends at position n+1 fold in incrementally.

@@ -546,7 +546,7 @@ func TestViewMaintainedThroughDML(t *testing.T) {
 	if e.Views.Stale("mv") {
 		t.Fatal("view should still be fresh")
 	}
-	if e.Views.MaintenanceEvents == 0 {
+	if e.Views.Stats().MaintenanceEvents.Load() == 0 {
 		t.Fatal("incremental maintenance should have fired")
 	}
 

@@ -166,7 +166,7 @@ func TestPartitionedMaintenance(t *testing.T) {
 	}
 	checkPartitionedAgainstNative(t, e, q, "after suffix delete")
 
-	if e.Views.MaintenanceEvents == 0 {
+	if e.Views.Stats().MaintenanceEvents.Load() == 0 {
 		t.Fatal("expected incremental maintenance events")
 	}
 

@@ -122,16 +122,7 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool, stamp func(epoch uin
 		}
 	}
 	epoch := e.Cat.Clock().Next()
-	for _, d := range tx.Deltas {
-		switch d.Kind {
-		case txn.DeltaInsert:
-			e.Views.AfterInsert(tx, d.Table, d.Rows, d.Cols)
-		case txn.DeltaUpdate:
-			e.Views.AfterUpdate(tx, d.Table, d.Before, d.After, d.Cols)
-		case txn.DeltaDelete:
-			e.Views.AfterDelete(tx, d.Table, d.Rows, d.Cols)
-		}
-	}
+	e.Views.Fold(tx, tx.Deltas)
 	e.commitSeq.Add(1)
 	tx.CommitStamps(epoch)
 	if stamp != nil {

@@ -1,6 +1,7 @@
 package mview
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func createPView(t *testing.T, m *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Create(stmt.(*sqlparser.CreateMatView)); err != nil {
+	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -259,7 +260,7 @@ func TestPartitionedRefresh(t *testing.T) {
 		}
 		return true
 	})
-	if err := m.Refresh("pmv"); err != nil {
+	if err := refresh(m, "pmv"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stale("pmv") {
@@ -280,7 +281,7 @@ func TestPartitionedCreateRejections(t *testing.T) {
 	tbl.Heap.Insert(sqltypes.Row{sqltypes.NullDatum, sqltypes.NewInt(1), sqltypes.NewInt(1)})
 	m := NewManager(cat, nil)
 	stmt, _ := sqlparser.Parse(pViewDDL)
-	if err := m.Create(stmt.(*sqlparser.CreateMatView)); err == nil ||
+	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err == nil ||
 		!strings.Contains(err.Error(), "non-NULL") {
 		t.Fatalf("NULL partition key must be rejected: %v", err)
 	}

@@ -12,12 +12,11 @@ import (
 
 // This file is the durability hook of the view manager: the wal package
 // snapshots view *metadata* only (the backing rows travel with the ordinary
-// table dump) and calls Restore to re-register each view and rebuild its
-// in-memory maintainer state. Maintainers are pure functions of the base
-// table — the same §2.3 invariant incremental maintenance relies on — so a
-// fresh view's maintainer is reconstructed by re-reading the restored base
-// sequence; a stale view defers that work to REFRESH, exactly as it would
-// have before the crash.
+// table dump) and calls Restore to re-register each view. The backing rows
+// are the view — maintenance reads and rewrites them in place — so a fresh
+// view is ready the moment its backing table is, without reading the base
+// table; a stale view waits for REFRESH, exactly as it would have before the
+// crash.
 
 // StaleInfo reports whether the named view is stale and why. It returns
 // false for plain views and unknown names, which have no staleness state.
@@ -45,7 +44,7 @@ type RestoreSpec struct {
 }
 
 // Restore re-registers a snapshotted materialized view against its restored
-// backing table and rebuilds maintainer state for fresh sequence views.
+// backing table.
 func (m *Manager) Restore(spec RestoreSpec) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -83,15 +82,10 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, agg: agg, valType: valType}
 	if spec.Stale {
 		// Recovered staleness has unknown onset: no epoch answers, and age
-		// counts from restore. The maintainers stay empty until REFRESH
-		// rebuilds them.
+		// counts from restore.
 		sv.staleWhy, sv.staleSince = spec.StaleWhy, time.Now()
-		err = sv.setParts(nil, nil)
-	} else if err = m.rebuild(sv); err == nil {
+	} else {
 		m.setFresh(sv, m.epoch()) // the restored backing rows are visible from now on
-	}
-	if err != nil {
-		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
 	}
 	m.seq[lower(mv.Name)] = sv
 	return nil

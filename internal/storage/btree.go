@@ -270,17 +270,13 @@ func (t *BTree) seekLeaf(probe sqltypes.Row) *btNode {
 // Range invokes fn for every entry with from <= key <= to under
 // prefix comparison, in key order. Either bound may be nil.
 func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID) bool) {
-	var leaf *btNode
-	if from == nil {
-		leaf = t.seekLeaf(nil)
-	} else {
-		leaf = t.seekLeaf(from)
-	}
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			if from != nil && compareKeyPrefix(e.key, from) < 0 {
-				continue
-			}
+	leaf := t.seekLeaf(from)
+	// Entries are in key order: the walk starts at the first one ≥ from.
+	i := sort.Search(len(leaf.entries), func(j int) bool {
+		return compareKeyPrefix(leaf.entries[j].key, from) >= 0
+	})
+	for ; leaf != nil; leaf, i = leaf.next, 0 {
+		for _, e := range leaf.entries[i:] {
 			if to != nil && compareKeyPrefix(e.key, to) > 0 {
 				return
 			}
@@ -288,7 +284,6 @@ func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID)
 				return
 			}
 		}
-		leaf = leaf.next
 	}
 }
 
@@ -298,17 +293,6 @@ func (t *BTree) Lookup(key sqltypes.Row, fn func(RowID) bool) {
 	t.Range(key, key, func(_ sqltypes.Row, id RowID) bool {
 		return fn(id)
 	})
-}
-
-// First returns one row id stored under key.
-func (t *BTree) First(key sqltypes.Row) (RowID, bool) {
-	var out RowID
-	found := false
-	t.Lookup(key, func(id RowID) bool {
-		out, found = id, true
-		return false
-	})
-	return out, found
 }
 
 // check validates the structural invariants; used by tests.

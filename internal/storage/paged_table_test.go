@@ -115,13 +115,13 @@ func TestPagedTableDifferential(t *testing.T) {
 		ids, model[id] = append(ids, id), r
 	}
 	for id, r := range model {
-		if got, ok := tb.FirstAt(h, r[:1], tb.Latest()); !ok || got != id {
-			t.Fatalf("FirstAt(%v) = %d, %v; model has row %d", r[0], got, ok, id)
+		if got, ok := firstAt(tb, h, r[:1], tb.Latest()); !ok || got != id {
+			t.Fatalf("firstAt(%v) = %d, %v; model has row %d", r[0], got, ok, id)
 		}
 	}
 	for _, r := range deleted {
-		if got, ok := tb.FirstAt(h, r[:1], tb.Latest()); ok {
-			t.Fatalf("FirstAt(%v) finds deleted row %d", r[0], got)
+		if got, ok := firstAt(tb, h, r[:1], tb.Latest()); ok {
+			t.Fatalf("firstAt(%v) finds deleted row %d", r[0], got)
 		}
 	}
 	if _, err := tb.Insert(mkRow(5)); err == nil {
@@ -229,4 +229,14 @@ func TestPagedTableIterStats(t *testing.T) {
 	if st.Hits+st.Misses != st.Pages {
 		t.Fatalf("stats do not add up: %+v", st)
 	}
+}
+
+// firstAt is a point probe through RangeAt: the first version under key
+// visible in s.
+func firstAt(tb *Table, h *IndexHandle, key sqltypes.Row, s txn.Snapshot) (id RowID, ok bool) {
+	tb.RangeAt(h, key, key, s, func(rid RowID, _ sqltypes.Row) bool {
+		id, ok = rid, true
+		return false
+	})
+	return id, ok
 }

@@ -73,7 +73,7 @@ func TestReclaimUnderReaders(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			k := rng.Intn(keys)
-			id, ok := tb.FirstAt(pk, row(int64(k)), snap)
+			id, ok := firstAt(tb, pk, row(int64(k)), snap)
 			if r := tb.GetAt(id, snap); !ok || r == nil || r[0].Int() != int64(k) {
 				t.Errorf("snapshot %d: probe of key %d found id %d (%v) holding %v", epoch, k, id, ok, r)
 			}

@@ -533,28 +533,22 @@ func (t *Table) ScanAt(s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool)
 	}
 }
 
-// FirstAt probes an index for the first version under key visible in s.
-func (t *Table) FirstAt(h *IndexHandle, key sqltypes.Row, s txn.Snapshot) (RowID, bool) {
-	var found RowID
-	ok := false
-	t.lookupVisible(h, key, s, func(id RowID, _ sqltypes.Row) bool {
-		found, ok = id, true
-		return false
-	})
-	return found, ok
-}
-
 // LookupAt probes an index and invokes fn for every version under key
 // visible in s, stopping early if fn returns false. fn runs without any
 // table lock held and may mutate the table.
 func (t *Table) LookupAt(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) {
-	t.lookupVisible(h, key, s, fn)
+	t.RangeAt(h, key, key, s, fn)
 }
 
-// lookupVisible collects the visible matches under the read lock (index
-// structures are only safe against concurrent structural writes while
-// locked), then hands them to fn unlocked.
-func (t *Table) lookupVisible(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) {
+// RangeAt walks an index from key from to key to (inclusive, prefix
+// comparison, either may be nil) and invokes fn for every version visible in
+// s, in key order, stopping early if fn returns false. fn runs without any
+// table lock held and may mutate the table.
+//
+// It collects the visible matches under the read lock (index structures are
+// only safe against concurrent structural writes while locked), then hands
+// them to fn unlocked.
+func (t *Table) RangeAt(h *IndexHandle, from, to sqltypes.Row, s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) {
 	type match struct {
 		id  RowID
 		row sqltypes.Row
@@ -562,7 +556,7 @@ func (t *Table) lookupVisible(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, 
 	var buf [4]match
 	matches := buf[:0]
 	t.mu.RLock()
-	h.Idx.Lookup(key, func(id RowID) bool {
+	h.Idx.Range(from, to, func(_ sqltypes.Row, id RowID) bool {
 		sl := t.byID[id]
 		if sl != nil && txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
 			matches = append(matches, match{id, t.rowOf(sl)})
