@@ -112,7 +112,7 @@ func (x Slab) SlidingFromCumulative(out []float64, from int, target Window) erro
 	l, h, n := target.Preceding, target.Following, x.hi()
 	for i := range out {
 		k := from + i
-		out[i] = x.at(minInt(k+h, n)) - x.at(minInt(k-l-1, n))
+		out[i] = x.at(min(k+h, n)) - x.at(min(k-l-1, n))
 	}
 	return nil
 }
@@ -141,7 +141,7 @@ func (x Slab) MinOA(out []float64, from int, target Window) error {
 	// The largest index either chain reaches is the positive head of the last
 	// position: k−Δl−W_x < k+Δh because W_y = Δl+Δh+W_x > 0.
 	top := from + len(out) - 1 + f.DeltaH
-	p := make([]float64, maxInt(0, top-x.Lo+1))
+	p := make([]float64, max(0, top-x.Lo+1))
 	for j := range p {
 		p[j] = x.at(x.Lo + j)
 		if j >= f.Wx {
@@ -207,7 +207,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 	if f.DeltaL > 0 {
 		// z̃L covers [k−l_x, k−Δl+h_x]: empty left of first = Lo+Δl.
 		first := x.Lo + f.DeltaL
-		z := make([]float64, maxInt(0, to-first+1))
+		z := make([]float64, max(0, to-first+1))
 		for k := first; k <= to; k++ {
 			near := x.at(k - f.DeltaL)
 			z[k-first] = near - x.at(k-f.Wx)
@@ -222,7 +222,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 	if f.DeltaH > 0 {
 		// z̃H covers [k+Δh−l_x, k+h_x]: empty right of last = hi−Δh.
 		last := x.hi() - f.DeltaH
-		z := make([]float64, maxInt(0, last-from+1))
+		z := make([]float64, max(0, last-from+1))
 		for k := last; k >= from; k-- {
 			near := x.at(k + f.DeltaH)
 			z[k-from] = near - x.at(k+f.Wx)
