@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"rfview"
+	"rfview/internal/txn"
 )
 
 func main() {
@@ -66,13 +67,22 @@ func main() {
 	//    of the sequence (everything right of it shifts) and delete one.
 	//    SQL DML cannot express this while keeping positions dense, so the
 	//    view manager applies the §2.3 insert/delete rules and renumbers the
-	//    base table in the same step.
-	if err := mgr.ShiftInsert("mv", 500, 12345); err != nil {
-		log.Fatal(err)
+	//    base table in the same step. Each shift is one transaction: its
+	//    commit publishes the renumbered base and the patched view at one
+	//    epoch, so no reader sees one without the other.
+	eng := db.Engine()
+	shift := func(op func(*txn.Txn) error) {
+		tx := eng.BeginTxn()
+		if err := op(tx); err != nil {
+			eng.RollbackTxn(tx)
+			log.Fatal(err)
+		}
+		if err := eng.CommitTxn(tx); err != nil {
+			log.Fatal(err)
+		}
 	}
-	if err := mgr.ShiftDelete("mv", 1200); err != nil {
-		log.Fatal(err)
-	}
+	shift(func(tx *txn.Txn) error { return mgr.ShiftInsert(tx, "mv", 500, 12345) })
+	shift(func(tx *txn.Txn) error { return mgr.ShiftDelete(tx, "mv", 1200) })
 	fmt.Printf("positional shift insert@500 + delete@1200 → view fresh: %v\n", !mgr.Stale("mv"))
 	verify(ctx, db, "after positional shifts")
 

@@ -66,7 +66,11 @@ func TestColumnNames(t *testing.T) {
 func TestIndexLifecycle(t *testing.T) {
 	c := emptyCatalog(t)
 	tbl, _ := c.CreateTable("t", []Column{{"a", sqltypes.Int}, {"b", sqltypes.Int}})
-	tbl.Heap.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(2)})
+	tx := c.Clock().Begin()
+	if _, err := tbl.Heap.InsertTx(tx, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(2)}); err != nil {
+		t.Fatal(err)
+	}
+	c.Clock().Commit(tx, nil)
 	def, err := c.CreateIndex("t_a", "t", []string{"a"}, true)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@ import (
 // a transaction killed mid-flight left nothing in the log and is invisible
 // after replay. The record rides the existing SQL-record transport, prefixed
 // with a marker no parsable statement can start with; the payload is the
-// transaction's delta list, values encoded bit-exactly (floats travel as
-// their IEEE-754 bit patterns, like the snapshot codec, so replayed rows are
-// byte-identical to the originals).
+// transaction's delta list, values in the snapshot's bit-exact datum form
+// (sqltypes.JSONDatum), so replayed rows are byte-identical to the
+// originals.
 
 // commitMarker prefixes every commit record in the log.
 const commitMarker = "--txn-commit:v1 "
@@ -28,94 +28,14 @@ const commitMarker = "--txn-commit:v1 "
 // record rather than a SQL statement.
 func IsCommitRecord(sql string) bool { return strings.HasPrefix(sql, commitMarker) }
 
-// logDatum is one value inside a commit record. T is the sqltypes.Type; Bool,
-// Int, and Date ride in I; Float rides in F as raw bits; String rides in S.
-type logDatum struct {
-	T uint8   `json:"t"`
-	I int64   `json:"i,omitempty"`
-	F uint64  `json:"f,omitempty"`
-	S *string `json:"s,omitempty"`
-}
-
 // logDelta is one table's worth of a transaction's effects.
 type logDelta struct {
-	Table  string       `json:"table"`
-	Kind   int          `json:"kind"` // txn.DeltaKind
-	Cols   []string     `json:"cols,omitempty"`
-	Rows   [][]logDatum `json:"rows,omitempty"`
-	Before [][]logDatum `json:"before,omitempty"`
-	After  [][]logDatum `json:"after,omitempty"`
-}
-
-func encodeDatum(d sqltypes.Datum) logDatum {
-	switch d.Typ() {
-	case sqltypes.Bool:
-		var i int64
-		if d.Bool() {
-			i = 1
-		}
-		return logDatum{T: uint8(sqltypes.Bool), I: i}
-	case sqltypes.Int, sqltypes.Date:
-		return logDatum{T: uint8(d.Typ()), I: d.Int()}
-	case sqltypes.Float:
-		return logDatum{T: uint8(sqltypes.Float), F: math.Float64bits(d.Float())}
-	case sqltypes.String:
-		s := d.Str()
-		return logDatum{T: uint8(sqltypes.String), S: &s}
-	default:
-		return logDatum{T: uint8(sqltypes.Null)}
-	}
-}
-
-func decodeDatum(ld logDatum) sqltypes.Datum {
-	switch sqltypes.Type(ld.T) {
-	case sqltypes.Bool:
-		return sqltypes.NewBool(ld.I != 0)
-	case sqltypes.Int:
-		return sqltypes.NewInt(ld.I)
-	case sqltypes.Date:
-		return sqltypes.NewDate(ld.I)
-	case sqltypes.Float:
-		return sqltypes.NewFloat(math.Float64frombits(ld.F))
-	case sqltypes.String:
-		var s string
-		if ld.S != nil {
-			s = *ld.S
-		}
-		return sqltypes.NewString(s)
-	default:
-		return sqltypes.NullDatum
-	}
-}
-
-func encodeRows(rows []sqltypes.Row) [][]logDatum {
-	if rows == nil {
-		return nil
-	}
-	out := make([][]logDatum, len(rows))
-	for i, r := range rows {
-		enc := make([]logDatum, len(r))
-		for j, d := range r {
-			enc[j] = encodeDatum(d)
-		}
-		out[i] = enc
-	}
-	return out
-}
-
-func decodeRows(enc [][]logDatum) []sqltypes.Row {
-	if enc == nil {
-		return nil
-	}
-	out := make([]sqltypes.Row, len(enc))
-	for i, r := range enc {
-		row := make(sqltypes.Row, len(r))
-		for j, ld := range r {
-			row[j] = decodeDatum(ld)
-		}
-		out[i] = row
-	}
-	return out
+	Table  string                 `json:"table"`
+	Kind   int                    `json:"kind"` // txn.DeltaKind
+	Cols   []string               `json:"cols,omitempty"`
+	Rows   [][]sqltypes.JSONDatum `json:"rows,omitempty"`
+	Before [][]sqltypes.JSONDatum `json:"before,omitempty"`
+	After  [][]sqltypes.JSONDatum `json:"after,omitempty"`
 }
 
 // encodeCommitRecord renders a transaction's deltas as one log record.
@@ -126,9 +46,9 @@ func encodeCommitRecord(deltas []txn.Delta) (string, error) {
 			Table:  d.Table,
 			Kind:   int(d.Kind),
 			Cols:   d.Cols,
-			Rows:   encodeRows(d.Rows),
-			Before: encodeRows(d.Before),
-			After:  encodeRows(d.After),
+			Rows:   sqltypes.RowsToJSON(d.Rows),
+			Before: sqltypes.RowsToJSON(d.Before),
+			After:  sqltypes.RowsToJSON(d.After),
 		}
 	}
 	payload, err := json.Marshal(enc)
@@ -152,9 +72,9 @@ func decodeCommitRecord(sql string) ([]txn.Delta, error) {
 			Table:  d.Table,
 			Kind:   txn.DeltaKind(d.Kind),
 			Cols:   d.Cols,
-			Rows:   decodeRows(d.Rows),
-			Before: decodeRows(d.Before),
-			After:  decodeRows(d.After),
+			Rows:   sqltypes.RowsFromJSON(d.Rows),
+			Before: sqltypes.RowsFromJSON(d.Before),
+			After:  sqltypes.RowsFromJSON(d.After),
 		}
 	}
 	return out, nil

@@ -141,3 +141,38 @@ func TestApplyCommitRecord(t *testing.T) {
 		t.Fatalf("failed replay leaked rows: COUNT = %d, want 1", res.Rows[0][0].Int())
 	}
 }
+
+// TestCommitRecordEarlierForm replays a commit record in the form the log
+// held before snapshots and commit records shared one datum codec, which
+// wrote an empty string's "s" field out: it still decodes to the same rows.
+func TestCommitRecordEarlierForm(t *testing.T) {
+	const rec = `--txn-commit:v1 [{"table":"t","kind":0,"cols":["a","b","c","d","e","f"],` +
+		`"rows":[[{"t":2,"i":-7},{"t":3,"f":9223372036854775808},{"t":4,"s":""},{"t":0},{"t":1,"i":1},{"t":5,"i":19000}]]},` +
+		`{"table":"t","kind":1,"cols":["a"],"before":[[{"t":3,"f":9221120237041090561}]],"after":[[{"t":4,"s":"x"}]]}]`
+	got, err := decodeCommitRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []txn.Delta{
+		{Table: "t", Kind: txn.DeltaInsert, Rows: []sqltypes.Row{{sqltypes.NewInt(-7), sqltypes.NewFloat(math.Copysign(0, -1)),
+			sqltypes.NewString(""), sqltypes.NullDatum, sqltypes.NewBool(true), sqltypes.NewDate(19000)}}},
+		{Table: "t", Kind: txn.DeltaUpdate, Before: []sqltypes.Row{{sqltypes.NewFloat(math.Float64frombits(9221120237041090561))}},
+			After: []sqltypes.Row{{sqltypes.NewString("x")}}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d deltas, want %d", len(got), len(want))
+	}
+	for i, d := range want {
+		g := got[i]
+		for _, pair := range [][2][]sqltypes.Row{{d.Rows, g.Rows}, {d.Before, g.Before}, {d.After, g.After}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("delta %d: %d rows, want %d", i, len(pair[1]), len(pair[0]))
+			}
+			for r := range pair[0] {
+				if !rowIdentical(pair[0][r], pair[1][r]) {
+					t.Fatalf("delta %d row %d: got %v, want %v", i, r, pair[1][r], pair[0][r])
+				}
+			}
+		}
+	}
+}

@@ -105,9 +105,6 @@ type Engine struct {
 	// freshness, table version counters, schema); odd while a commit or DDL
 	// publication is in flight. See txn.go.
 	commitSeq atomic.Uint64
-	// txnIDs mints transaction identifiers; these stamp pending row versions
-	// and must never be zero (zero means "no owner").
-	txnIDs atomic.Uint64
 	// Transaction counters, exposed as metrics and by TxnStats().
 	txnBegins, txnCommits, txnRollbacks, txnConflicts atomic.Int64
 	// versionsReclaimed totals the row versions commits reclaimed.
@@ -438,7 +435,9 @@ func (e *Engine) Quiesce(fn func() error) error {
 //   - DDL and REFRESH log their canonical SQL ahead of applying (a failed
 //     statement replays to the same failure — the engine is deterministic),
 //     and publish inside a commitSeq window so lock-free readers never
-//     observe a half-applied schema change.
+//     observe a half-applied schema change. CREATE and REFRESH MATERIALIZED
+//     VIEW write the view's rows in one internal transaction, whose commit
+//     is that window.
 func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.Begin, *sqlparser.Commit, *sqlparser.Rollback:
@@ -461,26 +460,13 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 		}
 		return res, nil
 	case *sqlparser.RefreshMatView:
-		if e.logWrite != nil {
-			if err := e.logWrite(stmt.String()); err != nil {
-				return nil, fmt.Errorf("durability: %w", err)
-			}
-		}
-		tx := e.newTxn()
-		stamp, err := e.Views.RefreshTx(ctx, tx, s.Name)
-		if err != nil {
-			tx.Abort()
-			e.txnRollbacks.Add(1)
-		} else {
-			err = e.commitTxnLocked(tx, false, stamp) // the logged SQL is the replay
-		}
-		if e.postWrite != nil {
-			e.postWrite()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return e.viewTxnLocked(stmt, func(tx *txn.Txn) (func(uint64), error) {
+			return e.Views.RefreshTx(ctx, tx, s.Name)
+		})
+	case *sqlparser.CreateMatView:
+		return e.viewTxnLocked(stmt, func(tx *txn.Txn) (func(uint64), error) {
+			return e.Views.CreateTx(ctx, tx, s)
+		})
 	default:
 		if e.logWrite != nil {
 			if err := e.logWrite(stmt.String()); err != nil {
@@ -495,6 +481,34 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 		}
 		return res, err
 	}
+}
+
+// viewTxnLocked runs CREATE or REFRESH MATERIALIZED VIEW as one internal
+// transaction: run writes the backing rows as pending versions and returns
+// the step that registers or stamps the view, which the commit runs inside
+// its publication window. The statement's SQL is logged ahead, like DDL,
+// and is its replay. Callers hold the exclusive lock.
+func (e *Engine) viewTxnLocked(stmt sqlparser.Statement, run func(*txn.Txn) (func(uint64), error)) (*Result, error) {
+	if e.logWrite != nil {
+		if err := e.logWrite(stmt.String()); err != nil {
+			return nil, fmt.Errorf("durability: %w", err)
+		}
+	}
+	tx := e.newTxn()
+	stamp, err := run(tx)
+	if err != nil {
+		tx.Abort()
+		e.txnRollbacks.Add(1)
+	} else {
+		err = e.commitTxnLocked(tx, false, stamp)
+	}
+	if e.postWrite != nil {
+		e.postWrite()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
 }
 
 // execDML routes a DML statement into its transaction.
@@ -532,11 +546,6 @@ func (e *Engine) execStmtLocked(ctx context.Context, stmt sqlparser.Statement, c
 			return nil, err
 		}
 		if _, err := e.Cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *sqlparser.CreateMatView:
-		if err := e.Views.CreateContext(ctx, s); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil

@@ -49,7 +49,7 @@ const readRetries = 3
 // without any engine lock; TxnID in the snapshot makes the transaction's own
 // pending writes visible to its statements (read-your-writes).
 func (e *Engine) newTxn() *txn.Txn {
-	tx := e.Cat.Clock().Begin(e.txnIDs.Add(1))
+	tx := e.Cat.Clock().Begin()
 	e.txnBegins.Add(1)
 	return tx
 }
@@ -83,29 +83,32 @@ func (e *Engine) RollbackTxn(tx *txn.Txn) {
 
 // commitTxnLocked is the commit protocol. Callers hold the exclusive engine
 // lock. durable selects whether a commit record is written to the WAL
-// (client work) or not (internal transactions: replayed records, REFRESH
-// under an already-logged statement).
+// (client work) or not (internal transactions: replayed records, CREATE and
+// REFRESH under an already-logged statement). A transaction with nothing to
+// publish — no writes, no deltas, no stamp — ends without taking an epoch.
 //
 //  1. Write the commit record — the commit point. A log error aborts
 //     cleanly: nothing is visible yet.
 //  2. Fold view maintenance into the same transaction: backing-table patches
 //     join the write-set, and a view the deltas break is stale from the
-//     epoch this commit publishes — fixed (Clock().Next()) before the fold,
-//     so readers of older snapshots keep reading the view.
-//  3. Publication window: flip commitSeq odd, stamp the write-set with that
-//     epoch, run stamp (a REFRESH's freshness stamp) with it, publish the
-//     clock, bump table versions, flip commitSeq even. Between the clock
-//     store and the flip a reader may start at the new epoch and see version
-//     counters mid-flip — the seqlock catches exactly that, and any reader
-//     that saw stamp's effect overlapped the window and retries.
-//  4. End the transaction's snapshot registration and let every table it
-//     wrote reclaim the versions no snapshot can see any more. This runs
-//     under the exclusive lock, which keeps the engine's own unregistered
-//     readers (maintenance, REFRESH, checkpoints) out of the way; a failed
-//     pass changes nothing it could not finish and is retried by the next
-//     commit, so it does not fail this one.
+//     epoch this commit publishes — the clock's next, which the exclusive
+//     lock holds still — so readers of older snapshots keep reading the view.
+//  3. Publication window: flip commitSeq odd, commit tx on the clock —
+//     stamp the write-set with the next epoch, run stamp (a CREATE's
+//     registration or a REFRESH's freshness stamp) with it, publish the
+//     epoch, bump table versions, end the snapshot registration — and flip
+//     commitSeq even. Between the clock store and the flip a reader may
+//     start at the new epoch and see version counters mid-flip — the
+//     seqlock catches exactly that, and any reader that saw stamp's effect
+//     overlapped the window and retries.
+//  4. Let every table the transaction wrote reclaim the versions no
+//     snapshot can see any more. This runs under the exclusive lock, which
+//     keeps the engine's own unregistered readers (maintenance, REFRESH,
+//     checkpoints) out of the way; a failed pass changes nothing it could
+//     not finish and is retried by the next commit, so it does not fail
+//     this one.
 func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool, stamp func(epoch uint64)) error {
-	if !tx.HasWrites() && len(tx.Deltas) == 0 {
+	if !tx.HasWrites() && len(tx.Deltas) == 0 && stamp == nil {
 		tx.Release()
 		e.txnCommits.Add(1)
 		return nil
@@ -121,18 +124,11 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool, stamp func(epoch uin
 			return fmt.Errorf("durability: %w", err)
 		}
 	}
-	epoch := e.Cat.Clock().Next()
 	e.Views.Fold(tx, tx.Deltas)
 	e.commitSeq.Add(1)
-	tx.CommitStamps(epoch)
-	if stamp != nil {
-		stamp(epoch)
-	}
-	e.Cat.Clock().Publish(epoch)
-	tx.BumpTouched()
+	e.Cat.Clock().Commit(tx, stamp)
 	e.commitSeq.Add(1)
 	e.txnCommits.Add(1)
-	tx.Release()
 	n, _ := tx.ReclaimTouched()
 	e.versionsReclaimed.Add(int64(n))
 	if durable && e.postWrite != nil {

@@ -124,11 +124,11 @@ func TestBatchPathAgainstRowPathAndReferenceModel(t *testing.T) {
 							pad = strings.Repeat("j", storage.MinPageSize+rng.Intn(300)) // a jumbo row
 						}
 						row := sqltypes.Row{p, sc.gen(rng, part), sqltypes.NewInt(int64(rng.Intn(4))), arg.gen(rng), sqltypes.NewString(pad)}
-						id, err := heap.Insert(row)
-						if err != nil {
-							t.Fatal(err)
-						}
-						shadow = append(shadow, version{id, row})
+						commitWrite(t, heap, func(tx *txn.Txn) error {
+							id, err := heap.InsertTx(tx, row)
+							shadow = append(shadow, version{id, row})
+							return err
+						})
 					}
 				}
 				insert(120 + rng.Intn(60))
@@ -142,19 +142,17 @@ func TestBatchPathAgainstRowPathAndReferenceModel(t *testing.T) {
 				for i := 0; i < 25; i++ {
 					j := rng.Intn(len(shadow))
 					if rng.Intn(2) == 0 {
-						if err := heap.Delete(shadow[j].id); err != nil {
-							t.Fatal(err)
-						}
+						commitWrite(t, heap, func(tx *txn.Txn) error { return heap.DeleteTx(tx, shadow[j].id) })
 						shadow = slices.Delete(shadow, j, j+1)
 						continue
 					}
 					row := shadow[j].row.Clone()
 					row[3] = arg.gen(rng)
-					id, err := heap.Update(shadow[j].id, row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					shadow = append(slices.Delete(shadow, j, j+1), version{id, row})
+					commitWrite(t, heap, func(tx *txn.Txn) error {
+						id, err := heap.UpdateTx(tx, shadow[j].id, row)
+						shadow = append(slices.Delete(shadow, j, j+1), version{id, row})
+						return err
+					})
 				}
 
 				for _, at := range []struct {

@@ -10,7 +10,31 @@ import (
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
+	"rfview/internal/txn"
 )
+
+// insertRows writes rows into heap in one committed transaction.
+func insertRows(t testing.TB, heap *storage.Table, rows ...sqltypes.Row) {
+	t.Helper()
+	commitWrite(t, heap, func(tx *txn.Txn) error {
+		for _, r := range rows {
+			if _, err := heap.InsertTx(tx, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// commitWrite runs write in a transaction of its own and commits it.
+func commitWrite(t testing.TB, heap *storage.Table, write func(*txn.Txn) error) {
+	t.Helper()
+	tx := heap.Clock().Begin()
+	if err := write(tx); err != nil {
+		t.Fatal(err)
+	}
+	heap.Clock().Commit(tx, nil)
+}
 
 func intRow(vals ...int64) sqltypes.Row {
 	r := make(sqltypes.Row, len(vals))
@@ -42,11 +66,7 @@ func newCatalogTable(t *testing.T, rows ...sqltypes.Row) *catalog.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if _, err := tbl.Heap.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertRows(t, tbl.Heap, rows...)
 	return tbl
 }
 

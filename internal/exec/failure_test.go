@@ -190,11 +190,7 @@ func seqTable(t *testing.T, rows ...sqltypes.Row) (*catalog.Table, *storage.Page
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if _, err := tbl.Heap.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertRows(t, tbl.Heap, rows...)
 	return tbl, pager
 }
 

@@ -180,10 +180,8 @@ func scanShapePlans(tb testing.TB, n, parts int) []scanShape {
 			sqltypes.NewInt(int64(k + 1)), sqltypes.NewInt(int64(rng.Intn(parts))), sqltypes.NewInt(int64(rng.Intn(250))),
 			sqltypes.NewDate(int64(11323 + k*336/n)), sqltypes.NewInt(int64(5 + rng.Intn(500))),
 		}
-		if _, err := tbl.Heap.Insert(rows[i]); err != nil {
-			tb.Fatal(err)
-		}
 	}
+	insertRows(tb, tbl.Heap, rows...)
 	schema := NewScan(tbl, "t").Schema()
 	frame := FrameSpec{
 		Start: FrameBound{Kind: BoundPreceding, Offset: 3},

@@ -29,9 +29,11 @@ func floatFixture(t *testing.T, vals []float64) (*catalog.Catalog, *Manager, *ca
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := make([]sqltypes.Row, len(vals))
 	for i, v := range vals {
-		tbl.Heap.Insert(sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(v)})
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(v)}
 	}
+	insertRows(t, tbl, rows...)
 	return cat, NewManager(cat, nil), tbl
 }
 
@@ -57,22 +59,24 @@ func avgUpdate(t *testing.T, m *Manager, tbl *catalog.Table, pos int, v float64)
 		t.Fatalf("no base row at position %d", pos)
 	}
 	nrow := sqltypes.Row{sqltypes.NewInt(int64(pos)), sqltypes.NewFloat(v)}
-	if err := tbl.Heap.Delete(id); err != nil {
+	tx := m.begin()
+	if err := tbl.Heap.DeleteTx(tx, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Heap.Insert(nrow); err != nil {
+	if _, err := tbl.Heap.InsertTx(tx, nrow); err != nil {
 		t.Fatal(err)
 	}
-	m.AfterUpdate(nil, "seq", []sqltypes.Row{old}, []sqltypes.Row{nrow.Clone()}, seqCols)
+	m.AfterUpdate(tx, "seq", []sqltypes.Row{old}, []sqltypes.Row{nrow.Clone()}, seqCols)
 }
 
 func avgAppend(t *testing.T, m *Manager, tbl *catalog.Table, pos int, v float64) {
 	t.Helper()
 	row := sqltypes.Row{sqltypes.NewInt(int64(pos)), sqltypes.NewFloat(v)}
-	if _, err := tbl.Heap.Insert(row); err != nil {
+	tx := m.begin()
+	if _, err := tbl.Heap.InsertTx(tx, row); err != nil {
 		t.Fatal(err)
 	}
-	m.AfterInsert(nil, "seq", []sqltypes.Row{row.Clone()}, seqCols)
+	m.AfterInsert(tx, "seq", []sqltypes.Row{row.Clone()}, seqCols)
 }
 
 func avgDelete(t *testing.T, m *Manager, tbl *catalog.Table, pos int) {
@@ -89,10 +93,11 @@ func avgDelete(t *testing.T, m *Manager, tbl *catalog.Table, pos int) {
 	if old == nil {
 		t.Fatalf("no base row at position %d", pos)
 	}
-	if err := tbl.Heap.Delete(id); err != nil {
+	tx := m.begin()
+	if err := tbl.Heap.DeleteTx(tx, id); err != nil {
 		t.Fatal(err)
 	}
-	m.AfterDelete(nil, "seq", []sqltypes.Row{old}, seqCols)
+	m.AfterDelete(tx, "seq", []sqltypes.Row{old}, seqCols)
 }
 
 // checkAvgBitExact compares the backing table bit-for-bit against a

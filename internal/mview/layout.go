@@ -9,6 +9,7 @@ import (
 	"rfview/internal/catalog"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
+	"rfview/internal/txn"
 )
 
 // layout is the one place a simple and a partitioned sequence view differ.
@@ -133,16 +134,16 @@ func (l layout) partOf(row sqltypes.Row, ord int) (part sqltypes.Datum, ok bool)
 	return row[ord], !row[ord].IsNull()
 }
 
-// readSequences reads the view's partitions from the base table at the
-// manager's write view — so a transactional refresh sees the transaction's
-// own writes — validates their density and returns their spans in key
-// order; a simple view has its one partition even over an empty table.
-func (m *Manager) readSequences(sv *seqView) ([]*span, error) {
+// readSequences reads the view's partitions from the base table at tx's
+// write view — so a refresh sees its transaction's own writes — validates
+// their density and returns their spans in key order; a simple view has its
+// one partition even over an empty table.
+func (m *Manager) readSequences(tx *txn.Txn, sv *seqView) ([]*span, error) {
 	b := bands{}
 	if !sv.lay.keyed() {
 		b[sqltypes.NullDatum] = []*span{{part: sqltypes.NullDatum, lo: 1, hi: math.MaxInt}}
 	}
-	if err := m.readBands(sv, b, true); err != nil {
+	if err := m.readBands(tx, sv, b, true); err != nil {
 		return nil, err
 	}
 	parts := make([]*span, 0, len(b))

@@ -38,14 +38,14 @@ func (m *Manager) Stats() *Stats { return &m.stats }
 
 // Fold folds a transaction's deltas, in order, into every fresh sequence
 // view over their tables, updating the stats counters and the touched-rows
-// observer. tx, when non-nil, is the committing transaction: backing-table
-// writes join its write-set and become visible at its publication instant.
-// The base table already holds every delta's writes.
+// observer. tx is the committing transaction: backing-table writes join its
+// write-set and become visible at its publication instant, and a view the
+// deltas break is stale from the epoch it publishes. The base table already
+// holds every delta's writes. The committer holds its commit serialization
+// from here to publication, so the clock's next epoch is tx's.
 func (m *Manager) Fold(tx *txn.Txn, deltas []txn.Delta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.curTx = tx
-	defer func() { m.curTx = nil }()
 	for _, sv := range m.seq {
 		if sv.stale() {
 			continue
@@ -65,7 +65,7 @@ func (m *Manager) Fold(tx *txn.Txn, deltas []txn.Delta) {
 			ends = append(ends, len(changes))
 		}
 		if !sv.stale() {
-			m.foldChanges(sv, changes, ends)
+			m.foldChanges(tx, sv, changes, ends)
 		}
 	}
 }
@@ -168,8 +168,8 @@ func valueUnchanged(a, b sqltypes.Datum) bool {
 // delta's end; what the §2.3 rules cannot absorb marks the view stale and
 // ends the fold. The base table holds the writes of every change already:
 // the store's raw data steps through them one change at a time.
-func (m *Manager) foldChanges(sv *seqView, changes []change, ends []int) {
-	st := &backingStore{m: m, sv: sv, changes: changes}
+func (m *Manager) foldChanges(tx *txn.Txn, sv *seqView, changes []change, ends []int) {
+	st := &backingStore{m: m, tx: tx, sv: sv, changes: changes}
 	touched, next := 0, 0
 	delta := func(done int) { // count the deltas whose changes are all in
 		for ; next < len(ends) && ends[next] <= done; next++ {
@@ -195,18 +195,21 @@ func (m *Manager) foldChanges(sv *seqView, changes []change, ends []int) {
 	}
 }
 
-// markStale ends the view's freshness at the epoch the breaking write
-// commits at: readers of earlier snapshots may still read it.
+// markStale ends the view's freshness at the epoch the breaking commit
+// publishes: readers of earlier snapshots may still read it.
 func (m *Manager) markStale(sv *seqView, why string) {
 	if !sv.stale() {
-		sv.staleFrom, sv.staleSince = m.epoch(), time.Now()
+		sv.staleFrom, sv.staleSince = m.cat.Clock().Next(), time.Now()
 	}
 	sv.staleWhy = why
 }
 
 // shiftTarget resolves the view and base table of a positional shift (§2.3),
-// which renumbers the one sequence of a simple view.
-func (m *Manager) shiftTarget(viewName string) (*seqView, *catalog.Table, error) {
+// which renumbers the one sequence of a simple view. The shift's view
+// writes take the base table as its transaction found it, so tx must not
+// hold DML on the base already: its deltas, folded at commit, would name
+// positions the shift renumbered.
+func (m *Manager) shiftTarget(tx *txn.Txn, viewName string) (*seqView, *catalog.Table, error) {
 	sv, ok := m.seq[lower(viewName)]
 	if !ok {
 		return nil, nil, fmt.Errorf("materialized view %q is not a sequence view", viewName)
@@ -214,45 +217,53 @@ func (m *Manager) shiftTarget(viewName string) (*seqView, *catalog.Table, error)
 	if sv.lay.keyed() {
 		return nil, nil, fmt.Errorf("positional shifts apply to simple sequence views only")
 	}
+	for _, d := range tx.Deltas {
+		if strings.EqualFold(d.Table, sv.mv.BaseTable) {
+			return nil, nil, fmt.Errorf("a positional shift cannot follow DML on %q in one transaction", d.Table)
+		}
+	}
 	base, err := m.cat.Table(sv.mv.BaseTable)
 	return sv, base, err
 }
 
-// ShiftInsert performs the paper's positional insert (§2.3): a value enters
-// at position k and every later position shifts right — applied to BOTH the
-// base table (renumbering its position column) and the view (via the
-// incremental insert rule). This is the sequence-semantics operation the
-// relational INSERT cannot express while keeping positions dense.
-func (m *Manager) ShiftInsert(viewName string, k int, val float64) error {
+// ShiftInsert performs the paper's positional insert (§2.3) inside tx: a
+// value enters at position k and every later position shifts right —
+// applied to BOTH the base table (renumbering its position column) and the
+// view (via the incremental insert rule), so tx's commit publishes both at
+// one epoch. This is the sequence-semantics operation the relational INSERT
+// cannot express while keeping positions dense. On an error the caller
+// rolls tx back.
+func (m *Manager) ShiftInsert(tx *txn.Txn, viewName string, k int, val float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sv, base, err := m.shiftTarget(viewName)
+	sv, base, err := m.shiftTarget(tx, viewName)
 	if err != nil {
 		return err
 	}
-	if err := shiftBase(base, sv.mv.PosColumn, sv.mv.ValColumn, k, &val, true); err != nil {
+	if err := shiftBase(tx, base, sv.mv.PosColumn, sv.mv.ValColumn, k, &val, true); err != nil {
 		return err
 	}
-	return m.shift(sv, core.Op{Kind: core.OpInsert, K: k, New: val, Shift: true})
+	return m.shift(tx, sv, core.Op{Kind: core.OpInsert, K: k, New: val, Shift: true})
 }
 
-// ShiftDelete removes position k, shifting later positions left (§2.3).
-func (m *Manager) ShiftDelete(viewName string, k int) error {
+// ShiftDelete removes position k inside tx, shifting later positions left
+// (§2.3).
+func (m *Manager) ShiftDelete(tx *txn.Txn, viewName string, k int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sv, base, err := m.shiftTarget(viewName)
+	sv, base, err := m.shiftTarget(tx, viewName)
 	if err != nil {
 		return err
 	}
-	if err := shiftBase(base, sv.mv.PosColumn, sv.mv.ValColumn, k, nil, false); err != nil {
+	if err := shiftBase(tx, base, sv.mv.PosColumn, sv.mv.ValColumn, k, nil, false); err != nil {
 		return err
 	}
-	return m.shift(sv, core.Op{Kind: core.OpDelete, K: k, Shift: true})
+	return m.shift(tx, sv, core.Op{Kind: core.OpDelete, K: k, Shift: true})
 }
 
 // shift folds a positional shift the base table already holds into the view.
-func (m *Manager) shift(sv *seqView, op core.Op) error {
-	if _, err := core.Apply(&backingStore{m: m, sv: sv}, windowOfSpec(sv.mv.Window), sv.agg, op); err != nil {
+func (m *Manager) shift(tx *txn.Txn, sv *seqView, op core.Op) error {
+	if _, err := core.Apply(&backingStore{m: m, tx: tx, sv: sv}, windowOfSpec(sv.mv.Window), sv.agg, op); err != nil {
 		return err
 	}
 	m.stats.MaintenanceEvents.Add(1)
@@ -260,8 +271,8 @@ func (m *Manager) shift(sv *seqView, op core.Op) error {
 }
 
 // shiftBase renumbers the base table's position column around a positional
-// insert (withValue=true) or delete.
-func shiftBase(base *catalog.Table, posCol, valCol string, k int, val *float64, insert bool) error {
+// insert (withValue=true) or delete, as pending writes of tx.
+func shiftBase(tx *txn.Txn, base *catalog.Table, posCol, valCol string, k int, val *float64, insert bool) error {
 	pi := base.ColumnIndex(posCol)
 	vi := base.ColumnIndex(valCol)
 	if pi < 0 || vi < 0 {
@@ -272,7 +283,7 @@ func shiftBase(base *catalog.Table, posCol, valCol string, k int, val *float64, 
 		row sqltypes.Row
 	}
 	var touch []target
-	if err := base.Heap.Scan(func(id storage.RowID, row sqltypes.Row) bool {
+	if err := base.Heap.ScanAt(base.Heap.WriteView(tx), func(id storage.RowID, row sqltypes.Row) bool {
 		if int(row[pi].Int()) >= k {
 			touch = append(touch, target{id, row})
 		}
@@ -286,7 +297,7 @@ func shiftBase(base *catalog.Table, posCol, valCol string, k int, val *float64, 
 		for _, t := range touch {
 			nr := t.row.Clone()
 			nr[pi] = sqltypes.NewInt(t.row[pi].Int() + 1)
-			if _, err := base.Heap.Update(t.id, nr); err != nil {
+			if _, err := base.Heap.UpdateTx(tx, t.id, nr); err != nil {
 				return err
 			}
 		}
@@ -300,21 +311,21 @@ func shiftBase(base *catalog.Table, posCol, valCol string, k int, val *float64, 
 		} else {
 			nr[vi] = sqltypes.NewFloat(*val)
 		}
-		_, err := base.Heap.Insert(nr)
+		_, err := base.Heap.InsertTx(tx, nr)
 		return err
 	}
 	// Delete: remove position k, shift the rest left in ascending order.
 	sort.Slice(touch, func(a, b int) bool { return touch[a].row[pi].Int() < touch[b].row[pi].Int() })
 	for _, t := range touch {
 		if int(t.row[pi].Int()) == k {
-			if err := base.Heap.Delete(t.id); err != nil {
+			if err := base.Heap.DeleteTx(tx, t.id); err != nil {
 				return err
 			}
 			continue
 		}
 		nr := t.row.Clone()
 		nr[pi] = sqltypes.NewInt(t.row[pi].Int() - 1)
-		if _, err := base.Heap.Update(t.id, nr); err != nil {
+		if _, err := base.Heap.UpdateTx(tx, t.id, nr); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package mview
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -35,21 +36,64 @@ func fixture(t *testing.T, n int) (*catalog.Catalog, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(1); i <= int64(n); i++ {
-		tbl.Heap.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * i)})
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewInt(int64((i + 1) * (i + 1)))}
 	}
+	insertRows(t, tbl, rows...)
 	return cat, NewManager(cat, nil)
 }
 
+// insertRows writes rows into tbl in one committed transaction.
+func insertRows(t testing.TB, tbl *catalog.Table, rows ...sqltypes.Row) {
+	t.Helper()
+	tx := tbl.Heap.Clock().Begin()
+	for _, r := range rows {
+		if _, err := tbl.Heap.InsertTx(tx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Heap.Clock().Commit(tx, nil)
+}
+
+// begin starts a transaction on the catalog's clock.
+func (m *Manager) begin() *txn.Txn { return m.cat.Clock().Begin() }
+
+// commit publishes tx at one epoch, running stamp (a create's or a
+// refresh's publish step) inside, and reclaims, as an engine commit does.
+func (m *Manager) commit(tx *txn.Txn, stamp func(uint64)) {
+	m.cat.Clock().Commit(tx, stamp)
+	tx.ReclaimTouched()
+}
+
+// createView runs CREATE MATERIALIZED VIEW in a transaction of its own and
+// checks that it commits at one epoch.
 func createView(t *testing.T, m *Manager, ddl string) {
 	t.Helper()
+	before := m.cat.Clock().Now()
+	if err := tryCreate(m, ddl); err != nil {
+		t.Fatal(err)
+	}
+	if after := m.cat.Clock().Now(); after != before+1 {
+		t.Fatalf("creating a view advanced the clock from %d to %d, want one epoch", before, after)
+	}
+}
+
+// tryCreate runs CREATE MATERIALIZED VIEW in a transaction of its own,
+// which it aborts if the create fails.
+func tryCreate(m *Manager, ddl string) error {
 	stmt, err := sqlparser.Parse(ddl)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err != nil {
-		t.Fatal(err)
+	tx := m.begin()
+	publish, err := m.CreateTx(context.Background(), tx, stmt.(*sqlparser.CreateMatView))
+	if err != nil {
+		tx.Abort()
+		return err
 	}
+	m.commit(tx, publish)
+	return nil
 }
 
 const seqViewDDL = `CREATE MATERIALIZED VIEW mv AS
@@ -72,31 +116,43 @@ func viewValues(t *testing.T, cat *catalog.Catalog, name string) map[int64]float
 
 // denseRaw reads seq's (pos, val) as the one raw sequence of a simple view.
 func denseRaw(m *Manager, base *catalog.Table) ([]float64, error) {
-	parts, err := m.readSequences(&seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}})
+	tx := m.begin()
+	defer tx.Release()
+	parts, err := m.readSequences(tx, &seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}})
 	if err != nil {
 		return nil, err
 	}
 	return parts[0].vals, nil
 }
 
-// AfterInsert, AfterUpdate and AfterDelete fold one delta of the given
-// kind, as a commit of one statement does.
+// AfterInsert, AfterUpdate and AfterDelete fold one delta of the given kind
+// into the views and commit tx, which holds the base writes, as a commit of
+// one statement does.
 func (m *Manager) AfterInsert(tx *txn.Txn, table string, rows []sqltypes.Row, cols []string) {
 	m.Fold(tx, []txn.Delta{{Table: table, Kind: txn.DeltaInsert, Cols: cols, Rows: rows}})
+	m.commit(tx, nil)
 }
 
 func (m *Manager) AfterUpdate(tx *txn.Txn, table string, before, after []sqltypes.Row, cols []string) {
 	m.Fold(tx, []txn.Delta{{Table: table, Kind: txn.DeltaUpdate, Cols: cols, Before: before, After: after}})
+	m.commit(tx, nil)
 }
 
 func (m *Manager) AfterDelete(tx *txn.Txn, table string, deleted []sqltypes.Row, cols []string) {
 	m.Fold(tx, []txn.Delta{{Table: table, Kind: txn.DeltaDelete, Cols: cols, Rows: deleted}})
+	m.commit(tx, nil)
 }
 
-// refresh runs REFRESH MATERIALIZED VIEW outside a transaction.
+// refresh runs REFRESH MATERIALIZED VIEW in a transaction of its own.
 func refresh(m *Manager, name string) error {
-	_, err := m.RefreshTx(context.Background(), nil, name)
-	return err
+	tx := m.begin()
+	stamp, err := m.RefreshTx(context.Background(), tx, name)
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	m.commit(tx, stamp)
+	return nil
 }
 
 // checkViewMatchesCore verifies the backing table equals a fresh core
@@ -123,7 +179,14 @@ func checkViewMatches(t *testing.T, cat *catalog.Catalog, m *Manager, name strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := viewValues(t, cat, name)
+	if diff := viewDiff(want, viewValues(t, cat, name)); diff != "" {
+		t.Fatalf("view %q %s", name, diff)
+	}
+}
+
+// viewDiff says how a view's pos→val rows differ from the sequence want,
+// "" when they hold it.
+func viewDiff(want *core.Sequence, got map[int64]float64) string {
 	count := 0
 	for k := want.Lo(); k <= want.Hi(); k++ {
 		v, ok := want.AtOK(k)
@@ -133,12 +196,13 @@ func checkViewMatches(t *testing.T, cat *catalog.Catalog, m *Manager, name strin
 		count++
 		gv, present := got[int64(k)]
 		if !present || math.Abs(gv-v) > 1e-9 {
-			t.Fatalf("view %q at pos %d: got (%v,%v), want %v", name, k, gv, present, v)
+			return fmt.Sprintf("at pos %d: got (%v,%v), want %v", k, gv, present, v)
 		}
 	}
 	if len(got) != count {
-		t.Fatalf("view %q has %d rows, want %d", name, len(got), count)
+		return fmt.Sprintf("has %d rows, want %d", len(got), count)
 	}
+	return ""
 }
 
 func TestCreateSequenceView(t *testing.T) {
@@ -194,9 +258,12 @@ func TestCreateRejectsNonDense(t *testing.T) {
 		}
 		return true
 	})
-	base.Heap.Delete(victim)
-	stmt, _ := sqlparser.Parse(seqViewDDL)
-	err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView))
+	tx := m.begin()
+	if err := base.Heap.DeleteTx(tx, victim); err != nil {
+		t.Fatal(err)
+	}
+	m.commit(tx, nil)
+	err := tryCreate(m, seqViewDDL)
 	if err == nil || !strings.Contains(err.Error(), "dense") {
 		t.Fatalf("gap must be rejected: %v", err)
 	}
@@ -218,10 +285,11 @@ func TestIncrementalUpdate(t *testing.T) {
 		return true
 	})
 	after := sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewInt(7)}
-	if _, err := base.Heap.Update(id, after); err != nil {
+	tx := m.begin()
+	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
 		t.Fatal(err)
 	}
-	m.AfterUpdate(nil, "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
+	m.AfterUpdate(tx, "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
 	if m.Stale("mv") {
 		t.Fatal("value update must stay incremental")
 	}
@@ -238,8 +306,11 @@ func TestIncrementalAppendAndSuffixDelete(t *testing.T) {
 	cols := base.ColumnNames()
 
 	row := sqltypes.Row{sqltypes.NewInt(11), sqltypes.NewInt(1000)}
-	base.Heap.Insert(row)
-	m.AfterInsert(nil, "seq", []sqltypes.Row{row}, cols)
+	tx := m.begin()
+	if _, err := base.Heap.InsertTx(tx, row); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterInsert(tx, "seq", []sqltypes.Row{row}, cols)
 	if m.Stale("mv") {
 		t.Fatal("append must stay incremental")
 	}
@@ -255,8 +326,11 @@ func TestIncrementalAppendAndSuffixDelete(t *testing.T) {
 		}
 		return true
 	})
-	base.Heap.Delete(id)
-	m.AfterDelete(nil, "seq", []sqltypes.Row{row}, cols)
+	tx = m.begin()
+	if err := base.Heap.DeleteTx(tx, id); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterDelete(tx, "seq", []sqltypes.Row{row}, cols)
 	if m.Stale("mv") {
 		t.Fatal("suffix delete must stay incremental")
 	}
@@ -270,16 +344,16 @@ func TestStalenessPaths(t *testing.T) {
 	}{
 		{"middle insert", func(m *Manager, base *catalog.Table) {
 			row := sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewInt(1)}
-			m.AfterInsert(nil, "seq", []sqltypes.Row{row}, base.ColumnNames())
+			m.AfterInsert(m.begin(), "seq", []sqltypes.Row{row}, base.ColumnNames())
 		}},
 		{"middle delete", func(m *Manager, base *catalog.Table) {
 			row := sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewInt(9)}
-			m.AfterDelete(nil, "seq", []sqltypes.Row{row}, base.ColumnNames())
+			m.AfterDelete(m.begin(), "seq", []sqltypes.Row{row}, base.ColumnNames())
 		}},
 		{"position update", func(m *Manager, base *catalog.Table) {
 			before := sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewInt(9)}
 			after := sqltypes.Row{sqltypes.NewInt(30), sqltypes.NewInt(9)}
-			m.AfterUpdate(nil, "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, base.ColumnNames())
+			m.AfterUpdate(m.begin(), "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, base.ColumnNames())
 		}},
 	}
 	for _, c := range cases {
@@ -303,7 +377,7 @@ func TestRefreshClearsStaleness(t *testing.T) {
 	createView(t, m, seqViewDDL)
 	base, _ := cat.Table("seq")
 	// Fake a staleness marker, then refresh against unchanged (dense) data.
-	m.AfterInsert(nil, "seq", []sqltypes.Row{{sqltypes.NewInt(5), sqltypes.NewInt(1)}}, base.ColumnNames())
+	m.AfterInsert(m.begin(), "seq", []sqltypes.Row{{sqltypes.NewInt(5), sqltypes.NewInt(1)}}, base.ColumnNames())
 	if !m.Stale("mv") {
 		t.Fatal("expected staleness")
 	}
@@ -330,19 +404,51 @@ func TestShiftInsertDelete(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cat, m := fixture(t, 12)
 			createView(t, m, "CREATE MATERIALIZED VIEW mv AS SELECT pos, "+c.over+" AS val FROM seq")
-			check := func() {
+			base, _ := cat.Table("seq")
+			mv, _ := cat.MatView("mv")
+			clock := cat.Clock()
+			// shift runs one positional shift in a transaction of its own.
+			// Every epoch from the one before it to the one after must read
+			// a dense base, and wherever the view counts as fresh its rows
+			// must be the view's query over that base.
+			shift := func(op func(*txn.Txn) error) {
 				t.Helper()
+				reg, from := clock.Register() // keeps every epoch from here readable
+				defer reg.Release()
+				tx := m.begin()
+				if err := op(tx); err != nil {
+					t.Fatal(err)
+				}
+				m.commit(tx, nil)
 				if m.Stale("mv") {
 					t.Fatal("a positional shift must keep the view fresh")
 				}
 				checkViewMatches(t, cat, m, "mv", c.win, c.agg, core.ComputeNaive)
+				for e := from; e <= clock.Now(); e++ {
+					at := txn.Snapshot{Epoch: e}
+					raw, err := denseAt(base, at)
+					if err != nil {
+						t.Fatalf("epoch %d of %d…%d: %v", e, from, clock.Now(), err)
+					}
+					if m.StaleAt("mv", e) != "" {
+						continue
+					}
+					want, err := core.ComputeNaive(raw, c.win, c.agg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make(map[int64]float64)
+					mv.Table.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
+						got[row[0].Int()] = row[1].Float()
+						return true
+					})
+					if diff := viewDiff(want, got); diff != "" {
+						t.Fatalf("epoch %d of %d…%d: the view counts as fresh but %s", e, from, clock.Now(), diff)
+					}
+				}
 			}
-			if err := m.ShiftInsert("mv", 5, 999); err != nil {
-				t.Fatal(err)
-			}
-			check()
+			shift(func(tx *txn.Txn) error { return m.ShiftInsert(tx, "mv", 5, 999) })
 			// Base must have 13 dense rows with 999 at position 5.
-			base, _ := cat.Table("seq")
 			raw, err := denseRaw(m, base)
 			if err != nil {
 				t.Fatal(err)
@@ -350,32 +456,53 @@ func TestShiftInsertDelete(t *testing.T) {
 			if len(raw) != 13 || raw[4] != 999 {
 				t.Fatalf("raw after shift insert = %v", raw)
 			}
-			if err := m.ShiftDelete("mv", 5); err != nil {
-				t.Fatal(err)
-			}
-			check()
+			shift(func(tx *txn.Txn) error { return m.ShiftDelete(tx, "mv", 5) })
 			raw, _ = denseRaw(m, base)
 			if len(raw) != 12 || raw[4] == 999 {
 				t.Fatalf("raw after shift delete = %v", raw)
 			}
 			// Shifts at both ends of the sequence.
 			for _, k := range []int{1, 13} {
-				if err := m.ShiftInsert("mv", k, -3); err != nil {
-					t.Fatal(err)
-				}
-				check()
+				shift(func(tx *txn.Txn) error { return m.ShiftInsert(tx, "mv", k, -3) })
 			}
 			for _, k := range []int{14, 1} {
-				if err := m.ShiftDelete("mv", k); err != nil {
-					t.Fatal(err)
-				}
-				check()
+				shift(func(tx *txn.Txn) error { return m.ShiftDelete(tx, "mv", k) })
 			}
-			if err := m.ShiftInsert("nope", 1, 1); err == nil {
+			tx := m.begin()
+			defer tx.Abort()
+			if err := m.ShiftInsert(tx, "nope", 1, 1); err == nil {
 				t.Fatal("unknown view must fail")
 			}
 		})
 	}
+}
+
+// denseAt reads seq's values at snapshot at, in position order, failing
+// unless its positions are exactly 1…n.
+func denseAt(base *catalog.Table, at txn.Snapshot) ([]float64, error) {
+	byPos := map[int64]float64{}
+	var dup error
+	base.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
+		p := row[0].Int()
+		if _, ok := byPos[p]; ok {
+			dup = fmt.Errorf("the base holds position %d twice", p)
+			return false
+		}
+		byPos[p] = row[1].Float()
+		return true
+	})
+	if dup != nil {
+		return nil, dup
+	}
+	raw := make([]float64, len(byPos))
+	for i := range raw {
+		v, ok := byPos[int64(i+1)]
+		if !ok {
+			return nil, fmt.Errorf("the base's %d rows are not dense: position %d is missing", len(raw), i+1)
+		}
+		raw[i] = v
+	}
+	return raw, nil
 }
 
 func TestDropView(t *testing.T) {
@@ -414,8 +541,11 @@ func TestCumulativeViewMaintained(t *testing.T) {
 		return true
 	})
 	after := sqltypes.Row{sqltypes.NewInt(4), sqltypes.NewInt(-50)}
-	base.Heap.Update(id, after)
-	m.AfterUpdate(nil, "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
+	tx := m.begin()
+	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterUpdate(tx, "seq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
 	if m.Stale("cum") {
 		t.Fatal("cumulative update must stay incremental")
 	}
@@ -439,10 +569,7 @@ func TestPlainViewLifecycle(t *testing.T) {
 		{sqltypes.NewInt(2), sqltypes.NewString("y")},
 	}
 	m := NewManager(cat, fakeExec([]string{"a", ""}, rows))
-	stmt, _ := sqlparser.Parse(`CREATE MATERIALIZED VIEW pv AS SELECT a, b FROM wherever`)
-	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err != nil {
-		t.Fatal(err)
-	}
+	createView(t, m, `CREATE MATERIALIZED VIEW pv AS SELECT a, b FROM wherever`)
 	mv, ok := cat.MatView("pv")
 	if !ok || mv.Kind != catalog.PlainView {
 		t.Fatal("plain view not registered")
@@ -455,7 +582,7 @@ func TestPlainViewLifecycle(t *testing.T) {
 		t.Fatalf("backing rows = %d", mv.Table.Heap.Len())
 	}
 	// Plain views ignore DML notifications entirely.
-	m.AfterInsert(nil, "wherever", rows, []string{"a", "b"})
+	m.AfterInsert(m.begin(), "wherever", rows, []string{"a", "b"})
 	if m.Stale("pv") {
 		t.Fatal("plain views have no staleness")
 	}
@@ -476,8 +603,7 @@ func TestPlainViewLifecycle(t *testing.T) {
 func TestPlainViewWithoutExecutor(t *testing.T) {
 	cat := emptyCatalog(t)
 	m := NewManager(cat, nil)
-	stmt, _ := sqlparser.Parse(`CREATE MATERIALIZED VIEW pv AS SELECT a FROM t`)
-	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err == nil {
+	if err := tryCreate(m, `CREATE MATERIALIZED VIEW pv AS SELECT a FROM t`); err == nil {
 		t.Fatal("plain view without an executor must fail")
 	}
 }
@@ -506,6 +632,7 @@ func TestFoldReadsRawAsOfEachChange(t *testing.T) {
 	  SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS val FROM seq`)
 	base, _ := cat.Table("seq")
 	cols := base.ColumnNames()
+	tx := m.begin()
 	take := func(pos int64) sqltypes.Row {
 		t.Helper()
 		var id storage.RowID
@@ -517,18 +644,19 @@ func TestFoldReadsRawAsOfEachChange(t *testing.T) {
 			}
 			return true
 		})
-		if err := base.Heap.Delete(id); err != nil {
+		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)
 		}
 		return row
 	}
 	tail := []sqltypes.Row{take(9), take(10)}
 	extra := sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewInt(-4)}
-	m.Fold(nil, []txn.Delta{
+	m.Fold(tx, []txn.Delta{
 		{Table: "seq", Kind: txn.DeltaDelete, Cols: cols, Rows: tail},
 		{Table: "seq", Kind: txn.DeltaInsert, Cols: cols, Rows: []sqltypes.Row{extra}},
 		{Table: "seq", Kind: txn.DeltaDelete, Cols: cols, Rows: []sqltypes.Row{extra}},
 	})
+	m.commit(tx, nil)
 	for _, v := range []string{"mn", "av"} {
 		if m.Stale(v) {
 			_, why := m.StaleInfo(v)
@@ -565,9 +693,11 @@ func TestFoldBaseReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		pad := sqltypes.NewString(strings.Repeat("x", 400)) // many base pages, few backing ones
-		for i := int64(1); i <= n; i++ {
-			base.Heap.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewFloat(float64(i % 13)), pad})
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(float64((i + 1) % 13)), pad}
 		}
+		insertRows(t, base, rows...)
 		m := NewManager(cat, nil)
 		for _, ddl := range ddls {
 			createView(t, m, ddl)
@@ -580,8 +710,9 @@ func TestFoldBaseReads(t *testing.T) {
 		after := f.p.Stats()
 		return after.Hits + after.Misses - before.Hits - before.Misses
 	}
-	// update raises the values at the given positions and returns the delta.
-	update := func(f fixture, positions []int64) txn.Delta {
+	// update raises the values at the given positions in tx and returns the
+	// delta.
+	update := func(f fixture, tx *txn.Txn, positions []int64) txn.Delta {
 		d := txn.Delta{Table: "seq", Kind: txn.DeltaUpdate, Cols: f.base.ColumnNames()}
 		for _, pos := range positions {
 			var id storage.RowID
@@ -595,7 +726,7 @@ func TestFoldBaseReads(t *testing.T) {
 			})
 			after := row.Clone()
 			after[1] = sqltypes.NewFloat(row[1].Float() + 100)
-			if _, err := f.base.Heap.Update(id, after); err != nil {
+			if _, err := f.base.Heap.UpdateTx(tx, id, after); err != nil {
 				t.Fatal(err)
 			}
 			d.Before, d.After = append(d.Before, row), append(d.After, after)
@@ -614,11 +745,15 @@ func TestFoldBaseReads(t *testing.T) {
 	batch, single := setup(recompute...), setup(recompute...)
 	var pBatch, pSingle int64
 	for _, pos := range positions {
-		d := update(single, []int64{pos})
-		pSingle += acquired(single, func() { single.m.Fold(nil, []txn.Delta{d}) })
+		tx := single.m.begin()
+		d := update(single, tx, []int64{pos})
+		pSingle += acquired(single, func() { single.m.Fold(tx, []txn.Delta{d}) })
+		single.m.commit(tx, nil)
 	}
-	d := update(batch, positions)
-	pBatch = acquired(batch, func() { batch.m.Fold(nil, []txn.Delta{d}) })
+	tx := batch.m.begin()
+	d := update(batch, tx, positions)
+	pBatch = acquired(batch, func() { batch.m.Fold(tx, []txn.Delta{d}) })
+	batch.m.commit(tx, nil)
 	for _, f := range []fixture{batch, single} {
 		checkViewMatchesCore(t, f.cat, f.m, "av", core.Sliding(1, 1), core.Avg)
 		checkViewMatchesCore(t, f.cat, f.m, "mx", core.Sliding(2, 1), core.Min)
@@ -634,8 +769,11 @@ func TestFoldBaseReads(t *testing.T) {
 		`CREATE MATERIALIZED VIEW mn AS SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
 	scan := acquired(f, func() { f.base.Heap.Scan(func(storage.RowID, sqltypes.Row) bool { return true }) })
 	row := sqltypes.Row{sqltypes.NewInt(n + 1), sqltypes.NewFloat(-1), sqltypes.NewString("")}
-	f.base.Heap.Insert(row)
-	got := acquired(f, func() { f.m.AfterInsert(nil, "seq", []sqltypes.Row{row}, f.base.ColumnNames()) })
+	tx = f.m.begin()
+	if _, err := f.base.Heap.InsertTx(tx, row); err != nil {
+		t.Fatal(err)
+	}
+	got := acquired(f, func() { f.m.AfterInsert(tx, "seq", []sqltypes.Row{row}, f.base.ColumnNames()) })
 	for _, v := range []string{"ct", "mn"} {
 		if f.m.Stale(v) {
 			t.Fatalf("%s went stale", v)
@@ -666,18 +804,22 @@ func TestSimpleViewEmptiesAndRefills(t *testing.T) {
 			}
 			return true
 		})
-		if err := base.Heap.Delete(id); err != nil {
+		tx := m.begin()
+		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)
 		}
-		m.AfterDelete(nil, "seq", []sqltypes.Row{row}, cols)
+		m.AfterDelete(tx, "seq", []sqltypes.Row{row}, cols)
 		checkViewMatchesCore(t, cat, m, "mv", core.Sliding(2, 1), core.Sum)
 	}
 	if got := len(viewValues(t, cat, "mv")); got != 3 {
 		t.Fatalf("the empty simple view stores %d rows, want its 3 zero header/trailer rows", got)
 	}
 	row := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(8)}
-	base.Heap.Insert(row)
-	m.AfterInsert(nil, "seq", []sqltypes.Row{row}, cols)
+	tx := m.begin()
+	if _, err := base.Heap.InsertTx(tx, row); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterInsert(tx, "seq", []sqltypes.Row{row}, cols)
 	if m.Stale("mv") {
 		t.Fatal("an append to the empty simple view must stay incremental")
 	}

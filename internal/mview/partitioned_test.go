@@ -1,14 +1,12 @@
 package mview
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"rfview/internal/catalog"
 	"rfview/internal/core"
-	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 )
@@ -27,29 +25,20 @@ func pfixture(t *testing.T, sizes map[string]int) (*catalog.Catalog, *Manager) {
 		t.Fatal(err)
 	}
 	factor := int64(1)
+	var rows []sqltypes.Row
 	for g, n := range sizes {
 		factor++
 		for i := int64(1); i <= int64(n); i++ {
-			tbl.Heap.Insert(sqltypes.Row{sqltypes.NewString(g), sqltypes.NewInt(i), sqltypes.NewInt(i * factor)})
+			rows = append(rows, sqltypes.Row{sqltypes.NewString(g), sqltypes.NewInt(i), sqltypes.NewInt(i * factor)})
 		}
 	}
+	insertRows(t, tbl, rows...)
 	return cat, NewManager(cat, nil)
 }
 
 const pViewDDL = `CREATE MATERIALIZED VIEW pmv AS
   SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos
     ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM pseq`
-
-func createPView(t *testing.T, m *Manager) {
-	t.Helper()
-	stmt, err := sqlparser.Parse(pViewDDL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // basePartition reads one partition's raw values ordered by pos.
 func basePartition(t *testing.T, cat *catalog.Catalog, grp string) []float64 {
@@ -118,7 +107,7 @@ func checkPartitionBacking(t *testing.T, cat *catalog.Catalog, grp string, ctx s
 
 func TestCreatePartitionedView(t *testing.T) {
 	cat, m := pfixture(t, map[string]int{"a": 12, "b": 7})
-	createPView(t, m)
+	createView(t, m, pViewDDL)
 	mv, ok := cat.MatView("pmv")
 	if !ok || mv.PartColumn != "grp" {
 		t.Fatalf("view metadata = %+v", mv)
@@ -132,7 +121,7 @@ func TestCreatePartitionedView(t *testing.T) {
 
 func TestPartitionedUpdateIncremental(t *testing.T) {
 	cat, m := pfixture(t, map[string]int{"a": 10, "b": 10})
-	createPView(t, m)
+	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	cols := base.ColumnNames()
 	var id storage.RowID
@@ -145,10 +134,11 @@ func TestPartitionedUpdateIncremental(t *testing.T) {
 		return true
 	})
 	after := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(5), sqltypes.NewInt(999)}
-	if _, err := base.Heap.Update(id, after); err != nil {
+	tx := m.begin()
+	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
 		t.Fatal(err)
 	}
-	m.AfterUpdate(nil, "pseq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
+	m.AfterUpdate(tx, "pseq", []sqltypes.Row{before}, []sqltypes.Row{after}, cols)
 	if m.Stale("pmv") {
 		t.Fatal("partitioned value update must stay incremental")
 	}
@@ -158,13 +148,20 @@ func TestPartitionedUpdateIncremental(t *testing.T) {
 
 func TestPartitionedAppendAndNewPartition(t *testing.T) {
 	cat, m := pfixture(t, map[string]int{"a": 6})
-	createPView(t, m)
+	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	cols := base.ColumnNames()
 
 	row := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(7), sqltypes.NewInt(70)}
-	base.Heap.Insert(row)
-	m.AfterInsert(nil, "pseq", []sqltypes.Row{row}, cols)
+	insert := func(row sqltypes.Row) {
+		t.Helper()
+		tx := m.begin()
+		if _, err := base.Heap.InsertTx(tx, row); err != nil {
+			t.Fatal(err)
+		}
+		m.AfterInsert(tx, "pseq", []sqltypes.Row{row}, cols)
+	}
+	insert(row)
 	if m.Stale("pmv") {
 		t.Fatal("append must stay incremental")
 	}
@@ -172,8 +169,7 @@ func TestPartitionedAppendAndNewPartition(t *testing.T) {
 
 	// A new partition opening at position 1 is also incremental.
 	row2 := sqltypes.Row{sqltypes.NewString("z"), sqltypes.NewInt(1), sqltypes.NewInt(5)}
-	base.Heap.Insert(row2)
-	m.AfterInsert(nil, "pseq", []sqltypes.Row{row2}, cols)
+	insert(row2)
 	if m.Stale("pmv") {
 		t.Fatal("new partition at pos 1 must stay incremental")
 	}
@@ -181,8 +177,7 @@ func TestPartitionedAppendAndNewPartition(t *testing.T) {
 
 	// A new partition opening anywhere else goes stale.
 	row3 := sqltypes.Row{sqltypes.NewString("q"), sqltypes.NewInt(3), sqltypes.NewInt(5)}
-	base.Heap.Insert(row3)
-	m.AfterInsert(nil, "pseq", []sqltypes.Row{row3}, cols)
+	insert(row3)
 	if !m.Stale("pmv") {
 		t.Fatal("non-dense partition opening must go stale")
 	}
@@ -190,7 +185,7 @@ func TestPartitionedAppendAndNewPartition(t *testing.T) {
 
 func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 	cat, m := pfixture(t, map[string]int{"a": 3, "b": 5})
-	createPView(t, m)
+	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	cols := base.ColumnNames()
 	// Delete partition a entirely, suffix-first.
@@ -204,10 +199,11 @@ func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 			}
 			return true
 		})
-		if err := base.Heap.Delete(id); err != nil {
+		tx := m.begin()
+		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)
 		}
-		m.AfterDelete(nil, "pseq", []sqltypes.Row{row}, cols)
+		m.AfterDelete(tx, "pseq", []sqltypes.Row{row}, cols)
 		if m.Stale("pmv") {
 			t.Fatalf("suffix delete at pos %d must stay incremental", pos)
 		}
@@ -223,8 +219,11 @@ func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 	checkPartitionBacking(t, cat, "b", "after partition removal")
 	// And re-opening it at pos 1 works.
 	row := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(1), sqltypes.NewInt(4)}
-	base.Heap.Insert(row)
-	m.AfterInsert(nil, "pseq", []sqltypes.Row{row}, cols)
+	tx := m.begin()
+	if _, err := base.Heap.InsertTx(tx, row); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterInsert(tx, "pseq", []sqltypes.Row{row}, cols)
 	if m.Stale("pmv") {
 		t.Fatal("re-opened partition must stay incremental")
 	}
@@ -233,7 +232,7 @@ func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 
 func TestPartitionedRefresh(t *testing.T) {
 	cat, m := pfixture(t, map[string]int{"a": 5, "b": 4})
-	createPView(t, m)
+	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	// Force staleness with a middle delete, then repair density and refresh.
 	var id storage.RowID
@@ -245,21 +244,28 @@ func TestPartitionedRefresh(t *testing.T) {
 		}
 		return true
 	})
-	base.Heap.Delete(id)
-	m.AfterDelete(nil, "pseq", []sqltypes.Row{row}, base.ColumnNames())
+	tx := m.begin()
+	if err := base.Heap.DeleteTx(tx, id); err != nil {
+		t.Fatal(err)
+	}
+	m.AfterDelete(tx, "pseq", []sqltypes.Row{row}, base.ColumnNames())
 	if !m.Stale("pmv") {
 		t.Fatal("middle delete must go stale")
 	}
 	// Repair: move pos 5 into the hole.
+	tx = m.begin()
 	base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
 		if r[0].Str() == "a" && r[1].Int() == 5 {
 			nr := r.Clone()
 			nr[1] = sqltypes.NewInt(2)
-			base.Heap.Update(i, nr)
+			if _, err := base.Heap.UpdateTx(tx, i, nr); err != nil {
+				t.Fatal(err)
+			}
 			return false
 		}
 		return true
 	})
+	m.commit(tx, nil)
 	if err := refresh(m, "pmv"); err != nil {
 		t.Fatal(err)
 	}
@@ -278,21 +284,22 @@ func TestPartitionedCreateRejections(t *testing.T) {
 		{Name: "pos", Type: sqltypes.Int},
 		{Name: "val", Type: sqltypes.Int},
 	})
-	tbl.Heap.Insert(sqltypes.Row{sqltypes.NullDatum, sqltypes.NewInt(1), sqltypes.NewInt(1)})
+	insertRows(t, tbl, sqltypes.Row{sqltypes.NullDatum, sqltypes.NewInt(1), sqltypes.NewInt(1)})
 	m := NewManager(cat, nil)
-	stmt, _ := sqlparser.Parse(pViewDDL)
-	if err := m.CreateContext(context.Background(), stmt.(*sqlparser.CreateMatView)); err == nil ||
+	if err := tryCreate(m, pViewDDL); err == nil ||
 		!strings.Contains(err.Error(), "non-NULL") {
 		t.Fatalf("NULL partition key must be rejected: %v", err)
 	}
 	// Positional shifts refuse partitioned views.
 	cat3, m3 := pfixture(t, map[string]int{"a": 4})
 	_ = cat3
-	createPView(t, m3)
-	if err := m3.ShiftInsert("pmv", 1, 1); err == nil {
+	createView(t, m3, pViewDDL)
+	tx := m3.begin()
+	defer tx.Abort()
+	if err := m3.ShiftInsert(tx, "pmv", 1, 1); err == nil {
 		t.Fatal("shift insert on partitioned view must fail")
 	}
-	if err := m3.ShiftDelete("pmv", 1); err == nil {
+	if err := m3.ShiftDelete(tx, "pmv", 1); err == nil {
 		t.Fatal("shift delete on partitioned view must fail")
 	}
 }

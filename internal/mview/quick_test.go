@@ -50,19 +50,20 @@ func TestQuickFold(t *testing.T) {
 		createView(t, m, fmt.Sprintf(`CREATE MATERIALIZED VIEW qv AS SELECT pos, %s(val) OVER (ORDER BY pos %s) AS val FROM seq`, agg, frame))
 		for commit := 0; commit < 6; commit++ {
 			var deltas []txn.Delta
+			tx := m.begin()
 			for d := 1 + rng.Intn(4); d > 0; d-- {
 				n := len(vals)
 				switch r := rng.Intn(4); {
 				case r == 0:
 					row := sqltypes.Row{sqltypes.NewInt(int64(n + 1)), sqltypes.NewFloat(pick())}
-					if _, err := tbl.Heap.Insert(row); err != nil {
+					if _, err := tbl.Heap.InsertTx(tx, row); err != nil {
 						t.Fatal(err)
 					}
 					vals = append(vals, row[1].Float())
 					deltas = append(deltas, txn.Delta{Table: "seq", Kind: txn.DeltaInsert, Cols: seqCols, Rows: []sqltypes.Row{row}})
 				case r == 1 && n > 1:
-					id, row := baseRow(t, tbl.Heap, n)
-					if err := tbl.Heap.Delete(id); err != nil {
+					id, row := baseRow(t, tx, tbl.Heap, n)
+					if err := tbl.Heap.DeleteTx(tx, id); err != nil {
 						t.Fatal(err)
 					}
 					vals = vals[:n-1]
@@ -76,9 +77,9 @@ func TestQuickFold(t *testing.T) {
 							continue
 						}
 						prev = p
-						id, row := baseRow(t, tbl.Heap, p)
+						id, row := baseRow(t, tx, tbl.Heap, p)
 						after := sqltypes.Row{row[0], sqltypes.NewFloat(pick())}
-						if _, err := tbl.Heap.Update(id, after); err != nil {
+						if _, err := tbl.Heap.UpdateTx(tx, id, after); err != nil {
 							t.Fatal(err)
 						}
 						vals[p-1] = after[1].Float()
@@ -87,7 +88,8 @@ func TestQuickFold(t *testing.T) {
 					deltas = append(deltas, d)
 				}
 			}
-			m.Fold(nil, deltas)
+			m.Fold(tx, deltas)
+			m.commit(tx, nil)
 			if m.Stale("qv") {
 				_, why := m.StaleInfo("qv")
 				t.Fatalf("%s, commit %d: the view went stale: %s", ctx, commit, why)
@@ -122,12 +124,12 @@ func checkBitExact(t *testing.T, cat *catalog.Catalog, name string, raw []float6
 	}
 }
 
-// baseRow finds the base row at position pos.
-func baseRow(t *testing.T, heap *storage.Table, pos int) (storage.RowID, sqltypes.Row) {
+// baseRow finds the base row at position pos as tx sees it.
+func baseRow(t *testing.T, tx *txn.Txn, heap *storage.Table, pos int) (storage.RowID, sqltypes.Row) {
 	t.Helper()
 	var id storage.RowID
 	var found sqltypes.Row
-	heap.Scan(func(rid storage.RowID, row sqltypes.Row) bool {
+	heap.ScanAt(heap.WriteView(tx), func(rid storage.RowID, row sqltypes.Row) bool {
 		if row[0].Int() == int64(pos) {
 			id, found = rid, row.Clone()
 			return false

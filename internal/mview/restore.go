@@ -85,7 +85,7 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 		// counts from restore.
 		sv.staleWhy, sv.staleSince = spec.StaleWhy, time.Now()
 	} else {
-		m.setFresh(sv, m.epoch()) // the restored backing rows are visible from now on
+		m.setFresh(sv, m.cat.Clock().Now()) // the restored backing rows are visible from now on
 	}
 	m.seq[lower(mv.Name)] = sv
 	return nil

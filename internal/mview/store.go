@@ -10,14 +10,16 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
+	"rfview/internal/txn"
 )
 
 // backingStore is the core.Store of one partition of a sequence view: the
 // stored sequence is the partition's primary-key range of the backing
 // table, the raw data the base table's rows of the partition, both read at
-// the manager's write view.
+// tx's write view and written as pending versions of tx.
 type backingStore struct {
 	m    *Manager
+	tx   *txn.Txn
 	sv   *seqView
 	part sqltypes.Datum
 	// rows are the backing rows the last Read returned, in position order:
@@ -66,7 +68,7 @@ func (s *backingStore) Read(lo, hi int) ([]core.Cell, error) {
 		s.rows = slices.Grow(s.rows, hi-lo+1)
 	}
 	posOrd, valOrd := lay.posOrd(), lay.valOrd()
-	t.Heap.RangeAt(h, lay.pkKey(s.part, lo), to, t.Heap.WriteView(s.m.curTx), func(id storage.RowID, row sqltypes.Row) bool {
+	t.Heap.RangeAt(h, lay.pkKey(s.part, lo), to, t.Heap.WriteView(s.tx), func(id storage.RowID, row sqltypes.Row) bool {
 		pos := int(row[posOrd].Int())
 		s.rows = append(s.rows, backingRow{pos, id, row})
 		cells = append(cells, core.Cell{Pos: pos, Val: row[valOrd].Float()})
@@ -91,18 +93,18 @@ func (s *backingStore) Write(lo, hi int, cells []core.Cell, n int) error {
 			v := s.sv.datum(cells[0].Val)
 			cells = cells[1:]
 			if !had {
-				err = s.m.hInsert(t, lay.row(s.part, p, v, p >= 1 && p <= n))
+				_, err = t.Heap.InsertTx(s.tx, lay.row(s.part, p, v, p >= 1 && p <= n))
 				break
 			}
 			if n < 0 { // the cardinality stayed: so does the body flag
 				row := append(sqltypes.Row(nil), old.row...)
 				row[lay.valOrd()] = v
-				err = s.m.hUpdate(t, old.id, row)
+				_, err = t.Heap.UpdateTx(s.tx, old.id, row)
 				break
 			}
-			err = s.m.hUpdate(t, old.id, lay.row(s.part, p, v, p >= 1 && p <= n))
+			_, err = t.Heap.UpdateTx(s.tx, old.id, lay.row(s.part, p, v, p >= 1 && p <= n))
 		case had:
-			err = s.m.hDelete(t, old.id)
+			err = t.Heap.DeleteTx(s.tx, old.id)
 		}
 		if err != nil {
 			return err
@@ -143,7 +145,7 @@ func (s *backingStore) Raw(lo, hi int) ([]float64, error) {
 // readRaw fills b from the base table, which holds every change of the
 // fold already, and undoes those after the at-th.
 func (s *backingStore) readRaw(b bands) error {
-	if err := s.m.readBands(s.sv, b, false); err != nil {
+	if err := s.m.readBands(s.tx, s.sv, b, false); err != nil {
 		return err
 	}
 	for j := len(s.changes) - 1; j > s.at; j-- {
@@ -232,13 +234,12 @@ func (b bands) step(c change, undo bool) {
 	}
 }
 
-// readBands fills b's spans from the base table at the manager's write
-// view: one range walk per span through the base's index on (partition,
+// readBands fills b's spans from the base table at tx's write view: one range walk per span through the base's index on (partition,
 // position) when it has one, else one scan. With open set, a partition's
 // span opens at its first row and a row outside it is an error: the whole
 // table is read, and must be dense. No span runs past the table's version
 // count, which bounds the positions of a dense partition.
-func (m *Manager) readBands(sv *seqView, b bands, open bool) error {
+func (m *Manager) readBands(tx *txn.Txn, sv *seqView, b bands, open bool) error {
 	base, err := m.cat.Table(sv.mv.BaseTable)
 	if err != nil {
 		return err
@@ -272,7 +273,7 @@ func (m *Manager) readBands(sv *seqView, b bands, open bool) error {
 		}
 		return true
 	}
-	snap, ords := base.Heap.WriteView(m.curTx), []int{pi}
+	snap, ords := base.Heap.WriteView(tx), []int{pi}
 	if gi >= 0 {
 		ords = []int{gi, pi}
 	}

@@ -14,6 +14,18 @@ import (
 	"rfview/internal/storage"
 )
 
+// insertRows writes rows into tbl in one committed transaction.
+func insertRows(t testing.TB, tbl *catalog.Table, rows ...sqltypes.Row) {
+	t.Helper()
+	tx := tbl.Heap.Clock().Begin()
+	for _, r := range rows {
+		if _, err := tbl.Heap.InsertTx(tx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Heap.Clock().Commit(tx, nil)
+}
+
 // newTestCatalog builds seq(pos,val) [optionally indexed], t1(a,b), t2(a,c).
 func newTestCatalog(t *testing.T, indexSeq bool) *catalog.Catalog {
 	t.Helper()
@@ -35,7 +47,7 @@ func newTestCatalog(t *testing.T, indexSeq bool) *catalog.Catalog {
 	mk("t1", "a", "b")
 	mk("t2", "a", "c")
 	for i := int64(1); i <= 20; i++ {
-		seq.Heap.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * 2)})
+		insertRows(t, seq, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * 2)})
 	}
 	if indexSeq {
 		if _, err := cat.CreateIndex("seq_pk", "seq", []string{"pos"}, true); err != nil {
@@ -232,7 +244,7 @@ func TestPlanDeriveSelect(t *testing.T) {
 	}
 	// The complete (1,1) SUM sequence over ten ones: positions 0 … 11.
 	for k := 0; k <= 11; k++ {
-		backing.Heap.Insert(sqltypes.Row{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(min(k+1, 10) - max(k-1, 1) + 1))})
+		insertRows(t, backing, sqltypes.Row{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(min(k+1, 10) - max(k-1, 1) + 1))})
 	}
 	view := &catalog.MatView{Name: "v", Kind: catalog.SequenceView, Table: backing, BaseTable: "seq",
 		PosColumn: "pos", ValColumn: "val", Agg: "SUM", Window: catalog.WindowSpec{Preceding: 1, Following: 1}}

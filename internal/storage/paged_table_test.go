@@ -63,7 +63,7 @@ func TestPagedTableDifferential(t *testing.T) {
 	ids := make([]RowID, 300)
 	for i := range ids {
 		r := mkRow(i)
-		id, err := tb.Insert(r)
+		id, err := insertRow(tb, r)
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -73,7 +73,7 @@ func TestPagedTableDifferential(t *testing.T) {
 
 	for i := 0; i < 300; i += 7 {
 		r := mkRow(i + 1000)
-		nid, err := tb.Update(ids[i], r)
+		nid, err := updateRow(tb, ids[i], r)
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
@@ -84,7 +84,7 @@ func TestPagedTableDifferential(t *testing.T) {
 
 	var deleted []sqltypes.Row
 	for i := 3; i < 300; i += 11 {
-		if err := tb.Delete(ids[i]); err != nil {
+		if err := deleteRow(tb, ids[i]); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 		deleted = append(deleted, model[ids[i]])
@@ -108,7 +108,7 @@ func TestPagedTableDifferential(t *testing.T) {
 	}
 	for i := 300; i < 340; i++ {
 		r := mkRow(i)
-		id, err := tb.Insert(r)
+		id, err := insertRow(tb, r)
 		if err != nil {
 			t.Fatalf("insert %d under index: %v", i, err)
 		}
@@ -124,13 +124,13 @@ func TestPagedTableDifferential(t *testing.T) {
 			t.Fatalf("firstAt(%v) finds deleted row %d", r[0], got)
 		}
 	}
-	if _, err := tb.Insert(mkRow(5)); err == nil {
+	if _, err := insertRow(tb, mkRow(5)); err == nil {
 		t.Fatal("insert of a live key must be refused by the unique index")
 	}
-	if _, err := tb.Update(ids[5], mkRow(6)); err == nil {
+	if _, err := updateRow(tb, ids[5], mkRow(6)); err == nil {
 		t.Fatal("update onto a live key must be refused by the unique index")
 	}
-	id, err := tb.Insert(deleted[0])
+	id, err := insertRow(tb, deleted[0])
 	if err != nil {
 		t.Fatalf("re-insert of a deleted key: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestPagedTableSnapshotScanUnderEviction(t *testing.T) {
 	tb := newPagedTestTable(t, 2*MinPageSize)
 	var ids []RowID
 	for i := 0; i < 100; i++ {
-		id, err := tb.Insert(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("a", 200))})
+		id, err := insertRow(tb, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("a", 200))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestPagedTableSnapshotScanUnderEviction(t *testing.T) {
 	}
 	snap := tb.Latest()
 	for i, id := range ids {
-		if _, err := tb.Update(id, sqltypes.Row{sqltypes.NewInt(int64(i + 5000)), sqltypes.NewString(strings.Repeat("b", 300))}); err != nil {
+		if _, err := updateRow(tb, id, sqltypes.Row{sqltypes.NewInt(int64(i + 5000)), sqltypes.NewString(strings.Repeat("b", 300))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestPagedTableSnapshotScanUnderEviction(t *testing.T) {
 func TestPagedTableIterStats(t *testing.T) {
 	tb := newPagedTestTable(t, 2*MinPageSize)
 	for i := 0; i < 200; i++ {
-		if _, err := tb.Insert(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("x", 100))}); err != nil {
+		if _, err := insertRow(tb, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("x", 100))}); err != nil {
 			t.Fatal(err)
 		}
 	}

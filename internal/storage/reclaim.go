@@ -45,10 +45,11 @@ func (t *Table) Versions() VersionStats {
 // Reclaim frees the versions no snapshot can see any more once the dead
 // versions outnumber the live rows — and, so that a long-open snapshot does
 // not make every call rescan what it keeps, outnumber twice what the last
-// pass had to keep. Each pass costs O(directory), paid for by at least as
-// many new deaths: amortized O(1) per ended version. It returns the number
-// of versions freed; an error is a heap IO failure, after which the
-// directory is consistent and the next pass retries.
+// pass had to keep, unless the horizon has since passed every version that
+// pass kept. Each pass costs O(directory), paid for by at least as many new
+// deaths or newly unpinned versions: amortized O(1) per ended version. It
+// returns the number of versions freed; an error is a heap IO failure, after
+// which the directory is consistent and the next pass retries.
 //
 // Reclaim must not run concurrently with a reader of t that is not
 // registered on the clock, since such a reader may hold a directory header
@@ -63,7 +64,7 @@ func (t *Table) Reclaim() (int, error) {
 		t.heap.reuse(t.clock.Oldest())
 	}
 	d := t.dead.Load()
-	if d <= t.live.Load() || d-t.pinned <= t.pinned {
+	if d <= t.live.Load() || d-t.pinned <= t.pinned && t.clock.Horizon() < t.pinnedUntil {
 		return 0, nil
 	}
 	n, err := t.reclaimLocked(t.clock.Horizon())
@@ -95,6 +96,7 @@ func (t *Table) reclaimLocked(h uint64) (int, error) {
 	pages := make([]pageTally, len(heap.nrec))
 	drop := make([]bool, len(t.slots))
 	var gone []*slot
+	t.pinnedUntil = 0
 	for i, sl := range t.slots {
 		var pt *pageTally
 		if sl.loc.span == 0 {
@@ -104,6 +106,9 @@ func (t *Table) reclaimLocked(h uint64) (int, error) {
 		if unreachable(sl, h) {
 			drop[i], gone = true, append(gone, sl)
 			continue
+		}
+		if e := sl.end.Load(); e != txn.Infinity && !txn.Pending(e) {
+			t.pinnedUntil = max(t.pinnedUntil, e)
 		}
 		if pt != nil {
 			pt.kept++

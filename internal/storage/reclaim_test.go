@@ -13,7 +13,8 @@ import (
 
 // TestReclaimUnderReaders runs reclamation while registered readers iterate
 // over directory headers copied before it and probe the index at their
-// snapshots. Every update adds one to one row's value at its own epoch, so a
+// snapshots. Every update is a transaction whose commit reclaims, as an
+// engine commit does, and adds one to one row's value at its own epoch, so a
 // snapshot at epoch e must see each key exactly once with values summing to
 // e less the epoch of the load. A starved pool makes the moved-from and
 // retired pages leave the pool and their pids come back as new pages while
@@ -35,7 +36,7 @@ func TestReclaimUnderReaders(t *testing.T) {
 	}
 	ids, vals := make([]RowID, keys), make([]int, keys)
 	for k := range ids {
-		if ids[k], err = tb.Insert(mk(k, 0)); err != nil {
+		if ids[k], err = insertRow(tb, mk(k, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,10 +108,12 @@ func TestReclaimUnderReaders(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := rng.Intn(keys)
 			vals[k]++
-			if ids[k], err = tb.Update(ids[k], mk(k, vals[k])); err != nil {
+			tx := clock.Begin()
+			if ids[k], err = tb.UpdateTx(tx, ids[k], mk(k, vals[k])); err != nil {
 				t.Fatal(err)
 			}
-			n, err := tb.Reclaim()
+			clock.Commit(tx, nil)
+			n, err := tx.ReclaimTouched()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +151,7 @@ func TestReclaimKeepsRegisteredSnapshots(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
 	var ids []RowID
 	for k := int64(0); k < 10; k++ {
-		id, err := tb.Insert(row(k, 0))
+		id, err := insertRow(tb, row(k, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +162,7 @@ func TestReclaimKeepsRegisteredSnapshots(t *testing.T) {
 	for round := int64(1); round <= 5; round++ {
 		for k := range ids {
 			var err error
-			if ids[k], err = tb.Update(ids[k], row(int64(k), round)); err != nil {
+			if ids[k], err = updateRow(tb, ids[k], row(int64(k), round)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +189,7 @@ func TestReclaimKeepsRegisteredSnapshots(t *testing.T) {
 	for k := range ids { // enough new deaths to trigger a pass past the kept ones
 		for r := 0; r < 10; r++ {
 			var err error
-			if ids[k], err = tb.Update(ids[k], row(int64(k), 9)); err != nil {
+			if ids[k], err = updateRow(tb, ids[k], row(int64(k), 9)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,5 +202,45 @@ func TestReclaimKeepsRegisteredSnapshots(t *testing.T) {
 	}
 	if n, total := sum(tb.Latest()); n != 10 || total != 90 {
 		t.Fatalf("latest reads %d rows summing to %d, want 10 rows of 9", n, total)
+	}
+}
+
+// TestReclaimOnceUnpinned: the versions a pass had to keep for an open
+// snapshot go at the first pass after it closes, not only once as many new
+// versions have died.
+func TestReclaimOnceUnpinned(t *testing.T) {
+	tb := newPagedTestTable(t, 0)
+	ids := make([]RowID, 10)
+	for k := range ids {
+		var err error
+		if ids[k], err = insertRow(tb, row(int64(k), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, _ := tb.Clock().Register()
+	for round := int64(1); round <= 20; round++ {
+		for k := range ids {
+			var err error
+			if ids[k], err = updateRow(tb, ids[k], row(int64(k), round)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.Reclaim(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := tb.Versions(); st.Dead != 200 {
+		t.Fatalf("an open snapshot from before every update must keep all 200 dead versions: %+v", st)
+	}
+	reg.Release()
+	var err error
+	if ids[0], err = updateRow(tb, ids[0], row(0, 21)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tb.Versions(); st.Dead != 0 || st.Slots != 10 {
+		t.Fatalf("the first pass after the snapshot closed kept versions: %+v", st)
 	}
 }

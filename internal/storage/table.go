@@ -83,11 +83,13 @@ type Table struct {
 	// dead counts the versions in the directory that are neither live nor
 	// pending: committed ends and aborted inserts, which reclamation frees
 	// once no snapshot can see them. pinned is how many of them the last
-	// reclamation pass had to keep for open snapshots (guarded by mu), and
-	// reclaimed totals the versions freed.
-	dead      atomic.Int64
-	pinned    int64
-	reclaimed atomic.Int64
+	// reclamation pass had to keep for open snapshots and pinnedUntil the
+	// newest end epoch among them, which frees them all once the horizon
+	// reaches it (both guarded by mu); reclaimed totals the versions freed.
+	dead        atomic.Int64
+	pinned      int64
+	pinnedUntil uint64
+	reclaimed   atomic.Int64
 	// version counts committed mutations (inserts, updates, deletes). Cached
 	// query plans record the versions of every table they read and
 	// revalidate on reuse, so any mutation — including materialized-view
@@ -109,10 +111,8 @@ type IndexHandle struct {
 // NewPagedTable returns an empty heap table stamping versions from c, whose
 // row payloads live in slotted pages owned by pager, cached through its
 // buffer pool, and spilled to a per-table heap file when evicted. tag names
-// the heap file (usually the table name). The immediate (non-transactional)
-// mutation methods tick the clock directly, so on a shared clock they must
-// be serialized with every transactional committer — in the engine both run
-// under its write mutex.
+// the heap file (usually the table name). Every write is a pending version
+// of a transaction, which the clock's Commit publishes.
 func NewPagedTable(c *txn.Clock, pager *Pager, tag string) (*Table, error) {
 	h, err := newTableHeap(pager, tag)
 	if err != nil {
@@ -154,12 +154,8 @@ func (t *Table) BumpVersion() { t.version.Add(1) }
 func (t *Table) Latest() txn.Snapshot { return txn.Snapshot{Epoch: t.clock.Now()} }
 
 // WriteView returns the visibility horizon a transaction's own maintenance
-// work uses: everything committed so far plus tx's pending writes. A nil tx
-// yields Latest.
+// work uses: everything committed so far plus tx's pending writes.
 func (t *Table) WriteView(tx *txn.Txn) txn.Snapshot {
-	if tx == nil {
-		return t.Latest()
-	}
 	return txn.Snapshot{Epoch: t.clock.Now(), TxnID: tx.ID}
 }
 
@@ -216,12 +212,12 @@ func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, erro
 // checkUnique enforces unique indexes against the would-be row. The caller
 // holds t.mu, which serializes all uniqueness decisions: two concurrent
 // inserts of the same key cannot both pass, because the second probe sees
-// the first one's pending version. txnID 0 means an immediate
-// (non-transactional) writer; exclude names a version being replaced by an
-// update (-1 for none); snap is the writer's snapshot, which splits the
-// committed-live case into a true duplicate (the writer can see the holder)
-// and a first-committer-wins conflict (the holder committed after the
-// writer's snapshot — retryable, so it must carry the conflict code).
+// the first one's pending version. txnID is the writing transaction;
+// exclude names a version being replaced by an update (-1 for none); snap is
+// the writer's snapshot, which splits the committed-live case into a true
+// duplicate (the writer can see the holder) and a first-committer-wins
+// conflict (the holder committed after the writer's snapshot — retryable, so
+// it must carry the conflict code).
 func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap txn.Snapshot) error {
 	for _, h := range t.indexes {
 		if !h.Unique {
@@ -239,7 +235,7 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap 
 				return true // aborted insert, never visible
 			}
 			if txn.Pending(b) {
-				if txnID != 0 && txn.Owner(b) == txnID {
+				if txn.Owner(b) == txnID {
 					// Our own pending version: a live duplicate unless this
 					// same transaction already ended it (update chains).
 					if txn.Pending(e) && txn.Owner(e) == txnID {
@@ -265,7 +261,7 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap 
 				}
 				return false
 			case txn.Pending(e):
-				if txnID != 0 && txn.Owner(e) == txnID {
+				if txn.Owner(e) == txnID {
 					return true // we deleted it in this transaction
 				}
 				conflict = true // someone else is deleting it; may abort
@@ -298,7 +294,7 @@ func claimEnd(sl *slot, txnID uint64) error {
 			if sl.end.CompareAndSwap(txn.Infinity, txn.PendingStamp(txnID)) {
 				return nil
 			}
-		case txn.Pending(e) && txnID != 0 && txn.Owner(e) == txnID:
+		case txn.Pending(e) && txn.Owner(e) == txnID:
 			return rferrors.New(rferrors.CodeInternal, "row version already ended by this transaction")
 		default:
 			return rferrors.New(rferrors.CodeConflict,
@@ -338,84 +334,9 @@ func (r slotRef) AbortWrite(op txn.Op) {
 }
 
 // ---------------------------------------------------------------------------
-// Immediate (auto-committed per operation) mutations. Each operation commits
-// at its own clock tick; on a shared clock the caller must serialize these
-// with transactional committers (the engine runs both under its write lock).
-
-// Insert appends a row, maintains every index, and commits it immediately.
-// The row is stored as given; callers must not mutate it afterwards.
-func (t *Table) Insert(row sqltypes.Row) (RowID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkUnique(row, 0, -1, t.Latest()); err != nil {
-		return 0, err
-	}
-	id, _, err := t.appendLocked(row, t.clock.Tick())
-	if err != nil {
-		return 0, err
-	}
-	t.live.Add(1)
-	t.version.Add(1)
-	return id, nil
-}
-
-// Delete ends the live row version under id immediately.
-func (t *Table) Delete(id RowID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sl := t.slotLocked(id)
-	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), t.Latest()) {
-		return fmt.Errorf("delete: row %d does not exist", id)
-	}
-	if err := claimEnd(sl, 0); err != nil {
-		return err
-	}
-	sl.end.Store(t.clock.Tick())
-	t.live.Add(-1)
-	t.dead.Add(1)
-	t.version.Add(1)
-	return nil
-}
-
-// Update replaces the row under id immediately: the old version is ended and
-// a new version is created under a fresh row id (returned). Indexes gain the
-// new version's entries; old entries stay, filtered by visibility, until the
-// old version is reclaimed.
-func (t *Table) Update(id RowID, row sqltypes.Row) (RowID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sl := t.slotLocked(id)
-	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), t.Latest()) {
-		return 0, fmt.Errorf("update: row %d does not exist", id)
-	}
-	if err := t.checkUnique(row, 0, id, t.Latest()); err != nil {
-		return 0, err
-	}
-	// Append the new version before ending the old one: a heap IO failure
-	// then leaves the old version live and the table consistent (the
-	// orphaned new payload is unreferenced). The Infinity begin stamp keeps
-	// the new version invisible until it is committed below.
-	nid, nsl, err := t.appendLocked(row, txn.Infinity)
-	if err != nil {
-		return 0, err
-	}
-	if err := claimEnd(sl, 0); err != nil {
-		nsl.begin.Store(txn.Infinity) // abort the orphan: never visible
-		t.dead.Add(1)
-		return 0, err
-	}
-	e := t.clock.Tick()
-	sl.end.Store(e)
-	nsl.begin.Store(e)
-	t.dead.Add(1)
-	t.version.Add(1)
-	return nid, nil
-}
-
-// ---------------------------------------------------------------------------
-// Transactional mutations. Versions are created or ended with pending stamps
-// owned by tx; the engine's commit protocol later stamps the whole write-set
-// with one epoch (or aborts it). Conflicts surface here, at claim time.
+// Mutations. Versions are created or ended with pending stamps owned by tx;
+// the clock's Commit later stamps the whole write-set with one epoch (or tx
+// aborts). Conflicts surface here, at claim time.
 
 // writable reports whether a version may serve as the target of a
 // transactional delete or update: visible in tx's snapshot (the DML case —

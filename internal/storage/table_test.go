@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rfview/internal/sqltypes"
+	"rfview/internal/txn"
 )
 
 func row(vals ...int64) sqltypes.Row {
@@ -14,10 +15,38 @@ func row(vals ...int64) sqltypes.Row {
 	return r
 }
 
+// insertRow, updateRow and deleteRow write one row version each in a
+// transaction of their own, committed at its own epoch.
+func insertRow(tb *Table, r sqltypes.Row) (RowID, error) {
+	return commitOne(tb, func(tx *txn.Txn) (RowID, error) { return tb.InsertTx(tx, r) })
+}
+
+func updateRow(tb *Table, id RowID, r sqltypes.Row) (RowID, error) {
+	return commitOne(tb, func(tx *txn.Txn) (RowID, error) { return tb.UpdateTx(tx, id, r) })
+}
+
+func deleteRow(tb *Table, id RowID) error {
+	_, err := commitOne(tb, func(tx *txn.Txn) (RowID, error) { return 0, tb.DeleteTx(tx, id) })
+	return err
+}
+
+// commitOne runs write in a transaction of its own and commits it, or
+// aborts it when write fails.
+func commitOne(tb *Table, write func(*txn.Txn) (RowID, error)) (RowID, error) {
+	tx := tb.Clock().Begin()
+	id, err := write(tx)
+	if err != nil {
+		tx.Abort()
+		return 0, err
+	}
+	tb.Clock().Commit(tx, nil)
+	return id, nil
+}
+
 func TestTableInsertScan(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
 	for i := int64(0); i < 10; i++ {
-		if _, err := tb.Insert(row(i, i*i)); err != nil {
+		if _, err := insertRow(tb, row(i, i*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,9 +76,9 @@ func TestTableDeleteUpdate(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
 	ids := make([]RowID, 5)
 	for i := int64(0); i < 5; i++ {
-		ids[i], _ = tb.Insert(row(i))
+		ids[i], _ = insertRow(tb, row(i))
 	}
-	if err := tb.Delete(ids[2]); err != nil {
+	if err := deleteRow(tb, ids[2]); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 4 {
@@ -58,10 +87,10 @@ func TestTableDeleteUpdate(t *testing.T) {
 	if tb.Get(ids[2]) != nil {
 		t.Error("deleted row still visible")
 	}
-	if err := tb.Delete(ids[2]); err == nil {
+	if err := deleteRow(tb, ids[2]); err == nil {
 		t.Error("double delete must fail")
 	}
-	nid, err := tb.Update(ids[3], row(99))
+	nid, err := updateRow(tb, ids[3], row(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +100,7 @@ func TestTableDeleteUpdate(t *testing.T) {
 	if tb.Get(nid)[0].Int() != 99 {
 		t.Error("update not visible")
 	}
-	if _, err := tb.Update(ids[2], row(1)); err == nil {
+	if _, err := updateRow(tb, ids[2], row(1)); err == nil {
 		t.Error("update of deleted row must fail")
 	}
 	if tb.Get(RowID(100)) != nil {
@@ -82,7 +111,7 @@ func TestTableDeleteUpdate(t *testing.T) {
 func TestTableIndexMaintenance(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
 	for i := int64(0); i < 100; i++ {
-		tb.Insert(row(i%10, i))
+		insertRow(tb, row(i%10, i))
 	}
 	h, err := tb.AddIndex("by_a", []int{0}, false)
 	if err != nil {
@@ -103,7 +132,7 @@ func TestTableIndexMaintenance(t *testing.T) {
 	// the index but are filtered out).
 	var victim RowID
 	tb.LookupAt(h, row(3), tb.Latest(), func(id RowID, _ sqltypes.Row) bool { victim = id; return false })
-	if err := tb.Delete(victim); err != nil {
+	if err := deleteRow(tb, victim); err != nil {
 		t.Fatal(err)
 	}
 	count = 0
@@ -114,7 +143,7 @@ func TestTableIndexMaintenance(t *testing.T) {
 	// Update that moves the key.
 	var mover RowID
 	tb.LookupAt(h, row(4), tb.Latest(), func(id RowID, _ sqltypes.Row) bool { mover = id; return false })
-	if _, err := tb.Update(mover, row(7, -1)); err != nil {
+	if _, err := updateRow(tb, mover, row(7, -1)); err != nil {
 		t.Fatal(err)
 	}
 	count = 0
@@ -126,21 +155,21 @@ func TestTableIndexMaintenance(t *testing.T) {
 
 func TestTableUniqueIndex(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
-	tb.Insert(row(1))
-	tb.Insert(row(2))
+	insertRow(tb, row(1))
+	insertRow(tb, row(2))
 	if _, err := tb.AddIndex("pk", []int{0}, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.Insert(row(1)); err == nil {
+	if _, err := insertRow(tb, row(1)); err == nil {
 		t.Error("unique violation on insert must fail")
 	}
-	if _, err := tb.Insert(row(3)); err != nil {
+	if _, err := insertRow(tb, row(3)); err != nil {
 		t.Errorf("distinct insert failed: %v", err)
 	}
 	// Building a unique index over duplicates must fail.
 	tb2 := newPagedTestTable(t, 0)
-	tb2.Insert(row(1))
-	tb2.Insert(row(1))
+	insertRow(tb2, row(1))
+	insertRow(tb2, row(1))
 	if _, err := tb2.AddIndex("pk", []int{0}, true); err == nil {
 		t.Error("unique index build over duplicates must fail")
 	}
@@ -148,7 +177,7 @@ func TestTableUniqueIndex(t *testing.T) {
 
 func TestTableIndexAdministration(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
-	tb.Insert(row(1, 2))
+	insertRow(tb, row(1, 2))
 	if _, err := tb.AddIndex("i1", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -76,15 +76,16 @@ func Visible(begin, end uint64, s Snapshot) bool {
 
 // Clock is the global commit clock: a single monotone epoch counter. Readers
 // load it to build snapshots; committers — which the engine serializes —
-// stamp their writes with Now()+1 and Publish it, making the whole
-// transaction visible in one atomic store. Tick is the immediate path for
-// standalone single-operation writes (storage-layer library use and WAL
-// restore), which commit each operation at its own epoch.
+// stamp a transaction's writes with Now()+1 and publish it (Commit), making
+// the whole transaction visible in one atomic store. A transaction is the
+// only way a row version is written, so every epoch is one commit.
 //
-// The clock also keeps the registry of open snapshots (Register), whose
-// minimum is the horizon below which no reader can see a version again.
+// The clock also mints transaction ids (Begin) and keeps the registry of
+// open snapshots (Register), whose minimum is the horizon below which no
+// reader can see a version again.
 type Clock struct {
 	c   atomic.Uint64
+	ids atomic.Uint64
 	reg registry
 }
 
@@ -94,17 +95,9 @@ func NewClock() *Clock { return &Clock{} }
 // Now returns the latest published epoch.
 func (c *Clock) Now() uint64 { return c.c.Load() }
 
-// Next returns the epoch a committer should stamp with (Now()+1). Callers
-// must be serialized with every other committer of tables on this clock.
+// Next returns the epoch the next commit publishes (Now()+1). Callers must
+// be serialized with every committer of tables on this clock.
 func (c *Clock) Next() uint64 { return c.c.Load() + 1 }
-
-// Publish makes epoch e the latest. Paired with Next under the committer
-// serialization described there.
-func (c *Clock) Publish(e uint64) { c.c.Store(e) }
-
-// Tick atomically claims and publishes the next epoch, for single-operation
-// immediate commits.
-func (c *Clock) Tick() uint64 { return c.c.Add(1) }
 
 // Register announces a reader and returns its registration and the epoch of
 // its snapshot. The reader is registered before it reads the clock: it
@@ -270,11 +263,34 @@ type Txn struct {
 	reg     Reg
 }
 
-// Begin starts transaction id with a snapshot registered on c until Release
-// (or Abort): while it is open, no version it can see is reclaimed.
-func (c *Clock) Begin(id uint64) *Txn {
+// Begin starts a transaction under a fresh id (never zero, which means "no
+// owner") with a snapshot registered on c until Release (or Abort): while
+// it is open, no version it can see is reclaimed.
+func (c *Clock) Begin() *Txn {
+	id := c.ids.Add(1)
 	reg, epoch := c.Register()
 	return &Txn{ID: id, Snap: Snapshot{Epoch: epoch, TxnID: id}, reg: reg}
+}
+
+// Commit publishes tx at the next epoch: the write-set's pending stamps
+// become that epoch, stamp (when non-nil) runs with it, the
+// clock publishes it — the one atomic store that makes the whole
+// transaction visible — every table tx wrote bumps its version, and tx's
+// snapshot registration ends. Committers of tables on c must be serialized;
+// reclamation (ReclaimTouched) is the caller's next step.
+func (c *Clock) Commit(tx *Txn, stamp func(epoch uint64)) {
+	epoch := c.Next()
+	for _, w := range tx.writes {
+		w.ref.CommitWrite(w.op, epoch)
+	}
+	if stamp != nil {
+		stamp(epoch)
+	}
+	c.c.Store(epoch)
+	for _, b := range tx.touched {
+		b.BumpVersion()
+	}
+	tx.Release()
 }
 
 // Release ends the transaction's snapshot registration. Idempotent.
@@ -331,25 +347,9 @@ func (t *Txn) Abort() {
 	t.Release()
 }
 
-// CommitStamps replaces every pending stamp in the write-set with the commit
-// epoch. The caller (the engine) is responsible for ordering: stamps first,
-// then clock publication, then version bumps.
-func (t *Txn) CommitStamps(epoch uint64) {
-	for _, w := range t.writes {
-		w.ref.CommitWrite(w.op, epoch)
-	}
-}
-
-// BumpTouched advances the version counter of every touched table.
-func (t *Txn) BumpTouched() {
-	for _, b := range t.touched {
-		b.BumpVersion()
-	}
-}
-
 // ReclaimTouched lets every touched table reclaim its unreachable versions,
 // returning how many went and the first failure. The caller runs it after
-// publication and Release, so the versions this transaction ended count.
+// Commit, so the versions this transaction ended count.
 func (t *Txn) ReclaimTouched() (int, error) {
 	total := 0
 	var first error

@@ -676,8 +676,12 @@ func TestRestoreReadsNoBaseRows(t *testing.T) {
 		`INSERT INTO seq VALUES ` + strings.Join(rows, ", "),
 		`CREATE MATERIALIZED VIEW mv AS SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
 	} {
+		before := e.Cat.Clock().Now()
 		if _, err := e.Exec(sql); err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasPrefix(sql, "CREATE MATERIALIZED") && e.Cat.Clock().Now() != before+1 {
+			t.Fatalf("CREATE MATERIALIZED VIEW advanced the clock from %d to %d, want one epoch", before, e.Cat.Clock().Now())
 		}
 	}
 	want, err := e.Exec(`SELECT pos, val FROM mv ORDER BY pos`)
@@ -713,6 +717,9 @@ func TestRestoreReadsNoBaseRows(t *testing.T) {
 	if len(snap.MatViews) != 1 || with != without {
 		t.Fatalf("restoring %d view(s) acquired %d pages, the tables alone %d: a view restore read rows",
 			len(snap.MatViews), with, without)
+	}
+	if epoch := re.Cat.Clock().Now(); epoch != 1 {
+		t.Fatalf("restoring %d base rows and the view's advanced the clock to epoch %d, want one commit", len(rows), epoch)
 	}
 	got, err := re.Exec(`SELECT pos, val FROM mv ORDER BY pos`)
 	if err != nil {

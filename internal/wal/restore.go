@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"math"
 
 	"rfview/internal/catalog"
 	"rfview/internal/engine"
@@ -32,9 +31,9 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 			st.Columns = append(st.Columns, SnapColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
 		if err := t.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
-			out := make([]SnapDatum, len(row))
+			out := make([]sqltypes.JSONDatum, len(row))
 			for i, d := range row {
-				out[i] = dumpDatum(d)
+				out[i] = sqltypes.ToJSON(d)
 			}
 			st.Rows = append(st.Rows, out)
 			return true
@@ -88,13 +87,15 @@ func bodyLen(mv *catalog.MatView, at txn.Snapshot) (int, error) {
 	return max(last, 0), err
 }
 
-// restoreState rebuilds a fresh engine from a snapshot: heaps first, then
-// indexes (rebuilt from the restored rows), then materialized views (catalog
-// registration plus maintainer reconstruction from the restored base
-// tables). Storage version counters restart from zero in the new engine —
-// together with the empty plan/result cache of a fresh engine, no cached
-// entry keyed on pre-crash versions can survive into the recovered process.
+// restoreState rebuilds a fresh engine from a snapshot: heaps first, their
+// rows in one transaction that commits at one epoch, then indexes (rebuilt
+// from the restored rows), then materialized views (catalog registration
+// against their restored backing tables). Storage version counters restart
+// from zero in the new engine — together with the empty plan/result cache of
+// a fresh engine, no cached entry keyed on pre-crash versions can survive
+// into the recovered process.
 func restoreState(e *engine.Engine, snap *Snapshot) error {
+	tx := e.BeginTxn()
 	for _, st := range snap.Tables {
 		cols := make([]catalog.Column, len(st.Columns))
 		for i, c := range st.Columns {
@@ -102,17 +103,18 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 		}
 		t, err := e.Cat.CreateTable(st.Name, cols)
 		if err != nil {
+			e.RollbackTxn(tx)
 			return fmt.Errorf("wal: restore table %q: %w", st.Name, err)
 		}
-		for _, sr := range st.Rows {
-			row := make(sqltypes.Row, len(sr))
-			for i, d := range sr {
-				row[i] = loadDatum(d)
-			}
-			if _, err := t.Heap.Insert(row); err != nil {
+		for _, row := range sqltypes.RowsFromJSON(st.Rows) {
+			if _, err := t.Heap.InsertTx(tx, row); err != nil {
+				e.RollbackTxn(tx)
 				return fmt.Errorf("wal: restore rows of %q: %w", st.Name, err)
 			}
 		}
+	}
+	if err := e.CommitTxn(tx); err != nil {
+		return fmt.Errorf("wal: restore rows: %w", err)
 	}
 	for _, idx := range snap.Indexes {
 		if _, err := e.Cat.CreateIndex(idx.Name, idx.Table, idx.Columns, idx.Unique); err != nil {
@@ -143,44 +145,4 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 		}
 	}
 	return nil
-}
-
-func dumpDatum(d sqltypes.Datum) SnapDatum {
-	switch d.Typ() {
-	case sqltypes.Null:
-		return SnapDatum{T: uint8(sqltypes.Null)}
-	case sqltypes.Bool:
-		var i int64
-		if d.Bool() {
-			i = 1
-		}
-		return SnapDatum{T: uint8(sqltypes.Bool), I: i}
-	case sqltypes.Int:
-		return SnapDatum{T: uint8(sqltypes.Int), I: d.Int()}
-	case sqltypes.Float:
-		return SnapDatum{T: uint8(sqltypes.Float), F: math.Float64bits(d.Float())}
-	case sqltypes.String:
-		return SnapDatum{T: uint8(sqltypes.String), S: d.Str()}
-	case sqltypes.Date:
-		return SnapDatum{T: uint8(sqltypes.Date), I: d.Int()}
-	default:
-		return SnapDatum{T: uint8(sqltypes.Null)}
-	}
-}
-
-func loadDatum(sd SnapDatum) sqltypes.Datum {
-	switch sqltypes.Type(sd.T) {
-	case sqltypes.Bool:
-		return sqltypes.NewBool(sd.I != 0)
-	case sqltypes.Int:
-		return sqltypes.NewInt(sd.I)
-	case sqltypes.Float:
-		return sqltypes.NewFloat(math.Float64frombits(sd.F))
-	case sqltypes.String:
-		return sqltypes.NewString(sd.S)
-	case sqltypes.Date:
-		return sqltypes.NewDate(sd.I)
-	default:
-		return sqltypes.NullDatum
-	}
 }

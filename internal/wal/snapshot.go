@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"rfview/internal/sqltypes"
 )
 
 // A snapshot is the full engine state — catalog schema, table heaps, index
@@ -46,20 +48,9 @@ type SnapColumn struct {
 
 // SnapTable is one dumped heap.
 type SnapTable struct {
-	Name    string        `json:"name"`
-	Columns []SnapColumn  `json:"columns"`
-	Rows    [][]SnapDatum `json:"rows"`
-}
-
-// SnapDatum serializes one sqltypes.Datum exactly: integers (and bools and
-// dates) through I, floats through their IEEE-754 bits (JSON number text
-// would round-trip, but bit-exactness is simpler to trust), strings through
-// S.
-type SnapDatum struct {
-	T uint8  `json:"t"`
-	I int64  `json:"i,omitempty"`
-	F uint64 `json:"f,omitempty"`
-	S string `json:"s,omitempty"`
+	Name    string                 `json:"name"`
+	Columns []SnapColumn           `json:"columns"`
+	Rows    [][]sqltypes.JSONDatum `json:"rows"`
 }
 
 // SnapIndex is one dumped index definition.

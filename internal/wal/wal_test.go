@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rfview/internal/sqltypes"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -200,7 +202,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	snapA := &Snapshot{LSN: 5, Tables: []SnapTable{{
 		Name:    "t",
 		Columns: []SnapColumn{{Name: "a", Type: 2}},
-		Rows:    [][]SnapDatum{{{T: 2, I: 42}}},
+		Rows:    [][]sqltypes.JSONDatum{{{T: 2, I: 42}}},
 	}}}
 	if err := writeSnapshot(dir, snapA); err != nil {
 		t.Fatal(err)

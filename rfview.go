@@ -113,9 +113,11 @@ func (db *DB) SetSlowQueryLog(threshold time.Duration, sink func(SlowQuery)) {
 	db.eng.SetSlowQueryLog(threshold, sink)
 }
 
-// Engine exposes the underlying engine for advanced use (option toggling,
-// the view manager's ShiftInsert/ShiftDelete positional operations on simple
-// — unpartitioned — sequence views).
+// Engine exposes the underlying engine for advanced use: option toggling,
+// and the view manager's ShiftInsert/ShiftDelete positional operations on
+// simple — unpartitioned — sequence views, which run inside a transaction
+// (BeginTxn, then the shift, then CommitTxn, or RollbackTxn on an error) so
+// that the base table and the view publish together at one epoch.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
 // ---------------------------------------------------------------------------
