@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rfview/internal/sqlparser"
 	"rfview/internal/storage"
 )
 
@@ -168,5 +169,50 @@ func TestRefreshStampsInsidePublication(t *testing.T) {
 	}
 	if !strings.Contains(mustExec(t, e, `EXPLAIN `+derivedQ).Plan, "Derive view=mv") {
 		t.Fatal("the refreshed view does not derive")
+	}
+}
+
+// TestCreateRegistersInsidePublication holds a CREATE MATERIALIZED VIEW
+// between writing its rows and its commit: a lock-free read then neither
+// derives from the view nor finds it by name, and after the commit both do,
+// at the one epoch the create took.
+func TestCreateRegistersInsidePublication(t *testing.T) {
+	e := newEngine(t)
+	loadSeq(t, e, 50, func(int) int64 { return 1 })
+	stmt, err := sqlparser.Parse(`CREATE MATERIALIZED VIEW mv AS
+	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM seq`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Cat.Clock().Now()
+	e.mu.Lock()
+	tx := e.newTxn()
+	publish, err := e.Views.CreateTx(context.Background(), tx, stmt.(*sqlparser.CreateMatView))
+	if err != nil {
+		e.mu.Unlock()
+		t.Fatal(err)
+	}
+	res, err := e.Exec(derivedQ)
+	if err != nil || res.Derivation != nil {
+		e.mu.Unlock()
+		t.Fatalf("between the create and its commit the read derived (%v) or failed: %v", res != nil && res.Derivation != nil, err)
+	}
+	if _, err := e.Exec(`SELECT pos, val FROM mv`); err == nil {
+		e.mu.Unlock()
+		t.Fatal("between the create and its commit the view answered by name")
+	}
+	err = e.commitTxnLocked(tx, false, publish)
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := e.Cat.Clock().Now(); now != before+1 {
+		t.Fatalf("the create advanced the clock from %d to %d, want one epoch", before, now)
+	}
+	if res := mustExec(t, e, derivedQ); res.Derivation == nil {
+		t.Fatal("the committed view does not derive")
+	}
+	if got := mustExec(t, e, `SELECT pos, val FROM mv`); len(got.Rows) != 54 {
+		t.Fatalf("the committed view holds %d rows, want positions -1…52", len(got.Rows))
 	}
 }
