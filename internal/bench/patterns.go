@@ -42,13 +42,13 @@ func PatternsReport() (string, error) {
 		}
 		return exec.FormatPlan(op), nil
 	}
-	section := func(title, query, rewritten, planText string) {
+	section := func(title, query, rewritten, tree string) {
 		fmt.Fprintf(&b, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 		if query != "" {
 			fmt.Fprintf(&b, "query:\n  %s\n", query)
 		}
 		fmt.Fprintf(&b, "rewritten SQL:\n  %s\nphysical plan:\n", rewritten)
-		for _, line := range strings.Split(strings.TrimRight(planText, "\n"), "\n") {
+		for _, line := range strings.Split(strings.TrimRight(tree, "\n"), "\n") {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 		b.WriteString("\n")

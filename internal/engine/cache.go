@@ -21,15 +21,17 @@ const DefaultPlanCacheCapacity = 256
 const maxCachedResultRows = 16384
 
 // The plan/derivation cache memoizes the front half of read-statement
-// processing — parse, view matching, derivation rewrite — keyed by exact SQL
-// text. The paper's premise (§1, §8) is that warehouse query load is
-// read-dominated and repetitive, so the same reporting-function queries
-// recur; on a hit the engine replans straight from the cached
-// (post-derivation) statement and executes. Small results are additionally
-// cached whole — the §3 caching setting taken to its limit: when nothing a
-// query reads has changed, its previous answer *is* the materialized answer
-// — so a repeat of an unchanged query skips execution too. Callers must
-// treat result rows as immutable; the engine never mutates them.
+// processing — parse, view matching, derivation rewrite — in one entry per
+// statement, keyed by its SQL text as written. The paper's premise (§1, §8)
+// is that warehouse query load is read-dominated and repetitive, so the
+// same reporting-function queries recur; on a hit the engine replans
+// straight from the cached (post-derivation) statement and executes. EXPLAIN
+// looks its statement up by the text as written too (sqlparser.Explain's
+// Source). Small results are additionally cached whole — the §3 caching
+// setting taken to its limit: when nothing a query reads has changed, its
+// previous answer *is* the materialized answer — so a repeat of an
+// unchanged query skips execution too. Callers must treat result rows as
+// immutable; the engine never mutates them.
 //
 // Validity is version-based, never time-based:
 //
@@ -51,13 +53,8 @@ type cachedPlan struct {
 	// one fired, the original statement otherwise. Planning does not mutate
 	// the AST, so concurrent readers replan from the same tree.
 	exec sqlparser.SelectStatement
-	// derivation and rewrittenSQL replay the provenance of the first run.
-	derivation   *rewrite.Derivation
-	rewrittenSQL string
-	// planText is the plan rendering captured at store time, so EXPLAIN on a
-	// cached statement reports the plan that actually runs instead of
-	// replanning (or, worse, an empty tree).
-	planText string
+	// derivation replays the provenance of the first run.
+	derivation *rewrite.Derivation
 	// views are the materialized views the plan reads (freshness recheck).
 	views []string
 	// skipped is the view the derivation rewrite declined to read (stale: the
@@ -77,8 +74,10 @@ type cachedPlan struct {
 	columns   []string
 	rows      []sqltypes.Row
 	// encoded memoizes the caller's encoding of columns and rows (see
-	// Result.Encoded); it is set on first use and dies with the entry.
-	encoded atomic.Pointer[[]byte]
+	// Result.Encoded) and rewritten the derivation's text (Result.Rewritten);
+	// each is set on first use and dies with the entry.
+	encoded   atomic.Pointer[[]byte]
+	rewritten atomic.Pointer[string]
 }
 
 type planDep struct {
@@ -135,7 +134,7 @@ func (e *Engine) execFromPlan(ctx context.Context, p *cachedPlan, cfg execConfig
 			return nil, err
 		}
 	}
-	res := &Result{Derivation: p.derivation, Rewritten: p.rewrittenSQL, execStmt: p.exec, skipped: p.skipped, skipWhy: p.skipWhy, CacheHit: true, planText: p.planText}
+	res := &Result{Derivation: p.derivation, execStmt: p.exec, skipped: p.skipped, skipWhy: p.skipWhy, CacheHit: true}
 	if p.hasResult && !cfg.analyze {
 		// Version validation just proved nothing the query reads has
 		// changed, so the previous answer is still the answer. Analyze
@@ -176,12 +175,31 @@ func (r *Result) Encoded(enc func(cols []string, rows []sqltypes.Row, affected i
 	return b
 }
 
+// Rewritten renders the derivation's plan node as text (DERIVE … FROM view
+// … BY algorithm), "" exactly when Derivation is nil. Nothing renders it
+// until a caller asks, and the hits answered from one cache entry's rows
+// share one rendering.
+func (r *Result) Rewritten() string {
+	switch {
+	case r == nil || r.Derivation == nil:
+		return ""
+	case r.cached == nil:
+		return r.Derivation.Plan.String()
+	}
+	if s := r.cached.rewritten.Load(); s != nil {
+		return *s
+	}
+	s := r.Derivation.Plan.String()
+	r.cached.rewritten.Store(&s)
+	return s
+}
+
 // preparePlan captures a cache entry for a just-executed read statement.
 // It must run inside the same readStable attempt as the execution, so the
 // recorded dependency versions are consistent with the rows the execution
-// read; the caller publishes the entry with putPlan only after the attempt
-// validated against the seqlock — a torn entry (old rows, new versions)
-// would otherwise validate forever.
+// read; the caller publishes the entry only after the attempt validated
+// against the seqlock — a torn entry (old rows, new versions) would
+// otherwise validate forever.
 func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan {
 	sel, ok := stmt.(sqlparser.SelectStatement)
 	if !ok || res.execStmt == nil {
@@ -191,16 +209,14 @@ func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan 
 	deps.addStmt(sel)          // base tables of the original query
 	deps.addStmt(res.execStmt) // views a derivation reads
 	ent := &cachedPlan{
-		exec:         res.execStmt,
-		derivation:   res.Derivation,
-		rewrittenSQL: res.Rewritten,
-		planText:     res.planText,
-		views:        deps.views,
-		skipped:      res.skipped,
-		skipWhy:      res.skipWhy,
-		deps:         deps.tables,
-		schema:       e.Cat.SchemaVersion(),
-		opts:         e.Opts,
+		exec:       res.execStmt,
+		derivation: res.Derivation,
+		views:      deps.views,
+		skipped:    res.skipped,
+		skipWhy:    res.skipWhy,
+		deps:       deps.tables,
+		schema:     e.Cat.SchemaVersion(),
+		opts:       e.Opts,
 	}
 	if len(res.Rows) <= maxCachedResultRows {
 		ent.hasResult = true
@@ -208,19 +224,6 @@ func (e *Engine) preparePlan(stmt sqlparser.Statement, res *Result) *cachedPlan 
 		ent.rows = res.Rows
 	}
 	return ent
-}
-
-// putPlan publishes a prepared cache entry.
-func (e *Engine) putPlan(sql string, stmt sqlparser.Statement, ent *cachedPlan) {
-	e.plans.Put(sql, ent)
-	// Also index under the canonical statement text: EXPLAIN parses its
-	// inner statement and can only look the plan up by String(), which may
-	// differ from the user's spelling in whitespace and case.
-	if sel, ok := stmt.(sqlparser.SelectStatement); ok {
-		if canon := sel.String(); canon != sql {
-			e.plans.Put(canon, ent)
-		}
-	}
 }
 
 // PlanCacheStats returns a snapshot of the plan cache counters.

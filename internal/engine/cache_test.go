@@ -243,3 +243,60 @@ func benchEngine(b *testing.B, cached bool) *Engine {
 	}
 	return e
 }
+
+// TestUncachedDeriveAllocs bounds what an uncached derived read allocates: a
+// never-repeating stream of derivable windows over a 200-row view, one
+// distinct alias per statement, each a cache miss that parses, derives,
+// plans, runs and stores its entry. Nothing renders SQL or plan text that no
+// caller reads: such a read measured 71 allocations (75 under the race
+// detector), and the bound leaves 15 % over that. Rendering the plan, the
+// rewritten SQL and a second cache key on every read costs 45 more, which
+// the bound catches. An EXPLAIN spelled differently
+// from the cached statement plans fresh, and a native result has no
+// rewritten text.
+func TestUncachedDeriveAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MemoryBudgetBytes, opts.PageCacheBytes = -1, -1
+	e := New(opts)
+	defer e.Close()
+	loadSeq(t, e, 200, func(i int) int64 { return int64(i % 17) })
+	mustExec(t, e, `CREATE MATERIALIZED VIEW mv AS
+	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM seq`)
+	query := func(i int) string {
+		return `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) AS w` +
+			strconv.Itoa(i) + ` FROM seq`
+	}
+	i := 0
+	const maxAllocs = 82
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		res, err := e.Exec(query(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Derivation == nil || res.CacheHit || len(res.Rows) != 200 {
+			t.Fatalf("statement %d: derived=%v hit=%v rows=%d", i, res.Derivation != nil, res.CacheHit, len(res.Rows))
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("an uncached derived read allocates %.0f times, want <= %d", allocs, maxAllocs)
+	}
+
+	q := query(0)
+	miss := mustExec(t, e, q)
+	if hit := mustExec(t, e, q); !hit.CacheHit || hit.Rewritten() == "" || hit.Rewritten() != miss.Rewritten() {
+		t.Fatalf("rewritten text on the miss %q and the hit %q (hit=%v)", miss.Rewritten(), hit.Rewritten(), hit.CacheHit)
+	}
+	if plan := mustExec(t, e, "EXPLAIN "+q).Plan; !strings.Contains(plan, "-- plan cache: hit") {
+		t.Fatalf("EXPLAIN of the statement as written does not find its entry:\n%s", plan)
+	}
+	respaced := strings.Replace(q, " FROM", "  FROM", 1)
+	if plan := mustExec(t, e, "EXPLAIN "+respaced).Plan; strings.Contains(plan, "plan cache") || !strings.Contains(plan, "Derive view=mv") {
+		t.Fatalf("EXPLAIN spelled differently from the cached statement did not plan fresh:\n%s", plan)
+	}
+	for range 2 { // the miss, then the hit
+		if res := mustExec(t, e, `SELECT pos, val FROM seq`); res.Derivation != nil || res.Rewritten() != "" {
+			t.Fatalf("native statement: rewritten %q (hit=%v)", res.Rewritten(), res.CacheHit)
+		}
+	}
+}

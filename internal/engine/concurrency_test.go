@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -92,6 +93,12 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 						errc <- fmt.Errorf("reader %d: inconsistent read: %v", r, err)
 						return
 					}
+				}
+				// Hits of one entry share its rewritten text, set by
+				// whichever reader asks first.
+				if res.Derivation != nil && !strings.Contains(res.Rewritten(), " FROM mv ") {
+					errc <- fmt.Errorf("reader %d: rewritten %q", r, res.Rewritten())
+					return
 				}
 			}
 		}(r)

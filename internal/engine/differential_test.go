@@ -258,8 +258,8 @@ func TestDifferentialCumulative(t *testing.T) {
 		if res.Derivation == nil {
 			t.Fatalf("trial %d: cumulative derivation did not fire", trial)
 		}
-		if !strings.Contains(res.Rewritten, "cumv") {
-			t.Fatalf("trial %d: rewrite does not reference the view: %s", trial, res.Rewritten)
+		if !strings.Contains(res.Rewritten(), "cumv") {
+			t.Fatalf("trial %d: rewrite does not reference the view: %s", trial, res.Rewritten())
 		}
 		got := rowsToPairs(t, res.Rows)
 		for k, v := range ref {

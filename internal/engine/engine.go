@@ -155,9 +155,6 @@ type Result struct {
 	Affected int
 	// Plan carries the EXPLAIN rendering when requested.
 	Plan string
-	// Rewritten is the derivation's plan node as text (DERIVE … FROM view
-	// … BY algorithm), non-empty exactly when Derivation is set.
-	Rewritten string
 	// Derivation records a §4/§5 view-derivation rewrite, when one fired.
 	Derivation *rewrite.Derivation
 	// Analyzed carries the annotated operator tree (per-node row counts and
@@ -174,11 +171,8 @@ type Result struct {
 	// skipWhy says why; EXPLAIN prints both, and the plan cache drops the
 	// plan once the view is fresh.
 	skipped, skipWhy string
-	// planText is the uninstrumented plan rendering captured at plan time,
-	// retained by the plan cache so EXPLAIN can replay it on a hit.
-	planText string
 	// cached is the cache entry whose stored rows this result returns, so
-	// Encoded can memoize beside them; nil for executed results.
+	// Encoded and Rewritten memoize beside them; nil for executed results.
 	cached *cachedPlan
 }
 
@@ -307,7 +301,7 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 			return r, err
 		})
 		if err == nil && ent != nil {
-			e.putPlan(sql, stmt, ent)
+			e.plans.Put(sql, ent)
 		}
 		return res, err
 	}
@@ -695,7 +689,6 @@ func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement,
 	res := &Result{skipped: skipped, skipWhy: why}
 	if d != nil {
 		res.Derivation = d
-		res.Rewritten = d.Plan.String()
 		stmt = d.Plan
 	} else {
 		// A materialized view queried by name must answer at the snapshot as
@@ -714,9 +707,6 @@ func (e *Engine) planSelect(ctx context.Context, stmt sqlparser.SelectStatement,
 		return nil, nil, err
 	}
 	res.execStmt = stmt
-	// Captured before any instrumentation so the plan cache can replay a
-	// clean EXPLAIN rendering on later hits.
-	res.planText = exec.FormatPlan(op)
 	return op, res, nil
 }
 
@@ -773,17 +763,23 @@ func (e *Engine) explain(ctx context.Context, s *sqlparser.Explain, cfg execConf
 		}
 		return planResult(res, res.Analyzed), nil
 	}
-	// Plain EXPLAIN outside a transaction replays a valid cached plan's
-	// rendering when one exists — the annotation a user sees must match the
-	// plan that will actually run. The cache holds auto-commit plans only: a
-	// transaction's statement is planned at its own snapshot.
+	// Plain EXPLAIN outside a transaction plans a valid cache entry's
+	// statement, as a hit would, when the statement as written has one. The
+	// cache holds auto-commit plans only: a transaction's statement is
+	// planned at its own snapshot.
+	var op exec.Operator
+	var res *Result
+	var err error
+	var ent *cachedPlan
 	if cfg.tx == nil {
-		if ent, hit := e.plans.Get(sel.String()); hit && e.planValid(ent) && ent.planText != "" {
-			res := &Result{Derivation: ent.derivation, Rewritten: ent.rewrittenSQL, skipped: ent.skipped, skipWhy: ent.skipWhy, CacheHit: true}
-			return planResult(res, e.annotationHeader(res)+ent.planText), nil
-		}
+		ent, _ = e.plans.Get(s.Source)
 	}
-	op, res, err := e.planSelect(ctx, sel, cfg)
+	if ent != nil && e.planValid(ent) {
+		res = &Result{Derivation: ent.derivation, skipped: ent.skipped, skipWhy: ent.skipWhy, CacheHit: true}
+		op, err = e.planPhysical(ctx, ent.exec, cfg)
+	} else {
+		op, res, err = e.planSelect(ctx, sel, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -398,8 +398,8 @@ func TestAvgDerivationThroughSQL(t *testing.T) {
 		t.Fatal("AVG should derive from the SUM view")
 	}
 	if !strings.Contains(rd.Analyzed, "Derive view=vsum") || strings.Count(rd.Analyzed, "SeqScan") != 1 ||
-		strings.Contains(rd.Analyzed, "Join") || strings.Contains(rd.Rewritten, "/") ||
-		rd.Rewritten != "DERIVE pos, w AS AVG (3,2) FROM vsum (2,1) BY MinOA" {
+		strings.Contains(rd.Analyzed, "Join") || strings.Contains(rd.Rewritten(), "/") ||
+		rd.Rewritten() != "DERIVE pos, w AS AVG (3,2) FROM vsum (2,1) BY MinOA" {
 		t.Fatalf("AVG is not one Derive over vsum:\n%s", rd.Analyzed)
 	}
 	want, err := core.ComputeNaive(raw, core.Sliding(3, 2), core.Avg)

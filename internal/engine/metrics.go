@@ -248,8 +248,8 @@ func (e *Engine) annotationHeader(res *Result) string {
 	if res.skipped != "" {
 		fmt.Fprintf(&b, "-- view %s skipped: %s\n", res.skipped, res.skipWhy)
 	}
-	if res.Rewritten != "" {
-		b.WriteString("-- rewritten: " + res.Rewritten + "\n")
+	if res.Derivation != nil {
+		b.WriteString("-- rewritten: " + res.Rewritten() + "\n")
 	}
 	if res.CacheHit {
 		b.WriteString("-- plan cache: hit\n")

@@ -212,8 +212,8 @@ func TestPartitionedCumulativeDerivation(t *testing.T) {
 		q := `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ` + frame + `) AS w FROM pseq`
 		res := mustExec(t, e, q)
 		checkDerivedAgainstNative(t, e, res, q, frame)
-		if want := "pcum cumulative BY "; !strings.Contains(res.Rewritten, want) {
-			t.Fatalf("%s: rewritten %q, want a derivation from pcum", frame, res.Rewritten)
+		if want := "pcum cumulative BY "; !strings.Contains(res.Rewritten(), want) {
+			t.Fatalf("%s: rewritten %q, want a derivation from pcum", frame, res.Rewritten())
 		}
 	}
 }

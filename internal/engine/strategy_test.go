@@ -17,22 +17,20 @@ import (
 // runs it as written.
 
 // execSelfJoin answers the window query sql by its Fig. 2 self-join
-// simulation; Result.Rewritten carries the simulation's SQL.
+// simulation.
 func execSelfJoin(t *testing.T, e *Engine, sql string) *Result {
 	t.Helper()
 	sj, err := rewrite.SelfJoin(parseSelect(t, sql))
 	if err != nil {
 		t.Fatalf("self join of %q: %v", sql, err)
 	}
-	res := execStmt(t, e, sj)
-	res.Rewritten = sj.String()
-	return res
+	return execStmt(t, e, sj)
 }
 
 // execDerived answers the window query sql by the derivation the engine
 // would run, rendered as the paper's SQL under the forced strategy and form
 // (rewrite.Pattern) over a base of n rows, and run as written;
-// Result.Derivation and Result.Rewritten describe the rendering. Where no
+// Result.Derivation records the derivation rendered. Where no
 // fresh view applies, or no pattern renders the derivation under the forced
 // strategy, e answers sql its own way and Result.Derivation is nil.
 func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy, form rewrite.Form, n int) *Result {
@@ -41,12 +39,12 @@ func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy,
 	if d := rewrite.Derive(e.Cat, sel); d != nil && !slices.ContainsFunc(e.viewsRead(d.Plan), e.Views.Stale) {
 		if stmt, err := rewrite.Pattern(d, strategy, form, n); err == nil {
 			res := execStmt(t, e, stmt)
-			res.Derivation, res.Rewritten = d, stmt.String()
+			res.Derivation = d
 			return res
 		}
 	}
 	res := execStmt(t, e, sel)
-	res.Derivation, res.Rewritten = nil, ""
+	res.Derivation = nil
 	return res
 }
 

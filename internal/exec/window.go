@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"rfview/internal/expr"
 	"rfview/internal/spill"
@@ -1094,8 +1095,7 @@ const maxPooledScratchBytes = 256 << 10
 // putPartScratch returns scratch to the pool, or drops it when a budget is
 // in force and it grew past the pooled ceiling.
 func (w *Window) putPartScratch(ps *partScratch) {
-	const datumMemSize = 40
-	if w.Spill.Enabled() && (int64(cap(ps.out))*datumMemSize > maxPooledScratchBytes ||
+	if w.Spill.Enabled() && (int64(cap(ps.out))*int64(unsafe.Sizeof(sqltypes.Datum{})) > maxPooledScratchBytes ||
 		int64(cap(ps.sort.buf)) > maxPooledScratchBytes) {
 		return
 	}

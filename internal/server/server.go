@@ -315,7 +315,7 @@ func (s *Server) dispatch(sess *Session, req *Request) Response {
 			break
 		}
 		resp.OK = true
-		resp.Rewritten = res.Rewritten
+		resp.Rewritten = res.Rewritten()
 		if req.Op == "explain" {
 			resp.Affected = res.Affected
 			resp.Plan = res.Plan

@@ -302,6 +302,47 @@ func TestServerCachedAnswerConcurrent(t *testing.T) {
 	}
 }
 
+// TestServerRewrittenOnHit: a derived statement's response names its
+// derivation the same on the miss, on the hit that renders the text into the
+// cache entry and on the hits that reuse it; a native statement's carries
+// none either way.
+func TestServerRewrittenOnHit(t *testing.T) {
+	_, e, addr, _ := startServer(t)
+	if _, err := e.ExecAll(`CREATE TABLE seq (pos INTEGER, val INTEGER);
+	  INSERT INTO seq (pos, val) VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5);
+	  CREATE MATERIALIZED VIEW mv AS
+	    SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq;`); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct{ sql, want string }{
+		{`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS w FROM seq`, "FROM mv (1,1) BY"},
+		{`SELECT pos, val FROM seq`, ""},
+	} {
+		var first string
+		for i := 0; i < 3; i++ {
+			hits := e.PlanCacheStats().Hits
+			res, err := c.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := e.PlanCacheStats().Hits > hits; hit != (i > 0) {
+				t.Fatalf("%s run %d: cache hit %v", tc.sql, i, hit)
+			}
+			if i == 0 {
+				first = res.Rewritten
+			}
+			if res.Rewritten != first || !strings.Contains(res.Rewritten, tc.want) || (tc.want == "") != (res.Rewritten == "") {
+				t.Fatalf("%s run %d: rewritten %q, first %q, want it to hold %q", tc.sql, i, res.Rewritten, first, tc.want)
+			}
+		}
+	}
+}
+
 // TestServerGracefulShutdown: Shutdown answers the in-flight request, then
 // closes; Serve returns ErrServerClosed and new dials are refused.
 func TestServerGracefulShutdown(t *testing.T) {

@@ -156,10 +156,13 @@ func (s *Rollback) String() string { return "ROLLBACK" }
 
 // Explain wraps a statement to request its plan. With Analyze set the
 // statement is actually executed and the plan is annotated with per-operator
-// row counts and wall time.
+// row counts and wall time. Source is the inner statement's text as written
+// (empty when the node was built rather than parsed): the key its plan is
+// cached under when it runs on its own.
 type Explain struct {
 	Stmt    Statement
 	Analyze bool
+	Source  string
 }
 
 func (*Explain) stmt() {}

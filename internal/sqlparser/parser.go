@@ -172,11 +172,13 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case p.atKeyword("EXPLAIN"):
 		p.advance()
 		analyze := p.acceptKeyword("ANALYZE")
+		start := p.peek().pos
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		return &Explain{Stmt: inner, Analyze: analyze}, nil
+		src := strings.TrimSpace(p.lex.src[start:p.peek().pos])
+		return &Explain{Stmt: inner, Analyze: analyze, Source: src}, nil
 	case p.atKeyword("CREATE"):
 		return p.parseCreate()
 	case p.atKeyword("DROP"):

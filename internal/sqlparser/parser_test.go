@@ -390,6 +390,16 @@ func TestParseExplain(t *testing.T) {
 	if _, ok := ex.Stmt.(*Select); !ok {
 		t.Error("explain misparsed")
 	}
+	// Source is the inner statement as written, up to its terminator.
+	stmts, err := ParseAll("EXPLAIN ANALYZE  select *\n FROM t -- note\n; EXPLAIN SELECT 1 FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"select *\n FROM t -- note", "SELECT 1 FROM t"} {
+		if got := stmts[i].(*Explain).Source; got != want {
+			t.Errorf("statement %d: Source = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestParseMultipleStatements(t *testing.T) {

@@ -44,7 +44,8 @@ type DB struct {
 // Options re-exports the engine configuration.
 type Options = engine.Options
 
-// Result re-exports statement results.
+// Result re-exports statement results. Its Rewritten method renders a
+// derivation's DERIVE node as text when called.
 type Result = engine.Result
 
 // Datum and Row re-export the value system used in results.

@@ -2,6 +2,7 @@ package rfview_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rfview"
@@ -25,6 +26,9 @@ func TestFacadeSQL(t *testing.T) {
 	}
 	if res.Derivation == nil {
 		t.Fatal("expected the view to answer the query")
+	}
+	if got := res.Rewritten(); !strings.HasPrefix(got, "DERIVE pos, w AS SUM (2,1) FROM mv (1,1) BY ") {
+		t.Fatalf("Rewritten() = %q", got)
 	}
 	want := []int64{3, 6, 10, 14, 12}
 	for i, r := range res.Rows {
