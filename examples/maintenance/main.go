@@ -1,8 +1,8 @@
 // Incremental maintenance: the §2.3 rules in action. A materialized
 // reporting-function view absorbs a stream of base-table changes — value
-// updates, appends, suffix deletes through plain SQL DML, and the paper's
-// positional shift-insert/shift-delete through the view manager — while
-// every derived query stays correct. The example also shows the locality the
+// updates, appends, suffix deletes, and the paper's positional
+// shift-insert/shift-delete, all as plain SQL DML — while every derived
+// query stays correct. The example also shows the locality the
 // paper argues for: an update touches only l+h+1 view positions.
 //
 // Run with: go run ./examples/maintenance
@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"rfview"
-	"rfview/internal/txn"
 )
 
 func main() {
@@ -65,24 +64,27 @@ func main() {
 
 	// 4. The paper's positional operations: insert a value *into the middle*
 	//    of the sequence (everything right of it shifts) and delete one.
-	//    SQL DML cannot express this while keeping positions dense, so the
-	//    view manager applies the §2.3 insert/delete rules and renumbers the
-	//    base table in the same step. Each shift is one transaction: its
+	//    Each is one transaction of two statements — renumber the suffix by
+	//    ±1, then insert into (or, first, delete from) the gap it opens or
+	//    closes — which the view folds at commit as one §2.3 shift. The
 	//    commit publishes the renumbered base and the patched view at one
 	//    epoch, so no reader sees one without the other.
-	eng := db.Engine()
-	shift := func(op func(*txn.Txn) error) {
-		tx := eng.BeginTxn()
-		if err := op(tx); err != nil {
-			eng.RollbackTxn(tx)
-			log.Fatal(err)
+	sess := db.Engine().NewSession()
+	defer sess.Close()
+	for _, shift := range [][]string{
+		{`UPDATE seq SET pos = pos + 1 WHERE pos >= 500`, `INSERT INTO seq VALUES (500, 12345)`},
+		{`DELETE FROM seq WHERE pos = 1200`, `UPDATE seq SET pos = pos - 1 WHERE pos > 1200`},
+	} {
+		for _, sql := range append(append([]string{"BEGIN"}, shift...), "COMMIT") {
+			if _, err := sess.ExecContext(ctx, sql); err != nil {
+				log.Fatal(err)
+			}
 		}
-		if err := eng.CommitTxn(tx); err != nil {
-			log.Fatal(err)
+		if mgr.Stale("mv") {
+			_, why := mgr.StaleInfo("mv")
+			log.Fatalf("the shift %q left the view stale: %s", shift, why)
 		}
 	}
-	shift(func(tx *txn.Txn) error { return mgr.ShiftInsert(tx, "mv", 500, 12345) })
-	shift(func(tx *txn.Txn) error { return mgr.ShiftDelete(tx, "mv", 1200) })
 	fmt.Printf("positional shift insert@500 + delete@1200 → view fresh: %v\n", !mgr.Stale("mv"))
 	verify(ctx, db, "after positional shifts")
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"rfview/internal/sqltypes"
@@ -80,44 +79,14 @@ func decodeCommitRecord(sql string) ([]txn.Delta, error) {
 	return out, nil
 }
 
-// datumIdentical is bit-exact equality: the replay locator must match the
-// logged before-image byte for byte, not by SQL comparison semantics (which
-// would conflate 1 and 1.0, or error on cross-type rows).
-func datumIdentical(a, b sqltypes.Datum) bool {
-	if a.Typ() != b.Typ() {
-		return false
-	}
-	switch a.Typ() {
-	case sqltypes.Null:
-		return true
-	case sqltypes.Float:
-		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case sqltypes.String:
-		return a.Str() == b.Str()
-	default:
-		return a.Int() == b.Int()
-	}
-}
-
-func rowIdentical(a, b sqltypes.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !datumIdentical(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ApplyCommitRecord re-applies one logged commit record during recovery. The
 // record's deltas replay inside a fresh internal transaction — committed as
 // a unit, exactly like the original — with view maintenance folding in at
 // commit just as it did the first time. Updates and deletes locate their
 // target rows by before-image (row ids do not survive a snapshot/replay
-// cycle); the locate scan runs at the transaction's own write view so later
-// deltas in the same record see earlier ones.
+// cycle), each delta's in one scan at the transaction's own write view so
+// later deltas in the same record see earlier ones; an update then replays
+// as the one statement it was.
 func (e *Engine) ApplyCommitRecord(sql string) error {
 	deltas, err := decodeCommitRecord(sql)
 	if err != nil {
@@ -129,58 +98,66 @@ func (e *Engine) ApplyCommitRecord(sql string) error {
 	fail := func(err error) error {
 		tx.Abort()
 		e.txnRollbacks.Add(1)
-		return err
+		return fmt.Errorf("replay commit record: %w", err)
 	}
 	for _, d := range deltas {
 		tbl, err := e.Cat.Table(d.Table)
 		if err != nil {
-			return fail(fmt.Errorf("replay commit record: %w", err))
-		}
-		locate := func(image sqltypes.Row) (uint64, bool) {
-			var id uint64
-			found := false
-			// A heap IO failure here reads as "not found"; the caller turns
-			// that into a replay error, which is the right failure mode.
-			_ = tbl.Heap.ScanAt(tbl.Heap.WriteView(tx), func(rid storage.RowID, row sqltypes.Row) bool {
-				if rowIdentical(row, image) {
-					id, found = uint64(rid), true
-					return false
-				}
-				return true
-			})
-			return id, found
+			return fail(err)
 		}
 		switch d.Kind {
 		case txn.DeltaInsert:
 			for _, row := range d.Rows {
 				if _, err := tbl.Heap.InsertTx(tx, row); err != nil {
-					return fail(fmt.Errorf("replay commit record: %w", err))
+					return fail(err)
 				}
 			}
 		case txn.DeltaUpdate:
-			for i, before := range d.Before {
-				id, ok := locate(before)
-				if !ok {
-					return fail(fmt.Errorf("replay commit record: %s: update target row not found", d.Table))
-				}
-				if _, err := tbl.Heap.UpdateTx(tx, storage.RowID(id), d.After[i]); err != nil {
-					return fail(fmt.Errorf("replay commit record: %w", err))
-				}
+			ids, err := locate(tbl.Heap, tx, d.Before)
+			if err == nil {
+				_, err = tbl.Heap.UpdateRowsTx(tx, ids, d.After)
+			}
+			if err != nil {
+				return fail(fmt.Errorf("%s: update: %w", d.Table, err))
 			}
 		case txn.DeltaDelete:
-			for _, image := range d.Rows {
-				id, ok := locate(image)
-				if !ok {
-					return fail(fmt.Errorf("replay commit record: %s: delete target row not found", d.Table))
-				}
-				if err := tbl.Heap.DeleteTx(tx, storage.RowID(id)); err != nil {
-					return fail(fmt.Errorf("replay commit record: %w", err))
-				}
+			ids, err := locate(tbl.Heap, tx, d.Rows)
+			for i := 0; err == nil && i < len(ids); i++ {
+				err = tbl.Heap.DeleteTx(tx, ids[i])
+			}
+			if err != nil {
+				return fail(fmt.Errorf("%s: delete: %w", d.Table, err))
 			}
 		default:
-			return fail(fmt.Errorf("replay commit record: unknown delta kind %d", d.Kind))
+			return fail(fmt.Errorf("unknown delta kind %d", d.Kind))
 		}
 		tx.AddDelta(d)
 	}
 	return e.commitTxnLocked(tx, false, nil)
+}
+
+// locate finds the rows of images in one scan of t at tx's write view:
+// ids[i] is a row bit-identical to images[i] — equal encodings, so 1 and
+// 1.0 differ and NaN matches itself — and identical images find distinct
+// rows.
+func locate(t *storage.Table, tx *txn.Txn, images []sqltypes.Row) ([]storage.RowID, error) {
+	want := make(map[string][]int, len(images)) // encoding → images not yet found
+	var buf []byte
+	for i, img := range images {
+		buf = sqltypes.EncodeRowData(buf[:0], img)
+		want[string(buf)] = append(want[string(buf)], i)
+	}
+	ids, left := make([]storage.RowID, len(images)), len(images)
+	err := t.ScanAt(t.WriteView(tx), func(id storage.RowID, row sqltypes.Row) bool {
+		buf = sqltypes.EncodeRowData(buf[:0], row)
+		if is := want[string(buf)]; len(is) > 0 {
+			ids[is[0]], want[string(buf)] = id, is[1:]
+			left--
+		}
+		return left > 0
+	})
+	if err == nil && left > 0 {
+		err = fmt.Errorf("%d of %d target rows not found", left, len(images))
+	}
+	return ids, err
 }

@@ -921,11 +921,8 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 		setters[i] = setter{ord: ord, ex: ex}
 	}
 
-	type change struct {
-		id            storage.RowID
-		before, after sqltypes.Row
-	}
-	var changes []change
+	var ids []storage.RowID
+	var befores, afters []sqltypes.Row
 	var evalErr error
 	visit := func(id storage.RowID, row sqltypes.Row) bool {
 		if where != nil {
@@ -952,7 +949,7 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 			}
 			after[st.ord] = cv
 		}
-		changes = append(changes, change{id: id, before: row, after: after})
+		ids, befores, afters = append(ids, id), append(befores, row), append(afters, after)
 		return true
 	}
 	// Point updates (WHERE col = literal with an index) probe instead of
@@ -969,19 +966,14 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	befores := make([]sqltypes.Row, len(changes))
-	afters := make([]sqltypes.Row, len(changes))
-	for i, c := range changes {
-		if _, err := tbl.Heap.UpdateTx(tx, c.id, c.after); err != nil {
-			return nil, err
-		}
-		befores[i] = c.before
-		afters[i] = c.after
+	if len(ids) == 0 {
+		return &Result{}, nil
 	}
-	if len(changes) > 0 {
-		tx.AddDelta(txn.Delta{Table: tbl.Name, Kind: txn.DeltaUpdate, Cols: tbl.ColumnNames(), Before: befores, After: afters})
+	if _, err := tbl.Heap.UpdateRowsTx(tx, ids, afters); err != nil {
+		return nil, err
 	}
-	return &Result{Affected: len(changes)}, nil
+	tx.AddDelta(txn.Delta{Table: tbl.Name, Kind: txn.DeltaUpdate, Cols: tbl.ColumnNames(), Before: befores, After: afters})
+	return &Result{Affected: len(ids)}, nil
 }
 
 func (e *Engine) execDelete(s *sqlparser.Delete, cfg execConfig) (*Result, error) {

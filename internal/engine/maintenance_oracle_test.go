@@ -20,7 +20,9 @@ import (
 // equal to the paper's definition of it. Each trial builds ONE engine over a
 // base table and a materialized window view, and a shadow copy of the base
 // values per partition key. A random DML stream (skewed value updates,
-// appends, tail deletes, partition births and deaths) is applied to both;
+// appends, tail deletes, partition births and deaths, and §2.3 positional
+// shifts — a ±1 renumbering of a partition's suffix with the insert or
+// delete at k, one transaction each) is applied to both;
 // after every step the view's backing rows must be bit-identical to
 // core.ComputeNaive over the shadow sequence — header and trailer included —
 // and a window query answered under one of six evaluation strategies must
@@ -33,7 +35,9 @@ import (
 // keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
 // is a maintenance bug. Chaos trials end with a density-breaking statement,
 // which must leave the view stale until REFRESH, and then check that
-// maintenance resumes from the refreshed state.
+// maintenance resumes from the refreshed state. Two trials in three index the
+// base's positions uniquely; the rest leave it without an index, which is
+// where a chaos step may renumber only part of a suffix.
 
 // oracleConfig is one evaluation strategy the comparison queries run under:
 // the options of the trial's engine, and how the window query is put to it
@@ -165,28 +169,57 @@ func (m *oracleModel) step(rng *rand.Rand) string {
 	}
 }
 
-// chaos emits a density-breaking statement — a middle delete, an insert
-// past the end, or, one roll in three while the partition keyed by the
-// string 'NULL' lives, the move of its last row to the NULL key — plus the
-// repair that restores density afterwards, and applies their net effect to
-// the shadow. kind names the break. The break must stale the view; the
-// repair lets REFRESH rebuild from a dense base.
-func (m *oracleModel) chaos(rng *rand.Rand) (kind, broken, repair string) {
+// shift emits a positional shift (§2.3) as the statements of one
+// transaction — the +1 renumbering of k…n_p and the insert at k, or the
+// delete at k and the −1 renumbering of k+1…n_p — and applies it to the
+// shadow. kind names it.
+func (m *oracleModel) shift(rng *rand.Rand) (kind string, stmts []string) {
+	key := m.pickKey(rng)
+	n := len(m.vals[key])
+	if n >= 2 && m.deletable(key) && rng.Intn(2) == 0 {
+		k := 1 + rng.Intn(n-1)
+		m.vals[key] = slices.Delete(m.vals[key], k-1, k)
+		return "shift delete", []string{m.deleteSQL(key, k), m.renumberSQL(key, k+1, 0, -1)}
+	}
+	k, val := 1+rng.Intn(n), rng.Intn(100)-50
+	m.vals[key] = slices.Insert(m.vals[key], k-1, val)
+	return "shift insert", []string{m.renumberSQL(key, k, 0, +1), m.insertSQL(key, k, val)}
+}
+
+// chaos emits a density-breaking transaction — a middle delete, an insert
+// past the end, one roll in three while the partition keyed by the string
+// 'NULL' lives the move of its last row to the NULL key, or, on a base
+// without an index, a shift insert whose renumbering stops short of the
+// partition's end — plus the repair that restores density afterwards, and
+// applies their net effect to the shadow. kind names the break. The break
+// must stale the view; the repair lets REFRESH rebuild from a dense base.
+func (m *oracleModel) chaos(rng *rand.Rand, indexed bool) (kind string, broken, repair []string) {
 	key := m.pickKey(rng)
 	val := rng.Intn(100) - 50
+	if n := len(m.vals[key]); !indexed && n >= 2 {
+		// Renumber k…m only, leaving m+1 twice; the repair deletes both rows
+		// there, renumbers the rest and puts them back, as the full shift.
+		k := 1 + rng.Intn(n-1)
+		last := k + rng.Intn(n-k)
+		old := slices.Clone(m.vals[key])
+		m.vals[key] = slices.Insert(m.vals[key], k-1, val)
+		return "partial renumber", []string{m.renumberSQL(key, k, last, +1), m.insertSQL(key, k, val)},
+			[]string{m.deleteSQL(key, last+1), m.renumberSQL(key, last+2, 0, +1),
+				m.insertSQL(key, last+1, old[last-1]), m.insertSQL(key, last+2, old[last])}
+	}
 	roll := rng.Intn(3)
 	if roll == 0 && slices.Contains(m.keys, "NULL") {
 		n := len(m.vals["NULL"])
-		return "key to NULL", fmt.Sprintf(`UPDATE pt SET grp = NULL WHERE grp = 'NULL' AND pos = %d`, n),
-			fmt.Sprintf(`UPDATE pt SET grp = 'NULL' WHERE grp IS NULL AND pos = %d`, n)
+		return "key to NULL", []string{fmt.Sprintf(`UPDATE pt SET grp = NULL WHERE grp = 'NULL' AND pos = %d`, n)},
+			[]string{fmt.Sprintf(`UPDATE pt SET grp = 'NULL' WHERE grp IS NULL AND pos = %d`, n)}
 	}
 	if n := len(m.vals[key]); roll == 1 && n >= 4 {
 		pos := n / 2 // middle delete, then put a row back at the gap
 		m.vals[key][pos-1] = val
-		return "middle delete", m.deleteSQL(key, pos), m.insertSQL(key, pos, val)
+		return "middle delete", []string{m.deleteSQL(key, pos)}, []string{m.insertSQL(key, pos, val)}
 	}
 	pos := len(m.vals[key]) + 5 // gap insert, then remove the orphan
-	return "gap insert", m.insertSQL(key, pos, val), m.deleteSQL(key, pos)
+	return "gap insert", []string{m.insertSQL(key, pos, val)}, []string{m.deleteSQL(key, pos)}
 }
 
 func (m *oracleModel) deletable(key string) bool {
@@ -215,6 +248,22 @@ func (m *oracleModel) updateSQL(key string, pos, val int) string {
 		return fmt.Sprintf(`UPDATE pt SET val = %d WHERE grp = '%s' AND pos = %d`, val, key, pos)
 	}
 	return fmt.Sprintf(`UPDATE seq SET val = %d WHERE pos = %d`, val, pos)
+}
+
+// renumberSQL moves positions from…to (to 0: the partition's end) by step.
+func (m *oracleModel) renumberSQL(key string, from, to, step int) string {
+	where := fmt.Sprintf("pos >= %d", from)
+	if to > 0 {
+		where += fmt.Sprintf(" AND pos <= %d", to)
+	}
+	if m.partitioned {
+		where = fmt.Sprintf("grp = '%s' AND %s", key, where)
+	}
+	op := "+"
+	if step < 0 {
+		op, step = "-", -step
+	}
+	return fmt.Sprintf(`UPDATE %s SET pos = pos %s %d WHERE %s`, m.table(), op, step, where)
 }
 
 func (m *oracleModel) deleteSQL(key string, pos int) string {
@@ -339,18 +388,18 @@ func TestMaintenanceOracle(t *testing.T) { runMaintenanceOracle(t, false) }
 
 // TestMaintenanceOracleTxn re-runs the oracle with the DML stream applied
 // through multi-statement transactions: statements are chunked into
-// BEGIN..COMMIT blocks, every so often a chunk is first run and ROLLED BACK
-// (which must leave the view exactly where the model was) before being
-// applied for real, and a concurrent reader hammers the window query while
-// the writer's transactions are open. Inside every transaction the window
-// query derives at the snapshot exactly as the served path would before the
-// first write, never after one, and answers the model of its own writes.
-// Under -race this is also the proof that lock-free snapshot reads and
-// transactional maintenance don't race. Halfway through each stream a second
-// session opens a transaction and reads the window query and the view; it
-// holds that snapshot across the rest of the stream — across the
-// reclamation its commits run — and must read both answers again at the
-// end.
+// BEGIN..COMMIT blocks — a shift's two among the others, so one commit folds
+// it with other changes of its partition — every so often a chunk is first
+// run and ROLLED BACK (which must leave the view exactly where the model was)
+// before being applied for real, and a concurrent reader hammers the window
+// query while the writer's transactions are open. Inside every transaction
+// the window query derives at the snapshot exactly as the served path would
+// before the first write, never after one, and answers the model of its own
+// writes. Under -race this is also the proof that lock-free snapshot reads
+// and transactional maintenance don't race. Halfway through each stream a
+// second session opens a transaction and reads the window query and the view;
+// it holds that snapshot across the rest of the stream — across the
+// reclamation its commits run — and must read both answers again at the end.
 func TestMaintenanceOracleTxn(t *testing.T) { runMaintenanceOracle(t, true) }
 
 func runMaintenanceOracle(t *testing.T, useTxns bool) {
@@ -413,6 +462,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			queryCumulative = cumulative && rng.Intn(2) == 0
 		}
 		chaosTrial := rng.Intn(5) == 0
+		indexed := trial%3 != 0
 		for name, hit := range map[string]bool{
 			"partitioned AVG":        partitioned && agg == "AVG",
 			"partitioned cumulative": partitioned && cumulative,
@@ -444,8 +494,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe)
 			backingQ = `SELECT pos, val FROM mv`
 		}
-		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v",
-			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial)
+		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v",
+			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed)
 
 		model := &oracleModel{partitioned: partitioned, vals: map[string][]int{}}
 		seedVals := func(key string, n int) {
@@ -467,10 +517,14 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		e := New(opts)
 		if partitioned {
 			mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
-			mustExec(t, e, `CREATE UNIQUE INDEX pt_pk ON pt (grp, pos)`)
+			if indexed {
+				mustExec(t, e, `CREATE UNIQUE INDEX pt_pk ON pt (grp, pos)`)
+			}
 		} else {
 			mustExec(t, e, `CREATE TABLE seq (pos INTEGER, val INTEGER)`)
-			mustExec(t, e, `CREATE UNIQUE INDEX seq_pk ON seq (pos)`)
+			if indexed {
+				mustExec(t, e, `CREATE UNIQUE INDEX seq_pk ON seq (pos)`)
+			}
 		}
 		mustExec(t, e, model.loadSQL())
 		mustExec(t, e, viewDDL)
@@ -528,8 +582,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		// snapshot, and answers the model before the chunk (prev). After a
 		// write it must not derive — the view holds the transaction's own
 		// writes only once it commits — and answers the model with the
-		// chunk's writes so far (afters; nil while a chaos step's gap is open,
-		// when only success is asserted).
+		// chunk's writes so far (afters, or one of them, nil while a gap is
+		// open, when only success is asserted).
 		sess := e.NewSession()
 		inTxn := func(prev *oracleModel, stmts []string, afters []*oracleModel) {
 			t.Helper()
@@ -547,17 +601,18 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				if res.Derivation != nil {
 					t.Fatalf("%s: after %s inside the transaction the window query derived from the view", ctx, sql)
 				}
-				if afters != nil {
+				if afters != nil && afters[i] != nil {
 					answers(afters[i], res, "inside the transaction after "+sql)
 				}
 			}
 		}
 
-		// apply runs one step's statements: directly, or as one transaction
-		// — sometimes preceded by a dry run that is rolled back.
-		apply := func(prev *oracleModel, stmts []string, afters []*oracleModel) {
+		// apply runs one step's statements: directly, unless they are atomic,
+		// or as one transaction — sometimes preceded by a dry run that is
+		// rolled back.
+		apply := func(prev *oracleModel, stmts []string, afters []*oracleModel, atomic bool) {
 			t.Helper()
-			if !useTxns {
+			if !useTxns && !atomic {
 				for _, sql := range stmts {
 					mustExec(t, e, sql)
 				}
@@ -620,11 +675,21 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 				prev := model.clone()
 				var stmts []string
 				var afters []*oracleModel
+				atomic := false // holds a shift, whose two statements open a gap and close it
 				for ; chunk > 0 && i < steps; chunk, i = chunk-1, i+1 {
+					if rng.Intn(6) == 0 {
+						kind, shift := model.shift(rng)
+						stmts, afters, atomic = append(stmts, shift...), append(afters, nil, model.clone()), true
+						drawn[kind]++
+						if partitioned {
+							drawn["partitioned "+kind]++
+						}
+						continue
+					}
 					stmts = append(stmts, model.step(rng))
 					afters = append(afters, model.clone())
 				}
-				apply(prev, stmts, afters)
+				apply(prev, stmts, afters, atomic)
 				check(model, fmt.Sprintf("%s step %d (%s)", when, i, stmts[len(stmts)-1]))
 			}
 		}
@@ -648,26 +713,29 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			// view or not (while the gap is open a ROWS frame and the paper's
 			// position frame are different windows, so only success is
 			// asserted there).
-			kind, broken, repair := model.chaos(rng)
+			kind, broken, repair := model.chaos(rng, indexed)
+			drawn["chaos "+kind]++
 			if partitioned {
 				drawn["chaos partitioned "+kind]++
 			}
-			for _, sql := range []string{broken, repair} {
-				apply(nil, []string{sql}, nil)
+			if agg == "COUNT" {
+				drawn["chaos COUNT "+kind]++
+			}
+			for i, stmts := range [][]string{broken, repair} {
+				apply(nil, stmts, nil, len(stmts) > 1)
 				if !e.Views.Stale("mv") {
-					t.Fatalf("%s: view is not stale after %s", ctx, sql)
+					t.Fatalf("%s: view is not stale after %q", ctx, stmts)
 				}
 				if _, err := e.Exec(backingQ); rferrors.CodeOf(err) != rferrors.CodeStaleView {
-					t.Fatalf("%s: reading the stale view after %s: got %v, want a stale_view error", ctx, sql, err)
+					t.Fatalf("%s: reading the stale view after %q: got %v, want a stale_view error", ctx, stmts, err)
 				}
 				res := cfg.query(t, e, q, len(model.vals[""]))
 				if res.Derivation != nil {
-					t.Fatalf("%s: after %s the window query derived from the stale view", ctx, sql)
+					t.Fatalf("%s: after %q the window query derived from the stale view", ctx, stmts)
 				}
-				if sql != repair {
-					continue
+				if i == 1 {
+					answers(model, res, "base-table window query while stale")
 				}
-				answers(model, res, "base-table window query while stale")
 			}
 			mustExec(t, e, `REFRESH MATERIALIZED VIEW mv`)
 			check(model, "after REFRESH")
@@ -684,7 +752,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		t.Fatal("no held snapshot outlived a reclamation — the oracle is not exercising the horizon")
 	}
 	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
+		"shift insert", "shift delete", "partitioned shift insert", "partitioned shift delete",
 		"chaos partitioned key to NULL", "chaos partitioned middle delete", "chaos partitioned gap insert",
+		"chaos partial renumber", "chaos partitioned partial renumber", "chaos COUNT partial renumber",
 		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served MinOA residue corner",
 		"served sliding from cumulative", "served partitioned sliding from cumulative",
 		"served one-row from sliding", "served one-row from cumulative",

@@ -3,23 +3,25 @@ package mview
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"rfview/internal/catalog"
 	"rfview/internal/core"
 	"rfview/internal/sqltypes"
-	"rfview/internal/storage"
 	"rfview/internal/txn"
 )
 
 // This file folds base-table DML into materialized sequence views using the
 // incremental rules of §2.3. Density-preserving changes patch only the
-// affected band of view rows; anything else marks the view stale. Fold runs
-// under the engine's exclusive lock and applies a commit's deltas inside the
-// commit itself, so readers never pay for freshness.
+// affected band of view rows, a positional shift written as SQL (a ±1
+// renumbering of a partition's suffix with the insert or delete that opens
+// or closes its gap, in one commit) patches the band and shifts the suffix;
+// anything else marks the view stale. Fold runs under the engine's
+// exclusive lock and applies a commit's deltas inside the commit itself, so
+// readers never pay for freshness.
 
 // Stats carries the maintenance counters, readable without the manager lock.
 type Stats struct {
@@ -50,31 +52,69 @@ func (m *Manager) Fold(tx *txn.Txn, deltas []txn.Delta) {
 		if sv.stale() {
 			continue
 		}
-		var changes []change
-		var ends []int // the end of each delta's changes
-		for _, d := range deltas {
-			if !strings.EqualFold(sv.mv.BaseTable, d.Table) {
-				continue
-			}
-			cs, why := sv.changes(d)
-			if why != "" {
-				m.markStale(sv, why)
-				break
-			}
-			changes = append(changes, cs...)
-			ends = append(ends, len(changes))
-		}
-		if !sv.stale() {
+		if changes, ends, why := sv.fold(deltas); why != "" {
+			m.markStale(sv, why)
+		} else {
 			m.foldChanges(tx, sv, changes, ends)
 		}
 	}
 }
 
 // change is one base row change in a view's terms: a §2.3 operation on one
-// partition.
+// partition. A renumbering moves the partition's positions op.K…last by
+// move (±1); fold makes it part of a shift, whose last is the partition's
+// n_p before the shift.
 type change struct {
-	part sqltypes.Datum
-	op   core.Op
+	part       sqltypes.Datum
+	op         core.Op
+	move, last int
+}
+
+// fold translates the deltas on the view's base table into its changes,
+// ends marking where each delta's end, or says why the §2.3 rules cannot
+// absorb them. A +1 renumbering of k…m and the insert at k after it are
+// one shift insert; a delete at k and the −1 renumbering of k+1…m after it
+// are one shift delete. Nothing else of the partition may come between.
+func (sv *seqView) fold(deltas []txn.Delta) (changes []change, ends []int, why string) {
+	open := map[sqltypes.Datum]change{} // +1 renumberings awaiting their insert
+	for _, d := range deltas {
+		if !strings.EqualFold(sv.mv.BaseTable, d.Table) {
+			continue
+		}
+		cs, why := sv.changes(d)
+		if why != "" {
+			return nil, nil, why
+		}
+		for _, c := range cs {
+			r, opened := open[c.part]
+			switch {
+			case opened && (c.move != 0 || c.op.Kind != core.OpInsert || c.op.K != r.op.K):
+				return nil, nil, fmt.Sprintf("positions %d…%d renumbered without an insert at %d", r.op.K, r.last, r.op.K)
+			case opened:
+				c.op.Shift, c.last = true, r.last
+				delete(open, c.part)
+			case c.move > 0:
+				open[c.part] = c
+				continue
+			case c.move < 0:
+				i := len(changes) - 1
+				for i >= 0 && !sqltypes.Equal(changes[i].part, c.part) {
+					i--
+				}
+				if i < 0 || changes[i].op.Kind != core.OpDelete || changes[i].op.Shift || changes[i].op.K != c.op.K-1 {
+					return nil, nil, fmt.Sprintf("positions %d…%d renumbered without a delete at %d", c.op.K, c.last, c.op.K-1)
+				}
+				changes[i].op.Shift, changes[i].last = true, c.last
+				continue
+			}
+			changes = append(changes, c)
+		}
+		ends = append(ends, len(changes))
+	}
+	for _, r := range open {
+		return nil, nil, fmt.Sprintf("positions %d…%d renumbered without an insert at %d", r.op.K, r.last, r.op.K)
+	}
+	return changes, ends, ""
 }
 
 // colIndex finds a column in the insert layout (cols may be the insert
@@ -126,27 +166,54 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 			if kind == core.OpDelete {
 				op.Old, op.New = op.New, 0
 			}
-			out = append(out, change{part, op})
+			out = append(out, change{part: part, op: op})
 		}
 	case txn.DeltaUpdate:
+		var runs []change // each partition's renumbering, in order
+		var moved [][]int // the positions each moves
+		at := map[sqltypes.Datum]int{}
 		for i, before := range d.Before {
 			after := d.After[i]
 			bpart, bok := sv.lay.partOf(before, gi)
 			part, ok := sv.lay.partOf(after, gi)
+			bp, ap := before[pi], after[pi]
 			switch av := after[vi]; {
-			case !sqltypes.Equal(before[pi], after[pi]):
-				return nil, "position column updated"
 			case !bok || !ok:
 				return nil, "partition key updated to or from NULL"
 			case !sqltypes.Equal(bpart, part):
 				return nil, "partition column updated"
+			case !sqltypes.Equal(bp, ap):
+				step := int(ap.Int() - bp.Int())
+				if bp.Typ() != sqltypes.Int || ap.Typ() != sqltypes.Int || step*step != 1 || !valueUnchanged(before[vi], av) {
+					return nil, "position column updated other than by a ±1 renumbering"
+				}
+				j, seen := at[part]
+				if !seen {
+					j, at[part] = len(runs), len(runs)
+					runs, moved = append(runs, change{part: part, move: step}), append(moved, nil)
+				}
+				if runs[j].move != step {
+					return nil, "positions renumbered both ways"
+				}
+				moved[j] = append(moved[j], int(bp.Int()))
 			case valueUnchanged(before[vi], av):
 			case !numeric(av):
 				return nil, "value updated to non-numeric"
 			default:
 				op := core.Op{Kind: core.OpUpdate, K: int(after[pi].Int()), Old: before[vi].Float(), New: av.Float()}
-				out = append(out, change{part, op})
+				out = append(out, change{part: part, op: op})
 			}
+		}
+		for j, r := range runs {
+			ps := moved[j]
+			slices.Sort(ps)
+			for i, p := range ps {
+				if p != ps[0]+i {
+					return nil, fmt.Sprintf("renumbered positions %d…%d are not a run", ps[0], ps[len(ps)-1])
+				}
+			}
+			r.op.K, r.last = ps[0], ps[len(ps)-1]
+			out = append(out, r)
 		}
 	}
 	return out, ""
@@ -183,6 +250,14 @@ func (m *Manager) foldChanges(tx *txn.Txn, sv *seqView, changes []change, ends [
 	delta(0)
 	for i, c := range changes {
 		st.part, st.at = c.part, i
+		if c.op.Shift {
+			// A shift renumbers the partition's whole suffix: one that ran
+			// past the last renumbered position left two rows at last+1.
+			if longer, err := st.longerThan(c.last); err != nil || longer {
+				m.markStale(sv, fmt.Sprintf("a shift at %d renumbered positions only up to %d, short of the partition's end", c.op.K, c.last))
+				return
+			}
+		}
 		st.raw.step(c, false)
 		t, err := core.Apply(st, windowOfSpec(sv.mv.Window), sv.agg, c.op)
 		if err != nil {
@@ -202,132 +277,4 @@ func (m *Manager) markStale(sv *seqView, why string) {
 		sv.staleFrom, sv.staleSince = m.cat.Clock().Next(), time.Now()
 	}
 	sv.staleWhy = why
-}
-
-// shiftTarget resolves the view and base table of a positional shift (§2.3),
-// which renumbers the one sequence of a simple view. The shift's view
-// writes take the base table as its transaction found it, so tx must not
-// hold DML on the base already: its deltas, folded at commit, would name
-// positions the shift renumbered.
-func (m *Manager) shiftTarget(tx *txn.Txn, viewName string) (*seqView, *catalog.Table, error) {
-	sv, ok := m.seq[lower(viewName)]
-	if !ok {
-		return nil, nil, fmt.Errorf("materialized view %q is not a sequence view", viewName)
-	}
-	if sv.lay.keyed() {
-		return nil, nil, fmt.Errorf("positional shifts apply to simple sequence views only")
-	}
-	for _, d := range tx.Deltas {
-		if strings.EqualFold(d.Table, sv.mv.BaseTable) {
-			return nil, nil, fmt.Errorf("a positional shift cannot follow DML on %q in one transaction", d.Table)
-		}
-	}
-	base, err := m.cat.Table(sv.mv.BaseTable)
-	return sv, base, err
-}
-
-// ShiftInsert performs the paper's positional insert (§2.3) inside tx: a
-// value enters at position k and every later position shifts right —
-// applied to BOTH the base table (renumbering its position column) and the
-// view (via the incremental insert rule), so tx's commit publishes both at
-// one epoch. This is the sequence-semantics operation the relational INSERT
-// cannot express while keeping positions dense. On an error the caller
-// rolls tx back.
-func (m *Manager) ShiftInsert(tx *txn.Txn, viewName string, k int, val float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sv, base, err := m.shiftTarget(tx, viewName)
-	if err != nil {
-		return err
-	}
-	if err := shiftBase(tx, base, sv.mv.PosColumn, sv.mv.ValColumn, k, &val, true); err != nil {
-		return err
-	}
-	return m.shift(tx, sv, core.Op{Kind: core.OpInsert, K: k, New: val, Shift: true})
-}
-
-// ShiftDelete removes position k inside tx, shifting later positions left
-// (§2.3).
-func (m *Manager) ShiftDelete(tx *txn.Txn, viewName string, k int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sv, base, err := m.shiftTarget(tx, viewName)
-	if err != nil {
-		return err
-	}
-	if err := shiftBase(tx, base, sv.mv.PosColumn, sv.mv.ValColumn, k, nil, false); err != nil {
-		return err
-	}
-	return m.shift(tx, sv, core.Op{Kind: core.OpDelete, K: k, Shift: true})
-}
-
-// shift folds a positional shift the base table already holds into the view.
-func (m *Manager) shift(tx *txn.Txn, sv *seqView, op core.Op) error {
-	if _, err := core.Apply(&backingStore{m: m, tx: tx, sv: sv}, windowOfSpec(sv.mv.Window), sv.agg, op); err != nil {
-		return err
-	}
-	m.stats.MaintenanceEvents.Add(1)
-	return nil
-}
-
-// shiftBase renumbers the base table's position column around a positional
-// insert (withValue=true) or delete, as pending writes of tx.
-func shiftBase(tx *txn.Txn, base *catalog.Table, posCol, valCol string, k int, val *float64, insert bool) error {
-	pi := base.ColumnIndex(posCol)
-	vi := base.ColumnIndex(valCol)
-	if pi < 0 || vi < 0 {
-		return fmt.Errorf("mview: base table lost its sequence columns")
-	}
-	type target struct {
-		id  storage.RowID
-		row sqltypes.Row
-	}
-	var touch []target
-	if err := base.Heap.ScanAt(base.Heap.WriteView(tx), func(id storage.RowID, row sqltypes.Row) bool {
-		if int(row[pi].Int()) >= k {
-			touch = append(touch, target{id, row})
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if insert {
-		// Shift right in descending order to avoid transient duplicates.
-		sort.Slice(touch, func(a, b int) bool { return touch[a].row[pi].Int() > touch[b].row[pi].Int() })
-		for _, t := range touch {
-			nr := t.row.Clone()
-			nr[pi] = sqltypes.NewInt(t.row[pi].Int() + 1)
-			if _, err := base.Heap.UpdateTx(tx, t.id, nr); err != nil {
-				return err
-			}
-		}
-		nr := make(sqltypes.Row, len(base.Columns))
-		for i := range nr {
-			nr[i] = sqltypes.NullDatum
-		}
-		nr[pi] = sqltypes.NewInt(int64(k))
-		if base.Columns[vi].Type == sqltypes.Int {
-			nr[vi] = sqltypes.NewInt(int64(*val))
-		} else {
-			nr[vi] = sqltypes.NewFloat(*val)
-		}
-		_, err := base.Heap.InsertTx(tx, nr)
-		return err
-	}
-	// Delete: remove position k, shift the rest left in ascending order.
-	sort.Slice(touch, func(a, b int) bool { return touch[a].row[pi].Int() < touch[b].row[pi].Int() })
-	for _, t := range touch {
-		if int(t.row[pi].Int()) == k {
-			if err := base.Heap.DeleteTx(tx, t.id); err != nil {
-				return err
-			}
-			continue
-		}
-		nr := t.row.Clone()
-		nr[pi] = sqltypes.NewInt(t.row[pi].Int() - 1)
-		if _, err := base.Heap.UpdateTx(tx, t.id, nr); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -390,121 +390,6 @@ func TestRefreshClearsStaleness(t *testing.T) {
 	checkViewMatchesCore(t, cat, m, "mv", core.Sliding(2, 1), core.Sum)
 }
 
-func TestShiftInsertDelete(t *testing.T) {
-	cases := []struct {
-		name, over string
-		win        core.Window
-		agg        core.Agg
-	}{
-		{"sum", "SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING)", core.Sliding(2, 1), core.Sum},
-		{"avg", "AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING)", core.Sliding(1, 2), core.Avg},
-		{"cumulative", "SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING)", core.Cumul(), core.Sum},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cat, m := fixture(t, 12)
-			createView(t, m, "CREATE MATERIALIZED VIEW mv AS SELECT pos, "+c.over+" AS val FROM seq")
-			base, _ := cat.Table("seq")
-			mv, _ := cat.MatView("mv")
-			clock := cat.Clock()
-			// shift runs one positional shift in a transaction of its own.
-			// Every epoch from the one before it to the one after must read
-			// a dense base, and wherever the view counts as fresh its rows
-			// must be the view's query over that base.
-			shift := func(op func(*txn.Txn) error) {
-				t.Helper()
-				reg, from := clock.Register() // keeps every epoch from here readable
-				defer reg.Release()
-				tx := m.begin()
-				if err := op(tx); err != nil {
-					t.Fatal(err)
-				}
-				m.commit(tx, nil)
-				if m.Stale("mv") {
-					t.Fatal("a positional shift must keep the view fresh")
-				}
-				checkViewMatches(t, cat, m, "mv", c.win, c.agg, core.ComputeNaive)
-				for e := from; e <= clock.Now(); e++ {
-					at := txn.Snapshot{Epoch: e}
-					raw, err := denseAt(base, at)
-					if err != nil {
-						t.Fatalf("epoch %d of %d…%d: %v", e, from, clock.Now(), err)
-					}
-					if m.StaleAt("mv", e) != "" {
-						continue
-					}
-					want, err := core.ComputeNaive(raw, c.win, c.agg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := make(map[int64]float64)
-					mv.Table.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
-						got[row[0].Int()] = row[1].Float()
-						return true
-					})
-					if diff := viewDiff(want, got); diff != "" {
-						t.Fatalf("epoch %d of %d…%d: the view counts as fresh but %s", e, from, clock.Now(), diff)
-					}
-				}
-			}
-			shift(func(tx *txn.Txn) error { return m.ShiftInsert(tx, "mv", 5, 999) })
-			// Base must have 13 dense rows with 999 at position 5.
-			raw, err := denseRaw(m, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(raw) != 13 || raw[4] != 999 {
-				t.Fatalf("raw after shift insert = %v", raw)
-			}
-			shift(func(tx *txn.Txn) error { return m.ShiftDelete(tx, "mv", 5) })
-			raw, _ = denseRaw(m, base)
-			if len(raw) != 12 || raw[4] == 999 {
-				t.Fatalf("raw after shift delete = %v", raw)
-			}
-			// Shifts at both ends of the sequence.
-			for _, k := range []int{1, 13} {
-				shift(func(tx *txn.Txn) error { return m.ShiftInsert(tx, "mv", k, -3) })
-			}
-			for _, k := range []int{14, 1} {
-				shift(func(tx *txn.Txn) error { return m.ShiftDelete(tx, "mv", k) })
-			}
-			tx := m.begin()
-			defer tx.Abort()
-			if err := m.ShiftInsert(tx, "nope", 1, 1); err == nil {
-				t.Fatal("unknown view must fail")
-			}
-		})
-	}
-}
-
-// denseAt reads seq's values at snapshot at, in position order, failing
-// unless its positions are exactly 1…n.
-func denseAt(base *catalog.Table, at txn.Snapshot) ([]float64, error) {
-	byPos := map[int64]float64{}
-	var dup error
-	base.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
-		p := row[0].Int()
-		if _, ok := byPos[p]; ok {
-			dup = fmt.Errorf("the base holds position %d twice", p)
-			return false
-		}
-		byPos[p] = row[1].Float()
-		return true
-	})
-	if dup != nil {
-		return nil, dup
-	}
-	raw := make([]float64, len(byPos))
-	for i := range raw {
-		v, ok := byPos[int64(i+1)]
-		if !ok {
-			return nil, fmt.Errorf("the base's %d rows are not dense: position %d is missing", len(raw), i+1)
-		}
-		raw[i] = v
-	}
-	return raw, nil
-}
-
 func TestDropView(t *testing.T) {
 	cat, m := fixture(t, 5)
 	createView(t, m, seqViewDDL)

@@ -9,6 +9,7 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
+	"rfview/internal/txn"
 )
 
 // pfixture builds pseq(grp, pos, val) with per-partition dense positions and
@@ -290,16 +291,71 @@ func TestPartitionedCreateRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "non-NULL") {
 		t.Fatalf("NULL partition key must be rejected: %v", err)
 	}
-	// Positional shifts refuse partitioned views.
-	cat3, m3 := pfixture(t, map[string]int{"a": 4})
-	_ = cat3
-	createView(t, m3, pViewDDL)
-	tx := m3.begin()
-	defer tx.Abort()
-	if err := m3.ShiftInsert(tx, "pmv", 1, 1); err == nil {
-		t.Fatal("shift insert on partitioned view must fail")
+}
+
+// TestPartitionedShift folds a positional shift of one partition — the
+// deltas of the SQL renumbering and the insert or delete at k, in one
+// commit — and keeps the view fresh, the other partition untouched.
+func TestPartitionedShift(t *testing.T) {
+	cat, m := pfixture(t, map[string]int{"a": 6, "b": 4})
+	createView(t, m, pViewDDL)
+	base, _ := cat.Table("pseq")
+	cols := base.ColumnNames()
+	// shift renumbers a's positions right of k by step: up after inserting
+	// edge at k, down after deleting the row at k, each on the side of the
+	// renumbering SQL puts it.
+	shift := func(k, step int64, edge sqltypes.Row) {
+		t.Helper()
+		tx := m.begin()
+		var ids []storage.RowID
+		var edgeID storage.RowID
+		var before, after []sqltypes.Row
+		base.Heap.ScanAt(base.Heap.WriteView(tx), func(id storage.RowID, row sqltypes.Row) bool {
+			switch p := row[1].Int(); {
+			case row[0].Str() != "a":
+			case step < 0 && p == k:
+				edgeID, edge = id, row
+			case step > 0 && p >= k, step < 0 && p > k:
+				moved := row.Clone()
+				moved[1] = sqltypes.NewInt(p + step)
+				ids, before, after = append(ids, id), append(before, row), append(after, moved)
+			}
+			return true
+		})
+		renumber := txn.Delta{Table: "pseq", Kind: txn.DeltaUpdate, Cols: cols, Before: before, After: after}
+		var deltas []txn.Delta
+		if step > 0 {
+			if _, err := base.Heap.UpdateRowsTx(tx, ids, after); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := base.Heap.InsertTx(tx, edge); err != nil {
+				t.Fatal(err)
+			}
+			deltas = []txn.Delta{renumber, {Table: "pseq", Kind: txn.DeltaInsert, Cols: cols, Rows: []sqltypes.Row{edge}}}
+		} else {
+			if err := base.Heap.DeleteTx(tx, edgeID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := base.Heap.UpdateRowsTx(tx, ids, after); err != nil {
+				t.Fatal(err)
+			}
+			deltas = []txn.Delta{{Table: "pseq", Kind: txn.DeltaDelete, Cols: cols, Rows: []sqltypes.Row{edge}}, renumber}
+		}
+		m.Fold(tx, deltas)
+		m.commit(tx, nil)
+		if m.Stale("pmv") {
+			_, why := m.StaleInfo("pmv")
+			t.Fatalf("a shift of a partitioned view must keep it fresh: %s", why)
+		}
+		checkPartitionBacking(t, cat, "a", "after the shift")
+		checkPartitionBacking(t, cat, "b", "after the shift (untouched partition)")
 	}
-	if err := m3.ShiftDelete(tx, "pmv", 1); err == nil {
-		t.Fatal("shift delete on partitioned view must fail")
+	shift(2, 1, sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(2), sqltypes.NewInt(-40)})
+	if raw := basePartition(t, cat, "a"); len(raw) != 7 || raw[1] != -40 {
+		t.Fatalf("partition a after the shift insert = %v", raw)
+	}
+	shift(4, -1, nil)
+	if raw := basePartition(t, cat, "a"); len(raw) != 6 || raw[3] != 4*raw[0] {
+		t.Fatalf("partition a after the shift delete = %v", raw)
 	}
 }

@@ -77,14 +77,17 @@ func (s *backingStore) Read(lo, hi int) ([]core.Cell, error) {
 	return cells, nil
 }
 
-// Write rewrites positions lo…hi through the versions Read found. An empty
-// partition of a partitioned view stores nothing: its last row's delete
-// removes every row, and its first row's insert creates them.
+// Write rewrites positions lo…hi through the versions Read found, the
+// rewritten ones as one update. An empty partition of a partitioned view
+// stores nothing: its last row's delete removes every row, and its first
+// row's insert creates them.
 func (s *backingStore) Write(lo, hi int, cells []core.Cell, n int) error {
 	t, lay := s.sv.mv.Table, s.sv.lay
 	if n == 0 && lay.keyed() {
 		cells = nil
 	}
+	var ids []storage.RowID
+	var rows []sqltypes.Row
 	for p := lo; p <= hi; p++ {
 		old, had := s.read(p)
 		var err error
@@ -92,17 +95,17 @@ func (s *backingStore) Write(lo, hi int, cells []core.Cell, n int) error {
 		case len(cells) > 0 && cells[0].Pos == p:
 			v := s.sv.datum(cells[0].Val)
 			cells = cells[1:]
-			if !had {
-				_, err = t.Heap.InsertTx(s.tx, lay.row(s.part, p, v, p >= 1 && p <= n))
-				break
-			}
-			if n < 0 { // the cardinality stayed: so does the body flag
-				row := append(sqltypes.Row(nil), old.row...)
+			row := lay.row(s.part, p, v, p >= 1 && p <= n)
+			switch {
+			case !had:
+				_, err = t.Heap.InsertTx(s.tx, row)
+			case n < 0: // the cardinality stayed: so does the body flag
+				row = append(row[:0], old.row...)
 				row[lay.valOrd()] = v
-				_, err = t.Heap.UpdateTx(s.tx, old.id, row)
-				break
+				fallthrough
+			default:
+				ids, rows = append(ids, old.id), append(rows, row)
 			}
-			_, err = t.Heap.UpdateTx(s.tx, old.id, lay.row(s.part, p, v, p >= 1 && p <= n))
 		case had:
 			err = t.Heap.DeleteTx(s.tx, old.id)
 		}
@@ -110,7 +113,22 @@ func (s *backingStore) Write(lo, hi int, cells []core.Cell, n int) error {
 			return err
 		}
 	}
-	return nil
+	if len(ids) == 0 {
+		return nil
+	}
+	_, err := t.Heap.UpdateRowsTx(s.tx, ids, rows)
+	return err
+}
+
+// longerThan reports whether the partition's sequence holds more than n
+// raw values: whether it stores position n+1+l (n+1 when cumulative).
+func (s *backingStore) longerThan(n int) (bool, error) {
+	p := n + 1
+	if w := s.sv.mv.Window; !w.Cumulative {
+		p += w.Preceding
+	}
+	cells, err := s.Read(p, p)
+	return len(cells) > 0, err
 }
 
 // Raw reads x_lo … x_hi of the partition from the base table. In a fold
@@ -118,7 +136,7 @@ func (s *backingStore) Write(lo, hi int, cells []core.Cell, n int) error {
 // base table is read once per view and commit; a read outside them (a
 // NaN-poisoned sum runs to the partition's end) reads the base again.
 func (s *backingStore) Raw(lo, hi int) ([]float64, error) {
-	if s.raw == nil && s.changes != nil {
+	if s.raw == nil {
 		s.raw = foldBands(s.sv, s.changes)
 		if err := s.readRaw(s.raw); err != nil {
 			return nil, err
@@ -126,7 +144,9 @@ func (s *backingStore) Raw(lo, hi int) ([]float64, error) {
 	}
 	sp := s.raw.find(s.part, lo)
 	if sp == nil || sp.hi < hi {
-		sp = &span{part: s.part, lo: lo, hi: hi}
+		// To the partition's end: a later shift moves every position
+		// right of it.
+		sp = &span{part: s.part, lo: lo, hi: math.MaxInt}
 		if err := s.readRaw(bands{s.part: {sp}}); err != nil {
 			return nil, err
 		}
@@ -174,27 +194,47 @@ func (sp *span) at(p int) (v float64, rows int) {
 
 // add sets x_p to v and adds rows to the rows holding p.
 func (sp *span) add(p int, v float64, rows int) {
+	j := sp.grow(p)
+	sp.vals[j] = v
+	sp.rows[j] += rows
+}
+
+// grow extends the span's reads through position p and returns its index.
+func (sp *span) grow(p int) int {
 	j := p - sp.lo
 	for len(sp.vals) <= j {
 		sp.vals, sp.rows = append(sp.vals, 0), append(sp.rows, 0)
 	}
-	sp.vals[j] = v
-	sp.rows[j] += rows
+	return j
+}
+
+// splice inserts position p holding v in one row, moving the positions
+// right of it up by one, or removes p, moving them down.
+func (sp *span) splice(p int, v float64, insert bool) {
+	j := sp.grow(p)
+	if insert {
+		sp.vals, sp.rows = slices.Insert(sp.vals, j, v), slices.Insert(sp.rows, j, 1)
+	} else {
+		sp.vals, sp.rows = slices.Delete(sp.vals, j, j+1), slices.Delete(sp.rows, j, j+1)
+	}
 }
 
 // bands are disjoint spans: each partition's, ordered by lo.
 type bands map[sqltypes.Datum][]*span
 
 // foldBands are the spans a fold's changes may read: the raw positions
-// k−l−h−1 … k+l+h a band recompute around k reads, or a cumulative
+// k−l−h−1 … k+l+h a band recompute around k reads — through the end of the
+// partition for a shift, which recomputes its suffix — or a cumulative
 // window's whole partition.
 func foldBands(sv *seqView, changes []change) bands {
 	w, b := windowOfSpec(sv.mv.Window), bands{}
 	for _, c := range changes {
 		sp := &span{part: c.part, lo: 1, hi: math.MaxInt}
-		if !w.Cumulative {
-			r := w.Preceding + w.Following
-			sp.lo, sp.hi = max(c.op.K-r-1, 1), c.op.K+r
+		if r := w.Preceding + w.Following; !w.Cumulative {
+			sp.lo = max(c.op.K-r-1, 1)
+			if !c.op.Shift {
+				sp.hi = c.op.K + r
+			}
 		}
 		b[c.part] = append(b[c.part], sp)
 	}
@@ -223,12 +263,18 @@ func (b bands) find(part sqltypes.Datum, p int) *span {
 	return nil
 }
 
-// step applies change c to the raw data b holds, or undoes it.
+// step applies change c to the raw data b holds, or undoes it. A shift
+// splices position k in or out of the span that runs from k to the
+// partition's end.
 func (b bands) step(c change, undo bool) {
 	if sp := b.find(c.part, c.op.K); sp != nil {
 		v, rows := c.op.New, [...]int{core.OpUpdate: 0, core.OpInsert: 1, core.OpDelete: -1}[c.op.Kind]
 		if undo {
 			v, rows = c.op.Old, -rows
+		}
+		if c.op.Shift {
+			sp.splice(c.op.K, v, rows > 0)
+			return
 		}
 		sp.add(c.op.K, v, rows)
 	}

@@ -212,13 +212,13 @@ func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, erro
 // checkUnique enforces unique indexes against the would-be row. The caller
 // holds t.mu, which serializes all uniqueness decisions: two concurrent
 // inserts of the same key cannot both pass, because the second probe sees
-// the first one's pending version. txnID is the writing transaction;
-// exclude names a version being replaced by an update (-1 for none); snap is
-// the writer's snapshot, which splits the committed-live case into a true
-// duplicate (the writer can see the holder) and a first-committer-wins
-// conflict (the holder committed after the writer's snapshot — retryable, so
-// it must carry the conflict code).
-func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap txn.Snapshot) error {
+// the first one's pending version. txnID is the writing transaction, whose
+// own ended versions never collide — an update claims the versions it
+// replaces first; snap is the writer's snapshot, which splits the
+// committed-live case into a true duplicate (the writer can see the holder)
+// and a first-committer-wins conflict (the holder committed after the
+// writer's snapshot — retryable, so it must carry the conflict code).
+func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, snap txn.Snapshot) error {
 	for _, h := range t.indexes {
 		if !h.Unique {
 			continue
@@ -227,7 +227,7 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, exclude RowID, snap 
 		var dup, conflict bool
 		h.Idx.Lookup(key, func(id RowID) bool {
 			sl := t.byID[id]
-			if id == exclude || sl == nil {
+			if sl == nil {
 				return true
 			}
 			b, e := sl.begin.Load(), sl.end.Load()
@@ -352,7 +352,7 @@ func (t *Table) writable(sl *slot, tx *txn.Txn) bool {
 func (t *Table) InsertTx(tx *txn.Txn, row sqltypes.Row) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.checkUnique(row, tx.ID, -1, tx.Snap); err != nil {
+	if err := t.checkUnique(row, tx.ID, tx.Snap); err != nil {
 		return 0, err
 	}
 	id, sl, err := t.appendLocked(row, txn.PendingStamp(tx.ID))
@@ -383,31 +383,48 @@ func (t *Table) DeleteTx(tx *txn.Txn, id RowID) error {
 	return nil
 }
 
-// UpdateTx ends the version under id and creates the replacement as pending
-// versions of tx, returning the new version's row id.
-func (t *Table) UpdateTx(tx *txn.Txn, id RowID, row sqltypes.Row) (RowID, error) {
+// UpdateRowsTx is one statement's update: it ends the version under each of
+// ids and creates rows[i] as its replacement, pending versions of tx, and
+// returns the replacements' row ids. Every replaced version is claimed
+// before any replacement is checked, so uniqueness holds at the statement's
+// end: UPDATE seq SET pos = pos + 1 renumbers a unique column. On an error
+// the statement's claims stay recorded in tx, for its rollback to undo.
+func (t *Table) UpdateRowsTx(tx *txn.Txn, ids []RowID, rows []sqltypes.Row) ([]RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sl := t.slotLocked(id)
-	if sl == nil || !t.writable(sl, tx) {
-		return 0, fmt.Errorf("update: row %d does not exist", id)
+	for _, id := range ids {
+		sl := t.slotLocked(id)
+		if sl == nil || !t.writable(sl, tx) {
+			return nil, fmt.Errorf("update: row %d does not exist", id)
+		}
+		if err := claimEnd(sl, tx.ID); err != nil {
+			return nil, err
+		}
+		tx.Record(slotRef{t, sl}, txn.OpDelete)
 	}
-	if err := t.checkUnique(row, tx.ID, id, tx.Snap); err != nil {
-		return 0, err
+	tx.Touch(t)
+	nids := make([]RowID, len(rows))
+	for i, row := range rows {
+		if err := t.checkUnique(row, tx.ID, tx.Snap); err != nil {
+			return nil, err
+		}
+		nid, nsl, err := t.appendLocked(row, txn.PendingStamp(tx.ID))
+		if err != nil {
+			return nil, err
+		}
+		tx.Record(slotRef{t, nsl}, txn.OpInsert)
+		nids[i] = nid
 	}
-	nid, nsl, err := t.appendLocked(row, txn.PendingStamp(tx.ID))
+	return nids, nil
+}
+
+// UpdateTx is the one-row form of UpdateRowsTx.
+func (t *Table) UpdateTx(tx *txn.Txn, id RowID, row sqltypes.Row) (RowID, error) {
+	nids, err := t.UpdateRowsTx(tx, []RowID{id}, []sqltypes.Row{row})
 	if err != nil {
 		return 0, err
 	}
-	if err := claimEnd(sl, tx.ID); err != nil {
-		nsl.begin.Store(txn.Infinity) // abort the orphan: never visible
-		t.dead.Add(1)
-		return 0, err
-	}
-	tx.Record(slotRef{t, sl}, txn.OpDelete)
-	tx.Record(slotRef{t, nsl}, txn.OpInsert)
-	tx.Touch(t)
-	return nid, nil
+	return nids[0], nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rfview/internal/sqltypes"
@@ -172,6 +174,78 @@ func TestTableUniqueIndex(t *testing.T) {
 	insertRow(tb2, row(1))
 	if _, err := tb2.AddIndex("pk", []int{0}, true); err == nil {
 		t.Error("unique index build over duplicates must fail")
+	}
+}
+
+// TestTableUpdateUniqueAtStatementEnd: one statement's update claims every
+// version it replaces before it checks a replacement, so a +1 renumbering of
+// a unique column succeeds, while a true duplicate — two replacements with
+// one key, or a replacement colliding with a row outside the statement —
+// fails as an insert's duplicate does, and the statement's rollback leaves
+// the transaction without a pending write.
+func TestTableUpdateUniqueAtStatementEnd(t *testing.T) {
+	tb := newPagedTestTable(t, 0)
+	ids := map[int64]RowID{}
+	for p := int64(1); p <= 5; p++ {
+		ids[p], _ = insertRow(tb, row(p, 10*p))
+	}
+	if _, err := tb.AddIndex("pk", []int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	// statement runs one update statement in tx, from position p to to[p].
+	statement := func(tx *txn.Txn, to map[int64]int64) error {
+		var sids []RowID
+		var rows []sqltypes.Row
+		for p := int64(1); p <= 6; p++ {
+			if q, ok := to[p]; ok {
+				sids, rows = append(sids, ids[p]), append(rows, row(q, 10*p))
+			}
+		}
+		nids, err := tb.UpdateRowsTx(tx, sids, rows)
+		if err == nil {
+			for i, r := range rows {
+				ids[r[0].Int()] = nids[i]
+			}
+		}
+		return err
+	}
+	tx := tb.Clock().Begin()
+	if err := statement(tx, map[int64]int64{3: 4, 4: 5, 5: 6}); err != nil {
+		t.Fatalf("UPDATE SET pos = pos + 1 WHERE pos >= 3 over a unique index: %v", err)
+	}
+	tb.Clock().Commit(tx, nil)
+	delete(ids, 3)
+	got := map[int64]int64{}
+	tb.Scan(func(_ RowID, r sqltypes.Row) bool { got[r[0].Int()] = r[1].Int(); return true })
+	if want := map[int64]int64{1: 10, 2: 20, 4: 30, 5: 40, 6: 50}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after the renumbering the table holds %v, want %v", got, want)
+	}
+
+	_, dup := insertRow(tb, row(2, 0))
+	if dup == nil {
+		t.Fatal("a duplicate insert must fail")
+	}
+	for _, to := range []map[int64]int64{{1: 7, 4: 7}, {1: 2}} {
+		tx := tb.Clock().Begin()
+		if _, err := tb.InsertTx(tx, row(9, 9)); err != nil { // an earlier statement
+			t.Fatal(err)
+		}
+		w, d := tx.Mark()
+		err := statement(tx, to)
+		want := strings.Replace(dup.Error(), row(2).String(), row(to[1]).String(), 1)
+		if err == nil || err.Error() != want {
+			t.Fatalf("update %v: got %v, want %q", to, err, want)
+		}
+		tx.AbortTo(w, d)
+		if writes, _ := tx.Mark(); writes != 1 {
+			t.Fatalf("update %v: the failed statement left %d pending writes besides the insert", to, writes-1)
+		}
+		tx.Abort()
+		n := 0
+		tb.Scan(func(RowID, sqltypes.Row) bool { n++; return true })
+		if n != 5 {
+			t.Fatalf("update %v: after the rollback the table holds %d rows, want 5", to, n)
+		}
 	}
 }
 

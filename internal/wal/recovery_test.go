@@ -134,9 +134,10 @@ func compareEnginesOn(t *testing.T, recovered, reference *engine.Engine, queries
 
 // workload returns the statement stream of the crash test: DDL, appends,
 // point updates, tail deletes, view creation (simple, partitioned, plain,
-// AVG), REFRESH, and a couple of statements that fail on purpose — the
-// log-before-apply rule logs them too, and replay must tolerate their
-// deterministic re-failure.
+// AVG), REFRESH, a transaction of positional shifts (an entry starting
+// "BEGIN;" runs its statements in one session), and a couple of statements
+// that fail on purpose — the log-before-apply rule logs them too, and
+// replay must tolerate their deterministic re-failure.
 func workload() []string {
 	stmts := []string{
 		`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
@@ -174,17 +175,38 @@ func workload() []string {
 		// Delete of the trailing position is density-preserving too.
 		`DELETE FROM seq WHERE pos = 36`,
 		`REFRESH MATERIALIZED VIEW avgv`,
-		`UPDATE pt SET val = 77 WHERE pos = 3`,
+		// One transaction: a value update of every partition, then
+		// positional shifts (§2.3) — an insert into seq's middle over its
+		// unique pos index, a delete from partition g1.
+		`BEGIN; UPDATE pt SET val = 77 WHERE pos = 3; UPDATE seq SET pos = pos + 1 WHERE pos >= 10; INSERT INTO seq VALUES (10, 5); `+
+			`DELETE FROM pt WHERE grp = 'g1' AND pos = 4; UPDATE pt SET pos = pos - 1 WHERE grp = 'g1' AND pos > 4; COMMIT`,
 	)
 	return stmts
 }
 
-// applyBoth feeds one statement to both engines and insists they agree on
-// success/failure.
+// applyBoth feeds one statement, or one "BEGIN; …; COMMIT" transaction, to
+// both engines and insists they agree on success/failure; a transaction
+// must succeed.
 func applyBoth(t *testing.T, durable, reference *engine.Engine, sql string) {
 	t.Helper()
-	_, errD := durable.Exec(sql)
-	_, errR := reference.Exec(sql)
+	apply := func(e *engine.Engine) error {
+		if !strings.HasPrefix(sql, "BEGIN;") {
+			_, err := e.Exec(sql)
+			return err
+		}
+		s := e.NewSession()
+		defer s.Close()
+		for _, stmt := range strings.Split(sql, ";") {
+			if _, err := s.Exec(stmt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errD, errR := apply(durable), apply(reference)
+	if strings.HasPrefix(sql, "BEGIN;") && errR != nil {
+		t.Fatalf("the workload's transaction %q failed: %v", sql, errR)
+	}
 	if (errD == nil) != (errR == nil) {
 		t.Fatalf("engines diverged applying %q: durable err=%v, reference err=%v", sql, errD, errR)
 	}
@@ -232,6 +254,15 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				applyBoth(t, re.Engine(), reference, sql)
 			}
 			compareEngines(t, re.Engine(), reference, fmt.Sprintf("cut=%d post-recovery traffic", cut))
+			// Every statement of the workload is maintainable: no view may
+			// have gone stale on either engine, the shifts included.
+			for _, e := range []*engine.Engine{re.Engine(), reference} {
+				for _, v := range []string{"matseq", "matpt", "avgv"} {
+					if stale, why := e.Views.StaleInfo(v); stale {
+						t.Fatalf("cut=%d: view %s is stale: %s", cut, v, why)
+					}
+				}
+			}
 		})
 	}
 }

@@ -115,10 +115,10 @@ func (db *DB) SetSlowQueryLog(threshold time.Duration, sink func(SlowQuery)) {
 }
 
 // Engine exposes the underlying engine for advanced use: option toggling,
-// and the view manager's ShiftInsert/ShiftDelete positional operations on
-// simple — unpartitioned — sequence views, which run inside a transaction
-// (BeginTxn, then the shift, then CommitTxn, or RollbackTxn on an error) so
-// that the base table and the view publish together at one epoch.
+// the view manager's counters and staleness, and sessions (NewSession) for
+// multi-statement transactions — a positional shift is one: the ±1
+// renumbering of a partition's suffix and the insert or delete at k,
+// committed together so the base table and the view publish at one epoch.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
 // ---------------------------------------------------------------------------
