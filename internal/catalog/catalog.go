@@ -112,6 +112,15 @@ type MatView struct {
 	Definition string
 }
 
+// Stored is the aggregate of the sequence view's backing rows: SUM for an AVG
+// view, whose reads divide its window sums by their counts (§2.1), else Agg.
+func (v *MatView) Stored() string {
+	if v.Agg == "AVG" {
+		return "SUM"
+	}
+	return v.Agg
+}
+
 // Catalog is a thread-safe name → metadata map.
 type Catalog struct {
 	mu     sync.RWMutex
@@ -352,9 +361,10 @@ func (c *Catalog) MatViews() []*MatView {
 }
 
 // SequenceViewsOver returns the sequence views materialized over the given
-// base table / position column / partition column / value column /
-// aggregate, the candidate set the derivation rewriter matches incoming
-// window queries against. partCol is "" for unpartitioned queries.
+// base table / position column / partition column / value column that
+// store agg's sequence (MatView.Stored), the candidate set the derivation
+// rewriter matches incoming window queries against. partCol is "" for
+// unpartitioned queries.
 func (c *Catalog) SequenceViewsOver(baseTable, posCol, partCol, valCol, agg string) []*MatView {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -367,7 +377,7 @@ func (c *Catalog) SequenceViewsOver(baseTable, posCol, partCol, valCol, agg stri
 			strings.EqualFold(v.PosColumn, posCol) &&
 			strings.EqualFold(v.PartColumn, partCol) &&
 			strings.EqualFold(v.ValColumn, valCol) &&
-			strings.EqualFold(v.Agg, agg) {
+			strings.EqualFold(v.Stored(), agg) {
 			out = append(out, v)
 		}
 	}

@@ -212,7 +212,13 @@ func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
 		from = 1
 	}
 	x := func(k int) float64 { return rawAt(raw, k) }
-	pipeline(x, len(raw), w, agg, 0, from, s.Hi(), s.set)
+	emit := s.set
+	if agg == Avg {
+		// AVG is SUM/COUNT (§2.1): the SUM pass divided by the counts. A
+		// window that holds no raw value sums to 0, which stays the quotient.
+		agg, emit = Sum, func(k int, v float64, ok bool) { s.set(k, v/float64(max(w.Count(k, len(raw)), 1)), ok) }
+	}
+	pipeline(x, len(raw), w, agg, 0, from, s.Hi(), emit)
 	return s, nil
 }
 
@@ -247,56 +253,26 @@ func pipeline(x func(int) float64, n int, w Window, agg Agg, prev float64, from,
 			}
 			emit(k, best, true)
 		}
-	case w.Cumulative: // Sum, Avg
+	case w.Cumulative: // Sum
 		acc := prev
-		if agg == Avg {
-			acc = 0
-			if from > 1 && !finite(prev) {
-				acc = prev * float64(from-1)
-			} else {
-				for j := 1; j < from; j++ {
-					acc += x(j)
-				}
-			}
-		}
 		for k := from; k <= to; k++ {
 			acc += x(k)
-			if agg == Sum {
-				emit(k, acc, true)
-			} else {
-				emit(k, acc/float64(k), true)
-			}
+			emit(k, acc, true)
 		}
-	default: // sliding Sum, Avg: x̃_k = x̃_{k−1} + x_{k+h} − x_{k−l−1}
+	default: // sliding Sum: x̃_k = x̃_{k−1} + x_{k+h} − x_{k−l−1}
 		acc := 0.0
-		switch {
-		case from == 1-h: // the first stored position seeds the recursion
+		if from == 1-h { // the first stored position seeds the recursion
 			for j := from - l; j <= from+h; j++ {
 				acc += x(j)
 			}
-		case agg == Sum:
+		} else {
 			acc = prev + (x(from+h) - x(from-l-1))
-		default: // an AVG row holds a quotient: its sum is recomputed
-			if c := w.Count(from-1, n); !finite(prev) {
-				acc = prev * float64(c)
-			} else {
-				for j := from - 1 - l; j <= from-1+h; j++ {
-					acc += x(j)
-				}
-			}
-			acc += x(from+h) - x(from-l-1)
 		}
 		for k := from; k <= to; k++ {
 			if k > from {
 				acc += x(k+h) - x(k-l-1)
 			}
-			if c := w.Count(k, n); agg == Sum {
-				emit(k, acc, true)
-			} else if c == 0 {
-				emit(k, 0, true)
-			} else {
-				emit(k, acc/float64(c), true)
-			}
+			emit(k, acc, true)
 		}
 	}
 }

@@ -76,25 +76,28 @@ func storedHi(w Window, n int) int {
 }
 
 // Apply folds op into the sequence st stores for window w and aggregate agg
-// (an AVG sequence stores the quotients) and returns the number of stored
-// positions it rewrote. Values stay bit-identical to ComputePipelined over
-// the changed raw data wherever the arithmetic is exact:
+// and returns the number of stored positions it rewrote. Values stay
+// bit-identical to ComputePipelined over the changed raw data wherever the
+// arithmetic is exact:
 //
 //   - SUM differences the band with the images alone, x̃'_i = x̃_i − x_k + x'_k
 //     (an append adds x'_k, a suffix delete subtracts x_k), while every value
 //     involved is finite. A NaN or Inf poisons the pipelined running sum from
 //     its position on, so then the band and everything right of it are
 //     recomputed from the raw data, the way a refresh's pipeline runs.
-//   - AVG stores quotients, from which no sum can be recovered: its band is
-//     recomputed from the raw data.
 //   - MIN/MAX take x̃'_i = min(x̃_i, x'_k) (max) when the change can only widen
 //     the extremum and the band's stored values rule out a NaN or signed-zero
 //     tie (unordered); otherwise the band is recomputed, still local, as the
 //     paper's footnote concedes.
 //   - COUNT is a closed form of position and cardinality.
 //
-// A positional shift recomputes from the band to the end of the sequence.
+// An AVG view stores its SUM sequence, which a read divides by the window's
+// counts: no sequence of quotients is maintained. A positional shift
+// recomputes from the band to the end of the sequence.
 func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
+	if agg != Sum && agg != Count && agg != Min && agg != Max {
+		return 0, fmt.Errorf("%v sequences are not maintained: maintain the SUM sequence and divide by Window.Count", agg)
+	}
 	k, l := op.K, w.Preceding
 	lo := k // the first position whose window contains k
 	if !w.Cumulative {
@@ -163,20 +166,18 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 		return 0, nil // COUNT is invariant under value updates
 	case agg == Count || op.Shift:
 		out, err = recompute(st, w, agg, cells, lo, to, newN)
-	case agg == Sum || agg == Avg:
-		poison := !(finite(op.Old) && finite(op.New) && allFinite(cells))
-		switch {
-		case poison || agg == Avg:
+	case agg == Sum:
+		if !(finite(op.Old) && finite(op.New) && allFinite(cells)) {
 			// A poisoned pipeline reruns to the end of the sequence.
-			if err = learn(poison); err == nil {
+			if err = learn(true); err == nil {
 				out, err = recompute(st, w, agg, cells, lo, to, newN)
 			}
-		default:
-			// An append adds x'_k (Old is 0), a suffix delete subtracts x_k
-			// (New is 0); the new trailer position starts from 0.
-			d := op.New - op.Old
-			out = patch(w, cells, lo, to, func(v float64, _ bool) float64 { return v + d })
+			break
 		}
+		// An append adds x'_k (Old is 0), a suffix delete subtracts x_k
+		// (New is 0); the new trailer position starts from 0.
+		d := op.New - op.Old
+		out = patch(w, cells, lo, to, func(v float64, _ bool) float64 { return v + d })
 	default: // Min, Max: every window of the band gains x'_k
 		v := op.New
 		widens := op.Kind == OpInsert ||
@@ -308,9 +309,6 @@ func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Ce
 	rlo, rhi := from-w.Preceding-1, to+w.Following
 	if w.Cumulative {
 		rlo, rhi = from, to
-		if agg == Avg {
-			rlo = 1 // the running sum is rebuilt from the first position
-		}
 	}
 	rlo, rhi = max(rlo, 1), min(rhi, n)
 	var raw []float64

@@ -9,10 +9,10 @@ import (
 
 // The tests below drive Apply over the slice store directly: the dense
 // changes a table's DML makes (appends at n+1, deletes of position n), which
-// the Maintainer's positional API does not offer, and AVG, which a store
-// holds as quotients.
+// the Maintainer's positional API does not offer.
 
-// storeOf returns a maintainer for any aggregate, AVG included.
+// storeOf returns a maintainer for any aggregate, AVG included, which Apply
+// refuses.
 func storeOf(t *testing.T, raw []float64, w Window, agg Agg) *Maintainer {
 	t.Helper()
 	seq, err := ComputePipelined(raw, w, agg)
@@ -56,7 +56,7 @@ func checkPipelined(t *testing.T, m *Maintainer, ctx string) {
 // TestApplyDenseChanges: appends and suffix deletes, down to the empty
 // sequence and back, for every aggregate and both window kinds.
 func TestApplyDenseChanges(t *testing.T) {
-	for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
+	for _, agg := range []Agg{Sum, Count, Min, Max} {
 		for _, w := range []Window{Sliding(2, 1), Sliding(0, 2), Cumul()} {
 			m := storeOf(t, []float64{3, 1, 4}, w, agg)
 			for _, v := range []float64{1, 5, -9} {
@@ -122,31 +122,15 @@ func TestApplyTouched(t *testing.T) {
 	}
 }
 
-// TestApplyAvg: an AVG sequence stores quotients, which no sum can be
-// recovered from bit-exactly; its band is recomputed from the raw data and
-// stays bit-identical to a refresh, NaN poisoning included.
-func TestApplyAvg(t *testing.T) {
-	for _, w := range []Window{Sliding(2, 1), Cumul()} {
-		m := storeOf(t, []float64{3, 1, 4, 1, 5}, w, Avg)
-		steps := []struct {
-			name string
-			do   func() error
-		}{
-			{"update", func() error { return m.Update(2, 0.5) }},
-			{"append", func() error { return m.appendVal(-7) }},
-			{"positional insert", func() error { return m.Insert(3, 9) }},
-			{"positional delete", func() error { return m.Delete(1) }},
-			{"suffix delete", m.deleteLast},
-			{"NaN enters", func() error { return m.Update(2, math.NaN()) }},
-			{"update beside NaN", func() error { return m.Update(4, 2) }},
-			{"NaN leaves", func() error { return m.Update(2, 6) }},
-		}
-		for _, s := range steps {
-			if err := s.do(); err != nil {
-				t.Fatalf("%s %s: %v", w, s.name, err)
-			}
-			checkPipelined(t, m, w.String()+" "+s.name)
-		}
+// TestApplyRefusesAvg: no sequence of quotients is maintained — an AVG view
+// stores its SUM sequence — so Apply refuses AVG and leaves the store alone.
+func TestApplyRefusesAvg(t *testing.T) {
+	m := storeOf(t, []float64{3, 1, 4}, Sliding(1, 1), Avg)
+	if err := m.Update(2, 7); err == nil || !strings.Contains(err.Error(), "maintain the SUM sequence") {
+		t.Fatalf("Apply over AVG: err = %v, want a refusal", err)
+	}
+	if got := m.seq.At(2); got != 8.0/3 {
+		t.Fatalf("the refused update rewrote the store: position 2 holds %v", got)
 	}
 }
 
@@ -154,7 +138,7 @@ func TestApplyAvg(t *testing.T) {
 // random windows, with NaN, ±Inf and −0 among the values, stay bit-identical
 // to a refresh.
 func TestQuickApply(t *testing.T) {
-	quickApply(t, rand.New(rand.NewSource(23)), 300, []Agg{Sum, Count, Avg, Min, Max}, func(rng *rand.Rand) float64 {
+	quickApply(t, rand.New(rand.NewSource(23)), 300, []Agg{Sum, Count, Min, Max}, func(rng *rand.Rand) float64 {
 		switch rng.Intn(12) {
 		case 0:
 			return math.NaN()

@@ -417,6 +417,60 @@ func TestAvgDerivationThroughSQL(t *testing.T) {
 	}
 }
 
+// TestDerivedTypesMatchNative: a statement answers the same column types, and
+// the same values, whether a view derives it or it runs natively — COUNT is
+// INTEGER over a FLOAT column too, AVG is FLOAT over an INTEGER one, and an
+// AVG view answers SUM typed like the column.
+func TestDerivedTypesMatchNative(t *testing.T) {
+	for _, typ := range []string{"INTEGER", "FLOAT"} {
+		for _, agg := range []string{"SUM", "COUNT", "AVG", "MIN", "MAX"} {
+			frame := func(l, h int) string {
+				return fmt.Sprintf("OVER (ORDER BY pos ROWS BETWEEN %d PRECEDING AND %d FOLLOWING)", l, h)
+			}
+			build := func(useViews bool) *Engine {
+				opts := DefaultOptions()
+				opts.UseMatViews = useViews
+				e := New(opts)
+				mustExec(t, e, `CREATE TABLE f (pos INTEGER, val `+typ+`)`)
+				mustExec(t, e, `INSERT INTO f VALUES (1, 3), (2, -1), (3, 4), (4, 1), (5, 5), (6, 9), (7, 2)`)
+				if useViews {
+					mustExec(t, e, `CREATE MATERIALIZED VIEW v AS SELECT pos, `+agg+`(val) `+frame(1, 1)+` AS val FROM f`)
+				}
+				return e
+			}
+			native, derived := build(false), build(true)
+			queries := []string{agg + `(val) ` + frame(1, 1), agg + `(val) ` + frame(2, 2)}
+			if agg == "AVG" {
+				queries = append(queries, `SUM(val) `+frame(1, 1), `SUM(val) `+frame(2, 1))
+			}
+			for _, item := range queries {
+				q := `SELECT pos, ` + item + ` AS w FROM f`
+				rn, rd := mustExec(t, native, q), mustExec(t, derived, q)
+				if rd.Derivation == nil {
+					t.Fatalf("%s over %s: %s does not derive from v", agg, typ, q)
+				}
+				if got, want := renderRows(rd.Rows), renderRows(rn.Rows); got != want {
+					t.Fatalf("%s view over %s: %s\nderived: %s\nnative:  %s", agg, typ, q, got, want)
+				}
+			}
+			native.Close()
+			derived.Close()
+		}
+	}
+}
+
+// renderRows renders every cell as type:value, in row order.
+func renderRows(rows []sqltypes.Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		for _, d := range r {
+			fmt.Fprintf(&b, "%v:%s ", d.Typ(), d.String())
+		}
+		b.WriteString("| ")
+	}
+	return b.String()
+}
+
 // TestRawReconstructionEndToEnd — Fig. 4 (cumulative) and the §3.2 explicit
 // form (sliding) recover the base data by executing the generated SQL.
 func TestRawReconstructionEndToEnd(t *testing.T) {

@@ -30,7 +30,8 @@ import (
 // is the served path — the statement as a client sends it, answered by the
 // Derive operator exactly when core.Algorithm accepts the target over the
 // fresh view — under a wider draw of targets than the rendered strategies
-// admit, and over a SUM view also asked for AVG; the forced MaxOA and MinOA
+// admit, over a SUM view also asked for AVG and over an AVG view, which
+// stores its window sums, also for SUM; the forced MaxOA and MinOA
 // strategies run rewrite.Pattern's SQL over the model's n. Integer data
 // keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
 // is a maintenance bug. Chaos trials end with a density-breaking statement,
@@ -88,8 +89,9 @@ func execServed(t *testing.T, e *Engine, sql string, _ int) *Result {
 // directly so a matcher that declines what the algebra can do cannot hide:
 // the engine answers from the trial's view mv exactly when it uses views, mv
 // is fresh at the latest epoch, and core.Algorithm accepts the query's
-// target over mv's window and aggregate — the query's own, or SUM for an AVG
-// query, which divides the derived sums (§2.1). why describes the inputs.
+// target over mv's window and the aggregate mv stores — SUM for a SUM or AVG
+// view, whose derived sums an AVG query divides (§2.1). why describes the
+// inputs.
 func servedDerivable(t *testing.T, e *Engine, sql string) (ok bool, why string) {
 	t.Helper()
 	wq, err := rewrite.MatchWindowQuery(parseSelect(t, sql))
@@ -100,7 +102,7 @@ func servedDerivable(t *testing.T, e *Engine, sql string) (ok bool, why string) 
 	if !found {
 		t.Fatal("the trial's view mv is not registered")
 	}
-	_, declined := core.Algorithm(core.Window(mv.Window), oracleAggs[mv.Agg], core.Window(wq.Shape))
+	_, declined := core.Algorithm(core.Window(mv.Window), oracleAggs[mv.Stored()], core.Window(wq.Shape))
 	fresh := !e.Views.Stale("mv")
 	return e.Opts.UseMatViews && declined == nil && fresh,
 		fmt.Sprintf("%s over mv %s %s: views=%v fresh=%v, core.Algorithm says %v", wq.Agg, mv.Agg, mv.Window, e.Opts.UseMatViews, fresh, declined)
@@ -446,6 +448,10 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			if agg == "SUM" && trial%4 == 0 {
 				queryAgg = "AVG"
 			}
+			// An AVG view stores its window sums: it answers SUM too.
+			if agg == "AVG" && trial%4 == 2 {
+				queryAgg = "SUM"
+			}
 			// The operator takes what the rendered patterns cannot be forced
 			// to: any target — wider, narrower (a negative Δ, MinOA's alone,
 			// down to the one-row frame (0,0)), or too wide for MIN/MAX, which
@@ -563,9 +569,11 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						"served partitioned sliding from cumulative": partitioned && algo == core.AlgoCumulative,
 						"served one-row from sliding":                !cumulative && ly+hy == 0,
 						"served one-row from cumulative":             cumulative && !queryCumulative && ly+hy == 0,
-						"served AVG from SUM":                        queryAgg != agg,
-						"served partitioned AVG from SUM":            queryAgg != agg && partitioned,
-						"served AVG from cumulative SUM":             queryAgg != agg && cumulative,
+						"served AVG from SUM":                        queryAgg == "AVG" && agg == "SUM",
+						"served partitioned AVG from SUM":            queryAgg == "AVG" && agg == "SUM" && partitioned,
+						"served AVG from cumulative SUM":             queryAgg == "AVG" && agg == "SUM" && cumulative,
+						"served AVG from AVG view":                   queryAgg == "AVG" && agg == "AVG" && algo != core.AlgoExact,
+						"served SUM from AVG view":                   queryAgg == "SUM" && agg == "AVG",
 					} {
 						if hit {
 							drawn[name]++
@@ -758,7 +766,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		"served partitioned MIN/MAX", "served negative-Δ MinOA", "served MinOA residue corner",
 		"served sliding from cumulative", "served partitioned sliding from cumulative",
 		"served one-row from sliding", "served one-row from cumulative",
-		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM"} {
+		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM",
+		"served AVG from AVG view", "served SUM from AVG view"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}

@@ -39,6 +39,11 @@ type Derive struct {
 	Agg core.Agg
 	// Target is the window (l_y, h_y) the query asked for.
 	Target core.Window
+	// Complete emits every stored position lo…n_p+l_x in the view's backing
+	// layout rather than the body: a read of an AVG view by name, whose
+	// stored sums divide into the quotients its query defines. Target is
+	// then In.Win.
+	Complete bool
 	// Ctx, when set, is observed during the scan and between partitions.
 	Ctx context.Context
 	// Spill, when set, carries the memory budget the slabs are charged to.
@@ -89,12 +94,16 @@ func (e *SequenceError) Error() string {
 }
 
 // NewDerive builds a Derive answering agg over target and emitting cols — a
-// partition column only over a partitioned view. The value column has the
-// type of the view's val column, or FLOAT for an AVG quotient.
+// partition column and a body flag only over a partitioned view. The value
+// column is typed as native evaluation types it: FLOAT for AVG, INTEGER for
+// COUNT, else as the view's val column.
 func NewDerive(in DeriveInput, agg core.Agg, target core.Window, cols []sqlparser.DeriveColumn) *Derive {
 	valType := in.Scan.Schema().Cols[in.Val].Type
-	if agg != in.Agg {
+	switch agg {
+	case core.Avg:
 		valType = sqltypes.Float
+	case core.Count:
+		valType = sqltypes.Int
 	}
 	infos := make([]expr.ColInfo, len(cols))
 	for i, c := range cols {
@@ -104,6 +113,8 @@ func NewDerive(in DeriveInput, agg core.Agg, target core.Window, cols []sqlparse
 			typ = in.Scan.Schema().Cols[in.Part].Type
 		case sqlparser.DeriveValue:
 			typ = valType
+		case sqlparser.DeriveBody:
+			typ = sqltypes.Bool
 		}
 		infos[i] = expr.ColInfo{Name: c.Name, Type: typ}
 	}
@@ -326,50 +337,60 @@ func (d *Derive) Open() error {
 	}
 	d.parts, d.stored = len(src.parts), len(src.vals)
 
-	body := 0
+	// Each partition emits its body 1…n_p, or in complete mode its stored
+	// positions lo…n_p+l_x.
+	first, emit := 1, func(p *seqPart) int { return p.n }
+	if d.Complete {
+		first, emit = src.lo, func(p *seqPart) int { return p.rows }
+	}
+	rows := 0
 	for i := range src.parts {
-		body += src.parts[i].n
+		rows += emit(&src.parts[i])
 	}
 	// The output rows stay until Close; the derived values go with Open, like
 	// the slab they come from.
-	d.charge(int64(body) * (int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
-	out := make([]float64, body)
-	derived := int64(body) * 8
+	d.charge(int64(rows) * (int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
+	out := make([]float64, rows)
+	derived := int64(rows) * 8
 	d.charge(derived)
 	defer d.uncharge(derived + int64(len(src.vals))*8)
-	cells := make([]sqltypes.Datum, body*len(d.cols))
-	d.rows = make([]sqltypes.Row, body)
+	cells := make([]sqltypes.Datum, rows*len(d.cols))
+	d.rows = make([]sqltypes.Row, rows)
 	done := 0
 	for i := range src.parts {
 		if err := ctxErr(d.Ctx); err != nil {
 			return err
 		}
 		p := &src.parts[i]
-		y := out[done : done+p.n]
-		if err := src.slab(p).Derive(src.in.Algo, y, 1, d.Target); err != nil {
+		y := out[done : done+emit(p)]
+		if err := src.slab(p).Derive(src.in.Algo, y, first, d.Target); err != nil {
 			return err
 		}
 		if d.Agg != d.In.Agg {
-			// AVG = SUM/COUNT: every body window holds its own position.
+			// AVG = SUM/COUNT; a window that holds no raw value sums to 0,
+			// which stays the quotient.
 			for k := range y {
-				y[k] /= float64(d.Target.Count(k+1, p.n))
+				y[k] /= float64(max(d.Target.Count(first+k, p.n), 1))
 			}
 		}
 		for k, v := range y {
+			pos := first + k
 			row := cells[(done+k)*len(d.cols) : (done+k+1)*len(d.cols) : (done+k+1)*len(d.cols)]
 			for c, col := range d.cols {
 				switch col.Kind {
 				case sqlparser.DerivePos:
-					row[c] = sqltypes.NewInt(int64(k + 1))
+					row[c] = sqltypes.NewInt(int64(pos))
 				case sqlparser.DerivePart:
 					row[c] = p.key
+				case sqlparser.DeriveBody:
+					row[c] = sqltypes.NewBool(pos >= 1 && pos <= p.n)
 				default:
 					row[c] = d.value(v)
 				}
 			}
 			d.rows[done+k] = row
 		}
-		done += p.n
+		done += len(y)
 	}
 	return nil
 }

@@ -10,13 +10,13 @@ import (
 	"rfview/internal/storage"
 )
 
-// AVG is not incrementally maintainable on its own (core.NewMaintainer
-// rejects it): an AVG sequence view is maintained as a SUM maintainer, and
-// every materialized value is derived at write time as the sum over the
-// count its window implies (core.Window.Count). These tests pin that
-// derivation bit-exactly against the pipelined refresh computation —
-// including NaN and −0 flowing through the sums, where the SUM side must
-// fall back to its refresh-identical recompute.
+// An AVG sequence view stores its window's SUM sequence, typed like the base
+// column, and a read divides it by the count its window implies
+// (core.Window.Count): it is maintained exactly as a SUM view is, from the
+// DML images. These tests pin the stored sums bit-exactly against the
+// pipelined refresh computation — including NaN and −0 flowing through the
+// sums, where the SUM rules must fall back to their refresh-identical
+// recompute.
 
 // floatFixture builds seq(pos INTEGER, val FLOAT) with the given values at
 // positions 1…n.
@@ -101,7 +101,7 @@ func avgDelete(t *testing.T, m *Manager, tbl *catalog.Table, pos int) {
 }
 
 // checkAvgBitExact compares the backing table bit-for-bit against a
-// pipelined AVG computation over the base table's current contents.
+// pipelined SUM computation over the base table's current contents.
 func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string) {
 	t.Helper()
 	if m.Stale("avgmv") {
@@ -116,7 +116,7 @@ func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-	want, err := core.ComputePipelined(raw, core.Sliding(2, 1), core.Avg)
+	want, err := core.ComputePipelined(raw, core.Sliding(2, 1), core.Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string
 		rows++
 		gv, present := got[int64(k)]
 		if !present || math.Float64bits(gv) != math.Float64bits(wv) {
-			t.Fatalf("%s: avg at pos %d = (%v,%v) [bits %016x], want %v [bits %016x]",
+			t.Fatalf("%s: sum at pos %d = (%v,%v) [bits %016x], want %v [bits %016x]",
 				ctx, k, gv, present, math.Float64bits(gv), wv, math.Float64bits(wv))
 		}
 	}
@@ -140,13 +140,14 @@ func checkAvgBitExact(t *testing.T, cat *catalog.Catalog, m *Manager, ctx string
 }
 
 // TestAvgViewMaintainedAsSumCountPair: ordinary maintainable DML on an AVG
-// view stays bit-identical to refresh through the divided sums.
+// view keeps its stored sums bit-identical to refresh; the counts are a
+// closed form of the window, so the pair is the sums alone.
 func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 	cat, m, tbl := floatFixture(t, []float64{3, 1, 4, 1, 5, 9, 2, 6})
 	createView(t, m, avgViewDDL)
 	sv := m.seq["avgmv"]
-	if sv == nil || sv.agg != core.Avg || sv.valType != sqltypes.Float {
-		t.Fatal("AVG view must store its quotients as FLOAT")
+	if sv == nil || sv.agg != core.Sum || sv.valType != sqltypes.Float {
+		t.Fatal("an AVG view over a FLOAT column must store its window sums as FLOAT")
 	}
 	checkAvgBitExact(t, cat, m, "initial fill")
 
@@ -161,8 +162,8 @@ func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 }
 
 // TestAvgViewExoticValues pushes NaN and −0 through the sums. While either
-// is present in the raw data, the SUM maintainer recomputes instead of
-// differencing — sum/count must track the refresh bits the whole way, NaN
+// is present in the raw data, the SUM rules recompute instead of
+// differencing — the sums must track the refresh bits the whole way, NaN
 // contamination included.
 func TestAvgViewExoticValues(t *testing.T) {
 	cat, m, tbl := floatFixture(t, []float64{2, 4, 6, 8, 10, 12})

@@ -150,10 +150,6 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 	if err != nil {
 		return nil, err
 	}
-	agg, err := core.ParseAgg(wq.Agg)
-	if err != nil {
-		return nil, err
-	}
 	valCol := wq.ValCol
 	if valCol == "" { // COUNT(*)
 		valCol = wq.PosCol
@@ -168,8 +164,13 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 		ValColumn: valCol, Agg: wq.Agg, Window: win,
 		Definition: stmt.String(),
 	}
+	agg, err := core.ParseAgg(mv.Stored())
+	if err != nil {
+		return nil, err
+	}
+	// The stored values are typed like the base column; counts are INTEGER.
 	sv := &seqView{mv: mv, lay: lay, agg: agg, valType: sqltypes.Int}
-	if vi := base.ColumnIndex(valCol); vi >= 0 && base.Columns[vi].Type == sqltypes.Float || agg == core.Avg {
+	if vi := base.ColumnIndex(valCol); vi >= 0 && base.Columns[vi].Type == sqltypes.Float && agg != core.Count {
 		sv.valType = sqltypes.Float
 	}
 	// Read the base before creating anything: a non-dense one is refused.

@@ -156,7 +156,8 @@ func refresh(m *Manager, name string) error {
 }
 
 // checkViewMatchesCore verifies the backing table equals a fresh core
-// computation over the base table's current contents.
+// computation of the sequence it stores over the base table's current
+// contents.
 func checkViewMatchesCore(t *testing.T, cat *catalog.Catalog, m *Manager, name string, win core.Window, agg core.Agg) {
 	t.Helper()
 	checkViewMatches(t, cat, m, name, win, agg, core.ComputePipelined)
@@ -175,13 +176,22 @@ func checkViewMatches(t *testing.T, cat *catalog.Catalog, m *Manager, name strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := compute(raw, win, agg)
+	want, err := compute(raw, win, storedAgg(agg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := viewDiff(want, viewValues(t, cat, name)); diff != "" {
 		t.Fatalf("view %q %s", name, diff)
 	}
+}
+
+// storedAgg is the aggregate of the sequence a view of agg keeps in its
+// backing rows: an AVG view stores its window sums.
+func storedAgg(agg core.Agg) core.Agg {
+	if agg == core.Avg {
+		return core.Sum
+	}
+	return agg
 }
 
 // viewDiff says how a view's pos→val rows differ from the sequence want,
@@ -557,8 +567,9 @@ func TestFoldReadsRawAsOfEachChange(t *testing.T) {
 
 // TestFoldBaseReads: a fold reads the base table only for band recomputes,
 // and over a base without a position index it reads it once per view
-// however many rows the commit changed. A COUNT append and a FLOAT MIN
-// widening read none.
+// however many rows the commit changed. A COUNT append, a FLOAT MIN
+// widening and an AVG view's value update, append and suffix delete read
+// none: an AVG view stores its window sums.
 func TestFoldBaseReads(t *testing.T) {
 	const n, changed = 2000, 25
 	type fixture struct {
@@ -622,8 +633,8 @@ func TestFoldBaseReads(t *testing.T) {
 	for i := range positions {
 		positions[i] = int64(40 + i*(n-80)/changed) // scattered: one band each
 	}
+	avgView := `CREATE MATERIALIZED VIEW av AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
 	recompute := []string{
-		`CREATE MATERIALIZED VIEW av AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
 		`CREATE MATERIALIZED VIEW mx AS SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
 	}
 	// One commit of all the changes against one commit per change.
@@ -640,7 +651,6 @@ func TestFoldBaseReads(t *testing.T) {
 	pBatch = acquired(batch, func() { batch.m.Fold(tx, []txn.Delta{d}) })
 	batch.m.commit(tx, nil)
 	for _, f := range []fixture{batch, single} {
-		checkViewMatchesCore(t, f.cat, f.m, "av", core.Sliding(1, 1), core.Avg)
 		checkViewMatchesCore(t, f.cat, f.m, "mx", core.Sliding(2, 1), core.Min)
 	}
 	if pBatch*4 > pSingle {
@@ -668,6 +678,40 @@ func TestFoldBaseReads(t *testing.T) {
 	checkViewMatchesCore(t, f.cat, f.m, "mn", core.Sliding(2, 1), core.Min)
 	if got*2 > scan {
 		t.Fatalf("an append to COUNT and MIN views acquired %d pages; a scan of the base acquires %d", got, scan)
+	}
+
+	a := setup(avgView)
+	last := sqltypes.Row{sqltypes.NewInt(n + 1), sqltypes.NewFloat(7), sqltypes.NewString("")}
+	for _, step := range []struct {
+		name   string
+		change func(tx *txn.Txn) txn.Delta
+	}{
+		{"value update", func(tx *txn.Txn) txn.Delta { return update(a, tx, []int64{n / 2}) }},
+		{"append", func(tx *txn.Txn) txn.Delta {
+			if _, err := a.base.Heap.InsertTx(tx, last); err != nil {
+				t.Fatal(err)
+			}
+			return txn.Delta{Table: "seq", Kind: txn.DeltaInsert, Cols: a.base.ColumnNames(), Rows: []sqltypes.Row{last}}
+		}},
+		{"suffix delete", func(tx *txn.Txn) txn.Delta {
+			id, row := baseRow(t, tx, a.base.Heap, n+1)
+			if err := a.base.Heap.DeleteTx(tx, id); err != nil {
+				t.Fatal(err)
+			}
+			return txn.Delta{Table: "seq", Kind: txn.DeltaDelete, Cols: a.base.ColumnNames(), Rows: []sqltypes.Row{row}}
+		}},
+	} {
+		tx := a.m.begin()
+		d := step.change(tx)
+		got := acquired(a, func() { a.m.Fold(tx, []txn.Delta{d}) })
+		a.m.commit(tx, nil)
+		if a.m.Stale("av") {
+			t.Fatalf("av went stale on a %s", step.name)
+		}
+		checkViewMatchesCore(t, a.cat, a.m, "av", core.Sliding(1, 1), core.Avg)
+		if got*2 >= scan {
+			t.Fatalf("an AVG view's %s acquired %d pages; a scan of the base acquires %d", step.name, got, scan)
+		}
 	}
 }
 

@@ -100,10 +100,10 @@ func TestQuickFold(t *testing.T) {
 }
 
 // checkBitExact compares a simple view's backing rows bit for bit with a
-// refresh over raw.
+// refresh over raw of the sequence they store.
 func checkBitExact(t *testing.T, cat *catalog.Catalog, name string, raw []float64, w core.Window, agg core.Agg, ctx string) {
 	t.Helper()
-	want, err := core.ComputePipelined(raw, w, agg)
+	want, err := core.ComputePipelined(raw, w, storedAgg(agg))
 	if err != nil {
 		t.Fatal(err)
 	}

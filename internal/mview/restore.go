@@ -71,7 +71,7 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 		return nil
 	}
 
-	agg, err := core.ParseAgg(mv.Agg)
+	agg, err := core.ParseAgg(mv.Stored())
 	if err != nil {
 		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
 	}

@@ -43,10 +43,10 @@ func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, err
 	if !ok {
 		return exec.DeriveInput{}, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", src.View)
 	}
-	if v.Kind != catalog.SequenceView || v.Window != catalog.WindowSpec(src.Window) || v.Agg != src.Agg {
+	if v.Kind != catalog.SequenceView || v.Window != catalog.WindowSpec(src.Window) || v.Stored() != src.Agg {
 		return exec.DeriveInput{}, fmt.Errorf("plan: view %q is not the %s %s sequence view the derivation was made for", src.View, src.Agg, src.Window)
 	}
-	agg, err := core.ParseAgg(v.Agg)
+	agg, err := core.ParseAgg(src.Agg)
 	if err != nil {
 		return exec.DeriveInput{}, err
 	}
@@ -60,4 +60,23 @@ func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, err
 		Rows: v.Table.Heap.Len(),
 	}
 	return in, nil
+}
+
+// planQuotients plans a read of an AVG view by name as the Derive operator in
+// complete mode: the view's backing layout, header and trailer included,
+// with each stored sum divided by the count its window holds — the rows of
+// the view's query — under the reference name ref.
+func (p *Planner) planQuotients(v *catalog.MatView, ref string) (exec.Operator, error) {
+	in, err := p.deriveInput(sqlparser.DeriveSource{View: v.Name, Agg: v.Stored(), Window: sqlparser.SeqWindow(v.Window), Algo: core.AlgoExact})
+	if err != nil {
+		return nil, err
+	}
+	kinds := map[string]sqlparser.DeriveColumnKind{"part": sqlparser.DerivePart, "pos": sqlparser.DerivePos, "val": sqlparser.DeriveValue, "body": sqlparser.DeriveBody}
+	cols := make([]sqlparser.DeriveColumn, len(v.Table.Columns))
+	for i, c := range v.Table.Columns {
+		cols[i] = sqlparser.DeriveColumn{Name: c.Name, Kind: kinds[c.Name]}
+	}
+	d := exec.NewDerive(in, core.Avg, in.Win, cols)
+	d.Complete, d.Ctx, d.Spill = true, p.Opts.Ctx, p.Opts.Spill
+	return requalified(d, ref), nil
 }

@@ -152,11 +152,15 @@ func (p *Planner) flatten(from sqlparser.TableExpr) ([]relation, []sqlparser.Exp
 func (p *Planner) planRelation(from sqlparser.TableExpr) (relation, error) {
 	switch t := from.(type) {
 	case *sqlparser.TableName:
+		ref := t.RefName()
+		if v, ok := p.Cat.MatView(t.Name); ok && v.Kind == catalog.SequenceView && v.Agg != v.Stored() {
+			op, err := p.planQuotients(v, ref)
+			return relation{op: op, ref: ref}, err
+		}
 		tbl, err := p.Cat.Table(t.Name)
 		if err != nil {
 			return relation{}, err
 		}
-		ref := t.RefName()
 		scan := exec.NewScan(tbl, ref)
 		scan.Snap = p.Opts.Snap
 		return relation{op: scan, ref: ref, table: tbl}, nil
@@ -165,13 +169,7 @@ func (p *Planner) planRelation(from sqlparser.TableExpr) (relation, error) {
 		if err != nil {
 			return relation{}, err
 		}
-		// Re-qualify the derived table's output columns under its alias.
-		cols := make([]expr.ColInfo, len(inner.Schema().Cols))
-		for i, c := range inner.Schema().Cols {
-			cols[i] = expr.ColInfo{Table: t.Alias, Name: c.Name, Type: c.Type}
-		}
-		op := &requalify{input: inner, schema: expr.NewSchema(cols...), alias: t.Alias}
-		return relation{op: op, ref: t.Alias}, nil
+		return relation{op: requalified(inner, t.Alias), ref: t.Alias}, nil
 	case *sqlparser.Join:
 		op, rem, err := p.planFromInternal(t, nil)
 		if err != nil {
@@ -470,6 +468,15 @@ type requalify struct {
 	input  exec.Operator
 	schema *expr.Schema
 	alias  string
+}
+
+// requalified exposes op's output columns under alias.
+func requalified(op exec.Operator, alias string) *requalify {
+	cols := make([]expr.ColInfo, len(op.Schema().Cols))
+	for i, c := range op.Schema().Cols {
+		cols[i] = expr.ColInfo{Table: alias, Name: c.Name, Type: c.Type}
+	}
+	return &requalify{input: op, schema: expr.NewSchema(cols...), alias: alias}
 }
 
 // Schema implements exec.Operator.

@@ -49,26 +49,19 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select) *Derivation {
 	if wq.Agg == "COUNT" && valCol == "" {
 		valCol = wq.PosCol // COUNT(*) ≡ COUNT(pos) over a dense position column
 	}
-	d := match(cat, wq, partCol, valCol, wq.Agg)
-	if d == nil && wq.Agg == "AVG" {
-		// An AVG view's rows hold quotients, which only its own window
-		// answers. Any other AVG is a SUM derivation divided by the counts
-		// the window implies (§2.1).
-		d = match(cat, wq, partCol, valCol, "SUM")
+	// AVG is a SUM derivation divided by the counts the window implies
+	// (§2.1): SUM and AVG views both store SUM sequences.
+	stored := wq.Agg
+	if stored == "AVG" {
+		stored = "SUM"
 	}
-	return d
-}
-
-// match derives wq's window from the best view of aggregate agg over the
-// query's table, position, partition and value columns.
-func match(cat *catalog.Catalog, wq *WindowQuery, partCol, valCol, agg string) *Derivation {
 	target := core.Window(wq.Shape)
-	v, algo := pickView(cat.SequenceViewsOver(wq.Table, wq.PosCol, partCol, valCol, agg), target)
+	v, algo := pickView(cat.SequenceViewsOver(wq.Table, wq.PosCol, partCol, valCol, stored), target)
 	if v == nil {
 		return nil
 	}
 	d := &Derivation{View: v, Plan: &sqlparser.DeriveSelect{
-		Source:  sqlparser.DeriveSource{View: v.Name, Agg: v.Agg, Window: sqlparser.SeqWindow(v.Window), Algo: algo},
+		Source:  sqlparser.DeriveSource{View: v.Name, Agg: stored, Window: sqlparser.SeqWindow(v.Window), Algo: algo},
 		Agg:     wq.Agg,
 		Target:  sqlparser.SeqWindow(wq.Shape),
 		Columns: deriveColumns(wq),
@@ -92,7 +85,7 @@ func pickView(candidates []*catalog.MatView, target core.Window) (*catalog.MatVi
 	var bestAlgo core.Algo
 	bestRank := -1
 	for _, v := range candidates {
-		agg, err := core.ParseAgg(v.Agg)
+		agg, err := core.ParseAgg(v.Stored())
 		if err != nil {
 			continue
 		}

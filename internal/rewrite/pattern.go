@@ -62,15 +62,21 @@ func (f Form) String() string {
 // Pattern renders d as the paper writes it in SQL — a scan of the view for
 // an exact match, Fig. 5 for a cumulative view, §4.2's two-lookup join for
 // MIN/MAX, and for SUM/COUNT the Fig. 10 (MaxOA) or Fig. 13 (MinOA) pattern
-// the strategy picks, in the given form; AVG from a SUM view is the SUM
-// pattern over the count the target window implies. n is the base
+// the strategy picks, in the given form; AVG from a SUM or AVG view is the
+// SUM pattern over the count the target window implies. n is the base
 // cardinality of a simple view: the body the rendering keeps is positions
 // 1…n (a partitioned view's rows carry a body flag instead). An error means
 // no pattern renders d — the strategy's preconditions fail, or per-partition
 // cardinalities would be needed.
 func Pattern(d *Derivation, strategy Strategy, form Form, n int) (sqlparser.SelectStatement, error) {
 	p := d.Plan
-	sel, err := rendering{d.View, p.Columns, n}.derive(p.Source, p.Target, strategy, form)
+	// An AVG view's sums are its backing table's rows: its name reads
+	// quotients.
+	rel := d.View.Name
+	if d.View.Agg == "AVG" {
+		rel = d.View.Table.Name
+	}
+	sel, err := rendering{d.View, rel, p.Columns, n}.derive(p.Source, p.Target, strategy, form)
 	if err != nil {
 		return nil, err
 	}
@@ -102,10 +108,12 @@ func Pattern(d *Derivation, strategy Strategy, form Form, n int) (sqlparser.Sele
 	return sel, nil
 }
 
-// rendering is one derivation's source view, the query's output columns and
-// the body 1…n of a simple view, as the patterns below need them.
+// rendering is one derivation's source view, the relation its stored
+// sequence is read from, the query's output columns and the body 1…n of a
+// simple view, as the patterns below need them.
 type rendering struct {
 	v    *catalog.MatView
+	rel  string
 	cols []sqlparser.DeriveColumn
 	n    int
 }
@@ -211,7 +219,7 @@ func (r rendering) items(ref string, value sqlparser.Expr) []sqlparser.SelectIte
 func (r rendering) exactMatch() *sqlparser.Select {
 	return &sqlparser.Select{
 		Items: r.items("s", col("s", "val")),
-		From:  tbl(r.v.Name, "s"),
+		From:  tbl(r.rel, "s"),
 		Where: bodyFilter(r.v, r.n, "s"),
 	}
 }
@@ -233,8 +241,8 @@ func (r rendering) slidingFromCumulative(target sqlparser.SeqWindow) *sqlparser.
 	return &sqlparser.Select{
 		Items: r.items("s", value),
 		From: leftJoin(
-			leftJoin(tbl(r.v.Name, "s"), tbl(r.v.Name, "a"), eq(col("a", "pos"), upper)),
-			tbl(r.v.Name, "b"),
+			leftJoin(tbl(r.rel, "s"), tbl(r.rel, "a"), eq(col("a", "pos"), upper)),
+			tbl(r.rel, "b"),
 			eq(col("b", "pos"), plusConst(col("s", "pos"), int64(-l-1))),
 		),
 		Where: bodyFilter(r.v, r.n, "s"),
@@ -264,8 +272,8 @@ func (r rendering) minMax(agg string, dl, dh int) *sqlparser.Select {
 	return &sqlparser.Select{
 		Items: r.items("s", value),
 		From: leftJoin(
-			leftJoin(tbl(r.v.Name, "s"), tbl(r.v.Name, "a"), onA),
-			tbl(r.v.Name, "b"), onB,
+			leftJoin(tbl(r.rel, "s"), tbl(r.rel, "a"), onA),
+			tbl(r.rel, "b"), onB,
 		),
 		Where: bodyFilter(r.v, r.n, "s"),
 	}
@@ -348,7 +356,7 @@ func (r rendering) derivation(branches []branch, positiveShift int, w int, form 
 		}
 		inner = &sqlparser.Select{
 			Items:   innerItems(selItem(sumOf(signCase), "val")),
-			From:    crossJoin(tbl(v.Name, s1), tbl(v.Name, s2)),
+			From:    crossJoin(tbl(r.rel, s1), tbl(r.rel, s2)),
 			Where:   or(preds...),
 			GroupBy: innerGroupBy(),
 		}
@@ -361,7 +369,7 @@ func (r rendering) derivation(branches []branch, positiveShift int, w int, form 
 			}
 			leg := &sqlparser.Select{
 				Items: innerItems(selItem(val, "val")),
-				From:  crossJoin(tbl(v.Name, s1), tbl(v.Name, s2)),
+				From:  crossJoin(tbl(r.rel, s1), tbl(r.rel, s2)),
 				Where: branchPred(b),
 			}
 			if i == 0 {
@@ -394,7 +402,7 @@ func (r rendering) derivation(branches []branch, positiveShift int, w int, form 
 	}
 	return &sqlparser.Select{
 		Items: r.items("s", value),
-		From: leftJoin(tbl(v.Name, "s"),
+		From: leftJoin(tbl(r.rel, "s"),
 			&sqlparser.DerivedTable{Select: inner, Alias: "d"}, on),
 		Where: bodyFilter(v, r.n, "s"),
 	}

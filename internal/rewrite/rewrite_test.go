@@ -433,7 +433,8 @@ func newViewCatalog2(t *testing.T, tag string, win catalog.WindowSpec, agg strin
 // TestAvgComposition — §2.1's AVG = SUM/COUNT at the rewrite level, the
 // COUNT implied by the window: one SUM view answers every AVG window it
 // answers as SUM, simple or partitioned, sliding or cumulative, and no COUNT
-// view is asked for. An AVG view answers only its own window.
+// view is asked for. An AVG view stores its window sums, so it answers SUM
+// and AVG windows as a SUM view does (the first of equal views by name).
 func TestAvgComposition(t *testing.T) {
 	cat := emptyCatalog(t)
 	cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}})
@@ -452,9 +453,11 @@ func TestAvgComposition(t *testing.T) {
 
 	for _, c := range []struct{ query, plan string }{
 		{`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-			"DERIVE pos, w AS AVG (3,1) FROM vsum (2,1) BY MinOA"},
+			"DERIVE pos, w AS AVG (3,1) FROM vavg (2,1) BY MinOA"},
 		{`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 			"DERIVE pos, w AS AVG (2,1) FROM vavg (2,1) BY exact"},
+		{`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+			"DERIVE pos, w AS SUM (1,1) FROM vavg (2,1) BY MinOA"},
 		{`SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`,
 			"DERIVE grp, pos, w AS AVG (1,2) FROM psum cumulative BY cumulative"},
 		{`SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS UNBOUNDED PRECEDING) AS w FROM pt`,
@@ -474,6 +477,10 @@ func TestAvgComposition(t *testing.T) {
 		StrategyAuto, FormDisjunctive, 40)
 	if want := "/ ((LEAST((s.pos + 1), 40) - GREATEST((s.pos - 3), 1)) + 1)"; !strings.Contains(got, want) || strings.Count(got, "JOIN") != strings.Count(sum, "JOIN") {
 		t.Fatalf("AVG pattern is not the SUM pattern over %q:\n%s", want, got)
+	}
+	// The AVG view's name reads quotients: its sums are its backing table's.
+	if strings.Contains(got, " vavg ") || !strings.Contains(got, "__mv_vavg s") {
+		t.Fatalf("the pattern over the AVG view does not read its backing table:\n%s", got)
 	}
 	// A partitioned view's counts vary by partition; no pattern divides them.
 	d = Derive(cat, parseSelect(t, `SELECT grp, pos, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`))

@@ -431,7 +431,7 @@ type DeriveSelect struct {
 // algorithm that takes its window to the target's.
 type DeriveSource struct {
 	View   string    // the sequence view
-	Agg    string    // its aggregate: SUM, COUNT, AVG, MIN or MAX
+	Agg    string    // the aggregate it stores: SUM (for a SUM or AVG view), COUNT, MIN or MAX
 	Window SeqWindow // its materialized window (l_x, h_x)
 	// Algo is core.Algorithm's answer for this view and the target: the one
 	// name EXPLAIN, the strategy metric and the Derive operator read.
@@ -454,7 +454,8 @@ func (w SeqWindow) String() string {
 }
 
 // DeriveColumn is one output column of a DeriveSelect: the position, the
-// partition key, or the derived value, under the name the query gave it.
+// partition key, the derived value or the body flag, under the name the
+// query gave it.
 type DeriveColumn struct {
 	Name string
 	Kind DeriveColumnKind
@@ -468,6 +469,7 @@ const (
 	DerivePos DeriveColumnKind = iota
 	DerivePart
 	DeriveValue
+	DeriveBody // whether the position lies in the body 1…n_p
 )
 
 func (*DeriveSelect) stmt()            {}

@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	rferrors "rfview/errors"
+	"rfview/internal/core"
 	"rfview/internal/engine"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqlparser"
+	"rfview/internal/sqltypes"
 )
 
 // The crash-injection harness: a durable engine and an always-alive
@@ -87,6 +89,13 @@ var diffQueries = []string{
 	`SELECT pos, val FROM matseq`,
 	`SELECT part, pos, val, body FROM matpt`,
 	`SELECT pos, val FROM plainv`,
+	`SELECT pos, val FROM avgv`,
+	// The AVG view stores its window sums: it answers SUM as well as AVG.
+	// AVG (2,2) derives from matseq, the larger window; AVG and SUM (1,1)
+	// from avgv.
+	`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS w FROM seq`,
+	`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
+	`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 	// Aggregates over base tables.
 	`SELECT COUNT(*) AS c, SUM(val) AS s FROM seq`,
 	`SELECT COUNT(*) AS c FROM pt`,
@@ -551,11 +560,14 @@ var pr19Queries = []string{
 	`SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`,
 }
 
-// TestRecoverParentFormatDirectory: the on-disk format did not move. The
-// PR 19 snapshot restores and dumps back byte for byte (backing schemas, pk
-// index names, view metadata), and the directory recovers — snapshot plus WAL
-// tail — with all three views fresh, equal to an engine that ran the
-// statements, and still maintained by deltas afterwards.
+// TestRecoverParentFormatDirectory: the PR 19 directory, RFSNAP01 format,
+// still recovers. Its snapshot restores and dumps back byte for byte
+// (backing schemas, pk index names, view metadata) except the AVG view's
+// backing table: RFSNAP01 holds v_avg's quotients, and the restored view
+// stores the SUM (1,1) sequence of seq, typed like its INTEGER val. The
+// directory recovers — snapshot plus WAL tail — with all three views fresh,
+// equal to an engine that ran the statements, and still maintained by deltas
+// afterwards.
 func TestRecoverParentFormatDirectory(t *testing.T) {
 	const snapFile = "snap-0000000000000009.snap"
 	data, err := os.ReadFile(filepath.Join("testdata", "pr19", snapFile))
@@ -574,6 +586,32 @@ func TestRecoverParentFormatDirectory(t *testing.T) {
 	again, err := captureState(e, snap.LSN)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var parent Snapshot
+	if err := json.Unmarshal(data[16:], &parent); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range again.Tables {
+		if st.Name != "__mv_v_avg" {
+			continue
+		}
+		sums, err := core.ComputeNaive([]float64{10, 25, 30, 40, 50}, core.Sliding(1, 1), core.Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int64]sqltypes.Datum{}
+		for _, row := range sqltypes.RowsFromJSON(st.Rows) {
+			got[row[0].Int()] = row[1]
+		}
+		for k := sums.Lo(); k <= sums.Hi(); k++ {
+			if v := got[int64(k)]; v.Typ() != sqltypes.Int || v.Float() != sums.At(k) {
+				t.Fatalf("restored v_avg holds %v at position %d, want the INTEGER sum %v", v, k, sums.At(k))
+			}
+		}
+		if len(got) != sums.Len() || st.Columns[1].Type != uint8(sqltypes.Int) {
+			t.Fatalf("restored v_avg backing table: columns %v, %d rows, want INTEGER val and %d rows", st.Columns, len(got), sums.Len())
+		}
+		again.Tables[i] = parent.Tables[i] // the rest must dump back byte for byte
 	}
 	body, err := json.Marshal(again)
 	if err != nil {
@@ -632,6 +670,48 @@ func TestRecoverParentFormatDirectory(t *testing.T) {
 		t.Fatal("no delta was applied after recovery")
 	}
 	compareEnginesOn(t, re.Engine(), reference, pr19Queries, "post-recovery traffic")
+}
+
+// TestRestoreStaleQuotientView: a stale AVG view in an RFSNAP01 snapshot —
+// its base not dense, so nothing can refill it — restores stale over an
+// empty backing table typed like its INTEGER base column, and REFRESH, once
+// the base is dense again, rebuilds it equal to an engine that never
+// crashed.
+func TestRestoreStaleQuotientView(t *testing.T) {
+	setup := []string{
+		`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
+		`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 30), (4, 40)`,
+		`CREATE MATERIALIZED VIEW avgv AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
+		`DELETE FROM seq WHERE pos = 2`, // a gap: the view goes stale
+	}
+	old, reference := engine.New(engine.DefaultOptions()), engine.New(engine.DefaultOptions())
+	defer old.Close()
+	defer reference.Close()
+	for _, sql := range setup {
+		applyBoth(t, old, reference, sql)
+	}
+	snap, err := captureState(old, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.magic = snapMagic01
+	e := engine.New(engine.DefaultOptions())
+	defer e.Close()
+	if err := restoreState(e, snap); err != nil {
+		t.Fatal(err)
+	}
+	if stale, _ := e.Views.StaleInfo("avgv"); !stale {
+		t.Fatal("the stale AVG view restored fresh")
+	}
+	backing, err := e.Cat.Table("__mv_avgv")
+	if err != nil || backing.Heap.Len() != 0 || backing.Columns[1].Type != sqltypes.Int {
+		t.Fatalf("backing table %v (err %v): want it empty with an INTEGER val", backing.Columns, err)
+	}
+	for _, sql := range []string{`INSERT INTO seq VALUES (2, 25)`, `REFRESH MATERIALIZED VIEW avgv`} {
+		applyBoth(t, e, reference, sql)
+	}
+	compareEnginesOn(t, e, reference, []string{`SELECT pos, val FROM avgv`,
+		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`}, "refreshed")
 }
 
 // TestRefusedDropLeavesRecoverableDirectory: DROP TABLE of a view's base or

@@ -41,10 +41,7 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 			return nil, err
 		}
 		for _, idx := range t.Indexes {
-			snap.Indexes = append(snap.Indexes, SnapIndex{
-				Name: idx.Name, Table: idx.Table, Columns: idx.Columns,
-				Unique: idx.Unique, Ordered: true,
-			})
+			snap.Indexes = append(snap.Indexes, SnapIndex{Name: idx.Name, Table: idx.Table, Columns: idx.Columns, Unique: idx.Unique, Ordered: true})
 		}
 		snap.Tables = append(snap.Tables, st)
 	}
@@ -58,13 +55,7 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 			Name: mv.Name, Kind: uint8(mv.Kind), Backing: mv.Table.Name,
 			BaseTable: mv.BaseTable, PosColumn: mv.PosColumn,
 			PartColumn: mv.PartColumn, ValColumn: mv.ValColumn, Agg: mv.Agg,
-			Window: SnapWindow{
-				Cumulative: mv.Window.Cumulative,
-				Preceding:  mv.Window.Preceding,
-				Following:  mv.Window.Following,
-			},
-			N: n, Definition: mv.Definition,
-			Stale: stale, StaleWhy: why,
+			Window: SnapWindow(mv.Window), N: n, Definition: mv.Definition, Stale: stale, StaleWhy: why,
 		})
 	}
 	return snap, nil
@@ -94,17 +85,29 @@ func bodyLen(mv *catalog.MatView, at txn.Snapshot) (int, error) {
 // from zero in the new engine — together with the empty plan/result cache of
 // a fresh engine, no cached entry keyed on pre-crash versions can survive
 // into the recovered process.
+//
+// An AVG view whose quotients an RFSNAP01 snapshot holds — no sum can be
+// recovered from them — gets an empty backing table, its val column typed
+// like the base column, and REFRESH refills it once it is restored fresh:
+// the one base read a restore makes.
 func restoreState(e *engine.Engine, snap *Snapshot) error {
 	tx := e.BeginTxn()
 	for _, st := range snap.Tables {
+		typ, quotients := snap.sumType(st.Name)
 		cols := make([]catalog.Column, len(st.Columns))
 		for i, c := range st.Columns {
 			cols[i] = catalog.Column{Name: c.Name, Type: sqltypes.Type(c.Type)}
+			if quotients && c.Name == "val" {
+				cols[i].Type = typ
+			}
 		}
 		t, err := e.Cat.CreateTable(st.Name, cols)
 		if err != nil {
 			e.RollbackTxn(tx)
 			return fmt.Errorf("wal: restore table %q: %w", st.Name, err)
+		}
+		if quotients {
+			continue
 		}
 		for _, row := range sqltypes.RowsFromJSON(st.Rows) {
 			if _, err := t.Heap.InsertTx(tx, row); err != nil {
@@ -124,24 +127,17 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 	for _, smv := range snap.MatViews {
 		view := &catalog.MatView{
 			Name: smv.Name, Kind: catalog.MatViewKind(smv.Kind),
-			BaseTable: smv.BaseTable, PosColumn: smv.PosColumn,
-			PartColumn: smv.PartColumn, ValColumn: smv.ValColumn,
-			Agg: smv.Agg,
-			Window: catalog.WindowSpec{
-				Cumulative: smv.Window.Cumulative,
-				Preceding:  smv.Window.Preceding,
-				Following:  smv.Window.Following,
-			},
-			Definition: smv.Definition,
+			BaseTable: smv.BaseTable, PosColumn: smv.PosColumn, PartColumn: smv.PartColumn, ValColumn: smv.ValColumn,
+			Agg: smv.Agg, Window: catalog.WindowSpec(smv.Window), Definition: smv.Definition,
 		}
-		spec := mview.RestoreSpec{
-			View:     view,
-			Backing:  smv.Backing,
-			Stale:    smv.Stale,
-			StaleWhy: smv.StaleWhy,
-		}
+		spec := mview.RestoreSpec{View: view, Backing: smv.Backing, Stale: smv.Stale, StaleWhy: smv.StaleWhy}
 		if err := e.Views.Restore(spec); err != nil {
 			return fmt.Errorf("wal: restore view %q: %w", smv.Name, err)
+		}
+		if _, quotients := snap.sumType(smv.Backing); quotients && !smv.Stale {
+			if _, err := e.Exec("REFRESH MATERIALIZED VIEW " + smv.Name); err != nil {
+				return fmt.Errorf("wal: refill view %q: %w", smv.Name, err)
+			}
 		}
 	}
 	return nil

@@ -19,9 +19,10 @@ import (
 // one checksummed JSON document. Snapshots are written to a temp file and
 // atomically renamed into place, so a crash mid-write leaves the previous
 // snapshot (and the full WAL) intact; only after the rename is durable does
-// the checkpoint truncate the log.
+// the checkpoint truncate the log. An RFSNAP01 snapshot predates AVG views
+// storing their window sums: it holds their quotients.
 
-const snapMagic = "RFSNAP01"
+const snapMagic, snapMagic01 = "RFSNAP02", "RFSNAP01"
 
 // Snapshot is the serialized engine state.
 type Snapshot struct {
@@ -38,6 +39,24 @@ type Snapshot struct {
 	// reconstructed from the restored base tables (the engine's determinism
 	// again), or deferred to REFRESH for stale views.
 	MatViews []SnapMatView `json:"matviews"`
+	// magic is the format the snapshot was read in.
+	magic string
+}
+
+// sumType is, for the backing table of an AVG view whose quotients an
+// RFSNAP01 snapshot holds, the type of the view's base column, which the
+// view's sums take; ok is false for every other table.
+func (s *Snapshot) sumType(backing string) (typ sqltypes.Type, ok bool) {
+	for _, v := range s.MatViews {
+		for _, t := range s.Tables {
+			for _, c := range t.Columns {
+				if s.magic == snapMagic01 && v.Agg == "AVG" && v.Backing == backing && t.Name == v.BaseTable && c.Name == v.ValColumn {
+					return sqltypes.Type(c.Type), true
+				}
+			}
+		}
+	}
+	return 0, false
 }
 
 // SnapColumn is one column of a dumped schema.
@@ -153,7 +172,7 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 16 || string(data[:8]) != snapMagic {
+	if len(data) < 16 || string(data[:8]) != snapMagic && string(data[:8]) != snapMagic01 {
 		return nil, fmt.Errorf("wal: %s: bad snapshot magic", filepath.Base(path))
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:12]))
@@ -165,7 +184,7 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return nil, fmt.Errorf("wal: %s: snapshot checksum mismatch", filepath.Base(path))
 	}
-	var snap Snapshot
+	snap := Snapshot{magic: string(data[:8])}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
 	}
