@@ -6,6 +6,7 @@ import (
 
 	"rfview/internal/engine"
 	"rfview/internal/exec"
+	"rfview/internal/paper"
 	"rfview/internal/plan"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqlparser"
@@ -60,7 +61,7 @@ func PatternsReport() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sj, err := rewrite.SelfJoin(stmt.(*sqlparser.Select))
+	sj, err := paper.SelfJoin(stmt.(*sqlparser.Select))
 	if err != nil {
 		return "", err
 	}
@@ -72,7 +73,7 @@ func PatternsReport() (string, error) {
 
 	// Fig. 4 — reconstructing raw data from a cumulative view.
 	cum, _ := e.Cat.MatView("cumseq")
-	raw, err := rewrite.RawFromCumulative(cum, n)
+	raw, err := paper.RawFromCumulative(cum, n)
 	if err != nil {
 		return "", err
 	}
@@ -85,13 +86,13 @@ func PatternsReport() (string, error) {
 	// Figs. 10 and 13 — the derivation patterns, both forms.
 	derived := []struct {
 		title    string
-		strategy rewrite.Strategy
-		form     rewrite.Form
+		strategy paper.Strategy
+		form     paper.Form
 	}{
-		{"Fig. 10 — MaxOA relational operator pattern (disjunctive)", rewrite.StrategyMaxOA, rewrite.FormDisjunctive},
-		{"Fig. 10 — MaxOA pattern, UNION-of-simple-predicates form", rewrite.StrategyMaxOA, rewrite.FormUnion},
-		{"Fig. 13 — MinOA relational operator pattern (disjunctive)", rewrite.StrategyMinOA, rewrite.FormDisjunctive},
-		{"Fig. 13 — MinOA pattern, UNION-of-simple-predicates form", rewrite.StrategyMinOA, rewrite.FormUnion},
+		{"Fig. 10 — MaxOA relational operator pattern (disjunctive)", paper.StrategyMaxOA, paper.FormDisjunctive},
+		{"Fig. 10 — MaxOA pattern, UNION-of-simple-predicates form", paper.StrategyMaxOA, paper.FormUnion},
+		{"Fig. 13 — MinOA relational operator pattern (disjunctive)", paper.StrategyMinOA, paper.FormDisjunctive},
+		{"Fig. 13 — MinOA pattern, UNION-of-simple-predicates form", paper.StrategyMinOA, paper.FormUnion},
 	}
 	qstmt, err := sqlparser.Parse(Table2Query)
 	if err != nil {
@@ -102,7 +103,7 @@ func PatternsReport() (string, error) {
 		return "", fmt.Errorf("patterns: %s produced no derivation", Table2Query)
 	}
 	for _, dv := range derived {
-		stmt, err := rewrite.Pattern(d, dv.strategy, dv.form, n)
+		stmt, err := paper.Pattern(d, dv.strategy, dv.form, n)
 		if err != nil {
 			return "", err
 		}

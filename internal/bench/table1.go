@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"rfview/internal/engine"
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 	"rfview/internal/sqlparser"
 )
 
@@ -54,7 +54,7 @@ func Table1Stmt(native bool) (sqlparser.Statement, error) {
 	if err != nil || native {
 		return sel, err
 	}
-	return rewrite.SelfJoin(sel)
+	return paper.SelfJoin(sel)
 }
 
 func parseSelect(sql string) (*sqlparser.Select, error) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rfview/internal/engine"
+	"rfview/internal/paper"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqlparser"
 )
@@ -35,16 +36,16 @@ var Table2Sizes = []int{100, 500, 1000, 1500, 2000, 3000, 5000}
 // Table2Strategy names one of the four measured strategies.
 type Table2Strategy struct {
 	Name     string
-	Strategy rewrite.Strategy
-	Form     rewrite.Form
+	Strategy paper.Strategy
+	Form     paper.Form
 }
 
 // Table2Strategies lists the four columns of Table 2.
 var Table2Strategies = []Table2Strategy{
-	{"MaxOA/disjunctive", rewrite.StrategyMaxOA, rewrite.FormDisjunctive},
-	{"MaxOA/union", rewrite.StrategyMaxOA, rewrite.FormUnion},
-	{"MinOA/disjunctive", rewrite.StrategyMinOA, rewrite.FormDisjunctive},
-	{"MinOA/union", rewrite.StrategyMinOA, rewrite.FormUnion},
+	{"MaxOA/disjunctive", paper.StrategyMaxOA, paper.FormDisjunctive},
+	{"MaxOA/union", paper.StrategyMaxOA, paper.FormUnion},
+	{"MinOA/disjunctive", paper.StrategyMinOA, paper.FormDisjunctive},
+	{"MinOA/union", paper.StrategyMinOA, paper.FormUnion},
 }
 
 // Stmt renders Table2Query's derivation from e's matseq view over n rows by
@@ -58,7 +59,7 @@ func (st Table2Strategy) Stmt(e *engine.Engine, n int) (sqlparser.Statement, err
 	if d == nil {
 		return nil, fmt.Errorf("table2 %s: derivation did not fire", st.Name)
 	}
-	return rewrite.Pattern(d, st.Strategy, st.Form, n)
+	return paper.Pattern(d, st.Strategy, st.Form, n)
 }
 
 // NewTable2Engine builds an engine loaded with n sequence rows, a primary

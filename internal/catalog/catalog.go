@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	rferrors "rfview/errors"
+	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 	"rfview/internal/txn"
@@ -73,22 +74,6 @@ const (
 	SequenceView
 )
 
-// WindowSpec mirrors core.Window at the catalog level, avoiding an import
-// cycle: the catalog is below the core-consuming layers.
-type WindowSpec struct {
-	Cumulative bool
-	Preceding  int
-	Following  int
-}
-
-// String renders the spec the way the paper writes windows.
-func (w WindowSpec) String() string {
-	if w.Cumulative {
-		return "cumulative"
-	}
-	return fmt.Sprintf("(%d,%d)", w.Preceding, w.Following)
-}
-
 // MatView records a materialized view over a base table.
 type MatView struct {
 	Name string
@@ -105,20 +90,11 @@ type MatView struct {
 	// sequence per partition — the paper's "complete reporting function"
 	// (§6.2) — in a backing table (part, pos, val, body).
 	PartColumn string
-	ValColumn  string     // aggregated column in the base table
-	Agg        string     // SUM, COUNT, AVG, MIN, MAX
-	Window     WindowSpec // the materialized window
+	ValColumn  string      // aggregated column in the base table
+	Agg        core.Agg    // the view's aggregate; its rows hold Agg.Stored()'s sequence
+	Window     core.Window // the materialized window
 	// SQL text the view was created from (for SHOW / debugging).
 	Definition string
-}
-
-// Stored is the aggregate of the sequence view's backing rows: SUM for an AVG
-// view, whose reads divide its window sums by their counts (§2.1), else Agg.
-func (v *MatView) Stored() string {
-	if v.Agg == "AVG" {
-		return "SUM"
-	}
-	return v.Agg
 }
 
 // Catalog is a thread-safe name → metadata map.
@@ -362,10 +338,10 @@ func (c *Catalog) MatViews() []*MatView {
 
 // SequenceViewsOver returns the sequence views materialized over the given
 // base table / position column / partition column / value column that
-// store agg's sequence (MatView.Stored), the candidate set the derivation
+// store agg's sequence (core.Agg.Stored), the candidate set the derivation
 // rewriter matches incoming window queries against. partCol is "" for
 // unpartitioned queries.
-func (c *Catalog) SequenceViewsOver(baseTable, posCol, partCol, valCol, agg string) []*MatView {
+func (c *Catalog) SequenceViewsOver(baseTable, posCol, partCol, valCol string, agg core.Agg) []*MatView {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []*MatView
@@ -377,7 +353,7 @@ func (c *Catalog) SequenceViewsOver(baseTable, posCol, partCol, valCol, agg stri
 			strings.EqualFold(v.PosColumn, posCol) &&
 			strings.EqualFold(v.PartColumn, partCol) &&
 			strings.EqualFold(v.ValColumn, valCol) &&
-			strings.EqualFold(v.Stored(), agg) {
+			v.Agg.Stored() == agg {
 			out = append(out, v)
 		}
 	}

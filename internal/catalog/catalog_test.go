@@ -3,6 +3,7 @@ package catalog
 import (
 	"testing"
 
+	"rfview/internal/core"
 	"rfview/internal/spill"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
@@ -107,8 +108,8 @@ func TestMatViewRegistry(t *testing.T) {
 	// behind the view name.
 	mv := &MatView{
 		Name: "matseq", Kind: SequenceView, Table: backing,
-		BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: "SUM",
-		Window: WindowSpec{Preceding: 2, Following: 1},
+		BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: core.Sum,
+		Window: core.Sliding(2, 1),
 	}
 	if err := c.RegisterMatView(mv); err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestMatViewRegistry(t *testing.T) {
 func TestSequenceViewsOver(t *testing.T) {
 	c := emptyCatalog(t)
 	backing, _ := c.CreateTable("b1", []Column{{"pos", sqltypes.Int}, {"val", sqltypes.Float}})
-	mk := func(name, base, agg string, w WindowSpec, kind MatViewKind) {
+	mk := func(name, base string, agg core.Agg, w core.Window, kind MatViewKind) {
 		t.Helper()
 		err := c.RegisterMatView(&MatView{
 			Name: name, Kind: kind, Table: backing,
@@ -158,13 +159,13 @@ func TestSequenceViewsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mk("v_sum21", "seq", "SUM", WindowSpec{Preceding: 2, Following: 1}, SequenceView)
-	mk("v_sum11", "seq", "SUM", WindowSpec{Preceding: 1, Following: 1}, SequenceView)
-	mk("v_min21", "seq", "MIN", WindowSpec{Preceding: 2, Following: 1}, SequenceView)
-	mk("v_other", "other", "SUM", WindowSpec{Preceding: 2, Following: 1}, SequenceView)
-	mk("v_plain", "seq", "SUM", WindowSpec{}, PlainView)
+	mk("v_sum21", "seq", core.Sum, core.Sliding(2, 1), SequenceView)
+	mk("v_sum11", "seq", core.Sum, core.Sliding(1, 1), SequenceView)
+	mk("v_min21", "seq", core.Min, core.Sliding(2, 1), SequenceView)
+	mk("v_other", "other", core.Sum, core.Sliding(2, 1), SequenceView)
+	mk("v_plain", "seq", core.Sum, core.Window{}, PlainView)
 
-	got := c.SequenceViewsOver("SEQ", "POS", "", "VAL", "sum")
+	got := c.SequenceViewsOver("SEQ", "POS", "", "VAL", core.Sum)
 	if len(got) != 2 || got[0].Name != "v_sum11" || got[1].Name != "v_sum21" {
 		names := make([]string, len(got))
 		for i, v := range got {
@@ -172,20 +173,11 @@ func TestSequenceViewsOver(t *testing.T) {
 		}
 		t.Fatalf("SequenceViewsOver = %v", names)
 	}
-	if got := c.SequenceViewsOver("seq", "pos", "", "val", "MIN"); len(got) != 1 || got[0].Name != "v_min21" {
+	if got := c.SequenceViewsOver("seq", "pos", "", "val", core.Min); len(got) != 1 || got[0].Name != "v_min21" {
 		t.Fatal("MIN view matching failed")
 	}
-	if got := c.SequenceViewsOver("nothere", "pos", "", "val", "SUM"); len(got) != 0 {
+	if got := c.SequenceViewsOver("nothere", "pos", "", "val", core.Sum); len(got) != 0 {
 		t.Fatal("unexpected match for unknown base table")
-	}
-}
-
-func TestWindowSpecString(t *testing.T) {
-	if (WindowSpec{Cumulative: true}).String() != "cumulative" {
-		t.Error("cumulative spec renders wrong")
-	}
-	if (WindowSpec{Preceding: 2, Following: 1}).String() != "(2,1)" {
-		t.Error("sliding spec renders wrong")
 	}
 }
 
@@ -209,8 +201,8 @@ func TestListingsSorted(t *testing.T) {
 		}
 		err = c.RegisterMatView(&MatView{
 			Name: name, Kind: SequenceView, Table: backing,
-			BaseTable: "zebra", PosColumn: "pos", ValColumn: "pos", Agg: "SUM",
-			Window: WindowSpec{Preceding: 1, Following: 1},
+			BaseTable: "zebra", PosColumn: "pos", ValColumn: "pos", Agg: core.Sum,
+			Window: core.Sliding(1, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -247,8 +239,8 @@ func TestSchemaVersionBumpsOnDDL(t *testing.T) {
 	}
 	v2 := c.SchemaVersion()
 	if err := c.RegisterMatView(&MatView{Name: "v", Kind: SequenceView, Table: tbl,
-		BaseTable: "t", PosColumn: "pos", ValColumn: "val", Agg: "SUM",
-		Window: WindowSpec{Preceding: 1, Following: 1}}); err != nil {
+		BaseTable: "t", PosColumn: "pos", ValColumn: "val", Agg: core.Sum,
+		Window: core.Sliding(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if c.SchemaVersion() <= v2 {

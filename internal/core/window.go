@@ -71,6 +71,16 @@ func ParseAgg(name string) (Agg, error) {
 	return 0, fmt.Errorf("unknown aggregate %q", name)
 }
 
+// Stored is the aggregate whose sequence a materialized view of a holds: SUM
+// for AVG, whose reads divide the window sums by the counts the window
+// implies (§2.1), else a itself.
+func (a Agg) Stored() Agg {
+	if a == Avg {
+		return Sum
+	}
+	return a
+}
+
 // Algebraic reports whether the aggregate supports subtraction (an inverse),
 // which the pipelined computation of sliding windows and the MinOA
 // derivation rely on.

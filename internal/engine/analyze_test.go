@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 )
 
 // buildSeqView loads seq(pos,val), indexes it, and materializes the (2,1)
@@ -181,7 +181,7 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 // fig2SQL renders the Fig. 2 self-join simulation of a window query.
 func fig2SQL(t *testing.T, sql string) string {
 	t.Helper()
-	sj, err := rewrite.SelfJoin(parseSelect(t, sql))
+	sj, err := paper.SelfJoin(parseSelect(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 )
 
 // TestDifferentialRandomWindows is a randomized three-way differential
@@ -82,8 +82,8 @@ func TestDifferentialRandomWindows(t *testing.T) {
 		e := New(DefaultOptions())
 		load(e)
 		mustExec(t, e, viewDDL)
-		for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA, rewrite.StrategyAuto} {
-			for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
+		for _, strat := range []paper.Strategy{paper.StrategyMaxOA, paper.StrategyMinOA, paper.StrategyAuto} {
+			for _, form := range []paper.Form{paper.FormDisjunctive, paper.FormUnion} {
 				dres := execDerived(t, e, q, strat, form, n)
 				label := fmt.Sprintf("derive/%v/%v", strat, form)
 				if dres.Derivation == nil {
@@ -207,8 +207,8 @@ func TestDifferentialRandomPartitionedParallel(t *testing.T) {
 			e := New(opts)
 			load(e)
 			mustExec(t, e, viewDDL)
-			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
+			for _, strat := range []paper.Strategy{paper.StrategyMaxOA, paper.StrategyMinOA} {
+				form := []paper.Form{paper.FormDisjunctive, paper.FormUnion}[trial%2]
 				dres := execDerived(t, e, q, strat, form, 0)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable for these windows: native fallback already checked
@@ -219,7 +219,7 @@ func TestDifferentialRandomPartitionedParallel(t *testing.T) {
 			}
 		}
 	}
-	for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
+	for _, strat := range []paper.Strategy{paper.StrategyMaxOA, paper.StrategyMinOA} {
 		if derivationsFired[fmt.Sprintf("%v", strat)] == 0 {
 			t.Fatalf("%v never fired across %d trials — oracle is not exercising derivation", strat, trials)
 		}

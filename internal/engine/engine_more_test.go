@@ -12,7 +12,7 @@ import (
 
 	rferrors "rfview/errors"
 	"rfview/internal/core"
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 	"rfview/internal/sqltypes"
 )
 
@@ -504,13 +504,13 @@ func TestRawReconstructionEndToEnd(t *testing.T) {
 		}
 	}
 	cum, _ := e.Cat.MatView("cumv")
-	stmt, err := rewrite.RawFromCumulative(cum, n)
+	stmt, err := paper.RawFromCumulative(cum, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(stmt, "raw from cumulative (Fig. 4)")
 	sli, _ := e.Cat.MatView("sliv")
-	stmt, err = rewrite.RawFromSliding(sli, n)
+	stmt, err = paper.RawFromSliding(sli, n)
 	if err != nil {
 		t.Fatal(err)
 	}

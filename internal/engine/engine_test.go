@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 	"rfview/internal/sqltypes"
 )
 
@@ -380,10 +380,10 @@ func TestDerivationMatchesNative(t *testing.T) {
 		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
 	}
 	derived := build(DefaultOptions())
-	for _, strat := range []rewrite.Strategy{rewrite.StrategyAuto, rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-		for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
+	for _, strat := range []paper.Strategy{paper.StrategyAuto, paper.StrategyMaxOA, paper.StrategyMinOA} {
+		for _, form := range []paper.Form{paper.FormDisjunctive, paper.FormUnion} {
 			for qi, q := range queries {
-				if strat == rewrite.StrategyMaxOA && qi == 3 {
+				if strat == paper.StrategyMaxOA && qi == 3 {
 					continue // MaxOA cannot narrow a window
 				}
 				rn := mustExec(t, native, q)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 
 	rferrors "rfview/errors"
 	"rfview/internal/core"
+	"rfview/internal/paper"
 	"rfview/internal/rewrite"
 )
 
@@ -31,8 +33,10 @@ import (
 // Derive operator exactly when core.Algorithm accepts the target over the
 // fresh view — under a wider draw of targets than the rendered strategies
 // admit, over a SUM view also asked for AVG and over an AVG view, which
-// stores its window sums, also for SUM; the forced MaxOA and MinOA
-// strategies run rewrite.Pattern's SQL over the model's n. Integer data
+// stores its window sums, also for SUM, and in one served trial in three
+// under an ORDER BY of the position or the value with a LIMIT, whose rows
+// are compared in order; the forced MaxOA and MinOA
+// strategies run paper.Pattern's SQL over the model's n. Integer data
 // keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
 // is a maintenance bug. Chaos trials end with a density-breaking statement,
 // which must leave the view stale until REFRESH, and then check that
@@ -55,8 +59,8 @@ var oracleConfigs = []oracleConfig{
 	{"native-seq", false, func(o *Options) { o.UseMatViews = false; o.WindowParallelism = 1 }, sqlOnly(mustExec)},
 	{"native-par", false, func(o *Options) { o.UseMatViews = false; o.WindowParallelism = 4 }, sqlOnly(mustExec)},
 	{"selfjoin", false, func(o *Options) { o.UseMatViews = false }, sqlOnly(execSelfJoin)},
-	{"maxoa", true, func(*Options) {}, execForced(rewrite.StrategyMaxOA)},
-	{"minoa", true, func(*Options) {}, execForced(rewrite.StrategyMinOA)},
+	{"maxoa", true, func(*Options) {}, execForced(paper.StrategyMaxOA)},
+	{"minoa", true, func(*Options) {}, execForced(paper.StrategyMinOA)},
 }
 
 // sqlOnly adapts an evaluation that needs no base cardinality.
@@ -102,7 +106,7 @@ func servedDerivable(t *testing.T, e *Engine, sql string) (ok bool, why string) 
 	if !found {
 		t.Fatal("the trial's view mv is not registered")
 	}
-	_, declined := core.Algorithm(core.Window(mv.Window), oracleAggs[mv.Stored()], core.Window(wq.Shape))
+	_, declined := core.Algorithm(mv.Window, mv.Agg.Stored(), wq.Shape)
 	fresh := !e.Views.Stale("mv")
 	return e.Opts.UseMatViews && declined == nil && fresh,
 		fmt.Sprintf("%s over mv %s %s: views=%v fresh=%v, core.Algorithm says %v", wq.Agg, mv.Agg, mv.Window, e.Opts.UseMatViews, fresh, declined)
@@ -370,8 +374,11 @@ func (m *oracleModel) wantQuery(t *testing.T, w core.Window, agg core.Agg) []ora
 }
 
 // gotRows reads a result in the (part,) pos, val (, body) layout both the
-// backing tables and the window queries use.
-func (m *oracleModel) gotRows(res *Result) []oracleRow {
+// backing tables and the window queries use, in (part, pos) order.
+func (m *oracleModel) gotRows(res *Result) []oracleRow { return sortOracleRows(m.resultRows(res)) }
+
+// resultRows reads a result as gotRows does, in the order it came.
+func (m *oracleModel) resultRows(res *Result) []oracleRow {
 	out := make([]oracleRow, len(res.Rows))
 	for i, r := range res.Rows {
 		if m.partitioned {
@@ -382,7 +389,24 @@ func (m *oracleModel) gotRows(res *Result) []oracleRow {
 			out[i].body = r[2].Bool()
 		}
 	}
-	return sortOracleRows(out)
+	return out
+}
+
+// ordered is what a query answering want (in (part, pos) order) returns
+// under ORDER BY key [DESC] LIMIT k with the tie-breaks the oracle adds: the
+// partition key and the position.
+func ordered(want []oracleRow, key string, desc bool, k int) []oracleRow {
+	slices.SortStableFunc(want, func(a, b oracleRow) int {
+		c := a.pos - b.pos
+		if key == "w" {
+			c = cmp.Compare(math.Float64frombits(a.bits), math.Float64frombits(b.bits))
+		}
+		if desc {
+			return -c
+		}
+		return c
+	})
+	return want[:min(k, len(want))]
 }
 
 // TestMaintenanceOracle is the randomized maintenance oracle described above.
@@ -467,6 +491,23 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			}
 			queryCumulative = cumulative && rng.Intn(2) == 0
 		}
+		// One served trial in three orders its answer by the position or the
+		// value, either way, and keeps a prefix (by its number again): the
+		// derived rows go through the statement's Sort and Limit. Ties fall
+		// back to the model's (part, pos) order.
+		orderKey, orderDesc, limit := "", trial/12%2 == 1, 1+trial/6%7
+		orderBy := ""
+		if cfg.name == "served" && trial%6 == 0 {
+			orderKey = []string{"pos", "w"}[trial/6%2]
+			dir, ties := "", ", pos"
+			if orderDesc {
+				dir = " DESC"
+			}
+			if partitioned {
+				ties = ", grp, pos"
+			}
+			orderBy = fmt.Sprintf(" ORDER BY %s%s%s LIMIT %d", orderKey, dir, ties, limit)
+		}
 		chaosTrial := rng.Intn(5) == 0
 		indexed := trial%3 != 0
 		for name, hit := range map[string]bool{
@@ -492,16 +533,16 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		if partitioned {
 			viewDDL = fmt.Sprintf(`CREATE MATERIALIZED VIEW mv AS
 			  SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS val FROM pt`, agg, frame)
-			q = fmt.Sprintf(`SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS w FROM pt`, queryAgg, qframe)
+			q = fmt.Sprintf(`SELECT grp, pos, %s(val) OVER (PARTITION BY grp ORDER BY pos %s) AS w FROM pt`, queryAgg, qframe) + orderBy
 			backingQ = `SELECT part, pos, val, body FROM mv`
 		} else {
 			viewDDL = fmt.Sprintf(`CREATE MATERIALIZED VIEW mv AS
 			  SELECT pos, %s(val) OVER (ORDER BY pos %s) AS val FROM seq`, agg, frame)
-			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe)
+			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe) + orderBy
 			backingQ = `SELECT pos, val FROM mv`
 		}
-		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v",
-			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed)
+		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v%s",
+			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed, orderBy)
 
 		model := &oracleModel{partitioned: partitioned, vals: map[string][]int{}}
 		seedVals := func(key string, n int) {
@@ -539,7 +580,11 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		// over m.
 		answers := func(m *oracleModel, res *Result, when string) {
 			t.Helper()
-			if got, want := m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[queryAgg]); !slices.Equal(got, want) {
+			got, want := m.gotRows(res), m.wantQuery(t, queryWin, oracleAggs[queryAgg])
+			if orderKey != "" {
+				got, want = m.resultRows(res), ordered(want, orderKey, orderDesc, limit)
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s: %s: window query diverged from ComputeNaive over the shadow\n got: %v\nwant: %v", ctx, when, got, want)
 			}
 		}
@@ -574,6 +619,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						"served AVG from cumulative SUM":             queryAgg == "AVG" && agg == "SUM" && cumulative,
 						"served AVG from AVG view":                   queryAgg == "AVG" && agg == "AVG" && algo != core.AlgoExact,
 						"served SUM from AVG view":                   queryAgg == "SUM" && agg == "AVG",
+						"served ORDER BY pos LIMIT":                  orderKey == "pos",
+						"served ORDER BY w LIMIT":                    orderKey == "w",
 					} {
 						if hit {
 							drawn[name]++
@@ -767,7 +814,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		"served sliding from cumulative", "served partitioned sliding from cumulative",
 		"served one-row from sliding", "served one-row from cumulative",
 		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM",
-		"served AVG from AVG view", "served SUM from AVG view"} {
+		"served AVG from AVG view", "served SUM from AVG view",
+		"served ORDER BY pos LIMIT", "served ORDER BY w LIMIT"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}

@@ -12,7 +12,7 @@ import (
 
 	rferrors "rfview/errors"
 	"rfview/internal/core"
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 )
@@ -140,7 +140,7 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 
 	viewDDL := `CREATE MATERIALIZED VIEW mv AS
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`
-	forced := func(strategy rewrite.Strategy) func(*testing.T, *Engine, string) *Result {
+	forced := func(strategy paper.Strategy) func(*testing.T, *Engine, string) *Result {
 		return func(t *testing.T, e *Engine, sql string) *Result {
 			return execForced(strategy)(t, e, sql, len(shadow))
 		}
@@ -152,8 +152,8 @@ func TestPagedTinyPoolDifferentialOracle(t *testing.T) {
 	}{
 		{"native", mustExec, false},
 		{"selfjoin", execSelfJoin, false},
-		{"maxoa", forced(rewrite.StrategyMaxOA), true},
-		{"minoa", forced(rewrite.StrategyMinOA), true},
+		{"maxoa", forced(paper.StrategyMaxOA), true},
+		{"minoa", forced(paper.StrategyMinOA), true},
 	}
 	for _, strat := range strategies {
 		e := newTinyPoolEngine(t, 4)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 )
 
 // loadPartitionedSeq creates pseq(grp, pos, val) with per-partition dense
@@ -87,7 +87,7 @@ func TestPartitionedExactMatch(t *testing.T) {
 // TestPartitionedDerivation — MaxOA/MinOA across a different window, per
 // partition, in both forms.
 func TestPartitionedDerivation(t *testing.T) {
-	for _, form := range []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion} {
+	for _, form := range []paper.Form{paper.FormDisjunctive, paper.FormUnion} {
 		e := newEngine(t)
 		// Uneven partition sizes stress the per-partition header/trailer.
 		mustExec(t, e, `CREATE TABLE pseq (grp VARCHAR(10), pos INTEGER, val INTEGER)`)
@@ -112,7 +112,7 @@ func TestPartitionedDerivation(t *testing.T) {
 			{"narrowed", `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp
 			  ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pseq`},
 		} {
-			derived := execDerived(t, e, c.q, rewrite.StrategyAuto, form, 0)
+			derived := execDerived(t, e, c.q, paper.StrategyAuto, form, 0)
 			checkDerivedAgainstNative(t, e, derived, c.q, form.String()+" "+c.name)
 		}
 	}

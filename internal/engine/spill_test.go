@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"rfview/internal/rewrite"
+	"rfview/internal/paper"
 )
 
 // newSpillEngine builds an engine with a budget small enough that any
@@ -149,8 +149,8 @@ func TestDifferentialSpillForced(t *testing.T) {
 			e := budgeted(opts)
 			load(e)
 			mustExec(t, e, viewDDL)
-			for _, strat := range []rewrite.Strategy{rewrite.StrategyMaxOA, rewrite.StrategyMinOA} {
-				form := []rewrite.Form{rewrite.FormDisjunctive, rewrite.FormUnion}[trial%2]
+			for _, strat := range []paper.Strategy{paper.StrategyMaxOA, paper.StrategyMinOA} {
+				form := []paper.Form{paper.FormDisjunctive, paper.FormUnion}[trial%2]
 				dres := execDerived(t, e, q, strat, form, 0)
 				if dres.Derivation == nil {
 					continue // strategy inapplicable: native fallback already checked

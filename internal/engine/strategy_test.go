@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"rfview/internal/paper"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqlparser"
 )
@@ -20,7 +21,7 @@ import (
 // simulation.
 func execSelfJoin(t *testing.T, e *Engine, sql string) *Result {
 	t.Helper()
-	sj, err := rewrite.SelfJoin(parseSelect(t, sql))
+	sj, err := paper.SelfJoin(parseSelect(t, sql))
 	if err != nil {
 		t.Fatalf("self join of %q: %v", sql, err)
 	}
@@ -29,15 +30,15 @@ func execSelfJoin(t *testing.T, e *Engine, sql string) *Result {
 
 // execDerived answers the window query sql by the derivation the engine
 // would run, rendered as the paper's SQL under the forced strategy and form
-// (rewrite.Pattern) over a base of n rows, and run as written;
+// (paper.Pattern) over a base of n rows, and run as written;
 // Result.Derivation records the derivation rendered. Where no
 // fresh view applies, or no pattern renders the derivation under the forced
 // strategy, e answers sql its own way and Result.Derivation is nil.
-func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy, form rewrite.Form, n int) *Result {
+func execDerived(t *testing.T, e *Engine, sql string, strategy paper.Strategy, form paper.Form, n int) *Result {
 	t.Helper()
 	sel := parseSelect(t, sql)
 	if d := rewrite.Derive(e.Cat, sel); d != nil && !slices.ContainsFunc(e.viewsRead(d.Plan), e.Views.Stale) {
-		if stmt, err := rewrite.Pattern(d, strategy, form, n); err == nil {
+		if stmt, err := paper.Pattern(d, strategy, form, n); err == nil {
 			res := execStmt(t, e, stmt)
 			res.Derivation = d
 			return res
@@ -50,10 +51,10 @@ func execDerived(t *testing.T, e *Engine, sql string, strategy rewrite.Strategy,
 
 // execForced is execDerived in the disjunctive form, shaped so a table of
 // evaluation strategies over a base of n rows can hold it.
-func execForced(strategy rewrite.Strategy) func(*testing.T, *Engine, string, int) *Result {
+func execForced(strategy paper.Strategy) func(*testing.T, *Engine, string, int) *Result {
 	return func(t *testing.T, e *Engine, sql string, n int) *Result {
 		t.Helper()
-		return execDerived(t, e, sql, strategy, rewrite.FormDisjunctive, n)
+		return execDerived(t, e, sql, strategy, paper.FormDisjunctive, n)
 	}
 }
 

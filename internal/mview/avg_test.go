@@ -146,7 +146,7 @@ func TestAvgViewMaintainedAsSumCountPair(t *testing.T) {
 	cat, m, tbl := floatFixture(t, []float64{3, 1, 4, 1, 5, 9, 2, 6})
 	createView(t, m, avgViewDDL)
 	sv := m.seq["avgmv"]
-	if sv == nil || sv.agg != core.Sum || sv.valType != sqltypes.Float {
+	if sv == nil || sv.mv.Agg.Stored() != core.Sum || sv.valType != sqltypes.Float {
 		t.Fatal("an AVG view over a FLOAT column must store its window sums as FLOAT")
 	}
 	checkAvgBitExact(t, cat, m, "initial fill")

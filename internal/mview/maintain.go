@@ -259,7 +259,7 @@ func (m *Manager) foldChanges(tx *txn.Txn, sv *seqView, changes []change, ends [
 			}
 		}
 		st.raw.step(c, false)
-		t, err := core.Apply(st, windowOfSpec(sv.mv.Window), sv.agg, c.op)
+		t, err := core.Apply(st, sv.mv.Window, sv.mv.Agg.Stored(), c.op)
 		if err != nil {
 			m.markStale(sv, err.Error())
 			return

@@ -48,11 +48,10 @@ import (
 type ExecFunc func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error)
 
 // seqView couples a catalog sequence view with what maintenance needs to
-// know of it besides its rows: layout, aggregate, value type and freshness.
+// know of it besides its rows: layout, value type and freshness.
 type seqView struct {
 	mv      *catalog.MatView
 	lay     layout
-	agg     core.Agg
 	valType sqltypes.Type
 	// freshFrom and staleFrom bound the commit epochs at which the backing
 	// rows are the view's query over the base table: a reader at snapshot s
@@ -135,7 +134,8 @@ func (m *Manager) CreateTx(ctx context.Context, tx *txn.Txn, stmt *sqlparser.Cre
 	if _, err := m.cat.Table(stmt.Name); err == nil {
 		return nil, fmt.Errorf("%q already names a table", stmt.Name)
 	}
-	if sel, ok := stmt.Select.(*sqlparser.Select); ok {
+	// A LIMIT keeps a prefix of the rows, not a complete sequence.
+	if sel, ok := stmt.Select.(*sqlparser.Select); ok && sel.Limit == nil {
 		if wq, err := rewrite.MatchWindowQuery(sel); err == nil {
 			if lay, ok := sequenceShape(wq); ok {
 				return m.createSequenceView(tx, stmt, wq, lay)
@@ -154,23 +154,15 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 	if valCol == "" { // COUNT(*)
 		valCol = wq.PosCol
 	}
-	win := catalog.WindowSpec{Cumulative: true}
-	if !wq.Shape.Cumulative {
-		win = catalog.WindowSpec{Preceding: wq.Shape.Preceding, Following: wq.Shape.Following}
-	}
 	mv := &catalog.MatView{
 		Name: stmt.Name, Kind: catalog.SequenceView,
 		BaseTable: base.Name, PosColumn: wq.PosCol, PartColumn: lay.partCol,
-		ValColumn: valCol, Agg: wq.Agg, Window: win,
+		ValColumn: valCol, Agg: wq.Agg, Window: wq.Shape,
 		Definition: stmt.String(),
 	}
-	agg, err := core.ParseAgg(mv.Stored())
-	if err != nil {
-		return nil, err
-	}
 	// The stored values are typed like the base column; counts are INTEGER.
-	sv := &seqView{mv: mv, lay: lay, agg: agg, valType: sqltypes.Int}
-	if vi := base.ColumnIndex(valCol); vi >= 0 && base.Columns[vi].Type == sqltypes.Float && agg != core.Count {
+	sv := &seqView{mv: mv, lay: lay, valType: sqltypes.Int}
+	if vi := base.ColumnIndex(valCol); vi >= 0 && base.Columns[vi].Type == sqltypes.Float && mv.Agg != core.Count {
 		sv.valType = sqltypes.Float
 	}
 	// Read the base before creating anything: a non-dense one is refused.
@@ -222,7 +214,7 @@ type rowSource func(insert func(sqltypes.Row) error) error
 func (sv *seqView) sequences(parts []*span) rowSource {
 	return func(insert func(sqltypes.Row) error) error {
 		for _, p := range parts {
-			seq, err := core.ComputePipelined(p.vals, windowOfSpec(sv.mv.Window), sv.agg)
+			seq, err := core.ComputePipelined(p.vals, sv.mv.Window, sv.mv.Agg.Stored())
 			if err != nil {
 				return err
 			}
@@ -378,13 +370,6 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) (stam
 		return nil, rewriteRows(tx, mv.Table, copies(rows))
 	}
 	return nil, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", name)
-}
-
-func windowOfSpec(w catalog.WindowSpec) core.Window {
-	if w.Cumulative {
-		return core.Cumul()
-	}
-	return core.Sliding(w.Preceding, w.Following)
 }
 
 // StaleAt says why the named view's rows do not answer a reader at snapshot

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rfview/internal/catalog"
-	"rfview/internal/core"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
 )
@@ -71,15 +70,11 @@ func (m *Manager) Restore(spec RestoreSpec) error {
 		return nil
 	}
 
-	agg, err := core.ParseAgg(mv.Stored())
-	if err != nil {
-		return fmt.Errorf("mview: restore %q: %w", mv.Name, err)
-	}
 	valType := sqltypes.Int
 	if vi := backing.ColumnIndex("val"); vi >= 0 {
 		valType = backing.Columns[vi].Type
 	}
-	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, agg: agg, valType: valType}
+	sv := &seqView{mv: mv, lay: layout{partCol: mv.PartColumn}, valType: valType}
 	if spec.Stale {
 		// Recovered staleness has unknown onset: no epoch answers, and age
 		// counts from restore.

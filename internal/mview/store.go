@@ -227,7 +227,7 @@ type bands map[sqltypes.Datum][]*span
 // partition for a shift, which recomputes its suffix — or a cumulative
 // window's whole partition.
 func foldBands(sv *seqView, changes []change) bands {
-	w, b := windowOfSpec(sv.mv.Window), bands{}
+	w, b := sv.mv.Window, bands{}
 	for _, c := range changes {
 		sp := &span{part: c.part, lo: 1, hi: math.MaxInt}
 		if r := w.Preceding + w.Following; !w.Cumulative {

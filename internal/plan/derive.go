@@ -18,21 +18,17 @@ func (p *Planner) planDerive(s *sqlparser.DeriveSelect) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, err := core.ParseAgg(s.Agg)
-	if err != nil {
-		return nil, err
-	}
-	if agg != in.Agg && (agg != core.Avg || in.Agg != core.Sum) {
-		return nil, fmt.Errorf("plan: %v is not derivable from the %v view %q", agg, in.Agg, in.View)
+	if s.Agg.Stored() != in.Agg {
+		return nil, fmt.Errorf("plan: %v is not derivable from the %v view %q", s.Agg, in.Agg, in.View)
 	}
 	for _, c := range s.Columns {
 		if c.Kind == sqlparser.DerivePart && in.Part < 0 {
 			return nil, fmt.Errorf("plan: view %q has no partition column for output column %q", in.View, c.Name)
 		}
 	}
-	d := exec.NewDerive(in, agg, core.Window(s.Target), s.Columns)
+	d := exec.NewDerive(in, s.Agg, s.Target, s.Columns)
 	d.Ctx, d.Spill = p.Opts.Ctx, p.Opts.Spill
-	return d, nil
+	return p.orderAndLimit(d, s.OrderBy, s.Limit)
 }
 
 // deriveInput resolves the source of a derivation against the catalog: the
@@ -43,17 +39,13 @@ func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, err
 	if !ok {
 		return exec.DeriveInput{}, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", src.View)
 	}
-	if v.Kind != catalog.SequenceView || v.Window != catalog.WindowSpec(src.Window) || v.Stored() != src.Agg {
+	if v.Kind != catalog.SequenceView || !v.Window.Equal(src.Window) || v.Agg.Stored() != src.Agg {
 		return exec.DeriveInput{}, fmt.Errorf("plan: view %q is not the %s %s sequence view the derivation was made for", src.View, src.Agg, src.Window)
-	}
-	agg, err := core.ParseAgg(src.Agg)
-	if err != nil {
-		return exec.DeriveInput{}, err
 	}
 	scan := exec.NewScan(v.Table, v.Name)
 	scan.Snap = p.Opts.Snap
 	in := exec.DeriveInput{
-		Scan: scan, View: v.Name, Win: core.Window(src.Window), Agg: agg,
+		Scan: scan, View: v.Name, Win: src.Window, Agg: src.Agg,
 		Algo: src.Algo,
 		Part: v.Table.ColumnIndex("part"), Pos: v.Table.ColumnIndex("pos"),
 		Val: v.Table.ColumnIndex("val"), Body: v.Table.ColumnIndex("body"),
@@ -67,7 +59,7 @@ func (p *Planner) deriveInput(src sqlparser.DeriveSource) (exec.DeriveInput, err
 // with each stored sum divided by the count its window holds — the rows of
 // the view's query — under the reference name ref.
 func (p *Planner) planQuotients(v *catalog.MatView, ref string) (exec.Operator, error) {
-	in, err := p.deriveInput(sqlparser.DeriveSource{View: v.Name, Agg: v.Stored(), Window: sqlparser.SeqWindow(v.Window), Algo: core.AlgoExact})
+	in, err := p.deriveInput(sqlparser.DeriveSource{View: v.Name, Agg: v.Agg.Stored(), Window: v.Window, Algo: core.AlgoExact})
 	if err != nil {
 		return nil, err
 	}

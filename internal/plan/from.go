@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/exec"
 	"rfview/internal/expr"
 	"rfview/internal/sqlparser"
@@ -153,7 +154,7 @@ func (p *Planner) planRelation(from sqlparser.TableExpr) (relation, error) {
 	switch t := from.(type) {
 	case *sqlparser.TableName:
 		ref := t.RefName()
-		if v, ok := p.Cat.MatView(t.Name); ok && v.Kind == catalog.SequenceView && v.Agg != v.Stored() {
+		if v, ok := p.Cat.MatView(t.Name); ok && v.Kind == catalog.SequenceView && v.Agg == core.Avg {
 			op, err := p.planQuotients(v, ref)
 			return relation{op: op, ref: ref}, err
 		}

@@ -108,14 +108,20 @@ func (p *Planner) planUnion(u *sqlparser.Union) (exec.Operator, error) {
 	if !u.All {
 		op = &exec.Distinct{Input: op}
 	}
-	if len(u.OrderBy) > 0 {
-		keys, err := p.compileOrderBy(u.OrderBy, op.Schema())
+	return p.orderAndLimit(op, u.OrderBy, u.Limit)
+}
+
+// orderAndLimit puts a statement's ORDER BY, over op's output columns, and
+// its LIMIT over op.
+func (p *Planner) orderAndLimit(op exec.Operator, orderBy []sqlparser.OrderItem, limit sqlparser.Expr) (exec.Operator, error) {
+	if len(orderBy) > 0 {
+		keys, err := p.compileOrderBy(orderBy, op.Schema())
 		if err != nil {
 			return nil, err
 		}
 		op = &exec.Sort{Input: op, Keys: keys, Ctx: p.Opts.Ctx, Spill: p.Opts.Spill}
 	}
-	return p.applyLimit(op, u.Limit)
+	return p.applyLimit(op, limit)
 }
 
 func (p *Planner) compileOrderBy(items []sqlparser.OrderItem, schema *expr.Schema) ([]exec.SortKey, error) {
@@ -183,11 +189,14 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Remember the pre-rewrite item expressions so ORDER BY can reference a
-	// select item by its original text (e.g. ORDER BY day after GROUP BY day
-	// rewrote the item to a synthetic group column).
+	// Name the output columns and remember the pre-rewrite item expressions
+	// as written, so that neither the names nor an ORDER BY by an item's
+	// original text (e.g. ORDER BY day after GROUP BY day rewrote the item to
+	// a synthetic group column) sees the aggregate/window rewrites.
+	names := make([]string, len(items))
 	origItemStrings := make([]string, len(items))
 	for i, it := range items {
+		names[i] = it.Name(i)
 		origItemStrings[i] = it.Expr.String()
 	}
 
@@ -268,14 +277,12 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 
 	// ---- projection ----
 	exprs := make([]expr.Expr, len(items))
-	names := make([]string, len(items))
 	for i, it := range items {
 		e, err := expr.Compile(it.Expr, op.Schema())
 		if err != nil {
 			return nil, err
 		}
 		exprs[i] = e
-		names[i] = it.outName(i)
 	}
 	proj := exec.NewProject(op, exprs, names)
 	// A projection that only picks columns of a Window directly below is
@@ -287,22 +294,6 @@ func (p *Planner) planSelectCore(sel *sqlparser.Select) (exec.Operator, error) {
 		op = &exec.Distinct{Input: op}
 	}
 	return p.applyLimit(op, sel.Limit)
-}
-
-// item is a select item with stars expanded.
-type item struct {
-	Expr  sqlparser.Expr
-	Alias string
-}
-
-func (it item) outName(i int) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	return fmt.Sprintf("column_%d", i+1)
 }
 
 func equalFold(a, b string) bool {
@@ -324,11 +315,12 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-func expandStars(items []sqlparser.SelectItem, schema *expr.Schema) ([]item, error) {
-	var out []item
+// expandStars returns the select items with stars expanded.
+func expandStars(items []sqlparser.SelectItem, schema *expr.Schema) ([]sqlparser.SelectItem, error) {
+	var out []sqlparser.SelectItem
 	for _, it := range items {
 		if !it.Star {
-			out = append(out, item{Expr: it.Expr, Alias: it.Alias})
+			out = append(out, it)
 			continue
 		}
 		matched := false
@@ -339,7 +331,7 @@ func expandStars(items []sqlparser.SelectItem, schema *expr.Schema) ([]item, err
 			if c.Name == "" {
 				return nil, fmt.Errorf("cannot expand * over unnamed columns")
 			}
-			out = append(out, item{Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name}})
+			out = append(out, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name}})
 			matched = true
 		}
 		if !matched {
@@ -354,7 +346,7 @@ func expandStars(items []sqlparser.SelectItem, schema *expr.Schema) ([]item, err
 
 // planAggregation lowers GROUP BY + aggregates into a HashAggregate and
 // rewrites items/having to reference the aggregate's output columns.
-func (p *Planner) planAggregation(input exec.Operator, groupBy []sqlparser.Expr, items []item, having sqlparser.Expr) (exec.Operator, []item, sqlparser.Expr, error) {
+func (p *Planner) planAggregation(input exec.Operator, groupBy []sqlparser.Expr, items []sqlparser.SelectItem, having sqlparser.Expr) (exec.Operator, []sqlparser.SelectItem, sqlparser.Expr, error) {
 	groupExprs := make([]expr.Expr, len(groupBy))
 	groupNames := make([]string, len(groupBy))
 	for i, g := range groupBy {
@@ -416,13 +408,13 @@ func (p *Planner) planAggregation(input exec.Operator, groupBy []sqlparser.Expr,
 
 	// Extract aggregates first (their arguments compile against the input
 	// schema), then substitute group-by expressions in what remains.
-	newItems := make([]item, len(items))
+	newItems := make([]sqlparser.SelectItem, len(items))
 	for i, it := range items {
 		rewritten, err := collect(it.Expr)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		newItems[i] = item{Expr: substGroup(rewritten), Alias: it.Alias}
+		newItems[i] = sqlparser.SelectItem{Expr: substGroup(rewritten), Alias: it.Alias}
 	}
 	var newHaving sqlparser.Expr
 	if having != nil {
@@ -449,13 +441,13 @@ type windowGroup struct {
 // (or NoSharedSort) uses the classic per-operator sorts; multiple specs go
 // through the shared-sort pass, which orders the stream once per
 // ordering-compatible spec class instead of once per operator.
-func (p *Planner) planWindows(input exec.Operator, items []item) (exec.Operator, []item, error) {
+func (p *Planner) planWindows(input exec.Operator, items []sqlparser.SelectItem) (exec.Operator, []sqlparser.SelectItem, error) {
 	var groups []*windowGroup
 	groupIndex := map[string]*windowGroup{}
 	nameOf := map[*sqlparser.WindowExpr]string{}
 	counter := 0
 
-	newItems := make([]item, len(items))
+	newItems := make([]sqlparser.SelectItem, len(items))
 	for i, it := range items {
 		rewritten := rewriteExpr(it.Expr, func(x sqlparser.Expr) sqlparser.Expr {
 			w, ok := x.(*sqlparser.WindowExpr)
@@ -476,7 +468,7 @@ func (p *Planner) planWindows(input exec.Operator, items []item) (exec.Operator,
 			g.astFuncs = append(g.astFuncs, w)
 			return &sqlparser.ColumnRef{Name: name}
 		})
-		newItems[i] = item{Expr: rewritten, Alias: it.Alias}
+		newItems[i] = sqlparser.SelectItem{Expr: rewritten, Alias: it.Alias}
 	}
 
 	if len(groups) <= 1 || p.Opts.NoSharedSort {

@@ -247,14 +247,14 @@ func TestPlanDeriveSelect(t *testing.T) {
 		insertRows(t, backing, sqltypes.Row{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(min(k+1, 10) - max(k-1, 1) + 1))})
 	}
 	view := &catalog.MatView{Name: "v", Kind: catalog.SequenceView, Table: backing, BaseTable: "seq",
-		PosColumn: "pos", ValColumn: "val", Agg: "SUM", Window: catalog.WindowSpec{Preceding: 1, Following: 1}}
+		PosColumn: "pos", ValColumn: "val", Agg: core.Sum, Window: core.Sliding(1, 1)}
 	if err := cat.RegisterMatView(view); err != nil {
 		t.Fatal(err)
 	}
 	node := &sqlparser.DeriveSelect{
-		Source: sqlparser.DeriveSource{View: "v", Agg: "SUM", Window: sqlparser.SeqWindow{Preceding: 1, Following: 1}, Algo: core.AlgoMinOA},
-		Agg:    "SUM",
-		Target: sqlparser.SeqWindow{Preceding: 2, Following: 1},
+		Source: sqlparser.DeriveSource{View: "v", Agg: core.Sum, Window: core.Sliding(1, 1), Algo: core.AlgoMinOA},
+		Agg:    core.Sum,
+		Target: core.Sliding(2, 1),
 		Columns: []sqlparser.DeriveColumn{
 			{Name: "w", Kind: sqlparser.DeriveValue}, {Name: "pos", Kind: sqlparser.DerivePos},
 		},
@@ -291,7 +291,7 @@ func TestPlanDeriveSelect(t *testing.T) {
 		t.Fatal("a node made for a (2,1) view planned over the (1,1) view")
 	}
 	minOfSum := *node
-	minOfSum.Agg = "MIN"
+	minOfSum.Agg = core.Min
 	if _, err := New(cat, DefaultOptions()).PlanSelect(&minOfSum); err == nil {
 		t.Fatal("a MIN node planned over a SUM view")
 	}
@@ -299,7 +299,7 @@ func TestPlanDeriveSelect(t *testing.T) {
 	// AVG over the SUM view: the same one Derive, the sums divided by the
 	// counts the (2,1) window implies over n = 10, in FLOAT.
 	avg := *node
-	avg.Agg = "AVG"
+	avg.Agg = core.Avg
 	op, err = New(cat, DefaultOptions()).PlanSelect(&avg)
 	if err != nil {
 		t.Fatal(err)

@@ -46,29 +46,30 @@ func Derive(cat *catalog.Catalog, sel *sqlparser.Select) *Derivation {
 		return nil // only SELECT [part,] pos, agg OVER … is view-answerable
 	}
 	valCol := wq.ValCol
-	if wq.Agg == "COUNT" && valCol == "" {
+	if wq.Agg == core.Count && valCol == "" {
 		valCol = wq.PosCol // COUNT(*) ≡ COUNT(pos) over a dense position column
+	}
+	cols := deriveColumns(wq, sel)
+	if !namesOutputs(wq, sel.OrderBy, cols) {
+		return nil // the Derive operator's output cannot sort by the key
 	}
 	// AVG is a SUM derivation divided by the counts the window implies
 	// (§2.1): SUM and AVG views both store SUM sequences.
-	stored := wq.Agg
-	if stored == "AVG" {
-		stored = "SUM"
-	}
-	target := core.Window(wq.Shape)
-	v, algo := pickView(cat.SequenceViewsOver(wq.Table, wq.PosCol, partCol, valCol, stored), target)
+	v, algo := pickView(cat.SequenceViewsOver(wq.Table, wq.PosCol, partCol, valCol, wq.Agg.Stored()), wq.Shape)
 	if v == nil {
 		return nil
 	}
 	d := &Derivation{View: v, Plan: &sqlparser.DeriveSelect{
-		Source:  sqlparser.DeriveSource{View: v.Name, Agg: stored, Window: sqlparser.SeqWindow(v.Window), Algo: algo},
+		Source:  sqlparser.DeriveSource{View: v.Name, Agg: v.Agg.Stored(), Window: v.Window, Algo: algo},
 		Agg:     wq.Agg,
-		Target:  sqlparser.SeqWindow(wq.Shape),
-		Columns: deriveColumns(wq),
+		Target:  wq.Shape,
+		Columns: cols,
+		OrderBy: sel.OrderBy,
+		Limit:   sel.Limit,
 	}}
-	if !v.Window.Cumulative && !target.Cumulative {
-		d.DeltaL = target.Preceding - v.Window.Preceding
-		d.DeltaH = target.Following - v.Window.Following
+	if !v.Window.Cumulative && !wq.Shape.Cumulative {
+		d.DeltaL = wq.Shape.Preceding - v.Window.Preceding
+		d.DeltaH = wq.Shape.Following - v.Window.Following
 		d.Wx = 1 + v.Window.Preceding + v.Window.Following
 	}
 	return d
@@ -85,11 +86,7 @@ func pickView(candidates []*catalog.MatView, target core.Window) (*catalog.MatVi
 	var bestAlgo core.Algo
 	bestRank := -1
 	for _, v := range candidates {
-		agg, err := core.ParseAgg(v.Stored())
-		if err != nil {
-			continue
-		}
-		algo, err := core.Algorithm(core.Window(v.Window), agg, target)
+		algo, err := core.Algorithm(v.Window, v.Agg.Stored(), target)
 		if err != nil {
 			continue
 		}
@@ -125,30 +122,41 @@ func plainColsMatch(wq *WindowQuery, partCol string) bool {
 }
 
 // deriveColumns are the query's output columns in select-list order: the
-// plain columns by role, the reporting function as the derived value.
-func deriveColumns(wq *WindowQuery) []sqlparser.DeriveColumn {
-	value := sqlparser.DeriveColumn{Name: outAlias(wq), Kind: sqlparser.DeriveValue}
-	cols := make([]sqlparser.DeriveColumn, 0, len(wq.PlainCols)+1)
-	for _, c := range wq.PlainCols {
-		if len(cols) == wq.WindowItemAt {
-			cols = append(cols, value)
-		}
+// plain columns by role, the reporting function as the derived value, each
+// under the name native evaluation gives it (sqlparser.SelectItem.Name).
+func deriveColumns(wq *WindowQuery, sel *sqlparser.Select) []sqlparser.DeriveColumn {
+	cols := make([]sqlparser.DeriveColumn, len(sel.Items))
+	for i, it := range sel.Items {
 		kind := sqlparser.DerivePart
-		if strings.EqualFold(c, wq.PosCol) {
+		switch {
+		case i == wq.WindowItemAt:
+			kind = sqlparser.DeriveValue
+		case strings.EqualFold(it.Expr.(*sqlparser.ColumnRef).Name, wq.PosCol):
 			kind = sqlparser.DerivePos
 		}
-		cols = append(cols, sqlparser.DeriveColumn{Name: c, Kind: kind})
-	}
-	if len(cols) == len(wq.PlainCols) {
-		cols = append(cols, value)
+		cols[i] = sqlparser.DeriveColumn{Name: it.Name(i), Kind: kind}
 	}
 	return cols
 }
 
-// outAlias returns the output column name for the derived value.
-func outAlias(wq *WindowQuery) string {
-	if wq.OutAlias != "" {
-		return wq.OutAlias
+// namesOutputs reports whether every ORDER BY key names exactly one output
+// column as native evaluation resolves it: by the window's alias or a plain
+// column's name, never by a name the window item was given for want of one.
+func namesOutputs(wq *WindowQuery, keys []sqlparser.OrderItem, cols []sqlparser.DeriveColumn) bool {
+	for _, k := range keys {
+		cr, ok := k.Expr.(*sqlparser.ColumnRef)
+		if !ok || cr.Table != "" {
+			return false
+		}
+		n := 0
+		for _, c := range cols {
+			if strings.EqualFold(c.Name, cr.Name) && (c.Kind != sqlparser.DeriveValue || wq.OutAlias != "") {
+				n++
+			}
+		}
+		if n != 1 {
+			return false
+		}
 	}
-	return "val"
+	return true
 }

@@ -1,50 +1,21 @@
-// Package rewrite implements the paper's query-rewriting layer:
-//
-//   - SelfJoin turns a reporting-function query into the pure-relational
-//     self-join pattern of Fig. 2 — the fallback for engines "without
-//     explicit support of reporting functionality inside the relational
-//     engine" (§2.2), measured in Table 1;
-//   - Derive matches a reporting-function query against the materialized
-//     sequence views under core.Algorithm's rule and returns the
-//     DeriveSelect node the engine plans as the Derive operator;
-//   - Pattern renders such a derivation as the paper's SQL — the MaxOA
-//     (Fig. 10) or MinOA (Fig. 13) relational operator pattern, in the
-//     disjunctive-join-predicate or the UNION-of-simple-predicates form, the
-//     four strategies of Table 2 — for the experiments, never for the engine;
-//   - RawFromCumulative emits the Fig. 4 reconstruction pattern.
-//
-// The renderings are parse trees (sqlparser ASTs) a planner runs like any
-// other query. One deviation from the paper's figures: residue predicates
-// are written MOD(pos+OFF, W) = MOD(pos+OFF, W) with OFF a multiple of W
-// large enough to keep both operands non-negative, because SQL MOD takes the
-// dividend's sign and complete sequences contain header positions ≤ 0.
+// Package rewrite implements the paper's view matching (§3–§5): Derive
+// matches a reporting-function query against the materialized sequence views
+// under core.Algorithm's rule and returns the DeriveSelect node the engine
+// plans as the Derive operator. The paper's SQL renderings of the same
+// derivations live in internal/paper, apart from the served tree.
 package rewrite
 
 import (
 	"fmt"
 	"strings"
 
+	"rfview/internal/core"
 	"rfview/internal/plan"
 	"rfview/internal/sqlparser"
 )
 
-// WindowShape is the normalized frame of a matched reporting function.
-type WindowShape struct {
-	Cumulative bool
-	Preceding  int // l
-	Following  int // h
-}
-
-// String renders the shape the way the paper writes windows.
-func (w WindowShape) String() string {
-	if w.Cumulative {
-		return "cumulative"
-	}
-	return fmt.Sprintf("(%d,%d)", w.Preceding, w.Following)
-}
-
 // WindowQuery is a reporting-function query in the canonical single-table
-// shape both rewriters understand:
+// shape view matching and the paper's renderings understand:
 //
 //	SELECT <pos> [, <cols>…], AGG(<val>) OVER (
 //	    [PARTITION BY <cols>…] ORDER BY <pos> ROWS …) [AS alias]
@@ -54,8 +25,8 @@ type WindowQuery struct {
 	Ref          string // alias used in the query
 	PosCol       string
 	ValCol       string // "" for COUNT(*)
-	Agg          string
-	Shape        WindowShape
+	Agg          core.Agg
+	Shape        core.Window
 	PartitionBy  []string // bare column names
 	OutAlias     string   // alias of the window column ("" if none)
 	PlainCols    []string // non-window select items (bare/qualified columns)
@@ -120,14 +91,13 @@ func MatchWindowQuery(sel *sqlparser.Select) (*WindowQuery, error) {
 
 func matchWindowExpr(w *sqlparser.WindowExpr, wq *WindowQuery) error {
 	name := w.Func.Name
-	switch name {
-	case "SUM", "COUNT", "AVG", "MIN", "MAX":
-	default:
+	agg, err := core.ParseAgg(name)
+	if err != nil {
 		return noMatch("unsupported reporting function %s()", name)
 	}
-	wq.Agg = name
+	wq.Agg = agg
 	if w.Func.Star {
-		if name != "COUNT" {
+		if agg != core.Count {
 			return noMatch("%s(*) is not valid", name)
 		}
 	} else {
@@ -157,35 +127,31 @@ func matchWindowExpr(w *sqlparser.WindowExpr, wq *WindowQuery) error {
 	if len(part) > 0 {
 		wq.PartitionBy = part
 	}
-	shape, err := frameShape(w.Frame, len(w.OrderBy) > 0)
-	if err != nil {
-		return err
-	}
-	wq.Shape = shape
-	return nil
+	wq.Shape, err = frameShape(w.Frame, len(w.OrderBy) > 0)
+	return err
 }
 
 // frameShape normalizes a ROWS frame to the paper's window classification.
-func frameShape(f *sqlparser.FrameClause, hasOrder bool) (WindowShape, error) {
+func frameShape(f *sqlparser.FrameClause, hasOrder bool) (core.Window, error) {
 	if f == nil {
 		if hasOrder {
-			return WindowShape{Cumulative: true}, nil
+			return core.Cumul(), nil
 		}
-		return WindowShape{}, noMatch("whole-partition frames are not sequence windows")
+		return core.Window{}, noMatch("whole-partition frames are not sequence windows")
 	}
 	start, end := f.Start, f.End
 	if start.Type == sqlparser.UnboundedPreceding && end.Type == sqlparser.CurrentRow {
-		return WindowShape{Cumulative: true}, nil
+		return core.Cumul(), nil
 	}
 	l, err := boundPreceding(start)
 	if err != nil {
-		return WindowShape{}, err
+		return core.Window{}, err
 	}
 	h, err := boundFollowing(end)
 	if err != nil {
-		return WindowShape{}, err
+		return core.Window{}, err
 	}
-	return WindowShape{Preceding: l, Following: h}, nil
+	return core.Sliding(l, h), nil
 }
 
 func boundPreceding(b sqlparser.FrameBound) (int, error) {

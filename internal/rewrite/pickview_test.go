@@ -1,15 +1,17 @@
-package rewrite
+package rewrite_test
 
 import (
 	"testing"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
+	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 )
 
 // multiViewCatalog builds a catalog with one sliding sequence view per entry
 // of wins, registered in the given order.
-func multiViewCatalog(t *testing.T, names []string, wins []catalog.WindowSpec) *catalog.Catalog {
+func multiViewCatalog(t *testing.T, names []string, wins []core.Window) *catalog.Catalog {
 	t.Helper()
 	cat := emptyCatalog(t)
 	if _, err := cat.CreateTable("seq", []catalog.Column{{Name: "pos", Type: sqltypes.Int}, {Name: "val", Type: sqltypes.Int}}); err != nil {
@@ -22,7 +24,7 @@ func multiViewCatalog(t *testing.T, names []string, wins []catalog.WindowSpec) *
 		}
 		mv := &catalog.MatView{
 			Name: name, Kind: catalog.SequenceView, Table: backing,
-			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: "SUM",
+			BaseTable: "seq", PosColumn: "pos", ValColumn: "val", Agg: core.Sum,
 			Window: wins[i],
 		}
 		if err := cat.RegisterMatView(mv); err != nil {
@@ -36,12 +38,12 @@ func multiViewCatalog(t *testing.T, names []string, wins []catalog.WindowSpec) *
 // lexicographically smallest name wins, independent of registration order,
 // so plans (and the plan cache keyed on them) are deterministic.
 func TestPickViewNameTieBreak(t *testing.T) {
-	win := catalog.WindowSpec{Preceding: 2, Following: 1}
+	win := core.Sliding(2, 1)
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
 	for _, names := range [][]string{{"zeta", "alpha"}, {"alpha", "zeta"}} {
-		cat := multiViewCatalog(t, names, []catalog.WindowSpec{win, win})
-		d := Derive(cat, sel)
+		cat := multiViewCatalog(t, names, []core.Window{win, win})
+		d := rewrite.Derive(cat, sel)
 		if d == nil || d.View.Name != "alpha" {
 			t.Fatalf("registration order %v: picked %+v, want alpha", names, d)
 		}
@@ -53,10 +55,10 @@ func TestPickViewNameTieBreak(t *testing.T) {
 func TestPickViewPrefersWiderWindow(t *testing.T) {
 	cat := multiViewCatalog(t,
 		[]string{"aaa", "zzz"},
-		[]catalog.WindowSpec{{Preceding: 1, Following: 1}, {Preceding: 2, Following: 2}})
+		[]core.Window{core.Sliding(1, 1), core.Sliding(2, 2)})
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 3 PRECEDING AND 2 FOLLOWING) AS w FROM seq`)
-	d := Derive(cat, sel)
+	d := rewrite.Derive(cat, sel)
 	if d == nil || d.View.Name != "zzz" {
 		t.Fatalf("picked %+v, want the wider view zzz", d)
 	}
@@ -65,12 +67,12 @@ func TestPickViewPrefersWiderWindow(t *testing.T) {
 // TestPickViewCumulativeTieBreak: when only cumulative views apply, the
 // smallest name is chosen deterministically.
 func TestPickViewCumulativeTieBreak(t *testing.T) {
-	cum := catalog.WindowSpec{Cumulative: true}
+	cum := core.Cumul()
 	sel := parseSelect(t, `SELECT pos, SUM(val) OVER (ORDER BY pos
 	  ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`)
 	for _, names := range [][]string{{"zc", "ac"}, {"ac", "zc"}} {
-		cat := multiViewCatalog(t, names, []catalog.WindowSpec{cum, cum})
-		d := Derive(cat, sel)
+		cat := multiViewCatalog(t, names, []core.Window{cum, cum})
+		d := rewrite.Derive(cat, sel)
 		if d == nil || d.View.Name != "ac" {
 			t.Fatalf("registration order %v: picked %+v, want ac", names, d)
 		}

@@ -286,6 +286,18 @@ func (it SelectItem) String() string {
 	return it.Expr.String()
 }
 
+// Name is the output column name of the item at select-list position i: its
+// alias, else the name of the column it is, else column_<i+1>.
+func (it SelectItem) Name(i int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if cr, ok := it.Expr.(*ColumnRef); ok {
+		return cr.Name
+	}
+	return fmt.Sprintf("column_%d", i+1)
+}
+
 // NullsOrder is the NULLS FIRST / NULLS LAST placement of an ORDER BY key.
 // The zero value keeps the engine default: NULLs first ascending, NULLs last
 // descending (the ordering sqltypes.Compare induces).
@@ -364,17 +376,23 @@ func (s *Select) String() string {
 	if s.Having != nil {
 		fmt.Fprintf(&b, " HAVING %s", s.Having)
 	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.String())
+	return b.String() + orderLimit(s.OrderBy, s.Limit)
+}
+
+// orderLimit renders a statement's trailing ORDER BY and LIMIT clauses, each
+// only when present.
+func orderLimit(orderBy []OrderItem, limit Expr) string {
+	var b strings.Builder
+	for i, o := range orderBy {
+		if i == 0 {
+			b.WriteString(" ORDER BY ")
+		} else {
+			b.WriteString(", ")
 		}
+		b.WriteString(o.String())
 	}
-	if s.Limit != nil {
-		fmt.Fprintf(&b, " LIMIT %s", s.Limit)
+	if limit != nil {
+		fmt.Fprintf(&b, " LIMIT %s", limit)
 	}
 	return b.String()
 }
@@ -395,18 +413,7 @@ func (s *Union) String() string {
 	if s.All {
 		op = " UNION ALL "
 	}
-	out := s.Left.String() + op + s.Right.String()
-	if len(s.OrderBy) > 0 {
-		parts := make([]string, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			parts[i] = o.String()
-		}
-		out += " ORDER BY " + strings.Join(parts, ", ")
-	}
-	if s.Limit != nil {
-		out += " LIMIT " + s.Limit.String()
-	}
-	return out
+	return s.Left.String() + op + s.Right.String() + orderLimit(s.OrderBy, s.Limit)
 }
 
 // DeriveSelect answers a reporting-function query from the stored sequence of
@@ -420,37 +427,26 @@ type DeriveSelect struct {
 	Source DeriveSource
 	// Agg is the query's aggregate: Source.Agg, or AVG over a SUM source,
 	// whose derived sums the window's implied counts divide (§2.1).
-	Agg string
+	Agg core.Agg
 	// Target is the window (l_y, h_y) the query asked for.
-	Target SeqWindow
+	Target core.Window
 	// Columns are the output columns in select-list order.
 	Columns []DeriveColumn
+	// OrderBy and Limit are the query's: each ORDER BY key names an output
+	// column.
+	OrderBy []OrderItem
+	Limit   Expr
 }
 
 // DeriveSource is one materialized sequence view a DeriveSelect reads and the
 // algorithm that takes its window to the target's.
 type DeriveSource struct {
-	View   string    // the sequence view
-	Agg    string    // the aggregate it stores: SUM (for a SUM or AVG view), COUNT, MIN or MAX
-	Window SeqWindow // its materialized window (l_x, h_x)
+	View   string      // the sequence view
+	Agg    core.Agg    // the aggregate it stores: SUM (for a SUM or AVG view), COUNT, MIN or MAX
+	Window core.Window // its materialized window (l_x, h_x)
 	// Algo is core.Algorithm's answer for this view and the target: the one
 	// name EXPLAIN, the strategy metric and the Derive operator read.
 	Algo core.Algo
-}
-
-// SeqWindow is a sequence window the way the paper writes it: cumulative
-// (ROWS UNBOUNDED PRECEDING) or sliding (l, h).
-type SeqWindow struct {
-	Cumulative bool
-	Preceding  int
-	Following  int
-}
-
-func (w SeqWindow) String() string {
-	if w.Cumulative {
-		return "cumulative"
-	}
-	return fmt.Sprintf("(%d,%d)", w.Preceding, w.Following)
 }
 
 // DeriveColumn is one output column of a DeriveSelect: the position, the
@@ -481,7 +477,7 @@ func (s *DeriveSelect) String() string {
 		names[i] = c.Name
 	}
 	return fmt.Sprintf("DERIVE %s AS %s %s FROM %s %s BY %s", strings.Join(names, ", "), s.Agg, s.Target,
-		s.Source.View, s.Source.Window, s.Source.Algo)
+		s.Source.View, s.Source.Window, s.Source.Algo) + orderLimit(s.OrderBy, s.Limit)
 }
 
 // ---------------------------------------------------------------------------

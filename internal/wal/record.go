@@ -1,15 +1,18 @@
 // Package wal is the durability subsystem of rfview: a logical write-ahead
-// log of committed DDL/DML/REFRESH statements, periodic snapshots of the
-// whole engine state, and crash recovery that replays the WAL tail through
-// the normal engine exec path.
+// log, periodic snapshots of the whole engine state, and crash recovery that
+// replays the log tail into the engine.
+//
+// What the log holds: DML reaches it as one commit record per transaction,
+// appended at commit, so a failed or rolled-back statement leaves no trace;
+// DDL, REFRESH and CREATE MATERIALIZED VIEW log their SQL ahead of apply and
+// replay through the normal exec path, where one that failed re-fails.
 //
 // The design leans on one property of the engine: it is deterministic. A
-// statement replayed against the state it originally saw reproduces exactly
-// the state it originally produced — including materialized sequence views
-// and their §2.3 maintainer state, which are pure functions of the base
-// tables they were declared over. That makes a *logical* log (statement
-// text) a complete redo log, with none of the page-level machinery a
-// physical WAL needs.
+// write replayed against the state it originally saw reproduces exactly the
+// state it originally produced — including materialized sequence views and
+// their §2.3 maintainer state, which are pure functions of the base tables
+// they were declared over. That makes a *logical* log a complete redo log,
+// with none of the page-level machinery a physical WAL needs.
 //
 // On-disk layout under the data directory:
 //
@@ -21,7 +24,7 @@
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC32 (IEEE) of the payload
-//	payload =  uint64 LE LSN ++ statement SQL (UTF-8)
+//	payload =  uint64 LE LSN ++ statement SQL or commit record (UTF-8)
 //
 // A reader stops at the first record whose header is short, whose length is
 // implausible, or whose CRC does not match — the torn-tail rule. Everything

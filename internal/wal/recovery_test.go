@@ -13,6 +13,7 @@ import (
 	rferrors "rfview/errors"
 	"rfview/internal/core"
 	"rfview/internal/engine"
+	"rfview/internal/paper"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
@@ -40,7 +41,7 @@ func execStrategy(e *engine.Engine, strategy, q string) (*engine.Result, error) 
 		return nil, err
 	}
 	if sel, ok := stmt.(*sqlparser.Select); ok {
-		force := func(strategy rewrite.Strategy) {
+		force := func(strategy paper.Strategy) {
 			d := rewrite.Derive(e.Cat, sel)
 			if d == nil {
 				return
@@ -49,19 +50,19 @@ func execStrategy(e *engine.Engine, strategy, q string) (*engine.Result, error) 
 			if err != nil {
 				return
 			}
-			if p, err := rewrite.Pattern(d, strategy, rewrite.FormDisjunctive, int(count.Rows[0][0].Int())); err == nil {
+			if p, err := paper.Pattern(d, strategy, paper.FormDisjunctive, int(count.Rows[0][0].Int())); err == nil {
 				stmt = p
 			}
 		}
 		switch strategy {
 		case "self-join":
-			if sj, err := rewrite.SelfJoin(sel); err == nil {
+			if sj, err := paper.SelfJoin(sel); err == nil {
 				stmt = sj
 			}
 		case "MaxOA":
-			force(rewrite.StrategyMaxOA)
+			force(paper.StrategyMaxOA)
 		case "MinOA":
-			force(rewrite.StrategyMinOA)
+			force(paper.StrategyMinOA)
 		}
 	}
 	defer func(prev bool) { e.Opts.UseMatViews = prev }(e.Opts.UseMatViews)

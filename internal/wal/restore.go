@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/engine"
 	"rfview/internal/mview"
 	"rfview/internal/sqltypes"
@@ -51,10 +52,14 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		agg := "" // a plain view has no aggregate
+		if mv.Kind == catalog.SequenceView {
+			agg = mv.Agg.String()
+		}
 		snap.MatViews = append(snap.MatViews, SnapMatView{
 			Name: mv.Name, Kind: uint8(mv.Kind), Backing: mv.Table.Name,
 			BaseTable: mv.BaseTable, PosColumn: mv.PosColumn,
-			PartColumn: mv.PartColumn, ValColumn: mv.ValColumn, Agg: mv.Agg,
+			PartColumn: mv.PartColumn, ValColumn: mv.ValColumn, Agg: agg,
 			Window: SnapWindow(mv.Window), N: n, Definition: mv.Definition, Stale: stale, StaleWhy: why,
 		})
 	}
@@ -128,7 +133,14 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 		view := &catalog.MatView{
 			Name: smv.Name, Kind: catalog.MatViewKind(smv.Kind),
 			BaseTable: smv.BaseTable, PosColumn: smv.PosColumn, PartColumn: smv.PartColumn, ValColumn: smv.ValColumn,
-			Agg: smv.Agg, Window: catalog.WindowSpec(smv.Window), Definition: smv.Definition,
+			Window: core.Window(smv.Window), Definition: smv.Definition,
+		}
+		if view.Kind == catalog.SequenceView {
+			agg, err := core.ParseAgg(smv.Agg)
+			if err != nil {
+				return fmt.Errorf("wal: restore view %q: %w", smv.Name, err)
+			}
+			view.Agg = agg
 		}
 		spec := mview.RestoreSpec{View: view, Backing: smv.Backing, Stale: smv.Stale, StaleWhy: smv.StaleWhy}
 		if err := e.Views.Restore(spec); err != nil {

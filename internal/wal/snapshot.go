@@ -83,7 +83,7 @@ type SnapIndex struct {
 	Ordered bool `json:"ordered"`
 }
 
-// SnapWindow mirrors catalog.WindowSpec.
+// SnapWindow is the wire form of a view's core.Window.
 type SnapWindow struct {
 	Cumulative bool `json:"cumulative"`
 	Preceding  int  `json:"preceding"`
