@@ -350,3 +350,86 @@ func TestMaintainThenDerive(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintainerCumulativeMinMaxKeepsRaw: a cumulative MIN/MAX band recompute
+// from a position ≥ 2 resumes from the stored prefix extremum without writing
+// it into the raw data, so a later change still reads the true x_k. The
+// reference is a raw slice the test keeps itself, not the maintainer's.
+func TestMaintainerCumulativeMinMaxKeepsRaw(t *testing.T) {
+	check := func(m *Maintainer, raw []float64, ctx string) {
+		t.Helper()
+		got := m.RawCopy()
+		if len(got) != len(raw) {
+			t.Fatalf("%s: raw has %d values, want %d", ctx, len(got), len(raw))
+		}
+		for i := range raw {
+			if got[i] != raw[i] {
+				t.Fatalf("%s: raw %v, want %v", ctx, got, raw)
+			}
+		}
+		want, err := ComputeNaive(raw, m.Seq().Win, m.Seq().Agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !EqualSeq(m.Seq(), want, 0) {
+			t.Fatalf("%s: sequence diverged from the tracked raw data", ctx)
+		}
+	}
+	// The example: [1,5,7], insert 9 at 3, delete position 1.
+	m, err := NewMaintainer([]float64{1, 5, 7}, Cumul(), Min)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Insert(3, 9); err != nil {
+		t.Fatal(err)
+	}
+	check(m, []float64{1, 5, 9, 7}, "insert(3, 9)")
+	if err := m.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	check(m, []float64{5, 9, 7}, "delete(1)")
+	if got := m.Seq().At(3); got != 5 {
+		t.Fatalf("cumulative MIN at 3 = %v, want 5", got)
+	}
+
+	rng := rand.New(rand.NewSource(113))
+	for _, agg := range []Agg{Min, Max} {
+		for trial := 0; trial < 20; trial++ {
+			raw := randRaw(rng, 4+rng.Intn(12))
+			m, err := NewMaintainer(raw, Cumul(), agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = append([]float64(nil), raw...)
+			for op := 0; op < 10; op++ {
+				switch k := 2 + rng.Intn(len(raw)-1); rng.Intn(3) {
+				case 0:
+					v := float64(rng.Intn(101) - 50)
+					raw = append(raw[:k-1:k-1], append([]float64{v}, raw[k-1:]...)...)
+					err = m.Insert(k, v)
+				case 1:
+					raw = append(raw[:k-1:k-1], raw[k:]...)
+					err = m.Delete(k)
+				default:
+					v := float64(rng.Intn(101) - 50)
+					raw[k-1] = v
+					err = m.Update(k, v)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(m, raw, agg.String()+" change at k ≥ 2")
+				if len(raw) > 2 {
+					raw = raw[1:]
+					if err := m.Delete(1); err != nil {
+						t.Fatal(err)
+					}
+					check(m, raw, agg.String()+" delete(1)")
+				}
+				if len(raw) < 3 {
+					break
+				}
+			}
+		}
+	}
+}

@@ -114,14 +114,6 @@ func newSequence(w Window, agg Agg, n int) *Sequence {
 	return s
 }
 
-// rawAt returns x_k under the zero-extension convention.
-func rawAt(raw []float64, k int) float64 {
-	if k < 1 || k > len(raw) {
-		return 0
-	}
-	return raw[k-1]
-}
-
 // aggregate applies agg to raw positions [lo, hi] ∩ [1, n].
 func aggregate(raw []float64, agg Agg, lo, hi int) (float64, bool) {
 	if lo < 1 {
@@ -151,20 +143,10 @@ func aggregate(raw []float64, agg Agg, lo, hi int) (float64, bool) {
 			v += raw[i-1]
 		}
 		return v / float64(hi-lo+1), true
-	case Min:
-		v := math.Inf(1)
-		for i := lo; i <= hi; i++ {
-			if raw[i-1] < v {
-				v = raw[i-1]
-			}
-		}
-		return v, true
-	case Max:
-		v := math.Inf(-1)
-		for i := lo; i <= hi; i++ {
-			if raw[i-1] > v {
-				v = raw[i-1]
-			}
+	case Min, Max:
+		v := raw[lo-1]
+		for i := lo + 1; i <= hi; i++ {
+			v = extreme(v, raw[i-1], agg == Min)
 		}
 		return v, true
 	}
@@ -188,16 +170,18 @@ func ComputeNaive(raw []float64, w Window, agg Agg) (*Sequence, error) {
 }
 
 // ComputePipelined materializes the complete sequence in a single pass
-// (§2.2): cumulative sequences use x̃_k = x̃_{k-1} + x_k; sliding SUM/COUNT
-// sequences use the neighbour relationship
+// (§2.2): SUM adds the value that enters each window and removes the one
+// that leaves it — for a sliding window
 //
 //	x̃_k = x̃_{k-1} + x_{k+h} − x_{k−l−1}
 //
-// (three operations per position, independent of the window size, with a
-// cache of W+2 values). MIN and MAX, which admit no inverse, use a monotonic
-// queue and are still O(n) amortized — the kind of "special operator"
-// support the paper attributes to engines with native reporting
-// functionality.
+// three operations per position, independent of the window size — and a
+// cumulative window only adds. MIN and MAX, which admit no inverse, use a
+// monotonic deque and are still O(n) amortized — the kind of "special
+// operator" support the paper attributes to engines with native reporting
+// functionality. COUNT is the closed form Window.Count, AVG the SUM pass
+// divided by it (§2.1). The passes are slide.go's kernels, the ones the
+// native window operator runs.
 func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -206,115 +190,21 @@ func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
 		return nil, fmt.Errorf("unknown aggregate %v", agg)
 	}
 	s := newSequence(w, agg, len(raw))
-	from := s.lo
-	if w.Cumulative {
-		s.set(0, 0, agg.Algebraic()) // the empty prefix
-		from = 1
+	switch agg {
+	case Count:
+		for i := range s.vals {
+			s.vals[i] = float64(w.Count(s.lo+i, len(raw)))
+		}
+	case Avg:
+		// A window that holds no raw value sums to 0, which stays the quotient.
+		evaluate(raw, 1, w, Sum, nil, s.lo, s.vals, nil)
+		for i := range s.vals {
+			s.vals[i] /= float64(max(w.Count(s.lo+i, len(raw)), 1))
+		}
+	default:
+		evaluate(raw, 1, w, agg, nil, s.lo, s.vals, s.valid)
 	}
-	x := func(k int) float64 { return rawAt(raw, k) }
-	emit := s.set
-	if agg == Avg {
-		// AVG is SUM/COUNT (§2.1): the SUM pass divided by the counts. A
-		// window that holds no raw value sums to 0, which stays the quotient.
-		agg, emit = Sum, func(k int, v float64, ok bool) { s.set(k, v/float64(max(w.Count(k, len(raw)), 1)), ok) }
-	}
-	pipeline(x, len(raw), w, agg, 0, from, s.Hi(), emit)
 	return s, nil
-}
-
-// pipeline emits positions from…to of the complete sequence over the raw
-// values x(1…n) (zero outside) in one pass: the pipelined recursions of
-// §2.2, continued from prev, the stored value at from−1 — unused where the
-// pass starts a recursion afresh, at the first stored position of a sliding
-// window. Maintenance resumes it mid-sequence, so its recomputes are the
-// values a refresh computes, NaN poisoning and signed zeros included.
-func pipeline(x func(int) float64, n int, w Window, agg Agg, prev float64, from, to int, emit func(k int, v float64, ok bool)) {
-	l, h := w.Preceding, w.Following
-	switch {
-	case agg == Count:
-		for k := from; k <= to; k++ {
-			emit(k, float64(w.Count(k, n)), true)
-		}
-	case agg == Min || agg == Max:
-		if !w.Cumulative {
-			monotonic(x, n, w, agg, from, to, emit)
-			break
-		}
-		best := math.Inf(1)
-		if agg == Max {
-			best = math.Inf(-1)
-		}
-		if from > 1 {
-			best = prev
-		}
-		for k := from; k <= to; k++ {
-			if v := x(k); agg == Min && v < best || agg == Max && v > best {
-				best = v
-			}
-			emit(k, best, true)
-		}
-	case w.Cumulative: // Sum
-		acc := prev
-		for k := from; k <= to; k++ {
-			acc += x(k)
-			emit(k, acc, true)
-		}
-	default: // sliding Sum: x̃_k = x̃_{k−1} + x_{k+h} − x_{k−l−1}
-		acc := 0.0
-		if from == 1-h { // the first stored position seeds the recursion
-			for j := from - l; j <= from+h; j++ {
-				acc += x(j)
-			}
-		} else {
-			acc = prev + (x(from+h) - x(from-l-1))
-		}
-		for k := from; k <= to; k++ {
-			if k > from {
-				acc += x(k+h) - x(k-l-1)
-			}
-			emit(k, acc, true)
-		}
-	}
-}
-
-// monotonic emits the sliding MIN/MAX of positions from…to over the raw
-// values x(1…n). The deque holds only positions of the current window and
-// what it holds there depends on those values alone, so starting anywhere
-// yields the values a pass from the first position would — NaN and signed
-// zeros included.
-func monotonic(x func(int) float64, n int, w Window, agg Agg, from, to int, emit func(k int, v float64, ok bool)) {
-	l, h := w.Preceding, w.Following
-	better := func(a, b float64) bool {
-		if agg == Min {
-			return a <= b
-		}
-		return a >= b
-	}
-	type entry struct {
-		pos int
-		val float64
-	}
-	var dq []entry
-	next := max(1, from-l) // next raw position to admit
-	for k := from; k <= to; k++ {
-		winLo, winHi := k-l, k+h
-		for next <= n && next <= winHi {
-			v := x(next)
-			for len(dq) > 0 && better(v, dq[len(dq)-1].val) {
-				dq = dq[:len(dq)-1]
-			}
-			dq = append(dq, entry{next, v})
-			next++
-		}
-		for len(dq) > 0 && dq[0].pos < winLo {
-			dq = dq[1:]
-		}
-		if len(dq) == 0 {
-			emit(k, 0, false)
-		} else {
-			emit(k, dq[0].val, true)
-		}
-	}
 }
 
 // EqualSeq reports whether two sequences carry identical values (within eps)

@@ -17,6 +17,14 @@ func randRaw(rng *rand.Rand, n int) []float64 {
 	return raw
 }
 
+// rawAt returns x_k under the zero-extension convention.
+func rawAt(raw []float64, k int) float64 {
+	if k < 1 || k > len(raw) {
+		return 0
+	}
+	return raw[k-1]
+}
+
 func TestWindowValidate(t *testing.T) {
 	cases := []struct {
 		w  Window

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Slab is a complete sequence as a bare slice — what the stored rows of a
 // materialized view are once each value is dropped at its position: Vals[i]
@@ -255,21 +252,19 @@ func minMaxFactors(src, target Window) (MaxOAFactors, error) {
 	return f, nil
 }
 
-// minMax writes ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}); a side whose window holds
+// minMax writes ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}), in FloatKeys' order
+// (a NaN wins, −0 is below +0); a side whose window holds
 // no raw position drops out, and valid, when given, records whether either
 // side was there (over n ≥ 1 raw values one always is, for every k in 1…n).
 func (x Slab) minMax(out []float64, valid []bool, from int, f MaxOAFactors) {
-	pick := math.Min
-	if x.Agg == Max {
-		pick = math.Max
-	}
+	isMin := x.Agg == Min
 	for i := range out {
 		k := from + i
 		a, aok := x.atOK(k - f.DeltaL)
 		b, bok := x.atOK(k + f.DeltaH)
 		switch {
 		case aok && bok:
-			out[i] = pick(a, b)
+			out[i] = extreme(a, b, isMin)
 		case aok:
 			out[i] = a
 		default:

@@ -58,14 +58,6 @@ type Op struct {
 	Shift    bool
 }
 
-// exoticVal reports whether v defeats bit-exact incremental maintenance.
-func exoticVal(v float64) bool {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return true
-	}
-	return v == 0 && math.Signbit(v) // −0: compares equal to +0, differs bitwise
-}
-
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // storedHi is the last stored position of a complete sequence over n raw
@@ -86,9 +78,9 @@ func storedHi(w Window, n int) int {
 //     its position on, so then the band and everything right of it are
 //     recomputed from the raw data, the way a refresh's pipeline runs.
 //   - MIN/MAX take x̃'_i = min(x̃_i, x'_k) (max) when the change can only widen
-//     the extremum and the band's stored values rule out a NaN or signed-zero
-//     tie (unordered); otherwise the band is recomputed, still local, as the
-//     paper's footnote concedes.
+//     the extremum, in the one order MIN and MAX take over floats (FloatKeys:
+//     a NaN wins, −0 is below +0, so a tie is equal bits); otherwise the band
+//     is recomputed, still local, as the paper's footnote concedes.
 //   - COUNT is a closed form of position and cardinality.
 //
 // An AVG view stores its SUM sequence, which a read divides by the window's
@@ -179,15 +171,13 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 		d := op.New - op.Old
 		out = patch(w, cells, lo, to, func(v float64, _ bool) float64 { return v + d })
 	default: // Min, Max: every window of the band gains x'_k
-		v := op.New
-		widens := op.Kind == OpInsert ||
-			op.Kind == OpUpdate && (agg == Min && v <= op.Old || agg == Max && v >= op.Old)
-		if widens && !exoticVal(op.Old) && !exoticVal(v) && !unordered(cells, v) {
+		v, isMin := op.New, agg == Min
+		if op.Kind == OpInsert || op.Kind == OpUpdate && wins(v, op.Old, isMin) {
 			out = patch(w, cells, lo, to, func(cur float64, ok bool) float64 {
-				if !ok || agg == Min && v < cur || agg == Max && v > cur {
+				if !ok {
 					return v
 				}
-				return cur
+				return extreme(cur, v, isMin)
 			})
 		} else if err = learn(false); err == nil {
 			out, err = recompute(st, w, agg, cells, lo, to, newN)
@@ -247,21 +237,6 @@ func checkOp(op Op, n int) (int, error) {
 	return n + grow, nil
 }
 
-// unordered reports whether min(x̃_i, v) (max) may differ in its bits from
-// what a pipeline computes over the band. A sliding window's deque never
-// pops a NaN, so a NaN left of the change hides v from the windows that hold
-// both; it is the stored value at its own position plus l, inside the band.
-// A zero of the other sign than v ties with it. A cumulative MIN/MAX skips
-// NaNs, and an equal value of the same bits is the same result either way.
-func unordered(cells []Cell, v float64) bool {
-	for _, c := range cells {
-		if math.IsNaN(c.Val) || c.Val == v && math.Float64bits(c.Val) != math.Float64bits(v) {
-			return true
-		}
-	}
-	return false
-}
-
 func allFinite(cells []Cell) bool {
 	for _, c := range cells {
 		if !finite(c.Val) {
@@ -299,37 +274,55 @@ func patch(w Window, cells []Cell, lo, to int, f func(v float64, ok bool) float6
 }
 
 // recompute evaluates positions from…to of the sequence over n raw values
-// from the raw data st holds after the change, resuming the pipeline at the
-// stored predecessor from−1, which the change left alone.
+// from the raw data st holds after the change, resuming at the stored
+// predecessor from−1, which the change left alone: a SUM pass continues from
+// its value, and a cumulative MIN/MAX folds it, the extremum of every raw
+// value before from, into each output.
 func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Cell, error) {
 	if from > to {
 		return nil, nil
 	}
-	// The raw positions the pipeline reads, clipped to [1, n].
-	rlo, rhi := from-w.Preceding-1, to+w.Following
-	if w.Cumulative {
-		rlo, rhi = from, to
+	out := make([]Cell, 0, to-from+1)
+	if agg == Count { // a closed form: no raw value
+		for k := from; k <= to; k++ {
+			out = append(out, Cell{k, float64(w.Count(k, n))})
+		}
+		return out, nil
 	}
-	rlo, rhi = max(rlo, 1), min(rhi, n)
+	// The raw positions the pass reads, from the predecessor's window on,
+	// clipped to [1, n].
+	l, h := w.Preceding, w.Following
+	if w.Cumulative {
+		l, h = 0, 0
+	}
+	rlo, rhi := max(from-l-1, 1), min(to+h, n)
 	var raw []float64
-	if rlo <= rhi && agg != Count { // COUNT is a closed form: no raw value
+	if rlo <= rhi {
 		var err error
 		if raw, err = st.Raw(rlo, rhi); err != nil {
 			return nil, err
 		}
 	}
-	x := func(j int) float64 {
-		if j < rlo || j > rhi {
-			return 0 // zero extension outside [1, n]
-		}
-		return raw[j-rlo]
+	prev, stored := cellAt(w, cells, from-1)
+	var seed *float64
+	if agg == Sum {
+		seed = &prev
 	}
-	var out []Cell
-	prev, _ := cellAt(w, cells, from-1)
-	pipeline(x, n, w, agg, prev, from, to, func(k int, v float64, ok bool) {
-		if ok {
-			out = append(out, Cell{k, v})
+	vals, ok := make([]float64, to-from+1), make([]bool, to-from+1)
+	evaluate(raw, rlo, w, agg, seed, from, vals, ok)
+	fold := agg != Sum && w.Cumulative && stored
+	for j, v := range vals {
+		if fold { // raw is the Store's, read-only: fold prev into the output
+			if ok[j] {
+				v = extreme(prev, v, agg == Min)
+			} else {
+				v = prev
+			}
+			ok[j] = true
 		}
-	})
+		if agg == Sum || ok[j] {
+			out = append(out, Cell{from + j, v})
+		}
+	}
 	return out, nil
 }

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
+
+	"rfview/internal/core"
 )
 
 // TestDerivedAnswersLikeNative: a statement a view answers returns what
@@ -55,6 +58,61 @@ func TestDerivedAnswersLikeNative(t *testing.T) {
 		}
 		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || len(got.Rows) != c.rows {
 			t.Errorf("%s: served rows %v, native rows %v, want %d of them", c.q, got.Rows, want.Rows, c.rows)
+		}
+	}
+
+	// A NaN in a MIN frame answers NaN (and −0 would order below +0) on
+	// every path: native evaluation, the derivation from a (1,1) MIN view —
+	// exact, and by MaxOA for (2,2) — the view's stored rows, header and
+	// trailer included, and core.ComputeNaive over the raw values.
+	raw := []float64{5, 3, math.NaN(), 4, 2, 6, 7, 8}
+	loadNaN := func(useViews bool) *Engine {
+		e := load(useViews)
+		mustExec(t, e, `CREATE TABLE t (pos INTEGER, val FLOAT)`)
+		for i, v := range raw {
+			lit := fmt.Sprintf("%g", v)
+			if math.IsNaN(v) {
+				lit = "1e308 * 10.0 - 1e308 * 10.0" // ∞ − ∞
+			}
+			mustExec(t, e, fmt.Sprintf(`INSERT INTO t VALUES (%d, %s)`, i+1, lit))
+		}
+		if useViews {
+			mustExec(t, e, `CREATE MATERIALIZED VIEW mvmin AS
+			  SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM t`)
+		}
+		return e
+	}
+	served, native = loadNaN(true), loadNaN(false)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	check := func(name string, res *Result, ref *core.Sequence) {
+		for _, row := range res.Rows {
+			k := int(row[0].Int())
+			if w, _ := ref.AtOK(k); !same(row[1].Float(), w) {
+				t.Errorf("MIN over NaN, %s: position %d = %v, core.ComputeNaive says %v", name, k, row[1], w)
+			}
+		}
+	}
+	for _, w := range []core.Window{core.Sliding(1, 1), core.Sliding(2, 2)} {
+		ref, err := core.ComputeNaive(raw, w, core.Min)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := fmt.Sprintf(`SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN %d PRECEDING AND %d FOLLOWING) AS m FROM t ORDER BY pos`,
+			w.Preceding, w.Following)
+		derived, nat := mustExec(t, served, q), mustExec(t, native, q)
+		if derived.Derivation == nil || nat.Derivation != nil || len(derived.Rows) != ref.N || len(nat.Rows) != ref.N {
+			t.Fatalf("MIN%s over NaN: derived=%v native=%v, %d and %d rows", w, derived.Derivation != nil, nat.Derivation != nil, len(derived.Rows), len(nat.Rows))
+		}
+		check("derived"+w.String(), derived, ref)
+		check("native"+w.String(), nat, ref)
+		if w.Following == 1 {
+			rows := mustExec(t, served, `SELECT pos, val FROM mvmin`)
+			if len(rows.Rows) != ref.Len() {
+				t.Fatalf("MIN over NaN: the view holds %d rows, want %d", len(rows.Rows), ref.Len())
+			}
+			check("view rows", rows, ref)
 		}
 	}
 }

@@ -111,12 +111,6 @@ func (e *Engine) initMetrics() {
 	e.reg.GaugeFunc("rfview_window_sorts_segmented_total",
 		"Window runs that reused stream partition grouping and re-sorted only within segments.",
 		func() float64 { return float64(e.winStats.SortsSegmented.Load()) })
-	e.reg.GaugeFunc("rfview_window_kernel_typed_total",
-		"Window-function evaluations served by a typed columnar kernel.",
-		func() float64 { return float64(e.winStats.TypedKernels.Load()) })
-	e.reg.GaugeFunc("rfview_window_kernel_boxed_total",
-		"Window-function evaluations that used the boxed accumulator path.",
-		func() float64 { return float64(e.winStats.BoxedKernels.Load()) })
 	spillStats := e.spillCfg.Stats
 	e.reg.GaugeFunc("rfview_spill_runs_total",
 		"Sort runs flushed to disk by the out-of-core executor.",

@@ -362,14 +362,7 @@ func TestWindowOperatorAgainstBruteForce(t *testing.T) {
 			for _, r := range out {
 				k := int(r[0].Int()) // 1-based position
 				i := k - 1
-				lo := fr.Start.resolve(i, n)
-				hi := fr.End.resolve(i, n)
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > n-1 {
-					hi = n - 1
-				}
+				lo, hi := frameRows(fr, i, n)
 				acc, _ := expr.NewAgg(agg)
 				for j := lo; j <= hi; j++ {
 					acc.Add(sqltypes.NewInt(vals[j]))

@@ -1,29 +1,37 @@
 package exec
 
-import "testing"
+import (
+	"testing"
 
-// TestClamp pins the shared clamp helper's behaviour at its boundaries.
-func TestClamp(t *testing.T) {
-	cases := []struct {
-		v, lo, hi, want int
-	}{
-		{5, 0, 10, 5},
-		{-3, 0, 10, 0},
-		{42, 0, 10, 10},
-		{0, 0, 0, 0},
-		{-1, -1, 5, -1},
-		{7, 3, 3, 3},
-	}
-	for _, c := range cases {
-		if got := clamp(c.v, c.lo, c.hi); got != c.want {
-			t.Errorf("clamp(%d, %d, %d) = %d, want %d", c.v, c.lo, c.hi, got, c.want)
+	"rfview/internal/core"
+	"rfview/internal/sqltypes"
+)
+
+// frameRows resolves row i's frame over n rows to lo…hi with 0 ≤ lo ≤ n and
+// −1 ≤ hi ≤ n−1; lo > hi is an empty frame. It is the reference the
+// differential tests walk frames by, written apart from the kernels.
+func frameRows(f FrameSpec, i, n int) (lo, hi int) {
+	edge := func(b FrameBound) int {
+		switch b.Kind {
+		case BoundUnboundedPreceding:
+			return 0
+		case BoundPreceding:
+			return i - b.Offset
+		case BoundCurrentRow:
+			return i
+		case BoundFollowing:
+			return i + b.Offset
+		default: // BoundUnboundedFollowing
+			return n - 1
 		}
 	}
+	return min(max(edge(f.Start), 0), n), min(max(edge(f.End), -1), n-1)
 }
 
-// TestFrameRowRange is the table-driven edge suite for the centralized frame
-// clamping: negative effective offsets at partition boundaries, windows wider
-// than the partition (h > n), empty frames, and the unbounded defaults.
+// TestFrameRowRange is the table-driven edge suite for frame clamping:
+// negative effective offsets at partition boundaries, windows wider than the
+// partition (h > n), empty frames, and the unbounded defaults. It pins
+// frameRows and checks that the kernels' COUNT(*) sees each frame's size.
 func TestFrameRowRange(t *testing.T) {
 	pre := func(off int) FrameBound { return FrameBound{Kind: BoundPreceding, Offset: off} }
 	fol := func(off int) FrameBound { return FrameBound{Kind: BoundFollowing, Offset: off} }
@@ -57,10 +65,15 @@ func TestFrameRowRange(t *testing.T) {
 		{"current row only", FrameSpec{cur, cur}, 3, 7, 3, 3},
 	}
 	for _, c := range cases {
-		lo, hi := c.frame.rowRange(c.i, c.n)
+		lo, hi := frameRows(c.frame, c.i, c.n)
 		if lo != c.wantLo || hi != c.wantHi {
-			t.Errorf("%s: rowRange(i=%d, n=%d) = (%d, %d), want (%d, %d)",
+			t.Errorf("%s: frameRows(i=%d, n=%d) = (%d, %d), want (%d, %d)",
 				c.name, c.i, c.n, lo, hi, c.wantLo, c.wantHi)
+		}
+		cnt := make([]int64, 1)
+		core.Sums[int64, int64](core.Pass{F: c.frame.frame(), N: c.n, From: c.i}, nil, nil, nil, cnt)
+		if want := int64(max(hi-lo+1, 0)); cnt[0] != want {
+			t.Errorf("%s: the kernel counts %d rows, want %d", c.name, cnt[0], want)
 		}
 		if lo < 0 || lo > c.n {
 			t.Errorf("%s: lo=%d outside [0, n=%d]", c.name, lo, c.n)
@@ -72,41 +85,23 @@ func TestFrameRowRange(t *testing.T) {
 }
 
 // TestFrameEmptyFrameSemantics: an empty frame yields NULL (COUNT: 0) for
-// every strategy, including the MIN/MAX deque and the naive fallback.
+// every aggregate, the MIN/MAX deque included, on every row of a partition
+// whose frames all lie past its end.
 func TestFrameEmptyFrameSemantics(t *testing.T) {
-	args := intRow(10, 20, 30, 40)
+	var rows []sqltypes.Row
+	for i, v := range []int64{10, 20, 30, 40} {
+		rows = append(rows, intRow(1, int64(i+1), v))
+	}
 	empty := FrameSpec{
 		Start: FrameBound{Kind: BoundFollowing, Offset: 7},
 		End:   FrameBound{Kind: BoundFollowing, Offset: 9},
 	}
-	for _, agg := range []string{"SUM", "AVG", "MIN", "MAX"} {
-		vals, err := computeFrames(WindowFunc{Name: agg, Frame: empty}, args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range vals {
-			if !v.IsNull() {
-				t.Errorf("%s pos %d: empty frame gave %v, want NULL", agg, i, v)
+	aggs := []string{"SUM", "AVG", "MIN", "MAX", "COUNT"}
+	for _, row := range mustCollect(t, vecWindow(t, rows, empty, false, aggs...)) {
+		for ai, agg := range aggs {
+			if v := row[3+ai]; agg == "COUNT" && v.Int() != 0 || agg != "COUNT" && !v.IsNull() {
+				t.Errorf("%s pos %s: empty frame gave %v, want NULL (COUNT 0)", agg, row[1], v)
 			}
-		}
-	}
-	vals, err := computeFrames(WindowFunc{Name: "COUNT", Frame: empty}, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if v.Int() != 0 {
-			t.Errorf("COUNT pos %d: empty frame gave %v, want 0", i, v)
-		}
-	}
-	// The quadratic fallback clamps through the same helper.
-	nvals, err := computeFramesMinMaxNaive(WindowFunc{Name: "MIN", Frame: empty}, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range nvals {
-		if !v.IsNull() {
-			t.Errorf("naive MIN pos %d: empty frame gave %v, want NULL", i, v)
 		}
 	}
 }

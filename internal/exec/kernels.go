@@ -1,332 +1,160 @@
 package exec
 
 import (
-	"rfview/internal/expr"
+	"fmt"
+
+	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 )
 
-// This file evaluates ROWS frames over one partition's argument column, in
-// evaluation order: the typed kernels, the boxed evaluators they fall back
-// to, and the dispatch between the two.
-//
-// Typed window kernels: the §2.2 slide (Add/Remove) and the MIN/MAX monotonic
-// deque specialized to raw []int64 / []float64 argument columns. A kernel runs
-// only when the column is homogeneous and NULL-free (see runTypedKernel), so
-// the inner loops carry no Datum boxing, no NULL tests, and no per-step error
-// returns. Each kernel replicates the exact arithmetic sequence of the boxed
-// accumulators in expr/agg.go — same reseed condition, same grow-right-then-
-// shrink-left order, same float operation order — so typed and boxed paths
-// produce bit-identical results and the runtime fallback is invisible.
+// This file evaluates one window function over one partition: the §2.2
+// kernels of internal/core (core.Sums, core.Extremes) run over the
+// partition's gathered argument vector — its typed values and its NULL
+// mask — and each row's answer is boxed into its slab slot once.
 
-// kernelCount fills COUNT over a NULL-free column (or COUNT(*)): the frame
-// size. Matches countAcc, which increments once per non-NULL Add.
-func kernelCount(frame FrameSpec, n int, out []sqltypes.Datum) {
-	for i := 0; i < n; i++ {
-		lo, hi := frame.rowRange(i, n)
-		if lo > hi {
-			out[i] = sqltypes.NewInt(0)
-			continue
-		}
-		out[i] = sqltypes.NewInt(int64(hi - lo + 1))
+// frame is f as the kernels' frame: each bound an offset from the current
+// row, or the partition's first or last row.
+func (f FrameSpec) frame() core.Frame {
+	return core.Frame{Lo: f.Start.offset(), Hi: f.End.offset()}
+}
+
+func (b FrameBound) offset() int {
+	switch b.Kind {
+	case BoundUnboundedPreceding:
+		return core.First
+	case BoundPreceding:
+		return -b.Offset
+	case BoundCurrentRow:
+		return 0
+	case BoundFollowing:
+		return b.Offset
+	default: // BoundUnboundedFollowing
+		return core.Last
 	}
 }
 
-// kernelSumInt slides SUM over an all-int column. Integer sums are exact, so
-// only the empty-frame NULL and the reseed condition must mirror computeFrames.
-func kernelSumInt(frame FrameSpec, vals []int64, out []sqltypes.Datum) {
-	n := len(vals)
-	var sum int64
-	curLo, curHi := 0, -1
-	for i := 0; i < n; i++ {
-		lo, hi := frame.rowRange(i, n)
-		if lo > hi {
-			sum = 0
-			curLo, curHi = lo, lo-1
-			out[i] = sqltypes.NullDatum
-			continue
-		}
-		if lo < curLo || lo > curHi+1 || hi < curHi {
-			sum = 0
-			curLo, curHi = lo, lo-1
-		}
-		for curHi < hi {
-			curHi++
-			sum += vals[curHi]
-		}
-		for curLo < lo {
-			sum -= vals[curLo]
-			curLo++
-		}
-		out[i] = sqltypes.NewInt(sum)
+// evalFunc evaluates function fi over the partition whose rows are ord, in
+// evaluation order, and writes row ord[i]'s answer to its slab slot: SUM and
+// AVG NULL over a frame without a value, COUNT 0, MIN and MAX the frame's
+// least or greatest value. A function the output drops is not evaluated.
+func (w *Window) evalFunc(r *winRun, fi int, ord []int, ps *partScratch) error {
+	col := r.funcCol[fi]
+	if col < 0 {
+		return nil
 	}
-}
-
-// kernelSumFloat slides SUM over an all-float column. Float addition is not
-// associative, so the += / -= order must match sumAcc exactly: grow right with
-// Add, then shrink left with Remove, from a zero seed after every reseed.
-func kernelSumFloat(frame FrameSpec, vals []float64, out []sqltypes.Datum) {
-	n := len(vals)
-	var sum float64
-	curLo, curHi := 0, -1
-	for i := 0; i < n; i++ {
-		lo, hi := frame.rowRange(i, n)
-		if lo > hi {
-			sum = 0
-			curLo, curHi = lo, lo-1
-			out[i] = sqltypes.NullDatum
-			continue
-		}
-		if lo < curLo || lo > curHi+1 || hi < curHi {
-			sum = 0
-			curLo, curHi = lo, lo-1
-		}
-		for curHi < hi {
-			curHi++
-			sum += vals[curHi]
-		}
-		for curLo < lo {
-			sum -= vals[curLo]
-			curLo++
-		}
-		out[i] = sqltypes.NewFloat(sum)
+	fn := w.Funcs[fi]
+	n := len(ord)
+	p := core.Pass{F: fn.Frame.frame(), N: n}
+	var vec *sqltypes.ColVec // nil for COUNT(*)
+	if slot := w.argSlots[fi]; slot >= 0 {
+		vec = &ps.vecs[slot]
+		p.Nulls = vec.Nulls.Words()
 	}
-}
-
-// kernelAvg slides AVG over an all-int or all-float column. avgAcc accumulates
-// float64(d.Float()) regardless of input type, so one generic body reproduces
-// both: for float64 the conversion is the identity.
-func kernelAvg[T int64 | float64](frame FrameSpec, vals []T, out []sqltypes.Datum) {
-	n := len(vals)
-	var sum float64
-	var cnt int64
-	curLo, curHi := 0, -1
-	for i := 0; i < n; i++ {
-		lo, hi := frame.rowRange(i, n)
-		if lo > hi {
-			sum, cnt = 0, 0
-			curLo, curHi = lo, lo-1
-			out[i] = sqltypes.NullDatum
-			continue
+	ps.cnt = grow(ps.cnt, n)
+	slab, width := r.slab, r.width
+	answer := func(i int) *sqltypes.Datum { return &slab[ord[i]*width+col] } // row ord[i]'s slot
+	switch {
+	case fn.Name == "COUNT":
+		core.Sums[int64, int64](p, nil, nil, nil, ps.cnt)
+		for i, c := range ps.cnt {
+			*answer(i) = sqltypes.NewInt(c)
 		}
-		if lo < curLo || lo > curHi+1 || hi < curHi {
-			sum, cnt = 0, 0
-			curLo, curHi = lo, lo-1
+	case vec == nil:
+		return fmt.Errorf("exec: %s(*)", fn.Name)
+	case vec.Typ == sqltypes.Null: // every argument NULL
+		for i := range ord {
+			*answer(i) = sqltypes.NullDatum
 		}
-		for curHi < hi {
-			curHi++
-			sum += float64(vals[curHi])
-			cnt++
+	case vec.Mixed():
+		return fmt.Errorf("exec: %s over an argument that mixes a %s value with other types", fn.Name, nonNumeric(vec))
+	case fn.Name == "MIN" || fn.Name == "MAX":
+		isMin := fn.Name == "MIN"
+		ps.at = grow(ps.at, n)
+		switch vec.Typ {
+		case sqltypes.Float:
+			ps.keys = core.FloatKeys(ps.keys, vec.Floats, isMin)
+			ps.dq = core.Extremes(p, ps.keys, isMin, ps.at, ps.dq)
+		case sqltypes.String:
+			ps.dq = core.Extremes(p, vec.Strs, isMin, ps.at, ps.dq)
+		default: // INTEGER, DATE, BOOLEAN
+			ps.dq = core.Extremes(p, vec.Ints, isMin, ps.at, ps.dq)
 		}
-		for curLo < lo {
-			sum -= float64(vals[curLo])
-			cnt--
-			curLo++
-		}
-		out[i] = sqltypes.NewFloat(sum / float64(cnt))
-	}
-}
-
-// kernelMinMax runs the monotonic deque over a raw slice. dq is a pooled
-// position stack; head replaces the boxed version's dq = dq[1:] so the backing
-// array stays reusable. mk boxes the winning value (NewInt or NewFloat).
-// Returns (dq, false) if the frame ever moves backwards — the same pathological
-// case the boxed deque hands to its quadratic fallback — letting the caller
-// route the whole function through the boxed path.
-func kernelMinMax[T int64 | float64](frame FrameSpec, vals []T, isMin bool, mk func(T) sqltypes.Datum, out []sqltypes.Datum, dq []int) ([]int, bool) {
-	n := len(vals)
-	dq = dq[:0]
-	head := 0
-	next := 0
-	prevLo := 0
-	for i := 0; i < n; i++ {
-		lo, hi := frame.rowRange(i, n)
-		if lo < prevLo {
-			return dq, false
-		}
-		prevLo = lo
-		for next <= hi {
-			v := vals[next]
-			for len(dq) > head {
-				b := vals[dq[len(dq)-1]]
-				// Pop ties too (<= / >=), matching the boxed deque: the later
-				// of equal values survives. Indistinguishable in the output —
-				// equal raw values box to equal datums — but kept identical
-				// so the two paths walk the same states.
-				if (isMin && v <= b) || (!isMin && v >= b) {
-					dq = dq[:len(dq)-1]
-					continue
-				}
-				break
-			}
-			dq = append(dq, next)
-			next++
-		}
-		for head < len(dq) && dq[head] < lo {
-			head++
-		}
-		if lo > hi || head == len(dq) {
-			out[i] = sqltypes.NullDatum
-		} else {
-			out[i] = mk(vals[dq[head]])
-		}
-	}
-	return dq, true
-}
-
-// runTypedKernel dispatches fn to a typed kernel when its argument column is
-// eligible: COUNT(*) always (its synthesized argument is a non-NULL
-// constant), otherwise a valid ColVec with no NULLs and an Int or Float
-// element type. Any NULL, any type mix, a NaN, or a non-numeric element type
-// routes the function to the boxed accumulator path instead. Reports whether
-// a kernel ran and filled ps.out.
-func runTypedKernel(fn WindowFunc, slot int, ps *partScratch, n int) bool {
-	if slot < 0 {
-		kernelCount(fn.Frame, n, ps.out)
-		return true
-	}
-	vec := &ps.vecs[slot]
-	if !vec.Valid() || vec.Nulls.Any() {
-		return false
-	}
-	switch vec.Typ {
-	case sqltypes.Int:
-		return typedKernel(fn, vec.Ints, kernelSumInt, sqltypes.NewInt, ps)
-	case sqltypes.Float:
-		return typedKernel(fn, vec.Floats, kernelSumFloat, sqltypes.NewFloat, ps)
-	}
-	return false
-}
-
-// typedKernel runs fn's kernel over one raw argument slice, filling ps.out.
-func typedKernel[T int64 | float64](fn WindowFunc, vals []T, sum func(FrameSpec, []T, []sqltypes.Datum), mk func(T) sqltypes.Datum, ps *partScratch) (ok bool) {
-	switch fn.Name {
-	case "COUNT":
-		kernelCount(fn.Frame, len(vals), ps.out)
-	case "SUM":
-		sum(fn.Frame, vals, ps.out)
-	case "AVG":
-		kernelAvg(fn.Frame, vals, ps.out)
-	case "MIN", "MAX":
-		ps.dq, ok = kernelMinMax(fn.Frame, vals, fn.Name == "MIN", mk, ps.out, ps.dq)
-		return ok
-	default:
-		return false
-	}
-	return true
-}
-
-// computeFrames computes the window aggregate for every position. Frame
-// bounds move monotonically with the row index, enabling the pipelined
-// strategies.
-func computeFrames(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	if fn.Name == "MIN" || fn.Name == "MAX" {
-		return computeFramesMinMax(fn, args)
-	}
-	acc, err := expr.NewAgg(fn.Name)
-	if err != nil {
-		return nil, err
-	}
-	curLo, curHi := 0, -1 // current accumulated range [curLo, curHi]
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		if lo > hi {
-			// Empty frame: NULL (COUNT yields 0 via a fresh accumulator).
-			acc.Reset()
-			curLo, curHi = lo, lo-1
-			if fn.Name == "COUNT" {
-				out[i] = sqltypes.NewInt(0)
+		for i, a := range ps.at {
+			if a < 0 {
+				*answer(i) = sqltypes.NullDatum
 			} else {
-				out[i] = sqltypes.NullDatum
+				*answer(i) = vec.Datum(a)
 			}
-			continue
 		}
-		// ROWS frame bounds move monotonically right; re-seed if the target
-		// range jumped (backwards, or disjoint ahead, or shrank on the
-		// right), otherwise slide: grow right with Add, shrink left with
-		// Remove — the §2.2 three-operations-per-position strategy.
-		if lo < curLo || lo > curHi+1 || hi < curHi {
-			acc.Reset()
-			curLo, curHi = lo, lo-1
-		}
-		for curHi < hi {
-			curHi++
-			acc.Add(args[curHi])
-		}
-		for curLo < lo {
-			acc.Remove(args[curLo])
-			curLo++
-		}
-		out[i] = acc.Result()
-	}
-	return out, nil
-}
-
-// computeFramesMinMax computes MIN/MAX frames with a monotonic deque.
-func computeFramesMinMax(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	isMin := fn.Name == "MIN"
-	type entry struct {
-		pos int
-		val sqltypes.Datum
-	}
-	var dq []entry
-	next := 0 // next arg index to admit
-	prevLo := 0
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		if lo < prevLo {
-			// Frames of ROWS windows never move backwards; guard anyway.
-			return computeFramesMinMaxNaive(fn, args)
-		}
-		prevLo = lo
-		for next <= hi {
-			v := args[next]
-			if !v.IsNull() {
-				for len(dq) > 0 {
-					cmp, err := sqltypes.Compare(v, dq[len(dq)-1].val)
-					if err != nil {
-						return nil, err
-					}
-					if (isMin && cmp <= 0) || (!isMin && cmp >= 0) {
-						dq = dq[:len(dq)-1]
-						continue
-					}
-					break
-				}
-				dq = append(dq, entry{next, v})
+	case vec.Typ == sqltypes.String:
+		return fmt.Errorf("exec: %s over VARCHAR", fn.Name)
+	case fn.Name == "SUM" && vec.Typ == sqltypes.Float:
+		ps.fsum = grow(ps.fsum, n)
+		core.Sums(p, vec.Floats, nil, ps.fsum, ps.cnt)
+		for i, s := range ps.fsum {
+			if ps.cnt[i] == 0 {
+				*answer(i) = sqltypes.NullDatum
+			} else {
+				*answer(i) = sqltypes.NewFloat(s)
 			}
-			next++
 		}
-		for len(dq) > 0 && dq[0].pos < lo {
-			dq = dq[1:]
+	case fn.Name == "SUM":
+		ps.isum = grow(ps.isum, n)
+		core.Sums(p, vec.Ints, nil, ps.isum, ps.cnt)
+		for i, s := range ps.isum {
+			if ps.cnt[i] == 0 {
+				*answer(i) = sqltypes.NullDatum
+			} else {
+				*answer(i) = sqltypes.NewInt(s)
+			}
 		}
-		if lo > hi || len(dq) == 0 {
-			out[i] = sqltypes.NullDatum
+	case fn.Name == "AVG":
+		ps.fsum = grow(ps.fsum, n)
+		if vec.Typ == sqltypes.Float {
+			core.Sums(p, vec.Floats, nil, ps.fsum, ps.cnt)
 		} else {
-			out[i] = dq[0].val
+			core.Sums(p, vec.Ints, nil, ps.fsum, ps.cnt)
 		}
+		for i, s := range ps.fsum {
+			if ps.cnt[i] == 0 {
+				*answer(i) = sqltypes.NullDatum
+			} else {
+				*answer(i) = sqltypes.NewFloat(s / float64(ps.cnt[i]))
+			}
+		}
+	default:
+		return fmt.Errorf("exec: unknown window aggregate %s()", fn.Name)
 	}
-	return out, nil
+	return nil
 }
 
-// computeFramesMinMaxNaive is the quadratic fallback for pathological frames.
-func computeFramesMinMaxNaive(fn WindowFunc, args []sqltypes.Datum) ([]sqltypes.Datum, error) {
-	n := len(args)
-	out := make([]sqltypes.Datum, n)
-	acc, err := expr.NewAgg(fn.Name)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := fn.Frame.rowRange(i, n)
-		acc.Reset()
-		for j := lo; j <= hi; j++ {
-			acc.Add(args[j])
+// nonNumeric is the type of the first non-NULL value of v that is neither
+// INTEGER nor FLOAT.
+func nonNumeric(v *sqltypes.ColVec) sqltypes.Type {
+	for i := 0; i < v.Len(); i++ {
+		if t := v.Datum(i).Typ(); t != sqltypes.Null && !t.Numeric() {
+			return t
 		}
-		out[i] = acc.Result()
 	}
-	return out, nil
+	return sqltypes.Null
+}
+
+// coerceMixed rewrites an argument column that mixes INTEGER and FLOAT
+// values as FLOAT, the type SQL gives the mix, so that a frame's answer
+// depends on its values alone. A mix with any other type stays boxed: COUNT
+// reads its NULL mask alone, and evalFunc refuses it to the others.
+func coerceMixed(v *sqltypes.ColVec) {
+	if !v.Mixed() || nonNumeric(v) != sqltypes.Null {
+		return
+	}
+	var f sqltypes.ColVec
+	f.Reset(v.Len())
+	for i := 0; i < v.Len(); i++ {
+		if d := v.Datum(i); d.IsNull() {
+			f.Append(d)
+		} else {
+			f.Append(sqltypes.NewFloat(d.Float()))
+		}
+	}
+	*v = f
 }

@@ -120,8 +120,7 @@ func benchWindowRows(parts, rowsPer int, shape string) []sqltypes.Row {
 
 // BenchmarkWindowArgShapes measures the Window operator — sliding
 // SUM/MIN/AVG over 8 partitions of 512 rows — for INT and FLOAT argument
-// columns (typed kernels) and a mixed one (which falls back to the boxed
-// accumulators at runtime).
+// columns and a mixed one, which is coerced to FLOAT once per run.
 func BenchmarkWindowArgShapes(b *testing.B) {
 	schema := expr.NewSchema(
 		expr.ColInfo{Name: "grp", Type: sqltypes.Int},

@@ -39,7 +39,7 @@ func vecWindow(t *testing.T, rows []sqltypes.Row, frame FrameSpec, desc bool, ag
 // eighths, so every sum is exact whatever order a kernel accumulates in.
 func vecValue(rng *rand.Rand, shape string) sqltypes.Datum {
 	if strings.Contains(shape, "null") && rng.Intn(4) == 0 {
-		return sqltypes.NullDatum // NULLs mid-column select the boxed kernel
+		return sqltypes.NullDatum // NULLs mid-column
 	}
 	switch {
 	case strings.HasPrefix(shape, "int"):
@@ -54,13 +54,12 @@ func vecValue(rng *rand.Rand, shape string) sqltypes.Datum {
 	}
 }
 
-// TestWindowTypedMatchesBoxed is the kernel oracle at the operator level.
-// The typed kernels (homogeneous INT and FLOAT columns) and the boxed
-// accumulators (NULL-bearing and Int/Float-mixed columns, which the data
-// alone selects) must each equal the explicit form — the aggregate fed every
-// row of the frame, one frame at a time — and therefore each other, for
-// every frame shape, including the FOLLOWING-only and far-PRECEDING bands
-// core.Window cannot express, and ASC/DESC ordering.
+// TestWindowTypedMatchesBoxed is the kernel oracle at the operator level:
+// over homogeneous INT and FLOAT columns, NULL-bearing ones and Int/Float
+// mixes, every answer must equal the explicit form — the aggregate fed every
+// row of the frame, one frame at a time — for every frame shape, including
+// the FOLLOWING-only and far-PRECEDING bands core.Window cannot express, and
+// ASC/DESC ordering.
 func TestWindowTypedMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := []FrameSpec{
@@ -74,7 +73,6 @@ func TestWindowTypedMatchesBoxed(t *testing.T) {
 	aggs := []string{"SUM", "COUNT", "MIN", "MAX", "AVG"}
 	for _, shape := range []string{"int", "float", "int-null", "float-null", "mixed", "mixed-null"} {
 		t.Run(shape, func(t *testing.T) {
-			stats := &WindowStats{}
 			for trial := 0; trial < 12; trial++ {
 				var rows []sqltypes.Row
 				parts := make([][]sqltypes.Datum, 1+rng.Intn(5)) // val by pos-1
@@ -91,7 +89,6 @@ func TestWindowTypedMatchesBoxed(t *testing.T) {
 				ctx := fmt.Sprintf("shape=%s trial=%d frame=%d desc=%v rows=%d",
 					shape, trial, trial%len(frames), desc, len(rows))
 				w := vecWindow(t, rows, frame, desc, aggs...)
-				w.Stats = stats
 				for _, row := range mustCollect(t, w) {
 					vals := parts[row[0].Int()]
 					n := len(vals)
@@ -101,7 +98,7 @@ func TestWindowTypedMatchesBoxed(t *testing.T) {
 						slices.Reverse(vals)
 						i = n - 1 - i
 					}
-					lo, hi := max(frame.Start.resolve(i, n), 0), min(frame.End.resolve(i, n), n-1)
+					lo, hi := frameRows(frame, i, n)
 					for ai, agg := range aggs {
 						acc, _ := expr.NewAgg(agg)
 						for j := lo; j <= hi; j++ {
@@ -118,19 +115,14 @@ func TestWindowTypedMatchesBoxed(t *testing.T) {
 					}
 				}
 			}
-			clean := shape == "int" || shape == "float"
-			if tk, bk := stats.TypedKernels.Load(), stats.BoxedKernels.Load(); tk == 0 || clean != (bk == 0) {
-				t.Fatalf("typed=%d boxed=%d kernels: a clean column must stay typed, a NULL or a mix must box", tk, bk)
-			}
 		})
 	}
 }
 
-// TestWindowVectorizedStats pins the eligibility contract through the stats
-// counters: clean INT columns run typed kernels and normalized sorts; a NULL
-// in the argument column falls back to the boxed kernel but keeps the
-// normalized sort (NULL order keys still encode); an Int/Float mix in the
-// order key and in the argument takes both fallbacks.
+// TestWindowVectorizedStats pins the sort paths through the stats counters:
+// clean INT keys run normalized sorts, as they do beside a NULL in the
+// argument column; an Int/Float mix in the order key falls back to the
+// comparator.
 func TestWindowVectorizedStats(t *testing.T) {
 	clean := []sqltypes.Row{intRow(1, 1, 10), intRow(1, 2, 20), intRow(2, 1, 5), intRow(2, 2, 6)}
 	withNull := []sqltypes.Row{
@@ -150,20 +142,10 @@ func TestWindowVectorizedStats(t *testing.T) {
 		return st
 	}
 	st := run(clean)
-	if st.TypedKernels.Load() == 0 || st.BoxedKernels.Load() != 0 {
-		t.Fatalf("clean INT column: typed=%d boxed=%d", st.TypedKernels.Load(), st.BoxedKernels.Load())
-	}
 	if st.NormalizedSorts.Load() == 0 || st.ComparatorSorts.Load() != 0 {
 		t.Fatalf("clean INT keys: normalized=%d comparator=%d", st.NormalizedSorts.Load(), st.ComparatorSorts.Load())
 	}
 	st = run(withNull)
-	if st.BoxedKernels.Load() == 0 {
-		t.Fatalf("NULL in arg column must use the boxed kernel (typed=%d boxed=%d)",
-			st.TypedKernels.Load(), st.BoxedKernels.Load())
-	}
-	if st.TypedKernels.Load() == 0 {
-		t.Fatalf("COUNT(*) stays typed even with NULL args (typed=%d)", st.TypedKernels.Load())
-	}
 	if st.NormalizedSorts.Load() == 0 {
 		t.Fatalf("NULL-free order keys must still normalize")
 	}
@@ -171,10 +153,6 @@ func TestWindowVectorizedStats(t *testing.T) {
 	if st.NormalizedSorts.Load() != 0 || st.ComparatorSorts.Load() == 0 {
 		t.Fatalf("mixed order key must sort by comparator: normalized=%d comparator=%d",
 			st.NormalizedSorts.Load(), st.ComparatorSorts.Load())
-	}
-	if st.BoxedKernels.Load() == 0 {
-		t.Fatalf("mixed argument must use the boxed kernel (typed=%d boxed=%d)",
-			st.TypedKernels.Load(), st.BoxedKernels.Load())
 	}
 }
 
@@ -296,11 +274,9 @@ func TestSortNaNKeyFallsBack(t *testing.T) {
 	}
 }
 
-// TestWindowNegativeZeroMinMax: -0.0 and +0.0 are ties under Compare, so the
-// typed MIN/MAX deque must pick the same representative (the later of the
-// tied pair, matching the boxed deque's pop-on-tie) as the boxed one.
-// Partition 2 repeats partition 1 plus a trailing NULL, which MIN/MAX skip
-// and which is what selects the boxed accumulators for it.
+// TestWindowNegativeZeroMinMax: MIN and MAX order -0.0 below +0.0, so a
+// frame holding both answers MIN -0.0 and MAX +0.0 whatever their order.
+// Partition 2 repeats partition 1 plus a trailing NULL, which MIN/MAX skip.
 func TestWindowNegativeZeroMinMax(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	var rows []sqltypes.Row
@@ -311,18 +287,10 @@ func TestWindowNegativeZeroMinMax(t *testing.T) {
 	}
 	rows = append(rows, sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewInt(4), sqltypes.NullDatum})
 	w := vecWindow(t, rows, DefaultFrame(false), false, "MIN", "MAX")
-	w.Stats = &WindowStats{}
-	out := mustCollect(t, w)
-	if w.Stats.TypedKernels.Load() == 0 || w.Stats.BoxedKernels.Load() == 0 {
-		t.Fatalf("want one typed and one boxed partition: typed=%d boxed=%d",
-			w.Stats.TypedKernels.Load(), w.Stats.BoxedKernels.Load())
-	}
-	for i := 0; i < 3; i++ {
-		for c := 3; c <= 4; c++ {
-			typed, boxed := out[i][c].Float(), out[3+i][c].Float()
-			if typed != 0 || math.Signbit(typed) != math.Signbit(boxed) {
-				t.Fatalf("row %d col %d: typed %v vs boxed %v (sign bits %v/%v)", i, c, typed, boxed, math.Signbit(typed), math.Signbit(boxed))
-			}
+	for i, row := range mustCollect(t, w) {
+		mn, mx := row[3].Float(), row[4].Float()
+		if mn != 0 || !math.Signbit(mn) || mx != 0 || math.Signbit(mx) {
+			t.Fatalf("row %d: MIN %v MAX %v (sign bits %v/%v), want -0 and +0", i, mn, mx, math.Signbit(mn), math.Signbit(mx))
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"rfview/internal/expr"
 	"rfview/internal/spill"
@@ -36,11 +35,6 @@ type WindowStats struct {
 	// sqltypes.Compare (vectorization off, Int/Float-mixed key column, or a
 	// NaN key).
 	NormalizedSorts, TypedSorts, ComparatorSorts atomic.Int64
-	// TypedKernels counts window-function evaluations that ran a typed
-	// kernel; BoxedKernels the ones that used the Datum accumulator path
-	// (vectorization off, NULLs in the argument column, a mixed or
-	// non-numeric argument type, or a NaN).
-	TypedKernels, BoxedKernels atomic.Int64
 	// SortsPerformed counts full window-ordering sorts actually executed: the
 	// shared class sorts of multi-window plans, the in-operator orderings of
 	// unshared Window runs, and shared runs whose partition keys (a NaN, an
@@ -108,42 +102,6 @@ func (b FrameBound) String() string {
 	}
 }
 
-// clamp bounds v to [lo, hi].
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// rowRange resolves the frame for row i of an n-row partition into a clamped
-// index range: lo ∈ [0, n], hi ∈ [-1, n-1]. lo > hi means the frame is empty.
-// This is the single clamping point for every frame evaluation strategy.
-func (f FrameSpec) rowRange(i, n int) (lo, hi int) {
-	return clamp(f.Start.resolve(i, n), 0, n), clamp(f.End.resolve(i, n), -1, n-1)
-}
-
-// resolve maps the bound to a row index (may fall outside [0,n-1]; callers
-// clamp via FrameSpec.rowRange). i is the current row's index within its
-// partition.
-func (b FrameBound) resolve(i, n int) int {
-	switch b.Kind {
-	case BoundUnboundedPreceding:
-		return 0
-	case BoundPreceding:
-		return i - b.Offset
-	case BoundCurrentRow:
-		return i
-	case BoundFollowing:
-		return i + b.Offset
-	default: // BoundUnboundedFollowing
-		return n - 1
-	}
-}
-
 // WindowFunc is one reporting-function column: an aggregate plus its frame.
 // All functions of one Window operator share the PARTITION BY and ORDER BY
 // clauses; the planner stacks one operator per distinct clause pair.
@@ -174,15 +132,15 @@ func (w WindowFunc) String() string {
 // child that produces batches hands its columns over directly, any other
 // child's rows are evaluated in one pass. From then on the vectors are the
 // only copy of the input the operator reads — they are lossless, so the
-// fallbacks a NaN or a type mix selects read them too. Partition ids come
-// from a hash of the partition vectors, each partition is ordered by sorting
-// packed key records (keys.go), the kernels run over the partition's
-// gathered argument slice, and results land directly in the slab — so a run
-// allocates O(1) times, not per row.
+// sort fallbacks a NaN or a type mix selects read them too. Partition ids
+// come from a hash of the partition vectors, each partition is ordered by
+// sorting packed key records (keys.go), and internal/core's §2.2 kernels run
+// over the partition's gathered argument vector (kernels.go), their results
+// boxed straight into the slab — so a run allocates O(1) times, not per row.
 //
-// Algebraic aggregates slide their frame with one Add and one Remove per row
-// — the §2.2 pipelined strategy (three operations per position, independent
-// of window size). MIN/MAX use a monotonic deque, still O(n) amortized.
+// SUM, COUNT and AVG slide their frame: add the value that enters, remove the
+// one that leaves (three operations per position, independent of window
+// size). MIN/MAX use a monotonic deque, still O(n) amortized.
 // Partitions are independent by construction (the §6 partitioning reduction
 // lemma), so with Parallelism > 1 they are fanned across a bounded worker
 // pool; every partition writes the disjoint slab slots of its own rows,
@@ -421,6 +379,9 @@ func (w *Window) Open() error {
 	}
 	if err != nil {
 		return err
+	}
+	for i := range r.args {
+		coerceMixed(&r.args[i])
 	}
 	n := r.n
 	// The vectors and the partition index are real per-run allocations;
@@ -816,10 +777,10 @@ func hashVecs(vecs []sqltypes.ColVec, h []uint64) {
 //
 // Concurrency safety rests on three invariants: the run's rows, vectors and
 // partition index are read-only once the workers start, compiled expressions
-// are stateless (aggregate accumulators are created per computePartition
-// call), and each partition reorders only its own segment of ord and writes
-// only its own rows' slab slots — so workers share no mutable state and need
-// no locks.
+// are stateless (each worker's kernel scratch is its own partScratch), and
+// each partition reorders only its own segment of ord and writes only its
+// own rows' slab slots — so workers share no mutable state and need no
+// locks.
 func (w *Window) computePartitions(r *winRun) error {
 	ctx := w.ctx()
 	nparts := len(r.bounds) - 1
@@ -908,27 +869,27 @@ func (w *Window) prepareArgs() {
 }
 
 // partScratch holds one partition evaluation's reusable buffers: the sort
-// scratch, the partition's gathered argument vectors, the boxed argument
-// column, and the kernel output. Pooled because a parallel run evaluates many
-// partitions concurrently.
+// scratch, the partition's gathered argument vectors, and the kernels' typed
+// outputs and deque. Pooled because a parallel run evaluates many partitions
+// concurrently.
 type partScratch struct {
 	sort sortScratch
 	vecs []sqltypes.ColVec
-	col  []sqltypes.Datum // one argument column, boxed-fallback input
-	out  []sqltypes.Datum // kernel output, one value per partition row
-	dq   []int            // MIN/MAX deque positions
+	isum []int64   // INTEGER sums
+	fsum []float64 // FLOAT sums, AVG's too
+	cnt  []int64   // each frame's count of values
+	at   []int     // the row MIN/MAX picks
+	keys []int64   // FLOAT MIN/MAX order keys
+	dq   []int     // MIN/MAX deque rows
 }
 
 var partScratchPool = sync.Pool{New: func() any { return new(partScratch) }}
 
 // computePartition orders partition p (stable: ties keep input order, making
-// frames deterministic) and fills its rows' slab slots for every func. Each
-// function runs a typed kernel over the partition's gathered argument slice
-// when that slice qualifies, or the boxed accumulator path when it does not
-// — the two produce bit-identical results.
+// frames deterministic), gathers its argument vectors in that order and
+// fills its rows' slab slots for every func.
 func (w *Window) computePartition(r *winRun, p int) error {
 	ord := r.ord[r.bounds[p]:r.bounds[p+1]]
-	n := len(ord)
 	ps := partScratchPool.Get().(*partScratch)
 	defer w.putPartScratch(ps)
 	if err := w.orderPartition(r, ord, ps); err != nil {
@@ -939,37 +900,9 @@ func (w *Window) computePartition(r *winRun, p int) error {
 	for ai := range ps.vecs {
 		ps.vecs[ai].Gather(&r.args[ai], ord)
 	}
-	ps.out = grow(ps.out, n)
-	for fi, fn := range w.Funcs {
-		slot := w.argSlots[fi]
-		typed := runTypedKernel(fn, slot, ps, n)
-		if w.Stats != nil {
-			if typed {
-				w.Stats.TypedKernels.Add(1)
-			} else {
-				w.Stats.BoxedKernels.Add(1)
-			}
-		}
-		vals := ps.out
-		if !typed {
-			ps.col = grow(ps.col, n)
-			if slot < 0 {
-				for i := range ps.col {
-					ps.col[i] = sqltypes.NewInt(1) // COUNT(*)
-				}
-			} else {
-				r.args[slot].PutDatums(ps.col, 1, ord)
-			}
-			var err error
-			vals, err = computeFrames(fn, ps.col)
-			if err != nil {
-				return err
-			}
-		}
-		if col := r.funcCol[fi]; col >= 0 {
-			for i, ri := range ord {
-				r.slab[ri*r.width+col] = vals[i]
-			}
+	for fi := range w.Funcs {
+		if err := w.evalFunc(r, fi, ord, ps); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1095,8 +1028,8 @@ const maxPooledScratchBytes = 256 << 10
 // putPartScratch returns scratch to the pool, or drops it when a budget is
 // in force and it grew past the pooled ceiling.
 func (w *Window) putPartScratch(ps *partScratch) {
-	if w.Spill.Enabled() && (int64(cap(ps.out))*int64(unsafe.Sizeof(sqltypes.Datum{})) > maxPooledScratchBytes ||
-		int64(cap(ps.sort.buf)) > maxPooledScratchBytes) {
+	kernel := 8 * (cap(ps.isum) + cap(ps.fsum) + cap(ps.cnt) + cap(ps.at) + cap(ps.keys) + cap(ps.dq))
+	if w.Spill.Enabled() && (int64(kernel) > maxPooledScratchBytes || int64(cap(ps.sort.buf)) > maxPooledScratchBytes) {
 		return
 	}
 	partScratchPool.Put(ps)

@@ -20,10 +20,11 @@ import (
 // library sort over a comparator written out below — not from another
 // configuration of the engine. Every plan shape the operator runs in must
 // agree with it: unshared, the three shared-sort consumer shapes, one worker
-// and two, with and without a 64 KiB budget. The comparator sort and the
-// boxed accumulators are fallbacks the data selects, so the input row-sets
-// are what reaches them: NaN and Int/Float-mixed order keys, NULL and
-// CASE-mixed arguments.
+// and two, with and without a 64 KiB budget. The comparator sort is a
+// fallback the data selects, so the input row-sets are what reaches it: NaN
+// and Int/Float-mixed order keys. The arguments cover what the §2.2 kernels
+// meet: NULLs, a CASE-mixed INT/FLOAT, fractional and NaN-bearing FLOATs,
+// and DATE and VARCHAR under MIN/MAX.
 
 // refSpec is one ORDER BY key of the reference model.
 type refSpec struct {
@@ -54,42 +55,127 @@ func refCmp(a, b sqltypes.Datum) int {
 }
 
 // refArg is one shape of the window functions' argument: the expression over
-// the (p, k, k2, v) row, whether v draws NULLs, what the model sees for a row
-// (nil = NULL), and whether the data must push the operator onto the boxed
-// accumulators.
+// the (p, k, k2, v, f, d, s) row, whether v draws NULLs, what the model sees
+// for a row (nil = NULL), the type its values take in the kernels (an
+// INTEGER/FLOAT mix is FLOAT), and the relative error a SUM or AVG answer may
+// carry. A minmax argument is evaluated under MIN, MAX and COUNT only.
 type refArg struct {
 	name, expr string
 	nulls      bool
 	val        func(row sqltypes.Row) *float64
-	boxed      bool
+	typ        sqltypes.Type
+	tol        float64
+	minmax     bool
 }
 
+// refColumns are the (p, k, k2, v, f, d, s) row's columns past the key ones:
+// v an INTEGER, and f, d and s FLOAT, DATE and VARCHAR values drawn with it.
+const refColumns = 7
+
 func refArgs() []refArg {
-	v := func(row sqltypes.Row) *float64 {
-		if row[3].IsNull() {
-			return nil
+	col := func(c int) func(row sqltypes.Row) *float64 {
+		return func(row sqltypes.Row) *float64 {
+			if row[c].IsNull() {
+				return nil
+			}
+			f := refValue(row[c])
+			return &f
 		}
-		f := row[3].Float()
-		return &f
 	}
+	v := col(3)
 	return []refArg{
-		{"int", "v", false, v, false},
-		{"null", "v", true, v, true},
+		{name: "int", expr: "v", val: v, typ: sqltypes.Int},
+		{name: "null", expr: "v", nulls: true, val: v, typ: sqltypes.Int},
 		// Int on some rows, Float on others: the DECIMAL stand-in.
-		{"case-mixed", "CASE WHEN k2 < 2 THEN v ELSE v + 0.5 END", false, func(row sqltypes.Row) *float64 {
+		{name: "case-mixed", expr: "CASE WHEN k2 < 2 THEN v ELSE v + 0.5 END", val: func(row sqltypes.Row) *float64 {
 			f := v(row)
 			if row[2].Int() >= 2 {
 				*f += 0.5
 			}
 			return f
-		}, true},
+		}, typ: sqltypes.Float},
+		// Tenths: no sum of them is exact, so the slide and the reference
+		// round differently.
+		{name: "float-frac", expr: "f", nulls: true, val: col(4), typ: sqltypes.Float, tol: 1e-12},
+		{name: "float-nan", expr: "f", val: col(4), typ: sqltypes.Float, minmax: true},
+		{name: "date", expr: "d", nulls: true, val: col(5), typ: sqltypes.Date, minmax: true},
+		{name: "varchar", expr: "s", nulls: true, val: col(6), typ: sqltypes.String, minmax: true},
 	}
+}
+
+// refValue is the model's value of a FLOAT, INTEGER, DATE or VARCHAR datum:
+// the number itself, the day, or the number a drawn string spells.
+func refValue(d sqltypes.Datum) float64 {
+	switch d.Typ() {
+	case sqltypes.Date:
+		return float64(d.Int())
+	case sqltypes.String:
+		var x float64
+		fmt.Sscanf(d.Str(), "s%f", &x)
+		return x
+	}
+	return d.Float()
+}
+
+// refRow draws the row's argument columns from v: f is v/10 for the
+// fractional argument and v/4 or, now and then, a NaN for the NaN-bearing
+// one; d and s are v as a day and as a string that sorts like the number.
+func refRow(rng *rand.Rand, arg refArg, p, k, k2, v sqltypes.Datum) sqltypes.Row {
+	f, d, s := sqltypes.NullDatum, sqltypes.NullDatum, sqltypes.NullDatum
+	if !v.IsNull() {
+		f = sqltypes.NewFloat(float64(v.Int()) / 10)
+		if arg.name == "float-nan" {
+			f = sqltypes.NewFloat(float64(v.Int()) / 4)
+			if rng.Intn(10) == 0 {
+				f = sqltypes.NewFloat(math.NaN())
+			}
+		}
+		d, s = sqltypes.NewDate(11000+v.Int()), sqltypes.NewString(fmt.Sprintf("s%04d", v.Int()))
+	}
+	return sqltypes.Row{p, k, k2, v, f, d, s}
+}
+
+// refAggs are the aggregates arg is evaluated under, one per window of
+// refFuncs.
+func refAggs(arg refArg, aggs []core.Agg) []core.Agg {
+	if !arg.minmax {
+		return aggs
+	}
+	out := make([]core.Agg, len(aggs))
+	for f, a := range aggs {
+		switch a {
+		case core.Sum:
+			out[f] = core.Min
+		case core.Avg:
+			out[f] = core.Max
+		default:
+			out[f] = a
+		}
+	}
+	return out
+}
+
+// refMatch reports whether the answer d is the model's w (nil = NULL): bit
+// for bit, a NaN for a NaN, and within arg's tolerance for SUM and AVG.
+func refMatch(arg refArg, agg core.Agg, d sqltypes.Datum, w *float64) bool {
+	if d.IsNull() || w == nil {
+		return d.IsNull() == (w == nil)
+	}
+	got := refValue(d)
+	switch {
+	case math.IsNaN(*w):
+		return math.IsNaN(got)
+	case arg.tol > 0 && (agg == core.Sum || agg == core.Avg):
+		return math.Abs(got-*w) <= arg.tol*max(1, math.Abs(*w))
+	}
+	return math.Float64bits(got) == math.Float64bits(*w)
 }
 
 // refExpected returns, per input row and per window function, the value the
 // reference model assigns it; nil is NULL. SQL aggregates skip NULLs, so the
 // model sees a NULL argument as 0 under SUM and ±Inf under MIN/MAX, and a
-// frame without a non-NULL value answers NULL (COUNT: 0).
+// frame without a non-NULL value answers NULL (COUNT: 0). A NaN is a value:
+// it answers NaN under MIN and MAX.
 func refExpected(t *testing.T, rows []sqltypes.Row, specs []refSpec, arg refArg, wins []core.Window, aggs []core.Agg) [][]*float64 {
 	t.Helper()
 	parts := map[string][]int{}
@@ -277,12 +363,17 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 			schema := expr.NewSchema(
 				expr.ColInfo{Name: "p", Type: sqltypes.Int}, expr.ColInfo{Name: "k", Type: sc.ktyp},
 				expr.ColInfo{Name: "k2", Type: sqltypes.Int}, expr.ColInfo{Name: "v", Type: sqltypes.Int},
+				expr.ColInfo{Name: "f", Type: sqltypes.Float}, expr.ColInfo{Name: "d", Type: sqltypes.Date},
+				expr.ColInfo{Name: "s", Type: sqltypes.String},
 			)
 			col := func(name string) expr.Expr { return mustCompile(t, name, schema) }
 			cfg := spillCfg(t, 64<<10)
-			for trial := 0; trial < 9; trial++ {
-				// Every argument shape meets every NULLS placement below.
-				arg := refArgs()[(trial+trial/3)%3]
+			args := refArgs()
+			for trial := 0; trial < 3*len(args); trial++ {
+				// Every argument shape meets every NULLS placement below
+				// (len(args) is prime to 3).
+				arg := args[trial%len(args)]
+				aggs := refAggs(arg, aggs)
 				funcs := make([]WindowFunc, len(wins))
 				for f := range funcs {
 					funcs[f] = WindowFunc{Name: aggs[f].String(), Arg: col(arg.expr), Frame: frames[f], OutName: fmt.Sprintf("w%d", f)}
@@ -300,12 +391,12 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 					if arg.nulls && rng.Intn(5) == 0 {
 						v = sqltypes.NullDatum
 					}
-					rows[i] = sqltypes.Row{p, sc.gen(rng, part), sqltypes.NewInt(int64(rng.Intn(4))), v}
+					rows[i] = refRow(rng, arg, p, sc.gen(rng, part), sqltypes.NewInt(int64(rng.Intn(4))), v)
 				}
 				// ORDER BY k [DESC] [NULLS FIRST|LAST] [, k2 DESC].
 				key := SortKey{Expr: col("k"), Desc: trial%2 == 1, Nulls: NullsPlacement(trial % 3)}
 				ob, specs := []SortKey{key}, []refSpec{{1, key.Desc, key.nullsLast()}}
-				if trial >= 3 {
+				if trial%5 >= 2 {
 					ob, specs = append(ob, SortKey{Expr: col("k2"), Desc: true}), append(specs, refSpec{2, true, true})
 				}
 				want := refExpected(t, rows, specs, arg, wins, aggs)
@@ -325,9 +416,9 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 							}
 							for i, row := range got {
 								for f := range funcs {
-									v, w := row[4+f], want[i][f]
-									if v.IsNull() != (w == nil) || (w != nil && v.Float() != *w) {
-										t.Fatalf("%s: row %d (%s) %s = %s, reference model says %v", label, i, rows[i], funcs[f], v, w)
+									v, w := row[refColumns+f], want[i][f]
+									if !refMatch(arg, aggs[f], v, w) || !v.IsNull() && v.Typ() != expr.AggResultType(funcs[f].Name, arg.typ) {
+										t.Fatalf("%s: row %d (%s) %s = %s, reference model says %v", label, i, rows[i], funcs[f], v, fmtRef(w))
 									}
 								}
 							}
@@ -338,15 +429,11 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 								continue
 							}
 							// The path taken is part of the contract: fixed-width
-							// keys sort typed, a NaN or a mix falls back; clean
-							// arguments run typed kernels, a NULL or a mix the
-							// boxed ones — and never silently the other way round.
+							// keys sort typed, a NaN or a mix falls back — and
+							// never silently the other way round.
 							typed, cmpd := stats.TypedSorts.Load(), stats.ComparatorSorts.Load()
 							if name == "unshared" && ((sc.want == sortTyped) != (typed > 0) || (sc.want == sortComparator) != (cmpd > 0)) {
 								t.Fatalf("%s: typed=%d comparator=%d sorts, want only %s", label, typed, cmpd, sc.want)
-							}
-							if tk, bk := stats.TypedKernels.Load(), stats.BoxedKernels.Load(); arg.boxed != (bk > 0) || (!arg.boxed && tk == 0) {
-								t.Fatalf("%s: typed=%d boxed=%d kernels, want boxed=%v", label, tk, bk, arg.boxed)
 							}
 						}
 					}
@@ -354,4 +441,11 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+func fmtRef(w *float64) string {
+	if w == nil {
+		return "NULL"
+	}
+	return fmt.Sprint(*w)
 }

@@ -6,10 +6,9 @@ import (
 	"rfview/internal/sqltypes"
 )
 
-// AggAcc is an aggregate accumulator. Grouping operators feed it one datum
-// per qualifying row; window operators additionally use Remove (where
-// supported) to slide frames in O(1) per step, mirroring the paper's
-// pipelined evaluation of §2.2.
+// AggAcc is an aggregate accumulator: grouping operators feed it one datum
+// per qualifying row. Window frames slide through internal/core's kernels
+// instead.
 type AggAcc interface {
 	// Add folds one input value into the aggregate. NULLs are ignored, per
 	// SQL semantics (COUNT(*) feeds a non-NULL marker for every row).
@@ -19,11 +18,6 @@ type AggAcc interface {
 	Result() sqltypes.Datum
 	// Reset clears the accumulator.
 	Reset()
-	// Removable reports whether Remove is supported (true for the algebraic
-	// aggregates SUM/COUNT/AVG, false for MIN/MAX).
-	Removable() bool
-	// Remove cancels a previous Add of d. Panics if !Removable().
-	Remove(d sqltypes.Datum)
 }
 
 // NewAgg builds an accumulator for the named aggregate (SUM, COUNT, AVG,
@@ -70,18 +64,6 @@ func (a *sumAcc) Add(d sqltypes.Datum) {
 	a.isum += d.Int()
 }
 
-func (a *sumAcc) Remove(d sqltypes.Datum) {
-	if d.IsNull() {
-		return
-	}
-	a.n--
-	if a.isFloat {
-		a.fsum -= d.Float()
-		return
-	}
-	a.isum -= d.Int()
-}
-
 func (a *sumAcc) Result() sqltypes.Datum {
 	if a.n == 0 {
 		return sqltypes.NullDatum
@@ -92,8 +74,7 @@ func (a *sumAcc) Result() sqltypes.Datum {
 	return sqltypes.NewInt(a.isum)
 }
 
-func (a *sumAcc) Reset()          { *a = sumAcc{} }
-func (a *sumAcc) Removable() bool { return true }
+func (a *sumAcc) Reset() { *a = sumAcc{} }
 
 type countAcc struct{ n int64 }
 
@@ -103,15 +84,8 @@ func (a *countAcc) Add(d sqltypes.Datum) {
 	}
 }
 
-func (a *countAcc) Remove(d sqltypes.Datum) {
-	if !d.IsNull() {
-		a.n--
-	}
-}
-
 func (a *countAcc) Result() sqltypes.Datum { return sqltypes.NewInt(a.n) }
 func (a *countAcc) Reset()                 { a.n = 0 }
-func (a *countAcc) Removable() bool        { return true }
 
 type avgAcc struct {
 	n   int64
@@ -126,14 +100,6 @@ func (a *avgAcc) Add(d sqltypes.Datum) {
 	a.sum += d.Float()
 }
 
-func (a *avgAcc) Remove(d sqltypes.Datum) {
-	if d.IsNull() {
-		return
-	}
-	a.n--
-	a.sum -= d.Float()
-}
-
 func (a *avgAcc) Result() sqltypes.Datum {
 	if a.n == 0 {
 		return sqltypes.NullDatum
@@ -141,11 +107,9 @@ func (a *avgAcc) Result() sqltypes.Datum {
 	return sqltypes.NewFloat(a.sum / float64(a.n))
 }
 
-func (a *avgAcc) Reset()          { *a = avgAcc{} }
-func (a *avgAcc) Removable() bool { return true }
+func (a *avgAcc) Reset() { *a = avgAcc{} }
 
-// minMaxAcc is the semi-algebraic pair: no inverse, so no Remove. Window
-// operators recompute or use a monotonic structure instead.
+// minMaxAcc is the semi-algebraic pair, which has no inverse.
 type minMaxAcc struct {
 	min  bool
 	seen bool
@@ -178,12 +142,6 @@ func (a *minMaxAcc) Result() sqltypes.Datum {
 }
 
 func (a *minMaxAcc) Reset() { a.seen = false; a.best = sqltypes.NullDatum }
-
-func (a *minMaxAcc) Removable() bool { return false }
-
-func (a *minMaxAcc) Remove(sqltypes.Datum) {
-	panic("expr: Remove on MIN/MAX accumulator (semi-algebraic aggregates have no inverse)")
-}
 
 // AggResultType returns the static result type of an aggregate over an input
 // of the given type.

@@ -1,6 +1,6 @@
 // Package expr compiles parsed scalar expressions against a row schema and
 // evaluates them over datum rows. It also provides the aggregate
-// accumulators used by both grouping and window operators.
+// accumulators the grouping operator uses.
 //
 // Aggregate and window expressions never reach Compile: the planner lifts
 // them out of the select list and replaces them with column references to

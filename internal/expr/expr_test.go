@@ -276,33 +276,6 @@ func TestAggAccumulators(t *testing.T) {
 	}
 }
 
-func TestAggRemove(t *testing.T) {
-	sum, _ := NewAgg("SUM")
-	sum.Add(sqltypes.NewInt(5))
-	sum.Add(sqltypes.NewInt(7))
-	sum.Remove(sqltypes.NewInt(5))
-	if sum.Result().Int() != 7 {
-		t.Fatalf("sum after remove = %v", sum.Result())
-	}
-	sum.Remove(sqltypes.NewInt(7))
-	if !sum.Result().IsNull() {
-		t.Fatalf("empty sum = %v", sum.Result())
-	}
-	if !sum.Removable() {
-		t.Fatal("SUM must be removable")
-	}
-	mn, _ := NewAgg("MIN")
-	if mn.Removable() {
-		t.Fatal("MIN must not be removable")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MIN.Remove must panic")
-		}
-	}()
-	mn.Remove(sqltypes.NewInt(1))
-}
-
 func TestAggResultType(t *testing.T) {
 	if AggResultType("COUNT", sqltypes.Float) != sqltypes.Int {
 		t.Error("COUNT type")
@@ -411,46 +384,5 @@ func TestNewColHelper(t *testing.T) {
 	}
 	if _, err := c.Eval(sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("short row must error")
-	}
-}
-
-// TestAggRemoveRoundTrip drives Remove across all removable accumulators —
-// the §2.2 pipelined window machinery.
-func TestAggRemoveRoundTrip(t *testing.T) {
-	for _, name := range []string{"SUM", "COUNT", "AVG"} {
-		acc, err := NewAgg(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !acc.Removable() {
-			t.Fatalf("%s must be removable", name)
-		}
-		for i := int64(1); i <= 10; i++ {
-			acc.Add(sqltypes.NewInt(i))
-		}
-		for i := int64(1); i <= 5; i++ {
-			acc.Remove(sqltypes.NewInt(i))
-		}
-		// Remaining: 6..10 → SUM 40, COUNT 5, AVG 8.
-		got := acc.Result()
-		switch name {
-		case "SUM":
-			if got.Int() != 40 {
-				t.Fatalf("SUM = %v", got)
-			}
-		case "COUNT":
-			if got.Int() != 5 {
-				t.Fatalf("COUNT = %v", got)
-			}
-		case "AVG":
-			if got.Float() != 8 {
-				t.Fatalf("AVG = %v", got)
-			}
-		}
-		// NULLs are ignored by Remove as by Add.
-		acc.Remove(sqltypes.NullDatum)
-		if acc.Result().IsNull() {
-			t.Fatalf("%s: NULL remove corrupted the accumulator", name)
-		}
 	}
 }

@@ -51,6 +51,16 @@ func (b *NullBitmap) Get(i int) bool {
 // Any reports whether any position is NULL.
 func (b *NullBitmap) Any() bool { return b.any }
 
+// Words returns the bitmap's words, position i at bit i%64 of word i/64,
+// with no word past the last NULL; nil when no position is NULL. The caller
+// must not modify them.
+func (b *NullBitmap) Words() []uint64 {
+	if !b.any {
+		return nil
+	}
+	return b.bits
+}
+
 // ColVec holds one column of datums losslessly. While every non-NULL value
 // shares one type the values sit in the typed slice of that type — NaN and
 // -0.0 bit for bit — with NULLs in the bitmap holding a zero slot, so
@@ -364,7 +374,7 @@ func (v *ColVec) MemSize() int64 {
 func (v *ColVec) FixedWidth() bool { return v.Valid() && v.Typ != String }
 
 // Gather resets v to src's values at the given positions, in that order: the
-// contiguous per-partition slice of a column the typed kernels run over.
+// contiguous per-partition slice of a column the window kernels run over.
 func (v *ColVec) Gather(src *ColVec, pos []int) {
 	v.Reset(len(pos))
 	v.AppendSel(src, pos)
