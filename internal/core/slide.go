@@ -187,12 +187,13 @@ func FloatKeys(dst []int64, vals []float64, isMin bool) []int64 {
 	}
 	dst = dst[:len(vals)]
 	for i, f := range vals {
-		dst[i] = floatKey(f, isMin)
+		dst[i] = FloatKey(f, isMin)
 	}
 	return dst
 }
 
-func floatKey(f float64, isMin bool) int64 {
+// FloatKey is one value's key in FloatKeys' order.
+func FloatKey(f float64, isMin bool) int64 {
 	if f != f {
 		if isMin {
 			return math.MinInt64
@@ -209,7 +210,7 @@ func floatKey(f float64, isMin bool) int64 {
 // wins reports whether a is at least as small (isMin) or as large as b in
 // FloatKeys' order.
 func wins(a, b float64, isMin bool) bool {
-	ka, kb := floatKey(a, isMin), floatKey(b, isMin)
+	ka, kb := FloatKey(a, isMin), FloatKey(b, isMin)
 	return isMin && ka <= kb || !isMin && ka >= kb
 }
 

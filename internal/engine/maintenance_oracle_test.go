@@ -42,7 +42,9 @@ import (
 // which must leave the view stale until REFRESH, and then check that
 // maintenance resumes from the refreshed state. Two trials in three index the
 // base's positions uniquely; the rest leave it without an index, which is
-// where a chaos step may renumber only part of a suffix.
+// where a chaos step may renumber only part of a suffix. Half the
+// partitioned trials key their partitions by fractional FLOATs (−2.25,
+// 1e-300, …) instead of VARCHARs.
 
 // oracleConfig is one evaluation strategy the comparison queries run under:
 // the options of the trial's engine, and how the window query is put to it
@@ -120,13 +122,14 @@ var oracleAggs = map[string]core.Agg{"SUM": core.Sum, "COUNT": core.Count, "AVG"
 // checks evaluate the paper's model over it.
 type oracleModel struct {
 	partitioned bool
+	floatKeys   bool             // the partition column is FLOAT: keys are fractional numbers
 	keys        []string         // live partition keys, insertion order ("" for simple)
 	vals        map[string][]int // values per key, position order
 	born        int              // partitions birthed, for fresh key names
 }
 
 func (m *oracleModel) clone() *oracleModel {
-	c := &oracleModel{partitioned: m.partitioned, keys: slices.Clone(m.keys), vals: map[string][]int{}, born: m.born}
+	c := &oracleModel{partitioned: m.partitioned, floatKeys: m.floatKeys, keys: slices.Clone(m.keys), vals: map[string][]int{}, born: m.born}
 	for k, v := range m.vals {
 		c.vals[k] = slices.Clone(v)
 	}
@@ -151,7 +154,10 @@ func (m *oracleModel) step(rng *rand.Rand) string {
 	case roll < 0.15 && m.partitioned: // partition birth
 		m.born++
 		k := fmt.Sprintf("n%d", m.born)
-		if m.born == 1 {
+		switch {
+		case m.floatKeys:
+			k = fmt.Sprintf("9.%03d5", m.born) // sorts as a string as it does as a number
+		case m.born == 1:
 			k = "NULL" // a string key that renders like the NULL key
 		}
 		m.keys = append(m.keys, k)
@@ -235,6 +241,14 @@ func (m *oracleModel) deletable(key string) bool {
 	return len(m.vals[key]) > 3 // keep simple sequences comfortably non-empty
 }
 
+// keySQL is key as a literal of the partition column.
+func (m *oracleModel) keySQL(key string) string {
+	if m.floatKeys {
+		return key
+	}
+	return "'" + key + "'"
+}
+
 func (m *oracleModel) table() string {
 	if m.partitioned {
 		return "pt"
@@ -244,14 +258,14 @@ func (m *oracleModel) table() string {
 
 func (m *oracleModel) insertSQL(key string, pos, val int) string {
 	if m.partitioned {
-		return fmt.Sprintf(`INSERT INTO pt VALUES ('%s', %d, %d)`, key, pos, val)
+		return fmt.Sprintf(`INSERT INTO pt VALUES (%s, %d, %d)`, m.keySQL(key), pos, val)
 	}
 	return fmt.Sprintf(`INSERT INTO seq VALUES (%d, %d)`, pos, val)
 }
 
 func (m *oracleModel) updateSQL(key string, pos, val int) string {
 	if m.partitioned {
-		return fmt.Sprintf(`UPDATE pt SET val = %d WHERE grp = '%s' AND pos = %d`, val, key, pos)
+		return fmt.Sprintf(`UPDATE pt SET val = %d WHERE grp = %s AND pos = %d`, val, m.keySQL(key), pos)
 	}
 	return fmt.Sprintf(`UPDATE seq SET val = %d WHERE pos = %d`, val, pos)
 }
@@ -263,7 +277,7 @@ func (m *oracleModel) renumberSQL(key string, from, to, step int) string {
 		where += fmt.Sprintf(" AND pos <= %d", to)
 	}
 	if m.partitioned {
-		where = fmt.Sprintf("grp = '%s' AND %s", key, where)
+		where = fmt.Sprintf("grp = %s AND %s", m.keySQL(key), where)
 	}
 	op := "+"
 	if step < 0 {
@@ -274,7 +288,7 @@ func (m *oracleModel) renumberSQL(key string, from, to, step int) string {
 
 func (m *oracleModel) deleteSQL(key string, pos int) string {
 	if m.partitioned {
-		return fmt.Sprintf(`DELETE FROM pt WHERE grp = '%s' AND pos = %d`, key, pos)
+		return fmt.Sprintf(`DELETE FROM pt WHERE grp = %s AND pos = %d`, m.keySQL(key), pos)
 	}
 	return fmt.Sprintf(`DELETE FROM seq WHERE pos = %d`, pos)
 }
@@ -285,7 +299,7 @@ func (m *oracleModel) loadSQL() string {
 	for _, k := range m.keys {
 		for i, v := range m.vals[k] {
 			if m.partitioned {
-				rows = append(rows, fmt.Sprintf("('%s', %d, %d)", k, i+1, v))
+				rows = append(rows, fmt.Sprintf("(%s, %d, %d)", m.keySQL(k), i+1, v))
 			} else {
 				rows = append(rows, fmt.Sprintf("(%d, %d)", i+1, v))
 			}
@@ -445,6 +459,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			cfg = oracleConfigs[1+trial/2%(len(oracleConfigs)-1)]
 		}
 		partitioned := rng.Intn(3) == 0
+		// Half the partitioned trials key partitions by fractional FLOATs
+		// (by the trial's number, leaving the draw's stream as is).
+		floatKeys := partitioned && trial/2%2 == 1
 		// Every partition carries the COUNT side AVG needs, and a cumulative
 		// window is a window like any other: all three draws are independent.
 		aggs := []string{"SUM", "SUM", "COUNT", "MIN", "MAX", "AVG"}
@@ -541,10 +558,10 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe) + orderBy
 			backingQ = `SELECT pos, val FROM mv`
 		}
-		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v%s",
-			trial, cfg.name, partitioned, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed, orderBy)
+		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v floatkeys=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v%s",
+			trial, cfg.name, partitioned, floatKeys, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed, orderBy)
 
-		model := &oracleModel{partitioned: partitioned, vals: map[string][]int{}}
+		model := &oracleModel{partitioned: partitioned, floatKeys: floatKeys, vals: map[string][]int{}}
 		seedVals := func(key string, n int) {
 			model.keys = append(model.keys, key)
 			for i := 0; i < n; i++ {
@@ -553,7 +570,11 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		}
 		if partitioned {
 			for g, groups := 0, 1+rng.Intn(3); g < groups; g++ {
-				seedVals(fmt.Sprintf("g%d", g), 2+rng.Intn(10))
+				key := fmt.Sprintf("g%d", g)
+				if floatKeys {
+					key = []string{"-2.25", "1e-300", "3.5"}[g]
+				}
+				seedVals(key, 2+rng.Intn(10))
 			}
 		} else {
 			seedVals("", 6+rng.Intn(25))
@@ -563,7 +584,11 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		cfg.apply(&opts)
 		e := New(opts)
 		if partitioned {
-			mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
+			grp := "VARCHAR(8)"
+			if floatKeys {
+				grp = "FLOAT"
+			}
+			mustExec(t, e, `CREATE TABLE pt (grp `+grp+`, pos INTEGER, val INTEGER)`)
 			if indexed {
 				mustExec(t, e, `CREATE UNIQUE INDEX pt_pk ON pt (grp, pos)`)
 			}
@@ -621,6 +646,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						"served SUM from AVG view":                   queryAgg == "SUM" && agg == "AVG",
 						"served ORDER BY pos LIMIT":                  orderKey == "pos",
 						"served ORDER BY w LIMIT":                    orderKey == "w",
+						"served FLOAT keys":                          floatKeys,
 					} {
 						if hit {
 							drawn[name]++
@@ -739,6 +765,9 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 						if partitioned {
 							drawn["partitioned "+kind]++
 						}
+						if floatKeys {
+							drawn["FLOAT keys "+kind]++
+						}
 						continue
 					}
 					stmts = append(stmts, model.step(rng))
@@ -815,7 +844,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		"served one-row from sliding", "served one-row from cumulative",
 		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM",
 		"served AVG from AVG view", "served SUM from AVG view",
-		"served ORDER BY pos LIMIT", "served ORDER BY w LIMIT"} {
+		"served ORDER BY pos LIMIT", "served ORDER BY w LIMIT",
+		"FLOAT keys shift insert", "FLOAT keys shift delete", "served FLOAT keys"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}

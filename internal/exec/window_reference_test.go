@@ -56,7 +56,7 @@ func refCmp(a, b sqltypes.Datum) int {
 
 // refArg is one shape of the window functions' argument: the expression over
 // the (p, k, k2, v, f, d, s) row, whether v draws NULLs, what the model sees
-// for a row (nil = NULL), the type its values take in the kernels (an
+// for a row (nil = NULL), the type it is declared and answered as (an
 // INTEGER/FLOAT mix is FLOAT), and the relative error a SUM or AVG answer may
 // carry. A minmax argument is evaluated under MIN, MAX and COUNT only.
 type refArg struct {
@@ -414,10 +414,16 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 							if len(got) != n {
 								t.Fatalf("%s: %d rows, want %d", label, len(got), n)
 							}
+							decl := op.Schema().Cols[refColumns:]
+							for f := range funcs {
+								if typ := expr.AggResultType(funcs[f].Name, arg.typ); decl[f].Type != typ {
+									t.Fatalf("%s: %s is declared %s, want %s", label, funcs[f], decl[f].Type, typ)
+								}
+							}
 							for i, row := range got {
 								for f := range funcs {
 									v, w := row[refColumns+f], want[i][f]
-									if !refMatch(arg, aggs[f], v, w) || !v.IsNull() && v.Typ() != expr.AggResultType(funcs[f].Name, arg.typ) {
+									if !refMatch(arg, aggs[f], v, w) || !v.IsNull() && v.Typ() != decl[f].Type {
 										t.Fatalf("%s: row %d (%s) %s = %s, reference model says %v", label, i, rows[i], funcs[f], v, fmtRef(w))
 									}
 								}

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 
+	"rfview/internal/core"
 	"rfview/internal/sqltypes"
 )
 
@@ -123,6 +124,16 @@ func (a *minMaxAcc) Add(d sqltypes.Datum) {
 	if !a.seen {
 		a.best = d
 		a.seen = true
+		return
+	}
+	if d.Typ() == sqltypes.Float || a.best.Typ() == sqltypes.Float {
+		// Floats take the window's order: a NaN wins, −0 sorts below +0.
+		if d.Typ().Numeric() && a.best.Typ().Numeric() {
+			kd, kb := core.FloatKey(d.Float(), a.min), core.FloatKey(a.best.Float(), a.min)
+			if a.min && kd < kb || !a.min && kd > kb {
+				a.best = d
+			}
+		}
 		return
 	}
 	cmp, err := sqltypes.Compare(d, a.best)

@@ -427,22 +427,36 @@ type compiledWhen struct {
 }
 
 func (e *caseExpr) Eval(row sqltypes.Row) (sqltypes.Datum, error) {
+	then := e.els
 	for _, w := range e.whens {
 		c, err := w.cond.Eval(row)
 		if err != nil {
 			return sqltypes.NullDatum, err
 		}
 		if !c.IsNull() && c.Bool() {
-			return w.then.Eval(row)
+			then = w.then
+			break
 		}
 	}
-	if e.els != nil {
-		return e.els.Eval(row)
+	if then == nil {
+		return sqltypes.NullDatum, nil
 	}
-	return sqltypes.NullDatum, nil
+	d, err := then.Eval(row)
+	if e.typ == sqltypes.Float && d.Typ() == sqltypes.Int { // an INTEGER branch of a FLOAT CASE
+		d = sqltypes.NewFloat(d.Float())
+	}
+	return d, err
 }
 
 func (e *caseExpr) Type() sqltypes.Type { return e.typ }
+
+// widen folds a branch's type into the CASE's: the first typed branch sets
+// it, and INTEGER and FLOAT branches together make it FLOAT.
+func (e *caseExpr) widen(t sqltypes.Type) {
+	if e.typ == sqltypes.Null || e.typ == sqltypes.Int && t == sqltypes.Float {
+		e.typ = t
+	}
+}
 
 func (e *caseExpr) String() string {
 	var b strings.Builder
@@ -618,9 +632,7 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out.typ == sqltypes.Null {
-				out.typ = then.Type()
-			}
+			out.widen(then.Type())
 			out.whens = append(out.whens, compiledWhen{cond: cond, then: then})
 		}
 		if x.Else != nil {
@@ -628,9 +640,7 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out.typ == sqltypes.Null {
-				out.typ = els.Type()
-			}
+			out.widen(els.Type())
 			out.els = els
 		}
 		return out, nil

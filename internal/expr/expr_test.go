@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"rfview/internal/sqlparser"
@@ -179,6 +180,10 @@ func TestCaseExprEval(t *testing.T) {
 	if v := evalOn(t, "CASE WHEN a = 1 THEN 10 END", row(9, 0)); !v.IsNull() {
 		t.Fatalf("case without else = %v", v)
 	}
+	// INTEGER and FLOAT branches make a FLOAT CASE, which answers FLOAT.
+	if v := evalOn(t, "CASE WHEN a = 1 THEN a ELSE c END", row(1, 0)); v.Typ() != sqltypes.Float || v.Float() != 1 {
+		t.Fatalf("INTEGER branch of a FLOAT case = %v:%v", v.Typ(), v)
+	}
 }
 
 func TestScalarFunctions(t *testing.T) {
@@ -250,6 +255,11 @@ func TestAggAccumulators(t *testing.T) {
 		{"AVG", []sqltypes.Datum{sqltypes.NewInt(1), sqltypes.NewInt(3)}, "2"},
 		{"MIN", []sqltypes.Datum{sqltypes.NewInt(5), sqltypes.NewInt(2), sqltypes.NewInt(9)}, "2"},
 		{"MAX", []sqltypes.Datum{sqltypes.NewInt(5), sqltypes.NewInt(2), sqltypes.NewInt(9)}, "9"},
+		// Floats take the window's order: a NaN wins, −0 sorts below +0.
+		{"MIN", []sqltypes.Datum{sqltypes.NewFloat(5), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(4)}, "NaN"},
+		{"MAX", []sqltypes.Datum{sqltypes.NewFloat(5), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(4)}, "NaN"},
+		{"MIN", []sqltypes.Datum{sqltypes.NewFloat(0), sqltypes.NewFloat(math.Copysign(0, -1))}, "-0"},
+		{"MAX", []sqltypes.Datum{sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(0)}, "0"},
 	}
 	for _, c := range cases {
 		acc, err := NewAgg(c.name)
@@ -336,21 +346,23 @@ func TestIsAggregateHelper(t *testing.T) {
 // (these feed EXPLAIN output).
 func TestCompiledExprRendering(t *testing.T) {
 	cases := map[string]sqltypes.Type{
-		`a`:                          sqltypes.Int,
-		`42`:                         sqltypes.Int,
-		`a + b`:                      sqltypes.Int,
-		`a / b`:                      sqltypes.Int,
-		`c * 2`:                      sqltypes.Float,
-		`-a`:                         sqltypes.Int,
-		`a = b`:                      sqltypes.Bool,
-		`a = 1 AND b = 2`:            sqltypes.Bool,
-		`a = 1 OR b = 2`:             sqltypes.Bool,
-		`NOT a = 1`:                  sqltypes.Bool,
-		`a IN (1, 2)`:                sqltypes.Bool,
-		`a IS NULL`:                  sqltypes.Bool,
-		`CASE WHEN a = 1 THEN b END`: sqltypes.Int,
-		`MOD(a, 2)`:                  sqltypes.Int,
-		`COALESCE(NULL, a)`:          sqltypes.Int,
+		`a`:                                 sqltypes.Int,
+		`42`:                                sqltypes.Int,
+		`a + b`:                             sqltypes.Int,
+		`a / b`:                             sqltypes.Int,
+		`c * 2`:                             sqltypes.Float,
+		`-a`:                                sqltypes.Int,
+		`a = b`:                             sqltypes.Bool,
+		`a = 1 AND b = 2`:                   sqltypes.Bool,
+		`a = 1 OR b = 2`:                    sqltypes.Bool,
+		`NOT a = 1`:                         sqltypes.Bool,
+		`a IN (1, 2)`:                       sqltypes.Bool,
+		`a IS NULL`:                         sqltypes.Bool,
+		`CASE WHEN a = 1 THEN b END`:        sqltypes.Int,
+		`CASE WHEN a = 1 THEN a ELSE c END`: sqltypes.Float,
+		`CASE WHEN a = 1 THEN c ELSE a END`: sqltypes.Float,
+		`MOD(a, 2)`:                         sqltypes.Int,
+		`COALESCE(NULL, a)`:                 sqltypes.Int,
 	}
 	for src, wantType := range cases {
 		e := compile(t, src)

@@ -51,12 +51,15 @@ func (t Type) String() string {
 // Numeric reports whether the type supports arithmetic.
 func (t Type) Numeric() bool { return t == Int || t == Float }
 
-// Datum is a single SQL value. The zero value is SQL NULL.
+// Datum is a single SQL value. The zero value is SQL NULL. It is four
+// machine words, the most Go stores inline (a fifth makes each store into a
+// slab or row a runtime.wbMove call), so a FLOAT keeps its IEEE-754 bits in
+// the INTEGER word: Go == and map keys compare a FLOAT by its bits (-0.0 !=
+// +0.0, a NaN equals itself); Compare and Equal compare numerically.
 type Datum struct {
 	typ Type
-	i   int64   // Bool (0/1), Int, Date (days since epoch)
-	f   float64 // Float
-	s   string  // String
+	i   int64  // Bool (0/1), Int, Date (days since epoch), Float (IEEE bits)
+	s   string // String
 }
 
 // NullDatum is the SQL NULL value.
@@ -66,7 +69,7 @@ var NullDatum = Datum{}
 func NewInt(v int64) Datum { return Datum{typ: Int, i: v} }
 
 // NewFloat returns a FLOAT datum.
-func NewFloat(v float64) Datum { return Datum{typ: Float, f: v} }
+func NewFloat(v float64) Datum { return Datum{typ: Float, i: int64(math.Float64bits(v))} }
 
 // NewString returns a VARCHAR datum.
 func NewString(v string) Datum { return Datum{typ: String, s: v} }
@@ -111,13 +114,16 @@ func (d Datum) IsNull() bool { return d.typ == Null }
 // Int returns the int64 payload. Valid for Int and Date datums.
 func (d Datum) Int() int64 { return d.i }
 
-// Float returns the float64 payload for Float datums, or the converted
-// integer payload for Int datums.
+// Float returns the float64 payload for Float datums, the converted
+// integer payload for Int datums, and 0 otherwise.
 func (d Datum) Float() float64 {
-	if d.typ == Int {
+	switch d.typ {
+	case Int:
 		return float64(d.i)
+	case Float:
+		return math.Float64frombits(uint64(d.i))
 	}
-	return d.f
+	return 0
 }
 
 // Str returns the string payload. Valid for String datums.
@@ -144,7 +150,7 @@ func (d Datum) String() string {
 	case Int:
 		return strconv.FormatInt(d.i, 10)
 	case Float:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case String:
 		return d.s
 	case Date:
@@ -307,7 +313,7 @@ func Neg(a Datum) (Datum, error) {
 	case Int:
 		return NewInt(-a.i), nil
 	case Float:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.Float()), nil
 	default:
 		return NullDatum, fmt.Errorf("unary minus not defined for %s", a.typ)
 	}
@@ -324,7 +330,7 @@ func Abs(a Datum) (Datum, error) {
 		}
 		return a, nil
 	case Float:
-		return NewFloat(math.Abs(a.f)), nil
+		return NewFloat(math.Abs(a.Float())), nil
 	default:
 		return NullDatum, fmt.Errorf("ABS not defined for %s", a.typ)
 	}
@@ -377,17 +383,14 @@ func Equal(a, b Datum) bool {
 // Cast converts d to the target type, following DB2-style rules for the
 // small lattice we support.
 func Cast(d Datum, to Type) (Datum, error) {
-	if d.typ == Null || d.typ == to {
-		if d.typ == Null {
-			return NullDatum, nil
-		}
+	if d.typ == Null || d.typ == to { // every NULL datum is the zero value
 		return d, nil
 	}
 	switch to {
 	case Int:
 		switch d.typ {
 		case Float:
-			return NewInt(int64(d.f)), nil
+			return NewInt(int64(d.Float())), nil
 		case Bool:
 			return NewInt(d.i), nil
 		case String:

@@ -1,7 +1,5 @@
 package sqltypes
 
-import "math"
-
 // JSONDatum is a Datum's bit-exact JSON form, the one snapshots and WAL
 // commit records share: T is the Type; Bool (0/1), Int and Date ride in I;
 // Float rides in F as its IEEE-754 bits, so NaN payloads and −0 survive;
@@ -21,7 +19,7 @@ func ToJSON(d Datum) JSONDatum {
 	case Bool, Int, Date:
 		j.I = d.i
 	case Float:
-		j.F = math.Float64bits(d.f)
+		j.F = uint64(d.i)
 	case String:
 		j.S = d.s
 	}
@@ -36,7 +34,7 @@ func (j JSONDatum) Datum() Datum {
 	case Int, Date:
 		return Datum{typ: t, i: j.I}
 	case Float:
-		return NewFloat(math.Float64frombits(j.F))
+		return Datum{typ: t, i: int64(j.F)}
 	case String:
 		return NewString(j.S)
 	}

@@ -36,7 +36,7 @@ func EncodeRowData(dst []byte, r Row) []byte {
 		case Bool, Int, Date:
 			dst = binary.AppendVarint(dst, d.i)
 		case Float:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(d.f))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(d.i))
 		case String:
 			dst = binary.AppendUvarint(dst, uint64(len(d.s)))
 			dst = append(dst, d.s...)
@@ -59,12 +59,9 @@ func DecodeRowData(data []byte) (Row, error) {
 			return nil, err
 		}
 		off = next
-		switch t {
-		case Float:
-			row[i] = Datum{typ: Float, f: math.Float64frombits(x)}
-		case String:
+		if t == String {
 			row[i] = Datum{typ: String, s: string(s)}
-		default:
+		} else {
 			row[i] = Datum{typ: t, i: int64(x)}
 		}
 	}

@@ -120,7 +120,7 @@ func (v *ColVec) Append(d Datum) {
 	case Null:
 		v.appendNull()
 	case Float:
-		v.appendFloat(d.f)
+		v.appendFloat(d.Float())
 	case String:
 		v.appendStr(d.s)
 	default:
@@ -156,7 +156,7 @@ func (v *ColVec) appendFloat(f float64) {
 		v.Floats = append(v.Floats, f)
 		v.nan = v.nan || f != f
 	} else {
-		v.boxed = append(v.boxed, Datum{typ: Float, f: f})
+		v.boxed = append(v.boxed, NewFloat(f))
 	}
 	v.n++
 }
@@ -329,7 +329,7 @@ func (v *ColVec) PutDatums(dst []Datum, stride int, pos []int) {
 		return
 	case v.Typ == Float:
 		for j := 0; j < k; j++ {
-			dst[j*stride] = Datum{typ: Float, f: v.Floats[at(pos, j)]}
+			dst[j*stride] = NewFloat(v.Floats[at(pos, j)])
 		}
 	case v.Typ == String:
 		for j := 0; j < k; j++ {
@@ -570,7 +570,7 @@ func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, OrderWordInt(d.i))
 	case Float:
 		dst = append(dst, keyTagValue)
-		dst = binary.BigEndian.AppendUint64(dst, OrderWordFloat(d.f))
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordFloat(d.Float()))
 	case String:
 		dst = append(dst, keyTagValue)
 		s := d.s
