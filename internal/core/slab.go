@@ -253,7 +253,7 @@ func minMaxFactors(src, target Window) (MaxOAFactors, error) {
 }
 
 // minMax writes ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}), in FloatKeys' order
-// (a NaN wins, −0 is below +0); a side whose window holds
+// (a NaN is greatest, −0 is below +0); a side whose window holds
 // no raw position drops out, and valid, when given, records whether either
 // side was there (over n ≥ 1 raw values one always is, for every k in 1…n).
 func (x Slab) minMax(out []float64, valid []bool, from int, f MaxOAFactors) {

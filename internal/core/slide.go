@@ -177,27 +177,24 @@ func Extremes[T cmp.Ordered](p Pass, vals []T, isMin bool, at []int, dq []int) [
 }
 
 // FloatKeys writes the key of each value into dst, grown to len(vals), and
-// returns it: an int64 whose order is the one MIN (isMin) or MAX takes over
-// floats. −0 orders below +0, so equal keys are equal bits and a tie cannot
-// change an answer; a NaN orders below every number for MIN and above every
-// number for MAX, so a NaN in the frame answers NaN, as it does for SUM.
-func FloatKeys(dst []int64, vals []float64, isMin bool) []int64 {
+// returns it: an int64 whose order is the one MIN and MAX take over floats,
+// sqltypes.Compare's except that −0 orders below +0, so equal keys are equal
+// bits and a tie cannot change an answer. A NaN orders above every number:
+// MIN passes over it, and MAX answers it.
+func FloatKeys(dst []int64, vals []float64) []int64 {
 	if cap(dst) < len(vals) {
 		dst = make([]int64, len(vals))
 	}
 	dst = dst[:len(vals)]
 	for i, f := range vals {
-		dst[i] = FloatKey(f, isMin)
+		dst[i] = FloatKey(f)
 	}
 	return dst
 }
 
 // FloatKey is one value's key in FloatKeys' order.
-func FloatKey(f float64, isMin bool) int64 {
+func FloatKey(f float64) int64 {
 	if f != f {
-		if isMin {
-			return math.MinInt64
-		}
 		return math.MaxInt64
 	}
 	k := int64(math.Float64bits(f))
@@ -210,7 +207,7 @@ func FloatKey(f float64, isMin bool) int64 {
 // wins reports whether a is at least as small (isMin) or as large as b in
 // FloatKeys' order.
 func wins(a, b float64, isMin bool) bool {
-	ka, kb := FloatKey(a, isMin), FloatKey(b, isMin)
+	ka, kb := FloatKey(a), FloatKey(b)
 	return isMin && ka <= kb || !isMin && ka >= kb
 }
 
@@ -235,7 +232,7 @@ func evaluate(raw []float64, first int, w Window, agg Agg, seed *float64, from i
 		return
 	}
 	at := make([]int, len(out))
-	Extremes(p, FloatKeys(nil, raw, agg == Min), agg == Min, at, nil)
+	Extremes(p, FloatKeys(nil, raw), agg == Min, at, nil)
 	for j, r := range at {
 		if r >= 0 {
 			out[j] = raw[r]

@@ -78,7 +78,7 @@ func TestSlideMatchesNaive(t *testing.T) {
 		Sums[int64, int64](p, nil, nil, nil, only)
 		at, dq := make([]int, m), []int(nil)
 		for _, isMin := range []bool{true, false} {
-			dq = Extremes(p, FloatKeys(nil, floats, isMin), isMin, at, dq)
+			dq = Extremes(p, FloatKeys(nil, floats), isMin, at, dq)
 			sat := make([]int, m)
 			dq = Extremes(p, strs, isMin, sat, dq)
 			agg := Max

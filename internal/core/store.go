@@ -79,7 +79,7 @@ func storedHi(w Window, n int) int {
 //     recomputed from the raw data, the way a refresh's pipeline runs.
 //   - MIN/MAX take x̃'_i = min(x̃_i, x'_k) (max) when the change can only widen
 //     the extremum, in the one order MIN and MAX take over floats (FloatKeys:
-//     a NaN wins, −0 is below +0, so a tie is equal bits); otherwise the band
+//     a NaN is greatest, −0 is below +0, so a tie is equal bits); otherwise the band
 //     is recomputed, still local, as the paper's footnote concedes.
 //   - COUNT is a closed form of position and cardinality.
 //

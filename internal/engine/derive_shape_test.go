@@ -61,10 +61,11 @@ func TestDerivedAnswersLikeNative(t *testing.T) {
 		}
 	}
 
-	// A NaN in a MIN frame answers NaN (and −0 would order below +0) on
-	// every path: native evaluation, the derivation from a (1,1) MIN view —
-	// exact, and by MaxOA for (2,2) — the view's stored rows, header and
-	// trailer included, and core.ComputeNaive over the raw values.
+	// MIN passes over a NaN in its frame, which sorts above every number
+	// (and −0 would order below +0), on every path: native evaluation, the
+	// derivation from a (1,1) MIN view — exact, and by MaxOA for (2,2) — the
+	// view's stored rows, header and trailer included, and core.ComputeNaive
+	// over the raw values.
 	raw := []float64{5, 3, math.NaN(), 4, 2, 6, 7, 8}
 	loadNaN := func(useViews bool) *Engine {
 		e := load(useViews)
@@ -107,6 +108,9 @@ func TestDerivedAnswersLikeNative(t *testing.T) {
 		}
 		check("derived"+w.String(), derived, ref)
 		check("native"+w.String(), nat, ref)
+		if m := nat.Rows[2][1]; w.Following == 1 && m.Float() != 3 { // the frame {3, NaN, 4}
+			t.Errorf("MIN over {3, NaN, 4} = %v, want 3", m)
+		}
 		if w.Following == 1 {
 			rows := mustExec(t, served, `SELECT pos, val FROM mvmin`)
 			if len(rows.Rows) != ref.Len() {

@@ -278,7 +278,11 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 		return nil, rferrors.Wrap(rferrors.CodeCancelled, err)
 	}
 	if cfg.tx != nil {
-		return e.execInTxn(ctx, sql, cfg)
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			return nil, rferrors.Wrap(rferrors.CodeParse, err)
+		}
+		return e.execInTxn(ctx, stmt, cfg)
 	}
 	if res, err, ok := e.execCached(ctx, sql, cfg); ok {
 		return res, err
@@ -316,11 +320,7 @@ func (e *Engine) exec(ctx context.Context, sql string, cfg execConfig) (*Result,
 // transaction's fixed snapshot without any engine lock — deriving from the
 // views that answer there, but with no plan cache, which tracks the latest
 // committed state — and DML through the lock-free pending-version path.
-func (e *Engine) execInTxn(ctx context.Context, sql string, cfg execConfig) (*Result, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, rferrors.Wrap(rferrors.CodeParse, err)
-	}
+func (e *Engine) execInTxn(ctx context.Context, stmt sqlparser.Statement, cfg execConfig) (*Result, error) {
 	if isReadStmt(stmt) {
 		cfg.snap = e.newSnapCell(cfg.tx)
 		return e.execStmtLocked(ctx, stmt, cfg)
@@ -387,6 +387,9 @@ func (e *Engine) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement, 
 func (e *Engine) execStmt(ctx context.Context, stmt sqlparser.Statement, cfg execConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, rferrors.Wrap(rferrors.CodeCancelled, err)
+	}
+	if cfg.tx != nil {
+		return e.execInTxn(ctx, stmt, cfg)
 	}
 	if isReadStmt(stmt) {
 		return e.readStable(cfg, func(c execConfig) (*Result, error) {

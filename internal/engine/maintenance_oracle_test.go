@@ -43,8 +43,10 @@ import (
 // maintenance resumes from the refreshed state. Two trials in three index the
 // base's positions uniquely; the rest leave it without an index, which is
 // where a chaos step may renumber only part of a suffix. Half the
-// partitioned trials key their partitions by fractional FLOATs (−2.25,
-// 1e-300, …) instead of VARCHARs.
+// partitioned trials key their partitions by FLOATs (−2.25, 1e-300, …)
+// instead of VARCHARs, among them a zero the statements spell −0.0 and 0.0
+// by turns — one partition, as SQL's = says — and a NaN, which equals
+// itself and sorts above every number.
 
 // oracleConfig is one evaluation strategy the comparison queries run under:
 // the options of the trial's engine, and how the window query is put to it
@@ -122,11 +124,17 @@ var oracleAggs = map[string]core.Agg{"SUM": core.Sum, "COUNT": core.Count, "AVG"
 // checks evaluate the paper's model over it.
 type oracleModel struct {
 	partitioned bool
-	floatKeys   bool             // the partition column is FLOAT: keys are fractional numbers
+	floatKeys   bool             // the partition column is FLOAT: keys are numbers, "0" and "NaN" among them
 	keys        []string         // live partition keys, insertion order ("" for simple)
 	vals        map[string][]int // values per key, position order
 	born        int              // partitions birthed, for fresh key names
+	zeros       int              // the zero key's literals so far: even ones spell −0.0
 }
+
+// floatSeedKeys are the FLOAT partition keys a trial seeds its base with:
+// each sorts as a string as it does as a number under SQL's order, NaN
+// last.
+var floatSeedKeys = []string{"-2.25", "0", "1e-300", "NaN", "3.5"}
 
 func (m *oracleModel) clone() *oracleModel {
 	c := &oracleModel{partitioned: m.partitioned, floatKeys: m.floatKeys, keys: slices.Clone(m.keys), vals: map[string][]int{}, born: m.born}
@@ -243,10 +251,19 @@ func (m *oracleModel) deletable(key string) bool {
 
 // keySQL is key as a literal of the partition column.
 func (m *oracleModel) keySQL(key string) string {
-	if m.floatKeys {
-		return key
+	switch {
+	case !m.floatKeys:
+		return "'" + key + "'"
+	case key == "0":
+		m.zeros++
+		if m.zeros%2 == 0 {
+			return "-0.0"
+		}
+		return "0.0"
+	case key == "NaN":
+		return "(1e308 * 10.0 - 1e308 * 10.0)" // ∞ − ∞: SQL has no NaN literal
 	}
-	return "'" + key + "'"
+	return key
 }
 
 func (m *oracleModel) table() string {
@@ -396,7 +413,8 @@ func (m *oracleModel) resultRows(res *Result) []oracleRow {
 	out := make([]oracleRow, len(res.Rows))
 	for i, r := range res.Rows {
 		if m.partitioned {
-			out[i].part, r = r[0].String(), r[1:]
+			// A key renders as its class under SQL's =: −0.0 as 0.
+			out[i].part, r = r[0].Key().String(), r[1:]
 		}
 		out[i].pos, out[i].bits = int(r[0].Int()), math.Float64bits(r[1].Float())
 		if len(r) > 2 {
@@ -572,7 +590,8 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			for g, groups := 0, 1+rng.Intn(3); g < groups; g++ {
 				key := fmt.Sprintf("g%d", g)
 				if floatKeys {
-					key = []string{"-2.25", "1e-300", "3.5"}[g]
+					key = floatSeedKeys[(g+trial/4)%len(floatSeedKeys)]
+					drawn["FLOAT key "+key]++
 				}
 				seedVals(key, 2+rng.Intn(10))
 			}
@@ -845,7 +864,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		"served AVG from SUM", "served partitioned AVG from SUM", "served AVG from cumulative SUM",
 		"served AVG from AVG view", "served SUM from AVG view",
 		"served ORDER BY pos LIMIT", "served ORDER BY w LIMIT",
-		"FLOAT keys shift insert", "FLOAT keys shift delete", "served FLOAT keys"} {
+		"FLOAT keys shift insert", "FLOAT keys shift delete", "served FLOAT keys", "FLOAT key 0", "FLOAT key NaN"} {
 		if drawn[corner] == 0 && !testing.Short() {
 			t.Fatalf("the draw never reached %q (reached: %v)", corner, drawn)
 		}
@@ -888,5 +907,60 @@ func startOracleReader(t *testing.T, e *Engine, q string) (stop func()) {
 		if readErr != nil {
 			t.Fatal(readErr)
 		}
+	}
+}
+
+// TestMaintenanceSignedZeroPartitions holds the window, the view's primary
+// key and its maintenance to one partition for −0.0 and +0.0, as SQL's =
+// has it: rows keyed −0.0 at positions 1…2 and +0.0 at 3…4 are one dense
+// partition, which a view stores, maintains and derives from; rows dense
+// 1…n under each zero are one partition holding every position twice, which
+// CREATE MATERIALIZED VIEW refuses for its density.
+func TestMaintenanceSignedZeroPartitions(t *testing.T) {
+	const win = `SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)`
+	load := func(views bool, rows string) *Engine {
+		opts := DefaultOptions()
+		opts.UseMatViews = views
+		e := New(opts)
+		t.Cleanup(func() { e.Close() })
+		mustExec(t, e, `CREATE TABLE pt (grp FLOAT, pos INTEGER, val INTEGER)`)
+		mustExec(t, e, `INSERT INTO pt VALUES `+rows)
+		return e
+	}
+	const split = `(-0.0, 1, 1), (-0.0, 2, 2), (0.0, 3, 3), (0.0, 4, 4)`
+	served, native := load(true, split), load(false, split)
+	mustExec(t, served, `CREATE MATERIALIZED VIEW mv AS SELECT grp, pos, `+win+` AS val FROM pt`)
+	q := `SELECT grp, pos, ` + win + ` AS w FROM pt ORDER BY pos`
+	answer := func(when string, want ...int64) {
+		t.Helper()
+		derived, nat := mustExec(t, served, q), mustExec(t, native, q)
+		if derived.Derivation == nil {
+			t.Fatalf("%s: the query did not derive from the view", when)
+		}
+		for _, res := range []*Result{derived, nat} {
+			got := make([]int64, len(res.Rows))
+			for i, r := range res.Rows {
+				got[i] = r[2].Int()
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: derived=%v answers %v, want %v", when, res.Derivation != nil, got, want)
+			}
+		}
+	}
+	answer("after CREATE", 3, 6, 9, 7)
+	for _, e := range []*Engine{served, native} {
+		mustExec(t, e, `UPDATE pt SET val = 10 WHERE grp = -0.0 AND pos = 3`)
+		mustExec(t, e, `INSERT INTO pt VALUES (-0.0, 5, 5)`)
+	}
+	if served.Views.Stale("mv") {
+		_, why := served.Views.StaleInfo("mv")
+		t.Fatalf("maintenance across the two zeros staled the view: %s", why)
+	}
+	answer("after UPDATE and INSERT", 3, 13, 16, 19, 9)
+
+	twice := load(true, `(-0.0, 1, 1), (-0.0, 2, 2), (0.0, 1, 3), (0.0, 2, 4)`)
+	_, err := twice.Exec(`CREATE MATERIALIZED VIEW mv AS SELECT grp, pos, ` + win + ` AS val FROM pt`)
+	if err == nil || !strings.Contains(err.Error(), "dense") || strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("CREATE over two dense runs under −0.0 and +0.0: got %v, want the density error", err)
 	}
 }

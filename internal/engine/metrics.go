@@ -91,7 +91,7 @@ func (e *Engine) initMetrics() {
 			return float64(e.winStats.WorkersUsed.Load()) / float64(runs)
 		})
 	e.reg.GaugeFunc("rfview_sort_normalized_total",
-		"Partition orderings that ran on normalized keys: the typed and the encoded ones together.",
+		"Partition orderings: the typed and the encoded ones together.",
 		func() float64 { return float64(e.winStats.NormalizedSorts.Load()) })
 	e.reg.GaugeFunc("rfview_sort_typed_total",
 		"Partition orderings that sorted packed fixed-width key records.",
@@ -99,11 +99,8 @@ func (e *Engine) initMetrics() {
 	e.reg.GaugeFunc("rfview_sort_encoded_total",
 		"Partition orderings that ran on memcomparable byte keys (a VARCHAR key, or the external sorter).",
 		func() float64 { return float64(e.winStats.NormalizedSorts.Load() - e.winStats.TypedSorts.Load()) })
-	e.reg.GaugeFunc("rfview_sort_comparator_total",
-		"Partition orderings that fell back to the Compare-based sort.",
-		func() float64 { return float64(e.winStats.ComparatorSorts.Load()) })
 	e.reg.GaugeFunc("rfview_window_sorts_performed_total",
-		"Full window-ordering sorts executed: shared class sorts, unshared in-operator orderings, and NaN-fallback shared runs.",
+		"Full window-ordering sorts executed: shared class sorts and unshared in-operator orderings.",
 		func() float64 { return float64(e.winStats.SortsPerformed.Load()) })
 	e.reg.GaugeFunc("rfview_window_sorts_shared_total",
 		"Window runs that consumed a shared class sort without re-ordering.",

@@ -67,57 +67,67 @@ func (s *Session) Exec(sql string) (*Result, error) {
 // conflict rolls the whole transaction back — the returned error carries
 // code "conflict" and the session is out of the transaction.
 func (s *Session) ExecContext(ctx context.Context, sql string, opts ...ExecOption) (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if kw := txnControl(sql); kw != "" {
+	if txnControl(sql) != "" {
 		// Full parse validates trailing noise words ("BEGIN TRANSACTION",
 		// "COMMIT WORK") and rejects garbage after the keyword.
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
 			return nil, rferrors.Wrap(rferrors.CodeParse, err)
 		}
-		switch stmt.(type) {
-		case *sqlparser.Begin:
-			if s.tx != nil {
-				return nil, rferrors.New(rferrors.CodeTxnState, "already in a transaction")
-			}
-			s.tx = s.eng.BeginTxn()
-			return &Result{}, nil
-		case *sqlparser.Commit:
-			if s.tx == nil {
-				return nil, rferrors.New(rferrors.CodeTxnState, "no transaction in progress")
-			}
-			tx := s.tx
-			s.tx = nil
-			if err := s.eng.CommitTxn(tx); err != nil {
-				return nil, err
-			}
-			return &Result{}, nil
-		case *sqlparser.Rollback:
-			if s.tx == nil {
-				return nil, rferrors.New(rferrors.CodeTxnState, "no transaction in progress")
-			}
-			tx := s.tx
-			s.tx = nil
-			s.eng.RollbackTxn(tx)
-			return &Result{}, nil
-		default:
-			// START/END parsed as something else (e.g. an identifier): fall
-			// through to the ordinary path.
-		}
-		return s.execOrdinary(ctx, stmt.String(), opts)
+		return s.execStmt(ctx, stmt, opts...)
 	}
-	return s.execOrdinary(ctx, sql, opts)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.settle(s.eng.ExecContext(ctx, sql, s.txnOpts(opts)...))
 }
 
-func (s *Session) execOrdinary(ctx context.Context, sql string, opts []ExecOption) (*Result, error) {
-	if s.tx == nil {
-		return s.eng.ExecContext(ctx, sql, opts...)
+// execStmt is ExecContext for a parsed statement: it runs what was parsed,
+// without rendering it back to text.
+func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement, opts ...ExecOption) (*Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch stmt.(type) {
+	case *sqlparser.Begin:
+		if s.tx != nil {
+			return nil, rferrors.New(rferrors.CodeTxnState, "already in a transaction")
+		}
+		s.tx = s.eng.BeginTxn()
+		return &Result{}, nil
+	case *sqlparser.Commit:
+		if s.tx == nil {
+			return nil, rferrors.New(rferrors.CodeTxnState, "no transaction in progress")
+		}
+		tx := s.tx
+		s.tx = nil
+		if err := s.eng.CommitTxn(tx); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	case *sqlparser.Rollback:
+		if s.tx == nil {
+			return nil, rferrors.New(rferrors.CodeTxnState, "no transaction in progress")
+		}
+		tx := s.tx
+		s.tx = nil
+		s.eng.RollbackTxn(tx)
+		return &Result{}, nil
 	}
-	res, err := s.eng.ExecTxn(ctx, s.tx, sql, opts...)
-	if err != nil && rferrors.CodeOf(err) == rferrors.CodeConflict {
-		// The engine already rolled the transaction back (first-committer
-		// wins); the session just forgets it.
+	return s.settle(s.eng.ExecStmtContext(ctx, stmt, s.txnOpts(opts)...))
+}
+
+// txnOpts adds the session's open transaction, if any, to opts.
+func (s *Session) txnOpts(opts []ExecOption) []ExecOption {
+	if s.tx == nil {
+		return opts
+	}
+	return append(opts[:len(opts):len(opts)], inTxn(s.tx))
+}
+
+// settle passes a statement's outcome on, forgetting the session's
+// transaction when the engine rolled it back on a write-write conflict
+// (first-committer wins).
+func (s *Session) settle(res *Result, err error) (*Result, error) {
+	if err != nil && s.tx != nil && rferrors.CodeOf(err) == rferrors.CodeConflict {
 		s.tx = nil
 	}
 	return res, err
@@ -141,7 +151,7 @@ func (s *Session) ExecAllContext(ctx context.Context, script string) ([]*Result,
 	}
 	out := make([]*Result, 0, len(stmts))
 	for _, stmt := range stmts {
-		res, err := s.ExecContext(ctx, stmt.String())
+		res, err := s.execStmt(ctx, stmt)
 		if err != nil {
 			return out, fmt.Errorf("in %q: %w", stmt.String(), err)
 		}

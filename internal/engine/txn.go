@@ -143,7 +143,7 @@ func (e *Engine) commitTxnLocked(tx *txn.Txn, durable bool, stamp func(epoch uin
 // full rollback.
 func abortStmt(tx *txn.Txn, markW, markD int) { tx.AbortTo(markW, markD) }
 
-// ExecTxn executes one statement inside an explicit transaction. Reads run
+// inTxn runs a statement inside the explicit transaction tx. Reads run
 // lock-free at the transaction's snapshot, bypassing the plan/result cache
 // (which tracks the latest committed state); a view answers them — derived
 // or by name — when it is fresh at the snapshot and tx has not written its
@@ -151,18 +151,7 @@ func abortStmt(tx *txn.Txn, markW, markD int) { tx.AbortTo(markW, markD) }
 // transaction-control statements are rejected. On a write-write conflict the
 // statement is reversed and the whole transaction rolled back; the returned
 // error carries code "conflict".
-func (e *Engine) ExecTxn(ctx context.Context, tx *txn.Txn, sql string, opts ...ExecOption) (*Result, error) {
-	var cfg execConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.trace = cfg.analyze || e.slowLogArmed()
-	cfg.tx = tx
-	start := time.Now()
-	res, err := e.exec(ctx, sql, cfg)
-	e.observeQuery(func() string { return sql }, res, err, time.Since(start))
-	return res, err
-}
+func inTxn(tx *txn.Txn) ExecOption { return func(c *execConfig) { c.tx = tx } }
 
 // execTxnWrite runs one DML statement inside an explicit transaction,
 // without the engine lock: row claims conflict-check via CAS, uniqueness via

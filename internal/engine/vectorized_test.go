@@ -174,9 +174,8 @@ func fmtPtr(v *float64) string {
 }
 
 // TestExplainAnalyzeVectorized: EXPLAIN ANALYZE names the in-memory sort path
-// a Sort or Window took — typed for fixed-width keys, comparator where an
-// Int/Float-mixed key defeats the packed records — and the stats behind the
-// metrics gauges move with it.
+// a Sort or Window took — typed for fixed-width keys, a NaN among them — and
+// the stats behind the metrics gauges move with it.
 func TestExplainAnalyzeVectorized(t *testing.T) {
 	e := New(DefaultOptions())
 	defer e.Close()
@@ -188,23 +187,24 @@ func TestExplainAnalyzeVectorized(t *testing.T) {
 	}
 	// Under RFVIEW_TEST_MEM_BUDGET the top-level Sort goes external and only
 	// the Window carries the annotation.
-	if !strings.Contains(res.Plan, "sort=typed") || strings.Contains(res.Plan, "sort=comparator") {
-		t.Fatalf("EXPLAIN ANALYZE must show sort=typed and no fallback:\n%s", res.Plan)
+	if !strings.Contains(res.Plan, "sort=typed") {
+		t.Fatalf("EXPLAIN ANALYZE must show sort=typed:\n%s", res.Plan)
 	}
 	if e.winStats.TypedSorts.Load() == 0 {
 		t.Fatal("the typed sort did not count")
 	}
 
+	typed := e.winStats.TypedSorts.Load()
 	res, err = e.ExecContext(context.Background(),
 		`EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY CASE WHEN pos < 5 THEN pos ELSE 1e308 * 10.0 - 1e308 * 10.0 END) AS w FROM seq`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "sort=comparator") {
-		t.Fatalf("EXPLAIN ANALYZE must show the comparator fallback on a NaN key:\n%s", res.Plan)
+	if !strings.Contains(res.Plan, "sort=typed") {
+		t.Fatalf("EXPLAIN ANALYZE must show sort=typed on a NaN key:\n%s", res.Plan)
 	}
-	if e.winStats.ComparatorSorts.Load() == 0 {
-		t.Fatal("comparator fallback did not count")
+	if e.winStats.TypedSorts.Load() == typed {
+		t.Fatal("the typed sort over a NaN key did not count")
 	}
 }
 

@@ -63,19 +63,17 @@ func vectorCmp(v *sqltypes.ColVec, k sqltypes.Datum) bool {
 }
 
 // keepCmp appends to out the positions of in where `v op k` is true,
-// comparing exactly as sqltypes.Compare does: an INTEGER against a FLOAT as
-// float64, and a NaN equal to everything. out may be in[:0]. v and k must
-// pass vectorCmp.
+// comparing as sqltypes.Compare does. out may be in[:0]. v and k must pass
+// vectorCmp.
 func keepCmp(v *sqltypes.ColVec, op expr.CmpOp, k sqltypes.Datum, in, out []int) []int {
 	switch {
 	case k.IsNull() || v.Typ == sqltypes.Null:
 		return out
-	case v.Typ == sqltypes.Float:
+	case v.Typ == sqltypes.Float && k.Residual() == 0: // k's float64 image is k
 		return keepOrdered(v.Floats, k.Float(), op, &v.Nulls, in, out)
-	case k.Typ() == sqltypes.Float:
-		kf := k.Float()
+	case v.Typ == sqltypes.Float || k.Typ() == sqltypes.Float: // an INTEGER against a FLOAT
 		for _, p := range in {
-			if op.Holds(order(float64(v.Ints[p]), kf)) && !v.Nulls.Get(p) {
+			if c, _ := sqltypes.Compare(v.Datum(p), k); op.Holds(c) && !v.Nulls.Get(p) {
 				out = append(out, p)
 			}
 		}
@@ -89,21 +87,9 @@ func keepCmp(v *sqltypes.ColVec, op expr.CmpOp, k sqltypes.Datum, in, out []int)
 
 func keepOrdered[T int64 | float64 | string](vals []T, k T, op expr.CmpOp, nulls *sqltypes.NullBitmap, in, out []int) []int {
 	for _, p := range in {
-		if op.Holds(order(vals[p], k)) && !nulls.Get(p) {
+		if op.Holds(sqltypes.Order(vals[p], k)) && !nulls.Get(p) {
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// order is the three-way comparison of sqltypes.Compare over one type: a
-// NaN orders neither before nor after anything.
-func order[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

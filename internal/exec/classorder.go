@@ -1,7 +1,5 @@
 package exec
 
-import "rfview/internal/sqltypes"
-
 // ClassOrderMeta is the execution-time handshake between one shared class
 // Sort and the Window operators stacked directly above it (see plan's
 // shared-sort pass). The sort already compares every adjacent row pair while
@@ -10,14 +8,10 @@ import "rfview/internal/sqltypes"
 // partition boundaries and ORDER BY tie runs straight off that table instead
 // of each re-evaluating its keys over the whole stream.
 //
-// Only the in-memory normalized sort produces the metadata. An external
-// (spilled) sort, the comparator fallback (NaN or Int/Float-mix keys), or a
-// disabled vectorizer leave it invalid, and consumers fall back to their
-// evaluating scans. Validity therefore also certifies that no sort key holds
-// a NaN, which is what lets pre-sorted consumers skip the NaN fallback scan:
-// encoded-key equality coincides with Compare equality on everything the
-// normalized path accepts (including -0.0, which encodes as +0.0 exactly as
-// Compare ties them).
+// Only the in-memory sort produces the metadata; an external (spilled) sort
+// leaves it invalid, and consumers fall back to their evaluating scans. The
+// tie depths are Compare's equality, which the window's hash partitioning
+// shares: -0.0 ties +0.0, and a NaN ties a NaN.
 type ClassOrderMeta struct {
 	// partKeys is the class's canonical partition key count — how many
 	// leading sort keys are partition keys. Set by the planner; fixed across
@@ -26,7 +20,6 @@ type ClassOrderMeta struct {
 	partKeys int
 
 	tieDepth []int32
-	keyTypes []sqltypes.Type
 	valid    bool
 }
 
@@ -37,7 +30,7 @@ func NewClassOrderMeta(partKeys int) *ClassOrderMeta {
 }
 
 // reset invalidates the metadata at the start of an execution; the sort
-// refills it only when the normalized in-memory path runs.
+// refills it only when it sorts in memory.
 func (m *ClassOrderMeta) reset() {
 	if m != nil {
 		m.valid = false
@@ -55,7 +48,3 @@ func (m *ClassOrderMeta) PartKeys() int { return m.partKeys }
 // TieDepths returns the adjacency table: entry i is the number of leading
 // sort keys on which stream rows i-1 and i compare equal (entry 0 is 0).
 func (m *ClassOrderMeta) TieDepths() []int32 { return m.tieDepth }
-
-// KeyType returns sort key ki's observed runtime type (sqltypes.Null when
-// the column held only NULLs).
-func (m *ClassOrderMeta) KeyType(ki int) sqltypes.Type { return m.keyTypes[ki] }

@@ -9,12 +9,12 @@ import (
 )
 
 // These tests pin the ClassOrderMeta handshake: a shared class Sort records
-// the sorted stream's adjacency table (per-position tie depths and per-key
-// runtime types) and the Window operators stacked above read partition
+// the sorted stream's adjacency table (per-position tie depths) and the
+// Window operators stacked above read partition
 // boundaries and tie runs from it instead of re-evaluating key expressions.
 // Every test checks bit-identical output against the unshared plan, plus the
-// metadata validity the scenario implies — valid when the in-memory
-// normalized sort ran, invalid when a NaN key forced the comparator fallback.
+// metadata validity the scenario implies: valid whenever the sort ran in
+// memory, NaN and signed-zero keys included.
 
 // sharedStackMeta is sharedStack with the class sort's adjacency metadata
 // wired through to the Window, exactly as planWindowsShared does. partKeys is
@@ -102,13 +102,11 @@ func TestClassOrderMetaOrderExact(t *testing.T) {
 	}
 }
 
-// TestClassOrderMetaFloatPartitionRefused: the key encoding canonicalizes
-// -0.0 to +0.0 while the unshared plan hashes partition keys by float bits,
-// so metadata boundaries are unsound for Float partition keys. The metadata
-// itself stays valid (no NaN defeated the encoding) but the Window must
-// refuse it and fall back to the evaluating scan, which detects -0.0 and
-// splits partitions by hash like the unshared plan.
-func TestClassOrderMetaFloatPartitionRefused(t *testing.T) {
+// TestClassOrderMetaSignedZeroPartition: the key encoding ties -0.0 with
+// +0.0 and so does the unshared plan's hash partitioning, so the metadata's
+// boundaries place FLOAT partition keys too: the ±0 rows are one partition,
+// whose cumulative SUM reaches the sum of every v.
+func TestClassOrderMetaSignedZeroPartition(t *testing.T) {
 	schema := pkvSchema(sqltypes.Float, sqltypes.Int)
 	negz := math.Copysign(0, -1)
 	var rows []sqltypes.Row
@@ -122,20 +120,28 @@ func TestClassOrderMetaFloatPartitionRefused(t *testing.T) {
 	pb := keysOf(t, schema, "p")
 	ob := sortKeysOf(t, schema, "k")
 	shared := sortKeysOf(t, schema, "p", "k")
-	meta := diffSharedMetaUnshared(t, "meta-float-part", schema, rows, pb, ob, shared,
-		sumCum(keysOf(t, schema, "v")[0]), false, 1)
+	funcs := sumCum(keysOf(t, schema, "v")[0])
+	meta := diffSharedMetaUnshared(t, "meta-float-part", schema, rows, pb, ob, shared, funcs, false, 1)
 	if !meta.Valid(len(rows)) {
-		t.Fatal("metadata should be valid (floats encode fine); only the Window refuses it")
+		t.Fatal("class sort left metadata invalid; meta path never ran")
 	}
-	if meta.KeyType(0) != sqltypes.Float {
-		t.Fatalf("recorded key type = %v, want Float", meta.KeyType(0))
+	got, err := Collect(NewWindow(valuesOp(schema, rows...), pb, ob, funcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var most int64
+	for _, row := range got {
+		most = max(most, row[3].Int())
+	}
+	if want := int64(len(rows) * (len(rows) - 1) / 2); most != want {
+		t.Fatalf("largest cumulative SUM %d, want %d: -0.0 and +0.0 split", most, want)
 	}
 }
 
-// TestClassOrderMetaNaNInvalidates: a NaN order key bails the normalized
-// sort, so the metadata never becomes valid and the Window's evaluating
-// fallbacks must carry the run unchanged.
-func TestClassOrderMetaNaNInvalidates(t *testing.T) {
+// TestClassOrderMetaNaNKeys: a NaN order key sorts above every number and
+// ties every NaN, so the metadata is valid and its tie runs are the
+// unshared plan's.
+func TestClassOrderMetaNaNKeys(t *testing.T) {
 	schema := pkvSchema(sqltypes.Int, sqltypes.Float)
 	nan := math.NaN()
 	var rows []sqltypes.Row
@@ -151,8 +157,8 @@ func TestClassOrderMetaNaNInvalidates(t *testing.T) {
 	shared := sortKeysOf(t, schema, "p", "k")
 	meta := diffSharedMetaUnshared(t, "meta-nan", schema, rows, pb, ob, shared,
 		sumCum(keysOf(t, schema, "v")[0]), false, 1)
-	if meta.Valid(len(rows)) {
-		t.Fatal("NaN keys must leave the metadata invalid")
+	if !meta.Valid(len(rows)) {
+		t.Fatal("class sort left metadata invalid; meta path never ran")
 	}
 }
 
@@ -182,8 +188,8 @@ func TestClassOrderMetaDuplicatePartitionExprs(t *testing.T) {
 }
 
 // TestClassOrderMetaReset: reusing one Sort across Opens must not leak stale
-// adjacency data — a second Open over NaN-bearing rows (which bails the
-// normalized path) must invalidate the metadata filled by the first.
+// adjacency data — a second Open that fails over a key column Compare cannot
+// order must invalidate the metadata filled by the first.
 func TestClassOrderMetaReset(t *testing.T) {
 	schema := pkvSchema(sqltypes.Int, sqltypes.Float)
 	clean := []sqltypes.Row{
@@ -200,12 +206,12 @@ func TestClassOrderMetaReset(t *testing.T) {
 		t.Fatal("clean rows should fill the metadata")
 	}
 	dirty := append(append([]sqltypes.Row(nil), clean...),
-		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewFloat(math.NaN()), sqltypes.NewInt(13)})
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("x"), sqltypes.NewInt(13)})
 	s.Input = valuesOp(schema, dirty...)
-	if _, err := Collect(s); err != nil {
-		t.Fatal(err)
+	if _, err := Collect(s); err == nil {
+		t.Fatal("a FLOAT and a VARCHAR in one key column must not sort")
 	}
 	if meta.Valid(len(dirty)) || meta.Valid(len(clean)) {
-		t.Fatal("NaN re-open must reset the metadata, not serve the stale table")
+		t.Fatal("a failed re-open must reset the metadata, not serve the stale table")
 	}
 }

@@ -215,12 +215,13 @@ func (d *Derive) load() (*storedSeqs, error) {
 		for _, i := range b.Positions() {
 			if in.Part >= 0 {
 				// A view is filled partition by partition, so the key of the
-				// previous row usually answers without the map.
+				// previous row usually answers without the map, which keys
+				// a partition by its canonical datum.
 				if key := b.Cols[in.Part].Datum(i); cur < 0 || s.parts[cur].key != key {
-					i, ok := index[key]
+					i, ok := index[key.Key()]
 					if !ok {
 						i = int32(len(s.parts))
-						index[key] = i
+						index[key.Key()] = i
 						s.parts = append(s.parts, seqPart{key: key, max: s.lo - 1})
 					}
 					cur = i

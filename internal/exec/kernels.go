@@ -72,7 +72,7 @@ func (w *Window) evalFunc(r *winRun, fi int, ord []int, ps *partScratch) error {
 		ps.at = grow(ps.at, n)
 		switch vec.Typ {
 		case sqltypes.Float:
-			ps.keys = core.FloatKeys(ps.keys, vec.Floats, isMin)
+			ps.keys = core.FloatKeys(ps.keys, vec.Floats)
 			ps.dq = core.Extremes(p, ps.keys, isMin, ps.at, ps.dq)
 		case sqltypes.String:
 			ps.dq = core.Extremes(p, vec.Strs, isMin, ps.at, ps.dq)

@@ -11,22 +11,22 @@ import (
 // This file is the shared in-memory ordering of the executor: exec.Sort and
 // Window order row positions by key columns held as typed vectors
 // (sqltypes.ColVec), never by calling Expr.Eval or sqltypes.Compare inside
-// the N·log N comparisons. Which sort runs is decided once per sort by the
-// runtime types of the key columns:
+// the N·log N comparisons. Compare is a total order, so every key column
+// maps onto words or bytes whose unsigned order is its own (sqltypes'
+// OrderWords and AppendKey), and which sort runs is decided once per sort by
+// the runtime types of the key columns:
 //
-//   - every column fixed-width (INTEGER, DATE, BOOLEAN, NaN-free FLOAT, or
-//     all NULL): sortTyped — each position becomes one packed record of
-//     uint64 order words plus a tail word, and the records are ordered by an
-//     LSD radix sort over the words' bytes, no comparison above a few rows;
+//   - every column fixed-width (INTEGER, DATE, BOOLEAN, FLOAT, a mix of
+//     INTEGER and FLOAT, or all NULL): sortTyped — each position becomes one
+//     packed record of uint64 order words plus a tail word, and the records
+//     are ordered by an LSD radix sort over the words' bytes, no comparison
+//     above a few rows;
 //   - a VARCHAR column among them: sortEncoded — memcomparable byte keys and
-//     bytes.Compare, since a string has no fixed-width order word;
-//   - a column that mixes Int and Float or holds a NaN (orderings no
-//     normalization reproduces): sortComparator — sqltypes.Compare over a
-//     pre-validated key matrix read back from the vectors, so
-//     incomparable key types (INTEGER vs VARCHAR out of a CASE) surface as a
-//     type error before any ordering work.
+//     bytes.Compare, since a string has no fixed-width order word.
 //
-// All three are stable: ties keep the order the positions arrived in.
+// A key column Compare cannot order (INTEGER vs VARCHAR out of a CASE) is a
+// type error before any ordering work. Both sorts are stable: ties keep the
+// order the positions arrived in.
 
 // sortPath names the in-memory ordering a sort took.
 type sortPath uint8
@@ -34,11 +34,10 @@ type sortPath uint8
 const (
 	sortTyped sortPath = iota
 	sortEncoded
-	sortComparator
 )
 
 func (p sortPath) String() string {
-	return [...]string{"typed", "encoded", "comparator"}[p]
+	return [...]string{"typed", "encoded"}[p]
 }
 
 // sortScratch holds the reusable buffers of one sort. Buffers are pooled
@@ -47,15 +46,13 @@ func (p sortPath) String() string {
 type sortScratch struct {
 	vecs []sqltypes.ColVec // key columns of a sortRowsByKeys run
 	recs []uint64          // typed path: the packed records, flat
-	ord  []int             // typed and encoded paths: the record numbers being sorted
+	ord  []int             // the record numbers being sorted
 	// Encoded path: per-position keys, slices into buf.
 	enc  [][]byte
 	buf  []byte
 	offs []int
-	// Comparator path: flat n×k key matrix, row-major.
-	datums []sqltypes.Datum
-	perm   []int
-	tmp    []int // permute's copy; the radix sort's ping-pong half of ord
+	perm []int
+	tmp  []int // permute's copy; the radix sort's ping-pong half of ord
 }
 
 // sortScratchPool recycles per-sort buffers across operator executions.
@@ -83,37 +80,18 @@ func identity(s []int, n int) []int {
 }
 
 // sortRowsByKeys stably sorts idx — indices into rows — by the given keys,
-// in place, and reports the path taken. Every key is evaluated and
-// type-checked before the sort runs: incomparable key types return the type
-// error here, never from inside a comparator. When meta is non-nil and a
-// normalized (typed or encoded) sort completes, the sorted stream's adjacency
-// table is recorded in it for the Window operators of a shared class; the
-// comparator path leaves meta untouched (the caller resets it beforehand).
+// in place, and reports the path taken. The keys are evaluated and
+// type-checked before the sort runs (evalKeys). When meta is non-nil the
+// sorted stream's adjacency table is recorded in it for the Window
+// operators of a shared class.
 func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch, meta *ClassOrderMeta) (sortPath, error) {
-	n, k := len(idx), len(keys)
-	if n < 2 || k == 0 {
+	n := len(idx)
+	if n < 2 || len(keys) == 0 {
 		return sortTyped, nil
 	}
-	sc.vecs = grow(sc.vecs, k)
-	for ki := range keys {
-		vec := &sc.vecs[ki]
-		vec.Reset(n)
-		for _, ri := range idx {
-			v, err := keys[ki].Expr.Eval(rows[ri])
-			if err != nil {
-				return sortTyped, err
-			}
-			vec.Append(v)
-		}
-	}
-	path := keyPath(sc.vecs)
-	if path == sortComparator {
-		sc.ord = identity(sc.ord, n)
-		if err := sortCompared(sc.vecs, sc.ord, keys, sc); err != nil {
-			return path, err
-		}
-		permute(sc, idx, sc.ord)
-		return path, nil
+	path, err := evalKeys(rows, idx, keys, sc)
+	if err != nil {
+		return path, err
 	}
 	lay := newRecLayout(keys, sc.vecs)
 	sc.perm = identity(sc.perm, n)
@@ -125,6 +103,25 @@ func sortRowsByKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScra
 	return path, nil
 }
 
+// evalKeys evaluates the keys at the rows idx into sc.vecs, one vector per
+// key, and returns the ordering their runtime types select, or the type
+// error of a key column Compare cannot order.
+func evalKeys(rows []sqltypes.Row, idx []int, keys []SortKey, sc *sortScratch) (sortPath, error) {
+	sc.vecs = grow(sc.vecs, len(keys))
+	for ki := range keys {
+		vec := &sc.vecs[ki]
+		vec.Reset(len(idx))
+		for _, ri := range idx {
+			v, err := keys[ki].Expr.Eval(rows[ri])
+			if err != nil {
+				return sortTyped, err
+			}
+			vec.Append(v)
+		}
+	}
+	return keyPath(sc.vecs)
+}
+
 // permute rewrites pos through a sorted permutation: pos[j] = pos[perm[j]].
 func permute(sc *sortScratch, pos, perm []int) {
 	sc.tmp = grow(sc.tmp, len(pos))
@@ -134,23 +131,25 @@ func permute(sc *sortScratch, pos, perm []int) {
 	copy(pos, sc.tmp)
 }
 
-// keyPath picks the ordering the key columns allow; see the file comment.
-func keyPath(vecs []sqltypes.ColVec) sortPath {
+// keyPath picks the ordering the key columns allow (see the file comment),
+// or returns the type error of a column Compare cannot order.
+func keyPath(vecs []sqltypes.ColVec) (sortPath, error) {
 	path := sortTyped
 	for i := range vecs {
-		switch {
-		case !vecs[i].Valid():
-			return sortComparator
-		case !vecs[i].FixedWidth():
+		if err := vecs[i].CheckOrder(); err != nil {
+			return path, err
+		}
+		if vecs[i].Typ == sqltypes.String && !vecs[i].Mixed() {
 			path = sortEncoded
 		}
 	}
-	return path
+	return path, nil
 }
 
 // recLayout is how one sort's keys pack into a record of uint64 words: per
 // key an optional NULL-placement word (only for columns that hold a NULL) and
-// the value word, then one tail word carrying the tie-break and the source
+// the value words — two for a column that mixes INTEGER and FLOAT, else one
+// — then one tail word carrying the tie-break and the source
 // position. DESC is folded into the value words and NULLS FIRST/LAST into the
 // placement words, so the unsigned order of the words, first to last, is the
 // whole ordering.
@@ -165,6 +164,9 @@ func newRecLayout(keys []SortKey, vecs []sqltypes.ColVec) recLayout {
 	for i := range vecs {
 		width++
 		if vecs[i].Nulls.Any() {
+			width++
+		}
+		if vecs[i].Mixed() {
 			width++
 		}
 	}
@@ -292,18 +294,15 @@ func recordLess(a, b []uint64, c int, tied bool) bool {
 }
 
 // sortEncodedKeys is the VARCHAR path: every position's keys are encoded into
-// one memcomparable byte string (the vectors are already validated, so no
-// encoding can fail) and the positions are ordered by bytes.Compare, the
-// arrival index breaking ties.
+// one memcomparable byte string and the positions are ordered by
+// bytes.Compare, the arrival index breaking ties.
 func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
 	n := len(pos)
 	sc.buf = sc.buf[:0]
 	sc.offs = grow(sc.offs, n+1)
 	for j, p := range pos {
 		sc.offs[j] = len(sc.buf)
-		for ki, k := range lay.keys {
-			sc.buf = sqltypes.EncodeKeyNulls(sc.buf, lay.vecs[ki].Datum(p), k.Desc, k.nullsLast())
-		}
+		sc.buf = appendKeys(sc.buf, lay.keys, lay.vecs, p)
 	}
 	sc.offs[n] = len(sc.buf)
 	sc.enc = grow(sc.enc, n)
@@ -321,16 +320,20 @@ func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
 	permute(sc, pos, sc.ord)
 }
 
-// fillClassOrderMeta records the adjacency table of a stream sorted on a
-// normalized path: pos holds the sorted order as positions into the key
-// vectors. Vector equality is Compare equality on everything those paths
-// accept, so the tie depths are the ones a comparator sort would see.
+// appendKeys appends position p's keys to dst as one memcomparable byte
+// string: the encoded sort's key, and the external sorts'.
+func appendKeys(dst []byte, keys []SortKey, vecs []sqltypes.ColVec, p int) []byte {
+	for ki, k := range keys {
+		dst = vecs[ki].AppendKey(dst, p, k.Desc, k.nullsLast())
+	}
+	return dst
+}
+
+// fillClassOrderMeta records the adjacency table of a sorted stream: pos
+// holds the sorted order as positions into the key vectors, whose EqualAt is
+// Compare's equality.
 func fillClassOrderMeta(m *ClassOrderMeta, vecs []sqltypes.ColVec, pos []int) {
 	m.tieDepth = grow(m.tieDepth, len(pos))
-	m.keyTypes = grow(m.keyTypes, len(vecs))
-	for ki := range vecs {
-		m.keyTypes[ki] = vecs[ki].Typ
-	}
 	m.tieDepth[0] = 0
 	for i := 1; i < len(pos); i++ {
 		depth := int32(0)
@@ -343,82 +346,4 @@ func fillClassOrderMeta(m *ClassOrderMeta, vecs []sqltypes.ColVec, pos []int) {
 		m.tieDepth[i] = depth
 	}
 	m.valid = true
-}
-
-// sortCompared is the comparator path: it stably sorts pos — positions into
-// the key vectors vecs, one per key — in place. It reads every key of every
-// position into one flat matrix, then validates each key column — a single
-// non-NULL type (or a numeric mix) sorts, anything else is a type error
-// surfaced before any ordering work — and sorts an identity permutation with
-// the position as the final tie-break, which reproduces a stable sort while
-// letting the sort itself run unstable.
-func sortCompared(vecs []sqltypes.ColVec, pos []int, keys []SortKey, sc *sortScratch) error {
-	n, k := len(pos), len(keys)
-	if n < 2 || k == 0 {
-		return nil
-	}
-	sc.datums = grow(sc.datums, n*k)
-	for ki := range keys {
-		vecs[ki].PutDatums(sc.datums[ki:], k, pos)
-	}
-	for ki := 0; ki < k; ki++ {
-		first := sqltypes.Null
-		for i := 0; i < n; i++ {
-			t := sc.datums[i*k+ki].Typ()
-			if t == sqltypes.Null || t == first {
-				continue
-			}
-			if first == sqltypes.Null {
-				first = t
-				continue
-			}
-			if !sqltypes.Comparable(first, t) {
-				return &sqltypes.ErrTypeMismatch{Op: "compare", Left: first, Right: t}
-			}
-		}
-	}
-
-	sc.perm = identity(sc.perm, n)
-	datums, perm := sc.datums, sc.perm
-	slices.SortFunc(perm, func(a, b int) int {
-		ba, bb := a*k, b*k
-		for ki := range keys {
-			if cmp := compareKeyDatums(datums[ba+ki], datums[bb+ki], keys[ki]); cmp != 0 {
-				return cmp
-			}
-		}
-		return a - b // identity start: position tie-break == stability
-	})
-	permute(sc, pos, perm)
-	return nil
-}
-
-// compareKeyDatums orders two pre-validated key datums under one SortKey:
-// NULL placement is absolute (nullsLast puts NULLs after every non-NULL value
-// regardless of direction, matching OrderWords and EncodeKeyNulls), non-NULL
-// pairs compare through sqltypes.Compare with DESC negation. Callers
-// guarantee the pair is comparable, so Compare cannot fail.
-func compareKeyDatums(a, b sqltypes.Datum, k SortKey) int {
-	an, bn := a.IsNull(), b.IsNull()
-	if an || bn {
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			if k.nullsLast() {
-				return 1
-			}
-			return -1
-		default:
-			if k.nullsLast() {
-				return -1
-			}
-			return 1
-		}
-	}
-	cmp, _ := sqltypes.Compare(a, b)
-	if k.Desc {
-		return -cmp
-	}
-	return cmp
 }

@@ -15,16 +15,18 @@ import (
 // The typed sort is an LSD radix sort over order words (keys.go). These
 // tests hold it to a stable library sort over sqltypes.Compare, written out
 // independently of the order words, on every shape the words must get right:
-// signed extremes, ±0.0 and ±Inf, NULL placement under ASC and DESC, keys
+// signed extremes, ±0.0, ±Inf and NaN, INTEGER/FLOAT mixes around 2⁵³ and
+// 2⁶³, NULL placement under ASC and DESC, keys
 // equal on every byte (no pass at all), a tie vector, record counts on both
 // sides of radixCutoff and one count past 65 536.
 
 // specialInts and specialFloats are the values whose order words sit at the
-// edges of the word space.
+// edges of the word space, or whose float64 image rounds.
 var (
-	specialInts   = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	specialFloats = []float64{math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0,
-		math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
+	specialInts = []int64{math.MinInt64, math.MinInt64 + 1, -1 << 53, -1, 0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1,
+		math.MaxInt64 - 1, math.MaxInt64}
+	specialFloats = []float64{math.Inf(-1), -math.MaxFloat64, -1 << 63, -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 1, 1 << 53, 1<<53 + 2, 1 << 63, math.MaxFloat64, math.Inf(1), math.NaN(), -math.NaN()}
 )
 
 // refNullsLast is the absolute NULL placement of one key, spelled out from
@@ -106,8 +108,8 @@ func checkSortByVecs(t *testing.T, c *radixCase) {
 			vecs[ki].Append(d)
 		}
 	}
-	if keyPath(vecs) != sortTyped {
-		t.Fatalf("%v: draw does not take the typed path", c)
+	if path, err := keyPath(vecs); err != nil || path != sortTyped {
+		t.Fatalf("%v: draw does not take the typed path: %v", c, err)
 	}
 	lay := newRecLayout(c.keys, vecs)
 	got := slices.Clone(c.pos)
@@ -135,6 +137,8 @@ func drawColumn(rng *rand.Rand, n int, float bool, nullRate float64, domain int)
 			col[i] = sqltypes.NewFloat(float64(constant))
 		case domain == 0:
 			col[i] = sqltypes.NewInt(constant)
+		case float && domain == 1 && rng.Intn(3) == 0: // an INTEGER/FLOAT mix
+			col[i] = sqltypes.NewInt(specialInts[rng.Intn(len(specialInts))])
 		case float && domain == 1:
 			col[i] = sqltypes.NewFloat(specialFloats[rng.Intn(len(specialFloats))])
 		case float && domain == 2:
@@ -240,16 +244,18 @@ func TestSortRowsByKeysMatchesReference(t *testing.T) {
 }
 
 // FuzzSortByVecs drives the same check from fuzzer bytes: shape picks the
-// key count, directions, NULL placements, column types and whether a tie
-// vector is present; each value byte picks a special value, a NULL or a
-// small integer, and with a tie vector every position also takes a rank.
+// key count, directions, NULL placements, column types, whether the FLOAT
+// columns mix in INTEGERs and whether a tie vector is present; each value
+// byte picks a special value (NaN among them), a NULL or a small number, and
+// with a tie vector every position also takes a rank.
 func FuzzSortByVecs(f *testing.F) {
 	f.Add(uint16(0), []byte{1, 2, 3, 1, 2, 3})
 	f.Add(uint16(0xffff), []byte("radix sort over order words, byte by byte"))
 	f.Add(uint16(0x1234), make([]byte, 3*(radixCutoff+5)))
+	f.Add(uint16(1<<14|1<<2), []byte{13, 14, 3, 17, 9, 10, 0xff, 12, 15, 8})
 	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
 		k := 1 + int(shape%3)
-		tied := shape&(1<<15) != 0
+		mixed, tied := shape&(1<<14) != 0, shape&(1<<15) != 0
 		stride := k
 		if tied {
 			stride++
@@ -268,6 +274,8 @@ func FuzzSortByVecs(f *testing.F) {
 				b := int(data[p*stride+ki])
 				switch {
 				case b == 0xff:
+				case float && mixed && b%2 == 1:
+					col[p] = sqltypes.NewInt(specialInts[b/2%len(specialInts)])
 				case float && b < len(specialFloats):
 					col[p] = sqltypes.NewFloat(specialFloats[b])
 				case float:

@@ -14,9 +14,9 @@ import (
 // consuming a shared Sort (bracketed by Ordinal/Restore) must produce rows
 // bit-identical — values and order — to the same Window sorting internally
 // over the raw input. The edge cases that cannot be written in SQL are built
-// here from raw datums: NaN keys (Compare treats NaN as equal to anything,
-// defeating boundary and tie detection), negative zero (Equal to +0.0 but
-// hashed by float bits), and Int/Float mixes (defeat the byte encoding).
+// here from raw datums: NaN keys (equal to each other, above every number),
+// negative zero (Equal to +0.0 with other bits), and Int/Float mixes (two
+// order words a value).
 
 // sharedStack builds the shared-plan bracket over rows:
 // Values → Ordinal → Sort(sortKeys) → Window(shared) → Restore.
@@ -116,9 +116,9 @@ func TestSharedWindowTiesMatchUnshared(t *testing.T) {
 	diffSharedUnshared(t, "ties", schema, rows, pb, ob, shared, sumCum(keysOf(t, schema, "v")[0]), true)
 }
 
-// TestSharedWindowNaNPartitionKeys: NaN partition keys force the hash
-// fallback (Equal treats NaN as equal to any numeric, so boundary detection
-// is unsound); results must still match the unshared plan exactly.
+// TestSharedWindowNaNPartitionKeys: the NaN partition keys are one
+// partition, which the class sort places like any other; results must match
+// the unshared plan exactly.
 func TestSharedWindowNaNPartitionKeys(t *testing.T) {
 	schema := pkvSchema(sqltypes.Float, sqltypes.Int)
 	nan := math.NaN()
@@ -135,15 +135,14 @@ func TestSharedWindowNaNPartitionKeys(t *testing.T) {
 	shared := sortKeysOf(t, schema, "p", "k")
 	w := sharedStack(schema, rows, pb, ob, shared, sumCum(keysOf(t, schema, "v")[0]), true)
 	diffSharedUnshared(t, "nan-partition", schema, rows, pb, ob, shared, sumCum(keysOf(t, schema, "v")[0]), true)
-	// The fallback is observable: the run counts as a performed sort, not a
-	// shared consumption.
+	// No fallback: the run consumes the class sort rather than sorting again.
 	stats := &WindowStats{}
 	findWindow(w).Stats = stats
 	if _, err := Collect(w); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SortsPerformed.Load() != 1 || stats.SortsShared.Load() != 0 {
-		t.Fatalf("NaN fallback stats: performed=%d shared=%d, want 1/0",
+	if stats.SortsPerformed.Load() != 0 || stats.SortsShared.Load() != 1 {
+		t.Fatalf("NaN partition stats: performed=%d shared=%d, want 0/1",
 			stats.SortsPerformed.Load(), stats.SortsShared.Load())
 	}
 }
@@ -163,9 +162,9 @@ func findWindow(op Operator) *Window {
 	return nil
 }
 
-// TestSharedWindowNaNOrderKeys: NaN order keys defeat tie-run detection; the
-// pre-sorted path must fall back to the full per-partition sort and still
-// match the unshared plan (which takes the comparator path on the same data).
+// TestSharedWindowNaNOrderKeys: NaN order keys tie with each other, so the
+// pre-sorted path normalizes their tie runs like any other and must match
+// the unshared plan.
 func TestSharedWindowNaNOrderKeys(t *testing.T) {
 	schema := pkvSchema(sqltypes.Int, sqltypes.Float)
 	nan := math.NaN()
@@ -183,9 +182,8 @@ func TestSharedWindowNaNOrderKeys(t *testing.T) {
 	diffSharedUnshared(t, "nan-order", schema, rows, pb, ob, shared, sumCum(keysOf(t, schema, "v")[0]), true)
 }
 
-// TestSharedWindowNegativeZeroPartitionKeys: -0.0 and +0.0 are Equal but hash
-// to different partitions in the unshared plan; the shared path must fall
-// back to hashing so both plans split them identically.
+// TestSharedWindowNegativeZeroPartitionKeys: -0.0 and +0.0 are Equal, so
+// both plans hold them in one partition.
 func TestSharedWindowNegativeZeroPartitionKeys(t *testing.T) {
 	schema := pkvSchema(sqltypes.Float, sqltypes.Int)
 	negz := math.Copysign(0, -1)
@@ -203,9 +201,8 @@ func TestSharedWindowNegativeZeroPartitionKeys(t *testing.T) {
 	diffSharedUnshared(t, "negzero", schema, rows, pb, ob, shared, sumCum(keysOf(t, schema, "v")[0]), true)
 }
 
-// TestSharedWindowMixedIntFloatKeys: an Int/Float mix defeats the byte
-// encoding (1 and 1.0 compare equal but encode differently), forcing the
-// comparator path in both plans; results must agree.
+// TestSharedWindowMixedIntFloatKeys: an Int/Float mix sorts on two order
+// words a value (1 and 1.0 tie), in both plans; results must agree.
 func TestSharedWindowMixedIntFloatKeys(t *testing.T) {
 	schema := pkvSchema(sqltypes.Int, sqltypes.Float) // declared Float, holds a mix
 	var rows []sqltypes.Row
@@ -332,8 +329,8 @@ func TestSharedWindowStatsCounters(t *testing.T) {
 	}
 	pb := keysOf(t, schema, "p")
 	for _, tc := range []struct {
-		preSorted                   bool
-		wantShared, wantSegmented   int64
+		preSorted                 bool
+		wantShared, wantSegmented int64
 	}{
 		{true, 1, 0},
 		{false, 0, 1},

@@ -58,8 +58,8 @@ func (k SortKey) String() string {
 
 // Sort materializes its input and emits it ordered by the keys (ascending by
 // default, NULLs first; stable). The keys are gathered into typed vectors and
-// sorted as packed records, as byte strings, or by Compare, whichever their
-// runtime types allow; see keys.go.
+// sorted as packed records or as byte strings, whichever their runtime types
+// allow; see keys.go.
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
@@ -69,7 +69,7 @@ type Sort struct {
 	// Spill, when enabled, lets the sort go external: rows stream through a
 	// budget-tracked spill.Sorter as (memcomparable key, encoded row) records
 	// and come back from a merge of on-disk runs instead of one in-memory
-	// permutation. Only key-encodable orderings go external; see spill.go.
+	// permutation; see spill.go.
 	Spill *spill.Config
 	// SharedClass, when > 0, marks this sort as the shared ordering of a
 	// window spec class (1-based class id): the Window operators stacked above
@@ -85,8 +85,7 @@ type Sort struct {
 	WinStats *WindowStats
 	// Order, when set on a shared class sort, receives the sorted stream's
 	// adjacency metadata for the Window operators stacked above (see
-	// ClassOrderMeta). Reset at every Open; filled only by the in-memory
-	// typed and encoded paths.
+	// ClassOrderMeta). Reset at every Open; filled only by an in-memory sort.
 	Order *ClassOrderMeta
 
 	rows []sqltypes.Row
@@ -122,9 +121,17 @@ func (s *Sort) Open() error {
 	if err != nil {
 		return err
 	}
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sc := getSortScratch()
+	defer putSortScratch(sc)
 	if spillEligible(s.Spill, s.Keys, len(rows)) {
-		handled, err := s.openExternal(rows)
-		if err != nil {
+		if _, err := evalKeys(rows, idx, s.Keys, sc); err != nil {
+			return err
+		}
+		if err := s.openExternal(rows, sc.vecs); err != nil {
 			// The spill sorter surfaces cancellation as the context's own
 			// error; map it onto the engine's coded surface like Next does.
 			if cerr := ctxErr(s.ctx()); cerr != nil {
@@ -132,20 +139,9 @@ func (s *Sort) Open() error {
 			}
 			return err
 		}
-		if handled {
-			return nil
-		}
-		// The ordering defeated the key encoding mid-stream; the external
-		// state is released and the in-memory comparator path below sorts the
-		// rows we still hold.
+		return nil
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sc := getSortScratch()
 	s.path, err = sortRowsByKeys(rows, idx, s.Keys, sc, s.Order)
-	putSortScratch(sc)
 	if err != nil {
 		return err
 	}
@@ -158,41 +154,30 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// openExternal streams rows through a spill.Sorter keyed by the concatenated
-// memcomparable encoding, with the whole encoded row as payload. On success
-// the operator serves Next from the merge iterator. handled=false means a
-// row defeated the key encoding and nothing external remains to clean up.
-func (s *Sort) openExternal(rows []sqltypes.Row) (handled bool, err error) {
+// openExternal streams rows through a spill.Sorter keyed by the
+// memcomparable encoding of their key vectors vecs, with the whole encoded
+// row as payload, and serves Next from the merge iterator.
+func (s *Sort) openExternal(rows []sqltypes.Row, vecs []sqltypes.ColVec) error {
 	sorter := spill.NewSorter(s.ctx(), s.Spill)
-	defer func() {
-		if !handled || err != nil {
-			sorter.Close()
-		}
-	}()
-	ks := newKeyStreamer(s.Keys)
-	var payload []byte
-	for _, row := range rows {
-		key, ok, err := ks.encode(row)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+	var key, payload []byte
+	for i, row := range rows {
+		key = appendKeys(key[:0], s.Keys, vecs, i)
 		payload = sqltypes.EncodeRowData(payload[:0], row)
 		if err := sorter.Add(key, payload); err != nil {
-			return false, err
+			sorter.Close()
+			return err
 		}
 	}
 	it, err := sorter.Finish()
 	if err != nil {
-		return false, err
+		sorter.Close()
+		return err
 	}
 	s.it = it
 	s.spillRuns = sorter.RunCount()
 	s.spillBytes = sorter.SpillBytes()
 	s.pos = 0
-	return true, nil
+	return nil
 }
 
 // takeRows implements rowsHandoff for the in-memory path; an external merge

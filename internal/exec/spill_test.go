@@ -76,10 +76,10 @@ func TestSortExternalMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSortExternalFallbackMixedKeys: an Int/Float-mixed key column defeats
-// the key encoding mid-stream; the sort must abandon the external path
-// (releasing everything) and still produce the comparator-path answer.
-func TestSortExternalFallbackMixedKeys(t *testing.T) {
+// TestSortExternalMixedKeys: an Int/Float-mixed key column encodes as two
+// order words a value, so the sort spills it and answers what the in-memory
+// sort answers.
+func TestSortExternalMixedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	schema := pwSchema()
 	var rows []sqltypes.Row
@@ -96,11 +96,11 @@ func TestSortExternalFallbackMixedKeys(t *testing.T) {
 	ext := &Sort{Input: valuesOp(schema, rows...), Keys: keys, Spill: cfg}
 	got := mustCollect(t, ext)
 	requireSameRows(t, want, got, "mixed keys")
-	if ext.spillRuns != 0 {
-		t.Fatalf("encoding-defeated sort reported %d spill runs", ext.spillRuns)
+	if ext.spillRuns == 0 {
+		t.Fatal("mixed keys did not spill")
 	}
 	if used := cfg.Budget.Used(); used != 0 {
-		t.Fatalf("%d budget bytes leaked after fallback", used)
+		t.Fatalf("%d budget bytes leaked after Close", used)
 	}
 }
 
@@ -180,9 +180,9 @@ func TestWindowSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestWindowSpillMixedOrderKeysFallsBack: Int/Float-mixed ORDER BY values
-// defeat the encoding; partitions must fall back to the comparator sort and
-// still match the untracked operator.
+// TestWindowSpillMixedOrderKeysFallsBack: partitions over Int/Float-mixed
+// ORDER BY values sort externally, on their two order words a value, and
+// must match the untracked operator.
 func TestWindowSpillMixedOrderKeysFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	schema := pwSchema()
@@ -206,8 +206,11 @@ func TestWindowSpillMixedOrderKeysFallsBack(t *testing.T) {
 	w.Spill = cfg
 	got := mustCollect(t, w)
 	requireSameRows(t, want, got, "mixed order keys")
+	if w.spillRuns.Load() == 0 {
+		t.Fatal("mixed order keys did not spill")
+	}
 	if used := cfg.Budget.Used(); used != 0 {
-		t.Fatalf("%d budget bytes leaked after fallback", used)
+		t.Fatalf("%d budget bytes leaked after Close", used)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // Microbenchmarks for the Sort and Window operators over the key and
 // argument shapes that select their paths — typed records and kernels for
-// homogeneous columns, the comparator sort and boxed accumulators for an
+// homogeneous columns, two order words a value and a FLOAT argument for an
 // Int/Float mix — so `benchstat` or a CI artifact diff shows the per-op time
 // and allocation of each. No thresholds are enforced — these are recorded
 // measurements, not gates.
@@ -67,8 +67,8 @@ func benchSortRows(n int, shape string) ([]sqltypes.Row, *expr.Schema) {
 }
 
 // BenchmarkSortKeyShapes measures exec.Sort over INT+STRING keys
-// (byte-encodable), FLOAT keys, and an Int/Float-mixed key column (which
-// takes the comparator path).
+// (byte-encodable), FLOAT keys, and an Int/Float-mixed key column (two
+// order words a value).
 func BenchmarkSortKeyShapes(b *testing.B) {
 	const n = 4096
 	for _, shape := range []string{"int", "float", "mixed"} {

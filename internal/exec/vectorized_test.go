@@ -120,9 +120,8 @@ func TestWindowTypedMatchesBoxed(t *testing.T) {
 }
 
 // TestWindowVectorizedStats pins the sort paths through the stats counters:
-// clean INT keys run normalized sorts, as they do beside a NULL in the
-// argument column; an Int/Float mix in the order key falls back to the
-// comparator.
+// clean INT keys run typed sorts, as they do beside a NULL in the argument
+// column and over an Int/Float mix in the order key.
 func TestWindowVectorizedStats(t *testing.T) {
 	clean := []sqltypes.Row{intRow(1, 1, 10), intRow(1, 2, 20), intRow(2, 1, 5), intRow(2, 2, 6)}
 	withNull := []sqltypes.Row{
@@ -141,18 +140,11 @@ func TestWindowVectorizedStats(t *testing.T) {
 		mustCollect(t, w)
 		return st
 	}
-	st := run(clean)
-	if st.NormalizedSorts.Load() == 0 || st.ComparatorSorts.Load() != 0 {
-		t.Fatalf("clean INT keys: normalized=%d comparator=%d", st.NormalizedSorts.Load(), st.ComparatorSorts.Load())
-	}
-	st = run(withNull)
-	if st.NormalizedSorts.Load() == 0 {
-		t.Fatalf("NULL-free order keys must still normalize")
-	}
-	st = run(mixed)
-	if st.NormalizedSorts.Load() != 0 || st.ComparatorSorts.Load() == 0 {
-		t.Fatalf("mixed order key must sort by comparator: normalized=%d comparator=%d",
-			st.NormalizedSorts.Load(), st.ComparatorSorts.Load())
+	for name, rows := range map[string][]sqltypes.Row{"clean": clean, "null argument": withNull, "mixed key": mixed} {
+		st := run(rows)
+		if st.TypedSorts.Load() == 0 || st.TypedSorts.Load() != st.NormalizedSorts.Load() {
+			t.Fatalf("%s: typed=%d of %d sorts", name, st.TypedSorts.Load(), st.NormalizedSorts.Load())
+		}
 	}
 }
 
@@ -160,8 +152,8 @@ func TestWindowVectorizedStats(t *testing.T) {
 // heterogeneous-typed multi-key inputs exactly as a stable library sort over
 // the comparator written out in refCmp does — including stable tie order (the
 // payload column tracks input position) — whether the keys pack into typed
-// records, need the byte encoding (a VARCHAR key), or, on the trials that mix
-// Int and Float in one key column, fall back to the comparator path.
+// records, need the byte encoding (a VARCHAR key), or mix Int and Float in
+// one key column.
 func TestSortNormalizedMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	schema := expr.NewSchema(
@@ -183,9 +175,9 @@ func TestSortNormalizedMatchesComparator(t *testing.T) {
 				a = sqltypes.NullDatum
 			}
 			b := sqltypes.NewString(string([]byte{byte('a' + rng.Intn(3)), byte('a' + rng.Intn(3))}))
-			c := sqltypes.NewFloat(float64(rng.Intn(4)))
+			c := sqltypes.NewFloat([]float64{0, math.Copysign(0, -1), 1.5, 2, 1 << 53, math.NaN()}[rng.Intn(6)])
 			if trial%3 == 0 && rng.Intn(3) == 0 {
-				c = sqltypes.NewInt(int64(rng.Intn(4))) // mixed Int/Float key column
+				c = sqltypes.NewInt([]int64{0, 2, 1 << 53, 1<<53 + 1}[rng.Intn(4)]) // mixed Int/Float key column
 			}
 			rows[i] = sqltypes.Row{a, b, c, sqltypes.NewInt(int64(i))}
 		}
@@ -224,15 +216,14 @@ func TestSortNormalizedMatchesComparator(t *testing.T) {
 		requireSameRows(t, want, mustCollect(t, s), fmt.Sprintf("trial %d n=%d keys=%v", trial, n, keys))
 		paths[s.path]++
 	}
-	if paths[sortTyped] == 0 || paths[sortEncoded] == 0 || paths[sortComparator] == 0 {
-		t.Fatalf("trials must reach all three sort paths: %v", paths)
+	if paths[sortTyped] == 0 || paths[sortEncoded] == 0 {
+		t.Fatalf("trials must reach both sort paths: %v", paths)
 	}
 }
 
 // TestSortKeyTypeMismatchSurfaces is the satellite bug fix: a key column
 // mixing incomparable types (INT and VARCHAR) must fail with a type error
-// before any ordering happens, in both Sort and Window. The old comparator
-// recorded the error but finished sorting on garbage order.
+// before any ordering happens, in both Sort and Window.
 func TestSortKeyTypeMismatchSurfaces(t *testing.T) {
 	schema := pwSchema()
 	rows := []sqltypes.Row{
@@ -252,11 +243,10 @@ func TestSortKeyTypeMismatchSurfaces(t *testing.T) {
 	}
 }
 
-// TestSortNaNKeyFallsBack: a NaN order key defeats the normalized encodings
-// (its Compare ordering is not total) but must not error: the sort takes the
-// comparator path, where NaN ties with everything and the stable sort leaves
-// such rows where they arrived.
-func TestSortNaNKeyFallsBack(t *testing.T) {
+// TestSortNaNKeySortsTyped: a NaN order key sorts on the typed path, above
+// every number and tied with every other NaN, so the stable sort keeps the
+// NaNs in arrival order after the numbers.
+func TestSortNaNKeySortsTyped(t *testing.T) {
 	schema := expr.NewSchema(
 		expr.ColInfo{Name: "k", Type: sqltypes.Float},
 		expr.ColInfo{Name: "payload", Type: sqltypes.Int},
@@ -268,9 +258,9 @@ func TestSortNaNKeyFallsBack(t *testing.T) {
 		{sqltypes.NewFloat(2), sqltypes.NewInt(3)},
 	}
 	s := &Sort{Input: valuesOp(schema, rows...), Keys: []SortKey{{Expr: mustCompile(t, "k", schema)}}}
-	requireSameRows(t, rows, mustCollect(t, s), "NaN keys")
-	if s.path != sortComparator {
-		t.Fatalf("NaN keys sorted on the %s path, want comparator", s.path)
+	requireSameRows(t, []sqltypes.Row{rows[1], rows[3], rows[0], rows[2]}, mustCollect(t, s), "NaN keys")
+	if s.path != sortTyped {
+		t.Fatalf("NaN keys sorted on the %s path, want typed", s.path)
 	}
 }
 

@@ -28,18 +28,14 @@ type WindowStats struct {
 	// count of each run, so WorkersUsed/Runs is the mean effective
 	// parallelism (utilization = mean / configured cap).
 	Partitions, WorkersUsed atomic.Int64
-	// NormalizedSorts counts partition orderings that ran on normalized keys
-	// — TypedSorts the subset that sorted packed fixed-width key records,
-	// the rest memcomparable byte strings (a VARCHAR key, or the external
-	// sorter) — and ComparatorSorts the ones that fell back to
-	// sqltypes.Compare (vectorization off, Int/Float-mixed key column, or a
-	// NaN key).
-	NormalizedSorts, TypedSorts, ComparatorSorts atomic.Int64
+	// NormalizedSorts counts partition orderings, all of which run on
+	// normalized keys — TypedSorts the subset that sorted packed fixed-width
+	// key records, the rest memcomparable byte strings (a VARCHAR key, or the
+	// external sorter).
+	NormalizedSorts, TypedSorts atomic.Int64
 	// SortsPerformed counts full window-ordering sorts actually executed: the
-	// shared class sorts of multi-window plans, the in-operator orderings of
-	// unshared Window runs, and shared runs whose partition keys (a NaN, an
-	// Int/Float mix) void the class sort's order, which re-sort like an
-	// unshared run.
+	// shared class sorts of multi-window plans and the in-operator orderings
+	// of unshared Window runs.
 	// SortsShared counts Window runs that consumed a shared sort without
 	// re-ordering; SortsSegmented counts Window runs that reused partition
 	// grouping from the stream and re-sorted only within partition segments.
@@ -131,8 +127,7 @@ func (w WindowFunc) String() string {
 // expressions and fills the output slab with the emitted input columns: a
 // child that produces batches hands its columns over directly, any other
 // child's rows are evaluated in one pass. From then on the vectors are the
-// only copy of the input the operator reads — they are lossless, so the
-// sort fallbacks a NaN or a type mix selects read them too. Partition ids
+// only copy of the input the operator reads — they are lossless. Partition ids
 // come from a hash of the partition vectors, each partition is ordered by
 // sorting packed key records (keys.go), and internal/core's §2.2 kernels run
 // over the partition's gathered argument vector (kernels.go), their results
@@ -179,9 +174,7 @@ type Window struct {
 	// PreSorted additionally promises that within each partition the stream
 	// is ordered by OrderBy (possibly refined by further keys of a longer
 	// shared sort). The operator then skips the per-partition sort and only
-	// normalizes tie runs back to input-ordinal order; data that defeats the
-	// promise (a NaN or an Int/Float mix in its keys, which break the total
-	// order) falls back to the full per-partition sort with identical results.
+	// normalizes tie runs back to input-ordinal order.
 	PreSorted bool
 	// OrderExact marks a pre-sorted consumer whose ORDER BY keys are exactly
 	// the shared sort's full order suffix. The class sort breaks ties by the
@@ -200,8 +193,8 @@ type Window struct {
 	// operator is stacked above (shared with every member of the class). When
 	// valid for an execution, partition boundaries and ORDER BY tie runs come
 	// from the sort's own key comparisons and no key is evaluated here; when
-	// invalid (spilled or comparator sort) the key vectors are built as in an
-	// unshared run.
+	// invalid (a spilled sort) the key vectors are built as in an unshared
+	// run.
 	ClassOrder *ClassOrderMeta
 
 	schema, emitSchema *expr.Schema
@@ -212,7 +205,7 @@ type Window struct {
 	// atomics because parallel workers update them concurrently.
 	spillRuns  atomic.Int64
 	spillBytes atomic.Int64
-	sorted     [3]atomic.Bool
+	sorted     [2]atomic.Bool
 	// argExprs are the distinct non-nil window-function arguments; argSlots
 	// maps each func to its column in argExprs (-1 for COUNT(*)). Built by
 	// prepareArgs before partitions are evaluated, so worker goroutines only
@@ -286,21 +279,16 @@ type winRun struct {
 	// ord[bounds[p]:bounds[p+1]], in stream order until it is sorted.
 	ord, bounds []int
 	// Partitioner scratch: per-row hashes and partition ids, the open
-	// addressing table of partition ids, each partition's first row, and the
-	// boxed key matrix of the fallback.
+	// addressing table of partition ids, and each partition's first row.
 	hash       []uint64
 	pid, first []int32
 	table      []int32
-	keys       []sqltypes.Datum
 	// lay and path are the partition ordering chosen by the order columns'
 	// runtime types. metaOrdered: partitions and tie runs come from the class
-	// sort's metadata and no key vector was built. resort: a shared stream
-	// whose partition keys defeat typed partitioning (NaN, Int/Float mix) —
-	// they defeat the class sort's total order too, so its pre-sorted promise
-	// is void.
-	lay                 recLayout
-	path                sortPath
-	metaOrdered, resort bool
+	// sort's metadata and no key vector was built.
+	lay         recLayout
+	path        sortPath
+	metaOrdered bool
 	// slab backs the output rows, width datums each; funcCol is each
 	// function's column within a row, -1 when Emit drops it, and inCols the
 	// emitted input columns as (output column, input column) pairs.
@@ -361,9 +349,9 @@ func (w *Window) Open() error {
 			return err
 		}
 		r.rows = rows
-		byMeta = w.Shared && w.classBoundariesUsable(len(rows))
+		byMeta = w.Shared && w.ClassOrder.Valid(len(rows))
 	}
-	r.metaOrdered, r.resort = byMeta && w.PreSorted && len(w.OrderBy) > 0, false
+	r.metaOrdered = byMeta && w.PreSorted && len(w.OrderBy) > 0
 	r.part, r.order, r.args = r.part[:0], r.order[:0], grow(r.args, len(w.argExprs))
 	if !byMeta {
 		r.part = grow(r.part, len(w.PartitionBy))
@@ -397,11 +385,13 @@ func (w *Window) Open() error {
 		w.partitionByHash(r)
 	}
 	if len(r.order) > 0 {
-		r.lay = newRecLayout(w.OrderBy, r.order)
-		r.path = keyPath(r.order)
-		if n > math.MaxInt32 {
-			r.path = sortComparator
+		if r.path, err = keyPath(r.order); err != nil {
+			return err
 		}
+		if n > math.MaxInt32 { // too many rows for the typed path's tie-break
+			r.path = sortEncoded
+		}
+		r.lay = newRecLayout(w.OrderBy, r.order)
 	}
 	if err := w.computePartitions(r); err != nil {
 		return err
@@ -598,23 +588,6 @@ func (w *Window) evalBatch(r *winRun, b *sqltypes.Batch) error {
 	return nil
 }
 
-// classBoundariesUsable reports whether the class sort's metadata can place
-// this run's partition boundaries: it must describe exactly these rows, and
-// no partition key may be a runtime float — the order words equate -0.0
-// with +0.0 while the hash partitioner separates them by bit pattern, so
-// float partition keys are hashed like an unshared run's.
-func (w *Window) classBoundariesUsable(n int) bool {
-	if !w.ClassOrder.Valid(n) {
-		return false
-	}
-	for ki := 0; ki < w.ClassOrder.PartKeys(); ki++ {
-		if w.ClassOrder.KeyType(ki) == sqltypes.Float {
-			return false
-		}
-	}
-	return true
-}
-
 // partitionByTieDepth groups the stream into partitions off the class sort's
 // adjacency table: a new partition starts wherever fewer than the class's
 // partition key count of leading sort keys match the previous row. The
@@ -642,39 +615,25 @@ var partitionSeed = maphash.MakeSeed()
 // partitionByHash assigns every row a dense partition id by hashing its
 // partition key and groups the row positions by id: partitions in first-seen
 // order, positions ascending within each — what a stable sort over hash
-// partitions collected in input order would see. Typed partition vectors
-// hash and compare machine words (a float by its bit pattern, so -0.0 and
-// +0.0 part ways and equal NaNs meet); a vector that mixes types or holds a
-// NaN sends the run to a boxed key matrix compared with sqltypes.Equal.
+// partitions collected in input order would see. A partition is one class
+// of Equal keys, as the view's primary key and its maintenance see it: the
+// vectors hash canonical words (-0.0 as +0.0, every NaN as one) and compare
+// with EqualAt.
 func (w *Window) partitionByHash(r *winRun) {
-	n, k := r.n, len(r.part)
-	if k == 0 && n > 0 { // one partition; an empty input has none
+	n := r.n
+	if len(r.part) == 0 && n > 0 { // one partition; an empty input has none
 		r.ord, r.bounds = identity(r.ord, n), append(r.bounds[:0], 0, n)
 		return
 	}
 	r.hash = grow(r.hash, n)
+	hashVecs(r.part, r.hash)
 	same := func(a, b int) bool {
 		for vi := range r.part {
-			v := &r.part[vi]
-			if !v.EqualAt(a, b) || (v.Typ == sqltypes.Float && math.Signbit(v.Floats[a]) != math.Signbit(v.Floats[b])) {
+			if !r.part[vi].EqualAt(a, b) {
 				return false
 			}
 		}
 		return true
-	}
-	if keyPath(r.part) == sortComparator {
-		// Boxed fallback: the keys read back into one flat matrix.
-		r.resort = w.Shared
-		r.keys = grow(r.keys, n*k)
-		for ki := range r.part {
-			r.part[ki].PutDatums(r.keys[ki:], k, nil)
-		}
-		for i := 0; i < n; i++ {
-			r.hash[i] = hashRow(r.keys[i*k : (i+1)*k])
-		}
-		same = func(a, b int) bool { return rowsEqual(r.keys[a*k:(a+1)*k], r.keys[b*k:(b+1)*k]) }
-	} else {
-		hashVecs(r.part, r.hash)
 	}
 
 	// Open addressing over partition ids; the table doubles at half load, so
@@ -740,20 +699,25 @@ func (w *Window) partitionByHash(r *winRun) {
 	r.bounds = r.bounds[:nparts+1]
 }
 
-// hashVecs fills h with one hash per position over the typed key vectors.
+// hashVecs fills h with one hash per position over the key vectors; Equal
+// values of one vector hash equally.
 func hashVecs(vecs []sqltypes.ColVec, h []uint64) {
 	for i := range h {
 		h[i] = 0
 	}
 	for vi := range vecs {
 		v := &vecs[vi]
-		switch v.Typ {
-		case sqltypes.Null:
-		case sqltypes.Float:
-			for i, f := range v.Floats {
-				h[i] = (h[i] ^ math.Float64bits(f)) * hashMul
+		switch {
+		case v.Mixed():
+			for i := range h {
+				h[i] = (h[i] ^ v.Datum(i).Hash()) * hashMul
 			}
-		case sqltypes.String:
+		case v.Typ == sqltypes.Null:
+		case v.Typ == sqltypes.Float:
+			for i, f := range v.Floats {
+				h[i] = (h[i] ^ sqltypes.OrderWordFloat(f)) * hashMul
+			}
+		case v.Typ == sqltypes.String:
 			for i, s := range v.Strs {
 				h[i] = (h[i] ^ maphash.String(partitionSeed, s)) * hashMul
 			}
@@ -798,8 +762,6 @@ func (w *Window) computePartitions(r *winRun) error {
 			w.Stats.WorkersUsed.Add(1)
 		}
 		switch {
-		case w.Shared && r.resort:
-			w.Stats.SortsPerformed.Add(1)
 		case w.Shared && w.PreSorted:
 			w.Stats.SortsShared.Add(1)
 		case w.Shared:
@@ -911,10 +873,9 @@ func (w *Window) computePartition(r *winRun, p int) error {
 // orderPartition establishes one partition's evaluation order in ord. An
 // unshared run sorts by w.OrderBy. On a shared stream a pre-sorted partition
 // only normalizes tie runs back to input-ordinal order — off the class
-// sort's metadata when that is valid, else off the order vectors; everything
-// else (segmented reuse, a void promise, keys that defeat normalization)
-// runs the full sort with the ordinal as tie-break, which makes the result
-// bit-identical to the unshared path by construction.
+// sort's metadata when that is valid, else off the order vectors; segmented
+// reuse runs the full sort with the ordinal as tie-break, which makes the
+// result bit-identical to the unshared path by construction.
 func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 	switch {
 	case len(w.OrderBy) == 0:
@@ -929,7 +890,7 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 			normalizeTieRuns(r.ordinals, ord, func(_, cur int) bool { return depths[cur] >= want })
 		}
 		return nil
-	case w.Shared && w.PreSorted && !r.resort && r.path != sortComparator:
+	case w.Shared && w.PreSorted:
 		if !w.OrderExact {
 			normalizeTieRuns(r.ordinals, ord, func(prev, cur int) bool {
 				for vi := range r.order {
@@ -948,7 +909,7 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 		tie = r.ordinals
 	}
 	path, external := r.path, false
-	if path != sortComparator && spillEligible(w.Spill, w.OrderBy, len(ord)) {
+	if spillEligible(w.Spill, w.OrderBy, len(ord)) {
 		// The typed records and the radix sort's ping-pong half of the
 		// record numbers are this partition's sort scratch: charge them, and
 		// on refusal — as for VARCHAR keys always — order the partition
@@ -966,31 +927,18 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 		sortByOrdinal(r.ordinals, ord)
 	}
 	if external {
-		var err error
-		if external, err = w.sortPartitionExternal(r, ord); err != nil {
+		if err := w.sortPartitionExternal(r, ord); err != nil {
 			return err
 		}
-	}
-	switch {
-	case external:
 		path = sortEncoded // the spill sorter orders memcomparable key bytes
-	case path == sortComparator:
-		if err := sortCompared(r.order, ord, w.OrderBy, &ps.sort); err != nil {
-			return err
-		}
-	default:
+	} else {
 		sortByVecs(path, &r.lay, ord, tie, &ps.sort)
 	}
 	w.sorted[path].Store(true)
 	if w.Stats != nil {
-		switch path {
-		case sortTyped:
+		w.Stats.NormalizedSorts.Add(1)
+		if path == sortTyped {
 			w.Stats.TypedSorts.Add(1)
-			w.Stats.NormalizedSorts.Add(1)
-		case sortEncoded:
-			w.Stats.NormalizedSorts.Add(1)
-		default:
-			w.Stats.ComparatorSorts.Add(1)
 		}
 	}
 	return nil
@@ -1036,50 +984,39 @@ func (w *Window) putPartScratch(ps *partScratch) {
 }
 
 // sortPartitionExternal orders one partition through a budget-tracked
-// spill.Sorter: records are (concatenated key encoding, uvarint row index),
-// so the merge streams the permutation back without the in-memory record
-// slab. handled=false means the ordering defeated the key encoding
-// mid-stream; external state is released and the caller re-sorts in memory
-// (the comparator path still has every key).
-func (w *Window) sortPartitionExternal(r *winRun, ordered []int) (handled bool, err error) {
+// spill.Sorter: records are (the order vectors' memcomparable key, uvarint
+// row index), so the merge streams the permutation back without the
+// in-memory record slab.
+func (w *Window) sortPartitionExternal(r *winRun, ordered []int) error {
 	sorter := spill.NewSorter(w.ctx(), w.Spill)
 	defer sorter.Close()
-	ks := newKeyStreamer(w.OrderBy)
+	var key []byte
 	var pay [binary.MaxVarintLen64]byte
 	for _, ri := range ordered {
-		for ki := range r.order {
-			ks.vals[ki] = r.order[ki].Datum(ri)
-		}
-		key, ok, err := ks.encodeVals()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+		key = appendKeys(key[:0], w.OrderBy, r.order, ri)
 		if err := sorter.Add(key, pay[:binary.PutUvarint(pay[:], uint64(ri))]); err != nil {
-			return false, err
+			return err
 		}
 	}
 	it, err := sorter.Finish()
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer it.Close()
 	for i := range ordered {
 		_, payload, err := it.Next()
 		if err != nil {
 			if err == io.EOF {
-				return false, fmt.Errorf("exec: external partition sort lost rows")
+				return fmt.Errorf("exec: external partition sort lost rows")
 			}
 			if cerr := ctxErr(w.ctx()); cerr != nil {
-				return false, cerr
+				return cerr
 			}
-			return false, err
+			return err
 		}
 		ri, k := binary.Uvarint(payload)
 		if k <= 0 {
-			return false, fmt.Errorf("exec: corrupt external sort payload")
+			return fmt.Errorf("exec: corrupt external sort payload")
 		}
 		ordered[i] = int(ri)
 	}
@@ -1087,7 +1024,7 @@ func (w *Window) sortPartitionExternal(r *winRun, ordered []int) (handled bool, 
 		w.spillRuns.Add(int64(sorter.RunCount()))
 		w.spillBytes.Add(sorter.SpillBytes())
 	}
-	return true, nil
+	return nil
 }
 
 // takeRows implements rowsHandoff.

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"sort"
 	"testing"
@@ -20,9 +21,9 @@ import (
 // library sort over a comparator written out below — not from another
 // configuration of the engine. Every plan shape the operator runs in must
 // agree with it: unshared, the three shared-sort consumer shapes, one worker
-// and two, with and without a 64 KiB budget. The comparator sort is a
-// fallback the data selects, so the input row-sets are what reaches it: NaN
-// and Int/Float-mixed order keys. The arguments cover what the §2.2 kernels
+// and two, with and without a 64 KiB budget. The key columns include what
+// only a total order sorts: NaN, ±0 and Int/Float-mixed order keys, the mix
+// around 2⁵³ where a float64 image rounds. The arguments cover what the §2.2 kernels
 // meet: NULLs, a CASE-mixed INT/FLOAT, fractional and NaN-bearing FLOATs,
 // and DATE and VARCHAR under MIN/MAX.
 
@@ -32,26 +33,27 @@ type refSpec struct {
 	desc, nlast bool
 }
 
-// refCmp orders two key values the way SQL does: numerically, Int against
-// Int exactly, -0.0 equal to +0.0, and a NaN — which compares neither less
-// nor greater — equal to everything.
+// refCmp orders two key values the way SQL does: numerically and exactly,
+// an INTEGER against a FLOAT too, -0.0 equal to +0.0, and a NaN equal to a
+// NaN and above every number.
 func refCmp(a, b sqltypes.Datum) int {
-	if a.Typ() != sqltypes.Float && b.Typ() != sqltypes.Float {
-		switch x, y := a.Int(), b.Int(); {
-		case x < y:
-			return -1
-		case x > y:
+	isNaN := func(d sqltypes.Datum) bool { return d.Typ() == sqltypes.Float && math.IsNaN(d.Float()) }
+	if an, bn := isNaN(a), isNaN(b); an || bn {
+		switch {
+		case an && bn:
+			return 0
+		case an:
 			return 1
 		}
-		return 0
-	}
-	switch x, y := a.Float(), b.Float(); {
-	case x < y:
 		return -1
-	case x > y:
-		return 1
 	}
-	return 0
+	exact := func(d sqltypes.Datum) *big.Float {
+		if d.Typ() == sqltypes.Float {
+			return big.NewFloat(d.Float())
+		}
+		return new(big.Float).SetInt64(d.Int())
+	}
+	return exact(a).Cmp(exact(b))
 }
 
 // refArg is one shape of the window functions' argument: the expression over
@@ -247,13 +249,11 @@ func refExpected(t *testing.T, rows []sqltypes.Row, specs []refSpec, arg refArg,
 }
 
 // refScenario is one key-column shape. gen draws the ORDER BY key of a row of
-// partition part; want is the ordering the unshared, unbudgeted operator
-// must take for it.
+// partition part.
 type refScenario struct {
 	name string
 	ktyp sqltypes.Type
 	gen  func(rng *rand.Rand, part int) sqltypes.Datum
-	want sortPath
 }
 
 func refScenarios() []refScenario {
@@ -266,38 +266,36 @@ func refScenarios() []refScenario {
 	return []refScenario{
 		{"int-dups-nulls", sqltypes.Int, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			return nullOr(rng, sqltypes.NewInt(int64(rng.Intn(12)-6)))
-		}, sortTyped},
+		}},
 		{"int-extremes", sqltypes.Int, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			// A subtracting comparator overflows on these pairs.
 			return []sqltypes.Datum{sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64),
 				sqltypes.NewInt(-1), sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewInt(math.MinInt64 + 1)}[rng.Intn(6)]
-		}, sortTyped},
+		}},
 		{"date-nulls", sqltypes.Date, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			return nullOr(rng, sqltypes.NewDate(int64(11000+rng.Intn(20))))
-		}, sortTyped},
+		}},
 		{"float-nulls", sqltypes.Float, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			return nullOr(rng, sqltypes.NewFloat(float64(rng.Intn(16)-8)/4))
-		}, sortTyped},
+		}},
 		{"float-signed-zero", sqltypes.Float, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			return sqltypes.NewFloat([]float64{math.Copysign(0, -1), 0, 1.5, -1.5, math.Inf(1), math.Inf(-1)}[rng.Intn(6)])
-		}, sortTyped},
-		{"float-nan", sqltypes.Float, func(rng *rand.Rand, part int) sqltypes.Datum {
-			// NaN ties with every value, so a partition that mixes it with two
-			// distinct numbers has no single right order. Partition 0 holds
-			// NaN and one number only; the others hold ordinary numbers and
-			// ride the same operator-wide fallback.
-			if part == 0 {
-				return sqltypes.NewFloat([]float64{math.NaN(), 7}[rng.Intn(2)])
-			}
-			return sqltypes.NewFloat(float64(rng.Intn(10)))
-		}, sortComparator},
+		}},
+		{"float-nan", sqltypes.Float, func(rng *rand.Rand, _ int) sqltypes.Datum {
+			return nullOr(rng, sqltypes.NewFloat([]float64{math.NaN(), -math.NaN(), 7, -7, 0, math.Inf(1)}[rng.Intn(6)]))
+		}},
 		{"int-float-mix", sqltypes.Float, func(rng *rand.Rand, _ int) sqltypes.Datum {
 			if v := int64(rng.Intn(10)); rng.Intn(2) == 0 {
 				return sqltypes.NewInt(v)
 			} else {
 				return sqltypes.NewFloat(float64(v) + []float64{0, 0.5}[rng.Intn(2)])
 			}
-		}, sortComparator},
+		}},
+		{"int-float-mix-2^53", sqltypes.Float, func(rng *rand.Rand, _ int) sqltypes.Datum {
+			// 2⁵³+1 rounds to 2⁵³ as a float64: only the residual orders it.
+			return []sqltypes.Datum{sqltypes.NewInt(1<<53 + 1), sqltypes.NewInt(1 << 53), sqltypes.NewFloat(1 << 53),
+				sqltypes.NewFloat(1<<53 + 2), sqltypes.NewInt(math.MaxInt64), sqltypes.NewFloat(1 << 63), sqltypes.NewFloat(math.NaN())}[rng.Intn(7)]
+		}},
 	}
 }
 
@@ -435,11 +433,10 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 								continue
 							}
 							// The path taken is part of the contract: fixed-width
-							// keys sort typed, a NaN or a mix falls back — and
-							// never silently the other way round.
-							typed, cmpd := stats.TypedSorts.Load(), stats.ComparatorSorts.Load()
-							if name == "unshared" && ((sc.want == sortTyped) != (typed > 0) || (sc.want == sortComparator) != (cmpd > 0)) {
-								t.Fatalf("%s: typed=%d comparator=%d sorts, want only %s", label, typed, cmpd, sc.want)
+							// keys — a NaN and a mix among them — sort typed.
+							typed, all := stats.TypedSorts.Load(), stats.NormalizedSorts.Load()
+							if name == "unshared" && (typed == 0 || typed != all) {
+								t.Fatalf("%s: %d of %d sorts typed, want all", label, typed, all)
 							}
 						}
 					}

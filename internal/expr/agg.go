@@ -127,9 +127,9 @@ func (a *minMaxAcc) Add(d sqltypes.Datum) {
 		return
 	}
 	if d.Typ() == sqltypes.Float || a.best.Typ() == sqltypes.Float {
-		// Floats take the window's order: a NaN wins, −0 sorts below +0.
+		// Floats take the window's order: a NaN is greatest, −0 sorts below +0.
 		if d.Typ().Numeric() && a.best.Typ().Numeric() {
-			kd, kb := core.FloatKey(d.Float(), a.min), core.FloatKey(a.best.Float(), a.min)
+			kd, kb := core.FloatKey(d.Float()), core.FloatKey(a.best.Float())
 			if a.min && kd < kb || !a.min && kd > kb {
 				a.best = d
 			}

@@ -442,20 +442,27 @@ func (e *caseExpr) Eval(row sqltypes.Row) (sqltypes.Datum, error) {
 		return sqltypes.NullDatum, nil
 	}
 	d, err := then.Eval(row)
-	if e.typ == sqltypes.Float && d.Typ() == sqltypes.Int { // an INTEGER branch of a FLOAT CASE
-		d = sqltypes.NewFloat(d.Float())
-	}
-	return d, err
+	return asType(d, e.typ), err
 }
 
 func (e *caseExpr) Type() sqltypes.Type { return e.typ }
 
-// widen folds a branch's type into the CASE's: the first typed branch sets
-// it, and INTEGER and FLOAT branches together make it FLOAT.
-func (e *caseExpr) widen(t sqltypes.Type) {
-	if e.typ == sqltypes.Null || e.typ == sqltypes.Int && t == sqltypes.Float {
-		e.typ = t
+// widen folds the type of one of a CASE's branches or COALESCE's arguments
+// into the expression's type: the first typed one sets it, and INTEGER and
+// FLOAT together make it FLOAT.
+func widen(typ, t sqltypes.Type) sqltypes.Type {
+	if typ == sqltypes.Null || typ == sqltypes.Int && t == sqltypes.Float {
+		return t
 	}
+	return typ
+}
+
+// asType answers d, an INTEGER as FLOAT when widen made typ FLOAT.
+func asType(d sqltypes.Datum, typ sqltypes.Type) sqltypes.Datum {
+	if typ == sqltypes.Float && d.Typ() == sqltypes.Int {
+		return sqltypes.NewFloat(d.Float())
+	}
+	return d
 }
 
 func (e *caseExpr) String() string {
@@ -632,7 +639,7 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.widen(then.Type())
+			out.typ = widen(out.typ, then.Type())
 			out.whens = append(out.whens, compiledWhen{cond: cond, then: then})
 		}
 		if x.Else != nil {
@@ -640,7 +647,7 @@ func Compile(e sqlparser.Expr, schema *Schema) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.widen(els.Type())
+			out.typ = widen(out.typ, els.Type())
 			out.els = els
 		}
 		return out, nil
@@ -694,16 +701,13 @@ func compileScalarFunc(x *sqlparser.FuncExpr, schema *Schema) (Expr, error) {
 		}
 		typ := sqltypes.Null
 		for _, a := range args {
-			if a.Type() != sqltypes.Null {
-				typ = a.Type()
-				break
-			}
+			typ = widen(typ, a.Type())
 		}
 		return &scalarFunc{name: "COALESCE", args: args, typ: typ,
 			eval: func(v []sqltypes.Datum) (sqltypes.Datum, error) {
 				for _, d := range v {
 					if !d.IsNull() {
-						return d, nil
+						return asType(d, typ), nil
 					}
 				}
 				return sqltypes.NullDatum, nil

@@ -184,6 +184,10 @@ func TestCaseExprEval(t *testing.T) {
 	if v := evalOn(t, "CASE WHEN a = 1 THEN a ELSE c END", row(1, 0)); v.Typ() != sqltypes.Float || v.Float() != 1 {
 		t.Fatalf("INTEGER branch of a FLOAT case = %v:%v", v.Typ(), v)
 	}
+	// So do INTEGER and FLOAT arguments of COALESCE.
+	if v := evalOn(t, "COALESCE(CASE WHEN a < 2 THEN a END, 0.5)", row(1, 0)); v.Typ() != sqltypes.Float || v.Float() != 1 {
+		t.Fatalf("COALESCE over INTEGER and FLOAT answered %v (%v), want FLOAT 1", v, v.Typ())
+	}
 }
 
 func TestScalarFunctions(t *testing.T) {
@@ -255,8 +259,8 @@ func TestAggAccumulators(t *testing.T) {
 		{"AVG", []sqltypes.Datum{sqltypes.NewInt(1), sqltypes.NewInt(3)}, "2"},
 		{"MIN", []sqltypes.Datum{sqltypes.NewInt(5), sqltypes.NewInt(2), sqltypes.NewInt(9)}, "2"},
 		{"MAX", []sqltypes.Datum{sqltypes.NewInt(5), sqltypes.NewInt(2), sqltypes.NewInt(9)}, "9"},
-		// Floats take the window's order: a NaN wins, −0 sorts below +0.
-		{"MIN", []sqltypes.Datum{sqltypes.NewFloat(5), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(4)}, "NaN"},
+		// Floats take the window's order: a NaN is greatest, −0 sorts below +0.
+		{"MIN", []sqltypes.Datum{sqltypes.NewFloat(5), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(4)}, "4"},
 		{"MAX", []sqltypes.Datum{sqltypes.NewFloat(5), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(4)}, "NaN"},
 		{"MIN", []sqltypes.Datum{sqltypes.NewFloat(0), sqltypes.NewFloat(math.Copysign(0, -1))}, "-0"},
 		{"MAX", []sqltypes.Datum{sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(0)}, "0"},
@@ -363,6 +367,8 @@ func TestCompiledExprRendering(t *testing.T) {
 		`CASE WHEN a = 1 THEN c ELSE a END`: sqltypes.Float,
 		`MOD(a, 2)`:                         sqltypes.Int,
 		`COALESCE(NULL, a)`:                 sqltypes.Int,
+		`COALESCE(a, c)`:                    sqltypes.Float,
+		`COALESCE(CASE WHEN a < 2 THEN a END, 0.5)`: sqltypes.Float,
 	}
 	for src, wantType := range cases {
 		e := compile(t, src)

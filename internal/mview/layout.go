@@ -147,10 +147,10 @@ func (m *Manager) readSequences(tx *txn.Txn, sv *seqView) ([]*span, error) {
 		return nil, err
 	}
 	parts := make([]*span, 0, len(b))
-	for part, spans := range b {
+	for _, spans := range b {
 		for i, rows := range spans[0].rows {
 			if rows != 1 {
-				return nil, fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s holds %d rows at position %d", part, rows, i+1)
+				return nil, fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s holds %d rows at position %d", spans[0].part, rows, i+1)
 			}
 		}
 		parts = append(parts, spans[0])

@@ -76,7 +76,7 @@ type change struct {
 // one shift insert; a delete at k and the −1 renumbering of k+1…m after it
 // are one shift delete. Nothing else of the partition may come between.
 func (sv *seqView) fold(deltas []txn.Delta) (changes []change, ends []int, why string) {
-	open := map[sqltypes.Datum]change{} // +1 renumberings awaiting their insert
+	open := map[sqltypes.Datum]change{} // +1 renumberings awaiting their insert, by partition Key
 	for _, d := range deltas {
 		if !strings.EqualFold(sv.mv.BaseTable, d.Table) {
 			continue
@@ -86,15 +86,15 @@ func (sv *seqView) fold(deltas []txn.Delta) (changes []change, ends []int, why s
 			return nil, nil, why
 		}
 		for _, c := range cs {
-			r, opened := open[c.part]
+			r, opened := open[c.part.Key()]
 			switch {
 			case opened && (c.move != 0 || c.op.Kind != core.OpInsert || c.op.K != r.op.K):
 				return nil, nil, fmt.Sprintf("positions %d…%d renumbered without an insert at %d", r.op.K, r.last, r.op.K)
 			case opened:
 				c.op.Shift, c.last = true, r.last
-				delete(open, c.part)
+				delete(open, c.part.Key())
 			case c.move > 0:
-				open[c.part] = c
+				open[c.part.Key()] = c
 				continue
 			case c.move < 0:
 				i := len(changes) - 1
@@ -187,9 +187,9 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 				if bp.Typ() != sqltypes.Int || ap.Typ() != sqltypes.Int || step*step != 1 || !valueUnchanged(before[vi], av) {
 					return nil, "position column updated other than by a ±1 renumbering"
 				}
-				j, seen := at[part]
+				j, seen := at[part.Key()]
 				if !seen {
-					j, at[part] = len(runs), len(runs)
+					j, at[part.Key()] = len(runs), len(runs)
 					runs, moved = append(runs, change{part: part, move: step}), append(moved, nil)
 				}
 				if runs[j].move != step {
@@ -220,8 +220,8 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 }
 
 // valueUnchanged reports whether an updated value carries the same bits.
-// sqltypes.Equal is a SQL comparison: it calls NaN equal to any float and −0
-// equal to +0, which would silently drop exactly the updates whose bit
+// sqltypes.Equal is a SQL comparison: it calls −0 equal to +0 and one NaN
+// equal to another, which would silently drop exactly the updates whose bit
 // patterns the view must track to stay refresh-identical.
 func valueUnchanged(a, b sqltypes.Datum) bool {
 	if (a.Typ() == sqltypes.Float || b.Typ() == sqltypes.Float) &&

@@ -147,7 +147,7 @@ func (s *backingStore) Raw(lo, hi int) ([]float64, error) {
 		// To the partition's end: a later shift moves every position
 		// right of it.
 		sp = &span{part: s.part, lo: lo, hi: math.MaxInt}
-		if err := s.readRaw(bands{s.part: {sp}}); err != nil {
+		if err := s.readRaw(bands{s.part.Key(): {sp}}); err != nil {
 			return nil, err
 		}
 	}
@@ -219,7 +219,9 @@ func (sp *span) splice(p int, v float64, insert bool) {
 	}
 }
 
-// bands are disjoint spans: each partition's, ordered by lo.
+// bands are disjoint spans: each partition's, ordered by lo, under the
+// partition key's Key — so the keys SQL calls equal, -0.0 and +0.0 or two
+// NaNs, name one partition, as they do for the view's primary key.
 type bands map[sqltypes.Datum][]*span
 
 // foldBands are the spans a fold's changes may read: the raw positions
@@ -236,7 +238,7 @@ func foldBands(sv *seqView, changes []change) bands {
 				sp.hi = c.op.K + r
 			}
 		}
-		b[c.part] = append(b[c.part], sp)
+		b[c.part.Key()] = append(b[c.part.Key()], sp)
 	}
 	for part, spans := range b {
 		slices.SortFunc(spans, func(x, y *span) int { return cmp.Compare(x.lo, y.lo) })
@@ -255,7 +257,7 @@ func foldBands(sv *seqView, changes []change) bands {
 
 // find returns the span of part holding position p, or nil.
 func (b bands) find(part sqltypes.Datum, p int) *span {
-	spans := b[part]
+	spans := b[part.Key()]
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi >= p })
 	if i < len(spans) && spans[i].lo <= p {
 		return spans[i]
@@ -308,8 +310,8 @@ func (m *Manager) readBands(tx *txn.Txn, sv *seqView, b bands, open bool) error 
 			err = fmt.Errorf("mview: sequence views need non-NULL INTEGER positions, non-NULL partition keys and numeric values")
 			return false
 		}
-		if open && b[part] == nil {
-			b[part] = []*span{{part: part, lo: 1, hi: limit}}
+		if open && b[part.Key()] == nil {
+			b[part.Key()] = []*span{{part: part, lo: 1, hi: limit}}
 		}
 		if sp := b.find(part, int(p.Int())); sp != nil {
 			sp.add(int(p.Int()), v.Float(), 1)
@@ -324,9 +326,9 @@ func (m *Manager) readBands(tx *txn.Txn, sv *seqView, b bands, open bool) error 
 		ords = []int{gi, pi}
 	}
 	if h := base.Heap.IndexOn(ords); h != nil && !open {
-		for part, spans := range b {
+		for _, spans := range b {
 			for _, sp := range spans {
-				from, to := sv.lay.partKey(part), sv.lay.partKey(part)
+				from, to := sv.lay.partKey(sp.part), sv.lay.partKey(sp.part)
 				base.Heap.RangeAt(h, append(from, sqltypes.NewInt(int64(sp.lo))), append(to, sqltypes.NewInt(int64(sp.hi))), snap, visit)
 			}
 		}

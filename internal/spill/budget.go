@@ -7,10 +7,10 @@
 // The division of labor with the executor:
 //
 //   - exec.Sort streams its input through a Sorter, spilling
-//     (EncodeKey bytes, encoded row) pairs once the budget trips and merging
+//     (memcomparable key, encoded row) pairs once the budget trips and merging
 //     the runs back in key order with a bounded-fan-in heap merge;
 //   - exec.Window charges each partition's sort records and, when the charge
-//     is refused, orders the partition through a Sorter of (EncodeKey bytes,
+//     is refused, orders the partition through a Sorter of (memcomparable key,
 //     row index) pairs instead, so one hot PARTITION BY group no longer pins
 //     a full sort scratch in memory;
 //   - both charge the Budget for whatever they do keep in memory, so the
@@ -20,9 +20,7 @@
 // Results are bit-identical to the in-memory paths: runs are sorted by the
 // memcomparable encoding of the same order words the in-memory record sort
 // orders by, and the merge breaks key ties by run order, which preserves the
-// stable-sort contract (ties keep input order). Orderings the key encoding
-// cannot represent (Int/Float mixes, NaN floats) never spill — the executor
-// falls back to its existing comparator path.
+// stable-sort contract (ties keep input order).
 package spill
 
 import (

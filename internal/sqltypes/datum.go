@@ -54,8 +54,9 @@ func (t Type) Numeric() bool { return t == Int || t == Float }
 // Datum is a single SQL value. The zero value is SQL NULL. It is four
 // machine words, the most Go stores inline (a fifth makes each store into a
 // slab or row a runtime.wbMove call), so a FLOAT keeps its IEEE-754 bits in
-// the INTEGER word: Go == and map keys compare a FLOAT by its bits (-0.0 !=
-// +0.0, a NaN equals itself); Compare and Equal compare numerically.
+// the INTEGER word: Go == compares a FLOAT by its bits (-0.0 != +0.0) and
+// tells 1 from 1.0; Compare and Equal compare numerically, and Key is the
+// datum a map keys by.
 type Datum struct {
 	typ Type
 	i   int64  // Bool (0/1), Int, Date (days since epoch), Float (IEEE bits)
@@ -176,10 +177,13 @@ func mismatch(op string, a, b Datum) error {
 	return &ErrTypeMismatch{Op: op, Left: a.typ, Right: b.typ}
 }
 
-// Compare orders two datums. NULL sorts before every non-NULL value (the
-// convention used by the sort operator; comparison *predicates* involving
-// NULL are handled at the expression layer and never reach here).
-// Int and Float compare numerically with each other.
+// Compare orders two datums totally. NULL sorts before every non-NULL value
+// (the convention used by the sort operator; comparison *predicates*
+// involving NULL are handled at the expression layer and never reach here).
+// Numbers take one order whatever their type, PostgreSQL's: -0.0 equals
+// +0.0, a NaN equals every NaN and sorts above every other number, and an
+// INTEGER compares with a FLOAT exactly — by its float64 image, then by what
+// the rounding to it lost (Residual). Any other pair of types is an error.
 func Compare(a, b Datum) (int, error) {
 	if a.typ == Null || b.typ == Null {
 		switch {
@@ -193,49 +197,54 @@ func Compare(a, b Datum) (int, error) {
 	}
 	if a.typ.Numeric() && b.typ.Numeric() {
 		if a.typ == Int && b.typ == Int {
-			return cmpInt(a.i, b.i), nil
+			return Order(a.i, b.i), nil
 		}
-		return cmpFloat(a.Float(), b.Float()), nil
+		if c := Order(a.Float(), b.Float()); c != 0 || a.typ == b.typ {
+			return c, nil
+		}
+		return Order(a.Residual(), b.Residual()), nil
 	}
 	if a.typ != b.typ {
 		return 0, mismatch("compare", a, b)
 	}
 	switch a.typ {
 	case Bool, Date:
-		return cmpInt(a.i, b.i), nil
+		return Order(a.i, b.i), nil
 	case String:
-		switch {
-		case a.s < b.s:
-			return -1, nil
-		case a.s > b.s:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return Order(a.s, b.s), nil
 	}
 	return 0, mismatch("compare", a, b)
 }
 
-func cmpInt(a, b int64) int {
+// Order is Compare over the payloads of one type: the usual order of
+// integers and strings, and for floats the total one — -0.0 ties +0.0, and
+// a NaN ties every NaN and sorts above every number.
+func Order[T int64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b || a != a && b != b:
 		return 0
+	case a != a:
+		return 1 // a NaN sorts above every number
 	}
+	return -1
 }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
+// Residual is what an INTEGER loses on its conversion to FLOAT, exactly:
+// i − float64(i), zero whenever |i| ≤ 2⁵³. A FLOAT's residual is zero, so
+// the pair (Float(), Residual()) orders the numbers of both types as Compare
+// does.
+func (d Datum) Residual() int64 {
+	if d.typ != Int {
 		return 0
 	}
+	if f := float64(d.i); f < 1<<63 {
+		return d.i - int64(f)
+	}
+	return d.i - math.MaxInt64 - 1 // the image is 2⁶³, which int64 cannot hold
 }
 
 // Add returns a+b with SQL NULL propagation and Int/Float promotion.
@@ -337,7 +346,9 @@ func Abs(a Datum) (Datum, error) {
 }
 
 // Hash returns a 64-bit hash of the datum, used by hash joins and hash
-// aggregation. Int and Float datums that compare equal hash equally.
+// aggregation. Equal datums hash equally: a number hashes the order word of
+// its float64 image, which 1 and 1.0 share, as do -0.0 and +0.0 and every
+// NaN.
 func (d Datum) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -355,8 +366,7 @@ func (d Datum) Hash() uint64 {
 			mix(byte(v >> s))
 		}
 	case Int, Float:
-		// Hash the float64 image so 1 and 1.0 collide (they compare equal).
-		v := math.Float64bits(d.Float())
+		v := OrderWordFloat(d.Float())
 		mix(1)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(v >> s))
@@ -368,6 +378,26 @@ func (d Datum) Hash() uint64 {
 		}
 	}
 	return h
+}
+
+// canonicalNaN is the bits of the one NaN every NaN keys as.
+var canonicalNaN = int64(math.Float64bits(math.NaN()))
+
+// Key returns the datum that stands for d's class under Equal: Go's == on
+// keys — and so a map keyed by them — is Equal on the datums. A FLOAT
+// holding an integer in int64's range keys as that INTEGER (-0.0 as 0), and
+// every NaN as one NaN; every other datum is its own key.
+func (d Datum) Key() Datum {
+	if d.typ != Float {
+		return d
+	}
+	switch f := d.Float(); {
+	case f != f:
+		return Datum{typ: Float, i: canonicalNaN}
+	case f >= -1<<63 && f < 1<<63 && f == math.Trunc(f):
+		return NewInt(int64(f))
+	}
+	return d
 }
 
 // Equal reports whether two datums are identical for grouping purposes

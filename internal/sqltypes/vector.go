@@ -12,9 +12,10 @@ import (
 // bitmap) so hot loops can run over raw machine values, and a Batch is a run
 // of rows held as such columns — the unit a scan hands to the operators above
 // it; OrderWords turns a fixed-width column into uint64 words whose unsigned
-// order is the column's sort order, so sorts over INTEGER/DATE/BOOLEAN/FLOAT
-// keys compare machine words; and EncodeKey produces memcomparable byte
-// strings for the keys that have no fixed width (VARCHAR).
+// order is the column's order under Compare, so sorts over
+// INTEGER/DATE/BOOLEAN/FLOAT keys — an INTEGER/FLOAT mix too — compare
+// machine words; and AppendKey produces memcomparable byte strings in the
+// same order for the keys that have no fixed width (VARCHAR).
 
 // NullBitmap records which positions of a column are SQL NULL. The zero
 // value is an empty bitmap; it grows as positions are set.
@@ -65,19 +66,16 @@ func (b *NullBitmap) Words() []uint64 {
 // shares one type the values sit in the typed slice of that type — NaN and
 // -0.0 bit for bit — with NULLs in the bitmap holding a zero slot, so
 // positions stay aligned; a value of a second type moves the whole column
-// into boxed datums. Valid tells the ordering and aggregate code whether the
-// typed view is usable: not for a boxed column, and not for a float column
-// holding a NaN, whose order under Compare is no total order. Datum reads
-// every position back whatever the state.
+// into boxed datums (Mixed). Datum reads every position back whatever the
+// state.
 type ColVec struct {
 	// Typ is the element type: Bool, Int, Float, String or Date once a
 	// non-NULL value has been seen; Null while the column is empty or
 	// all-NULL. Bool and Date store their int64 payloads under their own Typ.
 	Typ Type
-	// mixed: the column holds values of two types, boxed. nan: a typed
-	// float column holds a NaN. Beside Typ, which the record kernel reads
-	// with mixed for every value.
-	mixed, nan bool
+	// mixed: the column holds values of two types, boxed. Beside Typ,
+	// which the record kernel reads with it for every value.
+	mixed bool
 	// Ints / Floats / Strs hold the payloads; only the slice matching Typ is
 	// populated, and none once the column is boxed.
 	Ints   []int64
@@ -100,15 +98,11 @@ func (v *ColVec) Reset(n int) {
 	v.boxed = v.boxed[:0]
 	v.Nulls.Reset(n)
 	v.n, v.hint = 0, n
-	v.mixed, v.nan = false, false
+	v.mixed = false
 }
 
 // Len returns the number of appended positions.
 func (v *ColVec) Len() int { return v.n }
-
-// Valid reports whether the typed views are usable: every non-NULL value
-// shared one type and no float was NaN.
-func (v *ColVec) Valid() bool { return !v.mixed && !v.nan }
 
 // Mixed reports whether the column holds non-NULL values of more than one
 // type, which it keeps boxed.
@@ -154,7 +148,6 @@ func (v *ColVec) appendInt(t Type, x int64) {
 func (v *ColVec) appendFloat(f float64) {
 	if (v.Typ == Float && !v.mixed) || v.settle(Float) {
 		v.Floats = append(v.Floats, f)
-		v.nan = v.nan || f != f
 	} else {
 		v.boxed = append(v.boxed, NewFloat(f))
 	}
@@ -231,8 +224,7 @@ func at(pos []int, j int) int {
 
 // AppendSel appends src's values at the positions pos — every position of
 // src when pos is nil — with the result Append would give one by one: a
-// type mix boxes, a NaN among the appended values (and only then)
-// invalidates.
+// type mix boxes.
 func (v *ColVec) AppendSel(src *ColVec, pos []int) {
 	k := len(pos)
 	if pos == nil {
@@ -253,9 +245,6 @@ func (v *ColVec) AppendSel(src *ColVec, pos []int) {
 		v.pad(k)
 	case v.Typ == Float:
 		v.Floats = gather(v.Floats, src.Floats, pos)
-		if src.nan && !v.nan {
-			v.nan = slices.ContainsFunc(v.Floats[len(v.Floats)-k:], math.IsNaN)
-		}
 	case v.Typ == String:
 		v.Strs = gather(v.Strs, src.Strs, pos)
 	default:
@@ -367,11 +356,25 @@ func (v *ColVec) MemSize() int64 {
 	return n
 }
 
-// FixedWidth reports whether every position is NULL or one value of a single
-// fixed-width type (INTEGER, DATE, BOOLEAN, or NaN-free FLOAT) — the columns
-// OrderWords can turn into comparable machine words. VARCHAR columns and
-// invalid vectors (a type mix, a NaN) are not.
-func (v *ColVec) FixedWidth() bool { return v.Valid() && v.Typ != String }
+// CheckOrder returns the error Compare raises between two of the column's
+// values, or nil when Compare orders them all: when the column holds one
+// type, or mixes INTEGER and FLOAT only.
+func (v *ColVec) CheckOrder() error {
+	if !v.mixed {
+		return nil
+	}
+	first := Null
+	for _, d := range v.boxed {
+		switch {
+		case d.typ == Null || d.typ == first:
+		case first == Null:
+			first = d.typ
+		case !Comparable(first, d.typ):
+			return mismatch("compare", Datum{typ: first}, d)
+		}
+	}
+	return nil
+}
 
 // Gather resets v to src's values at the given positions, in that order: the
 // contiguous per-partition slice of a column the window kernels run over.
@@ -432,9 +435,12 @@ func AppendRows(dst []Row, cols []ColVec, width int, pos []int) []Row {
 	return dst
 }
 
-// EqualAt reports whether positions i and j hold Compare-equal values (NULL
-// equals NULL, -0.0 equals +0.0). Valid only while the vector is Valid.
+// EqualAt reports whether positions i and j hold Equal values (NULL equals
+// NULL, -0.0 equals +0.0, a NaN equals a NaN).
 func (v *ColVec) EqualAt(i, j int) bool {
+	if v.mixed {
+		return Equal(v.boxed[i], v.boxed[j])
+	}
 	if v.Nulls.any {
 		if ni, nj := v.Nulls.Get(i), v.Nulls.Get(j); ni || nj {
 			return ni && nj
@@ -444,7 +450,7 @@ func (v *ColVec) EqualAt(i, j int) bool {
 	case Int, Bool, Date:
 		return v.Ints[i] == v.Ints[j]
 	case Float:
-		return v.Floats[i] == v.Floats[j]
+		return Order(v.Floats[i], v.Floats[j]) == 0
 	case String:
 		return v.Strs[i] == v.Strs[j]
 	default:
@@ -453,46 +459,57 @@ func (v *ColVec) EqualAt(i, j int) bool {
 }
 
 // OrderWords writes the order words of the positions pos into dst, position
-// j's at dst[j*stride:], and returns how many words a position takes: one —
-// a uint64 whose unsigned order is the value's sort order under Compare,
-// reversed when desc — for a column without NULLs, two for a column with
-// them: a placement word that ranks NULLs after every value when nullsLast
-// and before otherwise, then the value word (zero for a NULL). The vector
-// must be FixedWidth.
+// j's at dst[j*stride:], and returns how many words a position takes. The
+// value words' unsigned order is the values' order under Compare, reversed
+// when desc: one word for a column of one type, two for a column that mixes
+// INTEGER and FLOAT — the float image's, then the residual's (see
+// Datum.Residual). A column with NULLs puts a placement word before them that
+// ranks NULLs after every value when nullsLast and before otherwise, a NULL's
+// value words being zero. The column must not be VARCHAR, and a mixed one
+// must pass CheckOrder.
 func (v *ColVec) OrderWords(pos []int, desc, nullsLast bool, dst []uint64, stride int) int {
 	var flip uint64
 	if desc {
 		flip = ^uint64(0)
 	}
-	val := 0 // the value word's offset within a position's words
+	val, words := 0, 1 // the value words' offset within a position's, and their count
 	if v.Nulls.any {
 		val = 1
 	}
-	switch v.Typ {
-	case Int, Bool, Date:
+	switch {
+	case v.mixed:
+		words = 2
 		for j, p := range pos {
-			dst[j*stride+val] = OrderWordInt(v.Ints[p]) ^ flip
+			d := &v.boxed[p]
+			dst[j*stride+val] = OrderWordFloat(d.Float()) ^ flip
+			dst[j*stride+val+1] = OrderWordInt(d.Residual()) ^ flip
 		}
-	case Float:
+	case v.Typ == Float:
 		for j, p := range pos {
 			dst[j*stride+val] = OrderWordFloat(v.Floats[p]) ^ flip
 		}
+	case v.Typ != Null:
+		for j, p := range pos {
+			dst[j*stride+val] = OrderWordInt(v.Ints[p]) ^ flip
+		}
 	}
 	if val == 0 {
-		return 1
+		return words
 	}
 	nullRank, valRank := uint64(0), uint64(1)
 	if nullsLast {
 		nullRank, valRank = 1, 0
 	}
 	for j, p := range pos {
+		rec := dst[j*stride : j*stride+1+words]
 		if v.Nulls.Get(p) {
-			dst[j*stride], dst[j*stride+1] = nullRank, 0
+			rec[0] = nullRank
+			clear(rec[1:])
 		} else {
-			dst[j*stride] = valRank
+			rec[0] = valRank
 		}
 	}
-	return 2
+	return 1 + words
 }
 
 // OrderWordInt maps an int64 payload (INTEGER, DATE, BOOLEAN) onto a uint64
@@ -500,11 +517,14 @@ func (v *ColVec) OrderWords(pos []int, desc, nullsLast bool, dst []uint64, strid
 // math.MinInt64 and math.MaxInt64 order correctly.
 func OrderWordInt(i int64) uint64 { return uint64(i) ^ (1 << 63) }
 
-// OrderWordFloat maps a non-NaN float64 onto a uint64 whose unsigned order
-// is the numeric order. -0.0 maps to the word of +0.0: Compare treats them
-// as equal, so they must tie.
+// OrderWordFloat maps a float64 onto a uint64 whose unsigned order is its
+// order under Compare: -0.0 maps to the word of +0.0, and every NaN to one
+// word above +Inf's.
 func OrderWordFloat(f float64) uint64 {
-	if f == 0 {
+	switch {
+	case f != f:
+		return math.MaxUint64
+	case f == 0:
 		f = 0 // normalize -0.0 to +0.0
 	}
 	bits := math.Float64bits(f)
@@ -520,7 +540,7 @@ func OrderWordFloat(f float64) uint64 {
 
 // Key-encoding tags. NULL gets the smallest tag so it sorts before every
 // non-NULL value, matching Compare; DESC inverts the whole segment, which
-// flips NULLs to the end, matching a reversed comparator.
+// flips NULLs to the end, matching Compare negated.
 const (
 	keyTagNull    byte = 0x00
 	keyTagValue   byte = 0x01
@@ -532,17 +552,13 @@ const (
 )
 
 // EncodeKey appends an order-preserving encoding of d to dst and returns the
-// extended slice: for two datums a, b of one comparable column,
+// extended slice: for two datums a, b of one type,
 // bytes.Compare(EncodeKey(nil, a, desc), EncodeKey(nil, b, desc)) has the
 // same sign as Compare(a, b) (negated under desc), and encodings are equal
-// exactly when Compare reports 0. The caller guarantees column homogeneity —
-// a single non-NULL type per column, no NaN floats, no Int/Float mixing —
-// which is what makes a bytewise total order agree with Compare (mixed
-// numeric columns compare Int pairs exactly but cross pairs via float64, an
-// ordering no single encoding can reproduce). -0.0 encodes as +0.0 so the
-// pair stays a tie and stable sorts preserve input order, as the comparator
-// path does. Strings are escaped and terminated so a later key segment can
-// follow without breaking prefix ordering.
+// exactly when Compare reports 0. A column's values are encoded by
+// ColVec.AppendKey, which orders a wider INTEGER/FLOAT mix exactly too.
+// Strings are escaped and terminated so a later key segment can follow
+// without breaking prefix ordering.
 func EncodeKey(dst []byte, d Datum, desc bool) []byte {
 	return EncodeKeyNulls(dst, d, desc, desc)
 }
@@ -551,12 +567,26 @@ func EncodeKey(dst []byte, d Datum, desc bool) []byte {
 // positions NULL segments after every non-NULL value of the column in the
 // final (post-DESC-inversion) order, nullsLast=false before. EncodeKey's
 // default is nullsLast = desc, the placement Compare plus a DESC negation
-// induces. The comparator fallback (exec's compareKeyDatums) applies the same
-// absolute placement, so both sort paths stay bit-identical.
+// induces.
 func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
+	return appendKey(dst, d, false, desc, nullsLast)
+}
+
+// AppendKey appends position i's memcomparable key to dst: the bytes of its
+// order words (OrderWords), or its escaped string in a VARCHAR column, so
+// that bytes.Compare orders the keys of one column as Compare orders its
+// values.
+func (v *ColVec) AppendKey(dst []byte, i int, desc, nullsLast bool) []byte {
+	return appendKey(dst, v.Datum(i), v.mixed, desc, nullsLast)
+}
+
+// appendKey is EncodeKeyNulls for a datum of a column that mixes INTEGER and
+// FLOAT when mixed is set: a number then encodes as its float image's word
+// and its residual's.
+func appendKey(dst []byte, d Datum, mixed, desc, nullsLast bool) []byte {
 	start := len(dst)
-	switch d.typ {
-	case Null:
+	switch {
+	case d.typ == Null:
 		// The tag is chosen pre-inversion so the post-inversion position is
 		// the requested one: under desc the whole segment is bit-flipped,
 		// turning a low tag into a high one and vice versa.
@@ -565,13 +595,14 @@ func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
 		} else {
 			dst = append(dst, keyTagNull)
 		}
-	case Int, Bool, Date:
-		dst = append(dst, keyTagValue)
-		dst = binary.BigEndian.AppendUint64(dst, OrderWordInt(d.i))
-	case Float:
+	case mixed && d.typ.Numeric():
 		dst = append(dst, keyTagValue)
 		dst = binary.BigEndian.AppendUint64(dst, OrderWordFloat(d.Float()))
-	case String:
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordInt(d.Residual()))
+	case d.typ == Float:
+		dst = append(dst, keyTagValue)
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordFloat(d.Float()))
+	case d.typ == String:
 		dst = append(dst, keyTagValue)
 		s := d.s
 		for i := 0; i < len(s); i++ {
@@ -582,6 +613,9 @@ func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
 			}
 		}
 		dst = append(dst, keyStrTermLo, keyStrTermHi)
+	default: // INTEGER, DATE, BOOLEAN
+		dst = append(dst, keyTagValue)
+		dst = binary.BigEndian.AppendUint64(dst, OrderWordInt(d.i))
 	}
 	if desc {
 		for i := start; i < len(dst); i++ {

@@ -32,7 +32,8 @@ func TestEncodeKeyAgreesWithCompare(t *testing.T) {
 		"float": func() Datum { return NewFloat((rng.Float64() - 0.5) * 1e6) },
 		"float-edge": func() Datum {
 			return []Datum{NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)),
-				NewFloat(math.Inf(-1)), NewFloat(1e-300), NewFloat(-1e-300)}[rng.Intn(6)]
+				NewFloat(math.Inf(-1)), NewFloat(1e-300), NewFloat(-1e-300), NewFloat(math.NaN()),
+				NewFloat(-math.NaN())}[rng.Intn(8)]
 		},
 		"string": func() Datum {
 			b := make([]byte, rng.Intn(6))
@@ -118,8 +119,8 @@ func TestColVecTyped(t *testing.T) {
 	for _, d := range []Datum{NewInt(3), NullDatum, NewInt(-7), NewInt(0)} {
 		v.Append(d)
 	}
-	if !v.Valid() || v.Typ != Int || v.Len() != 4 {
-		t.Fatalf("vector state: valid=%v typ=%v len=%d", v.Valid(), v.Typ, v.Len())
+	if v.Mixed() || v.Typ != Int || v.Len() != 4 {
+		t.Fatalf("vector state: mixed=%v typ=%v len=%d", v.Mixed(), v.Typ, v.Len())
 	}
 	if !v.Nulls.Get(1) || v.Nulls.Get(0) || !v.Nulls.Any() {
 		t.Fatalf("null bitmap wrong")
@@ -140,8 +141,8 @@ func TestColVecLeadingNullBackfill(t *testing.T) {
 	v.Append(NullDatum)
 	v.Append(NullDatum)
 	v.Append(NewFloat(1.5))
-	if !v.Valid() || v.Typ != Float {
-		t.Fatalf("state: valid=%v typ=%v", v.Valid(), v.Typ)
+	if v.Mixed() || v.Typ != Float {
+		t.Fatalf("state: mixed=%v typ=%v", v.Mixed(), v.Typ)
 	}
 	if len(v.Floats) != 3 || v.Floats[2] != 1.5 {
 		t.Fatalf("backfill failed: %v", v.Floats)
@@ -150,12 +151,13 @@ func TestColVecLeadingNullBackfill(t *testing.T) {
 
 func TestColVecInvalidation(t *testing.T) {
 	cases := []struct {
-		name string
-		ds   []Datum
+		name  string
+		ds    []Datum
+		mixed bool
 	}{
-		{"int-then-float", []Datum{NewInt(1), NewFloat(2.5)}},
-		{"float-then-string", []Datum{NewFloat(1), NewString("x")}},
-		{"nan", []Datum{NewFloat(1), NewFloat(math.NaN())}},
+		{"int-then-float", []Datum{NewInt(1), NewFloat(2.5)}, true},
+		{"float-then-string", []Datum{NewFloat(1), NewString("x")}, true},
+		{"nan", []Datum{NewFloat(1), NewFloat(math.NaN())}, false}, // a NaN is a FLOAT like any other
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -164,8 +166,8 @@ func TestColVecInvalidation(t *testing.T) {
 			for _, d := range c.ds {
 				v.Append(d)
 			}
-			if v.Valid() {
-				t.Fatalf("vector should be invalid")
+			if v.Mixed() != c.mixed {
+				t.Fatalf("Mixed() = %v want %v", v.Mixed(), c.mixed)
 			}
 			if v.Len() != len(c.ds) {
 				t.Fatalf("Len = %d want %d", v.Len(), len(c.ds))
@@ -185,8 +187,7 @@ func TestComparable(t *testing.T) {
 
 // TestColVecAppendSelIsAppend: appending a source's positions in one call
 // leaves a vector exactly as appending their datums one by one does — the
-// same values bit for bit (NaN payloads, -0.0), NULLs, type, Valid and
-// Mixed — whatever state source and destination are in, and Datum reads
+// same values bit for bit (NaN payloads, -0.0), NULLs, type and Mixed — whatever state source and destination are in, and Datum reads
 // every value back.
 func TestColVecAppendSelIsAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -246,9 +247,9 @@ func TestColVecAppendSelIsAppend(t *testing.T) {
 				t.Fatalf("trial %d: source position %d reads %v, appended %v", trial, p, src.Datum(p), srcVals[p])
 			}
 		}
-		if got.Len() != want.Len() || got.Valid() != want.Valid() || got.Mixed() != want.Mixed() || got.Typ != want.Typ {
-			t.Fatalf("trial %d: AppendSel gives len %d valid %v mixed %v typ %v, Append %d %v %v %v",
-				trial, got.Len(), got.Valid(), got.Mixed(), got.Typ, want.Len(), want.Valid(), want.Mixed(), want.Typ)
+		if got.Len() != want.Len() || got.Mixed() != want.Mixed() || got.Typ != want.Typ {
+			t.Fatalf("trial %d: AppendSel gives len %d mixed %v typ %v, Append %d %v %v",
+				trial, got.Len(), got.Mixed(), got.Typ, want.Len(), want.Mixed(), want.Typ)
 		}
 		for i := 0; i < got.Len(); i++ {
 			if bits(got.Datum(i)) != bits(want.Datum(i)) {
