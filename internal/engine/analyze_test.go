@@ -142,6 +142,24 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 				"Derive view=matseq algo=MinOA Δl=-1 Δh=0 Wx=4 parts=1 rows=23 slots=23 (rows=20 time="},
 		},
 		{
+			// A partitioned query need not select its partition column: the
+			// Derive operator partitions by the view's.
+			name: "exact-unselected-partition",
+			build: func(t *testing.T) *Engine {
+				e := newEngine(t)
+				mustExec(t, e, `CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`)
+				mustExec(t, e, `INSERT INTO pt VALUES ('a', 1, 1), ('a', 2, 2), ('a', 3, 3), ('b', 1, 7), ('b', 2, 9)`)
+				mustExec(t, e, `CREATE MATERIALIZED VIEW pv AS
+				  SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM pt`)
+				return e
+			},
+			query:    `SELECT pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM pt`,
+			strategy: "exact",
+			want: []string{"-- strategy: exact view=pv Δl=0 Δh=0 wx=3\n",
+				"-- rewritten: DERIVE pos, w AS SUM (1,1) FROM pv (1,1) BY exact\n",
+				"Derive view=pv algo=exact Δl=0 Δh=0 Wx=3 parts=2 ", "(rows=5 time="},
+		},
+		{
 			// §3.1: a sliding window from a cumulative view is labeled by the
 			// algorithm that runs, not by a SQL pattern's name.
 			name: "cumulative",

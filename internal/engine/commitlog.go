@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -14,27 +15,28 @@ import (
 // DML statements are never logged as SQL: a transaction's effects hit the log
 // as one record, at commit, so recovery replays exactly the committed work —
 // a transaction killed mid-flight left nothing in the log and is invisible
-// after replay. The record rides the existing SQL-record transport, prefixed
-// with a marker no parsable statement can start with; the payload is the
-// transaction's delta list, values in the snapshot's bit-exact datum form
-// (sqltypes.JSONDatum), so replayed rows are byte-identical to the
-// originals.
+// after replay. The record rides the SQL-record transport, opened by
+// CommitFormat and a space, which no parsable statement can start with. The
+// payload is the transaction's delta list as JSON, each row list a byte
+// field in the heap's row codec (sqltypes.EncodeRows), so replayed rows are
+// bit-identical to the originals.
 
-// commitMarker prefixes every commit record in the log.
-const commitMarker = "--txn-commit:v1 "
+// CommitFormat opens every commit record this engine writes, and is the only
+// commit-record format it replays; an earlier format differs in its version.
+const CommitFormat = "--txn-commit:v2"
 
 // IsCommitRecord reports whether a logged record is a transaction commit
-// record rather than a SQL statement.
-func IsCommitRecord(sql string) bool { return strings.HasPrefix(sql, commitMarker) }
+// record, of this format or an earlier one, rather than a SQL statement.
+func IsCommitRecord(sql string) bool { return strings.HasPrefix(sql, "--txn-commit:") }
 
 // logDelta is one table's worth of a transaction's effects.
 type logDelta struct {
-	Table  string                 `json:"table"`
-	Kind   int                    `json:"kind"` // txn.DeltaKind
-	Cols   []string               `json:"cols,omitempty"`
-	Rows   [][]sqltypes.JSONDatum `json:"rows,omitempty"`
-	Before [][]sqltypes.JSONDatum `json:"before,omitempty"`
-	After  [][]sqltypes.JSONDatum `json:"after,omitempty"`
+	Table  string   `json:"table"`
+	Kind   int      `json:"kind"` // txn.DeltaKind
+	Cols   []string `json:"cols,omitempty"`
+	Rows   []byte   `json:"rows,omitempty"`
+	Before []byte   `json:"before,omitempty"`
+	After  []byte   `json:"after,omitempty"`
 }
 
 // encodeCommitRecord renders a transaction's deltas as one log record.
@@ -45,36 +47,36 @@ func encodeCommitRecord(deltas []txn.Delta) (string, error) {
 			Table:  d.Table,
 			Kind:   int(d.Kind),
 			Cols:   d.Cols,
-			Rows:   sqltypes.RowsToJSON(d.Rows),
-			Before: sqltypes.RowsToJSON(d.Before),
-			After:  sqltypes.RowsToJSON(d.After),
+			Rows:   sqltypes.EncodeRows(nil, d.Rows...),
+			Before: sqltypes.EncodeRows(nil, d.Before...),
+			After:  sqltypes.EncodeRows(nil, d.After...),
 		}
 	}
 	payload, err := json.Marshal(enc)
 	if err != nil {
 		return "", fmt.Errorf("encode commit record: %w", err)
 	}
-	return commitMarker + string(payload), nil
+	return CommitFormat + " " + string(payload), nil
 }
 
 func decodeCommitRecord(sql string) ([]txn.Delta, error) {
-	if !IsCommitRecord(sql) {
-		return nil, fmt.Errorf("not a commit record")
+	format, payload, _ := strings.Cut(sql, " ")
+	if format != CommitFormat {
+		return nil, fmt.Errorf("commit record format %q, want %q", format, CommitFormat)
 	}
 	var enc []logDelta
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(sql, commitMarker)), &enc); err != nil {
+	if err := json.Unmarshal([]byte(payload), &enc); err != nil {
 		return nil, fmt.Errorf("decode commit record: %w", err)
 	}
 	out := make([]txn.Delta, len(enc))
 	for i, d := range enc {
-		out[i] = txn.Delta{
-			Table:  d.Table,
-			Kind:   txn.DeltaKind(d.Kind),
-			Cols:   d.Cols,
-			Rows:   sqltypes.RowsFromJSON(d.Rows),
-			Before: sqltypes.RowsFromJSON(d.Before),
-			After:  sqltypes.RowsFromJSON(d.After),
+		rows, err1 := sqltypes.DecodeRows(d.Rows)
+		before, err2 := sqltypes.DecodeRows(d.Before)
+		after, err3 := sqltypes.DecodeRows(d.After)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return nil, fmt.Errorf("decode commit record: %s: %w", d.Table, err)
 		}
+		out[i] = txn.Delta{Table: d.Table, Kind: txn.DeltaKind(d.Kind), Cols: d.Cols, Rows: rows, Before: before, After: after}
 	}
 	return out, nil
 }

@@ -32,12 +32,14 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 			Rows: []sqltypes.Row{
 				{sqltypes.NewInt(-7), sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewString(""), sqltypes.NullDatum, sqltypes.NewBool(true)},
 				{sqltypes.NewInt(1 << 62), sqltypes.NewFloat(math.NaN()), sqltypes.NewString("x\ny\x00z"), sqltypes.NewDate(19000), sqltypes.NewBool(false)},
+				{sqltypes.NewInt(math.MinInt64), sqltypes.NewFloat(math.Inf(-1)), sqltypes.NullDatum, sqltypes.NewDate(-719162), sqltypes.NullDatum},
+				{sqltypes.NewInt(math.MaxInt64), sqltypes.NewFloat(0x1p63), sqltypes.NewString(""), sqltypes.NullDatum, sqltypes.NewBool(true)},
 			},
 		},
 		{
 			Table: "t2", Kind: txn.DeltaUpdate, Cols: []string{"a"},
-			Before: []sqltypes.Row{{sqltypes.NewFloat(1.5)}},
-			After:  []sqltypes.Row{{sqltypes.NewFloat(2.5)}},
+			Before: []sqltypes.Row{{sqltypes.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))}, {sqltypes.NewFloat(-0x1p63)}},
+			After:  []sqltypes.Row{{sqltypes.NewFloat(math.Inf(1))}, {sqltypes.NewFloat(2.5)}},
 		},
 		{
 			Table: "t2", Kind: txn.DeltaDelete, Cols: []string{"a"},
@@ -87,8 +89,13 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 			t.Fatalf("%q misclassified as commit record", sql)
 		}
 	}
-	if _, err := decodeCommitRecord(commitMarker + "{not json"); err == nil {
-		t.Fatal("corrupt payload decoded without error")
+	for _, bad := range []string{
+		CommitFormat + " {not json",
+		CommitFormat + ` [{"table":"t","kind":0,"rows":"BQIG"}]`, // a row list cut short
+	} {
+		if _, err := decodeCommitRecord(bad); err == nil {
+			t.Fatalf("corrupt payload %q decoded without error", bad)
+		}
 	}
 }
 
@@ -142,37 +149,16 @@ func TestApplyCommitRecord(t *testing.T) {
 	}
 }
 
-// TestCommitRecordEarlierForm replays a commit record in the form the log
-// held before snapshots and commit records shared one datum codec, which
-// wrote an empty string's "s" field out: it still decodes to the same rows.
+// TestCommitRecordEarlierForm: a record in the form the log held before
+// commit records carried rows in the row codec — JSON datums behind the v1
+// marker — is still a commit record, never SQL, but does not decode: the
+// error names the format found.
 func TestCommitRecordEarlierForm(t *testing.T) {
-	const rec = `--txn-commit:v1 [{"table":"t","kind":0,"cols":["a","b","c","d","e","f"],` +
-		`"rows":[[{"t":2,"i":-7},{"t":3,"f":9223372036854775808},{"t":4,"s":""},{"t":0},{"t":1,"i":1},{"t":5,"i":19000}]]},` +
-		`{"table":"t","kind":1,"cols":["a"],"before":[[{"t":3,"f":9221120237041090561}]],"after":[[{"t":4,"s":"x"}]]}]`
-	got, err := decodeCommitRecord(rec)
-	if err != nil {
-		t.Fatal(err)
+	const rec = `--txn-commit:v1 [{"table":"t","kind":0,"cols":["a"],"rows":[[{"t":2,"i":-7}]]}]`
+	if !IsCommitRecord(rec) {
+		t.Fatal("a v1 commit record is not recognized as a commit record")
 	}
-	want := []txn.Delta{
-		{Table: "t", Kind: txn.DeltaInsert, Rows: []sqltypes.Row{{sqltypes.NewInt(-7), sqltypes.NewFloat(math.Copysign(0, -1)),
-			sqltypes.NewString(""), sqltypes.NullDatum, sqltypes.NewBool(true), sqltypes.NewDate(19000)}}},
-		{Table: "t", Kind: txn.DeltaUpdate, Before: []sqltypes.Row{{sqltypes.NewFloat(math.Float64frombits(9221120237041090561))}},
-			After: []sqltypes.Row{{sqltypes.NewString("x")}}},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d deltas, want %d", len(got), len(want))
-	}
-	for i, d := range want {
-		g := got[i]
-		for _, pair := range [][2][]sqltypes.Row{{d.Rows, g.Rows}, {d.Before, g.Before}, {d.After, g.After}} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("delta %d: %d rows, want %d", i, len(pair[1]), len(pair[0]))
-			}
-			for r := range pair[0] {
-				if !rowIdentical(pair[0][r], pair[1][r]) {
-					t.Fatalf("delta %d row %d: got %v, want %v", i, r, pair[1][r], pair[0][r])
-				}
-			}
-		}
+	if _, err := decodeCommitRecord(rec); err == nil || !strings.Contains(err.Error(), `"--txn-commit:v1"`) {
+		t.Fatalf("a v1 commit record decoded: %v", err)
 	}
 }

@@ -104,8 +104,10 @@ func pickView(candidates []*catalog.MatView, target core.Window) (*catalog.MatVi
 	return best, bestAlgo
 }
 
-// plainColsMatch checks the non-window select items are exactly the
-// position column (and, for partitioned queries, the partition column).
+// plainColsMatch checks the non-window select items are the position
+// column and, for partitioned queries, at most the partition column: the
+// Derive operator partitions by the view's column whether or not the query
+// selects it.
 func plainColsMatch(wq *WindowQuery, partCol string) bool {
 	sawPos, sawPart := false, false
 	for _, c := range wq.PlainCols {
@@ -118,7 +120,7 @@ func plainColsMatch(wq *WindowQuery, partCol string) bool {
 			return false
 		}
 	}
-	return sawPos && (partCol == "" || sawPart)
+	return sawPos
 }
 
 // deriveColumns are the query's output columns in select-list order: the

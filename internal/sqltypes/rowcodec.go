@@ -6,8 +6,9 @@ import (
 	"math"
 )
 
-// Row value codec for heap records and the spill layer: a compact,
-// self-delimiting encoding of a whole row. Unlike EncodeKey this encoding is
+// Row value codec for heap records, the spill layer, and the rows of commit
+// records and snapshots (EncodeRows): the one encoding a row has on disk, a
+// compact, self-delimiting encoding of a whole row. Unlike EncodeKey this encoding is
 // not order-preserving — it only needs to round-trip exactly, so every datum
 // decodes back to a value Equal (and bit-identical for floats, NaN included)
 // to the original.
@@ -66,6 +67,41 @@ func DecodeRowData(data []byte) (Row, error) {
 		}
 	}
 	return row, rowEnd(data, off)
+}
+
+// EncodeRows appends rows to dst as a row list — each row a uvarint length,
+// then its EncodeRowData bytes — and returns the extended slice. Commit
+// records and snapshots carry rows in this form.
+func EncodeRows(dst []byte, rows ...Row) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	for _, r := range rows {
+		start := len(dst)
+		dst = EncodeRowData(dst, r)
+		k := binary.PutUvarint(hdr[:], uint64(len(dst)-start))
+		dst = append(dst, hdr[:k]...)
+		copy(dst[start+k:], dst[start:len(dst)-k])
+		copy(dst[start:], hdr[:k])
+	}
+	return dst
+}
+
+// DecodeRows decodes a row list EncodeRows wrote. Every length is checked
+// against the bytes left and every row against DecodeRowData, so corrupt
+// input is an error, never a panic.
+func DecodeRows(data []byte) ([]Row, error) {
+	var rows []Row
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) {
+			return nil, fmt.Errorf("sqltypes: corrupt row list (length of row %d)", len(rows))
+		}
+		row, err := DecodeRowData(data[k : k+int(n)])
+		if err != nil {
+			return nil, fmt.Errorf("row %d: %w", len(rows), err)
+		}
+		rows, data = append(rows, row), data[k+int(n):]
+	}
+	return rows, nil
 }
 
 // RowWidth returns the column count of the row encoded in data, or 0 when

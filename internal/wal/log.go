@@ -305,11 +305,16 @@ func listSegments(dataDir string) ([]segment, error) {
 // segments, in order, applying the torn-tail rule: reading stops — without
 // error — at the first incomplete or corrupt record, and every later segment
 // is ignored (records after a tear are not trustworthy even if their CRCs
-// pass, because the sequence has a hole).
+// pass, because the sequence has a hole). A log that does not continue from
+// afterLSN — its oldest segment or first record past afterLSN+1 — is a
+// GapError.
 func ReadTail(dataDir string, afterLSN uint64) ([]Record, error) {
 	segs, err := listSegments(dataDir)
 	if err != nil {
 		return nil, err
+	}
+	if len(segs) > 0 && segs[0].firstLSN > afterLSN+1 {
+		return nil, &GapError{SnapshotLSN: afterLSN, FirstLSN: segs[0].firstLSN}
 	}
 	var out []Record
 	for _, s := range segs {
@@ -325,6 +330,9 @@ func ReadTail(dataDir string, afterLSN uint64) ([]Record, error) {
 		recs, _, ok := readRecords(body)
 		for _, r := range recs {
 			if r.LSN > afterLSN {
+				if len(out) == 0 && r.LSN != afterLSN+1 {
+					return nil, &GapError{SnapshotLSN: afterLSN, FirstLSN: r.LSN}
+				}
 				out = append(out, r)
 			}
 		}

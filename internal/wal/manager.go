@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,10 +35,12 @@ type RecoveryStats struct {
 	SnapshotLSN uint64
 	// RecordsReplayed counts WAL records replayed after the snapshot.
 	RecordsReplayed int
-	// ReplayErrors counts replayed statements that returned an error. The
+	// ReplayErrors counts replayed SQL records that returned an error. The
 	// engine is deterministic, so these are statements that failed the same
 	// way before the crash (and were logged under the log-before-apply
-	// rule); they change nothing on replay either.
+	// rule); they change nothing on replay either. A commit record is
+	// written only for a committed transaction, so one that fails to replay
+	// fails Open instead.
 	ReplayErrors int
 	// Fresh reports a brand-new data directory: no snapshot, no records.
 	Fresh bool
@@ -65,10 +68,40 @@ type Manager struct {
 	closeErr  error
 }
 
+// FormatError is a snapshot or log record in a format this version does not
+// read: the data directory was written by an earlier rfview, before rows on
+// disk had one encoding. Open refuses the directory and leaves it as it was.
+type FormatError struct {
+	Where string // the snapshot's file name, or "log record <LSN>"
+	Found string // the format found: a snapshot magic or a commit-record marker
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("wal: %s is in format %s, which this version does not read (it reads %s snapshots and %s commit records): "+
+		"the data directory was written by an earlier rfview", e.Where, e.Found, snapMagic, engine.CommitFormat)
+}
+
+// GapError is a log that does not continue from the snapshot recovery
+// loaded: its oldest record is past the snapshot's LSN + 1. The records in
+// between were truncated behind a newer snapshot that no longer loads, and
+// replaying around them would lose them.
+type GapError struct {
+	SnapshotLSN uint64 // the loaded snapshot's LSN, 0 when none loaded
+	FirstLSN    uint64 // the oldest LSN the log still holds
+}
+
+func (e *GapError) Error() string {
+	return fmt.Sprintf("wal: the log starts at record %d, but the newest snapshot that loads covers records through %d: records %d to %d are lost",
+		e.FirstLSN, e.SnapshotLSN, e.SnapshotLSN+1, e.FirstLSN-1)
+}
+
 // Open recovers (or initializes) an engine from the data directory: load
 // the newest valid snapshot, replay the WAL tail through the normal exec
 // path, take a recovery-ending checkpoint, and attach the write-ahead hooks.
-// The returned manager owns the engine; use Engine to reach it.
+// The returned manager owns the engine; use Engine to reach it. A directory
+// Open cannot recover — a FormatError, a GapError, a commit record that does
+// not replay — fails before the log is opened for append, leaving the
+// directory as it was, and the engine built for it is closed.
 func Open(opts Options, engOpts engine.Options) (*Manager, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: Options.Dir is required")
@@ -76,34 +109,50 @@ func Open(opts Options, engOpts engine.Options) (*Manager, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	eng := engine.New(engOpts)
-	m := &Manager{opts: opts, eng: eng}
-
 	snap, _, err := loadNewestSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	var afterLSN uint64
 	if snap != nil {
-		if err := restoreState(eng, snap); err != nil {
-			return nil, err
-		}
-		m.rec.SnapshotLoaded = true
-		m.rec.SnapshotLSN = snap.LSN
 		afterLSN = snap.LSN
 	}
 	recs, err := ReadTail(opts.Dir, afterLSN)
 	if err != nil {
 		return nil, err
 	}
-	lastLSN := afterLSN
+	eng := engine.New(engOpts)
+	m, err := recoverInto(eng, opts, snap, recs)
+	if err != nil {
+		eng.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// recoverInto is Open's work on the engine it built: restore snap, replay
+// recs, open the log after them and checkpoint.
+func recoverInto(eng *engine.Engine, opts Options, snap *Snapshot, recs []Record) (*Manager, error) {
+	m := &Manager{opts: opts, eng: eng}
+	var lastLSN uint64
+	if snap != nil {
+		if err := restoreState(eng, snap); err != nil {
+			return nil, err
+		}
+		m.rec.SnapshotLoaded = true
+		m.rec.SnapshotLSN = snap.LSN
+		lastLSN = snap.LSN
+	}
 	for _, r := range recs {
 		// Transactions reach the log as commit records (their deltas, encoded
 		// at commit), everything else as canonical SQL. A transaction that
 		// never committed has no record and is invisible after replay.
 		if engine.IsCommitRecord(r.SQL) {
+			if found, _, _ := strings.Cut(r.SQL, " "); found != engine.CommitFormat {
+				return nil, &FormatError{Where: fmt.Sprintf("log record %d", r.LSN), Found: found}
+			}
 			if err := eng.ApplyCommitRecord(r.SQL); err != nil {
-				m.rec.ReplayErrors++
+				return nil, fmt.Errorf("wal: log record %d: %w", r.LSN, err)
 			}
 		} else if _, err := eng.Exec(r.SQL); err != nil {
 			m.rec.ReplayErrors++
@@ -119,6 +168,7 @@ func Open(opts Options, engOpts engine.Options) (*Manager, error) {
 	// carry a pre-crash cache entry across recovery.
 	eng.InvalidatePlans()
 
+	var err error
 	m.log, err = openLog(opts.Dir, lastLSN+1, opts.Sync, opts.SegmentBytes, opts.SyncInterval)
 	if err != nil {
 		return nil, err

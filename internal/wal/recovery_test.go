@@ -1,9 +1,12 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,7 +14,6 @@ import (
 	"testing"
 
 	rferrors "rfview/errors"
-	"rfview/internal/core"
 	"rfview/internal/engine"
 	"rfview/internal/paper"
 	"rfview/internal/rewrite"
@@ -533,186 +535,206 @@ func TestRecoveryReplaysThroughCheckpointCrashWindow(t *testing.T) {
 	}
 }
 
-// pr19Workload is what testdata/pr19 holds: a data directory written by the
-// commit before sequence views got their single per-partition representation
-// (PR 19, 181ac5c) — these statements through Open, then Checkpoint, then the
-// last statement, then a crash. It has a simple, an AVG and a partitioned
-// view, each already maintained through a delta.
-var pr19Workload = []string{
-	`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
-	`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)`,
-	`CREATE TABLE pt (grp VARCHAR(8), pos INTEGER, val INTEGER)`,
-	`INSERT INTO pt VALUES ('a', 1, 1), ('a', 2, 2), ('a', 3, 3), ('b', 1, 7), ('b', 2, 9)`,
-	`CREATE MATERIALIZED VIEW v_sum AS SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
-	`CREATE MATERIALIZED VIEW v_avg AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
-	`CREATE MATERIALIZED VIEW v_part AS SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM pt`,
-	`UPDATE seq SET val = 25 WHERE pos = 2`,
-	`INSERT INTO pt VALUES ('c', 1, 4)`,
-	// -- checkpoint --
-	`INSERT INTO seq VALUES (6, 60)`,
+// dirFiles reads every file under dir, by path relative to it.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
-var pr19Queries = []string{
-	`SELECT pos, val FROM v_sum`,
-	`SELECT pos, val FROM v_avg`,
-	`SELECT part, pos, val, body FROM v_part`,
-	`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-	`SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS w FROM seq`,
-	`SELECT grp, pos, MAX(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING) AS w FROM pt`,
+// writeSnapFile writes body as a snapshot file under magic, framed as every
+// snapshot format frames it.
+func writeSnapFile(t *testing.T, path, magic string, body []byte) {
+	t.Helper()
+	hdr := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(body)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, append(hdr, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestRecoverParentFormatDirectory: the PR 19 directory, RFSNAP01 format,
-// still recovers. Its snapshot restores and dumps back byte for byte
-// (backing schemas, pk index names, view metadata) except the AVG view's
-// backing table: RFSNAP01 holds v_avg's quotients, and the restored view
-// stores the SUM (1,1) sequence of seq, typed like its INTEGER val. The
-// directory recovers — snapshot plus WAL tail — with all three views fresh,
-// equal to an engine that ran the statements, and still maintained by deltas
-// afterwards.
+// TestRecoverParentFormatDirectory: a data directory written before rows on
+// disk had one encoding is refused, not recovered and not skipped as
+// corrupt. A copy of testdata/pr19 (written by the commit that gave
+// sequence views one representation per partition: RFSNAP01 snapshots and a
+// v1 commit record), an RFSNAP02 snapshot, and a v1 commit record in the
+// tail behind an RFSNAP03 snapshot each make Open return a FormatError
+// naming the file or record and the format found. Every file of the
+// directory is byte-identical afterwards, and no spill directory is left.
 func TestRecoverParentFormatDirectory(t *testing.T) {
-	const snapFile = "snap-0000000000000009.snap"
-	data, err := os.ReadFile(filepath.Join("testdata", "pr19", snapFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := readSnapshot(filepath.Join("testdata", "pr19", snapFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(engine.DefaultOptions())
-	defer e.Close()
-	if err := restoreState(e, snap); err != nil {
-		t.Fatal(err)
-	}
-	again, err := captureState(e, snap.LSN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parent Snapshot
-	if err := json.Unmarshal(data[16:], &parent); err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range again.Tables {
-		if st.Name != "__mv_v_avg" {
-			continue
-		}
-		sums, err := core.ComputeNaive([]float64{10, 25, 30, 40, 50}, core.Sliding(1, 1), core.Sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[int64]sqltypes.Datum{}
-		for _, row := range sqltypes.RowsFromJSON(st.Rows) {
-			got[row[0].Int()] = row[1]
-		}
-		for k := sums.Lo(); k <= sums.Hi(); k++ {
-			if v := got[int64(k)]; v.Typ() != sqltypes.Int || v.Float() != sums.At(k) {
-				t.Fatalf("restored v_avg holds %v at position %d, want the INTEGER sum %v", v, k, sums.At(k))
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where an engine's private spill directory goes
+	cases := []struct {
+		name, where, found string
+		build              func(t *testing.T, dir string)
+	}{
+		{"pr19", "snap-0000000000000009.snap", "RFSNAP01", func(t *testing.T, dir string) {
+			for name, data := range dirFiles(t, filepath.Join("testdata", "pr19")) {
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if len(got) != sums.Len() || st.Columns[1].Type != uint8(sqltypes.Int) {
-			t.Fatalf("restored v_avg backing table: columns %v, %d rows, want INTEGER val and %d rows", st.Columns, len(got), sums.Len())
-		}
-		again.Tables[i] = parent.Tables[i] // the rest must dump back byte for byte
+		}},
+		{"RFSNAP02", "snap-0000000000000002.snap", "RFSNAP02", func(t *testing.T, dir string) {
+			body := `{"lsn":2,"tables":[{"name":"t","columns":[{"name":"a","type":2}],"rows":[[{"t":2,"i":1}]]}],"indexes":[],"matviews":[]}`
+			writeSnapFile(t, filepath.Join(dir, snapName(2)), "RFSNAP02", []byte(body))
+		}},
+		{"v1 commit record", "log record 3", "--txn-commit:v1", func(t *testing.T, dir string) {
+			mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]string, 3000)
+			for i := range rows {
+				rows[i] = fmt.Sprintf("(%d)", i)
+			}
+			for _, sql := range []string{`CREATE TABLE t (a INTEGER)`, `INSERT INTO t VALUES ` + strings.Join(rows, ", ")} {
+				if _, err := mgr.Engine().Exec(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Engine().Close()
+			l, err := openLog(dir, 3, SyncOff, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(`--txn-commit:v1 [{"table":"t","kind":0,"cols":["a"],"rows":[[{"t":2,"i":1}]]}]`); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
-	body, err := json.Marshal(again)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.build(t, dir)
+			before := dirFiles(t, dir)
+			opts := engine.DefaultOptions()
+			opts.PageCacheBytes = 16 << 10 // a restore evicts pages to heap files
+			mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, opts)
+			var ferr *FormatError
+			if !errors.As(err, &ferr) {
+				if mgr != nil {
+					mgr.Close()
+				}
+				t.Fatalf("Open: %v, want a FormatError", err)
+			}
+			if ferr.Where != c.where || ferr.Found != c.found {
+				t.Fatalf("FormatError names %q in format %q, want %q in %q", ferr.Where, ferr.Found, c.where, c.found)
+			}
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("the refused Open changed the directory: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "rfview-spill-*")); len(left) != 0 {
+		t.Fatalf("a refused Open left %v behind", left)
+	}
+}
+
+// TestUnreplayableCommitRecordFailsOpen: a commit record is logged only for
+// a committed transaction, so one that fails to replay is corruption, not a
+// re-failure: Open fails naming its LSN and leaves the directory as it was.
+func TestUnreplayableCommitRecordFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(body, data[16:]) {
-		t.Fatalf("snapshot of the restored PR 19 state differs from the PR 19 snapshot:\n got: %s\nwant: %s", body, data[16:])
+	if _, err := mgr.Engine().Exec(`CREATE TABLE t (a INTEGER)`); err != nil {
+		t.Fatal(err)
 	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Engine().Close()
+	l, err := openLog(dir, 2, SyncOff, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := base64.StdEncoding.EncodeToString(sqltypes.EncodeRows(nil, sqltypes.Row{sqltypes.NewInt(1)}))
+	if _, err := l.Append(engine.CommitFormat + ` [{"table":"missing","kind":0,"cols":["a"],"rows":"` + rows + `"}]`); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	if mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions()); err == nil || !strings.Contains(err.Error(), "log record 2") {
+		if mgr != nil {
+			mgr.Close()
+		}
+		t.Fatalf("Open: %v, want an error naming log record 2", err)
+	}
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Fatal("the failed Open changed the directory")
+	}
+}
 
+// TestSnapshotFallbackRefusesLogGap: after two checkpoints the log starts
+// past the older snapshot, so when the newest snapshot is corrupt, falling
+// back to the older one would silently lose the records between them. Open
+// refuses with a GapError instead.
+func TestSnapshotFallbackRefusesLogGap(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"snap-0000000000000000.snap", snapFile, filepath.Join("wal", "wal-000000000000000a.seg")} {
-		data, err := os.ReadFile(filepath.Join("testdata", "pr19", name))
-		if err != nil {
+	mgr, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []uint64
+	for _, sql := range []string{`CREATE TABLE t (a INTEGER)`, `INSERT INTO t VALUES (1)`, `INSERT INTO t VALUES (2)`} {
+		if _, err := mgr.Engine().Exec(sql); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+		if err := mgr.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		lsns = append(lsns, mgr.log.LastLSN())
+	}
+	mgr.log.Close() // crash: no close-time checkpoint
+	mgr.Engine().Close()
+	newest := filepath.Join(dir, snapName(lsns[2]))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	re, err := Open(Options{Dir: dir, Sync: SyncOff}, engine.DefaultOptions())
-	if err != nil {
-		t.Fatalf("recovery of the PR 19 directory failed: %v", err)
-	}
-	defer re.Close()
-	reference := engine.New(engine.DefaultOptions())
-	defer reference.Close()
-	for _, sql := range pr19Workload {
-		if _, err := reference.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+	var gap *GapError
+	if !errors.As(err, &gap) {
+		if re != nil {
+			res, _ := re.Engine().Exec(`SELECT a FROM t`)
+			re.Close()
+			t.Fatalf("Open: %v, want a GapError; it recovered %v", err, res.Rows)
 		}
+		t.Fatalf("Open: %v, want a GapError", err)
 	}
-	for _, v := range []string{"v_sum", "v_avg", "v_part"} {
-		if stale, why := re.Engine().Views.StaleInfo(v); stale {
-			t.Fatalf("%s recovered stale: %s", v, why)
-		}
+	if gap.SnapshotLSN != lsns[1] || gap.FirstLSN != lsns[2]+1 {
+		t.Fatalf("GapError %+v, want snapshot %d and first record %d", gap, lsns[1], lsns[2]+1)
 	}
-	compareEnginesOn(t, re.Engine(), reference, pr19Queries, "recovered")
-	for _, sql := range []string{
-		`UPDATE seq SET val = -5 WHERE pos = 4`,
-		`DELETE FROM seq WHERE pos = 6`,
-		`INSERT INTO pt VALUES ('a', 4, 11)`,
-		`DELETE FROM pt WHERE grp = 'c' AND pos = 1`,
-		`INSERT INTO pt VALUES ('d', 1, 2)`,
-	} {
-		applyBoth(t, re.Engine(), reference, sql)
-	}
-	for _, v := range []string{"v_sum", "v_avg", "v_part"} {
-		if stale, why := re.Engine().Views.StaleInfo(v); stale {
-			t.Fatalf("%s went stale on maintainable DML after recovery: %s", v, why)
-		}
-	}
-	if re.Engine().Views.Stats().DeltaApplied.Load() == 0 {
-		t.Fatal("no delta was applied after recovery")
-	}
-	compareEnginesOn(t, re.Engine(), reference, pr19Queries, "post-recovery traffic")
-}
-
-// TestRestoreStaleQuotientView: a stale AVG view in an RFSNAP01 snapshot —
-// its base not dense, so nothing can refill it — restores stale over an
-// empty backing table typed like its INTEGER base column, and REFRESH, once
-// the base is dense again, rebuilds it equal to an engine that never
-// crashed.
-func TestRestoreStaleQuotientView(t *testing.T) {
-	setup := []string{
-		`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
-		`INSERT INTO seq VALUES (1, 10), (2, 20), (3, 30), (4, 40)`,
-		`CREATE MATERIALIZED VIEW avgv AS SELECT pos, AVG(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
-		`DELETE FROM seq WHERE pos = 2`, // a gap: the view goes stale
-	}
-	old, reference := engine.New(engine.DefaultOptions()), engine.New(engine.DefaultOptions())
-	defer old.Close()
-	defer reference.Close()
-	for _, sql := range setup {
-		applyBoth(t, old, reference, sql)
-	}
-	snap, err := captureState(old, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.magic = snapMagic01
-	e := engine.New(engine.DefaultOptions())
-	defer e.Close()
-	if err := restoreState(e, snap); err != nil {
-		t.Fatal(err)
-	}
-	if stale, _ := e.Views.StaleInfo("avgv"); !stale {
-		t.Fatal("the stale AVG view restored fresh")
-	}
-	backing, err := e.Cat.Table("__mv_avgv")
-	if err != nil || backing.Heap.Len() != 0 || backing.Columns[1].Type != sqltypes.Int {
-		t.Fatalf("backing table %v (err %v): want it empty with an INTEGER val", backing.Columns, err)
-	}
-	for _, sql := range []string{`INSERT INTO seq VALUES (2, 25)`, `REFRESH MATERIALIZED VIEW avgv`} {
-		applyBoth(t, e, reference, sql)
-	}
-	compareEnginesOn(t, e, reference, []string{`SELECT pos, val FROM avgv`,
-		`SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS w FROM seq`}, "refreshed")
 }
 
 // TestRefusedDropLeavesRecoverableDirectory: DROP TABLE of a view's base or

@@ -32,26 +32,18 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 			st.Columns = append(st.Columns, SnapColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
 		if err := t.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
-			out := make([]sqltypes.JSONDatum, len(row))
-			for i, d := range row {
-				out[i] = sqltypes.ToJSON(d)
-			}
-			st.Rows = append(st.Rows, out)
+			st.Rows = sqltypes.EncodeRows(st.Rows, row)
 			return true
 		}); err != nil {
 			return nil, err
 		}
 		for _, idx := range t.Indexes {
-			snap.Indexes = append(snap.Indexes, SnapIndex{Name: idx.Name, Table: idx.Table, Columns: idx.Columns, Unique: idx.Unique, Ordered: true})
+			snap.Indexes = append(snap.Indexes, SnapIndex{Name: idx.Name, Table: idx.Table, Columns: idx.Columns, Unique: idx.Unique})
 		}
 		snap.Tables = append(snap.Tables, st)
 	}
 	for _, mv := range e.Cat.MatViews() {
 		stale, why := e.Views.StaleInfo(mv.Name)
-		n, err := bodyLen(mv, at)
-		if err != nil {
-			return nil, err
-		}
 		agg := "" // a plain view has no aggregate
 		if mv.Kind == catalog.SequenceView {
 			agg = mv.Agg.String()
@@ -60,27 +52,10 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 			Name: mv.Name, Kind: uint8(mv.Kind), Backing: mv.Table.Name,
 			BaseTable: mv.BaseTable, PosColumn: mv.PosColumn,
 			PartColumn: mv.PartColumn, ValColumn: mv.ValColumn, Agg: agg,
-			Window: SnapWindow(mv.Window), N: n, Definition: mv.Definition, Stale: stale, StaleWhy: why,
+			Window: SnapWindow(mv.Window), Definition: mv.Definition, Stale: stale, StaleWhy: why,
 		})
 	}
 	return snap, nil
-}
-
-// bodyLen is a simple sequence view's n as its stored rows say: the last
-// position less the trailer (a partitioned view records 0).
-func bodyLen(mv *catalog.MatView, at txn.Snapshot) (int, error) {
-	if mv.Kind != catalog.SequenceView || mv.PartColumn != "" {
-		return 0, nil
-	}
-	pos, last := mv.Table.ColumnIndex("pos"), 0
-	err := mv.Table.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
-		last = max(last, int(row[pos].Int()))
-		return true
-	})
-	if !mv.Window.Cumulative {
-		last -= mv.Window.Preceding
-	}
-	return max(last, 0), err
 }
 
 // restoreState rebuilds a fresh engine from a snapshot: heaps first, their
@@ -89,36 +64,26 @@ func bodyLen(mv *catalog.MatView, at txn.Snapshot) (int, error) {
 // against their restored backing tables). Storage version counters restart
 // from zero in the new engine — together with the empty plan/result cache of
 // a fresh engine, no cached entry keyed on pre-crash versions can survive
-// into the recovered process.
-//
-// An AVG view whose quotients an RFSNAP01 snapshot holds — no sum can be
-// recovered from them — gets an empty backing table, its val column typed
-// like the base column, and REFRESH refills it once it is restored fresh:
-// the one base read a restore makes.
+// into the recovered process. A view's rows are its backing table's: a
+// restore reads no base row.
 func restoreState(e *engine.Engine, snap *Snapshot) error {
 	tx := e.BeginTxn()
 	for _, st := range snap.Tables {
-		typ, quotients := snap.sumType(st.Name)
 		cols := make([]catalog.Column, len(st.Columns))
 		for i, c := range st.Columns {
 			cols[i] = catalog.Column{Name: c.Name, Type: sqltypes.Type(c.Type)}
-			if quotients && c.Name == "val" {
-				cols[i].Type = typ
-			}
 		}
 		t, err := e.Cat.CreateTable(st.Name, cols)
+		if err == nil {
+			var rows []sqltypes.Row
+			rows, err = sqltypes.DecodeRows(st.Rows)
+			for i := 0; err == nil && i < len(rows); i++ {
+				_, err = t.Heap.InsertTx(tx, rows[i])
+			}
+		}
 		if err != nil {
 			e.RollbackTxn(tx)
 			return fmt.Errorf("wal: restore table %q: %w", st.Name, err)
-		}
-		if quotients {
-			continue
-		}
-		for _, row := range sqltypes.RowsFromJSON(st.Rows) {
-			if _, err := t.Heap.InsertTx(tx, row); err != nil {
-				e.RollbackTxn(tx)
-				return fmt.Errorf("wal: restore rows of %q: %w", st.Name, err)
-			}
 		}
 	}
 	if err := e.CommitTxn(tx); err != nil {
@@ -145,11 +110,6 @@ func restoreState(e *engine.Engine, snap *Snapshot) error {
 		spec := mview.RestoreSpec{View: view, Backing: smv.Backing, Stale: smv.Stale, StaleWhy: smv.StaleWhy}
 		if err := e.Views.Restore(spec); err != nil {
 			return fmt.Errorf("wal: restore view %q: %w", smv.Name, err)
-		}
-		if _, quotients := snap.sumType(smv.Backing); quotients && !smv.Stale {
-			if _, err := e.Exec("REFRESH MATERIALIZED VIEW " + smv.Name); err != nil {
-				return fmt.Errorf("wal: refill view %q: %w", smv.Name, err)
-			}
 		}
 	}
 	return nil

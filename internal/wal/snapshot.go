@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,19 +11,22 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"rfview/internal/sqltypes"
 )
 
 // A snapshot is the full engine state — catalog schema, table heaps, index
-// definitions, materialized-view definitions and staleness — serialized as
-// one checksummed JSON document. Snapshots are written to a temp file and
+// definitions, materialized-view definitions and staleness — as one
+// checksummed JSON document whose row lists are byte fields in the heap's
+// row codec (sqltypes.EncodeRows). Snapshots are written to a temp file and
 // atomically renamed into place, so a crash mid-write leaves the previous
 // snapshot (and the full WAL) intact; only after the rename is durable does
-// the checkpoint truncate the log. An RFSNAP01 snapshot predates AVG views
-// storing their window sums: it holds their quotients.
+// the checkpoint truncate the log.
+//
+// Layout: the 8-byte magic, uint32 LE body length, uint32 LE CRC32 (IEEE)
+// of the body, then the body.
 
-const snapMagic, snapMagic01 = "RFSNAP02", "RFSNAP01"
+// snapMagic opens every snapshot this version writes and the only one it
+// reads; a snapshot opened by an earlier "RFSNAP" magic is a FormatError.
+const snapMagic = "RFSNAP03"
 
 // Snapshot is the serialized engine state.
 type Snapshot struct {
@@ -35,28 +39,9 @@ type Snapshot struct {
 	// Indexes holds every index definition; they are rebuilt from the
 	// restored heaps rather than serialized structurally.
 	Indexes []SnapIndex `json:"indexes"`
-	// MatViews holds the materialized-view metadata; maintainer state is
-	// reconstructed from the restored base tables (the engine's determinism
-	// again), or deferred to REFRESH for stale views.
+	// MatViews holds the materialized-view metadata; a view's rows are its
+	// restored backing table.
 	MatViews []SnapMatView `json:"matviews"`
-	// magic is the format the snapshot was read in.
-	magic string
-}
-
-// sumType is, for the backing table of an AVG view whose quotients an
-// RFSNAP01 snapshot holds, the type of the view's base column, which the
-// view's sums take; ok is false for every other table.
-func (s *Snapshot) sumType(backing string) (typ sqltypes.Type, ok bool) {
-	for _, v := range s.MatViews {
-		for _, t := range s.Tables {
-			for _, c := range t.Columns {
-				if s.magic == snapMagic01 && v.Agg == "AVG" && v.Backing == backing && t.Name == v.BaseTable && c.Name == v.ValColumn {
-					return sqltypes.Type(c.Type), true
-				}
-			}
-		}
-	}
-	return 0, false
 }
 
 // SnapColumn is one column of a dumped schema.
@@ -67,9 +52,10 @@ type SnapColumn struct {
 
 // SnapTable is one dumped heap.
 type SnapTable struct {
-	Name    string                 `json:"name"`
-	Columns []SnapColumn           `json:"columns"`
-	Rows    [][]sqltypes.JSONDatum `json:"rows"`
+	Name    string       `json:"name"`
+	Columns []SnapColumn `json:"columns"`
+	// Rows is the heap's rows as one sqltypes.EncodeRows list.
+	Rows []byte `json:"rows"`
 }
 
 // SnapIndex is one dumped index definition.
@@ -78,9 +64,6 @@ type SnapIndex struct {
 	Table   string   `json:"table"`
 	Columns []string `json:"columns"`
 	Unique  bool     `json:"unique"`
-	// Ordered dates from when a hash index existed beside the B+tree. It is
-	// written true and ignored on read so the snapshot format stays as it was.
-	Ordered bool `json:"ordered"`
 }
 
 // SnapWindow is the wire form of a view's core.Window.
@@ -101,13 +84,9 @@ type SnapMatView struct {
 	ValColumn  string     `json:"val_column,omitempty"`
 	Agg        string     `json:"agg,omitempty"`
 	Window     SnapWindow `json:"window"`
-	// N is a simple sequence view's body length. Nothing reads it back —
-	// the Derive operator reads n off the stored rows — but dumps keep the
-	// key, so a restored PR 19 directory dumps back byte for byte.
-	N          int    `json:"base_rows"`
-	Definition string `json:"definition"`
-	Stale      bool   `json:"stale,omitempty"`
-	StaleWhy   string `json:"stale_why,omitempty"`
+	Definition string     `json:"definition"`
+	Stale      bool       `json:"stale,omitempty"`
+	StaleWhy   string     `json:"stale_why,omitempty"`
 }
 
 func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x.snap", lsn) }
@@ -172,7 +151,10 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 16 || string(data[:8]) != snapMagic && string(data[:8]) != snapMagic01 {
+	if len(data) >= 8 && string(data[:8]) != snapMagic && strings.HasPrefix(string(data[:8]), "RFSNAP") {
+		return nil, &FormatError{Where: filepath.Base(path), Found: string(data[:8])}
+	}
+	if len(data) < 16 || string(data[:8]) != snapMagic {
 		return nil, fmt.Errorf("wal: %s: bad snapshot magic", filepath.Base(path))
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:12]))
@@ -184,7 +166,7 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return nil, fmt.Errorf("wal: %s: snapshot checksum mismatch", filepath.Base(path))
 	}
-	snap := Snapshot{magic: string(data[:8])}
+	var snap Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
 	}
@@ -220,24 +202,25 @@ func listSnapshots(dataDir string) ([]string, error) {
 }
 
 // loadNewestSnapshot returns the newest snapshot that validates, skipping
-// corrupt ones (disk damage should degrade recovery, never prevent startup).
-// It returns (nil, "", nil) when no usable snapshot exists.
+// corrupt ones (disk damage should degrade recovery, never prevent startup;
+// ReadTail then refuses a log that no longer continues from the one loaded).
+// A snapshot in an earlier format is not corrupt: it fails with a
+// FormatError. It returns (nil, "", nil) when no usable snapshot exists.
 func loadNewestSnapshot(dataDir string) (*Snapshot, string, error) {
 	paths, err := listSnapshots(dataDir)
 	if err != nil {
 		return nil, "", err
 	}
-	var firstErr error
 	for _, p := range paths {
 		snap, err := readSnapshot(p)
-		if err == nil {
+		var ferr *FormatError
+		switch {
+		case err == nil:
 			return snap, p, nil
-		}
-		if firstErr == nil {
-			firstErr = err
+		case errors.As(err, &ferr):
+			return nil, "", err
 		}
 	}
-	_ = firstErr // corrupt snapshots are skipped; recovery proceeds from older state
 	return nil, "", nil
 }
 
