@@ -36,14 +36,14 @@ func notDerivable(algo string, src, dst Window, reason string) error {
 // ReconstructRawFromCumulative recovers the raw data values x_1 … x_n from a
 // materialized cumulative SUM sequence via x_k = x̃_k − x̃_{k−1} (§3.1,
 // Fig. 4 gives the relational mapping).
-func ReconstructRawFromCumulative(s *Sequence) ([]float64, error) {
+func ReconstructRawFromCumulative[T Num](s *Sequence[T]) ([]T, error) {
 	if !s.Win.Cumulative {
 		return nil, notDerivable("raw-from-cumulative", s.Win, Window{}, "source is not cumulative")
 	}
 	if s.Agg != Sum {
 		return nil, notDerivable("raw-from-cumulative", s.Win, Window{}, "only SUM sequences are invertible")
 	}
-	raw := make([]float64, s.N)
+	raw := make([]T, s.N)
 	for k := 1; k <= s.N; k++ {
 		raw[k-1] = s.At(k) - s.At(k-1)
 	}
@@ -57,8 +57,8 @@ func ReconstructRawFromCumulative(s *Sequence) ([]float64, error) {
 //
 // (§3.1, Fig. 5). The formula holds at boundary positions because
 // x̃_j = 0 for j ≤ 0 and x̃_j stays at the grand total for j ≥ n.
-func DeriveSlidingFromCumulative(s *Sequence, target Window) (*Sequence, error) {
-	out := newSequence(target, s.Agg, s.N)
+func DeriveSlidingFromCumulative[T Num](s *Sequence[T], target Window) (*Sequence[T], error) {
+	out := newSequence[T](target, s.Agg, s.N)
 	if err := s.slab().SlidingFromCumulative(out.vals, out.lo, target); err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func DeriveSlidingFromCumulative(s *Sequence, target Window) (*Sequence, error) 
 // where each difference contributes x_{k−iW} − x_{k−(i+1)W}; the summation
 // stops at i_up = ⌈k/W⌉ because beyond that point both sequence positions
 // fall left of the header.
-func ReconstructRawFromSliding(s *Sequence) ([]float64, error) {
+func ReconstructRawFromSliding[T Num](s *Sequence[T]) ([]T, error) {
 	if s.Win.Cumulative {
 		return ReconstructRawFromCumulative(s)
 	}
@@ -86,9 +86,9 @@ func ReconstructRawFromSliding(s *Sequence) ([]float64, error) {
 		return nil, notDerivable("raw-from-sliding", s.Win, Window{}, "only SUM/COUNT sequences are invertible")
 	}
 	h, w := s.Win.Following, s.Win.Size()
-	raw := make([]float64, s.N)
+	raw := make([]T, s.N)
 	for k := 1; k <= s.N; k++ {
-		v := 0.0
+		var v T
 		iup := ceilDiv(k, w)
 		for i := 0; i <= iup; i++ {
 			v += s.At(k-h-i*w) - s.At(k-h-1-i*w)
@@ -105,7 +105,7 @@ func ReconstructRawFromSliding(s *Sequence) ([]float64, error) {
 //
 // which needs only O(1) work per position once positions are visited in
 // increasing order (the paper's "internal cache" variant).
-func ReconstructRawFromSlidingRecursive(s *Sequence) ([]float64, error) {
+func ReconstructRawFromSlidingRecursive[T Num](s *Sequence[T]) ([]T, error) {
 	if s.Agg != Sum && s.Agg != Count {
 		return nil, notDerivable("raw-from-sliding", s.Win, Window{}, "only SUM/COUNT sequences are invertible")
 	}
@@ -113,8 +113,8 @@ func ReconstructRawFromSlidingRecursive(s *Sequence) ([]float64, error) {
 		return ReconstructRawFromCumulative(s)
 	}
 	h, w := s.Win.Following, s.Win.Size()
-	raw := make([]float64, s.N)
-	prior := func(k int) float64 { // x_{k} for k already computed or ≤ 0
+	raw := make([]T, s.N)
+	prior := func(k int) T { // x_{k} for k already computed or ≤ 0
 		if k < 1 {
 			return 0
 		}
@@ -130,7 +130,7 @@ func ReconstructRawFromSlidingRecursive(s *Sequence) ([]float64, error) {
 // sequence without touching raw data, via the prefix-sum telescoping
 // C(b) = Σ_{i≥0} x̃_{b−h−iW} (the positive sequence of MinOA): the windows
 // of x̃_{b−h}, x̃_{b−h−W}, … tile (−∞, b] exactly once.
-func RangeSum(s *Sequence, a, b int) (float64, error) {
+func RangeSum[T Num](s *Sequence[T], a, b int) (T, error) {
 	if s.Agg != Sum && s.Agg != Count {
 		return 0, notDerivable("range-sum", s.Win, Window{}, "requires SUM or COUNT")
 	}
@@ -145,9 +145,9 @@ func RangeSum(s *Sequence, a, b int) (float64, error) {
 
 // prefixFromSliding returns C(b) = Σ_{j≤b} x_j from a complete sliding SUM
 // sequence.
-func prefixFromSliding(s *Sequence, b int) float64 {
+func prefixFromSliding[T Num](s *Sequence[T], b int) T {
 	h, w := s.Win.Following, s.Win.Size()
-	v := 0.0
+	var v T
 	// Terms vanish once b−h−iW ≤ −h, i.e. i ≥ b/W.
 	iup := ceilDiv(b, w)
 	for i := 0; i <= iup; i++ {
@@ -159,24 +159,24 @@ func prefixFromSliding(s *Sequence, b int) float64 {
 // DeriveCumulativeFromSliding materializes the cumulative sequence from a
 // complete sliding-window SUM sequence (a corollary of the MinOA positive
 // sequence; not spelled out in the paper but implied by §5).
-func DeriveCumulativeFromSliding(s *Sequence) (*Sequence, error) {
+func DeriveCumulativeFromSliding[T Num](s *Sequence[T]) (*Sequence[T], error) {
 	if s.Agg != Sum && s.Agg != Count {
 		return nil, notDerivable("cumulative-from-sliding", s.Win, Cumul(), "requires SUM or COUNT")
 	}
 	if s.Win.Cumulative {
-		out := newSequence(Cumul(), s.Agg, s.N)
+		out := newSequence[T](Cumul(), s.Agg, s.N)
 		for k := 0; k <= s.N; k++ {
 			out.set(k, s.At(k), true)
 		}
 		return out, nil
 	}
-	out := newSequence(Cumul(), s.Agg, s.N)
+	out := newSequence[T](Cumul(), s.Agg, s.N)
 	// Incremental: C(k) = C(k-1) + x_k, with x_k reconstructed pipelined.
 	raw, err := ReconstructRawFromSlidingRecursive(s)
 	if err != nil {
 		return nil, err
 	}
-	acc := 0.0
+	var acc T
 	out.set(0, 0, true)
 	for k := 1; k <= s.N; k++ {
 		acc += raw[k-1]
@@ -237,7 +237,7 @@ func ComputeMaxOAFactors(src, dst Window) (MaxOAFactors, error) {
 //
 // Supported aggregates: SUM and COUNT. For MIN/MAX use MaxOAMinMax; AVG is
 // the derived SUM divided by Window.Count (§2.1).
-func MaxOA(src *Sequence, target Window) (*Sequence, error) {
+func MaxOA[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
 	if src.Agg != Sum && src.Agg != Count {
 		return nil, notDerivable("MaxOA", src.Win, target, fmt.Sprintf("aggregate %v not supported (use MaxOAMinMax for MIN/MAX)", src.Agg))
 	}
@@ -248,7 +248,7 @@ func MaxOA(src *Sequence, target Window) (*Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := newSequence(target, src.Agg, src.N)
+	out := newSequence[T](target, src.Agg, src.N)
 	hx, lx, wx := src.Win.Following, src.Win.Preceding, f.Wx
 	for k := out.lo; k <= out.Hi(); k++ {
 		v := src.At(k)
@@ -275,11 +275,11 @@ func MaxOA(src *Sequence, target Window) (*Sequence, error) {
 // Each position costs O(1) sequence lookups: the compensation values of a
 // residue class are rolled along one slice — the pipelined execution style
 // of §2.2 applied to derivation.
-func MaxOARecursive(src *Sequence, target Window) (*Sequence, error) {
+func MaxOARecursive[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
 	if src.Agg != Sum && src.Agg != Count {
 		return nil, notDerivable("MaxOA", src.Win, target, "recursive form requires SUM or COUNT")
 	}
-	out := newSequence(target, src.Agg, src.N)
+	out := newSequence[T](target, src.Agg, src.N)
 	if err := src.slab().MaxOA(out.vals, out.lo, target); err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func MaxOARecursive(src *Sequence, target Window) (*Sequence, error) {
 // requires Δl + Δh ≤ W_x (windows overlap or touch). This is the case MinOA
 // cannot handle at all — the paper's argument for MaxOA's broader
 // applicability.
-func MaxOAMinMax(src *Sequence, target Window) (*Sequence, error) {
+func MaxOAMinMax[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
 	if src.Agg != Min && src.Agg != Max {
 		return nil, notDerivable("MaxOA-minmax", src.Win, target, "aggregate must be MIN or MAX")
 	}
@@ -303,7 +303,7 @@ func MaxOAMinMax(src *Sequence, target Window) (*Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := newSequence(target, src.Agg, src.N)
+	out := newSequence[T](target, src.Agg, src.N)
 	src.slab().minMax(out.vals, out.valid, out.lo, f)
 	return out, nil
 }
@@ -349,7 +349,7 @@ func ComputeMinOAFactors(src, dst Window) (MinOAFactors, error) {
 //
 // MIN/MAX are *not* derivable with MinOA — the tiles meet the target window
 // only after subtraction, which has no MIN/MAX analogue.
-func MinOA(src *Sequence, target Window) (*Sequence, error) {
+func MinOA[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
 	if src.Agg != Sum && src.Agg != Count {
 		return nil, notDerivable("MinOA", src.Win, target, fmt.Sprintf("aggregate %v has no inverse", src.Agg))
 	}
@@ -361,9 +361,9 @@ func MinOA(src *Sequence, target Window) (*Sequence, error) {
 		return nil, err
 	}
 	hx, wx := src.Win.Following, f.Wx
-	out := newSequence(target, src.Agg, src.N)
+	out := newSequence[T](target, src.Agg, src.N)
 	for k := out.lo; k <= out.Hi(); k++ {
-		v := 0.0
+		var v T
 		// Positive: terms vanish once k+Δh−iW_x ≤ −h_x.
 		iupP := ceilDiv(k+f.DeltaH+hx, wx)
 		for i := 0; i <= iupP; i++ {
@@ -387,8 +387,8 @@ func MinOA(src *Sequence, target Window) (*Sequence, error) {
 // the form Derive and the engine use, and the explicit form stays as the
 // paper's statement of the algorithm and the reference the identities tests
 // compare against.
-func MinOARecursive(src *Sequence, target Window) (*Sequence, error) {
-	out := newSequence(target, src.Agg, src.N)
+func MinOARecursive[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
+	out := newSequence[T](target, src.Agg, src.N)
 	if err := src.slab().MinOA(out.vals, out.lo, target); err != nil {
 		return nil, err
 	}
@@ -443,7 +443,7 @@ func Algorithm(src Window, agg Agg, target Window) (Algo, error) {
 }
 
 // Derive answers target from src by the algorithm Algorithm names.
-func Derive(src *Sequence, target Window) (*Sequence, error) {
+func Derive[T Num](src *Sequence[T], target Window) (*Sequence[T], error) {
 	algo, err := Algorithm(src.Win, src.Agg, target)
 	if err != nil {
 		return nil, err

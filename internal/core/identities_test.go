@@ -262,7 +262,7 @@ func TestCumulativeConsistency(t *testing.T) {
 
 // sameBits reports whether two sequences hold the same stored range and the
 // same float64 bit patterns at every position of it.
-func sameBits(a, b *Sequence) bool {
+func sameBits(a, b *Sequence[float64]) bool {
 	if a.N != b.N || a.Lo() != b.Lo() || a.Hi() != b.Hi() {
 		return false
 	}
@@ -377,7 +377,7 @@ func TestLinearFormsEqualExplicit(t *testing.T) {
 // at most twelve times the reads. The explicit forms fail this by a factor of
 // n/W_x; counting reads keeps the host's clock out of the verdict.
 func TestDerivationReadsAreLinear(t *testing.T) {
-	reads := func(n int, win Window, derive func(x Slab, out []float64) error) int {
+	reads := func(n int, win Window, derive func(x Slab[float64], out []float64) error) int {
 		raw := make([]float64, n)
 		for i := range raw {
 			raw[i] = float64(i % 7)
@@ -397,11 +397,11 @@ func TestDerivationReadsAreLinear(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		win    Window
-		derive func(x Slab, out []float64) error
+		derive func(x Slab[float64], out []float64) error
 	}{
-		{"MinOA", Sliding(2, 2), func(x Slab, out []float64) error { return x.MinOA(out, 1, Sliding(7, 9)) }},
-		{"MaxOA", Sliding(2, 2), func(x Slab, out []float64) error { return x.MaxOA(out, 1, Sliding(4, 5)) }},
-		{"sliding-from-cumulative", Cumul(), func(x Slab, out []float64) error { return x.SlidingFromCumulative(out, 1, Sliding(7, 9)) }},
+		{"MinOA", Sliding(2, 2), func(x Slab[float64], out []float64) error { return x.MinOA(out, 1, Sliding(7, 9)) }},
+		{"MaxOA", Sliding(2, 2), func(x Slab[float64], out []float64) error { return x.MaxOA(out, 1, Sliding(4, 5)) }},
+		{"sliding-from-cumulative", Cumul(), func(x Slab[float64], out []float64) error { return x.SlidingFromCumulative(out, 1, Sliding(7, 9)) }},
 	} {
 		small, large := reads(1000, c.win, c.derive), reads(10000, c.win, c.derive)
 		if small < 1000 || large > 12*small {
@@ -452,7 +452,7 @@ func TestSingleRowTarget(t *testing.T) {
 			}
 		}
 	}
-	if err := (Slab{Win: Sliding(1, 1), Agg: Sum}).MinOA(nil, 1, Sliding(-1, 2)); err == nil {
+	if err := (Slab[float64]{Win: Sliding(1, 1), Agg: Sum}).MinOA(nil, 1, Sliding(-1, 2)); err == nil {
 		t.Fatal("MinOA took a negative bound")
 	}
 }

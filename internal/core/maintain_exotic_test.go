@@ -10,7 +10,7 @@ import (
 // contract incremental maintenance promises REFRESH. Float64bits comparison
 // makes NaN equal to NaN and distinguishes −0 from +0, which epsilon
 // comparison cannot.
-func checkBitIdentical(t *testing.T, m *Maintainer, ctx string) {
+func checkBitIdentical(t *testing.T, m *Maintainer[float64], ctx string) {
 	t.Helper()
 	want, err := ComputePipelined(m.Raw(), m.Seq().Win, m.Seq().Agg)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // checkAgainstRecompute verifies that the incrementally maintained sequence
 // equals a full recomputation over the maintainer's raw data.
-func checkAgainstRecompute(t *testing.T, m *Maintainer, ctx string) {
+func checkAgainstRecompute(t *testing.T, m *Maintainer[float64], ctx string) {
 	t.Helper()
 	want, err := ComputeNaive(m.Raw(), m.Seq().Win, m.Seq().Agg)
 	if err != nil {
@@ -356,7 +356,7 @@ func TestMaintainThenDerive(t *testing.T) {
 // it into the raw data, so a later change still reads the true x_k. The
 // reference is a raw slice the test keeps itself, not the maintainer's.
 func TestMaintainerCumulativeMinMaxKeepsRaw(t *testing.T) {
-	check := func(m *Maintainer, raw []float64, ctx string) {
+	check := func(m *Maintainer[float64], raw []float64, ctx string) {
 		t.Helper()
 		got := m.RawCopy()
 		if len(got) != len(raw) {

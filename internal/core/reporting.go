@@ -105,13 +105,13 @@ type ReportingSequence struct {
 	Pos  PosFunc
 	Win  Window
 	Agg  Agg
-	Part map[PartitionKey]*Sequence
+	Part map[PartitionKey]*Sequence[float64]
 }
 
 // NewReportingSequence materializes a reporting sequence from per-partition
 // raw data laid out in global-position order (index 0 holds position 1).
 func NewReportingSequence(pf PosFunc, w Window, agg Agg, parts map[PartitionKey][]float64) (*ReportingSequence, error) {
-	rs := &ReportingSequence{Pos: pf, Win: w, Agg: agg, Part: make(map[PartitionKey]*Sequence, len(parts))}
+	rs := &ReportingSequence{Pos: pf, Win: w, Agg: agg, Part: make(map[PartitionKey]*Sequence[float64], len(parts))}
 	for key, raw := range parts {
 		if len(raw) != pf.Domain() {
 			return nil, fmt.Errorf("partition %q has %d values; ordering scheme spans %d positions", key, len(raw), pf.Domain())
@@ -184,9 +184,9 @@ func OrderingReduction(rs *ReportingSequence, j int, targetWin Window) (*Reporti
 		}
 	}
 	nBlocks := reduced.Domain()
-	out := &ReportingSequence{Pos: reduced, Win: targetWin, Agg: rs.Agg, Part: make(map[PartitionKey]*Sequence, len(rs.Part))}
+	out := &ReportingSequence{Pos: reduced, Win: targetWin, Agg: rs.Agg, Part: make(map[PartitionKey]*Sequence[float64], len(rs.Part))}
 	for key, src := range rs.Part {
-		dst := newSequence(targetWin, rs.Agg, nBlocks)
+		dst := newSequence[float64](targetWin, rs.Agg, nBlocks)
 		for b := dst.Lo(); b <= dst.Hi(); b++ {
 			blo, bhi := targetWin.Bounds(b) // window in block units
 			// Global-position range covered by blocks [blo, bhi].
@@ -230,10 +230,10 @@ func PartitioningReduction(rs *ReportingSequence, merge PartitionMerge, targetWi
 	if err := targetWin.Validate(); err != nil {
 		return nil, err
 	}
-	out := &ReportingSequence{Pos: rs.Pos, Win: targetWin, Agg: rs.Agg, Part: make(map[PartitionKey]*Sequence, len(merge))}
+	out := &ReportingSequence{Pos: rs.Pos, Win: targetWin, Agg: rs.Agg, Part: make(map[PartitionKey]*Sequence[float64], len(merge))}
 	segLen := rs.Pos.Domain()
 	for mergedKey, srcKeys := range merge {
-		srcs := make([]*Sequence, len(srcKeys))
+		srcs := make([]*Sequence[float64], len(srcKeys))
 		for i, sk := range srcKeys {
 			s, ok := rs.Part[sk]
 			if !ok {
@@ -242,7 +242,7 @@ func PartitioningReduction(rs *ReportingSequence, merge PartitionMerge, targetWi
 			srcs[i] = s
 		}
 		n := segLen * len(srcs)
-		dst := newSequence(targetWin, rs.Agg, n)
+		dst := newSequence[float64](targetWin, rs.Agg, n)
 		for k := dst.Lo(); k <= dst.Hi(); k++ {
 			wlo, whi := targetWin.Bounds(k)
 			v := 0.0

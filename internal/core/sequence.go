@@ -17,15 +17,23 @@ import (
 //     the trailer (cumulative sequences stay at the grand total right of n);
 //   - for MIN/MAX, windows that contain no raw position are *empty* and
 //     AtOK reports false.
-type Sequence struct {
+type Sequence[T Num] struct {
 	Win Window
 	Agg Agg
 	N   int // cardinality of the raw data
 
-	lo    int       // position of vals[0]
-	vals  []float64 // stored sequence values
-	valid []bool    // nil unless Agg is Min or Max (empty-window tracking)
+	lo    int    // position of vals[0]
+	vals  []T    // stored sequence values
+	valid []bool // nil unless Agg is Min or Max (empty-window tracking)
 }
+
+// Num is the type of a sequence's values: its column's, int64 for INTEGER
+// and COUNT, float64 for FLOAT. int64 arithmetic wraps around, so an
+// identity that telescopes (MinOA, MaxOA's compensation, cumulative to
+// sliding) is exact whenever its answer fits; an AVG of int64 values is the
+// quotient truncated toward zero, so AVG over INTEGER divides a SUM sequence
+// by Window.Count at the read.
+type Num interface{ int64 | float64 }
 
 // storedRange returns the [lo, hi] positions a complete sequence over n raw
 // values materializes for window w.
@@ -37,25 +45,25 @@ func storedRange(w Window, n int) (lo, hi int) {
 }
 
 // Lo returns the first stored position (the head of the header).
-func (s *Sequence) Lo() int { return s.lo }
+func (s *Sequence[T]) Lo() int { return s.lo }
 
 // Hi returns the last stored position (the tail of the trailer).
-func (s *Sequence) Hi() int { return s.lo + len(s.vals) - 1 }
+func (s *Sequence[T]) Hi() int { return s.lo + len(s.vals) - 1 }
 
 // Len returns the number of stored positions.
-func (s *Sequence) Len() int { return len(s.vals) }
+func (s *Sequence[T]) Len() int { return len(s.vals) }
 
 // At returns the sequence value at position k, extended outside the stored
 // range by the zero convention (see the type comment). For MIN/MAX use AtOK
 // to distinguish empty windows.
-func (s *Sequence) At(k int) float64 {
+func (s *Sequence[T]) At(k int) T {
 	v, _ := s.AtOK(k)
 	return v
 }
 
 // AtOK returns the sequence value at position k and whether the window at k
 // contains at least one raw position.
-func (s *Sequence) AtOK(k int) (float64, bool) {
+func (s *Sequence[T]) AtOK(k int) (T, bool) {
 	if k >= s.lo && k <= s.Hi() {
 		i := k - s.lo
 		if s.valid != nil {
@@ -78,7 +86,7 @@ func (s *Sequence) AtOK(k int) (float64, bool) {
 }
 
 // set stores v at position k, which must lie inside the stored range.
-func (s *Sequence) set(k int, v float64, ok bool) {
+func (s *Sequence[T]) set(k int, v T, ok bool) {
 	i := k - s.lo
 	s.vals[i] = v
 	if s.valid != nil {
@@ -87,16 +95,16 @@ func (s *Sequence) set(k int, v float64, ok bool) {
 }
 
 // Values returns a copy of the stored values from Lo to Hi.
-func (s *Sequence) Values() []float64 {
-	out := make([]float64, len(s.vals))
+func (s *Sequence[T]) Values() []T {
+	out := make([]T, len(s.vals))
 	copy(out, s.vals)
 	return out
 }
 
 // Body returns the sequence values at positions 1 … n (header and trailer
 // stripped), which is what the reporting function returns to the user.
-func (s *Sequence) Body() []float64 {
-	out := make([]float64, s.N)
+func (s *Sequence[T]) Body() []T {
+	out := make([]T, s.N)
 	for k := 1; k <= s.N; k++ {
 		out[k-1] = s.At(k)
 	}
@@ -105,9 +113,9 @@ func (s *Sequence) Body() []float64 {
 
 // newSequence allocates a complete sequence shell for window w over n raw
 // values; the values are filled in by the compute functions.
-func newSequence(w Window, agg Agg, n int) *Sequence {
+func newSequence[T Num](w Window, agg Agg, n int) *Sequence[T] {
 	lo, hi := storedRange(w, n)
-	s := &Sequence{Win: w, Agg: agg, N: n, lo: lo, vals: make([]float64, hi-lo+1)}
+	s := &Sequence[T]{Win: w, Agg: agg, N: n, lo: lo, vals: make([]T, hi-lo+1)}
 	if agg == Min || agg == Max {
 		s.valid = make([]bool, hi-lo+1)
 	}
@@ -115,7 +123,7 @@ func newSequence(w Window, agg Agg, n int) *Sequence {
 }
 
 // aggregate applies agg to raw positions [lo, hi] ∩ [1, n].
-func aggregate(raw []float64, agg Agg, lo, hi int) (float64, bool) {
+func aggregate[T Num](raw []T, agg Agg, lo, hi int) (T, bool) {
 	if lo < 1 {
 		lo = 1
 	}
@@ -129,20 +137,17 @@ func aggregate(raw []float64, agg Agg, lo, hi int) (float64, bool) {
 		return 0, false
 	}
 	switch agg {
-	case Sum:
-		v := 0.0
+	case Sum, Avg:
+		var v T
 		for i := lo; i <= hi; i++ {
 			v += raw[i-1]
+		}
+		if agg == Avg {
+			v = T(float64(v) / float64(hi-lo+1))
 		}
 		return v, true
 	case Count:
-		return float64(hi - lo + 1), true
-	case Avg:
-		v := 0.0
-		for i := lo; i <= hi; i++ {
-			v += raw[i-1]
-		}
-		return v / float64(hi-lo+1), true
+		return T(hi - lo + 1), true
 	case Min, Max:
 		v := raw[lo-1]
 		for i := lo + 1; i <= hi; i++ {
@@ -156,11 +161,11 @@ func aggregate(raw []float64, agg Agg, lo, hi int) (float64, bool) {
 // ComputeNaive materializes the complete sequence for window w and aggregate
 // agg over raw by evaluating the explicit form at every position — the
 // O(n·W) strategy of §2.2 that a relational self-join simulates.
-func ComputeNaive(raw []float64, w Window, agg Agg) (*Sequence, error) {
+func ComputeNaive[T Num](raw []T, w Window, agg Agg) (*Sequence[T], error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	s := newSequence(w, agg, len(raw))
+	s := newSequence[T](w, agg, len(raw))
 	for k := s.lo; k <= s.Hi(); k++ {
 		lo, hi := w.Bounds(k)
 		v, ok := aggregate(raw, agg, lo, hi)
@@ -182,24 +187,24 @@ func ComputeNaive(raw []float64, w Window, agg Agg) (*Sequence, error) {
 // functionality. COUNT is the closed form Window.Count, AVG the SUM pass
 // divided by it (§2.1). The passes are slide.go's kernels, the ones the
 // native window operator runs.
-func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
+func ComputePipelined[T Num](raw []T, w Window, agg Agg) (*Sequence[T], error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if agg > Max {
 		return nil, fmt.Errorf("unknown aggregate %v", agg)
 	}
-	s := newSequence(w, agg, len(raw))
+	s := newSequence[T](w, agg, len(raw))
 	switch agg {
 	case Count:
 		for i := range s.vals {
-			s.vals[i] = float64(w.Count(s.lo+i, len(raw)))
+			s.vals[i] = T(w.Count(s.lo+i, len(raw)))
 		}
 	case Avg:
 		// A window that holds no raw value sums to 0, which stays the quotient.
 		evaluate(raw, 1, w, Sum, nil, s.lo, s.vals, nil)
 		for i := range s.vals {
-			s.vals[i] /= float64(max(w.Count(s.lo+i, len(raw)), 1))
+			s.vals[i] = T(float64(s.vals[i]) / float64(max(w.Count(s.lo+i, len(raw)), 1)))
 		}
 	default:
 		evaluate(raw, 1, w, agg, nil, s.lo, s.vals, s.valid)
@@ -210,7 +215,7 @@ func ComputePipelined(raw []float64, w Window, agg Agg) (*Sequence, error) {
 // EqualSeq reports whether two sequences carry identical values (within eps)
 // and validity over the union of their stored ranges. It is the workhorse of
 // the derivation property tests.
-func EqualSeq(a, b *Sequence, eps float64) bool {
+func EqualSeq[T Num](a, b *Sequence[T], eps float64) bool {
 	if a.N != b.N {
 		return false
 	}
@@ -222,7 +227,7 @@ func EqualSeq(a, b *Sequence, eps float64) bool {
 		if aok != bok {
 			return false
 		}
-		if aok && math.Abs(av-bv) > eps {
+		if aok && math.Abs(float64(av-bv)) > eps {
 			return false
 		}
 	}

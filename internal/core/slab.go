@@ -2,8 +2,9 @@ package core
 
 import "fmt"
 
-// Slab is a complete sequence as a bare slice — what the stored rows of a
-// materialized view are once each value is dropped at its position: Vals[i]
+// Slab is a complete sequence as a bare slice of its column's type — what the
+// stored rows of a materialized view are once each value is dropped at its
+// position: Vals[i]
 // is x̃ at position Lo+i, Lo is the head of the header and Lo+len(Vals)−1 the
 // tail of the trailer. Positions outside the slice follow Sequence's zero
 // convention (a cumulative slab stays at its last value right of n).
@@ -14,11 +15,11 @@ import "fmt"
 // positions it wants — the engine's Derive operator the body 1…n, the
 // Sequence API the target's complete range — and the recurrences live here
 // once for both. Derive dispatches on the algorithm Algorithm chose.
-type Slab struct {
+type Slab[T Num] struct {
 	Win  Window
 	Agg  Agg
 	Lo   int
-	Vals []float64
+	Vals []T
 
 	// reads, when set, counts the slab reads a derivation makes: the
 	// linearity test's instrument (work, not wall time).
@@ -27,18 +28,18 @@ type Slab struct {
 
 // slab views the stored values of s. A MIN/MAX sequence over no raw data
 // stores only empty windows, which a slab has no way to mark: it is empty.
-func (s *Sequence) slab() Slab {
-	x := Slab{Win: s.Win, Agg: s.Agg, Lo: s.lo, Vals: s.vals}
+func (s *Sequence[T]) slab() Slab[T] {
+	x := Slab[T]{Win: s.Win, Agg: s.Agg, Lo: s.lo, Vals: s.vals}
 	if s.valid != nil && s.N == 0 {
 		x.Vals = nil
 	}
 	return x
 }
 
-func (x Slab) hi() int { return x.Lo + len(x.Vals) - 1 }
+func (x Slab[T]) hi() int { return x.Lo + len(x.Vals) - 1 }
 
 // atOK returns x̃_k and whether k is a stored position.
-func (x Slab) atOK(k int) (float64, bool) {
+func (x Slab[T]) atOK(k int) (T, bool) {
 	if x.reads != nil {
 		*x.reads++
 	}
@@ -49,7 +50,7 @@ func (x Slab) atOK(k int) (float64, bool) {
 }
 
 // at returns x̃_k under the zero convention of sliding sequences.
-func (x Slab) at(k int) float64 {
+func (x Slab[T]) at(k int) T {
 	v, _ := x.atOK(k)
 	return v
 }
@@ -66,7 +67,7 @@ func targetBounds(target Window) error {
 }
 
 // Derive runs algo, Algorithm's answer for this slab's window and target.
-func (x Slab) Derive(algo Algo, out []float64, from int, target Window) error {
+func (x Slab[T]) Derive(algo Algo, out []T, from int, target Window) error {
 	switch algo {
 	case AlgoExact:
 		return x.Exact(out, from, target)
@@ -81,7 +82,7 @@ func (x Slab) Derive(algo Algo, out []float64, from int, target Window) error {
 }
 
 // Exact is the identity: the target's window is the slab's own.
-func (x Slab) Exact(out []float64, from int, target Window) error {
+func (x Slab[T]) Exact(out []T, from int, target Window) error {
 	if !x.Win.Equal(target) {
 		return notDerivable("exact", x.Win, target, "the windows differ")
 	}
@@ -93,7 +94,7 @@ func (x Slab) Exact(out []float64, from int, target Window) error {
 
 // SlidingFromCumulative is §3.1's ỹ_k = x̃_{k+h} − x̃_{k−l−1}: the cumulative
 // value is 0 left of position 1 and stays at the grand total right of n.
-func (x Slab) SlidingFromCumulative(out []float64, from int, target Window) error {
+func (x Slab[T]) SlidingFromCumulative(out []T, from int, target Window) error {
 	if !x.Win.Cumulative {
 		return notDerivable("sliding-from-cumulative", x.Win, target, "source is not cumulative")
 	}
@@ -124,7 +125,7 @@ func (x Slab) SlidingFromCumulative(out []float64, from int, target Window) erro
 // to j+h_x, read off the view without reconstructing the raw data; it is 0
 // left of the header. The explicit form (MinOA) re-walks each chain at every
 // position, Θ(n²/W_x) in all; this pass is Θ(n).
-func (x Slab) MinOA(out []float64, from int, target Window) error {
+func (x Slab[T]) MinOA(out []T, from int, target Window) error {
 	if x.Agg != Sum && x.Agg != Count {
 		return notDerivable("MinOA", x.Win, target, fmt.Sprintf("aggregate %v has no inverse", x.Agg))
 	}
@@ -138,14 +139,14 @@ func (x Slab) MinOA(out []float64, from int, target Window) error {
 	// The largest index either chain reaches is the positive head of the last
 	// position: k−Δl−W_x < k+Δh because W_y = Δl+Δh+W_x > 0.
 	top := from + len(out) - 1 + f.DeltaH
-	p := make([]float64, max(0, top-x.Lo+1))
+	p := make([]T, max(0, top-x.Lo+1))
 	for j := range p {
 		p[j] = x.at(x.Lo + j)
 		if j >= f.Wx {
 			p[j] += p[j-f.Wx]
 		}
 	}
-	chain := func(j int) float64 {
+	chain := func(j int) T {
 		if j < x.Lo {
 			return 0
 		}
@@ -172,7 +173,7 @@ func (x Slab) MinOA(out []float64, from int, target Window) error {
 // Needs Δp ≥ 1 and Δq ≥ 1 (the target at most twice the source window).
 // MIN and MAX, idempotent under overlap, need no compensation:
 // ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}) wherever Δl+Δh ≤ W_x.
-func (x Slab) MaxOA(out []float64, from int, target Window) error {
+func (x Slab[T]) MaxOA(out []T, from int, target Window) error {
 	if x.Agg == Min || x.Agg == Max {
 		f, err := minMaxFactors(x.Win, target)
 		if err != nil {
@@ -204,7 +205,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 	if f.DeltaL > 0 {
 		// z̃L covers [k−l_x, k−Δl+h_x]: empty left of first = Lo+Δl.
 		first := x.Lo + f.DeltaL
-		z := make([]float64, max(0, to-first+1))
+		z := make([]T, max(0, to-first+1))
 		for k := first; k <= to; k++ {
 			near := x.at(k - f.DeltaL)
 			z[k-first] = near - x.at(k-f.Wx)
@@ -219,7 +220,7 @@ func (x Slab) MaxOA(out []float64, from int, target Window) error {
 	if f.DeltaH > 0 {
 		// z̃H covers [k+Δh−l_x, k+h_x]: empty right of last = hi−Δh.
 		last := x.hi() - f.DeltaH
-		z := make([]float64, max(0, last-from+1))
+		z := make([]T, max(0, last-from+1))
 		for k := last; k >= from; k-- {
 			near := x.at(k + f.DeltaH)
 			z[k-from] = near - x.at(k+f.Wx)
@@ -252,11 +253,11 @@ func minMaxFactors(src, target Window) (MaxOAFactors, error) {
 	return f, nil
 }
 
-// minMax writes ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}), in FloatKeys' order
-// (a NaN is greatest, −0 is below +0); a side whose window holds
+// minMax writes ỹ_k = min/max(x̃_{k−Δl}, x̃_{k+Δh}), in key's order
+// (over floats a NaN is greatest, −0 is below +0); a side whose window holds
 // no raw position drops out, and valid, when given, records whether either
 // side was there (over n ≥ 1 raw values one always is, for every k in 1…n).
-func (x Slab) minMax(out []float64, valid []bool, from int, f MaxOAFactors) {
+func (x Slab[T]) minMax(out []T, valid []bool, from int, f MaxOAFactors) {
 	isMin := x.Agg == Min
 	for i := range out {
 		k := from + i

@@ -204,15 +204,24 @@ func FloatKey(f float64) int64 {
 	return k
 }
 
+// key is v's key in the order MIN and MAX take: an int64's own value, a
+// float64's FloatKey.
+func key[T Num](v T) int64 {
+	if f, ok := any(v).(float64); ok {
+		return FloatKey(f)
+	}
+	return int64(v)
+}
+
 // wins reports whether a is at least as small (isMin) or as large as b in
-// FloatKeys' order.
-func wins(a, b float64, isMin bool) bool {
-	ka, kb := FloatKey(a), FloatKey(b)
+// key's order.
+func wins[T Num](a, b T, isMin bool) bool {
+	ka, kb := key(a), key(b)
 	return isMin && ka <= kb || !isMin && ka >= kb
 }
 
-// extreme is the MIN (isMin) or MAX of a and b in FloatKeys' order.
-func extreme(a, b float64, isMin bool) float64 {
+// extreme is the MIN (isMin) or MAX of a and b in key's order.
+func extreme[T Num](a, b T, isMin bool) T {
 	if wins(b, a, isMin) {
 		return b
 	}
@@ -225,14 +234,18 @@ func extreme(a, b float64, isMin bool) float64 {
 // ends where the data ends if a window reaches past it. ok, when not nil,
 // records which windows hold a value. seed resumes a SUM pass from the
 // stored value at from−1 (see Sums).
-func evaluate(raw []float64, first int, w Window, agg Agg, seed *float64, from int, out []float64, ok []bool) {
+func evaluate[T Num](raw []T, first int, w Window, agg Agg, seed *T, from int, out []T, ok []bool) {
 	p := Pass{F: w.frame(), N: len(raw), From: from - first}
 	if agg == Sum {
 		Sums(p, raw, seed, out, nil)
 		return
 	}
+	keys, isInt := any(raw).([]int64)
+	if !isInt {
+		keys = FloatKeys(nil, any(raw).([]float64))
+	}
 	at := make([]int, len(out))
-	Extremes(p, FloatKeys(nil, raw), agg == Min, at, nil)
+	Extremes(p, keys, agg == Min, at, nil)
 	for j, r := range at {
 		if r >= 0 {
 			out[j] = raw[r]

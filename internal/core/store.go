@@ -15,25 +15,25 @@ import (
 
 // Cell is one stored position of a sequence: its position and value.
 // Positions whose MIN/MAX window is empty are not stored.
-type Cell struct {
+type Cell[T Num] struct {
 	Pos int
-	Val float64
+	Val T
 }
 
 // Store is one partition's complete sequence as the §2.3 rules read and
 // write it.
-type Store interface {
+type Store[T Num] interface {
 	// Read returns the stored cells of positions lo…hi in position order; hi
 	// may be math.MaxInt, for the rest of the sequence.
-	Read(lo, hi int) ([]Cell, error)
+	Read(lo, hi int) ([]Cell[T], error)
 	// Write makes positions lo…hi hold exactly cells (in position order,
 	// inside lo…hi): a position the cells skip is no longer stored. n is the
 	// raw cardinality after the change, or -1 when the change kept it.
 	// Positions outside lo…hi keep their values.
-	Write(lo, hi int, cells []Cell, n int) error
+	Write(lo, hi int, cells []Cell[T], n int) error
 	// Raw returns the raw values x_lo … x_hi after the change, for
 	// 1 ≤ lo ≤ hi ≤ n.
-	Raw(lo, hi int) ([]float64, error)
+	Raw(lo, hi int) ([]T, error)
 }
 
 // OpKind names a §2.3 change.
@@ -51,14 +51,16 @@ const (
 // Shift marks the positional insert or delete that renumbers every later
 // position; without it an insert must append at n+1 and a delete remove
 // position n, the changes that keep the positions of a table dense.
-type Op struct {
+type Op[T Num] struct {
 	Kind     OpKind
 	K        int
-	Old, New float64
+	Old, New T
 	Shift    bool
 }
 
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// finite reports whether v is neither a NaN nor an infinity: v − v is 0
+// exactly then, and always for an int64.
+func finite[T Num](v T) bool { return v-v == 0 }
 
 // storedHi is the last stored position of a complete sequence over n raw
 // values (storedRange's hi).
@@ -78,7 +80,7 @@ func storedHi(w Window, n int) int {
 //     its position on, so then the band and everything right of it are
 //     recomputed from the raw data, the way a refresh's pipeline runs.
 //   - MIN/MAX take x̃'_i = min(x̃_i, x'_k) (max) when the change can only widen
-//     the extremum, in the one order MIN and MAX take over floats (FloatKeys:
+//     the extremum, in the one order MIN and MAX take (over floats FloatKeys':
 //     a NaN is greatest, −0 is below +0, so a tie is equal bits); otherwise the band
 //     is recomputed, still local, as the paper's footnote concedes.
 //   - COUNT is a closed form of position and cardinality.
@@ -86,7 +88,7 @@ func storedHi(w Window, n int) int {
 // An AVG view stores its SUM sequence, which a read divides by the window's
 // counts: no sequence of quotients is maintained. A positional shift
 // recomputes from the band to the end of the sequence.
-func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
+func Apply[T Num](st Store[T], w Window, agg Agg, op Op[T]) (int, error) {
 	if agg != Sum && agg != Count && agg != Min && agg != Max {
 		return 0, fmt.Errorf("%v sequences are not maintained: maintain the SUM sequence and divide by Window.Count", agg)
 	}
@@ -98,7 +100,7 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 	// Read from lo−1, whose value seeds a recomputing pipeline, through the
 	// band of a sliding update, else to the end of the sequence, which
 	// tells n.
-	var cells []Cell
+	var cells []Cell[T]
 	n, exact := -1, false
 	read := func(hi int) (err error) {
 		if cells, err = st.Read(lo-1, hi); err != nil {
@@ -152,7 +154,7 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 		return nil
 	}
 
-	var out []Cell
+	var out []Cell[T]
 	switch {
 	case agg == Count && op.Kind == OpUpdate:
 		return 0, nil // COUNT is invariant under value updates
@@ -169,11 +171,11 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 		// An append adds x'_k (Old is 0), a suffix delete subtracts x_k
 		// (New is 0); the new trailer position starts from 0.
 		d := op.New - op.Old
-		out = patch(w, cells, lo, to, func(v float64, _ bool) float64 { return v + d })
+		out = patch(w, cells, lo, to, func(v T, _ bool) T { return v + d })
 	default: // Min, Max: every window of the band gains x'_k
 		v, isMin := op.New, agg == Min
 		if op.Kind == OpInsert || op.Kind == OpUpdate && wins(v, op.Old, isMin) {
-			out = patch(w, cells, lo, to, func(cur float64, ok bool) float64 {
+			out = patch(w, cells, lo, to, func(cur T, ok bool) T {
 				if !ok {
 					return v
 				}
@@ -191,7 +193,7 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 		// prefix: a store may keep no rows for an empty sequence.
 		lo = 0
 		if agg.Algebraic() {
-			out = append([]Cell{{0, 0}}, out...)
+			out = append([]Cell[T]{{0, 0}}, out...)
 		}
 	}
 	hi := to
@@ -211,7 +213,7 @@ func Apply(st Store, w Window, agg Agg, op Op) (int, error) {
 // empty read is n = 0 — the only sequence with no stored position right of
 // a band start is an empty MIN/MAX one — which is also what a read starting
 // past a shorter sequence's end yields, and checkOp then rejects.
-func cardinality(w Window, cells []Cell) int {
+func cardinality[T Num](w Window, cells []Cell[T]) int {
 	if len(cells) == 0 {
 		return 0
 	}
@@ -224,7 +226,7 @@ func cardinality(w Window, cells []Cell) int {
 
 // checkOp validates op against the cardinality n (-1: unknown, an update)
 // and returns the cardinality after it.
-func checkOp(op Op, n int) (int, error) {
+func checkOp[T Num](op Op[T], n int) (int, error) {
 	k, grow := op.K, [...]int{OpUpdate: 0, OpInsert: 1, OpDelete: -1}[op.Kind]
 	switch {
 	case !op.Shift && op.Kind == OpInsert && k != n+1:
@@ -237,7 +239,7 @@ func checkOp(op Op, n int) (int, error) {
 	return n + grow, nil
 }
 
-func allFinite(cells []Cell) bool {
+func allFinite[T Num](cells []Cell[T]) bool {
 	for _, c := range cells {
 		if !finite(c.Val) {
 			return false
@@ -250,7 +252,7 @@ func allFinite(cells []Cell) bool {
 // cells[0].Pos: a stored window is empty only at position 0 of a cumulative
 // MIN/MAX sequence, or when n = 0. Right of the last cell a cumulative
 // sequence stays at its grand total; a sliding one is empty there.
-func cellAt(w Window, cells []Cell, p int) (float64, bool) {
+func cellAt[T Num](w Window, cells []Cell[T], p int) (T, bool) {
 	if len(cells) == 0 {
 		return 0, false
 	}
@@ -265,10 +267,10 @@ func cellAt(w Window, cells []Cell, p int) (float64, bool) {
 
 // patch rewrites the stored value of every position lo…to through f,
 // which also learns whether the position was stored.
-func patch(w Window, cells []Cell, lo, to int, f func(v float64, ok bool) float64) []Cell {
-	out := make([]Cell, 0, to-lo+1)
+func patch[T Num](w Window, cells []Cell[T], lo, to int, f func(v T, ok bool) T) []Cell[T] {
+	out := make([]Cell[T], 0, to-lo+1)
 	for i := lo; i <= to; i++ {
-		out = append(out, Cell{i, f(cellAt(w, cells, i))})
+		out = append(out, Cell[T]{i, f(cellAt(w, cells, i))})
 	}
 	return out
 }
@@ -278,14 +280,14 @@ func patch(w Window, cells []Cell, lo, to int, f func(v float64, ok bool) float6
 // predecessor from−1, which the change left alone: a SUM pass continues from
 // its value, and a cumulative MIN/MAX folds it, the extremum of every raw
 // value before from, into each output.
-func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Cell, error) {
+func recompute[T Num](st Store[T], w Window, agg Agg, cells []Cell[T], from, to, n int) ([]Cell[T], error) {
 	if from > to {
 		return nil, nil
 	}
-	out := make([]Cell, 0, to-from+1)
+	out := make([]Cell[T], 0, to-from+1)
 	if agg == Count { // a closed form: no raw value
 		for k := from; k <= to; k++ {
-			out = append(out, Cell{k, float64(w.Count(k, n))})
+			out = append(out, Cell[T]{k, T(w.Count(k, n))})
 		}
 		return out, nil
 	}
@@ -296,7 +298,7 @@ func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Ce
 		l, h = 0, 0
 	}
 	rlo, rhi := max(from-l-1, 1), min(to+h, n)
-	var raw []float64
+	var raw []T
 	if rlo <= rhi {
 		var err error
 		if raw, err = st.Raw(rlo, rhi); err != nil {
@@ -304,11 +306,11 @@ func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Ce
 		}
 	}
 	prev, stored := cellAt(w, cells, from-1)
-	var seed *float64
+	var seed *T
 	if agg == Sum {
 		seed = &prev
 	}
-	vals, ok := make([]float64, to-from+1), make([]bool, to-from+1)
+	vals, ok := make([]T, to-from+1), make([]bool, to-from+1)
 	evaluate(raw, rlo, w, agg, seed, from, vals, ok)
 	fold := agg != Sum && w.Cumulative && stored
 	for j, v := range vals {
@@ -321,7 +323,7 @@ func recompute(st Store, w Window, agg Agg, cells []Cell, from, to, n int) ([]Ce
 			ok[j] = true
 		}
 		if agg == Sum || ok[j] {
-			out = append(out, Cell{from + j, v})
+			out = append(out, Cell[T]{from + j, v})
 		}
 	}
 	return out, nil

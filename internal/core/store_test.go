@@ -13,29 +13,29 @@ import (
 
 // storeOf returns a maintainer for any aggregate, AVG included, which Apply
 // refuses.
-func storeOf(t *testing.T, raw []float64, w Window, agg Agg) *Maintainer {
+func storeOf(t *testing.T, raw []float64, w Window, agg Agg) *Maintainer[float64] {
 	t.Helper()
 	seq, err := ComputePipelined(raw, w, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Maintainer{raw: append([]float64(nil), raw...), seq: seq}
+	return &Maintainer[float64]{raw: append([]float64(nil), raw...), seq: seq}
 }
 
-func (m *Maintainer) appendVal(v float64) error {
+func (m *Maintainer[float64]) appendVal(v float64) error {
 	m.raw = append(m.raw, v)
-	return m.apply(Op{Kind: OpInsert, K: len(m.raw), New: v})
+	return m.apply(Op[float64]{Kind: OpInsert, K: len(m.raw), New: v})
 }
 
-func (m *Maintainer) deleteLast() error {
+func (m *Maintainer[float64]) deleteLast() error {
 	n := len(m.raw)
 	old := m.raw[n-1]
 	m.raw = m.raw[:n-1]
-	return m.apply(Op{Kind: OpDelete, K: n, Old: old})
+	return m.apply(Op[float64]{Kind: OpDelete, K: n, Old: old})
 }
 
 // checkPipelined asserts the stored sequence is bit-identical to a refresh.
-func checkPipelined(t *testing.T, m *Maintainer, ctx string) {
+func checkPipelined(t *testing.T, m *Maintainer[float64], ctx string) {
 	t.Helper()
 	want, err := ComputePipelined(m.raw, m.seq.Win, m.seq.Agg)
 	if err != nil {
@@ -89,13 +89,13 @@ func TestApplyDenseChanges(t *testing.T) {
 func TestApplyRejectsDensityBreaks(t *testing.T) {
 	m := storeOf(t, []float64{1, 2, 3}, Sliding(1, 1), Max)
 	for _, c := range []struct {
-		op   Op
+		op   Op[float64]
 		want string
 	}{
-		{Op{Kind: OpInsert, K: 2, New: 5}, "not an append"},
-		{Op{Kind: OpInsert, K: 5, New: 5}, "not an append"},
-		{Op{Kind: OpDelete, K: 1, Old: 1}, "not a suffix delete"},
-		{Op{Kind: OpDelete, K: 4}, "not a suffix delete"},
+		{Op[float64]{Kind: OpInsert, K: 2, New: 5}, "not an append"},
+		{Op[float64]{Kind: OpInsert, K: 5, New: 5}, "not an append"},
+		{Op[float64]{Kind: OpDelete, K: 1, Old: 1}, "not a suffix delete"},
+		{Op[float64]{Kind: OpDelete, K: 4}, "not a suffix delete"},
 	} {
 		if err := m.apply(c.op); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%+v: err = %v, want %q", c.op, err, c.want)

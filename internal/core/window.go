@@ -22,8 +22,9 @@
 //   - reporting sequences with multi-column ordering and partitioning,
 //     including the ordering- and partitioning-reduction lemmas (§6).
 //
-// Values are float64; all the SUM/COUNT identities are exact when raw values
-// are integer-valued (the regime used by every test and benchmark).
+// A sequence's values are its column's type (Num): int64 for INTEGER and
+// COUNT, whose arithmetic wraps around, so every SUM/COUNT identity is exact
+// whenever its answer fits; float64 for FLOAT, exact on integer-valued data.
 package core
 
 import "fmt"

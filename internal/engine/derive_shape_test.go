@@ -87,7 +87,7 @@ func TestDerivedAnswersLikeNative(t *testing.T) {
 	same := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 	}
-	check := func(name string, res *Result, ref *core.Sequence) {
+	check := func(name string, res *Result, ref *core.Sequence[float64]) {
 		for _, row := range res.Rows {
 			k := int(row[0].Int())
 			if w, _ := ref.AtOK(k); !same(row[1].Float(), w) {

@@ -44,9 +44,11 @@ type Options struct {
 	// WindowParallelism bounds the worker pool the Window operator uses to
 	// evaluate independent partitions (the §6 partitioning reduction lemma)
 	// concurrently: 0 resolves to GOMAXPROCS, 1 forces sequential
-	// evaluation, N > 1 allows up to N workers. The knob also governs mview
-	// full refreshes, which re-execute the view query through the same
-	// planner.
+	// evaluation, N > 1 allows up to N workers. It also governs a plain
+	// materialized view's REFRESH, which re-executes the view query through
+	// the planner; a sequence view's CREATE and REFRESH fill partition after
+	// partition with core's §2.2 kernels (core.ComputePipelined) and no
+	// Window operator.
 	WindowParallelism int
 	// DisableSharedSort switches off the shared-sort multi-window planner
 	// pass: every Window operator of a multi-OVER query sorts internally

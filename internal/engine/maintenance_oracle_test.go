@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -15,6 +14,7 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/paper"
 	"rfview/internal/rewrite"
+	"rfview/internal/sqltypes"
 )
 
 // This file is the randomized maintenance oracle: the proof that the §2.3
@@ -36,10 +36,13 @@ import (
 // stores its window sums, also for SUM, and in one served trial in three
 // under an ORDER BY of the position or the value with a LIMIT, whose rows
 // are compared in order; the forced MaxOA and MinOA
-// strategies run paper.Pattern's SQL over the model's n. Integer data
-// keeps every SUM/COUNT/AVG/MIN/MAX exact in float64, so any bit difference
-// is a maintenance bug. Chaos trials end with a density-breaking statement,
-// which must leave the view stale until REFRESH, and then check that
+// strategies run paper.Pattern's SQL over the model's n. The data is
+// INTEGER, and the model's answers are int64 — an AVG the int64 window sum
+// divided once by its count — so any difference in value or type is a
+// maintenance bug. One trial in five (by its number) offsets every value it
+// draws by ±2⁵³, the sign alternating draw by draw, so running sums cross
+// 2⁵³ both ways, where a float64 detour loses the low bits. Chaos trials end
+// with a density-breaking statement, which must leave the view stale until REFRESH, and then check that
 // maintenance resumes from the refreshed state. Two trials in three index the
 // base's positions uniquely; the rest leave it without an index, which is
 // where a chaos step may renumber only part of a suffix. Half the
@@ -129,6 +132,19 @@ type oracleModel struct {
 	vals        map[string][]int // values per key, position order
 	born        int              // partitions birthed, for fresh key names
 	zeros       int              // the zero key's literals so far: even ones spell −0.0
+	wide        bool             // values are offset by ±2⁵³
+	drawn       int              // values drawn so far, whose parity signs the offset
+}
+
+// value draws a value of the stream: in a wide trial offset by ±2⁵³, with
+// the sign alternating from draw to draw.
+func (m *oracleModel) value(rng *rand.Rand) int {
+	v := rng.Intn(100) - 50
+	if m.wide {
+		m.drawn++
+		v += (1 - 2*(m.drawn%2)) << 53
+	}
+	return v
 }
 
 // floatSeedKeys are the FLOAT partition keys a trial seeds its base with:
@@ -156,7 +172,7 @@ func (m *oracleModel) pickKey(rng *rand.Rand) string {
 // step emits one maintainable DML statement and applies it to the shadow.
 func (m *oracleModel) step(rng *rand.Rand) string {
 	key := m.pickKey(rng)
-	val := rng.Intn(100) - 50
+	val := m.value(rng)
 	roll := rng.Float64()
 	switch {
 	case roll < 0.15 && m.partitioned: // partition birth
@@ -201,7 +217,7 @@ func (m *oracleModel) shift(rng *rand.Rand) (kind string, stmts []string) {
 		m.vals[key] = slices.Delete(m.vals[key], k-1, k)
 		return "shift delete", []string{m.deleteSQL(key, k), m.renumberSQL(key, k+1, 0, -1)}
 	}
-	k, val := 1+rng.Intn(n), rng.Intn(100)-50
+	k, val := 1+rng.Intn(n), m.value(rng)
 	m.vals[key] = slices.Insert(m.vals[key], k-1, val)
 	return "shift insert", []string{m.renumberSQL(key, k, 0, +1), m.insertSQL(key, k, val)}
 }
@@ -215,7 +231,7 @@ func (m *oracleModel) shift(rng *rand.Rand) (kind string, stmts []string) {
 // must stale the view; the repair lets REFRESH rebuild from a dense base.
 func (m *oracleModel) chaos(rng *rand.Rand, indexed bool) (kind string, broken, repair []string) {
 	key := m.pickKey(rng)
-	val := rng.Intn(100) - 50
+	val := m.value(rng)
 	if n := len(m.vals[key]); !indexed && n >= 2 {
 		// Renumber k…m only, leaving m+1 twice; the repair deletes both rows
 		// there, renumbers the rest and puts them back, as the full shift.
@@ -326,17 +342,17 @@ func (m *oracleModel) loadSQL() string {
 }
 
 // oracleRow is one compared row: partition key ("" for simple views),
-// position, the bits of the value, and — in a partitioned view's backing
-// table — whether the position belongs to the body.
+// position, the value — compared by type and bits — and, in a partitioned
+// view's backing table, whether the position belongs to the body.
 type oracleRow struct {
 	part string
 	pos  int
-	bits uint64
+	val  sqltypes.Datum
 	body bool
 }
 
 func (r oracleRow) String() string {
-	return fmt.Sprintf("%s@%d=%v body=%v", r.part, r.pos, math.Float64frombits(r.bits), r.body)
+	return fmt.Sprintf("%s@%d=%v body=%v", r.part, r.pos, r.val, r.body)
 }
 
 func sortOracleRows(rows []oracleRow) []oracleRow {
@@ -350,18 +366,29 @@ func sortOracleRows(rows []oracleRow) []oracleRow {
 }
 
 // naive evaluates the paper's model — the explicit form at every position of
-// the complete sequence — over one partition of the shadow.
-func (m *oracleModel) naive(t *testing.T, key string, w core.Window, agg core.Agg) *core.Sequence {
+// the complete sequence, in int64 — over one partition of the shadow: the
+// sequence agg stores, SUM for AVG.
+func (m *oracleModel) naive(t *testing.T, key string, w core.Window, agg core.Agg) *core.Sequence[int64] {
 	t.Helper()
-	raw := make([]float64, len(m.vals[key]))
+	raw := make([]int64, len(m.vals[key]))
 	for i, v := range m.vals[key] {
-		raw[i] = float64(v)
+		raw[i] = int64(v)
 	}
-	seq, err := core.ComputeNaive(raw, w, agg)
+	seq, err := core.ComputeNaive(raw, w, agg.Stored())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return seq
+}
+
+// answer is agg's answer at k over seq, naive's sequence: INTEGER, or for
+// AVG the window's sum divided once by its count.
+func answer(seq *core.Sequence[int64], agg core.Agg, k int) (sqltypes.Datum, bool) {
+	v, ok := seq.AtOK(k)
+	if agg == core.Avg {
+		return sqltypes.NewFloat(float64(v) / float64(max(seq.Win.Count(k, seq.N), 1))), ok
+	}
+	return sqltypes.NewInt(v), ok
 }
 
 // wantBacking is the complete sequence of every partition: header, body and
@@ -372,8 +399,8 @@ func (m *oracleModel) wantBacking(t *testing.T, w core.Window, agg core.Agg) []o
 	for _, key := range m.keys {
 		seq := m.naive(t, key, w, agg)
 		for k := seq.Lo(); k <= seq.Hi(); k++ {
-			if v, ok := seq.AtOK(k); ok {
-				out = append(out, oracleRow{key, k, math.Float64bits(v), m.partitioned && k >= 1 && k <= seq.N})
+			if v, ok := answer(seq, agg, k); ok {
+				out = append(out, oracleRow{key, k, v, m.partitioned && k >= 1 && k <= seq.N})
 			}
 		}
 	}
@@ -389,16 +416,21 @@ func (m *oracleModel) wantQuery(t *testing.T, w core.Window, agg core.Agg) []ora
 			// A frame of one row — the window core declines to materialize —
 			// aggregates the row itself.
 			for i, v := range m.vals[key] {
-				x := float64(v)
-				if agg == core.Count {
-					x = 1
+				x := sqltypes.NewInt(int64(v))
+				switch agg {
+				case core.Count:
+					x = sqltypes.NewInt(1)
+				case core.Avg:
+					x = sqltypes.NewFloat(float64(v))
 				}
-				out = append(out, oracleRow{part: key, pos: i + 1, bits: math.Float64bits(x)})
+				out = append(out, oracleRow{part: key, pos: i + 1, val: x})
 			}
 			continue
 		}
-		for i, v := range m.naive(t, key, w, agg).Body() {
-			out = append(out, oracleRow{part: key, pos: i + 1, bits: math.Float64bits(v)})
+		seq := m.naive(t, key, w, agg)
+		for k := 1; k <= seq.N; k++ {
+			v, _ := answer(seq, agg, k)
+			out = append(out, oracleRow{part: key, pos: k, val: v})
 		}
 	}
 	return sortOracleRows(out)
@@ -416,7 +448,7 @@ func (m *oracleModel) resultRows(res *Result) []oracleRow {
 			// A key renders as its class under SQL's =: −0.0 as 0.
 			out[i].part, r = r[0].Key().String(), r[1:]
 		}
-		out[i].pos, out[i].bits = int(r[0].Int()), math.Float64bits(r[1].Float())
+		out[i].pos, out[i].val = int(r[0].Int()), r[1]
 		if len(r) > 2 {
 			out[i].body = r[2].Bool()
 		}
@@ -429,10 +461,16 @@ func (m *oracleModel) resultRows(res *Result) []oracleRow {
 func unkeyed(rows []oracleRow) []oracleRow {
 	out := make([]oracleRow, len(rows))
 	for i, r := range rows {
-		out[i] = oracleRow{pos: r.pos, bits: r.bits}
+		out[i] = oracleRow{pos: r.pos, val: r.val}
 	}
-	slices.SortFunc(out, func(a, b oracleRow) int { return cmp.Or(a.pos-b.pos, cmp.Compare(a.bits, b.bits)) })
+	slices.SortFunc(out, func(a, b oracleRow) int { return cmp.Or(a.pos-b.pos, compareVals(a, b)) })
 	return out
+}
+
+// compareVals orders two rows by their values, as SQL does.
+func compareVals(a, b oracleRow) int {
+	c, _ := sqltypes.Compare(a.val, b.val)
+	return c
 }
 
 // ordered is what a query answering want (in (part, pos) order) returns
@@ -442,7 +480,7 @@ func ordered(want []oracleRow, key string, desc bool, k int) []oracleRow {
 	slices.SortStableFunc(want, func(a, b oracleRow) int {
 		c := a.pos - b.pos
 		if key == "w" {
-			c = cmp.Compare(math.Float64frombits(a.bits), math.Float64frombits(b.bits))
+			c = compareVals(a, b)
 		}
 		if desc {
 			return -c
@@ -560,10 +598,15 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		omitGrp := cfg.name == "served" && partitioned && trial%6 == 4
 		chaosTrial := rng.Intn(5) == 0
 		indexed := trial%3 != 0
+		wide := trial%5 == 3 // values offset by ±2⁵³
 		for name, hit := range map[string]bool{
-			"partitioned AVG":        partitioned && agg == "AVG",
-			"partitioned cumulative": partitioned && cumulative,
-			"cumulative AVG":         cumulative && agg == "AVG",
+			"partitioned AVG":          partitioned && agg == "AVG",
+			"partitioned cumulative":   partitioned && cumulative,
+			"cumulative AVG":           cumulative && agg == "AVG",
+			"±2⁵³ SUM":                 wide && agg == "SUM",
+			"±2⁵³ MAX":                 wide && agg == "MAX",
+			"±2⁵³ AVG":                 wide && agg == "AVG",
+			"±2⁵³ served AVG from SUM": wide && cfg.name == "served" && agg == "SUM" && queryAgg == "AVG",
 		} {
 			if hit {
 				drawn[name]++
@@ -595,14 +638,14 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 			q = fmt.Sprintf(`SELECT pos, %s(val) OVER (ORDER BY pos %s) AS w FROM seq`, queryAgg, qframe) + orderBy
 			backingQ = `SELECT pos, val FROM mv`
 		}
-		ctx := fmt.Sprintf("trial %d: cfg=%s part=%v omitgrp=%v floatkeys=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v%s",
-			trial, cfg.name, partitioned, omitGrp, floatKeys, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed, orderBy)
+		ctx := fmt.Sprintf("trial %d: cfg=%s wide=%v part=%v omitgrp=%v floatkeys=%v agg=%s query=%s cum=%v x̃=(%d,%d) ỹ=(%d,%d) chaos=%v indexed=%v%s",
+			trial, cfg.name, wide, partitioned, omitGrp, floatKeys, agg, queryAgg, cumulative, lx, hx, ly, hy, chaosTrial, indexed, orderBy)
 
-		model := &oracleModel{partitioned: partitioned, floatKeys: floatKeys, vals: map[string][]int{}}
+		model := &oracleModel{partitioned: partitioned, floatKeys: floatKeys, vals: map[string][]int{}, wide: wide}
 		seedVals := func(key string, n int) {
 			model.keys = append(model.keys, key)
 			for i := 0; i < n; i++ {
-				model.vals[key] = append(model.vals[key], rng.Intn(100)-50)
+				model.vals[key] = append(model.vals[key], model.value(rng))
 			}
 		}
 		if partitioned {
@@ -881,6 +924,7 @@ func runMaintenanceOracle(t *testing.T, useTxns bool) {
 		t.Fatal("no held snapshot outlived a reclamation — the oracle is not exercising the horizon")
 	}
 	for _, corner := range []string{"partitioned AVG", "partitioned cumulative", "cumulative AVG",
+		"±2⁵³ SUM", "±2⁵³ MAX", "±2⁵³ AVG", "±2⁵³ served AVG from SUM",
 		"shift insert", "shift delete", "partitioned shift insert", "partitioned shift delete",
 		"chaos partitioned key to NULL", "chaos partitioned middle delete", "chaos partitioned gap insert",
 		"chaos partial renumber", "chaos partitioned partial renumber", "chaos COUNT partial renumber",

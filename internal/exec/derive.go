@@ -49,9 +49,8 @@ type Derive struct {
 	// Spill, when set, carries the memory budget the slabs are charged to.
 	Spill *spill.Config
 
-	cols    []sqlparser.DeriveColumn
-	valType sqltypes.Type
-	schema  *expr.Schema
+	cols   []sqlparser.DeriveColumn
+	schema *expr.Schema
 
 	rows    []sqltypes.Row
 	next    int
@@ -118,18 +117,18 @@ func NewDerive(in DeriveInput, agg core.Agg, target core.Window, cols []sqlparse
 		}
 		infos[i] = expr.ColInfo{Name: c.Name, Type: typ}
 	}
-	return &Derive{In: in, Agg: agg, Target: target, cols: cols, valType: valType, schema: expr.NewSchema(infos...)}
+	return &Derive{In: in, Agg: agg, Target: target, cols: cols, schema: expr.NewSchema(infos...)}
 }
 
 // Schema implements Operator.
 func (d *Derive) Schema() *expr.Schema { return d.schema }
 
 // storedSeqs are the sequences of one view as scanned: every partition's
-// complete sequence side by side in one slab.
-type storedSeqs struct {
+// complete sequence side by side in one slab, in the view's value type.
+type storedSeqs[T core.Num] struct {
 	in    *DeriveInput
 	lo    int // first stored position of every partition
-	vals  []float64
+	vals  []T
 	parts []seqPart
 }
 
@@ -141,11 +140,11 @@ type seqPart struct {
 	off, n          int
 }
 
-func (s *storedSeqs) slab(p *seqPart) core.Slab {
-	return core.Slab{Win: s.in.Win, Agg: s.in.Agg, Lo: s.lo, Vals: s.vals[p.off : p.off+p.max-s.lo+1]}
+func (s *storedSeqs[T]) slab(p *seqPart) core.Slab[T] {
+	return core.Slab[T]{Win: s.in.Win, Agg: s.in.Agg, Lo: s.lo, Vals: s.vals[p.off : p.off+p.max-s.lo+1]}
 }
 
-func (s *storedSeqs) errorf(p *seqPart, format string, args ...any) error {
+func (s *storedSeqs[T]) errorf(p *seqPart, format string, args ...any) error {
 	e := &SequenceError{View: s.in.View, Reason: fmt.Sprintf(format, args...)}
 	if s.in.Part >= 0 {
 		e.Part = p.key.String()
@@ -159,9 +158,9 @@ func (s *storedSeqs) errorf(p *seqPart, format string, args ...any) error {
 // largest position, and only then is the one slab cut — so a stray position
 // is an error before it is an allocation. The scan hands over batches of the
 // columns the sequence needs; no row is materialized.
-func (d *Derive) load() (*storedSeqs, error) {
+func load[T core.Num](d *Derive) (*storedSeqs[T], error) {
 	in := &d.In
-	s := &storedSeqs{in: in}
+	s := &storedSeqs[T]{in: in}
 	switch {
 	case !in.Win.Cumulative:
 		s.lo = 1 - in.Win.Following
@@ -180,7 +179,7 @@ func (d *Derive) load() (*storedSeqs, error) {
 	var (
 		part  []int32 // partition of each buffered row; nil for a simple view
 		pos   = make([]int, 0, in.Rows)
-		val   = make([]float64, 0, in.Rows)
+		val   = make([]T, 0, in.Rows)
 		index map[sqltypes.Datum]int32
 		cur   = int32(-1)
 		b     = batchPool.Get().(*sqltypes.Batch)
@@ -206,11 +205,16 @@ func (d *Derive) load() (*storedSeqs, error) {
 		if !ok {
 			break
 		}
-		// A view stores INTEGER positions and numeric values without NULLs,
-		// which are read straight off the typed vectors; anything else is
-		// read datum by datum, so the offending row can be named.
+		// A view stores INTEGER positions and values of its column's type
+		// without NULLs, which are read straight off the typed vectors;
+		// anything else is read datum by datum, so the offending row can be
+		// named.
 		posCol, valCol := &b.Cols[in.Pos], &b.Cols[in.Val]
-		typed := posCol.Typ == sqltypes.Int && valCol.Typ.Numeric() && !posCol.Mixed() && !valCol.Mixed() &&
+		vals, typed := any(valCol.Ints).([]T)
+		if valCol.Typ == sqltypes.Float {
+			vals, typed = any(valCol.Floats).([]T)
+		}
+		typed = typed && valCol.Typ.Numeric() && posCol.Typ == sqltypes.Int && !posCol.Mixed() && !valCol.Mixed() &&
 			!posCol.Nulls.Any() && !valCol.Nulls.Any()
 		for _, i := range b.Positions() {
 			if in.Part >= 0 {
@@ -229,18 +233,15 @@ func (d *Derive) load() (*storedSeqs, error) {
 			}
 			p := &s.parts[cur]
 			var at int
-			var x float64
-			switch {
-			case !typed:
+			var x T
+			if typed {
+				at, x = int(posCol.Ints[i]), vals[i]
+			} else {
 				k, v := posCol.Datum(i), valCol.Datum(i)
 				if k.Typ() != sqltypes.Int || !v.Typ().Numeric() {
 					return nil, s.errorf(p, "stored row (%v, %v) is not an INTEGER position and a numeric value", k, v)
 				}
-				at, x = int(k.Int()), v.Float()
-			case valCol.Typ == sqltypes.Int:
-				at, x = int(posCol.Ints[i]), float64(valCol.Ints[i])
-			default:
-				at, x = int(posCol.Ints[i]), valCol.Floats[i]
+				at, x = int(k.Int()), sqltypes.AsNum[T](v)
 			}
 			if at < s.lo {
 				return nil, s.errorf(p, "position %d lies left of the header, which starts at %d", at, s.lo)
@@ -297,7 +298,7 @@ func (d *Derive) load() (*storedSeqs, error) {
 	// the buffered triples go with this call.
 	d.charge(int64(total) * (8 + 1))
 	defer d.uncharge(int64(total) + int64(charged)*rowBytes)
-	s.vals = make([]float64, total)
+	s.vals = make([]T, total)
 	seen := make([]bool, total)
 	for i, at := range pos {
 		p := &s.parts[0]
@@ -329,10 +330,18 @@ func (d *Derive) uncharge(n int64) {
 	}
 }
 
-// Open implements Operator: scan, place, derive, and build the output rows.
+// Open implements Operator: scan, place, derive, and build the output rows,
+// in the type of the view's values.
 func (d *Derive) Open() error {
 	d.release()
-	src, err := d.load()
+	if d.In.Scan.Schema().Cols[d.In.Val].Type == sqltypes.Int {
+		return open[int64](d)
+	}
+	return open[float64](d)
+}
+
+func open[T core.Num](d *Derive) error {
+	src, err := load[T](d)
 	if err != nil {
 		return err
 	}
@@ -351,7 +360,7 @@ func (d *Derive) Open() error {
 	// The output rows stay until Close; the derived values go with Open, like
 	// the slab they come from.
 	d.charge(int64(rows) * (int64(unsafe.Sizeof(sqltypes.Row{})) + int64(len(d.cols))*int64(unsafe.Sizeof(sqltypes.Datum{}))))
-	out := make([]float64, rows)
+	out := make([]T, rows)
 	derived := int64(rows) * 8
 	d.charge(derived)
 	defer d.uncharge(derived + int64(len(src.vals))*8)
@@ -367,15 +376,14 @@ func (d *Derive) Open() error {
 		if err := src.slab(p).Derive(src.in.Algo, y, first, d.Target); err != nil {
 			return err
 		}
-		if d.Agg != d.In.Agg {
-			// AVG = SUM/COUNT; a window that holds no raw value sums to 0,
-			// which stays the quotient.
-			for k := range y {
-				y[k] /= float64(max(d.Target.Count(first+k, p.n), 1))
-			}
-		}
 		for k, v := range y {
 			pos := first + k
+			val := sqltypes.NewNum(v)
+			if d.Agg != d.In.Agg {
+				// AVG = SUM/COUNT, divided once here; a window that holds no
+				// raw value sums to 0, which stays the quotient.
+				val = sqltypes.NewFloat(float64(v) / float64(max(d.Target.Count(pos, p.n), 1)))
+			}
 			row := cells[(done+k)*len(d.cols) : (done+k+1)*len(d.cols) : (done+k+1)*len(d.cols)]
 			for c, col := range d.cols {
 				switch col.Kind {
@@ -386,7 +394,7 @@ func (d *Derive) Open() error {
 				case sqlparser.DeriveBody:
 					row[c] = sqltypes.NewBool(pos >= 1 && pos <= p.n)
 				default:
-					row[c] = d.value(v)
+					row[c] = val
 				}
 			}
 			d.rows[done+k] = row
@@ -394,15 +402,6 @@ func (d *Derive) Open() error {
 		done += len(y)
 	}
 	return nil
-}
-
-// value types a derived value as the view's val column: an INTEGER view
-// answers in INTEGER, as its rows and the SQL pattern over them do.
-func (d *Derive) value(v float64) sqltypes.Datum {
-	if d.valType == sqltypes.Int {
-		return sqltypes.NewInt(int64(v))
-	}
-	return sqltypes.NewFloat(v)
 }
 
 // takeRows implements rowsHandoff.

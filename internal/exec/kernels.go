@@ -88,44 +88,33 @@ func (w *Window) evalFunc(r *winRun, fi int, ord []int, ps *partScratch) error {
 		}
 	case vec.Typ == sqltypes.String:
 		return fmt.Errorf("exec: %s over VARCHAR", fn.Name)
-	case fn.Name == "SUM" && vec.Typ == sqltypes.Float:
-		ps.fsum = grow(ps.fsum, n)
-		core.Sums(p, vec.Floats, nil, ps.fsum, ps.cnt)
-		for i, s := range ps.fsum {
-			if ps.cnt[i] == 0 {
-				*answer(i) = sqltypes.NullDatum
-			} else {
-				*answer(i) = sqltypes.NewFloat(s)
-			}
-		}
-	case fn.Name == "SUM":
-		ps.isum = grow(ps.isum, n)
-		core.Sums(p, vec.Ints, nil, ps.isum, ps.cnt)
-		for i, s := range ps.isum {
-			if ps.cnt[i] == 0 {
-				*answer(i) = sqltypes.NullDatum
-			} else {
-				*answer(i) = sqltypes.NewInt(s)
-			}
-		}
-	case fn.Name == "AVG":
-		ps.fsum = grow(ps.fsum, n)
-		if vec.Typ == sqltypes.Float {
-			core.Sums(p, vec.Floats, nil, ps.fsum, ps.cnt)
-		} else {
-			core.Sums(p, vec.Ints, nil, ps.fsum, ps.cnt)
-		}
-		for i, s := range ps.fsum {
-			if ps.cnt[i] == 0 {
-				*answer(i) = sqltypes.NullDatum
-			} else {
-				*answer(i) = sqltypes.NewFloat(s / float64(ps.cnt[i]))
-			}
-		}
-	default:
+	case fn.Name != "SUM" && fn.Name != "AVG":
 		return fmt.Errorf("exec: unknown window aggregate %s()", fn.Name)
+	case vec.Typ == sqltypes.Float:
+		ps.fsum = grow(ps.fsum, n)
+		sums(p, vec.Floats, ps.fsum, ps.cnt, fn.Name == "AVG", answer)
+	default:
+		ps.isum = grow(ps.isum, n)
+		sums(p, vec.Ints, ps.isum, ps.cnt, fn.Name == "AVG", answer)
 	}
 	return nil
+}
+
+// sums slides SUM over vals in their own type and answers each row's sum —
+// or for AVG the sum divided once by the count, as a derived AVG divides —
+// and NULL over a frame without a value.
+func sums[T int64 | float64](p core.Pass, vals, sum []T, cnt []int64, avg bool, answer func(int) *sqltypes.Datum) {
+	core.Sums(p, vals, nil, sum, cnt)
+	for i, s := range sum {
+		switch {
+		case cnt[i] == 0:
+			*answer(i) = sqltypes.NullDatum
+		case avg:
+			*answer(i) = sqltypes.NewFloat(float64(s) / float64(cnt[i]))
+		default:
+			*answer(i) = sqltypes.NewNum(s)
+		}
+	}
 }
 
 // nonNumeric is the type of the first non-NULL value of v that is neither

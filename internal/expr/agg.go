@@ -88,24 +88,15 @@ func (a *countAcc) Add(d sqltypes.Datum) {
 func (a *countAcc) Result() sqltypes.Datum { return sqltypes.NewInt(a.n) }
 func (a *countAcc) Reset()                 { a.n = 0 }
 
-type avgAcc struct {
-	n   int64
-	sum float64
-}
-
-func (a *avgAcc) Add(d sqltypes.Datum) {
-	if d.IsNull() {
-		return
-	}
-	a.n++
-	a.sum += d.Float()
-}
+// avgAcc is SUM's accumulator divided once by the count, so an INTEGER
+// AVG sums in int64 as a window AVG does.
+type avgAcc struct{ sumAcc }
 
 func (a *avgAcc) Result() sqltypes.Datum {
 	if a.n == 0 {
 		return sqltypes.NullDatum
 	}
-	return sqltypes.NewFloat(a.sum / float64(a.n))
+	return sqltypes.NewFloat(a.sumAcc.Result().Float() / float64(a.n))
 }
 
 func (a *avgAcc) Reset() { *a = avgAcc{} }

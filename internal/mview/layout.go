@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"rfview/internal/catalog"
+	"rfview/internal/core"
 	"rfview/internal/rewrite"
 	"rfview/internal/sqltypes"
 	"rfview/internal/txn"
@@ -138,15 +139,15 @@ func (l layout) partOf(row sqltypes.Row, ord int) (part sqltypes.Datum, ok bool)
 // write view — so a refresh sees its transaction's own writes — validates
 // their density and returns their spans in key order; a simple view has its
 // one partition even over an empty table.
-func (m *Manager) readSequences(tx *txn.Txn, sv *seqView) ([]*span, error) {
-	b := bands{}
+func readSequences[T core.Num](m *Manager, tx *txn.Txn, sv *seqView) ([]*span[T], error) {
+	b := bands[T]{}
 	if !sv.lay.keyed() {
-		b[sqltypes.NullDatum] = []*span{{part: sqltypes.NullDatum, lo: 1, hi: math.MaxInt}}
+		b[sqltypes.NullDatum] = []*span[T]{{part: sqltypes.NullDatum, lo: 1, hi: math.MaxInt}}
 	}
-	if err := m.readBands(tx, sv, b, true); err != nil {
+	if err := readBands(m, tx, sv, b, true); err != nil {
 		return nil, err
 	}
-	parts := make([]*span, 0, len(b))
+	parts := make([]*span[T], 0, len(b))
 	for _, spans := range b {
 		for i, rows := range spans[0].rows {
 			if rows != 1 {

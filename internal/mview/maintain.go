@@ -49,14 +49,22 @@ func (m *Manager) Fold(tx *txn.Txn, deltas []txn.Delta) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, sv := range m.seq {
-		if sv.stale() {
-			continue
+		switch {
+		case sv.stale():
+		case sv.valType == sqltypes.Int:
+			foldView[int64](m, tx, sv, deltas)
+		default:
+			foldView[float64](m, tx, sv, deltas)
 		}
-		if changes, ends, why := sv.fold(deltas); why != "" {
-			m.markStale(sv, why)
-		} else {
-			m.foldChanges(tx, sv, changes, ends)
-		}
+	}
+}
+
+// foldView folds the deltas into one view in its value type T.
+func foldView[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, deltas []txn.Delta) {
+	if changes, ends, why := fold[T](sv, deltas); why != "" {
+		m.markStale(sv, why)
+	} else {
+		foldChanges(m, tx, sv, changes, ends)
 	}
 }
 
@@ -64,9 +72,9 @@ func (m *Manager) Fold(tx *txn.Txn, deltas []txn.Delta) {
 // partition. A renumbering moves the partition's positions op.K…last by
 // move (±1); fold makes it part of a shift, whose last is the partition's
 // n_p before the shift.
-type change struct {
+type change[T core.Num] struct {
 	part       sqltypes.Datum
-	op         core.Op
+	op         core.Op[T]
 	move, last int
 }
 
@@ -75,13 +83,13 @@ type change struct {
 // absorb them. A +1 renumbering of k…m and the insert at k after it are
 // one shift insert; a delete at k and the −1 renumbering of k+1…m after it
 // are one shift delete. Nothing else of the partition may come between.
-func (sv *seqView) fold(deltas []txn.Delta) (changes []change, ends []int, why string) {
-	open := map[sqltypes.Datum]change{} // +1 renumberings awaiting their insert, by partition Key
+func fold[T core.Num](sv *seqView, deltas []txn.Delta) (changes []change[T], ends []int, why string) {
+	open := map[sqltypes.Datum]change[T]{} // +1 renumberings awaiting their insert, by partition Key
 	for _, d := range deltas {
 		if !strings.EqualFold(sv.mv.BaseTable, d.Table) {
 			continue
 		}
-		cs, why := sv.changes(d)
+		cs, why := changesOf[T](sv, d)
 		if why != "" {
 			return nil, nil, why
 		}
@@ -138,9 +146,9 @@ func byPos(rows []sqltypes.Row, pi int, desc bool) []sqltypes.Row {
 	return ordered
 }
 
-// changes translates one delta into the view's changes, or says why the
+// changesOf translates one delta into the view's changes, or says why the
 // §2.3 rules cannot absorb it.
-func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
+func changesOf[T core.Num](sv *seqView, d txn.Delta) (out []change[T], why string) {
 	find := func(name string) int { return colIndex(d.Cols, name) }
 	pi, vi := find(sv.mv.PosColumn), find(sv.mv.ValColumn)
 	gi, ok := sv.lay.partOrd(find)
@@ -162,15 +170,15 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 			if p.IsNull() || p.Typ() != sqltypes.Int || !numeric(v) || !ok {
 				return nil, "row has a bad position, value or partition key"
 			}
-			op := core.Op{Kind: kind, K: int(p.Int()), New: v.Float()}
+			op := core.Op[T]{Kind: kind, K: int(p.Int()), New: sqltypes.AsNum[T](v)}
 			if kind == core.OpDelete {
 				op.Old, op.New = op.New, 0
 			}
-			out = append(out, change{part: part, op: op})
+			out = append(out, change[T]{part: part, op: op})
 		}
 	case txn.DeltaUpdate:
-		var runs []change // each partition's renumbering, in order
-		var moved [][]int // the positions each moves
+		var runs []change[T] // each partition's renumbering, in order
+		var moved [][]int    // the positions each moves
 		at := map[sqltypes.Datum]int{}
 		for i, before := range d.Before {
 			after := d.After[i]
@@ -190,7 +198,7 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 				j, seen := at[part.Key()]
 				if !seen {
 					j, at[part.Key()] = len(runs), len(runs)
-					runs, moved = append(runs, change{part: part, move: step}), append(moved, nil)
+					runs, moved = append(runs, change[T]{part: part, move: step}), append(moved, nil)
 				}
 				if runs[j].move != step {
 					return nil, "positions renumbered both ways"
@@ -200,8 +208,8 @@ func (sv *seqView) changes(d txn.Delta) (out []change, why string) {
 			case !numeric(av):
 				return nil, "value updated to non-numeric"
 			default:
-				op := core.Op{Kind: core.OpUpdate, K: int(after[pi].Int()), Old: before[vi].Float(), New: av.Float()}
-				out = append(out, change{part: part, op: op})
+				op := core.Op[T]{Kind: core.OpUpdate, K: int(after[pi].Int()), Old: sqltypes.AsNum[T](before[vi]), New: sqltypes.AsNum[T](av)}
+				out = append(out, change[T]{part: part, op: op})
 			}
 		}
 		for j, r := range runs {
@@ -235,8 +243,8 @@ func valueUnchanged(a, b sqltypes.Datum) bool {
 // delta's end; what the §2.3 rules cannot absorb marks the view stale and
 // ends the fold. The base table holds the writes of every change already:
 // the store's raw data steps through them one change at a time.
-func (m *Manager) foldChanges(tx *txn.Txn, sv *seqView, changes []change, ends []int) {
-	st := &backingStore{m: m, tx: tx, sv: sv, changes: changes}
+func foldChanges[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, changes []change[T], ends []int) {
+	st := &backingStore[T]{m: m, tx: tx, sv: sv, changes: changes}
 	touched, next := 0, 0
 	delta := func(done int) { // count the deltas whose changes are all in
 		for ; next < len(ends) && ends[next] <= done; next++ {

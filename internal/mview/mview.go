@@ -166,7 +166,7 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 		sv.valType = sqltypes.Float
 	}
 	// Read the base before creating anything: a non-dense one is refused.
-	parts, err := m.readSequences(tx, sv)
+	rows, err := m.sequences(tx, sv)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 		m.cat.DropTable(backingName)
 		return nil, err
 	}
-	if err := rewriteRows(tx, mv.Table, sv.sequences(parts)); err != nil {
+	if err := rewriteRows(tx, mv.Table, rows); err != nil {
 		m.cat.DropTable(backingName)
 		return nil, err
 	}
@@ -209,9 +209,21 @@ func (m *Manager) register(mv *catalog.MatView, add func(epoch uint64)) func(uin
 // rowSource produces a backing table's rows, handing each to insert.
 type rowSource func(insert func(sqltypes.Row) error) error
 
-// sequences yields a sequence view's backing rows: each partition's
-// complete sequence over its raw values.
-func (sv *seqView) sequences(parts []*span) rowSource {
+// sequences reads the view's partitions from the base table, in the view's
+// value type, and yields its backing rows: each partition's complete
+// sequence over its raw values.
+func (m *Manager) sequences(tx *txn.Txn, sv *seqView) (rowSource, error) {
+	if sv.valType == sqltypes.Int {
+		return sequencesOf[int64](m, tx, sv)
+	}
+	return sequencesOf[float64](m, tx, sv)
+}
+
+func sequencesOf[T core.Num](m *Manager, tx *txn.Txn, sv *seqView) (rowSource, error) {
+	parts, err := readSequences[T](m, tx, sv)
+	if err != nil {
+		return nil, err
+	}
 	return func(insert func(sqltypes.Row) error) error {
 		for _, p := range parts {
 			seq, err := core.ComputePipelined(p.vals, sv.mv.Window, sv.mv.Agg.Stored())
@@ -223,13 +235,13 @@ func (sv *seqView) sequences(parts []*span) rowSource {
 				if !ok {
 					continue // MIN/MAX empty windows are not materialized
 				}
-				if err := insert(sv.lay.row(p.part, k, sv.datum(v), k >= 1 && k <= seq.N)); err != nil {
+				if err := insert(sv.lay.row(p.part, k, sqltypes.NewNum(v), k >= 1 && k <= seq.N)); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
-	}
+	}, nil
 }
 
 // copies yields a plain view's backing rows: copies of its query's result
@@ -264,14 +276,6 @@ func rewriteRows(tx *txn.Txn, t *catalog.Table, rows rowSource) error {
 		_, err := t.Heap.InsertTx(tx, r)
 		return err
 	})
-}
-
-// datum is a stored value in the backing table's value type.
-func (sv *seqView) datum(v float64) sqltypes.Datum {
-	if sv.valType == sqltypes.Int {
-		return sqltypes.NewInt(int64(v))
-	}
-	return sqltypes.NewFloat(v)
 }
 
 func (m *Manager) createPlainView(ctx context.Context, tx *txn.Txn, stmt *sqlparser.CreateMatView) (func(uint64), error) {
@@ -345,11 +349,11 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) (stam
 	defer m.mu.Unlock()
 	if sv, ok := m.seq[lower(name)]; ok {
 		m.stats.FullRefreshes.Add(1)
-		parts, err := m.readSequences(tx, sv)
+		rows, err := m.sequences(tx, sv)
 		if err != nil {
 			return nil, err
 		}
-		if err := rewriteRows(tx, sv.mv.Table, sv.sequences(parts)); err != nil {
+		if err := rewriteRows(tx, sv.mv.Table, rows); err != nil {
 			return nil, err
 		}
 		return func(epoch uint64) {

@@ -118,7 +118,7 @@ func viewValues(t *testing.T, cat *catalog.Catalog, name string) map[int64]float
 func denseRaw(m *Manager, base *catalog.Table) ([]float64, error) {
 	tx := m.begin()
 	defer tx.Release()
-	parts, err := m.readSequences(tx, &seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}})
+	parts, err := readSequences[float64](m, tx, &seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}})
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func checkViewMatchesCore(t *testing.T, cat *catalog.Catalog, m *Manager, name s
 // checkViewMatches is checkViewMatchesCore against a chosen evaluation of the
 // paper's model (pipelined, or the explicit form core.ComputeNaive).
 func checkViewMatches(t *testing.T, cat *catalog.Catalog, m *Manager, name string, win core.Window, agg core.Agg,
-	compute func([]float64, core.Window, core.Agg) (*core.Sequence, error)) {
+	compute func([]float64, core.Window, core.Agg) (*core.Sequence[float64], error)) {
 	t.Helper()
 	base, err := cat.Table("seq")
 	if err != nil {
@@ -196,7 +196,7 @@ func storedAgg(agg core.Agg) core.Agg {
 
 // viewDiff says how a view's pos→val rows differ from the sequence want,
 // "" when they hold it.
-func viewDiff(want *core.Sequence, got map[int64]float64) string {
+func viewDiff(want *core.Sequence[float64], got map[int64]float64) string {
 	count := 0
 	for k := want.Lo(); k <= want.Hi(); k++ {
 		v, ok := want.AtOK(k)

@@ -219,7 +219,7 @@ func viewAt(t *storage.Table, at txn.Snapshot, keyed bool) map[string]map[int64]
 
 // viewDiff says how a partition's pos→val rows differ from the sequence
 // want, "" when they hold it.
-func viewDiff(want *core.Sequence, got map[int64]float64) string {
+func viewDiff(want *core.Sequence[float64], got map[int64]float64) string {
 	count := 0
 	for k := want.Lo(); k <= want.Hi(); k++ {
 		v, ok := want.AtOK(k)

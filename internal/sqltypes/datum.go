@@ -72,6 +72,24 @@ func NewInt(v int64) Datum { return Datum{typ: Int, i: v} }
 // NewFloat returns a FLOAT datum.
 func NewFloat(v float64) Datum { return Datum{typ: Float, i: int64(math.Float64bits(v))} }
 
+// NewNum returns an INTEGER datum for an int64 and a FLOAT one for a
+// float64: a value in the SQL type of its Go type.
+func NewNum[T int64 | float64](v T) Datum {
+	if f, ok := any(v).(float64); ok {
+		return NewFloat(f)
+	}
+	return NewInt(int64(v))
+}
+
+// AsNum returns a numeric datum's value as a T: an INTEGER's payload, or a
+// FLOAT's converted (truncated toward zero into an int64).
+func AsNum[T int64 | float64](d Datum) T {
+	if d.typ == Int {
+		return T(d.i)
+	}
+	return T(d.Float())
+}
+
 // NewString returns a VARCHAR datum.
 func NewString(v string) Datum { return Datum{typ: String, s: v} }
 

@@ -208,8 +208,8 @@ func (l *Log) syncFile() error {
 }
 
 // Truncate deletes every segment whose records are all ≤ throughLSN (they
-// are covered by a snapshot) and starts a fresh segment. It is the log half
-// of a checkpoint.
+// are covered by a snapshot) or all past it (they follow a tear), and starts
+// a fresh segment. It is the log half of a checkpoint.
 func (l *Log) Truncate(throughLSN uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -224,14 +224,12 @@ func (l *Log) Truncate(throughLSN uint64) error {
 		return err
 	}
 	// A segment is disposable when the *next* segment starts at or below
-	// throughLSN+1 — then every record it holds is ≤ throughLSN. The fresh
-	// segment just opened starts at nextLSN > throughLSN, so it survives.
+	// throughLSN+1 — then every record it holds is ≤ throughLSN — and when
+	// it starts past throughLSN but is not the fresh segment just opened at
+	// nextLSN: it holds records past a tear, which recovery discarded.
 	for i, s := range segs {
-		covered := false
-		if i+1 < len(segs) {
-			covered = segs[i+1].firstLSN <= throughLSN+1
-		}
-		if covered {
+		covered := i+1 < len(segs) && segs[i+1].firstLSN <= throughLSN+1
+		if covered || s.firstLSN > throughLSN && s.firstLSN != l.nextLSN {
 			if err := os.Remove(s.path); err != nil {
 				return err
 			}
@@ -302,45 +300,54 @@ func listSegments(dataDir string) ([]segment, error) {
 }
 
 // ReadTail reads every record with LSN > afterLSN from the data directory's
-// segments, in order, applying the torn-tail rule: reading stops — without
-// error — at the first incomplete or corrupt record, and every later segment
-// is ignored (records after a tear are not trustworthy even if their CRCs
-// pass, because the sequence has a hole). A log that does not continue from
+// segments, in order, applying the torn-tail rule: the log is one unbroken
+// LSN sequence, so reading stops — without error — at the first incomplete
+// or corrupt record, or the first that is not its predecessor's LSN + 1, in
+// whichever segment. Every record after a tear is discarded, even where its
+// CRC passes: the sequence has a hole. A log that does not continue from
 // afterLSN — its oldest segment or first record past afterLSN+1 — is a
 // GapError.
 func ReadTail(dataDir string, afterLSN uint64) ([]Record, error) {
+	recs, _, err := readTail(dataDir, afterLSN)
+	return recs, err
+}
+
+// readTail is ReadTail, also counting the intact records past the tear.
+func readTail(dataDir string, afterLSN uint64) (out []Record, discarded int, err error) {
 	segs, err := listSegments(dataDir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(segs) > 0 && segs[0].firstLSN > afterLSN+1 {
-		return nil, &GapError{SnapshotLSN: afterLSN, FirstLSN: segs[0].firstLSN}
+		return nil, 0, &GapError{SnapshotLSN: afterLSN, FirstLSN: segs[0].firstLSN}
 	}
-	var out []Record
+	torn := false
 	for _, s := range segs {
 		data, err := os.ReadFile(s.path)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		body, err := checkMagic(data)
 		if err != nil {
-			// A segment file without a valid header is a tear at offset 0.
-			return out, nil
+			torn = true // a segment file without a valid header is a tear at offset 0
+			continue
 		}
 		recs, _, ok := readRecords(body)
 		for _, r := range recs {
-			if r.LSN > afterLSN {
-				if len(out) == 0 && r.LSN != afterLSN+1 {
-					return nil, &GapError{SnapshotLSN: afterLSN, FirstLSN: r.LSN}
-				}
+			switch {
+			case torn || len(out) > 0 && r.LSN != out[len(out)-1].LSN+1:
+				torn = true
+				discarded++
+			case r.LSN <= afterLSN:
+			case len(out) == 0 && r.LSN != afterLSN+1:
+				return nil, 0, &GapError{SnapshotLSN: afterLSN, FirstLSN: r.LSN}
+			default:
 				out = append(out, r)
 			}
 		}
-		if !ok {
-			return out, nil // torn tail: stop here
-		}
+		torn = torn || !ok
 	}
-	return out, nil
+	return out, discarded, nil
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are durable.

@@ -35,6 +35,9 @@ type RecoveryStats struct {
 	SnapshotLSN uint64
 	// RecordsReplayed counts WAL records replayed after the snapshot.
 	RecordsReplayed int
+	// RecordsDiscarded counts the intact records the log held past a tear,
+	// which recovery did not replay and deleted with their segments.
+	RecordsDiscarded int
 	// ReplayErrors counts replayed SQL records that returned an error. The
 	// engine is deterministic, so these are statements that failed the same
 	// way before the crash (and were logged under the log-before-apply
@@ -117,7 +120,7 @@ func Open(opts Options, engOpts engine.Options) (*Manager, error) {
 	if snap != nil {
 		afterLSN = snap.LSN
 	}
-	recs, err := ReadTail(opts.Dir, afterLSN)
+	recs, discarded, err := readTail(opts.Dir, afterLSN)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +130,7 @@ func Open(opts Options, engOpts engine.Options) (*Manager, error) {
 		eng.Close()
 		return nil, err
 	}
+	m.rec.RecordsDiscarded = discarded
 	return m, nil
 }
 
@@ -175,8 +179,10 @@ func recoverInto(eng *engine.Engine, opts Options, snap *Snapshot, recs []Record
 	}
 	m.instrumentMetrics()
 	// Recovery ends with a checkpoint: the replayed tail is folded into a
-	// snapshot, bounding the next recovery and clearing any torn tail from
-	// disk. Nothing is concurrent yet, so no lock is needed.
+	// snapshot, bounding the next recovery, and once it is synced the
+	// segments past the tear go (Log.Truncate), so no later recovery can
+	// replay what this one discarded. Nothing is concurrent yet, so no lock
+	// is needed.
 	if err := m.checkpointLocked(); err != nil {
 		m.log.Close()
 		return nil, err

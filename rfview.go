@@ -129,7 +129,7 @@ func (db *DB) Engine() *engine.Engine { return db.eng }
 type Window = core.Window
 
 // Sequence is a complete simple sequence (values plus header/trailer).
-type Sequence = core.Sequence
+type Sequence = core.Sequence[float64]
 
 // Agg identifies the aggregation function of a sequence.
 type Agg = core.Agg
@@ -183,7 +183,7 @@ func SeqReconstructRaw(src *Sequence) ([]float64, error) {
 }
 
 // Maintainer re-exports the §2.3 incremental maintenance engine.
-type Maintainer = core.Maintainer
+type Maintainer = core.Maintainer[float64]
 
 // NewMaintainer materializes a sequence and returns its maintainer.
 func NewMaintainer(raw []float64, w Window, agg Agg) (*Maintainer, error) {
