@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Sequence is a *complete simple sequence* (§3, Definition "Complete Simple
 // Sequence"): the materialized values of a reporting function over raw data
@@ -124,17 +121,8 @@ func newSequence[T Num](w Window, agg Agg, n int) *Sequence[T] {
 
 // aggregate applies agg to raw positions [lo, hi] ∩ [1, n].
 func aggregate[T Num](raw []T, agg Agg, lo, hi int) (T, bool) {
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > len(raw) {
-		hi = len(raw)
-	}
-	if lo > hi {
-		if agg.Algebraic() {
-			return 0, true
-		}
-		return 0, false
+	if lo, hi = max(lo, 1), min(hi, len(raw)); lo > hi {
+		return 0, agg.Algebraic()
 	}
 	switch agg {
 	case Sum, Avg:
@@ -185,8 +173,8 @@ func ComputeNaive[T Num](raw []T, w Window, agg Agg) (*Sequence[T], error) {
 // monotonic deque and are still O(n) amortized — the kind of "special
 // operator" support the paper attributes to engines with native reporting
 // functionality. COUNT is the closed form Window.Count, AVG the SUM pass
-// divided by it (§2.1). The passes are slide.go's kernels, the ones the
-// native window operator runs.
+// divided by it (§2.1). It is a Stream's one-chunk use, so the passes are
+// slide.go's kernels, the ones the native window operator runs.
 func ComputePipelined[T Num](raw []T, w Window, agg Agg) (*Sequence[T], error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -195,43 +183,21 @@ func ComputePipelined[T Num](raw []T, w Window, agg Agg) (*Sequence[T], error) {
 		return nil, fmt.Errorf("unknown aggregate %v", agg)
 	}
 	s := newSequence[T](w, agg, len(raw))
-	switch agg {
-	case Count:
-		for i := range s.vals {
-			s.vals[i] = T(w.Count(s.lo+i, len(raw)))
-		}
-	case Avg:
+	st := NewStream(w, agg.Stored(), func(c Cell[T]) error {
+		s.set(c.Pos, c.Val, true)
+		return nil
+	})
+	st.raw, st.n = raw[:len(raw):len(raw)], len(raw)
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	if agg == Avg {
 		// A window that holds no raw value sums to 0, which stays the quotient.
-		evaluate(raw, 1, w, Sum, nil, s.lo, s.vals, nil)
 		for i := range s.vals {
 			s.vals[i] = T(float64(s.vals[i]) / float64(max(w.Count(s.lo+i, len(raw)), 1)))
 		}
-	default:
-		evaluate(raw, 1, w, agg, nil, s.lo, s.vals, s.valid)
 	}
 	return s, nil
-}
-
-// EqualSeq reports whether two sequences carry identical values (within eps)
-// and validity over the union of their stored ranges. It is the workhorse of
-// the derivation property tests.
-func EqualSeq[T Num](a, b *Sequence[T], eps float64) bool {
-	if a.N != b.N {
-		return false
-	}
-	lo := min(a.lo, b.lo)
-	hi := max(a.Hi(), b.Hi())
-	for k := lo; k <= hi; k++ {
-		av, aok := a.AtOK(k)
-		bv, bok := b.AtOK(k)
-		if aok != bok {
-			return false
-		}
-		if aok && math.Abs(float64(av-bv)) > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // ceilDiv returns ⌈a/b⌉ for b > 0.

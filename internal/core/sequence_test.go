@@ -7,6 +7,28 @@ import (
 	"testing/quick"
 )
 
+// EqualSeq reports whether two sequences carry identical values (within eps)
+// and validity over the union of their stored ranges. The derivation property
+// tests compare with it.
+func EqualSeq[T Num](a, b *Sequence[T], eps float64) bool {
+	if a.N != b.N {
+		return false
+	}
+	lo := min(a.lo, b.lo)
+	hi := max(a.Hi(), b.Hi())
+	for k := lo; k <= hi; k++ {
+		av, aok := a.AtOK(k)
+		bv, bok := b.AtOK(k)
+		if aok != bok {
+			return false
+		}
+		if aok && math.Abs(float64(av-bv)) > eps {
+			return false
+		}
+	}
+	return true
+}
+
 // randRaw returns n integer-valued raw data points in [-50, 50] so that all
 // SUM identities are exact in float64.
 func randRaw(rng *rand.Rand, n int) []float64 {

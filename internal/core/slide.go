@@ -227,31 +227,3 @@ func extreme[T Num](a, b T, isMin bool) T {
 	}
 	return a
 }
-
-// evaluate writes positions from…from+len(out)−1 of agg's complete sequence
-// for window w (SUM, MIN or MAX), over raw = x_first, x_first+1, …: a run of
-// the raw values that holds every value those positions' windows read, and
-// ends where the data ends if a window reaches past it. ok, when not nil,
-// records which windows hold a value. seed resumes a SUM pass from the
-// stored value at from−1 (see Sums).
-func evaluate[T Num](raw []T, first int, w Window, agg Agg, seed *T, from int, out []T, ok []bool) {
-	p := Pass{F: w.frame(), N: len(raw), From: from - first}
-	if agg == Sum {
-		Sums(p, raw, seed, out, nil)
-		return
-	}
-	keys, isInt := any(raw).([]int64)
-	if !isInt {
-		keys = FloatKeys(nil, any(raw).([]float64))
-	}
-	at := make([]int, len(out))
-	Extremes(p, keys, agg == Min, at, nil)
-	for j, r := range at {
-		if r >= 0 {
-			out[j] = raw[r]
-		}
-		if ok != nil {
-			ok[j] = r >= 0
-		}
-	}
-}

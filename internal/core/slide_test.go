@@ -118,20 +118,33 @@ func TestSlideMatchesNaive(t *testing.T) {
 // TestSumsResumes: a pass resumed at any row from the stored sum of its
 // predecessor writes what the whole pass writes there, bit for bit — the
 // band recompute's contract with REFRESH — over fractional floats, whose
-// sums round, and NaN.
+// sums round, NaN and ±Inf. A Stream resumes at every chunk boundary on the
+// same contract: cut into chunks of 1…n+1 positions, it emits one-shot
+// ComputePipelined's cells bit for bit, for SUM, COUNT, MIN and MAX over
+// sliding windows — (0,0) and l or h past n among them — and cumulative
+// ones, n = 0 and n = 1 among the lengths, over INTEGER values near ±2⁵³
+// and FLOAT values with NaN, ±Inf, −0 and fractions.
 func TestSumsResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(20)
-		raw := make([]float64, n)
+		n := rng.Intn(21)
+		raw, ints := make([]float64, n), make([]int64, n)
 		for i := range raw {
 			raw[i] = float64(rng.Intn(200)-100) / 10
-			if rng.Intn(25) == 0 {
-				raw[i] = math.NaN()
+			if rng.Intn(8) == 0 {
+				raw[i] = special[rng.Intn(len(special))]
+			}
+			ints[i] = int64(rng.Intn(9) - 4)
+			if rng.Intn(2) == 0 {
+				ints[i] += int64(1<<53) * int64(1-2*rng.Intn(2))
 			}
 		}
-		w := Sliding(rng.Intn(4), rng.Intn(4))
-		if rng.Intn(3) == 0 {
+		w := Sliding(rng.Intn(n+4), rng.Intn(n+4))
+		switch rng.Intn(6) {
+		case 0:
+			w = Sliding(0, 0)
+		case 1, 2:
 			w = Cumul()
 		}
 		p := Pass{F: w.frame(), N: n, From: -3}
@@ -144,6 +157,56 @@ func TestSumsResumes(t *testing.T) {
 		for j, v := range part {
 			if want := full[k+j]; math.Float64bits(v) != math.Float64bits(want) {
 				t.Fatalf("trial %d: %s over %v resumed at row %d: row %d = %v, the whole pass says %v", trial, w, raw, p.From, p.From+j, v, want)
+			}
+		}
+		for _, agg := range []Agg{Sum, Count, Min, Max} {
+			where := fmt.Sprintf("trial %d: %s %s over %d values", trial, agg, w, n)
+			streamsResume(t, where, raw, w, agg, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+			streamsResume(t, where, ints, w, agg, func(a, b int64) bool { return a == b })
+		}
+	}
+}
+
+// streamsResume checks a Stream over raw in chunks of 1…n+1 positions
+// against one-shot ComputePipelined — against the one-chunk Stream it runs
+// for a window ComputePipelined refuses, (0,0).
+func streamsResume[T Num](t *testing.T, where string, raw []T, w Window, agg Agg, same func(a, b T) bool) {
+	t.Helper()
+	streamed := func(chunk int) []Cell[T] {
+		var out []Cell[T]
+		st := NewStream(w, agg, func(c Cell[T]) error {
+			out = append(out, c)
+			return nil
+		})
+		st.chunk = chunk
+		for _, v := range raw {
+			if err := st.Push(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var want []Cell[T]
+	if seq, err := ComputePipelined(raw, w, agg); err == nil {
+		for k := seq.Lo(); k <= seq.Hi(); k++ {
+			if v, ok := seq.AtOK(k); ok {
+				want = append(want, Cell[T]{k, v})
+			}
+		}
+	} else {
+		want = streamed(math.MaxInt32)
+	}
+	for chunk := 1; chunk <= len(raw)+1; chunk++ {
+		got := streamed(chunk)
+		if len(got) != len(want) {
+			t.Fatalf("%s in chunks of %d: %d cells, one pass stores %d", where, chunk, len(got), len(want))
+		}
+		for i, c := range got {
+			if c.Pos != want[i].Pos || !same(c.Val, want[i].Val) {
+				t.Fatalf("%s in chunks of %d: cell %d is %v, one pass stores %v", where, chunk, i, c, want[i])
 			}
 		}
 	}

@@ -92,11 +92,9 @@ func Apply[T Num](st Store[T], w Window, agg Agg, op Op[T]) (int, error) {
 	if agg != Sum && agg != Count && agg != Min && agg != Max {
 		return 0, fmt.Errorf("%v sequences are not maintained: maintain the SUM sequence and divide by Window.Count", agg)
 	}
-	k, l := op.K, w.Preceding
-	lo := k // the first position whose window contains k
-	if !w.Cumulative {
-		lo = k - w.Following
-	}
+	l, h := w.reach()
+	k := op.K
+	lo := k - h // the first position whose window contains k
 	// Read from lo−1, whose value seeds a recomputing pipeline, through the
 	// band of a sliding update, else to the end of the sequence, which
 	// tells n.
@@ -140,7 +138,7 @@ func Apply[T Num](st Store[T], w Window, agg Agg, op Op[T]) (int, error) {
 		if exact || !update {
 			return nil
 		}
-		hi := k + 2*l + w.Following
+		hi := k + 2*l + h
 		if toEnd {
 			hi = math.MaxInt
 		}
@@ -159,12 +157,12 @@ func Apply[T Num](st Store[T], w Window, agg Agg, op Op[T]) (int, error) {
 	case agg == Count && op.Kind == OpUpdate:
 		return 0, nil // COUNT is invariant under value updates
 	case agg == Count || op.Shift:
-		out, err = recompute(st, w, agg, cells, lo, to, newN)
+		out, err = recompute(st.Raw, w, agg, cells, lo, to, newN)
 	case agg == Sum:
 		if !(finite(op.Old) && finite(op.New) && allFinite(cells)) {
 			// A poisoned pipeline reruns to the end of the sequence.
 			if err = learn(true); err == nil {
-				out, err = recompute(st, w, agg, cells, lo, to, newN)
+				out, err = recompute(st.Raw, w, agg, cells, lo, to, newN)
 			}
 			break
 		}
@@ -182,7 +180,7 @@ func Apply[T Num](st Store[T], w Window, agg Agg, op Op[T]) (int, error) {
 				return extreme(cur, v, isMin)
 			})
 		} else if err = learn(false); err == nil {
-			out, err = recompute(st, w, agg, cells, lo, to, newN)
+			out, err = recompute(st.Raw, w, agg, cells, lo, to, newN)
 		}
 	}
 	if err != nil {
@@ -217,11 +215,8 @@ func cardinality[T Num](w Window, cells []Cell[T]) int {
 	if len(cells) == 0 {
 		return 0
 	}
-	last := cells[len(cells)-1].Pos
-	if w.Cumulative {
-		return last
-	}
-	return last - w.Preceding
+	l, _ := w.reach()
+	return cells[len(cells)-1].Pos - l
 }
 
 // checkOp validates op against the cardinality n (-1: unknown, an update)
@@ -276,11 +271,11 @@ func patch[T Num](w Window, cells []Cell[T], lo, to int, f func(v T, ok bool) T)
 }
 
 // recompute evaluates positions from…to of the sequence over n raw values
-// from the raw data st holds after the change, resuming at the stored
-// predecessor from−1, which the change left alone: a SUM pass continues from
-// its value, and a cumulative MIN/MAX folds it, the extremum of every raw
-// value before from, into each output.
-func recompute[T Num](st Store[T], w Window, agg Agg, cells []Cell[T], from, to, n int) ([]Cell[T], error) {
+// from the raw data rawAt reads (a Store's after the change), resuming at
+// the stored predecessor from−1, which the change left alone: a SUM pass
+// continues from its value, and a cumulative MIN/MAX folds it, the extremum
+// of every raw value before from, into each output.
+func recompute[T Num](rawAt func(lo, hi int) ([]T, error), w Window, agg Agg, cells []Cell[T], from, to, n int) ([]Cell[T], error) {
 	if from > to {
 		return nil, nil
 	}
@@ -293,38 +288,98 @@ func recompute[T Num](st Store[T], w Window, agg Agg, cells []Cell[T], from, to,
 	}
 	// The raw positions the pass reads, from the predecessor's window on,
 	// clipped to [1, n].
-	l, h := w.Preceding, w.Following
-	if w.Cumulative {
-		l, h = 0, 0
-	}
+	l, h := w.reach()
 	rlo, rhi := max(from-l-1, 1), min(to+h, n)
 	var raw []T
 	if rlo <= rhi {
 		var err error
-		if raw, err = st.Raw(rlo, rhi); err != nil {
+		if raw, err = rawAt(rlo, rhi); err != nil {
 			return nil, err
 		}
 	}
+	// The pass runs slide.go's kernels over the raw run from rlo: a SUM pass
+	// resumes from prev (see Sums), MIN and MAX slide over FloatKeys' order.
 	prev, stored := cellAt(w, cells, from-1)
-	var seed *T
+	p := Pass{F: w.frame(), N: len(raw), From: from - rlo}
+	vals, at := make([]T, to-from+1), make([]int, to-from+1)
 	if agg == Sum {
-		seed = &prev
-	}
-	vals, ok := make([]T, to-from+1), make([]bool, to-from+1)
-	evaluate(raw, rlo, w, agg, seed, from, vals, ok)
-	fold := agg != Sum && w.Cumulative && stored
-	for j, v := range vals {
-		if fold { // raw is the Store's, read-only: fold prev into the output
-			if ok[j] {
-				v = extreme(prev, v, agg == Min)
-			} else {
-				v = prev
-			}
-			ok[j] = true
+		Sums(p, raw, &prev, vals, nil)
+	} else {
+		keys, isInt := any(raw).([]int64)
+		if !isInt {
+			keys = FloatKeys(nil, any(raw).([]float64))
 		}
-		if agg == Sum || ok[j] {
+		Extremes(p, keys, agg == Min, at, nil)
+	}
+	for j, v := range vals {
+		ok := agg == Sum || at[j] >= 0
+		if agg != Sum && ok {
+			v = raw[at[j]]
+		} else if agg != Sum {
+			v = prev // an empty window: only a fold below stores it
+		}
+		if agg != Sum && w.Cumulative && stored { // fold prev into the output
+			v, ok = extreme(prev, v, agg == Min), true
+		}
+		if ok {
 			out = append(out, Cell[T]{from + j, v})
 		}
 	}
 	return out, nil
+}
+
+// streamChunk is how many stored positions a Stream evaluates at a time.
+const streamChunk = 4096
+
+// Stream is the §2.2 pipeline over raw values that arrive in position order:
+// Push hands it x_1, x_2, …, Close ends the data, and emit receives each
+// stored cell, in position order, once no later value can change it. It runs
+// recompute a chunk at a time, each resuming from the cell before it, so its
+// values are bit for bit one pass's, in O(chunk + l + h) values of memory.
+type Stream[T Num] struct {
+	w        Window
+	agg      Agg
+	emit     func(Cell[T]) error
+	chunk, n int
+	next     int       // the first position not emitted yet
+	raw      []T       // x_max(next−l−1, 1) … x_n: what the next chunk reads
+	prev     []Cell[T] // the last cell emitted
+}
+
+// NewStream starts the stream of agg's complete sequence for window w: SUM,
+// COUNT, MIN or MAX.
+func NewStream[T Num](w Window, agg Agg, emit func(Cell[T]) error) *Stream[T] {
+	lo, _ := storedRange(w, 0)
+	return &Stream[T]{w: w, agg: agg, emit: emit, chunk: streamChunk, next: lo}
+}
+
+// Push appends x_{n+1}, and emits a chunk once that many positions have
+// windows ending at or before it.
+func (s *Stream[T]) Push(v T) error {
+	s.raw, s.n = append(s.raw, v), s.n+1
+	if _, h := s.w.reach(); s.n-h-s.next+1 >= s.chunk {
+		return s.flush(s.n - h)
+	}
+	return nil
+}
+
+// Close ends the data and emits the rest of the sequence.
+func (s *Stream[T]) Close() error { return s.flush(storedHi(s.w, s.n)) }
+
+// flush emits positions next…to and drops the raw values the next chunk
+// does not read.
+func (s *Stream[T]) flush(to int) error {
+	l, _ := s.w.reach()
+	first := max(s.next-l-1, 1)
+	rawAt := func(lo, hi int) ([]T, error) { return s.raw[lo-first : hi-first+1], nil }
+	cells, err := recompute(rawAt, s.w, s.agg, s.prev, s.next, to, s.n)
+	for i := 0; i < len(cells) && err == nil; i++ {
+		err = s.emit(cells[i])
+	}
+	if len(cells) > 0 {
+		s.prev = cells[len(cells)-1:]
+	}
+	s.next = to + 1
+	s.raw = s.raw[max(s.next-l-1, 1)-first:]
+	return err
 }

@@ -46,20 +46,10 @@ const (
 
 // String returns the SQL name of the aggregate.
 func (a Agg) String() string {
-	switch a {
-	case Sum:
-		return "SUM"
-	case Count:
-		return "COUNT"
-	case Avg:
-		return "AVG"
-	case Min:
-		return "MIN"
-	case Max:
-		return "MAX"
-	default:
-		return fmt.Sprintf("Agg(%d)", uint8(a))
+	if a <= Max {
+		return [...]string{Sum: "SUM", Count: "COUNT", Avg: "AVG", Min: "MIN", Max: "MAX"}[a]
 	}
+	return fmt.Sprintf("Agg(%d)", uint8(a))
 }
 
 // ParseAgg is the inverse of String: the aggregate with the given SQL name.
@@ -139,6 +129,15 @@ func (w Window) Bounds(k int) (lo, hi int) {
 	return k - w.Preceding, k + w.Following
 }
 
+// reach is how far a pass reads behind (l) and ahead (h) of a position; a
+// cumulative pass resumes from the predecessor, which holds what is behind.
+func (w Window) reach() (l, h int) {
+	if w.Cumulative {
+		return 0, 0
+	}
+	return w.Preceding, w.Following
+}
+
 // Count returns the COUNT a complete sequence over n raw values holds at
 // position k: |W(k) ∩ [1, n]|, min(k, n) for a cumulative window. Every
 // admitted value counts, so it is a closed form of (k, n, window) — the
@@ -158,11 +157,5 @@ func (w Window) String() string {
 
 // Equal reports whether two windows are identical.
 func (w Window) Equal(o Window) bool {
-	if w.Cumulative != o.Cumulative {
-		return false
-	}
-	if w.Cumulative {
-		return true
-	}
-	return w.Preceding == o.Preceding && w.Following == o.Following
+	return w.Cumulative == o.Cumulative && (w.Cumulative || w.Preceding == o.Preceding && w.Following == o.Following)
 }

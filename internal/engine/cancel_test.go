@@ -133,39 +133,83 @@ func TestCancelMidParallelWindow(t *testing.T) {
 	}
 }
 
-// TestCancelMidRefresh cancels a REFRESH that recomputes a large plain view.
-// The refresh must abort with ErrCancelled and leave the view usable; a
-// later uncancelled REFRESH succeeds.
+// TestCancelMidRefresh cancels the REFRESH of a large plain view and of a
+// large partitioned sequence view mid-fill, and then a CREATE of its twin. A
+// cancelled REFRESH returns ErrCancelled within the latency bound and leaves
+// the view its old rows and its freshness; an uncancelled REFRESH then
+// succeeds. A cancelled CREATE leaves no view and no backing table.
 func TestCancelMidRefresh(t *testing.T) {
-	e := newEngine(t)
-	mustExec(t, e, `CREATE TABLE a (x INTEGER)`)
-	mustExec(t, e, `CREATE TABLE b (y INTEGER)`)
-	bulkInsert(t, e, "a", 400, func(i int) string { return fmt.Sprintf("(%d)", i) })
-	bulkInsert(t, e, "b", 400, func(i int) string { return fmt.Sprintf("(%d)", i) })
-	mustExec(t, e, `CREATE MATERIALIZED VIEW big AS SELECT x, y FROM a, b`) // 160k rows
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := e.ExecContext(ctx, `REFRESH MATERIALIZED VIEW big`)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, rferrors.ErrCancelled) {
-			t.Fatalf("err = %v, want ErrCancelled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("REFRESH did not return after cancel")
-	}
-	if _, err := e.ExecContext(context.Background(), `REFRESH MATERIALIZED VIEW big`); err != nil {
-		t.Fatalf("uncancelled REFRESH after cancel: %v", err)
-	}
-	res := mustExec(t, e, `SELECT COUNT(x) AS c FROM big`)
-	if res.Rows[0][0].Int() != 400*400 {
-		t.Fatalf("view count after refresh = %v", res.Rows[0][0])
+	for _, c := range []struct {
+		name, load, ddl, count string
+		rows                   int64
+	}{
+		{name: "plain", rows: 400 * 400,
+			load:  `CREATE TABLE a (x INTEGER); CREATE TABLE b (y INTEGER)`,
+			ddl:   `SELECT x, y FROM a, b`, // 160k rows
+			count: `SELECT COUNT(x) AS c FROM %s`},
+		{name: "sequence", rows: 300_000 + 4*4, // and each partition's header and trailer
+			load:  `CREATE TABLE pb (grp INTEGER, pos INTEGER, val INTEGER)`,
+			ddl:   `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM pb`,
+			count: `SELECT COUNT(*) AS c FROM __mv_%s`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEngine(t)
+			mustExecAll(t, e, c.load)
+			if c.name == "plain" {
+				bulkInsert(t, e, "a", 400, func(i int) string { return fmt.Sprintf("(%d)", i) })
+				bulkInsert(t, e, "b", 400, func(i int) string { return fmt.Sprintf("(%d)", i) })
+			} else {
+				bulkInsert(t, e, "pb", 300_000, func(i int) string { return fmt.Sprintf("(%d, %d, %d)", i%4, i/4+1, i%7) })
+			}
+			mustExec(t, e, `CREATE MATERIALIZED VIEW big AS `+c.ddl)
+			count := func(view string) int64 {
+				t.Helper()
+				return mustExec(t, e, fmt.Sprintf(c.count, view)).Rows[0][0].Int()
+			}
+			cancelled := func(sql string) {
+				t.Helper()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				errc := make(chan error, 1)
+				go func() {
+					_, err := e.ExecContext(ctx, sql)
+					errc <- err
+				}()
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+				at := time.Now()
+				select {
+				case err := <-errc:
+					if took := time.Since(at); took > cancelLatencyBudget {
+						t.Errorf("%s returned %v after cancel, want <%v", sql, took, cancelLatencyBudget)
+					}
+					if !errors.Is(err, rferrors.ErrCancelled) {
+						t.Fatalf("%s: err = %v, want ErrCancelled", sql, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s did not return after cancel", sql)
+				}
+			}
+			cancelled(`REFRESH MATERIALIZED VIEW big`)
+			if got := count("big"); got != c.rows {
+				t.Fatalf("view rows after a cancelled REFRESH = %d, want %d", got, c.rows)
+			}
+			if e.Views.Stale("big") {
+				t.Fatal("a cancelled REFRESH staled the view")
+			}
+			if _, err := e.ExecContext(context.Background(), `REFRESH MATERIALIZED VIEW big`); err != nil {
+				t.Fatalf("uncancelled REFRESH after cancel: %v", err)
+			}
+			if got := count("big"); got != c.rows {
+				t.Fatalf("view rows after refresh = %d, want %d", got, c.rows)
+			}
+			cancelled(`CREATE MATERIALIZED VIEW twin AS ` + c.ddl)
+			if _, ok := e.Cat.MatView("twin"); ok {
+				t.Fatal("a cancelled CREATE left its view")
+			}
+			if _, err := e.Cat.Table("__mv_twin"); err == nil {
+				t.Fatal("a cancelled CREATE left its backing table")
+			}
+		})
 	}
 }

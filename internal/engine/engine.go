@@ -46,9 +46,9 @@ type Options struct {
 	// concurrently: 0 resolves to GOMAXPROCS, 1 forces sequential
 	// evaluation, N > 1 allows up to N workers. It also governs a plain
 	// materialized view's REFRESH, which re-executes the view query through
-	// the planner; a sequence view's CREATE and REFRESH fill partition after
-	// partition with core's §2.2 kernels (core.ComputePipelined) and no
-	// Window operator.
+	// the planner; a sequence view's CREATE and REFRESH sort the base
+	// through the executor and fill partition after partition with a
+	// core.Stream, and no Window operator.
 	WindowParallelism int
 	// DisableSharedSort switches off the shared-sort multi-window planner
 	// pass: every Window operator of a multi-OVER query sorts internally
@@ -238,12 +238,12 @@ func New(opts Options) *Engine {
 		Env:      e.spillEnv,
 	})
 	e.Cat = catalog.New(e.pager)
-	e.Views = mview.NewManager(e.Cat, func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error) {
-		res, err := e.execSelect(ctx, stmt, execConfig{})
+	e.Views = mview.NewManager(e.Cat, func(ctx context.Context, tx *txn.Txn, stmt sqlparser.SelectStatement, emit func(sqltypes.Row) error) ([]string, error) {
+		op, _, err := e.planSelect(ctx, stmt, execConfig{tx: tx})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res.Columns, res.Rows, nil
+		return plan.OutputNames(op), exec.Drain(ctx, op, emit)
 	})
 	e.initMetrics()
 	return e
@@ -485,16 +485,18 @@ func (e *Engine) execWriteLocked(ctx context.Context, stmt sqlparser.Statement) 
 // viewTxnLocked runs CREATE or REFRESH MATERIALIZED VIEW as one internal
 // transaction: run writes the backing rows as pending versions and returns
 // the step that registers or stamps the view, which the commit runs inside
-// its publication window. The statement's SQL is logged ahead, like DDL,
-// and is its replay. Callers hold the exclusive lock.
+// its publication window. The statement's SQL is its replay: it is logged
+// once run has succeeded, ahead of the commit that publishes the view, so a
+// statement that failed or was cancelled is not replayed. Callers hold the
+// exclusive lock.
 func (e *Engine) viewTxnLocked(stmt sqlparser.Statement, run func(*txn.Txn) (func(uint64), error)) (*Result, error) {
-	if e.logWrite != nil {
-		if err := e.logWrite(stmt.String()); err != nil {
-			return nil, fmt.Errorf("durability: %w", err)
-		}
-	}
 	tx := e.newTxn()
 	stamp, err := run(tx)
+	if err == nil && e.logWrite != nil {
+		if lerr := e.logWrite(stmt.String()); lerr != nil {
+			err = fmt.Errorf("durability: %w", lerr)
+		}
+	}
 	if err != nil {
 		tx.Abort()
 		e.txnRollbacks.Add(1)

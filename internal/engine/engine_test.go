@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"rfview/internal/paper"
 	"rfview/internal/sqltypes"
@@ -651,6 +652,34 @@ func TestPlainMatView(t *testing.T) {
 	res = mustExec(t, e, `SELECT s FROM totals WHERE par = 0`)
 	if res.Rows[0][0].Int() != 128 {
 		t.Fatalf("refreshed view rows = %v", res.Rows)
+	}
+	// A plain view's query may read a sequence view, by name or derived from
+	// it: its CREATE and REFRESH check that view's freshness as they run.
+	mustExec(t, e, `CREATE MATERIALIZED VIEW sv AS
+	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
+	for _, sql := range []string{
+		`CREATE MATERIALIZED VIEW byname AS SELECT pos, val FROM sv`,
+		`CREATE MATERIALIZED VIEW derived AS
+		  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS w FROM seq ORDER BY pos LIMIT 3`,
+		`REFRESH MATERIALIZED VIEW byname`,
+		`REFRESH MATERIALIZED VIEW derived`,
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Exec(sql)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return", sql)
+		}
+	}
+	if res := mustExec(t, e, `SELECT COUNT(*) AS c FROM byname`); res.Rows[0][0].Int() != 12 {
+		t.Fatalf("byname holds %v rows, want the 12 of sv", res.Rows[0][0])
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"rfview/internal/core"
 	"rfview/internal/paper"
+	"rfview/internal/sqltypes"
+	"rfview/internal/storage"
 )
 
 // newSpillEngine builds an engine with a budget small enough that any
@@ -277,5 +280,138 @@ func TestEngineSpillDirHygiene(t *testing.T) {
 	}
 	if _, err := os.Stat(keep); err != nil {
 		t.Fatalf("unrelated file removed: %v", err)
+	}
+}
+
+// TestViewFillSpills: a sequence view's CREATE and REFRESH fill through the
+// executor's sort, which goes external under the memory budget whether the
+// base has a unique index on its (partition,) position or none. A simple and
+// a partitioned SUM (2,2) view and a cumulative MAX view, over bases more
+// than ten times the budget, store what core.ComputeNaive computes, bit for
+// bit, and no run file outlives the statement's commit or the engine.
+func TestViewFillSpills(t *testing.T) {
+	const budget, groups, per = 16 << 10, 4, 2500 // 10k rows: sb's two INTEGER columns alone are 160 KiB
+	for _, indexed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := DefaultOptions()
+			opts.SpillDir = dir
+			e := newSpillEngine(t, opts, budget)
+			runFiles := func(when string) {
+				t.Helper()
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ent := range ents {
+					if strings.HasPrefix(ent.Name(), "run-") {
+						t.Fatalf("%s: run file %s remains", when, ent.Name())
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(7))
+			simple, parts, maxes := make([]int64, groups*per), make([][]int64, groups), make([][]float64, groups)
+			mustExec(t, e, `CREATE TABLE sb (pos INTEGER, val INTEGER)`)
+			mustExec(t, e, `CREATE TABLE pb (grp INTEGER, pos INTEGER, val INTEGER, f FLOAT)`)
+			if indexed {
+				mustExec(t, e, `CREATE UNIQUE INDEX sb_pos ON sb (pos)`)
+				mustExec(t, e, `CREATE UNIQUE INDEX pb_key ON pb (grp, pos)`)
+			}
+			// Rows arrive out of position order, so the fill's sort has work.
+			order := rng.Perm(groups * per)
+			bulkInsert(t, e, "sb", len(order), func(i int) string {
+				p := order[i]
+				simple[p] = int64(1<<53) - int64(rng.Intn(1000)) // near 2⁵³: exact only in int64
+				return fmt.Sprintf("(%d, %d)", p+1, simple[p])
+			})
+			for g := range parts {
+				parts[g], maxes[g] = make([]int64, per), make([]float64, per)
+			}
+			bulkInsert(t, e, "pb", len(order), func(i int) string {
+				g, p := order[i]%groups, order[i]/groups
+				parts[g][p], maxes[g][p] = int64(rng.Intn(2001)-1000), float64(rng.Intn(2001)-1000)/8
+				return fmt.Sprintf("(%d, %d, %d, %v)", g, p+1, parts[g][p], maxes[g][p])
+			})
+			views := []struct{ name, ddl string }{
+				{"vs", `SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM sb`},
+				{"vp", `SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM pb`},
+				{"vm", `SELECT grp, pos, MAX(f) OVER (PARTITION BY grp ORDER BY pos ROWS UNBOUNDED PRECEDING) AS val FROM pb`},
+			}
+			check := func(name string) {
+				t.Helper()
+				mv, ok := e.Cat.MatView(name)
+				if !ok {
+					t.Fatalf("view %s missing", name)
+				}
+				want := map[[2]int64]uint64{}
+				switch name {
+				case "vs":
+					s, _ := core.ComputeNaive(simple, core.Sliding(2, 2), core.Sum)
+					storedBits(want, 0, s)
+				case "vp":
+					for g, raw := range parts {
+						s, _ := core.ComputeNaive(raw, core.Sliding(2, 2), core.Sum)
+						storedBits(want, int64(g), s)
+					}
+				default:
+					for g, raw := range maxes {
+						s, _ := core.ComputeNaive(raw, core.Cumul(), core.Max)
+						storedBits(want, int64(g), s)
+					}
+				}
+				got := 0
+				mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+					g, pos, val := int64(0), row[0], row[1]
+					if len(row) == 4 {
+						g, pos, val = row[0].Int(), row[1], row[2]
+					}
+					bits := uint64(val.Int())
+					if val.Typ() == sqltypes.Float {
+						bits = math.Float64bits(val.Float())
+					}
+					if w, ok := want[[2]int64{g, pos.Int()}]; !ok || w != bits {
+						t.Fatalf("%s stores %v at (%d, %v); core.ComputeNaive has %v (stored: %v)", name, val, g, pos, w, ok)
+					}
+					got++
+					return true
+				})
+				if got != len(want) {
+					t.Fatalf("%s stores %d rows, core.ComputeNaive %d", name, got, len(want))
+				}
+			}
+			for _, stmt := range []string{"CREATE", "REFRESH"} {
+				for _, v := range views {
+					sql := `REFRESH MATERIALIZED VIEW ` + v.name
+					if stmt == "CREATE" {
+						sql = `CREATE MATERIALIZED VIEW ` + v.name + ` AS ` + v.ddl
+					}
+					before := e.SpillStats().Runs.Load()
+					mustExec(t, e, sql)
+					if e.SpillStats().Runs.Load() == before {
+						t.Fatalf("%s: the fill's sort did not spill", sql)
+					}
+					runFiles("after " + sql)
+					check(v.name)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			runFiles("after Close")
+		})
+	}
+}
+
+// storedBits records the stored positions of s, partition g's sequence, in
+// want: each value's bits.
+func storedBits[T core.Num](want map[[2]int64]uint64, g int64, s *core.Sequence[T]) {
+	for k := s.Lo(); k <= s.Hi(); k++ {
+		if v, ok := s.AtOK(k); ok {
+			bits := uint64(int64(v))
+			if f, isFloat := any(v).(float64); isFloat {
+				bits = math.Float64bits(f)
+			}
+			want[[2]int64{g, int64(k)}] = bits
+		}
 	}
 }

@@ -68,45 +68,61 @@ func CollectCtx(ctx context.Context, op Operator) ([]sqltypes.Row, error) {
 // operator has no materialized output to hand over; a materializing caller
 // passes its pooled buffer so the drain does not regrow a slice per run.
 func collectInto(ctx context.Context, op Operator, buf []sqltypes.Row) ([]sqltypes.Row, error) {
-	if err := ctxErr(ctx); err != nil {
+	out := buf[:0]
+	err := drain(ctx, op, func(rows []sqltypes.Row) { out = rows }, func(row sqltypes.Row) error {
+		out = append(out, row)
+		return nil
+	})
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// Drain is CollectCtx handing each row to fn, in order, instead of
+// collecting it: an operator streams through it in the memory its own state
+// takes. An error of fn ends the drain and is returned.
+func Drain(ctx context.Context, op Operator, fn func(sqltypes.Row) error) error {
+	return drain(ctx, op, nil, fn)
+}
+
+// drain opens op, hands its rows to fn — or its materialized output to
+// take, when op has one and take is set — and closes it.
+func drain(ctx context.Context, op Operator, take func([]sqltypes.Row), fn func(sqltypes.Row) error) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
 	if err := op.Open(); err != nil {
 		op.Close()
-		return nil, err
+		return err
 	}
-	if h, ok := op.(rowsHandoff); ok {
+	if h, ok := op.(rowsHandoff); ok && take != nil {
 		if rows := h.takeRows(); rows != nil {
-			if err := op.Close(); err != nil {
-				return nil, err
-			}
-			return rows, nil
+			take(rows)
+			return op.Close()
 		}
 	}
-	out := buf[:0]
 	until := cancelCheckEvery
 	for {
 		if until--; until <= 0 {
 			until = cancelCheckEvery
 			if err := ctxErr(ctx); err != nil {
 				op.Close()
-				return nil, err
+				return err
 			}
 		}
 		row, err := op.Next()
+		if err == nil && row != nil {
+			err = fn(row)
+		}
 		if err != nil {
 			op.Close()
-			return nil, err
+			return err
 		}
 		if row == nil {
-			break
+			return op.Close()
 		}
-		out = append(out, row)
 	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ctxErr maps a cancelled context onto the engine's coded error surface; nil

@@ -321,7 +321,7 @@ func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
 }
 
 // appendKeys appends position p's keys to dst as one memcomparable byte
-// string: the encoded sort's key, and the external sorts'.
+// string: the encoded sort's key, and the external window ordering's.
 func appendKeys(dst []byte, keys []SortKey, vecs []sqltypes.ColVec, p int) []byte {
 	for ki, k := range keys {
 		dst = vecs[ki].AppendKey(dst, p, k.Desc, k.nullsLast())

@@ -117,21 +117,8 @@ func (s *Sort) Open() error {
 	}
 	s.Order.reset()
 	s.ran = false
-	rows, err := CollectCtx(s.ctx(), s.Input)
-	if err != nil {
-		return err
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sc := getSortScratch()
-	defer putSortScratch(sc)
-	if spillEligible(s.Spill, s.Keys, len(rows)) {
-		if _, err := evalKeys(rows, idx, s.Keys, sc); err != nil {
-			return err
-		}
-		if err := s.openExternal(rows, sc.vecs); err != nil {
+	if spillEligible(s.Spill, s.Keys, 0) {
+		if err := s.openExternal(); err != nil {
 			// The spill sorter surfaces cancellation as the context's own
 			// error; map it onto the engine's coded surface like Next does.
 			if cerr := ctxErr(s.ctx()); cerr != nil {
@@ -141,6 +128,22 @@ func (s *Sort) Open() error {
 		}
 		return nil
 	}
+	rows, err := CollectCtx(s.ctx(), s.Input)
+	if err != nil {
+		return err
+	}
+	return s.sortRows(rows)
+}
+
+// sortRows orders rows in memory.
+func (s *Sort) sortRows(rows []sqltypes.Row) error {
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sc := getSortScratch()
+	defer putSortScratch(sc)
+	var err error
 	s.path, err = sortRowsByKeys(rows, idx, s.Keys, sc, s.Order)
 	if err != nil {
 		return err
@@ -154,23 +157,63 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// openExternal streams rows through a spill.Sorter keyed by the
-// memcomparable encoding of their key vectors vecs, with the whole encoded
-// row as payload, and serves Next from the merge iterator.
-func (s *Sort) openExternal(rows []sqltypes.Row, vecs []sqltypes.ColVec) error {
-	sorter := spill.NewSorter(s.ctx(), s.Spill)
-	var key, payload []byte
-	for i, row := range rows {
-		key = appendKeys(key[:0], s.Keys, vecs, i)
-		payload = sqltypes.EncodeRowData(payload[:0], row)
-		if err := sorter.Add(key, payload); err != nil {
-			sorter.Close()
-			return err
+// openExternal streams the input through a spill.Sorter, each row as the
+// memcomparable encoding of its keys (EncodeKeyNulls) with the whole encoded
+// row as payload, and serves Next from the merge iterator: the sort holds no
+// input row beyond what the sorter charges the budget. An input of no more
+// rows than the sorter's minimum run is sorted in memory instead. A key
+// column mixing types Compare cannot order fails as the in-memory sort does.
+func (s *Sort) openExternal() error {
+	var (
+		sorter       *spill.Sorter
+		held         []sqltypes.Row // the rows read before sorter started
+		key, payload []byte
+		first        = make([]sqltypes.Type, len(s.Keys)) // each key's first non-NULL type
+	)
+	add := func(row sqltypes.Row) error {
+		key = key[:0]
+		for i, k := range s.Keys {
+			v, err := k.Expr.Eval(row)
+			if err != nil {
+				return err
+			}
+			if t := v.Typ(); first[i] == sqltypes.Null {
+				first[i] = t
+			} else if !sqltypes.Comparable(first[i], t) {
+				return &sqltypes.ErrTypeMismatch{Op: "compare", Left: first[i], Right: t}
+			}
+			key = sqltypes.EncodeKeyNulls(key, v, k.Desc, k.nullsLast())
 		}
+		payload = sqltypes.EncodeRowData(payload[:0], row)
+		return sorter.Add(key, payload)
 	}
-	it, err := sorter.Finish()
+	err := Drain(s.ctx(), s.Input, func(row sqltypes.Row) error {
+		if sorter != nil {
+			return add(row)
+		}
+		if held = append(held, row); len(held) <= s.Spill.MinRun() {
+			return nil
+		}
+		sorter = spill.NewSorter(s.ctx(), s.Spill)
+		for _, r := range held {
+			if err := add(r); err != nil {
+				return err
+			}
+		}
+		held = nil
+		return nil
+	})
+	if err == nil && sorter == nil {
+		return s.sortRows(held)
+	}
+	var it spill.Iterator
+	if err == nil {
+		it, err = sorter.Finish()
+	}
 	if err != nil {
-		sorter.Close()
+		if sorter != nil {
+			sorter.Close()
+		}
 		return err
 	}
 	s.it = it

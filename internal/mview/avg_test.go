@@ -34,7 +34,7 @@ func floatFixture(t *testing.T, vals []float64) (*catalog.Catalog, *Manager, *ca
 		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(v)}
 	}
 	insertRows(t, tbl, rows...)
-	return cat, NewManager(cat, nil), tbl
+	return cat, NewManager(cat, planExec(cat)), tbl
 }
 
 const avgViewDDL = `CREATE MATERIALIZED VIEW avgmv AS

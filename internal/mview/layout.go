@@ -1,16 +1,12 @@
 package mview
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"rfview/internal/catalog"
-	"rfview/internal/core"
 	"rfview/internal/rewrite"
+	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
-	"rfview/internal/txn"
 )
 
 // layout is the one place a simple and a partitioned sequence view differ.
@@ -107,13 +103,13 @@ func (l layout) partKey(part sqltypes.Datum) sqltypes.Row {
 func (l layout) posOrd() int { return len(l.pkOrds()) - 1 }
 func (l layout) valOrd() int { return len(l.pkOrds()) }
 
-// row is the backing row of one stored position; body says whether the
-// position lies in 1…n_p.
-func (l layout) row(part sqltypes.Datum, pos int, val sqltypes.Datum, body bool) sqltypes.Row {
+// row is the backing row of one stored position, built in dst's array when
+// it has room; body says whether the position lies in 1…n_p.
+func (l layout) row(dst sqltypes.Row, part sqltypes.Datum, pos int, val sqltypes.Datum, body bool) sqltypes.Row {
 	if l.keyed() {
-		return sqltypes.Row{part, sqltypes.NewInt(int64(pos)), val, sqltypes.NewBool(body)}
+		return append(dst[:0], part, sqltypes.NewInt(int64(pos)), val, sqltypes.NewBool(body))
 	}
-	return sqltypes.Row{sqltypes.NewInt(int64(pos)), val}
+	return append(dst[:0], sqltypes.NewInt(int64(pos)), val)
 }
 
 // partOrd locates the partition column through find (a column-name lookup
@@ -135,30 +131,16 @@ func (l layout) partOf(row sqltypes.Row, ord int) (part sqltypes.Datum, ok bool)
 	return row[ord], !row[ord].IsNull()
 }
 
-// readSequences reads the view's partitions from the base table at tx's
-// write view — so a refresh sees its transaction's own writes — validates
-// their density and returns their spans in key order; a simple view has its
-// one partition even over an empty table.
-func readSequences[T core.Num](m *Manager, tx *txn.Txn, sv *seqView) ([]*span[T], error) {
-	b := bands[T]{}
-	if !sv.lay.keyed() {
-		b[sqltypes.NullDatum] = []*span[T]{{part: sqltypes.NullDatum, lo: 1, hi: math.MaxInt}}
-	}
-	if err := readBands(m, tx, sv, b, true); err != nil {
-		return nil, err
-	}
-	parts := make([]*span[T], 0, len(b))
-	for _, spans := range b {
-		for i, rows := range spans[0].rows {
-			if rows != 1 {
-				return nil, fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s holds %d rows at position %d", spans[0].part, rows, i+1)
-			}
+// fillQuery is the view's fill query: SELECT [part,] pos, val FROM base
+// ORDER BY [part,] pos.
+func (sv *seqView) fillQuery() *sqlparser.Select {
+	q := &sqlparser.Select{From: &sqlparser.TableName{Name: sv.mv.BaseTable}}
+	for _, c := range []string{sv.lay.partCol, sv.mv.PosColumn, sv.mv.ValColumn} {
+		if col := (&sqlparser.ColumnRef{Name: c}); c != "" {
+			q.Items = append(q.Items, sqlparser.SelectItem{Expr: col})
+			q.OrderBy = append(q.OrderBy, sqlparser.OrderItem{Expr: col})
 		}
-		parts = append(parts, spans[0])
 	}
-	sort.Slice(parts, func(i, j int) bool {
-		c, _ := sqltypes.Compare(parts[i].part, parts[j].part)
-		return c < 0
-	})
-	return parts, nil
+	q.OrderBy = q.OrderBy[:len(q.OrderBy)-1] // not by the value
+	return q
 }

@@ -125,17 +125,6 @@ func fold[T core.Num](sv *seqView, deltas []txn.Delta) (changes []change[T], end
 	return changes, ends, ""
 }
 
-// colIndex finds a column in the insert layout (cols may be the insert
-// statement's explicit column list).
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // byPos returns rows ordered by position: ascending, so appends arrive as
 // n+1, n+2, …; descending, so suffix deletes arrive as n, n−1, ….
 func byPos(rows []sqltypes.Row, pi int, desc bool) []sqltypes.Row {
@@ -149,7 +138,9 @@ func byPos(rows []sqltypes.Row, pi int, desc bool) []sqltypes.Row {
 // changesOf translates one delta into the view's changes, or says why the
 // §2.3 rules cannot absorb it.
 func changesOf[T core.Num](sv *seqView, d txn.Delta) (out []change[T], why string) {
-	find := func(name string) int { return colIndex(d.Cols, name) }
+	find := func(name string) int { // d.Cols may be an INSERT's column list
+		return slices.IndexFunc(d.Cols, func(c string) bool { return strings.EqualFold(c, name) })
+	}
 	pi, vi := find(sv.mv.PosColumn), find(sv.mv.ValColumn)
 	gi, ok := sv.lay.partOrd(find)
 	if !ok || pi < 0 || vi < 0 {

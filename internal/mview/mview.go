@@ -42,10 +42,11 @@ import (
 	"rfview/internal/txn"
 )
 
-// ExecFunc runs a select statement and returns (columns, rows). The engine
-// provides it; the manager uses it to materialize plain views. The context
-// carries cancellation into the view query's execution.
-type ExecFunc func(ctx context.Context, stmt sqlparser.SelectStatement) ([]string, []sqltypes.Row, error)
+// ExecFunc runs a select statement through the engine's executor at tx's
+// snapshot, handing each result row to emit, and returns its column names.
+// Every view's query runs through it: ctx cancels it, and its sorts charge
+// the engine's memory budget.
+type ExecFunc func(ctx context.Context, tx *txn.Txn, stmt sqlparser.SelectStatement, emit func(sqltypes.Row) error) ([]string, error)
 
 // seqView couples a catalog sequence view with what maintenance needs to
 // know of it besides its rows: layout, value type and freshness.
@@ -77,8 +78,10 @@ func (sv *seqView) freshAt(s uint64) bool { return sv.freshFrom <= s && s < sv.s
 //
 // The mutex is a RWMutex so that freshness checks — which every view-derived
 // read performs, concurrently under the engine's shared lock — do not
-// serialize readers; mutation paths (create, drop, refresh, incremental
-// maintenance) take the exclusive lock.
+// serialize readers; drop and incremental maintenance take the exclusive
+// lock, and create and refresh take it only to find and publish the view:
+// never while their query runs through the engine, whose freshness checks
+// take the shared lock. The engine serializes them with every other writer.
 type Manager struct {
 	mu    sync.RWMutex
 	cat   *catalog.Catalog
@@ -102,8 +105,14 @@ func (m *Manager) setFresh(sv *seqView, epoch uint64) {
 	sv.staleWhy, sv.staleSince = "", time.Time{}
 }
 
-// NewManager builds a manager over the catalog.
+// NewManager builds a manager over the catalog. Without an executor no view
+// can be created or refreshed.
 func NewManager(cat *catalog.Catalog, exec ExecFunc) *Manager {
+	if exec == nil {
+		exec = func(context.Context, *txn.Txn, sqlparser.SelectStatement, func(sqltypes.Row) error) ([]string, error) {
+			return nil, fmt.Errorf("mview: no executor wired for materialized views")
+		}
+	}
 	return &Manager{cat: cat, seq: make(map[string]*seqView), plain: make(map[string]*sqlparser.CreateMatView), exec: exec}
 }
 
@@ -122,12 +131,9 @@ func lower(s string) string { return strings.ToLower(s) }
 // tx publishes, inside its publication window (the stamp of the clock's
 // Commit): until then no reader can find the view, so none reads it over
 // uncommitted rows, and a sequence view is fresh from exactly that epoch.
-// Materializing a plain view runs the defining query through the engine,
-// which observes ctx. A caller that aborts tx instead of committing it drops
-// the backing table.
+// Materializing a view runs a query through the engine, which observes ctx.
+// A caller that aborts tx instead of committing it drops the backing table.
 func (m *Manager) CreateTx(ctx context.Context, tx *txn.Txn, stmt *sqlparser.CreateMatView) (publish func(epoch uint64), err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, ok := m.cat.MatView(stmt.Name); ok {
 		return nil, fmt.Errorf("materialized view %q already exists", stmt.Name)
 	}
@@ -138,14 +144,14 @@ func (m *Manager) CreateTx(ctx context.Context, tx *txn.Txn, stmt *sqlparser.Cre
 	if sel, ok := stmt.Select.(*sqlparser.Select); ok && sel.Limit == nil {
 		if wq, err := rewrite.MatchWindowQuery(sel); err == nil {
 			if lay, ok := sequenceShape(wq); ok {
-				return m.createSequenceView(tx, stmt, wq, lay)
+				return m.createSequenceView(ctx, tx, stmt, wq, lay)
 			}
 		}
 	}
 	return m.createPlainView(ctx, tx, stmt)
 }
 
-func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView, wq *rewrite.WindowQuery, lay layout) (func(uint64), error) {
+func (m *Manager) createSequenceView(ctx context.Context, tx *txn.Txn, stmt *sqlparser.CreateMatView, wq *rewrite.WindowQuery, lay layout) (func(uint64), error) {
 	base, err := m.cat.Table(wq.Table)
 	if err != nil {
 		return nil, err
@@ -165,11 +171,6 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 	if vi := base.ColumnIndex(valCol); vi >= 0 && base.Columns[vi].Type == sqltypes.Float && mv.Agg != core.Count {
 		sv.valType = sqltypes.Float
 	}
-	// Read the base before creating anything: a non-dense one is refused.
-	rows, err := m.sequences(tx, sv)
-	if err != nil {
-		return nil, err
-	}
 	backingName := "__mv_" + stmt.Name
 	mv.Table, err = m.cat.CreateTable(backingName, lay.columns(base, sv.valType))
 	if err != nil {
@@ -179,7 +180,8 @@ func (m *Manager) createSequenceView(tx *txn.Txn, stmt *sqlparser.CreateMatView,
 		m.cat.DropTable(backingName)
 		return nil, err
 	}
-	if err := rewriteRows(tx, mv.Table, rows); err != nil {
+	// A base that is not dense fails the fill, and the table goes.
+	if err := rewriteRows(ctx, tx, mv.Table, m.fill(ctx, tx, sv)); err != nil {
 		m.cat.DropTable(backingName)
 		return nil, err
 	}
@@ -209,65 +211,90 @@ func (m *Manager) register(mv *catalog.MatView, add func(epoch uint64)) func(uin
 // rowSource produces a backing table's rows, handing each to insert.
 type rowSource func(insert func(sqltypes.Row) error) error
 
-// sequences reads the view's partitions from the base table, in the view's
-// value type, and yields its backing rows: each partition's complete
-// sequence over its raw values.
-func (m *Manager) sequences(tx *txn.Txn, sv *seqView) (rowSource, error) {
+// fill yields the view's backing rows from its fill query run through the
+// executor: it checks each row as it streams in, pushes each partition's
+// values through a core.Stream and inserts each position the stream emits.
+func (m *Manager) fill(ctx context.Context, tx *txn.Txn, sv *seqView) rowSource {
 	if sv.valType == sqltypes.Int {
-		return sequencesOf[int64](m, tx, sv)
+		return fillOf[int64](ctx, m, tx, sv)
 	}
-	return sequencesOf[float64](m, tx, sv)
+	return fillOf[float64](ctx, m, tx, sv)
 }
 
-func sequencesOf[T core.Num](m *Manager, tx *txn.Txn, sv *seqView) (rowSource, error) {
-	parts, err := readSequences[T](m, tx, sv)
-	if err != nil {
-		return nil, err
-	}
+func fillOf[T core.Num](ctx context.Context, m *Manager, tx *txn.Txn, sv *seqView) rowSource {
 	return func(insert func(sqltypes.Row) error) error {
-		for _, p := range parts {
-			seq, err := core.ComputePipelined(p.vals, sv.mv.Window, sv.mv.Agg.Stored())
-			if err != nil {
-				return err
-			}
-			for k := seq.Lo(); k <= seq.Hi(); k++ {
-				v, ok := seq.AtOK(k)
-				if !ok {
-					continue // MIN/MAX empty windows are not materialized
-				}
-				if err := insert(sv.lay.row(p.part, k, sqltypes.NewNum(v), k >= 1 && k <= seq.N)); err != nil {
-					return err
-				}
-			}
+		var part sqltypes.Datum
+		var st *core.Stream[T]
+		var buf sqltypes.Row
+		n, rows := 0, 0 // the partition's last position and the rows holding it
+		holds := func(rows, pos int) error {
+			return fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s holds %d rows at position %d", part, rows, pos)
 		}
-		return nil
-	}, nil
-}
-
-// copies yields a plain view's backing rows: copies of its query's result
-// rows.
-func copies(rows []sqltypes.Row) rowSource {
-	return func(insert func(sqltypes.Row) error) error {
-		for _, r := range rows {
-			if err := insert(r.Clone()); err != nil {
-				return err
+		end := func() error {
+			if rows > 1 {
+				return holds(rows, n)
 			}
+			return st.Close()
 		}
-		return nil
+		start := func(p sqltypes.Datum) {
+			part, n, rows = p, 0, 0
+			st = core.NewStream(sv.mv.Window, sv.mv.Agg.Stored(), func(c core.Cell[T]) error {
+				buf = sv.lay.row(buf, part, c.Pos, sqltypes.NewNum(c.Val), c.Pos >= 1 && c.Pos <= n)
+				return insert(buf) // InsertTx keeps no row it is handed
+			})
+		}
+		if !sv.lay.keyed() {
+			start(sqltypes.NullDatum) // a simple view's one partition, over no rows too
+		}
+		_, err := m.exec(ctx, tx, sv.fillQuery(), func(row sqltypes.Row) error {
+			key, ok := sv.lay.partOf(row, 0)
+			if p, v := row[len(row)-2], row[len(row)-1]; p.IsNull() || p.Typ() != sqltypes.Int || !ok || v.IsNull() || !v.Typ().Numeric() {
+				return fmt.Errorf("mview: sequence views need non-NULL INTEGER positions, non-NULL partition keys and numeric values")
+			}
+			if st == nil || sv.lay.keyed() && !sqltypes.Equal(key, part) {
+				if st != nil {
+					if err := end(); err != nil {
+						return err
+					}
+				}
+				start(key)
+			}
+			switch pos := int(row[len(row)-2].Int()); {
+			case pos == n && n > 0:
+				rows++
+				return nil
+			case rows > 1:
+				return holds(rows, n)
+			case pos < 1:
+				return fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s has position %d", part, pos)
+			case pos > n+1:
+				return holds(0, n+1)
+			}
+			n, rows = n+1, 1
+			return st.Push(sqltypes.AsNum[T](row[len(row)-1]))
+		})
+		if err == nil && st != nil {
+			err = end()
+		}
+		return err
 	}
 }
 
 // rewriteRows is the one fill CREATE and REFRESH share: it replaces every
-// row of a backing table with what rows inserts, as pending writes of tx.
-func rewriteRows(tx *txn.Txn, t *catalog.Table, rows rowSource) error {
+// row of a backing table with what rows inserts, as pending writes of tx,
+// and observes ctx while it finds and deletes the old rows.
+func rewriteRows(ctx context.Context, tx *txn.Txn, t *catalog.Table, rows rowSource) error {
 	var ids []storage.RowID
 	if err := t.Heap.ScanAt(t.Heap.WriteView(tx), func(id storage.RowID, _ sqltypes.Row) bool {
 		ids = append(ids, id)
-		return true
+		return len(ids)%1024 != 0 || ctx.Err() == nil
 	}); err != nil {
 		return err
 	}
-	for _, id := range ids {
+	for i, id := range ids {
+		if i%1024 == 0 && ctx.Err() != nil {
+			return rferrors.Wrap(rferrors.CodeCancelled, ctx.Err())
+		}
 		if err := t.Heap.DeleteTx(tx, id); err != nil {
 			return err
 		}
@@ -279,14 +306,14 @@ func rewriteRows(tx *txn.Txn, t *catalog.Table, rows rowSource) error {
 }
 
 func (m *Manager) createPlainView(ctx context.Context, tx *txn.Txn, stmt *sqlparser.CreateMatView) (func(uint64), error) {
-	if m.exec == nil {
-		return nil, fmt.Errorf("mview: no executor wired for plain materialized views")
-	}
-	cols, rows, err := m.exec(ctx, stmt.Select)
+	var rows []sqltypes.Row
+	cols, err := m.exec(ctx, tx, stmt.Select, func(r sqltypes.Row) error {
+		rows = append(rows, r.Clone())
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	backingName := "__mv_" + stmt.Name
 	defs := make([]catalog.Column, len(cols))
 	for i, c := range cols {
 		typ := sqltypes.Null
@@ -302,11 +329,19 @@ func (m *Manager) createPlainView(ctx context.Context, tx *txn.Txn, stmt *sqlpar
 		}
 		defs[i] = catalog.Column{Name: name, Type: typ}
 	}
+	backingName := "__mv_" + stmt.Name
 	backing, err := m.cat.CreateTable(backingName, defs)
 	if err != nil {
 		return nil, err
 	}
-	if err := rewriteRows(tx, backing, copies(rows)); err != nil {
+	if err := rewriteRows(ctx, tx, backing, func(insert func(sqltypes.Row) error) error {
+		for _, r := range rows {
+			if err := insert(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		m.cat.DropTable(backingName)
 		return nil, err
 	}
@@ -335,8 +370,8 @@ func (m *Manager) Drop(name string) error {
 
 // RefreshTx fully recomputes a view (and clears staleness) inside tx: the
 // rebuilt backing rows join tx's write-set, so concurrent readers never
-// observe a half-refreshed view; a plain view's recompute runs its defining
-// query through the engine, which observes ctx. The view is fresh from the
+// observe a half-refreshed view; the recompute runs a query through the
+// engine, which observes ctx. The view is fresh from the
 // epoch tx publishes, and only from the moment it publishes: the returned
 // stamp records that epoch, and the committer calls it inside its
 // publication window — stamped any earlier, a reader at the current epoch
@@ -345,15 +380,13 @@ func (m *Manager) Drop(name string) error {
 // no epochs. A refresh that fails, or whose stamp is never called, leaves
 // the view's freshness as it was.
 func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) (stamp func(epoch uint64), err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sv, ok := m.seq[lower(name)]; ok {
+	m.mu.RLock()
+	sv, seq := m.seq[lower(name)]
+	stmt, plain := m.plain[lower(name)]
+	m.mu.RUnlock()
+	if seq {
 		m.stats.FullRefreshes.Add(1)
-		rows, err := m.sequences(tx, sv)
-		if err != nil {
-			return nil, err
-		}
-		if err := rewriteRows(tx, sv.mv.Table, rows); err != nil {
+		if err := rewriteRows(ctx, tx, sv.mv.Table, m.fill(ctx, tx, sv)); err != nil {
 			return nil, err
 		}
 		return func(epoch uint64) {
@@ -362,16 +395,21 @@ func (m *Manager) RefreshTx(ctx context.Context, tx *txn.Txn, name string) (stam
 			m.setFresh(sv, epoch)
 		}, nil
 	}
-	if stmt, ok := m.plain[lower(name)]; ok {
+	if plain {
 		mv, _ := m.cat.MatView(name)
-		cols, rows, err := m.exec(ctx, stmt.Select)
-		if err != nil {
-			return nil, err
-		}
-		if len(cols) != len(mv.Table.Columns) {
-			return nil, fmt.Errorf("mview: refresh arity changed for %q", name)
-		}
-		return nil, rewriteRows(tx, mv.Table, copies(rows))
+		arity := fmt.Errorf("mview: refresh arity changed for %q", name)
+		return nil, rewriteRows(ctx, tx, mv.Table, func(insert func(sqltypes.Row) error) error {
+			cols, err := m.exec(ctx, tx, stmt.Select, func(r sqltypes.Row) error {
+				if len(r) != len(mv.Table.Columns) {
+					return arity
+				}
+				return insert(r.Clone())
+			})
+			if err == nil && len(cols) != len(mv.Table.Columns) {
+				err = arity
+			}
+			return err
+		})
 	}
 	return nil, rferrors.New(rferrors.CodeUnknownView, "materialized view %q does not exist", name)
 }
@@ -435,8 +473,6 @@ func (m *Manager) StalenessAges() map[string]float64 {
 
 // Stale reports whether a view is stale at the latest published epoch.
 func (m *Manager) Stale(name string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	sv, ok := m.seq[lower(name)]
-	return ok && !sv.freshAt(m.cat.Clock().Now())
+	stale, _ := m.StaleInfo(name)
+	return stale
 }

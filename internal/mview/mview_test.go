@@ -9,6 +9,8 @@ import (
 
 	"rfview/internal/catalog"
 	"rfview/internal/core"
+	"rfview/internal/exec"
+	"rfview/internal/plan"
 	"rfview/internal/spill"
 	"rfview/internal/sqlparser"
 	"rfview/internal/sqltypes"
@@ -41,7 +43,7 @@ func fixture(t *testing.T, n int) (*catalog.Catalog, *Manager) {
 		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewInt(int64((i + 1) * (i + 1)))}
 	}
 	insertRows(t, tbl, rows...)
-	return cat, NewManager(cat, nil)
+	return cat, NewManager(cat, planExec(cat))
 }
 
 // insertRows writes rows into tbl in one committed transaction.
@@ -118,11 +120,16 @@ func viewValues(t *testing.T, cat *catalog.Catalog, name string) map[int64]float
 func denseRaw(m *Manager, base *catalog.Table) ([]float64, error) {
 	tx := m.begin()
 	defer tx.Release()
-	parts, err := readSequences[float64](m, tx, &seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}})
-	if err != nil {
-		return nil, err
-	}
-	return parts[0].vals, nil
+	var raw []float64
+	q := &seqView{mv: &catalog.MatView{BaseTable: base.Name, PosColumn: "pos", ValColumn: "val"}}
+	_, err := m.exec(context.Background(), tx, q.fillQuery(), func(r sqltypes.Row) error {
+		if r[0].Int() != int64(len(raw)+1) {
+			return fmt.Errorf("position %v follows position %d", r[0], len(raw))
+		}
+		raw = append(raw, r[1].Float())
+		return nil
+	})
+	return raw, err
 }
 
 // AfterInsert, AfterUpdate and AfterDelete fold one delta of the given kind
@@ -447,13 +454,15 @@ func TestCumulativeViewMaintained(t *testing.T) {
 	checkViewMatchesCore(t, cat, m, "cum", core.Cumul(), core.Sum)
 }
 
-// fakeExec materializes plain views without a full engine: it returns a
-// canned result set.
-func fakeExec(cols []string, rows []sqltypes.Row) ExecFunc {
-	return func(context.Context, sqlparser.SelectStatement) ([]string, []sqltypes.Row, error) {
-		out := make([]sqltypes.Row, len(rows))
-		copy(out, rows)
-		return cols, out, nil
+// planExec is the engine's ExecFunc over cat, without an engine: the
+// planner and the executor run the statement at tx's snapshot.
+func planExec(cat *catalog.Catalog) ExecFunc {
+	return func(ctx context.Context, tx *txn.Txn, stmt sqlparser.SelectStatement, emit func(sqltypes.Row) error) ([]string, error) {
+		op, err := plan.New(cat, plan.Options{Ctx: ctx, Snap: func() txn.Snapshot { return tx.Snap }}).PlanSelect(stmt)
+		if err != nil {
+			return nil, err
+		}
+		return plan.OutputNames(op), exec.Drain(ctx, op, emit)
 	}
 }
 
@@ -463,8 +472,13 @@ func TestPlainViewLifecycle(t *testing.T) {
 		{sqltypes.NewInt(1), sqltypes.NewString("x")},
 		{sqltypes.NewInt(2), sqltypes.NewString("y")},
 	}
-	m := NewManager(cat, fakeExec([]string{"a", ""}, rows))
-	createView(t, m, `CREATE MATERIALIZED VIEW pv AS SELECT a, b FROM wherever`)
+	tbl, err := cat.CreateTable("wherever", []catalog.Column{{Name: "a", Type: sqltypes.Int}, {Name: "b", Type: sqltypes.String}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertRows(t, tbl, rows...)
+	m := NewManager(cat, planExec(cat))
+	createView(t, m, `CREATE MATERIALIZED VIEW pv AS SELECT a, a + 1 FROM wherever`)
 	mv, ok := cat.MatView("pv")
 	if !ok || mv.Kind != catalog.PlainView {
 		t.Fatal("plain view not registered")
@@ -601,7 +615,7 @@ func TestFoldBaseReads(t *testing.T) {
 			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewFloat(float64((i + 1) % 13)), pad}
 		}
 		insertRows(t, base, rows...)
-		m := NewManager(cat, nil)
+		m := NewManager(cat, planExec(cat))
 		for _, ddl := range ddls {
 			createView(t, m, ddl)
 		}

@@ -34,7 +34,7 @@ func pfixture(t *testing.T, sizes map[string]int) (*catalog.Catalog, *Manager) {
 		}
 	}
 	insertRows(t, tbl, rows...)
-	return cat, NewManager(cat, nil)
+	return cat, NewManager(cat, planExec(cat))
 }
 
 const pViewDDL = `CREATE MATERIALIZED VIEW pmv AS
@@ -286,7 +286,7 @@ func TestPartitionedCreateRejections(t *testing.T) {
 		{Name: "val", Type: sqltypes.Int},
 	})
 	insertRows(t, tbl, sqltypes.Row{sqltypes.NullDatum, sqltypes.NewInt(1), sqltypes.NewInt(1)})
-	m := NewManager(cat, nil)
+	m := NewManager(cat, planExec(cat))
 	if err := tryCreate(m, pViewDDL); err == nil ||
 		!strings.Contains(err.Error(), "non-NULL") {
 		t.Fatalf("NULL partition key must be rejected: %v", err)

@@ -96,7 +96,7 @@ func (s *backingStore[T]) Write(lo, hi int, cells []core.Cell[T], n int) error {
 		case len(cells) > 0 && cells[0].Pos == p:
 			v := sqltypes.NewNum(cells[0].Val)
 			cells = cells[1:]
-			row := lay.row(s.part, p, v, p >= 1 && p <= n)
+			row := lay.row(nil, s.part, p, v, p >= 1 && p <= n)
 			switch {
 			case !had:
 				_, err = t.Heap.InsertTx(s.tx, row)
@@ -166,7 +166,7 @@ func (s *backingStore[T]) Raw(lo, hi int) ([]T, error) {
 // readRaw fills b from the base table, which holds every change of the
 // fold already, and undoes those after the at-th.
 func (s *backingStore[T]) readRaw(b bands[T]) error {
-	if err := readBands(s.m, s.tx, s.sv, b, false); err != nil {
+	if err := readBands(s.m, s.tx, s.sv, b); err != nil {
 		return err
 	}
 	for j := len(s.changes) - 1; j > s.at; j-- {
@@ -283,12 +283,11 @@ func (b bands[T]) step(c change[T], undo bool) {
 	}
 }
 
-// readBands fills b's spans from the base table at tx's write view: one range walk per span through the base's index on (partition,
-// position) when it has one, else one scan. With open set, a partition's
-// span opens at its first row and a row outside it is an error: the whole
-// table is read, and must be dense. No span runs past the table's version
-// count, which bounds the positions of a dense partition.
-func readBands[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, b bands[T], open bool) error {
+// readBands fills b's spans from the base table at tx's write view: one
+// range walk per span through the base's index on (partition, position) when
+// it has one, else one scan. No span runs past the table's version count,
+// which bounds the positions of a dense partition.
+func readBands[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, b bands[T]) error {
 	base, err := m.cat.Table(sv.mv.BaseTable)
 	if err != nil {
 		return err
@@ -311,14 +310,8 @@ func readBands[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, b bands[T], ope
 			err = fmt.Errorf("mview: sequence views need non-NULL INTEGER positions, non-NULL partition keys and numeric values")
 			return false
 		}
-		if open && b[part.Key()] == nil {
-			b[part.Key()] = []*span[T]{{part: part, lo: 1, hi: limit}}
-		}
 		if sp := b.find(part, int(p.Int())); sp != nil {
 			sp.add(int(p.Int()), sqltypes.AsNum[T](v), 1)
-		} else if open {
-			err = fmt.Errorf("mview: sequence views need dense positions 1…n; partition %s has position %d", part, p.Int())
-			return false
 		}
 		return true
 	}
@@ -326,7 +319,7 @@ func readBands[T core.Num](m *Manager, tx *txn.Txn, sv *seqView, b bands[T], ope
 	if gi >= 0 {
 		ords = []int{gi, pi}
 	}
-	if h := base.Heap.IndexOn(ords); h != nil && !open {
+	if h := base.Heap.IndexOn(ords); h != nil {
 		for _, spans := range b {
 			for _, sp := range spans {
 				from, to := sv.lay.partKey(sp.part), sv.lay.partKey(sp.part)

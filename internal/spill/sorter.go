@@ -18,7 +18,8 @@ const (
 	// defaultMinRunRows is the floor below which a Sorter overdrafts the
 	// budget instead of flushing: with a pathologically small limit (or a
 	// busy shared budget) flushing one-record runs would turn the external
-	// sort into one syscall per row.
+	// sort into one syscall per row. Config.minRunBytes is its floor in
+	// bytes.
 	defaultMinRunRows = 128
 	// defaultMaxFanIn bounds how many runs one merge pass reads at once;
 	// more runs than this triggers intermediate passes that merge batches
@@ -82,6 +83,14 @@ func (c *Config) MinRun() int {
 	}
 	return defaultMinRunRows
 }
+
+// minRunBytes is the smallest run, in charged bytes, a Sorter flushes when
+// the budget refuses it: a maxFanIn-th of the limit. The page cache grows
+// into whatever a statement leaves of the budget and keeps it, so a sort
+// that follows a scan is refused at its first record; runs sized by what is
+// left would be MinRun records each, thousands of them for a large input,
+// and every extra merge pass rewrites the whole input.
+func (c *Config) minRunBytes() int64 { return c.Budget.Limit() / int64(c.maxFanIn()) }
 
 func (c *Config) maxFanIn() int {
 	if c.MaxFanIn > 1 {
@@ -177,7 +186,7 @@ func (s *Sorter) Add(key, payload []byte) error {
 	}
 	n := int64(len(key)+len(payload)) + recOverhead
 	if !s.cfg.Budget.Charge(n) {
-		if s.cfg.Enabled() && len(s.recs) >= s.cfg.MinRun() {
+		if s.cfg.Enabled() && len(s.recs) >= s.cfg.MinRun() && s.charged >= s.cfg.minRunBytes() {
 			if err := s.flushRun(); err != nil {
 				return err
 			}

@@ -116,9 +116,6 @@ func TestCompareIsATotalOrder(t *testing.T) {
 						if got := bytes.Compare(ka, kb); got != want {
 							t.Fatalf("%s column desc=%v nullsLast=%v: keys of %v and %v order %d, want %d", name, desc, nullsLast, a, b, got, want)
 						}
-						if name == "mixed" {
-							continue
-						}
 						ea, eb := EncodeKeyNulls(nil, a, desc, nullsLast), EncodeKeyNulls(nil, b, desc, nullsLast)
 						if got := bytes.Compare(ea, eb); got != want {
 							t.Fatalf("%s column desc=%v nullsLast=%v: EncodeKeyNulls of %v and %v order %d, want %d", name, desc, nullsLast, a, b, got, want)

@@ -552,13 +552,13 @@ const (
 )
 
 // EncodeKey appends an order-preserving encoding of d to dst and returns the
-// extended slice: for two datums a, b of one type,
+// extended slice: for two datums a, b of comparable types,
 // bytes.Compare(EncodeKey(nil, a, desc), EncodeKey(nil, b, desc)) has the
 // same sign as Compare(a, b) (negated under desc), and encodings are equal
-// exactly when Compare reports 0. A column's values are encoded by
-// ColVec.AppendKey, which orders a wider INTEGER/FLOAT mix exactly too.
-// Strings are escaped and terminated so a later key segment can follow
-// without breaking prefix ordering.
+// exactly when Compare reports 0. It encodes one value with no column to
+// look at, so every number takes the form of a column that mixes INTEGER and
+// FLOAT (ColVec.AppendKey). Strings are escaped and terminated so a later
+// key segment can follow without breaking prefix ordering.
 func EncodeKey(dst []byte, d Datum, desc bool) []byte {
 	return EncodeKeyNulls(dst, d, desc, desc)
 }
@@ -569,7 +569,7 @@ func EncodeKey(dst []byte, d Datum, desc bool) []byte {
 // default is nullsLast = desc, the placement Compare plus a DESC negation
 // induces.
 func EncodeKeyNulls(dst []byte, d Datum, desc, nullsLast bool) []byte {
-	return appendKey(dst, d, false, desc, nullsLast)
+	return appendKey(dst, d, true, desc, nullsLast)
 }
 
 // AppendKey appends position i's memcomparable key to dst: the bytes of its

@@ -348,7 +348,8 @@ func (t *Table) writable(sl *slot, tx *txn.Txn) bool {
 	return txn.Visible(b, e, tx.Snap) || txn.Visible(b, e, t.WriteView(tx))
 }
 
-// InsertTx appends a row as a pending version of tx.
+// InsertTx appends a row as a pending version of tx. It encodes the row and
+// keeps none of it, so the caller may reuse the row.
 func (t *Table) InsertTx(tx *txn.Txn, row sqltypes.Row) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

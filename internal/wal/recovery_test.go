@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	rferrors "rfview/errors"
@@ -861,5 +863,92 @@ func TestRestoreReadsNoBaseRows(t *testing.T) {
 	}
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Fatal("the restored view answers differently")
+	}
+}
+
+// cancelledAfterFirstCheck is a context that the engine sees live at the
+// statement's entry check and cancelled at every later check, so the
+// statement is abandoned inside its work, deterministically.
+type cancelledAfterFirstCheck struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelledAfterFirstCheck) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledViewStatementNotReplayed: a CREATE or REFRESH MATERIALIZED
+// VIEW that answered `cancelled` left nothing durable. After a crash the
+// cancelled CREATE's view and backing table do not exist, a view whose
+// REFRESH was cancelled is as stale as it was live, and the names are free
+// for the statements run again.
+func TestCancelledViewStatementNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := Open(Options{Dir: dir, Sync: SyncAlways}, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mgr.Engine()
+	const (
+		seqView   = `CREATE MATERIALIZED VIEW sv AS SELECT grp, pos, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 2 FOLLOWING) AS val FROM pb`
+		plainView = `CREATE MATERIALIZED VIEW pv AS SELECT grp, COUNT(*) AS n FROM pb GROUP BY grp`
+		staleView = `CREATE MATERIALIZED VIEW st AS SELECT pos, MAX(val) OVER (ORDER BY pos ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS val FROM seq`
+	)
+	for _, sql := range []string{
+		`CREATE TABLE pb (grp INTEGER, pos INTEGER, val INTEGER)`,
+		`INSERT INTO pb VALUES (1, 1, 10), (1, 2, 20), (2, 1, 3), (1, 3, 4), (2, 2, 5)`,
+		`CREATE TABLE seq (pos INTEGER, val INTEGER)`,
+		`INSERT INTO seq VALUES (1, 1), (2, 2), (3, 3)`,
+		staleView,
+		`DELETE FROM seq WHERE pos = 2`,
+		`INSERT INTO seq VALUES (2, 7)`,
+	} {
+		if _, err := e.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	cancelled := []string{seqView, plainView, `REFRESH MATERIALIZED VIEW st`}
+	for _, sql := range cancelled {
+		if _, err := e.ExecContext(&cancelledAfterFirstCheck{Context: context.Background()}, sql); rferrors.CodeOf(err) != rferrors.CodeCancelled {
+			t.Fatalf("%s: got %v, want a cancelled error", sql, err)
+		}
+	}
+	check := func(e *engine.Engine, when string) {
+		t.Helper()
+		for _, name := range []string{"sv", "pv"} {
+			if _, ok := e.Cat.MatView(name); ok {
+				t.Errorf("%s: view %s exists", when, name)
+			}
+			if _, err := e.Cat.Table("__mv_" + name); err == nil {
+				t.Errorf("%s: table __mv_%s exists", when, name)
+			}
+		}
+		if _, err := e.Exec(`SELECT pos, val FROM st`); rferrors.CodeOf(err) != rferrors.CodeStaleView {
+			t.Errorf("%s: reading st: got %v, want a stale_view error", when, err)
+		}
+	}
+	check(e, "live")
+	mgr = nil // crash
+
+	re, err := Open(Options{Dir: dir, Sync: SyncAlways}, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n := re.Recovery().ReplayErrors; n != 0 {
+		t.Errorf("recovery counted %d replay errors", n)
+	}
+	check(re.Engine(), "recovered")
+	for _, sql := range cancelled {
+		if _, err := re.Engine().Exec(sql); err != nil {
+			t.Fatalf("recovered: %s: %v", sql, err)
+		}
+	}
+	if _, err := re.Engine().Exec(`SELECT pos, val FROM st`); err != nil {
+		t.Fatalf("recovered: st after REFRESH: %v", err)
 	}
 }
