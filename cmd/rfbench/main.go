@@ -6,7 +6,7 @@
 //	rfbench -exp table2 [-sizes 100,500,1000,1500,2000,3000,5000] [-check]
 //	rfbench -exp patterns    # print the Fig. 2/4/10/13 rewrites and plans
 //	rfbench -exp maintenance # §2.3 incremental update vs. full refresh
-//	rfbench -exp window [-mem-budget SIZE]  # partition-parallel Window operator scaling, plus a budget-forced spill reference run
+//	rfbench -exp window      # partition-parallel Window operator scaling and the shared-sort grid
 //	rfbench -exp all    [-quick]
 //
 // -quick shrinks the size lists so a full run finishes in seconds; -check
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"rfview/internal/bench"
-	"rfview/internal/spill"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 	check := flag.Bool("check", false, "verify every strategy against native evaluation")
 	quick := flag.Bool("quick", false, "use reduced size lists for a fast run")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of the paper-style tables")
-	memBudget := flag.String("mem-budget", "", "executor memory budget for the window experiment's spill reference run, e.g. 64KiB (empty = tiny default)")
 	flag.Parse()
 
 	var sizeList []int
@@ -79,13 +77,6 @@ func main() {
 			cfg.Partitions = 16
 			cfg.RowsPerPartition = 200
 			cfg.Trials = 3
-		}
-		if *memBudget != "" {
-			n, err := spill.ParseBytes(*memBudget)
-			if err != nil {
-				fatalf("-mem-budget: %v", err)
-			}
-			cfg.MemBudgetBytes = n
 		}
 		fmt.Fprintf(os.Stderr, "Running window experiment (%d partitions x %d rows, %d trials, workers 1/2/4)\n",
 			cfg.Partitions, cfg.RowsPerPartition, cfg.Trials)

@@ -14,10 +14,11 @@
 // loopback addresses: profiles expose query shapes) for CPU/heap profiling.
 // -slow-query-ms logs every read statement slower than N milliseconds, with
 // its analyzed per-operator plan.
-// -mem-budget caps executor working memory (e.g. 64MiB): sorts and window
-// partition orderings over the budget spill memcomparable runs to disk —
-// under <data-dir>/tmp when durable, else a private temp directory — and
-// merge them back with bit-identical results. Stale run files from a
+// -mem-budget caps executor working memory (e.g. 64MiB): a sort over the
+// budget spills memcomparable runs to disk — under <data-dir>/tmp when
+// durable, else a private temp directory — and merges them back with
+// bit-identical results; a window orders its partitions in memory and
+// charges, but never spills, what it holds. Stale run files from a
 // crashed process are swept at startup; a clean shutdown removes them all.
 // -page-size sets the slotted-page size of paged heap storage (e.g. 8KiB,
 // the default): table rows live in pages cached by a buffer pool whose
@@ -70,7 +71,7 @@ func main() {
 	noViews := flag.Bool("no-views", false, "disable answering queries from materialized sequence views")
 	windowPar := flag.Int("window-parallelism", 0,
 		"window partition workers: 0 = GOMAXPROCS, 1 = sequential, N = up to N workers")
-	memBudget := flag.String("mem-budget", "", "executor memory budget, e.g. 64MiB; sorts and window partitions over budget spill to disk (empty = unlimited)")
+	memBudget := flag.String("mem-budget", "", "executor memory budget, e.g. 64MiB; sorts over budget spill to disk, windows sort in memory (empty = unlimited)")
 	pageSize := flag.String("page-size", "", "paged-storage page size, e.g. 8KiB (empty = default)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (empty = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "HTTP listen address for net/http/pprof (empty = disabled; use a loopback address)")

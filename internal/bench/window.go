@@ -26,10 +26,6 @@ type WindowConfig struct {
 	RowsPerPartition int
 	Trials           int // timed repetitions per worker setting; medians reported
 	Seed             int64
-	// MemBudgetBytes sizes the executor memory budget of the spill reference
-	// run (workers=1 with out-of-core execution forced); 0 picks a tiny
-	// default that guarantees spilling at any workload size.
-	MemBudgetBytes int64
 }
 
 // DefaultWindowConfig is the configuration `rfbench -exp window` runs. Nine
@@ -49,12 +45,6 @@ type WindowRow struct {
 	Trials      []time.Duration
 	AllocsPerOp uint64
 	BytesPerOp  uint64
-	// Spill marks the memory-budgeted reference run; SpillRuns / SpillBytes
-	// are the engine's cumulative spill counters after its trials (zero in
-	// every other run).
-	Spill      bool
-	SpillRuns  int64
-	SpillBytes int64
 }
 
 // windowBenchQuery is the measured statement.
@@ -289,25 +279,21 @@ func loadPartitionedTable(e *engine.Engine, cfg WindowConfig) error {
 // RunWindowParallel executes the workload at each worker setting and returns
 // one row per setting, with per-trial timings and the median. The sequential
 // (workers=1) result is additionally checked against every parallel result.
-// One workers=1 reference run is appended: a tiny-memory-budget run that
-// forces the out-of-core spill path — its results are cross-checked against
-// the in-memory reference like every other setting.
 func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, error) {
-	out := make([]WindowRow, 0, len(workerSettings)+1)
+	out := make([]WindowRow, 0, len(workerSettings))
 	var reference []float64
 
-	measure := func(workers int, memBudget int64) (WindowRow, error) {
+	measure := func(workers int) (WindowRow, error) {
 		opts := engine.DefaultOptions()
 		opts.UseMatViews = false
 		opts.WindowParallelism = workers
-		opts.MemoryBudgetBytes = memBudget
 		e := engine.New(opts)
 		defer e.Close()
 		e.SetPlanCacheCapacity(0) // every trial must run the operator
 		if err := loadPartitionedTable(e, cfg); err != nil {
 			return WindowRow{}, err
 		}
-		row := WindowRow{Workers: workers, Spill: memBudget > 0}
+		row := WindowRow{Workers: workers}
 		var lastSums []float64
 		var allocs, bytes []uint64
 		for t := 0; t < cfg.Trials; t++ {
@@ -334,36 +320,21 @@ func RunWindowParallel(cfg WindowConfig, workerSettings []int) ([]WindowRow, err
 		if reference == nil {
 			reference = lastSums
 		} else if !sameFloats(reference, lastSums) {
-			return WindowRow{}, fmt.Errorf("workers=%d budget=%d: result differs from reference",
-				workers, memBudget)
+			return WindowRow{}, fmt.Errorf("workers=%d: result differs from reference", workers)
 		}
 		row.Median = medianDuration(row.Trials)
 		row.AllocsPerOp = medianU64(allocs)
 		row.BytesPerOp = medianU64(bytes)
-		row.SpillRuns = e.SpillStats().Runs.Load()
-		row.SpillBytes = e.SpillStats().RunBytes.Load()
 		return row, nil
 	}
 
 	for _, w := range workerSettings {
-		row, err := measure(w, 0)
+		row, err := measure(w)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, row)
 	}
-	// The spill reference: the same workload, workers=1, under a tiny memory
-	// budget so the ordering goes external. The shared result cross-check
-	// above doubles as the bit-identity oracle for the out-of-core path.
-	budget := cfg.MemBudgetBytes
-	if budget <= 0 {
-		budget = 64 << 10
-	}
-	spillRow, err := measure(1, budget)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, spillRow)
 	return out, nil
 }
 
@@ -394,7 +365,7 @@ func FormatWindow(rows []WindowRow) string {
 	fmt.Fprintf(&b, "%-8s  %-12s  %-12s  %-12s  %s\n", "workers", "median", "allocs/op", "B/op", "trials")
 	var seq time.Duration
 	for _, r := range rows {
-		if r.Workers == 1 && !r.Spill {
+		if r.Workers == 1 {
 			seq = r.Median
 		}
 	}
@@ -403,17 +374,10 @@ func FormatWindow(rows []WindowRow) string {
 		for i, t := range r.Trials {
 			parts[i] = t.Round(10 * time.Microsecond).String()
 		}
-		label := fmt.Sprintf("%d", r.Workers)
-		if r.Spill {
-			label += " spill"
-		}
-		line := fmt.Sprintf("%-8s  %-12s  %-12d  %-12d  %s", label,
+		line := fmt.Sprintf("%-8d  %-12s  %-12d  %-12d  %s", r.Workers,
 			r.Median.Round(10*time.Microsecond), r.AllocsPerOp, r.BytesPerOp, strings.Join(parts, " "))
 		if seq > 0 && r.Workers > 1 {
 			line += fmt.Sprintf("   (%.2fx vs sequential)", float64(seq)/float64(r.Median))
-		}
-		if r.Spill {
-			line += fmt.Sprintf("   (spilled %d runs, %d bytes)", r.SpillRuns, r.SpillBytes)
 		}
 		b.WriteString(line + "\n")
 	}

@@ -24,6 +24,7 @@ import (
 	rferrors "rfview/errors"
 	"rfview/internal/catalog"
 	"rfview/internal/exec"
+	"rfview/internal/expr"
 	"rfview/internal/metrics"
 	"rfview/internal/mview"
 	"rfview/internal/plan"
@@ -56,10 +57,11 @@ type Options struct {
 	// class. Results are identical either way; the knob exists for the
 	// differential oracle and for A/B benchmarks.
 	DisableSharedSort bool
-	// MemoryBudgetBytes caps executor working memory: Sort buffers and
-	// window partition orderings charge a shared spill.Budget, and an
-	// operator whose charge would exceed the cap goes external — spilling
-	// memcomparable sort runs to disk and merging them back (internal/spill).
+	// MemoryBudgetBytes caps executor working memory: Sort buffers charge a
+	// shared spill.Budget, and a Sort whose charge would exceed the cap goes
+	// external — spilling memcomparable runs to disk and merging them back
+	// (internal/spill). A Window orders every partition in memory and
+	// force-charges what it holds, overdrafting rather than spilling.
 	// 0 means unlimited (nothing ever spills); the RFVIEW_TEST_MEM_BUDGET
 	// environment variable supplies a default when unset, so the whole test
 	// suite can be forced through the spill path.
@@ -229,7 +231,7 @@ func New(opts Options) *Engine {
 		Env:    e.spillEnv,
 		Stats:  &spill.Stats{},
 	}
-	// Page residency charges the same budget as sort/window spilling, so
+	// Page residency charges the same budget as sorts and windows, so
 	// -mem-budget is the one knob that governs total executor memory.
 	e.pager = storage.NewPager(storage.PagerConfig{
 		PageSize: opts.PageSize,
@@ -856,11 +858,10 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.Insert, cfg execCo
 		}
 		srcRows = res.Rows
 	} else {
-		empty := exprSchema()
 		for _, rowExprs := range s.Rows {
 			row := make(sqltypes.Row, len(rowExprs))
 			for i, ex := range rowExprs {
-				compiled, err := compileConst(ex, empty)
+				compiled, err := compileConst(ex)
 				if err != nil {
 					return nil, err
 				}
@@ -904,16 +905,9 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 		return nil, err
 	}
 	schema := tableSchema(tbl, s.Table)
-	var where compiledExpr
-	if s.Where != nil {
-		where, err = compileAgainst(s.Where, schema)
-		if err != nil {
-			return nil, err
-		}
-	}
 	type setter struct {
 		ord int
-		ex  compiledExpr
+		ex  expr.Expr
 	}
 	setters := make([]setter, len(s.Set))
 	for i, a := range s.Set {
@@ -921,60 +915,31 @@ func (e *Engine) execUpdate(s *sqlparser.Update, cfg execConfig) (*Result, error
 		if ord < 0 {
 			return nil, fmt.Errorf("column %q does not exist in %q", a.Column, s.Table)
 		}
-		ex, err := compileAgainst(a.Value, schema)
+		ex, err := expr.Compile(a.Value, schema)
 		if err != nil {
 			return nil, err
 		}
 		setters[i] = setter{ord: ord, ex: ex}
 	}
-
-	var ids []storage.RowID
-	var befores, afters []sqltypes.Row
-	var evalErr error
-	visit := func(id storage.RowID, row sqltypes.Row) bool {
-		if where != nil {
-			v, err := where.Eval(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		after := row.Clone()
-		for _, st := range setters {
-			v, err := st.ex.Eval(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			cv, err := coerce(v, tbl.Columns[st.ord].Type)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			after[st.ord] = cv
-		}
-		ids, befores, afters = append(ids, id), append(befores, row), append(afters, after)
-		return true
-	}
-	// Point updates (WHERE col = literal with an index) probe instead of
-	// scanning — the access-path side of §2.3's locality argument.
-	if ids, rows, ok := pointLookupRows(tbl, s.Where, tx.Snap); ok {
-		for i, id := range ids {
-			if !visit(id, rows[i]) {
-				break
-			}
-		}
-	} else if err := tbl.Heap.ScanAt(tx.Snap, visit); err != nil {
+	ids, befores, err := dmlTargets(tbl, s.Where, schema, tx.Snap)
+	if err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	if len(ids) == 0 {
 		return &Result{}, nil
+	}
+	afters := make([]sqltypes.Row, len(befores))
+	for i, row := range befores {
+		afters[i] = row.Clone()
+		for _, st := range setters {
+			v, err := st.ex.Eval(row)
+			if err != nil {
+				return nil, err
+			}
+			if afters[i][st.ord], err = coerce(v, tbl.Columns[st.ord].Type); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if _, err := tbl.Heap.UpdateRowsTx(tx, ids, afters); err != nil {
 		return nil, err
@@ -989,43 +954,9 @@ func (e *Engine) execDelete(s *sqlparser.Delete, cfg execConfig) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	schema := tableSchema(tbl, s.Table)
-	var where compiledExpr
-	if s.Where != nil {
-		where, err = compileAgainst(s.Where, schema)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var ids []storage.RowID
-	var rows []sqltypes.Row
-	var evalErr error
-	visit := func(id storage.RowID, row sqltypes.Row) bool {
-		if where != nil {
-			v, err := where.Eval(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		rows = append(rows, row)
-		return true
-	}
-	if cand, candRows, ok := pointLookupRows(tbl, s.Where, tx.Snap); ok {
-		for i, id := range cand {
-			if !visit(id, candRows[i]) {
-				break
-			}
-		}
-	} else if err := tbl.Heap.ScanAt(tx.Snap, visit); err != nil {
+	ids, rows, err := dmlTargets(tbl, s.Where, tableSchema(tbl, s.Table), tx.Snap)
+	if err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	for _, id := range ids {
 		if err := tbl.Heap.DeleteTx(tx, id); err != nil {

@@ -9,35 +9,22 @@ import (
 	"rfview/internal/txn"
 )
 
-// compiledExpr aliases expr.Expr for the DML helpers.
-type compiledExpr = expr.Expr
-
-func exprSchema() *expr.Schema { return expr.NewSchema() }
-
 func tableSchema(tbl *catalog.Table, ref string) *expr.Schema {
 	cols := make([]expr.ColInfo, len(tbl.Columns))
 	for i, c := range tbl.Columns {
 		cols[i] = expr.ColInfo{Table: ref, Name: c.Name, Type: c.Type}
 	}
-	// Also make unqualified lookups work by using the table's own name.
-	_ = ref
 	return expr.NewSchema(cols...)
 }
 
-func compileAgainst(e sqlparser.Expr, schema *expr.Schema) (expr.Expr, error) {
-	return expr.Compile(e, schema)
-}
-
 // compileConst evaluates a row-less expression (VALUES entries).
-func compileConst(e sqlparser.Expr, schema *expr.Schema) (sqltypes.Datum, error) {
-	compiled, err := expr.Compile(e, schema)
+func compileConst(e sqlparser.Expr) (sqltypes.Datum, error) {
+	compiled, err := expr.Compile(e, expr.NewSchema())
 	if err != nil {
 		return sqltypes.NullDatum, err
 	}
 	return compiled.Eval(nil)
 }
-
-func truthy(d sqltypes.Datum) bool { return expr.Truthy(d) }
 
 // coerce casts a datum to the declared column type, keeping NULLs.
 func coerce(d sqltypes.Datum, to sqltypes.Type) (sqltypes.Datum, error) {
@@ -45,6 +32,48 @@ func coerce(d sqltypes.Datum, to sqltypes.Type) (sqltypes.Datum, error) {
 		return d, nil
 	}
 	return sqltypes.Cast(d, to)
+}
+
+// dmlTargets returns the rows of tbl an UPDATE's or DELETE's WHERE selects at
+// snap, with their ids: the candidates of an index probe when pointLookupRows
+// finds one (the access-path side of §2.3's locality argument), else of a
+// snapshot scan, each kept when the whole predicate holds. A nil where selects
+// every row.
+func dmlTargets(tbl *catalog.Table, where sqlparser.Expr, schema *expr.Schema, snap txn.Snapshot) ([]storage.RowID, []sqltypes.Row, error) {
+	var pred expr.Expr
+	if where != nil {
+		var err error
+		if pred, err = expr.Compile(where, schema); err != nil {
+			return nil, nil, err
+		}
+	}
+	var ids []storage.RowID
+	var rows []sqltypes.Row
+	var evalErr error
+	visit := func(id storage.RowID, row sqltypes.Row) bool {
+		if pred != nil {
+			v, err := pred.Eval(row)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !expr.Truthy(v) {
+				return true
+			}
+		}
+		ids, rows = append(ids, id), append(rows, row)
+		return true
+	}
+	if cand, candRows, ok := pointLookupRows(tbl, where, snap); ok {
+		for i, id := range cand {
+			if !visit(id, candRows[i]) {
+				break
+			}
+		}
+	} else if err := tbl.Heap.ScanAt(snap, visit); err != nil {
+		return nil, nil, err
+	}
+	return ids, rows, evalErr
 }
 
 // pointLookupRows recognizes WHERE shapes of the form `col = literal` (alone

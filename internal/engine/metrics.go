@@ -97,7 +97,7 @@ func (e *Engine) initMetrics() {
 		"Partition orderings that sorted packed fixed-width key records.",
 		func() float64 { return float64(e.winStats.TypedSorts.Load()) })
 	e.reg.GaugeFunc("rfview_sort_encoded_total",
-		"Partition orderings that ran on memcomparable byte keys (a VARCHAR key, or the external sorter).",
+		"Partition orderings that ran on memcomparable byte keys (a VARCHAR key).",
 		func() float64 { return float64(e.winStats.NormalizedSorts.Load() - e.winStats.TypedSorts.Load()) })
 	e.reg.GaugeFunc("rfview_window_sorts_performed_total",
 		"Full window-ordering sorts executed: shared class sorts and unshared in-operator orderings.",

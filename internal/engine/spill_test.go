@@ -169,23 +169,36 @@ func TestDifferentialSpillForced(t *testing.T) {
 }
 
 // TestSpillExplainAnalyzeAndMetrics is the acceptance check for the
-// observability surface: on a dataset several times the budget, Sort and
-// Window both report spilled=true in EXPLAIN ANALYZE, and the engine's
-// metrics exposition carries nonzero rfview_spill_runs_total and
-// rfview_spill_bytes_total.
+// observability surface: on a dataset several times the budget, a Window
+// orders its one large partition in memory — no spilled= on its line, no run
+// written — while a Sort reports spilled=true in EXPLAIN ANALYZE, and the
+// engine's metrics exposition carries nonzero rfview_spill_runs_total and
+// rfview_spill_bytes_total. No budget stays charged and no run file outlives
+// Close.
 func TestSpillExplainAnalyzeAndMetrics(t *testing.T) {
 	const budget = 4 << 10 // rows below total ~10× this
-	e := newSpillEngine(t, DefaultOptions(), budget)
+	dir := t.TempDir()
+	opts := DefaultOptions()
+	opts.SpillDir = dir
+	e := newSpillEngine(t, opts, budget)
 	loadSeq(t, e, 2000, func(i int) int64 { return int64((i * 7919) % 1000) })
 
-	// Window over one 2000-row partition: the partition ordering spills.
+	// Window over one 2000-row partition: ordered in memory, overdrafting.
 	res, err := e.ExecContext(context.Background(), `EXPLAIN ANALYZE SELECT pos,
 	  SUM(val) OVER (ORDER BY pos ROWS BETWEEN 5 PRECEDING AND 5 FOLLOWING) AS w FROM seq`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "spilled=true") || !strings.Contains(res.Plan, "runs=") {
-		t.Fatalf("window plan missing spill annotation:\n%s", res.Plan)
+	for _, line := range strings.Split(res.Plan, "\n") {
+		if strings.Contains(line, "Window") && strings.Contains(line, "spilled=") {
+			t.Fatalf("window spilled:\n%s", res.Plan)
+		}
+	}
+	if runs := e.SpillStats().Runs.Load(); runs != 0 {
+		t.Fatalf("the window query wrote %d spill runs", runs)
+	}
+	if used := e.SpillBudget().Used() - e.StorageStats().BytesResident; used != 0 {
+		t.Fatalf("%d budget bytes still charged after the window query", used)
 	}
 
 	// Top-level ORDER BY: the Sort operator itself goes external.
@@ -214,6 +227,18 @@ func TestSpillExplainAnalyzeAndMetrics(t *testing.T) {
 	}
 	if v := metricValue(t, text, "rfview_spill_budget_limit_bytes"); v != budget {
 		t.Fatalf("rfview_spill_budget_limit_bytes = %v, want %d", v, budget)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if strings.HasPrefix(ent.Name(), "run-") {
+			t.Fatalf("run file %s survived Close", ent.Name())
+		}
 	}
 }
 

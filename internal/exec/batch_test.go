@@ -85,7 +85,8 @@ func encodeRows(rows []sqltypes.Row) []byte {
 // decisions, and agree with the reference model (refExpected) over a shadow
 // of the table. The draws cover NULLs; NaN and ±0 in keys and arguments,
 // which sort typed like any other FLOAT; an INTEGER/FLOAT mix, which the
-// page column holds boxed and the sort orders by two words; jumbo rows; a page
+// page column holds boxed and the sort orders by two words; VARCHAR keys,
+// which sort encoded; jumbo rows; a page
 // appended to after its columns were cached; deleted and updated versions
 // read at an older snapshot; and every comparison operator against NULL,
 // INTEGER and FLOAT constants.
@@ -235,9 +236,15 @@ func TestBatchPathAgainstRowPathAndReferenceModel(t *testing.T) {
 								t.Fatalf("%s: %s %d on the batch path, %d on the row path", label, c.name, c.bat, c.row)
 							}
 						}
-						if batchStats.TypedSorts.Load() != batchStats.NormalizedSorts.Load() {
-							t.Fatalf("%s: %d of %d sorts typed: a NaN or mixed key left the typed sort", label,
-								batchStats.TypedSorts.Load(), batchStats.NormalizedSorts.Load())
+						// A NaN or a mixed key stays on the typed sort; a
+						// VARCHAR key takes the encoded one.
+						wantTyped := batchStats.NormalizedSorts.Load()
+						if sc.ktyp == sqltypes.String {
+							wantTyped = 0
+						}
+						if got := batchStats.TypedSorts.Load(); got != wantTyped {
+							t.Fatalf("%s: %d of %d sorts typed, want %d", label,
+								got, batchStats.NormalizedSorts.Load(), wantTyped)
 						}
 						if !batchFilter.vectorized && strings.Count(src, "'") == 0 && !strings.Contains(src, " OR ") &&
 							arg.name != "int-float-mix" && len(got) > 0 {

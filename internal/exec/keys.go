@@ -302,7 +302,9 @@ func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
 	sc.offs = grow(sc.offs, n+1)
 	for j, p := range pos {
 		sc.offs[j] = len(sc.buf)
-		sc.buf = appendKeys(sc.buf, lay.keys, lay.vecs, p)
+		for ki, k := range lay.keys {
+			sc.buf = lay.vecs[ki].AppendKey(sc.buf, p, k.Desc, k.nullsLast())
+		}
 	}
 	sc.offs[n] = len(sc.buf)
 	sc.enc = grow(sc.enc, n)
@@ -318,15 +320,6 @@ func sortEncodedKeys(lay *recLayout, pos []int, sc *sortScratch) {
 		return a - b // identity start: arrival tie-break == stability
 	})
 	permute(sc, pos, sc.ord)
-}
-
-// appendKeys appends position p's keys to dst as one memcomparable byte
-// string: the encoded sort's key, and the external window ordering's.
-func appendKeys(dst []byte, keys []SortKey, vecs []sqltypes.ColVec, p int) []byte {
-	for ki, k := range keys {
-		dst = vecs[ki].AppendKey(dst, p, k.Desc, k.nullsLast())
-	}
-	return dst
 }
 
 // fillClassOrderMeta records the adjacency table of a sorted stream: pos

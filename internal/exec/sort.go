@@ -117,7 +117,7 @@ func (s *Sort) Open() error {
 	}
 	s.Order.reset()
 	s.ran = false
-	if spillEligible(s.Spill, s.Keys, 0) {
+	if spillEligible(s.Spill, s.Keys) {
 		if err := s.openExternal(); err != nil {
 			// The spill sorter surfaces cancellation as the context's own
 			// error; map it onto the engine's coded surface like Next does.

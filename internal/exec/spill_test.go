@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	rferrors "rfview/errors"
-	"rfview/internal/expr"
 	"rfview/internal/spill"
 	"rfview/internal/sqltypes"
 )
@@ -146,77 +145,9 @@ func TestSortExternalCancelled(t *testing.T) {
 	}
 }
 
-// TestWindowSpillMatchesInMemory: window partitions forced external (tiny
-// budget, one hot partition) must produce exactly the in-memory operator's
-// rows, sequentially and with parallel workers.
-func TestWindowSpillMatchesInMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var rows []sqltypes.Row
-	for i := 0; i < 1200; i++ {
-		// Two partitions, one 4× the other: both spill under a 2KiB budget.
-		g := int64(0)
-		if i%5 == 0 {
-			g = 1
-		}
-		rows = append(rows, intRow(g, int64(rng.Intn(1000)), int64(rng.Intn(100)-50)))
-	}
-	frame := FrameSpec{
-		Start: FrameBound{Kind: BoundPreceding, Offset: 3},
-		End:   FrameBound{Kind: BoundFollowing, Offset: 2},
-	}
-	want := mustCollect(t, pwWindow(t, rows, frame, 1, "SUM", "COUNT", "MIN", "AVG"))
-	for _, par := range []int{1, 4} {
-		cfg := spillCfg(t, 2<<10)
-		w := pwWindow(t, rows, frame, par, "SUM", "COUNT", "MIN", "AVG")
-		w.Spill = cfg
-		got := mustCollect(t, w)
-		requireSameRows(t, want, got, fmt.Sprintf("parallelism=%d", par))
-		if w.spillRuns.Load() == 0 {
-			t.Fatalf("parallelism=%d: window did not spill", par)
-		}
-		if used := cfg.Budget.Used(); used != 0 {
-			t.Fatalf("parallelism=%d: %d budget bytes leaked", par, used)
-		}
-	}
-}
-
-// TestWindowSpillMixedOrderKeysFallsBack: partitions over Int/Float-mixed
-// ORDER BY values sort externally, on their two order words a value, and
-// must match the untracked operator.
-func TestWindowSpillMixedOrderKeysFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	schema := pwSchema()
-	var rows []sqltypes.Row
-	for i := 0; i < 600; i++ {
-		rows = append(rows, sqltypes.Row{
-			sqltypes.NewInt(int64(i % 2)),
-			spillValue(rng, "mixed"),
-			sqltypes.NewInt(int64(rng.Intn(100))),
-		})
-	}
-	build := func() *Window {
-		return NewWindow(valuesOp(schema, rows...),
-			[]expr.Expr{mustCompile(t, "grp", schema)},
-			[]SortKey{{Expr: mustCompile(t, "pos", schema)}},
-			[]WindowFunc{{Name: "SUM", Arg: mustCompile(t, "val", schema), Frame: DefaultFrame(true), OutName: "w0"}})
-	}
-	want := mustCollect(t, build())
-	cfg := spillCfg(t, 2<<10)
-	w := build()
-	w.Spill = cfg
-	got := mustCollect(t, w)
-	requireSameRows(t, want, got, "mixed order keys")
-	if w.spillRuns.Load() == 0 {
-		t.Fatal("mixed order keys did not spill")
-	}
-	if used := cfg.Budget.Used(); used != 0 {
-		t.Fatalf("%d budget bytes leaked after Close", used)
-	}
-}
-
-// TestSubRunInputSkipsSpillSorter: an input of at most one minimum run can
-// never flush, so it is ordered by the in-memory typed sort however small the
-// budget; one row more and the sorter takes it and spills.
+// TestSubRunInputSkipsSpillSorter: a Sort input of at most one minimum run
+// can never flush, so it is ordered by the in-memory typed sort however small
+// the budget; one row more and the sorter takes it and spills.
 func TestSubRunInputSkipsSpillSorter(t *testing.T) {
 	schema := pwSchema()
 	keys := []SortKey{{Expr: mustCompile(t, "pos", schema)}}
@@ -240,19 +171,6 @@ func TestSubRunInputSkipsSpillSorter(t *testing.T) {
 	mustCollect(t, big)
 	if big.spillRuns == 0 {
 		t.Fatalf("%d-row sort did not spill", floor+1)
-	}
-
-	// Two partitions of exactly one minimum run each.
-	frame := FrameSpec{
-		Start: FrameBound{Kind: BoundPreceding, Offset: 1},
-		End:   FrameBound{Kind: BoundFollowing, Offset: 1},
-	}
-	w := pwWindow(t, rowsN(2*floor), frame, 1, "SUM")
-	w.Spill = cfg
-	mustCollect(t, w)
-	if !w.sorted[sortTyped].Load() || w.sorted[sortEncoded].Load() || w.spillRuns.Load() != 0 {
-		t.Fatalf("sub-run partitions: typed=%v encoded=%v runs=%d, want typed only",
-			w.sorted[sortTyped].Load(), w.sorted[sortEncoded].Load(), w.spillRuns.Load())
 	}
 	if got := cfg.Stats.Runs.Load(); got != int64(big.spillRuns) {
 		t.Fatalf("spill stats count %d runs, only the %d-row sort's %d expected", got, floor+1, big.spillRuns)

@@ -3,10 +3,8 @@ package exec
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"math"
 	"slices"
 	"sync"
@@ -30,8 +28,7 @@ type WindowStats struct {
 	Partitions, WorkersUsed atomic.Int64
 	// NormalizedSorts counts partition orderings, all of which run on
 	// normalized keys — TypedSorts the subset that sorted packed fixed-width
-	// key records, the rest memcomparable byte strings (a VARCHAR key, or the
-	// external sorter).
+	// key records, the rest memcomparable byte strings (a VARCHAR key).
 	NormalizedSorts, TypedSorts atomic.Int64
 	// SortsPerformed counts full window-ordering sorts actually executed: the
 	// shared class sorts of multi-window plans and the in-operator orderings
@@ -154,11 +151,11 @@ type Window struct {
 	Ctx context.Context
 	// Stats, when set, receives per-run observability counters.
 	Stats *WindowStats
-	// Spill, when enabled, bounds ordering memory: a partition's key records
-	// are charged to the budget, and a partition whose charge is refused
-	// sorts externally through a budget-tracked spill.Sorter of (key,
-	// row-index) records instead; pooled scratch is trimmed back to the
-	// budgeted ceiling instead of growing without bound (see spill.go).
+	// Spill, when enabled, accounts the operator's memory: the run's vectors
+	// and each partition's sort records are force-charged to the budget —
+	// every partition is ordered in memory, overdrafting rather than
+	// spilling — and pooled scratch is trimmed back to the budgeted ceiling
+	// instead of growing without bound.
 	Spill *spill.Config
 	// Emit, when non-nil, selects and orders the columns of the rows the
 	// operator produces — indices into its full schema, input columns first,
@@ -200,12 +197,11 @@ type Window struct {
 	schema, emitSchema *expr.Schema
 	out                []sqltypes.Row
 	pos                int
-	// spillRuns / spillBytes record external-sort activity and sorted which
-	// sortPaths the last run's partition orderings took, for EXPLAIN ANALYZE;
-	// atomics because parallel workers update them concurrently.
-	spillRuns  atomic.Int64
-	spillBytes atomic.Int64
-	sorted     [2]atomic.Bool
+	// path is the ordering the last run's partitions took and sorted whether
+	// any partition was sorted, for EXPLAIN ANALYZE; sorted is atomic because
+	// parallel workers set it.
+	path   sortPath
+	sorted atomic.Bool
 	// argExprs are the distinct non-nil window-function arguments; argSlots
 	// maps each func to its column in argExprs (-1 for COUNT(*)). Built by
 	// prepareArgs before partitions are evaluated, so worker goroutines only
@@ -333,9 +329,7 @@ func (w *Window) Open() error {
 	r := winRunPool.Get().(*winRun)
 	defer w.putRun(r)
 	w.prepareArgs()
-	for i := range w.sorted {
-		w.sorted[i].Store(false)
-	}
+	w.sorted.Store(false)
 
 	// A shared stream arrives sorted, as rows, with its class metadata.
 	var src batchOperator
@@ -392,6 +386,7 @@ func (w *Window) Open() error {
 			r.path = sortEncoded
 		}
 		r.lay = newRecLayout(w.OrderBy, r.order)
+		w.path = r.path
 	}
 	if err := w.computePartitions(r); err != nil {
 		return err
@@ -908,36 +903,24 @@ func (w *Window) orderPartition(r *winRun, ord []int, ps *partScratch) error {
 	if w.Shared {
 		tie = r.ordinals
 	}
-	path, external := r.path, false
-	if spillEligible(w.Spill, w.OrderBy, len(ord)) {
-		// The typed records and the radix sort's ping-pong half of the
-		// record numbers are this partition's sort scratch: charge them, and
-		// on refusal — as for VARCHAR keys always — order the partition
-		// through the spill sorter instead.
+	if w.Spill.Enabled() {
+		// The typed records and the radix sort's ping-pong half of the record
+		// numbers are this partition's sort scratch (the encoded path's keys
+		// are about as large): charged like the run's vectors, never refused.
 		recBytes := int64(len(ord)) * int64(r.lay.width+1) * 8
-		if path == sortTyped && w.Spill.Budget.Charge(recBytes) {
-			defer w.Spill.Budget.Release(recBytes)
-		} else {
-			external = true
-		}
+		w.Spill.Budget.Force(recBytes)
+		defer w.Spill.Budget.Release(recBytes)
 	}
-	if w.Shared && (external || path != sortTyped) {
-		// These sorts keep arrival order among ties, so a shared stream goes
-		// back to input order first.
+	if w.Shared && r.path != sortTyped {
+		// The encoded sort keeps arrival order among ties, so a shared stream
+		// goes back to input order first.
 		sortByOrdinal(r.ordinals, ord)
 	}
-	if external {
-		if err := w.sortPartitionExternal(r, ord); err != nil {
-			return err
-		}
-		path = sortEncoded // the spill sorter orders memcomparable key bytes
-	} else {
-		sortByVecs(path, &r.lay, ord, tie, &ps.sort)
-	}
-	w.sorted[path].Store(true)
+	sortByVecs(r.path, &r.lay, ord, tie, &ps.sort)
+	w.sorted.Store(true)
 	if w.Stats != nil {
 		w.Stats.NormalizedSorts.Add(1)
-		if path == sortTyped {
+		if r.path == sortTyped {
 			w.Stats.TypedSorts.Add(1)
 		}
 	}
@@ -983,50 +966,6 @@ func (w *Window) putPartScratch(ps *partScratch) {
 	partScratchPool.Put(ps)
 }
 
-// sortPartitionExternal orders one partition through a budget-tracked
-// spill.Sorter: records are (the order vectors' memcomparable key, uvarint
-// row index), so the merge streams the permutation back without the
-// in-memory record slab.
-func (w *Window) sortPartitionExternal(r *winRun, ordered []int) error {
-	sorter := spill.NewSorter(w.ctx(), w.Spill)
-	defer sorter.Close()
-	var key []byte
-	var pay [binary.MaxVarintLen64]byte
-	for _, ri := range ordered {
-		key = appendKeys(key[:0], w.OrderBy, r.order, ri)
-		if err := sorter.Add(key, pay[:binary.PutUvarint(pay[:], uint64(ri))]); err != nil {
-			return err
-		}
-	}
-	it, err := sorter.Finish()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for i := range ordered {
-		_, payload, err := it.Next()
-		if err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("exec: external partition sort lost rows")
-			}
-			if cerr := ctxErr(w.ctx()); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-		ri, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return fmt.Errorf("exec: corrupt external sort payload")
-		}
-		ordered[i] = int(ri)
-	}
-	if sorter.Spilled() {
-		w.spillRuns.Add(int64(sorter.RunCount()))
-		w.spillBytes.Add(sorter.SpillBytes())
-	}
-	return nil
-}
-
 // takeRows implements rowsHandoff.
 func (w *Window) takeRows() []sqltypes.Row {
 	out := w.out
@@ -1068,19 +1007,9 @@ func (w *Window) Describe() string {
 	if w.Parallelism > 1 {
 		par = fmt.Sprintf(" parallel=%d", w.Parallelism)
 	}
-	// The paths the last run's partition orderings took: more than one when
-	// a budget refused some partitions' records.
 	sp := ""
-	for p := range w.sorted {
-		if w.sorted[p].Load() {
-			sp += "+" + sortPath(p).String()
-		}
-	}
-	if sp != "" {
-		sp = " sort=" + sp[1:]
-	}
-	if runs := w.spillRuns.Load(); runs > 0 {
-		sp += fmt.Sprintf(" spilled=true runs=%d spill_bytes=%d", runs, w.spillBytes.Load())
+	if w.sorted.Load() {
+		sp = " sort=" + w.path.String()
 	}
 	shared := ""
 	if w.Shared {

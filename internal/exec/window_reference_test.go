@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"rfview/internal/core"
@@ -21,9 +22,12 @@ import (
 // library sort over a comparator written out below — not from another
 // configuration of the engine. Every plan shape the operator runs in must
 // agree with it: unshared, the three shared-sort consumer shapes, one worker
-// and two, with and without a 64 KiB budget. The key columns include what
-// only a total order sorts: NaN, ±0 and Int/Float-mixed order keys, the mix
-// around 2⁵³ where a float64 image rounds. The arguments cover what the §2.2 kernels
+// and two, with and without a 2 KiB budget — under which every partition is
+// still ordered in memory, one of them longer than the spill sorter's
+// minimum run, and the Window writes no run file. The key columns include
+// what only a total order sorts: NaN, ±0 and Int/Float-mixed order keys, the
+// mix around 2⁵³ where a float64 image rounds, and VARCHAR keys, which take
+// the encoded sort. The arguments cover what the §2.2 kernels
 // meet: NULLs, a CASE-mixed INT/FLOAT, fractional and NaN-bearing FLOATs,
 // and DATE and VARCHAR under MIN/MAX.
 
@@ -33,10 +37,13 @@ type refSpec struct {
 	desc, nlast bool
 }
 
-// refCmp orders two key values the way SQL does: numerically and exactly,
-// an INTEGER against a FLOAT too, -0.0 equal to +0.0, and a NaN equal to a
-// NaN and above every number.
+// refCmp orders two key values the way SQL does: strings byte by byte, and
+// numbers numerically and exactly, an INTEGER against a FLOAT too, -0.0
+// equal to +0.0, and a NaN equal to a NaN and above every number.
 func refCmp(a, b sqltypes.Datum) int {
+	if a.Typ() == sqltypes.String {
+		return strings.Compare(a.Str(), b.Str())
+	}
 	isNaN := func(d sqltypes.Datum) bool { return d.Typ() == sqltypes.Float && math.IsNaN(d.Float()) }
 	if an, bn := isNaN(a), isNaN(b); an || bn {
 		switch {
@@ -296,6 +303,11 @@ func refScenarios() []refScenario {
 			return []sqltypes.Datum{sqltypes.NewInt(1<<53 + 1), sqltypes.NewInt(1 << 53), sqltypes.NewFloat(1 << 53),
 				sqltypes.NewFloat(1<<53 + 2), sqltypes.NewInt(math.MaxInt64), sqltypes.NewFloat(1 << 63), sqltypes.NewFloat(math.NaN())}[rng.Intn(7)]
 		}},
+		{"varchar", sqltypes.String, func(rng *rand.Rand, _ int) sqltypes.Datum {
+			// Prefixes, an empty string, a NUL and bytes above ASCII: the
+			// memcomparable encoding must order them as the bytes do.
+			return nullOr(rng, sqltypes.NewString([]string{"", "a", "ab", "a\x00", "b", "B", "é", "zz", "z"}[rng.Intn(9)]))
+		}},
 	}
 }
 
@@ -365,7 +377,8 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 				expr.ColInfo{Name: "s", Type: sqltypes.String},
 			)
 			col := func(name string) expr.Expr { return mustCompile(t, name, schema) }
-			cfg := spillCfg(t, 64<<10)
+			cfg := spillCfg(t, 2<<10)
+			cfg.MinRunRows = 0 // the sorter's own floor
 			args := refArgs()
 			for trial := 0; trial < 3*len(args); trial++ {
 				// Every argument shape meets every NULLS placement below
@@ -376,11 +389,16 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 				for f := range funcs {
 					funcs[f] = WindowFunc{Name: aggs[f].String(), Arg: col(arg.expr), Frame: frames[f], OutName: fmt.Sprintf("w%d", f)}
 				}
-				// Shuffled rows over a few partitions, one of them keyed NULL.
+				// Shuffled rows over a few partitions, one of them keyed NULL
+				// and one, partition 0, longer than the sorter's minimum run.
 				n, nparts := 150+rng.Intn(250), 3+rng.Intn(4)
+				hot := rng.Perm(n)
 				rows := make([]sqltypes.Row, n)
 				for i := range rows {
 					part := rng.Intn(nparts)
+					if hot[i] <= cfg.MinRun() {
+						part = 0
+					}
 					p := sqltypes.NewInt(int64(part) * 1000)
 					if part == 1 {
 						p = sqltypes.NullDatum
@@ -403,7 +421,7 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 					for _, workers := range []int{1, 2} {
 						for _, budget := range []*spill.Config{nil, cfg} {
 							label := fmt.Sprintf("trial %d (%s, arg %s) %s workers=%d budget=%v", trial, key, arg.name, name, workers, budget != nil)
-							op, stats := plan(), &WindowStats{}
+							op, stats, runs := plan(), &WindowStats{}, cfg.Stats.Runs.Load()
 							setRunOptions(op, budget, workers).Stats = stats
 							got, err := Collect(op)
 							if err != nil {
@@ -430,13 +448,24 @@ func TestWindowOrderingAgainstReferenceModel(t *testing.T) {
 								if used := cfg.Budget.Used(); used != 0 {
 									t.Fatalf("%s: %d budget bytes leaked", label, used)
 								}
+								// Only a class Sort below may spill.
+								if got := cfg.Stats.Runs.Load() - runs; name == "unshared" && got != 0 {
+									t.Fatalf("%s: the Window wrote %d spill runs", label, got)
+								}
+							}
+							if name != "unshared" {
 								continue
 							}
-							// The path taken is part of the contract: fixed-width
-							// keys — a NaN and a mix among them — sort typed.
+							// The path taken is part of the contract, budget or
+							// none: fixed-width keys — a NaN and a mix among
+							// them — sort typed, VARCHAR keys encoded.
 							typed, all := stats.TypedSorts.Load(), stats.NormalizedSorts.Load()
-							if name == "unshared" && (typed == 0 || typed != all) {
-								t.Fatalf("%s: %d of %d sorts typed, want all", label, typed, all)
+							want := all
+							if sc.ktyp == sqltypes.String {
+								want = 0
+							}
+							if all == 0 || typed != want {
+								t.Fatalf("%s: %d of %d sorts typed, want %d", label, typed, all, want)
 							}
 						}
 					}

@@ -37,8 +37,9 @@ type Options struct {
 	// WindowStats, when set, is stamped onto planned Window operators to
 	// collect parallelism-utilization counters.
 	WindowStats *exec.WindowStats
-	// Spill, when enabled, is stamped onto planned Sort and Window operators
-	// so oversized orderings go external under the engine's memory budget.
+	// Spill, when enabled, is stamped onto planned Sort and Window operators:
+	// a Sort over the engine's memory budget goes external, a Window charges
+	// what it holds.
 	Spill *spill.Config
 	// NoSharedSort disables the shared-sort multi-window pass: every Window
 	// operator of a multi-OVER query orders its partitions internally, as a

@@ -6,20 +6,19 @@
 //
 // The division of labor with the executor:
 //
-//   - exec.Sort streams its input through a Sorter, spilling
-//     (memcomparable key, encoded row) pairs once the budget trips and merging
-//     the runs back in key order with a bounded-fan-in heap merge;
-//   - exec.Window charges each partition's sort records and, when the charge
-//     is refused, orders the partition through a Sorter of (memcomparable key,
-//     row index) pairs instead, so one hot PARTITION BY group no longer pins
-//     a full sort scratch in memory;
-//   - both charge the Budget for whatever they do keep in memory, so the
+//   - exec.Sort, the one client of the Sorter, streams its input through
+//     it, spilling (memcomparable key, encoded row) pairs once the budget
+//     trips and merging the runs back in key order with a bounded-fan-in
+//     heap merge;
+//   - exec.Window orders every partition in memory and force-charges its
+//     vectors and sort records, overdrafting rather than spilling;
+//   - both charge the Budget for whatever they keep in memory, so the
 //     rfview_spill_budget_used_bytes gauge reflects executor pressure even
 //     on the paths that never spill.
 //
-// Results are bit-identical to the in-memory paths: runs are sorted by the
-// memcomparable encoding of the same order words the in-memory record sort
-// orders by, and the merge breaks key ties by run order, which preserves the
+// Results are bit-identical to the in-memory sort: runs are sorted by the
+// memcomparable encoding of the same order the in-memory sort orders by,
+// and the merge breaks key ties by run order, which preserves the
 // stable-sort contract (ties keep input order).
 package spill
 
@@ -84,8 +83,8 @@ func (b *Budget) Charge(n int64) bool {
 }
 
 // Force reserves n bytes unconditionally. Used for allocations the executor
-// cannot avoid (a partition's result column, a fallback that must hold the
-// rows): the accounting overdrafts rather than lying about what is resident.
+// cannot avoid (a Window's vectors and partition sort records): the
+// accounting overdrafts rather than lying about what is resident.
 func (b *Budget) Force(n int64) {
 	if b == nil {
 		return
