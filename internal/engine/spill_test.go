@@ -15,7 +15,6 @@ import (
 	"rfview/internal/core"
 	"rfview/internal/paper"
 	"rfview/internal/sqltypes"
-	"rfview/internal/storage"
 )
 
 // newSpillEngine builds an engine with a budget small enough that any
@@ -31,11 +30,13 @@ func newSpillEngine(t *testing.T, opts Options, budget int64) *Engine {
 
 // TestDifferentialSpillForced is the out-of-core differential oracle: the
 // same randomized partitioned harness as TestDifferentialRandomPartitionedParallel,
-// but every engine under test runs with a tiny memory budget so window
-// partition sorts go external, across all five strategies (native sequential,
-// native parallel, self-join, MaxOA, MinOA — the derived ones sequential and
-// parallel). The reference engine runs with the budget explicitly disabled,
-// so in-memory and spilled evaluation are compared against each other.
+// but every engine under test runs with a tiny memory budget so its Sorts
+// go external — ORDER BY and the shared class sort that orders a window's
+// input; a Window orders each partition in memory and never spills —
+// across all five strategies (native sequential, native parallel,
+// self-join, MaxOA, MinOA — the derived ones sequential and parallel). The
+// reference engine runs with the budget explicitly disabled, so in-memory
+// and spilled evaluation are compared against each other.
 func TestDifferentialSpillForced(t *testing.T) {
 	const budget = 2 << 10
 	rng := rand.New(rand.NewSource(20020301))
@@ -385,7 +386,9 @@ func TestViewFillSpills(t *testing.T) {
 					}
 				}
 				got := 0
-				mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+				it := mv.Table.Heap.IterAt(mv.Table.Heap.Latest())
+				_, row, err := it.Next()
+				for ; row != nil; _, row, err = it.Next() {
 					g, pos, val := int64(0), row[0], row[1]
 					if len(row) == 4 {
 						g, pos, val = row[0].Int(), row[1], row[2]
@@ -398,8 +401,10 @@ func TestViewFillSpills(t *testing.T) {
 						t.Fatalf("%s stores %v at (%d, %v); core.ComputeNaive has %v (stored: %v)", name, val, g, pos, w, ok)
 					}
 					got++
-					return true
-				})
+				}
+				if it.Close(); err != nil {
+					t.Fatal(err)
+				}
 				if got != len(want) {
 					t.Fatalf("%s stores %d rows, core.ComputeNaive %d", name, got, len(want))
 				}

@@ -91,12 +91,7 @@ func (s *Scan) closeIter() {
 	if s.it == nil {
 		return
 	}
-	st := s.it.Stats()
-	s.stats.Slots += st.Slots
-	s.stats.Pages += st.Pages
-	s.stats.Hits += st.Hits
-	s.stats.Misses += st.Misses
-	s.stats.Decoded += st.Decoded
+	s.stats.Add(s.it.Stats())
 	s.it.Close()
 	s.it = nil
 }
@@ -110,11 +105,7 @@ func (s *Scan) Describe() string {
 	// Runtime directory and page traffic, rendered after execution (EXPLAIN
 	// ANALYZE formats the tree once the operators have run and closed).
 	if s.stats.Slots > 0 {
-		hr := 1.0
-		if denom := s.stats.Hits + s.stats.Misses; denom > 0 {
-			hr = float64(s.stats.Hits) / float64(denom)
-		}
-		d += fmt.Sprintf(" (slots=%d pages=%d hit_ratio=%.2f decoded=%d", s.stats.Slots, s.stats.Pages, hr, s.stats.Decoded)
+		d += " (" + s.stats.String()
 		if s.batches > 0 {
 			d += fmt.Sprintf(" batches=%d", s.batches)
 		}

@@ -7,7 +7,6 @@ import (
 	"rfview/internal/catalog"
 	"rfview/internal/core"
 	"rfview/internal/sqltypes"
-	"rfview/internal/storage"
 )
 
 // An AVG sequence view stores its window's SUM sequence, typed like the base
@@ -46,15 +45,7 @@ var seqCols = []string{"pos", "val"}
 // engine's UPDATE path does.
 func avgUpdate(t *testing.T, m *Manager, tbl *catalog.Table, pos int, v float64) {
 	t.Helper()
-	var id storage.RowID
-	var old sqltypes.Row
-	tbl.Heap.Scan(func(rid storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == int64(pos) {
-			id, old = rid, row.Clone()
-			return false
-		}
-		return true
-	})
+	id, old := findRow(t, tbl.Heap, tbl.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == int64(pos) })
 	if old == nil {
 		t.Fatalf("no base row at position %d", pos)
 	}
@@ -81,15 +72,7 @@ func avgAppend(t *testing.T, m *Manager, tbl *catalog.Table, pos int, v float64)
 
 func avgDelete(t *testing.T, m *Manager, tbl *catalog.Table, pos int) {
 	t.Helper()
-	var id storage.RowID
-	var old sqltypes.Row
-	tbl.Heap.Scan(func(rid storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == int64(pos) {
-			id, old = rid, row.Clone()
-			return false
-		}
-		return true
-	})
+	id, old := findRow(t, tbl.Heap, tbl.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == int64(pos) })
 	if old == nil {
 		t.Fatalf("no base row at position %d", pos)
 	}

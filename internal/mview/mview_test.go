@@ -70,6 +70,41 @@ func (m *Manager) commit(tx *txn.Txn, stamp func(uint64)) {
 
 // createView runs CREATE MATERIALIZED VIEW in a transaction of its own and
 // checks that it commits at one epoch.
+// drain reads every remaining row of it with its id, and closes it.
+func drain(it *storage.Iter) ([]storage.RowID, []sqltypes.Row, error) {
+	defer it.Close()
+	var ids []storage.RowID
+	var rows []sqltypes.Row
+	id, row, err := it.Next()
+	for ; row != nil; id, row, err = it.Next() {
+		ids, rows = append(ids, id), append(rows, row)
+	}
+	return ids, rows, err
+}
+
+// rowsAt reads every row of heap visible in s, with its id, in heap order.
+func rowsAt(t testing.TB, heap *storage.Table, s txn.Snapshot) ([]storage.RowID, []sqltypes.Row) {
+	t.Helper()
+	ids, rows, err := drain(heap.IterAt(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, rows
+}
+
+// findRow returns the first row of heap visible in s that match accepts, a
+// nil row when there is none.
+func findRow(t testing.TB, heap *storage.Table, s txn.Snapshot, match func(sqltypes.Row) bool) (storage.RowID, sqltypes.Row) {
+	t.Helper()
+	ids, rows := rowsAt(t, heap, s)
+	for i, r := range rows {
+		if match(r) {
+			return ids[i], r
+		}
+	}
+	return 0, nil
+}
+
 func createView(t *testing.T, m *Manager, ddl string) {
 	t.Helper()
 	before := m.cat.Clock().Now()
@@ -109,10 +144,10 @@ func viewValues(t *testing.T, cat *catalog.Catalog, name string) map[int64]float
 		t.Fatalf("view %q missing", name)
 	}
 	out := make(map[int64]float64)
-	mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+	_, rows := rowsAt(t, mv.Table.Heap, mv.Table.Heap.Latest())
+	for _, row := range rows {
 		out[row[0].Int()] = row[1].Float()
-		return true
-	})
+	}
 	return out
 }
 
@@ -267,14 +302,7 @@ func TestCreateRejectsNonDense(t *testing.T) {
 	cat, m := fixture(t, 5)
 	base, _ := cat.Table("seq")
 	// Punch a hole.
-	var victim storage.RowID
-	base.Heap.Scan(func(id storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == 3 {
-			victim = id
-			return false
-		}
-		return true
-	})
+	victim, _ := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == 3 })
 	tx := m.begin()
 	if err := base.Heap.DeleteTx(tx, victim); err != nil {
 		t.Fatal(err)
@@ -292,15 +320,7 @@ func TestIncrementalUpdate(t *testing.T) {
 	base, _ := cat.Table("seq")
 	cols := base.ColumnNames()
 	// Update pos 10: 100 → 7.
-	var id storage.RowID
-	var before sqltypes.Row
-	base.Heap.Scan(func(i storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == 10 {
-			id, before = i, row
-			return false
-		}
-		return true
-	})
+	id, before := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == 10 })
 	after := sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewInt(7)}
 	tx := m.begin()
 	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
@@ -335,14 +355,7 @@ func TestIncrementalAppendAndSuffixDelete(t *testing.T) {
 	checkViewMatchesCore(t, cat, m, "mv", core.Sliding(2, 1), core.Sum)
 
 	// Suffix delete.
-	var id storage.RowID
-	base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-		if r[0].Int() == 11 {
-			id = i
-			return false
-		}
-		return true
-	})
+	id, _ := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == 11 })
 	tx = m.begin()
 	if err := base.Heap.DeleteTx(tx, id); err != nil {
 		t.Fatal(err)
@@ -433,15 +446,7 @@ func TestCumulativeViewMaintained(t *testing.T) {
 	  SELECT pos, SUM(val) OVER (ORDER BY pos ROWS UNBOUNDED PRECEDING) AS val FROM seq`)
 	base, _ := cat.Table("seq")
 	cols := base.ColumnNames()
-	var id storage.RowID
-	var before sqltypes.Row
-	base.Heap.Scan(func(i storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == 4 {
-			id, before = i, row
-			return false
-		}
-		return true
-	})
+	id, before := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == 4 })
 	after := sqltypes.Row{sqltypes.NewInt(4), sqltypes.NewInt(-50)}
 	tx := m.begin()
 	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
@@ -551,15 +556,7 @@ func TestFoldReadsRawAsOfEachChange(t *testing.T) {
 	tx := m.begin()
 	take := func(pos int64) sqltypes.Row {
 		t.Helper()
-		var id storage.RowID
-		var row sqltypes.Row
-		base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-			if r[0].Int() == pos {
-				id, row = i, r
-				return false
-			}
-			return true
-		})
+		id, row := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == pos })
 		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)
 		}
@@ -632,15 +629,7 @@ func TestFoldBaseReads(t *testing.T) {
 	update := func(f fixture, tx *txn.Txn, positions []int64) txn.Delta {
 		d := txn.Delta{Table: "seq", Kind: txn.DeltaUpdate, Cols: f.base.ColumnNames()}
 		for _, pos := range positions {
-			var id storage.RowID
-			var row sqltypes.Row
-			f.base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-				if r[0].Int() == pos {
-					id, row = i, r
-					return false
-				}
-				return true
-			})
+			id, row := findRow(t, f.base.Heap, f.base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == pos })
 			after := row.Clone()
 			after[1] = sqltypes.NewFloat(row[1].Float() + 100)
 			if _, err := f.base.Heap.UpdateTx(tx, id, after); err != nil {
@@ -683,7 +672,7 @@ func TestFoldBaseReads(t *testing.T) {
 	f := setup(
 		`CREATE MATERIALIZED VIEW ct AS SELECT pos, COUNT(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`,
 		`CREATE MATERIALIZED VIEW mn AS SELECT pos, MIN(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq`)
-	scan := acquired(f, func() { f.base.Heap.Scan(func(storage.RowID, sqltypes.Row) bool { return true }) })
+	scan := acquired(f, func() { rowsAt(t, f.base.Heap, f.base.Heap.Latest()) })
 	row := sqltypes.Row{sqltypes.NewInt(n + 1), sqltypes.NewFloat(-1), sqltypes.NewString("")}
 	tx = f.m.begin()
 	if _, err := f.base.Heap.InsertTx(tx, row); err != nil {
@@ -745,15 +734,7 @@ func TestSimpleViewEmptiesAndRefills(t *testing.T) {
 	base, _ := cat.Table("seq")
 	cols := base.ColumnNames()
 	for pos := int64(3); pos >= 1; pos-- {
-		var id storage.RowID
-		var row sqltypes.Row
-		base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-			if r[0].Int() == pos {
-				id, row = i, r
-				return false
-			}
-			return true
-		})
+		id, row := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Int() == pos })
 		tx := m.begin()
 		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)

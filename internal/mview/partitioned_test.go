@@ -49,12 +49,12 @@ func basePartition(t *testing.T, cat *catalog.Catalog, grp string) []float64 {
 		t.Fatal(err)
 	}
 	vals := map[int64]float64{}
-	base.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+	_, rows := rowsAt(t, base.Heap, base.Heap.Latest())
+	for _, row := range rows {
 		if row[0].Str() == grp {
 			vals[row[1].Int()] = row[2].Float()
 		}
-		return true
-	})
+	}
 	out := make([]float64, len(vals))
 	for i := int64(1); i <= int64(len(vals)); i++ {
 		out[i-1] = vals[i]
@@ -76,12 +76,12 @@ func checkPartitionBacking(t *testing.T, cat *catalog.Catalog, grp string, ctx s
 		t.Fatal("view missing")
 	}
 	got := map[int64][2]interface{}{}
-	mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+	_, rows := rowsAt(t, mv.Table.Heap, mv.Table.Heap.Latest())
+	for _, row := range rows {
 		if row[0].Str() == grp {
 			got[row[1].Int()] = [2]interface{}{row[2].Float(), row[3].Bool()}
 		}
-		return true
-	})
+	}
 	count := 0
 	for k := want.Lo(); k <= want.Hi(); k++ {
 		v, okv := want.AtOK(k)
@@ -125,15 +125,7 @@ func TestPartitionedUpdateIncremental(t *testing.T) {
 	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	cols := base.ColumnNames()
-	var id storage.RowID
-	var before sqltypes.Row
-	base.Heap.Scan(func(i storage.RowID, row sqltypes.Row) bool {
-		if row[0].Str() == "a" && row[1].Int() == 5 {
-			id, before = i, row
-			return false
-		}
-		return true
-	})
+	id, before := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Str() == "a" && r[1].Int() == 5 })
 	after := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(5), sqltypes.NewInt(999)}
 	tx := m.begin()
 	if _, err := base.Heap.UpdateTx(tx, id, after); err != nil {
@@ -191,15 +183,7 @@ func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 	cols := base.ColumnNames()
 	// Delete partition a entirely, suffix-first.
 	for pos := int64(3); pos >= 1; pos-- {
-		var id storage.RowID
-		var row sqltypes.Row
-		base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-			if r[0].Str() == "a" && r[1].Int() == pos {
-				id, row = i, r
-				return false
-			}
-			return true
-		})
+		id, row := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Str() == "a" && r[1].Int() == pos })
 		tx := m.begin()
 		if err := base.Heap.DeleteTx(tx, id); err != nil {
 			t.Fatal(err)
@@ -211,12 +195,12 @@ func TestPartitionedSuffixDeleteAndVanish(t *testing.T) {
 	}
 	// Partition a is gone from the backing table.
 	mv, _ := cat.MatView("pmv")
-	mv.Table.Heap.Scan(func(_ storage.RowID, row sqltypes.Row) bool {
+	_, rows := rowsAt(t, mv.Table.Heap, mv.Table.Heap.Latest())
+	for _, row := range rows {
 		if row[0].Str() == "a" {
 			t.Fatalf("vanished partition still has row %v", row)
 		}
-		return true
-	})
+	}
 	checkPartitionBacking(t, cat, "b", "after partition removal")
 	// And re-opening it at pos 1 works.
 	row := sqltypes.Row{sqltypes.NewString("a"), sqltypes.NewInt(1), sqltypes.NewInt(4)}
@@ -236,15 +220,7 @@ func TestPartitionedRefresh(t *testing.T) {
 	createView(t, m, pViewDDL)
 	base, _ := cat.Table("pseq")
 	// Force staleness with a middle delete, then repair density and refresh.
-	var id storage.RowID
-	var row sqltypes.Row
-	base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-		if r[0].Str() == "a" && r[1].Int() == 2 {
-			id, row = i, r
-			return false
-		}
-		return true
-	})
+	id, row := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Str() == "a" && r[1].Int() == 2 })
 	tx := m.begin()
 	if err := base.Heap.DeleteTx(tx, id); err != nil {
 		t.Fatal(err)
@@ -255,17 +231,13 @@ func TestPartitionedRefresh(t *testing.T) {
 	}
 	// Repair: move pos 5 into the hole.
 	tx = m.begin()
-	base.Heap.Scan(func(i storage.RowID, r sqltypes.Row) bool {
-		if r[0].Str() == "a" && r[1].Int() == 5 {
-			nr := r.Clone()
-			nr[1] = sqltypes.NewInt(2)
-			if _, err := base.Heap.UpdateTx(tx, i, nr); err != nil {
-				t.Fatal(err)
-			}
-			return false
+	id, r := findRow(t, base.Heap, base.Heap.Latest(), func(r sqltypes.Row) bool { return r[0].Str() == "a" && r[1].Int() == 5 })
+	if r != nil {
+		r[1] = sqltypes.NewInt(2)
+		if _, err := base.Heap.UpdateTx(tx, id, r); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
+	}
 	m.commit(tx, nil)
 	if err := refresh(m, "pmv"); err != nil {
 		t.Fatal(err)
@@ -310,7 +282,9 @@ func TestPartitionedShift(t *testing.T) {
 		var ids []storage.RowID
 		var edgeID storage.RowID
 		var before, after []sqltypes.Row
-		base.Heap.ScanAt(base.Heap.WriteView(tx), func(id storage.RowID, row sqltypes.Row) bool {
+		rids, rows := rowsAt(t, base.Heap, base.Heap.WriteView(tx))
+		for i, row := range rows {
+			id := rids[i]
 			switch p := row[1].Int(); {
 			case row[0].Str() != "a":
 			case step < 0 && p == k:
@@ -320,8 +294,7 @@ func TestPartitionedShift(t *testing.T) {
 				moved[1] = sqltypes.NewInt(p + step)
 				ids, before, after = append(ids, id), append(before, row), append(after, moved)
 			}
-			return true
-		})
+		}
 		renumber := txn.Delta{Table: "pseq", Kind: txn.DeltaUpdate, Cols: cols, Before: before, After: after}
 		var deltas []txn.Delta
 		if step > 0 {

@@ -127,15 +127,7 @@ func checkBitExact(t *testing.T, cat *catalog.Catalog, name string, raw []float6
 // baseRow finds the base row at position pos as tx sees it.
 func baseRow(t *testing.T, tx *txn.Txn, heap *storage.Table, pos int) (storage.RowID, sqltypes.Row) {
 	t.Helper()
-	var id storage.RowID
-	var found sqltypes.Row
-	heap.ScanAt(heap.WriteView(tx), func(rid storage.RowID, row sqltypes.Row) bool {
-		if row[0].Int() == int64(pos) {
-			id, found = rid, row.Clone()
-			return false
-		}
-		return true
-	})
+	id, found := findRow(t, heap, heap.WriteView(tx), func(r sqltypes.Row) bool { return r[0].Int() == int64(pos) })
 	if found == nil {
 		t.Fatalf("no base row at position %d", pos)
 	}

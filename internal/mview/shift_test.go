@@ -7,7 +7,6 @@ import (
 
 	"rfview/internal/core"
 	"rfview/internal/engine"
-	"rfview/internal/sqltypes"
 	"rfview/internal/storage"
 	"rfview/internal/txn"
 )
@@ -165,8 +164,10 @@ func key(part string) string {
 // order, failing unless each partition's positions are exactly 1…n.
 func denseAt(base *storage.Table, at txn.Snapshot, keyed bool) (map[string][]float64, error) {
 	byPos := map[string]map[int64]float64{}
-	var dup error
-	base.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
+	it := base.IterAt(at)
+	defer it.Close()
+	_, row, err := it.Next()
+	for ; row != nil; _, row, err = it.Next() {
 		part := ""
 		if keyed {
 			part, row = row[0].Str(), row[1:]
@@ -176,14 +177,12 @@ func denseAt(base *storage.Table, at txn.Snapshot, keyed bool) (map[string][]flo
 		}
 		p := row[0].Int()
 		if _, ok := byPos[part][p]; ok {
-			dup = fmt.Errorf("partition %q holds position %d twice", part, p)
-			return false
+			return nil, fmt.Errorf("partition %q holds position %d twice", part, p)
 		}
 		byPos[part][p] = row[1].Float()
-		return true
-	})
-	if dup != nil {
-		return nil, dup
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := map[string][]float64{}
 	for part, vals := range byPos {
@@ -203,7 +202,9 @@ func denseAt(base *storage.Table, at txn.Snapshot, keyed bool) (map[string][]flo
 // viewAt reads the view's backing rows at snapshot at, per partition.
 func viewAt(t *storage.Table, at txn.Snapshot, keyed bool) map[string]map[int64]float64 {
 	out := map[string]map[int64]float64{}
-	t.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
+	it := t.IterAt(at)
+	defer it.Close()
+	for _, row, _ := it.Next(); row != nil; _, row, _ = it.Next() {
 		part := ""
 		if keyed {
 			part, row = row[0].Str(), row[1:]
@@ -212,8 +213,7 @@ func viewAt(t *storage.Table, at txn.Snapshot, keyed bool) map[string]map[int64]
 			out[part] = map[int64]float64{}
 		}
 		out[part][row[0].Int()] = row[1].Float()
-		return true
-	})
+	}
 	return out
 }
 

@@ -60,7 +60,7 @@ func (b *testBudget) snapshot() (used, forced int64) {
 	return b.used, b.forced
 }
 
-func newTestPager(t *testing.T, pageSize int, capBytes int64, budget MemBudget) *Pager {
+func newTestPager(t testing.TB, pageSize int, capBytes int64, budget MemBudget) *Pager {
 	t.Helper()
 	p := NewPager(PagerConfig{
 		PageSize: pageSize,

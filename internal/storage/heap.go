@@ -194,11 +194,11 @@ func (h *tableHeap) readJumbo(loc recLoc) ([]byte, error) {
 	return data, nil
 }
 
-// read decodes the row at loc: a point read, as index probes make. It reads
-// the page's cached columns when they reach the record and otherwise
-// decodes just the record — a probe does not decode a page's worth of
-// records it may never read again, which under a budget too small to cache
-// them would be every probe.
+// read decodes the row at loc: a point read, as index builds and
+// reclamation make for a version's key. It reads the page's cached columns
+// when they reach the record and otherwise decodes just the record, as a
+// key-order Iter run does — not a page's worth of records it may never read
+// again, which under a budget too small to cache them would be every read.
 func (h *tableHeap) read(loc recLoc) (sqltypes.Row, error) {
 	if loc.span > 0 {
 		rec, err := h.readJumbo(loc)

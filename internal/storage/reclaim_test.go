@@ -74,9 +74,8 @@ func TestReclaimUnderReaders(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			k := rng.Intn(keys)
-			id, ok := firstAt(tb, pk, row(int64(k)), snap)
-			if r := tb.GetAt(id, snap); !ok || r == nil || r[0].Int() != int64(k) {
-				t.Errorf("snapshot %d: probe of key %d found id %d (%v) holding %v", epoch, k, id, ok, r)
+			if id, r, err := firstAt(tb, pk, row(int64(k)), snap); err != nil || r == nil || r[0].Int() != int64(k) {
+				t.Errorf("snapshot %d: probe of key %d found id %d (%v) holding %v", epoch, k, id, err, r)
 			}
 		}
 		return nil
@@ -171,13 +170,11 @@ func TestReclaimKeepsRegisteredSnapshots(t *testing.T) {
 		}
 	}
 	sum := func(s txn.Snapshot) (n, total int64) {
-		if err := tb.ScanAt(s, func(_ RowID, r sqltypes.Row) bool {
-			n, total = n+1, total+r[1].Int()
-			return true
-		}); err != nil {
-			t.Fatal(err)
+		_, rows := scanAt(t, tb, s)
+		for _, r := range rows {
+			total += r[1].Int()
 		}
-		return n, total
+		return int64(len(rows)), total
 	}
 	if n, total := sum(held); n != 10 || total != 0 {
 		t.Fatalf("held snapshot reads %d rows summing to %d after reclamation, want 10 rows of 0", n, total)

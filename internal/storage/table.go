@@ -121,20 +121,6 @@ func NewPagedTable(c *txn.Clock, pager *Pager, tag string) (*Table, error) {
 	return &Table{clock: c, heap: h}, nil
 }
 
-// rowOf materializes the payload of a slot. A heap IO or decode failure is
-// unrecoverable state corruption on an ephemeral file the storage layer
-// itself owns, and the read paths that land here (point lookups, index
-// builds) have no error channel — so it panics, Postgres-style, rather than
-// thread errors through every probe signature. Scans use Iter, which returns
-// errors properly.
-func (t *Table) rowOf(sl *slot) sqltypes.Row {
-	row, err := t.heap.read(sl.loc)
-	if err != nil {
-		panic(fmt.Sprintf("storage: heap read: %v", err))
-	}
-	return row
-}
-
 // Clock returns the commit clock this table stamps versions from.
 func (t *Table) Clock() *txn.Clock { return t.clock }
 
@@ -429,88 +415,6 @@ func (t *Table) UpdateTx(tx *txn.Txn, id RowID, row sqltypes.Row) (RowID, error)
 }
 
 // ---------------------------------------------------------------------------
-// Reads. All lock-free against a snapshot.
-
-// Get returns the row version under id if live at the latest snapshot.
-func (t *Table) Get(id RowID) sqltypes.Row { return t.GetAt(id, t.Latest()) }
-
-// GetAt returns the row version under id if visible in s, else nil.
-func (t *Table) GetAt(id RowID, s txn.Snapshot) sqltypes.Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	sl := t.slotLocked(id)
-	if sl == nil || !txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
-		return nil
-	}
-	return t.rowOf(sl)
-}
-
-// Scan invokes fn for every row live at the latest snapshot, in heap
-// order, stopping early if fn returns false. fn may mutate the table: the
-// iteration runs over a copied directory header and holds no lock.
-func (t *Table) Scan(fn func(id RowID, row sqltypes.Row) bool) error {
-	return t.ScanAt(t.Latest(), fn)
-}
-
-// ScanAt invokes fn for every row version visible in s, in heap order,
-// stopping early if fn returns false. The error is a heap IO or decode
-// failure.
-func (t *Table) ScanAt(s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) error {
-	it := t.IterAt(s)
-	defer it.Close()
-	for {
-		id, row, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		if !fn(id, row) {
-			return nil
-		}
-	}
-}
-
-// LookupAt probes an index and invokes fn for every version under key
-// visible in s, stopping early if fn returns false. fn runs without any
-// table lock held and may mutate the table.
-func (t *Table) LookupAt(h *IndexHandle, key sqltypes.Row, s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) {
-	t.RangeAt(h, key, key, s, fn)
-}
-
-// RangeAt walks an index from key from to key to (inclusive, prefix
-// comparison, either may be nil) and invokes fn for every version visible in
-// s, in key order, stopping early if fn returns false. fn runs without any
-// table lock held and may mutate the table.
-//
-// It collects the visible matches under the read lock (index structures are
-// only safe against concurrent structural writes while locked), then hands
-// them to fn unlocked.
-func (t *Table) RangeAt(h *IndexHandle, from, to sqltypes.Row, s txn.Snapshot, fn func(id RowID, row sqltypes.Row) bool) {
-	type match struct {
-		id  RowID
-		row sqltypes.Row
-	}
-	var buf [4]match
-	matches := buf[:0]
-	t.mu.RLock()
-	h.Idx.Range(from, to, func(_ sqltypes.Row, id RowID) bool {
-		sl := t.byID[id]
-		if sl != nil && txn.Visible(sl.begin.Load(), sl.end.Load(), s) {
-			matches = append(matches, match{id, t.rowOf(sl)})
-		}
-		return true
-	})
-	t.mu.RUnlock()
-	for _, m := range matches {
-		if !fn(m.id, m.row) {
-			return
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Index management.
 
 // AddIndex builds an index over the given column ordinals from the current
@@ -539,7 +443,11 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 		if b == txn.Infinity {
 			continue // aborted insert: no snapshot can ever see it
 		}
-		key := extractKey(t.rowOf(sl), h.Cols)
+		row, err := t.heap.read(sl.loc)
+		if err != nil {
+			return nil, fmt.Errorf("building index %q: %w", name, err)
+		}
+		key := extractKey(row, h.Cols)
 		if unique && possiblyLive(sl) {
 			var dup bool
 			idx.Lookup(key, func(prev RowID) bool {

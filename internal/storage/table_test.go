@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,50 @@ func commitOne(tb *Table, write func(*txn.Txn) (RowID, error)) (RowID, error) {
 	return id, nil
 }
 
+// drain reads every remaining row of it with its id, and closes it.
+func drain(it *Iter) ([]RowID, []sqltypes.Row, error) {
+	defer it.Close()
+	var ids []RowID
+	var rows []sqltypes.Row
+	id, row, err := it.Next()
+	for ; row != nil; id, row, err = it.Next() {
+		ids, rows = append(ids, id), append(rows, row)
+	}
+	return ids, rows, err
+}
+
+// scanAt reads every version visible in s, in heap order.
+func scanAt(t *testing.T, tb *Table, s txn.Snapshot) ([]RowID, []sqltypes.Row) {
+	t.Helper()
+	ids, rows, err := drain(tb.IterAt(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, rows
+}
+
+// get returns the version under id visible at the latest snapshot, nil when
+// none is.
+func get(t *testing.T, tb *Table, id RowID) sqltypes.Row {
+	t.Helper()
+	ids, rows := scanAt(t, tb, tb.Latest())
+	if i := slices.Index(ids, id); i >= 0 {
+		return rows[i]
+	}
+	return nil
+}
+
+// lookup reads the versions under key in index h visible at the latest
+// snapshot.
+func lookup(t *testing.T, tb *Table, h *IndexHandle, key sqltypes.Row) ([]RowID, []sqltypes.Row) {
+	t.Helper()
+	ids, rows, err := drain(tb.RangeIterAt(h, key, key, tb.Latest()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, rows
+}
+
 func TestTableInsertScan(t *testing.T) {
 	tb := newPagedTestTable(t, 0)
 	for i := int64(0); i < 10; i++ {
@@ -55,22 +100,14 @@ func TestTableInsertScan(t *testing.T) {
 	if tb.Len() != 10 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	seen := 0
-	tb.Scan(func(id RowID, r sqltypes.Row) bool {
+	ids, rows := scanAt(t, tb, tb.Latest())
+	for i, r := range rows {
 		if r[1].Int() != r[0].Int()*r[0].Int() {
-			t.Fatalf("row %d corrupted: %v", id, r)
+			t.Fatalf("row %d corrupted: %v", ids[i], r)
 		}
-		seen++
-		return true
-	})
-	if seen != 10 {
-		t.Fatalf("scanned %d rows", seen)
 	}
-	// Early termination.
-	seen = 0
-	tb.Scan(func(RowID, sqltypes.Row) bool { seen++; return seen < 3 })
-	if seen != 3 {
-		t.Fatalf("early scan saw %d rows", seen)
+	if len(rows) != 10 {
+		t.Fatalf("scanned %d rows", len(rows))
 	}
 }
 
@@ -86,7 +123,7 @@ func TestTableDeleteUpdate(t *testing.T) {
 	if tb.Len() != 4 {
 		t.Fatalf("Len = %d after delete", tb.Len())
 	}
-	if tb.Get(ids[2]) != nil {
+	if get(t, tb, ids[2]) != nil {
 		t.Error("deleted row still visible")
 	}
 	if err := deleteRow(tb, ids[2]); err == nil {
@@ -96,16 +133,16 @@ func TestTableDeleteUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Get(ids[3]) != nil {
+	if get(t, tb, ids[3]) != nil {
 		t.Error("old version still visible after update")
 	}
-	if tb.Get(nid)[0].Int() != 99 {
+	if get(t, tb, nid)[0].Int() != 99 {
 		t.Error("update not visible")
 	}
 	if _, err := updateRow(tb, ids[2], row(1)); err == nil {
 		t.Error("update of deleted row must fail")
 	}
-	if tb.Get(RowID(100)) != nil {
+	if get(t, tb, RowID(100)) != nil {
 		t.Error("out-of-range Get must return nil")
 	}
 }
@@ -119,39 +156,30 @@ func TestTableIndexMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	tb.LookupAt(h, row(3), tb.Latest(), func(id RowID, r sqltypes.Row) bool {
+	threes, rows := lookup(t, tb, h, row(3))
+	for _, r := range rows {
 		if r[0].Int() != 3 {
 			t.Fatalf("index returned wrong row %v", r)
 		}
-		count++
-		return true
-	})
-	if count != 10 {
-		t.Fatalf("index lookup found %d rows, want 10", count)
+	}
+	if len(rows) != 10 {
+		t.Fatalf("index lookup found %d rows, want 10", len(rows))
 	}
 	// Mutations keep visible probe results in sync (dead versions stay in
 	// the index but are filtered out).
-	var victim RowID
-	tb.LookupAt(h, row(3), tb.Latest(), func(id RowID, _ sqltypes.Row) bool { victim = id; return false })
-	if err := deleteRow(tb, victim); err != nil {
+	if err := deleteRow(tb, threes[0]); err != nil {
 		t.Fatal(err)
 	}
-	count = 0
-	tb.LookupAt(h, row(3), tb.Latest(), func(RowID, sqltypes.Row) bool { count++; return true })
-	if count != 9 {
-		t.Fatalf("after delete index finds %d rows, want 9", count)
+	if _, rows = lookup(t, tb, h, row(3)); len(rows) != 9 {
+		t.Fatalf("after delete index finds %d rows, want 9", len(rows))
 	}
 	// Update that moves the key.
-	var mover RowID
-	tb.LookupAt(h, row(4), tb.Latest(), func(id RowID, _ sqltypes.Row) bool { mover = id; return false })
-	if _, err := updateRow(tb, mover, row(7, -1)); err != nil {
+	fours, _ := lookup(t, tb, h, row(4))
+	if _, err := updateRow(tb, fours[0], row(7, -1)); err != nil {
 		t.Fatal(err)
 	}
-	count = 0
-	tb.LookupAt(h, row(7), tb.Latest(), func(RowID, sqltypes.Row) bool { count++; return true })
-	if count != 11 {
-		t.Fatalf("after key-moving update index finds %d rows under 7, want 11", count)
+	if _, rows = lookup(t, tb, h, row(7)); len(rows) != 11 {
+		t.Fatalf("after key-moving update index finds %d rows under 7, want 11", len(rows))
 	}
 }
 
@@ -216,7 +244,10 @@ func TestTableUpdateUniqueAtStatementEnd(t *testing.T) {
 	tb.Clock().Commit(tx, nil)
 	delete(ids, 3)
 	got := map[int64]int64{}
-	tb.Scan(func(_ RowID, r sqltypes.Row) bool { got[r[0].Int()] = r[1].Int(); return true })
+	_, rows := scanAt(t, tb, tb.Latest())
+	for _, r := range rows {
+		got[r[0].Int()] = r[1].Int()
+	}
 	if want := map[int64]int64{1: 10, 2: 20, 4: 30, 5: 40, 6: 50}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after the renumbering the table holds %v, want %v", got, want)
 	}
@@ -241,10 +272,8 @@ func TestTableUpdateUniqueAtStatementEnd(t *testing.T) {
 			t.Fatalf("update %v: the failed statement left %d pending writes besides the insert", to, writes-1)
 		}
 		tx.Abort()
-		n := 0
-		tb.Scan(func(RowID, sqltypes.Row) bool { n++; return true })
-		if n != 5 {
-			t.Fatalf("update %v: after the rollback the table holds %d rows, want 5", to, n)
+		if _, rows := scanAt(t, tb, tb.Latest()); len(rows) != 5 {
+			t.Fatalf("update %v: after the rollback the table holds %d rows, want 5", to, len(rows))
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"rfview/internal/engine"
 	"rfview/internal/mview"
 	"rfview/internal/sqltypes"
-	"rfview/internal/storage"
 	"rfview/internal/txn"
 )
 
@@ -31,10 +30,12 @@ func captureState(e *engine.Engine, lsn uint64) (*Snapshot, error) {
 		for _, c := range t.Columns {
 			st.Columns = append(st.Columns, SnapColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
-		if err := t.Heap.ScanAt(at, func(_ storage.RowID, row sqltypes.Row) bool {
+		it := t.Heap.IterAt(at)
+		_, row, err := it.Next()
+		for ; row != nil; _, row, err = it.Next() {
 			st.Rows = sqltypes.EncodeRows(st.Rows, row)
-			return true
-		}); err != nil {
+		}
+		if it.Close(); err != nil {
 			return nil, err
 		}
 		for _, idx := range t.Indexes {
