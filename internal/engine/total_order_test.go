@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -148,5 +149,52 @@ func TestSessionScriptKeepsNegativeZero(t *testing.T) {
 	res := mustExec(t, e, `SELECT k FROM z`)
 	if k := res.Rows[0][0]; k.Typ() != sqltypes.Float || !math.Signbit(k.Float()) {
 		t.Fatalf("stored %v, want -0", k)
+	}
+}
+
+// TestIndexProbesAcrossTypes probes an INTEGER index with FLOAT, VARCHAR and
+// BOOLEAN keys: through the index join, an IN-list of computed keys and an
+// UPDATE's point lookup, each answer equals the same statement's without the
+// index. 2⁵³+1 is no INTEGER image of the FLOAT 2⁵³, so the index must keep
+// numbers exact across the two types; FALSE encodes as a prefix of 0's
+// bytes, so a key of a type the column cannot compare with must not probe.
+func TestIndexProbesAcrossTypes(t *testing.T) {
+	queries := []string{
+		`SELECT a.k, a.v FROM a JOIN b ON a.k = b.f ORDER BY a.k`,
+		`SELECT a.k, a.v FROM a JOIN b ON a.k = b.s ORDER BY a.k`,
+		`SELECT a.k, a.v FROM a JOIN b ON a.k IN (b.f, b.f + 1) ORDER BY a.k`,
+		`SELECT a.k, a.v FROM a JOIN b ON a.k = b.t ORDER BY a.k`,
+		`UPDATE a SET v = 99 WHERE k = 2.0`,
+		`SELECT k, v FROM a ORDER BY k`,
+	}
+	answers := func(indexed bool) []string {
+		e := New(DefaultOptions())
+		defer e.Close()
+		mustExecAll(t, e, `CREATE TABLE a (k INTEGER, v INTEGER);
+			INSERT INTO a VALUES (0, 0), (1, 1), (2, 2), (9007199254740993, 3);
+			CREATE TABLE b (f FLOAT, s VARCHAR, t BOOLEAN);
+			INSERT INTO b VALUES (2.0, '2', FALSE), (2.5, '2.5', TRUE), (9007199254740992.0, '9007199254740993', NULL)`)
+		if indexed {
+			mustExec(t, e, `CREATE UNIQUE INDEX a_k ON a (k)`)
+			for _, q := range queries[:4] {
+				if plan := mustExec(t, e, `EXPLAIN `+q).Plan; !strings.Contains(plan, "IndexNestedLoopJoin") {
+					t.Errorf("%s: plan\n%s", q, plan)
+				}
+			}
+		}
+		var got []string
+		for _, q := range queries {
+			got = append(got, fmt.Sprint(mustExec(t, e, q).Rows))
+		}
+		return got
+	}
+	indexed, scanned := answers(true), answers(false)
+	for i, q := range queries {
+		if indexed[i] != scanned[i] {
+			t.Errorf("%s: %s through the index, %s without it", q, indexed[i], scanned[i])
+		}
+	}
+	if want := "[(2, 2)]"; indexed[0] != want || indexed[1] != "[]" || indexed[2] != want || indexed[3] != "[]" {
+		t.Errorf("joins answer %v, want %s, [], %s and []", indexed[:4], want, want)
 	}
 }

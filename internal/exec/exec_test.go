@@ -228,6 +228,27 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("multi-probe rows = %v", rows)
 	}
+	// An IN-list repeating a key, as itself and as the FLOAT 2.0, beside a
+	// NULL: one probe, one row.
+	var inList []expr.Expr
+	for _, src := range []string{"k", "NULL", "k * 1.0", "k"} {
+		e, err := expr.Compile(mustExpr(t, src), outerSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inList = append(inList, e)
+	}
+	join5 := NewIndexNestedLoopJoin(valuesOp(outerSchema, intRow(2)), tbl, "t", handle, inList, nil, JoinInner, true)
+	rows, err = Collect(join5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0][0].Int() != 2 || rows[0][2].Int() != 20 {
+		t.Fatalf("repeated-key rows = %v", rows)
+	}
+	if d := join5.Describe(); !strings.Contains(d, " (slots=1 ") {
+		t.Fatalf("repeated keys probed more than once: %q", d)
+	}
 	// Left outer keeps unmatched outer rows.
 	outer3 := valuesOp(outerSchema, intRow(99))
 	join3 := NewIndexNestedLoopJoin(outer3, tbl, "t", handle, []expr.Expr{key}, nil, JoinLeftOuter, true)

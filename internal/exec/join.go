@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"rfview/internal/catalog"
 	"rfview/internal/expr"
@@ -156,9 +157,8 @@ type IndexNestedLoopJoin struct {
 	snapshot    txn.Snapshot
 	pending     []sqltypes.Row // combined rows waiting to be emitted
 	done        bool
-	// seen holds the inner rows the current outer row matched: IN-list
-	// probes may overlap.
-	seen map[storage.RowID]bool
+	// probed holds the keys the current outer row probed so far.
+	probed []sqltypes.Datum
 	// it is the probes' iterator, re-aimed at each key; stats sums their
 	// page traffic across Opens, for EXPLAIN ANALYZE.
 	it    *storage.Iter
@@ -195,7 +195,6 @@ func (j *IndexNestedLoopJoin) Schema() *expr.Schema { return j.schema }
 func (j *IndexNestedLoopJoin) Open() error {
 	j.pending = nil
 	j.done = false
-	j.seen = make(map[storage.RowID]bool)
 	j.closeProbes()
 	if j.Snap != nil {
 		j.snapshot = j.Snap()
@@ -232,15 +231,22 @@ func (j *IndexNestedLoopJoin) Next() (sqltypes.Row, error) {
 			j.done = true
 			continue
 		}
-		clear(j.seen)
+		j.probed = j.probed[:0]
+		colType := j.Inner.Columns[j.Handle.Cols[0]].Type
 		for _, keyExpr := range j.Keys {
 			key, err := keyExpr.Eval(outer)
 			if err != nil {
 				return nil, err
 			}
-			if key.IsNull() {
-				continue // NULL never equals anything
+			// NULL equals nothing, nor does a type the column cannot compare
+			// with (its bytes could still prefix the column's). A version has
+			// one entry per index, so each distinct key, probed once, returns
+			// rows no other key returns.
+			if key.IsNull() || !sqltypes.Comparable(colType, key.Typ()) ||
+				slices.ContainsFunc(j.probed, func(p sqltypes.Datum) bool { return sqltypes.Equal(p, key) }) {
+				continue
 			}
+			j.probed = append(j.probed, key)
 			if err := j.probe(outer, sqltypes.Row{key}); err != nil {
 				return nil, err
 			}
@@ -259,12 +265,8 @@ func (j *IndexNestedLoopJoin) probe(outer, key sqltypes.Row) error {
 	} else {
 		j.it.Seek(key, key, j.snapshot)
 	}
-	id, inner, err := j.it.Next()
-	for ; inner != nil; id, inner, err = j.it.Next() {
-		if j.seen[id] {
-			continue
-		}
-		j.seen[id] = true
+	_, inner, err := j.it.Next()
+	for ; inner != nil; _, inner, err = j.it.Next() {
 		combined := j.combine(outer, inner)
 		if j.Residual != nil {
 			v, err := j.Residual.Eval(combined)

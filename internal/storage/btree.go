@@ -1,17 +1,19 @@
 package storage
 
 import (
+	"slices"
 	"sort"
-
-	"rfview/internal/sqltypes"
 )
 
-// BTree is an in-memory B+tree index over datum-tuple keys, the one access
-// path besides the heap scan. Entries live in the leaves, which are chained
-// for range scans; internal nodes hold copied-up separators. Duplicate keys
-// are allowed (the table layer enforces uniqueness where declared) and are
-// disambiguated by row id, so every stored entry is unique and deletes are
-// exact.
+// BTree is an in-memory B+tree index over byte-string keys, the one access
+// path besides the heap scan. It only compares keys; the table builds them
+// (extractKey) as the memcomparable encoding of the indexed columns, so byte
+// order is the total order of SQL values. A probe is bytes the tree reads
+// and keeps no reference to, so a caller may encode it into a buffer of its
+// own. Entries live in the leaves, which are chained for range scans;
+// internal nodes hold copied-up separators. Duplicate keys are allowed (the
+// table layer enforces uniqueness where declared) and are disambiguated by
+// row id, so every stored entry is unique and deletes are exact.
 //
 // The tree uses minimum degree t: nodes hold at most 2t−1 keys and (except
 // the root) at least t−1.
@@ -28,7 +30,7 @@ const (
 )
 
 type btEntry struct {
-	key sqltypes.Row
+	key string
 	id  RowID
 }
 
@@ -49,51 +51,39 @@ func (t *BTree) Len() int { return t.n }
 
 // compareKeyPrefix compares a full stored key against a (possibly shorter)
 // probe: only the probe's columns participate, so a probe acts as a prefix
-// range. NULLs sort first.
-func compareKeyPrefix(stored, probe sqltypes.Row) int {
-	for i := range probe {
-		if i >= len(stored) {
-			return -1
-		}
-		c, err := sqltypes.Compare(stored[i], probe[i])
-		if err != nil {
-			// Heterogeneous keys cannot happen through the catalog; order
-			// arbitrarily but deterministically by type tag.
-			if stored[i].Typ() != probe[i].Typ() {
-				if stored[i].Typ() < probe[i].Typ() {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		}
-		if c != 0 {
-			return c
-		}
+// range, and the empty probe matches every key. Cutting the stored key to
+// the probe's length suffices because each column's encoding is
+// self-delimiting.
+func compareKeyPrefix(stored string, probe []byte) int {
+	switch s := stored[:min(len(stored), len(probe))]; {
+	case s < string(probe):
+		return -1
+	case s > string(probe):
+		return 1
 	}
 	return 0
 }
 
-// entryLess orders full entries: key columns first, row id as tiebreak.
+// entryLess orders full entries: key bytes first, row id as tiebreak.
 func entryLess(a, b btEntry) bool {
-	c := compareKeyPrefix(a.key, b.key)
-	if c != 0 {
-		return c < 0
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.id < b.id
 }
 
-// childIndex returns the child to descend into for entry e: the first child
-// whose separator is greater than e (equal separators send us right, because
-// separators are copied up from the first entry of the right sibling).
-func (nd *btNode) childIndex(e btEntry) int {
+// upperBound returns the position of the first entry greater than e: in a
+// leaf, where e goes; in an internal node, the child to descend into for e
+// (equal separators send us right, because separators are copied up from the
+// first entry of the right sibling).
+func (nd *btNode) upperBound(e btEntry) int {
 	return sort.Search(len(nd.entries), func(i int) bool {
 		return entryLess(e, nd.entries[i])
 	})
 }
 
 // Insert adds (key, id).
-func (t *BTree) Insert(key sqltypes.Row, id RowID) {
+func (t *BTree) Insert(key string, id RowID) {
 	e := btEntry{key: key, id: id}
 	if len(t.root.entries) == btMaxKeys {
 		old := t.root
@@ -125,28 +115,19 @@ func (nd *btNode) splitChild(i int) {
 		child.entries = child.entries[:mid:mid]
 		child.children = child.children[: mid+1 : mid+1]
 	}
-	nd.entries = append(nd.entries, btEntry{})
-	copy(nd.entries[i+1:], nd.entries[i:])
-	nd.entries[i] = sep
-	nd.children = append(nd.children, nil)
-	copy(nd.children[i+2:], nd.children[i+1:])
-	nd.children[i+1] = right
+	nd.entries = slices.Insert(nd.entries, i, sep)
+	nd.children = slices.Insert(nd.children, i+1, right)
 }
 
 func (nd *btNode) insertNonFull(e btEntry) {
+	i := nd.upperBound(e)
 	if nd.leaf {
-		i := sort.Search(len(nd.entries), func(j int) bool {
-			return entryLess(e, nd.entries[j])
-		})
-		nd.entries = append(nd.entries, btEntry{})
-		copy(nd.entries[i+1:], nd.entries[i:])
-		nd.entries[i] = e
+		nd.entries = slices.Insert(nd.entries, i, e)
 		return
 	}
-	i := nd.childIndex(e)
 	if len(nd.children[i].entries) == btMaxKeys {
 		nd.splitChild(i)
-		if entryLess(nd.entries[i], e) || !entryLess(e, nd.entries[i]) {
+		if !entryLess(e, nd.entries[i]) {
 			// e >= separator: descend right of the new separator.
 			i++
 		}
@@ -155,7 +136,7 @@ func (nd *btNode) insertNonFull(e btEntry) {
 }
 
 // Delete removes (key, id), reporting whether the entry was present.
-func (t *BTree) Delete(key sqltypes.Row, id RowID) bool {
+func (t *BTree) Delete(key string, id RowID) bool {
 	e := btEntry{key: key, id: id}
 	found := t.deleteEntry(t.root, e)
 	if found {
@@ -174,16 +155,16 @@ func (t *BTree) deleteEntry(nd *btNode, e btEntry) bool {
 		i := sort.Search(len(nd.entries), func(j int) bool {
 			return !entryLess(nd.entries[j], e)
 		})
-		if i < len(nd.entries) && !entryLess(e, nd.entries[i]) && !entryLess(nd.entries[i], e) {
-			nd.entries = append(nd.entries[:i], nd.entries[i+1:]...)
+		if i < len(nd.entries) && nd.entries[i] == e {
+			nd.entries = slices.Delete(nd.entries, i, i+1)
 			return true
 		}
 		return false
 	}
-	i := nd.childIndex(e)
+	i := nd.upperBound(e)
 	if len(nd.children[i].entries) == btMinKeys {
 		nd.fixChild(i)
-		i = nd.childIndex(e) // structure changed; re-aim
+		i = nd.upperBound(e) // structure changed; re-aim
 	}
 	return t.deleteEntry(nd.children[i], e)
 }
@@ -255,8 +236,8 @@ func (nd *btNode) mergeChildren(i int) {
 }
 
 // seekLeaf descends to the first leaf that may contain an entry whose key
-// prefix-compares >= probe. A nil probe lands on the leftmost leaf.
-func (t *BTree) seekLeaf(probe sqltypes.Row) *btNode {
+// prefix-compares >= probe. The empty probe lands on the leftmost leaf.
+func (t *BTree) seekLeaf(probe []byte) *btNode {
 	nd := t.root
 	for !nd.leaf {
 		i := sort.Search(len(nd.entries), func(j int) bool {
@@ -267,9 +248,9 @@ func (t *BTree) seekLeaf(probe sqltypes.Row) *btNode {
 	return nd
 }
 
-// Range invokes fn for every entry with from <= key <= to under
-// prefix comparison, in key order. Either bound may be nil.
-func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID) bool) {
+// Range invokes fn for the row id of every entry with from <= key <= to
+// under prefix comparison, in key order. An empty bound is unbounded.
+func (t *BTree) Range(from, to []byte, fn func(RowID) bool) {
 	leaf := t.seekLeaf(from)
 	// Entries are in key order: the walk starts at the first one ≥ from.
 	i := sort.Search(len(leaf.entries), func(j int) bool {
@@ -277,22 +258,11 @@ func (t *BTree) Range(from, to sqltypes.Row, fn func(key sqltypes.Row, id RowID)
 	})
 	for ; leaf != nil; leaf, i = leaf.next, 0 {
 		for _, e := range leaf.entries[i:] {
-			if to != nil && compareKeyPrefix(e.key, to) > 0 {
-				return
-			}
-			if !fn(e.key, e.id) {
+			if compareKeyPrefix(e.key, to) > 0 || !fn(e.id) {
 				return
 			}
 		}
 	}
-}
-
-// Lookup invokes fn for every row id stored under key: exact (or prefix, if
-// key is shorter than the indexed column list) match.
-func (t *BTree) Lookup(key sqltypes.Row, fn func(RowID) bool) {
-	t.Range(key, key, func(_ sqltypes.Row, id RowID) bool {
-		return fn(id)
-	})
 }
 
 // check validates the structural invariants; used by tests.

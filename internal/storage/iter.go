@@ -104,9 +104,13 @@ func (t *Table) RangeIterAt(h *IndexHandle, from, to sqltypes.Row, s txn.Snapsho
 // index join's probes share one — and keeps counting its Stats.
 func (it *Iter) Seek(from, to sqltypes.Row, s txn.Snapshot) {
 	it.snap, it.slots, it.rows, it.i, it.ri = s, it.slots[:0], it.rows[:0], 0, 0
+	var buf [96]byte // two bounds of two numeric columns (68 bytes) fit
+	key := appendKey(buf[:0], from)
+	n := len(key)
+	key = appendKey(key, to)
 	t := it.t
 	t.mu.RLock()
-	it.index.Idx.Range(from, to, func(_ sqltypes.Row, id RowID) bool {
+	it.index.Idx.Range(key[:n], key[n:], func(id RowID) bool {
 		if sl := t.byID[id]; sl != nil {
 			it.slots = append(it.slots, sl)
 		}

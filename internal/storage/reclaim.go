@@ -132,12 +132,13 @@ func (t *Table) reclaimLocked(h uint64) (int, error) {
 		}
 	}
 	now := t.clock.Now()
+	var buf [64]byte
 	for i, sl := range gone {
 		// An id whose index entry is missing (an insert aborted before the
 		// index was built) stays unused rather than risk a stale entry.
 		id, indexed := RowID(sl.id), true
 		for _, ix := range t.indexes {
-			indexed = ix.Idx.Delete(extractKey(rows[i], ix.Cols), id) && indexed
+			indexed = ix.Idx.Delete(string(extractKey(buf[:0], rows[i], ix.Cols)), id) && indexed
 		}
 		t.byID[id] = nil
 		if indexed {

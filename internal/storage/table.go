@@ -23,6 +23,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -189,8 +190,9 @@ func (t *Table) appendLocked(row sqltypes.Row, begin uint64) (RowID, *slot, erro
 	}
 	sl.id = uint32(id)
 	t.slots = append(t.slots, sl)
+	var buf [64]byte
 	for _, h := range t.indexes {
-		h.Idx.Insert(extractKey(row, h.Cols), id)
+		h.Idx.Insert(string(extractKey(buf[:0], row, h.Cols)), id)
 	}
 	return id, sl, nil
 }
@@ -209,9 +211,10 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, snap txn.Snapshot) e
 		if !h.Unique {
 			continue
 		}
-		key := extractKey(row, h.Cols)
+		var buf [64]byte
+		key := extractKey(buf[:0], row, h.Cols)
 		var dup, conflict bool
-		h.Idx.Lookup(key, func(id RowID) bool {
+		h.Idx.Range(key, key, func(id RowID) bool {
 			sl := t.byID[id]
 			if sl == nil {
 				return true
@@ -257,11 +260,11 @@ func (t *Table) checkUnique(row sqltypes.Row, txnID uint64, snap txn.Snapshot) e
 			}
 		})
 		if dup {
-			return fmt.Errorf("duplicate key %v violates unique index %q", key, h.Name)
+			return fmt.Errorf("duplicate key %v violates unique index %q", keyDatums(row, h.Cols), h.Name)
 		}
 		if conflict {
 			return rferrors.New(rferrors.CodeConflict,
-				"key %v contested by a concurrent transaction on unique index %q", key, h.Name)
+				"key %v contested by a concurrent transaction on unique index %q", keyDatums(row, h.Cols), h.Name)
 		}
 	}
 	return nil
@@ -438,6 +441,7 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 		}
 		return e == txn.Infinity || txn.Pending(e)
 	}
+	var buf [64]byte
 	for _, sl := range t.slots {
 		b := sl.begin.Load()
 		if b == txn.Infinity {
@@ -447,10 +451,10 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 		if err != nil {
 			return nil, fmt.Errorf("building index %q: %w", name, err)
 		}
-		key := extractKey(row, h.Cols)
+		key := extractKey(buf[:0], row, h.Cols)
 		if unique && possiblyLive(sl) {
 			var dup bool
-			idx.Lookup(key, func(prev RowID) bool {
+			idx.Range(key, key, func(prev RowID) bool {
 				if possiblyLive(t.byID[prev]) {
 					dup = true
 					return false
@@ -458,10 +462,10 @@ func (t *Table) AddIndex(name string, cols []int, unique bool) (*IndexHandle, er
 				return true
 			})
 			if dup {
-				return nil, fmt.Errorf("duplicate key %v while building unique index %q", key, name)
+				return nil, fmt.Errorf("duplicate key %v while building unique index %q", keyDatums(row, h.Cols), name)
 			}
 		}
-		idx.Insert(key, RowID(sl.id))
+		idx.Insert(string(key), RowID(sl.id))
 	}
 	t.indexes = append(t.indexes, h)
 	return h, nil
@@ -493,24 +497,36 @@ func (t *Table) IndexOn(cols []int) *IndexHandle {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, h := range t.indexes {
-		if len(h.Cols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if h.Cols[i] != c {
-				match = false
-				break
-			}
-		}
-		if match {
+		if len(h.Cols) >= len(cols) && slices.Equal(h.Cols[:len(cols)], cols) {
 			return h
 		}
 	}
 	return nil
 }
 
-func extractKey(row sqltypes.Row, cols []int) sqltypes.Row {
+// extractKey appends row's key in an index over cols to dst: the
+// concatenation of the columns' memcomparable encodings (sqltypes.EncodeKey),
+// whose byte order is their order under sqltypes.Compare, NULLs first. Every
+// column's segment is self-delimiting, so a key's first k columns are a byte
+// prefix of it.
+func extractKey(dst []byte, row sqltypes.Row, cols []int) []byte {
+	for _, c := range cols {
+		dst = sqltypes.EncodeKey(dst, row[c], false)
+	}
+	return dst
+}
+
+// appendKey appends the encoding of a probe's datums, as extractKey encodes
+// a key's columns.
+func appendKey(dst []byte, probe sqltypes.Row) []byte {
+	for _, d := range probe {
+		dst = sqltypes.EncodeKey(dst, d, false)
+	}
+	return dst
+}
+
+// keyDatums returns row's columns cols, the form an error message prints.
+func keyDatums(row sqltypes.Row, cols []int) sqltypes.Row {
 	key := make(sqltypes.Row, len(cols))
 	for i, c := range cols {
 		key[i] = row[c]

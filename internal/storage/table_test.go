@@ -303,16 +303,3 @@ func TestTableIndexAdministration(t *testing.T) {
 		t.Error("dropping a missing index must fail")
 	}
 }
-
-func TestCompareKeyPrefix(t *testing.T) {
-	full := sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewInt(7)}
-	if compareKeyPrefix(full, sqltypes.Row{sqltypes.NewInt(3)}) != 0 {
-		t.Error("prefix probe should compare equal")
-	}
-	if compareKeyPrefix(full, sqltypes.Row{sqltypes.NewInt(4)}) >= 0 {
-		t.Error("(3,7) should sort before probe (4)")
-	}
-	if compareKeyPrefix(full, full) != 0 {
-		t.Error("identical keys should compare equal")
-	}
-}
